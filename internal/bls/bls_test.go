@@ -3,6 +3,7 @@ package bls
 import (
 	"crypto/rand"
 	"testing"
+	"time"
 
 	"alpenhorn/internal/bn254"
 )
@@ -181,6 +182,68 @@ func TestVerifyMatchesTwoPairReconstruction(t *testing.T) {
 		oracle := reconstruct(c.pub, c.msg, c.sig)
 		if got != c.want || oracle != c.want {
 			t.Fatalf("%s: Verify=%v oracle=%v want=%v", c.name, got, oracle, c.want)
+		}
+	}
+}
+
+// TestVerifySpeedupPin guards the move of Verify off the Tate loop: the ate
+// product check replaying kept line tables must beat the Tate oracle check
+// (bn254.PairingCheck on the same two pairs, hashing included on both
+// sides) by a clear margin. The measured ratio is ~3x — a shared
+// 65-iteration loop against two 254-iteration ones — and the floor is 2x, so
+// scheduler noise cannot flake the suite while a real regression (tables
+// rebuilt per call, an unshared loop) still trips it. Skipped in -short
+// mode.
+func TestVerifySpeedupPin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("relative perf pin skipped in -short mode")
+	}
+	pub, priv, err := GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("pkg attests bob@example.org at round 42")
+	sig := Sign(priv, msg)
+	tateVerify := func() bool {
+		h := bn254.HashToG1(hashDomain, msg)
+		negG2 := new(bn254.G2).Neg(bn254.G2Generator())
+		return bn254.PairingCheck([]*bn254.G1{sig.s, h}, []*bn254.G2{negG2, pub.p})
+	}
+	if !Verify(pub, msg, sig) || !tateVerify() { // also warms both line tables
+		t.Fatal("valid signature rejected")
+	}
+
+	best := func(trials int, f func() bool) time.Duration {
+		bestD := time.Duration(1<<63 - 1)
+		for i := 0; i < trials; i++ {
+			start := time.Now()
+			f()
+			if d := time.Since(start); d < bestD {
+				bestD = d
+			}
+		}
+		return bestD
+	}
+	ate := best(7, func() bool { return Verify(pub, msg, sig) })
+	tate := best(7, tateVerify)
+	if ate*2 > tate {
+		t.Errorf("ate Verify %v is under 2x the tate oracle check %v (ratio %.2fx)",
+			ate, tate, float64(tate)/float64(ate))
+	}
+	t.Logf("ate Verify %v vs tate oracle check %v: %.2fx", ate, tate, float64(tate)/float64(ate))
+}
+
+func BenchmarkVerify(b *testing.B) {
+	pub, priv, err := GenerateKey(rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	msg := []byte("pkg attests bob@example.org at round 42")
+	sig := Sign(priv, msg)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !Verify(pub, msg, sig) {
+			b.Fatal("valid signature rejected")
 		}
 	}
 }

@@ -272,22 +272,38 @@ func g2AteLines(q *G2) []ateLineCoeff {
 	return coeffs
 }
 
-// ateEvalLinesInto replays a fixed-Q ate ladder against P = (xp, yp).
-func ateEvalLinesInto(f *fe12, coeffs []ateLineCoeff, xp, yp *fe) {
+// ateFixedPair is one factor of a fixed-G2 pairing product: the line table
+// of Q and the evaluation coordinates of P.
+type ateFixedPair struct {
+	coeffs []ateLineCoeff
+	xp, yp *fe
+}
+
+// ateEvalLinesInto replays fixed-Q ate ladders against their G1 points,
+// leaving the PRODUCT of the unreduced Miller values in f. Every table has
+// the same layout (one triple per doubling, one per nonzero NAF digit, two
+// corrections — the shape depends only on λ), so the ladders advance in
+// lockstep and the Fp12 squaring of each iteration is paid once for the
+// whole product: f² · ∏ℓᵢ is the square-and-multiply step of ∏fᵢ.
+func ateEvalLinesInto(f *fe12, pairs []ateFixedPair) {
 	f.SetOne()
 	k := 0
+	apply := func() {
+		for i := range pairs {
+			ateApplyLine(f, &pairs[i].coeffs[k], pairs[i].xp, pairs[i].yp)
+		}
+		k++
+	}
 	for i := len(ateLoopNAF) - 2; i >= 0; i-- {
 		f.Square(f)
-		ateApplyLine(f, &coeffs[k], xp, yp)
-		k++
+		apply()
 		if ateLoopNAF[i] != 0 {
-			ateApplyLine(f, &coeffs[k], xp, yp)
-			k++
+			apply()
 		}
 	}
 	// Correction lines.
-	ateApplyLine(f, &coeffs[k], xp, yp)
-	ateApplyLine(f, &coeffs[k+1], xp, yp)
+	apply()
+	apply()
 }
 
 // atePairValue is AtePair without the init-time oracle check (the check
@@ -624,6 +640,35 @@ func (pc *AtePrecomputedG2) Pair(p *G1) *GT {
 		return GTOne()
 	}
 	var f fe12
-	ateEvalLinesInto(&f, pc.coeffs, &p.x, &p.y)
+	ateEvalLinesInto(&f, []ateFixedPair{{pc.coeffs, &p.x, &p.y}})
 	return &GT{e: *finalExp(&f)}
+}
+
+// AtePairingCheck reports whether ∏ AtePair(ps[i], qs[i]) == 1 for fixed,
+// precomputed G2 arguments: one ~65-iteration loop whose Fp12 squaring is
+// shared by every pair, then ONE decomposed final exponentiation. Pairs with
+// the identity on either side contribute 1 and are skipped.
+//
+// It is the production pairing-product check (BLS verification). Since
+// AtePair = Pair^κ with κ prime to the group order, the product of ate
+// values is 1 exactly when the product of Tate values is, so it accepts the
+// same tuples as the Tate PairingCheck — which keeps no production caller
+// and stays as the differential oracle the tests compare against.
+func AtePairingCheck(ps []*G1, qs []*AtePrecomputedG2) bool {
+	if len(ps) != len(qs) {
+		return false
+	}
+	pairs := make([]ateFixedPair, 0, len(ps))
+	for i, p := range ps {
+		if p.IsInfinity() || qs[i].inf {
+			continue
+		}
+		pairs = append(pairs, ateFixedPair{qs[i].coeffs, &p.x, &p.y})
+	}
+	if len(pairs) == 0 {
+		return true
+	}
+	var f fe12
+	ateEvalLinesInto(&f, pairs)
+	return finalExpDecomp(&f).IsOne()
 }

@@ -305,3 +305,96 @@ func BenchmarkAtePairBatch(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pairing")
 }
+
+// TestAtePairingCheckDifferential pins the production pairing-product check
+// against the Tate PairingCheck oracle: identical accept/reject on random
+// valid tuples of 2-4 pairs, on the same tuples with a single scalar bit
+// flipped, with infinity substituted on either side of a pair, on the empty
+// product and on mismatched lengths — with line tables built fresh per call
+// and with tables built once and replayed across calls (the BLS pattern,
+// where −G2 and the verification key are fixed).
+func TestAtePairingCheckDifferential(t *testing.T) {
+	scalar := func() *big.Int {
+		k, err := RandomScalar(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	fresh := func(qs []*G2) []*AtePrecomputedG2 {
+		tables := make([]*AtePrecomputedG2, len(qs))
+		for i, q := range qs {
+			tables[i] = AtePrecomputeG2(q)
+		}
+		return tables
+	}
+	agree := func(name string, ps []*G1, qs []*G2, kept []*AtePrecomputedG2, want bool) {
+		t.Helper()
+		oracle := PairingCheck(ps, qs)
+		if oracle != want {
+			t.Fatalf("%s: tate oracle = %v, want %v", name, oracle, want)
+		}
+		if got := AtePairingCheck(ps, fresh(qs)); got != want {
+			t.Fatalf("%s: ate check with fresh tables = %v, want %v", name, got, want)
+		}
+		for pass := 0; pass < 2; pass++ {
+			if got := AtePairingCheck(ps, kept); got != want {
+				t.Fatalf("%s: ate check replaying kept tables (pass %d) = %v, want %v", name, pass, got, want)
+			}
+		}
+	}
+
+	for n := 2; n <= 4; n++ {
+		// ∏ e(aᵢ·G1, bᵢ·G2) = 1 ⇔ Σ aᵢbᵢ ≡ 0: the last pair cancels the rest.
+		as := make([]*big.Int, n)
+		ps := make([]*G1, n)
+		qs := make([]*G2, n)
+		sum := new(big.Int)
+		for i := 0; i < n-1; i++ {
+			as[i] = scalar()
+			b := scalar()
+			ps[i] = new(G1).ScalarBaseMult(as[i])
+			qs[i] = new(G2).ScalarBaseMult(b)
+			sum.Add(sum, new(big.Int).Mul(as[i], b))
+		}
+		as[n-1] = sum.Neg(sum).Mod(sum, Order)
+		ps[n-1] = new(G1).ScalarBaseMult(as[n-1])
+		qs[n-1] = G2Generator()
+		kept := fresh(qs)
+		agree("valid", ps, qs, kept, true)
+
+		// One flipped scalar bit in any single pair breaks the product.
+		for i := range ps {
+			forged := append([]*G1(nil), ps...)
+			bit := new(big.Int).Lsh(big.NewInt(1), uint(7*i+3))
+			forged[i] = new(G1).ScalarBaseMult(new(big.Int).Xor(as[i], bit))
+			agree("forged G1", forged, qs, kept, false)
+		}
+
+		// Infinity on either side drops that pair's factor: what remains
+		// no longer cancels.
+		holed := append([]*G1(nil), ps...)
+		holed[0] = new(G1).SetInfinity()
+		agree("infinite G1", holed, qs, kept, false)
+		holedQ := append([]*G2(nil), qs...)
+		holedQ[n-1] = new(G2).SetInfinity()
+		keptQ := append([]*AtePrecomputedG2(nil), kept...)
+		keptQ[n-1] = AtePrecomputeG2(holedQ[n-1])
+		agree("infinite G2", ps, holedQ, keptQ, false)
+
+		// ...while identity pairs added to a valid tuple change nothing.
+		padP := append(append([]*G1(nil), ps...), new(G1).SetInfinity(), ps[0])
+		padQ := append(append([]*G2(nil), qs...), qs[0], new(G2).SetInfinity())
+		agree("identity padding", padP, padQ, fresh(padQ), true)
+
+		if PairingCheck(ps[:n-1], qs) || AtePairingCheck(ps[:n-1], kept) {
+			t.Fatal("mismatched lengths accepted")
+		}
+	}
+	agree("empty product", nil, nil, nil, true)
+	inf1, inf2 := new(G1).SetInfinity(), new(G2).SetInfinity()
+	agree("all identity", []*G1{inf1, G1Generator()}, []*G2{G2Generator(), inf2},
+		fresh([]*G2{G2Generator(), inf2}), true)
+	agree("single nontrivial pair", []*G1{G1Generator()}, []*G2{G2Generator()},
+		fresh([]*G2{G2Generator()}), false)
+}

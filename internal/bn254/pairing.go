@@ -229,7 +229,8 @@ func finalExpDecomp(f *fe12) *fe12 {
 // Pair computes the reduced Tate pairing e(p, q) ∈ GT. Pairing with the
 // identity in either argument returns the identity of GT. It keeps the
 // generic windowed final exponentiation as the differential oracle for
-// the decomposed hard part used by the batch pipelines and PairingCheck.
+// the decomposed hard part used by the batch pipelines and the pairing
+// checks.
 func Pair(p *G1, q *G2) *GT {
 	if p.IsInfinity() || q.IsInfinity() {
 		return GTOne()
@@ -237,11 +238,12 @@ func Pair(p *G1, q *G2) *GT {
 	return &GT{e: *finalExp(evalLines(g1Lines(p), &q.x, &q.y))}
 }
 
-// PairingCheck reports whether ∏ e(p[i], q[i]) == 1. It is used by BLS
-// signature verification: e(sig, G2) == e(H(m), pk) is checked as
-// e(sig, −G2)·e(H(m), pk) == 1. The Miller values are multiplied before a
-// single shared final exponentiation, taken through the decomposed hard
-// part (the scalar Pair retains the windowed path as its oracle).
+// PairingCheck reports whether ∏ e(p[i], q[i]) == 1 on the Tate loop: the
+// Miller values are multiplied before a single shared final exponentiation,
+// taken through the decomposed hard part (the scalar Pair retains the
+// windowed path as its oracle). It has no production caller — BLS
+// verification runs on AtePairingCheck — and stays as the differential
+// oracle that check is tested against.
 func PairingCheck(ps []*G1, qs []*G2) bool {
 	if len(ps) != len(qs) {
 		return false

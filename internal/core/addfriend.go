@@ -43,7 +43,7 @@ func (c *Client) SubmitAddFriendRound(ctx context.Context, round uint32) error {
 	}
 
 	// Step 1: acquire identity key shares and attestations from every
-	// PKG, verifying each PKG's BLS attestation before aggregating.
+	// PKG, verifying the aggregated BLS attestation before keeping them.
 	if err := c.extractRoundKeys(ctx, round); err != nil {
 		return fmt.Errorf("core: extracting round keys: %w", err)
 	}
@@ -78,6 +78,15 @@ func (c *Client) SubmitAddFriendRound(ctx context.Context, round uint32) error {
 
 // extractRoundKeys performs Algorithm 1 step 1 against every PKG and
 // caches the aggregated results for the round's scan phase.
+//
+// The PKGs are asked concurrently (one round trip instead of one per PKG),
+// and their attestation shares are verified IN AGGREGATE: one pairing check
+// of the summed shares against the summed pinned keys instead of one per
+// PKG. Only if that fails are the shares checked one by one, to name the
+// PKG at fault. This accepts exactly the multisignatures the share-by-share
+// rule let through to a recipient: only the aggregate is ever used
+// afterwards (it is what the friend request carries), and handleFriendRequest
+// on the receiving side runs this same check against this same key.
 func (c *Client) extractRoundKeys(ctx context.Context, round uint32) error {
 	c.mu.Lock()
 	if _, done := c.roundKeys[round]; done {
@@ -87,28 +96,43 @@ func (c *Client) extractRoundKeys(ctx context.Context, round uint32) error {
 	c.mu.Unlock()
 
 	sig := ed25519.Sign(c.signingPriv, pkgserver.ExtractMessage(c.cfg.Email, round))
-	attMsg := wire.AttestationMessage(c.cfg.Email, c.signingPub, round)
-
-	idKeys := make([]*ibe.IdentityPrivateKey, len(c.cfg.PKGs))
-	sigs := make([]*bls.Signature, len(c.cfg.PKGs))
+	replies := make([]*pkgserver.ExtractReply, len(c.cfg.PKGs))
+	errs := make([]error, len(c.cfg.PKGs))
+	var wg sync.WaitGroup
 	for i, pkg := range c.cfg.PKGs {
-		reply, err := pkg.Extract(ctx, c.cfg.Email, round, sig)
-		if err != nil {
-			return fmt.Errorf("PKG %d: %w", i, err)
-		}
-		// Verify this PKG's attestation share now: a bad share would
-		// poison the aggregate and is this PKG's fault.
-		if !bls.Verify(c.cfg.PKGBLSKeys[i], attMsg, reply.Attestation) {
-			return fmt.Errorf("PKG %d returned invalid attestation", i)
+		wg.Add(1)
+		go func(i int, pkg PKG) {
+			defer wg.Done()
+			replies[i], errs[i] = pkg.Extract(ctx, c.cfg.Email, round, sig)
+		}(i, pkg)
+	}
+	wg.Wait()
+
+	idKeys := make([]*ibe.IdentityPrivateKey, len(replies))
+	sigs := make([]*bls.Signature, len(replies))
+	for i, reply := range replies {
+		if errs[i] != nil {
+			return fmt.Errorf("PKG %d: %w", i, errs[i])
 		}
 		idKeys[i] = reply.IdentityKey
 		sigs[i] = reply.Attestation
 	}
 
+	attMsg := wire.AttestationMessage(c.cfg.Email, c.signingPub, round)
+	pkgSigs := bls.AggregateSignatures(sigs...)
+	if !c.verifyBLS(c.pkgAggKey, attMsg, pkgSigs) {
+		for i, share := range sigs {
+			if !c.verifyBLS(c.cfg.PKGBLSKeys[i], attMsg, share) {
+				return fmt.Errorf("PKG %d returned invalid attestation", i)
+			}
+		}
+		return errors.New("PKG attestations do not aggregate to a valid multisignature")
+	}
+
 	c.mu.Lock()
 	c.roundKeys[round] = &roundSecrets{
 		identityKey: ibe.AggregatePrivateKeys(idKeys...),
-		pkgSigs:     bls.AggregateSignatures(sigs...),
+		pkgSigs:     pkgSigs,
 	}
 	c.mu.Unlock()
 	return nil
@@ -163,29 +187,20 @@ func (c *Client) buildAddFriendPayload(round uint32, settings *wire.RoundSetting
 		return nil, nil, err
 	}
 
-	// Encrypt to the friend's identity under the aggregated master key.
-	var masterKeys []*ibe.MasterPublicKey
-	for i, pk := range settings.PKGs {
-		mk, err := ibe.UnmarshalMasterPublicKey(pk.MasterKey)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: PKG %d round key: %w", i, err)
-		}
-		masterKeys = append(masterKeys, mk)
+	// Encrypt to the friend's identity under the round's aggregated master
+	// key, on the sealed-ciphertext tier the round's settings select.
+	agg, err := c.roundMasterKey(settings)
+	if err != nil {
+		return nil, nil, err
 	}
-	// The round's SIGNED settings pick the sealed-ciphertext tier: both
-	// sides of a round key their pairing off the same capability byte,
-	// so a v2 client in a v1 deployment (or vice versa) degrades
-	// transparently — never a mixed-version derivation.
 	var ctxt []byte
 	if settings.PairingV2() {
-		agg := ibe.AggregateMasterKeys(masterKeys...).PrecomputeV2()
 		c2, err := ibe.EncryptV2(c.cfg.Rand, agg, target.email, plaintext)
 		if err != nil {
 			return nil, nil, err
 		}
 		ctxt = []byte(c2)
 	} else {
-		agg := ibe.AggregateMasterKeys(masterKeys...).Precompute()
 		ctxt, err = ibe.Encrypt(c.cfg.Rand, agg, target.email, plaintext)
 		if err != nil {
 			return nil, nil, err
@@ -363,10 +378,9 @@ func (c *Client) ScanAddFriendRound(ctx context.Context, round uint32) error {
 func (c *Client) handleFriendRequest(round uint32, req *wire.FriendRequest) {
 	// ok1: the PKG multisignature proves SenderKey belongs to
 	// SenderEmail as long as one PKG is honest.
-	aggPKG := bls.AggregatePublicKeys(c.cfg.PKGBLSKeys...)
 	attMsg := wire.AttestationMessage(req.SenderEmail, req.SenderKey, round)
 	sig, err := bls.UnmarshalSignature(req.PKGSigs)
-	if err != nil || !bls.Verify(aggPKG, attMsg, sig) {
+	if err != nil || !c.verifyBLS(c.pkgAggKey, attMsg, sig) {
 		c.reportErr(fmt.Errorf("core: friend request from %q: invalid PKG multisignature", req.SenderEmail))
 		return
 	}

@@ -228,6 +228,13 @@ type Client struct {
 	signingPub  ed25519.PublicKey
 	signingPriv ed25519.PrivateKey
 
+	// pkgAggKey is the sum of the pinned PKG attestation keys, built once:
+	// the key every PKG multisignature — our own round's and every incoming
+	// friend request's — is verified against.
+	pkgAggKey *bls.PublicKey
+	// verifyBLS is bls.Verify; a field so tests can count verifications.
+	verifyBLS func(*bls.PublicKey, []byte, *bls.Signature) bool
+
 	mu        sync.Mutex
 	friends   map[string]*Friend
 	pending   map[string]*pendingFriend
@@ -257,8 +264,18 @@ type Client struct {
 	// entry.settings call at all in steady state — submit and scan both
 	// hit the cache.
 	settingsMu    sync.Mutex
-	settingsCache map[settingsKey]*wire.RoundSettings
+	settingsCache map[settingsKey]*cachedSettings
 	settingsOrder []settingsKey
+}
+
+// cachedSettings is one round's verified settings plus what the client
+// derives from them once per round.
+type cachedSettings struct {
+	rs *wire.RoundSettings
+	// masterKey is the round's aggregated IBE master key, precomputed for
+	// the round's pairing tier; built by the round's first real friend
+	// request (roundMasterKey) and dropped with the settings.
+	masterKey *ibe.MasterPublicKey
 }
 
 // settingsKey identifies one round's settings in the client cache.
@@ -307,6 +324,8 @@ func NewClient(cfg Config) (*Client, error) {
 		cfg:         cfg,
 		signingPub:  pub,
 		signingPriv: priv,
+		pkgAggKey:   bls.AggregatePublicKeys(cfg.PKGBLSKeys...),
+		verifyBLS:   bls.Verify,
 		friends:     make(map[string]*Friend),
 		pending:     make(map[string]*pendingFriend),
 		roundKeys:   make(map[uint32]*roundSecrets),
@@ -456,12 +475,12 @@ func (c *Client) cacheSettings(rs *wire.RoundSettings) {
 	c.settingsMu.Lock()
 	defer c.settingsMu.Unlock()
 	if c.settingsCache == nil {
-		c.settingsCache = make(map[settingsKey]*wire.RoundSettings)
+		c.settingsCache = make(map[settingsKey]*cachedSettings)
 	}
 	if _, ok := c.settingsCache[key]; ok {
 		return
 	}
-	c.settingsCache[key] = rs
+	c.settingsCache[key] = &cachedSettings{rs: rs}
 	c.settingsOrder = append(c.settingsOrder, key)
 	if len(c.settingsOrder) > settingsCacheSize {
 		evict := c.settingsOrder[0]
@@ -492,10 +511,10 @@ func (c *Client) noteAnnouncedSettings(ann entry.Announcement) {
 // never re-fetches what its submit already pulled).
 func (c *Client) roundSettings(ctx context.Context, service wire.Service, round uint32, needPKGs bool) (*wire.RoundSettings, error) {
 	c.settingsMu.Lock()
-	rs, ok := c.settingsCache[settingsKey{service, round}]
+	cached, ok := c.settingsCache[settingsKey{service, round}]
 	c.settingsMu.Unlock()
 	if ok {
-		return rs, nil
+		return cached.rs, nil
 	}
 	rs, err := c.cfg.Entry.Settings(ctx, service, round)
 	if err != nil {
@@ -506,6 +525,41 @@ func (c *Client) roundSettings(ctx context.Context, service wire.Service, round 
 	}
 	c.cacheSettings(rs)
 	return rs, nil
+}
+
+// roundMasterKey returns the aggregated master public key of an add-friend
+// round, precomputed for the pairing tier the round's SIGNED settings select
+// (both sides of a round key their pairing off the same capability byte, so
+// a v2 client in a v1 deployment, or vice versa, degrades transparently —
+// never a mixed-version derivation). Unmarshalling the PKGs' G2 keys
+// (subgroup checks included) and laddering the sum costs more than the
+// encryption that uses it, so the result is kept beside the round's cached
+// settings: built once per round, evicted with them.
+func (c *Client) roundMasterKey(settings *wire.RoundSettings) (*ibe.MasterPublicKey, error) {
+	c.settingsMu.Lock()
+	defer c.settingsMu.Unlock()
+	cached := c.settingsCache[settingsKey{settings.Service, settings.Round}]
+	if cached != nil && cached.masterKey != nil {
+		return cached.masterKey, nil
+	}
+	keys := make([]*ibe.MasterPublicKey, len(settings.PKGs))
+	for i, pk := range settings.PKGs {
+		mk, err := ibe.UnmarshalMasterPublicKey(pk.MasterKey)
+		if err != nil {
+			return nil, fmt.Errorf("core: PKG %d round key: %w", i, err)
+		}
+		keys[i] = mk
+	}
+	agg := ibe.AggregateMasterKeys(keys...)
+	if settings.PairingV2() {
+		agg.PrecomputeV2()
+	} else {
+		agg.Precompute()
+	}
+	if cached != nil {
+		cached.masterKey = agg
+	}
+	return agg, nil
 }
 
 // reportErr forwards a non-fatal error to the handler.

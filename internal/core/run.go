@@ -140,27 +140,32 @@ func (f *roundFeed) status(service wire.Service) (entry.RoundStatus, <-chan stru
 	return f.state[service], f.changed
 }
 
-// fold merges new round progress into the state. Progress is monotonic:
-// folding with max makes coalesced (gap) replies and duplicate
-// announcements harmless.
-func (f *roundFeed) fold(service wire.Service, st entry.RoundStatus) {
+// fold merges new round progress into the state as ONE state change: the
+// per-service maxima land together and waiting handles are woken once, so a
+// loop never acts on half of a reply (a replayed backlog of six published
+// rounds is one span to drain, not a first round and then the rest).
+// Progress is monotonic: folding with max makes coalesced (gap) replies and
+// duplicate announcements harmless.
+func (f *roundFeed) fold(progress map[wire.Service]entry.RoundStatus) {
 	f.mu.Lock()
-	cur := f.state[service]
+	defer f.mu.Unlock()
 	dirty := false
-	if st.CurrentOpen > cur.CurrentOpen {
-		cur.CurrentOpen = st.CurrentOpen
-		dirty = true
-	}
-	if st.LatestPublished > cur.LatestPublished {
-		cur.LatestPublished = st.LatestPublished
-		dirty = true
+	for service, st := range progress {
+		cur := f.state[service]
+		if st.CurrentOpen > cur.CurrentOpen {
+			cur.CurrentOpen = st.CurrentOpen
+			dirty = true
+		}
+		if st.LatestPublished > cur.LatestPublished {
+			cur.LatestPublished = st.LatestPublished
+			dirty = true
+		}
+		f.state[service] = cur
 	}
 	if dirty {
-		f.state[service] = cur
 		close(f.changed)
 		f.changed = make(chan struct{})
 	}
-	f.mu.Unlock()
 }
 
 // run follows the frontend until the feed is released. Push mode parks on
@@ -191,21 +196,23 @@ func (f *roundFeed) run(ctx context.Context) {
 			if err == nil {
 				cursor = next
 				backoff, outage = feedBackoffMin, 0
+				progress := make(map[wire.Service]entry.RoundStatus, 2)
 				for _, ann := range anns {
-					st := entry.RoundStatus{}
+					st := progress[ann.Service]
 					switch ann.Kind {
 					case entry.RoundOpen:
-						st.CurrentOpen = ann.Round
+						st.CurrentOpen = max(st.CurrentOpen, ann.Round)
 						// Settings riding the open event (EventStreamV2,
 						// or the in-process adapter) pre-fill the cache
 						// BEFORE the fold wakes the service loops, so
 						// their submits start from a hit.
 						f.c.noteAnnouncedSettings(ann)
 					case entry.RoundPublished:
-						st.LatestPublished = ann.Round
+						st.LatestPublished = max(st.LatestPublished, ann.Round)
 					}
-					f.fold(ann.Service, st)
+					progress[ann.Service] = st
 				}
+				f.fold(progress)
 				continue
 			}
 			if errors.Is(err, ErrEventsUnsupported) {
@@ -233,6 +240,7 @@ func (f *roundFeed) run(ctx context.Context) {
 			continue
 		}
 
+		progress := make(map[wire.Service]entry.RoundStatus, 2)
 		for _, service := range []wire.Service{wire.AddFriend, wire.Dialing} {
 			st, err := poller.Status(ctx, service)
 			if err != nil {
@@ -245,8 +253,9 @@ func (f *roundFeed) run(ctx context.Context) {
 				continue
 			}
 			outage = 0
-			f.fold(service, st)
+			progress[service] = st
 		}
+		f.fold(progress)
 		if !sleep(f.c.pollInterval()) {
 			return
 		}

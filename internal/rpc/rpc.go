@@ -51,18 +51,38 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
+// frameReadStep is the most readFrame allocates on the strength of a frame
+// header alone. The header comes from an unauthenticated peer and may claim
+// up to maxMessageSize for the price of four bytes; everything past the
+// first step is allocated only after the bytes before it have arrived.
+const frameReadStep = 1 << 20
+
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxMessageSize {
+	claimed := binary.BigEndian.Uint32(hdr[:])
+	if claimed > maxMessageSize {
 		return nil, errors.New("rpc: frame too large")
 	}
-	payload := make([]byte, n)
+	n := int(claimed)
+	// Frames up to one step — nearly all of them — are one allocation and
+	// one read. A larger frame doubles its buffer each time the part
+	// allocated so far has filled, so a peer that stops sending has cost at
+	// most about twice what it actually sent, plus the first step.
+	payload := make([]byte, min(n, frameReadStep))
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
+	}
+	for len(payload) < n {
+		have := len(payload)
+		grown := make([]byte, min(n, 2*have))
+		copy(grown, payload)
+		payload = grown
+		if _, err := io.ReadFull(r, payload[have:]); err != nil {
+			return nil, err
+		}
 	}
 	return payload, nil
 }
