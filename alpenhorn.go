@@ -20,14 +20,13 @@
 //	client.Call("bob@example.org", 0)       // intent 0
 //
 // Run owns everything between the application and the deployment's round
-// schedule: it follows the frontend's round announcements (a push-based
-// entry.events stream when the frontend serves one, transparent
-// status-polling fallback when it does not), submits every round — a real
-// request when one is queued, indistinguishable cover traffic otherwise —
-// scans every published mailbox through a bounded, crash-persistent
-// backlog with ranged fetches, retries failed scans on the §5.1 time
-// budget before advancing the keywheels past them, and reconnects with
-// backoff when the frontend dies. ConnectAddFriend and ConnectDialing
+// schedule: it follows the frontend's round announcements (the
+// entry.events stream), submits every round — a real request when one is
+// queued, indistinguishable cover traffic otherwise — scans every
+// published mailbox through a bounded, crash-persistent backlog with
+// ranged fetches, retries failed scans on the §5.1 time budget before
+// advancing the keywheels past them, and reconnects with backoff when the
+// frontend dies. ConnectAddFriend and ConnectDialing
 // expose the same loop per service, each returning a handle with
 // Err/Close. Friendship confirmations and incoming calls are delivered
 // through the application's Handler (the NewFriend / IncomingCall
@@ -83,10 +82,6 @@ type Persister = core.Persister
 // Client.ConnectAddFriend / Client.ConnectDialing.
 type ServiceHandle = core.ServiceHandle
 
-// RoundStatus is the frontend's per-service round progress (the poll
-// surface; push transports fold their events into the same shape).
-type RoundStatus = core.RoundStatus
-
 // Server interfaces: implementations may be in-process (internal/sim) or
 // network clients (cmd daemons). All methods take a leading context.
 type (
@@ -97,17 +92,10 @@ type (
 	// MailboxStore is the client's view of the mailbox CDN; FetchRange
 	// lets a catching-up client cover a span of rounds in one request.
 	MailboxStore = core.MailboxStore
-	// StatusProvider is the optional poll-based round-progress surface;
-	// Run uses it when the frontend cannot push events.
-	StatusProvider = core.StatusProvider
-	// RoundWatcher is the optional push-based round-event surface
-	// (resumable by cursor); Run prefers it when available.
+	// RoundWatcher is the round-event surface (resumable by cursor) that
+	// Run follows; Config.Entry must implement it.
 	RoundWatcher = core.RoundWatcher
 )
-
-// ErrEventsUnsupported is returned by a RoundWatcher whose frontend does
-// not stream round events; Run falls back to Status polling.
-var ErrEventsUnsupported = core.ErrEventsUnsupported
 
 // NewClient creates a client with a fresh long-term signing key.
 // Call Register (then ConfirmRegistration with the emailed tokens) before

@@ -15,14 +15,12 @@
 //	alpenhorn-bench -exp chain-forward # relayed vs server-forwarded data plane over TCP
 //	alpenhorn-bench -exp shard-compare # unsharded vs shard-group positions over TCP
 //	alpenhorn-bench -exp churn      # round availability with hot spares under daemon kills
-//	alpenhorn-bench -exp status-load # 500 ms status pollers vs entry.events streamers
-//	alpenhorn-bench -exp fanout-load # waiter-scale fan-out + V2 vs V1 tracking requests
 //	alpenhorn-bench -exp cdn-load   # CDN seal throughput, fetch p50/p99, replication lag
 //	alpenhorn-bench -all            # everything
 //
-// -json FILE writes the shard-compare / churn / status-load /
-// fanout-load / ibe-bench / cdn-load results as a JSON record (CI
-// uploads them per PR to track the perf trajectory).
+// -json FILE writes the shard-compare / churn / ibe-bench / cdn-load
+// results as a JSON record (CI uploads them per PR to track the perf
+// trajectory).
 //
 // The -parallelism flag sets the mixers' decryption/noise worker count for
 // every experiment that runs real rounds (0 = GOMAXPROCS, 1 = the
@@ -50,7 +48,6 @@ import (
 
 	"alpenhorn/internal/cdn"
 	"alpenhorn/internal/coordinator"
-	"alpenhorn/internal/core"
 	"alpenhorn/internal/entry"
 	"alpenhorn/internal/ibe"
 	"alpenhorn/internal/keywheel"
@@ -64,11 +61,11 @@ import (
 
 func main() {
 	fig := flag.Int("fig", 0, "paper figure to regenerate (6-10)")
-	exp := flag.String("exp", "", "named experiment: sizes, extraction, ibe-sweep, ibe-bench, mix-cal, mix-compare, chain-forward, shard-compare, churn, status-load, fanout-load, cdn-load")
+	exp := flag.String("exp", "", "named experiment: sizes, extraction, ibe-sweep, ibe-bench, mix-cal, mix-compare, chain-forward, shard-compare, churn, cdn-load")
 	all := flag.Bool("all", false, "run everything")
 	users := flag.Int("calibration-batch", 4000, "batch size for real-round mix calibration")
 	par := flag.Int("parallelism", 0, "mixer decryption/noise workers (0 = GOMAXPROCS, 1 = sequential)")
-	jsonOut := flag.String("json", "", "write machine-readable results (shard-compare, status-load, fanout-load, ibe-bench, cdn-load) to this file")
+	jsonOut := flag.String("json", "", "write machine-readable results (shard-compare, churn, ibe-bench, cdn-load) to this file")
 	baseline := flag.String("baseline", "", "committed ibe-bench JSON record to diff speedup ratios against; exits nonzero on >30% regression")
 	flag.Parse()
 	parallelism = *par
@@ -96,8 +93,6 @@ func main() {
 	run(-1, "chain-forward", chainForwardCompare)
 	run(-1, "shard-compare", shardCompare)
 	run(-1, "churn", churnBench)
-	run(-1, "status-load", func(int) { statusLoad() })
-	run(-1, "fanout-load", func(int) { fanoutLoad() })
 	run(-1, "cdn-load", func(int) { cdnLoad() })
 	if !any {
 		flag.Usage()
@@ -547,346 +542,6 @@ func shardCompare(batchSize int) {
 		GoMaxProcs int          `json:"gomaxprocs"`
 		Modes      []modeResult `json:"modes"`
 	}{"shard-compare", batchSize, runtime.GOMAXPROCS(0), results})
-}
-
-// statusLoad measures the frontend's per-client request load for round
-// tracking: N clients following M dialing rounds through Client.Run, once
-// against a push frontend (entry.events long-poll) and once against a
-// poll-only frontend (500 ms frontend.status polling — the pre-event-
-// stream client behaviour). At the ROADMAP's million-user scale the
-// 2 Hz × 2-service status polling is the frontend's dominant request
-// source; this experiment records what the push surface takes off it.
-func statusLoad() {
-	header("Frontend status load: 500 ms pollers vs entry.events streamers (over TCP)")
-	// Round pacing matters: a poller's cost is poll-rate x round length
-	// regardless of activity, a streamer's is per-event. 2.5 s rounds are
-	// already conservative (the entry daemon defaults to 10 s dialing
-	// rounds, where the gap is ~4x wider still).
-	const (
-		numClients    = 4
-		numRounds     = 4
-		roundInterval = 2500 * time.Millisecond
-	)
-	fmt.Printf("%d clients, %d dialing rounds, %v per round\n\n", numClients, numRounds, roundInterval)
-
-	type modeResult struct {
-		Name          string  `json:"name"`
-		Streaming     bool    `json:"streaming"`
-		Clients       int     `json:"clients"`
-		Rounds        int     `json:"rounds"`
-		Tracking      uint64  `json:"tracking_requests"`
-		Requests      uint64  `json:"frontend_requests"`
-		Bytes         uint64  `json:"frontend_bytes"`
-		PerClientRate float64 `json:"tracking_per_client_per_round"`
-	}
-
-	runMode := func(streaming bool) modeResult {
-		network, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumMixers: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv := rpc.NewServer()
-		if streaming {
-			rpc.RegisterFrontend(srv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
-		} else {
-			rpc.RegisterPollFrontend(srv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
-		}
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		var frontends []*rpc.FrontendClient
-		for i := 0; i < numClients; i++ {
-			fe := rpc.DialFrontend(addr)
-			frontends = append(frontends, fe)
-			h := &sim.Handler{AcceptAll: true}
-			cfg := network.ClientConfig(fmt.Sprintf("user%d@bench.example", i), h)
-			cfg.Entry = fe
-			cfg.Mailboxes = fe
-			client, err := core.NewClient(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := client.Register(ctx); err != nil {
-				log.Fatal(err)
-			}
-			if err := network.ConfirmAll(client); err != nil {
-				log.Fatal(err)
-			}
-			handle, err := client.ConnectDialing(ctx)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer handle.Close()
-		}
-
-		for r := uint32(1); r <= numRounds; r++ {
-			start := time.Now()
-			if _, err := network.Coord.OpenDialingRound(r); err != nil {
-				log.Fatal(err)
-			}
-			for network.Entry.BatchSize(wire.Dialing, r) < numClients && time.Since(start) < 10*time.Second {
-				time.Sleep(2 * time.Millisecond)
-			}
-			if remaining := roundInterval - time.Since(start); remaining > 0 {
-				time.Sleep(remaining)
-			}
-			if _, err := network.Coord.CloseRound(wire.Dialing, r); err != nil {
-				log.Fatal(err)
-			}
-		}
-		// Let the final scans land before counting.
-		time.Sleep(300 * time.Millisecond)
-		cancel()
-
-		res := modeResult{Streaming: streaming, Clients: numClients, Rounds: numRounds}
-		if streaming {
-			res.Name = "streaming (entry.events long-poll)"
-		} else {
-			res.Name = "polling (500 ms frontend.status)"
-		}
-		for _, fe := range frontends {
-			res.Tracking += fe.CallCount("frontend.status") + fe.CallCount("entry.events")
-			st := fe.TransportStats()
-			res.Requests += st.Calls
-			res.Bytes += st.BytesSent + st.BytesReceived
-			fe.Close()
-		}
-		res.PerClientRate = float64(res.Tracking) / float64(numClients) / float64(numRounds)
-		return res
-	}
-
-	var results []modeResult
-	for _, streaming := range []bool{false, true} {
-		r := runMode(streaming)
-		fmt.Printf("%-38s %6d tracking req  %6d total req  %8.1f KB  (%.1f tracking req/client/round)\n",
-			r.Name, r.Tracking, r.Requests, float64(r.Bytes)/1024, r.PerClientRate)
-		results = append(results, r)
-	}
-	if results[1].Tracking > 0 {
-		fmt.Printf("\nstreaming clients issue %.1fx fewer round-tracking requests\n",
-			float64(results[0].Tracking)/float64(results[1].Tracking))
-	}
-	fmt.Println("(an idle streaming client costs one parked entry.events call per 25 s;")
-	fmt.Println(" a poller costs 2 Hz x 2 services regardless of round activity)")
-
-	writeJSONRecord("status-load", struct {
-		Experiment string       `json:"experiment"`
-		Modes      []modeResult `json:"modes"`
-	}{"status-load", results})
-}
-
-// fanoutLoad measures the entry tier's fan-out core at waiter scale and the
-// per-client tracking request load of the V2 event stream (settings riding
-// the open announcements) against the V1 stream (per-round entry.settings
-// fetch). Two parts:
-//
-//  1. Waiter scale, in-process: register 10k-100k Waiters on one entry
-//     server and announce rounds. The goroutine count must stay FLAT —
-//     one fan-out walker regardless of waiter count — and the wall cost
-//     per announcement (append + coalesced wake walk) stays small. This
-//     is the mechanism behind the paper's many-connections entry tier:
-//     tracked clients cost a cursor and a 1-slot channel, not a parked
-//     goroutine each.
-//  2. Tracking requests, over TCP: N clients follow M dialing rounds
-//     through Client.Run against a V2 frontend and a V1 frontend. V2
-//     delivers settings inside the open event, so a round costs zero
-//     entry.settings fetches; V1 (the PR 4 streaming baseline) pays one
-//     verified fetch per client per round.
-func fanoutLoad() {
-	header("Event fan-out: waiter scale (in-process)")
-
-	type scalePoint struct {
-		Waiters         int     `json:"waiters"`
-		ExtraGoroutines int     `json:"extra_goroutines"`
-		NsPerEvent      float64 `json:"ns_per_event"`
-	}
-	const announceRounds = 50 // x2 events each (open + published)
-	var scale []scalePoint
-	for _, n := range []int{10_000, 50_000, 100_000} {
-		runtime.GC()
-		base := runtime.NumGoroutine()
-		e := entry.New()
-		waiters := make([]*entry.Waiter, n)
-		for i := range waiters {
-			waiters[i] = e.Register(0)
-		}
-		// Sentinel: a waiter that actually consumes, to observe the walk.
-		sentinel := e.Register(0)
-		after := runtime.NumGoroutine()
-
-		start := time.Now()
-		var head uint64
-		for r := uint32(1); r <= announceRounds; r++ {
-			settings := &wire.RoundSettings{
-				Service:      wire.Dialing,
-				Round:        r,
-				NumMailboxes: 1,
-				Mixers: []wire.MixerRoundKey{
-					{OnionKey: make([]byte, 32), Sig: make([]byte, 64)},
-				},
-			}
-			if err := e.OpenRound(settings); err != nil {
-				log.Fatal(err)
-			}
-			e.AnnouncePublished(wire.Dialing, r)
-		}
-		// Wait until the sentinel has seen the final announcement, so the
-		// timing includes the wake walks (back-to-back announcements
-		// coalesce into few walks — that is the design, not a shortcut).
-		syncCtx, syncCancel := context.WithTimeout(context.Background(), 30*time.Second)
-		for head < uint64(2*announceRounds) {
-			events, next, _ := sentinel.Await(syncCtx, 0)
-			if len(events) == 0 {
-				log.Fatalf("fan-out walk never reached the sentinel (cursor %d)", next)
-			}
-			head = next
-		}
-		syncCancel()
-		elapsed := time.Since(start)
-
-		sentinel.Close()
-		for _, w := range waiters {
-			w.Close()
-		}
-		p := scalePoint{
-			Waiters:         n,
-			ExtraGoroutines: after - base,
-			NsPerEvent:      float64(elapsed.Nanoseconds()) / float64(2*announceRounds),
-		}
-		scale = append(scale, p)
-		fmt.Printf("%7d waiters: %2d extra goroutines, %8.0f ns/announcement\n",
-			p.Waiters, p.ExtraGoroutines, p.NsPerEvent)
-	}
-	fmt.Println("(goroutine count is flat: one fan-out walker total, zero per waiter)")
-
-	header("Event stream V2 vs V1: tracking requests per client per round (over TCP)")
-	const (
-		numClients    = 4
-		numRounds     = 3
-		roundInterval = 1500 * time.Millisecond
-	)
-	fmt.Printf("%d clients, %d dialing rounds, %v per round\n\n", numClients, numRounds, roundInterval)
-
-	type modeResult struct {
-		Name             string  `json:"name"`
-		StreamVersion    int     `json:"stream_version"`
-		Clients          int     `json:"clients"`
-		Rounds           int     `json:"rounds"`
-		Tracking         uint64  `json:"tracking_requests"`
-		SettingsFetches  uint64  `json:"settings_fetches"`
-		Requests         uint64  `json:"frontend_requests"`
-		PerClientRate    float64 `json:"tracking_per_client_per_round"`
-		ServerGoroutines int     `json:"server_goroutines"`
-	}
-
-	runMode := func(version int) modeResult {
-		network, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumMixers: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv := rpc.NewServer()
-		if version >= rpc.EventStreamV2 {
-			rpc.RegisterFrontend(srv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
-		} else {
-			rpc.RegisterFrontendV1(srv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
-		}
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		var frontends []*rpc.FrontendClient
-		for i := 0; i < numClients; i++ {
-			fe := rpc.DialFrontend(addr)
-			frontends = append(frontends, fe)
-			h := &sim.Handler{AcceptAll: true}
-			cfg := network.ClientConfig(fmt.Sprintf("user%d@bench.example", i), h)
-			cfg.Entry = fe
-			cfg.Mailboxes = fe
-			client, err := core.NewClient(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := client.Register(ctx); err != nil {
-				log.Fatal(err)
-			}
-			if err := network.ConfirmAll(client); err != nil {
-				log.Fatal(err)
-			}
-			handle, err := client.ConnectDialing(ctx)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer handle.Close()
-		}
-
-		goroutines := 0
-		for r := uint32(1); r <= numRounds; r++ {
-			start := time.Now()
-			if _, err := network.Coord.OpenDialingRound(r); err != nil {
-				log.Fatal(err)
-			}
-			for network.Entry.BatchSize(wire.Dialing, r) < numClients && time.Since(start) < 10*time.Second {
-				time.Sleep(2 * time.Millisecond)
-			}
-			if r == 1 {
-				// Steady state: every client submitted and is parked on its
-				// event stream. One long-poll handler per connection plus
-				// ONE fan-out walker, however many clients are tracked.
-				goroutines = runtime.NumGoroutine()
-			}
-			if remaining := roundInterval - time.Since(start); remaining > 0 {
-				time.Sleep(remaining)
-			}
-			if _, err := network.Coord.CloseRound(wire.Dialing, r); err != nil {
-				log.Fatal(err)
-			}
-		}
-		// Let the final scans land before counting.
-		time.Sleep(300 * time.Millisecond)
-		cancel()
-
-		res := modeResult{StreamVersion: version, Clients: numClients, Rounds: numRounds, ServerGoroutines: goroutines}
-		if version >= rpc.EventStreamV2 {
-			res.Name = "V2 (settings ride the open events)"
-		} else {
-			res.Name = "V1 (per-round entry.settings fetch)"
-		}
-		for _, fe := range frontends {
-			res.SettingsFetches += fe.CallCount("entry.settings")
-			res.Tracking += fe.CallCount("frontend.status") + fe.CallCount("entry.events") + fe.CallCount("entry.settings")
-			res.Requests += fe.TransportStats().Calls
-			fe.Close()
-		}
-		res.PerClientRate = float64(res.Tracking) / float64(numClients) / float64(numRounds)
-		return res
-	}
-
-	var modes []modeResult
-	for _, version := range []int{rpc.EventStreamV1, rpc.EventStreamV2} {
-		r := runMode(version)
-		fmt.Printf("%-36s %5d tracking req  %4d settings fetches  %5d total req  %3d goroutines  (%.1f tracking req/client/round)\n",
-			r.Name, r.Tracking, r.SettingsFetches, r.Requests, r.ServerGoroutines, r.PerClientRate)
-		modes = append(modes, r)
-	}
-	if modes[0].Tracking > modes[1].Tracking {
-		fmt.Printf("\nV2 clients issue %.1fx fewer tracking requests than the V1 streaming baseline\n",
-			float64(modes[0].Tracking)/float64(modes[1].Tracking))
-	}
-
-	writeJSONRecord("fanout-load", struct {
-		Experiment string       `json:"experiment"`
-		Scale      []scalePoint `json:"waiter_scale"`
-		Modes      []modeResult `json:"modes"`
-	}{"fanout-load", scale, modes})
 }
 
 // measureIBEDecrypt returns seconds per trial decryption with our pairing,

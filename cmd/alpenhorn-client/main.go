@@ -14,11 +14,10 @@
 //	quit                  save state and exit
 //
 // Round participation (cover traffic included) is owned by the client
-// library: client.Run follows the frontend's round announcements —
-// push-based entry.events against a current frontend, transparent
-// status-polling fallback against an older one — and drives every
-// submit and scan, including the bounded dial-scan backlog and the §5.1
-// give-up policy. This binary only renders events and queues work.
+// library: client.Run follows the frontend's round announcements (the
+// entry.events stream) and drives every submit and scan, including the
+// bounded dial-scan backlog and the §5.1 give-up policy. This binary only
+// renders events and queues work.
 package main
 
 import (
@@ -99,11 +98,23 @@ func main() {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	frontend := rpc.DialFrontend(*entryAddr)
-	dir, err := frontend.Directory(ctx)
+	bootstrap := rpc.DialFrontend(*entryAddr)
+	dir, err := bootstrap.Directory(ctx)
+	bootstrap.Close()
 	if err != nil {
 		log.Fatalf("fetching deployment directory: %v", err)
 	}
+	// Pool the whole entry tier, -entry first: when a frontend dies the
+	// round loop resumes on the next from the same event cursor.
+	frontendAddrs := []string{*entryAddr}
+	for _, a := range dir.FrontendAddrs {
+		if a != *entryAddr {
+			frontendAddrs = append(frontendAddrs, a)
+		}
+	}
+	frontend := rpc.DialFrontendPool(frontendAddrs...)
+	defer frontend.Close()
+	fmt.Printf("joined deployment at %s (client protocol version %d, frontends %v)\n", *entryAddr, dir.ProtocolVersion, frontendAddrs)
 
 	cfg := alpenhorn.Config{
 		Email:      *emailAddr,

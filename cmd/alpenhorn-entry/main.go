@@ -20,7 +20,7 @@
 // served read-only over the coordinator.status RPC on the client port.
 //
 // Clients connect here, fetch the deployment directory (server addresses
-// and pinned keys), and then poll round status to participate.
+// and pinned keys), and then follow the entry.events stream to participate.
 //
 // # Multi-frontend topology
 //
@@ -291,7 +291,7 @@ func runFrontendOnly(addr, replicaAddr, coordinatorAddr string) {
 	if err != nil {
 		log.Fatalf("fetching directory from coordinator %s: %v", coordinatorAddr, err)
 	}
-	log.Printf("joined deployment at %s (%d PKGs, %d mixers)", coordinatorAddr, len(dir.PKGAddrs), dir.NumMixers)
+	log.Printf("joined deployment at %s (client protocol version %d, %d PKGs, %d mixers)", coordinatorAddr, dir.ProtocolVersion, len(dir.PKGAddrs), dir.NumMixers)
 
 	e := entry.New()
 
@@ -340,8 +340,8 @@ func (m remoteMailboxes) FetchRange(service wire.Service, fromRound, toRound uin
 // submit window, then close — which runs the data plane, publishes the
 // mailboxes, and (for add-friend) erases the PKG master keys, since
 // clients extract only during the submit window. Open and published
-// announcements flow through the entry server's event log, which serves
-// both the frontend.status poll surface and the entry.events push stream.
+// announcements flow through the entry server's event log, which the
+// entry.events stream serves to clients.
 func runRounds(c *coordinator.Coordinator, service wire.Service, interval, window time.Duration, stop <-chan struct{}) {
 	round := uint32(1)
 	ticker := time.NewTicker(interval)

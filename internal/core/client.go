@@ -63,30 +63,16 @@ type MailboxStore interface {
 	Fetch(ctx context.Context, service wire.Service, round uint32, mailbox uint32) ([]byte, error)
 	// FetchRange fetches one mailbox across every published round in
 	// [fromRound, toRound] in a single request, keyed by round;
-	// unavailable rounds are absent. Transports talking to a store
-	// without ranged fetches emulate it with per-round Fetch calls.
+	// unavailable rounds are absent.
 	FetchRange(ctx context.Context, service wire.Service, fromRound, toRound uint32, mailbox uint32) (map[uint32][]byte, error)
 }
 
-// RoundStatus is a service's round progress as reported by the frontend.
-type RoundStatus = entry.RoundStatus
-
-// StatusProvider is the poll-based round-progress surface: the frontend
-// reports the newest open and newest published round per service. It is
-// the fallback transport for Run when the frontend cannot push events.
-type StatusProvider interface {
-	Status(ctx context.Context, service wire.Service) (RoundStatus, error)
-}
-
-// ErrEventsUnsupported is returned by a RoundWatcher whose frontend does
-// not serve the push-based event stream; Run falls back to Status polling.
-var ErrEventsUnsupported = errors.New("core: frontend does not stream round events")
-
-// RoundWatcher is the push-based round-progress surface: WatchRounds
-// blocks until announcements after cursor exist (or ctx ends) and returns
-// them with the cursor to resume from. Announcements carry monotonic
-// cursors, so a reconnecting client resumes where it left off and a
-// coalesced reply after a gap still carries the newest state.
+// RoundWatcher is the round-progress surface Run follows; Config.Entry
+// must implement it to be driven by Run or the Connect handles.
+// WatchRounds blocks until announcements after cursor exist (or ctx ends)
+// and returns them with the cursor to resume from. Announcements carry
+// monotonic cursors, so a reconnecting client resumes where it left off
+// and a coalesced reply after a gap still carries the newest state.
 type RoundWatcher interface {
 	WatchRounds(ctx context.Context, cursor uint64) ([]entry.Announcement, uint64, error)
 }
@@ -197,12 +183,6 @@ type Config struct {
 	// DefaultMaxDialBacklog.
 	MaxDialBacklog int
 
-	// PollInterval is how often the Run loop polls frontend.Status when
-	// the frontend cannot push round events (0 = DefaultPollInterval).
-	// Push-capable frontends make this irrelevant: the loop parks on the
-	// event stream instead.
-	PollInterval time.Duration
-
 	// ScanRetryBudget is how long the Run loop keeps retrying a dialing
 	// round whose mailbox fetch fails before giving up and advancing the
 	// keywheels (§5.1's "after some time"; 0 = DefaultScanRetryBudget).
@@ -259,10 +239,9 @@ type Client struct {
 
 	// settingsCache holds VERIFIED round settings, keyed by (service,
 	// round), bounded FIFO. It is filled from round-open announcements
-	// that carry settings (an EventStreamV2 frontend, or the in-process
-	// adapter) and from fetches, so a streaming client issues no
-	// entry.settings call at all in steady state — submit and scan both
-	// hit the cache.
+	// (they carry the round's settings) and from fetches, so a client
+	// following the event stream issues no entry.settings call at all in
+	// steady state — submit and scan both hit the cache.
 	settingsMu    sync.Mutex
 	settingsCache map[settingsKey]*cachedSettings
 	settingsOrder []settingsKey

@@ -3,7 +3,6 @@ package core_test
 import (
 	"context"
 	"testing"
-	"time"
 
 	"alpenhorn/internal/coordinator"
 	"alpenhorn/internal/core"
@@ -131,7 +130,6 @@ func TestPairingV2SingleSettingsFetch(t *testing.T) {
 	cfg := network.ClientConfig("v2cache@example.org", h)
 	ce := &settingsCountingEntry{EntryAdapter: sim.EntryAdapter{E: network.Entry}}
 	cfg.Entry = ce
-	cfg.PollInterval = 10 * time.Millisecond
 	client, err := core.NewClient(cfg)
 	if err != nil {
 		t.Fatal(err)

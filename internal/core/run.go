@@ -4,14 +4,12 @@ package core
 // connection behind the paper's Figure 1 API. Applications call Run (or
 // the per-service ConnectAddFriend / ConnectDialing handles) and receive
 // everything through their Handler; the library owns the mechanics that
-// every consumer previously hand-rolled around frontend.Status polling:
+// every consumer would otherwise hand-roll:
 //
 //   - Round following. One shared pump per client follows the frontend's
-//     round announcements — push-based through RoundWatcher (the
-//     entry.events stream, resumable by cursor) with a TRANSPARENT
-//     fallback to StatusProvider polling when the frontend predates the
-//     stream — and reconnects with exponential backoff when the frontend
-//     dies mid-round.
+//     round announcements through RoundWatcher (the entry.events stream,
+//     resumable by cursor) and reconnects with exponential backoff when
+//     the frontend dies mid-round.
 //   - Submit ordering. Each open round is submitted exactly once
 //     (cover traffic included), and a round's add-friend mailbox is only
 //     scanned when this client submitted that round (the identity keys
@@ -28,7 +26,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -38,9 +35,10 @@ import (
 )
 
 const (
-	// DefaultPollInterval is the Status poll cadence against frontends
-	// without the event stream (Config.PollInterval overrides).
-	DefaultPollInterval = 500 * time.Millisecond
+	// stepRetryInterval paces the retry of a submit or scan that failed
+	// (the round state that prompted it has not changed, so nothing else
+	// would wake the loop).
+	stepRetryInterval = 500 * time.Millisecond
 
 	// DefaultScanRetryBudget is how long a failing dialing-round scan is
 	// retried before the loop gives up and advances the keywheels
@@ -60,13 +58,6 @@ const (
 	maxScanSpan = 32
 )
 
-func (c *Client) pollInterval() time.Duration {
-	if c.cfg.PollInterval > 0 {
-		return c.cfg.PollInterval
-	}
-	return DefaultPollInterval
-}
-
 func (c *Client) scanRetryBudget() time.Duration {
 	if c.cfg.ScanRetryBudget > 0 {
 		return c.cfg.ScanRetryBudget
@@ -75,10 +66,9 @@ func (c *Client) scanRetryBudget() time.Duration {
 }
 
 // roundFeed is the per-client round-announcement pump shared by every
-// connected service handle. It folds announcements (pushed or polled)
-// into a monotonic per-service RoundStatus and wakes waiting handles on
-// every change. Reference-counted: the first handle starts it, the last
-// Close stops it.
+// connected service handle. It folds announcements into a monotonic
+// per-service RoundStatus and wakes waiting handles on every change.
+// Reference-counted: the first handle starts it, the last Close stops it.
 type roundFeed struct {
 	c *Client
 
@@ -93,10 +83,9 @@ type roundFeed struct {
 
 // acquireFeed returns the client's round feed, starting it on first use.
 func (c *Client) acquireFeed() (*roundFeed, error) {
-	_, isWatcher := c.cfg.Entry.(RoundWatcher)
-	_, isPoller := c.cfg.Entry.(StatusProvider)
-	if !isWatcher && !isPoller {
-		return nil, errors.New("core: Config.Entry supports neither round events (RoundWatcher) nor status polling (StatusProvider); Run needs one")
+	watcher, ok := c.cfg.Entry.(RoundWatcher)
+	if !ok {
+		return nil, fmt.Errorf("core: Config.Entry (%T) does not implement RoundWatcher; Run follows rounds through its event stream", c.cfg.Entry)
 	}
 	c.feedMu.Lock()
 	defer c.feedMu.Unlock()
@@ -109,7 +98,7 @@ func (c *Client) acquireFeed() (*roundFeed, error) {
 			cancel:  cancel,
 			done:    make(chan struct{}),
 		}
-		go f.run(ctx)
+		go f.run(ctx, watcher)
 		c.feed = f
 	}
 	c.feed.refs++
@@ -168,97 +157,52 @@ func (f *roundFeed) fold(progress map[wire.Service]entry.RoundStatus) {
 	}
 }
 
-// run follows the frontend until the feed is released. Push mode parks on
-// WatchRounds and folds announcement batches; on ErrEventsUnsupported it
-// degrades permanently to Status polling. Transport failures reconnect
-// with exponential backoff and are reported to the handler once per
-// outage, not once per attempt.
-func (f *roundFeed) run(ctx context.Context) {
+// run follows the frontend until the feed is released: it parks on
+// WatchRounds and folds each announcement batch. Transport failures
+// reconnect with exponential backoff and are reported to the handler once
+// per outage, not once per attempt.
+func (f *roundFeed) run(ctx context.Context, watcher RoundWatcher) {
 	defer close(f.done)
-	watcher, _ := f.c.cfg.Entry.(RoundWatcher)
-	poller, _ := f.c.cfg.Entry.(StatusProvider)
-
 	var cursor uint64
 	backoff := feedBackoffMin
 	outage := 0
-	sleep := func(d time.Duration) bool {
-		select {
-		case <-ctx.Done():
-			return false
-		case <-time.After(d):
-			return true
-		}
-	}
-
 	for ctx.Err() == nil {
-		if watcher != nil {
-			anns, next, err := watcher.WatchRounds(ctx, cursor)
-			if err == nil {
-				cursor = next
-				backoff, outage = feedBackoffMin, 0
-				progress := make(map[wire.Service]entry.RoundStatus, 2)
-				for _, ann := range anns {
-					st := progress[ann.Service]
-					switch ann.Kind {
-					case entry.RoundOpen:
-						st.CurrentOpen = max(st.CurrentOpen, ann.Round)
-						// Settings riding the open event (EventStreamV2,
-						// or the in-process adapter) pre-fill the cache
-						// BEFORE the fold wakes the service loops, so
-						// their submits start from a hit.
-						f.c.noteAnnouncedSettings(ann)
-					case entry.RoundPublished:
-						st.LatestPublished = max(st.LatestPublished, ann.Round)
-					}
-					progress[ann.Service] = st
-				}
-				f.fold(progress)
-				continue
-			}
-			if errors.Is(err, ErrEventsUnsupported) {
-				// Older frontend: degrade to polling for good.
-				watcher = nil
-				if poller == nil {
-					f.c.reportErr(errors.New("core: frontend streams no round events and serves no status; round loop stalled"))
-					<-ctx.Done()
-					return
-				}
-				continue
-			}
+		anns, next, err := watcher.WatchRounds(ctx, cursor)
+		if err != nil {
 			if ctx.Err() != nil {
 				return
 			}
 			if outage++; outage == 1 {
 				f.c.reportErr(fmt.Errorf("core: round event stream lost: %w (reconnecting)", err))
 			}
-			if !sleep(backoff) {
+			select {
+			case <-ctx.Done():
 				return
+			case <-time.After(backoff):
 			}
 			if backoff *= 2; backoff > feedBackoffMax {
 				backoff = feedBackoffMax
 			}
 			continue
 		}
-
+		cursor = next
+		backoff, outage = feedBackoffMin, 0
 		progress := make(map[wire.Service]entry.RoundStatus, 2)
-		for _, service := range []wire.Service{wire.AddFriend, wire.Dialing} {
-			st, err := poller.Status(ctx, service)
-			if err != nil {
-				if ctx.Err() != nil {
-					return
-				}
-				if outage++; outage == 1 {
-					f.c.reportErr(fmt.Errorf("core: frontend status poll failed: %w (retrying)", err))
-				}
-				continue
+		for _, ann := range anns {
+			st := progress[ann.Service]
+			switch ann.Kind {
+			case entry.RoundOpen:
+				st.CurrentOpen = max(st.CurrentOpen, ann.Round)
+				// The settings riding the open event pre-fill the cache
+				// BEFORE the fold wakes the service loops, so their
+				// submits start from a hit.
+				f.c.noteAnnouncedSettings(ann)
+			case entry.RoundPublished:
+				st.LatestPublished = max(st.LatestPublished, ann.Round)
 			}
-			outage = 0
-			progress[service] = st
+			progress[ann.Service] = st
 		}
 		f.fold(progress)
-		if !sleep(f.c.pollInterval()) {
-			return
-		}
 	}
 }
 
@@ -412,9 +356,9 @@ func (h *ServiceHandle) step(ctx context.Context, st *serviceState, snap entry.R
 
 	if h.service == wire.AddFriend {
 		// Scan BEFORE submitting: a reconnecting client often learns
-		// publish(N) and open(N+1) in one snapshot (coalesced events, or
-		// one poll), and submitting N+1 first would gate round N's scan
-		// off forever — losing any friend requests it carried.
+		// publish(N) and open(N+1) in one snapshot (coalesced events),
+		// and submitting N+1 first would gate round N's scan off forever
+		// — losing any friend requests it carried.
 		// Scan only rounds this client submitted: the round's identity
 		// keys exist exactly then (and are erased by the scan).
 		if snap.LatestPublished > st.lastScan && snap.LatestPublished == st.lastSubmit {
@@ -438,7 +382,7 @@ func (h *ServiceHandle) step(ctx context.Context, st *serviceState, snap entry.R
 						c.reportErr(fmt.Errorf("core: add-friend round %d scan: %w (retrying for up to %v)", round, err, c.scanRetryBudget()))
 						st.retryLogged = true
 					}
-					sooner(c.pollInterval())
+					sooner(stepRetryInterval)
 					return retry
 				}
 				c.reportErr(fmt.Errorf("core: add-friend round %d scan: %w (giving up after %v)", round, err, c.scanRetryBudget()))
@@ -491,7 +435,7 @@ func (h *ServiceHandle) reportStep(ctx context.Context, st *serviceState, servic
 	if st.errStreak++; st.errStreak == 1 {
 		h.c.reportErr(fmt.Errorf("core: %s round %d %s: %w (will retry)", service, round, phase, err))
 	}
-	return h.c.pollInterval()
+	return stepRetryInterval
 }
 
 // drainDialBacklog scans queued published rounds oldest-first. A span of
@@ -605,5 +549,5 @@ func (h *ServiceHandle) scanFailed(ctx context.Context, st *serviceState, round 
 		c.reportErr(fmt.Errorf("%w (retrying for up to %v)", err, c.scanRetryBudget()))
 		st.retryLogged = true
 	}
-	return c.pollInterval()
+	return stepRetryInterval
 }

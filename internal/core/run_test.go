@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -53,25 +54,6 @@ func (e *countingEntry) maxSubmits() (wire.Service, uint32, int) {
 		}
 	}
 	return ms, mr, mn
-}
-
-// pollOnlyEntry hides the push surface: it satisfies core.EntryServer and
-// core.StatusProvider but NOT core.RoundWatcher, standing in for a
-// frontend transport that predates entry.events.
-type pollOnlyEntry struct {
-	a sim.EntryAdapter
-}
-
-func (p pollOnlyEntry) Settings(ctx context.Context, service wire.Service, round uint32) (*wire.RoundSettings, error) {
-	return p.a.Settings(ctx, service, round)
-}
-
-func (p pollOnlyEntry) Submit(ctx context.Context, service wire.Service, round uint32, onion []byte) error {
-	return p.a.Submit(ctx, service, round, onion)
-}
-
-func (p pollOnlyEntry) Status(ctx context.Context, service wire.Service) (core.RoundStatus, error) {
-	return p.a.Status(ctx, service)
 }
 
 // countingStore wraps the in-process CDN transport and records ranged vs
@@ -209,7 +191,6 @@ func TestRunDialBacklogRangedDrain(t *testing.T) {
 	cfg := net.ClientConfig("late@example.org", h)
 	store := &countingStore{CDNAdapter: sim.CDNAdapter{S: net.CDN}}
 	cfg.Mailboxes = store
-	cfg.PollInterval = 20 * time.Millisecond
 	client, err := core.NewClient(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -257,51 +238,9 @@ func TestRunDialBacklogRangedDrain(t *testing.T) {
 	}
 }
 
-// TestRunPollFallback proves the transparent degrade: against a transport
-// with no push surface at all, the same Run loop follows rounds by
-// polling Status.
-func TestRunPollFallback(t *testing.T) {
-	net, err := sim.NewNetwork(sim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &sim.Handler{AcceptAll: true}
-	cfg := net.ClientConfig("poller@example.org", h)
-	cfg.Entry = pollOnlyEntry{a: sim.EntryAdapter{E: net.Entry}}
-	cfg.PollInterval = 10 * time.Millisecond
-	client, err := core.NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Register(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.ConfirmAll(client); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	handle, err := client.ConnectDialing(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer handle.Close()
-
-	net.StartRounds(ctx, sim.RoundDriver{
-		Services:        []wire.Service{wire.Dialing},
-		WaitSubmissions: 1,
-	})
-	waitUntil(t, 10*time.Second, "three polled rounds to be scanned", func() bool {
-		return client.DialRound() >= 4
-	})
-	if handle.Err() != nil {
-		t.Fatalf("handle error: %v", handle.Err())
-	}
-}
-
-// TestRunRequiresRoundSource pins the misconfiguration error: an Entry
-// transport with neither push nor poll surface cannot Run.
+// TestRunRequiresRoundSource pins the misconfiguration error: Run follows
+// rounds through the event stream only, so an Entry transport that is not
+// a core.RoundWatcher is rejected up front, by name, instead of stalling.
 func TestRunRequiresRoundSource(t *testing.T) {
 	net, err := sim.NewNetwork(sim.Config{})
 	if err != nil {
@@ -314,8 +253,16 @@ func TestRunRequiresRoundSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.ConnectDialing(context.Background()); err == nil {
-		t.Fatal("ConnectDialing accepted a transport with no round source")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for name, connect := range map[string]func() error{
+		"Run":            func() error { return client.Run(ctx) },
+		"ConnectDialing": func() error { _, err := client.ConnectDialing(ctx); return err },
+	} {
+		err := connect()
+		if err == nil || !strings.Contains(err.Error(), "RoundWatcher") || !strings.Contains(err.Error(), "bareEntry") {
+			t.Fatalf("%s on a transport without an event stream: %v, want an error naming RoundWatcher and the offending type", name, err)
+		}
 	}
 }
 

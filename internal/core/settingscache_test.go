@@ -12,8 +12,8 @@ import (
 )
 
 // settingsCountingEntry wraps the in-process entry adapter and counts Settings
-// fetches. Embedding the concrete adapter keeps its RoundWatcher and
-// StatusProvider methods, so the Run feed works through the wrapper.
+// fetches. Embedding the concrete adapter keeps its RoundWatcher method,
+// so the Run feed works through the wrapper.
 type settingsCountingEntry struct {
 	sim.EntryAdapter
 	settingsCalls atomic.Int64
@@ -37,7 +37,6 @@ func TestSettingsCachedPerRound(t *testing.T) {
 	cfg := network.ClientConfig("cache@example.org", h)
 	ce := &settingsCountingEntry{EntryAdapter: sim.EntryAdapter{E: network.Entry}}
 	cfg.Entry = ce
-	cfg.PollInterval = 10 * time.Millisecond
 	client, err := core.NewClient(cfg)
 	if err != nil {
 		t.Fatal(err)

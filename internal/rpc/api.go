@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"alpenhorn/internal/bls"
-	"alpenhorn/internal/core"
 	"alpenhorn/internal/entry"
 	"alpenhorn/internal/ibe"
 	"alpenhorn/internal/pkgserver"
@@ -320,10 +319,7 @@ func (m *MixerClient) TransportStats() ClientStats {
 	wc := m.waitc
 	m.waitMu.Unlock()
 	if wc != nil {
-		ws := wc.Stats()
-		st.BytesSent += ws.BytesSent
-		st.BytesReceived += ws.BytesReceived
-		st.Calls += ws.Calls
+		st.add(wc.Stats())
 	}
 	return st
 }
@@ -600,35 +596,19 @@ func (m *MixerClient) NoiseMu(service wire.Service) float64 {
 
 // ---- Entry/CDN daemon API (the client-facing frontend) ----
 
-// Frontend event-stream capability versions, advertised in
-// Directory.EventStreamVersion. Like the mixer fleet's stream_version,
-// this is how the poll→push migration stays a rolling upgrade: a client
-// that sees version 0 (or a directory predating the field) never calls
-// entry.events and polls frontend.status exactly as before; a frontend
-// that serves EventStreamV1 still serves the poll surface for old
-// clients. Clients also degrade TRANSPARENTLY on an "unknown method"
-// reply, so even a stale cached directory cannot wedge them.
-const (
-	// EventStreamNone: poll-only frontend (frontend.status).
-	EventStreamNone = 0
-	// EventStreamV1: entry.events long-poll with resumable cursors and
-	// coalescing for slow clients, plus ranged mailbox fetches
-	// (cdn.fetchrange).
-	EventStreamV1 = 1
-	// EventStreamV2: round-open events CARRY the round's settings
-	// (wireEvent.Settings, the canonical wire.RoundSettings encoding), so
-	// a streaming client never issues a per-round entry.settings fetch.
-	// Settings are self-authenticating — every mixer and PKG contribution
-	// is signed under keys the client pins — so riding them over the
-	// untrusted push channel changes nothing about their trust story; the
-	// client verifies them exactly as it would a fetched copy. Degradation
-	// is transparent in both directions: a V1 frontend's events simply
-	// lack the field and the client falls back to fetching, while a V1
-	// client ignores the extra field. V2 frontends still serve
-	// entry.settings for old clients and for consumers (scans after a
-	// restart) whose open event has left the retained window.
-	EventStreamV2 = 2
-)
+// ProtocolVersion is the one generation of the client-facing surface (the
+// methods RegisterFrontend serves). RegisterFrontend stamps it into every
+// directory and FrontendClient.Directory refuses any other value — there
+// is no older rung to degrade to, so a mismatch is an operator error that
+// must surface, not a silently slower client. Bump it when the surface
+// changes incompatibly. The mixer fleet's StreamVersion and the signed
+// RoundSettings.PairingVersion are still negotiated separately.
+const ProtocolVersion = 1
+
+// ErrProtocolMismatch is returned (wrapped, naming both versions) by
+// FrontendClient.Directory when the frontend serves a different
+// ProtocolVersion; a frontend that predates the field reports version 0.
+var ErrProtocolMismatch = errors.New("rpc: client protocol version mismatch")
 
 // Directory describes a full deployment to connecting clients: addresses
 // and pinned keys for every server. Served by the entry daemon.
@@ -638,16 +618,10 @@ type Directory struct {
 	PKGBLSKeys [][]byte `json:"pkg_bls_keys"`
 	MixerKeys  [][]byte `json:"mixer_keys"`
 	NumMixers  int      `json:"num_mixers"`
-	// EventStreamVersion advertises the frontend's round-event surface
-	// (see the EventStream constants). Omitted by older frontends, which
-	// JSON-decodes to 0 = poll only.
-	EventStreamVersion int `json:"event_stream_version,omitempty"`
-	// PairingVersion advertises the deployment's sealed-ciphertext tier
-	// (≥2 = the optimal-ate v2 pairing; 0/absent = v1 Tate). Advisory:
-	// the authoritative per-round version is the capability byte in the
-	// SIGNED RoundSettings — clients key each round off the settings, so
-	// a frontend cannot re-tier a round by lying here.
-	PairingVersion int `json:"pairing_version,omitempty"`
+	// ProtocolVersion is the generation of the client-facing surface the
+	// frontend serves (see the ProtocolVersion constant). RegisterFrontend
+	// sets it; callers leave it zero.
+	ProtocolVersion int `json:"protocol_version"`
 	// FrontendAddrs lists every entry frontend in the deployment
 	// (client-facing addresses, coordinator's own frontend first). All
 	// frontends replay the coordinator's announcement log in the same
@@ -663,11 +637,6 @@ type Directory struct {
 	CDNAddrs []string `json:"cdn_addrs,omitempty"`
 }
 
-type settingsArgs struct {
-	Service wire.Service `json:"service"`
-	Round   uint32       `json:"round"`
-}
-
 type submitArgs struct {
 	Service wire.Service `json:"service"`
 	Round   uint32       `json:"round"`
@@ -680,24 +649,20 @@ type fetchArgs struct {
 	Mailbox uint32       `json:"mailbox"`
 }
 
-// RoundStatus is the poll-based round-progress snapshot, now defined by
-// the entry server's event log.
-type RoundStatus = entry.RoundStatus
-
 // eventsArgs is the entry.events long-poll request: announcements after
-// Cursor, waiting up to WaitMs for news (bounded by maxEventsWait), at
-// most Max events per reply.
+// Cursor, waiting up to WaitMs for news (bounded by maxEventsWait).
 type eventsArgs struct {
 	Cursor uint64 `json:"cursor"`
 	WaitMs int    `json:"wait_ms,omitempty"`
-	Max    int    `json:"max,omitempty"`
 }
 
-// wireEvent is one round announcement on the wire. On an EventStreamV2
-// frontend a round-open event carries the round's canonical settings
-// encoding so the client never fetches them separately; V1 frontends omit
-// the field and the stream stays a few bytes per round. Either way the
-// client signature-checks settings against its pinned keys before use.
+// wireEvent is one round announcement on the wire. A round-open event
+// carries the round's canonical settings encoding so the client never
+// fetches them separately. Settings are self-authenticating — every mixer
+// and PKG contribution is signed under keys the client pins — so riding
+// them over the untrusted push channel changes nothing about their trust
+// story: the client signature-checks them before use exactly as it would
+// a fetched copy.
 type wireEvent struct {
 	Cursor   uint64       `json:"cursor"`
 	Service  wire.Service `json:"service"`
@@ -716,6 +681,28 @@ type eventsReply struct {
 	Gap bool `json:"gap,omitempty"`
 }
 
+// announcements decodes a reply from an untrusted frontend. A settings
+// blob that fails to decode is dropped and the client falls back to
+// entry.settings for that round: settings are verified either way, so a
+// bad copy costs one RPC, never correctness.
+func (r *eventsReply) announcements() []entry.Announcement {
+	anns := make([]entry.Announcement, len(r.Events))
+	for i, ev := range r.Events {
+		anns[i] = entry.Announcement{
+			Cursor:  ev.Cursor,
+			Service: ev.Service,
+			Round:   ev.Round,
+			Kind:    entry.EventKind(ev.Kind),
+		}
+		if len(ev.Settings) > 0 {
+			if rs, err := wire.UnmarshalRoundSettings(ev.Settings); err == nil {
+				anns[i].Settings = rs
+			}
+		}
+	}
+	return anns
+}
+
 type fetchRangeArgs struct {
 	Service   wire.Service `json:"service"`
 	FromRound uint32       `json:"from_round"`
@@ -731,9 +718,8 @@ type rangedBox struct {
 const (
 	// maxEventsWait bounds how long one entry.events call may park
 	// server-side. Long parks are the point of the long-poll — an idle
-	// streaming client costs the frontend one request per maxEventsWait
-	// instead of 2 Hz×2 services of status polls — and Server.Closing
-	// unparks them all at shutdown.
+	// client costs the frontend one request per maxEventsWait — and
+	// Server.Closing unparks them all at shutdown.
 	maxEventsWait = 30 * time.Second
 	// eventsClientWait is the park clients request per entry.events call.
 	eventsClientWait = 25 * time.Second
@@ -752,92 +738,12 @@ type MailboxSource interface {
 	FetchRange(service wire.Service, fromRound, toRound uint32, mailbox uint32) (map[uint32][]byte, error)
 }
 
-// registerFrontendCommon installs the surface served by every frontend
-// generation: directory, status polling, settings, submission, and
-// per-round mailbox fetch.
-func registerFrontendCommon(s *Server, e *entry.Server, store MailboxSource, dir Directory) {
-	HandleFunc(s, "frontend.directory", func(struct{}) (any, error) {
-		return dir, nil
-	})
-	HandleFunc(s, "frontend.status", func(a settingsArgs) (any, error) {
-		return e.Status(a.Service), nil
-	})
-	HandleFunc(s, "entry.settings", func(a settingsArgs) (any, error) {
-		settings, err := e.Settings(a.Service, a.Round)
-		if err != nil {
-			return nil, err
-		}
-		return settings.Marshal(), nil
-	})
-	HandleFunc(s, "entry.submit", func(a submitArgs) (any, error) {
-		return nil, e.Submit(a.Service, a.Round, a.Onion)
-	})
+// registerMailboxReads installs the mailbox read plane — cdn.fetch and
+// cdn.fetchrange (one request for a span of rounds) — that entry
+// frontends and CDN nodes both serve.
+func registerMailboxReads(s *Server, store MailboxSource) {
 	HandleFunc(s, "cdn.fetch", func(a fetchArgs) (any, error) {
 		return store.Fetch(a.Service, a.Round, a.Mailbox)
-	})
-}
-
-// RegisterFrontend exposes the entry server, CDN fetch surface, and
-// deployment directory over RPC, including the EventStreamV2 push
-// surface: entry.events (a resumable long-poll over the entry server's
-// cursor-stamped announcement log, the same framing family as
-// mix.round.wait, with round settings riding inside open events) and
-// cdn.fetchrange (one request for a span of rounds).
-//
-// This is the CLIENT-facing surface: cdn.publish is deliberately NOT
-// served here — the transport carries no authentication, so the write
-// surface must live on a separate server-plane listener (RegisterCDN)
-// that deployments keep away from clients; otherwise any client could
-// publish a round's mailboxes first and censor the real ones.
-func RegisterFrontend(s *Server, e *entry.Server, store MailboxSource, dir Directory) {
-	registerStreamFrontend(s, e, store, dir, EventStreamV2)
-}
-
-// RegisterFrontendV1 exposes the EventStreamV1 surface exactly as PR 4
-// shipped it: entry.events without settings in open events. It exists so
-// tests and the bench harness can stand in for a last-generation frontend
-// and prove that a V2 client degrades transparently to fetching settings.
-func RegisterFrontendV1(s *Server, e *entry.Server, store MailboxSource, dir Directory) {
-	registerStreamFrontend(s, e, store, dir, EventStreamV1)
-}
-
-func registerStreamFrontend(s *Server, e *entry.Server, store MailboxSource, dir Directory, version int) {
-	dir.EventStreamVersion = version
-	registerFrontendCommon(s, e, store, dir)
-	HandleFunc(s, "entry.events", func(a eventsArgs) (any, error) {
-		wait := time.Duration(a.WaitMs) * time.Millisecond
-		if wait <= 0 || wait > maxEventsWait {
-			wait = maxEventsWait
-		}
-		max := a.Max
-		if max <= 0 || max > eventsBatchMax {
-			max = eventsBatchMax
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), wait)
-		defer cancel()
-		// A shutting-down server unparks every waiter immediately.
-		go func() {
-			select {
-			case <-s.Closing():
-				cancel()
-			case <-ctx.Done():
-			}
-		}()
-		anns, next, gap := e.WaitEvents(ctx, a.Cursor, max)
-		reply := eventsReply{Next: next, Gap: gap}
-		for _, ann := range anns {
-			ev := wireEvent{
-				Cursor:  ann.Cursor,
-				Service: ann.Service,
-				Round:   ann.Round,
-				Kind:    int(ann.Kind),
-			}
-			if version >= EventStreamV2 && ann.Kind == entry.RoundOpen && ann.Settings != nil {
-				ev.Settings = ann.Settings.Marshal()
-			}
-			reply.Events = append(reply.Events, ev)
-		}
-		return reply, nil
 	})
 	HandleFunc(s, "cdn.fetchrange", func(a fetchRangeArgs) (any, error) {
 		boxes, err := store.FetchRange(a.Service, a.FromRound, a.ToRound, a.Mailbox)
@@ -851,6 +757,69 @@ func registerStreamFrontend(s *Server, e *entry.Server, store MailboxSource, dir
 		sort.Slice(out, func(i, j int) bool { return out[i].Round < out[j].Round })
 		return out, nil
 	})
+}
+
+// RegisterFrontend exposes the entry server, the mailbox read plane and
+// the deployment directory over RPC — the whole client-facing surface,
+// stamped ProtocolVersion: frontend.directory, entry.events (a resumable
+// long-poll over the entry server's cursor-stamped announcement log, the
+// same framing family as mix.round.wait, with round settings riding
+// inside open events), entry.settings (for consumers whose open event has
+// left the retained window, such as scans after a restart), entry.submit,
+// cdn.fetch and cdn.fetchrange.
+//
+// cdn.publish is deliberately NOT served here — the transport carries no
+// authentication, so the write surface must live on a separate
+// server-plane listener (RegisterCDN) that deployments keep away from
+// clients; otherwise any client could publish a round's mailboxes first
+// and censor the real ones.
+func RegisterFrontend(s *Server, e *entry.Server, store MailboxSource, dir Directory) {
+	dir.ProtocolVersion = ProtocolVersion
+	HandleFunc(s, "frontend.directory", func(struct{}) (any, error) {
+		return dir, nil
+	})
+	HandleFunc(s, "entry.settings", func(a roundArgs) (any, error) {
+		settings, err := e.Settings(a.Service, a.Round)
+		if err != nil {
+			return nil, err
+		}
+		return settings.Marshal(), nil
+	})
+	HandleFunc(s, "entry.submit", func(a submitArgs) (any, error) {
+		return nil, e.Submit(a.Service, a.Round, a.Onion)
+	})
+	HandleFunc(s, "entry.events", func(a eventsArgs) (any, error) {
+		wait := time.Duration(a.WaitMs) * time.Millisecond
+		if wait <= 0 || wait > maxEventsWait {
+			wait = maxEventsWait
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), wait)
+		defer cancel()
+		// A shutting-down server unparks every waiter immediately.
+		go func() {
+			select {
+			case <-s.Closing():
+				cancel()
+			case <-ctx.Done():
+			}
+		}()
+		anns, next, gap := e.WaitEvents(ctx, a.Cursor, eventsBatchMax)
+		reply := eventsReply{Next: next, Gap: gap}
+		for _, ann := range anns {
+			ev := wireEvent{
+				Cursor:  ann.Cursor,
+				Service: ann.Service,
+				Round:   ann.Round,
+				Kind:    int(ann.Kind),
+			}
+			if ann.Kind == entry.RoundOpen && ann.Settings != nil {
+				ev.Settings = ann.Settings.Marshal()
+			}
+			reply.Events = append(reply.Events, ev)
+		}
+		return reply, nil
+	})
+	registerMailboxReads(s, store)
 }
 
 // RegisterCoordinatorStatus exposes a read-only coordinator scheduling
@@ -879,141 +848,67 @@ func (f *FrontendClient) CoordinatorStatus(ctx context.Context) (json.RawMessage
 	return raw, nil
 }
 
-// RegisterPollFrontend exposes only the pre-event-stream frontend surface
-// (frontend.status polling, per-round cdn.fetch, EventStreamNone). It
-// exists so tests and the bench harness can stand in for a frontend built
-// before entry.events and prove the transparent poll fallback.
-func RegisterPollFrontend(s *Server, e *entry.Server, store MailboxSource, dir Directory) {
-	dir.EventStreamVersion = EventStreamNone
-	registerFrontendCommon(s, e, store, dir)
-}
-
 // UnmarshalBLSKey decodes a BLS public key from a directory entry; it
 // exists so daemon binaries need not import internal/bls directly.
 func UnmarshalBLSKey(data []byte) (*bls.PublicKey, error) {
 	return bls.UnmarshalPublicKey(data)
 }
 
-// FrontendClient talks to the entry daemon; it satisfies core.EntryServer,
-// core.MailboxStore, core.StatusProvider, and core.RoundWatcher, so a
-// client built over it gets the push-based round loop when the frontend
-// serves EventStreamV1 and degrades transparently to status polling when
-// it does not (stale directory included: an "unknown method" reply is
-// treated the same as an advertised version 0).
+// FrontendClient talks to one entry frontend; it satisfies
+// core.EntryServer, core.RoundWatcher and — through the embedded
+// CDNClient, whose connection it shares for every non-parking call —
+// core.MailboxStore.
 type FrontendClient struct {
-	addr string
-	c    *Client
+	*CDNClient
 
-	// eventsc is a dedicated connection for the entry.events long-poll —
-	// a parked poll must never queue a submit or fetch behind it (same
-	// split as MixerClient's mix.round.wait connection).
-	mu                sync.Mutex
-	eventsc           *Client
-	dir               *Directory
-	eventsUnsupported bool
-	rangeUnsupported  bool
+	// events is a dedicated connection for the entry.events long-poll — a
+	// parked poll must never queue a submit or fetch behind it (same split
+	// as MixerClient's mix.round.wait connection). Like every Client it
+	// connects on first use.
+	events *Client
 }
 
 // DialFrontend connects to the entry daemon.
 func DialFrontend(addr string) *FrontendClient {
-	return &FrontendClient{addr: addr, c: Dial(addr)}
+	return &FrontendClient{CDNClient: DialCDN(addr), events: Dial(addr)}
 }
 
-// TransportStats sums the transport accounting of every connection this
-// client holds (the call connection and the events long-poll connection).
+// TransportStats sums the transport accounting of both connections.
 func (f *FrontendClient) TransportStats() ClientStats {
 	st := f.c.Stats()
-	f.mu.Lock()
-	ec := f.eventsc
-	f.mu.Unlock()
-	if ec != nil {
-		es := ec.Stats()
-		st.BytesSent += es.BytesSent
-		st.BytesReceived += es.BytesReceived
-		st.Calls += es.Calls
-	}
+	st.add(f.events.Stats())
 	return st
 }
 
 // CallCount reports how many times this client invoked a method, across
-// all of its connections.
+// both connections.
 func (f *FrontendClient) CallCount(method string) uint64 {
-	n := f.c.CallCount(method)
-	f.mu.Lock()
-	ec := f.eventsc
-	f.mu.Unlock()
-	if ec != nil {
-		n += ec.CallCount(method)
-	}
-	return n
+	return f.c.CallCount(method) + f.events.CallCount(method)
 }
 
-// Directory fetches (and caches) the deployment directory; the cached
-// copy also fixes the frontend's advertised event-stream capability.
+// Directory fetches the deployment directory. A frontend serving any
+// other ProtocolVersion is refused with ErrProtocolMismatch.
 func (f *FrontendClient) Directory(ctx context.Context) (*Directory, error) {
-	f.mu.Lock()
-	if f.dir != nil {
-		dir := *f.dir
-		f.mu.Unlock()
-		return &dir, nil
-	}
-	f.mu.Unlock()
 	var dir Directory
 	if err := f.c.CallContext(ctx, "frontend.directory", struct{}{}, &dir); err != nil {
 		return nil, err
 	}
-	f.mu.Lock()
-	f.dir = &dir
-	if dir.EventStreamVersion < EventStreamV1 {
-		f.eventsUnsupported = true
-		f.rangeUnsupported = true
+	if dir.ProtocolVersion != ProtocolVersion {
+		return nil, fmt.Errorf("%w: frontend %s serves version %d, this client speaks %d", ErrProtocolMismatch, f.addr, dir.ProtocolVersion, ProtocolVersion)
 	}
-	f.mu.Unlock()
 	return &dir, nil
 }
 
-// Status implements core.StatusProvider: round progress for a service.
-func (f *FrontendClient) Status(ctx context.Context, service wire.Service) (entry.RoundStatus, error) {
-	var st entry.RoundStatus
-	err := f.c.CallContext(ctx, "frontend.status", settingsArgs{Service: service}, &st)
-	return st, err
-}
-
-// isUnknownMethod reports a handler-missing reply — the capability probe
-// for frontends predating a method.
-func isUnknownMethod(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "rpc: unknown method")
-}
-
 // WatchRounds implements core.RoundWatcher over the entry.events
-// long-poll: it parks on the frontend (on a dedicated connection) until
-// announcements after cursor exist, and returns core.ErrEventsUnsupported
-// against a poll-only frontend so the client's round loop falls back to
-// Status polling.
+// long-poll: it parks on the frontend (on the dedicated connection) until
+// announcements after cursor exist.
 func (f *FrontendClient) WatchRounds(ctx context.Context, cursor uint64) ([]entry.Announcement, uint64, error) {
-	f.mu.Lock()
-	if f.eventsUnsupported {
-		f.mu.Unlock()
-		return nil, cursor, core.ErrEventsUnsupported
-	}
-	if f.eventsc == nil {
-		f.eventsc = Dial(f.addr)
-	}
-	ec := f.eventsc
-	f.mu.Unlock()
-
 	for {
 		var reply eventsReply
-		err := ec.CallContext(ctx, "entry.events", eventsArgs{
+		err := f.events.CallContext(ctx, "entry.events", eventsArgs{
 			Cursor: cursor, WaitMs: int(eventsClientWait / time.Millisecond),
 		}, &reply)
 		if err != nil {
-			if isUnknownMethod(err) {
-				f.mu.Lock()
-				f.eventsUnsupported = true
-				f.mu.Unlock()
-				return nil, cursor, core.ErrEventsUnsupported
-			}
 			return nil, cursor, err
 		}
 		if len(reply.Events) == 0 {
@@ -1023,32 +918,14 @@ func (f *FrontendClient) WatchRounds(ctx context.Context, cursor uint64) ([]entr
 			}
 			continue
 		}
-		anns := make([]entry.Announcement, len(reply.Events))
-		for i, ev := range reply.Events {
-			anns[i] = entry.Announcement{
-				Cursor:  ev.Cursor,
-				Service: ev.Service,
-				Round:   ev.Round,
-				Kind:    entry.EventKind(ev.Kind),
-			}
-			if len(ev.Settings) > 0 {
-				// V2 open events carry settings; a copy that fails to
-				// decode is dropped and the client falls back to fetching
-				// (the settings are verified either way, so a bad copy
-				// costs one RPC, never correctness).
-				if rs, err := wire.UnmarshalRoundSettings(ev.Settings); err == nil {
-					anns[i].Settings = rs
-				}
-			}
-		}
-		return anns, reply.Next, nil
+		return reply.announcements(), reply.Next, nil
 	}
 }
 
 // Settings implements core.EntryServer.
 func (f *FrontendClient) Settings(ctx context.Context, service wire.Service, round uint32) (*wire.RoundSettings, error) {
 	var raw []byte
-	if err := f.c.CallContext(ctx, "entry.settings", settingsArgs{Service: service, Round: round}, &raw); err != nil {
+	if err := f.c.CallContext(ctx, "entry.settings", roundArgs{Service: service, Round: round}, &raw); err != nil {
 		return nil, err
 	}
 	return wire.UnmarshalRoundSettings(raw)
@@ -1065,63 +942,8 @@ func (f *FrontendClient) Submit(ctx context.Context, service wire.Service, round
 	return err
 }
 
-// Fetch implements core.MailboxStore.
-func (f *FrontendClient) Fetch(ctx context.Context, service wire.Service, round uint32, mailbox uint32) ([]byte, error) {
-	var out []byte
-	if err := f.c.CallContext(ctx, "cdn.fetch", fetchArgs{Service: service, Round: round, Mailbox: mailbox}, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// FetchRange implements core.MailboxStore: one request for a span of
-// rounds via cdn.fetchrange, with a transparent per-round fallback
-// against frontends that predate it (rounds the store no longer holds are
-// simply absent, matching the ranged semantics).
-func (f *FrontendClient) FetchRange(ctx context.Context, service wire.Service, fromRound, toRound uint32, mailbox uint32) (map[uint32][]byte, error) {
-	f.mu.Lock()
-	supported := !f.rangeUnsupported
-	f.mu.Unlock()
-	if supported {
-		var reply []rangedBox
-		err := f.c.CallContext(ctx, "cdn.fetchrange", fetchRangeArgs{
-			Service: service, FromRound: fromRound, ToRound: toRound, Mailbox: mailbox,
-		}, &reply)
-		if err == nil {
-			out := make(map[uint32][]byte, len(reply))
-			for _, box := range reply {
-				out[box.Round] = box.Data
-			}
-			return out, nil
-		}
-		if !isUnknownMethod(err) {
-			return nil, err
-		}
-		f.mu.Lock()
-		f.rangeUnsupported = true
-		f.mu.Unlock()
-	}
-	out := make(map[uint32][]byte)
-	for r := fromRound; r <= toRound; r++ {
-		box, err := f.Fetch(ctx, service, r, mailbox)
-		if err != nil {
-			if strings.Contains(err.Error(), "not published") {
-				continue // unavailable round: absent, like the ranged reply
-			}
-			return nil, err
-		}
-		out[r] = box
-	}
-	return out, nil
-}
-
-// Close closes the client's connections.
+// Close closes both connections.
 func (f *FrontendClient) Close() {
-	f.c.Close()
-	f.mu.Lock()
-	ec := f.eventsc
-	f.mu.Unlock()
-	if ec != nil {
-		ec.Close()
-	}
+	f.CDNClient.Close()
+	f.events.Close()
 }

@@ -542,21 +542,7 @@ func (d *CDNDaemon) pullRound(peer *Client, entry cdnRoundEntry) error {
 // cdn.fetchrange, the same wire surface a frontend serves — so clients
 // (via CDNPool) can fetch mailboxes from CDN nodes directly.
 func RegisterCDNFrontend(s *Server, store *cdn.Store) {
-	HandleFunc(s, "cdn.fetch", func(a fetchArgs) (any, error) {
-		return store.Fetch(a.Service, a.Round, a.Mailbox)
-	})
-	HandleFunc(s, "cdn.fetchrange", func(a fetchRangeArgs) (any, error) {
-		boxes, err := store.FetchRange(a.Service, a.FromRound, a.ToRound, a.Mailbox)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]rangedBox, 0, len(boxes))
-		for r, data := range boxes {
-			out = append(out, rangedBox{Round: r, Data: data})
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Round < out[j].Round })
-		return out, nil
-	})
+	registerMailboxReads(s, store)
 }
 
 // streamRound feeds a round's mailboxes through send in budget-bounded

@@ -249,9 +249,10 @@ func (r *EntryReplicaClient) OpenRound(settings *wire.RoundSettings) error {
 
 // AnnouncePublished replays a publish announcement (idempotent
 // server-side). Mirroring entry.Server's fire-and-forget signature, a
-// delivery failure is dropped: the frontend's poll fallback still reports
-// the round via frontend.status served from its own CDN view, and its
-// event-stream clients catch up at the next open.
+// delivery failure is dropped: the frontend's clients catch up at the next
+// publish announcement that does arrive (a dialing client queues every
+// round up to it into its scan backlog), and the mailboxes themselves are
+// served by the CDN regardless.
 func (r *EntryReplicaClient) AnnouncePublished(service wire.Service, round uint32) {
 	_ = r.c.Call("entry.replicate.published", roundArgs{Service: service, Round: round}, nil)
 }

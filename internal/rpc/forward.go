@@ -162,11 +162,11 @@ func hostOf(addr string) string {
 	return addr
 }
 
-// waitPollInterval bounds how long one mix.round.wait call parks in the
+// waitParkInterval bounds how long one mix.round.wait call parks in the
 // daemon before replying "not done yet"; the client re-polls. Bounding the
 // park keeps Server.Close from waiting on a handler that would otherwise
 // block until a round that will never finish.
-const waitPollInterval = 500 * time.Millisecond
+const waitParkInterval = 500 * time.Millisecond
 
 type routeArgs struct {
 	Service      wire.Service `json:"service"`
@@ -1026,7 +1026,7 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 			}
 			d.mu.Unlock()
 			return reply, nil
-		case <-time.After(waitPollInterval):
+		case <-time.After(waitParkInterval):
 			return waitReply{}, nil
 		}
 	})

@@ -6,6 +6,7 @@ import (
 	"errors"
 	mathrand "math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -182,10 +183,9 @@ func newTwoFrontendNetwork(t *testing.T) (*sim.Network, []*rpc.Server, []string)
 
 // TestRunFailsOverToSurvivingFrontend kills one of two frontends mid-round
 // under Client.Run over TCP: the client resumes on the survivor FROM ITS
-// CURSOR (the frontends share one announcement log, so no status-snapshot
-// rebuild and no poll fallback), never double-submits a round, never falls
-// back to per-round settings fetches, and drains its goroutines on
-// shutdown.
+// CURSOR (the frontends share one announcement log, so no snapshot
+// rebuild), never double-submits a round, never falls back to per-round
+// settings fetches, and drains its goroutines on shutdown.
 func TestRunFailsOverToSurvivingFrontend(t *testing.T) {
 	network, srvs, addrs := newTwoFrontendNetwork(t)
 	defer srvs[1].Close()
@@ -196,7 +196,6 @@ func TestRunFailsOverToSurvivingFrontend(t *testing.T) {
 	cfg := network.ClientConfig("failover@tcp.example", h)
 	cfg.Entry = pool
 	cfg.Mailboxes = pool
-	cfg.PollInterval = 50 * time.Millisecond
 	client, err := core.NewClient(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -256,15 +255,8 @@ func TestRunFailsOverToSurvivingFrontend(t *testing.T) {
 		return client.DialRound() >= 7 && client.DialBacklog() == 0
 	})
 
-	// No snapshot reset: tracking stayed on the event stream the whole
-	// time. A cursor mismatch between the logs would have shown up as a
-	// gap -> status rebuild -> poll traffic; the status budget is the
-	// connect-time snapshot plus at most a couple of failover re-syncs.
-	if n := pool.CallCount("frontend.status"); n > 6 {
-		t.Fatalf("client issued %d frontend.status calls — failover fell back to polling (snapshot reset)", n)
-	}
-	// Settings rode the open events (EventStreamV2) on both frontends:
-	// failing over does not resurrect the per-round settings fetch.
+	// Settings rode the open events on both frontends: failing over does
+	// not resurrect the per-round settings fetch.
 	if n := pool.CallCount("entry.settings"); n != 0 {
 		t.Fatalf("client issued %d entry.settings fetches, want 0 (settings ride open events)", n)
 	}
@@ -286,63 +278,133 @@ func TestRunFailsOverToSurvivingFrontend(t *testing.T) {
 	})
 }
 
-// TestEventSettingsEliminateFetch pins EventStreamV2's request savings: a
-// client on a V2 frontend completes rounds with ZERO entry.settings
-// fetches (settings ride the open events), while the same client code on a
-// V1 frontend degrades transparently — it fetches settings per round and
-// still completes every round.
+// TestEventSettingsEliminateFetch pins the request the open events save: a
+// client following the stream completes rounds with ZERO entry.settings
+// fetches, because every round-open event carries the round's settings.
 func TestEventSettingsEliminateFetch(t *testing.T) {
-	network, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumMixers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2Srv := rpc.NewServer()
-	rpc.RegisterFrontend(v2Srv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
-	v2Addr, err := v2Srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2Srv.Close()
-	v1Srv := rpc.NewServer()
-	rpc.RegisterFrontendV1(v1Srv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
-	v1Addr, err := v1Srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1Srv.Close()
-
-	v2FE := rpc.DialFrontend(v2Addr)
-	v1FE := rpc.DialFrontend(v1Addr)
-	defer v2FE.Close()
-	defer v1FE.Close()
-	v2Client, _ := newTCPRunClient(t, network, v2FE, "v2@tcp.example")
-	v1Client, _ := newTCPRunClient(t, network, v1FE, "v1@tcp.example")
+	network, srv, addr := newRunNetwork(t)
+	defer srv.Close()
+	fe := rpc.DialFrontend(addr)
+	defer fe.Close()
+	client, _ := newTCPRunClient(t, network, fe, "settings@tcp.example")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	h2, err := v2Client.ConnectDialing(ctx)
+	handle, err := client.ConnectDialing(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h2.Close()
-	h1, err := v1Client.ConnectDialing(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h1.Close()
+	defer handle.Close()
 
 	const rounds = 3
-	driveDialRounds(t, network, 1, rounds, 2, 10*time.Second)
-	waitUntil(t, 15*time.Second, "both clients to scan all rounds", func() bool {
-		return v2Client.DialRound() >= rounds+1 && v1Client.DialRound() >= rounds+1
+	driveDialRounds(t, network, 1, rounds, 1, 10*time.Second)
+	waitUntil(t, 15*time.Second, "the client to scan all rounds", func() bool {
+		return client.DialRound() >= rounds+1
+	})
+	if n := fe.CallCount("entry.settings"); n != 0 {
+		t.Fatalf("client fetched settings %d times over %d tracked rounds, want 0 (settings ride open events)", n, rounds)
+	}
+}
+
+// TestBadEventSettingsFallBackToFetch runs a client against a frontend
+// that truncates the settings blob in every open event: the client must
+// drop the bad copy and fall back to entry.settings — one extra RPC per
+// round, every round still submitted and scanned.
+func TestBadEventSettingsFallBackToFetch(t *testing.T) {
+	network, srv, addr := newRunNetwork(t)
+	defer srv.Close()
+	type event struct {
+		Cursor   uint64       `json:"cursor"`
+		Service  wire.Service `json:"service"`
+		Round    uint32       `json:"round"`
+		Kind     int          `json:"kind"`
+		Settings []byte       `json:"settings,omitempty"`
+	}
+	rpc.HandleFunc(srv, "entry.events", func(a struct {
+		Cursor uint64 `json:"cursor"`
+	}) (any, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		defer cancel()
+		anns, next, _ := network.Entry.WaitEvents(ctx, a.Cursor, 0)
+		events := make([]event, len(anns))
+		for i, ann := range anns {
+			events[i] = event{Cursor: ann.Cursor, Service: ann.Service, Round: ann.Round, Kind: int(ann.Kind)}
+			if ann.Settings != nil {
+				blob := ann.Settings.Marshal()
+				events[i].Settings = blob[:len(blob)/2]
+			}
+		}
+		return map[string]any{"events": events, "next": next}, nil
 	})
 
-	if n := v2FE.CallCount("entry.settings"); n != 0 {
-		t.Fatalf("V2 client fetched settings %d times, want 0 (settings ride open events)", n)
+	fe := rpc.DialFrontend(addr)
+	defer fe.Close()
+	client, _ := newTCPRunClient(t, network, fe, "fallback@tcp.example")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	handle, err := client.ConnectDialing(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := v1FE.CallCount("entry.settings"); n == 0 {
-		t.Fatal("V1 client never fetched settings — the degradation path went untested")
+	defer handle.Close()
+
+	const rounds = 3
+	driveDialRounds(t, network, 1, rounds, 1, 10*time.Second)
+	waitUntil(t, 15*time.Second, "the client to scan all rounds", func() bool {
+		return client.DialRound() >= rounds+1
+	})
+	if n := fe.CallCount("entry.settings"); n != rounds {
+		t.Fatalf("%d entry.settings fetches over %d rounds with corrupt pushed settings, want one per round", n, rounds)
 	}
-	t.Logf("entry.settings calls over %d rounds: V2=%d V1=%d",
-		rounds, v2FE.CallCount("entry.settings"), v1FE.CallCount("entry.settings"))
+}
+
+// TestDirectoryProtocolMismatch pins the one version check of the client
+// plane: a frontend whose directory carries no ProtocolVersion (0, as any
+// frontend predating the field would send) is refused with
+// ErrProtocolMismatch — by a single client and by a pool, which must NOT
+// rotate away, since the frontend answered — while a current frontend's
+// directory carries the constant RegisterFrontend stamped.
+func TestDirectoryProtocolMismatch(t *testing.T) {
+	_, srv, addr := newRunNetwork(t)
+	defer srv.Close()
+	old := rpc.NewServer()
+	rpc.HandleFunc(old, "frontend.directory", func(struct{}) (any, error) {
+		return rpc.Directory{NumMixers: 1}, nil
+	})
+	oldAddr, err := old.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	ctx := context.Background()
+
+	fe := rpc.DialFrontend(addr)
+	defer fe.Close()
+	dir, err := fe.Directory(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dir.ProtocolVersion != rpc.ProtocolVersion {
+		t.Fatalf("current frontend advertises protocol version %d, want %d", dir.ProtocolVersion, rpc.ProtocolVersion)
+	}
+
+	oldFE := rpc.DialFrontend(oldAddr)
+	defer oldFE.Close()
+	pool := rpc.DialFrontendPool(oldAddr, addr)
+	defer pool.Close()
+	for name, fetch := range map[string]func(context.Context) (*rpc.Directory, error){
+		"client": oldFE.Directory,
+		"pool":   pool.Directory,
+	} {
+		dir, err := fetch(ctx)
+		if !errors.Is(err, rpc.ErrProtocolMismatch) {
+			t.Fatalf("%s: version-0 directory returned (%v, %v), want ErrProtocolMismatch", name, dir, err)
+		}
+		if !strings.Contains(err.Error(), oldAddr+" serves version 0") {
+			t.Fatalf("%s: mismatch error %q does not name the frontend and its version", name, err)
+		}
+	}
+	if pool.Addr() != oldAddr {
+		t.Fatal("pool rotated away from a frontend that answered (a version mismatch is not a transport failure)")
+	}
 }

@@ -306,6 +306,13 @@ type ClientStats struct {
 	Calls         uint64
 }
 
+// add folds another connection's accounting into st.
+func (st *ClientStats) add(o ClientStats) {
+	st.BytesSent += o.BytesSent
+	st.BytesReceived += o.BytesReceived
+	st.Calls += o.Calls
+}
+
 // Dial creates a client for the given address. The connection is
 // established lazily and re-established after errors.
 func Dial(addr string) *Client {

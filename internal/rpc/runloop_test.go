@@ -50,7 +50,6 @@ func newTCPRunClient(t *testing.T, network *sim.Network, frontend *rpc.FrontendC
 	cfg := network.ClientConfig(email, h)
 	cfg.Entry = frontend
 	cfg.Mailboxes = frontend
-	cfg.PollInterval = 50 * time.Millisecond
 	client, err := core.NewClient(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -166,98 +165,47 @@ func TestRunSurvivesFrontendRestart(t *testing.T) {
 	})
 }
 
-// TestStreamingVsPollingStatusLoad is the status-load acceptance pin: for
-// the same rounds, a client on the entry.events stream issues at least 5x
-// fewer round-tracking requests than a 100ms poller — and a
-// streaming-capable client pointed at a POLL-ONLY frontend degrades
-// transparently, completing the same rounds via status polling.
-func TestStreamingVsPollingStatusLoad(t *testing.T) {
-	network, pushSrv, pushAddr := newRunNetwork(t)
-	defer pushSrv.Close()
-
-	// A second, poll-only frontend serves the SAME deployment (a frontend
-	// built before entry.events existed).
-	pollSrv := rpc.NewServer()
-	rpc.RegisterPollFrontend(pollSrv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
-	pollAddr, err := pollSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pollSrv.Close()
-
-	streamFE := rpc.DialFrontend(pushAddr)
-	pollFE := rpc.DialFrontend(pollAddr)
-	defer streamFE.Close()
-	defer pollFE.Close()
-	streamer, _ := newTCPRunClient(t, network, streamFE, "streamer@tcp.example")
-	poller, _ := newTCPRunClient(t, network, pollFE, "poller@tcp.example")
+// TestEventStreamTrackingLoad pins what following rounds costs the
+// frontend: a client on the entry.events stream issues a BOUNDED number of
+// tracking requests per round — every call returns at least one of the
+// round's two announcements (open, published), whatever the round length —
+// and never fetches settings separately.
+func TestEventStreamTrackingLoad(t *testing.T) {
+	network, srv, addr := newRunNetwork(t)
+	defer srv.Close()
+	fe := rpc.DialFrontend(addr)
+	defer fe.Close()
+	client, _ := newTCPRunClient(t, network, fe, "streamer@tcp.example")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	hs, err := streamer.ConnectDialing(ctx)
+	handle, err := client.ConnectDialing(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hs.Close()
-	hp, err := poller.ConnectDialing(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hp.Close()
+	defer handle.Close()
 
-	// The same rounds for both clients, paced like a real deployment:
-	// the round interval dwarfs the submit time, which is exactly when
-	// polling burns requests on nothing.
 	const rounds = 5
-	for r := uint32(1); r <= rounds; r++ {
-		roundStart := time.Now()
-		if _, err := network.Coord.OpenDialingRound(r); err != nil {
-			t.Fatal(err)
-		}
-		waitUntil(t, 10*time.Second, "both clients to submit", func() bool {
-			return network.Entry.BatchSize(wire.Dialing, r) >= 2
-		})
-		if sofar := time.Since(roundStart); sofar < 800*time.Millisecond {
-			time.Sleep(800*time.Millisecond - sofar)
-		}
-		if _, err := network.Coord.CloseRound(wire.Dialing, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitUntil(t, 15*time.Second, "both clients to scan all rounds", func() bool {
-		return streamer.DialRound() >= rounds+1 && poller.DialRound() >= rounds+1
+	driveDialRounds(t, network, 1, rounds, 1, 10*time.Second)
+	waitUntil(t, 15*time.Second, "the client to scan all rounds", func() bool {
+		return client.DialRound() >= rounds+1
 	})
 	cancel()
-	hs.Close()
-	hp.Close()
+	handle.Close()
 
-	// Round tracking: status polls for the poller, events long-polls (plus
-	// any stray status calls) for the streamer.
-	pollTracking := pollFE.CallCount("frontend.status")
-	streamTracking := streamFE.CallCount("entry.events") + streamFE.CallCount("frontend.status")
-	t.Logf("round-tracking requests over %d rounds: poller=%d streamer=%d (%.1fx)",
-		rounds, pollTracking, streamTracking, float64(pollTracking)/float64(streamTracking))
-	if pollTracking < 5*streamTracking {
-		t.Fatalf("streaming saved less than 5x: poller %d vs streamer %d tracking requests", pollTracking, streamTracking)
-	}
-
-	// Transparent degrade, pinned: the poll-side client runs the SAME
-	// streaming-capable code — it probed entry.events, got "unknown
-	// method", and fell back to polling without missing a round.
-	if n := pollFE.CallCount("entry.events"); n < 1 {
-		t.Fatal("poll-side client never probed the event stream (fallback path untested)")
-	} else if n > 2 {
-		t.Fatalf("poll-side client kept calling entry.events (%d calls) after the frontend rejected it", n)
-	}
-	if poller.DialRound() < rounds+1 {
-		t.Fatal("poll-fallback client missed rounds")
+	// Two announcements per round, at least one per reply, plus the park
+	// the shutdown interrupted (and one spare for a call racing it).
+	tracking := fe.CallCount("entry.events")
+	t.Logf("round-tracking requests over %d rounds: %d (%.1f per round)", rounds, tracking, float64(tracking)/rounds)
+	if tracking == 0 || tracking > 2*rounds+2 {
+		t.Fatalf("client issued %d entry.events calls over %d rounds, want 1..%d", tracking, rounds, 2*rounds+2)
 	}
 }
 
-// TestFetchRangeFallbackOverTCP pins the MailboxStore degrade: against a
-// frontend without cdn.fetchrange, FetchRange silently becomes per-round
-// fetches with the same absent-round semantics.
-func TestFetchRangeFallbackOverTCP(t *testing.T) {
+// TestFetchRangeOverTCP pins the ranged mailbox fetch over TCP: a span of
+// rounds costs ONE cdn.fetchrange request and no per-round fetches, and
+// rounds the store does not hold are absent from the reply.
+func TestFetchRangeOverTCP(t *testing.T) {
 	network, srv, addr := newRunNetwork(t)
 	defer srv.Close()
 
@@ -271,32 +219,21 @@ func TestFetchRangeFallbackOverTCP(t *testing.T) {
 		}
 	}
 
-	pollSrv := rpc.NewServer()
-	rpc.RegisterPollFrontend(pollSrv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
-	pollAddr, err := pollSrv.Listen("127.0.0.1:0")
+	fe := rpc.DialFrontend(addr)
+	defer fe.Close()
+	got, err := fe.FetchRange(context.Background(), wire.Dialing, 1, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pollSrv.Close()
-
-	ctx := context.Background()
-	for _, tc := range []struct {
-		name string
-		addr string
-	}{{"ranged frontend", addr}, {"poll-only frontend (per-round fallback)", pollAddr}} {
-		fe := rpc.DialFrontend(tc.addr)
-		got, err := fe.FetchRange(ctx, wire.Dialing, 1, 5, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+	if len(got) != 3 {
+		t.Fatalf("ranged fetch returned %d rounds, want 3 (rounds 4-5 unpublished)", len(got))
+	}
+	for r := uint32(1); r <= 3; r++ {
+		if len(got[r]) == 0 {
+			t.Fatalf("round %d mailbox empty", r)
 		}
-		if len(got) != 3 {
-			t.Fatalf("%s: ranged fetch returned %d rounds, want 3 (rounds 4-5 unpublished)", tc.name, len(got))
-		}
-		for r := uint32(1); r <= 3; r++ {
-			if len(got[r]) == 0 {
-				t.Fatalf("%s: round %d mailbox empty", tc.name, r)
-			}
-		}
-		fe.Close()
+	}
+	if ranged, single := fe.CallCount("cdn.fetchrange"), fe.CallCount("cdn.fetch"); ranged != 1 || single != 0 {
+		t.Fatalf("span cost %d cdn.fetchrange + %d cdn.fetch calls, want 1 + 0", ranged, single)
 	}
 }

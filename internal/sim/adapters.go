@@ -19,15 +19,14 @@ import (
 )
 
 // EntryAdapter exposes an in-process entry server through core's
-// ctx-aware EntryServer, StatusProvider, and RoundWatcher interfaces.
+// ctx-aware EntryServer and RoundWatcher interfaces.
 type EntryAdapter struct {
 	E *entry.Server
 }
 
 var (
-	_ core.EntryServer    = EntryAdapter{}
-	_ core.StatusProvider = EntryAdapter{}
-	_ core.RoundWatcher   = EntryAdapter{}
+	_ core.EntryServer  = EntryAdapter{}
+	_ core.RoundWatcher = EntryAdapter{}
 )
 
 // Settings implements core.EntryServer.
@@ -44,14 +43,6 @@ func (a EntryAdapter) Submit(ctx context.Context, service wire.Service, round ui
 		return err
 	}
 	return a.E.Submit(service, round, onion)
-}
-
-// Status implements core.StatusProvider.
-func (a EntryAdapter) Status(ctx context.Context, service wire.Service) (entry.RoundStatus, error) {
-	if err := ctx.Err(); err != nil {
-		return entry.RoundStatus{}, err
-	}
-	return a.E.Status(service), nil
 }
 
 // WatchRounds implements core.RoundWatcher on the entry server's event
