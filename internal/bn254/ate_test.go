@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"math/big"
 	"testing"
-	"time"
 )
 
 // TestAteBilinearity pins the optimal-ate loop against the known-scalar
@@ -217,8 +216,10 @@ func TestAtePairBatchAllocations(t *testing.T) {
 // target is 1.8x and the measured ratio is ~2x (a 65- vs 254-iteration
 // Miller loop plus the short-vector subgroup check); the pin floor is 1.5x
 // so scheduler noise cannot flake the suite while a real regression (a
-// lost correction step, a generic subgroup ladder) still trips it.
-// Skipped in -short mode.
+// lost correction step, a generic subgroup ladder) still trips it. The two
+// batches are timed in alternation (bestInterleaved): five ate batches and
+// then five Tate batches failed whenever the machine's load moved between
+// the two phases. Skipped in -short mode.
 func TestAteBatchSpeedupPin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("relative perf pin skipped in -short mode")
@@ -244,19 +245,10 @@ func TestAteBatchSpeedupPin(t *testing.T) {
 	scratch := NewPairScratch(n)
 	atePre.PairBatch(raws, dst, ok, scratch) // warm scratch + oracle check
 
-	best := func(trials int, f func()) time.Duration {
-		bestD := time.Duration(1<<63 - 1)
-		for i := 0; i < trials; i++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start); d < bestD {
-				bestD = d
-			}
-		}
-		return bestD
-	}
-	ate := best(5, func() { atePre.PairBatch(raws, dst, ok, scratch) })
-	tate := best(5, func() { tatePre.PairBatch(raws, dst, ok, scratch) })
+	best := bestInterleaved(15,
+		func() { atePre.PairBatch(raws, dst, ok, scratch) },
+		func() { tatePre.PairBatch(raws, dst, ok, scratch) })
+	ate, tate := best[0], best[1]
 
 	const floorNum, floorDen = 15, 10 // 1.5x
 	if ate*floorNum > tate*floorDen {

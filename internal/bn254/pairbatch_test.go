@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"math/big"
 	"testing"
-	"time"
 )
 
 func randFe12(t testing.TB) fe12 {
@@ -91,20 +90,8 @@ func TestFinalExpDecompSpeedupPin(t *testing.T) {
 		t.Skip("relative perf pin skipped in -short mode")
 	}
 	f := randFe12(t)
-	best := func(n int, fn func()) time.Duration {
-		bestD := time.Duration(1<<63 - 1)
-		for i := 0; i < n; i++ {
-			start := time.Now()
-			fn()
-			if d := time.Since(start); d < bestD {
-				bestD = d
-			}
-		}
-		return bestD
-	}
-	const trials = 10
-	decomp := best(trials, func() { finalExpDecomp(&f) })
-	window := best(trials, func() { finalExp(&f) })
+	best := bestInterleaved(10, func() { finalExpDecomp(&f) }, func() { finalExp(&f) })
+	decomp, window := best[0], best[1]
 	if decomp*15 > window*10 {
 		t.Errorf("decomposed final exp %v is under 1.5x the windowed %v (ratio %.2fx)",
 			decomp, window, float64(window)/float64(decomp))
@@ -308,24 +295,12 @@ func TestCombSpeedupPin(t *testing.T) {
 	}
 	g1Comb() // exclude lazy table construction from the timing
 	g2Comb()
-	best := func(n int, f func()) time.Duration {
-		bestD := time.Duration(1<<63 - 1)
-		for i := 0; i < n; i++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start); d < bestD {
-				bestD = d
-			}
-		}
-		return bestD
-	}
-	const trials = 20
 	var p1 G1
 	var p2 G2
-	comb1 := best(trials, func() { p1.ScalarBaseMult(k) })
-	ladder1 := best(trials, func() { p1.ScalarMult(G1Generator(), k) })
-	comb2 := best(trials, func() { p2.ScalarBaseMult(k) })
-	ladder2 := best(trials, func() { p2.ScalarMult(G2Generator(), k) })
+	best := bestInterleaved(20,
+		func() { p1.ScalarBaseMult(k) }, func() { p1.ScalarMult(G1Generator(), k) },
+		func() { p2.ScalarBaseMult(k) }, func() { p2.ScalarMult(G2Generator(), k) })
+	comb1, ladder1, comb2, ladder2 := best[0], best[1], best[2], best[3]
 
 	const floor = 3
 	if comb1*floor > ladder1 {
@@ -370,27 +345,18 @@ func TestPairBatchSpeedupPin(t *testing.T) {
 	ok := make([]bool, n)
 	scratch := NewPairScratch(n)
 
-	best := func(trials int, f func()) time.Duration {
-		bestD := time.Duration(1<<63 - 1)
-		for i := 0; i < trials; i++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start); d < bestD {
-				bestD = d
+	best := bestInterleaved(15,
+		func() { pre.PairBatch(raws, dst, ok, scratch) },
+		func() {
+			for _, raw := range raws {
+				var q G2
+				if err := q.Unmarshal(raw); err != nil {
+					t.Fatal(err)
+				}
+				pre.Pair(&q)
 			}
-		}
-		return bestD
-	}
-	batched := best(5, func() { pre.PairBatch(raws, dst, ok, scratch) })
-	scalar := best(5, func() {
-		for _, raw := range raws {
-			var q G2
-			if err := q.Unmarshal(raw); err != nil {
-				t.Fatal(err)
-			}
-			pre.Pair(&q)
-		}
-	})
+		})
+	batched, scalar := best[0], best[1]
 
 	const floorNum, floorDen = 13, 10 // 1.3x
 	if batched*floorNum > scalar*floorDen {

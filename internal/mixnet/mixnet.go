@@ -741,6 +741,8 @@ func decryptParallel(priv *onionbox.PrivateKey, batch [][]byte, workers int) [][
 // by ciphertext anonymity, §4.3); fake dial requests are random tokens.
 // Mailboxes are sharded across the worker pool: each noise onion costs one
 // X25519 seal per downstream hop, which dominates round setup otherwise.
+// A mailbox's onions are wrapped layer by layer as one onionbox.OnionBatch,
+// which reads the rand source exactly as a WrapOnion call per body would.
 //
 // When the server is one of `shards` machines jointly serving its chain
 // position, each shard samples a distribution with mean ceil(µ/shards)
@@ -762,6 +764,14 @@ func (s *Server) generateNoise(service wire.Service, numMailboxes uint32, downst
 	if shards > 1 {
 		dist.Mu = math.Ceil(dist.Mu / float64(shards))
 	}
+	// One Sealer per downstream key for the whole round: every noise onion
+	// of every mailbox is sealed to the same few round keys, so each key
+	// gets one fixed-base table if the round's expected noise repays it.
+	// The tables are functions of public keys and go when this call returns.
+	sealers := make([]*onionbox.Sealer, len(downstream))
+	for i, key := range downstream {
+		sealers[i] = onionbox.NewSealer(key, int(float64(numMailboxes)*dist.Mu))
+	}
 	perMailbox := func(mb uint32) ([][]byte, error) {
 		n, err := dist.Sample(s.randSrc)
 		if err != nil {
@@ -771,16 +781,14 @@ func (s *Server) generateNoise(service wire.Service, numMailboxes uint32, downst
 		if err != nil {
 			return nil, err
 		}
-		var msgs [][]byte
+		batch := onionbox.NewOnionBatch(sealers)
 		for _, body := range bodies {
 			payload := (&wire.MixPayload{Mailbox: mb, Body: body}).Marshal()
-			wrapped, err := onionbox.WrapOnion(s.randSrc, downstream, payload)
-			if err != nil {
+			if err := batch.Add(s.randSrc, payload); err != nil {
 				return nil, err
 			}
-			msgs = append(msgs, wrapped)
 		}
-		return msgs, nil
+		return batch.Wrap()
 	}
 
 	perMB := make([][][]byte, numMailboxes)

@@ -6,6 +6,55 @@
 // Each layer uses a FRESH ephemeral sender key pair, so onions provide
 // forward secrecy: once a mixnet server rotates its round key, recorded
 // onions for that round become undecryptable.
+//
+// # Two ways to the same box
+//
+// A box is X25519 twice — the ephemeral public key k·9 and the shared
+// secret k·U for the recipient's U — and both are multiplications of a
+// point that is fixed for as long as the recipient is. Seal and WrapOnion
+// (a client's one onion a round) and Open (variable base: every box brings
+// its own point) run them on crypto/ecdh's Montgomery ladder. A Sealer,
+// which a mix server builds per downstream round key for a round's noise
+// and the workload generator per hop, precomputes a fixed-base comb table
+// for U (and shares one for 9) and walks the tables instead. The two
+// compute the same function: the boxes are byte-identical, which
+// TestWrapOnionKnownAnswer, TestSealBatchMatchesSeal, FuzzCombMatchesECDH
+// and mixnet's TestNoiseMatchesLadderOracle pin. Which one runs is decided
+// from what NewSealer can see — the number of boxes in prospect against
+// sealerBreakEven, and whether U is on the curve — and by nothing a user
+// sets.
+//
+// # Timing model
+//
+// The secrets in this package are a box's ephemeral seed and what is
+// derived from it: the clamped scalar, its signed digits, the two product
+// points, the shared secret and the AEAD key.
+//
+// Constant-time, with no branch and no memory index that depends on a
+// secret: digit recoding (recode); table lookup, which reads all eight
+// entries of a window and keeps one by masking, and the conditional negate
+// that follows (combTable.lookup, niels.condNeg); point addition and
+// doubling, complete formulas with one instruction sequence for every
+// input (completed.addNiels, completed.double); the field arithmetic under
+// them (fe: 64×64→128-bit multiplies and adds from math/bits, carries by
+// shift and mask); the shared inversion, a fixed addition chain, with zero
+// denominators replaced by masking (montgomeryU, fe.invert); and the
+// all-zero check of a shared secret, which ORs all 32 bytes before it
+// branches, once, on whether the recipient key was of low order — as
+// crypto/ecdh does. The window position, the chunking of a batch and the
+// choice of table or ladder are functions of public values. The ladder
+// path is crypto/ecdh's and inherits its guarantees.
+//
+// Not constant-time, and touching public data only: mapping a recipient's
+// public key to an Edwards point (edwardsFromU: math/big, a modular square
+// root) and building its table (combTable.fill). A table is a function of
+// a public key. It lives in a Sealer, and the mix server drops its Sealers
+// when the round's noise has been generated, before the round key they
+// were built from is erased.
+//
+// Ephemeral seeds and digits are zeroed before the call that read them
+// returns (SealBatch, OnionBatch.Wrap, WrapOnion), as is the scratch that
+// held the product points and shared secrets.
 package onionbox
 
 import (
@@ -29,6 +78,13 @@ type PublicKey struct {
 // PrivateKey is an X25519 private key.
 type PrivateKey struct {
 	k *ecdh.PrivateKey
+	// pub is the public key's encoding, which every Open hashes into the
+	// box key.
+	pub []byte
+}
+
+func newPrivateKey(k *ecdh.PrivateKey) *PrivateKey {
+	return &PrivateKey{k: k, pub: k.PublicKey().Bytes()}
 }
 
 // generateX25519 derives a fresh X25519 key from exactly 32 bytes of the
@@ -53,7 +109,7 @@ func GenerateKey(rand io.Reader) (*PublicKey, *PrivateKey, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &PublicKey{k: priv.PublicKey()}, &PrivateKey{k: priv}, nil
+	return &PublicKey{k: priv.PublicKey()}, newPrivateKey(priv), nil
 }
 
 // Public returns the public key for k.
@@ -71,7 +127,7 @@ func UnmarshalPrivateKey(data []byte) (*PrivateKey, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PrivateKey{k: k}, nil
+	return newPrivateKey(k), nil
 }
 
 // Bytes returns the 32-byte encoding of the public key.
@@ -86,15 +142,17 @@ func UnmarshalPublicKey(data []byte) (*PublicKey, error) {
 	return &PublicKey{k: k}, nil
 }
 
+const keyLabel = "alpenhorn/onionbox/key:"
+
 // deriveKey computes the AEAD key from the DH shared secret and the
-// transcript of both public keys.
-func deriveKey(shared, ephPub, recvPub []byte) []byte {
-	h := sha256.New()
-	h.Write([]byte("alpenhorn/onionbox/key:"))
-	h.Write(shared)
-	h.Write(ephPub)
-	h.Write(recvPub)
-	return h.Sum(nil)
+// transcript of both public keys (32 bytes each).
+func deriveKey(shared, ephPub, recvPub []byte) [32]byte {
+	var buf [len(keyLabel) + 3*32]byte
+	n := copy(buf[:], keyLabel)
+	n += copy(buf[n:], shared)
+	n += copy(buf[n:], ephPub)
+	copy(buf[n:], recvPub)
+	return sha256.Sum256(buf[:])
 }
 
 func newGCM(key []byte) cipher.AEAD {
@@ -109,25 +167,21 @@ func newGCM(key []byte) cipher.AEAD {
 	return gcm
 }
 
+// zeroNonce is every box's nonce: the key is fresh per box.
+var zeroNonce [12]byte
+
+// sealBody encrypts the message at box[32:len(box)−16] in place under the
+// key derived from shared and the two public keys; box[:32] already holds
+// the ephemeral one.
+func sealBody(box, shared, recvPub []byte) {
+	key := deriveKey(shared, box[:32], recvPub)
+	newGCM(key[:]).Seal(box[32:32], zeroNonce[:], box[32:len(box)-16], nil)
+}
+
 // Seal encrypts msg to the recipient with a fresh ephemeral key. The output
 // is len(msg)+Overhead bytes: ephemeral public key ‖ AEAD ciphertext.
 func Seal(rand io.Reader, to *PublicKey, msg []byte) ([]byte, error) {
-	eph, err := generateX25519(rand)
-	if err != nil {
-		return nil, err
-	}
-	shared, err := eph.ECDH(to.k)
-	if err != nil {
-		return nil, err
-	}
-	ephPub := eph.PublicKey().Bytes()
-	key := deriveKey(shared, ephPub, to.k.Bytes())
-	gcm := newGCM(key)
-	nonce := make([]byte, gcm.NonceSize()) // fresh key per message: zero nonce is safe
-	out := make([]byte, 0, len(msg)+Overhead)
-	out = append(out, ephPub...)
-	out = append(out, gcm.Seal(nil, nonce, msg, nil)...)
-	return out, nil
+	return WrapOnion(rand, []*PublicKey{to}, msg)
 }
 
 // Open decrypts a box sealed to priv's public key.
@@ -143,10 +197,8 @@ func Open(priv *PrivateKey, box []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := deriveKey(shared, box[:32], priv.k.PublicKey().Bytes())
-	gcm := newGCM(key)
-	nonce := make([]byte, gcm.NonceSize())
-	msg, err := gcm.Open(nil, nonce, box[32:], nil)
+	key := deriveKey(shared, box[:32], priv.pub)
+	msg, err := newGCM(key[:]).Open(nil, zeroNonce[:], box[32:], nil)
 	if err != nil {
 		return nil, errors.New("onionbox: decryption failed")
 	}
@@ -155,17 +207,24 @@ func Open(priv *PrivateKey, box []byte) ([]byte, error) {
 
 // WrapOnion encrypts msg under each hop key from last to first, so that
 // hops[0] peels the outermost layer. This is exactly Algorithm 1 step 3:
-// "Encryption happens in reverse, from server n to server 1."
+// "Encryption happens in reverse, from server n to server 1." The onion
+// is built in one buffer, each layer's ciphertext overwriting the box it
+// wraps.
 func WrapOnion(rand io.Reader, hops []*PublicKey, msg []byte) ([]byte, error) {
-	out := msg
-	var err error
+	var seed [32]byte
+	defer clear(seed[:])
+	onion := make([]byte, 32*len(hops), OnionSize(len(msg), len(hops)))
+	onion = append(onion, msg...)
 	for i := len(hops) - 1; i >= 0; i-- {
-		out, err = Seal(rand, hops[i], out)
-		if err != nil {
+		if _, err := io.ReadFull(rand, seed[:]); err != nil {
+			return nil, err
+		}
+		onion = onion[:len(onion)+16]
+		if err := sealLadder(seed[:], hops[i].k, hops[i].k.Bytes(), onion[32*i:]); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return onion, nil
 }
 
 // OnionSize returns the size of an onion wrapping a msgLen-byte payload

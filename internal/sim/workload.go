@@ -37,16 +37,19 @@ func GenerateBatch(rnd io.Reader, settings *wire.RoundSettings, w Workload) ([][
 	if rnd == nil {
 		rnd = rand.Reader
 	}
-	hops := make([]*onionbox.PublicKey, len(settings.Mixers))
+	hops := make([]*onionbox.Sealer, len(settings.Mixers))
 	for i, m := range settings.Mixers {
 		pk, err := onionbox.UnmarshalPublicKey(m.OnionKey)
 		if err != nil {
 			return nil, fmt.Errorf("sim: mixer %d key: %w", i, err)
 		}
-		hops[i] = pk
+		hops[i] = onionbox.NewSealer(pk, w.Real+w.Cover)
 	}
 
-	batch := make([][]byte, 0, w.Real+w.Cover)
+	// Every client's onion is queued as that client would build it — the
+	// reader is consumed in the order of one WrapOnion call per client —
+	// and the whole batch is sealed hop by hop at the end.
+	batch := onionbox.NewOnionBatch(hops)
 	for i := 0; i < w.Real; i++ {
 		var mailbox uint32
 		if w.MailboxOf != nil {
@@ -63,11 +66,9 @@ func GenerateBatch(rnd io.Reader, settings *wire.RoundSettings, w Workload) ([][
 			return nil, err
 		}
 		payload := (&wire.MixPayload{Mailbox: mailbox, Body: body}).Marshal()
-		onion, err := onionbox.WrapOnion(rnd, hops, payload)
-		if err != nil {
+		if err := batch.Add(rnd, payload); err != nil {
 			return nil, err
 		}
-		batch = append(batch, onion)
 	}
 	for i := 0; i < w.Cover; i++ {
 		body, err := coverBody(rnd, settings.Service)
@@ -75,13 +76,11 @@ func GenerateBatch(rnd io.Reader, settings *wire.RoundSettings, w Workload) ([][
 			return nil, err
 		}
 		payload := (&wire.MixPayload{Mailbox: wire.CoverMailbox, Body: body}).Marshal()
-		onion, err := onionbox.WrapOnion(rnd, hops, payload)
-		if err != nil {
+		if err := batch.Add(rnd, payload); err != nil {
 			return nil, err
 		}
-		batch = append(batch, onion)
 	}
-	return batch, nil
+	return batch.Wrap()
 }
 
 func realBody(rnd io.Reader, service wire.Service) ([]byte, error) {
