@@ -16,10 +16,11 @@ import (
 )
 
 // ibeBenchRecord is the -json record of the ibe-bench experiment. The
-// *_speedup fields are machine-independent ratios (both sides measured
-// back-to-back on the same box), which is what the committed BENCH_ibe.json
-// baseline pins: CI compares a fresh run's ratios against the baseline's
-// and fails on >30% regression, without being fooled by runner speed.
+// *_speedup fields are machine-independent ratios (both sides timed in
+// alternation on the same box, see bestRates), which is what the committed
+// BENCH_ibe.json baseline pins: CI compares a fresh run's ratios against
+// the baseline's and fails on >30% regression, without being fooled by
+// runner speed.
 type ibeBenchRecord struct {
 	Experiment          string  `json:"experiment"`
 	DecryptsPerSec      float64 `json:"decrypts_per_sec"`
@@ -74,11 +75,6 @@ func ibeBench() {
 	// Single-core trial decryption, scan configuration (precomputed
 	// Miller ladder, as core.Client.ScanAddFriendRound uses).
 	key := ibe.Extract(priv, "bob@example.org").Precompute()
-	decRate := rate(func() {
-		if _, ok := ibe.Decrypt(key, ctxt); !ok {
-			log.Fatal("decrypt failed")
-		}
-	})
 
 	// Mailbox of noise with one planted request, for the batched paths.
 	const mailboxSize = 96
@@ -105,21 +101,17 @@ func ibeBench() {
 		chunks = append(chunks, ctxts)
 	}
 
-	// Single-core batched scan rate (ciphertexts/sec through DecryptBatch
-	// in client-sized chunks).
-	batchScanRate := func(scan func(ctxts [][]byte)) float64 {
+	// One call of a batched scan: the next client-sized chunk through
+	// DecryptBatch, counted in ciphertexts.
+	batchScan := func(scan func(ctxts [][]byte)) func() int {
 		chunkIdx := 0
-		batchCtxts := 0
-		batchStart := time.Now()
-		for time.Since(batchStart) < 250*time.Millisecond {
+		return func() int {
 			ctxts := chunks[chunkIdx%len(chunks)]
 			chunkIdx++
 			scan(ctxts)
-			batchCtxts += len(ctxts)
+			return len(ctxts)
 		}
-		return float64(batchCtxts) / time.Since(batchStart).Seconds()
 	}
-	batchRate := batchScanRate(func(ctxts [][]byte) { ibe.DecryptBatch(key, ctxts) })
 
 	// The v2 (optimal-ate) tier on the same mailbox: noise blobs are
 	// tier-independent random ciphertexts, and the planted v1 request
@@ -130,31 +122,51 @@ func ibeBench() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	decV2Rate := rate(func() {
-		if _, ok := ibe.DecryptV2(key, ctxtV2); !ok {
-			log.Fatal("v2 decrypt failed")
-		}
-	})
-	batchV2Rate := batchScanRate(func(ctxts [][]byte) { ibe.DecryptBatchV2(key, ctxts) })
+
+	// The four decrypt paths, timed in alternation: each gated ratio
+	// (batched over scalar v1, batched v2 over batched v1) has both its
+	// sides in this one group.
+	dec := bestRates(
+		func() int {
+			if _, ok := ibe.Decrypt(key, ctxt); !ok {
+				log.Fatal("decrypt failed")
+			}
+			return 1
+		},
+		batchScan(func(ctxts [][]byte) { ibe.DecryptBatch(key, ctxts) }),
+		func() int {
+			if _, ok := ibe.DecryptV2(key, ctxtV2); !ok {
+				log.Fatal("v2 decrypt failed")
+			}
+			return 1
+		},
+		batchScan(func(ctxts [][]byte) { ibe.DecryptBatchV2(key, ctxts) }),
+	)
+	decRate, batchRate, decV2Rate, batchV2Rate := dec[0], dec[1], dec[2], dec[3]
 
 	// Server-side extraction throughput (hash-to-G1 + G1 scalar mult).
 	i := 0
-	extRate := rate(func() {
+	extRate := bestRates(func() int {
 		ibe.Extract(priv, fmt.Sprintf("user%d@example.org", i))
 		i++
-	})
+		return 1
+	})[0]
 
-	// Fixed-base comb tables vs the generic double-and-add ladder.
+	// Fixed-base comb tables vs the generic double-and-add ladder, again
+	// in alternation.
 	k, err := bn254.RandomScalar(rand.Reader)
 	if err != nil {
 		log.Fatal(err)
 	}
 	var p1 bn254.G1
 	var p2 bn254.G2
-	g1CombRate := rate(func() { p1.ScalarBaseMult(k) })
-	g1LadderRate := rate(func() { p1.ScalarMult(bn254.G1Generator(), k) })
-	g2CombRate := rate(func() { p2.ScalarBaseMult(k) })
-	g2LadderRate := rate(func() { p2.ScalarMult(bn254.G2Generator(), k) })
+	mults := bestRates(
+		func() int { p1.ScalarBaseMult(k); return 1 },
+		func() int { p1.ScalarMult(bn254.G1Generator(), k); return 1 },
+		func() int { p2.ScalarBaseMult(k); return 1 },
+		func() int { p2.ScalarMult(bn254.G2Generator(), k); return 1 },
+	)
+	g1CombRate, g1LadderRate, g2CombRate, g2LadderRate := mults[0], mults[1], mults[2], mults[3]
 
 	// Real parallel mailbox scan on the chunked worker pool (what
 	// ScanAddFriendRound runs), measured end to end.
@@ -276,15 +288,32 @@ func checkIBEBaseline(fresh ibeBenchRecord) {
 	}
 }
 
-// rate runs f repeatedly for ~1/4 second and returns iterations/sec.
-func rate(f func()) float64 {
-	// Warm up once (first call may pay one-time setup).
-	f()
-	n := 0
-	start := time.Now()
-	for time.Since(start) < 250*time.Millisecond {
-		f()
-		n++
+// bestRates times the functions in alternation — five passes, each giving
+// every function one 60 ms slice — and returns each one's best rate in
+// items per second, an item being whatever f counts in its return value.
+// The gated ratios compare rates taken this way, the discipline the
+// in-test pins use (bn254's bestInterleaved): when the machine's speed
+// drifts between one second and the next, the drift lands on both sides of
+// a ratio, and the best of five slices discards the slices it hit hardest.
+// Timing each side once, back to back, let one unchanged binary print
+// ate_scan_speedup 1.04x and 2.15x a minute apart.
+func bestRates(fs ...func() int) []float64 {
+	const passes, slice = 5, 60 * time.Millisecond
+	for _, f := range fs {
+		f() // the first call may pay one-time set-up
 	}
-	return float64(n) / time.Since(start).Seconds()
+	best := make([]float64, len(fs))
+	for pass := 0; pass < passes; pass++ {
+		for i, f := range fs {
+			n := 0
+			start := time.Now()
+			for time.Since(start) < slice {
+				n += f()
+			}
+			if r := float64(n) / time.Since(start).Seconds(); r > best[i] {
+				best[i] = r
+			}
+		}
+	}
+	return best
 }

@@ -70,6 +70,96 @@ func BenchmarkFeMul(b *testing.B) {
 	}
 }
 
+func BenchmarkFeSquare(b *testing.B) {
+	_, z := randFe(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feSquare(&z, &z)
+	}
+}
+
+func BenchmarkFeAdd(b *testing.B) {
+	_, x := randFe(b)
+	z := x
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feAdd(&z, &z, &x)
+	}
+}
+
+func BenchmarkFeSub(b *testing.B) {
+	_, x := randFe(b)
+	z := x
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feSub(&z, &x, &z)
+	}
+}
+
+func BenchmarkFeMulWideReduce(b *testing.B) {
+	_, x := randFe(b)
+	z := x
+	var w feWide
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feMulWide(&w, &z, &x)
+		feMontReduce(&z, &w)
+	}
+}
+
+func BenchmarkFe2Mul(b *testing.B) {
+	x := fe2FromRef(randRefGFp2(b))
+	z := x
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Mul(&z, &x)
+	}
+}
+
+func BenchmarkFe2Square(b *testing.B) {
+	z := fe2FromRef(randRefGFp2(b))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Square(&z)
+	}
+}
+
+func BenchmarkFe6Mul(b *testing.B) {
+	x := fe6{fe2FromRef(randRefGFp2(b)), fe2FromRef(randRefGFp2(b)), fe2FromRef(randRefGFp2(b))}
+	z := x
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Mul(&z, &x)
+	}
+}
+
+func BenchmarkFe12Square(b *testing.B) {
+	x := fe6{fe2FromRef(randRefGFp2(b)), fe2FromRef(randRefGFp2(b)), fe2FromRef(randRefGFp2(b))}
+	z := fe12{x, x}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Square(&z)
+	}
+}
+
+func BenchmarkFe12CyclotomicSquare(b *testing.B) {
+	x := fe6{fe2FromRef(randRefGFp2(b)), fe2FromRef(randRefGFp2(b)), fe2FromRef(randRefGFp2(b))}
+	z := fe12{x, x}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.CyclotomicSquare(&z)
+	}
+}
+
+func BenchmarkFe12MulAteLine(b *testing.B) {
+	x := fe6{fe2FromRef(randRefGFp2(b)), fe2FromRef(randRefGFp2(b)), fe2FromRef(randRefGFp2(b))}
+	z := fe12{x, x}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.MulAteLine(&z, &x.c0, &x.c1, &x.c2)
+	}
+}
+
 func BenchmarkFpMulRef(b *testing.B) {
 	k, _ := randFieldElement(rand.Reader)
 	z := fpMul(k, k)

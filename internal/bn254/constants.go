@@ -20,9 +20,15 @@
 //
 // Base-field arithmetic runs on fixed 4×64-bit-limb Montgomery elements
 // (type fe): stack-allocated values, no per-operation heap allocation and
-// no big.Int Mod calls. The towers Fp2/Fp6/Fp12 (fe2/fe6/fe12), the curve
-// groups, and the Miller loop (Jacobian coordinates, inversion-free line
-// construction) are all built on fe. Montgomery form is strictly internal:
+// no big.Int Mod calls. The multiplier is a fused, unrolled CIOS; the
+// towers keep products at 512 bits (feWide, fe2Wide) through their
+// Karatsuba sums and multiplications by ξ and pay one Montgomery
+// reduction per output coefficient — two per Fp2 product, six per Fp6
+// product. Unreduced values never outlive the function that made them:
+// every fe in a tower element, point or table is fully reduced. The
+// towers Fp2/Fp6/Fp12 (fe2/fe6/fe12), the curve groups, and the Miller
+// loop (Jacobian coordinates, inversion-free line construction) are all
+// built on fe. Montgomery form is strictly internal:
 // values convert at the marshaling boundary (feFromBig/feSetBytes on the
 // way in, feToBig/feBytes on the way out), so every wire encoding is
 // byte-identical to the original big.Int implementation.
@@ -106,9 +112,52 @@
 // wire bytes are byte-identical to pre-capability encodings, and v2
 // changes which pairing keys a ciphertext — never any encoding.
 //
-// All operations on exported types are constant-structure but NOT
-// constant-time; this substrate targets protocol research, not production
-// deployment against local side-channel attackers.
+// # Timing model: the field layer
+//
+// What fe.go, fe2.go, fe6.go and fe12.go promise, and what they do not, so
+// that a timing model for the layers above starts from a list instead of
+// an assumption.
+//
+// Arithmetic has no branch on, and no index by, an operand's value. That
+// covers feAdd, feSub, feNeg, feDouble, feCondSubP, feMul, feSquare,
+// feMulBy3, feMulBy9, feMulWide, feSquareWide, feMontReduce, feReduce5
+// and the feWide sums; fe2/fe6/fe12 Add, Sub, Neg, Double, Conjugate,
+// Mul, MulFe, Square, MulXi, MulV, the sparse line products (mulBy01,
+// mulBy1, mulByFe2, mulBy01fe2, MulLine, MulAteLine), CyclotomicSquare
+// and FrobeniusP2; and the conversions feFromMont, feBytes, feToBig.
+// Every reduction is a trial subtraction whose borrow becomes a mask.
+// The branches this replaced: the `if b == 0` after the trial
+// subtraction in feAdd and the old feReduce (a coin flip on real data),
+// the `if b != 0` add-back in feSub, and feNeg's early return on zero.
+// The quotient estimate in feReduce5 is a multiplication by a constant.
+// Nothing here is claimed about instruction-level timing: bits.Mul64,
+// bits.Add64 and bits.Sub64 compile to single instructions on 64-bit
+// targets and to library calls elsewhere.
+//
+// Variable-time by design, on public data only: feExp, fe2.Exp, fe12.Exp
+// and CycloExpWindow branch on the bits of their exponent, and every
+// exponent they are given is a constant of the curve (P−2 in feInv,
+// (P+1)/4 in feSqrt, the final-exponentiation exponents); feSqrt and
+// fe2.Sqrt report and branch on whether their argument is a square, and
+// run on coordinates decoded from the wire or hashed from public
+// identities; feLessThanP and feSetBytes reject non-canonical encodings;
+// feInv, fe2.Invert, fe6.Invert and fe12.Invert test for zero only to
+// panic on a caller's bug. The predicates IsZero, IsOne and Equal are
+// branch-free within one fe and short-circuit across tower coefficients;
+// what a caller does with the answer is the caller's branch.
+//
+// Not made constant-time here, although they handle secrets — the list a
+// timing model for ibe, bls and pkgserver has to start from: G1.ScalarMult,
+// a double-and-add ladder that branches on the scalar's bits, which runs
+// on the PKG's round master secret in key extraction (ibe.Extract), on
+// its BLS key in bls.Sign, and on the sender's ephemeral r in ibe.Encrypt;
+// the comb tables behind ScalarBaseMult, which index a 255-entry table by
+// bits of the scalar (master and BLS key generation, the ephemeral r);
+// the Jacobian addition formulas in g1.go and g2.go, which branch on the
+// exceptional cases (infinity, equal or opposite operands); the NAF loops
+// in ate.go, whose digit pattern is a constant of the curve but whose G1
+// argument is the recipient's identity private key, evaluated through the
+// field operations above; and RandomScalar's rejection sampling.
 package bn254
 
 import "math/big"
@@ -182,14 +231,17 @@ func init() {
 	}
 }
 
-// Montgomery-domain constants for the limb backend, derived from P at
-// startup (self-deriving keeps them auditable — there are no magic limb
-// literals to trust).
-var feP, feNP, feR2, feOne = feDeriveConstants()
+// Montgomery-domain constants for the limb backend. The modulus limbs and
+// −P⁻¹ mod 2⁶⁴ are constants in fe.go; R² mod P and R mod P (the
+// Montgomery image of 1) are derived here, after fe.go's literals have
+// been re-derived from the decimal P above and compared: there are still
+// no magic limb literals to trust, a wrong one stops the program at
+// start-up.
+var feR2, feOne = feDeriveConstants()
 
-// feDeriveConstants computes the modulus limbs, −P⁻¹ mod 2⁶⁴, R² mod P,
-// and R mod P (the Montgomery image of 1) from the big.Int modulus.
-func feDeriveConstants() (p fe, np uint64, r2, one fe) {
+// feDeriveConstants checks fe.go's literals against P, then computes
+// R² mod P and R mod P from the big.Int modulus.
+func feDeriveConstants() (r2, one fe) {
 	toLimbs := func(x *big.Int) (out fe) {
 		if x.BitLen() > 256 {
 			panic("bn254: constant exceeds four limbs")
@@ -197,14 +249,25 @@ func feDeriveConstants() (p fe, np uint64, r2, one fe) {
 		feRawFromBig(&out, x)
 		return
 	}
-	p = toLimbs(P)
-	// Newton iteration for P⁻¹ mod 2⁶⁴; five steps double the precision
-	// past 64 bits.
+	p := toLimbs(P)
+	if p != (fe{feP0, feP1, feP2, feP3}) {
+		panic("bn254: modulus limb constants do not match P")
+	}
+	// Newton iteration for P⁻¹ mod 2⁶⁴; each step doubles the precision,
+	// six take it past 64 bits.
 	inv := uint64(1)
 	for i := 0; i < 6; i++ {
 		inv *= 2 - p[0]*inv
 	}
-	np = -inv
+	if -inv != feNP {
+		panic("bn254: feNP is not −P⁻¹ mod 2⁶⁴")
+	}
+	d := new(big.Int).Rsh(P, 196)
+	d.Add(d, big.NewInt(1))
+	recip := new(big.Int).Lsh(big.NewInt(1), 121)
+	if recip.Div(recip, d); !recip.IsUint64() || recip.Uint64() != feRecip {
+		panic("bn254: feRecip is not ⌊2¹²¹/(⌊P/2¹⁹⁶⌋+1)⌋")
+	}
 	r := new(big.Int).Lsh(big.NewInt(1), 256)
 	one = toLimbs(new(big.Int).Mod(r, P))
 	r2big := new(big.Int).Lsh(big.NewInt(1), 512)

@@ -496,3 +496,105 @@ func TestCombScalarBaseMultDifferential(t *testing.T) {
 		}
 	}
 }
+
+// TestTowerWorstCaseHeadroom drives the tower formulas that reduce lazily
+// with the operands that push their unreduced accumulators highest: every
+// limb-level coefficient at P−1 (the largest reduced element), and 0 and
+// P−1 alternating either way round (the largest differences, so every
+// borrow correction fires). The coefficients are set as raw limbs — it is
+// the Montgomery-domain integers whose products the 512-bit accumulators
+// hold — and each result is compared with the big.Int fp* reference on the
+// values those limbs represent.
+func TestTowerWorstCaseHeadroom(t *testing.T) {
+	var pm1 fe
+	feRawFromBig(&pm1, new(big.Int).Sub(P, big.NewInt(1)))
+	patterns := map[string]func(i int) fe{
+		"all P-1": func(int) fe { return pm1 },
+		"0,P-1,…": func(i int) fe {
+			if i%2 == 0 {
+				return fe{}
+			}
+			return pm1
+		},
+		"P-1,0,…": func(i int) fe {
+			if i%2 == 1 {
+				return fe{}
+			}
+			return pm1
+		},
+	}
+	build := func(coeff func(int) fe) (a fe12) {
+		for i, c := range []*fe{
+			&a.c0.c0.c0, &a.c0.c0.c1, &a.c0.c1.c0, &a.c0.c1.c1, &a.c0.c2.c0, &a.c0.c2.c1,
+			&a.c1.c0.c0, &a.c1.c0.c1, &a.c1.c1.c0, &a.c1.c1.c1, &a.c1.c2.c0, &a.c1.c2.c1,
+		} {
+			*c = coeff(i)
+		}
+		return
+	}
+	ref2 := func(a *fe2) *gfP2 { return &gfP2{c0: feToBig(&a.c0), c1: feToBig(&a.c1)} }
+	ref6 := func(a *fe6) *gfP6 { return &gfP6{c0: ref2(&a.c0), c1: ref2(&a.c1), c2: ref2(&a.c2)} }
+	ref12 := func(a *fe12) *gfP12 { return &gfP12{c0: ref6(&a.c0), c1: ref6(&a.c1)} }
+	zero2 := func() *gfP2 { return newGFp2().SetZero() }
+	eq6 := func(op string, got *fe6, want *gfP6) {
+		t.Helper()
+		fe2EqualRef(t, op+".c0", &got.c0, want.c0)
+		fe2EqualRef(t, op+".c1", &got.c1, want.c1)
+		fe2EqualRef(t, op+".c2", &got.c2, want.c2)
+	}
+	eq12 := func(op string, got *fe12, want *gfP12) {
+		t.Helper()
+		eq6(op+".c0", &got.c0, want.c0)
+		eq6(op+".c1", &got.c1, want.c1)
+	}
+	// Granger-Scott squaring over the reference tower, valid as a formula
+	// on any element (it equals a² only in the cyclotomic subgroup).
+	refCyclo := func(a *gfP12) *gfP12 {
+		x0, x1, x2 := a.c0.c0, a.c0.c1, a.c0.c2
+		x3, x4, x5 := a.c1.c0, a.c1.c1, a.c1.c2
+		sq := func(x *gfP2) *gfP2 { return newGFp2().Square(x) }
+		mix := func(x, y *gfP2) *gfP2 { return newGFp2().Add(newGFp2().MulXi(sq(x)), sq(y)) }
+		cross := func(x, y *gfP2) *gfP2 { return newGFp2().Add(newGFp2().Mul(x, y), newGFp2().Mul(x, y)) }
+		out := func(m, x *gfP2, sign int) *gfP2 { // 3m ∓ 2x
+			r := newGFp2().Add(newGFp2().Add(m, m), m)
+			x2 := newGFp2().Add(x, x)
+			if sign < 0 {
+				return r.Sub(r, x2)
+			}
+			return r.Add(r, x2)
+		}
+		return &gfP12{
+			c0: &gfP6{c0: out(mix(x4, x0), x0, -1), c1: out(mix(x2, x3), x1, -1), c2: out(mix(x5, x1), x2, -1)},
+			c1: &gfP6{c0: out(newGFp2().MulXi(cross(x5, x1)), x3, +1), c1: out(cross(x4, x0), x4, +1), c2: out(cross(x2, x3), x5, +1)},
+		}
+	}
+
+	for an, ac := range patterns {
+		a := build(ac)
+		aRef := ref12(&a)
+		var z2 fe2
+		var z12 fe12
+		fe2EqualRef(t, an+" fe2.Square", z2.Square(&a.c0.c0), newGFp2().Square(aRef.c0.c0))
+		fe2EqualRef(t, an+" fe2.MulXi", z2.MulXi(&a.c0.c0), newGFp2().MulXi(aRef.c0.c0))
+		eq12(an+" fe12.Square", z12.Square(&a), newGFp12().Square(aRef))
+		eq12(an+" CyclotomicSquare", z12.CyclotomicSquare(&a), refCyclo(aRef))
+		for bn, bc := range patterns {
+			op := an + " × " + bn
+			b := build(bc)
+			bRef := ref12(&b)
+			var z6 fe6
+			fe2EqualRef(t, op+" fe2.Mul", z2.Mul(&a.c0.c0, &b.c0.c0), newGFp2().Mul(aRef.c0.c0, bRef.c0.c0))
+			eq6(op+" fe6.Mul", z6.Mul(&a.c0, &b.c0), newGFp6().Mul(aRef.c0, bRef.c0))
+			eq6(op+" fe6.Mul aliased", z6.Mul(z6.Set(&a.c0), &b.c0), newGFp6().Mul(aRef.c0, bRef.c0))
+			eq6(op+" fe6.mulBy01fe2", z6.mulBy01fe2(&a.c0, &b.c0.c0, &b.c0.c1),
+				newGFp6().Mul(aRef.c0, &gfP6{c0: bRef.c0.c0, c1: bRef.c0.c1, c2: zero2()}))
+			eq12(op+" fe12.Mul", z12.Mul(&a, &b), newGFp12().Mul(aRef, bRef))
+			// ℓ = c + b·w + la·w³: c at c0.c0, b at c1.c0, la at c1.c1.
+			line := &gfP12{
+				c0: &gfP6{c0: bRef.c0.c0, c1: zero2(), c2: zero2()},
+				c1: &gfP6{c0: bRef.c0.c1, c1: bRef.c0.c2, c2: zero2()},
+			}
+			eq12(op+" MulAteLine", z12.MulAteLine(&a, &b.c0.c0, &b.c0.c1, &b.c0.c2), newGFp12().Mul(aRef, line))
+		}
+	}
+}

@@ -3,6 +3,7 @@ package bn254
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 )
 
 // fe2 is an element of Fp2 = Fp[i]/(i²+1), stored as c0 + c1·i with both
@@ -70,19 +71,13 @@ func (e *fe2) Conjugate(a *fe2) *fe2 {
 	return e
 }
 
-// Mul sets e = a·b = (a0b0 − a1b1) + (a0b1 + a1b0)·i, computed with
-// Karatsuba (three base-field multiplications). Receiver may alias either
-// operand.
+// Mul sets e = a·b = (a0b0 − a1b1) + (a0b1 + a1b0)·i: three limb products
+// (Karatsuba) kept at 512 bits and two Montgomery reductions, one per
+// output coefficient. Receiver may alias either operand.
 func (e *fe2) Mul(a, b *fe2) *fe2 {
-	var t0, t1, sa, sb, cross fe
-	feMul(&t0, &a.c0, &b.c0)
-	feMul(&t1, &a.c1, &b.c1)
-	feAdd(&sa, &a.c0, &a.c1)
-	feAdd(&sb, &b.c0, &b.c1)
-	feMul(&cross, &sa, &sb)
-	feSub(&e.c0, &t0, &t1)
-	feSub(&cross, &cross, &t0)
-	feSub(&e.c1, &cross, &t1)
+	var w fe2Wide
+	w.mul(a, b)
+	w.reduce(e)
 	return e
 }
 
@@ -93,15 +88,85 @@ func (e *fe2) MulFe(a *fe2, k *fe) *fe2 {
 	return e
 }
 
-// Square sets e = a² = (a0+a1)(a0−a1) + 2a0a1·i.
+// Square sets e = a² = (a0+a1)(a0−a1) + 2a0a1·i. The sum a0+a1 and the
+// double 2a0 stay unreduced (< 2P): feMul's first operand may be.
 func (e *fe2) Square(a *fe2) *fe2 {
-	var sum, diff, t1 fe
-	feAdd(&sum, &a.c0, &a.c1)
+	var sum, diff, dbl fe
+	feAddUnreduced(&sum, &a.c0, &a.c1)
 	feSub(&diff, &a.c0, &a.c1)
-	feMul(&t1, &a.c0, &a.c1)
+	feAddUnreduced(&dbl, &a.c0, &a.c0)
+	feMul(&e.c1, &dbl, &a.c1)
 	feMul(&e.c0, &sum, &diff)
-	feDouble(&e.c1, &t1)
 	return e
+}
+
+// fe2Wide is an Fp2 element whose coefficients are unreduced 512-bit
+// values: what a product looks like before its Montgomery reductions.
+// The towers add, subtract and multiply by ξ in this form and reduce
+// once per output coefficient (Aranha et al., "Faster explicit formulas
+// for computing pairings over ordinary curves", §5).
+//
+// Invariant: both coefficients are < P·2²⁵⁶, always — every method below
+// takes operands under that bound and leaves its result under it, so
+// reduce's precondition holds wherever it is called. A coefficient is
+// congruent mod P to the value it stands for (times R), not equal to it:
+// sub and addMulXi correct by multiples of P·2²⁵⁶.
+type fe2Wide struct {
+	c0, c1 feWide
+}
+
+// mul sets w = a·b for reduced a, b. With T0 = a0b0, T1 = a1b1 < P² and
+// T2 = (a0+a1)(b0+b1) < 4P² (the sums unreduced, < 2P), c1 = T2 − T0 − T1
+// = a0b1 + a1b0 is exact and < 2P² < P·2²⁵⁶; c0 = T0 − T1 may borrow
+// and takes the P·2²⁵⁶ correction.
+func (w *fe2Wide) mul(a, b *fe2) {
+	var sa, sb fe
+	var t0, t1 feWide
+	feAddUnreduced(&sa, &a.c0, &a.c1)
+	feAddUnreduced(&sb, &b.c0, &b.c1)
+	feMulWide(&t0, &a.c0, &b.c0)
+	feMulWide(&t1, &a.c1, &b.c1)
+	feMulWide(&w.c1, &sa, &sb)
+	feWideSub(&w.c1, &w.c1, &t0)
+	feWideSub(&w.c1, &w.c1, &t1)
+	feWideSubMod(&w.c0, &t0, &t1)
+}
+
+// square sets w = a² for reduced a: c0 = (a0+a1)(a0−a1) with the sum
+// unreduced (< 2P) and the difference reduced, c1 = (2a0)·a1 with the
+// double unreduced; both products are < 2P² < P·2²⁵⁶.
+func (w *fe2Wide) square(a *fe2) {
+	var sum, diff, dbl fe
+	feAddUnreduced(&sum, &a.c0, &a.c1)
+	feSub(&diff, &a.c0, &a.c1)
+	feAddUnreduced(&dbl, &a.c0, &a.c0)
+	feMulWide(&w.c0, &sum, &diff)
+	feMulWide(&w.c1, &dbl, &a.c1)
+}
+
+func (w *fe2Wide) add(a, b *fe2Wide) {
+	feWideAddMod(&w.c0, &a.c0, &b.c0)
+	feWideAddMod(&w.c1, &a.c1, &b.c1)
+}
+
+func (w *fe2Wide) sub(a, b *fe2Wide) {
+	feWideSubMod(&w.c0, &a.c0, &b.c0)
+	feWideSubMod(&w.c1, &a.c1, &b.c1)
+}
+
+// addMulXi sets w = a + ξ·b, ξ = 9 + i:
+// (a0 + 9b0 − b1) + (a1 + 9b1 + b0)·i. w may alias a or b.
+func (w *fe2Wide) addMulXi(a, b *fe2Wide) {
+	var c0 feWide
+	feWideMul9SubAdd(&c0, &b.c0, &b.c1, &a.c0)
+	feWideMul9AddAdd(&w.c1, &b.c1, &b.c0, &a.c1)
+	w.c0 = c0
+}
+
+// reduce sets e to the reduced element w stands for.
+func (w *fe2Wide) reduce(e *fe2) {
+	feMontReduce(&e.c0, &w.c0)
+	feMontReduce(&e.c1, &w.c1)
 }
 
 // Invert sets e = a⁻¹ = conj(a)/(a0² + a1²). Panics on zero.
@@ -122,14 +187,34 @@ func (e *fe2) Invert(a *fe2) *fe2 {
 }
 
 // MulXi sets e = a·ξ where ξ = 9 + i is the Fp6 non-residue:
-// (9a0 − a1) + (9a1 + a0)·i, via shift-and-add instead of full products.
+// (9a0 − a1) + (9a1 + a0)·i. Each coefficient is summed unreduced as a
+// five-limb value — 8a0 + a0 + P − a1 and 8a1 + a1 + a0, both in
+// [0, 10P] — and reduced once.
 func (e *fe2) MulXi(a *fe2) *fe2 {
-	var n0, n1 fe
-	feMulBy9(&n0, &a.c0)
-	feMulBy9(&n1, &a.c1)
-	feSub(&n0, &n0, &a.c1)
-	feAdd(&e.c1, &n1, &a.c0)
-	e.c0 = n0
+	x, y := &a.c0, &a.c1
+	var c, b uint64
+
+	s0, s1, s2, s3, s4 := feTimes9(x) // 9x + P − y
+	s0, c = bits.Add64(s0, feP0, 0)
+	s1, c = bits.Add64(s1, feP1, c)
+	s2, c = bits.Add64(s2, feP2, c)
+	s3, c = bits.Add64(s3, feP3, c)
+	s4 += c
+	s0, b = bits.Sub64(s0, y[0], 0)
+	s1, b = bits.Sub64(s1, y[1], b)
+	s2, b = bits.Sub64(s2, y[2], b)
+	s3, b = bits.Sub64(s3, y[3], b)
+	s4 -= b
+
+	t0, t1, t2, t3, t4 := feTimes9(y) // 9y + x
+	t0, c = bits.Add64(t0, x[0], 0)
+	t1, c = bits.Add64(t1, x[1], c)
+	t2, c = bits.Add64(t2, x[2], c)
+	t3, c = bits.Add64(t3, x[3], c)
+	t4 += c
+
+	e.c0[0], e.c0[1], e.c0[2], e.c0[3] = feReduce5(s0, s1, s2, s3, s4)
+	e.c1[0], e.c1[1], e.c1[2], e.c1[3] = feReduce5(t0, t1, t2, t3, t4)
 	return e
 }
 

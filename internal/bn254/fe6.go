@@ -65,40 +65,45 @@ func (e *fe6) Neg(a *fe6) *fe6 {
 //	e0 = v0 + ξ((a1+a2)(b1+b2) − v1 − v2)
 //	e1 = (a0+a1)(b0+b1) − v0 − v1 + ξ·v2
 //	e2 = (a0+a2)(b0+b2) − v0 − v2 + v1
+//
+// The six products stay unreduced (fe2Wide) through the interpolation and
+// the multiplications by ξ, so the whole costs six Montgomery reductions —
+// one per output coefficient — instead of eighteen. Every fe2Wide here is
+// under P·2²⁵⁶ by that type's invariant: mul takes the reduced sums
+// a_i+a_j, b_i+b_j, and sub, add and addMulXi preserve the bound.
+// Receiver may alias either operand: e is written only once the last
+// product has been taken.
 func (e *fe6) Mul(a, b *fe6) *fe6 {
-	var v0, v1, v2, t, sa, sb fe2
-	v0.Mul(&a.c0, &b.c0)
-	v1.Mul(&a.c1, &b.c1)
-	v2.Mul(&a.c2, &b.c2)
+	var v0, v1, v2, t fe2Wide
+	var sa, sb, e0, e1 fe2
+	v0.mul(&a.c0, &b.c0)
+	v1.mul(&a.c1, &b.c1)
+	v2.mul(&a.c2, &b.c2)
 
 	sa.Add(&a.c1, &a.c2)
 	sb.Add(&b.c1, &b.c2)
-	t.Mul(&sa, &sb)
-	t.Sub(&t, &v1)
-	t.Sub(&t, &v2)
-	t.MulXi(&t)
-	var r0 fe2
-	r0.Add(&v0, &t)
+	t.mul(&sa, &sb)
+	t.sub(&t, &v1)
+	t.sub(&t, &v2)
+	t.addMulXi(&v0, &t)
+	t.reduce(&e0)
 
 	sa.Add(&a.c0, &a.c1)
 	sb.Add(&b.c0, &b.c1)
-	t.Mul(&sa, &sb)
-	t.Sub(&t, &v0)
-	t.Sub(&t, &v1)
-	var xi2 fe2
-	xi2.MulXi(&v2)
-	var r1 fe2
-	r1.Add(&t, &xi2)
+	t.mul(&sa, &sb)
+	t.sub(&t, &v0)
+	t.sub(&t, &v1)
+	t.addMulXi(&t, &v2)
+	t.reduce(&e1)
 
 	sa.Add(&a.c0, &a.c2)
 	sb.Add(&b.c0, &b.c2)
-	t.Mul(&sa, &sb)
-	t.Sub(&t, &v0)
-	t.Sub(&t, &v2)
-	var r2 fe2
-	r2.Add(&t, &v1)
-
-	e.c0, e.c1, e.c2 = r0, r1, r2
+	t.mul(&sa, &sb)
+	t.sub(&t, &v0)
+	t.sub(&t, &v2)
+	t.add(&t, &v1)
+	t.reduce(&e.c2)
+	e.c0, e.c1 = e0, e1
 	return e
 }
 
@@ -164,20 +169,32 @@ func (e *fe6) mulByFe2(a *fe6, b *fe2) *fe6 {
 // twist, so its line coefficients are Fp2 values, not Fp):
 //
 //	e0 = b0·a0 + ξ·(b1·a2)
-//	e1 = b0·a1 + b1·a0
+//	e1 = b0·a1 + b1·a0 = (b0+b1)(a0+a1) − b0·a0 − b1·a1
 //	e2 = b0·a2 + b1·a1
+//
+// Five Fp2 products (Karatsuba on e1), kept unreduced like fe6.Mul's, and
+// six reductions. Receiver may alias a.
 func (e *fe6) mulBy01fe2(a *fe6, b0, b1 *fe2) *fe6 {
-	var s0, s1, s2, t0, t1, t2 fe2
-	s0.Mul(&a.c0, b0)
-	s1.Mul(&a.c1, b0)
-	s2.Mul(&a.c2, b0)
-	t0.Mul(b1, &a.c2)
-	t0.MulXi(&t0)
-	t1.Mul(b1, &a.c0)
-	t2.Mul(b1, &a.c1)
-	e.c0.Add(&s0, &t0)
-	e.c1.Add(&s1, &t1)
-	e.c2.Add(&s2, &t2)
+	var p00, p11, t fe2Wide
+	var sa, sb, e0, e1 fe2
+	p00.mul(b0, &a.c0)
+	p11.mul(b1, &a.c1)
+
+	t.mul(b1, &a.c2)
+	t.addMulXi(&p00, &t)
+	t.reduce(&e0)
+
+	sa.Add(&a.c0, &a.c1)
+	sb.Add(b0, b1)
+	t.mul(&sb, &sa)
+	t.sub(&t, &p00)
+	t.sub(&t, &p11)
+	t.reduce(&e1)
+
+	t.mul(b0, &a.c2)
+	t.add(&t, &p11)
+	t.reduce(&e.c2)
+	e.c0, e.c1 = e0, e1
 	return e
 }
 
