@@ -17,9 +17,6 @@ import (
 	"time"
 
 	"alpenhorn/internal/bloom"
-	"alpenhorn/internal/cdn"
-	"alpenhorn/internal/coordinator"
-	"alpenhorn/internal/entry"
 	"alpenhorn/internal/ibe"
 	"alpenhorn/internal/keywheel"
 	"alpenhorn/internal/mixnet"
@@ -80,53 +77,17 @@ func BenchmarkFig7DialingBandwidth(b *testing.B) {
 
 // ---- Figures 8/9: round latency vs users and servers ----
 
-// runMixRound measures one real mix round over an in-process chain with
-// the given synthetic batch size, returning seconds per message.
-func runMixRound(b *testing.B, service wire.Service, numServers, batchSize int) float64 {
+// runMixRound measures one real dialing batch through an in-process chain
+// (mixnet.Chain: full-batch barriers, so dividing by the server count is
+// meaningful), returning seconds per message per server.
+func runMixRound(b *testing.B, numServers, batchSize int) float64 {
 	b.Helper()
-	nz := noise.Laplace{Mu: 2, B: 0}
-	var mixers []*mixnet.Server
-	for i := 0; i < numServers; i++ {
-		m, err := mixnet.New(mixnet.Config{
-			Name: "m", Position: i, ChainLength: numServers,
-			AddFriendNoise: &nz, DialingNoise: &nz,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		mixers = append(mixers, m)
-	}
-	e := entry.New()
-	coord := coordinator.New(e, mixers, nil, cdn.NewStore(2))
-	coord.SetExpectedVolume(service, batchSize)
-
-	var settings *wire.RoundSettings
-	var err error
-	if service == wire.AddFriend {
-		b.Fatal("use dialing for mix-cost calibration (no PKGs needed)")
-	}
-	settings, err = coord.OpenDialingRound(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch, err := sim.GenerateBatch(nil, settings, sim.Workload{
-		Real:  batchSize / 20,
-		Cover: batchSize - batchSize/20,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, onion := range batch {
-		if err := e.Submit(wire.Dialing, 1, onion); err != nil {
-			b.Fatal(err)
-		}
-	}
+	servers, batch := newBenchChain(b, numServers, 0, batchSize, 1)
 	start := testingNow()
-	if _, err := coord.CloseRound(wire.Dialing, 1); err != nil {
+	if _, err := mixnet.Chain(servers, wire.Dialing, 1, 1, batch); err != nil {
 		b.Fatal(err)
 	}
-	elapsed := testingSince(start)
-	return elapsed / float64(batchSize) / float64(numServers)
+	return testingSince(start) / float64(batchSize) / float64(numServers)
 }
 
 // BenchmarkFig8AddFriendLatency regenerates Figure 8's shape: measured
@@ -135,7 +96,7 @@ func runMixRound(b *testing.B, service wire.Service, numServers, batchSize int) 
 func BenchmarkFig8AddFriendLatency(b *testing.B) {
 	var perMsg float64
 	for i := 0; i < b.N; i++ {
-		perMsg = runMixRound(b, wire.Dialing, 3, 4000)
+		perMsg = runMixRound(b, 3, 4000)
 	}
 	cal := model.PaperCalibration()
 	cal.MixSecondsPerMessage = perMsg
@@ -155,7 +116,7 @@ func BenchmarkFig8AddFriendLatency(b *testing.B) {
 func BenchmarkFig9DialingLatency(b *testing.B) {
 	var perMsg float64
 	for i := 0; i < b.N; i++ {
-		perMsg = runMixRound(b, wire.Dialing, 3, 4000)
+		perMsg = runMixRound(b, 3, 4000)
 	}
 	cal := model.PaperCalibration()
 	cal.MixSecondsPerMessage = perMsg
@@ -376,6 +337,7 @@ func BenchmarkKeyExtraction(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.Cleanup(net.Close)
 			h := &sim.Handler{AcceptAll: true}
 			client, err := net.NewClient("bench@example.org", h)
 			if err != nil {
@@ -520,7 +482,7 @@ func BenchmarkIBESweep(b *testing.B) {
 	})
 }
 
-// ---- Parallel, pipelined round execution ----
+// ---- The reference chain, by worker count ----
 
 // newBenchChain builds an n-server chain with the given decryption worker
 // count, opens round 1, and returns the servers plus a wrapped dialing
@@ -572,20 +534,14 @@ func newBenchChain(b *testing.B, numServers, workers, batchSize int, numMailboxe
 }
 
 // benchChain measures a full 3-server dialing round — peel, noise,
-// shuffle, mailbox build — for one execution mode.
-func benchChain(b *testing.B, workers int, pipelined bool) {
+// shuffle, mailbox build — through mixnet.Chain at one worker count.
+func benchChain(b *testing.B, workers int) {
 	const batchSize = 2048
 	const numMailboxes = 4
 	servers, batch := newBenchChain(b, 3, workers, batchSize, numMailboxes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if pipelined {
-			_, err = mixnet.ChainPipelined(servers, wire.Dialing, 1, numMailboxes, batch, 256)
-		} else {
-			_, err = mixnet.Chain(servers, wire.Dialing, 1, numMailboxes, batch)
-		}
-		if err != nil {
+		if _, err := mixnet.Chain(servers, wire.Dialing, 1, numMailboxes, batch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -594,18 +550,14 @@ func benchChain(b *testing.B, workers int, pipelined bool) {
 	b.ReportMetric(perRound*1e3, "ms/round")
 }
 
-// BenchmarkMixSequential is the pre-refactor baseline: one decryption
-// thread per server, strict stage-by-stage chain execution.
-func BenchmarkMixSequential(b *testing.B) { benchChain(b, 1, false) }
+// BenchmarkMixSequential is one decryption thread per server, strict
+// stage-by-stage chain execution.
+func BenchmarkMixSequential(b *testing.B) { benchChain(b, 1) }
 
 // BenchmarkMixParallel uses the worker-pool decrypt path (GOMAXPROCS
 // workers) with the chain still running stage by stage. Compare its
 // msgs/sec against BenchmarkMixSequential for the multi-core speedup.
-func BenchmarkMixParallel(b *testing.B) { benchChain(b, 0, false) }
-
-// BenchmarkMixPipelined adds the streaming pipeline on top of parallel
-// decryption: chunked hand-off between servers plus ahead-of-time noise.
-func BenchmarkMixPipelined(b *testing.B) { benchChain(b, 0, true) }
+func BenchmarkMixParallel(b *testing.B) { benchChain(b, 0) }
 
 // ---- A2: Bloom filter vs raw tokens ----
 

@@ -70,7 +70,6 @@ func churnBench(batchSize int) {
 		addrs := make([][]string, positions)
 		coord := &coordinator.Coordinator{
 			TargetRequestsPerMailbox: 24000,
-			ChainForward:             true,
 			RoundDeadline:            30 * time.Second,
 		}
 		coord.Shards = make([][]coordinator.Mixer, positions)
@@ -126,7 +125,6 @@ func churnBench(batchSize int) {
 		closers = append(closers, cdnSrv)
 		e := entry.New()
 		coord.Entry = e
-		coord.CDN = store
 		coord.CDNAddr = cdnAddr
 		coord.SetExpectedVolume(wire.Dialing, batchSize)
 

@@ -11,20 +11,17 @@
 //	alpenhorn-bench -exp ibe-sweep  # IBE cost scaling (§8.6)
 //	alpenhorn-bench -exp ibe-bench  # T1/T4 pairing throughput (decrypts, extractions, mailbox scan)
 //	alpenhorn-bench -exp mix-cal    # measure per-message mix cost (used by figs 8/9)
-//	alpenhorn-bench -exp mix-compare # sequential vs parallel vs pipelined round cost
-//	alpenhorn-bench -exp chain-forward # relayed vs server-forwarded data plane over TCP
-//	alpenhorn-bench -exp shard-compare # unsharded vs shard-group positions over TCP
 //	alpenhorn-bench -exp churn      # round availability with hot spares under daemon kills
 //	alpenhorn-bench -exp cdn-load   # CDN seal throughput, fetch p50/p99, replication lag
 //	alpenhorn-bench -all            # everything
 //
-// -json FILE writes the shard-compare / churn / ibe-bench / cdn-load
+// -json FILE writes the churn / ibe-bench / cdn-load
 // results as a JSON record (CI uploads them per PR to track the perf
 // trajectory).
 //
 // The -parallelism flag sets the mixers' decryption/noise worker count for
-// every experiment that runs real rounds (0 = GOMAXPROCS, 1 = the
-// sequential pre-pipeline path).
+// every experiment that runs real rounds (0 = GOMAXPROCS, 1 = one
+// worker).
 //
 // Figures 6/7/10 come from the analytic model driven by this codebase's
 // real message sizes (cross-validated against real rounds in the test
@@ -42,30 +39,25 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 
-	"alpenhorn/internal/cdn"
-	"alpenhorn/internal/coordinator"
-	"alpenhorn/internal/entry"
 	"alpenhorn/internal/ibe"
 	"alpenhorn/internal/keywheel"
 	"alpenhorn/internal/mixnet"
 	"alpenhorn/internal/model"
 	"alpenhorn/internal/noise"
-	"alpenhorn/internal/rpc"
 	"alpenhorn/internal/sim"
 	"alpenhorn/internal/wire"
 )
 
 func main() {
 	fig := flag.Int("fig", 0, "paper figure to regenerate (6-10)")
-	exp := flag.String("exp", "", "named experiment: sizes, extraction, ibe-sweep, ibe-bench, mix-cal, mix-compare, chain-forward, shard-compare, churn, cdn-load")
+	exp := flag.String("exp", "", "named experiment: sizes, extraction, ibe-sweep, ibe-bench, mix-cal, churn, cdn-load")
 	all := flag.Bool("all", false, "run everything")
 	users := flag.Int("calibration-batch", 4000, "batch size for real-round mix calibration")
 	par := flag.Int("parallelism", 0, "mixer decryption/noise workers (0 = GOMAXPROCS, 1 = sequential)")
-	jsonOut := flag.String("json", "", "write machine-readable results (shard-compare, churn, ibe-bench, cdn-load) to this file")
+	jsonOut := flag.String("json", "", "write machine-readable results (churn, ibe-bench, cdn-load) to this file")
 	baseline := flag.String("baseline", "", "committed ibe-bench JSON record to diff speedup ratios against; exits nonzero on >30% regression")
 	flag.Parse()
 	parallelism = *par
@@ -89,9 +81,6 @@ func main() {
 	run(-1, "ibe-sweep", func(int) { ibeSweep() })
 	run(-1, "ibe-bench", func(int) { ibeBench() })
 	run(-1, "mix-cal", func(batch int) { fmt.Printf("mix cost: %.2f µs/message/server\n", measureMixCost(batch)*1e6) })
-	run(-1, "mix-compare", mixCompare)
-	run(-1, "chain-forward", chainForwardCompare)
-	run(-1, "shard-compare", shardCompare)
 	run(-1, "churn", churnBench)
 	run(-1, "cdn-load", func(int) { cdnLoad() })
 	if !any {
@@ -189,29 +178,41 @@ func fig7(int) {
 	fmt.Printf("\n(paper: 1 filter/125K tokens/0.75 MB at 1M; 7 filters/150K/0.9 MB at 10M)\n")
 }
 
-// newBenchCoordinator builds a 3-mixer in-process deployment with the
-// requested mixer parallelism and a submitted batch, ready to close.
-func newBenchCoordinator(batchSize, workers int, sequential bool) *coordinator.Coordinator {
+// measureMixCost runs a real dialing batch through a 3-server in-process
+// chain (mixnet.Chain: strict full-batch barriers, no transport) and
+// returns seconds per message per server. The barriers are what make
+// dividing by the server count meaningful — on the routed data plane the
+// positions overlap and the per-server cost would be undercounted.
+// -parallelism 1 reproduces the paper's single-thread calibration; the
+// default measures this machine's parallel decrypt rate.
+func measureMixCost(batchSize int) float64 {
 	nz := noise.Laplace{Mu: 2, B: 0}
+	settings := &wire.RoundSettings{Service: wire.Dialing, Round: 1, NumMailboxes: 1}
 	var mixers []*mixnet.Server
 	for i := 0; i < 3; i++ {
 		m, err := mixnet.New(mixnet.Config{
 			Name: "m", Position: i, ChainLength: 3,
 			AddFriendNoise: &nz, DialingNoise: &nz,
-			Parallelism: workers,
+			Parallelism: parallelism,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
+		rk, err := m.NewRound(wire.Dialing, 1)
+		if err != nil {
+			log.Fatal(err)
+		}
 		mixers = append(mixers, m)
+		settings.Mixers = append(settings.Mixers, rk)
 	}
-	e := entry.New()
-	coord := coordinator.New(e, mixers, nil, cdn.NewStore(2))
-	coord.Sequential = sequential
-	coord.SetExpectedVolume(wire.Dialing, batchSize)
-	settings, err := coord.OpenDialingRound(1)
-	if err != nil {
-		log.Fatal(err)
+	for i, m := range mixers {
+		var keys [][]byte
+		for _, rk := range settings.Mixers[i+1:] {
+			keys = append(keys, rk.OnionKey)
+		}
+		if err := m.SetDownstreamKeys(wire.Dialing, 1, keys); err != nil {
+			log.Fatal(err)
+		}
 	}
 	batch, err := sim.GenerateBatch(nil, settings, sim.Workload{
 		Real: batchSize / 20, Cover: batchSize - batchSize/20,
@@ -219,329 +220,11 @@ func newBenchCoordinator(batchSize, workers int, sequential bool) *coordinator.C
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, onion := range batch {
-		if err := e.Submit(wire.Dialing, 1, onion); err != nil {
-			log.Fatal(err)
-		}
-	}
-	return coord
-}
-
-// measureMixCost runs a real dialing round through a 3-server in-process
-// chain and returns seconds per message per server. The chain runs with
-// full-batch barriers (Sequential) so that dividing by the server count is
-// meaningful — with the streaming pipeline the stages overlap and the
-// per-server cost would be undercounted. -parallelism 1 reproduces the
-// paper's single-thread calibration; the default measures this machine's
-// parallel decrypt rate. Pipeline gains are measured by mix-compare.
-func measureMixCost(batchSize int) float64 {
-	coord := newBenchCoordinator(batchSize, parallelism, true)
 	start := time.Now()
-	if _, err := coord.CloseRound(wire.Dialing, 1); err != nil {
+	if _, err := mixnet.Chain(mixers, wire.Dialing, 1, settings.NumMailboxes, batch); err != nil {
 		log.Fatal(err)
 	}
 	return time.Since(start).Seconds() / float64(batchSize) / 3
-}
-
-// mixCompare prints the sequential-vs-parallel-vs-pipelined round cost
-// comparison for the refactored mix chain.
-func mixCompare(batchSize int) {
-	header("Mix execution modes: sequential vs parallel vs pipelined")
-	fmt.Printf("3 servers, dialing, batch %d, GOMAXPROCS %d\n\n", batchSize, runtime.GOMAXPROCS(0))
-	modes := []struct {
-		name       string
-		workers    int
-		sequential bool
-	}{
-		{"sequential (1 worker, full-batch barriers)", 1, true},
-		{"parallel decrypt (worker pool, full-batch barriers)", 0, true},
-		{"pipelined (worker pool + streaming chunks + prepared noise)", 0, false},
-	}
-	var base float64
-	for i, mode := range modes {
-		coord := newBenchCoordinator(batchSize, mode.workers, mode.sequential)
-		start := time.Now()
-		if _, err := coord.CloseRound(wire.Dialing, 1); err != nil {
-			log.Fatal(err)
-		}
-		elapsed := time.Since(start).Seconds()
-		if i == 0 {
-			base = elapsed
-		}
-		fmt.Printf("%-60s %8.3f s   %6.2fx\n", mode.name, elapsed, base/elapsed)
-	}
-	fmt.Println("\n(speedups require multiple cores; on one core the modes should tie)")
-}
-
-// chainForwardCompare measures the data-plane refactor over real TCP: a
-// 3-daemon chain driven (a) with the coordinator relaying every server's
-// output, (b) with the servers forwarding to each other and publishing to
-// the CDN directly, and (c) with one pre-streaming (legacy) daemon forcing
-// the rolling-upgrade fallback. For each mode it reports the round's wall
-// time and the bytes that crossed the coordinator's mixer connections —
-// the quantity the chain-forward refactor takes off the coordinator.
-func chainForwardCompare(batchSize int) {
-	header("Data plane: coordinator-relayed vs chain-forwarded (3 mixer daemons over TCP)")
-	fmt.Printf("dialing, batch %d, GOMAXPROCS %d\n\n", batchSize, runtime.GOMAXPROCS(0))
-
-	runMode := func(forward, legacyFirst bool) (elapsed float64, coordBytes uint64, published bool) {
-		nz := noise.Laplace{Mu: 2, B: 0}
-		var clients []*rpc.MixerClient
-		var servers []*rpc.Server
-		defer func() {
-			for _, s := range servers {
-				s.Close()
-			}
-		}()
-		for i := 0; i < 3; i++ {
-			m, err := mixnet.New(mixnet.Config{
-				Name: "m", Position: i, ChainLength: 3,
-				AddFriendNoise: &nz, DialingNoise: &nz,
-				Parallelism: parallelism,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			srv := rpc.NewServer()
-			if legacyFirst && i == 0 {
-				rpc.RegisterLegacyMixer(srv, m)
-			} else {
-				rpc.RegisterMixer(srv, m)
-			}
-			addr, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
-				log.Fatal(err)
-			}
-			servers = append(servers, srv)
-			mc, err := rpc.DialMixer(addr)
-			if err != nil {
-				log.Fatal(err)
-			}
-			clients = append(clients, mc)
-		}
-		store := cdn.NewStore(2)
-		cdnSrv := rpc.NewServer()
-		rpc.RegisterCDN(cdnSrv, store)
-		cdnAddr, err := cdnSrv.Listen("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		servers = append(servers, cdnSrv)
-
-		e := entry.New()
-		coord := &coordinator.Coordinator{
-			Entry: e, CDN: store,
-			TargetRequestsPerMailbox: 24000,
-			ChainForward:             forward,
-			CDNAddr:                  cdnAddr,
-		}
-		for _, mc := range clients {
-			coord.Mixers = append(coord.Mixers, mc)
-		}
-		coord.SetExpectedVolume(wire.Dialing, batchSize)
-		settings, err := coord.OpenDialingRound(1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		batch, err := sim.GenerateBatch(nil, settings, sim.Workload{
-			Real: batchSize / 20, Cover: batchSize - batchSize/20,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, onion := range batch {
-			if err := e.Submit(wire.Dialing, 1, onion); err != nil {
-				log.Fatal(err)
-			}
-		}
-		before := uint64(0)
-		for _, mc := range clients {
-			st := mc.TransportStats()
-			before += st.BytesSent + st.BytesReceived
-		}
-		start := time.Now()
-		if _, err := coord.CloseRound(wire.Dialing, 1); err != nil {
-			log.Fatal(err)
-		}
-		after := uint64(0)
-		for _, mc := range clients {
-			st := mc.TransportStats()
-			after += st.BytesSent + st.BytesReceived
-		}
-		return time.Since(start).Seconds(), after - before, store.Published(wire.Dialing, 1)
-	}
-
-	modes := []struct {
-		name            string
-		forward, legacy bool
-	}{
-		{"coordinator-relayed (batch crosses coordinator per hop)", false, false},
-		{"chain-forwarded (servers push to successors + CDN)", true, false},
-		{"legacy daemon in chain (fallback to relayed)", true, true},
-	}
-	for _, mode := range modes {
-		elapsed, coordBytes, published := runMode(mode.forward, mode.legacy)
-		status := "ok"
-		if !published {
-			status = "NOT PUBLISHED"
-		}
-		fmt.Printf("%-58s %8.3f s   %10.2f MB coordinator traffic   %s\n",
-			mode.name, elapsed, float64(coordBytes)/1e6, status)
-	}
-	fmt.Println("\n(chain-forward moves the per-hop batch traffic off the coordinator;")
-	fmt.Println(" the remaining coordinator bytes are the entry batch to mixer 0 plus control)")
-}
-
-// shardCompare measures intra-round mixer sharding over real TCP: the
-// same dialing round run through (a) three unsharded daemons and (b)
-// three positions each sharded across two daemons (six total). Sharding
-// splits each position's onion peeling and noise generation across
-// machines, at the cost of an intra-group merge hop before the
-// position's full-batch shuffle; on a single box the win is bounded by
-// core count, so this experiment primarily records the TRAJECTORY (and
-// proves the sharded plane end-to-end) — the -json record is uploaded
-// per PR by CI.
-func shardCompare(batchSize int) {
-	header("Shard groups: one position per machine vs two machines per position (over TCP)")
-	fmt.Printf("dialing, batch %d, GOMAXPROCS %d\n\n", batchSize, runtime.GOMAXPROCS(0))
-
-	type modeResult struct {
-		Name        string  `json:"name"`
-		ShardsPer   int     `json:"shards_per_position"`
-		Seconds     float64 `json:"seconds"`
-		CoordMB     float64 `json:"coordinator_mb"`
-		Published   bool    `json:"published"`
-		MergeShards int     `json:"daemons_total"`
-	}
-
-	runMode := func(shardsPerPos int) modeResult {
-		const positions = 3
-		nz := noise.Laplace{Mu: 2, B: 0}
-		var servers []*rpc.Server
-		defer func() {
-			for _, s := range servers {
-				s.Close()
-			}
-		}()
-		leads := make([]*rpc.MixerClient, 0, positions)
-		extras := make([][]coordinator.Mixer, positions)
-		var all []*rpc.MixerClient
-		for i := 0; i < positions; i++ {
-			for s := 0; s < shardsPerPos; s++ {
-				cfg := mixnet.Config{
-					Name: "m", Position: i, ChainLength: positions,
-					AddFriendNoise: &nz, DialingNoise: &nz,
-					Parallelism: parallelism,
-				}
-				if shardsPerPos > 1 {
-					cfg.ShardIndex, cfg.ShardCount = s, shardsPerPos
-				}
-				m, err := mixnet.New(cfg)
-				if err != nil {
-					log.Fatal(err)
-				}
-				srv := rpc.NewServer()
-				rpc.RegisterMixer(srv, m)
-				addr, err := srv.Listen("127.0.0.1:0")
-				if err != nil {
-					log.Fatal(err)
-				}
-				servers = append(servers, srv)
-				mc, err := rpc.DialMixer(addr)
-				if err != nil {
-					log.Fatal(err)
-				}
-				all = append(all, mc)
-				if s == 0 {
-					leads = append(leads, mc)
-				} else {
-					extras[i] = append(extras[i], mc)
-				}
-			}
-		}
-		store := cdn.NewStore(2)
-		cdnSrv := rpc.NewServer()
-		rpc.RegisterCDN(cdnSrv, store)
-		cdnAddr, err := cdnSrv.Listen("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		servers = append(servers, cdnSrv)
-
-		e := entry.New()
-		coord := &coordinator.Coordinator{
-			Entry: e, CDN: store,
-			TargetRequestsPerMailbox: 24000,
-			ChainForward:             true,
-			CDNAddr:                  cdnAddr,
-			Shards:                   extras,
-		}
-		for _, mc := range leads {
-			coord.Mixers = append(coord.Mixers, mc)
-		}
-		coord.SetExpectedVolume(wire.Dialing, batchSize)
-		settings, err := coord.OpenDialingRound(1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		batch, err := sim.GenerateBatch(nil, settings, sim.Workload{
-			Real: batchSize / 20, Cover: batchSize - batchSize/20,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, onion := range batch {
-			if err := e.Submit(wire.Dialing, 1, onion); err != nil {
-				log.Fatal(err)
-			}
-		}
-		before := uint64(0)
-		for _, mc := range all {
-			st := mc.TransportStats()
-			before += st.BytesSent + st.BytesReceived
-		}
-		start := time.Now()
-		if _, err := coord.CloseRound(wire.Dialing, 1); err != nil {
-			log.Fatal(err)
-		}
-		after := uint64(0)
-		for _, mc := range all {
-			st := mc.TransportStats()
-			after += st.BytesSent + st.BytesReceived
-		}
-		name := "unsharded (1 daemon per position)"
-		if shardsPerPos > 1 {
-			name = fmt.Sprintf("sharded (%d daemons per position)", shardsPerPos)
-		}
-		return modeResult{
-			Name:        name,
-			ShardsPer:   shardsPerPos,
-			Seconds:     time.Since(start).Seconds(),
-			CoordMB:     float64(after-before) / 1e6,
-			Published:   store.Published(wire.Dialing, 1),
-			MergeShards: positions * shardsPerPos,
-		}
-	}
-
-	var results []modeResult
-	for _, shardsPerPos := range []int{1, 2} {
-		r := runMode(shardsPerPos)
-		status := "ok"
-		if !r.Published {
-			status = "NOT PUBLISHED"
-		}
-		fmt.Printf("%-44s %8.3f s   %8.2f MB coordinator traffic   %s\n", r.Name, r.Seconds, r.CoordMB, status)
-		results = append(results, r)
-	}
-	fmt.Println("\n(each position's peel + noise splits across its shards; the position's")
-	fmt.Println(" permutation stays one full-batch shuffle, run at the group's merge)")
-
-	writeJSONRecord("shard-compare", struct {
-		Experiment string       `json:"experiment"`
-		Batch      int          `json:"batch"`
-		GoMaxProcs int          `json:"gomaxprocs"`
-		Modes      []modeResult `json:"modes"`
-	}{"shard-compare", batchSize, runtime.GOMAXPROCS(0), results})
 }
 
 // measureIBEDecrypt returns seconds per trial decryption with our pairing,

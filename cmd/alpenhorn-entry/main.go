@@ -14,8 +14,10 @@
 // coordinator's scheduler probes every member at round-plan time,
 // benches the ones that fail (or breach -latency-slo), drafts spares
 // into their slots, and re-admits them automatically once they recover —
-// rounds keep closing with zero operator action. Sharded positions
-// require the chain-forward data plane (-chain-forward, the default).
+// rounds keep closing with zero operator action. The mixers push batches
+// to each other and the last position publishes the mailboxes to this
+// daemon's cdn.publish listener (-cdn-addr); the coordinator here moves
+// its own entry batch and control messages only.
 // The scheduler's per-daemon scoreboard and the round-health ring are
 // served read-only over the coordinator.status RPC on the client port.
 //
@@ -43,7 +45,7 @@
 // Clients learn the full frontend list from the directory served by ANY
 // frontend (frontend_addrs) and spread their connections across it.
 // -replica-addr is a server-plane surface like -cdn-addr: it accepts the
-// coordinator's announcements and batch collection, so it must not be
+// coordinator's announcements and feed instructions, so it must not be
 // exposed to clients.
 package main
 
@@ -71,7 +73,6 @@ func main() {
 	afInterval := flag.Duration("addfriend-interval", 30*time.Second, "add-friend round interval")
 	dlInterval := flag.Duration("dialing-interval", 10*time.Second, "dialing round interval")
 	submitWindow := flag.Duration("submit-window", 5*time.Second, "time clients have to submit before a round closes")
-	chainForward := flag.Bool("chain-forward", true, "mixers forward batches to each other; the coordinator moves control messages only (falls back to relaying when a daemon lacks support)")
 	cdnAddr := flag.String("cdn-addr", ":7010", "server-plane listen address for cdn.publish (kept OFF the client-facing -addr: the transport is unauthenticated)")
 	cdnPublicAddr := flag.String("cdn-public-addr", "", "address mixers dial to reach cdn.publish (default: -cdn-addr; set host:port for multi-machine deployments)")
 	frontendOnly := flag.Bool("frontend-only", false, "run as a pure entry frontend joined to an existing deployment (-coordinator-addr); no PKGs, mixers, CDN, or round timers here")
@@ -193,7 +194,6 @@ func main() {
 		Shards:                   shards,
 		Spares:                   spares,
 		PKGs:                     pkgs,
-		CDN:                      store,
 		TargetRequestsPerMailbox: 24000,
 		RoundDeadline:            *roundDeadline,
 		LatencySLO:               *latencySLO,
@@ -202,28 +202,25 @@ func main() {
 		HealthRing:               *healthRing,
 		Logger:                   log.Default(),
 	}
-	if *chainForward {
-		// The publish surface gets its own listener: it is a WRITE
-		// surface with no authentication, so it must not share the
-		// client-facing server (a client could otherwise publish a
-		// round's mailboxes before the real last mixer).
-		cdnSrv := rpc.NewServer()
-		rpc.RegisterCDN(cdnSrv, store)
-		cdnBound, err := cdnSrv.Listen(*cdnAddr)
-		if err != nil {
-			log.Fatalf("cdn.publish listener: %v", err)
-		}
-		defer cdnSrv.Close()
-		coord.ChainForward = true
-		coord.CDNAddr = *cdnPublicAddr
-		if coord.CDNAddr == "" {
-			coord.CDNAddr = *cdnAddr
-		}
-		if strings.HasPrefix(coord.CDNAddr, ":") {
-			log.Printf("warning: cdn public address %q has no host — last mixers will dial their own loopback; set -cdn-public-addr host:port for multi-machine deployments", coord.CDNAddr)
-		}
-		log.Printf("chain-forward data plane enabled (cdn.publish listening on %s, advertised as %s)", cdnBound, coord.CDNAddr)
+	// The publish surface gets its own listener: it is a WRITE surface
+	// with no authentication, so it must not share the client-facing
+	// server (a client could otherwise publish a round's mailboxes before
+	// the real last mixer).
+	cdnSrv := rpc.NewServer()
+	rpc.RegisterCDN(cdnSrv, store)
+	cdnBound, err := cdnSrv.Listen(*cdnAddr)
+	if err != nil {
+		log.Fatalf("cdn.publish listener: %v", err)
 	}
+	defer cdnSrv.Close()
+	coord.CDNAddr = *cdnPublicAddr
+	if coord.CDNAddr == "" {
+		coord.CDNAddr = *cdnAddr
+	}
+	if strings.HasPrefix(coord.CDNAddr, ":") {
+		log.Printf("warning: cdn public address %q has no host — last mixers will dial their own loopback; set -cdn-public-addr host:port for multi-machine deployments", coord.CDNAddr)
+	}
+	log.Printf("cdn.publish listening on %s, advertised to the last mixers as %s", cdnBound, coord.CDNAddr)
 
 	if *frontendSpecs != "" {
 		// Extra frontends: replay announcements to each one's replica
@@ -296,7 +293,7 @@ func runFrontendOnly(addr, replicaAddr, coordinatorAddr string) {
 	e := entry.New()
 
 	// The replica surface is a WRITE surface with no authentication
-	// (announcement replay + batch collection), so like cdn.publish it
+	// (announcement replay + feed instructions), so like cdn.publish it
 	// gets its own listener off the client-facing port.
 	replicaSrv := rpc.NewServer()
 	rpc.RegisterEntryReplica(replicaSrv, e)

@@ -31,17 +31,17 @@
 //
 //	alpenhorn-mixer -addr :7122 -position 1 -chain 3 -spare
 //
-// The daemon serves both data planes: coordinator-relayed streaming, and
-// chain-forwarding, where the coordinator assigns it a successor address
-// each round (mix.round.route) and the daemon pushes its post-shuffle
-// output straight to that successor — or, at the end of the chain,
-// publishes the round's mailboxes directly to the CDN. Successor
-// connections are dialed with retry/backoff and reused across rounds.
+// The daemon serves the one data plane: the coordinator assigns it a route
+// each round (mix.round.route) — its place in its position's shard group,
+// and the next position's shard set — and the daemon pushes its output
+// straight to its group's lead and, as lead, to those successors; at the
+// end of the chain it builds its range of the round's mailboxes and
+// publishes them directly to the CDN. An unsharded daemon is a group of
+// one. Peer connections are dialed with retry/backoff and reused across
+// rounds.
 //
 // The -addfriend-mu and -dialing-mu flags set the per-mailbox noise means
 // (paper defaults: 4000 and 25000; use small values for local testing).
-// -legacy serves only the pre-streaming surface, standing in for an old
-// build when rehearsing rolling upgrades.
 package main
 
 import (
@@ -66,7 +66,6 @@ func main() {
 	afB := flag.Float64("addfriend-b", noise.AddFriendNoise.B, "add-friend noise scale (0 = deterministic)")
 	dlMu := flag.Float64("dialing-mu", noise.DialingNoise.Mu, "mean dialing noise per mailbox")
 	dlB := flag.Float64("dialing-b", noise.DialingNoise.B, "dialing noise scale (0 = deterministic)")
-	legacy := flag.Bool("legacy", false, "serve only the pre-streaming RPC surface (rolling-upgrade rehearsal)")
 	shard := flag.String("shard", "", "shard identity i/N when N daemons jointly serve this position (e.g. 0/2; shard 0 announces for the group)")
 	spare := flag.Bool("spare", false, "run as an unpinned hot spare for this position: idle until the coordinator drafts it into a benched member's slot")
 	flag.Parse()
@@ -97,12 +96,7 @@ func main() {
 	}
 
 	server := rpc.NewServer()
-	var daemon *rpc.MixerDaemon
-	if *legacy {
-		rpc.RegisterLegacyMixer(server, m)
-	} else {
-		daemon = rpc.RegisterMixer(server, m)
-	}
+	daemon := rpc.RegisterMixer(server, m)
 	bound, err := server.Listen(*addr)
 	if err != nil {
 		log.Fatal(err)
@@ -113,17 +107,15 @@ func main() {
 	} else if shardCount > 0 {
 		shardLabel = fmt.Sprintf("shard %d/%d", shardIndex, shardCount)
 	}
-	log.Printf("alpenhorn-mixer %q (position %d/%d, %s) listening on %s (legacy=%v)", *name, *position, *chain, shardLabel, bound, *legacy)
+	log.Printf("alpenhorn-mixer %q (position %d/%d, %s) listening on %s", *name, *position, *chain, shardLabel, bound)
 	log.Printf("long-term signing key: %x", m.SigningKey())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	log.Println("shutting down")
-	if daemon != nil {
-		if r, o := daemon.PendingRoutes(), daemon.PendingOutboxes(); r > 0 || o > 0 {
-			log.Printf("warning: %d routes and %d outboxes still pending at shutdown", r, o)
-		}
+	if r := daemon.PendingRoutes(); r > 0 {
+		log.Printf("warning: %d routes still pending at shutdown", r)
 	}
 	server.Close()
 }

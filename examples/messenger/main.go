@@ -29,6 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer network.Close()
 	aliceH := &sim.Handler{AcceptAll: true}
 	bobH := &sim.Handler{AcceptAll: true}
 	alice, err := network.NewClient("alice@example.org", aliceH)

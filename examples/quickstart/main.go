@@ -28,6 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer network.Close()
 
 	// Each user supplies a handler: the application callbacks from
 	// Figure 1 of the paper (NewFriend, ConfirmedFriend, IncomingCall…).

@@ -23,12 +23,11 @@
 //     process kill byte-identically, and a corrupt segment is rejected
 //     cleanly at reopen so replication backfill can repair it.
 //
-// Publication has three paths: the coordinator calls Publish/PublishOwned
-// in-process when it relays the chain itself; internal/rpc exposes the
-// same store as a cdn.publish surface (RegisterCDN) for chain-forward
-// rounds, including the sharded variant where every shard of the last
-// group streams its own mailbox-ID slice; and cdn.replicate fans sealed
-// rounds from the ingest node out to replica nodes (see rpc.CDNDaemon).
+// Publication has two paths, both in internal/rpc: the store is exposed
+// as a cdn.publish surface (RegisterCDN) where every shard of the last
+// mixer group streams its own mailbox-ID slice of a round, and
+// cdn.replicate fans sealed rounds from the ingest node out to replica
+// nodes (see rpc.CDNDaemon).
 package cdn
 
 import (
@@ -381,21 +380,6 @@ func (s *Store) RoundSnapshotMailbox(service wire.Service, round uint32, mailbox
 		data = []byte{}
 	}
 	return data, nil
-}
-
-// CloneRound copies one published round from src into dst, preserving the
-// content checksum. Already-published destination rounds are left alone
-// (replication is idempotent). This is the in-process replication path the
-// simulator uses for its extra CDN replicas.
-func CloneRound(dst, src *Store, service wire.Service, round uint32) error {
-	if dst.Published(service, round) {
-		return nil
-	}
-	boxes, err := src.RoundSnapshot(service, round)
-	if err != nil {
-		return err
-	}
-	return dst.PublishOwned(service, round, boxes)
 }
 
 // MailboxSizes returns the size in bytes of every mailbox in a round,

@@ -7,32 +7,24 @@
 // benchmarks, which step rounds manually instead of on timers.
 //
 // The coordinator is a CONTROL PLANE: it announces rounds, distributes
-// keys, opens and closes intake, and sequences the chain. Where the bulk
-// data of a round travels is the DATA PLANE, and the coordinator supports
-// three arrangements of it:
-//
-//   - Chain-forward (production, ChainForward with forwarding-capable
-//     daemons): each mixer daemon pushes its post-shuffle output directly
-//     to its successor, and the last daemon builds the mailboxes and
-//     publishes them straight to the CDN. The coordinator only streams
-//     the entry server's batch to the FIRST position and then exchanges
-//     control messages — route announcements, completion waits, aborts.
-//     At paper scale (~24k-request mailboxes, millions of onions) this
-//     keeps the coordinator off the bandwidth-critical path entirely.
-//
-//   - Coordinator-relayed streaming (default; also the rolling-upgrade
-//     fallback): the chain still runs as a chunked pipeline, but every
-//     server's output is pulled back to the coordinator and re-sent
-//     downstream, so the batch crosses the coordinator once per hop.
-//
-//   - Sequential (benchmarks): strict stage-by-stage full-batch Mix
-//     calls, the unpipelined baseline.
+// keys, opens and closes intake, and sequences the chain. The bulk data of
+// a round travels on the DATA PLANE, which has one arrangement
+// (internal/rpc/forward.go): every chain position is a shard group of one
+// or more mixer daemons; each daemon peels its slice, the group's lead
+// merges and shuffles once, and pushes the result directly to the next
+// position's group; the last group builds the mailboxes, each member its
+// own mailbox-ID range, and publishes them straight to the CDN. The
+// coordinator streams its own entry server's batch to the FIRST position
+// (other frontends feed theirs themselves) and then exchanges control
+// messages — route announcements, completion waits, aborts. At paper scale
+// (~24k-request mailboxes, millions of onions) this keeps the coordinator
+// off the bandwidth-critical path entirely.
 //
 // # Shard groups
 //
-// On the chain-forward plane, one chain position may be SHARDED across
-// several daemons (Shards): the coordinator plans the group each round
-// and announces it through the routes. Shard 0 of a group is its
+// One chain position may be SHARDED across several daemons (Shards); an
+// unsharded position is a group of one. The coordinator plans the group
+// each round and announces it through the routes. Shard 0 of a group is its
 // ANNOUNCER: it generates and announces the position's one round key —
 // clients pin ITS signing key, so it is the one member the scheduler can
 // never substitute. The other members pull the key inside the group's
@@ -50,10 +42,6 @@
 // post-shuffle chunks across them. Aborts fan out to every shard of
 // every position. Clients never see any of this: round settings carry
 // one key per position either way.
-//
-// Sharded rounds have NO fallback plane — the noise was divided at round
-// open, so if the fleet cannot run the sharded chain-forward plane the
-// round fails at open rather than running with an eroded noise floor.
 //
 // # Self-healing rounds (schedule.go)
 //
@@ -78,9 +66,8 @@
 // wait timeout.
 //
 // The coordinator keeps per-round health (Status): wall time, batch
-// size, and — for forwarded rounds — each daemon's self-reported
-// duration, batch bytes, and abort reason from the mix.round.wait
-// long-poll. The scheduler's scoreboard (Scoreboard) is served to
+// size, and each daemon's self-reported duration, batch bytes, and abort
+// reason from the mix.round.wait long-poll. The scheduler's scoreboard (Scoreboard) is served to
 // operators read-only over the coordinator.status RPC.
 //
 // One add-friend round proceeds as:
@@ -91,9 +78,8 @@
 //     RoundSettings, and opens the round at the entry server,
 //  4. clients submit onions (real or cover), extracting their identity
 //     keys from the PKGs as part of submission,
-//  5. the coordinator closes intake and runs the data plane; mailboxes
-//     are published to the CDN by whoever holds the final batch (the
-//     coordinator when relaying, the last daemon when forwarding),
+//  5. the coordinator closes intake and runs the data plane; the last
+//     position's daemons publish the mailboxes to the CDN,
 //  6. mixers erase their round keys as soon as the chain finishes. PKG
 //     master keys are erased concurrently with the mix: extraction
 //     happens strictly during the submission window, so once intake
@@ -112,74 +98,49 @@ import (
 
 	"alpenhorn/internal/cdn"
 	"alpenhorn/internal/entry"
-	"alpenhorn/internal/mixnet"
-	"alpenhorn/internal/pkgserver"
 	"alpenhorn/internal/wire"
 )
 
-// Mixer is the coordinator's view of one mixnet server. It is satisfied by
-// *mixnet.Server (in-process) and *rpc.MixerClient (remote daemon).
-type Mixer interface {
-	NewRound(service wire.Service, round uint32) (wire.MixerRoundKey, error)
-	SetDownstreamKeys(service wire.Service, round uint32, keys [][]byte) error
-	Mix(service wire.Service, round uint32, numMailboxes uint32, batch [][]byte) ([][]byte, error)
-	CloseRound(service wire.Service, round uint32)
-	NoiseMu(service wire.Service) float64
-}
-
-// StreamMixer is the optional chunked-intake surface of a Mixer. Mixers
-// that implement it participate in the coordinator's streaming pipeline:
-// they receive the round's batch in chunks and start decrypting before the
-// upstream server has finished emitting. Mixers that don't are driven
-// through full-batch Mix inside their pipeline stage.
-type StreamMixer = mixnet.ChunkMixer
-
-// NoisePreparer is the optional ahead-of-time noise surface of a Mixer.
-// The coordinator calls PrepareNoise as soon as a round's settings are
-// fixed, so every server generates its noise concurrently with client
-// intake instead of stalling the mix.
-type NoisePreparer interface {
-	PrepareNoise(service wire.Service, round uint32, numMailboxes uint32) error
-}
-
-// streamCapable lets a Mixer report at runtime whether its backend
-// actually supports the streaming/prepare-noise surface. rpc.MixerClient
-// implements every method statically but may be talking to a daemon built
-// before those RPCs existed; during a rolling upgrade it reports false and
-// the coordinator falls back to full-batch Mix. Mixers that don't
-// implement streamCapable are taken at interface value.
-type streamCapable interface {
-	SupportsStreaming() bool
-}
-
-// supportsStreaming reports whether m's streaming surface is usable.
-func supportsStreaming(m Mixer) bool {
-	if sc, ok := m.(streamCapable); ok {
-		return sc.SupportsStreaming()
-	}
-	return true
-}
-
 // RouteSpec is wire.RouteSpec: one daemon's forwarding assignment for a
-// round — where its output goes and, when its position is sharded, its
-// place in the shard group.
+// round — where its output goes and its place in its shard group.
 type RouteSpec = wire.RouteSpec
 
-// ForwardMixer is the chain-forward control surface of a Mixer whose
-// daemon can push its post-shuffle output to a successor itself.
-// rpc.MixerClient implements it; in-process mixnet.Servers do not (they
-// have no address, and in-process chunk hand-off is already copy-free).
-type ForwardMixer interface {
-	// Addr is the daemon's RPC address, handed to its predecessor as
-	// the round's forwarding target.
+// Mixer is the coordinator's view of one mixer daemon; *rpc.MixerClient
+// implements it.
+type Mixer interface {
+	// Addr is the daemon's RPC address: its predecessors' forwarding
+	// target, its group's peer-list entry, its scoreboard key.
 	Addr() string
-	// SupportsForwarding reports whether the daemon actually serves the
-	// route/wait/abort surface (capability-version negotiation; false
-	// during a rolling upgrade from an older daemon).
-	SupportsForwarding() bool
+	// Probe is a cheap, short-timeout liveness check; the scheduler
+	// probes every candidate at plan time.
+	Probe() error
+	NoiseMu(service wire.Service) float64
+
+	NewRound(service wire.Service, round uint32) (wire.MixerRoundKey, error)
+	// SetRoundShard places the daemon in the round's shard group for its
+	// position (shard index of count) and hands it the group's dial
+	// addresses: it serves the round key to those hosts only. Must
+	// precede PrepareNoise: the group divides the position's noise.
+	SetRoundShard(service wire.Service, round uint32, index, count int, peers []string) error
+	// ImportRoundKeyFrom makes the daemon pull the position's round
+	// onion key directly from a group member that holds it — the private
+	// key moves inside the group's trust domain, the coordinator only
+	// names the source.
+	ImportRoundKeyFrom(service wire.Service, round uint32, keyAddr string) error
+	SetDownstreamKeys(service wire.Service, round uint32, keys [][]byte) error
+	// PrepareNoise starts the daemon's noise generation as soon as the
+	// round's settings are fixed, concurrently with client intake.
+	PrepareNoise(service wire.Service, round uint32, numMailboxes uint32) error
+
 	// OpenRoute tells the daemon where the round's output goes and its
-	// shard-group placement, if any.
+	// shard-group placement.
 	OpenRoute(service wire.Service, round uint32, spec RouteSpec) error
+	// StreamBegin, StreamChunk and StreamEnd feed the routed daemon its
+	// onions; the end names WHICH of the route's NumUpstream feeders
+	// finished, so the counted intake closes exactly once per feeder.
+	StreamBegin(service wire.Service, round uint32, numMailboxes uint32) error
+	StreamChunk(service wire.Service, round uint32, chunk [][]byte) error
+	StreamEnd(service wire.Service, round uint32, upstream int) error
 	// WaitRound blocks until the daemon's data-plane role in the round
 	// completes, returning the daemon's self-reported duration and byte
 	// counts, and its error if it failed or was aborted.
@@ -187,53 +148,7 @@ type ForwardMixer interface {
 	// AbortRound discards the daemon's in-flight stream and route,
 	// unblocking any waiter; the daemon propagates the abort downstream.
 	AbortRound(service wire.Service, round uint32, reason string) error
-}
-
-// ShardMixer is the shard-group control surface of a Mixer: per-round
-// shard layout and group key exchange. rpc.MixerClient implements it for
-// StreamVersionShard daemons.
-type ShardMixer interface {
-	// SetRoundShard places the daemon in the round's shard group for
-	// its position (shard index of count). Must precede PrepareNoise:
-	// the group divides the position's per-mailbox noise.
-	SetRoundShard(service wire.Service, round uint32, index, count int) error
-	// ImportRoundKeyFrom makes the daemon pull the position's round
-	// onion key directly from the group's lead — the private key moves
-	// inside the group's trust domain, the coordinator only names the
-	// source.
-	ImportRoundKeyFrom(service wire.Service, round uint32, leadAddr string) error
-}
-
-// shardCapable mirrors streamCapable for the shard-group surface.
-type shardCapable interface {
-	SupportsSharding() bool
-}
-
-// supportsSharding reports whether m's shard surface is usable. Unlike
-// streaming (default true for in-process servers), sharding defaults to
-// FALSE: it only exists across daemons, and a silent downgrade would
-// break the noise-division invariant.
-func supportsSharding(m Mixer) bool {
-	if sc, ok := m.(shardCapable); ok {
-		return sc.SupportsSharding()
-	}
-	return false
-}
-
-// buildCapable mirrors shardCapable for the sharded mailbox-build surface
-// (StreamVersionCDNShard): the last position's shard group deals the
-// post-shuffle batch by mailbox ID and each shard publishes its own slice
-// to the CDN. Like sharding, it defaults to FALSE — the round falls back
-// to the merge server building every mailbox (rolling upgrade).
-type buildCapable interface {
-	SupportsShardedBuild() bool
-}
-
-func supportsShardedBuild(fm ForwardMixer) bool {
-	if bc, ok := fm.(buildCapable); ok {
-		return bc.SupportsShardedBuild()
-	}
-	return false
+	CloseRound(service wire.Service, round uint32)
 }
 
 // PKG is the coordinator's view of one PKG server. It is satisfied by
@@ -257,28 +172,19 @@ type PairingPKG interface {
 }
 
 // Frontend is the coordinator's view of one ADDITIONAL entry frontend
-// beyond Entry (which is always frontend 0). It is satisfied by
-// *entry.Server (in-process replica) and *rpc.EntryReplicaClient (a
-// remote frontend's entry.replicate surface).
+// beyond Entry (which is always frontend 0); *rpc.EntryReplicaClient
+// implements it.
 //
 // The coordinator replays every announcement to every frontend in one
 // serialized order, so the frontends' event logs assign identical cursors
 // — one cursor namespace for the whole tier, which is what lets a client
 // fail over between frontends mid-round without a snapshot reset. Each
-// frontend admits its own sub-batch; CloseRound hands it back for the
-// relayed data plane.
+// frontend admits its own sub-batch, keeps it when its intake closes, and
+// deals it into position 0's shard set itself, tagged with its upstream
+// index, so at N frontends the batches never cross the coordinator.
 type Frontend interface {
 	OpenRound(settings *wire.RoundSettings) error
 	AnnouncePublished(service wire.Service, round uint32)
-	CloseRound(service wire.Service, round uint32) ([][]byte, error)
-}
-
-// FrontendFeeder is the optional chain-forward data plane of a Frontend:
-// the frontend keeps its closed sub-batch and deals it into position 0's
-// shard set itself, tagged with its upstream index, so at N frontends the
-// batches never cross the coordinator. rpc.EntryReplicaClient implements
-// it; in-process frontends don't need to (their batch is already local).
-type FrontendFeeder interface {
 	// CloseIntake closes the frontend's round and reports the sub-batch
 	// size, leaving the batch stashed frontend-side for FeedBatch.
 	CloseIntake(service wire.Service, round uint32) (int, error)
@@ -293,13 +199,13 @@ type Coordinator struct {
 	Entry  *entry.Server
 	Mixers []Mixer
 	PKGs   []PKG
-	CDN    *cdn.Store
+	// Deprecated: nothing reads CDN; bench/fleet.go, frozen for this PR, sets it.
+	CDN *cdn.Store
 
 	// Frontends lists ADDITIONAL entry frontends; Entry is frontend 0.
 	// Every announcement fans out to all of them under one lock (annMu)
 	// so their event logs stay cursor-identical, and at round close each
-	// frontend's sub-batch joins the chain as its own counted upstream
-	// (chain-forward) or is concatenated in frontend order (relayed).
+	// frontend's sub-batch joins the chain as its own counted upstream.
 	// Frontends must start with the coordinator: the replay carries no
 	// history, so a late joiner's cursors would diverge.
 	Frontends []Frontend
@@ -308,11 +214,9 @@ type Coordinator struct {
 	// position i is served by Mixers[i] (shard 0 — the group's
 	// ANNOUNCER, whose pinned signing key clients verify, and the
 	// round-key source) plus Shards[i] (shards 1..N-1), in shard-index
-	// order. A nil or empty entry leaves the position unsharded. The
+	// order. A nil or empty entry leaves the position a group of one. The
 	// merge/build-lead ROLE within each group rotates per round (see
-	// PinLead). Sharded rounds require the chain-forward data plane and
-	// shard-capable daemons everywhere; there is no silent fallback,
-	// because the shards divide the position's noise at round open.
+	// PinLead).
 	Shards [][]Mixer
 
 	// Spares lists hot-spare daemons per chain position: unpinned,
@@ -360,11 +264,6 @@ type Coordinator struct {
 	// a batch through the chain (0 = mixnet.DefaultStreamChunk).
 	ChunkSize int
 
-	// Sequential disables the streaming pipeline: the chain runs strictly
-	// stage-by-stage through full-batch Mix calls. Used by benchmarks to
-	// measure what the pipeline buys; production keeps it false.
-	Sequential bool
-
 	// PairingV2 enables negotiation of the optimal-ate sealed-ciphertext
 	// tier for add-friend rounds. Rounds open at v2 only when every PKG
 	// supports it (see PairingPKG); otherwise — and always when this gate
@@ -372,24 +271,12 @@ type Coordinator struct {
 	// settings.
 	PairingV2 bool
 
-	// ChainForward moves the data plane onto the servers: mixers forward
-	// their output directly to their successors and the last mixer
-	// publishes to the CDN at CDNAddr, leaving the coordinator with
-	// control messages only. It takes effect when every mixer implements
-	// ForwardMixer and reports forwarding support; otherwise rounds fall
-	// back to the coordinator-relayed pipeline (rolling upgrade).
+	// Deprecated: nothing reads ChainForward; bench/fleet.go, frozen for this PR, sets it.
 	ChainForward bool
 
-	// CDNAddr is the RPC address serving cdn.publish (normally this
-	// coordinator's own frontend). Required for ChainForward rounds.
+	// CDNAddr is the RPC address serving cdn.publish, where the last
+	// position's daemons publish the round's mailboxes. Required.
 	CDNAddr string
-
-	// CDNMirrors are additional in-process CDN replicas that receive a
-	// copy of every round the RELAYED path publishes to CDN. (Forwarded
-	// rounds replicate server-side: the ingest CDN node pushes sealed
-	// rounds to its peers itself.) The simulator uses this for its extra
-	// replicas; failures are best-effort, a mirror backfills later.
-	CDNMirrors []*cdn.Store
 
 	// Logger, when set, gets one round-health line per closed round.
 	Logger *log.Logger
@@ -447,20 +334,14 @@ type RoundHealth struct {
 	Round    uint32
 	Batch    int
 	Duration time.Duration
-	// Forwarded reports which data plane ran; per-daemon stats exist
-	// only for forwarded rounds (they come from mix.round.wait).
-	Forwarded bool
-	Daemons   []DaemonRoundStats
-	Err       string
+	Daemons  []DaemonRoundStats
+	Err      string
 }
 
 // String renders the health record as the coordinator's per-round log line.
 func (h RoundHealth) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%v round %d: batch=%d duration=%s", h.Service, h.Round, h.Batch, h.Duration.Round(time.Millisecond))
-	if !h.Forwarded {
-		b.WriteString(" plane=relayed")
-	}
 	if h.Err != "" {
 		fmt.Fprintf(&b, " err=%q", h.Err)
 	}
@@ -500,25 +381,6 @@ func (c *Coordinator) recordHealth(h RoundHealth) {
 	if c.Logger != nil {
 		c.Logger.Printf("round health: %s", h)
 	}
-}
-
-// New creates a coordinator over in-process servers, the common case for
-// tests and single-machine deployments. For remote daemons, construct the
-// Coordinator literal with rpc.MixerClient / rpc.PKGClient values.
-func New(e *entry.Server, mixers []*mixnet.Server, pkgs []*pkgserver.Server, store *cdn.Store) *Coordinator {
-	c := &Coordinator{
-		Entry:                    e,
-		CDN:                      store,
-		TargetRequestsPerMailbox: 24000,
-		expectedVolume:           make(map[wire.Service]int),
-	}
-	for _, m := range mixers {
-		c.Mixers = append(c.Mixers, m)
-	}
-	for _, p := range pkgs {
-		c.PKGs = append(c.PKGs, p)
-	}
-	return c
 }
 
 // SetExpectedVolume seeds the mailbox-count heuristic (e.g. from the
@@ -713,24 +575,9 @@ func (c *Coordinator) shardGroup(i int) []Mixer {
 	return group
 }
 
-// sharded reports whether any chain position has more than one shard.
-func (c *Coordinator) sharded() bool {
-	for _, extra := range c.Shards {
-		if len(extra) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 func (c *Coordinator) openMixRound(settings *wire.RoundSettings) (err error) {
-	if c.sharded() {
-		if c.Sequential {
-			return fmt.Errorf("coordinator: sharded positions cannot run the sequential data plane")
-		}
-		if !c.ChainForward || c.CDNAddr == "" {
-			return fmt.Errorf("coordinator: sharded positions require the chain-forward data plane and a CDN address")
-		}
+	if len(c.Mixers) == 0 || c.CDNAddr == "" {
+		return fmt.Errorf("coordinator: a round needs at least one mixer and a CDN publish address")
 	}
 	// The scheduler plans the round FIRST: it probes every candidate,
 	// drafts spares into benched slots, and picks the merge-role
@@ -763,17 +610,13 @@ func (c *Coordinator) openMixRound(settings *wire.RoundSettings) (err error) {
 	if err != nil {
 		return err
 	}
-	if c.sharded() {
-		if err := c.openShardGroups(settings.Service, settings.Round, plan); err != nil {
-			return err
-		}
+	if err := c.openShardGroups(settings.Service, settings.Round, plan); err != nil {
+		return err
 	}
 	// Every shard of every position needs the onion keys of the
 	// POSITIONS after it to wrap its noise; with the keys distributed,
 	// every server can generate its round noise concurrently with client
-	// intake, so the mix never waits for it. (Sequential mode skips the
-	// preparation — it benchmarks the unpipelined chain, where noise
-	// generation happens inside Mix.)
+	// intake, so the mix never waits for it.
 	return fanOut(len(c.Mixers), func(i int) error {
 		group := plan.group(i)
 		return fanOut(len(group), func(s int) error {
@@ -781,20 +624,15 @@ func (c *Coordinator) openMixRound(settings *wire.RoundSettings) (err error) {
 			if err := m.SetDownstreamKeys(settings.Service, settings.Round, keys[i+1:]); err != nil {
 				return fmt.Errorf("coordinator: mixer %d/%d downstream keys: %w", i, s, err)
 			}
-			if c.Sequential {
-				return nil
-			}
-			if np, ok := m.(NoisePreparer); ok && supportsStreaming(m) {
-				if err := np.PrepareNoise(settings.Service, settings.Round, settings.NumMailboxes); err != nil {
-					return fmt.Errorf("coordinator: mixer %d/%d prepare noise: %w", i, s, err)
-				}
+			if err := m.PrepareNoise(settings.Service, settings.Round, settings.NumMailboxes); err != nil {
+				return fmt.Errorf("coordinator: mixer %d/%d prepare noise: %w", i, s, err)
 			}
 			return nil
 		})
 	})
 }
 
-// openShardGroups prepares every sharded position for the round: the
+// openShardGroups prepares every multi-member position for the round: the
 // group members pull the announcer's round key (one key per position —
 // shards are one logical server), and every member learns its shard
 // index, group size, and the round's shard network so its noise share
@@ -810,55 +648,35 @@ func (c *Coordinator) openMixRound(settings *wire.RoundSettings) (err error) {
 // installed before any peer pulls from it (so the announcer's layout
 // call comes first of all, and the lead's precedes the other members').
 func (c *Coordinator) openShardGroups(service wire.Service, round uint32, plan *roundPlan) error {
-	setShard := func(m Mixer, pos, s, count int, peers []string) error {
-		if pm, ok := m.(ShardPeerMixer); ok && len(peers) > 0 {
-			if err := pm.SetRoundShardPeers(service, round, s, count, peers); err != nil {
-				return fmt.Errorf("coordinator: position %d shard %d layout: %w", pos, s, err)
-			}
-			return nil
-		}
-		sm, ok := m.(ShardMixer)
-		if !ok || !supportsSharding(m) {
-			return fmt.Errorf("coordinator: position %d shard %d does not support shard groups", pos, s)
-		}
-		if err := sm.SetRoundShard(service, round, s, count); err != nil {
-			return fmt.Errorf("coordinator: position %d shard %d layout: %w", pos, s, err)
-		}
-		return nil
-	}
 	return fanOut(len(c.Mixers), func(i int) error {
 		group := plan.group(i)
 		if len(group) == 1 {
+			// A group of one has nobody to share a key with and no noise
+			// to divide: the daemon's round opens as shard 0 of 1.
 			return nil
 		}
-		announcer, ok := group[0].(ForwardMixer)
-		if !ok || !announcer.SupportsForwarding() || !supportsSharding(group[0]) {
-			return fmt.Errorf("coordinator: position %d is sharded but its announcer cannot serve a shard group", i)
-		}
 		peers := plan.peers[i]
+		setShard := func(s int) error {
+			if err := group[s].SetRoundShard(service, round, s, len(group), peers); err != nil {
+				return fmt.Errorf("coordinator: position %d shard %d layout: %w", i, s, err)
+			}
+			return nil
+		}
 		// The announcer owns the round key, so its layout (and with it
 		// the export allowlist) installs before anyone pulls.
-		if err := setShard(group[0], i, 0, len(group), peers); err != nil {
+		if err := setShard(0); err != nil {
 			return err
 		}
 		li := plan.lead(i)
-		keyAddr := announcer.Addr()
+		keyAddr := group[0].Addr()
 		if li != 0 {
-			lm, ok := group[li].(ShardMixer)
-			if !ok || !supportsSharding(group[li]) {
-				return fmt.Errorf("coordinator: position %d shard %d does not support shard groups", i, li)
-			}
-			if err := lm.ImportRoundKeyFrom(service, round, announcer.Addr()); err != nil {
+			if err := group[li].ImportRoundKeyFrom(service, round, keyAddr); err != nil {
 				return fmt.Errorf("coordinator: position %d lead %d importing round key: %w", i, li, err)
 			}
-			if err := setShard(group[li], i, li, len(group), peers); err != nil {
+			if err := setShard(li); err != nil {
 				return err
 			}
-			lf, ok := group[li].(ForwardMixer)
-			if !ok {
-				return fmt.Errorf("coordinator: position %d lead %d has no address", i, li)
-			}
-			keyAddr = lf.Addr()
+			keyAddr = group[li].Addr()
 		}
 		// The remaining members are independent of one another (only
 		// import-before-layout matters, per member), so they fan out
@@ -867,21 +685,16 @@ func (c *Coordinator) openShardGroups(service wire.Service, round uint32, plan *
 			if s == 0 || s == li {
 				return nil
 			}
-			m := group[s]
-			sm, ok := m.(ShardMixer)
-			if !ok || !supportsSharding(m) {
-				return fmt.Errorf("coordinator: position %d shard %d does not support shard groups", i, s)
-			}
-			if err := sm.ImportRoundKeyFrom(service, round, keyAddr); err != nil {
+			if err := group[s].ImportRoundKeyFrom(service, round, keyAddr); err != nil {
 				return fmt.Errorf("coordinator: position %d shard %d importing round key: %w", i, s, err)
 			}
-			return setShard(m, i, s, len(group), peers)
+			return setShard(s)
 		})
 	})
 }
 
 // CloseRound performs steps 5-6 for either service: close intake, run the
-// data plane, publish mailboxes, and erase round keys.
+// data plane, and erase round keys.
 //
 // For add-friend rounds the PKG master keys are erased CONCURRENTLY with
 // the mix chain: clients extract identity keys strictly while submitting,
@@ -889,19 +702,12 @@ func (c *Coordinator) openShardGroups(service wire.Service, round uint32, plan *
 // serializing after publish (FinishAddFriendRound remains as an explicit,
 // idempotent hook for drivers that want a later erasure point).
 //
-// In chain-forward mode the mailboxes never pass through the coordinator:
-// the last daemon publishes them to the CDN at CDNAddr and the returned
-// map is nil — clients (and tests) fetch from the CDN.
+// The mailboxes never pass through the coordinator: the last position's
+// daemons publish them to the CDN at CDNAddr, and clients (and tests)
+// fetch them from there.
 //
-// Otherwise the chain runs as the coordinator-relayed streaming pipeline:
-// the entry server hands the batch over in chunks, each mixer stage runs
-// in its own goroutine, and stages that implement StreamMixer start
-// decrypting while the upstream stage is still emitting. The final
-// mailboxes are built sharded across workers and published without
-// copying. The returned map shares its byte slices with the CDN store
-// (the copy is skipped deliberately — at paper scale it is gigabytes per
-// round); callers MUST treat the mailboxes as read-only. Mutating them
-// would corrupt what the CDN serves.
+// Deprecated: the first result is always nil; bench/round.go, frozen for
+// this PR, reads two results.
 func (c *Coordinator) CloseRound(service wire.Service, round uint32) (map[uint32][]byte, error) {
 	start := time.Now()
 	settings, err := c.Entry.Settings(service, round)
@@ -912,10 +718,6 @@ func (c *Coordinator) CloseRound(service wire.Service, round uint32) (map[uint32
 	// rotation, chunk size, and deadline are fixed for the round's life.
 	plan := c.planFor(service, round)
 	defer c.dropPlan(service, round)
-	chunkSize := plan.chunkSize
-	if chunkSize <= 0 {
-		chunkSize = mixnet.DefaultStreamChunk
-	}
 	batch, err := c.Entry.CloseRound(service, round)
 	if err != nil {
 		return nil, err
@@ -940,91 +742,41 @@ func (c *Coordinator) CloseRound(service wire.Service, round uint32) (map[uint32
 	// that outlive their round are a forward-secrecy hazard.
 	defer c.closeMixerRounds(service, round, plan)
 
-	groups, err := c.forwardGroups(plan)
-	if err != nil {
-		return nil, err
-	}
-
-	// Close the other frontends' intakes, in frontend order. On the
-	// chain-forward plane a feeder keeps its sub-batch local and will deal
-	// it into position 0 itself; otherwise the sub-batch comes back here
-	// to be fed (forwarded) or concatenated (relayed) by this process.
-	extras := make([]closedFrontend, len(c.Frontends))
+	// Close the other frontends' intakes, in frontend order. Each keeps
+	// its sub-batch and will deal it into position 0 itself.
 	total := len(batch)
 	for i, f := range c.Frontends {
-		if feeder, ok := f.(FrontendFeeder); ok && groups != nil {
-			n, err := feeder.CloseIntake(service, round)
-			if err != nil {
-				return nil, fmt.Errorf("coordinator: frontend %d close: %w", i+1, err)
-			}
-			extras[i] = closedFrontend{feeder: feeder}
-			total += n
-		} else {
-			b, err := f.CloseRound(service, round)
-			if err != nil {
-				return nil, fmt.Errorf("coordinator: frontend %d close: %w", i+1, err)
-			}
-			extras[i] = closedFrontend{batch: b}
-			total += len(b)
+		n, err := f.CloseIntake(service, round)
+		if err != nil {
+			return nil, fmt.Errorf("coordinator: frontend %d close: %w", i+1, err)
 		}
+		total += n
 	}
 	c.SetExpectedVolume(service, total)
 
-	if groups != nil {
-		daemons, err := c.runChainForwarded(service, round, settings.NumMailboxes, batch, chunkSize, plan, groups, extras)
-		h := RoundHealth{
-			Service: service, Round: round, Batch: total,
-			Duration: time.Since(start), Forwarded: true, Daemons: daemons,
-		}
-		if err != nil {
-			h.Err = err.Error()
-		}
-		c.recordHealth(h)
-		if err != nil {
-			return nil, err
-		}
-		// The last daemon published straight to the CDN; tell the entry
-		// servers so subscribers and entry.events watchers learn the
-		// round's mailboxes are available.
-		c.announcePublished(service, round)
-		return nil, nil
+	daemons, err := c.runRound(service, round, settings.NumMailboxes, batch, plan)
+	h := RoundHealth{
+		Service: service, Round: round, Batch: total,
+		Duration: time.Since(start), Daemons: daemons,
 	}
-
-	// Relayed: the sub-batches merge by concatenation in frontend order —
-	// the same deterministic order the forwarded plane feeds them in.
-	for _, cf := range extras {
-		batch = append(batch, cf.batch...)
-	}
-	final, err := c.runChain(service, round, settings.NumMailboxes, mixnet.ChunkSource(batch, chunkSize), chunkSize)
 	if err != nil {
-		c.recordHealth(RoundHealth{Service: service, Round: round, Batch: len(batch), Duration: time.Since(start), Err: err.Error()})
-		return nil, err
+		h.Err = err.Error()
 	}
-	mailboxes, err := mixnet.BuildMailboxes(service, settings.NumMailboxes, final)
+	c.recordHealth(h)
 	if err != nil {
 		return nil, err
 	}
-	// The mailbox builder allocated these buffers; hand them to the CDN
-	// without a copy, then return a read-only view to the caller.
-	published := make(map[uint32][]byte, len(mailboxes))
-	for id, data := range mailboxes {
-		published[id] = data
-	}
-	if err := c.CDN.PublishOwned(service, round, published); err != nil {
-		return nil, err
-	}
-	for _, mirror := range c.CDNMirrors {
-		_ = cdn.CloneRound(mirror, c.CDN, service, round)
-	}
-	c.recordHealth(RoundHealth{Service: service, Round: round, Batch: len(batch), Duration: time.Since(start)})
+	// The last position published straight to the CDN; tell the entry
+	// servers so subscribers and entry.events watchers learn the round's
+	// mailboxes are available.
 	c.announcePublished(service, round)
-	return mailboxes, nil
+	return nil, nil
 }
 
 // closeMixerRounds erases the round key on every PLANNED member of every
 // position (drafted spares included), fanning the calls out (each is a
 // network round trip against daemons). Erasure failures are the daemons'
-// problem — CloseRound is fire-and-forget, like the in-process API.
+// problem — CloseRound is fire-and-forget.
 func (c *Coordinator) closeMixerRounds(service wire.Service, round uint32, plan *roundPlan) {
 	_ = fanOut(len(c.Mixers), func(i int) error {
 		for _, m := range plan.group(i) {
@@ -1034,128 +786,58 @@ func (c *Coordinator) closeMixerRounds(service wire.Service, round uint32, plan 
 	})
 }
 
-// forwardGroups returns the chain as per-position ForwardMixer shard
-// groups when the chain-forward data plane is usable: ChainForward is
-// set, a CDN publish address exists, and every daemon supports streaming
-// and forwarding (plus the shard surface wherever a position is
-// sharded). An unsharded fleet that can't forward returns nil and the
-// round falls back to the coordinator-relayed pipeline; a SHARDED fleet
-// that can't forward is an error — the noise was divided at round open,
-// so no other data plane can run this round.
-func (c *Coordinator) forwardGroups(plan *roundPlan) ([][]ForwardMixer, error) {
-	sharded := c.sharded()
-	usable := c.ChainForward && !c.Sequential && c.CDNAddr != "" && len(c.Mixers) > 0
-	if !usable {
-		if sharded {
-			return nil, fmt.Errorf("coordinator: sharded positions require the chain-forward data plane")
-		}
-		return nil, nil
-	}
-	groups := make([][]ForwardMixer, len(c.Mixers))
-	for i := range c.Mixers {
-		group := plan.group(i)
-		groups[i] = make([]ForwardMixer, len(group))
-		for s, m := range group {
-			fm, isForward := m.(ForwardMixer)
-			_, isStream := m.(StreamMixer)
-			ok := isForward && isStream && fm.SupportsForwarding() && supportsStreaming(m)
-			if ok && sharded && !supportsSharding(m) {
-				ok = false
-			}
-			if !ok {
-				if sharded {
-					return nil, fmt.Errorf("coordinator: position %d shard %d cannot serve a sharded chain-forward round", i, s)
-				}
-				return nil, nil
-			}
-			groups[i][s] = fm
-		}
-	}
-	return groups, nil
-}
-
-// closedFrontend is one additional frontend's closed intake: either a
-// feeder that kept its sub-batch local (chain-forward) or the pulled
-// sub-batch itself.
-type closedFrontend struct {
-	feeder FrontendFeeder
-	batch  [][]byte
-}
-
-// routedDaemon is one daemon's place in a forwarded round's route graph.
+// routedDaemon is one daemon's place in a round's route graph.
 type routedDaemon struct {
 	pos, shard int
-	fm         ForwardMixer
+	m          Mixer
 }
 
-func flattenGroups(groups [][]ForwardMixer) []routedDaemon {
-	var all []routedDaemon
-	for i, group := range groups {
-		for s, fm := range group {
-			all = append(all, routedDaemon{pos: i, shard: s, fm: fm})
-		}
+// addrs returns a group's dial addresses, in shard order.
+func addrs(group []Mixer) []string {
+	out := make([]string, len(group))
+	for s, m := range group {
+		out[s] = m.Addr()
 	}
-	return all
+	return out
 }
 
-// runChainForwarded drives the chain-forward data plane: open a route on
-// every daemon (back to front, so each successor is routed before its
-// predecessor could possibly forward), deal the entry batch across the
-// first position's shard set, then wait on every daemon's completion.
-// Routes announce the shard topology per position: every member learns
-// its shard index and group size, non-merge shards learn their group's
-// merge address, and each merge server learns the successor position's
-// FULL shard set. The merge/build-lead role lands on the plan's rotated
-// lead — a role, not a machine; the key-derived permutation makes the
-// round's output independent of which member hosts it. On the first
-// failure the round is aborted on every shard of every position —
-// daemons also propagate aborts down the chain and across their groups
-// themselves, so a mid-chain death cannot wedge its successors.
+// runRound drives the data plane: open a route on every daemon (back to
+// front, so each successor is routed before its predecessor could
+// possibly forward), deal the entry batch across the first position's
+// shard set, then wait on every daemon's completion. Routes announce the
+// shard topology per position: every member learns its shard index and
+// group size, non-lead shards learn their group's lead address, and each
+// lead learns the successor position's FULL shard set — or, for the last
+// position, the CDN address and its own group's address list, across
+// which it deals the post-shuffle batch by mailbox ID so that every
+// member builds and publishes its own slice. The lead role lands on the
+// plan's rotated lead — a role, not a machine; the key-derived
+// permutation makes the round's output independent of which member hosts
+// it. On the first failure the round is aborted on every shard of every
+// position — daemons also propagate aborts down the chain and across
+// their groups themselves, so a mid-chain death cannot wedge its
+// successors.
 //
 // The returned per-daemon stats (from mix.round.wait) feed the round
 // health record even when the round fails.
-func (c *Coordinator) runChainForwarded(service wire.Service, round uint32, numMailboxes uint32, batch [][]byte, chunkSize int, plan *roundPlan, groups [][]ForwardMixer, extras []closedFrontend) ([]DaemonRoundStats, error) {
-	numUpstream := 1 + len(extras)
-	all := flattenGroups(groups)
+func (c *Coordinator) runRound(service wire.Service, round uint32, numMailboxes uint32, batch [][]byte, plan *roundPlan) ([]DaemonRoundStats, error) {
+	chunkSize := plan.chunkSize
+	numUpstream := 1 + len(c.Frontends)
+	var all []routedDaemon
+	for i, group := range plan.groups {
+		for s, m := range group {
+			all = append(all, routedDaemon{pos: i, shard: s, m: m})
+		}
+	}
 	abortAll := func(reason error) {
 		_ = fanOut(len(all), func(i int) error {
-			return all[i].fm.AbortRound(service, round, reason.Error())
+			return all[i].m.AbortRound(service, round, reason.Error())
 		})
 	}
 
-	for i := len(groups) - 1; i >= 0; i-- {
-		group := groups[i]
-		var successors []string
-		cdnAddr := ""
-		var buildShards []string
-		if i == len(groups)-1 {
-			cdnAddr = c.CDNAddr
-			// Sharded mailbox building: when the LAST position is a multi-
-			// shard group and every member advertises the build surface,
-			// the merge server deals the post-shuffle batch by mailbox ID
-			// and each shard publishes its own slice straight to the CDN —
-			// the merged round's mailbox bytes never funnel through one
-			// machine. Any pre-build daemon in the group falls the whole
-			// group back to merge-builds-all (rolling upgrade).
-			if len(group) > 1 {
-				capable := true
-				for _, fm := range group {
-					if !supportsShardedBuild(fm) {
-						capable = false
-						break
-					}
-				}
-				if capable {
-					for _, fm := range group {
-						buildShards = append(buildShards, fm.Addr())
-					}
-				}
-			}
-		} else {
-			for _, fm := range groups[i+1] {
-				successors = append(successors, fm.Addr())
-			}
-		}
+	last := len(plan.groups) - 1
+	for i := last; i >= 0; i-- {
+		group := plan.group(i)
 		// Positions are routed back-to-front (a successor must be routed
 		// before its predecessor could forward), but the shards WITHIN a
 		// position are independent and fan out.
@@ -1166,29 +848,29 @@ func (c *Coordinator) runChainForwarded(service wire.Service, round uint32, numM
 				ChunkSize:    chunkSize,
 				ShardIndex:   s,
 				ShardCount:   len(group),
+				NumUpstream:  1,
 				DeadlineMs:   plan.deadlineMs,
 			}
-			if i == 0 && numUpstream > 1 {
+			if i == 0 {
 				// Position 0 is fed by every frontend: its intake stays
-				// open until all numUpstream feeders have sent their
-				// upstream-tagged end (PR 3's counted fan-in).
+				// open until all of them have sent their upstream-tagged
+				// end.
 				spec.NumUpstream = numUpstream
 			}
-			if s == li {
-				// This round's lead hosts the group's merge: the
-				// position's post-shuffle output leaves the group from
-				// here. (BuildShards stays in shard order — members
-				// identify themselves by their own shard index.)
-				spec.Successors = successors
-				spec.CDNAddr = cdnAddr
-				spec.BuildShards = buildShards
-			} else {
+			if i == last {
+				// Every member of the last group publishes its own
+				// mailbox-ID slice.
+				spec.CDNAddr = c.CDNAddr
+			}
+			switch {
+			case s != li:
 				spec.MergeAddr = group[li].Addr()
-				if buildShards != nil {
-					// A build shard publishes its dealt mailbox-ID slice
-					// itself, so it needs the CDN address too.
-					spec.CDNAddr = cdnAddr
-				}
+			case i == last:
+				// BuildShards stays in shard order — members identify
+				// themselves by their own shard index.
+				spec.BuildShards = addrs(group)
+			default:
+				spec.Successors = addrs(plan.group(i + 1))
 			}
 			if err := group[s].OpenRoute(service, round, spec); err != nil {
 				return fmt.Errorf("coordinator: routing mixer %d/%d: %w", i, s, err)
@@ -1204,7 +886,7 @@ func (c *Coordinator) runChainForwarded(service wire.Service, round uint32, numM
 	// Frontend 0's batch is the one payload this process still moves: the
 	// coordinator owns its entry server, so this hop is unavoidable and
 	// costs one sub-batch-width, not one per chain hop.
-	if err := c.feedFirstGroup(service, round, numMailboxes, batch, chunkSize, 0, numUpstream, plan.group(0)); err != nil {
+	if err := feedFirstGroup(service, round, numMailboxes, batch, chunkSize, plan.group(0)); err != nil {
 		err = fmt.Errorf("coordinator: feeding position 0: %w", err)
 		abortAll(err)
 		return nil, err
@@ -1213,23 +895,12 @@ func (c *Coordinator) runChainForwarded(service wire.Service, round uint32, numM
 	// frontend order, so the merged intake order at every shard is
 	// deterministic: a fixed-seed N-frontend round reproduces the
 	// single-frontend byte stream exactly.
-	if len(extras) > 0 {
-		var shardAddrs []string
-		for _, fm := range groups[0] {
-			shardAddrs = append(shardAddrs, fm.Addr())
-		}
-		for k, cf := range extras {
-			var err error
-			if cf.feeder != nil {
-				err = cf.feeder.FeedBatch(service, round, numMailboxes, chunkSize, shardAddrs, k+1)
-			} else {
-				err = c.feedFirstGroup(service, round, numMailboxes, cf.batch, chunkSize, k+1, numUpstream, plan.group(0))
-			}
-			if err != nil {
-				err = fmt.Errorf("coordinator: feeding position 0 as upstream %d: %w", k+1, err)
-				abortAll(err)
-				return nil, err
-			}
+	first := addrs(plan.group(0))
+	for k, f := range c.Frontends {
+		if err := f.FeedBatch(service, round, numMailboxes, chunkSize, first, k+1); err != nil {
+			err = fmt.Errorf("coordinator: feeding position 0 as upstream %d: %w", k+1, err)
+			abortAll(err)
+			return nil, err
 		}
 	}
 
@@ -1241,8 +912,8 @@ func (c *Coordinator) runChainForwarded(service wire.Service, round uint32, numM
 	for i, rd := range all {
 		go func(i int, rd routedDaemon) {
 			defer wg.Done()
-			stats, err := rd.fm.WaitRound(service, round)
-			daemons[i] = DaemonRoundStats{Position: rd.pos, Shard: rd.shard, Addr: rd.fm.Addr(), Stats: stats}
+			stats, err := rd.m.WaitRound(service, round)
+			daemons[i] = DaemonRoundStats{Position: rd.pos, Shard: rd.shard, Addr: rd.m.Addr(), Stats: stats}
 			if err != nil {
 				daemons[i].Err = err.Error()
 				errs[i] = err
@@ -1262,7 +933,7 @@ func (c *Coordinator) runChainForwarded(service wire.Service, round uint32, numM
 		if err == nil {
 			continue
 		}
-		wrapped := fmt.Errorf("coordinator: forwarded chain, mixer %d/%d: %w", all[i].pos, all[i].shard, err)
+		wrapped := fmt.Errorf("coordinator: mixer %d/%d: %w", all[i].pos, all[i].shard, err)
 		if firstErr == nil {
 			firstErr = wrapped
 		}
@@ -1273,108 +944,28 @@ func (c *Coordinator) runChainForwarded(service wire.Service, round uint32, numM
 	return daemons, firstErr
 }
 
-// upstreamEnder is the fan-in end surface of a StreamMixer: a stream end
-// tagged with WHICH of a route's NumUpstream feeders finished, so the
-// daemon's counted intake closes exactly once per feeder.
-// rpc.MixerClient implements it (mix.stream.end with an upstream index).
-type upstreamEnder interface {
-	StreamEndAs(service wire.Service, round uint32, upstream int) ([][]byte, error)
-}
-
-// feedFirstGroup deals one frontend's closed sub-batch across the first
-// position's PLANNED shard set, chunk i to shard i mod N — the same
-// deterministic deal the daemons use between positions. Every shard gets
-// its own stream; an unsharded first position degenerates to the
-// single-stream feed. With more than one upstream feeder the begins JOIN
-// the streams the first feeder opened and the ends carry this feeder's
-// upstream index for the shards' counted fan-in.
-func (c *Coordinator) feedFirstGroup(service wire.Service, round uint32, numMailboxes uint32, batch [][]byte, chunkSize, upstream, numUpstream int, group []Mixer) error {
-	first := make([]StreamMixer, len(group))
+// feedFirstGroup deals the coordinator's own entry server's closed
+// sub-batch, as upstream 0, across the first position's PLANNED shard set,
+// chunk i to shard i mod N — the same deterministic deal the daemons use
+// between positions. Every shard gets its own stream; the other
+// frontends' begins JOIN these streams.
+func feedFirstGroup(service wire.Service, round uint32, numMailboxes uint32, batch [][]byte, chunkSize int, group []Mixer) error {
 	for s, m := range group {
-		sm, ok := m.(StreamMixer)
-		if !ok {
-			return fmt.Errorf("coordinator: position 0 shard %d cannot stream", s)
-		}
-		first[s] = sm
-	}
-	for s, sm := range first {
-		if err := sm.StreamBegin(service, round, numMailboxes); err != nil {
+		if err := m.StreamBegin(service, round, numMailboxes); err != nil {
 			return fmt.Errorf("coordinator: opening stream to shard %d: %w", s, err)
 		}
 	}
 	for i, lo := 0, 0; lo < len(batch); i, lo = i+1, lo+chunkSize {
-		hi := lo + chunkSize
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		if err := first[i%len(first)].StreamChunk(service, round, batch[lo:hi]); err != nil {
+		hi := min(lo+chunkSize, len(batch))
+		if err := group[i%len(group)].StreamChunk(service, round, batch[lo:hi]); err != nil {
 			return err
 		}
 	}
-	for s, sm := range first {
-		if numUpstream > 1 {
-			ue, ok := sm.(upstreamEnder)
-			if !ok {
-				return fmt.Errorf("coordinator: position 0 shard %d cannot take an upstream-tagged end", s)
-			}
-			if _, err := ue.StreamEndAs(service, round, upstream); err != nil {
-				return fmt.Errorf("coordinator: closing stream to shard %d as upstream %d: %w", s, upstream, err)
-			}
-			continue
-		}
-		if _, err := sm.StreamEnd(service, round); err != nil {
+	for s, m := range group {
+		if err := m.StreamEnd(service, round, 0); err != nil {
 			return fmt.Errorf("coordinator: closing stream to shard %d: %w", s, err)
 		}
 	}
-	return nil
-}
-
-// runChain streams the batch through the mix chain. Stages run
-// concurrently; mixers without streaming support are driven by a
-// full-batch Mix call inside their stage, which still overlaps with the
-// other stages' noise generation and emission.
-func (c *Coordinator) runChain(service wire.Service, round uint32, numMailboxes uint32, source <-chan [][]byte, chunkSize int) ([][]byte, error) {
-	stages := make([]mixnet.ChunkMixer, len(c.Mixers))
-	for i, m := range c.Mixers {
-		if sm, ok := m.(StreamMixer); ok && !c.Sequential && supportsStreaming(m) {
-			stages[i] = sm
-		} else {
-			stages[i] = &bufferedStage{m: m}
-		}
-	}
-	out, err := mixnet.RunPipeline(stages, service, round, numMailboxes, source, chunkSize)
-	if err != nil {
-		return nil, fmt.Errorf("coordinator: %w", err)
-	}
-	return out, nil
-}
-
-// bufferedStage adapts a full-batch Mixer to the streaming pipeline: it
-// accumulates chunks and runs Mix once at StreamEnd. Used for remote
-// daemons that predate the streaming RPC surface, and for benchmarking the
-// unpipelined chain.
-type bufferedStage struct {
-	m            Mixer
-	numMailboxes uint32
-	batch        [][]byte
-}
-
-func (b *bufferedStage) StreamBegin(service wire.Service, round uint32, numMailboxes uint32) error {
-	b.numMailboxes = numMailboxes
-	return nil
-}
-
-func (b *bufferedStage) StreamChunk(service wire.Service, round uint32, chunk [][]byte) error {
-	b.batch = append(b.batch, chunk...)
-	return nil
-}
-
-func (b *bufferedStage) StreamEnd(service wire.Service, round uint32) ([][]byte, error) {
-	return b.m.Mix(service, round, b.numMailboxes, b.batch)
-}
-
-func (b *bufferedStage) StreamAbort(service wire.Service, round uint32) error {
-	b.batch = nil
 	return nil
 }
 

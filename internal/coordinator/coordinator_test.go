@@ -13,33 +13,68 @@ import (
 	"alpenhorn/internal/noise"
 	"alpenhorn/internal/onionbox"
 	"alpenhorn/internal/pkgserver"
+	"alpenhorn/internal/rpc"
 	"alpenhorn/internal/wire"
 )
 
-func newTestCoordinator(t *testing.T, numMixers, numPKGs int) *Coordinator {
+// testCoordinator is a coordinator over daemons served on in-memory
+// listeners, plus the servers and the store behind them.
+type testCoordinator struct {
+	*Coordinator
+	servers []*mixnet.Server
+	store   *cdn.Store
+}
+
+// listenMem serves srv on an in-memory address for the test's duration.
+func listenMem(t *testing.T, srv *rpc.Server) string {
 	t.Helper()
+	t.Cleanup(srv.Close)
+	return srv.ListenMem()
+}
+
+// startMixer serves one unpinned mixer daemon (µ = 1 per mailbox, b = 0).
+func startMixer(t *testing.T, position, chain int) (*mixnet.Server, *rpc.MixerClient) {
+	t.Helper()
+	nz := noise.Laplace{Mu: 1, B: 0}
+	m, err := mixnet.New(mixnet.Config{
+		Name: "m", Position: position, ChainLength: chain,
+		AddFriendNoise: &nz, DialingNoise: &nz,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := rpc.NewServer()
+	rpc.RegisterMixer(srv, m)
+	mc, err := rpc.DialMixer(listenMem(t, srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, mc
+}
+
+func newTestCoordinator(t *testing.T, numMixers, numPKGs int) *testCoordinator {
+	t.Helper()
+	c := &testCoordinator{
+		Coordinator: &Coordinator{Entry: entry.New(), TargetRequestsPerMailbox: 24000},
+		store:       cdn.NewStore(0),
+	}
 	provider := emailpkg.NewInMemoryProvider()
-	var pkgs []*pkgserver.Server
 	for i := 0; i < numPKGs; i++ {
 		p, err := pkgserver.New(pkgserver.Config{Name: "p", Provider: provider})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkgs = append(pkgs, p)
+		c.PKGs = append(c.PKGs, p)
 	}
-	nz := noise.Laplace{Mu: 1, B: 0}
-	var mixers []*mixnet.Server
 	for i := 0; i < numMixers; i++ {
-		m, err := mixnet.New(mixnet.Config{
-			Name: "m", Position: i, ChainLength: numMixers,
-			AddFriendNoise: &nz, DialingNoise: &nz,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mixers = append(mixers, m)
+		m, mc := startMixer(t, i, numMixers)
+		c.servers = append(c.servers, m)
+		c.Mixers = append(c.Mixers, mc)
 	}
-	return New(entry.New(), mixers, pkgs, cdn.NewStore(0))
+	cdnSrv := rpc.NewServer()
+	rpc.RegisterCDN(cdnSrv, c.store)
+	c.CDNAddr = listenMem(t, cdnSrv)
+	return c
 }
 
 func TestAddFriendRoundLifecycle(t *testing.T) {
@@ -57,21 +92,21 @@ func TestAddFriendRoundLifecycle(t *testing.T) {
 		t.Fatal("entry does not serve settings")
 	}
 
-	mailboxes, err := c.CloseRound(wire.AddFriend, 1)
-	if err != nil {
+	if _, err := c.CloseRound(wire.AddFriend, 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(mailboxes) != int(settings.NumMailboxes) {
-		t.Fatalf("%d mailboxes, want %d", len(mailboxes), settings.NumMailboxes)
+	sizes, err := c.store.MailboxSizes(wire.AddFriend, 1)
+	if err != nil {
+		t.Fatalf("mailboxes not published: %v", err)
 	}
-	if !c.CDN.Published(wire.AddFriend, 1) {
-		t.Fatal("mailboxes not published")
+	if len(sizes) != int(settings.NumMailboxes) {
+		t.Fatalf("%d mailboxes, want %d", len(sizes), settings.NumMailboxes)
 	}
 	// Mixer round keys erased. PKG master keys are erased concurrently
 	// with the mix (extraction only happens during the submission
 	// window), so they are gone by the time CloseRound returns.
-	for _, m := range c.Mixers {
-		if m.(*mixnet.Server).RoundOpen(wire.AddFriend, 1) {
+	for _, m := range c.servers {
+		if m.RoundOpen(wire.AddFriend, 1) {
 			t.Fatal("mixer round key survives close")
 		}
 	}
@@ -114,12 +149,15 @@ func TestDialingRoundLifecycle(t *testing.T) {
 	if len(settings.PKGs) != 0 {
 		t.Fatal("dialing settings should have no PKG keys")
 	}
-	mailboxes, err := c.CloseRound(wire.Dialing, 4)
-	if err != nil {
+	if _, err := c.CloseRound(wire.Dialing, 4); err != nil {
 		t.Fatal(err)
 	}
 	// Every mailbox is a valid Bloom filter.
-	for id, data := range mailboxes {
+	for id := uint32(0); id < settings.NumMailboxes; id++ {
+		data, err := c.store.Fetch(wire.Dialing, 4, id)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := bloom.Unmarshal(data); err != nil {
 			t.Fatalf("mailbox %d: %v", id, err)
 		}
@@ -162,7 +200,7 @@ func TestCloseUnopenedRoundFails(t *testing.T) {
 
 // submitDialTokens wraps one dial onion per token, addressed round-robin to
 // the round's mailboxes, and submits them to the entry server.
-func submitDialTokens(t *testing.T, c *Coordinator, settings *wire.RoundSettings, tokens [][]byte) {
+func submitDialTokens(t *testing.T, c *testCoordinator, settings *wire.RoundSettings, tokens [][]byte) {
 	t.Helper()
 	hops := make([]*onionbox.PublicKey, len(settings.Mixers))
 	for i, rk := range settings.Mixers {
@@ -192,99 +230,6 @@ func makeTokens(n int) [][]byte {
 		tokens[i] = tok
 	}
 	return tokens
-}
-
-// TestPipelinedRoundDeliversTokens runs a full dialing round through the
-// streaming pipeline (small chunks, so every server sees multiple chunks)
-// and through the sequential full-batch path, checking both deliver every
-// token to its mailbox.
-func TestPipelinedRoundDeliversTokens(t *testing.T) {
-	for _, sequential := range []bool{false, true} {
-		c := newTestCoordinator(t, 3, 0)
-		c.ChunkSize = 16
-		c.Sequential = sequential
-		c.TargetRequestsPerMailbox = 40
-		c.SetExpectedVolume(wire.Dialing, 120)
-
-		settings, err := c.OpenDialingRound(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if settings.NumMailboxes < 2 {
-			t.Fatalf("want a multi-mailbox round, got K=%d", settings.NumMailboxes)
-		}
-		tokens := makeTokens(120)
-		submitDialTokens(t, c, settings, tokens)
-
-		mailboxes, err := c.CloseRound(wire.Dialing, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, tok := range tokens {
-			mb := uint32(i) % settings.NumMailboxes
-			f, err := bloom.Unmarshal(mailboxes[mb])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !f.Test(tok) {
-				t.Fatalf("sequential=%v: token %d missing from mailbox %d", sequential, i, mb)
-			}
-		}
-		if !c.CDN.Published(wire.Dialing, 1) {
-			t.Fatal("round not published")
-		}
-	}
-}
-
-// legacyMixer wraps a *mixnet.Server but reports no streaming support, the
-// coordinator's view of a daemon built before the streaming RPC surface.
-// Any use of the streaming methods fails the test.
-type legacyMixer struct {
-	*mixnet.Server
-	t *testing.T
-}
-
-func (l *legacyMixer) SupportsStreaming() bool { return false }
-
-func (l *legacyMixer) PrepareNoise(service wire.Service, round uint32, numMailboxes uint32) error {
-	l.t.Error("PrepareNoise called on a mixer that does not support it")
-	return nil
-}
-
-func (l *legacyMixer) StreamBegin(service wire.Service, round uint32, numMailboxes uint32) error {
-	l.t.Error("StreamBegin called on a mixer that does not support it")
-	return nil
-}
-
-// TestLegacyMixerFallsBackToFullBatch: a mixer that reports no streaming
-// support must be driven through full-batch Mix only — the rolling-upgrade
-// path where the coordinator is newer than a mixer daemon.
-func TestLegacyMixerFallsBackToFullBatch(t *testing.T) {
-	c := newTestCoordinator(t, 2, 0)
-	c.Mixers[0] = &legacyMixer{Server: c.Mixers[0].(*mixnet.Server), t: t}
-	c.TargetRequestsPerMailbox = 40
-	c.SetExpectedVolume(wire.Dialing, 60)
-
-	settings, err := c.OpenDialingRound(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tokens := makeTokens(60)
-	submitDialTokens(t, c, settings, tokens)
-	mailboxes, err := c.CloseRound(wire.Dialing, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tok := range tokens {
-		mb := uint32(i) % settings.NumMailboxes
-		f, err := bloom.Unmarshal(mailboxes[mb])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !f.Test(tok) {
-			t.Fatalf("token %d missing from mailbox %d", i, mb)
-		}
-	}
 }
 
 // TestNumMailboxesNoiseExceedsTarget: when per-mailbox noise alone meets or
@@ -370,50 +315,21 @@ func TestVolumeTrackingAcrossRounds(t *testing.T) {
 	}
 }
 
-// TestRelayedRoundRecordsHealth: rounds on the coordinator-relayed data
-// plane still land in Status() — without per-daemon stats, which only
-// exist where mix.round.wait does.
-func TestRelayedRoundRecordsHealth(t *testing.T) {
-	c := newTestCoordinator(t, 2, 1)
-	if _, err := c.OpenDialingRound(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.CloseRound(wire.Dialing, 1); err != nil {
-		t.Fatal(err)
-	}
-	health := c.Status()
-	if len(health) != 1 {
-		t.Fatalf("Status(): %d records, want 1", len(health))
-	}
-	h := health[0]
-	if h.Forwarded || h.Service != wire.Dialing || h.Round != 1 || h.Err != "" || len(h.Daemons) != 0 {
-		t.Fatalf("relayed health record: %+v", h)
-	}
-	if h.String() == "" {
-		t.Fatal("health log line is empty")
-	}
-}
-
-// TestShardedConfigRequiresCapableFleet: a coordinator configured with
-// shard groups must refuse to open rounds over in-process mixers (no
-// forwarding, no shard surface) instead of silently degrading — the
-// shards would have divided the position's noise.
+// TestShardedConfigRequiresCapableFleet: a coordinator configured with a
+// shard group must refuse to open rounds over daemons that cannot serve
+// one — unpinned daemons neither export nor import a round key — and a
+// coordinator with nowhere to publish must refuse to open any round,
+// instead of taking submissions for a round that cannot close.
 func TestShardedConfigRequiresCapableFleet(t *testing.T) {
 	c := newTestCoordinator(t, 2, 1)
-	nz := noise.Laplace{Mu: 1, B: 0}
-	extra, err := mixnet.New(mixnet.Config{
-		Name: "m", Position: 0, ChainLength: 2,
-		AddFriendNoise: &nz, DialingNoise: &nz,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, extra := startMixer(t, 0, 2)
 	c.Shards = [][]Mixer{{extra}, nil}
 	if _, err := c.OpenDialingRound(1); err == nil {
-		t.Fatal("sharded round opened over a fleet that cannot forward")
+		t.Fatal("sharded round opened over daemons with no group key-exchange surface")
 	}
-	c.ChainForward, c.CDNAddr = true, "127.0.0.1:1"
+	c.Shards = nil
+	c.CDNAddr = ""
 	if _, err := c.OpenDialingRound(2); err == nil {
-		t.Fatal("sharded round opened over in-process mixers with no shard surface")
+		t.Fatal("round opened with no CDN publish address")
 	}
 }

@@ -42,24 +42,6 @@ import (
 	"alpenhorn/internal/wire"
 )
 
-// Prober is the optional liveness surface of a Mixer: a cheap,
-// short-timeout health check (rpc.MixerClient sends mix.info). The
-// scheduler probes every candidate at plan time; Mixers that don't
-// implement it (in-process servers) are assumed alive.
-type Prober interface {
-	Probe() error
-}
-
-// ShardPeerMixer is the optional peer-allowlist variant of ShardMixer's
-// layout call: SetRoundShard plus the round's shard network — the dial
-// addresses of every member planned into the group, spares included.
-// Daemons that receive a peer list refuse mix.round.exportkey calls from
-// any other host for the round, so only the planned group can pull the
-// round's private key. rpc.MixerClient implements it.
-type ShardPeerMixer interface {
-	SetRoundShardPeers(service wire.Service, round uint32, index, count int, peers []string) error
-}
-
 // benchCooldownRounds is how many rounds a benched daemon sits out after
 // its bench round even once it probes healthy again: re-admission needs
 // both a successful probe AND a round of distance from the failure, so a
@@ -125,13 +107,12 @@ type roundPlan struct {
 	// key), so it is never substituted.
 	groups [][]Mixer
 	// leads is the index WITHIN each group of the member hosting the
-	// merge/build-lead role this round (rotation; 0 when pinned or
-	// unsharded).
+	// merge/build-lead role this round (rotation; 0 when pinned or a
+	// group of one).
 	leads []int
 	// peers is each position's shard network — the members' dial
 	// addresses — distributed with the layout so daemons can gate
-	// mix.round.exportkey to the planned group. Nil for positions whose
-	// members have no addresses (in-process).
+	// mix.round.exportkey to the planned group.
 	peers [][]string
 	// chunkSize / deadlineMs are the round's data-plane parameters.
 	chunkSize  int
@@ -210,23 +191,6 @@ func (c *Coordinator) Scoreboard() Scoreboard {
 	return sb
 }
 
-// addrOf returns a Mixer's dial address, or "" for in-process servers
-// (which have no address and are never benched or probed).
-func addrOf(m Mixer) string {
-	if fm, ok := m.(ForwardMixer); ok {
-		return fm.Addr()
-	}
-	return ""
-}
-
-// probe runs m's liveness check; Mixers without one count as alive.
-func probe(m Mixer) bool {
-	if p, ok := m.(Prober); ok {
-		return p.Probe() == nil
-	}
-	return true
-}
-
 // baseChunk is the configured pipeline chunk size.
 func (c *Coordinator) baseChunk() int {
 	if c.ChunkSize > 0 {
@@ -268,7 +232,7 @@ func (c *Coordinator) chunkWindow() (min, max int) {
 // cheaper retries under churn); a clean round grows it geometrically
 // back toward the window's top. Caller holds c.mu.
 func (c *Coordinator) adaptChunk(h RoundHealth) {
-	if !c.AdaptiveChunk || !h.Forwarded {
+	if !c.AdaptiveChunk {
 		return
 	}
 	min, max := c.chunkWindow()
@@ -330,9 +294,6 @@ func benchReason(d DaemonRoundStats, slo time.Duration) string {
 // Caller holds c.mu.
 func (c *Coordinator) updateScoreboard(h RoundHealth) {
 	for _, d := range h.Daemons {
-		if d.Addr == "" {
-			continue
-		}
 		sc := c.score(d.Addr)
 		sc.Position, sc.Shard = d.Position, d.Shard
 		sc.Rounds++
@@ -398,18 +359,9 @@ func (c *Coordinator) planRound(service wire.Service, round uint32) *roundPlan {
 		if len(group) > 1 && !c.PinLead {
 			li = int(round % uint32(len(group)))
 		}
-		var peers []string
-		for _, m := range group {
-			addr := addrOf(m)
-			if addr == "" {
-				peers = nil
-				break
-			}
-			peers = append(peers, addr)
-		}
 		plan.groups = append(plan.groups, group)
 		plan.leads = append(plan.leads, li)
-		plan.peers = append(plan.peers, peers)
+		plan.peers = append(plan.peers, addrs(group))
 	}
 	c.mu.Lock()
 	if c.plans == nil {
@@ -434,14 +386,11 @@ func (c *Coordinator) planRound(service wire.Service, round uint32) *roundPlan {
 func (c *Coordinator) patchGroup(service wire.Service, round uint32, pos int, group []Mixer, plan *roundPlan) {
 	alive := make([]bool, len(group))
 	_ = fanOut(len(group), func(s int) error {
-		alive[s] = probe(group[s])
+		alive[s] = group[s].Probe() == nil
 		return nil
 	})
 	for s, m := range group {
-		addr := addrOf(m)
-		if addr == "" {
-			continue
-		}
+		addr := m.Addr()
 		c.mu.Lock()
 		sc := c.score(addr)
 		sc.Position, sc.Shard = pos, s
@@ -475,7 +424,7 @@ func (c *Coordinator) patchGroup(service wire.Service, round uint32, pos int, gr
 			continue
 		}
 		if spare := c.draftSpare(pos, plan); spare != nil {
-			c.logf("scheduler: drafting spare %s into pos %d shard %d (benched %s)", addrOf(spare), pos, s, addr)
+			c.logf("scheduler: drafting spare %s into pos %d shard %d (benched %s)", spare.Addr(), pos, s, addr)
 			group[s] = spare
 		} else {
 			c.logf("scheduler: pos %d shard %d (%s) benched with no spare available; proceeding", pos, s, addr)
@@ -490,10 +439,7 @@ func (c *Coordinator) draftSpare(pos int, plan *roundPlan) Mixer {
 		return nil
 	}
 	for _, spare := range c.Spares[pos] {
-		addr := addrOf(spare)
-		if addr == "" {
-			continue
-		}
+		addr := spare.Addr()
 		c.mu.Lock()
 		inUse := c.draftedNow[addr] > 0
 		if !inUse {
@@ -505,7 +451,7 @@ func (c *Coordinator) draftSpare(pos int, plan *roundPlan) Mixer {
 			}
 		}
 		c.mu.Unlock()
-		if inUse || !probe(spare) {
+		if inUse || spare.Probe() != nil {
 			continue
 		}
 		c.mu.Lock()

@@ -16,22 +16,24 @@ type stubMixer struct {
 	alive bool
 }
 
+func (m *stubMixer) Addr() string                 { return m.addr }
+func (m *stubMixer) NoiseMu(wire.Service) float64 { return 0 }
 func (m *stubMixer) NewRound(wire.Service, uint32) (wire.MixerRoundKey, error) {
 	return wire.MixerRoundKey{}, nil
 }
-func (m *stubMixer) SetDownstreamKeys(wire.Service, uint32, [][]byte) error { return nil }
-func (m *stubMixer) Mix(wire.Service, uint32, uint32, [][]byte) ([][]byte, error) {
-	return nil, nil
-}
-func (m *stubMixer) CloseRound(wire.Service, uint32)                 {}
-func (m *stubMixer) NoiseMu(wire.Service) float64                    { return 0 }
-func (m *stubMixer) Addr() string                                    { return m.addr }
-func (m *stubMixer) SupportsForwarding() bool                        { return true }
-func (m *stubMixer) OpenRoute(wire.Service, uint32, RouteSpec) error { return nil }
+func (m *stubMixer) SetRoundShard(wire.Service, uint32, int, int, []string) error { return nil }
+func (m *stubMixer) ImportRoundKeyFrom(wire.Service, uint32, string) error        { return nil }
+func (m *stubMixer) SetDownstreamKeys(wire.Service, uint32, [][]byte) error       { return nil }
+func (m *stubMixer) PrepareNoise(wire.Service, uint32, uint32) error              { return nil }
+func (m *stubMixer) OpenRoute(wire.Service, uint32, RouteSpec) error              { return nil }
+func (m *stubMixer) StreamBegin(wire.Service, uint32, uint32) error               { return nil }
+func (m *stubMixer) StreamChunk(wire.Service, uint32, [][]byte) error             { return nil }
+func (m *stubMixer) StreamEnd(wire.Service, uint32, int) error                    { return nil }
 func (m *stubMixer) WaitRound(wire.Service, uint32) (wire.MixerRoundStats, error) {
 	return wire.MixerRoundStats{}, nil
 }
 func (m *stubMixer) AbortRound(wire.Service, uint32, string) error { return nil }
+func (m *stubMixer) CloseRound(wire.Service, uint32)               {}
 func (m *stubMixer) Probe() error {
 	if m.alive {
 		return nil
@@ -67,7 +69,7 @@ func TestAdaptChunkWindow(t *testing.T) {
 
 	// Failures halve the chunk but never push it under base/4.
 	for i := 0; i < 5; i++ {
-		c.adaptChunk(RoundHealth{Service: wire.Dialing, Forwarded: true, Err: "boom"})
+		c.adaptChunk(RoundHealth{Service: wire.Dialing, Err: "boom"})
 	}
 	if got := c.currentChunk(wire.Dialing); got != 16 {
 		t.Errorf("after repeated failures chunk = %d, want floor 16", got)
@@ -75,7 +77,7 @@ func TestAdaptChunkWindow(t *testing.T) {
 
 	// Clean rounds grow it geometrically but never past base*4.
 	for i := 0; i < 40; i++ {
-		c.adaptChunk(RoundHealth{Service: wire.Dialing, Forwarded: true})
+		c.adaptChunk(RoundHealth{Service: wire.Dialing})
 	}
 	if got := c.currentChunk(wire.Dialing); got != 256 {
 		t.Errorf("after repeated clean rounds chunk = %d, want ceiling 256", got)
@@ -83,16 +85,15 @@ func TestAdaptChunkWindow(t *testing.T) {
 
 	// An SLO breach counts as slow even when the round succeeded.
 	c.LatencySLO = time.Millisecond
-	c.adaptChunk(RoundHealth{Service: wire.Dialing, Forwarded: true, Daemons: []DaemonRoundStats{
+	c.adaptChunk(RoundHealth{Service: wire.Dialing, Daemons: []DaemonRoundStats{
 		{Stats: wire.MixerRoundStats{Duration: 50 * time.Millisecond}},
 	}})
 	if got := c.currentChunk(wire.Dialing); got != 128 {
 		t.Errorf("after SLO breach chunk = %d, want 128", got)
 	}
 
-	// Non-forwarded and AddFriend rounds leave Dialing's state alone.
-	c.adaptChunk(RoundHealth{Service: wire.Dialing, Forwarded: false, Err: "boom"})
-	c.adaptChunk(RoundHealth{Service: wire.AddFriend, Forwarded: true, Err: "boom"})
+	// AddFriend rounds leave Dialing's state alone.
+	c.adaptChunk(RoundHealth{Service: wire.AddFriend, Err: "boom"})
 	if got := c.currentChunk(wire.Dialing); got != 128 {
 		t.Errorf("unrelated rounds moved the chunk to %d, want 128", got)
 	}

@@ -30,6 +30,7 @@ func newPair(t *testing.T) (*sim.Network, *core.Client, *sim.Handler, *core.Clie
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	ha := &sim.Handler{AcceptAll: true}
 	hb := &sim.Handler{AcceptAll: true}
 	alice, err := net.NewClient("alice@example.org", ha)
@@ -234,6 +235,7 @@ func TestRejectedFriendRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	ha := &sim.Handler{AcceptAll: true}
 	hb := &sim.Handler{} // rejects everything
 	alice, err := net.NewClient("alice@example.org", ha)
@@ -359,6 +361,7 @@ func TestThreeUserTriangle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	handlers := make(map[string]*sim.Handler)
 	var clients []*core.Client
 	for _, name := range []string{"alice@x.org", "bob@x.org", "carol@x.org"} {

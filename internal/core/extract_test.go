@@ -40,6 +40,7 @@ func TestBadAttestationShareNamesPKG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	_, rogue, err := bls.GenerateKey(rand.Reader)
 	if err != nil {
 		t.Fatal(err)

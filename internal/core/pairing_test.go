@@ -125,6 +125,7 @@ func TestPairingV2SingleSettingsFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(network.Close)
 	network.Coord.PairingV2 = true
 	h := &sim.Handler{AcceptAll: true}
 	cfg := network.ClientConfig("v2cache@example.org", h)

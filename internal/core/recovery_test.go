@@ -22,6 +22,7 @@ func TestCompromiseRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	ha := &sim.Handler{AcceptAll: true}
 	hb := &sim.Handler{AcceptAll: true}
 	alice, err := net.NewClient("alice@example.org", ha)

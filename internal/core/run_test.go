@@ -104,6 +104,7 @@ func TestRunLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	counting := newCountingEntry(sim.EntryAdapter{E: net.Entry})
 	newRunClient := func(addr string, h *sim.Handler) *core.Client {
 		cfg := net.ClientConfig(addr, h)
@@ -173,6 +174,7 @@ func TestRunLifecycle(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("shutdown took %v", elapsed)
 	}
+	net.Close()
 	waitUntil(t, 5*time.Second, "goroutines to drain", func() bool {
 		return runtime.NumGoroutine() <= baseline
 	})
@@ -187,6 +189,7 @@ func TestRunDialBacklogRangedDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	h := &sim.Handler{AcceptAll: true}
 	cfg := net.ClientConfig("late@example.org", h)
 	store := &countingStore{CDNAdapter: sim.CDNAdapter{S: net.CDN}}
@@ -246,6 +249,7 @@ func TestRunRequiresRoundSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	h := &sim.Handler{AcceptAll: true}
 	cfg := net.ClientConfig("bare@example.org", h)
 	cfg.Entry = bareEntry{a: sim.EntryAdapter{E: net.Entry}}
@@ -287,6 +291,7 @@ func TestBacklogPersistsAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	h := &sim.Handler{AcceptAll: true}
 	persister := &memPersister{}
 	cfg := net.ClientConfig("restart@example.org", h)

@@ -26,6 +26,7 @@ func TestForwardSecrecyAddFriend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	ha := &sim.Handler{AcceptAll: true}
 	hb := &sim.Handler{AcceptAll: true}
 	alice, err := net.NewClient("alice@example.org", ha)
@@ -112,6 +113,7 @@ func TestForwardSecrecyDialing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	ha := &sim.Handler{AcceptAll: true}
 	hb := &sim.Handler{AcceptAll: true}
 	alice, _ := net.NewClient("alice@example.org", ha)
@@ -177,6 +179,7 @@ func TestCoverTrafficUniformity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	ha := &sim.Handler{AcceptAll: true}
 	hb := &sim.Handler{AcceptAll: true}
 	alice, _ := net.NewClient("alice@example.org", ha)
@@ -221,6 +224,7 @@ func TestNoiseMakesMailboxCountsNoisy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	h := &sim.Handler{AcceptAll: true}
 	alice, _ := net.NewClient("alice@example.org", h)
 
@@ -232,13 +236,16 @@ func TestNoiseMakesMailboxCountsNoisy(t *testing.T) {
 		if err := alice.SubmitAddFriendRound(context.Background(), r); err != nil {
 			t.Fatal(err)
 		}
-		boxes, err := net.Coord.CloseRound(wire.AddFriend, r)
+		if _, err := net.Coord.CloseRound(wire.AddFriend, r); err != nil {
+			t.Fatal(err)
+		}
+		boxSizes, err := net.CDN.MailboxSizes(wire.AddFriend, r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		total := 0
-		for _, b := range boxes {
-			total += len(b) / wire.EncryptedFriendRequestSize
+		for _, size := range boxSizes {
+			total += size / wire.EncryptedFriendRequestSize
 		}
 		// One cover request from Alice; everything else is noise, and
 		// the noise count must be ≥ 0 draws around 30.
@@ -265,6 +272,7 @@ func TestTamperedSettingsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	h := &sim.Handler{AcceptAll: true}
 	alice, err := net.NewClient("alice@example.org", h)
 	if err != nil {
@@ -289,6 +297,7 @@ func TestMalformedMailboxReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	h := &sim.Handler{AcceptAll: true}
 	alice, err := net.NewClient("alice@example.org", h)
 	if err != nil {

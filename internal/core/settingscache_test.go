@@ -33,6 +33,7 @@ func TestSettingsCachedPerRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(network.Close)
 	h := &sim.Handler{AcceptAll: true}
 	cfg := network.ClientConfig("cache@example.org", h)
 	ce := &settingsCountingEntry{EntryAdapter: sim.EntryAdapter{E: network.Entry}}

@@ -53,8 +53,8 @@
 // frontend from the cursor it already holds — no snapshot reset, no
 // re-delivered or missed announcements. Intake is N-way: each frontend
 // admits its own sub-batch, and the batches are merged at round close
-// (concatenated in frontend order, or dealt into the first mix position's
-// counted fan-in when the data plane is chain-forwarded).
+// (each dealt into the first mix position's counted fan-in, in frontend
+// order).
 package entry
 
 import (
@@ -352,8 +352,7 @@ func (s *Server) OpenRound(settings *wire.RoundSettings) error {
 
 // AnnouncePublished records that a round's mailboxes are available on the
 // CDN and pushes the announcement to subscribers and waiters. The
-// coordinator calls it after a successful publish (relayed or
-// chain-forwarded).
+// coordinator calls it after a successful publish.
 func (s *Server) AnnouncePublished(service wire.Service, round uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -3,8 +3,6 @@ package mixnet
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"alpenhorn/internal/bloom"
 	"alpenhorn/internal/wire"
@@ -170,12 +168,11 @@ func RawDialMailboxes(numMailboxes uint32, batch [][]byte) (map[uint32][]byte, e
 }
 
 // Chain runs a batch through an ordered list of mixnet servers and returns
-// the final mailboxes. It is the in-process equivalent of the servers
-// streaming batches to one another over TCP; cmd/alpenhorn-mixer wraps the
-// same Server type with a network transport. Each server still decrypts
-// with its worker pool, but the chain itself is strictly sequential:
-// server i+1 sees nothing until server i has fully finished. Use
-// ChainPipelined for the overlapped execution the coordinator runs.
+// the final mailboxes. It is the in-process REFERENCE for the routed data
+// plane (internal/rpc/forward.go), which the byte-identity tests compare
+// against it: each server still decrypts with its worker pool, but the
+// chain itself is strictly sequential — server i+1 sees nothing until
+// server i has fully finished.
 func Chain(servers []*Server, service wire.Service, round uint32, numMailboxes uint32, batch [][]byte) (map[uint32][]byte, error) {
 	cur := batch
 	var err error
@@ -192,145 +189,3 @@ func Chain(servers []*Server, service wire.Service, round uint32, numMailboxes u
 // chain as a stream: small enough that downstream decryption overlaps
 // upstream emission, large enough to amortize per-chunk overhead.
 const DefaultStreamChunk = 512
-
-// ChainPipelined runs a batch through the chain as a stream of chunks:
-// every server opens intake up front (starting its noise generation
-// immediately), and server i+1 begins peeling chunks as soon as server i
-// emits its post-shuffle output. The shuffle remains a per-server barrier,
-// so the privacy properties are identical to Chain; only the schedule
-// changes. chunkSize <= 0 means DefaultStreamChunk.
-func ChainPipelined(servers []*Server, service wire.Service, round uint32, numMailboxes uint32, batch [][]byte, chunkSize int) (map[uint32][]byte, error) {
-	if chunkSize <= 0 {
-		chunkSize = DefaultStreamChunk
-	}
-	stages := make([]ChunkMixer, len(servers))
-	for i, s := range servers {
-		stages[i] = s
-	}
-	final, err := RunPipeline(stages, service, round, numMailboxes, ChunkSource(batch, chunkSize), chunkSize)
-	if err != nil {
-		return nil, err
-	}
-	return BuildMailboxes(service, numMailboxes, final)
-}
-
-// ChunkMixer is the streaming intake surface of a mixnet server. It is
-// satisfied by *Server in-process and by rpc.MixerClient across the wire.
-// StreamAbort discards an in-flight stream cheaply (no noise, no shuffle)
-// when the round has already failed elsewhere.
-type ChunkMixer interface {
-	StreamBegin(service wire.Service, round uint32, numMailboxes uint32) error
-	StreamChunk(service wire.Service, round uint32, chunk [][]byte) error
-	StreamEnd(service wire.Service, round uint32) ([][]byte, error)
-	StreamAbort(service wire.Service, round uint32) error
-}
-
-// ChunkSource turns an in-memory batch into the chunk channel RunPipeline
-// consumes.
-func ChunkSource(batch [][]byte, chunkSize int) <-chan [][]byte {
-	if chunkSize <= 0 {
-		chunkSize = DefaultStreamChunk
-	}
-	ch := make(chan [][]byte)
-	go func() {
-		defer close(ch)
-		for lo := 0; lo < len(batch); lo += chunkSize {
-			ch <- batch[lo:min(lo+chunkSize, len(batch))]
-		}
-	}()
-	return ch
-}
-
-// RunPipeline streams chunks through a chain of mixers, one goroutine per
-// server, and returns the final server's shuffled output. Each stage
-// forwards its post-shuffle batch downstream in chunkSize pieces, so the
-// next server's decryption overlaps this server's emission. If any stage
-// fails, the remaining input is drained (to unblock upstream stages) and
-// the first error is returned.
-func RunPipeline(stages []ChunkMixer, service wire.Service, round uint32, numMailboxes uint32, source <-chan [][]byte, chunkSize int) ([][]byte, error) {
-	if chunkSize <= 0 {
-		chunkSize = DefaultStreamChunk
-	}
-	if len(stages) == 0 {
-		var all [][]byte
-		for chunk := range source {
-			all = append(all, chunk...)
-		}
-		return all, nil
-	}
-
-	// Open intake everywhere first: noise generation on every server
-	// starts now, concurrent with all upstream mixing.
-	opened := 0
-	var beginErr error
-	for _, m := range stages {
-		if err := m.StreamBegin(service, round, numMailboxes); err != nil {
-			beginErr = err
-			break
-		}
-		opened++
-	}
-	if beginErr != nil {
-		// Abandon the streams already opened so the rounds stay usable.
-		for _, m := range stages[:opened] {
-			_ = m.StreamAbort(service, round)
-		}
-		for range source {
-		}
-		return nil, beginErr
-	}
-
-	// aborted flips when any stage fails; the other stages then drain
-	// their input and StreamAbort instead of generating noise and
-	// shuffling output that would be discarded anyway.
-	var aborted atomic.Bool
-	errs := make([]error, len(stages))
-	in := source
-	var out chan [][]byte
-	var wg sync.WaitGroup
-	for i, m := range stages {
-		out = make(chan [][]byte, 1)
-		wg.Add(1)
-		go func(i int, m ChunkMixer, in <-chan [][]byte, out chan<- [][]byte) {
-			defer wg.Done()
-			defer close(out)
-			failed := false
-			for chunk := range in {
-				if failed || aborted.Load() {
-					continue // drain to unblock upstream
-				}
-				if err := m.StreamChunk(service, round, chunk); err != nil {
-					errs[i] = err
-					failed = true
-					aborted.Store(true)
-				}
-			}
-			if failed || aborted.Load() {
-				_ = m.StreamAbort(service, round)
-				return
-			}
-			mixed, err := m.StreamEnd(service, round)
-			if err != nil {
-				errs[i] = err
-				aborted.Store(true)
-				return
-			}
-			for lo := 0; lo < len(mixed); lo += chunkSize {
-				out <- mixed[lo:min(lo+chunkSize, len(mixed))]
-			}
-		}(i, m, in, out)
-		in = out
-	}
-
-	var final [][]byte
-	for chunk := range in {
-		final = append(final, chunk...)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("mixnet: pipeline stage %d: %w", i, err)
-		}
-	}
-	return final, nil
-}

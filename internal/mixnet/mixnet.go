@@ -17,7 +17,7 @@
 // Round execution is parallel and pipelined: onion decryption fans out
 // over a worker pool, per-round noise is generated in the background while
 // clients are still submitting (PrepareNoise), and batches can be fed in
-// chunks (StreamBegin/StreamChunk/StreamEnd) so a server starts peeling
+// chunks (StreamBegin/StreamChunk/StreamEndShard) so a server starts peeling
 // while the upstream server is still emitting. The shuffle remains a
 // strict per-server barrier: output order is only decided once the whole
 // batch is present, which is what the anytrust unlinkability argument
@@ -71,17 +71,17 @@
 //     together at CloseRound.
 //
 // A shard group is one trust domain (it shares the round private key);
-// peeled-but-unshuffled slices travel only inside it. Positions with a
-// single shard never touch any of this machinery.
+// peeled-but-unshuffled slices travel only inside it. A position with a
+// single shard is a group of one: no key leaves it and no slice travels.
 //
-// This package is transport-agnostic: the same chunked surface is driven
-// by in-process pipelines (ChainPipelined), by a coordinator relaying
-// chunks over RPC, and by daemons forwarding chunks directly to their
-// successors (internal/rpc's chain-forward data plane, which also routes
-// the shard-group deal/merge). Because chunk arrival order defines
-// pre-shuffle order and every randomness draw comes from Config.Rand in a
-// fixed sequence, the UNSHARDED data planes produce byte-identical
-// mailboxes under a fixed seed. Across shard COUNTS the guarantee is
+// This package is transport-agnostic: the chunked surface is driven by
+// daemons forwarding chunks directly to their successors (internal/rpc's
+// data plane, which also routes the shard-group deal/merge), and Mix and
+// Chain are the full-batch reference it is tested against. Because chunk
+// arrival order defines pre-shuffle order and every randomness draw comes
+// from Config.Rand in a fixed sequence, the routed plane at one shard per
+// position and Chain produce byte-identical mailboxes under a fixed seed.
+// Across shard COUNTS the guarantee is
 // set-level, not order-level — the deal legitimately reorders the
 // pre-shuffle batch and noise bytes are per-machine randomness — so
 // byte-identity across 1/2/3-shard chains holds for order-independent
@@ -121,7 +121,7 @@ type roundState struct {
 	// SetDownstreamKeys (empty, non-nil for the last server).
 	downstream []*onionbox.PublicKey
 	// noise holds this round's background-generated noise, consumed by
-	// the next Mix or StreamEnd call.
+	// the next Mix or StreamEndShard call.
 	noise *noiseBatch
 	// stream is the in-progress chunked intake, if any.
 	stream *stream
@@ -491,7 +491,7 @@ func (s *Server) openState(service wire.Service, round uint32) (*roundState, err
 
 // PrepareNoise starts generating the round's noise messages in the
 // background, so they are ready by the time the batch arrives and Mix (or
-// StreamEnd) never blocks on noise. It must be called after
+// StreamEndShard) never blocks on noise. It must be called after
 // SetDownstreamKeys and is idempotent for a given mailbox count; a later
 // Mix with a different mailbox count falls back to inline generation.
 func (s *Server) PrepareNoise(service wire.Service, round uint32, numMailboxes uint32) error {
@@ -565,7 +565,7 @@ func (s *Server) Mix(service wire.Service, round uint32, numMailboxes uint32, ba
 // finishBatch appends the round's noise (prepared, or generated inline) to
 // the peeled messages, shuffles (unless this server is one shard of a
 // group, whose output is shuffled only at the group's merge), and updates
-// stats. It is the per-server barrier shared by Mix, StreamEnd, and
+// stats. It is the per-server barrier shared by Mix and
 // StreamEndShard. The permutation is derived from the round private key
 // (see permutationReader), so it is identical on every holder of the key.
 func (s *Server) finishBatch(service wire.Service, round uint32, priv *onionbox.PrivateKey, numMailboxes uint32, downstream []*onionbox.PublicKey, nb *noiseBatch, batchLen int, out [][]byte, shards int, doShuffle bool) ([][]byte, error) {

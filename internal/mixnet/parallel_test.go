@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"alpenhorn/internal/bloom"
 	"alpenhorn/internal/keywheel"
 	"alpenhorn/internal/noise"
 	"alpenhorn/internal/onionbox"
@@ -112,9 +111,20 @@ func TestMixParallelMatchesSequentialMultiset(t *testing.T) {
 	}
 }
 
+// streamEnd closes a group-of-one's stream the way the data plane does:
+// the peeled slice, then the position's merge over that one slice.
+func streamEnd(s *Server, service wire.Service, round uint32) ([][]byte, error) {
+	part, err := s.StreamEndShard(service, round)
+	if err != nil {
+		return nil, err
+	}
+	return s.MergeShuffle(service, round, [][][]byte{part})
+}
+
 // TestStreamMatchesMix feeds a batch in uneven chunks through the
-// streaming intake and checks the result is the same multiset Mix
-// produces for the concatenated batch.
+// streaming intake and checks that the merge of that one slice is, byte
+// for byte and in order, what Mix produces for the concatenated batch —
+// the property that lets the routed plane be tested against Chain.
 func TestStreamMatchesMix(t *testing.T) {
 	servers := newChain(t, 1, noNoise)
 	hops := openRound(t, servers, wire.Dialing, 1)
@@ -146,11 +156,18 @@ func TestStreamMatchesMix(t *testing.T) {
 		}
 		lo = hi
 	}
-	streamed, err := s.StreamEnd(wire.Dialing, 1)
+	streamed, err := streamEnd(s, wire.Dialing, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameMultiset(t, mixed, streamed)
+	if len(streamed) != len(mixed) {
+		t.Fatalf("streamed %d messages, Mix produced %d", len(streamed), len(mixed))
+	}
+	for i := range mixed {
+		if !bytes.Equal(mixed[i], streamed[i]) {
+			t.Fatalf("message %d differs between the streamed merge and Mix", i)
+		}
+	}
 }
 
 func TestStreamLifecycleErrors(t *testing.T) {
@@ -161,8 +178,8 @@ func TestStreamLifecycleErrors(t *testing.T) {
 	if err := s.StreamChunk(wire.Dialing, 1, nil); err == nil {
 		t.Fatal("StreamChunk without StreamBegin succeeded")
 	}
-	if _, err := s.StreamEnd(wire.Dialing, 1); err == nil {
-		t.Fatal("StreamEnd without StreamBegin succeeded")
+	if _, err := streamEnd(s, wire.Dialing, 1); err == nil {
+		t.Fatal("stream end without StreamBegin succeeded")
 	}
 	if err := s.StreamBegin(wire.Dialing, 1, 1); err != nil {
 		t.Fatal(err)
@@ -170,14 +187,14 @@ func TestStreamLifecycleErrors(t *testing.T) {
 	if err := s.StreamBegin(wire.Dialing, 1, 1); err == nil {
 		t.Fatal("double StreamBegin succeeded")
 	}
-	if _, err := s.StreamEnd(wire.Dialing, 1); err != nil {
+	if _, err := streamEnd(s, wire.Dialing, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Stream state is consumed: a fresh stream can start.
 	if err := s.StreamBegin(wire.Dialing, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.StreamEnd(wire.Dialing, 1); err != nil {
+	if _, err := streamEnd(s, wire.Dialing, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.StreamBegin(wire.Dialing, 99, 1); err == nil {
@@ -194,8 +211,8 @@ func TestStreamLifecycleErrors(t *testing.T) {
 	if err := s.StreamAbort(wire.Dialing, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.StreamEnd(wire.Dialing, 1); err == nil {
-		t.Fatal("StreamEnd succeeded after abort")
+	if _, err := streamEnd(s, wire.Dialing, 1); err == nil {
+		t.Fatal("stream end succeeded after abort")
 	}
 	if !s.RoundOpen(wire.Dialing, 1) {
 		t.Fatal("abort closed the round")
@@ -254,60 +271,6 @@ func TestPrepareNoiseRequiresDownstreamKeys(t *testing.T) {
 	}
 	if err := servers[1].PrepareNoise(wire.Dialing, 1, 1); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestChainPipelinedMatchesChain routes distinct tokens to mailboxes
-// through both the sequential chain and the streaming pipeline and checks
-// both deliver exactly the same mailbox contents.
-func TestChainPipelinedMatchesChain(t *testing.T) {
-	nz := noise.Laplace{Mu: 2, B: 0}
-	servers := newChain(t, 3, nz)
-	hops := openRound(t, servers, wire.Dialing, 1)
-
-	const n = 200
-	const numMailboxes = 4
-	var batch [][]byte
-	toks := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		tok := make([]byte, keywheel.TokenSize)
-		tok[0], tok[1], tok[2] = byte(i), byte(i>>8), 0xAB
-		toks[i] = tok
-		batch = append(batch, makeDialOnion(t, hops, uint32(i%numMailboxes), tok))
-	}
-
-	pipelined, err := ChainPipelined(servers, wire.Dialing, 1, numMailboxes, batch, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pipelined) != numMailboxes {
-		t.Fatalf("pipelined produced %d mailboxes, want %d", len(pipelined), numMailboxes)
-	}
-	for i, tok := range toks {
-		f, err := bloom.Unmarshal(pipelined[uint32(i%numMailboxes)])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !f.Test(tok) {
-			t.Fatalf("token %d missing from its pipelined mailbox", i)
-		}
-	}
-
-	// The same round can also run through the sequential chain: token
-	// delivery must be identical (noise differs per run, so compare
-	// membership rather than bytes).
-	sequential, err := Chain(servers, wire.Dialing, 1, numMailboxes, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tok := range toks {
-		f, err := bloom.Unmarshal(sequential[uint32(i%numMailboxes)])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !f.Test(tok) {
-			t.Fatalf("token %d missing from its sequential mailbox", i)
-		}
 	}
 }
 

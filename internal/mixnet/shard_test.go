@@ -77,7 +77,7 @@ func TestShardNoiseDivision(t *testing.T) {
 	if err := s2.StreamBegin(wire.Dialing, 1, numMailboxes); err != nil {
 		t.Fatal(err)
 	}
-	full, err := s2.StreamEnd(wire.Dialing, 1)
+	full, err := s2.StreamEndShard(wire.Dialing, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,12 @@ import (
 // This file implements chunked streaming intake: a server starts peeling
 // onions as soon as the first chunk of a round's batch arrives, instead of
 // waiting for the full batch. Combined across the chain, server i+1
-// decrypts chunks while server i is still emitting its shuffled output —
-// the pipeline that coordinator.CloseRound and mixnet.ChainPipelined build.
+// decrypts chunks while server i is still emitting its shuffled output.
 //
-// Privacy is unchanged: nothing leaves the server until StreamEnd, which
-// (like Mix) appends noise and applies a fresh random permutation over the
-// complete batch. Streaming only moves WHEN the decryption work happens,
-// never what an observer can see.
+// Privacy is unchanged: nothing leaves the position until its intake has
+// ended, its noise is appended and MergeShuffle (like Mix) has permuted
+// the complete batch. Chunked intake only moves WHEN the decryption work
+// happens, never what an observer can see.
 
 // stream is the in-flight chunked intake of one round's batch.
 type stream struct {
@@ -33,7 +32,7 @@ type stream struct {
 
 // StreamBegin starts chunked intake for a round. It also kicks off
 // background noise generation (PrepareNoise) so the noise is ready by
-// StreamEnd. Exactly one stream may be in flight per round.
+// StreamEndShard. Exactly one stream may be in flight per round.
 func (s *Server) StreamBegin(service wire.Service, round uint32, numMailboxes uint32) error {
 	s.mu.Lock()
 	st, err := s.openState(service, round)
@@ -79,7 +78,7 @@ func (s *Server) StreamChunk(service wire.Service, round uint32, chunk [][]byte)
 		return fmt.Errorf("mixnet: round %d (%s): no stream in progress", round, service)
 	}
 	priv := st.priv
-	// Register with the stream before releasing s.mu: StreamEnd detaches
+	// Register with the stream before releasing s.mu: StreamEndShard detaches
 	// the stream under the same mutex, so once we get here its wg.Wait is
 	// guaranteed to cover this chunk.
 	sm.wg.Add(1)
@@ -109,8 +108,8 @@ func (s *Server) StreamChunk(service wire.Service, round uint32, chunk [][]byte)
 }
 
 // StreamAbort discards an in-flight stream without the noise generation
-// and shuffle that StreamEnd performs: the pipeline calls it when another
-// stage has already failed the round and the output would be thrown away.
+// that StreamEndShard performs: the daemon calls it when the round
+// has already failed elsewhere and the output would be thrown away.
 // Aborting when no stream is in flight is a no-op; the round itself stays
 // open (CloseRound erases it).
 func (s *Server) StreamAbort(service wire.Service, round uint32) error {
@@ -123,26 +122,16 @@ func (s *Server) StreamAbort(service wire.Service, round uint32) error {
 	return nil
 }
 
-// StreamEnd closes intake, waits for in-flight decryption, then — exactly
-// like Mix — appends this server's noise, shuffles the complete batch, and
-// returns it. The shuffle barrier is preserved: no output exists before
-// every input chunk has been processed.
-func (s *Server) StreamEnd(service wire.Service, round uint32) ([][]byte, error) {
-	return s.streamEnd(service, round, true)
-}
-
-// StreamEndShard closes intake WITHOUT the shuffle: it returns this
-// shard's peeled slice of the position's batch plus its noise share, in
-// intake order. The output is only ever handed to the shard group's merge
-// server, which concatenates every shard's slice and applies the
-// position's single full-batch permutation (MergeShuffle) — nothing
-// leaves the position's trust domain unshuffled. Unsharded rounds keep
-// using StreamEnd, whose inline shuffle is the exact pre-shard path.
+// StreamEndShard closes intake, waits for in-flight decryption, and
+// returns this shard's peeled slice of the position's batch plus its noise
+// share, in intake order, WITHOUT the shuffle. The output is only ever
+// handed to the shard group's merge server, which concatenates every
+// shard's slice and applies the position's single full-batch permutation
+// (MergeShuffle) — nothing leaves the position's trust domain unshuffled,
+// and no output exists before every input chunk has been processed. A
+// group of one merges its one slice the same way, which yields exactly
+// what Mix would for the concatenated batch.
 func (s *Server) StreamEndShard(service wire.Service, round uint32) ([][]byte, error) {
-	return s.streamEnd(service, round, false)
-}
-
-func (s *Server) streamEnd(service wire.Service, round uint32, doShuffle bool) ([][]byte, error) {
 	s.mu.Lock()
 	st, err := s.openState(service, round)
 	if err != nil {
@@ -170,5 +159,5 @@ func (s *Server) streamEnd(service wire.Service, round uint32, doShuffle bool) (
 	for _, c := range sm.results {
 		out = append(out, c...)
 	}
-	return s.finishBatch(service, round, priv, sm.numMailboxes, downstream, nb, sm.inputs, out, shards, doShuffle)
+	return s.finishBatch(service, round, priv, sm.numMailboxes, downstream, nb, sm.inputs, out, shards, false)
 }

@@ -61,8 +61,8 @@ type deregisterArgs struct {
 type roundArgs struct {
 	Service wire.Service `json:"service"`
 	Round   uint32       `json:"round"`
-	// Upstream identifies which of a fan-in route's NumUpstream writers
-	// a mix.stream.end comes from, so a duplicated end (an upstream
+	// Upstream identifies which of a route's NumUpstream writers a
+	// mix.stream.end comes from, so a duplicated end (an upstream
 	// restarting and re-sending) cannot close the intake early. Ignored
 	// by every other method.
 	Upstream int `json:"upstream,omitempty"`
@@ -184,46 +184,17 @@ func (p *PKGClient) CloseRound(round uint32) {
 
 // ---- Mixer daemon API ----
 
-// Streaming capability versions advertised in MixerInfo.StreamVersion.
-// Each version includes everything below it.
-const (
-	// StreamVersionNone: pre-streaming daemon; full-batch mix.mix only.
-	StreamVersionNone = 0
-	// StreamVersionRelay: mix.preparenoise + mix.stream.* with the
-	// coordinator relaying each server's output downstream (PR 1).
-	StreamVersionRelay = 1
-	// StreamVersionForward: mix.round.route/wait/abort — the daemon
-	// pushes its post-shuffle output to its successor itself and the
-	// last server publishes mailboxes straight to the CDN.
-	StreamVersionForward = 2
-	// StreamVersionShard: shard-group routes — one chain position served
-	// by several daemons (mix.round.shard, mix.round.exportkey/importkey,
-	// the mix.merge.* deposit surface, and fan-out/fan-in routing).
-	StreamVersionShard = 3
-	// StreamVersionCDNShard: sharded mailbox building — after the merged
-	// shuffle the last group's merge server deals request bodies by
-	// mailbox ID across its shards (mix.deal.*), each shard builds its own
-	// ID range and publishes it over its own shard-tagged cdn.publish
-	// stream. The merge server never touches the other shards' final
-	// mailbox bytes.
-	StreamVersionCDNShard = 4
-)
-
-// MixerInfo advertises a mixer's pinned key and chain position.
-// StreamVersion reports which generation of the streaming surface the
-// daemon serves (see the StreamVersion constants); Streaming is the legacy
-// capability bit that predates versioning and is kept so a newer
-// coordinator still recognizes a StreamVersionRelay daemon that only sets
-// the bool. Daemons built before streaming leave both zero and the
-// coordinator falls back to full-batch mix.mix calls.
+// MixerInfo advertises a mixer's pinned key, chain position and the
+// generation of the server-plane surface it serves.
 type MixerInfo struct {
-	Name          string  `json:"name"`
-	Position      int     `json:"position"`
-	SigningKey    []byte  `json:"signing_key"`
-	AddFriendMu   float64 `json:"add_friend_mu"`
-	DialingMu     float64 `json:"dialing_mu"`
-	Streaming     bool    `json:"streaming,omitempty"`
-	StreamVersion int     `json:"stream_version,omitempty"`
+	Name        string  `json:"name"`
+	Position    int     `json:"position"`
+	SigningKey  []byte  `json:"signing_key"`
+	AddFriendMu float64 `json:"add_friend_mu"`
+	DialingMu   float64 `json:"dialing_mu"`
+	// ProtocolVersion is the ProtocolVersion constant of the build that
+	// serves RegisterMixer; DialMixer refuses any other value.
+	ProtocolVersion int `json:"protocol_version"`
 	// ShardIndex/ShardCount advertise the daemon's pinned place in its
 	// position's shard group (-shard i/N); ShardCount 0 means unpinned
 	// (a whole position to itself unless the coordinator says otherwise).
@@ -247,33 +218,13 @@ type mixArgs struct {
 	Batch        [][]byte     `json:"batch"`
 }
 
-// streamPullMax bounds how many messages one mix.stream.pull reply
-// carries, keeping every frame far below the transport's 64 MB cap even
-// for large onions (8192 × ~600 B × base64 ≈ 7 MB).
-const streamPullMax = 8192
+// streamChunkMax bounds how many messages one chunk call carries, keeping
+// every frame far below the transport's 64 MB cap even for large onions
+// (8192 × ~600 B × base64 ≈ 7 MB).
+const streamChunkMax = 8192
 
-type streamEndReply struct {
-	Total int `json:"total"`
-	// Forwarded reports that the daemon accepted the stream close and is
-	// pushing its output to its successor (or the CDN) itself: there is
-	// no output to pull, and completion is reported via mix.round.wait.
-	Forwarded bool `json:"forwarded,omitempty"`
-}
-
-type streamPullArgs struct {
-	Service wire.Service `json:"service"`
-	Round   uint32       `json:"round"`
-	Offset  int          `json:"offset"`
-	Max     int          `json:"max"`
-}
-
-// RegisterMixer (in forward.go) exposes a mixnet.Server over RPC,
-// including the chunked streaming surface and the chain-forward data
-// plane.
-
-// MixerClient talks to a remote mixer daemon; it satisfies the
-// coordinator's Mixer interface and, for StreamVersionForward daemons, its
-// ForwardMixer control surface.
+// MixerClient talks to a remote mixer daemon (RegisterMixer, forward.go);
+// it is the coordinator's Mixer.
 type MixerClient struct {
 	addr string
 	c    *Client
@@ -293,12 +244,18 @@ type MixerClient struct {
 // data-plane completion before giving up.
 const DefaultWaitTimeout = 10 * time.Minute
 
-// DialMixer connects to a mixer daemon and caches its info.
+// DialMixer connects to a mixer daemon and caches its info. A daemon
+// serving any other ProtocolVersion is refused with ErrProtocolMismatch:
+// there is one data plane, so a mixed fleet cannot run a round.
 func DialMixer(addr string) (*MixerClient, error) {
 	m := &MixerClient{addr: addr, c: Dial(addr)}
 	var info MixerInfo
 	if err := m.c.Call("mix.info", struct{}{}, &info); err != nil {
 		return nil, err
+	}
+	if info.ProtocolVersion != ProtocolVersion {
+		m.c.Close()
+		return nil, fmt.Errorf("%w: mixer %s serves version %d, this coordinator speaks %d", ErrProtocolMismatch, addr, info.ProtocolVersion, ProtocolVersion)
 	}
 	m.info = &info
 	return m, nil
@@ -337,74 +294,27 @@ func (m *MixerClient) CallCount(method string) uint64 {
 	return n
 }
 
-// NewRound implements coordinator.Mixer.
+// NewRound asks the daemon for its signed round onion key.
 func (m *MixerClient) NewRound(service wire.Service, round uint32) (wire.MixerRoundKey, error) {
 	var rk wire.MixerRoundKey
 	err := m.c.Call("mix.newround", roundArgs{Service: service, Round: round}, &rk)
 	return rk, err
 }
 
-// SetDownstreamKeys implements coordinator.Mixer.
+// SetDownstreamKeys hands the daemon the onion keys of the positions after
+// its own, which it needs to wrap its noise.
 func (m *MixerClient) SetDownstreamKeys(service wire.Service, round uint32, keys [][]byte) error {
 	return m.c.Call("mix.setdownstream", downstreamArgs{Service: service, Round: round, Keys: keys}, nil)
 }
 
-// Mix implements coordinator.Mixer.
-func (m *MixerClient) Mix(service wire.Service, round uint32, numMailboxes uint32, batch [][]byte) ([][]byte, error) {
-	var out [][]byte
-	err := m.c.Call("mix.mix", mixArgs{Service: service, Round: round, NumMailboxes: numMailboxes, Batch: batch}, &out)
-	return out, err
-}
-
-// SupportsStreaming reports whether the daemon advertises the
-// mix.preparenoise / mix.stream.* surface (coordinator.streamCapable);
-// daemons built before it existed report false and the coordinator drives
-// them through full-batch Mix.
-func (m *MixerClient) SupportsStreaming() bool {
-	return m.info.Streaming || m.info.StreamVersion >= StreamVersionRelay
-}
-
-// SupportsForwarding reports whether the daemon serves the chain-forward
-// surface (mix.round.route/wait/abort); the coordinator only switches the
-// data plane to server-to-server forwarding when every mixer does.
-func (m *MixerClient) SupportsForwarding() bool {
-	return m.info.StreamVersion >= StreamVersionForward
-}
-
-// SupportsSharding reports whether the daemon serves the shard-group
-// surface (per-round shard layouts, group key exchange, merge deposits).
-// The coordinator refuses to open a sharded round unless every daemon in
-// the fleet does — a partial shard rollout cannot silently degrade the
-// noise division.
-func (m *MixerClient) SupportsSharding() bool {
-	return m.info.StreamVersion >= StreamVersionShard
-}
-
-// SupportsShardedBuild reports whether the daemon serves the sharded
-// mailbox-building surface (mix.deal.*, shard-tagged cdn.publish). The
-// coordinator only splits the last position's build across its shard
-// group when every daemon in that group does; otherwise the merge server
-// builds all mailboxes itself, exactly as StreamVersionShard rounds did.
-func (m *MixerClient) SupportsShardedBuild() bool {
-	return m.info.StreamVersion >= StreamVersionCDNShard
-}
-
-// SetRoundShard implements coordinator.ShardMixer: the daemon is shard
-// `index` of `count` jointly serving its chain position this round. Must
-// precede PrepareNoise — the group divides the position's noise.
-func (m *MixerClient) SetRoundShard(service wire.Service, round uint32, index, count int) error {
-	return m.c.Call("mix.round.shard", shardArgs{
-		Service: service, Round: round, ShardIndex: index, ShardCount: count,
-	}, nil)
-}
-
-// SetRoundShardPeers implements coordinator.ShardPeerMixer: SetRoundShard
-// plus the round's shard network — the dial addresses of every member the
-// coordinator placed in the group (spares included). The daemon refuses
-// mix.round.exportkey calls from any other host for the round, so a
-// drafted spare or rotated lead can pull the round key but a stray caller
-// cannot. An empty peer list preserves the ungated legacy behavior.
-func (m *MixerClient) SetRoundShardPeers(service wire.Service, round uint32, index, count int, peers []string) error {
+// SetRoundShard makes the daemon shard `index` of `count` jointly serving
+// its chain position this round. Must precede PrepareNoise — the group
+// divides the position's noise. peers is the round's shard network: the
+// dial addresses of every member the coordinator placed in the group
+// (spares included). The daemon refuses mix.round.exportkey calls from any
+// other host for the round, so a drafted spare or rotated lead can pull
+// the round key but a stray caller cannot.
+func (m *MixerClient) SetRoundShard(service wire.Service, round uint32, index, count int, peers []string) error {
 	return m.c.Call("mix.round.shard", shardArgs{
 		Service: service, Round: round, ShardIndex: index, ShardCount: count,
 		Peers: peers,
@@ -414,12 +324,12 @@ func (m *MixerClient) SetRoundShardPeers(service wire.Service, round uint32, ind
 // ProbeTimeout bounds Probe's health check against an unresponsive daemon.
 const ProbeTimeout = time.Second
 
-// Probe implements coordinator.Prober: a cheap liveness check (mix.info on
-// the main connection, bounded by ProbeTimeout) used by the scheduler to
-// decide whether a benched daemon has recovered and whether a candidate is
-// reachable before planning it into a round. A dead TCP connection is
-// redialed by the transport, so a probe succeeding after a daemon restart
-// is the recovery signal itself.
+// Probe is a cheap liveness check (mix.info on the main connection,
+// bounded by ProbeTimeout) used by the scheduler to decide whether a
+// benched daemon has recovered and whether a candidate is reachable before
+// planning it into a round. A dead TCP connection is redialed by the
+// transport, so a probe succeeding after a daemon restart is the recovery
+// signal itself.
 func (m *MixerClient) Probe() error {
 	ctx, cancel := context.WithTimeout(context.Background(), ProbeTimeout)
 	defer cancel()
@@ -427,47 +337,38 @@ func (m *MixerClient) Probe() error {
 	return m.c.CallContext(ctx, "mix.info", struct{}{}, &info)
 }
 
-// ImportRoundKeyFrom implements coordinator.ShardMixer: the daemon dials
-// the shard group's lead directly and installs the position's round onion
-// key. The private key moves server-to-server inside the group's trust
-// domain; the coordinator only names the source.
+// ImportRoundKeyFrom makes the daemon dial the shard group's key holder
+// directly and install the position's round onion key. The private key
+// moves server-to-server inside the group's trust domain; the coordinator
+// only names the source.
 func (m *MixerClient) ImportRoundKeyFrom(service wire.Service, round uint32, leadAddr string) error {
 	return m.c.Call("mix.round.importkey", importKeyArgs{
 		Service: service, Round: round, LeadAddr: leadAddr,
 	}, nil)
 }
 
-// OpenRoute implements coordinator.ForwardMixer: it tells the daemon
-// where this round's post-shuffle output goes — the successor position's
-// shard set (or the CDN's publish address for the last position) — and
-// its own shard-group placement. A single unsharded successor rides the
-// legacy Successor field so a StreamVersionForward daemon in an unsharded
-// chain keeps working during a rolling upgrade.
+// OpenRoute tells the daemon where this round's post-shuffle output goes —
+// the successor position's shard set, or the CDN's publish address for the
+// last position — and its own shard-group placement.
 func (m *MixerClient) OpenRoute(service wire.Service, round uint32, spec wire.RouteSpec) error {
-	a := routeArgs{
+	return m.c.Call("mix.round.route", routeArgs{
 		Service: service, Round: round,
 		NumMailboxes: spec.NumMailboxes, ChunkSize: spec.ChunkSize,
-		CDNAddr:    spec.CDNAddr,
+		Successors: spec.Successors, CDNAddr: spec.CDNAddr,
 		ShardIndex: spec.ShardIndex, ShardCount: spec.ShardCount,
 		MergeAddr: spec.MergeAddr, NumUpstream: spec.NumUpstream,
-		BuildShards: spec.BuildShards,
-	}
-	if len(spec.Successors) == 1 && spec.ShardCount <= 1 {
-		a.Successor = spec.Successors[0]
-	} else {
-		a.Successors = spec.Successors
-	}
-	return m.c.Call("mix.round.route", a, nil)
+		BuildShards: spec.BuildShards, DeadlineMs: spec.DeadlineMs,
+	}, nil)
 }
 
-// WaitRound implements coordinator.ForwardMixer: it blocks until the
-// daemon's data-plane role in the round completes (forwarded downstream,
-// or published to the CDN) and returns the daemon's error if it failed or
-// was aborted, along with the daemon's self-reported duration and batch
-// byte counts for the coordinator's round-health tracking. The wait is a
-// bounded long-poll on a dedicated connection so the daemon never parks a
-// handler forever and the coordinator can still send control calls (e.g.
-// an abort) on the main connection.
+// WaitRound blocks until the daemon's data-plane role in the round
+// completes (forwarded downstream, or published to the CDN) and returns
+// the daemon's error if it failed or was aborted, along with the daemon's
+// self-reported duration and batch byte counts for the coordinator's
+// round-health tracking. The wait is a bounded long-poll on a dedicated
+// connection so the daemon never parks a handler forever and the
+// coordinator can still send control calls (e.g. an abort) on the main
+// connection.
 func (m *MixerClient) WaitRound(service wire.Service, round uint32) (wire.MixerRoundStats, error) {
 	m.waitMu.Lock()
 	if m.waitc == nil {
@@ -504,89 +405,49 @@ func (m *MixerClient) WaitRound(service wire.Service, round uint32) (wire.MixerR
 	}
 }
 
-// AbortRound implements coordinator.ForwardMixer: it discards the
-// daemon's in-flight stream and route for the round, unblocking any
-// waiter. The daemon propagates the abort to its successor.
+// AbortRound discards the daemon's in-flight stream and route for the
+// round, unblocking any waiter. The daemon propagates the abort to its
+// successors and its group.
 func (m *MixerClient) AbortRound(service wire.Service, round uint32, reason string) error {
 	return m.c.Call("mix.round.abort", abortArgs{Service: service, Round: round, Reason: reason}, nil)
 }
 
-// PrepareNoise implements coordinator.NoisePreparer: the daemon starts
-// generating round noise in the background as soon as settings are fixed.
+// PrepareNoise makes the daemon start generating round noise in the
+// background as soon as settings are fixed.
 func (m *MixerClient) PrepareNoise(service wire.Service, round uint32, numMailboxes uint32) error {
 	return m.c.Call("mix.preparenoise", mixArgs{Service: service, Round: round, NumMailboxes: numMailboxes}, nil)
 }
 
-// StreamBegin implements coordinator.StreamMixer. Sent at most once: a
-// duplicate begin (request executed, reply lost) would error "stream
-// already in progress" and fail the round for no reason.
+// StreamBegin opens (or joins) the routed round's onion intake. The
+// daemon treats it as idempotent, but like every stream call it is sent
+// at most once: a transport failure aborts the round instead.
 func (m *MixerClient) StreamBegin(service wire.Service, round uint32, numMailboxes uint32) error {
 	return m.c.CallOnce("mix.stream.begin", mixArgs{Service: service, Round: round, NumMailboxes: numMailboxes}, nil)
 }
 
-// StreamChunk implements coordinator.StreamMixer. Chunks are framed as
-// ordinary calls: the daemon acknowledges intake immediately and decrypts
-// on its worker pool, so consecutive chunks overlap with decryption.
-// Sent at most once — a transparent retry after a lost reply would
-// append the chunk to the round twice and corrupt the batch; a transport
-// failure aborts the round instead.
+// StreamChunk feeds one chunk of onions. Chunks are framed as ordinary
+// calls: the daemon acknowledges intake immediately and decrypts on its
+// worker pool, so consecutive chunks overlap with decryption. Sent at
+// most once — a transparent retry after a lost reply would append the
+// chunk to the round twice and corrupt the batch.
 func (m *MixerClient) StreamChunk(service wire.Service, round uint32, chunk [][]byte) error {
 	return m.c.CallOnce("mix.stream.chunk", mixArgs{Service: service, Round: round, Batch: chunk}, nil)
 }
 
-// StreamEnd implements coordinator.StreamMixer: it blocks until the daemon
-// has decrypted every chunk, added noise, and shuffled, then pulls the
-// output batch in frame-sized chunks. When the round has a forwarding
-// route open, the daemon instead pushes the output to its successor
-// itself; StreamEnd then returns no batch and the caller learns the
-// outcome from WaitRound.
-func (m *MixerClient) StreamEnd(service wire.Service, round uint32) ([][]byte, error) {
-	return m.StreamEndAs(service, round, 0)
+// StreamEnd tells the daemon that upstream writer `upstream` of the
+// route's NumUpstream is finished. The daemon acknowledges at once; when
+// every upstream has ended it runs its data-plane role on its own
+// goroutine and the caller learns the outcome from WaitRound.
+func (m *MixerClient) StreamEnd(service wire.Service, round uint32, upstream int) error {
+	return m.c.CallOnce("mix.stream.end", roundArgs{Service: service, Round: round, Upstream: upstream}, nil)
 }
 
-// StreamEndAs is StreamEnd for a daemon routed with NumUpstream > 1
-// (fan-in): upstream says WHICH of the route's writers is finished, so
-// the daemon closes its intake exactly once per upstream no matter how
-// ends are duplicated or interleaved.
-func (m *MixerClient) StreamEndAs(service wire.Service, round uint32, upstream int) ([][]byte, error) {
-	// At most once: StreamEnd consumes the stream, so a duplicate after a
-	// lost reply would fail "no stream in progress" (relay) or spawn a
-	// second forwarding attempt against consumed state (chain-forward).
-	var reply streamEndReply
-	if err := m.c.CallOnce("mix.stream.end", roundArgs{Service: service, Round: round, Upstream: upstream}, &reply); err != nil {
-		return nil, err
-	}
-	if reply.Forwarded {
-		return nil, nil
-	}
-	out := make([][]byte, 0, reply.Total)
-	for len(out) < reply.Total {
-		var chunk [][]byte
-		err := m.c.Call("mix.stream.pull", streamPullArgs{
-			Service: service, Round: round, Offset: len(out), Max: streamPullMax,
-		}, &chunk)
-		if err != nil {
-			return nil, err
-		}
-		if len(chunk) == 0 {
-			return nil, errors.New("rpc: stream output truncated")
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
-}
-
-// StreamAbort implements coordinator.StreamMixer's cheap failure path.
-func (m *MixerClient) StreamAbort(service wire.Service, round uint32) error {
-	return m.c.Call("mix.stream.abort", roundArgs{Service: service, Round: round}, nil)
-}
-
-// CloseRound implements coordinator.Mixer.
+// CloseRound erases the daemon's round key and route.
 func (m *MixerClient) CloseRound(service wire.Service, round uint32) {
 	_ = m.c.Call("mix.closeround", roundArgs{Service: service, Round: round}, nil)
 }
 
-// NoiseMu implements coordinator.Mixer.
+// NoiseMu returns the daemon's advertised per-mailbox noise mean.
 func (m *MixerClient) NoiseMu(service wire.Service) float64 {
 	if service == wire.Dialing {
 		return m.info.DialingMu
@@ -596,19 +457,21 @@ func (m *MixerClient) NoiseMu(service wire.Service) float64 {
 
 // ---- Entry/CDN daemon API (the client-facing frontend) ----
 
-// ProtocolVersion is the one generation of the client-facing surface (the
-// methods RegisterFrontend serves). RegisterFrontend stamps it into every
-// directory and FrontendClient.Directory refuses any other value — there
-// is no older rung to degrade to, so a mismatch is an operator error that
-// must surface, not a silently slower client. Bump it when the surface
-// changes incompatibly. The mixer fleet's StreamVersion and the signed
-// RoundSettings.PairingVersion are still negotiated separately.
+// ProtocolVersion is the one generation of the RPC surface: the methods
+// RegisterFrontend serves to clients and the ones RegisterMixer serves to
+// the coordinator and to other mixers. RegisterFrontend stamps it into
+// every directory and RegisterMixer into mix.info; FrontendClient.Directory
+// and DialMixer refuse any other value — there is no older rung to degrade
+// to, so a mismatch is an operator error that must surface, not a silently
+// slower client or a round on some other data plane. Bump it when either
+// surface changes incompatibly. The signed RoundSettings.PairingVersion is
+// still negotiated separately.
 const ProtocolVersion = 1
 
 // ErrProtocolMismatch is returned (wrapped, naming both versions) by
-// FrontendClient.Directory when the frontend serves a different
-// ProtocolVersion; a frontend that predates the field reports version 0.
-var ErrProtocolMismatch = errors.New("rpc: client protocol version mismatch")
+// FrontendClient.Directory and DialMixer when the peer serves a different
+// ProtocolVersion; a peer that predates the field reports version 0.
+var ErrProtocolMismatch = errors.New("rpc: protocol version mismatch")
 
 // Directory describes a full deployment to connecting clients: addresses
 // and pinned keys for every server. Served by the entry daemon.

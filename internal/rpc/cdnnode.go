@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,12 +46,11 @@ type cdnPublishArgs struct {
 	Done bool `json:"done"`
 	// Abort discards the staged round (publisher failed mid-round).
 	Abort bool `json:"abort,omitempty"`
-	// Sharded builds: NumShards > 0 tags the stream as shard Shard of
-	// NumShards publishing disjoint mailbox-ID slices of one round. The
-	// round seals only when all NumShards streams have sent Done.
-	// NumShards == 0 is the classic single-publisher stream.
-	Shard     int `json:"shard,omitempty"`
-	NumShards int `json:"num_shards,omitempty"`
+	// The stream is shard Shard of NumShards (>= 1) publishing disjoint
+	// mailbox-ID slices of one round. The round seals only when all
+	// NumShards streams have sent Done.
+	Shard     int `json:"shard"`
+	NumShards int `json:"num_shards"`
 }
 
 // cdnReplicateArgs mirrors cdnPublishArgs for node-to-node replication;
@@ -118,14 +118,13 @@ const (
 )
 
 // stagedRound is one half-published round: mailbox fragments concatenated
-// in arrival order, which publish streams have finished (sharded builds),
-// and when it was last written (TTL eviction).
+// in arrival order, which publish streams have finished, and when it was
+// last written (TTL eviction).
 type stagedRound struct {
 	boxes map[uint32][]byte
-	// numShards/shardDone track a sharded publish: the round seals only
-	// when every shard's stream has sent Done. numShards == 0 until a
-	// shard-tagged frame arrives; a legacy single stream seals on Done
-	// directly.
+	// numShards/shardDone track the publish streams: the round seals only
+	// when every shard's stream has sent Done. Unused by cdn.replicate,
+	// which is one stream.
 	numShards int
 	shardDone []bool
 	lastWrite time.Time
@@ -144,8 +143,6 @@ type CDNDaemon struct {
 	ttl     time.Duration
 
 	stagingEvictions atomic.Uint64
-	sealsSingle      atomic.Uint64
-	sealsSharded     atomic.Uint64
 	lastSealStreams  atomic.Int64
 }
 
@@ -215,11 +212,8 @@ func (d *CDNDaemon) SetStagingTTL(ttl time.Duration) {
 // count cap — publishers that died without sending Done or Abort.
 func (d *CDNDaemon) StagingEvictions() uint64 { return d.stagingEvictions.Load() }
 
-// SealsSharded counts rounds sealed from N > 1 shard-tagged publish
-// streams; SealsSingle counts classic single-stream seals. LastSealStreams
-// is the stream count of the most recent seal.
-func (d *CDNDaemon) SealsSharded() uint64 { return d.sealsSharded.Load() }
-func (d *CDNDaemon) SealsSingle() uint64  { return d.sealsSingle.Load() }
+// LastSealStreams is the number of publish streams the most recent seal
+// was assembled from: the size of the last position's shard group.
 func (d *CDNDaemon) LastSealStreams() int { return int(d.lastSealStreams.Load()) }
 
 // Close closes the daemon's peer connections (the server owns its own).
@@ -275,9 +269,17 @@ func (d *CDNDaemon) publish(a cdnPublishArgs) error {
 		d.mu.Unlock()
 		return nil
 	}
+	if a.NumShards < 1 || a.NumShards > maxFanIn || a.Shard < 0 || a.Shard >= a.NumShards {
+		d.mu.Unlock()
+		return fmt.Errorf("cdn: round %d (%s): bad shard %d/%d", a.Round, a.Service, a.Shard, a.NumShards)
+	}
 	st, ok := d.staging[k]
 	if !ok {
-		st = &stagedRound{boxes: make(map[uint32][]byte)}
+		st = &stagedRound{
+			boxes:     make(map[uint32][]byte),
+			numShards: a.NumShards,
+			shardDone: make([]bool, a.NumShards),
+		}
 		d.staging[k] = st
 		d.order = append(d.order, k)
 		for len(d.order) > stagingLimit {
@@ -285,22 +287,11 @@ func (d *CDNDaemon) publish(a cdnPublishArgs) error {
 			d.stagingEvictions.Add(1)
 		}
 	}
-	if a.NumShards > 0 {
-		if st.numShards == 0 {
-			st.numShards = a.NumShards
-			st.shardDone = make([]bool, a.NumShards)
-		}
-		if a.NumShards != st.numShards || a.Shard < 0 || a.Shard >= st.numShards {
-			d.dropLocked(k)
-			d.mu.Unlock()
-			return fmt.Errorf("cdn: round %d (%s): bad shard %d/%d (staged %d-way)",
-				a.Round, a.Service, a.Shard, a.NumShards, st.numShards)
-		}
-	} else if st.numShards > 0 {
+	if a.NumShards != st.numShards {
 		d.dropLocked(k)
 		d.mu.Unlock()
-		return fmt.Errorf("cdn: round %d (%s): unsharded stream into %d-way staged round",
-			a.Round, a.Service, st.numShards)
+		return fmt.Errorf("cdn: round %d (%s): %d-way stream into %d-way staged round",
+			a.Round, a.Service, a.NumShards, st.numShards)
 	}
 	for _, frag := range a.Boxes {
 		st.boxes[frag.ID] = append(st.boxes[frag.ID], frag.Data...)
@@ -310,32 +301,20 @@ func (d *CDNDaemon) publish(a cdnPublishArgs) error {
 		d.mu.Unlock()
 		return nil
 	}
-	streams := 1
-	if st.numShards > 0 {
-		st.shardDone[a.Shard] = true
-		for _, done := range st.shardDone {
-			if !done {
-				// Other shards still streaming; the round seals when the
-				// last one finishes.
-				d.mu.Unlock()
-				return nil
-			}
-		}
-		streams = st.numShards
+	st.shardDone[a.Shard] = true
+	if slices.Contains(st.shardDone, false) {
+		// Other shards still streaming; the round seals when the last
+		// one finishes.
+		d.mu.Unlock()
+		return nil
 	}
 	d.dropLocked(k)
-	boxes := st.boxes
 	d.mu.Unlock()
 
-	if err := d.store.PublishOwned(a.Service, a.Round, boxes); err != nil {
+	if err := d.store.PublishOwned(a.Service, a.Round, st.boxes); err != nil {
 		return err
 	}
-	d.lastSealStreams.Store(int64(streams))
-	if streams > 1 {
-		d.sealsSharded.Add(1)
-	} else {
-		d.sealsSingle.Add(1)
-	}
+	d.lastSealStreams.Store(int64(st.numShards))
 	d.pushToPeers(a.Service, a.Round)
 	return nil
 }
@@ -588,20 +567,19 @@ func streamRound(mailboxes map[uint32][]byte, send func(frags []cdnBoxFragment, 
 	return flush(true)
 }
 
-// PublishMailboxes streams a round's mailboxes to a cdn.publish endpoint
-// in budget-bounded calls, splitting oversized mailboxes across frames.
-// Mailboxes are sent in ID order so runs are reproducible. Fragments are
-// sent AT MOST ONCE (a transparent retry after a lost reply would
-// concatenate a fragment twice); on a mid-publish failure a best-effort
-// abort tells the endpoint to discard the staged round.
+// PublishMailboxes publishes a whole round as its one stream.
 func PublishMailboxes(c *Client, service wire.Service, round uint32, mailboxes map[uint32][]byte) error {
-	return PublishMailboxesShard(c, service, round, mailboxes, 0, 0)
+	return PublishMailboxesShard(c, service, round, mailboxes, 0, 1)
 }
 
-// PublishMailboxesShard is PublishMailboxes for one shard of a sharded
-// mailbox build: every frame carries the (shard, numShards) tag and the
-// endpoint seals the round only when all numShards streams finish.
-// numShards == 0 publishes untagged (the classic single stream).
+// PublishMailboxesShard streams one shard's slice of a round's mailboxes
+// to a cdn.publish endpoint in budget-bounded calls, splitting oversized
+// mailboxes across frames. Every frame carries the (shard, numShards) tag
+// and the endpoint seals the round only when all numShards streams
+// finish. Mailboxes are sent in ID order so runs are reproducible.
+// Fragments are sent AT MOST ONCE (a transparent retry after a lost reply
+// would concatenate a fragment twice); on a mid-publish failure a
+// best-effort abort tells the endpoint to discard the staged round.
 func PublishMailboxesShard(c *Client, service wire.Service, round uint32, mailboxes map[uint32][]byte, shard, numShards int) error {
 	err := streamRound(mailboxes, func(frags []cdnBoxFragment, done bool) error {
 		return c.CallOnce("cdn.publish", cdnPublishArgs{

@@ -195,7 +195,7 @@ func TestCDNRestartBackfill(t *testing.T) {
 	pubB := rpc.Dial(b.ingestAddr)
 	defer pubB.Close()
 	r2 := cdnTestRound(2, 5)
-	if err := rpc.PublishMailboxesShard(pubB, wire.Dialing, 2, r2, 0, 0); err != nil {
+	if err := rpc.PublishMailboxes(pubB, wire.Dialing, 2, r2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -320,10 +320,11 @@ func TestCDNStagingTTL(t *testing.T) {
 			ID   uint32 `json:"id"`
 			Data []byte `json:"data"`
 		} `json:"boxes"`
+		NumShards int `json:"num_shards"`
 	}{wire.Dialing, 9, []struct {
 		ID   uint32 `json:"id"`
 		Data []byte `json:"data"`
-	}{{0, []byte("orphaned")}}}, nil); err != nil {
+	}{{0, []byte("orphaned")}}, 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -116,7 +116,7 @@ func TestChurnSelfHealingRounds(t *testing.T) {
 	newCoord := func(f *shardFleet) (*coordinator.Coordinator, *cdn.Store, *entry.Server) {
 		store, cdnAddr := startCDN(t)
 		e := entry.New()
-		coord := shardCoordinator(f, e, store, cdnAddr)
+		coord := shardCoordinator(f, e, cdnAddr)
 		coord.ChunkSize = 16
 		coord.RoundDeadline = 20 * time.Second
 		coord.SetExpectedVolume(wire.Dialing, numTokens)
@@ -246,7 +246,7 @@ func TestMergeRotationDeterminism(t *testing.T) {
 		})
 		store, cdnAddr := startCDN(t)
 		e := entry.New()
-		coord := shardCoordinator(f, e, store, cdnAddr)
+		coord := shardCoordinator(f, e, cdnAddr)
 		coord.ChunkSize = 16
 		coord.PinLead = pinLead
 		coord.SetExpectedVolume(wire.Dialing, numTokens)
@@ -346,14 +346,14 @@ func TestExportKeyPeerGate(t *testing.T) {
 		t.Fatalf("ungated export: %v", err)
 	}
 	// An allowlist naming only a foreign host locks this caller out.
-	if err := mc.SetRoundShardPeers(wire.Dialing, 1, 0, 2, []string{"203.0.113.1:9000"}); err != nil {
+	if err := mc.SetRoundShard(wire.Dialing, 1, 0, 2, []string{"203.0.113.1:9000"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := raw.Call("mix.round.exportkey", exportArgs, new(wire.MixerRoundKey)); err == nil {
 		t.Fatal("export from outside the shard network succeeded")
 	}
 	// Re-planning the round with the caller's host admitted restores it.
-	if err := mc.SetRoundShardPeers(wire.Dialing, 1, 0, 2, []string{"127.0.0.1:9000"}); err != nil {
+	if err := mc.SetRoundShard(wire.Dialing, 1, 0, 2, []string{"127.0.0.1:9000"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := raw.Call("mix.round.exportkey", exportArgs, new(wire.MixerRoundKey)); err != nil {

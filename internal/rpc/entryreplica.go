@@ -24,11 +24,10 @@ import (
 // cursor and resumes mid-round, no snapshot reset.
 //
 // Intake stays local: each frontend admits its own sub-batch, and at
-// close the coordinator either pulls the batch (relayed data plane) or —
-// chain-forward — tells the frontend to deal its sub-batch into position
-// 0's shard set itself (entry.replicate.feed), tagged with the frontend's
-// upstream index so the shards' counted NumUpstream fan-in merges N
-// feeders exactly once each.
+// close the coordinator tells the frontend to deal its sub-batch into
+// position 0's shard set itself (entry.replicate.feed), tagged with the
+// frontend's upstream index so the shards' counted NumUpstream fan-in
+// merges N feeders exactly once each.
 
 type replicateOpenArgs struct {
 	// Settings is the round's canonical wire.RoundSettings encoding —
@@ -143,17 +142,10 @@ func (st *replicaState) feed(a replicateFeedArgs, batch [][]byte) error {
 		}
 	}
 	for s, c := range shards {
-		var reply streamEndReply
 		if err := c.CallOnce("mix.stream.end", roundArgs{
 			Service: a.Service, Round: a.Round, Upstream: a.Upstream,
-		}, &reply); err != nil {
+		}, nil); err != nil {
 			return fmt.Errorf("rpc: replicate feed end (shard %d): %w", s, err)
-		}
-		if !reply.Forwarded {
-			// Without a forwarding route the daemon would expect this
-			// feeder to pull the output, which is the coordinator's job,
-			// not a frontend's.
-			return fmt.Errorf("rpc: replicate feed: shard %d has no forwarding route", s)
 		}
 	}
 	return nil
@@ -193,17 +185,6 @@ func RegisterEntryReplica(s *Server, e *entry.Server) {
 		}
 		return replicateCloseReply{Size: n}, nil
 	})
-	HandleFunc(s, "entry.replicate.batch", func(a roundArgs) (any, error) {
-		// Non-consuming (idempotent): the stash lives until the round's
-		// publish announcement retires it below.
-		st.mu.Lock()
-		batch, ok := st.stash[stashKey{a.Service, a.Round}]
-		st.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("rpc: no stashed batch for %v round %d", a.Service, a.Round)
-		}
-		return batch, nil
-	})
 	HandleFunc(s, "entry.replicate.feed", func(a replicateFeedArgs) (any, error) {
 		batch, err := st.takeStash(a.Service, a.Round)
 		if err != nil {
@@ -225,10 +206,9 @@ func RegisterEntryReplica(s *Server, e *entry.Server) {
 	})
 }
 
-// EntryReplicaClient is the coordinator's handle on a remote entry
-// frontend. It satisfies coordinator.Frontend (announcement replay and
-// relayed-plane batch collection) and coordinator.FrontendFeeder
-// (chain-forward sub-batch dealing).
+// EntryReplicaClient is the coordinator's handle on an entry frontend
+// other than its own: coordinator.Frontend (announcement replay, intake
+// close, sub-batch dealing).
 type EntryReplicaClient struct {
 	addr string
 	c    *Client
@@ -257,23 +237,9 @@ func (r *EntryReplicaClient) AnnouncePublished(service wire.Service, round uint3
 	_ = r.c.Call("entry.replicate.published", roundArgs{Service: service, Round: round}, nil)
 }
 
-// CloseRound closes the frontend's intake and pulls its sub-batch — the
-// relayed data plane, where the coordinator concatenates sub-batches and
-// drives the chain itself.
-func (r *EntryReplicaClient) CloseRound(service wire.Service, round uint32) ([][]byte, error) {
-	if _, err := r.CloseIntake(service, round); err != nil {
-		return nil, err
-	}
-	var batch [][]byte
-	if err := r.c.Call("entry.replicate.batch", roundArgs{Service: service, Round: round}, &batch); err != nil {
-		return nil, err
-	}
-	return batch, nil
-}
-
-// CloseIntake closes the frontend's intake, leaving the sub-batch stashed
-// frontend-side for FeedBatch — the chain-forward plane, where the batch
-// never crosses the coordinator.
+// CloseIntake closes the frontend's intake and reports the sub-batch's
+// size, leaving the batch stashed frontend-side for FeedBatch: it never
+// crosses the coordinator.
 func (r *EntryReplicaClient) CloseIntake(service wire.Service, round uint32) (int, error) {
 	var reply replicateCloseReply
 	if err := r.c.Call("entry.replicate.close", roundArgs{Service: service, Round: round}, &reply); err != nil {

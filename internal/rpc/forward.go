@@ -15,45 +15,38 @@ import (
 	"alpenhorn/internal/wire"
 )
 
-// This file is the daemon side of the mixnet data plane. A mixer daemon
-// serves two generations of it:
+// This file is the daemon side of the mixnet data plane. There is one way
+// a round runs:
 //
-//   - Relay (StreamVersionRelay): the coordinator pushes chunks in and
-//     pulls the post-shuffle output back (mix.stream.pull), then pushes it
-//     to the next server itself. Bulk data crosses the coordinator once
-//     per chain hop.
+// Before the batch arrives, the coordinator opens a ROUTE on every daemon
+// (mix.round.route). A chain position is served by a SHARD GROUP of N >= 1
+// daemons, and the route gives a daemon its shard index, the group size,
+// and its role. One member is the group's merge LEAD this round; its route
+// carries where the position's output goes — the next position's full
+// shard set, or, for the last position, the CDN's publish address and the
+// group's own address list for the sharded mailbox build. Every other
+// member's route names the lead (MergeAddr).
 //
-//   - Chain-forward (StreamVersionForward): before the batch arrives, the
-//     coordinator opens a ROUTE on each daemon (mix.round.route) naming
-//     its successor — the next mixer's RPC address, or the CDN's publish
-//     address for the last server. After StreamEnd the daemon pushes its
-//     outbox to the successor's mix.stream.chunk itself (dialing with
-//     retry/backoff), and the last server builds the round's mailboxes
-//     and ships them straight to the CDN via cdn.publish. The coordinator
-//     only moves control messages; it learns each server's outcome from
-//     the mix.round.wait long-poll, and failures propagate as
-//     mix.round.abort both down the chain and back to the waiting
-//     coordinator.
+// Onions stream in over mix.stream.begin/chunk/end. Fan-in is counted: a
+// daemon's intake closes exactly once, when an end-of-stream has arrived
+// from each of the route's NumUpstream writers (the frontends for position
+// 0, the previous position's lead otherwise); begins and ends are
+// idempotent per upstream. Each member then peels its slice and adds its
+// divided noise share WITHOUT shuffling, and deposits the result with the
+// lead (mix.merge.begin/chunk/end; the lead's own slice is deposited
+// locally). The deposit that completes the set triggers the position's
+// single key-derived shuffle over the concatenated batch
+// (mixnet.MergeShuffle). The lead then DEALS its post-shuffle chunks
+// round-robin across the successor shard set, or — at the end of the chain
+// — deals request bodies by mailbox ID across its own group (mix.deal.*),
+// and every member builds its mailbox-ID range and publishes it over its
+// own shard-tagged cdn.publish stream.
 //
-//   - Shard groups (StreamVersionShard): one chain position may be served
-//     by N daemons. The route then also carries the daemon's shard index,
-//     the group size, the group's merge address, and the FULL successor
-//     shard set. Each shard peels its slice of the position's batch and
-//     generates its divided noise share; shards stream their peeled
-//     slices to the group's merge server (mix.merge.begin/chunk/end),
-//     and the deposit that completes the set — the last-arriving shard —
-//     triggers the position's single key-derived shuffle over the
-//     concatenated batch (mixnet.MergeShuffle). The merge server then DEALS its
-//     post-shuffle chunks round-robin across the successor position's
-//     shard set (or builds and publishes the mailboxes at the end of the
-//     chain). Fan-in is counted: an intake only closes once an
-//     end-of-stream has arrived from every expected upstream (the route's
-//     NumUpstream for onion intake, the group size for merge deposits).
-//     A shard set of size one takes none of these branches — it runs the
-//     exact chain-forward path above.
-//
-// Relay remains fully served so a newer coordinator can drive a mixed
-// fleet during a rolling upgrade.
+// An unsharded position is a group of one: its own lead, a merge of one
+// part, a one-slice build. The coordinator only moves control messages; it
+// learns each daemon's outcome from the mix.round.wait long-poll, and
+// failures propagate as mix.round.abort down the chain, across the group
+// and back to the waiting coordinator.
 
 type outKey struct {
 	service wire.Service
@@ -68,26 +61,23 @@ type route struct {
 	numMailboxes uint32
 	chunkSize    int
 
-	// buildShards switches the last position's merge server to sharded
-	// mailbox building: after the merged shuffle it deals request bodies
-	// by mailbox ID across these addresses (its own shard group, shard
-	// order, itself included) instead of building every mailbox locally.
+	// buildShards is the last position's lead's deal list: after the
+	// merged shuffle it deals request bodies by mailbox ID across these
+	// addresses (its own shard group, shard order, itself included).
 	buildShards []string
 
-	// Shard-group layout. shardCount 1 is the unsharded chain-forward
-	// path; mergeAddr is where a non-merge shard deposits its peeled
-	// slice ("" on the merge server itself).
-	shardIndex  int
-	shardCount  int
-	mergeAddr   string
-	numUpstream int // stream ends to await before the local peel closes
+	// Shard-group layout. mergeAddr is where a non-lead shard deposits
+	// its peeled slice ("" on the lead itself).
+	shardIndex int
+	shardCount int
+	mergeAddr  string
 
-	// Intake progress (fan-in counting). endedUpstreams dedupes ends by
-	// upstream identity when numUpstream > 1, so a restarted upstream
-	// re-sending its end cannot close the intake early; endsSeen counts
-	// the distinct ends and intakeClosed latches the (single) close.
+	// Intake progress (fan-in counting). begun latches the one stream
+	// every upstream's begin joins. endedUpstreams has one slot per
+	// upstream writer and dedupes ends by upstream identity, so a
+	// duplicated or re-sent end cannot close the intake early or twice;
+	// intakeClosed latches the single close.
 	begun          bool
-	endsSeen       int
 	endedUpstreams []bool
 	intakeClosed   bool
 
@@ -173,22 +163,20 @@ type routeArgs struct {
 	Round        uint32       `json:"round"`
 	NumMailboxes uint32       `json:"num_mailboxes"`
 	ChunkSize    int          `json:"chunk_size"`
-	Successor    string       `json:"successor,omitempty"`
 	CDNAddr      string       `json:"cdn_addr,omitempty"`
-	// Shard-group routing (StreamVersionShard). Successors names the
-	// NEXT position's full shard set (supersedes Successor when set);
-	// MergeAddr is the group's merge server for a non-merge shard;
-	// NumUpstream is how many upstream end-of-streams close the onion
-	// intake (0 = 1).
-	ShardIndex  int      `json:"shard_index,omitempty"`
-	ShardCount  int      `json:"shard_count,omitempty"`
+	// Shard-group routing: the daemon is shard ShardIndex of ShardCount
+	// (>= 1). Successors names the NEXT position's full shard set;
+	// MergeAddr is the group's lead, empty on the lead itself;
+	// NumUpstream (>= 1) is how many upstream end-of-streams close the
+	// onion intake.
+	ShardIndex  int      `json:"shard_index"`
+	ShardCount  int      `json:"shard_count"`
 	MergeAddr   string   `json:"merge_addr,omitempty"`
 	Successors  []string `json:"successors,omitempty"`
-	NumUpstream int      `json:"num_upstream,omitempty"`
-	// BuildShards (StreamVersionCDNShard) marks the last position's merge
-	// server for sharded mailbox building: the full shard group's
-	// addresses, in shard order. Non-merge shards of such a group carry
-	// CDNAddr but no BuildShards.
+	NumUpstream int      `json:"num_upstream"`
+	// BuildShards is the last position's lead's deal list: the full shard
+	// group's addresses, in shard order. Non-lead shards of the last
+	// group carry CDNAddr but no BuildShards.
 	BuildShards []string `json:"build_shards,omitempty"`
 	// DeadlineMs bounds the daemon's data-plane dial retries for the
 	// round, in milliseconds from route receipt; 0 means no deadline.
@@ -221,7 +209,7 @@ type shardArgs struct {
 	// Peers is the round's allowed shard network: the addresses of every
 	// group member (announcer, members, drafted spares). When set, the
 	// daemon serves mix.round.exportkey for this round only to callers
-	// whose host appears in it. Empty = legacy coordinator, no gate.
+	// whose host appears in it. Empty = no gate.
 	Peers []string `json:"peers,omitempty"`
 }
 
@@ -242,15 +230,13 @@ type mergeArgs struct {
 	Batch   [][]byte     `json:"batch,omitempty"`
 }
 
-// MixerDaemon is the RPC-facing state of one mixer daemon: the relay-mode
-// outbox, the chain-forward routes, and cached connections to successors.
-// RegisterMixer returns it so daemon binaries and tests can inspect
-// round-state hygiene.
+// MixerDaemon is the RPC-facing state of one mixer daemon: the rounds'
+// routes and cached connections to peers. RegisterMixer returns it so
+// daemon binaries and tests can inspect round-state hygiene.
 type MixerDaemon struct {
 	m *mixnet.Server
 
 	mu     sync.Mutex
-	outbox map[outKey][][]byte
 	routes map[outKey]*route
 	peers  map[string]*Client
 	// keyPeers is the per-round exportkey allowlist (shardArgs.Peers):
@@ -268,14 +254,6 @@ func (d *MixerDaemon) PendingRoutes() int {
 	return len(d.routes)
 }
 
-// PendingOutboxes returns the number of relay-mode output batches parked
-// for mix.stream.pull.
-func (d *MixerDaemon) PendingOutboxes() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.outbox)
-}
-
 // mergeRoute validates a merge-surface call: the round must have a route,
 // this daemon must be the round's merge server, and the shard index must
 // be inside the group (and not the merge server's own — its slice never
@@ -286,7 +264,7 @@ func (d *MixerDaemon) mergeRoute(a mergeArgs) (*route, outKey, error) {
 	defer d.mu.Unlock()
 	rt := d.routes[k]
 	if rt == nil {
-		return nil, k, fmt.Errorf("rpc: round %d (%s) has no route", a.Round, a.Service)
+		return nil, k, errNoRoute(a.Service, a.Round)
 	}
 	if rt.mergeEnded == nil {
 		return nil, k, fmt.Errorf("rpc: round %d (%s): this daemon is not the merge server", a.Round, a.Service)
@@ -359,80 +337,47 @@ func (d *MixerDaemon) finish(k outKey, rt *route, err error) {
 	}
 }
 
-// forward is the daemon's data-plane role for one chain-forward round,
-// run on its own goroutine once every upstream has closed the stream.
-//
-// Unsharded (shard set of size one): finish the local mix (noise +
-// shuffle) and hand the result to finishPosition — the pre-shard path,
-// unchanged.
-//
-// Sharded: finish only the local peel + noise share (StreamEndShard; the
-// shuffle happens once, over the whole position's batch, at the group's
-// merge) and either stream the slice to the merge server or — on the
-// merge server itself — record it as a deposit, which may complete the
-// merge.
+// forward is the daemon's data-plane role for one round, run on its own
+// goroutine once every upstream has closed the stream: finish the local
+// peel + noise share (StreamEndShard; the shuffle happens once, over the
+// whole position's batch, at the group's merge) and either stream the
+// slice to the lead or — on the lead itself — record it as a deposit,
+// which may complete the merge.
 func (d *MixerDaemon) forward(k outKey, rt *route) {
-	if rt.shardCount > 1 {
-		out, err := d.m.StreamEndShard(k.service, k.round)
-		if err != nil {
-			d.finish(k, rt, err)
-			return
-		}
-		if rt.mergeAddr != "" {
-			if err := d.pushDeposit(k, rt, out); err != nil || rt.cdnAddr == "" {
-				d.finish(k, rt, err)
-				return
-			}
-			// Sharded build: this shard's duty is not done at deposit.
-			// The merge server deals back this shard's mailbox-ID slice
-			// (mix.deal.*); the route resolves once the slice is built
-			// and published over the shard's own cdn.publish stream.
-			return
-		}
-		d.addDeposit(k, rt, rt.shardIndex, out)
-		return
-	}
-	out, err := d.m.StreamEnd(k.service, k.round)
+	out, err := d.m.StreamEndShard(k.service, k.round)
 	if err != nil {
 		d.finish(k, rt, err)
 		return
 	}
-	d.finishPosition(k, rt, out)
+	if rt.mergeAddr == "" {
+		d.addDeposit(k, rt, rt.shardIndex, out)
+		return
+	}
+	if err := d.pushDeposit(k, rt, out); err != nil || rt.cdnAddr == "" {
+		d.finish(k, rt, err)
+	}
+	// Otherwise this is a build shard of the last position and its duty
+	// is not done at deposit: the lead deals back this shard's
+	// mailbox-ID slice (mix.deal.*), and the route resolves once the
+	// slice is built and published over the shard's own cdn.publish
+	// stream.
 }
 
 // finishPosition completes a position's data-plane duty once its full
-// post-shuffle batch exists on this daemon: deal it across the successor
-// position's shard set, or — at the end of the chain — build the round's
-// mailboxes and publish them to the CDN. With a sharded build route the
-// batch is instead dealt BY MAILBOX ID across the position's own shard
-// group and this daemon only builds its own ID range: the merge server
-// never touches the other shards' final mailbox bytes.
+// post-shuffle batch exists on the lead: deal it across the successor
+// position's shard set, or — at the end of the chain — deal it BY MAILBOX
+// ID across the position's own shard group, so that every member builds
+// and publishes only its own ID range.
 func (d *MixerDaemon) finishPosition(k outKey, rt *route, out [][]byte) {
 	if len(rt.successors) > 0 {
 		d.finish(k, rt, d.dealDownstream(k, rt, out))
 		return
 	}
-	if len(rt.buildShards) > 0 {
-		d.dealMailboxBuild(k, rt, out)
-		return
-	}
-	boxes, err := mixnet.BuildMailboxes(k.service, rt.numMailboxes, out)
-	if err != nil {
-		d.finish(k, rt, err)
-		return
-	}
-	var published uint64
-	for _, box := range boxes {
-		published += uint64(len(box))
-	}
-	d.mu.Lock()
-	rt.bytesOut += published
-	d.mu.Unlock()
-	d.finish(k, rt, PublishMailboxes(d.peer(rt.cdnAddr), k.service, k.round, boxes))
+	d.dealMailboxBuild(k, rt, out)
 }
 
 // dealMailboxBuild distributes the last position's post-shuffle batch by
-// MAILBOX ID across the shard group (merge server only): shard s gets the
+// MAILBOX ID across the shard group (lead only): shard s gets the
 // payloads addressed to its contiguous ID range (mixnet.ShardRange), in
 // batch order, over mix.deal.* streams. Cover traffic, malformed payloads,
 // and out-of-range mailboxes are dropped here — exactly the payloads
@@ -569,9 +514,10 @@ func (d *MixerDaemon) addDeposit(k outKey, rt *route, shard int, part [][]byte) 
 }
 
 // openStream dials addr and opens a chunked stream with retry/backoff on
-// the idempotent opening call: forwarding a round is often the first
-// traffic a fresh peer sees, so transient dial failures get a few
-// backed-off, jittered attempts before the round aborts. The route's
+// the opening call, which every stream surface serves idempotently:
+// forwarding a round is often the first traffic a fresh peer sees, so
+// transient dial failures get a few backed-off, jittered attempts before
+// the round aborts. The route's
 // per-round deadline bounds the retries: against a peer that is DEAD
 // rather than starting, the daemon stops burning the round as soon as the
 // deadline passes and the abort is classified slow, not crashed-here.
@@ -598,12 +544,6 @@ func (d *MixerDaemon) openStream(rt *route, addr, method string, args any) (*Cli
 			break
 		}
 	}
-	if err != nil && strings.Contains(err.Error(), "stream already in progress") {
-		// A begin from an earlier attempt executed but its reply was
-		// lost. This daemon is the stream's only legitimate writer, so
-		// the open stream is ours: proceed.
-		err = nil
-	}
 	if err != nil {
 		return nil, fmt.Errorf("rpc: opening stream to %s: %w", addr, err)
 	}
@@ -617,8 +557,8 @@ func (rt *route) effectiveChunk() int {
 	if chunkSize <= 0 {
 		chunkSize = mixnet.DefaultStreamChunk
 	}
-	if chunkSize > streamPullMax {
-		chunkSize = streamPullMax
+	if chunkSize > streamChunkMax {
+		chunkSize = streamChunkMax
 	}
 	return chunkSize
 }
@@ -666,9 +606,6 @@ func (d *MixerDaemon) pushDownstream(k outKey, rt *route, addr string, out [][]b
 // so sharding never hides nondeterminism in the data plane. Each
 // successor gets its own chunked stream, pushed concurrently.
 func (d *MixerDaemon) dealDownstream(k outKey, rt *route, out [][]byte) error {
-	if len(rt.successors) == 1 {
-		return d.pushDownstream(k, rt, rt.successors[0], out)
-	}
 	chunkSize := rt.effectiveChunk()
 	perShard := make([][][]byte, len(rt.successors))
 	for i, lo := 0, 0; lo < len(out); i, lo = i+1, lo+chunkSize {
@@ -727,13 +664,11 @@ func (d *MixerDaemon) pushDeposit(k outKey, rt *route, out [][]byte) error {
 	return nil
 }
 
-// RegisterMixer exposes a mixnet.Server over RPC: the legacy full-batch
-// surface, the relay streaming surface, and the chain-forward data plane
-// described at the top of this file.
+// RegisterMixer exposes a mixnet.Server over RPC: round set-up and the
+// routed data plane described at the top of this file.
 func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 	d := &MixerDaemon{
 		m:        m,
-		outbox:   make(map[outKey][][]byte),
 		routes:   make(map[outKey]*route),
 		peers:    make(map[string]*Client),
 		keyPeers: make(map[outKey][]string),
@@ -742,16 +677,15 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 	HandleFunc(s, "mix.info", func(struct{}) (any, error) {
 		shardIndex, shardCount := m.ShardIdentity()
 		return MixerInfo{
-			Name:          m.Name,
-			Position:      m.Position,
-			SigningKey:    m.SigningKey(),
-			AddFriendMu:   m.AddFriendNoise.Mu,
-			DialingMu:     m.DialingNoise.Mu,
-			Streaming:     true,
-			StreamVersion: StreamVersionCDNShard,
-			ShardIndex:    shardIndex,
-			ShardCount:    shardCount,
-			Spare:         m.Spare(),
+			Name:            m.Name,
+			Position:        m.Position,
+			SigningKey:      m.SigningKey(),
+			AddFriendMu:     m.AddFriendNoise.Mu,
+			DialingMu:       m.DialingNoise.Mu,
+			ProtocolVersion: ProtocolVersion,
+			ShardIndex:      shardIndex,
+			ShardCount:      shardCount,
+			Spare:           m.Spare(),
 		}, nil
 	})
 	HandleFunc(s, "mix.newround", func(a roundArgs) (any, error) {
@@ -783,22 +717,12 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		// when the coordinator distributed the round's shard network
 		// (shardArgs.Peers), the caller's host must be in it: topology is
 		// verified here instead of merely trusted.
-		k := outKey{a.Service, a.Round}
 		d.mu.Lock()
-		allowed := d.keyPeers[k]
+		allowed := d.keyPeers[outKey{a.Service, a.Round}]
 		d.mu.Unlock()
-		if len(allowed) > 0 {
-			caller := hostOf(peerAddr)
-			ok := false
-			for _, p := range allowed {
-				if hostOf(p) == caller {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return nil, fmt.Errorf("rpc: round %d (%s): caller %s is outside the round's shard network", a.Round, a.Service, caller)
-			}
+		caller := hostOf(peerAddr)
+		if len(allowed) > 0 && !slices.ContainsFunc(allowed, func(p string) bool { return hostOf(p) == caller }) {
+			return nil, fmt.Errorf("rpc: round %d (%s): caller %s is outside the round's shard network", a.Round, a.Service, caller)
 		}
 		key, err := m.ExportRoundKey(a.Service, a.Round)
 		if err != nil {
@@ -818,97 +742,8 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		}
 		return nil, m.ImportRoundKey(a.Service, a.Round, reply.Key)
 	})
-	HandleFunc(s, "mix.mix", func(a mixArgs) (any, error) {
-		return m.Mix(a.Service, a.Round, a.NumMailboxes, a.Batch)
-	})
 	HandleFunc(s, "mix.round.route", func(a routeArgs) (any, error) {
-		if !m.RoundOpen(a.Service, a.Round) {
-			return nil, fmt.Errorf("rpc: round %d (%s) not open", a.Round, a.Service)
-		}
-		successors := a.Successors
-		if len(successors) == 0 && a.Successor != "" {
-			successors = []string{a.Successor}
-		}
-		shardCount := a.ShardCount
-		if shardCount <= 0 {
-			shardCount = 1
-		}
-		numUpstream := a.NumUpstream
-		if numUpstream <= 0 {
-			numUpstream = 1
-		}
-		if a.ShardIndex < 0 || a.ShardIndex >= shardCount {
-			return nil, fmt.Errorf("rpc: round %d (%s): bad shard index %d/%d", a.Round, a.Service, a.ShardIndex, shardCount)
-		}
-		if shardCount > 1 {
-			// The route must agree with the shard layout the round's
-			// noise was divided under; a mismatch means the coordinator
-			// skipped mix.round.shard and the noise floor would be wrong.
-			idx, count := m.RoundShard(a.Service, a.Round)
-			if idx != a.ShardIndex || count != shardCount {
-				return nil, fmt.Errorf("rpc: round %d (%s): route shard %d/%d conflicts with round layout %d/%d",
-					a.Round, a.Service, a.ShardIndex, shardCount, idx, count)
-			}
-		}
-		if shardCount == 1 && a.MergeAddr != "" {
-			return nil, fmt.Errorf("rpc: round %d (%s): unsharded route cannot have a merge server", a.Round, a.Service)
-		}
-		merge := shardCount == 1 || a.MergeAddr == ""
-		if merge && len(successors) == 0 && a.CDNAddr == "" {
-			return nil, fmt.Errorf("rpc: round %d (%s): route needs a successor or a CDN address", a.Round, a.Service)
-		}
-		if !merge && len(successors) > 0 {
-			// A non-merge shard MAY carry a CDN address: that is its
-			// sharded-build publish target. It never has successors.
-			return nil, fmt.Errorf("rpc: round %d (%s): non-merge shard cannot have successors", a.Round, a.Service)
-		}
-		if len(a.BuildShards) > 0 {
-			if !merge || a.CDNAddr == "" || len(successors) > 0 {
-				return nil, fmt.Errorf("rpc: round %d (%s): build shards require a last-position merge server", a.Round, a.Service)
-			}
-			if len(a.BuildShards) != shardCount {
-				return nil, fmt.Errorf("rpc: round %d (%s): %d build shards for %d-shard group",
-					a.Round, a.Service, len(a.BuildShards), shardCount)
-			}
-		}
-		k := outKey{a.Service, a.Round}
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if rt, ok := d.routes[k]; ok {
-			// Idempotent re-announce (the coordinator's call layer may
-			// retry a lost reply); a CONFLICTING route is an error.
-			if slices.Equal(rt.successors, successors) && rt.cdnAddr == a.CDNAddr &&
-				rt.numMailboxes == a.NumMailboxes && rt.chunkSize == a.ChunkSize &&
-				rt.shardIndex == a.ShardIndex && rt.shardCount == shardCount &&
-				rt.mergeAddr == a.MergeAddr && rt.numUpstream == numUpstream &&
-				slices.Equal(rt.buildShards, a.BuildShards) && rt.deadlineMs == a.DeadlineMs {
-				return nil, nil
-			}
-			return nil, fmt.Errorf("rpc: round %d (%s) already routed elsewhere", a.Round, a.Service)
-		}
-		rt := &route{
-			successors:   successors,
-			cdnAddr:      a.CDNAddr,
-			numMailboxes: a.NumMailboxes,
-			chunkSize:    a.ChunkSize,
-			buildShards:  a.BuildShards,
-			shardIndex:   a.ShardIndex,
-			shardCount:   shardCount,
-			mergeAddr:    a.MergeAddr,
-			numUpstream:  numUpstream,
-			deadlineMs:   a.DeadlineMs,
-			opened:       time.Now(),
-			done:         make(chan struct{}),
-		}
-		if a.DeadlineMs > 0 {
-			rt.deadline = rt.opened.Add(time.Duration(a.DeadlineMs) * time.Millisecond)
-		}
-		if shardCount > 1 && merge {
-			rt.mergeParts = make([][][]byte, shardCount)
-			rt.mergeEnded = make([]bool, shardCount)
-		}
-		d.routes[k] = rt
-		return nil, nil
+		return nil, d.openRoute(a)
 	})
 	HandleFunc(s, "mix.merge.begin", func(a mergeArgs) (any, error) {
 		// Idempotent: opening a deposit only validates that this daemon
@@ -954,7 +789,7 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		rt := d.routes[k]
 		d.mu.Unlock()
 		if rt == nil {
-			return nil, k, fmt.Errorf("rpc: round %d (%s) has no route", a.Round, a.Service)
+			return nil, k, errNoRoute(a.Service, a.Round)
 		}
 		if rt.mergeAddr == "" || rt.cdnAddr == "" {
 			return nil, k, fmt.Errorf("rpc: round %d (%s): daemon is not a build shard", a.Round, a.Service)
@@ -1009,7 +844,7 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		rt := d.routes[k]
 		d.mu.Unlock()
 		if rt == nil {
-			return nil, fmt.Errorf("rpc: round %d (%s) has no route", a.Round, a.Service)
+			return nil, errNoRoute(a.Service, a.Round)
 		}
 		select {
 		case <-rt.done:
@@ -1034,7 +869,6 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		k := outKey{a.Service, a.Round}
 		_ = m.StreamAbort(a.Service, a.Round)
 		d.mu.Lock()
-		delete(d.outbox, k)
 		rt := d.routes[k]
 		d.mu.Unlock()
 		if rt != nil {
@@ -1042,34 +876,38 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		}
 		return nil, nil
 	})
+	// The onion intake. Every call needs the round's route: the route is
+	// where the output goes, so a stream without one would park a batch
+	// this daemon can hand to nobody.
 	HandleFunc(s, "mix.stream.begin", func(a mixArgs) (any, error) {
-		k := outKey{a.Service, a.Round}
+		// The first upstream's begin opens the round's one stream (under
+		// d.mu, so a racing upstream cannot slip a chunk in before the
+		// stream exists); later begins — other upstreams, or a re-send
+		// whose reply was lost — join it.
 		d.mu.Lock()
-		if rt := d.routes[k]; rt != nil && rt.numUpstream > 1 {
-			// Fan-in: the first upstream's begin opens the round's one
-			// stream (under d.mu, so a racing upstream cannot slip a
-			// chunk in before the stream exists); later begins join it.
-			if rt.begun {
-				d.mu.Unlock()
-				return nil, nil
-			}
-			rt.begun = true
-			err := m.StreamBegin(a.Service, a.Round, a.NumMailboxes)
-			if err != nil {
-				rt.begun = false
-			}
-			d.mu.Unlock()
+		defer d.mu.Unlock()
+		rt := d.routes[outKey{a.Service, a.Round}]
+		if rt == nil {
+			return nil, errNoRoute(a.Service, a.Round)
+		}
+		if rt.begun {
+			return nil, nil
+		}
+		if err := m.StreamBegin(a.Service, a.Round, a.NumMailboxes); err != nil {
 			return nil, err
 		}
-		d.mu.Unlock()
-		return nil, m.StreamBegin(a.Service, a.Round, a.NumMailboxes)
+		rt.begun = true
+		return nil, nil
 	})
 	HandleFunc(s, "mix.stream.chunk", func(a mixArgs) (any, error) {
 		d.mu.Lock()
-		if rt := d.routes[outKey{a.Service, a.Round}]; rt != nil {
-			for _, msg := range a.Batch {
-				rt.bytesIn += uint64(len(msg))
-			}
+		rt := d.routes[outKey{a.Service, a.Round}]
+		if rt == nil {
+			d.mu.Unlock()
+			return nil, errNoRoute(a.Service, a.Round)
+		}
+		for _, msg := range a.Batch {
+			rt.bytesIn += uint64(len(msg))
 		}
 		d.mu.Unlock()
 		return nil, m.StreamChunk(a.Service, a.Round, a.Batch)
@@ -1077,76 +915,31 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 	HandleFunc(s, "mix.stream.end", func(a roundArgs) (any, error) {
 		k := outKey{a.Service, a.Round}
 		d.mu.Lock()
-		rt := d.routes[k]
-		if rt != nil && rt.numUpstream > 1 {
-			// Fan-in: ends are deduped by UPSTREAM IDENTITY, not
-			// counted bare — a restarted upstream re-sending its end
-			// must not stand in for one that is still streaming.
-			if a.Upstream < 0 || a.Upstream >= rt.numUpstream {
-				d.mu.Unlock()
-				return nil, fmt.Errorf("rpc: round %d (%s): upstream %d outside fan-in of %d", a.Round, a.Service, a.Upstream, rt.numUpstream)
-			}
-			if rt.endedUpstreams == nil {
-				rt.endedUpstreams = make([]bool, rt.numUpstream)
-			}
-			if !rt.endedUpstreams[a.Upstream] {
-				rt.endedUpstreams[a.Upstream] = true
-				rt.endsSeen++
-			}
-			if rt.endsSeen < rt.numUpstream || rt.intakeClosed {
-				d.mu.Unlock()
-				return streamEndReply{Forwarded: true}, nil
-			}
-			rt.intakeClosed = true
-		}
-		d.mu.Unlock()
-		if rt != nil {
-			// Chain-forward: acknowledge intake now; the mix and the
-			// downstream push happen on our own goroutine, and the
-			// outcome is reported through mix.round.wait.
-			go d.forward(k, rt)
-			return streamEndReply{Forwarded: true}, nil
-		}
-		out, err := m.StreamEnd(a.Service, a.Round)
-		if err != nil {
-			return nil, err
-		}
-		d.mu.Lock()
-		d.outbox[k] = out
-		d.mu.Unlock()
-		return streamEndReply{Total: len(out)}, nil
-	})
-	HandleFunc(s, "mix.stream.pull", func(a streamPullArgs) (any, error) {
-		if a.Max <= 0 || a.Max > streamPullMax {
-			a.Max = streamPullMax
-		}
-		d.mu.Lock()
 		defer d.mu.Unlock()
-		k := outKey{a.Service, a.Round}
-		out, ok := d.outbox[k]
-		if !ok {
-			return nil, fmt.Errorf("rpc: no pending stream output for round %d (%s)", a.Round, a.Service)
+		rt := d.routes[k]
+		if rt == nil {
+			return nil, errNoRoute(a.Service, a.Round)
 		}
-		if a.Offset < 0 || a.Offset > len(out) {
-			return nil, fmt.Errorf("rpc: stream pull offset %d out of range", a.Offset)
+		// Ends are deduped by UPSTREAM IDENTITY, not counted bare — a
+		// restarted upstream re-sending its end must not stand in for
+		// one that is still streaming.
+		if a.Upstream < 0 || a.Upstream >= len(rt.endedUpstreams) {
+			return nil, fmt.Errorf("rpc: round %d (%s): upstream %d outside fan-in of %d", a.Round, a.Service, a.Upstream, len(rt.endedUpstreams))
 		}
-		hi := a.Offset + a.Max
-		if hi >= len(out) {
-			hi = len(out)
-			defer delete(d.outbox, k) // last chunk: the batch is handed over
+		rt.endedUpstreams[a.Upstream] = true
+		if rt.intakeClosed || slices.Contains(rt.endedUpstreams, false) {
+			return nil, nil
 		}
-		return out[a.Offset:hi], nil
-	})
-	HandleFunc(s, "mix.stream.abort", func(a roundArgs) (any, error) {
-		d.mu.Lock()
-		delete(d.outbox, outKey{a.Service, a.Round})
-		d.mu.Unlock()
-		return nil, m.StreamAbort(a.Service, a.Round)
+		rt.intakeClosed = true
+		// Acknowledge intake now; the peel, the merge and the downstream
+		// push happen on our own goroutine, and the outcome is reported
+		// through mix.round.wait.
+		go d.forward(k, rt)
+		return nil, nil
 	})
 	HandleFunc(s, "mix.closeround", func(a roundArgs) (any, error) {
 		k := outKey{a.Service, a.Round}
 		d.mu.Lock()
-		delete(d.outbox, k)
 		delete(d.keyPeers, k)
 		rt := d.routes[k]
 		delete(d.routes, k)
@@ -1162,31 +955,90 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 	return d
 }
 
-// RegisterLegacyMixer exposes only the pre-streaming surface of a mixer
-// (full-batch mix.mix, StreamVersionNone). It exists so tests and the
-// bench harness can stand in for a daemon built before the streaming
-// RPCs and prove the rolling-upgrade fallback paths.
-func RegisterLegacyMixer(s *Server, m *mixnet.Server) {
-	HandleFunc(s, "mix.info", func(struct{}) (any, error) {
-		return MixerInfo{
-			Name:        m.Name,
-			Position:    m.Position,
-			SigningKey:  m.SigningKey(),
-			AddFriendMu: m.AddFriendNoise.Mu,
-			DialingMu:   m.DialingNoise.Mu,
-		}, nil
-	})
-	HandleFunc(s, "mix.newround", func(a roundArgs) (any, error) {
-		return m.NewRound(a.Service, a.Round)
-	})
-	HandleFunc(s, "mix.setdownstream", func(a downstreamArgs) (any, error) {
-		return nil, m.SetDownstreamKeys(a.Service, a.Round, a.Keys)
-	})
-	HandleFunc(s, "mix.mix", func(a mixArgs) (any, error) {
-		return m.Mix(a.Service, a.Round, a.NumMailboxes, a.Batch)
-	})
-	HandleFunc(s, "mix.closeround", func(a roundArgs) (any, error) {
-		m.CloseRound(a.Service, a.Round)
-		return nil, nil
-	})
+// maxFanIn bounds a route's group size and upstream count: both size
+// per-route tables, and both arrive as bare integers.
+const maxFanIn = 1 << 10
+
+func errNoRoute(service wire.Service, round uint32) error {
+	return fmt.Errorf("rpc: round %d (%s) has no route", round, service)
+}
+
+// openRoute validates and installs one round's route (mix.round.route).
+// The params come off an unauthenticated transport, so every combination
+// the data plane cannot run is refused here rather than discovered
+// mid-round: a daemon is either its group's lead — output goes to the
+// successors, or to the CDN through a build deal over exactly ShardCount
+// addresses — or a depositor naming its lead, never both.
+func (d *MixerDaemon) openRoute(a routeArgs) error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("rpc: round %d (%s): "+format, append([]any{a.Round, a.Service}, args...)...)
+	}
+	if !d.m.RoundOpen(a.Service, a.Round) {
+		return bad("not open")
+	}
+	if a.ShardIndex < 0 || a.ShardIndex >= a.ShardCount || a.ShardCount > maxFanIn {
+		return bad("bad shard index %d/%d", a.ShardIndex, a.ShardCount)
+	}
+	if a.NumUpstream < 1 || a.NumUpstream > maxFanIn {
+		return bad("bad upstream count %d", a.NumUpstream)
+	}
+	// The route must agree with the shard layout the round's noise was
+	// divided under; a mismatch means the coordinator skipped
+	// mix.round.shard and the noise floor would be wrong.
+	if idx, count := d.m.RoundShard(a.Service, a.Round); idx != a.ShardIndex || count != a.ShardCount {
+		return bad("route shard %d/%d conflicts with round layout %d/%d", a.ShardIndex, a.ShardCount, idx, count)
+	}
+	lead := a.MergeAddr == ""
+	switch {
+	case !lead && a.ShardCount == 1:
+		return bad("a group of one is its own lead")
+	case !lead && (len(a.Successors) > 0 || len(a.BuildShards) > 0):
+		// A non-lead shard MAY carry a CDN address: that is its
+		// build-slice publish target.
+		return bad("only the group's lead carries successors or build shards")
+	case lead && len(a.Successors) > 0 && (a.CDNAddr != "" || len(a.BuildShards) > 0):
+		return bad("a position forwards to successors or publishes to the CDN, not both")
+	case lead && len(a.Successors) == 0 && a.CDNAddr == "":
+		return bad("route needs a successor or a CDN address")
+	case lead && len(a.Successors) == 0 && len(a.BuildShards) != a.ShardCount:
+		return bad("%d build shards for %d-shard group", len(a.BuildShards), a.ShardCount)
+	}
+	k := outKey{a.Service, a.Round}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if rt, ok := d.routes[k]; ok {
+		// Idempotent re-announce (the coordinator's call layer may
+		// retry a lost reply); a CONFLICTING route is an error.
+		if slices.Equal(rt.successors, a.Successors) && rt.cdnAddr == a.CDNAddr &&
+			rt.numMailboxes == a.NumMailboxes && rt.chunkSize == a.ChunkSize &&
+			rt.shardIndex == a.ShardIndex && rt.shardCount == a.ShardCount &&
+			rt.mergeAddr == a.MergeAddr && len(rt.endedUpstreams) == a.NumUpstream &&
+			slices.Equal(rt.buildShards, a.BuildShards) && rt.deadlineMs == a.DeadlineMs {
+			return nil
+		}
+		return bad("already routed elsewhere")
+	}
+	rt := &route{
+		successors:     a.Successors,
+		cdnAddr:        a.CDNAddr,
+		numMailboxes:   a.NumMailboxes,
+		chunkSize:      a.ChunkSize,
+		buildShards:    a.BuildShards,
+		shardIndex:     a.ShardIndex,
+		shardCount:     a.ShardCount,
+		mergeAddr:      a.MergeAddr,
+		endedUpstreams: make([]bool, a.NumUpstream),
+		deadlineMs:     a.DeadlineMs,
+		opened:         time.Now(),
+		done:           make(chan struct{}),
+	}
+	if a.DeadlineMs > 0 {
+		rt.deadline = rt.opened.Add(time.Duration(a.DeadlineMs) * time.Millisecond)
+	}
+	if lead {
+		rt.mergeParts = make([][][]byte, a.ShardCount)
+		rt.mergeEnded = make([]bool, a.ShardCount)
+	}
+	d.routes[k] = rt
+	return nil
 }

@@ -31,31 +31,62 @@ type mixerFleet struct {
 	clients []*rpc.MixerClient
 }
 
+// listenTCP serves srv on a loopback port for the test's duration.
+func listenTCP(t *testing.T, srv *rpc.Server) string {
+	t.Helper()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return addr
+}
+
+// listenMem serves srv on an in-memory address, as internal/sim does.
+func listenMem(t *testing.T, srv *rpc.Server) string {
+	t.Helper()
+	t.Cleanup(srv.Close)
+	return srv.ListenMem()
+}
+
 // startFleet launches n mixer daemons over TCP. rand may be nil
 // (crypto/rand) or a per-position deterministic source factory.
 func startFleet(t *testing.T, n int, nz noise.Laplace, randFor func(pos int) mathrand.Source) *mixerFleet {
 	t.Helper()
+	return startFleetOn(t, listenTCP, n, nz, randFor)
+}
+
+// seededMixer builds position pos of an n-long chain; a non-nil src makes
+// it deterministic (one worker, so the rand read order is fixed).
+func seededMixer(t *testing.T, pos, n int, nz noise.Laplace, src mathrand.Source) *mixnet.Server {
+	t.Helper()
+	cfg := mixnet.Config{
+		Name: "m", Position: pos, ChainLength: n,
+		AddFriendNoise: &nz, DialingNoise: &nz,
+	}
+	if src != nil {
+		cfg.Rand = &seededReader{rng: mathrand.New(src)}
+		cfg.Parallelism = 1
+	}
+	m, err := mixnet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func startFleetOn(t *testing.T, listen func(*testing.T, *rpc.Server) string, n int, nz noise.Laplace, randFor func(pos int) mathrand.Source) *mixerFleet {
+	t.Helper()
 	f := &mixerFleet{}
 	for i := 0; i < n; i++ {
-		cfg := mixnet.Config{
-			Name: "m", Position: i, ChainLength: n,
-			AddFriendNoise: &nz, DialingNoise: &nz,
-		}
+		var src mathrand.Source
 		if randFor != nil {
-			cfg.Rand = &seededReader{rng: mathrand.New(randFor(i))}
-			cfg.Parallelism = 1 // deterministic rand read order
+			src = randFor(i)
 		}
-		m, err := mixnet.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := seededMixer(t, i, n, nz, src)
 		srv := rpc.NewServer()
 		d := rpc.RegisterMixer(srv, m)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Close)
+		addr := listen(t, srv)
 		mc, err := rpc.DialMixer(addr)
 		if err != nil {
 			t.Fatal(err)
@@ -93,20 +124,14 @@ func startCDNDaemon(t *testing.T) (*cdn.Store, string, *rpc.CDNDaemon) {
 	store := cdn.NewStore(0)
 	srv := rpc.NewServer()
 	d := rpc.RegisterCDN(srv, store)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	return store, addr, d
+	return store, listenTCP(t, srv), d
 }
 
-// forwardCoordinator assembles a chain-forward coordinator over a fleet.
-func forwardCoordinator(f *mixerFleet, e *entry.Server, store *cdn.Store, cdnAddr string) *coordinator.Coordinator {
+// forwardCoordinator assembles a coordinator over a fleet.
+func forwardCoordinator(f *mixerFleet, e *entry.Server, cdnAddr string) *coordinator.Coordinator {
 	coord := &coordinator.Coordinator{
-		Entry: e, CDN: store,
+		Entry:                    e,
 		TargetRequestsPerMailbox: 40,
-		ChainForward:             true,
 		CDNAddr:                  cdnAddr,
 	}
 	for _, mc := range f.clients {
@@ -185,7 +210,7 @@ func TestChainForwardOverTCP(t *testing.T) {
 	f := startFleet(t, 3, nz, nil)
 	store, cdnAddr := startCDN(t)
 	e := entry.New()
-	coord := forwardCoordinator(f, e, store, cdnAddr)
+	coord := forwardCoordinator(f, e, cdnAddr)
 	coord.ChunkSize = 64
 	coord.SetExpectedVolume(wire.Dialing, 300)
 
@@ -199,27 +224,17 @@ func TestChainForwardOverTCP(t *testing.T) {
 	tokens := makeTestTokens(300)
 	batchBytes := submitTokens(t, e, settings, tokens, nil)
 
-	mailboxes, err := coord.CloseRound(wire.Dialing, 1)
-	if err != nil {
+	if _, err := coord.CloseRound(wire.Dialing, 1); err != nil {
 		t.Fatal(err)
-	}
-	if mailboxes != nil {
-		t.Fatal("chain-forward CloseRound returned mailboxes through the coordinator")
 	}
 	if !store.Published(wire.Dialing, 1) {
 		t.Fatal("last daemon did not publish to the CDN")
 	}
 	assertTokensDelivered(t, store, 1, settings, tokens)
 
-	// The coordinator moved control messages only: no full-batch Mix, no
-	// output pulls, and no batch chunks to anyone but the first mixer.
+	// The coordinator moved control messages only: no batch chunks to
+	// anyone but the first mixer.
 	for i, mc := range f.clients {
-		if n := mc.CallCount("mix.mix"); n != 0 {
-			t.Errorf("mixer %d: %d mix.mix calls on the happy path", i, n)
-		}
-		if n := mc.CallCount("mix.stream.pull"); n != 0 {
-			t.Errorf("mixer %d: %d mix.stream.pull calls on the happy path", i, n)
-		}
 		if i > 0 {
 			if n := mc.CallCount("mix.stream.chunk"); n != 0 {
 				t.Errorf("mixer %d: coordinator pushed %d batch chunks to a non-first mixer", i, n)
@@ -247,9 +262,6 @@ func TestChainForwardOverTCP(t *testing.T) {
 		if n := d.PendingRoutes(); n != 0 {
 			t.Errorf("daemon %d: %d routes leak after the round", i, n)
 		}
-		if n := d.PendingOutboxes(); n != 0 {
-			t.Errorf("daemon %d: %d outboxes leak after the round", i, n)
-		}
 		if f.servers[i].RoundOpen(wire.Dialing, 1) {
 			t.Errorf("daemon %d: round key survives close", i)
 		}
@@ -266,7 +278,7 @@ func TestChainForwardAbortMidChain(t *testing.T) {
 	f := startFleet(t, 3, nz, nil)
 	store, cdnAddr := startCDN(t)
 	e := entry.New()
-	coord := forwardCoordinator(f, e, store, cdnAddr)
+	coord := forwardCoordinator(f, e, cdnAddr)
 	coord.ChunkSize = 8 // many chunks per hop, so the kill lands mid-stream
 	coord.SetExpectedVolume(wire.Dialing, 120)
 
@@ -308,9 +320,6 @@ func TestChainForwardAbortMidChain(t *testing.T) {
 		if n := f.daemons[i].PendingRoutes(); n != 0 {
 			t.Errorf("daemon %d: %d routes leak after abort", i, n)
 		}
-		if n := f.daemons[i].PendingOutboxes(); n != 0 {
-			t.Errorf("daemon %d: %d outboxes leak after abort", i, n)
-		}
 	}
 
 	// The daemon comes back on the same address (fresh RPC server, same
@@ -337,183 +346,102 @@ func TestChainForwardAbortMidChain(t *testing.T) {
 	assertTokensDelivered(t, store, 2, settings2, tokens2)
 }
 
-// TestDataPlaneModesByteIdentical runs the same seeded round through all
-// three data planes — Sequential full-batch, coordinator-relayed
-// pipeline, and chain-forwarded over TCP — and checks the published
-// mailboxes are byte-identical: moving the data plane onto the servers
-// changes WHERE bytes travel, never what comes out.
-func TestDataPlaneModesByteIdentical(t *testing.T) {
+// TestDataPlaneMatchesReference pins the one data plane to the in-process
+// reference: mixnet.Chain — full-batch Mix on seeded one-worker servers,
+// then BuildMailboxes — against the routed plane at one shard per position
+// under the same seeds, with noise on. The plane runs twice, over loopback
+// TCP and over the in-memory listener internal/sim serves its daemons on
+// (sim itself takes no seeds), and both must publish mailboxes
+// byte-identical to the reference: a group of one that deposits with
+// itself, merges one part and publishes one slice changes WHERE bytes
+// travel, never what comes out.
+func TestDataPlaneMatchesReference(t *testing.T) {
 	nz := noise.Laplace{Mu: 2, B: 0}
 	const numTokens = 90
 	tokens := makeTestTokens(numTokens)
+	seed := func(pos int) mathrand.Source { return mathrand.NewSource(int64(1000 + pos)) }
+	onionRand := func() *mathrand.Rand { return mathrand.New(mathrand.NewSource(4242)) }
 
-	type result struct {
-		settings  *wire.RoundSettings
-		mailboxes map[uint32][]byte
-	}
-	runMode := func(mode string) result {
-		var coord *coordinator.Coordinator
-		var store *cdn.Store
+	runPlane := func(name string, listen func(*testing.T, *rpc.Server) string) (uint32, map[uint32][]byte) {
+		f := startFleetOn(t, listen, 3, nz, seed)
+		store := cdn.NewStore(0)
+		cdnSrv := rpc.NewServer()
+		daemon := rpc.RegisterCDN(cdnSrv, store)
 		e := entry.New()
-		switch mode {
-		case "forward":
-			f := startFleet(t, 3, nz, func(pos int) mathrand.Source {
-				return mathrand.NewSource(int64(1000 + pos))
-			})
-			var cdnAddr string
-			store, cdnAddr = startCDN(t)
-			coord = forwardCoordinator(f, e, store, cdnAddr)
-		default:
-			var servers []*mixnet.Server
-			for i := 0; i < 3; i++ {
-				m, err := mixnet.New(mixnet.Config{
-					Name: "m", Position: i, ChainLength: 3,
-					AddFriendNoise: &nz, DialingNoise: &nz,
-					Rand:        &seededReader{rng: mathrand.New(mathrand.NewSource(int64(1000 + i)))},
-					Parallelism: 1,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				servers = append(servers, m)
-			}
-			store = cdn.NewStore(0)
-			coord = coordinator.New(e, servers, nil, store)
-			coord.Sequential = mode == "sequential"
-		}
-		coord.TargetRequestsPerMailbox = 40
+		coord := forwardCoordinator(f, e, listen(t, cdnSrv))
 		coord.ChunkSize = 16
 		coord.SetExpectedVolume(wire.Dialing, numTokens)
-
 		settings, err := coord.OpenDialingRound(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		submitTokens(t, e, settings, tokens, mathrand.New(mathrand.NewSource(4242)))
+		submitTokens(t, e, settings, tokens, onionRand())
 		if _, err := coord.CloseRound(wire.Dialing, 1); err != nil {
-			t.Fatalf("%s: %v", mode, err)
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := daemon.LastSealStreams(); got != 1 {
+			t.Fatalf("%s: round sealed from %d publish streams, want 1", name, got)
 		}
 		boxes := make(map[uint32][]byte)
 		for mb := uint32(0); mb < settings.NumMailboxes; mb++ {
 			data, err := store.Fetch(wire.Dialing, 1, mb)
 			if err != nil {
-				t.Fatalf("%s: mailbox %d: %v", mode, mb, err)
+				t.Fatalf("%s: mailbox %d: %v", name, mb, err)
 			}
 			boxes[mb] = data
 		}
-		return result{settings: settings, mailboxes: boxes}
+		return settings.NumMailboxes, boxes
 	}
 
-	base := runMode("sequential")
-	if base.settings.NumMailboxes < 2 {
-		t.Fatalf("want a multi-mailbox round, got K=%d", base.settings.NumMailboxes)
+	k, overTCP := runPlane("tcp", listenTCP)
+	if k < 2 {
+		t.Fatalf("want a multi-mailbox round, got K=%d", k)
 	}
-	for _, mode := range []string{"relay", "forward"} {
-		got := runMode(mode)
-		if got.settings.NumMailboxes != base.settings.NumMailboxes {
-			t.Fatalf("%s: K=%d, sequential K=%d", mode, got.settings.NumMailboxes, base.settings.NumMailboxes)
+
+	// The reference: the same seeded servers, driven in process.
+	servers := make([]*mixnet.Server, 3)
+	settings := &wire.RoundSettings{Service: wire.Dialing, Round: 1, NumMailboxes: k}
+	for i := range servers {
+		servers[i] = seededMixer(t, i, 3, nz, seed(i))
+		rk, err := servers[i].NewRound(wire.Dialing, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for mb := uint32(0); mb < base.settings.NumMailboxes; mb++ {
-			if !bytes.Equal(base.mailboxes[mb], got.mailboxes[mb]) {
-				t.Errorf("%s: mailbox %d differs from sequential", mode, mb)
+		settings.Mixers = append(settings.Mixers, rk)
+	}
+	for i, m := range servers {
+		var keys [][]byte
+		for _, rk := range settings.Mixers[i+1:] {
+			keys = append(keys, rk.OnionKey)
+		}
+		if err := m.SetDownstreamKeys(wire.Dialing, 1, keys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := entry.New()
+	if err := e.OpenRound(settings); err != nil {
+		t.Fatal(err)
+	}
+	submitTokens(t, e, settings, tokens, onionRand())
+	batch, err := e.CloseRound(wire.Dialing, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mixnet.Chain(servers, wire.Dialing, 1, k, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	kMem, overMem := runPlane("mem", listenMem)
+	if kMem != k {
+		t.Fatalf("mem: K=%d, tcp K=%d", kMem, k)
+	}
+	for name, got := range map[string]map[uint32][]byte{"tcp": overTCP, "mem": overMem} {
+		for mb := uint32(0); mb < k; mb++ {
+			if !bytes.Equal(want[mb], got[mb]) {
+				t.Errorf("%s: mailbox %d differs from mixnet.Chain", name, mb)
 			}
 		}
-	}
-}
-
-// TestLegacyDaemonFallsBackOverTCP: with one pre-streaming daemon in the
-// chain, a chain-forward coordinator must degrade the whole round to the
-// relayed data plane and drive the legacy daemon through full-batch
-// mix.mix — the rolling-upgrade guarantee, over real TCP.
-func TestLegacyDaemonFallsBackOverTCP(t *testing.T) {
-	nz := noise.Laplace{Mu: 1, B: 0}
-	// Daemon 0: legacy (no streaming surface at all).
-	legacy, err := mixnet.New(mixnet.Config{
-		Name: "old", Position: 0, ChainLength: 2,
-		AddFriendNoise: &nz, DialingNoise: &nz,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacySrv := rpc.NewServer()
-	rpc.RegisterLegacyMixer(legacySrv, legacy)
-	legacyAddr, err := legacySrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacySrv.Close()
-	legacyClient, err := rpc.DialMixer(legacyAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacyClient.SupportsStreaming() || legacyClient.SupportsForwarding() {
-		t.Fatal("legacy daemon advertises streaming capabilities")
-	}
-
-	// Daemon 1: current build.
-	current, err := mixnet.New(mixnet.Config{
-		Name: "new", Position: 1, ChainLength: 2,
-		AddFriendNoise: &nz, DialingNoise: &nz,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	currentSrv := rpc.NewServer()
-	rpc.RegisterMixer(currentSrv, current)
-	currentAddr, err := currentSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer currentSrv.Close()
-	currentClient, err := rpc.DialMixer(currentAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !currentClient.SupportsForwarding() {
-		t.Fatal("current daemon does not advertise forwarding")
-	}
-
-	store, cdnAddr := startCDN(t)
-	e := entry.New()
-	coord := &coordinator.Coordinator{
-		Entry: e, CDN: store,
-		TargetRequestsPerMailbox: 40,
-		ChainForward:             true, // requested, but the fleet can't
-		CDNAddr:                  cdnAddr,
-		Mixers:                   []coordinator.Mixer{legacyClient, currentClient},
-	}
-	coord.SetExpectedVolume(wire.Dialing, 60)
-
-	settings, err := coord.OpenDialingRound(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tokens := makeTestTokens(60)
-	submitTokens(t, e, settings, tokens, nil)
-	mailboxes, err := coord.CloseRound(wire.Dialing, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mailboxes == nil {
-		t.Fatal("relayed fallback should return mailboxes through the coordinator")
-	}
-	assertTokensDelivered(t, store, 1, settings, tokens)
-
-	// The legacy daemon was driven through full-batch Mix only.
-	if n := legacyClient.CallCount("mix.mix"); n != 1 {
-		t.Errorf("legacy daemon: %d mix.mix calls, want 1", n)
-	}
-	for _, method := range []string{"mix.stream.begin", "mix.stream.chunk", "mix.preparenoise", "mix.round.route"} {
-		if n := legacyClient.CallCount(method); n != 0 {
-			t.Errorf("legacy daemon: %d %s calls, want 0", n, method)
-		}
-	}
-	// And the current daemon fell back to relay: no route was opened.
-	if n := currentClient.CallCount("mix.round.route"); n != 0 {
-		t.Errorf("current daemon: %d mix.round.route calls in a degraded round, want 0", n)
-	}
-	if n := currentClient.CallCount("mix.stream.begin"); n == 0 {
-		t.Error("current daemon was not streamed to in the relayed fallback")
 	}
 }
 
@@ -522,13 +450,9 @@ func TestLegacyDaemonFallsBackOverTCP(t *testing.T) {
 func TestFrontendSubmitMapsRoundFull(t *testing.T) {
 	e := entry.New()
 	e.MaxBatch = 1
-	nz := noise.Laplace{Mu: 0, B: 0}
-	m, err := mixnet.New(mixnet.Config{Name: "m", Position: 0, ChainLength: 1, AddFriendNoise: &nz, DialingNoise: &nz})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := cdn.NewStore(0)
-	coord := coordinator.New(e, []*mixnet.Server{m}, nil, store)
+	f := startFleet(t, 1, noise.Laplace{}, nil)
+	store, cdnAddr := startCDN(t)
+	coord := forwardCoordinator(f, e, cdnAddr)
 
 	srv := rpc.NewServer()
 	rpc.RegisterFrontend(srv, e, store, rpc.Directory{NumMixers: 1})

@@ -67,7 +67,7 @@ func runSeededForwardRound(t *testing.T, numFrontends int) (*wire.RoundSettings,
 	})
 	store, cdnAddr := startCDN(t)
 	e := entry.New()
-	coord := forwardCoordinator(f, e, store, cdnAddr)
+	coord := forwardCoordinator(f, e, cdnAddr)
 	coord.TargetRequestsPerMailbox = 40
 	coord.ChunkSize = 16
 	coord.SetExpectedVolume(wire.Dialing, numTokens)
@@ -165,6 +165,7 @@ func newTwoFrontendNetwork(t *testing.T) (*sim.Network, []*rpc.Server, []string)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(network.Close)
 	entries := []*entry.Server{network.Entry, network.Frontends[0]}
 	var srvs []*rpc.Server
 	var addrs []string
@@ -273,6 +274,7 @@ func TestRunFailsOverToSurvivingFrontend(t *testing.T) {
 	}
 	pool.Close()
 	srvs[1].Close()
+	network.Close() // its daemons' connection handlers are not the client's
 	waitUntil(t, 5*time.Second, "goroutines to drain", func() bool {
 		return runtime.NumGoroutine() <= baseline
 	})
@@ -406,5 +408,33 @@ func TestDirectoryProtocolMismatch(t *testing.T) {
 	}
 	if pool.Addr() != oldAddr {
 		t.Fatal("pool rotated away from a frontend that answered (a version mismatch is not a transport failure)")
+	}
+}
+
+// TestMixerProtocolMismatch is the same check on the server plane: a mixer
+// whose mix.info carries no ProtocolVersion (0, as every daemon built
+// before the data plane had one generation would send) is refused by
+// DialMixer with ErrProtocolMismatch, naming the daemon and its version —
+// there is no older plane to degrade to — while a current daemon
+// advertises the constant RegisterMixer stamped.
+func TestMixerProtocolMismatch(t *testing.T) {
+	f := startFleet(t, 1, noise.Laplace{}, nil)
+	if got := f.clients[0].Info().ProtocolVersion; got != rpc.ProtocolVersion {
+		t.Fatalf("current mixer advertises protocol version %d, want %d", got, rpc.ProtocolVersion)
+	}
+	old := rpc.NewServer()
+	rpc.HandleFunc(old, "mix.info", func(struct{}) (any, error) {
+		return struct {
+			Name          string `json:"name"`
+			StreamVersion int    `json:"stream_version"`
+		}{"old", 4}, nil
+	})
+	oldAddr := listenTCP(t, old)
+	mc, err := rpc.DialMixer(oldAddr)
+	if !errors.Is(err, rpc.ErrProtocolMismatch) {
+		t.Fatalf("version-0 mixer returned (%v, %v), want ErrProtocolMismatch", mc, err)
+	}
+	if !strings.Contains(err.Error(), oldAddr+" serves version 0") {
+		t.Fatalf("mismatch error %q does not name the mixer and its version", err)
 	}
 }

@@ -9,7 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"alpenhorn/internal/sim"
+	"alpenhorn/internal/cdn"
+	"alpenhorn/internal/entry"
+	"alpenhorn/internal/mixnet"
 	"alpenhorn/internal/wire"
 )
 
@@ -148,21 +150,27 @@ func TestPoolFailoverContract(t *testing.T) {
 	// Both typed instances, every method, over TCP: member 0 is an address
 	// nothing listens on, member 1 a live frontend with one published
 	// dialing round and a second one open.
-	network, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumMixers: 1})
+	// (The frontend is stocked by hand: this package cannot import the
+	// fleet builders in internal/sim, which import it.)
+	e, store := entry.New(), cdn.NewStore(0)
+	if err := store.Publish(wire.Dialing, 1, map[uint32][]byte{0: {1}}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := mixnet.New(mixnet.Config{Name: "m", ChainLength: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := network.Coord.OpenDialingRound(1); err != nil {
+	rk, err := m.NewRound(wire.Dialing, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := network.Coord.CloseRound(wire.Dialing, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := network.Coord.OpenDialingRound(2); err != nil {
+	if err := e.OpenRound(&wire.RoundSettings{
+		Service: wire.Dialing, Round: 2, NumMailboxes: 1, Mixers: []wire.MixerRoundKey{rk},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer()
-	RegisterFrontend(srv, network.Entry, network.CDN, Directory{NumMixers: 1})
+	RegisterFrontend(srv, e, store, Directory{NumMixers: 1})
 	live, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +246,7 @@ func TestPoolFailoverContract(t *testing.T) {
 			}
 		})
 	}
-	if got := network.Entry.BatchSize(wire.Dialing, 2); got != 0 {
+	if got := e.BatchSize(wire.Dialing, 2); got != 0 {
 		t.Fatalf("round 2 carries %d onions: a failed Submit was retried on the survivor", got)
 	}
 }

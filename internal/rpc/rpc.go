@@ -1,5 +1,6 @@
 // Package rpc is the network transport for Alpenhorn's daemons: a minimal
-// length-prefixed JSON request/response protocol over TCP.
+// length-prefixed JSON request/response protocol over TCP (or, for an
+// address of the form "mem:<n>", over an in-process pipe — see mem.go).
 //
 // The in-process server types (pkgserver.Server, mixnet.Server, ...) hold
 // all protocol logic; this package only moves their arguments across
@@ -287,7 +288,7 @@ type Client struct {
 	mu   sync.Mutex // serializes calls on the connection
 	conn net.Conn
 
-	// Transport accounting: the chain-forward acceptance test and the
+	// Transport accounting: the data-plane acceptance test and the
 	// bench harness use these to prove the coordinator's connections
 	// carry control messages, not batch payloads. The counters live
 	// under their OWN lock so reading stats never parks behind an
@@ -406,8 +407,14 @@ func (c *Client) call(ctx context.Context, method string, params any, result any
 			return fmt.Errorf("rpc: call %s: %w", method, err)
 		}
 		if c.conn == nil {
-			dialer := net.Dialer{Timeout: timeout}
-			conn, err := dialer.DialContext(ctx, "tcp", c.addr)
+			var conn net.Conn
+			var err error
+			if isMemAddr(c.addr) {
+				conn, err = dialMem(c.addr)
+			} else {
+				dialer := net.Dialer{Timeout: timeout}
+				conn, err = dialer.DialContext(ctx, "tcp", c.addr)
+			}
 			if err != nil {
 				if ctxErr := ctx.Err(); ctxErr != nil {
 					return fmt.Errorf("rpc: dialing %s: %w", c.addr, ctxErr)

@@ -3,20 +3,18 @@ package rpc_test
 import (
 	"context"
 	"crypto/ed25519"
-	"crypto/rand"
 	"errors"
+	"net"
 	"testing"
+	"time"
 
 	"alpenhorn/internal/bls"
-	"alpenhorn/internal/cdn"
 	"alpenhorn/internal/coordinator"
 	"alpenhorn/internal/core"
 	"alpenhorn/internal/email"
 	"alpenhorn/internal/entry"
-	"alpenhorn/internal/keywheel"
 	"alpenhorn/internal/mixnet"
 	"alpenhorn/internal/noise"
-	"alpenhorn/internal/onionbox"
 	"alpenhorn/internal/pkgserver"
 	"alpenhorn/internal/rpc"
 	"alpenhorn/internal/sim"
@@ -119,9 +117,9 @@ func TestFullDeploymentOverTCP(t *testing.T) {
 
 	// Frontend daemon: entry + CDN + coordinator over the RPC backends.
 	e := entry.New()
-	store := cdn.NewStore(0)
+	store, cdnAddr := startCDN(t)
 	coord := &coordinator.Coordinator{
-		Entry: e, CDN: store,
+		Entry: e, CDNAddr: cdnAddr,
 		TargetRequestsPerMailbox: 24000,
 	}
 	for _, mc := range mixerClients {
@@ -251,157 +249,53 @@ func TestFullDeploymentOverTCP(t *testing.T) {
 	}
 }
 
-// TestMixerStreamingOverTCP drives the chunked streaming surface of a
-// mixer daemon across a real TCP connection: begin intake, push chunks,
-// then collect the shuffled output — and checks it matches what a
-// full-batch Mix would have produced.
-func TestMixerStreamingOverTCP(t *testing.T) {
-	nz := noise.Laplace{Mu: 0, B: 0}
-	m, err := mixnet.New(mixnet.Config{
-		Name: "m0", Position: 0, ChainLength: 1,
-		AddFriendNoise: &nz, DialingNoise: &nz,
+// TestMemTransport pins what internal/sim relies on when it serves its
+// daemons on in-memory listeners: a "mem:" address behaves like a loopback
+// TCP one — calls round-trip, a peer-aware handler sees a host:port
+// address, cancelling the context interrupts a parked call promptly, and a
+// closed listener is refused as a transport failure, never reused.
+func TestMemTransport(t *testing.T) {
+	s := rpc.NewServer()
+	parked := make(chan struct{})
+	rpc.HandlePeerFunc(s, "peer", func(peerAddr string, _ struct{}) (any, error) {
+		return peerAddr, nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := rpc.NewServer()
-	rpc.RegisterMixer(srv, m)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	client, err := rpc.DialMixer(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The client must satisfy the coordinator's streaming interfaces.
-	var _ coordinator.StreamMixer = client
-	var _ coordinator.NoisePreparer = client
-
-	rk, err := client.NewRound(wire.Dialing, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.SetDownstreamKeys(wire.Dialing, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.PrepareNoise(wire.Dialing, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	pk, err := onionbox.UnmarshalPublicKey(rk.OnionKey)
-	if err != nil {
-		t.Fatal(err)
+	rpc.HandleFunc(s, "park", func(struct{}) (any, error) {
+		<-parked
+		return nil, nil
+	})
+	addr := s.ListenMem()
+	other := rpc.NewServer()
+	defer other.Close()
+	if otherAddr := other.ListenMem(); otherAddr == addr {
+		t.Fatalf("two listeners share the address %s", addr)
 	}
 
-	const n = 50
-	batch := make([][]byte, n)
-	want := make(map[string]bool, n)
-	for i := range batch {
-		tok := make([]byte, keywheel.TokenSize)
-		tok[0] = byte(i)
-		payload := (&wire.MixPayload{Mailbox: 0, Body: tok}).Marshal()
-		onion, err := onionbox.WrapOnion(rand.Reader, []*onionbox.PublicKey{pk}, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch[i] = onion
-		want[string(payload)] = true
+	c := rpc.Dial(addr)
+	defer c.Close()
+	var peer string
+	if err := c.Call("peer", struct{}{}, &peer); err != nil {
+		t.Fatal(err)
+	}
+	if host, _, err := net.SplitHostPort(peer); err != nil || host != "mem" {
+		t.Fatalf("peer address %q does not parse as host mem: %v", peer, err)
 	}
 
-	if err := client.StreamBegin(wire.Dialing, 1, 1); err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start := time.Now()
+	err := c.CallContext(ctx, "park", struct{}{}, nil)
+	if !errors.Is(err, context.Canceled) || time.Since(start) > 5*time.Second {
+		t.Fatalf("parked call returned %v after %v, want a prompt cancellation", err, time.Since(start))
 	}
-	for lo := 0; lo < n; lo += 7 {
-		hi := lo + 7
-		if hi > n {
-			hi = n
-		}
-		if err := client.StreamChunk(wire.Dialing, 1, batch[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out, err := client.StreamEnd(wire.Dialing, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != n {
-		t.Fatalf("stream returned %d messages, want %d", len(out), n)
-	}
-	for _, msg := range out {
-		if !want[string(msg)] {
-			t.Fatal("streamed output contains unexpected message")
-		}
-		delete(want, string(msg))
-	}
-	if len(want) != 0 {
-		t.Fatalf("%d messages missing from streamed output", len(want))
+	// The cancelled call dropped its connection; the next one redials.
+	if err := c.Call("peer", struct{}{}, &peer); err != nil {
+		t.Fatalf("call after a cancelled one: %v", err)
 	}
 
-	// Stream errors cross the wire too.
-	if _, err := client.StreamEnd(wire.Dialing, 1); err == nil {
-		t.Fatal("StreamEnd without a stream succeeded over RPC")
-	}
-
-	// The daemon advertises the streaming surface to the coordinator.
-	if !client.SupportsStreaming() {
-		t.Fatal("new daemon does not advertise streaming")
-	}
-
-	// Output retrieval is chunked: drive mix.stream.pull directly with a
-	// tiny Max and check the outbox hands the batch over piecewise, then
-	// clears itself after the last chunk.
-	if err := client.StreamBegin(wire.Dialing, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.StreamChunk(wire.Dialing, 1, batch); err != nil {
-		t.Fatal(err)
-	}
-	raw := rpc.Dial(addr)
-	defer raw.Close()
-	var reply struct {
-		Total int `json:"total"`
-	}
-	if err := raw.Call("mix.stream.end", map[string]any{"service": wire.Dialing, "round": 1}, &reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.Total != n {
-		t.Fatalf("stream.end total = %d, want %d", reply.Total, n)
-	}
-	got := 0
-	pulls := 0
-	for got < reply.Total {
-		var chunk [][]byte
-		err := raw.Call("mix.stream.pull", map[string]any{
-			"service": wire.Dialing, "round": 1, "offset": got, "max": 7,
-		}, &chunk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(chunk) == 0 || len(chunk) > 7 {
-			t.Fatalf("pull returned %d messages", len(chunk))
-		}
-		got += len(chunk)
-		pulls++
-	}
-	if pulls != (n+6)/7 {
-		t.Fatalf("%d pulls, want %d", pulls, (n+6)/7)
-	}
-	if err := raw.Call("mix.stream.pull", map[string]any{
-		"service": wire.Dialing, "round": 1, "offset": 0, "max": 7,
-	}, nil); err == nil {
-		t.Fatal("pull after final chunk succeeded (outbox not cleared)")
-	}
-
-	// StreamAbort crosses the wire and discards an in-flight stream.
-	if err := client.StreamBegin(wire.Dialing, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.StreamAbort(wire.Dialing, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.StreamEnd(wire.Dialing, 1); err == nil {
-		t.Fatal("StreamEnd succeeded after abort over RPC")
+	close(parked)
+	s.Close()
+	if err := c.Call("peer", struct{}{}, &peer); !errors.Is(err, rpc.ErrTransport) {
+		t.Fatalf("call to a closed in-memory listener returned %v, want a transport failure", err)
 	}
 }

@@ -33,6 +33,7 @@ func newRunNetwork(t *testing.T) (*sim.Network, *rpc.Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(network.Close)
 	srv := rpc.NewServer()
 	rpc.RegisterFrontend(srv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -160,6 +161,7 @@ func TestRunSurvivesFrontendRestart(t *testing.T) {
 	// a (time-bounded) straggler here.
 	frontend.Close()
 	srv2.Close()
+	network.Close() // its daemons' connection handlers are not the client's
 	waitUntil(t, 5*time.Second, "goroutines to drain", func() bool {
 		return runtime.NumGoroutine() <= baseline
 	})

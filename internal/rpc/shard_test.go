@@ -83,13 +83,12 @@ func startShardFleet(t *testing.T, counts []int, nz noise.Laplace, randFor func(
 	return f
 }
 
-// shardCoordinator assembles a chain-forward coordinator over a shard
-// fleet: position leads in Mixers, the rest of each group in Shards.
-func shardCoordinator(f *shardFleet, e *entry.Server, store *cdn.Store, cdnAddr string) *coordinator.Coordinator {
+// shardCoordinator assembles a coordinator over a shard fleet: position
+// leads in Mixers, the rest of each group in Shards.
+func shardCoordinator(f *shardFleet, e *entry.Server, cdnAddr string) *coordinator.Coordinator {
 	coord := &coordinator.Coordinator{
-		Entry: e, CDN: store,
+		Entry:                    e,
 		TargetRequestsPerMailbox: 40,
-		ChainForward:             true,
 		CDNAddr:                  cdnAddr,
 		Shards:                   make([][]coordinator.Mixer, len(f.counts)),
 	}
@@ -103,7 +102,7 @@ func shardCoordinator(f *shardFleet, e *entry.Server, store *cdn.Store, cdnAddr 
 }
 
 // assertNoLeaks checks that a daemon holds no round state after a round
-// resolved: no routes, no relay outboxes, no live round key.
+// resolved: no routes, no live round key.
 func assertShardFleetClean(t *testing.T, f *shardFleet, round uint32, skip func(pos, shard int) bool) {
 	t.Helper()
 	for i, group := range f.daemons {
@@ -113,9 +112,6 @@ func assertShardFleetClean(t *testing.T, f *shardFleet, round uint32, skip func(
 			}
 			if n := d.PendingRoutes(); n != 0 {
 				t.Errorf("daemon %d/%d: %d routes leak", i, s, n)
-			}
-			if n := d.PendingOutboxes(); n != 0 {
-				t.Errorf("daemon %d/%d: %d outboxes leak", i, s, n)
 			}
 			if f.servers[i][s].RoundOpen(wire.Dialing, round) {
 				t.Errorf("daemon %d/%d: round key survives", i, s)
@@ -136,7 +132,7 @@ func TestShardedRoundOverTCP(t *testing.T) {
 	f := startShardFleet(t, []int{1, 2, 1}, nz, nil)
 	store, cdnAddr := startCDN(t)
 	e := entry.New()
-	coord := shardCoordinator(f, e, store, cdnAddr)
+	coord := shardCoordinator(f, e, cdnAddr)
 	coord.ChunkSize = 32
 	coord.SetExpectedVolume(wire.Dialing, 300)
 
@@ -153,29 +149,19 @@ func TestShardedRoundOverTCP(t *testing.T) {
 	tokens := makeTestTokens(300)
 	batchBytes := submitTokens(t, e, settings, tokens, nil)
 
-	mailboxes, err := coord.CloseRound(wire.Dialing, 1)
-	if err != nil {
+	if _, err := coord.CloseRound(wire.Dialing, 1); err != nil {
 		t.Fatal(err)
-	}
-	if mailboxes != nil {
-		t.Fatal("chain-forward CloseRound returned mailboxes through the coordinator")
 	}
 	if !store.Published(wire.Dialing, 1) {
 		t.Fatal("round not published")
 	}
 	assertTokensDelivered(t, store, 1, settings, tokens)
 
-	// Control-plane discipline holds with shards: no full-batch relaying
-	// anywhere, and the coordinator ships batch data only to position 0.
+	// Control-plane discipline holds with shards: the coordinator ships
+	// batch data only to position 0.
 	const controlBudget = 32 << 10
 	for i, group := range f.clients {
 		for s, mc := range group {
-			if n := mc.CallCount("mix.mix"); n != 0 {
-				t.Errorf("mixer %d/%d: %d mix.mix calls", i, s, n)
-			}
-			if n := mc.CallCount("mix.stream.pull"); n != 0 {
-				t.Errorf("mixer %d/%d: %d mix.stream.pull calls", i, s, n)
-			}
 			st := mc.TransportStats()
 			if i > 0 && st.BytesSent > controlBudget {
 				t.Errorf("mixer %d/%d: coordinator sent %d bytes, want control-only", i, s, st.BytesSent)
@@ -187,14 +173,14 @@ func TestShardedRoundOverTCP(t *testing.T) {
 	}
 	assertShardFleetClean(t, f, 1, nil)
 
-	// Round health: one record, forwarded, with per-daemon stats for all
-	// four daemons; every daemon moved batch bytes in AND out.
+	// Round health: one record, with per-daemon stats for all four
+	// daemons; every daemon moved batch bytes in AND out.
 	health := coord.Status()
 	if len(health) != 1 {
 		t.Fatalf("Status(): %d records, want 1", len(health))
 	}
 	h := health[0]
-	if !h.Forwarded || h.Service != wire.Dialing || h.Round != 1 || h.Err != "" {
+	if h.Service != wire.Dialing || h.Round != 1 || h.Err != "" {
 		t.Fatalf("health record: %+v", h)
 	}
 	if h.Batch != 300 || h.Duration <= 0 {
@@ -217,8 +203,8 @@ func TestShardedRoundOverTCP(t *testing.T) {
 }
 
 // TestShardDeterminismAcrossShardCounts pins the core sharding
-// guarantee: under a fixed seed, an unsharded (PR 2 chain-forwarded)
-// round, a 2-shard-per-position round, and a 3-shard-per-position round
+// guarantee: under a fixed seed, an unsharded (group-of-one) round, a
+// 2-shard-per-position round, and a 3-shard-per-position round
 // publish byte-identical mailboxes. Splitting a position across machines
 // changes WHERE work happens — the deal, the peel, the merge — but never
 // what comes out.
@@ -245,7 +231,7 @@ func TestShardDeterminismAcrossShardCounts(t *testing.T) {
 		})
 		store, cdnAddr, daemon := startCDNDaemon(t)
 		e := entry.New()
-		coord := shardCoordinator(f, e, store, cdnAddr)
+		coord := shardCoordinator(f, e, cdnAddr)
 		coord.ChunkSize = 16
 		coord.SetExpectedVolume(wire.Dialing, numTokens)
 
@@ -257,9 +243,9 @@ func TestShardDeterminismAcrossShardCounts(t *testing.T) {
 		if _, err := coord.CloseRound(wire.Dialing, 1); err != nil {
 			t.Fatalf("%d shards/position: %v", shardsPerPos, err)
 		}
-		// The seal's stream count pins that the sharded-build path really
-		// ran: N > 1 shards mean N publish streams — the merge server no
-		// longer funnels the round's final mailbox bytes.
+		// The seal's stream count pins that the sharded build really ran:
+		// N shards mean N publish streams — one for a group of one — and
+		// the merge server never funnels the round's final mailbox bytes.
 		if got := daemon.LastSealStreams(); got != shardsPerPos {
 			t.Fatalf("%d shards/position: round sealed from %d publish streams", shardsPerPos, got)
 		}
@@ -293,15 +279,15 @@ func TestShardDeterminismAcrossShardCounts(t *testing.T) {
 
 // TestShardAbortMidRound kills one shard of the middle position while the
 // batch is streaming through it: the abort must reach every shard of
-// every position and the coordinator, nothing may leak (routes, outboxes,
-// round keys, staged merges), and the round after the shard restarts must
+// every position and the coordinator, nothing may leak (routes, round
+// keys, staged merges), and the round after the shard restarts must
 // succeed.
 func TestShardAbortMidRound(t *testing.T) {
 	nz := noise.Laplace{Mu: 2, B: 0}
 	f := startShardFleet(t, []int{1, 2, 1}, nz, nil)
 	store, cdnAddr := startCDN(t)
 	e := entry.New()
-	coord := shardCoordinator(f, e, store, cdnAddr)
+	coord := shardCoordinator(f, e, cdnAddr)
 	coord.ChunkSize = 8 // many chunks per hop, so the kill lands mid-stream
 	coord.SetExpectedVolume(wire.Dialing, 120)
 
@@ -370,12 +356,23 @@ func TestShardAbortMidRound(t *testing.T) {
 	assertTokensDelivered(t, store, 2, settings2, tokens2)
 }
 
-// TestStreamFanInTwoUpstreams drives the counted fan-in directly: a
-// daemon routed with NumUpstream=2 (the entry scale-out hook — several
-// frontends feeding one mixer) must keep its intake open until BOTH
-// upstreams have sent mix.stream.end, then run its role once over the
-// union of the two streams.
-func TestStreamFanInTwoUpstreams(t *testing.T) {
+// routedDaemon is one mixer daemon serving a whole one-position chain,
+// with round 1 open and — when numUpstream > 0 — routed to publish to its
+// own CDN as a group of one fed by numUpstream writers.
+type routedDaemon struct {
+	m      *mixnet.Server
+	daemon *rpc.MixerDaemon
+	mc     *rpc.MixerClient
+	addr   string
+	store  *cdn.Store
+	tokens [][]byte
+	onions [][]byte // tokens[i] wrapped for mailbox i % routedMailboxes
+}
+
+const routedMailboxes = 2
+
+func startRoutedDaemon(t *testing.T, numUpstream int) *routedDaemon {
+	t.Helper()
 	nz := noise.Laplace{Mu: 0, B: 0}
 	m, err := mixnet.New(mixnet.Config{
 		Name: "m", Position: 0, ChainLength: 1,
@@ -385,68 +382,90 @@ func TestStreamFanInTwoUpstreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := rpc.NewServer()
-	rpc.RegisterMixer(srv, m)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	store, cdnAddr := startCDN(t)
+	rd := &routedDaemon{m: m, daemon: rpc.RegisterMixer(srv, m), tokens: makeTestTokens(10)}
+	rd.addr = listenTCP(t, srv)
+	var cdnAddr string
+	rd.store, cdnAddr = startCDN(t)
 
-	mc, err := rpc.DialMixer(addr)
+	if rd.mc, err = rpc.DialMixer(rd.addr); err != nil {
+		t.Fatal(err)
+	}
+	rk, err := rd.mc.NewRound(wire.Dialing, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rk, err := mc.NewRound(wire.Dialing, 1)
-	if err != nil {
+	if err := rd.mc.SetDownstreamKeys(wire.Dialing, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := mc.SetDownstreamKeys(wire.Dialing, 1, nil); err != nil {
-		t.Fatal(err)
+	if numUpstream > 0 {
+		if err := rd.mc.OpenRoute(wire.Dialing, 1, wire.RouteSpec{
+			NumMailboxes: routedMailboxes, CDNAddr: cdnAddr, NumUpstream: numUpstream,
+			ShardCount: 1, BuildShards: []string{rd.addr},
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	const numMailboxes = 2
-	if err := mc.OpenRoute(wire.Dialing, 1, wire.RouteSpec{
-		NumMailboxes: numMailboxes, CDNAddr: cdnAddr, NumUpstream: 2,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
 	pk, err := onionbox.UnmarshalPublicKey(rk.OnionKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tokens := makeTestTokens(10)
-	wrap := func(i int) []byte {
-		payload := (&wire.MixPayload{Mailbox: uint32(i) % numMailboxes, Body: tokens[i]}).Marshal()
+	for i, tok := range rd.tokens {
+		payload := (&wire.MixPayload{Mailbox: uint32(i) % routedMailboxes, Body: tok}).Marshal()
 		onion, err := onionbox.WrapOnion(rand.Reader, []*onionbox.PublicKey{pk}, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return onion
+		rd.onions = append(rd.onions, onion)
 	}
+	return rd
+}
+
+// assertPublished waits out the daemon's role and checks every token
+// landed in its mailbox.
+func (rd *routedDaemon) assertPublished(t *testing.T) {
+	t.Helper()
+	if _, err := rd.mc.WaitRound(wire.Dialing, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !rd.store.Published(wire.Dialing, 1) {
+		t.Fatal("round not published")
+	}
+	settings := &wire.RoundSettings{Service: wire.Dialing, NumMailboxes: routedMailboxes}
+	assertTokensDelivered(t, rd.store, 1, settings, rd.tokens)
+	rd.mc.CloseRound(wire.Dialing, 1)
+	if n := rd.daemon.PendingRoutes(); n != 0 {
+		t.Fatalf("%d routes leak after close", n)
+	}
+}
+
+// TestStreamFanInTwoUpstreams drives the counted fan-in directly: a
+// daemon routed with NumUpstream=2 (the entry scale-out hook — several
+// frontends feeding one mixer) must keep its intake open until BOTH
+// upstreams have sent mix.stream.end, then run its role once over the
+// union of the two streams.
+func TestStreamFanInTwoUpstreams(t *testing.T) {
+	rd := startRoutedDaemon(t, 2)
+	store := rd.store
 
 	// Two independent upstream connections, interleaved.
-	up := []*rpc.MixerClient{mc}
-	second, err := rpc.DialMixer(addr)
+	second, err := rpc.DialMixer(rd.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	up = append(up, second)
+	up := []*rpc.MixerClient{rd.mc, second}
 	for _, u := range up {
-		if err := u.StreamBegin(wire.Dialing, 1, numMailboxes); err != nil {
+		if err := u.StreamBegin(wire.Dialing, 1, routedMailboxes); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := range tokens {
-		var onions [][]byte
-		onions = append(onions, wrap(i))
-		if err := up[i%2].StreamChunk(wire.Dialing, 1, onions); err != nil {
+	for i, onion := range rd.onions {
+		if err := up[i%2].StreamChunk(wire.Dialing, 1, [][]byte{onion}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// First end: the intake must stay open (publishing now would drop
 	// half the batch).
-	if _, err := up[0].StreamEnd(wire.Dialing, 1); err != nil {
+	if err := up[0].StreamEnd(wire.Dialing, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if store.Published(wire.Dialing, 1) {
@@ -454,22 +473,66 @@ func TestStreamFanInTwoUpstreams(t *testing.T) {
 	}
 	// A duplicated end from the SAME upstream (restarted frontend
 	// re-sending) must not stand in for the one still streaming.
-	if _, err := up[0].StreamEnd(wire.Dialing, 1); err != nil {
+	if err := up[0].StreamEnd(wire.Dialing, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if store.Published(wire.Dialing, 1) {
 		t.Fatal("daemon closed its intake on a duplicated end from one upstream")
 	}
-	if _, err := up[1].StreamEndAs(wire.Dialing, 1, 1); err != nil {
+	if err := up[1].StreamEnd(wire.Dialing, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mc.WaitRound(wire.Dialing, 1); err != nil {
+	rd.assertPublished(t)
+}
+
+// TestStreamEndClosesIntakeOnce: one upstream is a fan-in of one. On a
+// live one-upstream route a second begin and a second end — the transport
+// is unauthenticated, and a reply can be lost — are acknowledged and
+// change nothing: the intake closed once, one forward ran, and the round
+// still publishes. (A second forward would find no stream in progress and
+// fail the healthy round.)
+func TestStreamEndClosesIntakeOnce(t *testing.T) {
+	rd := startRoutedDaemon(t, 1)
+	for i := 0; i < 2; i++ {
+		if err := rd.mc.StreamBegin(wire.Dialing, 1, routedMailboxes); err != nil {
+			t.Fatalf("begin %d: %v", i, err)
+		}
+	}
+	if err := rd.mc.StreamChunk(wire.Dialing, 1, rd.onions); err != nil {
 		t.Fatal(err)
 	}
-	if !store.Published(wire.Dialing, 1) {
-		t.Fatal("round not published after the second upstream end")
+	for i := 0; i < 2; i++ {
+		if err := rd.mc.StreamEnd(wire.Dialing, 1, 0); err != nil {
+			t.Fatalf("end %d: %v", i, err)
+		}
 	}
-	settings := &wire.RoundSettings{Service: wire.Dialing, NumMailboxes: numMailboxes}
-	assertTokensDelivered(t, store, 1, settings, tokens)
-	mc.CloseRound(wire.Dialing, 1)
+	// An end naming an upstream the route does not have is an error, not
+	// a vote.
+	if err := rd.mc.StreamEnd(wire.Dialing, 1, 1); err == nil {
+		t.Fatal("end from upstream 1 of a one-upstream route accepted")
+	}
+	rd.assertPublished(t)
+}
+
+// TestUnroutedStreamRefused: a stream call for an open round that has no
+// route has nowhere to put its output, so it is refused and parks nothing
+// — no route entry on the daemon, no stream on the server.
+func TestUnroutedStreamRefused(t *testing.T) {
+	rd := startRoutedDaemon(t, 0)
+	if err := rd.mc.StreamBegin(wire.Dialing, 1, routedMailboxes); err == nil {
+		t.Fatal("mix.stream.begin on an unrouted round accepted")
+	}
+	if err := rd.mc.StreamChunk(wire.Dialing, 1, rd.onions); err == nil {
+		t.Fatal("mix.stream.chunk on an unrouted round accepted")
+	}
+	if err := rd.mc.StreamEnd(wire.Dialing, 1, 0); err == nil {
+		t.Fatal("mix.stream.end on an unrouted round accepted")
+	}
+	if n := rd.daemon.PendingRoutes(); n != 0 {
+		t.Fatalf("refused stream calls left %d routes", n)
+	}
+	if _, err := rd.m.StreamEndShard(wire.Dialing, 1); err == nil {
+		t.Fatal("a refused begin left a stream open on the server")
+	}
+	rd.mc.CloseRound(wire.Dialing, 1)
 }

@@ -5,7 +5,11 @@
 // It exists so that integration tests, the examples, and the benchmark
 // harness all exercise the REAL protocol stack — real IBE, real onions,
 // real mixing and noise — with rounds driven deterministically instead of
-// on timers. cmd/ daemons compose the same server types over TCP.
+// on timers. The mixers, the CDN's publish surface and any extra entry
+// frontends are served through the handlers the cmd/ daemons register
+// (rpc.RegisterMixer, RegisterCDN, RegisterEntryReplica), on in-memory
+// listeners instead of TCP ports, so a simulated round runs the daemons'
+// data plane, not a second implementation of it.
 package sim
 
 import (
@@ -24,6 +28,7 @@ import (
 	"alpenhorn/internal/mixnet"
 	"alpenhorn/internal/noise"
 	"alpenhorn/internal/pkgserver"
+	"alpenhorn/internal/rpc"
 	"alpenhorn/internal/wire"
 )
 
@@ -40,12 +45,6 @@ type Config struct {
 	// each frontend admits — and, at close, contributes — its own
 	// sub-batch.
 	NumFrontends int
-
-	// NumCDNs is the number of CDN replicas (default 1). Network.CDN is
-	// replica 0, the coordinator's publish target; the rest live in
-	// Network.CDNs[1:] and receive a copy of every published round
-	// (Coordinator.CDNMirrors), so a client can fetch from any replica.
-	NumCDNs int
 
 	// Noise distributions; defaults are deliberately small so tests run
 	// fast (the paper-scale µ=4000/25000 values generate millions of
@@ -74,21 +73,34 @@ type Network struct {
 	// through any of them.
 	Frontends []*entry.Server
 	CDN       *cdn.Store
-	// CDNs holds every CDN replica; CDNs[0] == CDN. Present only when
-	// Config.NumCDNs > 1.
-	CDNs  []*cdn.Store
-	Coord *coordinator.Coordinator
+	Coord     *coordinator.Coordinator
 
 	MixerKeys  []ed25519.PublicKey
 	PKGKeys    []ed25519.PublicKey
 	PKGBLSKeys []*bls.PublicKey
+
+	servers []*rpc.Server
+}
+
+// listen serves srv on a fresh in-memory address until Close.
+func (n *Network) listen(srv *rpc.Server) string {
+	n.servers = append(n.servers, srv)
+	return srv.ListenMem()
+}
+
+// Close stops the deployment's listeners and waits for their handlers.
+func (n *Network) Close() {
+	for _, srv := range n.servers {
+		srv.Close()
+	}
+	n.servers = nil
 }
 
 // smallNoise is the default test noise: deterministic, 2 messages per
 // mailbox per server.
 var smallNoise = noise.Laplace{Mu: 2, B: 0}
 
-// NewNetwork builds a deployment.
+// NewNetwork builds a deployment. Close releases it.
 func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.NumPKGs == 0 {
 		cfg.NumPKGs = 3
@@ -111,6 +123,17 @@ func NewNetwork(cfg Config) (*Network, error) {
 		Entry:    entry.New(),
 		CDN:      cdn.NewStore(0),
 	}
+	fail := func(err error) (*Network, error) {
+		n.Close()
+		return nil, err
+	}
+	n.Coord = &coordinator.Coordinator{
+		Entry:                    n.Entry,
+		TargetRequestsPerMailbox: cfg.TargetRequestsPerMailbox,
+	}
+	cdnSrv := rpc.NewServer()
+	rpc.RegisterCDN(cdnSrv, n.CDN)
+	n.Coord.CDNAddr = n.listen(cdnSrv)
 	for i := 0; i < cfg.NumPKGs; i++ {
 		pkg, err := pkgserver.New(pkgserver.Config{
 			Name:     fmt.Sprintf("pkg%d", i),
@@ -118,9 +141,10 @@ func NewNetwork(cfg Config) (*Network, error) {
 			Now:      cfg.Now,
 		})
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		n.PKGs = append(n.PKGs, pkg)
+		n.Coord.PKGs = append(n.Coord.PKGs, pkg)
 		n.PKGKeys = append(n.PKGKeys, pkg.SigningKey())
 		n.PKGBLSKeys = append(n.PKGBLSKeys, pkg.BLSKey())
 	}
@@ -133,25 +157,24 @@ func NewNetwork(cfg Config) (*Network, error) {
 			DialingNoise:   cfg.DialingNoise,
 		})
 		if err != nil {
-			return nil, err
+			return fail(err)
+		}
+		srv := rpc.NewServer()
+		rpc.RegisterMixer(srv, m)
+		mc, err := rpc.DialMixer(n.listen(srv))
+		if err != nil {
+			return fail(err)
 		}
 		n.Mixers = append(n.Mixers, m)
 		n.MixerKeys = append(n.MixerKeys, m.SigningKey())
+		n.Coord.Mixers = append(n.Coord.Mixers, mc)
 	}
-	n.Coord = coordinator.New(n.Entry, n.Mixers, n.PKGs, n.CDN)
-	n.Coord.TargetRequestsPerMailbox = cfg.TargetRequestsPerMailbox
 	for i := 1; i < cfg.NumFrontends; i++ {
 		f := entry.New()
+		srv := rpc.NewServer()
+		rpc.RegisterEntryReplica(srv, f)
 		n.Frontends = append(n.Frontends, f)
-		n.Coord.Frontends = append(n.Coord.Frontends, f)
-	}
-	if cfg.NumCDNs > 1 {
-		n.CDNs = []*cdn.Store{n.CDN}
-		for i := 1; i < cfg.NumCDNs; i++ {
-			replica := cdn.NewStore(0)
-			n.CDNs = append(n.CDNs, replica)
-			n.Coord.CDNMirrors = append(n.Coord.CDNMirrors, replica)
-		}
+		n.Coord.Frontends = append(n.Coord.Frontends, rpc.DialEntryReplica(n.listen(srv)))
 	}
 	return n, nil
 }

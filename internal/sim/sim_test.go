@@ -11,6 +11,7 @@ func TestNetworkDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(n.Close)
 	if len(n.PKGs) != 3 || len(n.Mixers) != 3 {
 		t.Fatalf("defaults: %d PKGs, %d mixers; want 3/3", len(n.PKGs), len(n.Mixers))
 	}
@@ -24,6 +25,7 @@ func TestNewClientRegistersEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(n.Close)
 	h := &Handler{AcceptAll: true}
 	c, err := n.NewClient("user@example.org", h)
 	if err != nil {
@@ -45,6 +47,7 @@ func TestGenerateBatchShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(n.Close)
 	settings, err := n.Coord.OpenDialingRound(1)
 	if err != nil {
 		t.Fatal(err)
@@ -69,12 +72,11 @@ func TestGenerateBatchShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	boxes, err := n.Coord.CloseRound(wire.Dialing, 1)
-	if err != nil {
+	if _, err := n.Coord.CloseRound(wire.Dialing, 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(boxes) == 0 {
-		t.Fatal("no mailboxes")
+	if sizes, err := n.CDN.MailboxSizes(wire.Dialing, 1); err != nil || len(sizes) == 0 {
+		t.Fatalf("no mailboxes: %v", err)
 	}
 }
 
@@ -83,6 +85,7 @@ func TestGenerateBatchAddFriend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(n.Close)
 	settings, err := n.Coord.OpenAddFriendRound(1)
 	if err != nil {
 		t.Fatal(err)
@@ -100,16 +103,19 @@ func TestGenerateBatchAddFriend(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	boxes, err := n.Coord.CloseRound(wire.AddFriend, 1)
+	if _, err := n.Coord.CloseRound(wire.AddFriend, 1); err != nil {
+		t.Fatal(err)
+	}
+	sizes, err := n.CDN.MailboxSizes(wire.AddFriend, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, b := range boxes {
-		if len(b)%wire.EncryptedFriendRequestSize != 0 {
+	for _, size := range sizes {
+		if size%wire.EncryptedFriendRequestSize != 0 {
 			t.Fatal("mailbox not request-aligned")
 		}
-		total += len(b) / wire.EncryptedFriendRequestSize
+		total += size / wire.EncryptedFriendRequestSize
 	}
 	// 3 real + noise (cover dropped); noise is 2/mailbox/server.
 	if total < 3 {
@@ -122,6 +128,7 @@ func TestRegisterDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(n.Close)
 	u, err := RegisterDirect(n.PKGs[0], n.Provider, "direct@example.org")
 	if err != nil {
 		t.Fatal(err)

@@ -8,41 +8,40 @@ import (
 )
 
 // RouteSpec is one mixer daemon's forwarding assignment for a round
-// (mix.round.route): where its post-shuffle output goes and, when its
-// chain position is sharded across machines, its place in the shard
-// group. The zero shard fields describe an unsharded daemon, which the
-// route surface treats exactly like a pre-shard chain-forward route.
+// (mix.round.route): its place in its chain position's shard group and
+// where the position's post-shuffle output goes. An unsharded position is
+// a group of one: ShardIndex 0 of ShardCount 1, its own merge server.
 type RouteSpec struct {
 	NumMailboxes uint32
 	ChunkSize    int
 	// Successors is the NEXT position's full shard set (one address for
-	// an unsharded successor); empty for the last position, which
-	// publishes to CDNAddr instead. Only a group's merge server carries
-	// either.
+	// a group of one); empty for the last position, whose members publish
+	// to CDNAddr instead. Only a group's merge server carries Successors.
 	Successors []string
 	CDNAddr    string
 	// Shard-group placement: this daemon is shard ShardIndex of
-	// ShardCount serving its position; non-merge shards deposit their
-	// peeled slice at MergeAddr. NumUpstream is how many upstream
-	// end-of-streams close the daemon's onion intake (0 = 1).
+	// ShardCount (>= 1) serving its position; non-merge shards deposit
+	// their peeled slice at MergeAddr, which is empty on the merge server
+	// itself. NumUpstream (>= 1) is how many upstream end-of-streams
+	// close the daemon's onion intake.
 	ShardIndex  int
 	ShardCount  int
 	MergeAddr   string
 	NumUpstream int
-	// BuildShards switches the LAST position's merge server to sharded
-	// mailbox building: after the merged shuffle it deals request bodies
-	// by mailbox ID to these addresses (its own shard group, in shard
-	// order, merge member included at its own shard index) instead of
-	// building every mailbox itself. Each shard, merge member included,
-	// then builds its own mailbox-ID range and publishes it over its own
-	// shard-tagged cdn.publish stream. Non-merge shards of such a group
-	// carry CDNAddr (their publish target) but empty BuildShards.
+	// BuildShards is set on the LAST position's merge server: after the
+	// merged shuffle it deals request bodies by mailbox ID to these
+	// addresses (its own shard group, in shard order, merge member
+	// included at its own shard index). Each shard, merge member
+	// included, then builds its own mailbox-ID range and publishes it
+	// over its own shard-tagged cdn.publish stream. Non-merge shards of
+	// the last group carry CDNAddr (their publish target) but empty
+	// BuildShards.
 	BuildShards []string
 	// DeadlineMs bounds the daemon's data-plane work for the round:
 	// peer-dial retries (successor streams, merge deposits, deal slices)
 	// give up once the deadline passes instead of burning the whole
 	// round against a dead peer. Milliseconds from route receipt; 0
-	// means no deadline (legacy coordinators).
+	// means no deadline.
 	DeadlineMs int64
 }
 
