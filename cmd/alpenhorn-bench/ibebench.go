@@ -26,23 +26,17 @@ type ibeBenchRecord struct {
 	DecryptsPerSec      float64 `json:"decrypts_per_sec"`
 	BatchDecryptsPerSec float64 `json:"batch_decrypts_per_sec"`
 	BatchScanSpeedup    float64 `json:"batch_scan_speedup"`
-	// The v2 (optimal-ate) tier rows: batched v2 scan rate, its ratio
-	// over the batched v1 scan (the acceptance target is ≥1.8x), and the
-	// scalar v2 decrypt rate for reference.
-	DecryptsV2PerSec      float64 `json:"decrypts_v2_per_sec"`
-	BatchDecryptsV2PerSec float64 `json:"batch_decrypts_v2_per_sec"`
-	AteScanSpeedup        float64 `json:"ate_scan_speedup"`
-	ExtractionsPerSec     float64 `json:"extractions_per_sec"`
-	G1CombPerSec          float64 `json:"g1_comb_mults_per_sec"`
-	G1LadderPerSec        float64 `json:"g1_ladder_mults_per_sec"`
-	G1CombSpeedup         float64 `json:"g1_comb_speedup"`
-	G2CombPerSec          float64 `json:"g2_comb_mults_per_sec"`
-	G2LadderPerSec        float64 `json:"g2_ladder_mults_per_sec"`
-	G2CombSpeedup         float64 `json:"g2_comb_speedup"`
-	Scan24kProjSec        float64 `json:"sec_per_24k_mailbox_scan_4core_proj"`
-	Scan24kBatchProjSec   float64 `json:"sec_per_24k_mailbox_scan_batched_4core_proj"`
-	Scan24kMeasSec        float64 `json:"sec_per_24k_mailbox_scan_measured"`
-	ScanWorkers           int     `json:"scan_workers"`
+	ExtractionsPerSec   float64 `json:"extractions_per_sec"`
+	G1CombPerSec        float64 `json:"g1_comb_mults_per_sec"`
+	G1LadderPerSec      float64 `json:"g1_ladder_mults_per_sec"`
+	G1CombSpeedup       float64 `json:"g1_comb_speedup"`
+	G2CombPerSec        float64 `json:"g2_comb_mults_per_sec"`
+	G2LadderPerSec      float64 `json:"g2_ladder_mults_per_sec"`
+	G2CombSpeedup       float64 `json:"g2_comb_speedup"`
+	Scan24kProjSec      float64 `json:"sec_per_24k_mailbox_scan_4core_proj"`
+	Scan24kBatchProjSec float64 `json:"sec_per_24k_mailbox_scan_batched_4core_proj"`
+	Scan24kMeasSec      float64 `json:"sec_per_24k_mailbox_scan_measured"`
+	ScanWorkers         int     `json:"scan_workers"`
 }
 
 // scanChunk mirrors core.Client.ScanAddFriendRound's DecryptBatch chunk.
@@ -72,8 +66,8 @@ func ibeBench() {
 		log.Fatal(err)
 	}
 
-	// Single-core trial decryption, scan configuration (precomputed
-	// Miller ladder, as core.Client.ScanAddFriendRound uses).
+	// Single-core trial decryption, scan configuration (precomputed key,
+	// as core.Client.ScanAddFriendRound uses).
 	key := ibe.Extract(priv, "bob@example.org").Precompute()
 
 	// Mailbox of noise with one planted request, for the batched paths.
@@ -113,19 +107,8 @@ func ibeBench() {
 		}
 	}
 
-	// The v2 (optimal-ate) tier on the same mailbox: noise blobs are
-	// tier-independent random ciphertexts, and the planted v1 request
-	// simply fails v2 authentication like any foreign message — the scan
-	// work per ciphertext is identical, so the rates compare directly.
-	key.PrecomputeV2()
-	ctxtV2, err := ibe.EncryptV2(rand.Reader, pub, "bob@example.org", msg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// The four decrypt paths, timed in alternation: each gated ratio
-	// (batched over scalar v1, batched v2 over batched v1) has both its
-	// sides in this one group.
+	// The two decrypt paths, timed in alternation so the gated ratio has
+	// both its sides in one group.
 	dec := bestRates(
 		func() int {
 			if _, ok := ibe.Decrypt(key, ctxt); !ok {
@@ -134,15 +117,8 @@ func ibeBench() {
 			return 1
 		},
 		batchScan(func(ctxts [][]byte) { ibe.DecryptBatch(key, ctxts) }),
-		func() int {
-			if _, ok := ibe.DecryptV2(key, ctxtV2); !ok {
-				log.Fatal("v2 decrypt failed")
-			}
-			return 1
-		},
-		batchScan(func(ctxts [][]byte) { ibe.DecryptBatchV2(key, ctxts) }),
 	)
-	decRate, batchRate, decV2Rate, batchV2Rate := dec[0], dec[1], dec[2], dec[3]
+	decRate, batchRate := dec[0], dec[1]
 
 	// Server-side extraction throughput (hash-to-G1 + G1 scalar mult).
 	i := 0
@@ -200,30 +176,25 @@ func ibeBench() {
 	}
 
 	rec := ibeBenchRecord{
-		Experiment:            "ibe-bench",
-		DecryptsPerSec:        decRate,
-		BatchDecryptsPerSec:   batchRate,
-		BatchScanSpeedup:      batchRate / decRate,
-		DecryptsV2PerSec:      decV2Rate,
-		BatchDecryptsV2PerSec: batchV2Rate,
-		AteScanSpeedup:        batchV2Rate / batchRate,
-		ExtractionsPerSec:     extRate,
-		G1CombPerSec:          g1CombRate,
-		G1LadderPerSec:        g1LadderRate,
-		G1CombSpeedup:         g1CombRate / g1LadderRate,
-		G2CombPerSec:          g2CombRate,
-		G2LadderPerSec:        g2LadderRate,
-		G2CombSpeedup:         g2CombRate / g2LadderRate,
-		Scan24kProjSec:        24000 / decRate / 4,
-		Scan24kBatchProjSec:   24000 / batchRate / 4,
-		Scan24kMeasSec:        parallelScan / mailboxSize * 24000,
-		ScanWorkers:           workers,
+		Experiment:          "ibe-bench",
+		DecryptsPerSec:      decRate,
+		BatchDecryptsPerSec: batchRate,
+		BatchScanSpeedup:    batchRate / decRate,
+		ExtractionsPerSec:   extRate,
+		G1CombPerSec:        g1CombRate,
+		G1LadderPerSec:      g1LadderRate,
+		G1CombSpeedup:       g1CombRate / g1LadderRate,
+		G2CombPerSec:        g2CombRate,
+		G2LadderPerSec:      g2LadderRate,
+		G2CombSpeedup:       g2CombRate / g2LadderRate,
+		Scan24kProjSec:      24000 / decRate / 4,
+		Scan24kBatchProjSec: 24000 / batchRate / 4,
+		Scan24kMeasSec:      parallelScan / mailboxSize * 24000,
+		ScanWorkers:         workers,
 	}
 
 	fmt.Printf("decrypts/sec (1 core, per-ciphertext): %8.1f   (paper: 800/sec/core)\n", rec.DecryptsPerSec)
 	fmt.Printf("decrypts/sec (1 core, batched scan):   %8.1f   (%.2fx)\n", rec.BatchDecryptsPerSec, rec.BatchScanSpeedup)
-	fmt.Printf("v2 decrypts/sec (1 core, scalar ate):  %8.1f\n", rec.DecryptsV2PerSec)
-	fmt.Printf("v2 decrypts/sec (1 core, batched ate): %8.1f   (%.2fx over batched v1)\n", rec.BatchDecryptsV2PerSec, rec.AteScanSpeedup)
 	fmt.Printf("extractions/sec (1 core):              %8.1f   (paper: 4310/sec on 36 cores)\n", rec.ExtractionsPerSec)
 	fmt.Printf("G1 ScalarBaseMult/sec: comb %9.1f vs ladder %9.1f  (%.1fx)\n", rec.G1CombPerSec, rec.G1LadderPerSec, rec.G1CombSpeedup)
 	fmt.Printf("G2 ScalarBaseMult/sec: comb %9.1f vs ladder %9.1f  (%.1fx)\n", rec.G2CombPerSec, rec.G2LadderPerSec, rec.G2CombSpeedup)
@@ -270,7 +241,6 @@ func checkIBEBaseline(fresh ibeBenchRecord) {
 		{"g1_comb_speedup", fresh.G1CombSpeedup, base.G1CombSpeedup},
 		{"g2_comb_speedup", fresh.G2CombSpeedup, base.G2CombSpeedup},
 		{"batch_scan_speedup", fresh.BatchScanSpeedup, base.BatchScanSpeedup},
-		{"ate_scan_speedup", fresh.AteScanSpeedup, base.AteScanSpeedup},
 	} {
 		if c.base <= 0 {
 			fmt.Printf("  %-20s baseline has no value, skipped\n", c.name)
@@ -295,8 +265,8 @@ func checkIBEBaseline(fresh ibeBenchRecord) {
 // in-test pins use (bn254's bestInterleaved): when the machine's speed
 // drifts between one second and the next, the drift lands on both sides of
 // a ratio, and the best of five slices discards the slices it hit hardest.
-// Timing each side once, back to back, let one unchanged binary print
-// ate_scan_speedup 1.04x and 2.15x a minute apart.
+// Timing each side once, back to back, let one unchanged binary print a
+// ratio of 1.04x and 2.15x a minute apart.
 func bestRates(fs ...func() int) []float64 {
 	const passes, slice = 5, 60 * time.Millisecond
 	for _, f := range fs {

@@ -140,10 +140,9 @@ func TestSignatureSizeConstant(t *testing.T) {
 }
 
 // TestVerifyMatchesTwoPairReconstruction pins the combined pairing check
-// that Verify uses — one shared Miller product through the decomposed
-// final exponentiation — against the textbook two-pairing reconstruction
-// e(σ, G2) == e(H(m), pk) computed via bn254.Pair, which retains the
-// generic windowed final exponentiation as its oracle. The two paths must
+// that Verify uses — one shared Miller product over kept line tables —
+// against the textbook two-pairing reconstruction e(σ, G2) == e(H(m), pk)
+// computed via two independent bn254.AtePair calls. The two paths must
 // agree on valid signatures, tampered messages, tampered signatures, and
 // mismatched keys.
 func TestVerifyMatchesTwoPairReconstruction(t *testing.T) {
@@ -152,7 +151,7 @@ func TestVerifyMatchesTwoPairReconstruction(t *testing.T) {
 			return false
 		}
 		h := bn254.HashToG1("bls-signature", msg)
-		return bn254.Pair(sig.s, bn254.G2Generator()).Equal(bn254.Pair(h, pub.p))
+		return bn254.AtePair(sig.s, bn254.G2Generator()).Equal(bn254.AtePair(h, pub.p))
 	}
 	pub, priv, err := GenerateKey(rand.Reader)
 	if err != nil {
@@ -186,14 +185,15 @@ func TestVerifyMatchesTwoPairReconstruction(t *testing.T) {
 	}
 }
 
-// TestVerifySpeedupPin guards the move of Verify off the Tate loop: the ate
-// product check replaying kept line tables must beat the Tate oracle check
-// (bn254.PairingCheck on the same two pairs, hashing included on both
-// sides) by a clear margin. The measured ratio is ~3x — a shared
-// 65-iteration loop against two 254-iteration ones — and the floor is 2x, so
-// scheduler noise cannot flake the suite while a real regression (tables
-// rebuilt per call, an unshared loop) still trips it. Skipped in -short
-// mode.
+// TestVerifySpeedupPin guards what Verify adds on top of bn254's pairing
+// check: the kept line tables of −G2 and the public key, and one shared
+// loop for both pairs. It must beat the textbook reconstruction — two
+// independent bn254.AtePair calls, lines built per call, two final
+// exponentiations; hashing included on both sides — by a clear margin.
+// (bn254's TestAtePairingCheckSpeedupPin pins the check itself against the
+// Tate oracle.) The measured ratio is ~1.9x and the floor 1.5x, which
+// leaves room for scheduler noise while a real regression (tables rebuilt
+// per call, an unshared loop) still trips it. Skipped in -short mode.
 func TestVerifySpeedupPin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("relative perf pin skipped in -short mode")
@@ -204,31 +204,30 @@ func TestVerifySpeedupPin(t *testing.T) {
 	}
 	msg := []byte("pkg attests bob@example.org at round 42")
 	sig := Sign(priv, msg)
-	tateVerify := func() bool {
+	twoPairs := func() bool {
 		h := bn254.HashToG1(hashDomain, msg)
-		negG2 := new(bn254.G2).Neg(bn254.G2Generator())
-		return bn254.PairingCheck([]*bn254.G1{sig.s, h}, []*bn254.G2{negG2, pub.p})
+		return bn254.AtePair(sig.s, bn254.G2Generator()).Equal(bn254.AtePair(h, pub.p))
 	}
-	if !Verify(pub, msg, sig) || !tateVerify() { // also warms both line tables
+	if !Verify(pub, msg, sig) || !twoPairs() { // also warms both line tables
 		t.Fatal("valid signature rejected")
 	}
 
 	// Best of 15, the two sides in alternation, so that a change in the
 	// machine's load falls on both.
-	ate, tate := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	kept, textbook := time.Duration(1<<63-1), time.Duration(1<<63-1)
 	for i := 0; i < 15; i++ {
 		start := time.Now()
 		Verify(pub, msg, sig)
-		ate = min(ate, time.Since(start))
+		kept = min(kept, time.Since(start))
 		start = time.Now()
-		tateVerify()
-		tate = min(tate, time.Since(start))
+		twoPairs()
+		textbook = min(textbook, time.Since(start))
 	}
-	if ate*2 > tate {
-		t.Errorf("ate Verify %v is under 2x the tate oracle check %v (ratio %.2fx)",
-			ate, tate, float64(tate)/float64(ate))
+	if kept*3 > textbook*2 {
+		t.Errorf("Verify %v is under 1.5x two AtePair calls %v (ratio %.2fx)",
+			kept, textbook, float64(textbook)/float64(kept))
 	}
-	t.Logf("ate Verify %v vs tate oracle check %v: %.2fx", ate, tate, float64(tate)/float64(ate))
+	t.Logf("Verify %v vs two AtePair calls %v: %.2fx", kept, textbook, float64(textbook)/float64(kept))
 }
 
 func BenchmarkVerify(b *testing.B) {

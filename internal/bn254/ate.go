@@ -33,10 +33,9 @@ import (
 //
 // The ate value differs from the Tate value by a FIXED exponent: both are
 // reduced pairings on the same groups, so e_ate = e_tate^κ for a constant κ
-// depending only on the curve. The Tate path (pairing.go/pairbatch.go) is
-// kept untouched as a differential oracle: bilinearity of both loops against
-// known scalars pins the relation (ateOracleCheck at first use, plus the
-// differential tests).
+// depending only on the curve. The Tate loop survives only in the tests
+// (tate_test.go), as the differential oracle: bilinearity of both loops
+// against known scalars pins the relation.
 type ateLineCoeff struct {
 	la, lb, lc fe2
 	vertical   bool
@@ -156,7 +155,7 @@ func ateAddStep(c *ateLineCoeff, t *g2Jac, q *G2) {
 		if r.IsZero() {
 			// T == q: chord degenerates to the tangent. Unreachable for
 			// order-r inputs on this ladder; kept for defensive parity
-			// with the Tate addStep.
+			// with the Tate oracle's addStep.
 			ateDoubleStep(c, t)
 			return
 		}
@@ -306,21 +305,20 @@ func ateEvalLinesInto(f *fe12, pairs []ateFixedPair) {
 	apply()
 }
 
-// atePairValue is AtePair without the init-time oracle check (the check
-// itself uses it).
+// atePairValue is AtePair without the first-use check (the check itself
+// uses it).
 func atePairValue(p *G1, q *G2) *GT {
 	if p.IsInfinity() || q.IsInfinity() {
 		return GTOne()
 	}
 	var f fe12
 	ateMillerInto(&f, &p.x, &p.y, q)
-	return &GT{e: *finalExp(&f)}
+	return &GT{e: *finalExpDecomp(&f)}
 }
 
-// ateOracleOnce runs a one-time differential smoke against the retained
-// Tate oracle on first use of any ate entry point: both reduced pairings
-// must be nontrivial and bilinear on known scalars (AtePair(2P, 3Q) =
-// AtePair(P, Q)⁶ and the same for Pair). Every production v2 batch is
+// ateOracleOnce runs a one-time bilinearity smoke on first use of any ate
+// entry point: the reduced pairing must be nontrivial on the generators and
+// satisfy AtePair(2P, 3Q) = AtePair(P, Q)⁶. The batch and scalar paths are
 // additionally cross-checked element-wise by the differential tests; this
 // startup check catches a miscompiled or misderived ladder before any
 // derived key leaves the package.
@@ -341,18 +339,12 @@ func ateOracleCheck() {
 		if !atePairValue(&p2, &q3).Equal(new(GT).Exp(gA, six)) {
 			panic("bn254: ate pairing failed the bilinearity smoke test")
 		}
-		gT := Pair(p, q)
-		if !Pair(&p2, &q3).Equal(new(GT).Exp(gT, six)) {
-			panic("bn254: tate oracle failed the bilinearity smoke test")
-		}
 	})
 }
 
-// AtePair computes the reduced optimal-ate pairing a(p, q) ∈ GT. It is a
-// bilinear non-degenerate pairing on the same groups as Pair, related to it
-// by a fixed exponent: AtePair(p, q) = Pair(p, q)^κ for a curve constant κ.
-// Values (and therefore any keys derived from them) are NOT interchangeable
-// with Pair's — call sites pick one per negotiated PairingVersion.
+// AtePair computes the reduced optimal-ate pairing a(p, q) ∈ GT, the
+// package's one bilinear map. Pairing with the identity in either argument
+// returns the identity of GT.
 func AtePair(p *G1, q *G2) *GT {
 	ateOracleCheck()
 	return atePairValue(p, q)
@@ -422,7 +414,8 @@ func (j *g2Jac) add(a, b *g2Jac) {
 var _ = deriveGSCheckVector()
 
 func deriveGSCheckVector() struct{} {
-	s := new(big.Int).Mod(sixU2, Order)
+	s := new(big.Int).Mul(new(big.Int).Mul(u, u), big.NewInt(6))
+	s.Mod(s, Order)
 	s2 := new(big.Int).Mod(new(big.Int).Mul(s, s), Order)
 	s3 := new(big.Int).Mod(new(big.Int).Mul(s2, s), Order)
 	acc := new(big.Int).Add(u, big.NewInt(1))
@@ -441,9 +434,9 @@ func deriveGSCheckVector() struct{} {
 //
 //	[u+1]Q + ψ([u]Q) + ψ²([u]Q) − ψ³([2u]Q) == ∞
 //
-// One 63-bit ladder plus three ψ maps and four Jacobian additions — about
-// half the cost of the 127-bit ψ-eigenvalue ladder (isInSubgroupPsi), which
-// stays as the v1 path and the differential oracle for this check.
+// One 63-bit ladder plus three ψ maps and four Jacobian additions, in place
+// of the 254-bit Order ladder of isInSubgroup (the differential oracle for
+// this check).
 func (p *G2) isInSubgroupGS() bool {
 	if p.inf {
 		return true
@@ -480,19 +473,17 @@ func (p *G2) isInSubgroupGS() bool {
 	return acc.isInfinity()
 }
 
-// AtePrecomputedG1 is the fixed-G1 handle for the v2 mailbox scan. The ate
-// ladder runs over the VARYING G2 argument, so — unlike Tate's
-// PrecomputedG1 — there are no lines to replay for a fixed P: the whole win
-// is the ~65-iteration loop (vs ~254) plus the short subgroup check. The
-// cacheable state is just P's evaluation coordinates; the type exists so
-// key call sites (identity private keys) keep the precompute-once,
-// erase-once discipline of the v1 path.
+// AtePrecomputedG1 is the fixed-G1 handle for the mailbox scan. The ate
+// ladder runs over the VARYING G2 argument, so there are no lines to replay
+// for a fixed P: the cacheable state is just P's evaluation coordinates.
+// The type exists so key call sites (identity private keys) keep a
+// precompute-once, erase-once discipline.
 type AtePrecomputedG1 struct {
 	xp, yp fe
 	inf    bool
 }
 
-// AtePrecomputeG1 prepares p for repeated v2 pairing.
+// AtePrecomputeG1 prepares p for repeated pairing.
 func AtePrecomputeG1(p *G1) *AtePrecomputedG1 {
 	if p.IsInfinity() {
 		return &AtePrecomputedG1{inf: true}
@@ -518,100 +509,7 @@ func (pc *AtePrecomputedG1) Pair(q *G2) *GT {
 	}
 	var f fe12
 	ateMillerInto(&f, &pc.xp, &pc.yp, q)
-	return &GT{e: *finalExp(&f)}
-}
-
-// PairBatch computes AtePair(p, Qᵢ) for a batch of wire-encoded G2 points —
-// the v2 counterpart of PrecomputedG1.PairBatch, with the identical
-// four-phase structure and acceptance behavior (ok[i] is false exactly when
-// G2.Unmarshal would reject raws[i]):
-//
-//  1. decode + curve check + Galbraith–Scott short-vector subgroup check;
-//  2. one ~65-iteration ate Miller loop per element, lines on the fly;
-//  3. easy part of the final exponentiation with ONE shared Fp12 inversion
-//     (invalid/infinity slots are masked before the prefix chain — the
-//     batch-inversion invariant of batch.go);
-//  4. decomposed hard part per element.
-func (pc *AtePrecomputedG1) PairBatch(raws [][]byte, dst []GT, ok []bool, scratch *PairScratch) {
-	n := len(raws)
-	if len(dst) != n || len(ok) != n {
-		panic("bn254: PairBatch slice length mismatch")
-	}
-	ateOracleCheck()
-	if scratch == nil {
-		scratch = new(PairScratch)
-	}
-	scratch.grow(n)
-
-	// Phase 1: decode + curve + GS subgroup checks.
-	var q G2
-	for i := range raws {
-		st := g2DecodeBatch(&q, raws[i], true)
-		scratch.state[i] = st
-		if st == batchPoint {
-			scratch.qx[i] = q.x
-			scratch.qy[i] = q.y
-		}
-	}
-
-	if pc.inf {
-		for i := range raws {
-			ok[i] = scratch.state[i] != batchInvalid
-			dst[i].e.SetOne()
-		}
-		return
-	}
-
-	// Phase 2: ate Miller loops (lines on the fly, no allocation).
-	for i := range raws {
-		if scratch.state[i] == batchPoint {
-			q.x = scratch.qx[i]
-			q.y = scratch.qy[i]
-			q.inf = false
-			ateMillerInto(&dst[i].e, &pc.xp, &pc.yp, &q)
-		}
-	}
-
-	// Phase 3: shared-inversion easy part (identical to the Tate batch).
-	var acc fe12
-	acc.SetOne()
-	for i := range raws {
-		if scratch.state[i] != batchPoint {
-			continue
-		}
-		scratch.pre[i] = acc
-		acc.Mul(&acc, &dst[i].e)
-	}
-	var inv fe12
-	inv.Invert(&acc)
-	for i := n - 1; i >= 0; i-- {
-		if scratch.state[i] != batchPoint {
-			continue
-		}
-		var fInv, g fe12
-		fInv.Mul(&inv, &scratch.pre[i])
-		inv.Mul(&inv, &dst[i].e)
-		g.Conjugate(&dst[i].e)
-		g.Mul(&g, &fInv) // f^(p⁶−1)
-		var t fe12
-		t.FrobeniusP2(&g)
-		dst[i].e.Mul(&t, &g) // ^(p²+1): now cyclotomic
-	}
-
-	// Phase 4: decomposed hard part per element.
-	for i := range raws {
-		switch scratch.state[i] {
-		case batchPoint:
-			ok[i] = true
-			finalExpHardDecomp(&dst[i].e, &dst[i].e)
-		case batchInf:
-			ok[i] = true
-			dst[i].e.SetOne()
-		default:
-			ok[i] = false
-			dst[i].e.SetOne()
-		}
-	}
+	return &GT{e: *finalExpDecomp(&f)}
 }
 
 // AtePrecomputedG2 caches the full ate line ladder of a fixed G2 point —
@@ -624,7 +522,7 @@ type AtePrecomputedG2 struct {
 	inf    bool
 }
 
-// AtePrecomputeG2 runs the ate ladder for q once, for repeated v2 pairing
+// AtePrecomputeG2 runs the ate ladder for q once, for repeated pairing
 // against many G1 points.
 func AtePrecomputeG2(q *G2) *AtePrecomputedG2 {
 	if q.IsInfinity() {
@@ -641,7 +539,7 @@ func (pc *AtePrecomputedG2) Pair(p *G1) *GT {
 	}
 	var f fe12
 	ateEvalLinesInto(&f, []ateFixedPair{{pc.coeffs, &p.x, &p.y}})
-	return &GT{e: *finalExp(&f)}
+	return &GT{e: *finalExpDecomp(&f)}
 }
 
 // AtePairingCheck reports whether ∏ AtePair(ps[i], qs[i]) == 1 for fixed,
@@ -652,8 +550,8 @@ func (pc *AtePrecomputedG2) Pair(p *G1) *GT {
 // It is the production pairing-product check (BLS verification). Since
 // AtePair = Pair^κ with κ prime to the group order, the product of ate
 // values is 1 exactly when the product of Tate values is, so it accepts the
-// same tuples as the Tate PairingCheck — which keeps no production caller
-// and stays as the differential oracle the tests compare against.
+// same tuples as the test-only Tate PairingCheck the tests compare it
+// against.
 func AtePairingCheck(ps []*G1, qs []*AtePrecomputedG2) bool {
 	if len(ps) != len(qs) {
 		return false

@@ -180,16 +180,6 @@ func BenchmarkPair(b *testing.B) {
 	}
 }
 
-func BenchmarkPairPrecomputedG1(b *testing.B) {
-	k, _ := RandomScalar(rand.Reader)
-	pre := PrecomputeG1(new(G1).ScalarBaseMult(k))
-	q := new(G2).ScalarBaseMult(k)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pre.Pair(q)
-	}
-}
-
 func BenchmarkPairRef(b *testing.B) {
 	k, _ := RandomScalar(rand.Reader)
 	p := new(refG1).ScalarBaseMult(k)

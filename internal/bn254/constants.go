@@ -1,5 +1,5 @@
 // Package bn254 implements the BN254 pairing-friendly elliptic curve
-// (also known as alt_bn128) with a generic Tate pairing.
+// (also known as alt_bn128) with the optimal ate pairing.
 //
 // Alpenhorn's paper prototype uses the BN-256 curve with an AMD64 assembly
 // implementation [Naehrig et al., LATINCRYPT 2010]. This package is the
@@ -13,8 +13,8 @@
 //   - G2: points on the sextic twist E'(Fp2) : y² = x³ + 3/ξ, order Order.
 //   - GT: order-Order subgroup of Fp12*, the pairing target group.
 //
-// and the bilinear map Pair: G1 × G2 → GT, the reduced Tate pairing
-// f_{r,P}(ψ(Q))^((p¹²−1)/r) with denominator elimination.
+// and one bilinear map, AtePair: G1 × G2 → GT, the reduced optimal ate
+// pairing (ate.go).
 //
 // # Backends
 //
@@ -33,12 +33,8 @@
 // way in, feToBig/feBytes on the way out), so every wire encoding is
 // byte-identical to the original big.Int implementation.
 //
-// The original math/big implementation is retained in the ref_* files and
-// fp*.go (types refG1/refG2/refGT, helpers fpAdd/fpMul/...) as an
-// unexported reference backend. Differential tests cross-check the limb
-// backend against it — field ops, group ops, hash-to-curve, and full
-// pairings produce bit-identical results — and a relative benchmark test
-// pins the limb backend's speedup so it cannot silently rot.
+// The original math/big implementation lives on in the package's ref_*
+// test files as the reference backend; see "One pairing" below.
 //
 // # Fixed-base comb tables
 //
@@ -55,41 +51,35 @@
 //
 // # Batched pairings and the batch-inversion invariant
 //
-// PrecomputedG1.PairBatch evaluates many pairings that share a fixed G1
+// AtePrecomputedG1.PairBatch evaluates many pairings that share a fixed G1
 // argument (the mailbox-scan shape: one identity key, thousands of
 // ciphertext G2 points). Per batch it pays ONE Fp12 inversion for the
 // final exponentiation's easy part, shared across elements via
 // Montgomery's inversion trick; the hard part runs per element through
 // the Devegili-Scott decomposition (three cyclotomic exponentiations by
-// the curve parameter u plus Frobenius maps) rather than a full-width
-// window exponentiation. G2 inputs are subgroup-checked with the twist
-// endomorphism ψ (ψ(Q) = [6u²]Q on the right subgroup), a ~127-bit ladder
-// instead of a 254-bit order multiplication. The batch-inversion
-// INVARIANT, relied on by every prefix-product chain in this package
-// (batch.go, pairbatch.go): invalid, infinity, or otherwise skipped slots
-// are masked out of the chain BEFORE it runs, never patched afterwards —
-// a zero or garbage element that entered the running product would
-// corrupt every later element's inverse, letting one malformed ciphertext
-// poison its batch neighbors. Fuzzing pins that a genuine element always
-// decrypts identically no matter what surrounds it.
+// the curve parameter u plus Frobenius maps), the package's only final
+// exponentiation. G2 inputs are subgroup-checked with the Galbraith–Scott
+// short vector (one 63-bit ladder plus ψ maps) instead of a 254-bit order
+// multiplication. The batch-inversion INVARIANT, relied on by every
+// prefix-product chain in this package (batch.go, pairbatch.go): invalid,
+// infinity, or otherwise skipped slots are masked out of the chain BEFORE
+// it runs, never patched afterwards — a zero or garbage element that
+// entered the running product would corrupt every later element's
+// inverse, letting one malformed ciphertext poison its batch neighbors.
+// Fuzzing pins that a genuine element always decrypts identically no
+// matter what surrounds it.
 //
 // # Optimal-ate pairing (AtePair)
 //
-// Alongside the Tate pairing the package provides the optimal ate pairing
-// (ate.go): the Miller loop runs over the G2 argument on the twist for
-// |6u+2| ≈ 2⁶⁵ iterations in non-adjacent form — roughly a quarter of the
-// Tate loop's Order.BitLen() ≈ 254 — followed by two Frobenius correction
-// steps through the twist endomorphism ψ, then the same final
-// exponentiation. Both maps are nondegenerate bilinear pairings on
-// G1 × G2 and their reduced values differ by a FIXED exponent: e_ate =
-// e_tate^κ with κ constant across all inputs. That relation is the
-// differential oracle — the Tate path is retained untouched, an init-time
-// check pins AtePair's consistency on generator multiples before first
-// use, and tests cross-check bilinearity of both loops on random points.
-// AtePrecomputedG1.PairBatch mirrors the Tate batch pipeline (same
-// 4-phase structure, same shared-inversion invariant, same PairScratch)
-// over the shorter loop; v2 decodes subgroup-check via the
-// Galbraith–Scott ψ-ladder identity rather than the [6u²] ladder.
+// The Miller loop runs over the G2 argument on the twist for |6u+2| ≈ 2⁶⁵
+// iterations in non-adjacent form — roughly a quarter of the Tate loop's
+// Order.BitLen() ≈ 254 — followed by two Frobenius correction steps
+// through the twist endomorphism ψ, then the final exponentiation. A
+// first-use check pins AtePair's bilinearity on generator multiples before
+// any key is derived from it. AtePrecomputedG2 replays the line ladder of
+// a fixed G2 argument (encryption to a round's master key, BLS
+// verification); AtePairingCheck shares one loop's squarings across a
+// product of pairs.
 //
 // # Boundary-conversion rule
 //
@@ -100,17 +90,21 @@
 // points, keys, ciphertexts, signatures) remains byte-identical to the
 // big.Int reference.
 //
-// # Pairing-version negotiation rule
+// # One pairing; Tate and big.Int are test oracles
 //
-// The two pairings are deliberately NOT interchangeable: deriving keys
-// from e_ate where a peer derives from e_tate yields unrelated secrets.
-// Protocol layers therefore treat the pairing as a versioned capability
-// (wire.RoundSettings.PairingVersion): v1 = Tate, v2 = optimal ate,
-// negotiated per round, all participants of a round on one version, with
-// transparent degradation to v1 when any participant lacks v2. Like the
-// boundary-conversion rule this is representation-stable: a v1 round's
-// wire bytes are byte-identical to pre-capability encodings, and v2
-// changes which pairing keys a ciphertext — never any encoding.
+// Production code has one Miller loop (ate), one base field (fe) and one
+// batch pipeline. Every IBE ciphertext, PKG round key and BLS check is
+// keyed by AtePair, so there is nothing to negotiate: peers that derived
+// keys from another pairing would derive unrelated secrets. Two oracles
+// stay behind in the _test.go files, each checked against the next: the
+// reduced Tate pairing on the limb backend (tate_test.go), whose value is
+// e_ate^(1/κ) for a fixed curve constant κ — bilinearity of both loops on
+// random points pins the relation, and AtePairingCheck accepts exactly
+// the tuples the Tate PairingCheck accepts — and the math/big backend
+// (ref_*_test.go), which the limb field ops, group ops, hash-to-curve and
+// Tate pairing match bit for bit. The generic windowed final
+// exponentiation stays with the Tate oracle, as the differential oracle
+// of finalExpDecomp.
 //
 // # Timing model: the field layer
 //
@@ -122,9 +116,9 @@
 // covers feAdd, feSub, feNeg, feDouble, feCondSubP, feMul, feSquare,
 // feMulBy3, feMulBy9, feMulWide, feSquareWide, feMontReduce, feReduce5
 // and the feWide sums; fe2/fe6/fe12 Add, Sub, Neg, Double, Conjugate,
-// Mul, MulFe, Square, MulXi, MulV, the sparse line products (mulBy01,
-// mulBy1, mulByFe2, mulBy01fe2, MulLine, MulAteLine), CyclotomicSquare
-// and FrobeniusP2; and the conversions feFromMont, feBytes, feToBig.
+// Mul, MulFe, Square, MulXi, MulV, the sparse ate-line products
+// (mulByFe2, mulBy01fe2, MulAteLine), CyclotomicSquare, Frobenius and
+// FrobeniusP2; and the conversions feFromMont, feBytes, feToBig.
 // Every reduction is a trial subtraction whose borrow becomes a mask.
 // The branches this replaced: the `if b == 0` after the trial
 // subtraction in feAdd and the old feReduce (a coin flip on real data),
@@ -135,10 +129,10 @@
 // targets and to library calls elsewhere.
 //
 // Variable-time by design, on public data only: feExp, fe2.Exp, fe12.Exp
-// and CycloExpWindow branch on the bits of their exponent, and every
-// exponent they are given is a constant of the curve (P−2 in feInv,
-// (P+1)/4 in feSqrt, the final-exponentiation exponents); feSqrt and
-// fe2.Sqrt report and branch on whether their argument is a square, and
+// and cycloExpU branch on the bits of their exponent, and every exponent
+// they are given is a constant of the curve (P−2 in feInv, (P+1)/4 in
+// feSqrt, the Frobenius constants, u in the final exponentiation); feSqrt
+// and fe2.Sqrt report and branch on whether their argument is a square, and
 // run on coordinates decoded from the wire or hashed from public
 // identities; feLessThanP and feSetBytes reject non-canonical encodings;
 // feInv, fe2.Invert, fe6.Invert and fe12.Invert test for zero only to
@@ -154,10 +148,13 @@
 // the comb tables behind ScalarBaseMult, which index a 255-entry table by
 // bits of the scalar (master and BLS key generation, the ephemeral r);
 // the Jacobian addition formulas in g1.go and g2.go, which branch on the
-// exceptional cases (infinity, equal or opposite operands); the NAF loops
-// in ate.go, whose digit pattern is a constant of the curve but whose G1
-// argument is the recipient's identity private key, evaluated through the
-// field operations above; and RandomScalar's rejection sampling.
+// exceptional cases (infinity, equal or opposite operands); the ate Miller
+// loops in ate.go (ateMillerInto, ateEvalLinesInto), whose NAF digit
+// pattern is a constant of the curve and whose vertical-line branches are
+// taken only on degenerate G2 inputs, but whose G1 argument is secret —
+// the recipient's identity private key in a scan, the sender's r·H(id) in
+// encryption — evaluated through the field operations above; and
+// RandomScalar's rejection sampling.
 package bn254
 
 import "math/big"
@@ -183,9 +180,6 @@ var (
 	// Order is the prime order of G1, G2, and GT.
 	// Order = 36u⁴ + 36u³ + 18u² + 6u + 1.
 	Order = bigFromBase10("21888242871839275222246405745257275088548364400416034343698204186575808495617")
-
-	// curveB is the constant term in the curve equation y² = x³ + curveB.
-	curveB = big.NewInt(3)
 )
 
 // Affine coordinates of the conventional G2 generator on the sextic twist
@@ -216,20 +210,6 @@ const (
 	randByteLen = 32
 	randTopMask = 0x3f
 )
-
-// tateExp is the final-exponentiation exponent (P¹² − 1) / Order, used by
-// the reference backend's generic final exponentiation.
-var tateExp *big.Int
-
-func init() {
-	p12 := new(big.Int).Exp(P, big.NewInt(12), nil)
-	p12.Sub(p12, big.NewInt(1))
-	rem := new(big.Int)
-	tateExp, rem = new(big.Int).QuoRem(p12, Order, rem)
-	if rem.Sign() != 0 {
-		panic("bn254: Order does not divide p^12 - 1")
-	}
-}
 
 // Montgomery-domain constants for the limb backend. The modulus limbs and
 // −P⁻¹ mod 2⁶⁴ are constants in fe.go; R² mod P and R mod P (the
@@ -275,7 +255,7 @@ func feDeriveConstants() (r2, one fe) {
 	return
 }
 
-// feCurveB is curveB (= 3) in Montgomery form.
+// feCurveB is the constant term of y² = x³ + 3 in Montgomery form.
 var feCurveB = feMontSmall(3)
 
 // feMontSmall converts a small non-negative integer into Montgomery form.

@@ -323,9 +323,10 @@ func TestG2DifferentialGroupOps(t *testing.T) {
 	}
 }
 
-// TestPairDifferential is the headline cross-check: the limb pairing must
-// produce byte-identical GT elements to the reference Tate pairing, so
-// every sealed IBE ciphertext and BLS check transfers between backends.
+// TestPairDifferential is the headline cross-check of the two oracles: the
+// limb Tate pairing must produce byte-identical GT elements to the big.Int
+// reference, so the ate pairing's differential tests against the limb Tate
+// loop reach the reference too.
 func TestPairDifferential(t *testing.T) {
 	cases := []struct {
 		kp, kq *big.Int
@@ -355,29 +356,28 @@ func TestPairDifferential(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("pairing mismatch at kp=%v kq=%v", c.kp, c.kq)
 		}
-		// Fixed-argument precomputations must match the direct path.
-		if !bytes.Equal(PrecomputeG1(p).Pair(q).Marshal(), got) {
-			t.Fatalf("PrecomputeG1 pairing differs at kp=%v kq=%v", c.kp, c.kq)
-		}
-		if !bytes.Equal(PrecomputeG2(q).Pair(p).Marshal(), got) {
-			t.Fatalf("PrecomputeG2 pairing differs at kp=%v kq=%v", c.kp, c.kq)
-		}
 	}
 }
 
-// TestPrecomputedG1Erase checks that Erase scrubs the key-equivalent line
-// coefficients and degrades Pair to the identity (the erased-key shape).
+// TestPrecomputedG1Erase checks that Erase scrubs the key-equivalent
+// evaluation coordinates in place and degrades Pair and PairBatch to the
+// identity (the erased-key shape).
 func TestPrecomputedG1Erase(t *testing.T) {
-	pre := PrecomputeG1(G1Generator())
-	coeffs := pre.coeffs
+	pre := AtePrecomputeG1(G1Generator())
+	if pre.xp.IsZero() || pre.yp.IsZero() {
+		t.Fatal("precomputation holds no coordinates before Erase")
+	}
 	pre.Erase()
-	for i := range coeffs {
-		if !coeffs[i].cst.IsZero() || !coeffs[i].xm.IsZero() || !coeffs[i].ym.IsZero() {
-			t.Fatal("Erase left line coefficients in memory")
-		}
+	if !pre.xp.IsZero() || !pre.yp.IsZero() {
+		t.Fatal("Erase left the key's coordinates in memory")
 	}
 	if !pre.Pair(G2Generator()).IsOne() {
 		t.Fatal("erased precomputation should pair to the identity")
+	}
+	dst, ok := make([]GT, 1), make([]bool, 1)
+	pre.PairBatch([][]byte{G2Generator().Marshal()}, dst, ok, nil)
+	if !ok[0] || !dst[0].IsOne() {
+		t.Fatal("erased precomputation should batch-pair to the identity")
 	}
 }
 

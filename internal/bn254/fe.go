@@ -11,8 +11,8 @@ import (
 // equality is value equality.
 //
 // This is the limb backend that replaced the original big.Int field
-// arithmetic (retained as the fp* reference implementation for
-// differential tests). All operations are allocation-free; values live on
+// arithmetic (retained in the tests as the fp* reference implementation
+// for differential checks). All operations are allocation-free; values live on
 // the stack. The boundary-conversion rule: values enter the Montgomery
 // domain in feFromBig/feSetBytes and leave it in feToBig/feBytes —
 // everything in between (towers, curve arithmetic, the Miller loop)

@@ -6,8 +6,7 @@ import (
 )
 
 // fe12 is an element of Fp12 = Fp6[w]/(w² − v), stored as c0 + c1·w.
-// Note w⁶ = v³ = ξ, so w is a sixth root of ξ. Limb-backend counterpart
-// of gfP12.
+// Note w⁶ = v³ = ξ, so w is a sixth root of ξ.
 type fe12 struct {
 	c0, c1 fe6
 }
@@ -71,31 +70,6 @@ func (e *fe12) Square(a *fe12) *fe12 {
 	s.Sub(&s, &vt)
 	e.c0 = s
 	e.c1.Add(&t, &t)
-	return e
-}
-
-// MulLine sets e = a·ℓ for the sparse line value
-//
-//	ℓ = cst + b·w² + c·w³   (cst ∈ Fp, b, c ∈ Fp2)
-//
-// produced by Miller-loop line evaluations: in tower coordinates ℓ has
-// cst at c0.c0.c0, b at c0.c1, and c at c1.c1. Karatsuba over the Fp6
-// halves with the sparse fe6 products costs ~39 base-field
-// multiplications instead of 54 for a generic Mul.
-func (e *fe12) MulLine(a *fe12, cst *fe, b, c *fe2) *fe12 {
-	// L0 = cst + b·v, L1 = c·v.
-	var v0, v1, cross, sa fe6
-	v0.mulBy01(&a.c0, cst, b)
-	v1.mulBy1(&a.c1, c)
-	var bc fe2
-	bc.Add(b, c)
-	sa.Add(&a.c0, &a.c1)
-	cross.mulBy01(&sa, cst, &bc)
-	cross.Sub(&cross, &v0)
-	e.c1.Sub(&cross, &v1)
-	var vv1 fe6
-	vv1.MulV(&v1)
-	e.c0.Add(&v0, &vv1)
 	return e
 }
 
@@ -231,39 +205,6 @@ func cycloPair(mix, cross *fe2, x, y *fe2) {
 	ss.reduce(cross)
 	yy.addMulXi(&yy, &xx)
 	yy.reduce(mix)
-}
-
-// CycloExpWindow sets e = a^k with a fixed 4-bit window (14 precomputed
-// multiplications for ~3/4 of the per-bit multiplies) and cyclotomic
-// squarings; the base (and so every power) must lie in the cyclotomic
-// subgroup. It is the final exponentiation's ~760-bit hard part.
-func (e *fe12) CycloExpWindow(a *fe12, k *big.Int) *fe12 {
-	if k.Sign() < 0 {
-		panic("bn254: negative exponent in Fp12")
-	}
-	var table [16]fe12
-	table[0].SetOne()
-	table[1] = *a
-	for i := 2; i < 16; i++ {
-		table[i].Mul(&table[i-1], a)
-	}
-	var acc fe12
-	acc.SetOne()
-	bits := k.BitLen()
-	start := (bits - 1) / 4 * 4
-	for i := start; i >= 0; i -= 4 {
-		if i != start {
-			acc.CyclotomicSquare(&acc)
-			acc.CyclotomicSquare(&acc)
-			acc.CyclotomicSquare(&acc)
-			acc.CyclotomicSquare(&acc)
-		}
-		w := (k.Bit(i+3) << 3) | (k.Bit(i+2) << 2) | (k.Bit(i+1) << 1) | k.Bit(i)
-		if w != 0 {
-			acc.Mul(&acc, &table[w])
-		}
-	}
-	return e.Set(&acc)
 }
 
 // FrobeniusP2 sets e = a^(p²). On the tower basis {w^k : k = 0..5} over

@@ -7,9 +7,8 @@ import (
 )
 
 // fe2 is an element of Fp2 = Fp[i]/(i²+1), stored as c0 + c1·i with both
-// coefficients in Montgomery form. It is the limb-backend counterpart of
-// the gfP2 reference type: a plain value type with no interior pointers,
-// so tower elements live on the stack.
+// coefficients in Montgomery form: a plain value type with no interior
+// pointers, so tower elements live on the stack.
 type fe2 struct {
 	c0, c1 fe
 }
@@ -233,7 +232,7 @@ func (e *fe2) Exp(a *fe2, k *big.Int) *fe2 {
 }
 
 // Sqrt sets e to a square root of a and returns true, or returns false if
-// a is not a square in Fp2, mirroring the gfP2 reference root choices
+// a is not a square in Fp2, mirroring the big.Int reference's root choices
 // exactly (complex method for p ≡ 3 mod 4).
 func (e *fe2) Sqrt(a *fe2) bool {
 	if a.IsZero() {

@@ -3,7 +3,7 @@ package bn254
 import "fmt"
 
 // fe6 is an element of Fp6 = Fp2[v]/(v³ − ξ), stored as c0 + c1·v + c2·v²
-// with ξ = 9 + i. Limb-backend counterpart of gfP6.
+// with ξ = 9 + i.
 type fe6 struct {
 	c0, c1, c2 fe2
 }
@@ -119,40 +119,6 @@ func (e *fe6) MulV(a *fe6) *fe6 {
 
 func (e *fe6) Square(a *fe6) *fe6 {
 	return e.Mul(a, a)
-}
-
-// mulBy01 sets e = a·(b0 + b1·v) where b0 = cst ∈ Fp (embedded in Fp2) and
-// b1 ∈ Fp2 — the sparse shape of Miller-loop lines:
-//
-//	e0 = cst·a0 + ξ·(b1·a2)
-//	e1 = cst·a1 + b1·a0
-//	e2 = cst·a2 + b1·a1
-func (e *fe6) mulBy01(a *fe6, cst *fe, b1 *fe2) *fe6 {
-	var s0, s1, s2, t0, t1, t2 fe2
-	s0.MulFe(&a.c0, cst)
-	s1.MulFe(&a.c1, cst)
-	s2.MulFe(&a.c2, cst)
-	t0.Mul(b1, &a.c2)
-	t0.MulXi(&t0)
-	t1.Mul(b1, &a.c0)
-	t2.Mul(b1, &a.c1)
-	e.c0.Add(&s0, &t0)
-	e.c1.Add(&s1, &t1)
-	e.c2.Add(&s2, &t2)
-	return e
-}
-
-// mulBy1 sets e = a·(b1·v) for b1 ∈ Fp2:
-//
-//	e0 = ξ·(b1·a2), e1 = b1·a0, e2 = b1·a1
-func (e *fe6) mulBy1(a *fe6, b1 *fe2) *fe6 {
-	var t0, t1, t2 fe2
-	t0.Mul(b1, &a.c2)
-	t0.MulXi(&t0)
-	t1.Mul(b1, &a.c0)
-	t2.Mul(b1, &a.c1)
-	e.c0, e.c1, e.c2 = t0, t1, t2
-	return e
 }
 
 // mulByFe2 sets e = a·b for a scalar b ∈ Fp2 (three Fp2 multiplications) —

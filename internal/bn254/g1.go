@@ -277,6 +277,9 @@ func (p *G1) ScalarBaseMult(k *big.Int) *G1 {
 	return p
 }
 
+// g1MarshalledSize is the size of a marshalled G1 point: x ‖ y, 32 bytes each.
+const g1MarshalledSize = 64
+
 // Marshal encodes p as x ‖ y (32-byte big-endian each). Infinity encodes as
 // all zeros, which is unambiguous because (0, 0) is not on the curve.
 func (p *G1) Marshal() []byte {

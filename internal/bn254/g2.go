@@ -20,9 +20,8 @@ func deriveG2Constants() (b, gx, gy fe2) {
 	return
 }
 
-// init validates the derived limb-backend generator the same way the
-// reference backend's init validates its copy: a mistyped constant or a
-// broken twistB derivation must crash at startup, not ship invalid keys.
+// init validates the derived generator: a mistyped constant or a broken
+// feTwistB derivation must crash at startup, not ship invalid keys.
 func init() {
 	gen := G2Generator()
 	if !gen.IsOnCurve() {
@@ -299,6 +298,10 @@ func (p *G2) isInSubgroup() bool {
 	}
 	return acc.isInfinity()
 }
+
+// g2MarshalledSize is the size of a marshalled G2 point:
+// x.c0 ‖ x.c1 ‖ y.c0 ‖ y.c1, 32 bytes each.
+const g2MarshalledSize = 128
 
 // Marshal encodes p. Infinity encodes as all zeros.
 func (p *G2) Marshal() []byte {

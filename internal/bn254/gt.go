@@ -6,7 +6,7 @@ import (
 )
 
 // GT is an element of the order-Order subgroup of Fp12*, the target group of
-// the pairing. The zero value is NOT valid; use GTOne(), Pair, or an
+// the pairing. The zero value is NOT valid; use GTOne(), AtePair, or an
 // operation that sets the receiver.
 type GT struct {
 	e fe12
@@ -49,6 +49,10 @@ func (g *GT) Exp(a *GT, k *big.Int) *GT {
 	g.e.Exp(&a.e, kr)
 	return g
 }
+
+// gtMarshalledSize is the size of a marshalled GT element: twelve 32-byte
+// Fp coefficients.
+const gtMarshalledSize = 384
 
 // coeffs returns pointers to the twelve Fp coefficients of g in the fixed
 // marshaling order shared with the reference backend.

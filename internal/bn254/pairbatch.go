@@ -3,21 +3,20 @@ package bn254
 import "math/big"
 
 // Batched pairing pipeline for the mailbox-scan pattern: one fixed G1
-// ladder (PrecomputedG1) replayed against a whole slice of wire-encoded
-// G2 points. Three per-element costs of the scalar path shrink here:
+// key (AtePrecomputedG1) paired against a whole slice of wire-encoded G2
+// points. Three per-element costs of the scalar path shrink here:
 //
 //   - the subgroup check of G2.Unmarshal (a full Order-bit ladder) becomes
-//     a ψ-endomorphism check at half the bits (~2x);
+//     the Galbraith–Scott short-vector check (isInSubgroupGS, one 63-bit
+//     ladder plus ψ maps);
 //   - the easy part of the final exponentiation shares one Fp12 inversion
 //     across the whole batch (Montgomery trick, see batch.go);
-//   - the hard part swaps the generic 761-bit windowed exponentiation for
-//     the Devegili–Scott BN decomposition: three exponentiations by the
-//     curve parameter u (63 bits each) plus Frobenius maps and a short
-//     multiplication chain (~3x on this stage).
+//   - the hard part runs through the Devegili–Scott BN decomposition:
+//     three exponentiations by the curve parameter u (63 bits each) plus
+//     Frobenius maps and a short multiplication chain.
 //
-// The scalar Pair/Unmarshal paths are left untouched: they serve as a
-// mid-level differential oracle for this pipeline (differential tests
-// assert element-wise equality), alongside the big.Int reference.
+// The scalar Unmarshal + AtePrecomputedG1.Pair path is the element-wise
+// differential oracle for this pipeline.
 
 // frobGammaP1[k−1] = γ₁^k for k = 1..5, γ₁ = ξ^((p−1)/6) ∈ Fp2: the
 // twist constants of the p-power Frobenius on the tower basis, derived at
@@ -159,60 +158,35 @@ func finalExpHardDecomp(out, t *fe12) {
 	out.Mul(&t0, &t1)
 }
 
+// finalExpDecomp maps a Miller value into GT:
+// f ↦ f^((p¹²−1)/r) = ((conj(f)·f⁻¹)^(p²+1))^((p⁴−p²+1)/r), the hard
+// part through finalExpHardDecomp. It is the only final exponentiation in
+// the package; the tests keep the generic windowed one as its oracle.
+func finalExpDecomp(f *fe12) *fe12 {
+	var inv, g fe12
+	inv.Invert(f)
+	g.Conjugate(f)
+	g.Mul(&g, &inv) // f^(p⁶−1)
+	var t fe12
+	t.FrobeniusP2(&g)
+	t.Mul(&t, &g) // ^(p²+1); now in the cyclotomic subgroup
+	out := new(fe12)
+	finalExpHardDecomp(out, &t)
+	return out
+}
+
 // g2PsiX/g2PsiY are the twist-endomorphism coefficients: composing
 // untwist → p-power Frobenius → twist gives
 //
 //	ψ(x, y) = (γ₁²·conj(x), γ₁³·conj(y))
 //
-// since the untwisted coordinates sit at w² and w³. sixU2 = 6u² ≡ p
-// (mod Order), so ψ acts as multiplication by 6u² on the prime-order
-// subgroup of the twist.
+// since the untwisted coordinates sit at w² and w³. ψ acts as
+// multiplication by 6u² (≡ p mod Order) on the prime-order subgroup of the
+// twist.
 var (
 	g2PsiX = frobGammaP1[1]
 	g2PsiY = frobGammaP1[2]
-	sixU2  = new(big.Int).Mul(new(big.Int).Mul(u, u), big.NewInt(6))
 )
-
-// isInSubgroupPsi reports whether the curve point p lies in the
-// order-Order subgroup, via the endomorphism criterion ψ(p) = [6u²]p
-// (ψ has the eigenvalue p ≡ 6u² mod Order exactly on that subgroup; see
-// Scott, eprint 2021/1130). The ladder runs half the bits of the generic
-// Order-multiplication check and the comparison stays in Jacobian form,
-// so no inversion is paid. Identical accept/reject behavior to
-// isInSubgroup — differential and fuzz tests pin the equivalence.
-func (p *G2) isInSubgroupPsi() bool {
-	if p.inf {
-		return true
-	}
-	var px, py fe2
-	px.Conjugate(&p.x)
-	px.Mul(&px, &g2PsiX)
-	py.Conjugate(&p.y)
-	py.Mul(&py, &g2PsiY)
-	var acc g2Jac
-	acc.setInfinity()
-	for i := sixU2.BitLen() - 1; i >= 0; i-- {
-		acc.double(&acc)
-		if sixU2.Bit(i) == 1 {
-			acc.addMixed(&acc, p)
-		}
-	}
-	if acc.isInfinity() {
-		// ψ(p) is never infinity for p ≠ ∞, so [6u²]p = ∞ means p is
-		// outside the subgroup.
-		return false
-	}
-	// ψ(p) == acc ⟺ px·Z² == X and py·Z³ == Y.
-	var z2, z3, t fe2
-	z2.Square(&acc.z)
-	z3.Mul(&z2, &acc.z)
-	t.Mul(&px, &z2)
-	if !t.Equal(&acc.x) {
-		return false
-	}
-	t.Mul(&py, &z3)
-	return t.Equal(&acc.y)
-}
 
 // Batch element states after the decode phase.
 const (
@@ -222,13 +196,11 @@ const (
 )
 
 // g2DecodeBatch decodes one wire-encoded G2 element for the batch
-// pipeline: same length/range/curve acceptance as G2.Unmarshal, with a
-// fast subgroup check in place of the Order ladder — the ψ-endomorphism
-// half-length ladder for the v1 Tate batch, or (gsCheck) the
-// Galbraith–Scott short-vector check for the v2 ate batch. All three
+// pipeline: same length/range/curve acceptance as G2.Unmarshal, with the
+// Galbraith–Scott short-vector check in place of the Order ladder. Both
 // checks accept exactly the same set of points; differential and fuzz
 // tests pin the equivalence.
-func g2DecodeBatch(q *G2, raw []byte, gsCheck bool) uint8 {
+func g2DecodeBatch(q *G2, raw []byte) uint8 {
 	if len(raw) != g2MarshalledSize {
 		return batchInvalid
 	}
@@ -254,11 +226,7 @@ func g2DecodeBatch(q *G2, raw []byte, gsCheck bool) uint8 {
 	if !q.IsOnCurve() {
 		return batchInvalid
 	}
-	if gsCheck {
-		if !q.isInSubgroupGS() {
-			return batchInvalid
-		}
-	} else if !q.isInSubgroupPsi() {
+	if !q.isInSubgroupGS() {
 		return batchInvalid
 	}
 	return batchPoint
@@ -295,29 +263,37 @@ func (s *PairScratch) grow(n int) {
 	s.pre = s.pre[:n]
 }
 
-// PairBatch computes e(p, Qᵢ) for a batch of wire-encoded G2 points,
+// PairBatch computes AtePair(p, Qᵢ) for a batch of wire-encoded G2 points,
 // writing the pairing values into dst and per-element validity into ok
 // (both must have len(raws)). ok[i] is false exactly when G2.Unmarshal
 // would reject raws[i]; dst[i] is then the identity. Results for valid
-// elements are identical to Unmarshal + pc.Pair. Invalid elements are
-// excluded from the shared-inversion pass before it runs (see the
-// batch-inversion invariant in batch.go), so they never corrupt their
-// neighbors. A PrecomputedG1 is read-only here and safe for concurrent
-// PairBatch calls with distinct scratches.
-func (pc *PrecomputedG1) PairBatch(raws [][]byte, dst []GT, ok []bool, scratch *PairScratch) {
+// elements are identical to Unmarshal + pc.Pair. Four phases:
+//
+//  1. decode + curve check + Galbraith–Scott short-vector subgroup check;
+//  2. one ~65-iteration ate Miller loop per element, lines on the fly;
+//  3. easy part of the final exponentiation with ONE shared Fp12 inversion
+//     (invalid/infinity slots are masked before the prefix chain — the
+//     batch-inversion invariant of batch.go — so they never corrupt their
+//     neighbors);
+//  4. decomposed hard part per element.
+//
+// An AtePrecomputedG1 is read-only here and safe for concurrent PairBatch
+// calls with distinct scratches.
+func (pc *AtePrecomputedG1) PairBatch(raws [][]byte, dst []GT, ok []bool, scratch *PairScratch) {
 	n := len(raws)
 	if len(dst) != n || len(ok) != n {
 		panic("bn254: PairBatch slice length mismatch")
 	}
+	ateOracleCheck()
 	if scratch == nil {
 		scratch = new(PairScratch)
 	}
 	scratch.grow(n)
 
-	// Phase 1: decode + curve + ψ subgroup checks.
+	// Phase 1: decode + curve + GS subgroup checks.
 	var q G2
 	for i := range raws {
-		st := g2DecodeBatch(&q, raws[i], false)
+		st := g2DecodeBatch(&q, raws[i])
 		scratch.state[i] = st
 		if st == batchPoint {
 			scratch.qx[i] = q.x
@@ -335,10 +311,13 @@ func (pc *PrecomputedG1) PairBatch(raws [][]byte, dst []GT, ok []bool, scratch *
 		return
 	}
 
-	// Phase 2: Miller loops (shared line coefficients, no allocation).
+	// Phase 2: ate Miller loops (lines on the fly, no allocation).
 	for i := range raws {
 		if scratch.state[i] == batchPoint {
-			evalLinesInto(&dst[i].e, pc.coeffs, &scratch.qx[i], &scratch.qy[i])
+			q.x = scratch.qx[i]
+			q.y = scratch.qy[i]
+			q.inf = false
+			ateMillerInto(&dst[i].e, &pc.xp, &pc.yp, &q)
 		}
 	}
 

@@ -1,7 +1,6 @@
 package bn254
 
 import (
-	"bytes"
 	"crypto/rand"
 	"math/big"
 	"testing"
@@ -62,10 +61,10 @@ func TestFinalExpHardDecompDifferential(t *testing.T) {
 }
 
 // TestFinalExpDecompDifferential pins the full decomposed final
-// exponentiation (easy part + Devegili–Scott hard part, as used by
-// PairingCheck and both batch pipelines) against the windowed finalExp
-// that Pair retains as the oracle, on arbitrary — not merely
-// cyclotomic — field elements and on a genuine Miller value.
+// exponentiation (easy part + Devegili–Scott hard part, the only one in
+// production) against the windowed finalExp that the Tate oracle keeps, on
+// arbitrary — not merely cyclotomic — field elements and on a genuine
+// Miller value.
 func TestFinalExpDecompDifferential(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		f := randFe12(t)
@@ -81,8 +80,8 @@ func TestFinalExpDecompDifferential(t *testing.T) {
 	}
 }
 
-// TestFinalExpDecompSpeedupPin guards the hard-part decomposition used by
-// PairingCheck (the BLS verification path): it must beat the generic
+// TestFinalExpDecompSpeedupPin guards the hard-part decomposition behind
+// every production pairing: it must beat the generic
 // windowed exponentiation by at least 1.5x (measured ~2x; the floor
 // leaves a flake margin). Skipped in -short mode like the other pins.
 func TestFinalExpDecompSpeedupPin(t *testing.T) {
@@ -124,40 +123,6 @@ func randTwistPoint(t testing.TB) *G2 {
 	}
 }
 
-// TestPsiSubgroupDifferential pins the ψ-endomorphism subgroup check
-// against the generic Order-ladder check: identical accept/reject on
-// subgroup points, crafted curve-but-not-subgroup points, and infinity.
-func TestPsiSubgroupDifferential(t *testing.T) {
-	for i := 0; i < 10; i++ {
-		k, err := RandomScalar(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := new(G2).ScalarBaseMult(k)
-		if !q.isInSubgroupPsi() {
-			t.Fatalf("ψ check rejected subgroup point %v·G2", k)
-		}
-		if !q.isInSubgroup() {
-			t.Fatalf("ladder check rejected subgroup point %v·G2", k)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		p := randTwistPoint(t)
-		ladder := p.isInSubgroup()
-		psi := p.isInSubgroupPsi()
-		if ladder != psi {
-			t.Fatalf("subgroup check disagreement on twist point %v: ladder=%v ψ=%v", p, ladder, psi)
-		}
-		if ladder {
-			t.Log("random twist point landed in the subgroup (astronomically unlikely)")
-		}
-	}
-	inf := new(G2).SetInfinity()
-	if !inf.isInSubgroupPsi() || !inf.isInSubgroup() {
-		t.Fatal("subgroup checks rejected infinity")
-	}
-}
-
 // batchTestInputs builds a raw-encoding batch interleaving every invalid
 // shape the wire can carry between valid ciphertext points: subgroup
 // points, infinity, truncated/oversized encodings, out-of-range
@@ -190,27 +155,119 @@ func batchTestInputs(t testing.TB) [][]byte {
 	return raws
 }
 
-// TestPairBatchDifferential pins PairBatch element-wise against the scalar
-// path (Unmarshal + PrecomputedG1.Pair) and, for valid elements, against
-// the big.Int reference pairing. Invalid elements must be flagged exactly
-// where Unmarshal rejects, without disturbing their neighbors.
+// sixU2 = 6u² is ψ's eigenvalue on the prime-order subgroup of the twist
+// (≡ p mod Order).
+var sixU2 = new(big.Int).Mul(new(big.Int).Mul(u, u), big.NewInt(6))
+
+// isInSubgroupPsi is the ψ-eigenvalue subgroup criterion ψ(p) = [6u²]p
+// (Scott, eprint 2021/1130): a 127-bit ladder compared against ψ(p) in
+// Jacobian form. Production uses the shorter Galbraith–Scott vector built
+// on the same ψ; this check stays as a third oracle beside the Order
+// ladder.
+func (p *G2) isInSubgroupPsi() bool {
+	if p.inf {
+		return true
+	}
+	var px, py fe2
+	px.Conjugate(&p.x)
+	px.Mul(&px, &g2PsiX)
+	py.Conjugate(&p.y)
+	py.Mul(&py, &g2PsiY)
+	var acc g2Jac
+	acc.setInfinity()
+	for i := sixU2.BitLen() - 1; i >= 0; i-- {
+		acc.double(&acc)
+		if sixU2.Bit(i) == 1 {
+			acc.addMixed(&acc, p)
+		}
+	}
+	if acc.isInfinity() {
+		// ψ(p) is never infinity for p ≠ ∞, so [6u²]p = ∞ means p is
+		// outside the subgroup.
+		return false
+	}
+	// ψ(p) == acc ⟺ px·Z² == X and py·Z³ == Y.
+	var z2, z3, t fe2
+	z2.Square(&acc.z)
+	z3.Mul(&z2, &acc.z)
+	t.Mul(&px, &z2)
+	if !t.Equal(&acc.x) {
+		return false
+	}
+	t.Mul(&py, &z3)
+	return t.Equal(&acc.y)
+}
+
+// TestPsiSubgroupDifferential pins the twist endomorphism the
+// Galbraith–Scott check is built from: on subgroup points g2Psi must be
+// multiplication by its eigenvalue 6u², and the ψ-eigenvalue criterion,
+// the GS check and the Order ladder must accept and reject identically on
+// subgroup points, crafted curve-but-not-subgroup points, and infinity.
+func TestPsiSubgroupDifferential(t *testing.T) {
+	for i := 0; i < 10; i++ {
+		k, err := RandomScalar(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := new(G2).ScalarBaseMult(k)
+		var psiQ G2
+		g2Psi(&psiQ, q)
+		if !psiQ.Equal(new(G2).ScalarMult(q, sixU2)) {
+			t.Fatalf("ψ is not multiplication by 6u² on %v·G2", k)
+		}
+		if !q.isInSubgroupPsi() || !q.isInSubgroupGS() || !q.isInSubgroup() {
+			t.Fatalf("a subgroup check rejected subgroup point %v·G2", k)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		p := randTwistPoint(t)
+		ladder, psi, gs := p.isInSubgroup(), p.isInSubgroupPsi(), p.isInSubgroupGS()
+		if ladder != psi || ladder != gs {
+			t.Fatalf("subgroup check disagreement on twist point %v: ladder=%v ψ=%v GS=%v", p, ladder, psi, gs)
+		}
+		if ladder {
+			t.Log("random twist point landed in the subgroup (astronomically unlikely)")
+		}
+	}
+	inf := new(G2).SetInfinity()
+	if !inf.isInSubgroupPsi() || !inf.isInSubgroupGS() || !inf.isInSubgroup() {
+		t.Fatal("subgroup checks rejected infinity")
+	}
+}
+
+// TestPairBatchDifferential pins what TestAtePairBatchDifferential leaves
+// out: on the invalid-shape corpus the batch's acceptance must match the
+// big.Int reference decoder as well as Unmarshal; a scratch warmed on a
+// longer batch must not leak stale slots into a shorter one; and an ERASED
+// precomputation (not just that of infinity) must keep every rejection and
+// yield the identity for every decodable element, like the scalar path.
 func TestPairBatchDifferential(t *testing.T) {
 	kp, err := RandomScalar(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := new(G1).ScalarBaseMult(kp)
-	pre := PrecomputeG1(p)
-	refP := new(refG1).ScalarBaseMult(kp)
-
+	pre := AtePrecomputeG1(p)
 	raws := batchTestInputs(t)
-	dst := make([]GT, len(raws))
-	ok := make([]bool, len(raws))
-	pre.PairBatch(raws, dst, ok, NewPairScratch(len(raws)))
+	n := len(raws)
 
+	scratch := NewPairScratch(0)
+	long := make([][]byte, 2*n)
+	for i := range long {
+		long[i] = new(G2).ScalarBaseMult(big.NewInt(int64(i + 1))).Marshal()
+	}
+	pre.PairBatch(long, make([]GT, len(long)), make([]bool, len(long)), scratch)
+
+	dst := make([]GT, n)
+	ok := make([]bool, n)
+	pre.PairBatch(raws, dst, ok, scratch)
 	for i, raw := range raws {
 		var q G2
 		uerr := q.Unmarshal(raw)
+		rerr := new(refG2).Unmarshal(raw)
+		if (uerr == nil) != (rerr == nil) {
+			t.Fatalf("element %d: limb Unmarshal err=%v but big.Int reference err=%v", i, uerr, rerr)
+		}
 		if ok[i] != (uerr == nil) {
 			t.Fatalf("element %d: batch ok=%v but Unmarshal err=%v", i, ok[i], uerr)
 		}
@@ -220,24 +277,14 @@ func TestPairBatchDifferential(t *testing.T) {
 			}
 			continue
 		}
-		want := pre.Pair(&q)
-		if !dst[i].Equal(want) {
-			t.Fatalf("element %d: batch pairing disagrees with scalar path", i)
-		}
-		var refQ refG2
-		if err := refQ.Unmarshal(raw); err != nil {
-			t.Fatalf("element %d: reference backend rejected an element the limb backend accepted: %v", i, err)
-		}
-		if !bytes.Equal(dst[i].Marshal(), refPair(refP, &refQ).Marshal()) {
-			t.Fatalf("element %d: batch pairing disagrees with big.Int reference", i)
+		if !dst[i].Equal(pre.Pair(&q)) {
+			t.Fatalf("element %d: batch on a reused scratch disagrees with the scalar path", i)
 		}
 	}
 
-	// An erased precomputation must behave like the scalar path: identity
-	// for every decodable element, rejection preserved for the rest.
-	erased := PrecomputeG1(p)
+	erased := AtePrecomputeG1(p)
 	erased.Erase()
-	erased.PairBatch(raws, dst, ok, nil)
+	erased.PairBatch(raws, dst, ok, scratch)
 	for i, raw := range raws {
 		var q G2
 		uerr := q.Unmarshal(raw)
@@ -250,16 +297,58 @@ func TestPairBatchDifferential(t *testing.T) {
 	}
 }
 
-// TestPairBatchAllocations pins the batched scan hot path at ZERO heap
-// allocations per call once the scratch (and caller-owned dst/ok) are
-// warm, so per-ciphertext GC traffic cannot silently come back.
+// TestPairBatchAllocations pins the batch's rejection and erased-key paths
+// at ZERO heap allocations per call once the scratch is warm (the all-valid
+// path is TestAtePairBatchAllocations'), so a mailbox of malformed or
+// non-subgroup blobs — every shape in batchTestInputs — or a scan with an
+// erased key cannot bring per-element GC traffic back.
 func TestPairBatchAllocations(t *testing.T) {
 	k, err := RandomScalar(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre := PrecomputeG1(new(G1).ScalarBaseMult(k))
-	const n = 4
+	live := AtePrecomputeG1(new(G1).ScalarBaseMult(k))
+	erased := AtePrecomputeG1(new(G1).ScalarBaseMult(k))
+	erased.Erase()
+	raws := batchTestInputs(t)
+	n := len(raws)
+	dst := make([]GT, n)
+	ok := make([]bool, n)
+	scratch := NewPairScratch(n)
+	for _, c := range []struct {
+		name string
+		pre  *AtePrecomputedG1
+	}{{"live key", live}, {"erased key", erased}} {
+		c.pre.PairBatch(raws, dst, ok, scratch) // warm the scratch
+		allocs := testing.AllocsPerRun(3, func() {
+			c.pre.PairBatch(raws, dst, ok, scratch)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: PairBatch over the invalid-shape corpus allocated %.1f times per batch; want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestPairBatchSpeedupPin pins the reason the Tate tier could go: the one
+// batched scan (ate loop, Galbraith–Scott check, one shared inversion) must
+// beat the per-ciphertext scan of the Tate tier — Unmarshal through the
+// Order ladder, then the key's cached 254-step Tate line ladder replayed by
+// evalLines and the same decomposed final exponentiation. Measured ~2.1x
+// (8 elements); the floor is 1.5x, so scheduler noise cannot flake the
+// suite while a lost GS check or a Tate-length loop still trips it. Timed
+// in alternation. Skipped in -short mode.
+func TestPairBatchSpeedupPin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("relative perf pin skipped in -short mode")
+	}
+	k, err := RandomScalar(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := new(G1).ScalarBaseMult(k)
+	pre := AtePrecomputeG1(p)
+	tateLines := g1Lines(p)
+	const n = 8
 	raws := make([][]byte, n)
 	for i := range raws {
 		ki, err := RandomScalar(rand.Reader)
@@ -268,17 +357,30 @@ func TestPairBatchAllocations(t *testing.T) {
 		}
 		raws[i] = new(G2).ScalarBaseMult(ki).Marshal()
 	}
-	raws[1] = make([]byte, g2MarshalledSize) // infinity stays alloc-free too
 	dst := make([]GT, n)
 	ok := make([]bool, n)
 	scratch := NewPairScratch(n)
-	pre.PairBatch(raws, dst, ok, scratch) // warm the scratch
-	allocs := testing.AllocsPerRun(3, func() {
-		pre.PairBatch(raws, dst, ok, scratch)
-	})
-	if allocs != 0 {
-		t.Fatalf("PairBatch allocated %.1f times per batch; want 0", allocs)
+	pre.PairBatch(raws, dst, ok, scratch)
+
+	best := bestInterleaved(15,
+		func() { pre.PairBatch(raws, dst, ok, scratch) },
+		func() {
+			for _, raw := range raws {
+				var q G2
+				if err := q.Unmarshal(raw); err != nil {
+					t.Fatal(err)
+				}
+				finalExpDecomp(evalLines(tateLines, &q.x, &q.y))
+			}
+		})
+	ate, tate := best[0], best[1]
+	const floorNum, floorDen = 15, 10 // 1.5x
+	if ate*floorNum > tate*floorDen {
+		t.Errorf("batched ate scan %v is under 1.5x the per-ciphertext Tate scan %v (ratio %.2fx)",
+			ate, tate, float64(tate)/float64(ate))
 	}
+	t.Logf("batched ate scan %v vs per-ciphertext Tate scan %v: %.2fx (%d elements)",
+		ate, tate, float64(tate)/float64(ate), n)
 }
 
 // TestCombSpeedupPin is the regression guard for the fixed-base comb
@@ -316,57 +418,6 @@ func TestCombSpeedupPin(t *testing.T) {
 		comb2, ladder2, float64(ladder2)/float64(comb2))
 }
 
-// TestPairBatchSpeedupPin guards the batched scan pipeline: decrypt-
-// scanning a mailbox slice through PairBatch must beat the per-ciphertext
-// precomputed path (Unmarshal + Pair) by a clear margin. The acceptance
-// target is 1.5x and the measured ratio is ~1.6x; the pin floor is 1.3x
-// so scheduler noise cannot flake the suite while a real regression (a
-// lost ψ check or a fallback to the generic hard part) still trips it.
-// Skipped in -short mode.
-func TestPairBatchSpeedupPin(t *testing.T) {
-	if testing.Short() {
-		t.Skip("relative perf pin skipped in -short mode")
-	}
-	k, err := RandomScalar(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre := PrecomputeG1(new(G1).ScalarBaseMult(k))
-	const n = 8
-	raws := make([][]byte, n)
-	for i := range raws {
-		ki, err := RandomScalar(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raws[i] = new(G2).ScalarBaseMult(ki).Marshal()
-	}
-	dst := make([]GT, n)
-	ok := make([]bool, n)
-	scratch := NewPairScratch(n)
-
-	best := bestInterleaved(15,
-		func() { pre.PairBatch(raws, dst, ok, scratch) },
-		func() {
-			for _, raw := range raws {
-				var q G2
-				if err := q.Unmarshal(raw); err != nil {
-					t.Fatal(err)
-				}
-				pre.Pair(&q)
-			}
-		})
-	batched, scalar := best[0], best[1]
-
-	const floorNum, floorDen = 13, 10 // 1.3x
-	if batched*floorNum > scalar*floorDen {
-		t.Errorf("batched scan %v is under %d.%dx the per-ciphertext path %v (ratio %.2fx)",
-			batched, floorNum/floorDen, floorNum%floorDen, scalar, float64(scalar)/float64(batched))
-	}
-	t.Logf("batched scan %v vs per-ciphertext %v: %.2fx (%d elements)",
-		batched, scalar, float64(scalar)/float64(batched), n)
-}
-
 func BenchmarkG1ScalarBaseMultComb(b *testing.B) {
 	k, _ := RandomScalar(rand.Reader)
 	g1Comb()
@@ -392,26 +443,5 @@ func BenchmarkG2ScalarMultLadder(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.ScalarMult(G2Generator(), k)
-	}
-}
-
-// BenchmarkPairBatch reports the per-ciphertext cost of the batched scan
-// pipeline (unmarshal + ψ check + Miller + shared easy part + decomposed
-// hard part).
-func BenchmarkPairBatch(b *testing.B) {
-	k, _ := RandomScalar(rand.Reader)
-	pre := PrecomputeG1(new(G1).ScalarBaseMult(k))
-	const n = 16
-	raws := make([][]byte, n)
-	for i := range raws {
-		ki, _ := RandomScalar(rand.Reader)
-		raws[i] = new(G2).ScalarBaseMult(ki).Marshal()
-	}
-	dst := make([]GT, n)
-	ok := make([]bool, n)
-	scratch := NewPairScratch(n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i += n {
-		pre.PairBatch(raws, dst, ok, scratch)
 	}
 }

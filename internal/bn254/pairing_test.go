@@ -1,12 +1,16 @@
 package bn254
 
+// The pairing laws below run on AtePair, the production pairing; the Tate
+// oracle (tate_test.go) is checked against it in ate_test.go and against
+// the big.Int reference in differential_test.go.
+
 import (
 	"math/big"
 	"testing"
 )
 
 func TestPairNonDegenerate(t *testing.T) {
-	e := Pair(G1Generator(), G2Generator())
+	e := AtePair(G1Generator(), G2Generator())
 	if e.IsOne() {
 		t.Fatal("e(G1, G2) == 1: pairing degenerate")
 	}
@@ -24,16 +28,16 @@ func TestPairBilinearity(t *testing.T) {
 	qb := new(G2).ScalarBaseMult(b)
 
 	// e(aP, bQ) == e(P, Q)^(ab)
-	lhs := Pair(pa, qb)
-	base := Pair(G1Generator(), G2Generator())
+	lhs := AtePair(pa, qb)
+	base := AtePair(G1Generator(), G2Generator())
 	rhs := new(GT).Exp(base, new(big.Int).Mul(a, b))
 	if !lhs.Equal(rhs) {
 		t.Fatal("e(aP, bQ) != e(P,Q)^(ab)")
 	}
 
 	// e(aP, Q) == e(P, aQ)
-	l2 := Pair(pa, G2Generator())
-	r2 := Pair(G1Generator(), new(G2).ScalarBaseMult(a))
+	l2 := AtePair(pa, G2Generator())
+	r2 := AtePair(G1Generator(), new(G2).ScalarBaseMult(a))
 	if !l2.Equal(r2) {
 		t.Fatal("e(aP, Q) != e(P, aQ)")
 	}
@@ -46,8 +50,8 @@ func TestPairAdditivity(t *testing.T) {
 	p2 := new(G1).ScalarBaseMult(big.NewInt(222))
 	q := G2Generator()
 
-	lhs := Pair(new(G1).Add(p1, p2), q)
-	rhs := new(GT).Mul(Pair(p1, q), Pair(p2, q))
+	lhs := AtePair(new(G1).Add(p1, p2), q)
+	rhs := new(GT).Mul(AtePair(p1, q), AtePair(p2, q))
 	if !lhs.Equal(rhs) {
 		t.Fatal("pairing not additive in first argument")
 	}
@@ -56,18 +60,18 @@ func TestPairAdditivity(t *testing.T) {
 	q1 := new(G2).ScalarBaseMult(big.NewInt(333))
 	q2 := new(G2).ScalarBaseMult(big.NewInt(444))
 	p := G1Generator()
-	lhs2 := Pair(p, new(G2).Add(q1, q2))
-	rhs2 := new(GT).Mul(Pair(p, q1), Pair(p, q2))
+	lhs2 := AtePair(p, new(G2).Add(q1, q2))
+	rhs2 := new(GT).Mul(AtePair(p, q1), AtePair(p, q2))
 	if !lhs2.Equal(rhs2) {
 		t.Fatal("pairing not additive in second argument")
 	}
 }
 
 func TestPairWithInfinity(t *testing.T) {
-	if !Pair(new(G1).SetInfinity(), G2Generator()).IsOne() {
+	if !AtePair(new(G1).SetInfinity(), G2Generator()).IsOne() {
 		t.Fatal("e(∞, Q) != 1")
 	}
-	if !Pair(G1Generator(), new(G2).SetInfinity()).IsOne() {
+	if !AtePair(G1Generator(), new(G2).SetInfinity()).IsOne() {
 		t.Fatal("e(P, ∞) != 1")
 	}
 }

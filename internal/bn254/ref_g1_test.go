@@ -132,9 +132,6 @@ func (p *refG1) ScalarBaseMult(k *big.Int) *refG1 {
 	return p.ScalarMult(refG1Generator(), k)
 }
 
-// g1MarshalledSize is the size of a marshalled refG1 point: x ‖ y, 32 bytes each.
-const g1MarshalledSize = 64
-
 // Marshal encodes p as x ‖ y (32-byte big-endian each). Infinity encodes as
 // all zeros, which is unambiguous because (0, 0) is not on the curve.
 func (p *refG1) Marshal() []byte {

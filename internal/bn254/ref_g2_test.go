@@ -168,10 +168,6 @@ func (p *refG2) ScalarBaseMult(k *big.Int) *refG2 {
 	return p.ScalarMult(refG2Generator(), k)
 }
 
-// g2MarshalledSize is the size of a marshalled refG2 point:
-// x.c0 ‖ x.c1 ‖ y.c0 ‖ y.c1, 32 bytes each.
-const g2MarshalledSize = 128
-
 // Marshal encodes p. Infinity encodes as all zeros.
 func (p *refG2) Marshal() []byte {
 	out := make([]byte, g2MarshalledSize)
@@ -214,7 +210,16 @@ func (p *refG2) Unmarshal(data []byte) error {
 	if !p.IsOnCurve() {
 		return errors.New("bn254: refG2 point not on twist curve")
 	}
-	if !new(refG2).ScalarMult(p, Order).IsInfinity() {
+	// Order·p by an unreduced ladder: ScalarMult reduces its scalar mod
+	// Order, which would turn this check into 0·p = ∞ for every point.
+	acc := new(refG2).SetInfinity()
+	for i := Order.BitLen() - 1; i >= 0; i-- {
+		acc.Double(acc)
+		if Order.Bit(i) == 1 {
+			acc.Add(acc, p)
+		}
+	}
+	if !acc.IsInfinity() {
 		return errors.New("bn254: refG2 point not in prime-order subgroup")
 	}
 	return nil

@@ -48,10 +48,6 @@ func (g *refGT) Exp(a *refGT, k *big.Int) *refGT {
 	return g
 }
 
-// gtMarshalledSize is the size of a marshalled refGT element: twelve 32-byte
-// Fp coefficients.
-const gtMarshalledSize = 384
-
 // coeffs returns the twelve Fp coefficients of g in a fixed order.
 func (g *refGT) coeffs() []*big.Int {
 	return []*big.Int{

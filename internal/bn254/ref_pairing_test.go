@@ -24,6 +24,20 @@ import "math/big"
 //     inversion, after which a single ~1270-bit generic exponentiation by m
 //     remains. No hardcoded Frobenius constants are needed.
 
+// tateExp is the final-exponentiation exponent (P¹² − 1) / Order, used by
+// the reference backend's generic final exponentiation.
+var tateExp *big.Int
+
+func init() {
+	p12 := new(big.Int).Exp(P, big.NewInt(12), nil)
+	p12.Sub(p12, big.NewInt(1))
+	rem := new(big.Int)
+	tateExp, rem = new(big.Int).QuoRem(p12, Order, rem)
+	if rem.Sign() != 0 {
+		panic("bn254: Order does not divide p^12 - 1")
+	}
+}
+
 // finalExpM is m = (p⁶+1)/r, the hard-part exponent.
 var finalExpM *big.Int
 

@@ -158,19 +158,6 @@ type PKG interface {
 	CloseRound(round uint32)
 }
 
-// PairingPKG is the optional optimal-ate (v2 sealed-ciphertext tier)
-// surface of a PKG: a round key signed under the v2 domain tag. The
-// negotiation is all-or-nothing per round — the coordinator opens a v2
-// round only when EVERY PKG implements this interface and every
-// NewRoundV2 call succeeds; any absence or failure (an rpc.PKGClient
-// talking to a pre-v2 daemon returns an unknown-method error) downgrades
-// the WHOLE round to v1. Mixed versions within one round are never
-// produced: every client would derive garbage from a settings blob whose
-// keys disagree on the pairing.
-type PairingPKG interface {
-	NewRoundV2(round uint32) (wire.PKGRoundKey, error)
-}
-
 // Frontend is the coordinator's view of one ADDITIONAL entry frontend
 // beyond Entry (which is always frontend 0); *rpc.EntryReplicaClient
 // implements it.
@@ -264,11 +251,7 @@ type Coordinator struct {
 	// a batch through the chain (0 = mixnet.DefaultStreamChunk).
 	ChunkSize int
 
-	// PairingV2 enables negotiation of the optimal-ate sealed-ciphertext
-	// tier for add-friend rounds. Rounds open at v2 only when every PKG
-	// supports it (see PairingPKG); otherwise — and always when this gate
-	// is off — rounds open at v1, byte-identical to pre-capability
-	// settings.
+	// Deprecated: nothing reads PairingV2; bench/fleet.go, frozen for this PR, sets it.
 	PairingV2 bool
 
 	// Deprecated: nothing reads ChainForward; bench/fleet.go, frozen for this PR, sets it.
@@ -486,20 +469,16 @@ func (c *Coordinator) OpenAddFriendRound(round uint32) (*wire.RoundSettings, err
 		NumMailboxes: c.numMailboxes(wire.AddFriend),
 	}
 	settings.PKGs = make([]wire.PKGRoundKey, len(c.PKGs))
-	if c.PairingV2 && c.openPKGRoundV2(round, settings) {
-		settings.PairingVersion = 2
-	} else {
-		err := fanOut(len(c.PKGs), func(i int) error {
-			rk, err := c.PKGs[i].NewRound(round)
-			if err != nil {
-				return fmt.Errorf("coordinator: PKG %d: %w", i, err)
-			}
-			settings.PKGs[i] = rk
-			return nil
-		})
+	err := fanOut(len(c.PKGs), func(i int) error {
+		rk, err := c.PKGs[i].NewRound(round)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("coordinator: PKG %d: %w", i, err)
 		}
+		settings.PKGs[i] = rk
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := c.openMixRound(settings); err != nil {
 		return nil, err
@@ -515,36 +494,6 @@ func (c *Coordinator) logf(format string, args ...any) {
 	if c.Logger != nil {
 		c.Logger.Printf(format, args...)
 	}
-}
-
-// openPKGRoundV2 attempts to open the round at the optimal-ate tier,
-// filling settings.PKGs with v2-signed keys. It reports false — leaving
-// the settings untouched for the v1 retry, which is safe because
-// NewRound/NewRoundV2 are idempotent per open round and return the same
-// master key either way — if any PKG lacks the capability or fails.
-func (c *Coordinator) openPKGRoundV2(round uint32, settings *wire.RoundSettings) bool {
-	v2 := make([]PairingPKG, len(c.PKGs))
-	for i, p := range c.PKGs {
-		pp, ok := p.(PairingPKG)
-		if !ok {
-			c.logf("round %d: PKG %d predates the v2 pairing tier; opening at v1", round, i)
-			return false
-		}
-		v2[i] = pp
-	}
-	err := fanOut(len(c.PKGs), func(i int) error {
-		rk, err := v2[i].NewRoundV2(round)
-		if err != nil {
-			return fmt.Errorf("coordinator: PKG %d v2: %w", i, err)
-		}
-		settings.PKGs[i] = rk
-		return nil
-	})
-	if err != nil {
-		c.logf("round %d: v2 negotiation failed (%v); opening at v1", round, err)
-		return false
-	}
-	return true
 }
 
 // OpenDialingRound announces a dialing round.

@@ -107,6 +107,16 @@ func (c *Client) extractRoundKeys(ctx context.Context, round uint32) error {
 		}(i, pkg)
 	}
 	wg.Wait()
+	// The shares are key material: whichever way this returns — kept as
+	// their aggregate, refused for a PKG error or a bad attestation — none
+	// of them outlives the call (§4.4).
+	defer func() {
+		for _, reply := range replies {
+			if reply != nil && reply.IdentityKey != nil {
+				reply.IdentityKey.Erase()
+			}
+		}
+	}()
 
 	idKeys := make([]*ibe.IdentityPrivateKey, len(replies))
 	sigs := make([]*bls.Signature, len(replies))
@@ -188,23 +198,14 @@ func (c *Client) buildAddFriendPayload(round uint32, settings *wire.RoundSetting
 	}
 
 	// Encrypt to the friend's identity under the round's aggregated master
-	// key, on the sealed-ciphertext tier the round's settings select.
+	// key.
 	agg, err := c.roundMasterKey(settings)
 	if err != nil {
 		return nil, nil, err
 	}
-	var ctxt []byte
-	if settings.PairingV2() {
-		c2, err := ibe.EncryptV2(c.cfg.Rand, agg, target.email, plaintext)
-		if err != nil {
-			return nil, nil, err
-		}
-		ctxt = []byte(c2)
-	} else {
-		ctxt, err = ibe.Encrypt(c.cfg.Rand, agg, target.email, plaintext)
-		if err != nil {
-			return nil, nil, err
-		}
+	ctxt, err := ibe.Encrypt(c.cfg.Rand, agg, target.email, plaintext)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	commit := func() {
@@ -304,21 +305,13 @@ func (c *Client) ScanAddFriendRound(ctx context.Context, round uint32) error {
 	// cores (the paper's client scans on 4 cores, §8.2); the successful
 	// plaintexts are then processed in mailbox order for determinism.
 	// Every trial decryption pairs against the same identity key, so the
-	// key's Miller-loop ladder is precomputed once (before the workers
-	// start — the precomputation is not concurrency-safe) and shared
-	// read-only by the pool. Each worker pulls a CHUNK of the mailbox and
-	// runs it through ibe.DecryptBatch, which amortizes the shared-
-	// inversion pairing pipeline across the chunk; results land at their
-	// mailbox index, preserving processing order. The round's signed
-	// settings select the pairing tier — a v2 round scans through the
-	// optimal-ate DecryptBatchV2 (~1.8x the batched v1 marginal cost).
-	scanBatch := ibe.DecryptBatch
-	if settings.PairingV2() {
-		secrets.identityKey.PrecomputeV2()
-		scanBatch = ibe.DecryptBatchV2
-	} else {
-		secrets.identityKey.Precompute()
-	}
+	// key is precomputed once (before the workers start — the
+	// precomputation is not concurrency-safe) and shared read-only by the
+	// pool. Each worker pulls a CHUNK of the mailbox and runs it through
+	// ibe.DecryptBatch, which amortizes the shared-inversion pairing
+	// pipeline across the chunk; results land at their mailbox index,
+	// preserving processing order.
+	secrets.identityKey.Precompute()
 	n := len(box) / wire.EncryptedFriendRequestSize
 	plaintexts := make([][]byte, n)
 	chunks := (n + scanChunkSize - 1) / scanChunkSize
@@ -348,7 +341,7 @@ func (c *Client) ScanAddFriendRound(ctx context.Context, round uint32) error {
 					off := i * wire.EncryptedFriendRequestSize
 					ctxts = append(ctxts, box[off:off+wire.EncryptedFriendRequestSize])
 				}
-				pts, oks := scanBatch(secrets.identityKey, ctxts)
+				pts, oks := ibe.DecryptBatch(secrets.identityKey, ctxts)
 				for j, ok := range oks {
 					if ok {
 						plaintexts[lo+j] = pts[j]

@@ -251,9 +251,9 @@ type Client struct {
 // derives from them once per round.
 type cachedSettings struct {
 	rs *wire.RoundSettings
-	// masterKey is the round's aggregated IBE master key, precomputed for
-	// the round's pairing tier; built by the round's first real friend
-	// request (roundMasterKey) and dropped with the settings.
+	// masterKey is the round's aggregated IBE master key, precomputed;
+	// built by the round's first real friend request (roundMasterKey) and
+	// dropped with the settings.
 	masterKey *ibe.MasterPublicKey
 }
 
@@ -507,11 +507,8 @@ func (c *Client) roundSettings(ctx context.Context, service wire.Service, round 
 }
 
 // roundMasterKey returns the aggregated master public key of an add-friend
-// round, precomputed for the pairing tier the round's SIGNED settings select
-// (both sides of a round key their pairing off the same capability byte, so
-// a v2 client in a v1 deployment, or vice versa, degrades transparently —
-// never a mixed-version derivation). Unmarshalling the PKGs' G2 keys
-// (subgroup checks included) and laddering the sum costs more than the
+// round, with its pairing ladder precomputed. Unmarshalling the PKGs' G2
+// keys (subgroup checks included) and laddering the sum costs more than the
 // encryption that uses it, so the result is kept beside the round's cached
 // settings: built once per round, evicted with them.
 func (c *Client) roundMasterKey(settings *wire.RoundSettings) (*ibe.MasterPublicKey, error) {
@@ -529,12 +526,7 @@ func (c *Client) roundMasterKey(settings *wire.RoundSettings) (*ibe.MasterPublic
 		}
 		keys[i] = mk
 	}
-	agg := ibe.AggregateMasterKeys(keys...)
-	if settings.PairingV2() {
-		agg.PrecomputeV2()
-	} else {
-		agg.Precompute()
-	}
+	agg := ibe.AggregateMasterKeys(keys...).Precompute()
 	if cached != nil {
 		cached.masterKey = agg
 	}

@@ -1,14 +1,18 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
+	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"alpenhorn/internal/bls"
 	"alpenhorn/internal/core"
+	"alpenhorn/internal/ibe"
 	"alpenhorn/internal/pkgserver"
 	"alpenhorn/internal/sim"
 	"alpenhorn/internal/wire"
@@ -117,5 +121,103 @@ func TestExtractVerifiesAggregateOnce(t *testing.T) {
 		if got := pkg.Extractions(); got != 2 {
 			t.Fatalf("PKG %d served %d extractions for two clients, want 2", i, got)
 		}
+	}
+}
+
+// recordingPKG keeps every identity-key share it hands the client, and can
+// fail its extraction or forge its attestation for one round.
+type recordingPKG struct {
+	core.PKG
+	failRound, badRound uint32
+	rogue               *bls.PrivateKey
+
+	mu     sync.Mutex
+	shares []*ibe.IdentityPrivateKey
+}
+
+func (p *recordingPKG) Extract(ctx context.Context, email string, round uint32, sig []byte) (*pkgserver.ExtractReply, error) {
+	if round == p.failRound {
+		return nil, errors.New("extraction refused")
+	}
+	reply, err := p.PKG.Extract(ctx, email, round, sig)
+	if err != nil {
+		return nil, err
+	}
+	if round == p.badRound {
+		reply.Attestation = bls.Sign(p.rogue, []byte("not the attestation"))
+	}
+	p.mu.Lock()
+	p.shares = append(p.shares, reply.IdentityKey)
+	p.mu.Unlock()
+	return reply, nil
+}
+
+// TestExtractErasesShares pins that extractRoundKeys erases every fetched
+// identity-key share on every path — after aggregating them (round 1), when
+// another PKG fails (round 2), and when an attestation is bad (round 3) —
+// so each share marshals as the point at infinity afterwards.
+func TestExtractErasesShares(t *testing.T) {
+	net, err := sim.NewNetwork(sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(net.Close)
+	_, rogue, err := bls.GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := net.ClientConfig("eraser@example.org", &sim.Handler{AcceptAll: true})
+	recs := make([]*recordingPKG, len(cfg.PKGs))
+	for i := range cfg.PKGs {
+		recs[i] = &recordingPKG{PKG: cfg.PKGs[i]}
+		cfg.PKGs[i] = recs[i]
+	}
+	recs[len(recs)-1].failRound = 2
+	recs[0].badRound = 3
+	recs[0].rogue = rogue
+	client, err := core.NewClient(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := client.Register(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ConfirmAll(client); err != nil {
+		t.Fatal(err)
+	}
+
+	infinity := make([]byte, ibe.IdentityPrivateKeySize)
+	for round := uint32(1); round <= 3; round++ {
+		if _, err := net.Coord.OpenAddFriendRound(round); err != nil {
+			t.Fatal(err)
+		}
+		err := client.SubmitAddFriendRound(ctx, round)
+		if (err == nil) != (round == 1) {
+			t.Fatalf("round %d submit: %v", round, err)
+		}
+		n := 0
+		for i, rec := range recs {
+			rec.mu.Lock()
+			for _, share := range rec.shares {
+				n++
+				if !bytes.Equal(share.Marshal(), infinity) {
+					t.Fatalf("round %d: a share from PKG %d survived extraction", round, i)
+				}
+			}
+			rec.shares = nil
+			rec.mu.Unlock()
+		}
+		want := len(recs)
+		if round == 2 {
+			want-- // the failing PKG hands out nothing
+		}
+		if n != want {
+			t.Fatalf("round %d: recorded %d shares, want %d", round, n, want)
+		}
+		if _, err := net.Coord.CloseRound(wire.AddFriend, round); err != nil {
+			t.Fatal(err)
+		}
+		net.Coord.FinishAddFriendRound(round)
 	}
 }

@@ -10,12 +10,12 @@ import (
 
 // TestRoundMasterKeyCachedWithSettings pins the round's aggregated master
 // key to the lifetime of the round's cached settings: built once while they
-// are cached (a retried submit reuses it), on either tier, rebuilt after eviction,
-// and a malformed PKG key is an error naming the PKG, never a cached key.
+// are cached (a retried submit reuses it), rebuilt after eviction, and a
+// malformed PKG key is an error naming the PKG, never a cached key.
 func TestRoundMasterKeyCachedWithSettings(t *testing.T) {
 	c := newBacklogClient(&backlogHandler{})
-	settings := func(round uint32, version uint8) *wire.RoundSettings {
-		rs := &wire.RoundSettings{Service: wire.AddFriend, Round: round, PairingVersion: version}
+	settings := func(round uint32) *wire.RoundSettings {
+		rs := &wire.RoundSettings{Service: wire.AddFriend, Round: round}
 		for i := 0; i < 3; i++ {
 			pub, _, err := ibe.Setup(rand.Reader)
 			if err != nil {
@@ -26,23 +26,21 @@ func TestRoundMasterKeyCachedWithSettings(t *testing.T) {
 		return rs
 	}
 
-	for _, version := range []uint8{0, 2} {
-		rs := settings(uint32(10+version), version)
-		c.cacheSettings(rs)
-		first, err := c.roundMasterKey(rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := c.roundMasterKey(rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first != again {
-			t.Fatalf("pairing version %d: master key rebuilt while its settings are cached", version)
-		}
+	rs := settings(10)
+	c.cacheSettings(rs)
+	first, err := c.roundMasterKey(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.roundMasterKey(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != again {
+		t.Fatal("master key rebuilt while its settings are cached")
 	}
 
-	evicted := settings(1, 2)
+	evicted := settings(1)
 	c.cacheSettings(evicted)
 	before, err := c.roundMasterKey(evicted)
 	if err != nil {
@@ -59,7 +57,7 @@ func TestRoundMasterKeyCachedWithSettings(t *testing.T) {
 		t.Fatal("master key outlived its evicted settings")
 	}
 
-	bad := settings(2, 2)
+	bad := settings(2)
 	bad.PKGs[1].MasterKey = make([]byte, 7)
 	c.cacheSettings(bad)
 	if _, err := c.roundMasterKey(bad); err == nil {

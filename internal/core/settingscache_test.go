@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"sync/atomic"
 	"testing"
@@ -103,5 +104,64 @@ func TestSettingsCachedPerRound(t *testing.T) {
 	}
 	if got := ce.settingsCalls.Load(); got != 2 {
 		t.Fatalf("feed-driven rounds added %d settings fetches, want 0 (settings ride the announcements)", got-2)
+	}
+}
+
+// TestPairingV2SingleSettingsFetch pins the add-friend side of the cache
+// with Coordinator.PairingV2 set, as bench/fleet.go sets it: the knob is
+// inert, so the settings carry no pairing-version byte, and a round costs
+// exactly one verified settings fetch — the submit fetches, and the scan,
+// which derives the round's master key from the same settings, reuses the
+// cache.
+func TestPairingV2SingleSettingsFetch(t *testing.T) {
+	skipIfShort(t)
+	network, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumMixers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(network.Close)
+	network.Coord.PairingV2 = true
+	h := &sim.Handler{AcceptAll: true}
+	cfg := network.ClientConfig("v2cache@example.org", h)
+	ce := &settingsCountingEntry{EntryAdapter: sim.EntryAdapter{E: network.Entry}}
+	cfg.Entry = ce
+	client, err := core.NewClient(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := client.Register(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := network.ConfirmAll(client); err != nil {
+		t.Fatal(err)
+	}
+
+	settings, err := network.Coord.OpenAddFriendRound(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if settings.PairingVersion != 0 {
+		t.Fatalf("settings carry PairingVersion %d; the field is never set", settings.PairingVersion)
+	}
+	enc := settings.Marshal()
+	if reparsed, err := wire.UnmarshalRoundSettings(enc); err != nil || !bytes.Equal(reparsed.Marshal(), enc) {
+		t.Fatalf("add-friend settings do not round-trip: %v", err)
+	}
+	if _, err := wire.UnmarshalRoundSettings(append(enc, 2)); err == nil {
+		t.Fatal("settings with a trailing pairing-version byte accepted")
+	}
+	if err := client.SubmitAddFriendRound(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := network.Coord.CloseRound(wire.AddFriend, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.ScanAddFriendRound(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	network.Coord.FinishAddFriendRound(1)
+	if got := ce.settingsCalls.Load(); got != 1 {
+		t.Fatalf("add-friend round cost %d settings fetches, want 1", got)
 	}
 }

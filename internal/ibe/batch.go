@@ -8,10 +8,6 @@ import (
 	"alpenhorn/internal/bn254"
 )
 
-// sealKeyPrefix is the domain-separation tag of sealKey, hoisted so the
-// batched path can hash it without rebuilding the byte slice.
-var sealKeyPrefix = []byte("alpenhorn/ibe/seal-key:")
-
 // batchScratch bundles the reusable buffers of one DecryptBatch call:
 // the bn254 pipeline scratch plus the pairing outputs, the hash state for
 // key derivation, and the AEAD block buffers. Pooled so concurrent
@@ -49,24 +45,26 @@ func (s *batchScratch) grow(n int) {
 	s.raws = s.raws[:n]
 }
 
-// pairBatcher abstracts the two fixed-key batch pipelines: the v1 Tate
-// batch (bn254.PrecomputedG1) and the v2 optimal-ate batch
-// (bn254.AtePrecomputedG1). Both share acceptance behavior and the
-// batch-inversion structure; only the Miller loop and subgroup check
-// differ.
-type pairBatcher interface {
-	PairBatch(raws [][]byte, dst []bn254.GT, ok []bool, scratch *bn254.PairScratch)
-}
-
-// decryptBatch is the version-generic trial-decryption core: the batched
-// pairing pipeline, then per-element key derivation (domain-separated by
-// prefix) and AEAD opening. Plaintexts are carved from ONE arena
-// allocation per batch — the arena escapes to the caller inside msgs, so
-// it is deliberately NOT pooled — and the AEAD runs through the
-// single-allocation gcmOpen, keeping the whole layer at ~1.2 heap
-// allocations per ciphertext (the scalar stdlib path costs ~4.5; a test
-// ratchets the bound).
-func decryptBatch(pre pairBatcher, prefix []byte, ctxts [][]byte) ([][]byte, []bool) {
+// DecryptBatch trial-decrypts a whole slice of ciphertexts with one key,
+// element-wise identical to calling Decrypt on each (msgs[i], oks[i]) ==
+// Decrypt(ipk, ctxts[i]) — but sharing the batched pairing pipeline:
+// Galbraith–Scott-checked unmarshaling, one Fp12 inversion for the whole
+// batch (see bn254.AtePrecomputedG1.PairBatch), then per-element key
+// derivation and AEAD opening. Malformed or foreign ciphertexts yield
+// oks[i] = false without disturbing their neighbors. Safe for concurrent
+// calls with the same key, which is how the mailbox-scan worker pool uses
+// it.
+//
+// Plaintexts are carved from ONE arena allocation per batch — the arena
+// escapes to the caller inside msgs, so it is deliberately NOT pooled —
+// and the AEAD runs through the single-allocation gcmOpen, keeping the
+// whole layer at ~1.2 heap allocations per ciphertext (the scalar stdlib
+// path costs ~4.5; a test ratchets the bound).
+func DecryptBatch(ipk *IdentityPrivateKey, ctxts [][]byte) ([][]byte, []bool) {
+	pre := ipk.pre
+	if pre == nil {
+		pre = bn254.AtePrecomputeG1(ipk.d)
+	}
 	n := len(ctxts)
 	msgs := make([][]byte, n)
 	oks := make([]bool, n)
@@ -96,7 +94,7 @@ func decryptBatch(pre pairBatcher, prefix []byte, ctxts [][]byte) ([][]byte, []b
 			continue
 		}
 		s.h.Reset()
-		s.h.Write(prefix)
+		s.h.Write(sealKeyPrefix)
 		s.gtBuf = s.gts[i].AppendMarshal(s.gtBuf[:0])
 		s.h.Write(s.gtBuf)
 		s.keyBuf = s.h.Sum(s.keyBuf[:0])
@@ -114,32 +112,7 @@ func decryptBatch(pre pairBatcher, prefix []byte, ctxts [][]byte) ([][]byte, []b
 	return msgs, oks
 }
 
-// DecryptBatch trial-decrypts a whole slice of ciphertexts with one key,
-// element-wise identical to calling Decrypt on each (msgs[i], oks[i]) ==
-// Decrypt(ipk, ctxts[i]) — but sharing the batched pairing pipeline:
-// ψ-checked unmarshaling, one Fp12 inversion for the whole batch, and the
-// decomposed final exponentiation (see bn254.PairBatch). Malformed or
-// foreign ciphertexts yield oks[i] = false without disturbing their
-// neighbors. Safe for concurrent calls with the same key, which is how
-// the mailbox-scan worker pool uses it.
-func DecryptBatch(ipk *IdentityPrivateKey, ctxts [][]byte) ([][]byte, []bool) {
-	pre := ipk.pre
-	if pre == nil {
-		pre = bn254.PrecomputeG1(ipk.d)
-	}
-	return decryptBatch(pre, sealKeyPrefix, ctxts)
-}
-
-// DecryptBatchV2 is DecryptBatch for v2 sealed ciphertexts: element-wise
-// identical to DecryptV2 on each, over the optimal-ate batch pipeline
-// (~65-iteration Miller loops and the Galbraith–Scott subgroup check; see
-// bn254.AtePrecomputedG1.PairBatch). A v1 ciphertext fed to this function
-// (or vice versa) fails the AEAD check exactly like any foreign
-// ciphertext — the pairing versions derive unrelated keys by construction.
+// Deprecated: DecryptBatchV2 is DecryptBatch; bench/probe.go, frozen for this PR, calls it.
 func DecryptBatchV2(ipk *IdentityPrivateKey, ctxts [][]byte) ([][]byte, []bool) {
-	pre := ipk.preV2
-	if pre == nil {
-		pre = bn254.AtePrecomputeG1(ipk.d)
-	}
-	return decryptBatch(pre, sealKeyV2Prefix, ctxts)
+	return DecryptBatch(ipk, ctxts)
 }

@@ -144,39 +144,27 @@ func TestRandomCiphertextsDeterministic(t *testing.T) {
 // slices, one plaintext arena, and one AES key schedule per accepted
 // element (gcmOpen; the pooled scratch absorbs the hash state and GHASH
 // buffers). That lands well under 2 allocations per ciphertext — versus
-// ~4.5 through the scalar stdlib AEAD path — and both tiers must hold
-// the bound.
+// ~4.5 through the scalar stdlib AEAD path.
 func TestDecryptBatchAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector, so the scratch pool never warms")
 	}
 	pubs, privs := setupN(t, 1)
 	const identity = "bob@example.org"
-	ipk := Extract(privs[0], identity).Precompute().PrecomputeV2()
+	ipk := Extract(privs[0], identity).Precompute()
 	const n = 4
 	ctxts := make([][]byte, n)
-	ctxtsV2 := make([][]byte, n)
 	for i := range ctxts {
 		c, err := Encrypt(rand.Reader, pubs[0], identity, []byte("msg"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctxts[i] = c
-		c2, err := EncryptV2(rand.Reader, pubs[0], identity, []byte("msg"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctxtsV2[i] = c2
 	}
-	// Warm the scratch pool.
-	DecryptBatch(ipk, ctxts)
-	DecryptBatchV2(ipk, ctxtsV2)
+	DecryptBatch(ipk, ctxts) // warm the scratch pool
 
 	batched := testing.AllocsPerRun(3, func() {
 		DecryptBatch(ipk, ctxts)
-	}) / n
-	batchedV2 := testing.AllocsPerRun(3, func() {
-		DecryptBatchV2(ipk, ctxtsV2)
 	}) / n
 	scalar := testing.AllocsPerRun(3, func() {
 		for _, c := range ctxts {
@@ -184,21 +172,18 @@ func TestDecryptBatchAllocations(t *testing.T) {
 		}
 	}) / n
 	if batched > 2 {
-		t.Fatalf("batched v1 path allocates %.2f/ctxt; want ≤ 2", batched)
-	}
-	if batchedV2 > 2 {
-		t.Fatalf("batched v2 path allocates %.2f/ctxt; want ≤ 2", batchedV2)
+		t.Fatalf("batched path allocates %.2f/ctxt; want ≤ 2", batched)
 	}
 	if batched > scalar {
 		t.Fatalf("batched path allocates %.2f/ctxt, more than the scalar path's %.2f/ctxt", batched, scalar)
 	}
-	t.Logf("allocations per ciphertext: batched v1 %.2f, v2 %.2f vs scalar %.2f", batched, batchedV2, scalar)
+	t.Logf("allocations per ciphertext: batched %.2f vs scalar %.2f", batched, scalar)
 }
 
 // FuzzDecryptBatchMatchesDecrypt asserts element-wise equivalence of
 // DecryptBatch and Decrypt on adversarial batches: fuzz-derived blobs
-// (arbitrary lengths, corrupted points, non-subgroup points) interleaved
-// with a genuine ciphertext. The genuine element must keep decrypting
+// (arbitrary lengths, corrupted points, non-subgroup points probing the
+// Galbraith–Scott check) interleaved with a genuine ciphertext. The genuine element must keep decrypting
 // correctly no matter what surrounds it — an invalid neighbor must never
 // poison the shared-inversion pass.
 func FuzzDecryptBatchMatchesDecrypt(f *testing.F) {

@@ -19,7 +19,7 @@ import (
 // CONTENTS depend on the hash key but are only ever XORed. Tag comparison
 // is constant-time, and the ciphertext is only decrypted after the tag
 // verifies. The stdlib path (aeadOpen) is retained untouched on the scalar
-// Decrypt/DecryptV2 routes, and differential + fuzz tests pin this
+// Decrypt route, and differential + fuzz tests pin this
 // implementation against it on every batch shape.
 
 const gcmTagSize = 16

@@ -14,6 +14,11 @@
 // group element and an AEAD blob keyed by the pairing value, so they reveal
 // nothing about the recipient identity. This property is what lets the
 // Alpenhorn mixnet generate indistinguishable noise messages.
+//
+// The pairing is bn254's optimal ate pairing, the only one every client,
+// PKG and mixer uses, and the AEAD key is SHA-256 over a domain tag and the
+// marshalled pairing value. Ciphertexts from an earlier Tate-keyed tier do
+// not open here: they fail authentication like any foreign message.
 package ibe
 
 import (
@@ -40,27 +45,24 @@ const Overhead = 128 + 16
 type MasterPublicKey struct {
 	p *bn254.G2
 
-	// pre caches the pairing precomputation for p. Set by Precompute;
-	// nil keys work identically, just without the cached setup.
-	pre *bn254.PrecomputedG2
-
-	// preV2 caches the optimal-ate line ladder for the v2 sealed-
-	// ciphertext tier. Set by PrecomputeV2.
-	preV2 *bn254.AtePrecomputedG2
+	// pre caches the ate line ladder of p. Set by Precompute; nil keys
+	// work identically, just without the cached ladder.
+	pre *bn254.AtePrecomputedG2
 }
 
-// Precompute caches the key's pairing evaluation point for repeated
-// encryption against the same round key. The savings are small — in the
-// Tate pairing the Miller ladder runs on the G1 side, which varies per
-// identity in Encrypt, so only the fixed-argument setup is cacheable
-// (the per-mailbox decrypt ladder on IdentityPrivateKey.Precompute is
-// where fixed-argument precomputation pays). Encrypt produces identical
-// ciphertexts either way. Not safe to call concurrently with Encrypt on
-// the same key.
+// Precompute caches the optimal-ate line ladder of the key for repeated
+// encryption against the same round key: the ate ladder runs over this
+// fixed G2 argument, so Encrypt replays ~90 precomputed line triples
+// instead of re-running the twist arithmetic per message. Encrypt produces
+// identical ciphertexts either way. Not safe to call concurrently with
+// Encrypt on the same key.
 func (k *MasterPublicKey) Precompute() *MasterPublicKey {
-	k.pre = bn254.PrecomputeG2(k.p)
+	k.pre = bn254.AtePrecomputeG2(k.p)
 	return k
 }
+
+// Deprecated: PrecomputeV2 is Precompute; bench/probe.go, frozen for this PR, calls it.
+func (k *MasterPublicKey) PrecomputeV2() *MasterPublicKey { return k.Precompute() }
 
 // MasterPrivateKey is a PKG's per-round master secret.
 type MasterPrivateKey struct {
@@ -72,26 +74,24 @@ type MasterPrivateKey struct {
 type IdentityPrivateKey struct {
 	d *bn254.G1
 
-	// pre caches the fixed-argument Miller-loop line coefficients of d.
-	// In the Tate pairing the G1 argument carries the Miller ladder, so a
-	// mailbox scan that trial-decrypts thousands of ciphertexts with one
-	// key replays the precomputed ladder instead of re-running it.
-	pre *bn254.PrecomputedG1
-
-	// preV2 caches the key's evaluation coordinates for the v2 (optimal-
-	// ate) scan. Set by PrecomputeV2; scrubbed by Erase like pre.
-	preV2 *bn254.AtePrecomputedG1
+	// pre caches the key's pairing evaluation coordinates. Set by
+	// Precompute; scrubbed by Erase.
+	pre *bn254.AtePrecomputedG1
 }
 
-// Precompute runs the Miller-loop ladder for the key once, speeding up
-// every subsequent Decrypt. Mailbox scans should call this before
-// fanning trial decryptions out across cores. Decryption results are
-// identical either way. Not safe to call concurrently with Decrypt on
-// the same key.
+// Precompute prepares the key for a mailbox scan. The ate Miller ladder
+// runs over the varying ciphertext element, so there are no lines to
+// replay for a fixed G1 key; what Precompute buys is one handle that the
+// scan's workers share and that Erase scrubs once. Decryption results are
+// identical either way. Not safe to call concurrently with Decrypt on the
+// same key.
 func (k *IdentityPrivateKey) Precompute() *IdentityPrivateKey {
-	k.pre = bn254.PrecomputeG1(k.d)
+	k.pre = bn254.AtePrecomputeG1(k.d)
 	return k
 }
+
+// Deprecated: PrecomputeV2 is Precompute; bench/probe.go, frozen for this PR, calls it.
+func (k *IdentityPrivateKey) PrecomputeV2() *IdentityPrivateKey { return k.Precompute() }
 
 // Setup generates a fresh master key pair for one PKG.
 func Setup(rand io.Reader) (*MasterPublicKey, *MasterPrivateKey, error) {
@@ -129,10 +129,15 @@ func AggregatePrivateKeys(keys ...*IdentityPrivateKey) *IdentityPrivateKey {
 	return &IdentityPrivateKey{d: sum}
 }
 
+// sealKeyPrefix domain-separates the AEAD key derivation. Its "-v2" is the
+// tag of the optimal-ate tier that was once negotiated beside a Tate one;
+// keeping it keeps every ciphertext byte-identical to that tier's.
+var sealKeyPrefix = []byte("alpenhorn/ibe/seal-key-v2:")
+
 // sealKey derives the AEAD key from the pairing value.
 func sealKey(g *bn254.GT) []byte {
 	h := sha256.New()
-	h.Write([]byte("alpenhorn/ibe/seal-key:"))
+	h.Write(sealKeyPrefix)
 	h.Write(g.Marshal())
 	return h.Sum(nil)
 }
@@ -187,7 +192,7 @@ func Encrypt(rand io.Reader, mpk *MasterPublicKey, identity string, msg []byte) 
 	if mpk.pre != nil {
 		g = mpk.pre.Pair(rq)
 	} else {
-		g = bn254.Pair(rq, mpk.p)
+		g = bn254.AtePair(rq, mpk.p)
 	}
 
 	out := make([]byte, 0, len(msg)+Overhead)
@@ -196,10 +201,18 @@ func Encrypt(rand io.Reader, mpk *MasterPublicKey, identity string, msg []byte) 
 	return out, nil
 }
 
+// Deprecated: EncryptV2 is Encrypt; bench/probe.go, frozen for this PR, calls it.
+func EncryptV2(rand io.Reader, mpk *MasterPublicKey, identity string, msg []byte) ([]byte, error) {
+	return Encrypt(rand, mpk, identity, msg)
+}
+
 // Decrypt attempts to decrypt a ciphertext with the given (possibly
 // aggregated) identity private key. It returns ok=false if the ciphertext
 // is malformed or was not encrypted to this key's identity — callers scan
-// whole mailboxes with exactly this check (Algorithm 1, step 4).
+// whole mailboxes with exactly this check (Algorithm 1, step 4). It is the
+// scalar oracle for DecryptBatch: it unmarshals through the full
+// Order-ladder subgroup check and opens through the stdlib AEAD, and
+// differential tests pin DecryptBatch against it element-wise.
 func Decrypt(ipk *IdentityPrivateKey, ctxt []byte) ([]byte, bool) {
 	if len(ctxt) < Overhead {
 		return nil, false
@@ -212,7 +225,7 @@ func Decrypt(ipk *IdentityPrivateKey, ctxt []byte) ([]byte, bool) {
 	if ipk.pre != nil {
 		g = ipk.pre.Pair(u)
 	} else {
-		g = bn254.Pair(ipk.d, u)
+		g = bn254.AtePair(ipk.d, u)
 	}
 	return aeadOpen(sealKey(g), ctxt[128:])
 }
@@ -269,24 +282,26 @@ func UnmarshalMasterPrivateKey(data []byte) (*MasterPrivateKey, error) {
 }
 
 // Erase zeroes the master secret. After Erase the key is unusable; this is
-// how PKGs implement forward secrecy for past rounds (§4.4).
+// how PKGs implement forward secrecy for past rounds (§4.4). The big.Int's
+// words are overwritten before it is truncated: SetInt64(0) alone only
+// shortens the slice and leaves the secret's words on the heap.
 func (k *MasterPrivateKey) Erase() {
+	words := k.s.Bits()
+	for i := range words {
+		words[i] = 0
+	}
 	k.s.SetInt64(0)
 }
 
 // Erase zeroes the identity private key in place, including any pairing
-// precomputation (the Miller-loop coefficients determine the key's
-// pairing, so they are scrubbed, not just dropped). Clients erase round
-// keys after scanning their mailbox (§4.4).
+// precomputation (its cached coordinates are the key, so they are
+// scrubbed, not just dropped). Clients erase round keys after scanning
+// their mailbox (§4.4).
 func (k *IdentityPrivateKey) Erase() {
 	k.d.SetInfinity()
 	if k.pre != nil {
 		k.pre.Erase()
 		k.pre = nil
-	}
-	if k.preV2 != nil {
-		k.preV2.Erase()
-		k.preV2 = nil
 	}
 }
 

@@ -202,6 +202,30 @@ func TestErase(t *testing.T) {
 	}
 }
 
+// TestMasterPrivateKeyEraseScrubsWords pins that Erase overwrites the
+// secret's words in place: SetInt64(0) alone truncates the big.Int but
+// leaves the words on the heap for anyone holding the backing array.
+func TestMasterPrivateKeyEraseScrubsWords(t *testing.T) {
+	_, privs := setupN(t, 1)
+	words := privs[0].s.Bits()
+	nonzero := false
+	for _, w := range words {
+		nonzero = nonzero || w != 0
+	}
+	if !nonzero {
+		t.Fatal("fresh master secret has no nonzero words")
+	}
+	privs[0].Erase()
+	for i, w := range words {
+		if w != 0 {
+			t.Fatalf("word %d of the master secret survived Erase", i)
+		}
+	}
+	if !privs[0].Erased() {
+		t.Fatal("master key not marked erased")
+	}
+}
+
 func TestOnionBaseline(t *testing.T) {
 	pubs, privs := setupN(t, 3)
 	msg := []byte("onion payload")

@@ -38,8 +38,8 @@ func (d *deterministicReader) Read(p []byte) (int, error) {
 }
 
 // TestEncryptFoldedExponentMatchesGTExp pins the Encrypt hot-path rewrite:
-// folding the randomizer into the G1 argument (e(r·Q, mpk)) must produce
-// the exact ciphertext bytes of the original formula (e(Q, mpk)^r), for
+// folding the randomizer into the G1 argument (a(r·Q, mpk)) must produce
+// the exact ciphertext bytes of the original formula (a(Q, mpk)^r), for
 // the same randomness.
 func TestEncryptFoldedExponentMatchesGTExp(t *testing.T) {
 	pub, _, err := Setup(rand.Reader)
@@ -61,7 +61,7 @@ func TestEncryptFoldedExponentMatchesGTExp(t *testing.T) {
 	}
 	u := new(bn254.G2).ScalarBaseMult(r)
 	q := bn254.HashToG1("bf-ibe-identity", []byte("bob@example.org"))
-	g := bn254.Pair(q, pub.p)
+	g := bn254.AtePair(q, pub.p)
 	g.Exp(g, r)
 	want := append(u.Marshal(), aeadSeal(sealKey(g), msg)...)
 

@@ -305,37 +305,8 @@ func (s *Server) NewRound(round uint32) (wire.PKGRoundKey, error) {
 	}, nil
 }
 
-// NewRoundV2 is NewRound for coordinators negotiating the optimal-ate v2
-// sealed-ciphertext tier: the SAME master key pair for the round (the key
-// material is tier-independent; only the client-side pairing differs),
-// signed under the v2 domain tag so the announcement cannot be replayed
-// into a v1 round. Like NewRound it is idempotent per open round, so a
-// coordinator that probes v2 and then falls back to NewRound — or the
-// reverse — gets one consistent key either way. A PKG that predates the
-// v2 tier simply does not export this method, which the coordinator
-// detects through an interface assertion and degrades the whole round to
-// v1.
-func (s *Server) NewRoundV2(round uint32) (wire.PKGRoundKey, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.rounds[round]
-	if ok && st.closed {
-		return wire.PKGRoundKey{}, ErrRoundClosed
-	}
-	if !ok {
-		pub, priv, err := ibe.Setup(s.randSrc)
-		if err != nil {
-			return wire.PKGRoundKey{}, err
-		}
-		st = &roundState{pub: pub, priv: priv}
-		s.rounds[round] = st
-	}
-	mk := st.pub.Marshal()
-	return wire.PKGRoundKey{
-		MasterKey: mk,
-		Sig:       ed25519.Sign(s.signingPriv, wire.PKGKeyMessageV2(round, mk)),
-	}, nil
-}
+// Deprecated: NewRoundV2 is NewRound; bench/walk.go and bench/probe.go, frozen for this PR, call it.
+func (s *Server) NewRoundV2(round uint32) (wire.PKGRoundKey, error) { return s.NewRound(round) }
 
 // CloseRound destroys the round's master secret. After this, even a full
 // compromise of the PKG cannot decrypt the round's friend requests — the

@@ -252,45 +252,53 @@ func TestRoundKeyAnnouncementSigned(t *testing.T) {
 	}
 }
 
-// TestNewRoundV2CrossVersionConsistency pins the invariants the
-// coordinator's all-or-nothing negotiation relies on: NewRoundV2 hands
-// out the SAME master key as NewRound for an open round (in either probe
-// order), its announcement verifies only under the v2 domain tag, and a
-// closed round refuses both surfaces.
+// TestNewRoundV2CrossVersionConsistency holds NewRoundV2, the forwarder
+// bench/walk.go and bench/probe.go still call, to NewRound: in either probe
+// order it hands out the same master key and signature for an open round,
+// that signature verifies under the one PKGKeyMessage domain and not under
+// the Tate-era tag, and a closed round refuses both names.
 func TestNewRoundV2CrossVersionConsistency(t *testing.T) {
 	s, _, _ := newTestPKG(t)
-	rkV2, err := s.NewRoundV2(5)
-	if err != nil {
-		t.Fatal(err)
+	tateMessage := func(round uint32, masterKey []byte) []byte {
+		b := wire.NewBuffer(nil)
+		b.Raw([]byte("alpenhorn/pkg-round-key:"))
+		b.Uint32(round)
+		b.Raw(masterKey)
+		return b.Bytes()
 	}
-	rkV1, err := s.NewRound(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(rkV2.MasterKey) != string(rkV1.MasterKey) {
-		t.Fatal("v2 and v1 announcements carry different master keys for one round")
-	}
-	if !ed25519.Verify(s.SigningKey(), wire.PKGKeyMessageV2(5, rkV2.MasterKey), rkV2.Sig) {
-		t.Fatal("v2 announcement signature invalid")
-	}
-	if ed25519.Verify(s.SigningKey(), wire.PKGKeyMessage(5, rkV2.MasterKey), rkV2.Sig) {
-		t.Fatal("v2 announcement verifies under the v1 domain")
-	}
-	// The reverse probe order (v1 first, then v2) on a fresh round.
-	rkV1, err = s.NewRound(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rkV2, err = s.NewRoundV2(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(rkV2.MasterKey) != string(rkV1.MasterKey) {
-		t.Fatal("master key differs when v1 opens the round first")
+	for _, c := range []struct {
+		round    uint32
+		v2First  bool
+		scenario string
+	}{{5, true, "NewRoundV2 first"}, {6, false, "NewRound first"}} {
+		var rk, rkV2 wire.PKGRoundKey
+		var err, errV2 error
+		if c.v2First {
+			rkV2, errV2 = s.NewRoundV2(c.round)
+			rk, err = s.NewRound(c.round)
+		} else {
+			rk, err = s.NewRound(c.round)
+			rkV2, errV2 = s.NewRoundV2(c.round)
+		}
+		if err != nil || errV2 != nil {
+			t.Fatalf("%s: NewRound err=%v, NewRoundV2 err=%v", c.scenario, err, errV2)
+		}
+		if string(rkV2.MasterKey) != string(rk.MasterKey) || string(rkV2.Sig) != string(rk.Sig) {
+			t.Fatalf("%s: the two names announce different keys for one round", c.scenario)
+		}
+		if !ed25519.Verify(s.SigningKey(), wire.PKGKeyMessage(c.round, rkV2.MasterKey), rkV2.Sig) {
+			t.Fatalf("%s: announcement signature invalid", c.scenario)
+		}
+		if ed25519.Verify(s.SigningKey(), tateMessage(c.round, rkV2.MasterKey), rkV2.Sig) {
+			t.Fatalf("%s: announcement verifies under the Tate-era domain tag", c.scenario)
+		}
 	}
 	s.CloseRound(5)
 	if _, err := s.NewRoundV2(5); err != ErrRoundClosed {
 		t.Fatalf("NewRoundV2 on a closed round: %v, want ErrRoundClosed", err)
+	}
+	if _, err := s.NewRound(5); err != ErrRoundClosed {
+		t.Fatalf("NewRound on a closed round: %v, want ErrRoundClosed", err)
 	}
 }
 

@@ -25,11 +25,15 @@ import (
 
 // ---- PKG daemon API ----
 
-// PKGInfo advertises a PKG's pinned long-term keys.
+// PKGInfo advertises a PKG's pinned long-term keys and the generation of
+// the surface it serves.
 type PKGInfo struct {
 	Name       string `json:"name"`
 	SigningKey []byte `json:"signing_key"`
 	BLSKey     []byte `json:"bls_key"`
+	// ProtocolVersion is the ProtocolVersion constant of the build that
+	// serves RegisterPKG; PKGClient.Info refuses any other value.
+	ProtocolVersion int `json:"protocol_version"`
 }
 
 type registerArgs struct {
@@ -72,9 +76,10 @@ type roundArgs struct {
 func RegisterPKG(s *Server, pkg *pkgserver.Server) {
 	HandleFunc(s, "pkg.info", func(struct{}) (any, error) {
 		return PKGInfo{
-			Name:       pkg.Name,
-			SigningKey: pkg.SigningKey(),
-			BLSKey:     pkg.BLSKey().Marshal(),
+			Name:            pkg.Name,
+			SigningKey:      pkg.SigningKey(),
+			BLSKey:          pkg.BLSKey().Marshal(),
+			ProtocolVersion: ProtocolVersion,
 		}, nil
 	})
 	HandleFunc(s, "pkg.register", func(a registerArgs) (any, error) {
@@ -99,9 +104,6 @@ func RegisterPKG(s *Server, pkg *pkgserver.Server) {
 	HandleFunc(s, "pkg.newround", func(a roundArgs) (any, error) {
 		return pkg.NewRound(a.Round)
 	})
-	HandleFunc(s, "pkg.newroundv2", func(a roundArgs) (any, error) {
-		return pkg.NewRoundV2(a.Round)
-	})
 	HandleFunc(s, "pkg.closeround", func(a roundArgs) (any, error) {
 		pkg.CloseRound(a.Round)
 		return nil, nil
@@ -111,17 +113,24 @@ func RegisterPKG(s *Server, pkg *pkgserver.Server) {
 // PKGClient talks to a remote PKG daemon. It satisfies core.PKG and the
 // coordinator's PKG interface.
 type PKGClient struct {
-	c *Client
+	addr string
+	c    *Client
 }
 
 // DialPKG connects to a PKG daemon.
-func DialPKG(addr string) *PKGClient { return &PKGClient{c: Dial(addr)} }
+func DialPKG(addr string) *PKGClient { return &PKGClient{addr: addr, c: Dial(addr)} }
 
-// Info fetches the PKG's pinned keys.
+// Info fetches the PKG's pinned keys. A daemon serving any other
+// ProtocolVersion is refused with ErrProtocolMismatch: a PKG built before
+// version 2 signs its round keys under a domain tag no client accepts, so
+// every add-friend round would fail at the clients instead of here.
 func (p *PKGClient) Info() (*PKGInfo, error) {
 	var info PKGInfo
 	if err := p.c.Call("pkg.info", struct{}{}, &info); err != nil {
 		return nil, err
+	}
+	if info.ProtocolVersion != ProtocolVersion {
+		return nil, fmt.Errorf("%w: PKG %s serves version %d, this coordinator speaks %d", ErrProtocolMismatch, p.addr, info.ProtocolVersion, ProtocolVersion)
 	}
 	return &info, nil
 }
@@ -162,18 +171,6 @@ func (p *PKGClient) Deregister(ctx context.Context, email string, sig []byte) er
 func (p *PKGClient) NewRound(round uint32) (wire.PKGRoundKey, error) {
 	var rk wire.PKGRoundKey
 	err := p.c.Call("pkg.newround", roundArgs{Round: round}, &rk)
-	return rk, err
-}
-
-// NewRoundV2 asks the PKG for its round key signed under the optimal-ate
-// v2 domain (coordinator side). Against a daemon predating the v2 tier
-// the call fails with an unknown-method error, which the coordinator
-// treats as "capability absent" and downgrades the whole round to v1 —
-// NewRound is idempotent per open round, so the retry under v1 returns
-// the same master key.
-func (p *PKGClient) NewRoundV2(round uint32) (wire.PKGRoundKey, error) {
-	var rk wire.PKGRoundKey
-	err := p.c.Call("pkg.newroundv2", roundArgs{Round: round}, &rk)
 	return rk, err
 }
 
@@ -458,19 +455,23 @@ func (m *MixerClient) NoiseMu(service wire.Service) float64 {
 // ---- Entry/CDN daemon API (the client-facing frontend) ----
 
 // ProtocolVersion is the one generation of the RPC surface: the methods
-// RegisterFrontend serves to clients and the ones RegisterMixer serves to
-// the coordinator and to other mixers. RegisterFrontend stamps it into
-// every directory and RegisterMixer into mix.info; FrontendClient.Directory
-// and DialMixer refuse any other value — there is no older rung to degrade
-// to, so a mismatch is an operator error that must surface, not a silently
-// slower client or a round on some other data plane. Bump it when either
-// surface changes incompatibly. The signed RoundSettings.PairingVersion is
-// still negotiated separately.
-const ProtocolVersion = 1
+// RegisterFrontend serves to clients, the ones RegisterMixer serves to the
+// coordinator and to other mixers, and the ones RegisterPKG serves to the
+// coordinator. RegisterFrontend stamps it into every directory,
+// RegisterMixer into mix.info and RegisterPKG into pkg.info;
+// FrontendClient.Directory, DialMixer and PKGClient.Info refuse any other
+// value — there is no older rung to degrade to, so a mismatch is an
+// operator error that must surface, not a silently slower client or a
+// round on some other data plane. Bump it when any surface changes
+// incompatibly. Version 2 is the one-pairing generation: add-friend
+// settings carry no pairing-version byte, every ciphertext is keyed by the
+// optimal ate pairing, and PKGs sign round keys under one domain tag.
+const ProtocolVersion = 2
 
 // ErrProtocolMismatch is returned (wrapped, naming both versions) by
-// FrontendClient.Directory and DialMixer when the peer serves a different
-// ProtocolVersion; a peer that predates the field reports version 0.
+// FrontendClient.Directory, DialMixer and PKGClient.Info when the peer
+// serves a different ProtocolVersion; a peer that predates the field
+// reports version 0.
 var ErrProtocolMismatch = errors.New("rpc: protocol version mismatch")
 
 // Directory describes a full deployment to connecting clients: addresses

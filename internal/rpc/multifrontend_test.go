@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	mathrand "math/rand"
 	"runtime"
 	"strings"
@@ -12,9 +13,11 @@ import (
 
 	"alpenhorn/internal/coordinator"
 	"alpenhorn/internal/core"
+	"alpenhorn/internal/email"
 	"alpenhorn/internal/entry"
 	"alpenhorn/internal/noise"
 	"alpenhorn/internal/onionbox"
+	"alpenhorn/internal/pkgserver"
 	"alpenhorn/internal/rpc"
 	"alpenhorn/internal/sim"
 	"alpenhorn/internal/wire"
@@ -436,5 +439,44 @@ func TestMixerProtocolMismatch(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), oldAddr+" serves version 0") {
 		t.Fatalf("mismatch error %q does not name the mixer and its version", err)
+	}
+}
+
+// TestPKGProtocolMismatch is the same check on the PKG surface: a PKG whose
+// pkg.info carries no ProtocolVersion (0, as every daemon built before the
+// one-pairing generation would send — and would then sign its round keys
+// under a tag no client accepts) is refused by PKGClient.Info with
+// ErrProtocolMismatch, naming the daemon and both versions, while a current
+// daemon advertises the constant RegisterPKG stamped.
+func TestPKGProtocolMismatch(t *testing.T) {
+	pkg, err := pkgserver.New(pkgserver.Config{Name: "pkg", Provider: email.NewInMemoryProvider()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := rpc.NewServer()
+	rpc.RegisterPKG(cur, pkg)
+	info, err := rpc.DialPKG(listenTCP(t, cur)).Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.ProtocolVersion != rpc.ProtocolVersion {
+		t.Fatalf("current PKG advertises protocol version %d, want %d", info.ProtocolVersion, rpc.ProtocolVersion)
+	}
+
+	old := rpc.NewServer()
+	rpc.HandleFunc(old, "pkg.info", func(struct{}) (any, error) {
+		return struct {
+			Name       string `json:"name"`
+			SigningKey []byte `json:"signing_key"`
+		}{"old", pkg.SigningKey()}, nil
+	})
+	oldAddr := listenTCP(t, old)
+	info, err = rpc.DialPKG(oldAddr).Info()
+	if !errors.Is(err, rpc.ErrProtocolMismatch) {
+		t.Fatalf("version-0 PKG returned (%v, %v), want ErrProtocolMismatch", info, err)
+	}
+	want := fmt.Sprintf("PKG %s serves version 0, this coordinator speaks %d", oldAddr, rpc.ProtocolVersion)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("mismatch error %q does not name the PKG and both versions", err)
 	}
 }

@@ -92,21 +92,9 @@ type RoundSettings struct {
 	// only; empty for dialing).
 	PKGs []PKGRoundKey
 
-	// PairingVersion is the sealed-ciphertext tier negotiated for the
-	// round: 0 and 1 both mean the v1 Tate tier (0 is simply "field
-	// absent"), 2 means the optimal-ate v2 tier. The encoding is a single
-	// trailing byte appended ONLY when the version is ≥ 2, so v1 settings
-	// marshal byte-identically to pre-capability encodings and old
-	// decoders reject v2 settings (trailing garbage) rather than silently
-	// mis-keying a round. PKG round keys are domain-separated per version
-	// (PKGKeyMessage vs PKGKeyMessageV2), so a round's signatures pin its
-	// tier: a coordinator cannot advertise v2 over v1-signed keys.
+	// Deprecated: PairingVersion is never encoded or read; bench/walk.go, frozen for this PR, sets it.
 	PairingVersion uint8
 }
-
-// PairingV2 reports whether the settings negotiate the optimal-ate v2
-// sealed-ciphertext tier.
-func (rs *RoundSettings) PairingV2() bool { return rs.PairingVersion >= 2 }
 
 // MixerRoundKey is one mixer's per-round onion key, signed with the mixer's
 // long-term ed25519 key over (service, round, key).
@@ -134,20 +122,10 @@ type PKGRoundKey struct {
 }
 
 // PKGKeyMessage returns the canonical bytes a PKG signs for its round
-// master key announcement.
+// master key announcement. The domain tag is the one the optimal-ate tier
+// signed under while a Tate tier existed beside it, so a PKG signature made
+// for a Tate-keyed round never verifies here.
 func PKGKeyMessage(round uint32, masterKey []byte) []byte {
-	b := NewBuffer(nil)
-	b.Raw([]byte("alpenhorn/pkg-round-key:"))
-	b.Uint32(round)
-	b.Raw(masterKey)
-	return b.Bytes()
-}
-
-// PKGKeyMessageV2 returns the canonical bytes a PKG signs when announcing
-// a round key for the optimal-ate v2 tier. The domain tag differs from
-// PKGKeyMessage so a signature binds the key to ONE pairing version: a
-// v1 announcement cannot be replayed into a v2 round or vice versa.
-func PKGKeyMessageV2(round uint32, masterKey []byte) []byte {
 	b := NewBuffer(nil)
 	b.Raw([]byte("alpenhorn/pkg-round-key-v2:"))
 	b.Uint32(round)
@@ -176,9 +154,6 @@ func (rs *RoundSettings) Verify(mixerKeys, pkgKeys []ed25519.PublicKey) error {
 	}
 	for i, p := range rs.PKGs {
 		msg := PKGKeyMessage(rs.Round, p.MasterKey)
-		if rs.PairingV2() {
-			msg = PKGKeyMessageV2(rs.Round, p.MasterKey)
-		}
 		if !ed25519.Verify(pkgKeys[i], msg, p.Sig) {
 			return fmt.Errorf("wire: bad signature from PKG %d", i)
 		}
@@ -202,15 +177,12 @@ func (rs *RoundSettings) Marshal() []byte {
 		b.Bytes16(p.MasterKey)
 		b.Bytes16(p.Sig)
 	}
-	// The pairing-version capability byte is appended only for v2+ so
-	// that v1 settings stay byte-identical to the pre-capability format.
-	if rs.PairingV2() {
-		b.Uint8(rs.PairingVersion)
-	}
 	return b.Bytes()
 }
 
-// UnmarshalRoundSettings decodes settings encoded with Marshal.
+// UnmarshalRoundSettings decodes settings encoded with Marshal. Any
+// trailing byte is an error — including the pairing-version byte that
+// settings of the former optimal-ate tier carried.
 func UnmarshalRoundSettings(data []byte) (*RoundSettings, error) {
 	r := NewReader(data)
 	rs := &RoundSettings{
@@ -231,16 +203,6 @@ func UnmarshalRoundSettings(data []byte) (*RoundSettings, error) {
 			MasterKey: r.Bytes16(),
 			Sig:       r.Bytes16(),
 		})
-	}
-	// A single leftover byte ≥ 2 is the pairing-version capability; any
-	// other trailing bytes are garbage. (A leftover byte < 2 is rejected
-	// too: v1 settings encode the version by omission.)
-	if r.Err() == nil && r.Remaining() == 1 {
-		v := r.Uint8()
-		if v < 2 {
-			return nil, errors.New("wire: invalid pairing version byte")
-		}
-		rs.PairingVersion = v
 	}
 	if err := r.AllConsumed(); err != nil {
 		return nil, err

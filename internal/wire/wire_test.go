@@ -208,6 +208,46 @@ func TestRoundSettingsVerify(t *testing.T) {
 	}
 }
 
+// TestRoundSettingsPairingVersionSignatureBinding pins that the deprecated
+// PairingVersion field, which bench/walk.go still sets, binds nothing: a
+// PKG signature verifies and the settings encode byte for byte the same
+// whatever it holds, and a signature under the Tate-era domain tag never
+// verifies, so no former tier's round key can be replayed into a round.
+func TestRoundSettingsPairingVersionSignatureBinding(t *testing.T) {
+	pkgPub, pkgPriv, _ := ed25519.GenerateKey(nil)
+	masterKey := bytes.Repeat([]byte{2}, 128)
+	rs := &RoundSettings{
+		Service:      AddFriend,
+		Round:        9,
+		NumMailboxes: 4,
+		PKGs: []PKGRoundKey{{
+			MasterKey: masterKey,
+			Sig:       ed25519.Sign(pkgPriv, PKGKeyMessage(9, masterKey)),
+		}},
+	}
+	enc := rs.Marshal()
+	for _, v := range []uint8{0, 1, 2, 255} {
+		rs.PairingVersion = v
+		if err := rs.Verify(nil, []ed25519.PublicKey{pkgPub}); err != nil {
+			t.Fatalf("PairingVersion=%d: %v", v, err)
+		}
+		if !bytes.Equal(rs.Marshal(), enc) {
+			t.Fatalf("PairingVersion=%d changed the settings encoding", v)
+		}
+	}
+	tate := NewBuffer(nil)
+	tate.Raw([]byte("alpenhorn/pkg-round-key:"))
+	tate.Uint32(9)
+	tate.Raw(masterKey)
+	rs.PKGs[0].Sig = ed25519.Sign(pkgPriv, tate.Bytes())
+	for _, v := range []uint8{0, 2} {
+		rs.PairingVersion = v
+		if err := rs.Verify(nil, []ed25519.PublicKey{pkgPub}); err == nil {
+			t.Fatalf("PairingVersion=%d: Tate-era PKG signature verified", v)
+		}
+	}
+}
+
 func TestRoundSettingsMarshalRoundTrip(t *testing.T) {
 	rs := &RoundSettings{
 		Service:      Dialing,
@@ -269,89 +309,36 @@ func TestPaddedStringProperty(t *testing.T) {
 	}
 }
 
-// TestRoundSettingsPairingVersion pins the pairing-version capability
-// encoding: v1 settings marshal byte-identically to the pre-capability
-// format (no trailing byte), v2 settings round-trip through the single
-// trailing byte, and malformed capability bytes are rejected.
-func TestRoundSettingsPairingVersion(t *testing.T) {
-	base := &RoundSettings{
+// FuzzUnmarshalRoundSettings holds the settings decoder, which the entry
+// server's entry.events and entry.settings hand every client, to three
+// rules on arbitrary input: it never panics, an accepted input re-Marshals
+// to exactly itself (one encoding per settings value), and no trailing
+// byte is accepted — including the pairing-version byte that settings of
+// the former optimal-ate tier appended.
+func FuzzUnmarshalRoundSettings(f *testing.F) {
+	signed := (&RoundSettings{
 		Service:      AddFriend,
 		Round:        7,
 		NumMailboxes: 3,
 		Mixers:       []MixerRoundKey{{OnionKey: []byte{1, 2}, Sig: []byte{3}}},
 		PKGs:         []PKGRoundKey{{MasterKey: []byte{4}, Sig: []byte{5, 6}}},
-	}
-	v1Bytes := base.Marshal()
-	// Versions 0 and 1 both mean the v1 tier and must encode identically.
-	explicit := *base
-	explicit.PairingVersion = 1
-	if !bytes.Equal(explicit.Marshal(), v1Bytes) {
-		t.Fatal("PairingVersion=1 settings are not byte-identical to version-0 settings")
-	}
-	got, err := UnmarshalRoundSettings(v1Bytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.PairingV2() {
-		t.Fatal("v1 settings decoded as v2")
-	}
+	}).Marshal()
+	f.Add(signed)
+	f.Add(append(append([]byte(nil), signed...), 2)) // a former v2 encoding
+	f.Add(signed[:len(signed)-1])
+	f.Add((&RoundSettings{Service: Dialing, Round: 1, NumMailboxes: 1}).Marshal())
+	f.Add([]byte{})
 
-	v2 := *base
-	v2.PairingVersion = 2
-	v2Bytes := v2.Marshal()
-	if len(v2Bytes) != len(v1Bytes)+1 {
-		t.Fatalf("v2 settings are %d bytes, want exactly one more than v1's %d", len(v2Bytes), len(v1Bytes))
-	}
-	got, err = UnmarshalRoundSettings(v2Bytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.PairingV2() || got.PairingVersion != 2 {
-		t.Fatalf("v2 settings decoded with PairingVersion=%d", got.PairingVersion)
-	}
-
-	// A trailing byte < 2 is not a valid capability (v1 encodes by
-	// omission), and more than one trailing byte is garbage.
-	if _, err := UnmarshalRoundSettings(append(append([]byte(nil), v1Bytes...), 1)); err == nil {
-		t.Fatal("trailing byte 1 accepted")
-	}
-	if _, err := UnmarshalRoundSettings(append(append([]byte(nil), v2Bytes...), 2)); err == nil {
-		t.Fatal("two trailing bytes accepted")
-	}
-}
-
-// TestRoundSettingsPairingVersionSignatureBinding pins the domain
-// separation of PKG round-key signatures: a key signed for the v1 tier
-// does not verify in v2 settings and vice versa, so flipping the
-// capability byte on signed settings cannot re-tier a round.
-func TestRoundSettingsPairingVersionSignatureBinding(t *testing.T) {
-	pkgPub, pkgPriv, _ := ed25519.GenerateKey(nil)
-	masterKey := bytes.Repeat([]byte{2}, 128)
-	rs := &RoundSettings{
-		Service:        AddFriend,
-		Round:          9,
-		NumMailboxes:   4,
-		PairingVersion: 2,
-		PKGs: []PKGRoundKey{{
-			MasterKey: masterKey,
-			Sig:       ed25519.Sign(pkgPriv, PKGKeyMessageV2(9, masterKey)),
-		}},
-	}
-	if err := rs.Verify(nil, []ed25519.PublicKey{pkgPub}); err != nil {
-		t.Fatal(err)
-	}
-	// Downgrading the advertised version invalidates the v2 signature.
-	rs.PairingVersion = 0
-	if err := rs.Verify(nil, []ed25519.PublicKey{pkgPub}); err == nil {
-		t.Fatal("v2-signed key verified in v1 settings")
-	}
-	// And a v1 signature does not carry into a v2 round.
-	rs.PKGs[0].Sig = ed25519.Sign(pkgPriv, PKGKeyMessage(9, masterKey))
-	if err := rs.Verify(nil, []ed25519.PublicKey{pkgPub}); err != nil {
-		t.Fatal(err)
-	}
-	rs.PairingVersion = 2
-	if err := rs.Verify(nil, []ed25519.PublicKey{pkgPub}); err == nil {
-		t.Fatal("v1-signed key verified in v2 settings")
-	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rs, err := UnmarshalRoundSettings(data)
+		if err != nil {
+			return
+		}
+		if got := rs.Marshal(); !bytes.Equal(got, data) {
+			t.Fatalf("accepted %x but it re-marshals to %x", data, got)
+		}
+		if _, err := UnmarshalRoundSettings(append(append([]byte(nil), data...), 2)); err == nil {
+			t.Fatalf("trailing byte accepted after %x", data)
+		}
+	})
 }
