@@ -399,8 +399,11 @@ func (s *Server) ExportRoundKey(service wire.Service, round uint32) ([]byte, err
 // Importing the same key again is a no-op; a conflicting key is an error.
 // Like the export, it is refused outside a pinned shard group or a hot
 // spare: an open import surface would let any peer rotate a round key out
-// from under the announced settings.
+// from under the announced settings. It zeroes privBytes before it
+// returns, whatever the outcome: the server keeps its own copy, and over
+// rpc the bytes are the frame buffer the key arrived in.
 func (s *Server) ImportRoundKey(service wire.Service, round uint32, privBytes []byte) error {
+	defer clear(privBytes)
 	if s.shardCount <= 0 && !s.spare {
 		return errors.New("mixnet: round keys are only importable inside a pinned shard group (-shard i/N or -spare)")
 	}
@@ -624,14 +627,7 @@ func (s *Server) MergeShuffle(service wire.Service, round uint32, parts [][][]by
 	}
 	priv := st.priv
 	s.mu.Unlock()
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([][]byte, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
+	out := concat(parts)
 	prnd, err := permutationReader(priv, service, round)
 	if err != nil {
 		return nil, err
@@ -690,46 +686,52 @@ func parallelFor(n, workers int, fn func(i int) error) error {
 	return nil
 }
 
-// decryptBatch peels one layer from every onion, dropping malformed or
-// replayed ones silently (clients that misbehave only hurt themselves).
-// Workers claim contiguous chunks and write into per-chunk slots, so the
-// surviving messages come back in batch order regardless of scheduling.
-func decryptBatch(priv *onionbox.PrivateKey, batch [][]byte, workers int) [][]byte {
-	if workers > 1 && len(batch) > decryptChunkSize {
-		return decryptParallel(priv, batch, workers)
+// peel opens one layer of every onion in a chunk into one buffer, dropping
+// malformed or replayed onions silently (clients that misbehave only hurt
+// themselves). The messages come back in chunk order as capacity-capped
+// slices of that buffer, so appending to one cannot overwrite the next;
+// the onions themselves are never written, so callers may reuse them.
+func peel(priv *onionbox.PrivateKey, chunk [][]byte) [][]byte {
+	size := 0
+	for _, onion := range chunk {
+		size += max(len(onion)-onionbox.Overhead, 0)
 	}
-	out := make([][]byte, 0, len(batch))
-	for _, onion := range batch {
-		if msg, err := onionbox.Open(priv, onion); err == nil {
-			out = append(out, msg)
+	arena := make([]byte, 0, size)
+	out := make([][]byte, 0, len(chunk))
+	for _, onion := range chunk {
+		n := len(arena)
+		var err error
+		if arena, err = onionbox.OpenAppend(arena, priv, onion); err == nil {
+			out = append(out, arena[n:len(arena):len(arena)])
 		}
 	}
 	return out
 }
 
-func decryptParallel(priv *onionbox.PrivateKey, batch [][]byte, workers int) [][]byte {
+// decryptBatch peels one layer from every onion, decryptChunkSize onions
+// at a time across the worker pool. Workers write into per-chunk slots, so
+// the surviving messages come back in batch order regardless of
+// scheduling.
+func decryptBatch(priv *onionbox.PrivateKey, batch [][]byte, workers int) [][]byte {
 	numChunks := (len(batch) + decryptChunkSize - 1) / decryptChunkSize
 	chunkOut := make([][][]byte, numChunks)
 	parallelFor(numChunks, workers, func(c int) error {
 		lo := c * decryptChunkSize
-		hi := min(lo+decryptChunkSize, len(batch))
-		out := make([][]byte, 0, hi-lo)
-		for _, onion := range batch[lo:hi] {
-			if msg, err := onionbox.Open(priv, onion); err == nil {
-				out = append(out, msg)
-			}
-		}
-		chunkOut[c] = out
+		chunkOut[c] = peel(priv, batch[lo:min(lo+decryptChunkSize, len(batch))])
 		return nil
 	})
+	return concat(chunkOut)
+}
 
+// concat joins the parts into one batch, in order.
+func concat(parts [][][]byte) [][]byte {
 	total := 0
-	for _, c := range chunkOut {
-		total += len(c)
+	for _, p := range parts {
+		total += len(p)
 	}
 	out := make([][]byte, 0, total)
-	for _, c := range chunkOut {
-		out = append(out, c...)
+	for _, p := range parts {
+		out = append(out, p...)
 	}
 	return out
 }

@@ -164,11 +164,12 @@ func TestExportImportRoundKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := follower.ImportRoundKey(wire.Dialing, 1, key); err != nil {
+	// Each import zeroes the bytes it is handed, so each gets its own copy.
+	if err := follower.ImportRoundKey(wire.Dialing, 1, bytes.Clone(key)); err != nil {
 		t.Fatal(err)
 	}
 	// Idempotent re-import is fine; a different key is not.
-	if err := follower.ImportRoundKey(wire.Dialing, 1, key); err != nil {
+	if err := follower.ImportRoundKey(wire.Dialing, 1, bytes.Clone(key)); err != nil {
 		t.Fatalf("re-import: %v", err)
 	}
 
@@ -188,6 +189,44 @@ func TestExportImportRoundKey(t *testing.T) {
 	}
 	if len(out) != 1 || !bytes.Equal(out[0], payload) {
 		t.Fatal("follower failed to peel an onion wrapped for the lead's key")
+	}
+}
+
+// TestImportRoundKeyErasesInput: the bytes handed to ImportRoundKey read
+// all zero on return — over rpc they are the frame buffer the shared round
+// key arrived in — whether the import installed the key, found it already
+// installed, or was refused.
+func TestImportRoundKeyErasesInput(t *testing.T) {
+	nz := noise.Laplace{}
+	lead, err := New(Config{Name: "lead", Position: 0, ChainLength: 1, AddFriendNoise: &nz, DialingNoise: &nz, ShardIndex: 0, ShardCount: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := New(Config{Name: "follower", Position: 0, ChainLength: 1, AddFriendNoise: &nz, DialingNoise: &nz, ShardIndex: 1, ShardCount: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lead.NewRound(wire.Dialing, 1); err != nil {
+		t.Fatal(err)
+	}
+	key, err := lead.ExportRoundKey(wire.Dialing, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := make([]byte, len(key))
+	for _, c := range []struct {
+		name string
+		into *Server
+	}{
+		{"first import", follower},
+		{"re-import", follower},
+		{"refused import", newShardTestServer(t, 0, 0)},
+	} {
+		handed := bytes.Clone(key)
+		err := c.into.ImportRoundKey(wire.Dialing, 1, handed)
+		if !bytes.Equal(handed, zero) {
+			t.Errorf("%s (err %v): the key bytes survive the call", c.name, err)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"alpenhorn/internal/onionbox"
 	"alpenhorn/internal/wire"
 )
 
@@ -62,8 +61,9 @@ func (s *Server) StreamBegin(service wire.Service, round uint32, numMailboxes ui
 }
 
 // StreamChunk feeds one chunk of the round's batch; decryption starts
-// immediately on a pool worker. The server takes ownership of chunk.
-// Chunk arrival order defines pre-shuffle message order, matching what
+// immediately on a pool worker and opens the chunk's onions into one
+// buffer. The server keeps chunk until it is peeled but never writes to
+// it. Chunk arrival order defines pre-shuffle message order, matching what
 // Mix would produce for the concatenated batch.
 func (s *Server) StreamChunk(service wire.Service, round uint32, chunk [][]byte) error {
 	s.mu.Lock()
@@ -94,12 +94,7 @@ func (s *Server) StreamChunk(service wire.Service, round uint32, chunk [][]byte)
 		defer sm.wg.Done()
 		sm.sem <- struct{}{}
 		defer func() { <-sm.sem }()
-		out := make([][]byte, 0, len(chunk))
-		for _, onion := range chunk {
-			if msg, err := onionbox.Open(priv, onion); err == nil {
-				out = append(out, msg)
-			}
-		}
+		out := peel(priv, chunk)
 		sm.mu.Lock()
 		sm.results[seq] = out
 		sm.mu.Unlock()
@@ -151,13 +146,5 @@ func (s *Server) StreamEndShard(service wire.Service, round uint32) ([][]byte, e
 	s.mu.Unlock()
 
 	sm.wg.Wait()
-	total := 0
-	for _, c := range sm.results {
-		total += len(c)
-	}
-	out := make([][]byte, 0, total)
-	for _, c := range sm.results {
-		out = append(out, c...)
-	}
-	return s.finishBatch(service, round, priv, sm.numMailboxes, downstream, nb, sm.inputs, out, shards, false)
+	return s.finishBatch(service, round, priv, sm.numMailboxes, downstream, nb, sm.inputs, concat(sm.results), shards, false)
 }

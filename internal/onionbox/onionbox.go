@@ -186,23 +186,32 @@ func Seal(rand io.Reader, to *PublicKey, msg []byte) ([]byte, error) {
 
 // Open decrypts a box sealed to priv's public key.
 func Open(priv *PrivateKey, box []byte) ([]byte, error) {
+	return OpenAppend(nil, priv, box)
+}
+
+// OpenAppend decrypts a box sealed to priv's public key and appends the
+// message to dst, so that a batch of boxes can be opened into one buffer
+// (len(box)−Overhead bytes each). It never writes to box. On failure it
+// returns dst unchanged, though the bytes past len(dst), up to its
+// capacity, may have been overwritten.
+func OpenAppend(dst []byte, priv *PrivateKey, box []byte) ([]byte, error) {
 	if len(box) < Overhead {
-		return nil, errors.New("onionbox: box too short")
+		return dst, errors.New("onionbox: box too short")
 	}
 	ephPub, err := ecdh.X25519().NewPublicKey(box[:32])
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	shared, err := priv.k.ECDH(ephPub)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	key := deriveKey(shared, box[:32], priv.pub)
-	msg, err := newGCM(key[:]).Open(nil, zeroNonce[:], box[32:], nil)
+	out, err := newGCM(key[:]).Open(dst, zeroNonce[:], box[32:], nil)
 	if err != nil {
-		return nil, errors.New("onionbox: decryption failed")
+		return dst, errors.New("onionbox: decryption failed")
 	}
-	return msg, nil
+	return out, nil
 }
 
 // WrapOnion encrypts msg under each hop key from last to first, so that

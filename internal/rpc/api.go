@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -212,12 +211,11 @@ type mixArgs struct {
 	Service      wire.Service `json:"service"`
 	Round        uint32       `json:"round"`
 	NumMailboxes uint32       `json:"num_mailboxes"`
-	Batch        [][]byte     `json:"batch"`
 }
 
 // streamChunkMax bounds how many messages one chunk call carries, keeping
 // every frame far below the transport's 64 MB cap even for large onions
-// (8192 × ~600 B × base64 ≈ 7 MB).
+// (8192 × ~600 B raw ≈ 5 MB).
 const streamChunkMax = 8192
 
 // MixerClient talks to a remote mixer daemon (RegisterMixer, forward.go);
@@ -422,13 +420,13 @@ func (m *MixerClient) StreamBegin(service wire.Service, round uint32, numMailbox
 	return m.c.CallOnce("mix.stream.begin", mixArgs{Service: service, Round: round, NumMailboxes: numMailboxes}, nil)
 }
 
-// StreamChunk feeds one chunk of onions. Chunks are framed as ordinary
-// calls: the daemon acknowledges intake immediately and decrypts on its
-// worker pool, so consecutive chunks overlap with decryption. Sent at
-// most once — a transparent retry after a lost reply would append the
-// chunk to the round twice and corrupt the batch.
+// StreamChunk feeds one chunk of onions, raw in the call's blob section:
+// the daemon acknowledges intake immediately and decrypts on its worker
+// pool, so consecutive chunks overlap with decryption. Sent at most once —
+// a transparent retry after a lost reply would append the chunk to the
+// round twice and corrupt the batch.
 func (m *MixerClient) StreamChunk(service wire.Service, round uint32, chunk [][]byte) error {
-	return m.c.CallOnce("mix.stream.chunk", mixArgs{Service: service, Round: round, Batch: chunk}, nil)
+	return m.c.CallOnce("mix.stream.chunk", chunkArgs{Service: service, Round: round, blobs: chunk}, nil)
 }
 
 // StreamEnd tells the daemon that upstream writer `upstream` of the
@@ -463,10 +461,11 @@ func (m *MixerClient) NoiseMu(service wire.Service) float64 {
 // value — there is no older rung to degrade to, so a mismatch is an
 // operator error that must surface, not a silently slower client or a
 // round on some other data plane. Bump it when any surface changes
-// incompatibly. Version 2 is the one-pairing generation: add-friend
-// settings carry no pairing-version byte, every ciphertext is keyed by the
-// optimal ate pairing, and PKGs sign round keys under one domain tag.
-const ProtocolVersion = 2
+// incompatibly. Version 2 was the one-pairing generation (one ciphertext
+// tier, one PKG domain tag). Version 3 is the blob data plane: onions,
+// mailboxes and round keys cross raw in data frames (see the package
+// doc), which a version-2 peer cannot parse.
+const ProtocolVersion = 3
 
 // ErrProtocolMismatch is returned (wrapped, naming both versions) by
 // FrontendClient.Directory, DialMixer and PKGClient.Info when the peer
@@ -501,10 +500,11 @@ type Directory struct {
 	CDNAddrs []string `json:"cdn_addrs,omitempty"`
 }
 
+// submitArgs carries the onion as its one blob.
 type submitArgs struct {
 	Service wire.Service `json:"service"`
 	Round   uint32       `json:"round"`
-	Onion   []byte       `json:"onion"`
+	blobs
 }
 
 type fetchArgs struct {
@@ -574,10 +574,29 @@ type fetchRangeArgs struct {
 	Mailbox   uint32       `json:"mailbox"`
 }
 
-type rangedBox struct {
-	Round uint32 `json:"round"`
-	Data  []byte `json:"data"`
+// keyedBlobs pairs blob i with Keys[i]: a mailbox ID in a batch of mailbox
+// fragments (cdn.publish, cdn.replicate, the cdn.pull reply), a round in a
+// cdn.fetchrange reply.
+type keyedBlobs struct {
+	Keys []uint32 `json:"keys,omitempty"`
+	blobs
 }
+
+func (k *keyedBlobs) add(key uint32, b []byte) {
+	k.Keys = append(k.Keys, key)
+	k.blobs = append(k.blobs, b)
+}
+
+// check refuses a batch whose keys and blobs do not pair up.
+func (k keyedBlobs) check() error {
+	if len(k.Keys) != len(k.blobs) {
+		return fmt.Errorf("rpc: %d keys for %d blobs", len(k.Keys), len(k.blobs))
+	}
+	return nil
+}
+
+// blobReply is a reply that is all blob section: cdn.fetch's mailbox.
+type blobReply struct{ blobs }
 
 const (
 	// maxEventsWait bounds how long one entry.events call may park
@@ -602,24 +621,28 @@ type MailboxSource interface {
 	FetchRange(service wire.Service, fromRound, toRound uint32, mailbox uint32) (map[uint32][]byte, error)
 }
 
-// registerMailboxReads installs the mailbox read plane — cdn.fetch and
+// RegisterCDNFrontend installs the mailbox read plane — cdn.fetch and
 // cdn.fetchrange (one request for a span of rounds) — that entry
-// frontends and CDN nodes both serve.
-func registerMailboxReads(s *Server, store MailboxSource) {
+// frontends and CDN nodes both serve, so clients (via CDNPool) can fetch
+// mailboxes from CDN nodes directly.
+func RegisterCDNFrontend(s *Server, store MailboxSource) {
 	HandleFunc(s, "cdn.fetch", func(a fetchArgs) (any, error) {
-		return store.Fetch(a.Service, a.Round, a.Mailbox)
+		box, err := store.Fetch(a.Service, a.Round, a.Mailbox)
+		if err != nil {
+			return nil, err
+		}
+		return blobReply{blobs{box}}, nil
 	})
 	HandleFunc(s, "cdn.fetchrange", func(a fetchRangeArgs) (any, error) {
 		boxes, err := store.FetchRange(a.Service, a.FromRound, a.ToRound, a.Mailbox)
 		if err != nil {
 			return nil, err
 		}
-		out := make([]rangedBox, 0, len(boxes))
-		for r, data := range boxes {
-			out = append(out, rangedBox{Round: r, Data: data})
+		var reply keyedBlobs
+		for r, box := range boxes {
+			reply.add(r, box)
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Round < out[j].Round })
-		return out, nil
+		return reply, nil
 	})
 }
 
@@ -650,7 +673,7 @@ func RegisterFrontend(s *Server, e *entry.Server, store MailboxSource, dir Direc
 		return settings.Marshal(), nil
 	})
 	HandleFunc(s, "entry.submit", func(a submitArgs) (any, error) {
-		return nil, e.Submit(a.Service, a.Round, a.Onion)
+		return nil, e.Submit(a.Service, a.Round, a.one())
 	})
 	HandleFunc(s, "entry.events", func(a eventsArgs) (any, error) {
 		wait := time.Duration(a.WaitMs) * time.Millisecond
@@ -683,7 +706,7 @@ func RegisterFrontend(s *Server, e *entry.Server, store MailboxSource, dir Direc
 		}
 		return reply, nil
 	})
-	registerMailboxReads(s, store)
+	RegisterCDNFrontend(s, store)
 }
 
 // RegisterCoordinatorStatus exposes a read-only coordinator scheduling
@@ -799,7 +822,7 @@ func (f *FrontendClient) Settings(ctx context.Context, service wire.Service, rou
 // signals cross the wire as strings, so the typed sentinels are mapped
 // back here for the client's errors.Is checks.
 func (f *FrontendClient) Submit(ctx context.Context, service wire.Service, round uint32, onion []byte) error {
-	err := f.c.CallContext(ctx, "entry.submit", submitArgs{Service: service, Round: round, Onion: onion}, nil)
+	err := f.c.CallContext(ctx, "entry.submit", submitArgs{Service: service, Round: round, blobs: blobs{onion}}, nil)
 	if err != nil && strings.Contains(err.Error(), entry.ErrRoundFull.Error()) {
 		return fmt.Errorf("rpc: %w", entry.ErrRoundFull)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,43 +25,32 @@ import (
 // a round's mailboxes first and censor the real ones. The read surface
 // (RegisterCDNFrontend) is safe on a client-facing listener.
 
-// publishBudget bounds the mailbox bytes carried by one cdn.publish call,
-// keeping frames far below the transport cap after JSON/base64 inflation.
+// publishBudget bounds the mailbox bytes carried by one cdn.publish call;
+// they cross raw, so its frame stays far below the transport cap.
 const publishBudget = 4 << 20
 
-type cdnBoxFragment struct {
-	ID   uint32 `json:"id"`
-	Data []byte `json:"data"`
-}
-
-type cdnPublishArgs struct {
+// cdnStreamArgs is one call of a mailbox-fragment stream into a staged
+// round: cdn.publish from the last mix position, cdn.replicate between CDN
+// nodes.
+type cdnStreamArgs struct {
 	Service wire.Service `json:"service"`
 	Round   uint32       `json:"round"`
-	// Boxes are mailbox fragments; fragments with the same ID across
-	// calls concatenate in arrival order, so one huge mailbox can span
-	// frames. An entry with empty Data still creates the mailbox.
-	Boxes []cdnBoxFragment `json:"boxes"`
+	// Mailbox fragments, keyed by mailbox ID: fragments with one ID
+	// concatenate in arrival order, so one huge mailbox can span frames,
+	// and an empty one still creates the mailbox.
+	keyedBlobs
 	// Done commits this stream's contribution to the staged round.
 	Done bool `json:"done"`
 	// Abort discards the staged round (publisher failed mid-round).
 	Abort bool `json:"abort,omitempty"`
-	// The stream is shard Shard of NumShards (>= 1) publishing disjoint
-	// mailbox-ID slices of one round. The round seals only when all
-	// NumShards streams have sent Done.
-	Shard     int `json:"shard"`
-	NumShards int `json:"num_shards"`
-}
-
-// cdnReplicateArgs mirrors cdnPublishArgs for node-to-node replication;
-// Done carries the round's canonical checksum so the receiver can verify
-// the reassembled round before sealing it.
-type cdnReplicateArgs struct {
-	Service  wire.Service     `json:"service"`
-	Round    uint32           `json:"round"`
-	Boxes    []cdnBoxFragment `json:"boxes"`
-	Done     bool             `json:"done"`
-	Abort    bool             `json:"abort,omitempty"`
-	Checksum []byte           `json:"checksum,omitempty"`
+	// cdn.publish: the stream is shard Shard of NumShards (>= 1)
+	// publishing disjoint mailbox-ID slices of one round. The round seals
+	// only when all NumShards streams have sent Done.
+	Shard     int `json:"shard,omitempty"`
+	NumShards int `json:"num_shards,omitempty"`
+	// cdn.replicate: Done carries the round's canonical checksum, so the
+	// receiver can verify the reassembled round before sealing it.
+	Checksum []byte `json:"checksum,omitempty"`
 }
 
 type cdnRoundInfoArgs struct {
@@ -94,9 +82,9 @@ type cdnPullArgs struct {
 }
 
 type cdnPullReply struct {
-	Boxes []cdnBoxFragment `json:"boxes,omitempty"`
-	Next  uint32           `json:"next"`
-	Done  bool             `json:"done"`
+	keyedBlobs
+	Next uint32 `json:"next"`
+	Done bool   `json:"done"`
 }
 
 const (
@@ -130,6 +118,14 @@ type stagedRound struct {
 	lastWrite time.Time
 }
 
+// add appends a batch of fragments to the staged mailboxes.
+func (st *stagedRound) add(frags keyedBlobs) {
+	for i, id := range frags.Keys {
+		st.boxes[id] = append(st.boxes[id], frags.blobs[i]...)
+	}
+	st.lastWrite = time.Now()
+}
+
 // CDNDaemon is one CDN node: a cdn.Store plus the staging state behind
 // its write surfaces and the replication fan-out to its peers.
 type CDNDaemon struct {
@@ -159,10 +155,10 @@ func RegisterCDN(s *Server, store *cdn.Store) *CDNDaemon {
 		ttl:     defaultStagingTTL,
 	}
 
-	HandleFunc(s, "cdn.publish", func(a cdnPublishArgs) (any, error) {
+	HandleFunc(s, "cdn.publish", func(a cdnStreamArgs) (any, error) {
 		return nil, d.publish(a)
 	})
-	HandleFunc(s, "cdn.replicate", func(a cdnReplicateArgs) (any, error) {
+	HandleFunc(s, "cdn.replicate", func(a cdnStreamArgs) (any, error) {
 		return nil, d.replicate(a)
 	})
 	HandleFunc(s, "cdn.roundinfo", func(a cdnRoundInfoArgs) (any, error) {
@@ -259,7 +255,10 @@ func (d *CDNDaemon) sweep(now time.Time) {
 	}
 }
 
-func (d *CDNDaemon) publish(a cdnPublishArgs) error {
+func (d *CDNDaemon) publish(a cdnStreamArgs) error {
+	if err := a.check(); err != nil {
+		return err
+	}
 	k := outKey{a.Service, a.Round}
 	d.mu.Lock()
 	if a.Abort {
@@ -293,10 +292,7 @@ func (d *CDNDaemon) publish(a cdnPublishArgs) error {
 		return fmt.Errorf("cdn: round %d (%s): %d-way stream into %d-way staged round",
 			a.Round, a.Service, a.NumShards, st.numShards)
 	}
-	for _, frag := range a.Boxes {
-		st.boxes[frag.ID] = append(st.boxes[frag.ID], frag.Data...)
-	}
-	st.lastWrite = time.Now()
+	st.add(a.keyedBlobs)
 	if !a.Done {
 		d.mu.Unlock()
 		return nil
@@ -341,21 +337,24 @@ func (d *CDNDaemon) ReplicateRound(peer *Client, service wire.Service, round uin
 		return err
 	}
 	sum, _ := d.store.Checksum(service, round)
-	err = streamRound(boxes, func(frags []cdnBoxFragment, done bool) error {
-		a := cdnReplicateArgs{Service: service, Round: round, Boxes: frags, Done: done}
+	err = streamRound(boxes, func(frags keyedBlobs, done bool) error {
+		a := cdnStreamArgs{Service: service, Round: round, keyedBlobs: frags, Done: done}
 		if done {
 			a.Checksum = sum[:]
 		}
 		return peer.CallOnce("cdn.replicate", a, nil)
 	})
 	if err != nil {
-		_ = peer.Call("cdn.replicate", cdnReplicateArgs{Service: service, Round: round, Abort: true}, nil)
+		_ = peer.Call("cdn.replicate", cdnStreamArgs{Service: service, Round: round, Abort: true}, nil)
 		return err
 	}
 	return nil
 }
 
-func (d *CDNDaemon) replicate(a cdnReplicateArgs) error {
+func (d *CDNDaemon) replicate(a cdnStreamArgs) error {
+	if err := a.check(); err != nil {
+		return err
+	}
 	k := outKey{a.Service, a.Round}
 	if d.store.Published(a.Service, a.Round) {
 		// Already sealed (publish raced replication, or a retried Done).
@@ -376,10 +375,7 @@ func (d *CDNDaemon) replicate(a cdnReplicateArgs) error {
 		st = &stagedRound{boxes: make(map[uint32][]byte)}
 		d.repl[k] = st
 	}
-	for _, frag := range a.Boxes {
-		st.boxes[frag.ID] = append(st.boxes[frag.ID], frag.Data...)
-	}
-	st.lastWrite = time.Now()
+	st.add(a.keyedBlobs)
 	if !a.Done {
 		d.mu.Unlock()
 		return nil
@@ -429,12 +425,12 @@ func (d *CDNDaemon) pull(a cdnPullArgs) (cdnPullReply, error) {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 
 	var reply cdnPullReply
 	var pending int
 	for _, id := range ids {
-		if len(reply.Boxes) > 0 && pending+sizes[id] > publishBudget {
+		if len(reply.Keys) > 0 && pending+sizes[id] > publishBudget {
 			reply.Next = id
 			return reply, nil
 		}
@@ -442,7 +438,7 @@ func (d *CDNDaemon) pull(a cdnPullArgs) (cdnPullReply, error) {
 		if err != nil {
 			return cdnPullReply{}, err
 		}
-		reply.Boxes = append(reply.Boxes, cdnBoxFragment{ID: id, Data: box})
+		reply.add(id, box)
 		pending += len(box)
 	}
 	reply.Done = true
@@ -495,13 +491,16 @@ func (d *CDNDaemon) pullRound(peer *Client, entry cdnRoundEntry) error {
 		}, &page); err != nil {
 			return err
 		}
-		for _, frag := range page.Boxes {
-			boxes[frag.ID] = frag.Data
+		if err := page.check(); err != nil {
+			return err
+		}
+		for i, id := range page.Keys {
+			boxes[id] = page.blobs[i]
 		}
 		if page.Done {
 			break
 		}
-		if page.Next <= cursor && len(page.Boxes) == 0 {
+		if page.Next <= cursor && len(page.Keys) == 0 {
 			return fmt.Errorf("cdn: round %d (%s): pull made no progress", entry.Round, entry.Service)
 		}
 		cursor = page.Next
@@ -517,38 +516,31 @@ func (d *CDNDaemon) pullRound(peer *Client, entry cdnRoundEntry) error {
 	return err
 }
 
-// RegisterCDNFrontend exposes a cdn.Store's READ plane — cdn.fetch and
-// cdn.fetchrange, the same wire surface a frontend serves — so clients
-// (via CDNPool) can fetch mailboxes from CDN nodes directly.
-func RegisterCDNFrontend(s *Server, store *cdn.Store) {
-	registerMailboxReads(s, store)
-}
-
 // streamRound feeds a round's mailboxes through send in budget-bounded
 // fragment batches, in ID order, splitting oversized mailboxes across
 // frames; the final call carries done=true (possibly with no fragments).
-func streamRound(mailboxes map[uint32][]byte, send func(frags []cdnBoxFragment, done bool) error) error {
+func streamRound(mailboxes map[uint32][]byte, send func(frags keyedBlobs, done bool) error) error {
 	ids := make([]uint32, 0, len(mailboxes))
 	for id := range mailboxes {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 
-	var frags []cdnBoxFragment
+	var frags keyedBlobs
 	var pending int
 	flush := func(done bool) error {
-		if !done && len(frags) == 0 {
+		if !done && len(frags.Keys) == 0 {
 			return nil
 		}
 		err := send(frags, done)
-		frags, pending = nil, 0
+		frags, pending = keyedBlobs{}, 0
 		return err
 	}
 	for _, id := range ids {
 		data := mailboxes[id]
 		for {
 			n := min(len(data), publishBudget-pending)
-			frags = append(frags, cdnBoxFragment{ID: id, Data: data[:n]})
+			frags.add(id, data[:n])
 			data = data[n:]
 			pending += n
 			if len(data) == 0 {
@@ -581,14 +573,14 @@ func PublishMailboxes(c *Client, service wire.Service, round uint32, mailboxes m
 // would concatenate a fragment twice); on a mid-publish failure a
 // best-effort abort tells the endpoint to discard the staged round.
 func PublishMailboxesShard(c *Client, service wire.Service, round uint32, mailboxes map[uint32][]byte, shard, numShards int) error {
-	err := streamRound(mailboxes, func(frags []cdnBoxFragment, done bool) error {
-		return c.CallOnce("cdn.publish", cdnPublishArgs{
-			Service: service, Round: round, Boxes: frags, Done: done,
+	err := streamRound(mailboxes, func(frags keyedBlobs, done bool) error {
+		return c.CallOnce("cdn.publish", cdnStreamArgs{
+			Service: service, Round: round, keyedBlobs: frags, Done: done,
 			Shard: shard, NumShards: numShards,
 		}, nil)
 	})
 	if err != nil {
-		_ = c.Call("cdn.publish", cdnPublishArgs{
+		_ = c.Call("cdn.publish", cdnStreamArgs{
 			Service: service, Round: round, Abort: true, Shard: shard, NumShards: numShards,
 		}, nil)
 		return err

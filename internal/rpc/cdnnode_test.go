@@ -313,18 +313,7 @@ func TestCDNStagingTTL(t *testing.T) {
 	defer c.Close()
 
 	// A fragment with no Done: the publisher "dies" here.
-	if err := c.Call("cdn.publish", struct {
-		Service wire.Service `json:"service"`
-		Round   uint32       `json:"round"`
-		Boxes   []struct {
-			ID   uint32 `json:"id"`
-			Data []byte `json:"data"`
-		} `json:"boxes"`
-		NumShards int `json:"num_shards"`
-	}{wire.Dialing, 9, []struct {
-		ID   uint32 `json:"id"`
-		Data []byte `json:"data"`
-	}{{0, []byte("orphaned")}}, 1}, nil); err != nil {
+	if err := rpc.PublishFragment(c, wire.Dialing, 9, 0, []byte("orphaned")); err != nil {
 		t.Fatal(err)
 	}
 

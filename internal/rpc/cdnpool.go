@@ -27,27 +27,30 @@ func (f *CDNClient) Addr() string { return f.addr }
 
 // Fetch implements core.MailboxStore.
 func (f *CDNClient) Fetch(ctx context.Context, service wire.Service, round uint32, mailbox uint32) ([]byte, error) {
-	var out []byte
-	if err := f.c.CallContext(ctx, "cdn.fetch", fetchArgs{Service: service, Round: round, Mailbox: mailbox}, &out); err != nil {
+	var reply blobReply
+	if err := f.c.CallContext(ctx, "cdn.fetch", fetchArgs{Service: service, Round: round, Mailbox: mailbox}, &reply); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return reply.one(), nil
 }
 
 // FetchRange implements core.MailboxStore: one cdn.fetchrange request for
 // a span of rounds. Rounds the store no longer holds (or never published)
 // are absent from the reply.
 func (f *CDNClient) FetchRange(ctx context.Context, service wire.Service, fromRound, toRound uint32, mailbox uint32) (map[uint32][]byte, error) {
-	var reply []rangedBox
+	var reply keyedBlobs
 	err := f.c.CallContext(ctx, "cdn.fetchrange", fetchRangeArgs{
 		Service: service, FromRound: fromRound, ToRound: toRound, Mailbox: mailbox,
 	}, &reply)
+	if err == nil {
+		err = reply.check()
+	}
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[uint32][]byte, len(reply))
-	for _, box := range reply {
-		out[box.Round] = box.Data
+	out := make(map[uint32][]byte, len(reply.Keys))
+	for i, r := range reply.Keys {
+		out[r] = reply.blobs[i]
 	}
 	return out, nil
 }

@@ -56,26 +56,15 @@ type replicateFeedArgs struct {
 
 type replicaState struct {
 	e *entry.Server
+	peerSet
 
 	mu    sync.Mutex
 	stash map[stashKey][][]byte
-	peers map[string]*Client
 }
 
 type stashKey struct {
 	service wire.Service
 	round   uint32
-}
-
-func (st *replicaState) peer(addr string) *Client {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	c, ok := st.peers[addr]
-	if !ok {
-		c = Dial(addr)
-		st.peers[addr] = c
-	}
-	return c
 }
 
 // closeIntake closes the round on the local entry server and stashes the
@@ -110,45 +99,26 @@ func (st *replicaState) takeStash(service wire.Service, round uint32) ([][]byte,
 	return batch, nil
 }
 
-// feed deals the frontend's sub-batch across position 0's shard set. The
-// shards' routes carry NumUpstream = #frontends, so the begins JOIN the
-// streams the other feeders opened and each end closes exactly one of the
-// counted upstream slots.
+// feed deals the frontend's sub-batch across position 0's shard set
+// (dealChunks), one concurrent stream per shard. The shards' routes carry
+// NumUpstream = #frontends, so the begins JOIN the streams the other
+// feeders opened and each end closes exactly one of the counted upstream
+// slots.
 func (st *replicaState) feed(a replicateFeedArgs, batch [][]byte) error {
-	shards := make([]*Client, len(a.Shards))
-	for i, addr := range a.Shards {
-		shards[i] = st.peer(addr)
+	if a.ChunkSize <= 0 || len(a.Shards) == 0 {
+		return errors.New("rpc: replicate feed needs a chunk size and a shard set")
 	}
-	chunkSize := a.ChunkSize
-	if chunkSize <= 0 {
-		return errors.New("rpc: replicate feed needs a chunk size")
-	}
-	for _, c := range shards {
+	parts := dealChunks(batch, a.ChunkSize, len(a.Shards))
+	return fanOut(a.Shards, func(s int, addr string) error {
+		c := st.peer(addr)
 		if err := c.CallOnce("mix.stream.begin", mixArgs{
 			Service: a.Service, Round: a.Round, NumMailboxes: a.NumMailboxes,
 		}, nil); err != nil {
-			return fmt.Errorf("rpc: replicate feed begin: %w", err)
+			return fmt.Errorf("rpc: replicate feed begin (shard %d): %w", s, err)
 		}
-	}
-	for i, lo := 0, 0; lo < len(batch); i, lo = i+1, lo+chunkSize {
-		hi := lo + chunkSize
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		if err := shards[i%len(shards)].CallOnce("mix.stream.chunk", mixArgs{
-			Service: a.Service, Round: a.Round, Batch: batch[lo:hi],
-		}, nil); err != nil {
-			return fmt.Errorf("rpc: replicate feed chunk: %w", err)
-		}
-	}
-	for s, c := range shards {
-		if err := c.CallOnce("mix.stream.end", roundArgs{
-			Service: a.Service, Round: a.Round, Upstream: a.Upstream,
-		}, nil); err != nil {
-			return fmt.Errorf("rpc: replicate feed end (shard %d): %w", s, err)
-		}
-	}
-	return nil
+		end := roundArgs{Service: a.Service, Round: a.Round, Upstream: a.Upstream}
+		return sendStream(c, "mix.stream", chunkArgs{Service: a.Service, Round: a.Round}, parts[s], a.ChunkSize, end)
+	})
 }
 
 // RegisterEntryReplica exposes an entry server to a remote coordinator:
@@ -159,7 +129,6 @@ func RegisterEntryReplica(s *Server, e *entry.Server) {
 	st := &replicaState{
 		e:     e,
 		stash: make(map[stashKey][][]byte),
-		peers: make(map[string]*Client),
 	}
 	HandleFunc(s, "entry.replicate.open", func(a replicateOpenArgs) (any, error) {
 		rs, err := wire.UnmarshalRoundSettings(a.Settings)

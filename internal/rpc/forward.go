@@ -5,6 +5,7 @@ import (
 	"fmt"
 	mathrand "math/rand"
 	"net"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -56,21 +57,9 @@ type outKey struct {
 // route is one round's forwarding assignment on a daemon, created by
 // mix.round.route and resolved exactly once (completion or abort).
 type route struct {
-	successors   []string // next position's shard set; empty for the last position
-	cdnAddr      string   // cdn.publish address; set on every shard of the last position
-	numMailboxes uint32
-	chunkSize    int
-
-	// buildShards is the last position's lead's deal list: after the
-	// merged shuffle it deals request bodies by mailbox ID across these
-	// addresses (its own shard group, shard order, itself included).
-	buildShards []string
-
-	// Shard-group layout. mergeAddr is where a non-lead shard deposits
-	// its peeled slice ("" on the lead itself).
-	shardIndex int
-	shardCount int
-	mergeAddr  string
+	// The assignment as announced: where the output goes, the shard-group
+	// layout, the chunk size and the fan-in (see routeArgs).
+	routeArgs
 
 	// Intake progress (fan-in counting). begun latches the one stream
 	// every upstream's begin joins. endedUpstreams has one slot per
@@ -96,8 +85,7 @@ type route struct {
 	// Per-round data-plane deadline (routeArgs.DeadlineMs): peer-dial
 	// retries give up once it passes instead of burning the round
 	// against a dead peer. Zero means no deadline.
-	deadline   time.Time
-	deadlineMs int64
+	deadline time.Time
 
 	// Self-reported accounting for mix.round.wait.
 	opened   time.Time
@@ -219,15 +207,17 @@ type importKeyArgs struct {
 	LeadAddr string       `json:"lead_addr"`
 }
 
-type exportKeyReply struct {
-	Key []byte `json:"key"`
-}
+// keyReply is mix.round.exportkey's: the round private key as its one
+// blob, which the server zeroes, with the frame, once it is written.
+type keyReply struct{ blobs }
 
-type mergeArgs struct {
+// chunkArgs carries a data-plane stream's chunk in its blobs. Shard names
+// the depositing shard of a mix.merge stream (begin and end included).
+type chunkArgs struct {
 	Service wire.Service `json:"service"`
 	Round   uint32       `json:"round"`
 	Shard   int          `json:"shard"`
-	Batch   [][]byte     `json:"batch,omitempty"`
+	blobs
 }
 
 // MixerDaemon is the RPC-facing state of one mixer daemon: the rounds'
@@ -235,10 +225,10 @@ type mergeArgs struct {
 // daemon binaries and tests can inspect round-state hygiene.
 type MixerDaemon struct {
 	m *mixnet.Server
+	peerSet
 
 	mu     sync.Mutex
 	routes map[outKey]*route
-	peers  map[string]*Client
 	// keyPeers is the per-round exportkey allowlist (shardArgs.Peers):
 	// the hosts allowed to pull this round's private key.
 	keyPeers map[outKey][]string
@@ -258,7 +248,7 @@ func (d *MixerDaemon) PendingRoutes() int {
 // this daemon must be the round's merge server, and the shard index must
 // be inside the group (and not the merge server's own — its slice never
 // crosses the merge surface).
-func (d *MixerDaemon) mergeRoute(a mergeArgs) (*route, outKey, error) {
+func (d *MixerDaemon) mergeRoute(a chunkArgs) (*route, outKey, error) {
 	k := outKey{a.Service, a.Round}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -269,25 +259,32 @@ func (d *MixerDaemon) mergeRoute(a mergeArgs) (*route, outKey, error) {
 	if rt.mergeEnded == nil {
 		return nil, k, fmt.Errorf("rpc: round %d (%s): this daemon is not the merge server", a.Round, a.Service)
 	}
-	if a.Shard < 0 || a.Shard >= rt.shardCount {
-		return nil, k, fmt.Errorf("rpc: round %d (%s): shard %d outside group of %d", a.Round, a.Service, a.Shard, rt.shardCount)
+	if a.Shard < 0 || a.Shard >= rt.ShardCount {
+		return nil, k, fmt.Errorf("rpc: round %d (%s): shard %d outside group of %d", a.Round, a.Service, a.Shard, rt.ShardCount)
 	}
-	if a.Shard == rt.shardIndex {
+	if a.Shard == rt.ShardIndex {
 		return nil, k, fmt.Errorf("rpc: round %d (%s): merge server's own slice is deposited locally", a.Round, a.Service)
 	}
 	return rt, k, nil
 }
 
-// peer returns a cached RPC client for a successor (or CDN) address.
-// Connections are reused across rounds; the Client reconnects lazily
-// after failures.
-func (d *MixerDaemon) peer(addr string) *Client {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	c, ok := d.peers[addr]
+// peerSet caches one Client per peer address. Connections are reused
+// across rounds; a Client reconnects lazily after failures.
+type peerSet struct {
+	peersMu sync.Mutex
+	peers   map[string]*Client
+}
+
+func (p *peerSet) peer(addr string) *Client {
+	p.peersMu.Lock()
+	defer p.peersMu.Unlock()
+	if p.peers == nil {
+		p.peers = make(map[string]*Client)
+	}
+	c, ok := p.peers[addr]
 	if !ok {
 		c = Dial(addr)
-		d.peers[addr] = c
+		p.peers[addr] = c
 	}
 	return c
 }
@@ -317,14 +314,14 @@ func (d *MixerDaemon) finish(k outKey, rt *route, err error) {
 	if !d.resolve(rt, err) || err == nil {
 		return
 	}
-	targets := append([]string(nil), rt.successors...)
-	if rt.mergeAddr != "" {
-		targets = append(targets, rt.mergeAddr)
+	targets := append([]string(nil), rt.Successors...)
+	if rt.MergeAddr != "" {
+		targets = append(targets, rt.MergeAddr)
 	}
 	// A failed sharded-build merge server releases its build shards too:
 	// they are parked waiting for dealt slices that will never come.
-	for s, addr := range rt.buildShards {
-		if s != rt.shardIndex {
+	for s, addr := range rt.BuildShards {
+		if s != rt.ShardIndex {
 			targets = append(targets, addr)
 		}
 	}
@@ -349,11 +346,12 @@ func (d *MixerDaemon) forward(k outKey, rt *route) {
 		d.finish(k, rt, err)
 		return
 	}
-	if rt.mergeAddr == "" {
-		d.addDeposit(k, rt, rt.shardIndex, out)
+	if rt.MergeAddr == "" {
+		d.addDeposit(k, rt, rt.ShardIndex, out)
 		return
 	}
-	if err := d.pushDeposit(k, rt, out); err != nil || rt.cdnAddr == "" {
+	deposit := chunkArgs{Service: k.service, Round: k.round, Shard: rt.ShardIndex}
+	if err := d.pushStream(rt, rt.MergeAddr, "mix.merge", deposit, deposit, deposit, out); err != nil || rt.CDNAddr == "" {
 		d.finish(k, rt, err)
 	}
 	// Otherwise this is a build shard of the last position and its duty
@@ -361,19 +359,6 @@ func (d *MixerDaemon) forward(k outKey, rt *route) {
 	// mailbox-ID slice (mix.deal.*), and the route resolves once the
 	// slice is built and published over the shard's own cdn.publish
 	// stream.
-}
-
-// finishPosition completes a position's data-plane duty once its full
-// post-shuffle batch exists on the lead: deal it across the successor
-// position's shard set, or — at the end of the chain — deal it BY MAILBOX
-// ID across the position's own shard group, so that every member builds
-// and publishes only its own ID range.
-func (d *MixerDaemon) finishPosition(k outKey, rt *route, out [][]byte) {
-	if len(rt.successors) > 0 {
-		d.finish(k, rt, d.dealDownstream(k, rt, out))
-		return
-	}
-	d.dealMailboxBuild(k, rt, out)
 }
 
 // dealMailboxBuild distributes the last position's post-shuffle batch by
@@ -385,17 +370,17 @@ func (d *MixerDaemon) finishPosition(k outKey, rt *route, out [][]byte) {
 // to the single-machine build. The merge server's own slice never crosses
 // the network; it is built and published concurrently with the deals.
 func (d *MixerDaemon) dealMailboxBuild(k outKey, rt *route, out [][]byte) {
-	n := len(rt.buildShards)
+	n := len(rt.BuildShards)
 	// hi-boundary per shard: payload with mailbox < bounds[s] and
 	// >= bounds[s-1] belongs to shard s.
 	bounds := make([]uint32, n)
 	for s := 0; s < n; s++ {
-		_, bounds[s] = mixnet.ShardRange(rt.numMailboxes, s, n)
+		_, bounds[s] = mixnet.ShardRange(rt.NumMailboxes, s, n)
 	}
 	perShard := make([][][]byte, n)
 	for _, data := range out {
 		payload, err := wire.UnmarshalMixPayload(k.service, data)
-		if err != nil || payload.Mailbox == wire.CoverMailbox || payload.Mailbox >= rt.numMailboxes {
+		if err != nil || payload.Mailbox == wire.CoverMailbox || payload.Mailbox >= rt.NumMailboxes {
 			continue
 		}
 		s := 0
@@ -405,56 +390,33 @@ func (d *MixerDaemon) dealMailboxBuild(k outKey, rt *route, out [][]byte) {
 		perShard[s] = append(perShard[s], data)
 	}
 
-	errs := make([]error, n)
+	d.finish(k, rt, fanOut(rt.BuildShards, func(s int, addr string) error {
+		if s == rt.ShardIndex {
+			return d.buildAndPublishSlice(k, rt, perShard[s])
+		}
+		rk := roundArgs{Service: k.service, Round: k.round}
+		return d.pushStream(rt, addr, "mix.deal", rk, rk, chunkArgs{Service: k.service, Round: k.round}, perShard[s])
+	}))
+}
+
+// fanOut runs fn once per address, concurrently, and returns the first
+// error in address order.
+func fanOut(addrs []string, fn func(i int, addr string) error) error {
+	errs := make([]error, len(addrs))
 	var wg sync.WaitGroup
-	wg.Add(n)
-	for s, addr := range rt.buildShards {
-		go func(s int, addr string) {
+	wg.Add(len(addrs))
+	for i, addr := range addrs {
+		go func(i int, addr string) {
 			defer wg.Done()
-			if s == rt.shardIndex {
-				errs[s] = d.buildAndPublishSlice(k, rt, perShard[s])
-				return
-			}
-			errs[s] = d.pushBuildSlice(k, rt, addr, perShard[s])
-		}(s, addr)
+			errs[i] = fn(i, addr)
+		}(i, addr)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			d.finish(k, rt, err)
-			return
+			return err
 		}
 	}
-	d.finish(k, rt, nil)
-}
-
-// pushBuildSlice streams one shard's dealt payload slice over the
-// mix.deal.* surface. Same discipline as every other data stream: the
-// idempotent begin retries with backoff, the data calls are at most once.
-func (d *MixerDaemon) pushBuildSlice(k outKey, rt *route, addr string, slice [][]byte) error {
-	c, err := d.openStream(rt, addr, "mix.deal.begin", roundArgs{Service: k.service, Round: k.round})
-	if err != nil {
-		return err
-	}
-	chunkSize := rt.effectiveChunk()
-	var sent uint64
-	for lo := 0; lo < len(slice); lo += chunkSize {
-		hi := min(lo+chunkSize, len(slice))
-		if err := c.CallOnce("mix.deal.chunk", mixArgs{
-			Service: k.service, Round: k.round, Batch: slice[lo:hi],
-		}, nil); err != nil {
-			return fmt.Errorf("rpc: dealing build slice to %s: %w", addr, err)
-		}
-		for _, msg := range slice[lo:hi] {
-			sent += uint64(len(msg))
-		}
-	}
-	if err := c.CallOnce("mix.deal.end", roundArgs{Service: k.service, Round: k.round}, nil); err != nil {
-		return fmt.Errorf("rpc: closing build slice to %s: %w", addr, err)
-	}
-	d.mu.Lock()
-	rt.bytesOut += sent
-	d.mu.Unlock()
 	return nil
 }
 
@@ -463,7 +425,7 @@ func (d *MixerDaemon) pushBuildSlice(k outKey, rt *route, addr string, slice [][
 // cdn.publish stream. The CDN seals the round only after all shardCount
 // streams complete.
 func (d *MixerDaemon) buildAndPublishSlice(k outKey, rt *route, slice [][]byte) error {
-	lo, hi := mixnet.ShardRange(rt.numMailboxes, rt.shardIndex, rt.shardCount)
+	lo, hi := mixnet.ShardRange(rt.NumMailboxes, rt.ShardIndex, rt.ShardCount)
 	boxes, err := mixnet.BuildMailboxesRange(k.service, lo, hi, slice, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return err
@@ -475,7 +437,7 @@ func (d *MixerDaemon) buildAndPublishSlice(k outKey, rt *route, slice [][]byte) 
 	d.mu.Lock()
 	rt.bytesOut += published
 	d.mu.Unlock()
-	return PublishMailboxesShard(d.peer(rt.cdnAddr), k.service, k.round, boxes, rt.shardIndex, rt.shardCount)
+	return PublishMailboxesShard(d.peer(rt.CDNAddr), k.service, k.round, boxes, rt.ShardIndex, rt.ShardCount)
 }
 
 // addDeposit records one shard's peeled slice on the group's merge
@@ -495,22 +457,28 @@ func (d *MixerDaemon) addDeposit(k outKey, rt *route, shard int, part [][]byte) 
 	}
 	rt.mergeParts[shard] = append(rt.mergeParts[shard], part...)
 	rt.mergeEnded[shard] = true
-	for _, done := range rt.mergeEnded {
-		if !done {
-			d.mu.Unlock()
-			return
-		}
+	if slices.Contains(rt.mergeEnded, false) {
+		d.mu.Unlock()
+		return
 	}
 	parts := rt.mergeParts
 	rt.mergeParts = nil
 	d.mu.Unlock()
 
 	out, err := d.m.MergeShuffle(k.service, k.round, parts)
-	if err != nil {
+	switch {
+	case err != nil:
 		d.finish(k, rt, err)
-		return
+	case len(rt.Successors) > 0:
+		// Deal the position's output across the successor position's
+		// shard set.
+		d.finish(k, rt, d.dealDownstream(k, rt, out))
+	default:
+		// The end of the chain: deal it BY MAILBOX ID across the
+		// position's own shard group, so that every member builds and
+		// publishes only its own ID range.
+		d.dealMailboxBuild(k, rt, out)
 	}
-	d.finishPosition(k, rt, out)
 }
 
 // openStream dials addr and opens a chunked stream with retry/backoff on
@@ -553,115 +521,75 @@ func (d *MixerDaemon) openStream(rt *route, addr, method string, args any) (*Cli
 // effectiveChunk returns the route's chunk size clamped to the frame
 // budget.
 func (rt *route) effectiveChunk() int {
-	chunkSize := rt.chunkSize
-	if chunkSize <= 0 {
-		chunkSize = mixnet.DefaultStreamChunk
+	if rt.ChunkSize <= 0 {
+		return mixnet.DefaultStreamChunk
 	}
-	if chunkSize > streamChunkMax {
-		chunkSize = streamChunkMax
-	}
-	return chunkSize
+	return min(rt.ChunkSize, streamChunkMax)
 }
 
-// pushDownstream streams a finished batch to one successor shard. The
-// opening call retries with backoff (the successor may still be coming
-// up, and an unsent begin is safe to repeat). The data calls are sent AT
-// MOST ONCE — a transparent retry after a lost reply would append a
-// chunk twice and corrupt the batch — so any mid-stream transport
-// failure aborts the round instead, and the next round carries the
-// traffic.
-func (d *MixerDaemon) pushDownstream(k outKey, rt *route, addr string, out [][]byte) error {
-	c, err := d.openStream(rt, addr, "mix.stream.begin", mixArgs{
-		Service: k.service, Round: k.round, NumMailboxes: rt.numMailboxes,
-	})
+// pushStream sends batch to addr as one mix.stream (to a successor shard),
+// mix.merge (a deposit with the lead) or mix.deal (a build slice) stream.
+// Only the idempotent begin retries (openStream).
+func (d *MixerDaemon) pushStream(rt *route, addr, surface string, begin, end any, chunk chunkArgs, batch [][]byte) error {
+	c, err := d.openStream(rt, addr, surface+".begin", begin)
+	if err == nil {
+		err = sendStream(c, surface, chunk, batch, rt.effectiveChunk(), end)
+	}
 	if err != nil {
 		return err
 	}
-	chunkSize := rt.effectiveChunk()
-	var sent uint64
-	for lo := 0; lo < len(out); lo += chunkSize {
-		hi := min(lo+chunkSize, len(out))
-		if err := c.CallOnce("mix.stream.chunk", mixArgs{
-			Service: k.service, Round: k.round, Batch: out[lo:hi],
-		}, nil); err != nil {
-			return fmt.Errorf("rpc: forwarding chunk to %s: %w", addr, err)
-		}
-		for _, msg := range out[lo:hi] {
-			sent += uint64(len(msg))
-		}
-	}
-	if err := c.CallOnce("mix.stream.end", roundArgs{Service: k.service, Round: k.round}, nil); err != nil {
-		return fmt.Errorf("rpc: closing stream to %s: %w", addr, err)
-	}
 	d.mu.Lock()
-	rt.bytesOut += sent
+	rt.bytesOut += payloadBytes(batch)
 	d.mu.Unlock()
 	return nil
+}
+
+// sendStream sends batch over an opened stream in chunkSize-message
+// chunks, then the end, each AT MOST ONCE: a retry after a lost reply would
+// append a chunk twice and corrupt the batch, so a mid-stream transport
+// failure aborts the round instead, and the next round carries the traffic.
+func sendStream(c *Client, surface string, chunk chunkArgs, batch [][]byte, chunkSize int, end any) error {
+	for lo := 0; lo < len(batch); lo += chunkSize {
+		chunk.blobs = batch[lo:min(lo+chunkSize, len(batch))]
+		if err := c.CallOnce(surface+".chunk", chunk, nil); err != nil {
+			return fmt.Errorf("rpc: %s.chunk to %s: %w", surface, c.addr, err)
+		}
+	}
+	if err := c.CallOnce(surface+".end", end, nil); err != nil {
+		return fmt.Errorf("rpc: %s.end to %s: %w", surface, c.addr, err)
+	}
+	return nil
+}
+
+// dealChunks cuts batch into chunkSize-message chunks and deals chunk i to
+// part i mod n: deterministic, so sharding never hides nondeterminism in
+// the data plane.
+func dealChunks(batch [][]byte, chunkSize, n int) [][][]byte {
+	parts := make([][][]byte, n)
+	for i, lo := 0, 0; lo < len(batch); i, lo = i+1, lo+chunkSize {
+		parts[i%n] = append(parts[i%n], batch[lo:min(lo+chunkSize, len(batch))]...)
+	}
+	return parts
+}
+
+// payloadBytes is the total length of a batch's messages.
+func payloadBytes(batch [][]byte) (n uint64) {
+	for _, msg := range batch {
+		n += uint64(len(msg))
+	}
+	return n
 }
 
 // dealDownstream distributes a position's post-shuffle output across the
-// successor position's shard set: chunk i goes to successor shard
-// i mod N. The deal is deterministic — given the same post-shuffle batch
-// and chunk size, every run hands every successor shard the same slice —
-// so sharding never hides nondeterminism in the data plane. Each
-// successor gets its own chunked stream, pushed concurrently.
+// successor position's shard set (dealChunks), one concurrent stream per
+// successor shard.
 func (d *MixerDaemon) dealDownstream(k outKey, rt *route, out [][]byte) error {
-	chunkSize := rt.effectiveChunk()
-	perShard := make([][][]byte, len(rt.successors))
-	for i, lo := 0, 0; lo < len(out); i, lo = i+1, lo+chunkSize {
-		hi := min(lo+chunkSize, len(out))
-		perShard[i%len(perShard)] = append(perShard[i%len(perShard)], out[lo:hi]...)
-	}
-	errs := make([]error, len(rt.successors))
-	var wg sync.WaitGroup
-	wg.Add(len(rt.successors))
-	for j, addr := range rt.successors {
-		go func(j int, addr string) {
-			defer wg.Done()
-			errs[j] = d.pushDownstream(k, rt, addr, perShard[j])
-		}(j, addr)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pushDeposit streams this shard's peeled slice to the group's merge
-// server over the merge surface. Same at-most-once discipline as
-// pushDownstream: only the idempotent opening call is retried.
-func (d *MixerDaemon) pushDeposit(k outKey, rt *route, out [][]byte) error {
-	c, err := d.openStream(rt, rt.mergeAddr, "mix.merge.begin", mergeArgs{
-		Service: k.service, Round: k.round, Shard: rt.shardIndex,
+	perShard := dealChunks(out, rt.effectiveChunk(), len(rt.Successors))
+	begin := mixArgs{Service: k.service, Round: k.round, NumMailboxes: rt.NumMailboxes}
+	end := roundArgs{Service: k.service, Round: k.round}
+	return fanOut(rt.Successors, func(j int, addr string) error {
+		return d.pushStream(rt, addr, "mix.stream", begin, end, chunkArgs{Service: k.service, Round: k.round}, perShard[j])
 	})
-	if err != nil {
-		return err
-	}
-	chunkSize := rt.effectiveChunk()
-	var sent uint64
-	for lo := 0; lo < len(out); lo += chunkSize {
-		hi := min(lo+chunkSize, len(out))
-		if err := c.CallOnce("mix.merge.chunk", mergeArgs{
-			Service: k.service, Round: k.round, Shard: rt.shardIndex, Batch: out[lo:hi],
-		}, nil); err != nil {
-			return fmt.Errorf("rpc: depositing slice with merge server %s: %w", rt.mergeAddr, err)
-		}
-		for _, msg := range out[lo:hi] {
-			sent += uint64(len(msg))
-		}
-	}
-	if err := c.CallOnce("mix.merge.end", mergeArgs{
-		Service: k.service, Round: k.round, Shard: rt.shardIndex,
-	}, nil); err != nil {
-		return fmt.Errorf("rpc: closing deposit with merge server %s: %w", rt.mergeAddr, err)
-	}
-	d.mu.Lock()
-	rt.bytesOut += sent
-	d.mu.Unlock()
-	return nil
 }
 
 // RegisterMixer exposes a mixnet.Server over RPC: round set-up and the
@@ -670,7 +598,6 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 	d := &MixerDaemon{
 		m:        m,
 		routes:   make(map[outKey]*route),
-		peers:    make(map[string]*Client),
 		keyPeers: make(map[outKey][]string),
 	}
 
@@ -728,46 +655,45 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		if err != nil {
 			return nil, err
 		}
-		return exportKeyReply{Key: key}, nil
+		return keyReply{blobs{key}}, nil
 	})
 	HandleFunc(s, "mix.round.importkey", func(a importKeyArgs) (any, error) {
 		// The daemon pulls the group key from the lead itself, so the
 		// private key moves server-to-server inside the group's trust
-		// domain; the coordinator only names the source.
-		var reply exportKeyReply
+		// domain; the coordinator only names the source. The key is a blob
+		// of the reply's frame buffer, which ImportRoundKey zeroes.
+		var reply keyReply
 		if err := d.peer(a.LeadAddr).Call("mix.round.exportkey", roundArgs{
 			Service: a.Service, Round: a.Round,
 		}, &reply); err != nil {
 			return nil, fmt.Errorf("rpc: fetching round key from lead %s: %w", a.LeadAddr, err)
 		}
-		return nil, m.ImportRoundKey(a.Service, a.Round, reply.Key)
+		return nil, m.ImportRoundKey(a.Service, a.Round, reply.one())
 	})
 	HandleFunc(s, "mix.round.route", func(a routeArgs) (any, error) {
 		return nil, d.openRoute(a)
 	})
-	HandleFunc(s, "mix.merge.begin", func(a mergeArgs) (any, error) {
+	HandleFunc(s, "mix.merge.begin", func(a chunkArgs) (any, error) {
 		// Idempotent: opening a deposit only validates that this daemon
 		// is the round's merge server and the shard is expected. Safe to
 		// repeat, so the depositor's dial retry can ride on it.
 		_, _, err := d.mergeRoute(a)
 		return nil, err
 	})
-	HandleFunc(s, "mix.merge.chunk", func(a mergeArgs) (any, error) {
+	HandleFunc(s, "mix.merge.chunk", func(a chunkArgs) (any, error) {
 		rt, _, err := d.mergeRoute(a)
 		if err != nil {
 			return nil, err
 		}
 		d.mu.Lock()
 		if !rt.resolved && rt.mergeEnded != nil && !rt.mergeEnded[a.Shard] {
-			rt.mergeParts[a.Shard] = append(rt.mergeParts[a.Shard], a.Batch...)
-			for _, msg := range a.Batch {
-				rt.bytesIn += uint64(len(msg))
-			}
+			rt.mergeParts[a.Shard] = append(rt.mergeParts[a.Shard], a.blobs...)
+			rt.bytesIn += payloadBytes(a.blobs)
 		}
 		d.mu.Unlock()
 		return nil, nil
 	})
-	HandleFunc(s, "mix.merge.end", func(a mergeArgs) (any, error) {
+	HandleFunc(s, "mix.merge.end", func(a chunkArgs) (any, error) {
 		rt, k, err := d.mergeRoute(a)
 		if err != nil {
 			return nil, err
@@ -791,7 +717,7 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		if rt == nil {
 			return nil, k, errNoRoute(a.Service, a.Round)
 		}
-		if rt.mergeAddr == "" || rt.cdnAddr == "" {
+		if rt.MergeAddr == "" || rt.CDNAddr == "" {
 			return nil, k, fmt.Errorf("rpc: round %d (%s): daemon is not a build shard", a.Round, a.Service)
 		}
 		return rt, k, nil
@@ -802,17 +728,15 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		_, _, err := dealRoute(a)
 		return nil, err
 	})
-	HandleFunc(s, "mix.deal.chunk", func(a mixArgs) (any, error) {
+	HandleFunc(s, "mix.deal.chunk", func(a chunkArgs) (any, error) {
 		rt, _, err := dealRoute(roundArgs{Service: a.Service, Round: a.Round})
 		if err != nil {
 			return nil, err
 		}
 		d.mu.Lock()
 		if !rt.resolved && !rt.dealEnded {
-			rt.dealParts = append(rt.dealParts, a.Batch...)
-			for _, msg := range a.Batch {
-				rt.bytesIn += uint64(len(msg))
-			}
+			rt.dealParts = append(rt.dealParts, a.blobs...)
+			rt.bytesIn += payloadBytes(a.blobs)
 		}
 		d.mu.Unlock()
 		return nil, nil
@@ -899,18 +823,16 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		rt.begun = true
 		return nil, nil
 	})
-	HandleFunc(s, "mix.stream.chunk", func(a mixArgs) (any, error) {
+	HandleFunc(s, "mix.stream.chunk", func(a chunkArgs) (any, error) {
 		d.mu.Lock()
 		rt := d.routes[outKey{a.Service, a.Round}]
 		if rt == nil {
 			d.mu.Unlock()
 			return nil, errNoRoute(a.Service, a.Round)
 		}
-		for _, msg := range a.Batch {
-			rt.bytesIn += uint64(len(msg))
-		}
+		rt.bytesIn += payloadBytes(a.blobs)
 		d.mu.Unlock()
-		return nil, m.StreamChunk(a.Service, a.Round, a.Batch)
+		return nil, m.StreamChunk(a.Service, a.Round, a.blobs)
 	})
 	HandleFunc(s, "mix.stream.end", func(a roundArgs) (any, error) {
 		k := outKey{a.Service, a.Round}
@@ -1009,26 +931,14 @@ func (d *MixerDaemon) openRoute(a routeArgs) error {
 	if rt, ok := d.routes[k]; ok {
 		// Idempotent re-announce (the coordinator's call layer may
 		// retry a lost reply); a CONFLICTING route is an error.
-		if slices.Equal(rt.successors, a.Successors) && rt.cdnAddr == a.CDNAddr &&
-			rt.numMailboxes == a.NumMailboxes && rt.chunkSize == a.ChunkSize &&
-			rt.shardIndex == a.ShardIndex && rt.shardCount == a.ShardCount &&
-			rt.mergeAddr == a.MergeAddr && len(rt.endedUpstreams) == a.NumUpstream &&
-			slices.Equal(rt.buildShards, a.BuildShards) && rt.deadlineMs == a.DeadlineMs {
+		if reflect.DeepEqual(rt.routeArgs, a) {
 			return nil
 		}
 		return bad("already routed elsewhere")
 	}
 	rt := &route{
-		successors:     a.Successors,
-		cdnAddr:        a.CDNAddr,
-		numMailboxes:   a.NumMailboxes,
-		chunkSize:      a.ChunkSize,
-		buildShards:    a.BuildShards,
-		shardIndex:     a.ShardIndex,
-		shardCount:     a.ShardCount,
-		mergeAddr:      a.MergeAddr,
+		routeArgs:      a,
 		endedUpstreams: make([]bool, a.NumUpstream),
-		deadlineMs:     a.DeadlineMs,
 		opened:         time.Now(),
 		done:           make(chan struct{}),
 	}

@@ -285,16 +285,12 @@ func TestChainForwardAbortMidChain(t *testing.T) {
 	// Sabotage the middle daemon: after two forwarded chunks arrive, it
 	// starts failing and its server goes down — a crash mid-stream.
 	var chunks atomic.Int32
-	rpc.HandleFunc(f.rpcSrvs[1], "mix.stream.chunk", func(a struct {
-		Service wire.Service `json:"service"`
-		Round   uint32       `json:"round"`
-		Batch   [][]byte     `json:"batch"`
-	}) (any, error) {
+	rpc.HandleFunc(f.rpcSrvs[1], "mix.stream.chunk", func(a rpc.ChunkArgs) (any, error) {
 		if chunks.Add(1) > 2 {
 			go f.rpcSrvs[1].Close()
 			return nil, errors.New("mixer 1 crashed mid-stream")
 		}
-		return nil, f.servers[1].StreamChunk(a.Service, a.Round, a.Batch)
+		return nil, f.servers[1].StreamChunk(a.Service, a.Round, a.Batch())
 	})
 
 	settings, err := coord.OpenDialingRound(1)

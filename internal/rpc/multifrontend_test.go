@@ -372,15 +372,6 @@ func TestBadEventSettingsFallBackToFetch(t *testing.T) {
 func TestDirectoryProtocolMismatch(t *testing.T) {
 	_, srv, addr := newRunNetwork(t)
 	defer srv.Close()
-	old := rpc.NewServer()
-	rpc.HandleFunc(old, "frontend.directory", func(struct{}) (any, error) {
-		return rpc.Directory{NumMixers: 1}, nil
-	})
-	oldAddr, err := old.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
 	ctx := context.Background()
 
 	fe := rpc.DialFrontend(addr)
@@ -393,24 +384,37 @@ func TestDirectoryProtocolMismatch(t *testing.T) {
 		t.Fatalf("current frontend advertises protocol version %d, want %d", dir.ProtocolVersion, rpc.ProtocolVersion)
 	}
 
-	oldFE := rpc.DialFrontend(oldAddr)
-	defer oldFE.Close()
-	pool := rpc.DialFrontendPool(oldAddr, addr)
-	defer pool.Close()
-	for name, fetch := range map[string]func(context.Context) (*rpc.Directory, error){
-		"client": oldFE.Directory,
-		"pool":   pool.Directory,
-	} {
-		dir, err := fetch(ctx)
-		if !errors.Is(err, rpc.ErrProtocolMismatch) {
-			t.Fatalf("%s: version-0 directory returned (%v, %v), want ErrProtocolMismatch", name, dir, err)
+	// Version 0 predates the field; version 2 is the JSON-only data plane.
+	for _, version := range []int{0, 2} {
+		version := version
+		old := rpc.NewServer()
+		rpc.HandleFunc(old, "frontend.directory", func(struct{}) (any, error) {
+			return rpc.Directory{NumMixers: 1, ProtocolVersion: version}, nil
+		})
+		oldAddr, err := old.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(err.Error(), oldAddr+" serves version 0") {
-			t.Fatalf("%s: mismatch error %q does not name the frontend and its version", name, err)
+		defer old.Close()
+		oldFE := rpc.DialFrontend(oldAddr)
+		defer oldFE.Close()
+		pool := rpc.DialFrontendPool(oldAddr, addr)
+		defer pool.Close()
+		for name, fetch := range map[string]func(context.Context) (*rpc.Directory, error){
+			"client": oldFE.Directory,
+			"pool":   pool.Directory,
+		} {
+			dir, err := fetch(ctx)
+			if !errors.Is(err, rpc.ErrProtocolMismatch) {
+				t.Fatalf("%s: version-%d directory returned (%v, %v), want ErrProtocolMismatch", name, version, dir, err)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("%s serves version %d", oldAddr, version)) {
+				t.Fatalf("%s: mismatch error %q does not name the frontend and its version", name, err)
+			}
 		}
-	}
-	if pool.Addr() != oldAddr {
-		t.Fatal("pool rotated away from a frontend that answered (a version mismatch is not a transport failure)")
+		if pool.Addr() != oldAddr {
+			t.Fatal("pool rotated away from a frontend that answered (a version mismatch is not a transport failure)")
+		}
 	}
 }
 
@@ -439,6 +443,17 @@ func TestMixerProtocolMismatch(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), oldAddr+" serves version 0") {
 		t.Fatalf("mismatch error %q does not name the mixer and its version", err)
+	}
+
+	// A version-2 mixer speaks the JSON-only data plane.
+	v2 := rpc.NewServer()
+	rpc.HandleFunc(v2, "mix.info", func(struct{}) (any, error) {
+		return rpc.MixerInfo{Name: "v2", ProtocolVersion: 2}, nil
+	})
+	v2Addr := listenTCP(t, v2)
+	mc, err = rpc.DialMixer(v2Addr)
+	if !errors.Is(err, rpc.ErrProtocolMismatch) || !strings.Contains(err.Error(), v2Addr+" serves version 2") {
+		t.Fatalf("version-2 mixer returned (%v, %v), want ErrProtocolMismatch naming it and its version", mc, err)
 	}
 }
 
@@ -478,5 +493,17 @@ func TestPKGProtocolMismatch(t *testing.T) {
 	want := fmt.Sprintf("PKG %s serves version 0, this coordinator speaks %d", oldAddr, rpc.ProtocolVersion)
 	if !strings.Contains(err.Error(), want) {
 		t.Fatalf("mismatch error %q does not name the PKG and both versions", err)
+	}
+
+	// A version-2 PKG speaks the JSON-only data plane.
+	v2 := rpc.NewServer()
+	rpc.HandleFunc(v2, "pkg.info", func(struct{}) (any, error) {
+		return rpc.PKGInfo{Name: "v2", SigningKey: pkg.SigningKey(), ProtocolVersion: 2}, nil
+	})
+	v2Addr := listenTCP(t, v2)
+	info, err = rpc.DialPKG(v2Addr).Info()
+	want = fmt.Sprintf("PKG %s serves version 2, this coordinator speaks %d", v2Addr, rpc.ProtocolVersion)
+	if !errors.Is(err, rpc.ErrProtocolMismatch) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("version-2 PKG returned (%v, %v), want ErrProtocolMismatch naming it and both versions", info, err)
 	}
 }

@@ -58,7 +58,7 @@ func FuzzRouteArgs(f *testing.F) {
 	}
 	s := NewServer()
 	d := RegisterMixer(s, m)
-	route := s.handlers["mix.round.route"]
+	route := func(params []byte, bs [][]byte) (any, error) { return s.handlers["mix.round.route"]("", params, bs) }
 
 	f.Fuzz(func(t *testing.T, data []byte, layout uint8) {
 		// Aim the params at one of the open rounds; everything else is the
@@ -77,7 +77,7 @@ func FuzzRouteArgs(f *testing.F) {
 		k := outKey{wire.Dialing, round}
 		defer delete(d.routes, k)
 
-		_, err = route(params)
+		_, err = route(params, nil)
 		rt := d.routes[k]
 		if (err == nil) != (rt != nil) {
 			t.Fatalf("handler returned %v but route installed = %v", err, rt != nil)
@@ -85,22 +85,22 @@ func FuzzRouteArgs(f *testing.F) {
 		if rt == nil {
 			return
 		}
-		lead := rt.mergeAddr == ""
+		lead := rt.MergeAddr == ""
 		switch {
-		case rt.shardIndex < 0 || rt.shardIndex >= rt.shardCount:
-			t.Fatalf("installed shard %d/%d", rt.shardIndex, rt.shardCount)
+		case rt.ShardIndex < 0 || rt.ShardIndex >= rt.ShardCount:
+			t.Fatalf("installed shard %d/%d", rt.ShardIndex, rt.ShardCount)
 		case len(rt.endedUpstreams) < 1:
 			t.Fatal("installed a route no upstream can end")
-		case !lead && (len(rt.successors) > 0 || len(rt.buildShards) > 0 || rt.mergeEnded != nil):
+		case !lead && (len(rt.Successors) > 0 || len(rt.BuildShards) > 0 || rt.mergeEnded != nil):
 			t.Fatalf("installed a route that is both merge lead and depositor: %+v", rt)
-		case lead && len(rt.mergeEnded) != rt.shardCount:
-			t.Fatalf("lead expects %d deposits from a group of %d", len(rt.mergeEnded), rt.shardCount)
-		case lead && len(rt.successors) > 0 && (rt.cdnAddr != "" || len(rt.buildShards) > 0):
+		case lead && len(rt.mergeEnded) != rt.ShardCount:
+			t.Fatalf("lead expects %d deposits from a group of %d", len(rt.mergeEnded), rt.ShardCount)
+		case lead && len(rt.Successors) > 0 && (rt.CDNAddr != "" || len(rt.BuildShards) > 0):
 			t.Fatalf("installed a lead that both forwards and publishes: %+v", rt)
-		case lead && len(rt.successors) == 0 && (rt.cdnAddr == "" || len(rt.buildShards) != rt.shardCount):
-			t.Fatalf("installed a last-position lead with %d build shards for a group of %d, CDN %q", len(rt.buildShards), rt.shardCount, rt.cdnAddr)
+		case lead && len(rt.Successors) == 0 && (rt.CDNAddr == "" || len(rt.BuildShards) != rt.ShardCount):
+			t.Fatalf("installed a last-position lead with %d build shards for a group of %d, CDN %q", len(rt.BuildShards), rt.ShardCount, rt.CDNAddr)
 		}
-		if _, err := route(params); err != nil {
+		if _, err := route(params, nil); err != nil {
 			t.Fatalf("byte-identical re-announce refused: %v", err)
 		}
 		if d.routes[k] != rt {

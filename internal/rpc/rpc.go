@@ -1,6 +1,24 @@
 // Package rpc is the network transport for Alpenhorn's daemons: a minimal
-// length-prefixed JSON request/response protocol over TCP (or, for an
-// address of the form "mem:<n>", over an in-process pipe — see mem.go).
+// length-prefixed request/response protocol over TCP (or, for an address
+// of the form "mem:<n>", over an in-process pipe — see mem.go).
+//
+// # Frames
+//
+// A frame is a u32 length and that many bytes. A control frame is JSON: a
+// request {"method", "params"} or a reply {"error", "result"}. A data frame
+// (0x00 first, which no JSON is) adds raw bytes to the same envelope:
+//
+//	0x00 | u32 envelope length | envelope | u32 n | n × u32 blob length | blobs
+//
+// A struct carries blobs by embedding the blobs type; they cross without
+// base64 and arrive as sub-slices of the one frame buffer. Blobs carry the
+// onions of mix.stream.chunk, mix.merge.chunk and mix.deal.chunk (also
+// entry.replicate.feed's) and of entry.submit, the mailbox fragments of
+// cdn.publish, cdn.replicate and cdn.pull, and the replies of cdn.fetch,
+// cdn.fetchrange and mix.round.exportkey. Every other frame stays JSON: it
+// is small, and the version handshake rides on it — mix.info, pkg.info and
+// frontend.directory must parse for a peer of any generation, so that it
+// can name a peer serving the wrong ProtocolVersion.
 //
 // The in-process server types (pkgserver.Server, mixnet.Server, ...) hold
 // all protocol logic; this package only moves their arguments across
@@ -24,7 +42,7 @@ import (
 )
 
 // maxMessageSize bounds a single request or response (64 MB: a full
-// add-friend mailbox batch fits comfortably).
+// add-friend mailbox batch fits comfortably, raw in a data frame).
 const maxMessageSize = 64 << 20
 
 // request is the wire format of one call.
@@ -88,37 +106,111 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// Handler processes one method call. Params is the raw JSON of the
-// caller's argument struct; the returned value is JSON-encoded as the
-// result.
-type Handler func(params json.RawMessage) (any, error)
+// blobs is the bulk section of a call or a reply. Embedded in an argument
+// or reply struct it is invisible to encoding/json and crosses as the
+// frame's blob section instead.
+type blobs [][]byte
 
-// PeerHandler is a Handler that also sees the caller's remote address
-// (host:port of the TCP connection). The transport is unauthenticated, so
-// a peer address is a topology signal, not an identity — it gates
-// server-plane surfaces like mix.round.exportkey to an allowlisted shard
-// network, on top of whatever the deployment's network layer enforces.
-type PeerHandler func(peerAddr string, params json.RawMessage) (any, error)
+func (b blobs) blobSection() [][]byte      { return b }
+func (b *blobs) setBlobSection(s [][]byte) { *b = s }
+
+// one returns the only blob of a one-blob section, nil for any other count.
+func (b blobs) one() []byte {
+	if len(b) != 1 {
+		return nil
+	}
+	return b[0]
+}
+
+type blobSender interface{ blobSection() [][]byte }
+type blobReceiver interface{ setBlobSection([][]byte) }
+
+// dataFrame is the first byte of a data frame, which no JSON text has.
+const dataFrame = 0x00
+
+var errBadFrame = errors.New("rpc: malformed data frame")
+
+// encodeFrame returns the payload of one frame: env itself when there are
+// no blobs, the data frame layout otherwise.
+func encodeFrame(env []byte, bs [][]byte) []byte {
+	if len(bs) == 0 {
+		return env
+	}
+	size := 1 + 4 + len(env) + 4 + 4*len(bs) + int(payloadBytes(bs))
+	out := append(make([]byte, 0, size), dataFrame)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(env)))
+	out = append(out, env...)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(bs)))
+	for _, b := range bs {
+		out = binary.BigEndian.AppendUint32(out, uint32(len(b)))
+	}
+	for _, b := range bs {
+		out = append(out, b...)
+	}
+	return out
+}
+
+// decodeFrame splits a frame payload into its JSON envelope and its blobs:
+// capacity-capped sub-slices of payload, so appending to one cannot
+// overwrite the next. The blob count is checked against the bytes present
+// before the blob table is allocated, and a data frame has one encoding:
+// at least one blob, no byte left over.
+func decodeFrame(payload []byte) (env []byte, bs [][]byte, err error) {
+	if len(payload) == 0 || payload[0] != dataFrame {
+		return payload, nil, nil
+	}
+	p := payload[1:]
+	if len(p) < 4 {
+		return nil, nil, errBadFrame
+	}
+	envLen, p := uint64(binary.BigEndian.Uint32(p)), p[4:]
+	if envLen > uint64(len(p)) {
+		return nil, nil, errBadFrame
+	}
+	env, p = p[:envLen], p[envLen:]
+	if len(p) < 4 {
+		return nil, nil, errBadFrame
+	}
+	n, p := uint64(binary.BigEndian.Uint32(p)), p[4:]
+	if n == 0 || n > uint64(len(p))/4 {
+		return nil, nil, errBadFrame
+	}
+	lens, p := p[:4*n], p[4*n:]
+	bs = make([][]byte, n)
+	for i := range bs {
+		l := uint64(binary.BigEndian.Uint32(lens[4*i:]))
+		if l > uint64(len(p)) {
+			return nil, nil, errBadFrame
+		}
+		bs[i], p = p[:l:l], p[l:]
+	}
+	if len(p) > 0 {
+		return nil, nil, errBadFrame
+	}
+	return env, bs, nil
+}
+
+// handler processes one method call; its result is JSON-encoded, and the
+// result's blobs, if it carries any, are the reply's.
+type handler func(peerAddr string, params json.RawMessage, bs [][]byte) (any, error)
 
 // Server dispatches method calls to registered handlers.
 type Server struct {
-	mu           sync.Mutex
-	handlers     map[string]Handler
-	peerHandlers map[string]PeerHandler
-	ln           net.Listener
-	conns        map[net.Conn]struct{}
-	wg           sync.WaitGroup
-	closed       bool
-	closing      chan struct{}
+	mu       sync.Mutex
+	handlers map[string]handler
+	ln       net.Listener
+	conns    map[net.Conn]struct{}
+	wg       sync.WaitGroup
+	closed   bool
+	closing  chan struct{}
 }
 
 // NewServer creates an empty RPC server.
 func NewServer() *Server {
 	return &Server{
-		handlers:     make(map[string]Handler),
-		peerHandlers: make(map[string]PeerHandler),
-		conns:        make(map[net.Conn]struct{}),
-		closing:      make(chan struct{}),
+		handlers: make(map[string]handler),
+		conns:    make(map[net.Conn]struct{}),
+		closing:  make(chan struct{}),
 	}
 }
 
@@ -127,35 +219,28 @@ func NewServer() *Server {
 // parked handler's full poll interval.
 func (s *Server) Closing() <-chan struct{} { return s.closing }
 
-// Handle registers a handler for a method name.
-func (s *Server) Handle(method string, h Handler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.handlers[method] = h
-}
-
-// HandleFunc registers a handler with typed parameters: fn must be a
-// func(T) (any, error); params JSON is decoded into T.
+// HandleFunc registers a handler with typed parameters: params JSON is
+// decoded into T, and the blob section into T's embedded blobs (a T
+// without any refuses blobs).
 func HandleFunc[T any](s *Server, method string, fn func(T) (any, error)) {
-	s.Handle(method, func(params json.RawMessage) (any, error) {
-		var arg T
-		if len(params) > 0 {
-			if err := json.Unmarshal(params, &arg); err != nil {
-				return nil, fmt.Errorf("rpc: bad params for %s: %w", method, err)
-			}
-		}
-		return fn(arg)
-	})
+	HandlePeerFunc(s, method, func(_ string, arg T) (any, error) { return fn(arg) })
 }
 
-// HandlePeerFunc registers a peer-aware handler with typed parameters:
-// fn receives the caller's remote address alongside the decoded params.
-// A peer-aware registration replaces any plain handler for the method.
+// HandlePeerFunc is HandleFunc for a fn that also takes the caller's
+// remote address (host:port). The transport is unauthenticated, so a peer
+// address is a topology signal, not an identity — it gates server-plane
+// surfaces like mix.round.exportkey to an allowlisted shard network, on
+// top of whatever the deployment's network layer enforces.
 func HandlePeerFunc[T any](s *Server, method string, fn func(peerAddr string, arg T) (any, error)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.peerHandlers[method] = func(peerAddr string, params json.RawMessage) (any, error) {
+	s.handlers[method] = func(peerAddr string, params json.RawMessage, bs [][]byte) (any, error) {
 		var arg T
+		if r, ok := any(&arg).(blobReceiver); ok {
+			r.setBlobSection(bs)
+		} else if len(bs) > 0 {
+			return nil, fmt.Errorf("rpc: %s carries no blobs", method)
+		}
 		if len(params) > 0 {
 			if err := json.Unmarshal(params, &arg); err != nil {
 				return nil, fmt.Errorf("rpc: bad params for %s: %w", method, err)
@@ -237,29 +322,29 @@ func (s *Server) Close() {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
+	peerAddr := conn.RemoteAddr().String()
 	for {
 		payload, err := readFrame(conn)
 		if err != nil {
 			return
 		}
+		env, bs, err := decodeFrame(payload)
+		if err != nil {
+			return
+		}
 		var req request
-		if err := json.Unmarshal(payload, &req); err != nil {
+		if err := json.Unmarshal(env, &req); err != nil {
 			return
 		}
 		s.mu.Lock()
 		h := s.handlers[req.Method]
-		if ph := s.peerHandlers[req.Method]; ph != nil {
-			peerAddr := conn.RemoteAddr().String()
-			h = func(params json.RawMessage) (any, error) {
-				return ph(peerAddr, params)
-			}
-		}
 		s.mu.Unlock()
 
 		var resp response
+		var result any
 		if h == nil {
 			resp.Error = "rpc: unknown method " + req.Method
-		} else if result, err := h(req.Params); err != nil {
+		} else if result, err = h(peerAddr, req.Params, bs); err != nil {
 			resp.Error = err.Error()
 		} else if result != nil {
 			raw, err := json.Marshal(result)
@@ -273,7 +358,15 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if err := writeFrame(conn, out); err != nil {
+		if b, ok := result.(blobSender); ok && resp.Error == "" {
+			out = encodeFrame(out, b.blobSection())
+		}
+		err = writeFrame(conn, out)
+		if k, ok := result.(keyReply); ok {
+			clear(k.one())
+			clear(out)
+		}
+		if err != nil {
 			return
 		}
 	}
@@ -397,6 +490,9 @@ func (c *Client) call(ctx context.Context, method string, params any, result any
 	if err != nil {
 		return err
 	}
+	if b, ok := params.(blobSender); ok {
+		req = encodeFrame(req, b.blobSection())
+	}
 
 	c.countCall(method)
 	c.mu.Lock()
@@ -460,12 +556,19 @@ func (c *Client) call(ctx context.Context, method string, params any, result any
 			return fmt.Errorf("%w: reading from %s: %v", ErrTransport, c.addr, err)
 		}
 		c.addBytes(0, uint64(len(payload))+4)
+		env, bs, err := decodeFrame(payload)
+		if err != nil {
+			return err
+		}
 		var resp response
-		if err := json.Unmarshal(payload, &resp); err != nil {
+		if err := json.Unmarshal(env, &resp); err != nil {
 			return err
 		}
 		if resp.Error != "" {
 			return errors.New(resp.Error)
+		}
+		if r, ok := result.(blobReceiver); ok {
+			r.setBlobSection(bs)
 		}
 		if result != nil && len(resp.Result) > 0 {
 			return json.Unmarshal(resp.Result, result)
