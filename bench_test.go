@@ -388,12 +388,12 @@ func BenchmarkPKGExtract(b *testing.B) {
 
 // TestPaperSizes records this implementation's message sizes next to the
 // paper's (see EXPERIMENTS.md): the paper's friend request is 308 bytes
-// (244 + 64-byte compressed BN-256 ciphertext element); ours is larger
-// because BN254 points are stored uncompressed.
+// (244 + 64 B of IBE overhead); ours carries 80 B of overhead, an
+// uncompressed 64 B G1 ciphertext element plus a 16 B AES-GCM tag.
 func TestPaperSizes(t *testing.T) {
 	t.Logf("friend request plaintext:  %d B (paper: 244 B)", wire.FriendRequestSize)
 	t.Logf("encrypted friend request:  %d B (paper: 308 B)", wire.EncryptedFriendRequestSize)
-	t.Logf("IBE ciphertext overhead:   %d B (paper: 64 B)", ibe.Overhead)
+	t.Logf("IBE ciphertext overhead:   %d B (paper: 64 B; ours: 64 B G1 point + 16 B tag)", ibe.Overhead)
 	t.Logf("dial token:                %d B (paper: 32 B)", keywheel.TokenSize)
 	t.Logf("add-friend onion (3 hops): %d B", wire.OnionSize(wire.AddFriend, 3))
 	t.Logf("dialing onion (3 hops):    %d B", wire.OnionSize(wire.Dialing, 3))

@@ -365,8 +365,9 @@ func sizes() {
 		}
 		fmt.Printf("%-28s %10d %10s\n", r.name, r.ours, paper)
 	}
-	fmt.Println("\n(difference: uncompressed BN254 group elements — 128 B G2 points vs the")
-	fmt.Println(" paper's 64 B compressed BN-256; counts and protocol structure identical)")
+	fmt.Println("\n(difference: the ciphertext element is an uncompressed 64 B BN254 G1 point")
+	fmt.Println(" plus a 16 B AES-GCM tag, 80 B against the paper's 64 B; counts and")
+	fmt.Println(" protocol structure identical)")
 }
 
 // extraction measures T3: combined key-extraction latency vs #PKGs.

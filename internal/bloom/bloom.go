@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // DefaultBitsPerElement is the paper's 48 bits/element design point.
@@ -71,15 +72,20 @@ func NewFromElements(elems [][]byte, bitsPerElement int) *Filter {
 	return f
 }
 
-// probes derives the k bit positions for an element by double hashing: the
-// element's SHA-256 digest provides two independent 64-bit values h1, h2,
-// and probe i uses h1 + i·h2 mod m.
+// probes derives the k bit positions for an element: 64 bits of its SHA-256
+// digest seed a splitmix64 stream, and a multiply-high maps each output
+// onto [0, m). Double hashing (h1 + i·h2 mod m) fixes a probe set by two
+// residues mod m, so two elements share one outright with probability
+// ~1/m²: 1e-3 to 1e-6 for the few-token mailboxes of a quiet round, not
+// the design's 1e-10.
 func (f *Filter) probes(elem []byte, fn func(pos uint64) bool) {
 	d := sha256.Sum256(elem)
-	h1 := binary.BigEndian.Uint64(d[0:8])
-	h2 := binary.BigEndian.Uint64(d[8:16]) | 1 // force odd so probes spread
+	s := binary.BigEndian.Uint64(d[0:8])
 	for i := uint32(0); i < f.k; i++ {
-		pos := (h1 + uint64(i)*h2) % f.m
+		s += 0x9e3779b97f4a7c15
+		z := (s ^ s>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		pos, _ := bits.Mul64(z^z>>31, f.m)
 		if !fn(pos) {
 			return
 		}

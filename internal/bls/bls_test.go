@@ -191,7 +191,7 @@ func TestVerifyMatchesTwoPairReconstruction(t *testing.T) {
 // independent bn254.AtePair calls, lines built per call, two final
 // exponentiations; hashing included on both sides — by a clear margin.
 // (bn254's TestAtePairingCheckSpeedupPin pins the check itself against the
-// Tate oracle.) The measured ratio is ~1.9x and the floor 1.5x, which
+// Tate oracle.) The measured ratio is ~2.1x and the floor 1.5x, which
 // leaves room for scheduler noise while a real regression (tables rebuilt
 // per call, an unshared loop) still trips it. Skipped in -short mode.
 func TestVerifySpeedupPin(t *testing.T) {

@@ -28,8 +28,10 @@ import (
 //	addition:  la = R·x_Q − HZ·y_Q,  lb = −R,  lc = HZ
 //	           (H = x_Q·Z² − X, R = y_Q·Z³ − Y, over Fp2 on the twist)
 //
-// — the same shapes as the Tate steps with Fp2 coefficients, absorbed by
-// fe12.MulAteLine.
+// — the same shapes as the Tate steps with Fp2 coefficients. g2AteLines
+// divides each line by its lc, and ateFixedPoint divides the point by y_P,
+// so the replay multiplies by 1 + lb·(x_P/y_P)·w + la·(1/y_P)·w³
+// (fe12.mulAteLineMonic).
 //
 // The ate value differs from the Tate value by a FIXED exponent: both are
 // reduced pairings on the same groups, so e_ate = e_tate^κ for a constant κ
@@ -191,110 +193,145 @@ func ateAddStep(c *ateLineCoeff, t *g2Jac, q *G2) {
 	t.x, t.y, t.z = x3, y3, z3
 }
 
-// ateApplyLine multiplies the sparse line value ℓ(P) into f for
-// P = (xp, yp).
-func ateApplyLine(f *fe12, c *ateLineCoeff, xp, yp *fe) {
-	if c.vertical {
-		return
-	}
-	var b, cc fe2
-	b.MulFe(&c.lb, xp)
-	cc.MulFe(&c.lc, yp)
-	f.MulAteLine(f, &cc, &b, &c.la)
+// ateMonicLine is one line of a replay table, divided by its lc: the line
+// 1 + lb·w + la·w³ before the G1 point's coordinates are folded in (see
+// ateFixedPoint). A vertical line is stored as la = lb = 0, the line 1:
+// its true value lies in Fp6 and dies in the final exponentiation anyway.
+// So an all-zero table, which is what Erase leaves, replays to 1.
+type ateMonicLine struct {
+	la, lb fe2
 }
 
-// ateMillerInto computes the unreduced optimal-ate Miller value
-// f_{λ,Q}(P)·(correction lines) into f, with lines computed on the fly —
-// zero allocations, for the batched scan where Q varies per element.
-func ateMillerInto(f *fe12, xp, yp *fe, q *G2) {
+// ateMaxLines bounds ateNumLines, for stack-allocated tables and scratch.
+const ateMaxLines = 96
+
+// ateNumLines is the length of every replay table: one line per doubling,
+// one per nonzero NAF digit, two corrections (88 for this curve's λ).
+var ateNumLines = func() int {
+	n := 2
+	for _, d := range ateLoopNAF[:len(ateLoopNAF)-1] {
+		n++
+		if d != 0 {
+			n++
+		}
+	}
+	if n > ateMaxLines {
+		panic("bn254: ate line table exceeds ateMaxLines")
+	}
+	return n
+}()
+
+// g2AteLines runs the optimal-ate ladder on a fixed Q once and writes its
+// line table, in evaluation order and including the two correction steps,
+// into out[:0], which should have room for ateNumLines lines. Every line
+// is made monic, divided by its lc with one shared Fp2 inversion: an Fp2
+// factor dies in the final exponentiation, so the reduced pairing is
+// unchanged, and the replay multiplies by the cheaper 1 + b·w + a·w³ (see
+// ateEvalLinesInto).
+//
+// The inversion is Montgomery's trick with the prefix folded in on the way
+// forward: with Pᵢ = lc₀⋯lcᵢ, line i is stored as (la, lb)·Pᵢ₋₁, so that
+// multiplying it by Pᵢ⁻¹ on the way back leaves (la, lb)/lcᵢ. Only the lc
+// column needs scratch, and it lives on the stack.
+func g2AteLines(q *G2, out []ateMonicLine) []ateMonicLine {
+	out = out[:0]
+	var lcs [ateMaxLines]fe2
+	var prefix fe2
+	prefix.SetOne()
+	var c ateLineCoeff
+	push := func() {
+		n := len(out)
+		if c.vertical {
+			out = append(out, ateMonicLine{})
+			lcs[n].SetOne()
+			return
+		}
+		var m ateMonicLine
+		m.la.Mul(&c.la, &prefix)
+		m.lb.Mul(&c.lb, &prefix)
+		out = append(out, m)
+		lcs[n] = c.lc // nonzero: 2YZ³ and HZ vanish only on vertical cases
+		prefix.Mul(&prefix, &c.lc)
+	}
 	var t g2Jac
 	t.fromAffine(q)
 	var nq G2
 	nq.Neg(q)
-	f.SetOne()
-	var c ateLineCoeff
 	for i := len(ateLoopNAF) - 2; i >= 0; i-- {
-		f.Square(f)
 		ateDoubleStep(&c, &t)
-		ateApplyLine(f, &c, xp, yp)
+		push()
 		switch ateLoopNAF[i] {
 		case 1:
 			ateAddStep(&c, &t, q)
-			ateApplyLine(f, &c, xp, yp)
+			push()
 		case -1:
 			ateAddStep(&c, &t, &nq)
-			ateApplyLine(f, &c, xp, yp)
+			push()
 		}
 	}
-	// Correction steps: add ψ(Q), then −ψ²(Q). No squaring between them.
 	var q1, nq2 G2
 	g2Psi(&q1, q)
 	g2Psi(&nq2, &q1)
 	nq2.y.Neg(&nq2.y)
 	ateAddStep(&c, &t, &q1)
-	ateApplyLine(f, &c, xp, yp)
+	push()
 	ateAddStep(&c, &t, &nq2)
-	ateApplyLine(f, &c, xp, yp)
-}
+	push()
 
-// g2AteLines runs the optimal-ate ladder on a fixed Q once and returns the
-// line coefficients in evaluation order (including the two correction
-// steps), for replay against many G1 points — the encrypt-side pattern,
-// where the aggregated master public key is the fixed argument.
-func g2AteLines(q *G2) []ateLineCoeff {
-	coeffs := make([]ateLineCoeff, 0, len(ateLoopNAF)+len(ateLoopNAF)/2+2)
-	var t g2Jac
-	t.fromAffine(q)
-	var nq G2
-	nq.Neg(q)
-	var c ateLineCoeff
-	for i := len(ateLoopNAF) - 2; i >= 0; i-- {
-		ateDoubleStep(&c, &t)
-		coeffs = append(coeffs, c)
-		switch ateLoopNAF[i] {
-		case 1:
-			ateAddStep(&c, &t, q)
-			coeffs = append(coeffs, c)
-		case -1:
-			ateAddStep(&c, &t, &nq)
-			coeffs = append(coeffs, c)
-		}
+	var inv fe2 // Pᵢ⁻¹, walking back from the last line
+	inv.Invert(&prefix)
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i].la.Mul(&out[i].la, &inv)
+		out[i].lb.Mul(&out[i].lb, &inv)
+		inv.Mul(&inv, &lcs[i])
 	}
-	var q1, nq2 G2
-	g2Psi(&q1, q)
-	g2Psi(&nq2, &q1)
-	nq2.y.Neg(&nq2.y)
-	ateAddStep(&c, &t, &q1)
-	coeffs = append(coeffs, c)
-	ateAddStep(&c, &t, &nq2)
-	coeffs = append(coeffs, c)
-	return coeffs
+	return out
 }
 
-// ateFixedPair is one factor of a fixed-G2 pairing product: the line table
-// of Q and the evaluation coordinates of P.
+// ateFixedPair is one factor of a fixed-G2 pairing product: the monic line
+// table of Q and P's coordinates as the replay uses them, xq = x_P/y_P and
+// yinv = 1/y_P (see ateFixedPoint).
 type ateFixedPair struct {
-	coeffs []ateLineCoeff
-	xp, yp *fe
+	lines    []ateMonicLine
+	xq, yinv *fe
+}
+
+// ateFixedPoint returns the replay coordinates of a finite G1 point:
+// dividing a line lc·y_P + lb·x_P·w + la·w³ with lc = 1 by y_P (an Fp
+// factor, dead after the final exponentiation) leaves
+// 1 + lb·(x_P/y_P)·w + la·(1/y_P)·w³. y_P ≠ 0 on E(Fp), which has no
+// point of order two.
+func ateFixedPoint(p *G1) (xq, yinv fe) {
+	feInv(&yinv, &p.y)
+	feMul(&xq, &p.x, &yinv)
+	return
 }
 
 // ateEvalLinesInto replays fixed-Q ate ladders against their G1 points,
-// leaving the PRODUCT of the unreduced Miller values in f. Every table has
-// the same layout (one triple per doubling, one per nonzero NAF digit, two
-// corrections — the shape depends only on λ), so the ladders advance in
-// lockstep and the Fp12 squaring of each iteration is paid once for the
-// whole product: f² · ∏ℓᵢ is the square-and-multiply step of ∏fᵢ.
+// leaving the PRODUCT of the unreduced Miller values (up to factors the
+// final exponentiation kills) in f. Every table has the same layout (one
+// line per doubling, one per nonzero NAF digit, two corrections — the
+// shape depends only on λ), so the ladders advance in lockstep and the
+// Fp12 squaring of each iteration is paid once for the whole product:
+// f² · ∏ℓᵢ is the square-and-multiply step of ∏fᵢ. The first squaring,
+// of f = 1, is skipped.
 func ateEvalLinesInto(f *fe12, pairs []ateFixedPair) {
 	f.SetOne()
 	k := 0
 	apply := func() {
 		for i := range pairs {
-			ateApplyLine(f, &pairs[i].coeffs[k], pairs[i].xp, pairs[i].yp)
+			c := &pairs[i].lines[k]
+			var b, a fe2
+			b.MulFe(&c.lb, pairs[i].xq)
+			a.MulFe(&c.la, pairs[i].yinv)
+			f.mulAteLineMonic(f, &b, &a)
 		}
 		k++
 	}
 	for i := len(ateLoopNAF) - 2; i >= 0; i-- {
-		f.Square(f)
+		if k > 0 {
+			f.Square(f)
+		}
 		apply()
 		if ateLoopNAF[i] != 0 {
 			apply()
@@ -306,13 +343,22 @@ func ateEvalLinesInto(f *fe12, pairs []ateFixedPair) {
 }
 
 // atePairValue is AtePair without the first-use check (the check itself
-// uses it).
+// uses it). It builds q's line table on the stack and replays it once: the
+// package has one Miller loop, the replay.
 func atePairValue(p *G1, q *G2) *GT {
 	if p.IsInfinity() || q.IsInfinity() {
 		return GTOne()
 	}
+	var buf [ateMaxLines]ateMonicLine
+	return ateReplay(g2AteLines(q, buf[:]), p)
+}
+
+// ateReplay is the reduced pairing of a finite p with the point whose line
+// table is lines.
+func ateReplay(lines []ateMonicLine, p *G1) *GT {
+	xq, yinv := ateFixedPoint(p)
 	var f fe12
-	ateMillerInto(&f, &p.x, &p.y, q)
+	ateEvalLinesInto(&f, []ateFixedPair{{lines, &xq, &yinv}})
 	return &GT{e: *finalExpDecomp(&f)}
 }
 
@@ -441,21 +487,8 @@ func (p *G2) isInSubgroupGS() bool {
 	if p.inf {
 		return true
 	}
-	// uq = [u]Q, walking the signed recoding of u (negating an affine
-	// point is one Fp2 negation, NAF weight 24 vs binary weight 28).
-	var np G2
-	np.Neg(p)
 	var uq g2Jac
-	uq.fromAffine(p)
-	for i := len(uNAF) - 2; i >= 0; i-- {
-		uq.double(&uq)
-		switch uNAF[i] {
-		case 1:
-			uq.addMixed(&uq, p)
-		case -1:
-			uq.addMixed(&uq, &np)
-		}
-	}
+	g2JacMulU(&uq, p)
 	// acc = [u+1]Q + ψ([u]Q) + ψ²([u]Q) − ψ³([2u]Q).
 	var acc, t g2Jac
 	acc.addMixed(&uq, p) // [u+1]Q
@@ -473,53 +506,14 @@ func (p *G2) isInSubgroupGS() bool {
 	return acc.isInfinity()
 }
 
-// AtePrecomputedG1 is the fixed-G1 handle for the mailbox scan. The ate
-// ladder runs over the VARYING G2 argument, so there are no lines to replay
-// for a fixed P: the cacheable state is just P's evaluation coordinates.
-// The type exists so key call sites (identity private keys) keep a
-// precompute-once, erase-once discipline.
-type AtePrecomputedG1 struct {
-	xp, yp fe
-	inf    bool
-}
-
-// AtePrecomputeG1 prepares p for repeated pairing.
-func AtePrecomputeG1(p *G1) *AtePrecomputedG1 {
-	if p.IsInfinity() {
-		return &AtePrecomputedG1{inf: true}
-	}
-	ateOracleCheck()
-	return &AtePrecomputedG1{xp: p.x, yp: p.y}
-}
-
-// Erase scrubs the cached coordinates. They determine the fixed point, so
-// key-erasure call sites must scrub them like the key itself. An erased
-// precomputation pairs to the identity, like the precomputation of
-// infinity.
-func (pc *AtePrecomputedG1) Erase() {
-	pc.xp = fe{}
-	pc.yp = fe{}
-	pc.inf = true
-}
-
-// Pair computes AtePair(p, q) for the precomputed p.
-func (pc *AtePrecomputedG1) Pair(q *G2) *GT {
-	if pc.inf || q.IsInfinity() {
-		return GTOne()
-	}
-	var f fe12
-	ateMillerInto(&f, &pc.xp, &pc.yp, q)
-	return &GT{e: *finalExpDecomp(&f)}
-}
-
-// AtePrecomputedG2 caches the full ate line ladder of a fixed G2 point —
-// the encrypt-side pattern, where the aggregated master public key is
-// paired against a fresh G1 element per sealed message. Unlike the decrypt
-// side, the fixed argument here IS the laddered one, so precompute recovers
-// the line-replay win on top of the short loop.
+// AtePrecomputedG2 caches the full ate line ladder of a fixed G2 point:
+// the identity key of a mailbox scan, paired against a fresh G1 element
+// per ciphertext, and the BLS verification keys. The fixed argument is the
+// laddered one, so every pairing against it replays ~90 monic lines
+// instead of re-running the twist arithmetic.
 type AtePrecomputedG2 struct {
-	coeffs []ateLineCoeff
-	inf    bool
+	lines []ateMonicLine
+	inf   bool
 }
 
 // AtePrecomputeG2 runs the ate ladder for q once, for repeated pairing
@@ -529,7 +523,16 @@ func AtePrecomputeG2(q *G2) *AtePrecomputedG2 {
 		return &AtePrecomputedG2{inf: true}
 	}
 	ateOracleCheck()
-	return &AtePrecomputedG2{coeffs: g2AteLines(q)}
+	return &AtePrecomputedG2{lines: g2AteLines(q, make([]ateMonicLine, ateNumLines))}
+}
+
+// Erase zeroes every line coefficient in place. The table is derived from
+// q, and for an identity key q is the key, so key-erasure call sites must
+// scrub it like the key itself. An erased table pairs to the identity,
+// like the table of infinity.
+func (pc *AtePrecomputedG2) Erase() {
+	clear(pc.lines)
+	pc.inf = true
 }
 
 // Pair computes AtePair(p, q) for the precomputed q.
@@ -537,9 +540,7 @@ func (pc *AtePrecomputedG2) Pair(p *G1) *GT {
 	if pc.inf || p.IsInfinity() {
 		return GTOne()
 	}
-	var f fe12
-	ateEvalLinesInto(&f, []ateFixedPair{{pc.coeffs, &p.x, &p.y}})
-	return &GT{e: *finalExpDecomp(&f)}
+	return ateReplay(pc.lines, p)
 }
 
 // AtePairingCheck reports whether ∏ AtePair(ps[i], qs[i]) == 1 for fixed,
@@ -557,11 +558,13 @@ func AtePairingCheck(ps []*G1, qs []*AtePrecomputedG2) bool {
 		return false
 	}
 	pairs := make([]ateFixedPair, 0, len(ps))
+	coords := make([]fe, 2*len(ps))
 	for i, p := range ps {
 		if p.IsInfinity() || qs[i].inf {
 			continue
 		}
-		pairs = append(pairs, ateFixedPair{qs[i].coeffs, &p.x, &p.y})
+		coords[2*i], coords[2*i+1] = ateFixedPoint(p)
+		pairs = append(pairs, ateFixedPair{qs[i].lines, &coords[2*i], &coords[2*i+1]})
 	}
 	if len(pairs) == 0 {
 		return true

@@ -56,22 +56,24 @@ func TestAtePairIdentity(t *testing.T) {
 	if !AtePair(inf1, q).IsOne() || !AtePair(p, inf2).IsOne() || !AtePair(inf1, inf2).IsOne() {
 		t.Fatal("AtePair with infinity is not the identity")
 	}
-	pre := AtePrecomputeG1(p)
-	if !pre.Pair(inf2).IsOne() {
-		t.Fatal("precomputed AtePair with infinite Q is not the identity")
+	pre := AtePrecomputeG2(q)
+	if !pre.Pair(inf1).IsOne() {
+		t.Fatal("precomputed AtePair with infinite P is not the identity")
 	}
 	pre.Erase()
-	if !pre.Pair(q).IsOne() {
-		t.Fatal("erased AtePrecomputedG1 does not pair to the identity")
+	if !pre.Pair(p).IsOne() {
+		t.Fatal("erased AtePrecomputedG2 does not pair to the identity")
 	}
-	if !AtePrecomputeG1(inf1).Pair(q).IsOne() || !AtePrecomputeG2(inf2).Pair(p).IsOne() {
+	if !AtePrecomputeG2(inf2).Pair(p).IsOne() {
 		t.Fatal("precomputation of infinity does not pair to the identity")
 	}
 }
 
-// TestAtePrecomputeReplay pins both fixed-argument handles against the
-// scalar AtePair on random points: the fixed-G2 ladder replay and the
-// fixed-G1 coordinate cache must be bit-identical to the on-the-fly loop.
+// TestAtePrecomputeReplay pins the monic line-table replay, through both
+// AtePair and the fixed-G2 handle, against the on-the-fly Miller loop
+// (ate_fly_test.go) on random points: the reduced values must be
+// identical, the Fp2 and Fp factors the replay divides out dying in the
+// final exponentiation.
 func TestAtePrecomputeReplay(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		a, err := RandomScalar(rand.Reader)
@@ -84,12 +86,14 @@ func TestAtePrecomputeReplay(t *testing.T) {
 		}
 		p := new(G1).ScalarBaseMult(a)
 		q := new(G2).ScalarBaseMult(b)
-		want := AtePair(p, q)
-		if got := AtePrecomputeG1(p).Pair(q); !got.Equal(want) {
-			t.Fatalf("AtePrecomputedG1.Pair disagrees with AtePair on trial %d", i)
+		var f fe12
+		ateMillerInto(&f, &p.x, &p.y, q)
+		want := finalExpDecomp(&f)
+		if got := AtePair(p, q); !got.e.Equal(want) {
+			t.Fatalf("AtePair disagrees with the on-the-fly loop on trial %d", i)
 		}
-		if got := AtePrecomputeG2(q).Pair(p); !got.Equal(want) {
-			t.Fatalf("AtePrecomputedG2.Pair disagrees with AtePair on trial %d", i)
+		if got := AtePrecomputeG2(q).Pair(p); !got.e.Equal(want) {
+			t.Fatalf("AtePrecomputedG2.Pair disagrees with the on-the-fly loop on trial %d", i)
 		}
 	}
 }
@@ -108,12 +112,28 @@ func TestGSSubgroupDifferential(t *testing.T) {
 			t.Fatalf("GS check rejected subgroup point %v·G2", k)
 		}
 	}
+	// Off-subgroup twist points, checked directly and through Unmarshal,
+	// which runs the GS check on untrusted encodings: both must agree with
+	// the Order ladder, and with the big.Int reference decoder.
 	for i := 0; i < 10; i++ {
 		p := randTwistPoint(t)
 		ladder := p.isInSubgroup()
 		gs := p.isInSubgroupGS()
 		if ladder != gs {
 			t.Fatalf("subgroup check disagreement on twist point %v: ladder=%v GS=%v", p, ladder, gs)
+		}
+		raw := p.Marshal()
+		uerr := new(G2).Unmarshal(raw)
+		rerr := new(refG2).Unmarshal(raw)
+		if (uerr == nil) != ladder || (rerr == nil) != ladder {
+			t.Fatalf("Unmarshal disagrees with the Order ladder on twist point %v: ladder=%v Unmarshal err=%v ref err=%v", p, ladder, uerr, rerr)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		q := new(G2).ScalarBaseMult(randScalar(t))
+		var back G2
+		if err := back.Unmarshal(q.Marshal()); err != nil || !back.Equal(q) {
+			t.Fatalf("Unmarshal rejected or changed subgroup point %v: %v", q, err)
 		}
 	}
 	if !new(G2).SetInfinity().isInSubgroupGS() {
@@ -130,25 +150,24 @@ func TestGSSubgroupDifferential(t *testing.T) {
 }
 
 // TestAtePairBatchDifferential pins the batch element-wise against the
-// scalar ate path (Unmarshal + AtePrecomputedG1.Pair) on the full invalid-
+// scalar ate path (Unmarshal + AtePrecomputedG2.Pair) on the full invalid-
 // shape corpus: acceptance must match Unmarshal exactly, invalid slots
 // must not disturb their neighbors, and every valid value must equal the
 // scalar loop's.
 func TestAtePairBatchDifferential(t *testing.T) {
-	kp, err := RandomScalar(rand.Reader)
+	kq, err := RandomScalar(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := new(G1).ScalarBaseMult(kp)
-	pre := AtePrecomputeG1(p)
+	pre := AtePrecomputeG2(new(G2).ScalarBaseMult(kq))
 	raws := batchTestInputs(t)
 	n := len(raws)
 	dst := make([]GT, n)
 	ok := make([]bool, n)
 	pre.PairBatch(raws, dst, ok, NewPairScratch(n))
 	for i, raw := range raws {
-		var q G2
-		uerr := q.Unmarshal(raw)
+		var p G1
+		uerr := p.Unmarshal(raw)
 		if ok[i] != (uerr == nil) {
 			t.Fatalf("element %d: batch ok=%v but Unmarshal err=%v", i, ok[i], uerr)
 		}
@@ -158,18 +177,18 @@ func TestAtePairBatchDifferential(t *testing.T) {
 			}
 			continue
 		}
-		if want := pre.Pair(&q); !dst[i].Equal(want) {
+		if want := pre.Pair(&p); !dst[i].Equal(want) {
 			t.Fatalf("element %d: batch value disagrees with scalar ate path", i)
 		}
 	}
 
 	// The precomputation of infinity accepts/rejects identically and
 	// yields the identity everywhere.
-	infPre := AtePrecomputeG1(new(G1).SetInfinity())
+	infPre := AtePrecomputeG2(new(G2).SetInfinity())
 	infPre.PairBatch(raws, dst, ok, nil)
 	for i, raw := range raws {
-		var q G2
-		uerr := q.Unmarshal(raw)
+		var p G1
+		uerr := p.Unmarshal(raw)
 		if ok[i] != (uerr == nil) {
 			t.Fatalf("inf element %d: batch ok=%v but Unmarshal err=%v", i, ok[i], uerr)
 		}
@@ -177,6 +196,21 @@ func TestAtePairBatchDifferential(t *testing.T) {
 			t.Fatalf("inf element %d: pairing with infinity is not the identity", i)
 		}
 	}
+}
+
+// randG1Raws returns n marshalled random G1 points, the shape of the
+// ciphertext elements of a mailbox.
+func randG1Raws(t testing.TB, n int) [][]byte {
+	t.Helper()
+	raws := make([][]byte, n)
+	for i := range raws {
+		k, err := RandomScalar(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws[i] = new(G1).ScalarBaseMult(k).Marshal()
+	}
+	return raws
 }
 
 // TestAtePairBatchAllocations pins the batched scan hot path at ZERO heap
@@ -187,17 +221,10 @@ func TestAtePairBatchAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre := AtePrecomputeG1(new(G1).ScalarBaseMult(k))
+	pre := AtePrecomputeG2(new(G2).ScalarBaseMult(k))
 	const n = 4
-	raws := make([][]byte, n)
-	for i := range raws {
-		ki, err := RandomScalar(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raws[i] = new(G2).ScalarBaseMult(ki).Marshal()
-	}
-	raws[1] = make([]byte, g2MarshalledSize)
+	raws := randG1Raws(t, n)
+	raws[1] = make([]byte, g1MarshalledSize)
 	dst := make([]GT, n)
 	ok := make([]bool, n)
 	scratch := NewPairScratch(n)
@@ -212,14 +239,13 @@ func TestAtePairBatchAllocations(t *testing.T) {
 
 // TestAteBatchSpeedupPin guards the batched scan pipeline: decrypt-
 // scanning a mailbox slice through PairBatch must beat the per-ciphertext
-// path (Unmarshal + AtePrecomputedG1.Pair) by a clear margin — the
-// Galbraith–Scott check in place of the Order ladder and one shared
-// inversion in place of one per element. Both sides run the same Miller
-// loop and the same decomposed final exponentiation, so the measured ratio
-// is ~1.25x (8 elements); the floor is 1.15x so scheduler noise cannot
-// flake the suite while a real regression (a lost short subgroup check, a
-// per-element inversion) still trips it. The two sides are timed in
-// alternation (bestInterleaved). Skipped in -short mode.
+// scalar path (Unmarshal + AtePair) by a clear margin — the key's line
+// table built once instead of once per element, and one shared inversion
+// in place of one per element. Both sides run the same replay and hard
+// part, so the measured ratio is ~1.4x (8 elements); the floor
+// is 1.15x so scheduler noise cannot flake the suite while a lost line
+// table or a per-element inversion still trips it. The two sides are
+// timed in alternation (bestInterleaved). Skipped in -short mode.
 func TestAteBatchSpeedupPin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("relative perf pin skipped in -short mode")
@@ -228,16 +254,10 @@ func TestAteBatchSpeedupPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre := AtePrecomputeG1(new(G1).ScalarBaseMult(k))
+	q := new(G2).ScalarBaseMult(k)
+	pre := AtePrecomputeG2(q)
 	const n = 8
-	raws := make([][]byte, n)
-	for i := range raws {
-		ki, err := RandomScalar(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raws[i] = new(G2).ScalarBaseMult(ki).Marshal()
-	}
+	raws := randG1Raws(t, n)
 	dst := make([]GT, n)
 	ok := make([]bool, n)
 	scratch := NewPairScratch(n)
@@ -247,11 +267,11 @@ func TestAteBatchSpeedupPin(t *testing.T) {
 		func() { pre.PairBatch(raws, dst, ok, scratch) },
 		func() {
 			for _, raw := range raws {
-				var q G2
-				if err := q.Unmarshal(raw); err != nil {
+				var p G1
+				if err := p.Unmarshal(raw); err != nil {
 					t.Fatal(err)
 				}
-				pre.Pair(&q)
+				AtePair(&p, q)
 			}
 		})
 	batched, scalar := best[0], best[1]
@@ -272,10 +292,9 @@ func BenchmarkAtePair(b *testing.B) {
 	}
 	p := new(G1).ScalarBaseMult(k)
 	q := G2Generator()
-	pre := AtePrecomputeG1(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pre.Pair(q)
+		AtePair(p, q)
 	}
 }
 
@@ -284,16 +303,9 @@ func BenchmarkAtePairBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pre := AtePrecomputeG1(new(G1).ScalarBaseMult(k))
+	pre := AtePrecomputeG2(new(G2).ScalarBaseMult(k))
 	const n = 32
-	raws := make([][]byte, n)
-	for i := range raws {
-		ki, err := RandomScalar(rand.Reader)
-		if err != nil {
-			b.Fatal(err)
-		}
-		raws[i] = new(G2).ScalarBaseMult(ki).Marshal()
-	}
+	raws := randG1Raws(b, n)
 	dst := make([]GT, n)
 	ok := make([]bool, n)
 	scratch := NewPairScratch(n)
@@ -430,4 +442,19 @@ func TestAtePairingCheckSpeedupPin(t *testing.T) {
 			ate, tate, float64(tate)/float64(ate))
 	}
 	t.Logf("ate check %v vs tate oracle check %v: %.2fx", ate, tate, float64(tate)/float64(ate))
+}
+
+// TestAteLineTableLength pins the table layout the replay assumes: a
+// precomputed table holds exactly ateNumLines lines in a slice of that
+// size, and AtePair keeps its table on the stack: it allocates what it
+// returns (finalExpDecomp's Fp12 value and the GT around it), no more.
+func TestAteLineTableLength(t *testing.T) {
+	lines := AtePrecomputeG2(G2Generator()).lines
+	if len(lines) != ateNumLines || cap(lines) != ateNumLines {
+		t.Fatalf("line table has len %d cap %d, want %d", len(lines), cap(lines), ateNumLines)
+	}
+	p, q := G1Generator(), G2Generator()
+	if allocs := testing.AllocsPerRun(3, func() { AtePair(p, q) }); allocs > 2 {
+		t.Fatalf("AtePair allocates %v times, want 2 (its result)", allocs)
+	}
 }

@@ -215,3 +215,27 @@ func BenchmarkHashToG1(b *testing.B) {
 		HashToG1("bench", []byte{byte(i), byte(i >> 8)})
 	}
 }
+
+func BenchmarkHashToG2(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		HashToG2("bench", []byte{byte(i), byte(i >> 8)})
+	}
+}
+
+func BenchmarkFe12MulAteLineMonic(b *testing.B) {
+	x := fe6{fe2FromRef(randRefGFp2(b)), fe2FromRef(randRefGFp2(b)), fe2FromRef(randRefGFp2(b))}
+	z := fe12{x, x}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.mulAteLineMonic(&z, &x.c1, &x.c2)
+	}
+}
+
+func BenchmarkFe12Mul(b *testing.B) {
+	x := fe6{fe2FromRef(randRefGFp2(b)), fe2FromRef(randRefGFp2(b)), fe2FromRef(randRefGFp2(b))}
+	z := fe12{x, x}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Mul(&z, &z)
+	}
+}

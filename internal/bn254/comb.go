@@ -159,20 +159,20 @@ func g2CombMult(acc *g2Jac, buf *[32]byte) {
 	}
 }
 
-// G2ScalarBaseMultBatch computes kᵢ·G2gen for a whole slice of scalars,
+// G1ScalarBaseMultBatch computes kᵢ·G1gen for a whole slice of scalars,
 // running the comb ladders in Jacobian form and converting every result
 // to affine in one shared-inversion pass. Used by batched noise
 // generation; results are identical to calling ScalarBaseMult per scalar.
-func G2ScalarBaseMultBatch(ks []*big.Int) []*G2 {
-	jacs := make([]g2Jac, len(ks))
+func G1ScalarBaseMultBatch(ks []*big.Int) []*G1 {
+	jacs := make([]g1Jac, len(ks))
 	var buf [32]byte
 	for i, k := range ks {
 		combScalarBytes(&buf, k)
-		g2CombMult(&jacs[i], &buf)
+		g1CombMult(&jacs[i], &buf)
 	}
-	pts := make([]G2, len(ks))
-	g2JacBatchToAffine(jacs, pts)
-	out := make([]*G2, len(ks))
+	pts := make([]G1, len(ks))
+	g1JacBatchToAffine(jacs, pts)
+	out := make([]*G1, len(ks))
 	for i := range pts {
 		out[i] = &pts[i]
 	}

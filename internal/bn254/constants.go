@@ -51,23 +51,27 @@
 //
 // # Batched pairings and the batch-inversion invariant
 //
-// AtePrecomputedG1.PairBatch evaluates many pairings that share a fixed G1
+// AtePrecomputedG2.PairBatch evaluates many pairings that share a fixed G2
 // argument (the mailbox-scan shape: one identity key, thousands of
-// ciphertext G2 points). Per batch it pays ONE Fp12 inversion for the
-// final exponentiation's easy part, shared across elements via
-// Montgomery's inversion trick; the hard part runs per element through
-// the Devegili-Scott decomposition (three cyclotomic exponentiations by
-// the curve parameter u plus Frobenius maps), the package's only final
-// exponentiation. G2 inputs are subgroup-checked with the Galbraith–Scott
-// short vector (one 63-bit ladder plus ψ maps) instead of a 254-bit order
-// multiplication. The batch-inversion INVARIANT, relied on by every
-// prefix-product chain in this package (batch.go, pairbatch.go): invalid,
-// infinity, or otherwise skipped slots are masked out of the chain BEFORE
-// it runs, never patched afterwards — a zero or garbage element that
-// entered the running product would corrupt every later element's
-// inverse, letting one malformed ciphertext poison its batch neighbors.
-// Fuzzing pins that a genuine element always decrypts identically no
-// matter what surrounds it.
+// ciphertext G1 points). The key's ate line table is built once and
+// replayed against every point; G1 inputs need only a range and curve
+// check, since E(Fp) has prime order, and their replay coordinates share
+// one Fp inversion. Per batch it pays ONE Fp12 inversion for the final
+// exponentiation's easy part, shared across elements via Montgomery's
+// inversion trick; the hard part runs per element through the
+// Devegili-Scott decomposition (three cyclotomic exponentiations by the
+// curve parameter u, in signed windows, plus Frobenius maps), the
+// package's only final exponentiation. G2.Unmarshal checks subgroup
+// membership with the Galbraith–Scott short vector (one 63-bit ladder
+// plus ψ maps) instead of a 254-bit order multiplication, and HashToG2
+// clears the twist's cofactor with the same ladder. The batch-inversion
+// INVARIANT, relied on by every prefix-product chain in this package
+// (batch.go, pairbatch.go): invalid, infinity, or otherwise skipped slots
+// are masked out of the chain BEFORE it runs, never patched afterwards — a
+// zero or garbage element that entered the running product would corrupt
+// every later element's inverse, letting one malformed ciphertext poison
+// its batch neighbors. Fuzzing pins that a genuine element always decrypts
+// identically no matter what surrounds it.
 //
 // # Optimal-ate pairing (AtePair)
 //
@@ -77,7 +81,7 @@
 // through the twist endomorphism ψ, then the final exponentiation. A
 // first-use check pins AtePair's bilinearity on generator multiples before
 // any key is derived from it. AtePrecomputedG2 replays the line ladder of
-// a fixed G2 argument (encryption to a round's master key, BLS
+// a fixed G2 argument (an identity key's mailbox scan, BLS
 // verification); AtePairingCheck shares one loop's squarings across a
 // product of pairs.
 //
@@ -117,7 +121,7 @@
 // feMulBy3, feMulBy9, feMulWide, feSquareWide, feMontReduce, feReduce5
 // and the feWide sums; fe2/fe6/fe12 Add, Sub, Neg, Double, Conjugate,
 // Mul, MulFe, Square, MulXi, MulV, the sparse ate-line products
-// (mulByFe2, mulBy01fe2, MulAteLine), CyclotomicSquare, Frobenius and
+// (mulBy01fe2, mulAteLineMonic), CyclotomicSquare, Frobenius and
 // FrobeniusP2; and the conversions feFromMont, feBytes, feToBig.
 // Every reduction is a trial subtraction whose borrow becomes a mask.
 // The branches this replaced: the `if b == 0` after the trial
@@ -149,12 +153,13 @@
 // bits of the scalar (master and BLS key generation, the ephemeral r);
 // the Jacobian addition formulas in g1.go and g2.go, which branch on the
 // exceptional cases (infinity, equal or opposite operands); the ate Miller
-// loops in ate.go (ateMillerInto, ateEvalLinesInto), whose NAF digit
-// pattern is a constant of the curve and whose vertical-line branches are
-// taken only on degenerate G2 inputs, but whose G1 argument is secret —
-// the recipient's identity private key in a scan, the sender's r·H(id) in
-// encryption — evaluated through the field operations above; and
-// RandomScalar's rejection sampling.
+// loop in ate.go (g2AteLines building a line table, ateEvalLinesInto
+// replaying it), whose NAF digit pattern is a constant of the curve and
+// whose vertical-line branches are taken only on degenerate G2 inputs, but
+// whose arguments are secret — the recipient's identity private key, the
+// laddered G2 argument of a scan, and the sender's r·mpk in encryption —
+// evaluated through the field operations above; and RandomScalar's
+// rejection sampling.
 package bn254
 
 import "math/big"

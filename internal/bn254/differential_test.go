@@ -359,23 +359,26 @@ func TestPairDifferential(t *testing.T) {
 	}
 }
 
-// TestPrecomputedG1Erase checks that Erase scrubs the key-equivalent
-// evaluation coordinates in place and degrades Pair and PairBatch to the
-// identity (the erased-key shape).
-func TestPrecomputedG1Erase(t *testing.T) {
-	pre := AtePrecomputeG1(G1Generator())
-	if pre.xp.IsZero() || pre.yp.IsZero() {
-		t.Fatal("precomputation holds no coordinates before Erase")
+// TestPrecomputedG2Erase checks that Erase zeroes every coefficient of
+// the key-equivalent line table in place and degrades Pair and PairBatch
+// to the identity (the erased-key shape).
+func TestPrecomputedG2Erase(t *testing.T) {
+	pre := AtePrecomputeG2(G2Generator())
+	lines := pre.lines
+	if len(lines) == 0 || lines[0].la.IsZero() {
+		t.Fatal("precomputation holds no line table before Erase")
 	}
 	pre.Erase()
-	if !pre.xp.IsZero() || !pre.yp.IsZero() {
-		t.Fatal("Erase left the key's coordinates in memory")
+	for i, c := range lines {
+		if c != (ateMonicLine{}) {
+			t.Fatalf("Erase left line %d of the key's table in memory", i)
+		}
 	}
-	if !pre.Pair(G2Generator()).IsOne() {
+	if !pre.Pair(G1Generator()).IsOne() {
 		t.Fatal("erased precomputation should pair to the identity")
 	}
 	dst, ok := make([]GT, 1), make([]bool, 1)
-	pre.PairBatch([][]byte{G2Generator().Marshal()}, dst, ok, nil)
+	pre.PairBatch([][]byte{G1Generator().Marshal()}, dst, ok, nil)
 	if !ok[0] || !dst[0].IsOne() {
 		t.Fatal("erased precomputation should batch-pair to the identity")
 	}
@@ -488,11 +491,11 @@ func TestCombScalarBaseMultDifferential(t *testing.T) {
 	// The batched variant must match element-wise, including a zero scalar
 	// (infinity) in the middle of the shared affine-conversion pass.
 	ks := []*big.Int{scalars[3], big.NewInt(0), scalars[len(scalars)-1], big.NewInt(7)}
-	batch := G2ScalarBaseMultBatch(ks)
+	batch := G1ScalarBaseMultBatch(ks)
 	for i, k := range ks {
-		want := new(G2).ScalarBaseMult(k)
+		want := new(G1).ScalarBaseMult(k)
 		if !batch[i].Equal(want) {
-			t.Fatalf("G2ScalarBaseMultBatch[%d] mismatch for k=%v", i, k)
+			t.Fatalf("G1ScalarBaseMultBatch[%d] mismatch for k=%v", i, k)
 		}
 	}
 }

@@ -121,15 +121,6 @@ func (e *fe6) Square(a *fe6) *fe6 {
 	return e.Mul(a, a)
 }
 
-// mulByFe2 sets e = a·b for a scalar b ∈ Fp2 (three Fp2 multiplications) —
-// the w-even half of an ate line's sparse product.
-func (e *fe6) mulByFe2(a *fe6, b *fe2) *fe6 {
-	e.c0.Mul(&a.c0, b)
-	e.c1.Mul(&a.c1, b)
-	e.c2.Mul(&a.c2, b)
-	return e
-}
-
 // mulBy01fe2 is mulBy01 with a full Fp2 constant term: e = a·(b0 + b1·v),
 // b0, b1 ∈ Fp2 — the w-odd half of an ate line (the ate ladder runs on the
 // twist, so its line coefficients are Fp2 values, not Fp):

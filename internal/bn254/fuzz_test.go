@@ -253,3 +253,22 @@ func FuzzFeOpsMatchOracle(f *testing.F) {
 		}
 	})
 }
+
+// FuzzHashToG2 checks the identity hash on arbitrary messages: the result
+// is on the twist, in the prime-order subgroup by the Order-ladder oracle
+// (not the Galbraith–Scott check Unmarshal uses), never infinity, and
+// deterministic.
+func FuzzHashToG2(f *testing.F) {
+	f.Add("bf-ibe-identity", []byte("alice@example.org"))
+	f.Add("", []byte{})
+	f.Add("d", bytes.Repeat([]byte{0xff}, 300))
+	f.Fuzz(func(t *testing.T, domain string, msg []byte) {
+		p := HashToG2(domain, msg)
+		if p.IsInfinity() || !p.IsOnCurve() || !p.isInSubgroup() {
+			t.Fatalf("HashToG2(%q, %x) = %v is not a subgroup point", domain, msg, p)
+		}
+		if !p.Equal(HashToG2(domain, msg)) {
+			t.Fatalf("HashToG2(%q, %x) is not deterministic", domain, msg)
+		}
+	})
+}

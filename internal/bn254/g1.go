@@ -295,11 +295,21 @@ func (p *G1) Marshal() []byte {
 	return out
 }
 
+// G1 decoding errors. They are values, not fresh allocations, so the
+// batched scan (AtePrecomputedG2.PairBatch) decodes a mailbox of
+// malformed blobs without touching the heap.
+var (
+	errG1Length     = errors.New("bn254: wrong G1 encoding length")
+	errG1Coordinate = errors.New("bn254: G1 coordinate out of range")
+	errG1OffCurve   = errors.New("bn254: G1 point not on curve")
+)
+
 // Unmarshal decodes a point previously encoded with Marshal, validating that
-// it lies on the curve.
+// it lies on the curve. That is the whole check: E(Fp) has prime order, so
+// every curve point is in the group.
 func (p *G1) Unmarshal(data []byte) error {
 	if len(data) != g1MarshalledSize {
-		return errors.New("bn254: wrong G1 encoding length")
+		return errG1Length
 	}
 	allZero := true
 	for _, b := range data {
@@ -314,11 +324,11 @@ func (p *G1) Unmarshal(data []byte) error {
 	}
 	var x, y fe
 	if !feSetBytes(&x, data[:32]) || !feSetBytes(&y, data[32:]) {
-		return errors.New("bn254: G1 coordinate out of range")
+		return errG1Coordinate
 	}
 	p.x, p.y, p.inf = x, y, false
 	if !p.IsOnCurve() {
-		return errors.New("bn254: G1 point not on curve")
+		return errG1OffCurve
 	}
 	return nil
 }

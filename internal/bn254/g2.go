@@ -1,6 +1,8 @@
 package bn254
 
 import (
+	"crypto/sha512"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
@@ -27,7 +29,7 @@ func init() {
 	if !gen.IsOnCurve() {
 		panic("bn254: G2 generator is not on the twist curve")
 	}
-	if !gen.isInSubgroup() {
+	if !gen.isInSubgroupGS() {
 		panic("bn254: G2 generator does not have order Order")
 	}
 }
@@ -285,20 +287,6 @@ func (p *G2) ScalarBaseMult(k *big.Int) *G2 {
 	return p
 }
 
-// isInSubgroup reports whether Order·p = ∞ (inversion-free check on the
-// Jacobian ladder).
-func (p *G2) isInSubgroup() bool {
-	var acc g2Jac
-	acc.setInfinity()
-	for i := Order.BitLen() - 1; i >= 0; i-- {
-		acc.double(&acc)
-		if Order.Bit(i) == 1 {
-			acc.addMixed(&acc, p)
-		}
-	}
-	return acc.isInfinity()
-}
-
 // g2MarshalledSize is the size of a marshalled G2 point:
 // x.c0 ‖ x.c1 ‖ y.c0 ‖ y.c1, 32 bytes each.
 const g2MarshalledSize = 128
@@ -324,7 +312,9 @@ func (p *G2) Marshal() []byte {
 // Unmarshal decodes a point previously encoded with Marshal. It validates
 // both the curve equation and membership in the order-Order subgroup (the
 // twist has composite order, so the subgroup check is required for points
-// from untrusted sources).
+// from untrusted sources). Membership is the Galbraith–Scott short-vector
+// check (isInSubgroupGS), which accepts exactly the points the 254-bit
+// Order ladder accepts at a quarter of its length.
 func (p *G2) Unmarshal(data []byte) error {
 	if len(data) != g2MarshalledSize {
 		return errors.New("bn254: wrong G2 encoding length")
@@ -352,8 +342,93 @@ func (p *G2) Unmarshal(data []byte) error {
 	if !p.IsOnCurve() {
 		return errors.New("bn254: G2 point not on twist curve")
 	}
-	if !p.isInSubgroup() {
+	if !p.isInSubgroupGS() {
 		return errors.New("bn254: G2 point not in prime-order subgroup")
 	}
 	return nil
+}
+
+// g2JacMulU sets out = [u]p, walking the signed recoding of u (negating an
+// affine point is one Fp2 negation; NAF weight 24 against binary weight
+// 28). It is the one ladder of both the subgroup check and the cofactor
+// clearing.
+func g2JacMulU(out *g2Jac, p *G2) {
+	var np G2
+	np.Neg(p)
+	out.fromAffine(p)
+	for i := len(uNAF) - 2; i >= 0; i-- {
+		out.double(out)
+		switch uNAF[i] {
+		case 1:
+			out.addMixed(out, p)
+		case -1:
+			out.addMixed(out, &np)
+		}
+	}
+}
+
+// clearCofactor sets out = [h(ψ)]p for a twist point p, which lands in the
+// prime-order subgroup (Fuentes-Castañeda–Knapp–Rodríguez-Henríquez, "Faster
+// hashing to G2", §6.1; the form gnark-crypto uses for BN254):
+//
+//	[u]p + ψ([3u]p) + ψ²([u]p) + ψ³(p)
+//
+// One 63-bit ladder, in place of a multiplication by the 254-bit cofactor.
+func (p *G2) clearCofactor(out *G2) {
+	var up, acc, t g2Jac
+	g2JacMulU(&up, p)
+	t.double(&up)
+	t.add(&t, &up) // [3u]p
+	g2JacPsi(&t, &t)
+	acc.add(&up, &t)
+	g2JacPsi(&t, &up)
+	g2JacPsi(&t, &t)
+	acc.add(&acc, &t)
+	var p3 G2
+	g2Psi(&p3, p)
+	g2Psi(&p3, &p3)
+	g2Psi(&p3, &p3)
+	acc.addMixed(&acc, &p3)
+	acc.toAffine(out)
+}
+
+// HashToG2 hashes an arbitrary message into the prime-order subgroup of
+// the twist with domain-separated try-and-increment: SHA-512 of the
+// domain, message and a counter gives x ∈ Fp2; the first x with x³ + 3/ξ
+// a square gives a twist point (root sign from the digest, so the map is a
+// function of (domain, msg) alone), and clearCofactor moves it into the
+// subgroup. About two tries on average, each one Fp2 square root.
+func HashToG2(domain string, msg []byte) *G2 {
+	h := sha512.New()
+	var ctr [4]byte
+	var p, out G2
+	for i := uint32(0); ; i++ {
+		h.Reset()
+		binary.BigEndian.PutUint32(ctr[:], i)
+		h.Write([]byte("alpenhorn/bn254/hash-to-g2:"))
+		h.Write([]byte(domain))
+		h.Write([]byte{0})
+		h.Write(msg)
+		h.Write(ctr[:])
+		digest := h.Sum(nil)
+		x0 := new(big.Int).SetBytes(digest[:32])
+		x1 := new(big.Int).SetBytes(digest[32:])
+		p.x = fe2FromBig(x0.Mod(x0, P), x1.Mod(x1, P))
+		var y2 fe2
+		y2.Square(&p.x)
+		y2.Mul(&y2, &p.x)
+		y2.Add(&y2, &feTwistB)
+		if !p.y.Sqrt(&y2) {
+			continue
+		}
+		if digest[0]&1 == 1 {
+			p.y.Neg(&p.y)
+		}
+		p.inf = false
+		p.clearCofactor(&out)
+		if out.inf {
+			continue
+		}
+		return &out
+	}
 }

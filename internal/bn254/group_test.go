@@ -119,6 +119,39 @@ func TestHashToG1(t *testing.T) {
 	}
 }
 
+// TestHashToG2 checks the identity hash of the IBE: on the twist, in the
+// prime-order subgroup by the Order ladder, deterministic, and separated
+// by message and domain. It also pins the cofactor clearing against the
+// slow definition: [h(ψ)]p must be a multiple of p's projection, which
+// for a twist point means clearing lands in the subgroup from points that
+// start outside it.
+func TestHashToG2(t *testing.T) {
+	p := HashToG2("test", []byte("alice@example.org"))
+	if !p.IsOnCurve() || p.IsInfinity() || !p.isInSubgroup() {
+		t.Fatal("hash produced a point outside the prime-order subgroup")
+	}
+	if !p.Equal(HashToG2("test", []byte("alice@example.org"))) {
+		t.Fatal("hash not deterministic")
+	}
+	if p.Equal(HashToG2("test", []byte("bob@example.org"))) {
+		t.Fatal("distinct messages hashed to same point")
+	}
+	if p.Equal(HashToG2("other-domain", []byte("alice@example.org"))) {
+		t.Fatal("domain separation failed")
+	}
+	for i := 0; i < 4; i++ {
+		q := randTwistPoint(t)
+		if q.isInSubgroup() {
+			continue
+		}
+		var c G2
+		q.clearCofactor(&c)
+		if c.IsInfinity() || !c.IsOnCurve() || !c.isInSubgroup() {
+			t.Fatalf("cofactor clearing left twist point %v outside the subgroup", q)
+		}
+	}
+}
+
 func TestG2GeneratorOnCurve(t *testing.T) {
 	if !G2Generator().IsOnCurve() {
 		t.Fatal("G2 generator not on twist")
@@ -184,4 +217,19 @@ func TestGTMarshalRoundTrip(t *testing.T) {
 	if !g.Equal(h) {
 		t.Fatal("GT marshal round-trip failed")
 	}
+}
+
+// isInSubgroup reports whether Order·p = ∞ (inversion-free check on the
+// Jacobian ladder): the oracle the Galbraith–Scott check and HashToG2 are
+// pinned against.
+func (p *G2) isInSubgroup() bool {
+	var acc g2Jac
+	acc.setInfinity()
+	for i := Order.BitLen() - 1; i >= 0; i-- {
+		acc.double(&acc)
+		if Order.Bit(i) == 1 {
+			acc.addMixed(&acc, p)
+		}
+	}
+	return acc.isInfinity()
 }

@@ -2,20 +2,21 @@ package bn254
 
 import "math/big"
 
-// Batched pairing pipeline for the mailbox-scan pattern: one fixed G1
-// key (AtePrecomputedG1) paired against a whole slice of wire-encoded G2
-// points. Three per-element costs of the scalar path shrink here:
+// Batched pairing pipeline for the mailbox-scan pattern: one fixed G2
+// key (AtePrecomputedG2, its ate line table built once) paired against a
+// whole slice of wire-encoded G1 points. Three per-element costs of the
+// scalar path shrink here:
 //
-//   - the subgroup check of G2.Unmarshal (a full Order-bit ladder) becomes
-//     the Galbraith–Scott short-vector check (isInSubgroupGS, one 63-bit
-//     ladder plus ψ maps);
+//   - the Miller loop replays the key's line table (ateEvalLinesInto):
+//     no twist arithmetic per element, and the G1 decode is a range and
+//     curve check with no subgroup check, since E(Fp) has prime order;
 //   - the easy part of the final exponentiation shares one Fp12 inversion
 //     across the whole batch (Montgomery trick, see batch.go);
 //   - the hard part runs through the Devegili–Scott BN decomposition:
-//     three exponentiations by the curve parameter u (63 bits each) plus
-//     Frobenius maps and a short multiplication chain.
+//     three exponentiations by the curve parameter u (63 bits each, in
+//     signed windows) plus Frobenius maps and a short multiplication chain.
 //
-// The scalar Unmarshal + AtePrecomputedG1.Pair path is the element-wise
+// The scalar Unmarshal + AtePrecomputedG2.Pair path is the element-wise
 // differential oracle for this pipeline.
 
 // frobGammaP1[k−1] = γ₁^k for k = 1..5, γ₁ = ξ^((p−1)/6) ∈ Fp2: the
@@ -89,19 +90,78 @@ func deriveNAF(k *big.Int) []int8 {
 	return digits
 }
 
-// cycloExpU sets e = a^u for a in the cyclotomic subgroup, walking uNAF
-// with conj(a) standing in for a⁻¹ (a^(p⁶+1) = 1 there).
+// expWindow is one step of a signed sliding-window exponentiation: square
+// shift times, then multiply by a^digit (digit odd, or 0 for squarings
+// only).
+type expWindow struct {
+	shift int
+	digit int8
+}
+
+// uWindows is uNAF cut into windows of width at most three, most
+// significant first. A window starts and ends on a nonzero NAF digit, and
+// no two NAF digits are adjacent, so every digit is ±1, ±3 or ±5: a table
+// of a, a³ and a⁵ serves them all, and conjugation gives the negatives.
+var uWindows = deriveWindows(uNAF, 3)
+
+func deriveWindows(naf []int8, width int) []expWindow {
+	var out []expWindow
+	shift := 0
+	for i := len(naf) - 1; i >= 0; {
+		if naf[i] == 0 {
+			shift++
+			i--
+			continue
+		}
+		lo := i - width + 1
+		if lo < 0 {
+			lo = 0
+		}
+		for naf[lo] == 0 {
+			lo++
+		}
+		d := 0
+		for k := i; k >= lo; k-- {
+			d = 2*d + int(naf[k])
+		}
+		if d > 5 || d < -5 {
+			panic("bn254: window digit outside the a, a³, a⁵ table")
+		}
+		out = append(out, expWindow{shift: shift + i - lo + 1, digit: int8(d)})
+		shift = 0
+		i = lo - 1
+	}
+	if shift > 0 {
+		out = append(out, expWindow{shift: shift})
+	}
+	return out
+}
+
+// cycloExpU sets e = a^u for a in the cyclotomic subgroup, walking
+// uWindows with conj standing in for inversion (a^(p⁶+1) = 1 there): 16
+// Fp12 multiplications, two of them for the table, where the digit-by-
+// digit NAF walk takes 23.
 func (e *fe12) cycloExpU(a *fe12) *fe12 {
-	var acc, aInv fe12
-	acc.Set(a)
-	aInv.Conjugate(a)
-	for i := len(uNAF) - 2; i >= 0; i-- {
-		acc.CyclotomicSquare(&acc)
-		switch uNAF[i] {
-		case 1:
-			acc.Mul(&acc, a)
-		case -1:
-			acc.Mul(&acc, &aInv)
+	var tab [3]fe12 // a, a³, a⁵
+	var a2 fe12
+	tab[0].Set(a)
+	a2.CyclotomicSquare(a)
+	tab[1].Mul(&tab[0], &a2)
+	tab[2].Mul(&tab[1], &a2)
+	var acc, t fe12
+	pick := func(d int8) *fe12 {
+		if d < 0 {
+			return t.Conjugate(&tab[-d/2])
+		}
+		return &tab[d/2]
+	}
+	acc.Set(pick(uWindows[0].digit))
+	for _, w := range uWindows[1:] {
+		for j := 0; j < w.shift; j++ {
+			acc.CyclotomicSquare(&acc)
+		}
+		if w.digit != 0 {
+			acc.Mul(&acc, pick(w.digit))
 		}
 	}
 	return e.Set(&acc)
@@ -188,58 +248,14 @@ var (
 	g2PsiY = frobGammaP1[2]
 )
 
-// Batch element states after the decode phase.
-const (
-	batchInvalid = uint8(iota)
-	batchInf
-	batchPoint
-)
-
-// g2DecodeBatch decodes one wire-encoded G2 element for the batch
-// pipeline: same length/range/curve acceptance as G2.Unmarshal, with the
-// Galbraith–Scott short-vector check in place of the Order ladder. Both
-// checks accept exactly the same set of points; differential and fuzz
-// tests pin the equivalence.
-func g2DecodeBatch(q *G2, raw []byte) uint8 {
-	if len(raw) != g2MarshalledSize {
-		return batchInvalid
-	}
-	allZero := true
-	for _, b := range raw {
-		if b != 0 {
-			allZero = false
-			break
-		}
-	}
-	if allZero {
-		return batchInf
-	}
-	var coords [4]fe
-	for i := range coords {
-		if !feSetBytes(&coords[i], raw[i*32:(i+1)*32]) {
-			return batchInvalid
-		}
-	}
-	q.x = fe2{c0: coords[0], c1: coords[1]}
-	q.y = fe2{c0: coords[2], c1: coords[3]}
-	q.inf = false
-	if !q.IsOnCurve() {
-		return batchInvalid
-	}
-	if !q.isInSubgroupGS() {
-		return batchInvalid
-	}
-	return batchPoint
-}
-
 // PairScratch holds the reusable buffers of PairBatch. Reusing one across
 // calls keeps the pipeline at zero heap allocations per ciphertext (an
 // allocation test pins this); a nil scratch works and allocates per call.
 // A PairScratch must not be used concurrently.
 type PairScratch struct {
-	qx, qy []fe2
-	state  []uint8
-	pre    []fe12
+	xq, yinv, pre1 []fe
+	valid          []bool
+	pre            []fe12
 }
 
 // NewPairScratch returns scratch space sized for batches of up to n
@@ -251,35 +267,40 @@ func NewPairScratch(n int) *PairScratch {
 }
 
 func (s *PairScratch) grow(n int) {
-	if cap(s.qx) < n {
-		s.qx = make([]fe2, n)
-		s.qy = make([]fe2, n)
-		s.state = make([]uint8, n)
+	if cap(s.xq) < n {
+		s.xq = make([]fe, n)
+		s.yinv = make([]fe, n)
+		s.pre1 = make([]fe, n)
+		s.valid = make([]bool, n)
 		s.pre = make([]fe12, n)
 	}
-	s.qx = s.qx[:n]
-	s.qy = s.qy[:n]
-	s.state = s.state[:n]
+	s.xq = s.xq[:n]
+	s.yinv = s.yinv[:n]
+	s.pre1 = s.pre1[:n]
+	s.valid = s.valid[:n]
 	s.pre = s.pre[:n]
 }
 
-// PairBatch computes AtePair(p, Qᵢ) for a batch of wire-encoded G2 points,
+// PairBatch computes AtePair(Pᵢ, q) for a batch of wire-encoded G1 points,
 // writing the pairing values into dst and per-element validity into ok
-// (both must have len(raws)). ok[i] is false exactly when G2.Unmarshal
-// would reject raws[i]; dst[i] is then the identity. Results for valid
-// elements are identical to Unmarshal + pc.Pair. Four phases:
+// (both must have len(raws)). ok[i] is false exactly when G1.Unmarshal
+// would reject raws[i]; dst[i] is then the identity, as it is for an
+// encoded infinity. Results for valid elements are identical to Unmarshal
+// + pc.Pair. Four phases:
 //
-//  1. decode + curve check + Galbraith–Scott short-vector subgroup check;
-//  2. one ~65-iteration ate Miller loop per element, lines on the fly;
-//  3. easy part of the final exponentiation with ONE shared Fp12 inversion
-//     (invalid/infinity slots are masked before the prefix chain — the
-//     batch-inversion invariant of batch.go — so they never corrupt their
-//     neighbors);
+//  1. decode (length, coordinate range, curve equation), then the replay
+//     coordinates x/y and 1/y of every point with ONE shared Fp inversion;
+//  2. one replay of q's line table per point;
+//  3. easy part of the final exponentiation with ONE shared Fp12 inversion;
 //  4. decomposed hard part per element.
 //
-// An AtePrecomputedG1 is read-only here and safe for concurrent PairBatch
+// Both shared inversions mask invalid and infinity slots out of their
+// prefix chains before they run — the batch-inversion invariant of
+// batch.go — so those slots never corrupt their neighbors.
+//
+// An AtePrecomputedG2 is read-only here and safe for concurrent PairBatch
 // calls with distinct scratches.
-func (pc *AtePrecomputedG1) PairBatch(raws [][]byte, dst []GT, ok []bool, scratch *PairScratch) {
+func (pc *AtePrecomputedG2) PairBatch(raws [][]byte, dst []GT, ok []bool, scratch *PairScratch) {
 	n := len(raws)
 	if len(dst) != n || len(ok) != n {
 		panic("bn254: PairBatch slice length mismatch")
@@ -290,45 +311,47 @@ func (pc *AtePrecomputedG1) PairBatch(raws [][]byte, dst []GT, ok []bool, scratc
 	}
 	scratch.grow(n)
 
-	// Phase 1: decode + curve + GS subgroup checks.
-	var q G2
-	for i := range raws {
-		st := g2DecodeBatch(&q, raws[i])
-		scratch.state[i] = st
-		if st == batchPoint {
-			scratch.qx[i] = q.x
-			scratch.qy[i] = q.y
+	// Phase 1: decode. Only finite points with a live key reach the chains.
+	var p G1
+	acc1 := feOne
+	for i, raw := range raws {
+		ok[i] = p.Unmarshal(raw) == nil
+		dst[i].e.SetOne()
+		scratch.valid[i] = ok[i] && !p.inf && !pc.inf
+		if scratch.valid[i] {
+			scratch.xq[i], scratch.yinv[i] = p.x, p.y
+			scratch.pre1[i] = acc1
+			feMul(&acc1, &acc1, &p.y)
 		}
 	}
-
-	if pc.inf {
-		// Pairing with the precomputation of infinity (or an erased key)
-		// is the identity for every decodable element.
-		for i := range raws {
-			ok[i] = scratch.state[i] != batchInvalid
-			dst[i].e.SetOne()
+	feInv(&acc1, &acc1)
+	for i := n - 1; i >= 0; i-- {
+		if !scratch.valid[i] {
+			continue
 		}
-		return
+		var yinv fe
+		feMul(&yinv, &acc1, &scratch.pre1[i])
+		feMul(&acc1, &acc1, &scratch.yinv[i])
+		scratch.yinv[i] = yinv
+		feMul(&scratch.xq[i], &scratch.xq[i], &yinv)
 	}
 
-	// Phase 2: ate Miller loops (lines on the fly, no allocation).
+	// Phase 2: replay the line table against each point.
 	for i := range raws {
-		if scratch.state[i] == batchPoint {
-			q.x = scratch.qx[i]
-			q.y = scratch.qy[i]
-			q.inf = false
-			ateMillerInto(&dst[i].e, &pc.xp, &pc.yp, &q)
+		if scratch.valid[i] {
+			pair := [1]ateFixedPair{{pc.lines, &scratch.xq[i], &scratch.yinv[i]}}
+			ateEvalLinesInto(&dst[i].e, pair[:])
 		}
 	}
 
 	// Phase 3: easy part of the final exponentiation with ONE shared Fp12
 	// inversion. Miller values of valid pairings are nonzero (products of
-	// nonzero line values), so the prefix chain over batchPoint slots
-	// cannot contain zero.
+	// nonzero line values), so the prefix chain over valid slots cannot
+	// contain zero.
 	var acc fe12
 	acc.SetOne()
 	for i := range raws {
-		if scratch.state[i] != batchPoint {
+		if !scratch.valid[i] {
 			continue
 		}
 		scratch.pre[i] = acc
@@ -337,7 +360,7 @@ func (pc *AtePrecomputedG1) PairBatch(raws [][]byte, dst []GT, ok []bool, scratc
 	var inv fe12
 	inv.Invert(&acc)
 	for i := n - 1; i >= 0; i-- {
-		if scratch.state[i] != batchPoint {
+		if !scratch.valid[i] {
 			continue
 		}
 		var fInv, g fe12
@@ -352,16 +375,8 @@ func (pc *AtePrecomputedG1) PairBatch(raws [][]byte, dst []GT, ok []bool, scratc
 
 	// Phase 4: decomposed hard part per element.
 	for i := range raws {
-		switch scratch.state[i] {
-		case batchPoint:
-			ok[i] = true
+		if scratch.valid[i] {
 			finalExpHardDecomp(&dst[i].e, &dst[i].e)
-		case batchInf:
-			ok[i] = true
-			dst[i].e.SetOne()
-		default:
-			ok[i] = false
-			dst[i].e.SetOne()
 		}
 	}
 }

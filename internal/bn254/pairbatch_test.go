@@ -124,10 +124,10 @@ func randTwistPoint(t testing.TB) *G2 {
 }
 
 // batchTestInputs builds a raw-encoding batch interleaving every invalid
-// shape the wire can carry between valid ciphertext points: subgroup
-// points, infinity, truncated/oversized encodings, out-of-range
-// coordinates, off-curve points, and on-curve points outside the
-// prime-order subgroup.
+// shape the wire can carry between valid ciphertext elements: G1 points,
+// infinity, truncated/oversized encodings, out-of-range coordinates and
+// off-curve points. (E(Fp) has prime order, so there is no on-curve,
+// off-subgroup shape to add.)
 func batchTestInputs(t testing.TB) [][]byte {
 	t.Helper()
 	var raws [][]byte
@@ -136,21 +136,21 @@ func batchTestInputs(t testing.TB) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raws = append(raws, new(G2).ScalarBaseMult(k).Marshal())
+		raws = append(raws, new(G1).ScalarBaseMult(k).Marshal())
 	}
 	addPoint()
-	raws = append(raws, make([]byte, g2MarshalledSize)) // infinity
+	raws = append(raws, make([]byte, g1MarshalledSize)) // infinity
 	addPoint()
 	raws = append(raws, []byte{1, 2, 3}) // wrong length
 	raws = append(raws, nil)             // empty
 	addPoint()
-	outOfRange := new(G2).ScalarBaseMult(big.NewInt(5)).Marshal()
+	outOfRange := new(G1).ScalarBaseMult(big.NewInt(5)).Marshal()
 	P.FillBytes(outOfRange[:32]) // coordinate ≥ P
 	raws = append(raws, outOfRange)
-	offCurve := new(G2).ScalarBaseMult(big.NewInt(6)).Marshal()
-	offCurve[g2MarshalledSize-1] ^= 1
+	offCurve := new(G1).ScalarBaseMult(big.NewInt(6)).Marshal()
+	offCurve[g1MarshalledSize-1] ^= 1
 	raws = append(raws, offCurve)
-	raws = append(raws, randTwistPoint(t).Marshal()) // curve, not subgroup
+	raws = append(raws, new(G2).ScalarBaseMult(big.NewInt(7)).Marshal()) // a G2 encoding: wrong length
 	addPoint()
 	return raws
 }
@@ -242,19 +242,19 @@ func TestPsiSubgroupDifferential(t *testing.T) {
 // precomputation (not just that of infinity) must keep every rejection and
 // yield the identity for every decodable element, like the scalar path.
 func TestPairBatchDifferential(t *testing.T) {
-	kp, err := RandomScalar(rand.Reader)
+	kq, err := RandomScalar(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := new(G1).ScalarBaseMult(kp)
-	pre := AtePrecomputeG1(p)
+	q := new(G2).ScalarBaseMult(kq)
+	pre := AtePrecomputeG2(q)
 	raws := batchTestInputs(t)
 	n := len(raws)
 
 	scratch := NewPairScratch(0)
 	long := make([][]byte, 2*n)
 	for i := range long {
-		long[i] = new(G2).ScalarBaseMult(big.NewInt(int64(i + 1))).Marshal()
+		long[i] = new(G1).ScalarBaseMult(big.NewInt(int64(i + 1))).Marshal()
 	}
 	pre.PairBatch(long, make([]GT, len(long)), make([]bool, len(long)), scratch)
 
@@ -262,9 +262,9 @@ func TestPairBatchDifferential(t *testing.T) {
 	ok := make([]bool, n)
 	pre.PairBatch(raws, dst, ok, scratch)
 	for i, raw := range raws {
-		var q G2
-		uerr := q.Unmarshal(raw)
-		rerr := new(refG2).Unmarshal(raw)
+		var p G1
+		uerr := p.Unmarshal(raw)
+		rerr := new(refG1).Unmarshal(raw)
 		if (uerr == nil) != (rerr == nil) {
 			t.Fatalf("element %d: limb Unmarshal err=%v but big.Int reference err=%v", i, uerr, rerr)
 		}
@@ -277,17 +277,17 @@ func TestPairBatchDifferential(t *testing.T) {
 			}
 			continue
 		}
-		if !dst[i].Equal(pre.Pair(&q)) {
+		if !dst[i].Equal(AtePair(&p, q)) {
 			t.Fatalf("element %d: batch on a reused scratch disagrees with the scalar path", i)
 		}
 	}
 
-	erased := AtePrecomputeG1(p)
+	erased := AtePrecomputeG2(q)
 	erased.Erase()
 	erased.PairBatch(raws, dst, ok, scratch)
 	for i, raw := range raws {
-		var q G2
-		uerr := q.Unmarshal(raw)
+		var p G1
+		uerr := p.Unmarshal(raw)
 		if ok[i] != (uerr == nil) {
 			t.Fatalf("erased element %d: batch ok=%v but Unmarshal err=%v", i, ok[i], uerr)
 		}
@@ -299,16 +299,16 @@ func TestPairBatchDifferential(t *testing.T) {
 
 // TestPairBatchAllocations pins the batch's rejection and erased-key paths
 // at ZERO heap allocations per call once the scratch is warm (the all-valid
-// path is TestAtePairBatchAllocations'), so a mailbox of malformed or
-// non-subgroup blobs — every shape in batchTestInputs — or a scan with an
-// erased key cannot bring per-element GC traffic back.
+// path is TestAtePairBatchAllocations'), so a mailbox of malformed blobs —
+// every shape in batchTestInputs — or a scan with an erased key cannot
+// bring per-element GC traffic back.
 func TestPairBatchAllocations(t *testing.T) {
 	k, err := RandomScalar(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := AtePrecomputeG1(new(G1).ScalarBaseMult(k))
-	erased := AtePrecomputeG1(new(G1).ScalarBaseMult(k))
+	live := AtePrecomputeG2(new(G2).ScalarBaseMult(k))
+	erased := AtePrecomputeG2(new(G2).ScalarBaseMult(k))
 	erased.Erase()
 	raws := batchTestInputs(t)
 	n := len(raws)
@@ -317,7 +317,7 @@ func TestPairBatchAllocations(t *testing.T) {
 	scratch := NewPairScratch(n)
 	for _, c := range []struct {
 		name string
-		pre  *AtePrecomputedG1
+		pre  *AtePrecomputedG2
 	}{{"live key", live}, {"erased key", erased}} {
 		c.pre.PairBatch(raws, dst, ok, scratch) // warm the scratch
 		allocs := testing.AllocsPerRun(3, func() {
@@ -330,13 +330,12 @@ func TestPairBatchAllocations(t *testing.T) {
 }
 
 // TestPairBatchSpeedupPin pins the reason the Tate tier could go: the one
-// batched scan (ate loop, Galbraith–Scott check, one shared inversion) must
-// beat the per-ciphertext scan of the Tate tier — Unmarshal through the
-// Order ladder, then the key's cached 254-step Tate line ladder replayed by
-// evalLines and the same decomposed final exponentiation. Measured ~2.1x
-// (8 elements); the floor is 1.5x, so scheduler noise cannot flake the
-// suite while a lost GS check or a Tate-length loop still trips it. Timed
-// in alternation. Skipped in -short mode.
+// batched scan (line-table replay, one shared inversion) must beat the
+// per-ciphertext scan of the Tate tier — Unmarshal, then the 254-step Tate
+// ladder over the ciphertext element, which varies, so its lines cannot be
+// cached — and the same decomposed final exponentiation. The floor is
+// 1.5x, so scheduler noise cannot flake the suite while a Tate-length loop
+// still trips it. Timed in alternation. Skipped in -short mode.
 func TestPairBatchSpeedupPin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("relative perf pin skipped in -short mode")
@@ -345,18 +344,10 @@ func TestPairBatchSpeedupPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := new(G1).ScalarBaseMult(k)
-	pre := AtePrecomputeG1(p)
-	tateLines := g1Lines(p)
+	q := new(G2).ScalarBaseMult(k)
+	pre := AtePrecomputeG2(q)
 	const n = 8
-	raws := make([][]byte, n)
-	for i := range raws {
-		ki, err := RandomScalar(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raws[i] = new(G2).ScalarBaseMult(ki).Marshal()
-	}
+	raws := randG1Raws(t, n)
 	dst := make([]GT, n)
 	ok := make([]bool, n)
 	scratch := NewPairScratch(n)
@@ -366,11 +357,11 @@ func TestPairBatchSpeedupPin(t *testing.T) {
 		func() { pre.PairBatch(raws, dst, ok, scratch) },
 		func() {
 			for _, raw := range raws {
-				var q G2
-				if err := q.Unmarshal(raw); err != nil {
+				var p G1
+				if err := p.Unmarshal(raw); err != nil {
 					t.Fatal(err)
 				}
-				finalExpDecomp(evalLines(tateLines, &q.x, &q.y))
+				finalExpDecomp(evalLines(g1Lines(&p), &q.x, &q.y))
 			}
 		})
 	ate, tate := best[0], best[1]
@@ -381,6 +372,62 @@ func TestPairBatchSpeedupPin(t *testing.T) {
 	}
 	t.Logf("batched ate scan %v vs per-ciphertext Tate scan %v: %.2fx (%d elements)",
 		ate, tate, float64(tate)/float64(ate), n)
+}
+
+// cycloExpUNAF is the digit-by-digit NAF walk that cycloExpU's windows
+// replaced: one multiplication per nonzero digit of uNAF. It stays as the
+// oracle the windowed walk is pinned against.
+func (e *fe12) cycloExpUNAF(a *fe12) *fe12 {
+	var acc, aInv fe12
+	acc.Set(a)
+	aInv.Conjugate(a)
+	for i := len(uNAF) - 2; i >= 0; i-- {
+		acc.CyclotomicSquare(&acc)
+		switch uNAF[i] {
+		case 1:
+			acc.Mul(&acc, a)
+		case -1:
+			acc.Mul(&acc, &aInv)
+		}
+	}
+	return e.Set(&acc)
+}
+
+// TestCycloExpUWindowDifferential pins the signed sliding window of the
+// hard part bit for bit against the NAF walk it replaced and against the
+// generic windowed exponentiation by u, on random cyclotomic elements and
+// on 1; and it pins the multiplication count the window was chosen for.
+func TestCycloExpUWindowDifferential(t *testing.T) {
+	muls := 2 // the a³ and a⁵ table entries
+	for _, w := range uWindows[1:] {
+		if w.digit != 0 {
+			muls++
+		}
+	}
+	nafMuls := -1
+	for _, d := range uNAF {
+		if d != 0 {
+			nafMuls++
+		}
+	}
+	if muls != 16 || nafMuls != 23 {
+		t.Fatalf("cycloExpU takes %d multiplications and the NAF walk %d; want 16 and 23", muls, nafMuls)
+	}
+	var one fe12
+	one.SetOne()
+	inputs := []fe12{one}
+	for i := 0; i < 6; i++ {
+		inputs = append(inputs, randCyclotomic(t))
+	}
+	for i := range inputs {
+		var got, naf, generic fe12
+		got.cycloExpU(&inputs[i])
+		naf.cycloExpUNAF(&inputs[i])
+		generic.CycloExpWindow(&inputs[i], u)
+		if got != naf || !got.Equal(&generic) {
+			t.Fatalf("input %d: windowed a^u differs from the NAF walk or the generic exponentiation", i)
+		}
+	}
 }
 
 // TestCombSpeedupPin is the regression guard for the fixed-base comb

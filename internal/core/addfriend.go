@@ -304,8 +304,8 @@ func (c *Client) ScanAddFriendRound(ctx context.Context, round uint32) error {
 	// are independent pairing computations, so they fan out across
 	// cores (the paper's client scans on 4 cores, §8.2); the successful
 	// plaintexts are then processed in mailbox order for determinism.
-	// Every trial decryption pairs against the same identity key, so the
-	// key is precomputed once (before the workers start — the
+	// Every trial decryption pairs against the same identity key, so its
+	// line table is built once (before the workers start — the
 	// precomputation is not concurrency-safe) and shared read-only by the
 	// pool. Each worker pulls a CHUNK of the mailbox and runs it through
 	// ibe.DecryptBatch, which amortizes the shared-inversion pairing

@@ -507,10 +507,9 @@ func (c *Client) roundSettings(ctx context.Context, service wire.Service, round 
 }
 
 // roundMasterKey returns the aggregated master public key of an add-friend
-// round, with its pairing ladder precomputed. Unmarshalling the PKGs' G2
-// keys (subgroup checks included) and laddering the sum costs more than the
-// encryption that uses it, so the result is kept beside the round's cached
-// settings: built once per round, evicted with them.
+// round. It is kept beside the round's cached settings, built once per
+// round and evicted with them, so repeated encryptions in a round decode
+// and sum the PKGs' keys once.
 func (c *Client) roundMasterKey(settings *wire.RoundSettings) (*ibe.MasterPublicKey, error) {
 	c.settingsMu.Lock()
 	defer c.settingsMu.Unlock()
@@ -526,7 +525,7 @@ func (c *Client) roundMasterKey(settings *wire.RoundSettings) (*ibe.MasterPublic
 		}
 		keys[i] = mk
 	}
-	agg := ibe.AggregateMasterKeys(keys...).Precompute()
+	agg := ibe.AggregateMasterKeys(keys...)
 	if cached != nil {
 		cached.masterKey = agg
 	}

@@ -48,12 +48,12 @@ func (s *batchScratch) grow(n int) {
 // DecryptBatch trial-decrypts a whole slice of ciphertexts with one key,
 // element-wise identical to calling Decrypt on each (msgs[i], oks[i]) ==
 // Decrypt(ipk, ctxts[i]) — but sharing the batched pairing pipeline:
-// Galbraith–Scott-checked unmarshaling, one Fp12 inversion for the whole
-// batch (see bn254.AtePrecomputedG1.PairBatch), then per-element key
-// derivation and AEAD opening. Malformed or foreign ciphertexts yield
-// oks[i] = false without disturbing their neighbors. Safe for concurrent
-// calls with the same key, which is how the mailbox-scan worker pool uses
-// it.
+// G1 decoding, one replay of the key's line table per element, one Fp12
+// inversion for the whole batch (see bn254.AtePrecomputedG2.PairBatch),
+// then per-element key derivation and AEAD opening. Malformed or foreign
+// ciphertexts yield oks[i] = false without disturbing their neighbors.
+// Safe for concurrent calls with the same key, which is how the
+// mailbox-scan worker pool uses it.
 //
 // Plaintexts are carved from ONE arena allocation per batch — the arena
 // escapes to the caller inside msgs, so it is deliberately NOT pooled —
@@ -63,7 +63,7 @@ func (s *batchScratch) grow(n int) {
 func DecryptBatch(ipk *IdentityPrivateKey, ctxts [][]byte) ([][]byte, []bool) {
 	pre := ipk.pre
 	if pre == nil {
-		pre = bn254.AtePrecomputeG1(ipk.d)
+		pre = bn254.AtePrecomputeG2(ipk.d)
 	}
 	n := len(ctxts)
 	msgs := make([][]byte, n)
@@ -77,7 +77,7 @@ func DecryptBatch(ipk *IdentityPrivateKey, ctxts [][]byte) ([][]byte, []bool) {
 		if len(c) < Overhead {
 			s.raws[i] = nil // wrong length: flagged invalid by the pipeline
 		} else {
-			s.raws[i] = c[:128]
+			s.raws[i] = c[:uSize]
 		}
 	}
 	pre.PairBatch(s.raws, s.gts, s.ok, s.pair)
@@ -99,7 +99,7 @@ func DecryptBatch(ipk *IdentityPrivateKey, ctxts [][]byte) ([][]byte, []bool) {
 		s.h.Write(s.gtBuf)
 		s.keyBuf = s.h.Sum(s.keyBuf[:0])
 		plen := len(ctxts[i]) - Overhead
-		msg, ok := gcmOpen(s.keyBuf, arena[off:off:off+plen], ctxts[i][128:], &s.gcm)
+		msg, ok := gcmOpen(s.keyBuf, arena[off:off:off+plen], ctxts[i][uSize:], &s.gcm)
 		if ok {
 			msgs[i], oks[i] = msg, true
 			off += plen

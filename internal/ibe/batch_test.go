@@ -6,6 +6,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"testing"
+	"time"
+
+	"alpenhorn/internal/bn254"
 )
 
 // detRand is a deterministic io.Reader (a sha256 counter stream) for
@@ -50,7 +53,7 @@ func mixedBatch(t testing.TB, mpk *MasterPublicKey, identity string) [][]byte {
 	}
 	good := enc(identity, []byte("hello from the batch"))
 	corruptPoint := append([]byte(nil), good...)
-	corruptPoint[17] ^= 1 // breaks the G2 encoding
+	corruptPoint[17] ^= 1 // breaks the G1 encoding
 	corruptTag := append([]byte(nil), enc(identity, []byte("doomed"))...)
 	corruptTag[len(corruptTag)-1] ^= 1 // valid point, AEAD failure
 	noise, err := RandomCiphertext(rand.Reader, 24)
@@ -182,10 +185,10 @@ func TestDecryptBatchAllocations(t *testing.T) {
 
 // FuzzDecryptBatchMatchesDecrypt asserts element-wise equivalence of
 // DecryptBatch and Decrypt on adversarial batches: fuzz-derived blobs
-// (arbitrary lengths, corrupted points, non-subgroup points probing the
-// Galbraith–Scott check) interleaved with a genuine ciphertext. The genuine element must keep decrypting
-// correctly no matter what surrounds it — an invalid neighbor must never
-// poison the shared-inversion pass.
+// (arbitrary lengths, corrupted and off-curve points, infinity)
+// interleaved with a genuine ciphertext. The genuine element must keep
+// decrypting correctly no matter what surrounds it — an invalid neighbor
+// must never poison the shared inversions.
 func FuzzDecryptBatchMatchesDecrypt(f *testing.F) {
 	pub, priv, err := Setup(rand.Reader)
 	if err != nil {
@@ -205,13 +208,11 @@ func FuzzDecryptBatchMatchesDecrypt(f *testing.F) {
 	corrupt := append([]byte(nil), good...)
 	corrupt[31] ^= 0xff
 	f.Add(corrupt)
-	// A twist point outside the prime-order subgroup: the small multiple
-	// [3]·(curve point from x=0 search space) is easiest built by
-	// perturbing a valid encoding until it lands on-curve off-subgroup;
-	// seed with a tweaked y to let the fuzzer explore that region.
-	offSub := append([]byte(nil), good...)
-	offSub[127] ^= 2
-	f.Add(offSub)
+	// A tweaked y puts U off the curve; E(Fp) has prime order, so every
+	// on-curve U is a group element and there is no subgroup to probe.
+	offCurve := append([]byte(nil), good...)
+	offCurve[63] ^= 2
+	f.Add(offCurve)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Slice the fuzz input into up to 6 blobs of plausible lengths.
@@ -239,4 +240,69 @@ func FuzzDecryptBatchMatchesDecrypt(f *testing.F) {
 			t.Fatal("genuine ciphertext was poisoned by its batch neighbors")
 		}
 	})
+}
+
+// TestDecryptBatchSpeedupPin pins what the orientation of the groups buys
+// the scan, as a ratio measured in one test run: DecryptBatch over 64
+// foreign ciphertexts against 64 scalar bn254.AtePair calls on the same
+// points and key. The batch replays the key's line table, built once, and
+// shares its inversions; AtePair builds the table of its G2 argument on
+// every call and inverts per call; both end in the same hard part, which
+// is about half of either side.
+//
+// Measured: 0.73-0.75x per element on a 2-CPU Xeon, against a floor of
+// 0.80x; a scan that lost its line table reads 0.95x or more. The pin
+// compares the best of 21 timings of each side, taken in alternation, so
+// that load from packages tested alongside this one falls on both sides
+// and a quiet slice of each is kept (the way bls's TestVerifySpeedupPin
+// does). Skipped under -race and in -short mode.
+func TestDecryptBatchSpeedupPin(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("relative perf pin skipped under -race and in -short mode")
+	}
+	_, privs := setupN(t, 1)
+	ipk := Extract(privs[0], "bob@example.org").Precompute()
+	const n = 64
+	ctxts, err := RandomCiphertexts(rand.Reader, 24, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	us := make([]*bn254.G1, n)
+	for i, c := range ctxts {
+		us[i] = new(bn254.G1)
+		if err := us[i].Unmarshal(c[:uSize]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := func() time.Duration {
+		start := time.Now()
+		if _, oks := DecryptBatch(ipk, ctxts); oks[0] {
+			t.Fatal("a foreign ciphertext decrypted")
+		}
+		return time.Since(start)
+	}
+	scalar := func() time.Duration {
+		start := time.Now()
+		for _, u := range us {
+			bn254.AtePair(u, ipk.d)
+		}
+		return time.Since(start)
+	}
+	batch() // warm the scratch pool and the first-use check
+
+	kept, textbook := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for i := 0; i < 21; i++ {
+		if i%2 == 0 {
+			kept = min(kept, batch())
+			textbook = min(textbook, scalar())
+		} else {
+			textbook = min(textbook, scalar())
+			kept = min(kept, batch())
+		}
+	}
+	ratio := float64(kept) / float64(textbook)
+	if ratio > 0.80 {
+		t.Errorf("DecryptBatch %v costs %.2fx of %d AtePair calls %v; want ≤ 0.80x", kept, ratio, n, textbook)
+	}
+	t.Logf("DecryptBatch %v vs %d AtePair calls %v: %.2fx per element", kept, n, textbook, ratio)
 }

@@ -17,8 +17,24 @@
 //
 // The pairing is bn254's optimal ate pairing, the only one every client,
 // PKG and mixer uses, and the AEAD key is SHA-256 over a domain tag and the
-// marshalled pairing value. Ciphertexts from an earlier Tate-keyed tier do
-// not open here: they fail authentication like any foreign message.
+// marshalled pairing value.
+//
+// Which group holds what. The pairing is e: G1 × G2 → GT, and its ate
+// Miller loop is laddered over the G2 argument: with G2 fixed, its line
+// table can be built once and replayed against any number of G1 points.
+// The one fixed argument of the hot path is the recipient's identity key,
+// paired against every ciphertext of a mailbox scan, so that key lives in
+// G2 and the ciphertext element in G1 (the standard type-3 Boneh–Franklin
+// orientation):
+//
+//	master public key   mpk = s·P₁ ∈ G1        (64 B)
+//	identity key        d   = s·H(id) ∈ G2     (128 B, H = bn254.HashToG2)
+//	ciphertext element  U   = r·P₁ ∈ G1        (64 B)
+//	pairing value       e(U, d) = e(r·mpk, H(id))
+//
+// A G1 element decodes with a curve check alone (E(Fp) has prime order),
+// so a foreign ciphertext costs a line-table replay and a final
+// exponentiation.
 package ibe
 
 import (
@@ -32,37 +48,28 @@ import (
 	"alpenhorn/internal/bn254"
 )
 
-// hashToG1Domain domain-separates identity hashing from other uses of the
+// identityDomain domain-separates identity hashing from other uses of the
 // curve.
-const hashToG1Domain = "bf-ibe-identity"
+const identityDomain = "bf-ibe-identity"
 
-// Overhead is the ciphertext expansion in bytes: a marshalled G2 point plus
+// Overhead is the ciphertext expansion in bytes: a marshalled G1 point plus
 // an AES-GCM tag.
-const Overhead = 128 + 16
+const Overhead = uSize + 16
+
+// uSize is the size of the ciphertext element U, a marshalled G1 point.
+const uSize = 64
 
 // MasterPublicKey is a PKG's per-round master public key (or an aggregation
 // of several PKGs' keys).
 type MasterPublicKey struct {
-	p *bn254.G2
-
-	// pre caches the ate line ladder of p. Set by Precompute; nil keys
-	// work identically, just without the cached ladder.
-	pre *bn254.AtePrecomputedG2
+	p *bn254.G1
 }
 
-// Precompute caches the optimal-ate line ladder of the key for repeated
-// encryption against the same round key: the ate ladder runs over this
-// fixed G2 argument, so Encrypt replays ~90 precomputed line triples
-// instead of re-running the twist arithmetic per message. Encrypt produces
-// identical ciphertexts either way. Not safe to call concurrently with
-// Encrypt on the same key.
-func (k *MasterPublicKey) Precompute() *MasterPublicKey {
-	k.pre = bn254.AtePrecomputeG2(k.p)
-	return k
-}
-
-// Deprecated: PrecomputeV2 is Precompute; bench/probe.go, frozen for this PR, calls it.
-func (k *MasterPublicKey) PrecomputeV2() *MasterPublicKey { return k.Precompute() }
+// Deprecated: PrecomputeV2 does nothing and returns k: an encryption pairs
+// against the recipient's hashed identity, so the master key is not a
+// fixed pairing argument with lines to cache. bench/probe.go, frozen for
+// this change, calls it.
+func (k *MasterPublicKey) PrecomputeV2() *MasterPublicKey { return k }
 
 // MasterPrivateKey is a PKG's per-round master secret.
 type MasterPrivateKey struct {
@@ -72,21 +79,20 @@ type MasterPrivateKey struct {
 // IdentityPrivateKey is the decryption key for one identity under one master
 // key (or an aggregation of such keys under several masters).
 type IdentityPrivateKey struct {
-	d *bn254.G1
+	d *bn254.G2
 
-	// pre caches the key's pairing evaluation coordinates. Set by
-	// Precompute; scrubbed by Erase.
-	pre *bn254.AtePrecomputedG1
+	// pre caches the key's ate line table. Set by Precompute; scrubbed by
+	// Erase.
+	pre *bn254.AtePrecomputedG2
 }
 
-// Precompute prepares the key for a mailbox scan. The ate Miller ladder
-// runs over the varying ciphertext element, so there are no lines to
-// replay for a fixed G1 key; what Precompute buys is one handle that the
-// scan's workers share and that Erase scrubs once. Decryption results are
-// identical either way. Not safe to call concurrently with Decrypt on the
-// same key.
+// Precompute builds the key's ate line table once for a mailbox scan: the
+// key is the laddered pairing argument, so every trial decryption then
+// replays ~90 cached monic lines against the ciphertext's G1 element.
+// Decryption results are identical either way. Not safe to call
+// concurrently with Decrypt on the same key.
 func (k *IdentityPrivateKey) Precompute() *IdentityPrivateKey {
-	k.pre = bn254.AtePrecomputeG1(k.d)
+	k.pre = bn254.AtePrecomputeG2(k.d)
 	return k
 }
 
@@ -99,20 +105,21 @@ func Setup(rand io.Reader) (*MasterPublicKey, *MasterPrivateKey, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	pub := new(bn254.G2).ScalarBaseMult(s)
+	pub := new(bn254.G1).ScalarBaseMult(s)
 	return &MasterPublicKey{p: pub}, &MasterPrivateKey{s: s}, nil
 }
 
-// Extract computes the identity private key d = s·H1(id) for an identity.
+// Extract computes the identity private key d = s·H(id) ∈ G2 for an
+// identity.
 func Extract(msk *MasterPrivateKey, identity string) *IdentityPrivateKey {
-	q := bn254.HashToG1(hashToG1Domain, []byte(identity))
-	return &IdentityPrivateKey{d: new(bn254.G1).ScalarMult(q, msk.s)}
+	q := bn254.HashToG2(identityDomain, []byte(identity))
+	return &IdentityPrivateKey{d: new(bn254.G2).ScalarMult(q, msk.s)}
 }
 
 // AggregateMasterKeys sums master public keys from independent PKGs,
 // producing the Anytrust-IBE encryption key Σ Mᵢpub.
 func AggregateMasterKeys(keys ...*MasterPublicKey) *MasterPublicKey {
-	sum := new(bn254.G2).SetInfinity()
+	sum := new(bn254.G1).SetInfinity()
 	for _, k := range keys {
 		sum.Add(sum, k.p)
 	}
@@ -122,7 +129,7 @@ func AggregateMasterKeys(keys ...*MasterPublicKey) *MasterPublicKey {
 // AggregatePrivateKeys sums identity private keys issued by independent
 // PKGs, producing the Anytrust-IBE decryption key Σ identityᵢpriv.
 func AggregatePrivateKeys(keys ...*IdentityPrivateKey) *IdentityPrivateKey {
-	sum := new(bn254.G1).SetInfinity()
+	sum := new(bn254.G2).SetInfinity()
 	for _, k := range keys {
 		sum.Add(sum, k.d)
 	}
@@ -183,17 +190,12 @@ func Encrypt(rand io.Reader, mpk *MasterPublicKey, identity string, msg []byte) 
 	if err != nil {
 		return nil, err
 	}
-	u := new(bn254.G2).ScalarBaseMult(r)
-	q := bn254.HashToG1(hashToG1Domain, []byte(identity))
-	// e(Q, mpk)^r = e(r·Q, mpk) by bilinearity: folding r into the cheap
-	// G1 scalar multiplication replaces a full GT exponentiation.
-	rq := new(bn254.G1).ScalarMult(q, r)
-	var g *bn254.GT
-	if mpk.pre != nil {
-		g = mpk.pre.Pair(rq)
-	} else {
-		g = bn254.AtePair(rq, mpk.p)
-	}
+	u := new(bn254.G1).ScalarBaseMult(r)
+	q := bn254.HashToG2(identityDomain, []byte(identity))
+	// e(mpk, Q)^r = e(r·mpk, Q) by bilinearity: folding r into a G1
+	// scalar multiplication replaces a full GT exponentiation.
+	rm := new(bn254.G1).ScalarMult(mpk.p, r)
+	g := bn254.AtePair(rm, q)
 
 	out := make([]byte, 0, len(msg)+Overhead)
 	out = append(out, u.Marshal()...)
@@ -210,30 +212,30 @@ func EncryptV2(rand io.Reader, mpk *MasterPublicKey, identity string, msg []byte
 // aggregated) identity private key. It returns ok=false if the ciphertext
 // is malformed or was not encrypted to this key's identity — callers scan
 // whole mailboxes with exactly this check (Algorithm 1, step 4). It is the
-// scalar oracle for DecryptBatch: it unmarshals through the full
-// Order-ladder subgroup check and opens through the stdlib AEAD, and
-// differential tests pin DecryptBatch against it element-wise.
+// scalar oracle for DecryptBatch: it unmarshals U through G1.Unmarshal and
+// opens through the stdlib AEAD, and differential tests pin DecryptBatch
+// against it element-wise.
 func Decrypt(ipk *IdentityPrivateKey, ctxt []byte) ([]byte, bool) {
 	if len(ctxt) < Overhead {
 		return nil, false
 	}
-	u := new(bn254.G2)
-	if err := u.Unmarshal(ctxt[:128]); err != nil {
+	u := new(bn254.G1)
+	if err := u.Unmarshal(ctxt[:uSize]); err != nil {
 		return nil, false
 	}
 	var g *bn254.GT
 	if ipk.pre != nil {
 		g = ipk.pre.Pair(u)
 	} else {
-		g = bn254.AtePair(ipk.d, u)
+		g = bn254.AtePair(u, ipk.d)
 	}
-	return aeadOpen(sealKey(g), ctxt[128:])
+	return aeadOpen(sealKey(g), ctxt[uSize:])
 }
 
 // MasterPublicKeySize and IdentityPrivateKeySize are the marshalled sizes.
 const (
-	MasterPublicKeySize    = 128
-	IdentityPrivateKeySize = 64
+	MasterPublicKeySize    = 64
+	IdentityPrivateKeySize = 128
 )
 
 // Marshal encodes the master public key.
@@ -241,7 +243,7 @@ func (k *MasterPublicKey) Marshal() []byte { return k.p.Marshal() }
 
 // UnmarshalMasterPublicKey decodes and validates a master public key.
 func UnmarshalMasterPublicKey(data []byte) (*MasterPublicKey, error) {
-	p := new(bn254.G2)
+	p := new(bn254.G1)
 	if err := p.Unmarshal(data); err != nil {
 		return nil, err
 	}
@@ -253,7 +255,7 @@ func (k *IdentityPrivateKey) Marshal() []byte { return k.d.Marshal() }
 
 // UnmarshalIdentityPrivateKey decodes and validates an identity private key.
 func UnmarshalIdentityPrivateKey(data []byte) (*IdentityPrivateKey, error) {
-	d := new(bn254.G1)
+	d := new(bn254.G2)
 	if err := d.Unmarshal(data); err != nil {
 		return nil, err
 	}
@@ -293,9 +295,9 @@ func (k *MasterPrivateKey) Erase() {
 	k.s.SetInt64(0)
 }
 
-// Erase zeroes the identity private key in place, including any pairing
-// precomputation (its cached coordinates are the key, so they are
-// scrubbed, not just dropped). Clients erase round keys after scanning
+// Erase zeroes the identity private key in place, including its line
+// table (the table is derived from the key, so it is scrubbed, not just
+// dropped). Clients erase round keys after scanning
 // their mailbox (§4.4).
 func (k *IdentityPrivateKey) Erase() {
 	k.d.SetInfinity()

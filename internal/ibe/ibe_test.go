@@ -139,7 +139,7 @@ func TestDecryptCorruptedCiphertext(t *testing.T) {
 	ctxt, _ := Encrypt(rand.Reader, pubs[0], "bob@example.org", []byte("msg"))
 	key := Extract(privs[0], "bob@example.org")
 
-	for _, i := range []int{0, 64, 130, len(ctxt) - 1} {
+	for _, i := range []int{0, 32, uSize + 2, len(ctxt) - 1} {
 		bad := bytes.Clone(ctxt)
 		bad[i] ^= 0xff
 		if _, ok := Decrypt(key, bad); ok {

@@ -8,7 +8,7 @@ import (
 )
 
 // RandomCiphertext returns a blob indistinguishable from a real encryption
-// of a msgLen-byte message: a uniformly random G2 point where rP would be,
+// of a msgLen-byte message: a uniformly random G1 point where rP would be,
 // followed by uniformly random bytes where the AEAD output would be.
 //
 // This is how mixnet servers manufacture noise for add-friend mailboxes
@@ -25,7 +25,7 @@ func RandomCiphertext(rand io.Reader, msgLen int) ([]byte, error) {
 
 // RandomCiphertexts generates n noise blobs in one pass: the comb-table
 // scalar multiplications run in Jacobian form and share one affine-
-// conversion inversion (bn254.G2ScalarBaseMultBatch). Randomness is
+// conversion inversion (bn254.G1ScalarBaseMultBatch). Randomness is
 // consumed in exactly the per-message order of repeated RandomCiphertext
 // calls — scalar i, then tail i — so a deterministic rand source produces
 // byte-identical noise either way (a unit test pins this).
@@ -39,13 +39,13 @@ func RandomCiphertexts(rand io.Reader, msgLen, n int) ([][]byte, error) {
 		}
 		scalars[i] = r
 		buf := make([]byte, msgLen+Overhead)
-		if _, err := io.ReadFull(rand, buf[128:]); err != nil {
+		if _, err := io.ReadFull(rand, buf[uSize:]); err != nil {
 			return nil, err
 		}
 		outs[i] = buf
 	}
-	for i, u := range bn254.G2ScalarBaseMultBatch(scalars) {
-		copy(outs[i][:128], u.Marshal())
+	for i, u := range bn254.G1ScalarBaseMultBatch(scalars) {
+		copy(outs[i][:uSize], u.Marshal())
 	}
 	return outs, nil
 }

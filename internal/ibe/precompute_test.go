@@ -38,8 +38,8 @@ func (d *deterministicReader) Read(p []byte) (int, error) {
 }
 
 // TestEncryptFoldedExponentMatchesGTExp pins the Encrypt hot-path rewrite:
-// folding the randomizer into the G1 argument (a(r·Q, mpk)) must produce
-// the exact ciphertext bytes of the original formula (a(Q, mpk)^r), for
+// folding the randomizer into the G1 argument (a(r·mpk, Q)) must produce
+// the exact ciphertext bytes of the textbook formula (a(mpk, Q)^r), for
 // the same randomness.
 func TestEncryptFoldedExponentMatchesGTExp(t *testing.T) {
 	pub, _, err := Setup(rand.Reader)
@@ -53,15 +53,15 @@ func TestEncryptFoldedExponentMatchesGTExp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The original construction, replayed on the same stream.
+	// The textbook construction, replayed on the same stream.
 	rnd := &deterministicReader{key: []byte("pin")}
 	r, err := bn254.RandomScalar(rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := new(bn254.G2).ScalarBaseMult(r)
-	q := bn254.HashToG1("bf-ibe-identity", []byte("bob@example.org"))
-	g := bn254.AtePair(q, pub.p)
+	u := new(bn254.G1).ScalarBaseMult(r)
+	q := bn254.HashToG2("bf-ibe-identity", []byte("bob@example.org"))
+	g := bn254.AtePair(pub.p, q)
 	g.Exp(g, r)
 	want := append(u.Marshal(), aeadSeal(sealKey(g), msg)...)
 
@@ -70,8 +70,8 @@ func TestEncryptFoldedExponentMatchesGTExp(t *testing.T) {
 	}
 }
 
-// TestPrecomputeEquivalence checks that precomputed keys encrypt and
-// decrypt identically to plain keys, across aggregation and erasure.
+// TestPrecomputeEquivalence checks that precomputed identity keys decrypt
+// identically to plain keys, across aggregation and erasure.
 func TestPrecomputeEquivalence(t *testing.T) {
 	pub1, priv1, err := Setup(rand.Reader)
 	if err != nil {
@@ -86,19 +86,9 @@ func TestPrecomputeEquivalence(t *testing.T) {
 		Extract(priv1, "carol@example.org"),
 		Extract(priv2, "carol@example.org"),
 	)
-
-	// Same randomness, precomputed vs not: identical ciphertext.
 	plain, err := Encrypt(&deterministicReader{key: []byte("eq")}, agg, "carol@example.org", []byte("hi"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	aggPre := AggregateMasterKeys(pub1, pub2).Precompute()
-	pre, err := Encrypt(&deterministicReader{key: []byte("eq")}, aggPre, "carol@example.org", []byte("hi"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain, pre) {
-		t.Fatal("precomputed master key changed ciphertext bytes")
 	}
 
 	// Decrypt with and without the identity-key precomputation.
@@ -124,9 +114,46 @@ func TestPrecomputeEquivalence(t *testing.T) {
 	combined.Precompute()
 	combined.Erase()
 	if combined.pre != nil {
-		t.Fatal("Erase left the Miller-loop precomputation behind")
+		t.Fatal("Erase left the line table behind")
 	}
 	if _, ok := Decrypt(combined, plain); ok {
 		t.Fatal("erased key still decrypts")
+	}
+}
+
+// TestIdentityKeyEraseScrubsLineTable pins that Erase erases the key's
+// line table in place, not just the reference to it: the table is derived
+// from the key, so a scan worker still holding it must find it dead
+// (bn254's TestPrecomputedG2Erase pins that an erased table reads all
+// zero). After Erase the key decrypts nothing, on the scalar and batch
+// paths.
+func TestIdentityKeyEraseScrubsLineTable(t *testing.T) {
+	pub, priv, err := Setup(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const identity = "erin@example.org"
+	ipk := Extract(priv, identity).Precompute()
+	ctxt, err := Encrypt(rand.Reader, pub, identity, []byte("before erase"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := Decrypt(ipk, ctxt); !ok {
+		t.Fatal("fresh key does not decrypt")
+	}
+	table := ipk.pre
+	probe := bn254.G1Generator()
+	if table.Pair(probe).IsOne() {
+		t.Fatal("line table pairs to the identity before Erase")
+	}
+	ipk.Erase()
+	if !table.Pair(probe).IsOne() {
+		t.Fatal("the erased table still pairs like the key")
+	}
+	if _, ok := Decrypt(ipk, ctxt); ok {
+		t.Fatal("erased key still decrypts")
+	}
+	if _, oks := DecryptBatch(ipk, [][]byte{ctxt, ctxt}); oks[0] || oks[1] {
+		t.Fatal("erased key still batch-decrypts")
 	}
 }

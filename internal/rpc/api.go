@@ -464,8 +464,11 @@ func (m *MixerClient) NoiseMu(service wire.Service) float64 {
 // incompatibly. Version 2 was the one-pairing generation (one ciphertext
 // tier, one PKG domain tag). Version 3 is the blob data plane: onions,
 // mailboxes and round keys cross raw in data frames (see the package
-// doc), which a version-2 peer cannot parse.
-const ProtocolVersion = 3
+// doc), which a version-2 peer cannot parse. Version 4 swaps the IBE's
+// groups: master public keys and ciphertext elements in G1, identity keys
+// in G2, so every round key, identity key and sealed request changes size;
+// and a dialing mailbox's Bloom filter sets different bits for a token.
+const ProtocolVersion = 4
 
 // ErrProtocolMismatch is returned (wrapped, naming both versions) by
 // FrontendClient.Directory, DialMixer and PKGClient.Info when the peer

@@ -384,8 +384,9 @@ func TestDirectoryProtocolMismatch(t *testing.T) {
 		t.Fatalf("current frontend advertises protocol version %d, want %d", dir.ProtocolVersion, rpc.ProtocolVersion)
 	}
 
-	// Version 0 predates the field; version 2 is the JSON-only data plane.
-	for _, version := range []int{0, 2} {
+	// Version 0 predates the field; version 2 is the JSON-only data plane;
+	// version 3 seals add-friend requests with U in G2.
+	for _, version := range []int{0, 2, 3} {
 		version := version
 		old := rpc.NewServer()
 		rpc.HandleFunc(old, "frontend.directory", func(struct{}) (any, error) {
@@ -445,15 +446,19 @@ func TestMixerProtocolMismatch(t *testing.T) {
 		t.Fatalf("mismatch error %q does not name the mixer and its version", err)
 	}
 
-	// A version-2 mixer speaks the JSON-only data plane.
-	v2 := rpc.NewServer()
-	rpc.HandleFunc(v2, "mix.info", func(struct{}) (any, error) {
-		return rpc.MixerInfo{Name: "v2", ProtocolVersion: 2}, nil
-	})
-	v2Addr := listenTCP(t, v2)
-	mc, err = rpc.DialMixer(v2Addr)
-	if !errors.Is(err, rpc.ErrProtocolMismatch) || !strings.Contains(err.Error(), v2Addr+" serves version 2") {
-		t.Fatalf("version-2 mixer returned (%v, %v), want ErrProtocolMismatch naming it and its version", mc, err)
+	// A version-2 mixer speaks the JSON-only data plane; a version-3 mixer
+	// carries add-friend onions sized for U in G2.
+	for _, version := range []int{2, 3} {
+		version := version
+		prev := rpc.NewServer()
+		rpc.HandleFunc(prev, "mix.info", func(struct{}) (any, error) {
+			return rpc.MixerInfo{Name: fmt.Sprintf("v%d", version), ProtocolVersion: version}, nil
+		})
+		prevAddr := listenTCP(t, prev)
+		mc, err = rpc.DialMixer(prevAddr)
+		if !errors.Is(err, rpc.ErrProtocolMismatch) || !strings.Contains(err.Error(), fmt.Sprintf("%s serves version %d", prevAddr, version)) {
+			t.Fatalf("version-%d mixer returned (%v, %v), want ErrProtocolMismatch naming it and its version", version, mc, err)
+		}
 	}
 }
 
@@ -495,15 +500,19 @@ func TestPKGProtocolMismatch(t *testing.T) {
 		t.Fatalf("mismatch error %q does not name the PKG and both versions", err)
 	}
 
-	// A version-2 PKG speaks the JSON-only data plane.
-	v2 := rpc.NewServer()
-	rpc.HandleFunc(v2, "pkg.info", func(struct{}) (any, error) {
-		return rpc.PKGInfo{Name: "v2", SigningKey: pkg.SigningKey(), ProtocolVersion: 2}, nil
-	})
-	v2Addr := listenTCP(t, v2)
-	info, err = rpc.DialPKG(v2Addr).Info()
-	want = fmt.Sprintf("PKG %s serves version 2, this coordinator speaks %d", v2Addr, rpc.ProtocolVersion)
-	if !errors.Is(err, rpc.ErrProtocolMismatch) || !strings.Contains(err.Error(), want) {
-		t.Fatalf("version-2 PKG returned (%v, %v), want ErrProtocolMismatch naming it and both versions", info, err)
+	// A version-2 PKG speaks the JSON-only data plane; a version-3 PKG
+	// issues G1 identity keys against G2 master keys.
+	for _, version := range []int{2, 3} {
+		version := version
+		prev := rpc.NewServer()
+		rpc.HandleFunc(prev, "pkg.info", func(struct{}) (any, error) {
+			return rpc.PKGInfo{Name: fmt.Sprintf("v%d", version), SigningKey: pkg.SigningKey(), ProtocolVersion: version}, nil
+		})
+		prevAddr := listenTCP(t, prev)
+		info, err = rpc.DialPKG(prevAddr).Info()
+		want = fmt.Sprintf("PKG %s serves version %d, this coordinator speaks %d", prevAddr, version, rpc.ProtocolVersion)
+		if !errors.Is(err, rpc.ErrProtocolMismatch) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d PKG returned (%v, %v), want ErrProtocolMismatch naming it and both versions", version, info, err)
+		}
 	}
 }
