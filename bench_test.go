@@ -333,7 +333,7 @@ func BenchmarkDialScan(b *testing.B) {
 func BenchmarkKeyExtraction(b *testing.B) {
 	for _, numPKGs := range []int{3, 10} {
 		b.Run(fmt.Sprintf("pkgs=%d", numPKGs), func(b *testing.B) {
-			net, err := sim.NewNetwork(sim.Config{NumPKGs: numPKGs, NumMixers: 1})
+			net, err := sim.NewNetwork(sim.Config{NumPKGs: numPKGs, Shards: []int{1}})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,12 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"alpenhorn/internal/cdn"
-	"alpenhorn/internal/coordinator"
-	"alpenhorn/internal/entry"
-	"alpenhorn/internal/mixnet"
-	"alpenhorn/internal/noise"
-	"alpenhorn/internal/rpc"
 	"alpenhorn/internal/sim"
 	"alpenhorn/internal/wire"
 )
@@ -26,22 +20,16 @@ import (
 // spare pool, and re-admitted automatically after they restart. For each
 // kill rate the experiment reports the failed-round fraction, p50/p99
 // round duration, and the mean rounds-to-recovery (kill to automatic
-// re-admission). The -json record is uploaded per PR by CI, tracking the
-// paper's availability claim (rounds keep closing as long as each
-// position has a live quorum of machines) as the codebase evolves.
+// re-admission). The fleet is a sim.Network over loopback TCP, its mixers
+// at GOMAXPROCS workers. The -json record is uploaded per PR by CI,
+// tracking the paper's availability claim (rounds keep closing as long as
+// each position has a live quorum of machines) as the codebase evolves.
 func churnBench(batchSize int) {
 	header("Churn: self-healing rounds with hot spares under daemon kills (over TCP)")
-	const (
-		positions = 3
-		shardsPer = 2
-		numRounds = 10
-	)
-	counts := make([]int, positions)
-	for i := range counts {
-		counts[i] = shardsPer
-	}
+	const numRounds = 10
+	counts := []int{2, 2, 2}
 	fmt.Printf("dialing, batch %d, %d positions x %d shards + 1 spare each, %d rounds, GOMAXPROCS %d\n\n",
-		batchSize, positions, shardsPer, numRounds, runtime.GOMAXPROCS(0))
+		batchSize, len(counts), counts[0], numRounds, runtime.GOMAXPROCS(0))
 
 	type modeResult struct {
 		Name                 string  `json:"name"`
@@ -58,112 +46,35 @@ func churnBench(batchSize int) {
 	}
 
 	runMode := func(killEvery int) modeResult {
-		nz := noise.Laplace{Mu: 2, B: 0}
-		var closers []*rpc.Server
-		defer func() {
-			for _, s := range closers {
-				s.Close()
-			}
-		}()
-		servers := make([][]*mixnet.Server, positions)
-		rpcSrvs := make([][]*rpc.Server, positions)
-		addrs := make([][]string, positions)
-		coord := &coordinator.Coordinator{
-			TargetRequestsPerMailbox: 24000,
-			RoundDeadline:            30 * time.Second,
-		}
-		coord.Shards = make([][]coordinator.Mixer, positions)
-		coord.Spares = make([][]coordinator.Mixer, positions)
-		for i := 0; i < positions; i++ {
-			for s := 0; s < shardsPer+1; s++ {
-				cfg := mixnet.Config{
-					Name: "m", Position: i, ChainLength: positions,
-					AddFriendNoise: &nz, DialingNoise: &nz,
-					Parallelism: parallelism,
-				}
-				if s == shardsPer {
-					cfg.Spare = true // the position's hot spare: unpinned
-				} else {
-					cfg.ShardIndex, cfg.ShardCount = s, shardsPer
-				}
-				m, err := mixnet.New(cfg)
-				if err != nil {
-					log.Fatal(err)
-				}
-				srv := rpc.NewServer()
-				rpc.RegisterMixer(srv, m)
-				addr, err := srv.Listen("127.0.0.1:0")
-				if err != nil {
-					log.Fatal(err)
-				}
-				closers = append(closers, srv)
-				mc, err := rpc.DialMixer(addr)
-				if err != nil {
-					log.Fatal(err)
-				}
-				if cfg.Spare {
-					coord.Spares[i] = append(coord.Spares[i], mc)
-					continue
-				}
-				if s == 0 {
-					coord.Mixers = append(coord.Mixers, mc)
-				} else {
-					coord.Shards[i] = append(coord.Shards[i], mc)
-				}
-				servers[i] = append(servers[i], m)
-				rpcSrvs[i] = append(rpcSrvs[i], srv)
-				addrs[i] = append(addrs[i], addr)
-			}
-		}
-		store := cdn.NewStore(2)
-		cdnSrv := rpc.NewServer()
-		rpc.RegisterCDN(cdnSrv, store)
-		cdnAddr, err := cdnSrv.Listen("127.0.0.1:0")
+		network, err := sim.NewNetwork(sim.Config{Shards: counts, Spares: true, Listen: "127.0.0.1:0"})
 		if err != nil {
 			log.Fatal(err)
 		}
-		closers = append(closers, cdnSrv)
-		e := entry.New()
-		coord.Entry = e
-		coord.CDNAddr = cdnAddr
+		defer network.Close()
+		coord := network.Coord
+		coord.RoundDeadline = 30 * time.Second
 		coord.SetExpectedVolume(wire.Dialing, batchSize)
 
-		var plan *sim.ChurnPlan
+		res := modeResult{Name: "no churn (baseline)", KillEvery: killEvery, Rounds: numRounds}
+		plan := &sim.ChurnPlan{}
 		if killEvery > 0 {
 			plan = sim.NewChurnPlan(11, numRounds, killEvery, counts)
-		}
-		res := modeResult{KillEvery: killEvery, Rounds: numRounds}
-		if killEvery == 0 {
-			res.Name = "no churn (baseline)"
-		} else {
 			res.Name = fmt.Sprintf("kill a random shard every %d round(s)", killEvery)
 			res.Kills, res.Pauses = plan.Kills, plan.Pauses
-		}
-
-		restart := func(pos, shard int) {
-			srv := rpc.NewServer()
-			rpc.RegisterMixer(srv, servers[pos][shard])
-			if _, err := srv.Listen(addrs[pos][shard]); err != nil {
-				log.Fatalf("restarting daemon %d/%d: %v", pos, shard, err)
-			}
-			closers = append(closers, srv)
-			rpcSrvs[pos][shard] = srv
 		}
 
 		benchedAt := make(map[string]int)
 		var recoveries []int
 		var okDurations []time.Duration
 		for r := 1; r <= numRounds; r++ {
-			if plan != nil {
-				for _, ev := range plan.EventsBefore(r) {
-					switch ev.Action {
-					case sim.ChurnKill:
-						rpcSrvs[ev.Position][ev.Shard].Close()
-					case sim.ChurnRestart:
-						restart(ev.Position, ev.Shard)
-					case sim.ChurnPause:
-						rpcSrvs[ev.Position][ev.Shard].Close()
-						restart(ev.Position, ev.Shard)
+			for _, ev := range plan.EventsBefore(r) {
+				addr := network.Mixers[ev.Position][ev.Shard].Addr
+				if ev.Action != sim.ChurnRestart {
+					network.Kill(addr)
+				}
+				if ev.Action != sim.ChurnKill {
+					if err := network.Restart(addr); err != nil {
+						log.Fatalf("restarting daemon %d/%d: %v", ev.Position, ev.Shard, err)
 					}
 				}
 			}
@@ -173,14 +84,12 @@ func churnBench(batchSize int) {
 				res.FailedRounds++
 				continue
 			}
-			batch, err := sim.GenerateBatch(nil, settings, sim.Workload{
-				Real: batchSize / 20, Cover: batchSize - batchSize/20,
-			})
+			batch, err := sim.GenerateBatch(nil, settings, sim.Workload{Real: batchSize / 20, Cover: batchSize - batchSize/20})
 			if err != nil {
 				log.Fatal(err)
 			}
 			for _, onion := range batch {
-				if err := e.Submit(wire.Dialing, round, onion); err != nil {
+				if err := network.Entry.Submit(wire.Dialing, round, onion); err != nil {
 					log.Fatal(err)
 				}
 			}

@@ -20,8 +20,8 @@
 // trajectory).
 //
 // The -parallelism flag sets the mixers' decryption/noise worker count for
-// every experiment that runs real rounds (0 = GOMAXPROCS, 1 = one
-// worker).
+// the mix-cost calibration (0 = GOMAXPROCS, 1 = one worker); -exp churn
+// builds its fleet with sim.NewNetwork, whose mixers run at GOMAXPROCS.
 //
 // Figures 6/7/10 come from the analytic model driven by this codebase's
 // real message sizes (cross-validated against real rounds in the test
@@ -89,8 +89,8 @@ func main() {
 	}
 }
 
-// parallelism is the -parallelism flag: mixer worker count for every
-// experiment that runs real rounds.
+// parallelism is the -parallelism flag: mixer worker count for the
+// mix-cost calibration.
 var parallelism int
 
 // jsonPath is the -json flag: where JSON-writing experiments record
@@ -374,7 +374,7 @@ func sizes() {
 func extraction() {
 	header("Key extraction latency vs number of PKGs (paper T3: 4.9 ms @3, 5.2 ms @10)")
 	for _, n := range []int{1, 3, 5, 10} {
-		net, err := sim.NewNetwork(sim.Config{NumPKGs: n, NumMixers: 1})
+		net, err := sim.NewNetwork(sim.Config{NumPKGs: n, Shards: []int{1}})
 		if err != nil {
 			log.Fatal(err)
 		}

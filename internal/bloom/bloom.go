@@ -141,6 +141,11 @@ func (f *Filter) Marshal() []byte {
 	return out
 }
 
+// maxHashes bounds the probe count Unmarshal accepts. A mailbox comes from
+// whichever CDN node or frontend serves it, and k is what one Test costs;
+// the mixnet's filters use OptimalHashes(DefaultBitsPerElement) = 33.
+const maxHashes = 64
+
 // Unmarshal decodes a filter encoded with Marshal.
 func Unmarshal(data []byte) (*Filter, error) {
 	if len(data) < 20 {
@@ -149,10 +154,11 @@ func Unmarshal(data []byte) (*Filter, error) {
 	m := binary.BigEndian.Uint64(data[0:8])
 	k := binary.BigEndian.Uint32(data[8:12])
 	entries := binary.BigEndian.Uint64(data[12:20])
-	if k == 0 || m == 0 {
+	if k == 0 || k > maxHashes || m == 0 {
 		return nil, errors.New("bloom: invalid parameters")
 	}
-	if uint64(len(data)-20) != (m+7)/8 {
+	// ⌈m/8⌉ without the m+7 that wraps for m near 2⁶⁴.
+	if uint64(len(data)-20) != m/8+(m%8+7)/8 {
 		return nil, errors.New("bloom: bit array length mismatch")
 	}
 	f := &Filter{bits: make([]byte, len(data)-20), m: m, k: k, entries: entries}

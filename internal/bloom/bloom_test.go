@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"testing"
@@ -147,6 +148,55 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := Unmarshal(bad); err == nil {
 		t.Fatal("zero parameters accepted")
 	}
+}
+
+// TestUnmarshalRejectsHostileParameters: a mailbox is chosen by whoever
+// serves it. A bit count whose byte length wraps (m = 2⁶⁴−1 once passed as
+// "no bit array") and a probe count past any filter the mixnet builds are
+// both refused, not handed to Test.
+func TestUnmarshalRejectsHostileParameters(t *testing.T) {
+	header := func(m uint64, k uint32) []byte {
+		enc := make([]byte, 20)
+		binary.BigEndian.PutUint64(enc[0:8], m)
+		binary.BigEndian.PutUint32(enc[8:12], k)
+		return enc
+	}
+	for m := ^uint64(0) - 6; m != 0; m++ {
+		if _, err := Unmarshal(header(m, 3)); err == nil {
+			t.Fatalf("m = %#x with no bit array accepted", m)
+		}
+	}
+	wide := append(header(64, maxHashes+1), make([]byte, 8)...)
+	if _, err := Unmarshal(wide); err == nil {
+		t.Fatalf("k = %d accepted", maxHashes+1)
+	}
+	if _, err := Unmarshal(append(header(64, maxHashes), make([]byte, 8)...)); err != nil {
+		t.Fatalf("k = %d refused: %v", maxHashes, err)
+	}
+	if k := OptimalHashes(DefaultBitsPerElement); k > maxHashes {
+		t.Fatalf("the mixnet's own filters (k = %d) exceed maxHashes", k)
+	}
+}
+
+// FuzzBloomUnmarshal: no input panics the decoder, an accepted filter
+// answers Test without panicking, and it re-encodes to the input.
+func FuzzBloomUnmarshal(f *testing.F) {
+	f.Add(New(3, DefaultBitsPerElement).Marshal())
+	f.Add(make([]byte, 20))
+	wrapped := make([]byte, 20)
+	binary.BigEndian.PutUint64(wrapped[0:8], ^uint64(0))
+	binary.BigEndian.PutUint32(wrapped[8:12], 3)
+	f.Add(wrapped)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		g.Test(data)
+		if enc := g.Marshal(); !bytes.Equal(enc, data) {
+			t.Fatalf("Marshal(Unmarshal(x)) = %x, want %x", enc, data)
+		}
+	})
 }
 
 func TestEmptyFilter(t *testing.T) {

@@ -28,8 +28,12 @@ type testCoordinator struct {
 // listenMem serves srv on an in-memory address for the test's duration.
 func listenMem(t *testing.T, srv *rpc.Server) string {
 	t.Helper()
+	addr, err := srv.Listen("mem:")
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(srv.Close)
-	return srv.ListenMem()
+	return addr
 }
 
 // startMixer serves one unpinned mixer daemon (µ = 1 per mailbox, b = 0).

@@ -30,7 +30,7 @@ func (c *settingsCountingEntry) Settings(ctx context.Context, service wire.Servi
 // scan hits the cache); with the feed connected, announcements carry the
 // settings and rounds complete with ZERO fetches.
 func TestSettingsCachedPerRound(t *testing.T) {
-	network, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumMixers: 1})
+	network, err := sim.NewNetwork(sim.Config{NumPKGs: 1, Shards: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestSettingsCachedPerRound(t *testing.T) {
 // cache.
 func TestPairingV2SingleSettingsFetch(t *testing.T) {
 	skipIfShort(t)
-	network, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumMixers: 1})
+	network, err := sim.NewNetwork(sim.Config{NumPKGs: 1, Shards: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"alpenhorn/internal/cdn"
 	"alpenhorn/internal/coordinator"
-	"alpenhorn/internal/entry"
 	"alpenhorn/internal/mixnet"
 	"alpenhorn/internal/noise"
 	"alpenhorn/internal/rpc"
@@ -16,87 +14,14 @@ import (
 	"alpenhorn/internal/wire"
 )
 
-// kill takes daemon (pos, shard)'s RPC listener down; its mixnet state
-// survives in-process, standing in for a daemon whose machine is still
-// up but unreachable — the common churn case.
-func (f *shardFleet) kill(pos, shard int) {
-	f.rpcSrvs[pos][shard].Close()
-}
-
-// restart brings a killed daemon back on its old address with a fresh
-// RPC server over the same mixnet server (the standard restart pattern:
-// cached connections redial lazily).
-func (f *shardFleet) restart(t *testing.T, pos, shard int) {
-	t.Helper()
-	srv := rpc.NewServer()
-	f.daemons[pos][shard] = rpc.RegisterMixer(srv, f.servers[pos][shard])
-	if _, err := srv.Listen(f.addrs[pos][shard]); err != nil {
-		t.Fatalf("restarting daemon %d/%d on %s: %v", pos, shard, f.addrs[pos][shard], err)
-	}
-	f.rpcSrvs[pos][shard] = srv
-	t.Cleanup(srv.Close)
-}
-
-// startSpares launches one hot-spare daemon per position: unpinned
-// (-spare) mixers the scheduler can draft into any benched slot.
-func startSpares(t *testing.T, fleet *shardFleet, nz noise.Laplace, randFor func(pos int) mathrand.Source) [][]coordinator.Mixer {
-	t.Helper()
-	spares := make([][]coordinator.Mixer, len(fleet.counts))
-	for i := range fleet.counts {
-		cfg := mixnet.Config{
-			Name: "spare", Position: i, ChainLength: len(fleet.counts),
-			AddFriendNoise: &nz, DialingNoise: &nz,
-			Spare: true,
-		}
-		if randFor != nil {
-			cfg.Rand = &seededReader{rng: mathrand.New(randFor(i))}
-			cfg.Parallelism = 1
-		}
-		m, err := mixnet.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := rpc.NewServer()
-		rpc.RegisterMixer(srv, m)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Close)
-		mc, err := rpc.DialMixer(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !mc.Info().Spare {
-			t.Fatalf("spare daemon %d does not advertise itself as a spare", i)
-		}
-		spares[i] = []coordinator.Mixer{mc}
-	}
-	return spares
-}
-
-// fetchAll pulls every mailbox of a round.
-func fetchAll(t *testing.T, store *cdn.Store, round uint32, k uint32) map[uint32][]byte {
-	t.Helper()
-	out := make(map[uint32][]byte, k)
-	for mb := uint32(0); mb < k; mb++ {
-		data, err := store.Fetch(wire.Dialing, round, mb)
-		if err != nil {
-			t.Fatalf("round %d mailbox %d: %v", round, mb, err)
-		}
-		out[mb] = data
-	}
-	return out
-}
-
 // TestChurnSelfHealingRounds is the self-healing acceptance test: a
-// 3-position × 2-shard TCP fleet with one hot spare per position runs
-// many consecutive rounds while a seeded churn plan kills a random
-// non-announcer daemon every other round (and occasionally pauses one).
-// Every round must close with ZERO operator action: the scheduler's
+// 3-position × 2-shard fleet with one hot spare per position runs many
+// consecutive rounds, on each transport, while a seeded churn plan kills a
+// random non-announcer daemon every other round (and occasionally pauses
+// one). Every round must close with ZERO operator action: the scheduler's
 // plan-time probe benches the dead daemon and drafts the spare into its
 // slot, and once the daemon restarts it is probed back in automatically.
-// A churn-free mirror fleet runs the same seeds in parallel; every
+// A churn-free mirror fleet runs the same seed in parallel; every
 // surviving round's mailboxes must be byte-identical between the two —
 // benching, spare drafting, and merge-role rotation never change what a
 // round publishes, only which machines compute it.
@@ -107,125 +32,122 @@ func TestChurnSelfHealingRounds(t *testing.T) {
 	const numTokens = 120
 	tokens := makeTestTokens(numTokens)
 
-	seedFor := func(pos, shard int) mathrand.Source {
-		if shard == 0 {
-			return mathrand.NewSource(int64(1000 + pos))
+	onTransports(t, func(t *testing.T, listen string) {
+		newFleet := func(spares bool) *sim.Network {
+			n := newNetwork(t, sim.Config{
+				NumPKGs: 1, Shards: counts, Spares: spares,
+				AddFriendNoise: &nz, DialingNoise: &nz, TargetRequestsPerMailbox: 40,
+				Seed: 1000, Listen: listen,
+			})
+			n.Coord.ChunkSize = 16
+			n.Coord.RoundDeadline = 20 * time.Second
+			n.Coord.SetExpectedVolume(wire.Dialing, numTokens)
+			return n
 		}
-		return mathrand.NewSource(int64(5000 + 100*pos + shard))
-	}
-	newCoord := func(f *shardFleet) (*coordinator.Coordinator, *cdn.Store, *entry.Server) {
-		store, cdnAddr := startCDN(t)
-		e := entry.New()
-		coord := shardCoordinator(f, e, cdnAddr)
-		coord.ChunkSize = 16
-		coord.RoundDeadline = 20 * time.Second
-		coord.SetExpectedVolume(wire.Dialing, numTokens)
-		return coord, store, e
-	}
+		churned, mirror := newFleet(true), newFleet(false)
+		coord := churned.Coord
 
-	churned := startShardFleet(t, counts, nz, seedFor)
-	coord, store, e := newCoord(churned)
-	coord.Spares = startSpares(t, churned, nz, func(pos int) mathrand.Source {
-		return mathrand.NewSource(int64(9000 + pos))
+		plan := sim.NewChurnPlan(7, numRounds, 2, counts)
+		if plan.Kills < 4 {
+			t.Fatalf("churn plan has only %d kills over %d rounds; want a harsher schedule", plan.Kills, numRounds)
+		}
+
+		down := make(map[string]bool)
+		for r := 1; r <= numRounds; r++ {
+			var victims []string
+			for _, ev := range plan.EventsBefore(r) {
+				addr := churned.Mixers[ev.Position][ev.Shard].Addr
+				if ev.Action == sim.ChurnKill {
+					victims = append(victims, addr)
+				}
+				switch {
+				case ev.Action == sim.ChurnKill && !down[addr]:
+					churned.Kill(addr)
+					down[addr] = true
+				case ev.Action == sim.ChurnRestart && down[addr]:
+					if err := churned.Restart(addr); err != nil {
+						t.Fatal(err)
+					}
+					down[addr] = false
+				case ev.Action == sim.ChurnPause && !down[addr]:
+					churned.Kill(addr)
+					if err := churned.Restart(addr); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			round := uint32(r)
+			settings, err := coord.OpenDialingRound(round)
+			if err != nil {
+				t.Fatalf("round %d open (churned): %v", r, err)
+			}
+			mirrorSettings, err := mirror.Coord.OpenDialingRound(round)
+			if err != nil {
+				t.Fatalf("round %d open (mirror): %v", r, err)
+			}
+			if settings.NumMailboxes != mirrorSettings.NumMailboxes {
+				t.Fatalf("round %d: K=%d churned, K=%d mirror", r, settings.NumMailboxes, mirrorSettings.NumMailboxes)
+			}
+			submitTokens(t, churned.Entry, settings, tokens, mathrand.New(mathrand.NewSource(4242)))
+			submitTokens(t, mirror.Entry, mirrorSettings, tokens, mathrand.New(mathrand.NewSource(4242)))
+
+			if _, err := coord.CloseRound(wire.Dialing, round); err != nil {
+				t.Fatalf("round %d failed under churn: %v", r, err)
+			}
+			if _, err := mirror.Coord.CloseRound(wire.Dialing, round); err != nil {
+				t.Fatalf("round %d failed in the mirror fleet: %v", r, err)
+			}
+			got := fetchAll(t, churned.CDN, round, settings.NumMailboxes)
+			want := fetchAll(t, mirror.CDN, round, settings.NumMailboxes)
+			for mb := uint32(0); mb < settings.NumMailboxes; mb++ {
+				if !bytes.Equal(got[mb], want[mb]) {
+					t.Errorf("round %d mailbox %d: churned fleet diverged from mirror", r, mb)
+				}
+			}
+			assertTokensDelivered(t, churned.CDN, round, settings, tokens)
+
+			// The scheduler benched this round's victims at plan time; the
+			// cooldown keeps them benched through the round.
+			for _, d := range coord.Scoreboard().Daemons {
+				for _, v := range victims {
+					if d.Addr == v && !d.Benched {
+						t.Errorf("round %d: killed daemon %s is not benched", r, v)
+					}
+				}
+			}
+		}
+
+		// Every kill was healed without operator action, so the health ring
+		// must show zero failed rounds...
+		for _, h := range coord.Status() {
+			if h.Err != "" {
+				t.Errorf("round %d recorded a failure under churn: %s", h.Round, h.Err)
+			}
+		}
+		// ...benched victims were re-admitted, and spares were drafted.
+		var readmissions uint64
+		sawSpare := false
+		for _, d := range coord.Scoreboard().Daemons {
+			readmissions += d.Readmissions
+			sawSpare = sawSpare || d.Spare
+		}
+		if readmissions == 0 {
+			t.Error("no benched daemon was ever re-admitted")
+		}
+		if !sawSpare {
+			t.Error("no spare was ever drafted")
+		}
 	})
-
-	mirror := startShardFleet(t, counts, nz, seedFor)
-	mirrorCoord, mirrorStore, mirrorEntry := newCoord(mirror)
-
-	plan := sim.NewChurnPlan(7, numRounds, 2, counts)
-	if plan.Kills < 4 {
-		t.Fatalf("churn plan has only %d kills over %d rounds; want a harsher schedule", plan.Kills, numRounds)
-	}
-
-	down := make(map[[2]int]bool)
-	for r := 1; r <= numRounds; r++ {
-		for _, ev := range plan.EventsBefore(r) {
-			key := [2]int{ev.Position, ev.Shard}
-			switch ev.Action {
-			case sim.ChurnKill:
-				if !down[key] {
-					churned.kill(ev.Position, ev.Shard)
-					down[key] = true
-				}
-			case sim.ChurnRestart:
-				if down[key] {
-					churned.restart(t, ev.Position, ev.Shard)
-					down[key] = false
-				}
-			case sim.ChurnPause:
-				if !down[key] {
-					churned.kill(ev.Position, ev.Shard)
-					churned.restart(t, ev.Position, ev.Shard)
-				}
-			}
-		}
-
-		round := uint32(r)
-		settings, err := coord.OpenDialingRound(round)
-		if err != nil {
-			t.Fatalf("round %d open (churned): %v", r, err)
-		}
-		mirrorSettings, err := mirrorCoord.OpenDialingRound(round)
-		if err != nil {
-			t.Fatalf("round %d open (mirror): %v", r, err)
-		}
-		if settings.NumMailboxes != mirrorSettings.NumMailboxes {
-			t.Fatalf("round %d: K=%d churned, K=%d mirror", r, settings.NumMailboxes, mirrorSettings.NumMailboxes)
-		}
-		submitTokens(t, e, settings, tokens, mathrand.New(mathrand.NewSource(4242)))
-		submitTokens(t, mirrorEntry, mirrorSettings, tokens, mathrand.New(mathrand.NewSource(4242)))
-
-		if _, err := coord.CloseRound(wire.Dialing, round); err != nil {
-			t.Fatalf("round %d failed under churn: %v", r, err)
-		}
-		if _, err := mirrorCoord.CloseRound(wire.Dialing, round); err != nil {
-			t.Fatalf("round %d failed in the mirror fleet: %v", r, err)
-		}
-		got := fetchAll(t, store, round, settings.NumMailboxes)
-		want := fetchAll(t, mirrorStore, round, settings.NumMailboxes)
-		for mb := uint32(0); mb < settings.NumMailboxes; mb++ {
-			if !bytes.Equal(got[mb], want[mb]) {
-				t.Errorf("round %d mailbox %d: churned fleet diverged from mirror", r, mb)
-			}
-		}
-		assertTokensDelivered(t, store, round, settings, tokens)
-	}
-
-	// Every kill was healed without operator action, so the health ring
-	// must show zero failed rounds...
-	for _, h := range coord.Status() {
-		if h.Err != "" {
-			t.Errorf("round %d recorded a failure under churn: %s", h.Round, h.Err)
-		}
-	}
-	// ...the scheduler must have benched the victims and drafted spares...
-	sb := coord.Scoreboard()
-	var benches, readmissions uint64
-	sawSpare := false
-	for _, d := range sb.Daemons {
-		benches += d.Aborts[wire.AbortCrashed] + d.Failures
-		readmissions += d.Readmissions
-		if d.Spare {
-			sawSpare = true
-		}
-	}
-	if readmissions == 0 {
-		t.Error("no benched daemon was ever re-admitted")
-	}
-	if !sawSpare {
-		t.Error("no spare was ever drafted")
-	}
-	_ = benches
 }
 
-// TestMergeRotationDeterminism pins the rotation contract over TCP: for
-// 1-, 2-, and 3-shard groups, a fleet with round-robin merge-role
-// rotation publishes byte-identical mailboxes to a fixed-seed mirror
-// fleet whose merge role is pinned to shard 0 (PinLead), round after
-// round. The merge funnel demonstrably MOVES — the member with the
-// position's peak egress follows round % N — while the output never
-// does, because the shuffle permutation is derived from the round key
-// every member holds.
+// TestMergeRotationDeterminism pins the rotation contract: for 1-, 2-, and
+// 3-shard groups, a fleet with round-robin merge-role rotation publishes
+// byte-identical mailboxes to a fixed-seed mirror fleet whose merge role
+// is pinned to shard 0 (PinLead), round after round. The merge funnel
+// demonstrably MOVES — the member with the position's peak egress follows
+// round % N — while the output never does, because the shuffle
+// permutation is derived from the round key every member holds.
 func TestMergeRotationDeterminism(t *testing.T) {
 	nz := noise.Laplace{Mu: 0, B: 0}
 	const numRounds = 3
@@ -237,16 +159,11 @@ func TestMergeRotationDeterminism(t *testing.T) {
 		boxes map[uint32][]byte
 	}
 	run := func(shardsPerPos int, pinLead bool) ([]roundBoxes, *coordinator.Coordinator) {
-		counts := []int{shardsPerPos, shardsPerPos, shardsPerPos}
-		f := startShardFleet(t, counts, nz, func(pos, shard int) mathrand.Source {
-			if shard == 0 {
-				return mathrand.NewSource(int64(1000 + pos))
-			}
-			return mathrand.NewSource(int64(5000 + 100*pos + shard))
+		n := newNetwork(t, sim.Config{
+			NumPKGs: 1, Shards: []int{shardsPerPos, shardsPerPos, shardsPerPos},
+			AddFriendNoise: &nz, DialingNoise: &nz, TargetRequestsPerMailbox: 40, Seed: 1000,
 		})
-		store, cdnAddr := startCDN(t)
-		e := entry.New()
-		coord := shardCoordinator(f, e, cdnAddr)
+		coord := n.Coord
 		coord.ChunkSize = 16
 		coord.PinLead = pinLead
 		coord.SetExpectedVolume(wire.Dialing, numTokens)
@@ -257,11 +174,11 @@ func TestMergeRotationDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%d shards pin=%v round %d open: %v", shardsPerPos, pinLead, r, err)
 			}
-			submitTokens(t, e, settings, tokens, mathrand.New(mathrand.NewSource(4242)))
+			submitTokens(t, n.Entry, settings, tokens, mathrand.New(mathrand.NewSource(4242)))
 			if _, err := coord.CloseRound(wire.Dialing, uint32(r)); err != nil {
 				t.Fatalf("%d shards pin=%v round %d: %v", shardsPerPos, pinLead, r, err)
 			}
-			out = append(out, roundBoxes{settings.NumMailboxes, fetchAll(t, store, uint32(r), settings.NumMailboxes)})
+			out = append(out, roundBoxes{settings.NumMailboxes, fetchAll(t, n.CDN, uint32(r), settings.NumMailboxes)})
 		}
 		return out, coord
 	}

@@ -11,30 +11,43 @@ import (
 
 	"alpenhorn/internal/bloom"
 	"alpenhorn/internal/cdn"
-	"alpenhorn/internal/coordinator"
 	"alpenhorn/internal/entry"
 	"alpenhorn/internal/keywheel"
 	"alpenhorn/internal/mixnet"
-	"alpenhorn/internal/noise"
 	"alpenhorn/internal/onionbox"
 	"alpenhorn/internal/rpc"
+	"alpenhorn/internal/sim"
 	"alpenhorn/internal/wire"
 )
 
-// mixerFleet is a chain of mixer daemons listening on localhost TCP, plus
-// the coordinator-side clients for them.
-type mixerFleet struct {
-	servers []*mixnet.Server
-	daemons []*rpc.MixerDaemon
-	rpcSrvs []*rpc.Server
-	addrs   []string
-	clients []*rpc.MixerClient
+// loopback is the listen address of a sim network over TCP; "mem:" is
+// the in-memory one.
+const loopback = "127.0.0.1:0"
+
+// onTransports runs test once per transport sim serves a network on, as
+// the subtests mem and tcp.
+func onTransports(t *testing.T, test func(t *testing.T, listen string)) {
+	for _, tr := range []struct{ name, listen string }{{"mem", "mem:"}, {"tcp", loopback}} {
+		listen := tr.listen
+		t.Run(tr.name, func(t *testing.T) { test(t, listen) })
+	}
+}
+
+// newNetwork builds a sim network for the test's duration.
+func newNetwork(t *testing.T, cfg sim.Config) *sim.Network {
+	t.Helper()
+	n, err := sim.NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	return n
 }
 
 // listenTCP serves srv on a loopback port for the test's duration.
 func listenTCP(t *testing.T, srv *rpc.Server) string {
 	t.Helper()
-	addr, err := srv.Listen("127.0.0.1:0")
+	addr, err := srv.Listen(loopback)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,66 +55,8 @@ func listenTCP(t *testing.T, srv *rpc.Server) string {
 	return addr
 }
 
-// listenMem serves srv on an in-memory address, as internal/sim does.
-func listenMem(t *testing.T, srv *rpc.Server) string {
-	t.Helper()
-	t.Cleanup(srv.Close)
-	return srv.ListenMem()
-}
-
-// startFleet launches n mixer daemons over TCP. rand may be nil
-// (crypto/rand) or a per-position deterministic source factory.
-func startFleet(t *testing.T, n int, nz noise.Laplace, randFor func(pos int) mathrand.Source) *mixerFleet {
-	t.Helper()
-	return startFleetOn(t, listenTCP, n, nz, randFor)
-}
-
-// seededMixer builds position pos of an n-long chain; a non-nil src makes
-// it deterministic (one worker, so the rand read order is fixed).
-func seededMixer(t *testing.T, pos, n int, nz noise.Laplace, src mathrand.Source) *mixnet.Server {
-	t.Helper()
-	cfg := mixnet.Config{
-		Name: "m", Position: pos, ChainLength: n,
-		AddFriendNoise: &nz, DialingNoise: &nz,
-	}
-	if src != nil {
-		cfg.Rand = &seededReader{rng: mathrand.New(src)}
-		cfg.Parallelism = 1
-	}
-	m, err := mixnet.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func startFleetOn(t *testing.T, listen func(*testing.T, *rpc.Server) string, n int, nz noise.Laplace, randFor func(pos int) mathrand.Source) *mixerFleet {
-	t.Helper()
-	f := &mixerFleet{}
-	for i := 0; i < n; i++ {
-		var src mathrand.Source
-		if randFor != nil {
-			src = randFor(i)
-		}
-		m := seededMixer(t, i, n, nz, src)
-		srv := rpc.NewServer()
-		d := rpc.RegisterMixer(srv, m)
-		addr := listen(t, srv)
-		mc, err := rpc.DialMixer(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.servers = append(f.servers, m)
-		f.daemons = append(f.daemons, d)
-		f.rpcSrvs = append(f.rpcSrvs, srv)
-		f.addrs = append(f.addrs, addr)
-		f.clients = append(f.clients, mc)
-	}
-	return f
-}
-
-// seededReader is a deterministic, non-thread-safe randomness source (the
-// mixnet server wraps it in its serializing reader).
+// seededReader is a deterministic, non-thread-safe randomness source for
+// wrapping onions.
 type seededReader struct{ rng *mathrand.Rand }
 
 func (r *seededReader) Read(p []byte) (int, error) {
@@ -114,30 +69,43 @@ func (r *seededReader) Read(p []byte) (int, error) {
 // startCDN serves cdn.publish + a store on localhost TCP.
 func startCDN(t *testing.T) (*cdn.Store, string) {
 	t.Helper()
-	store, addr, _ := startCDNDaemon(t)
-	return store, addr
-}
-
-// startCDNDaemon is startCDN exposing the daemon for seal/staging stats.
-func startCDNDaemon(t *testing.T) (*cdn.Store, string, *rpc.CDNDaemon) {
-	t.Helper()
 	store := cdn.NewStore(0)
 	srv := rpc.NewServer()
-	d := rpc.RegisterCDN(srv, store)
-	return store, listenTCP(t, srv), d
+	rpc.RegisterCDN(srv, store)
+	return store, listenTCP(t, srv)
 }
 
-// forwardCoordinator assembles a coordinator over a fleet.
-func forwardCoordinator(f *mixerFleet, e *entry.Server, cdnAddr string) *coordinator.Coordinator {
-	coord := &coordinator.Coordinator{
-		Entry:                    e,
-		TargetRequestsPerMailbox: 40,
-		CDNAddr:                  cdnAddr,
+// assertFleetClean checks that no mixer daemon of the network holds round
+// state after the round resolved: no routes, no live round key.
+func assertFleetClean(t *testing.T, n *sim.Network, round uint32, skip func(pos, shard int) bool) {
+	t.Helper()
+	for i, group := range n.Mixers {
+		for s, m := range group {
+			if skip != nil && skip(i, s) {
+				continue
+			}
+			if k := m.Daemon.PendingRoutes(); k != 0 {
+				t.Errorf("daemon %d/%d: %d routes leak", i, s, k)
+			}
+			if m.Server.RoundOpen(wire.Dialing, round) {
+				t.Errorf("daemon %d/%d: round key survives", i, s)
+			}
+		}
 	}
-	for _, mc := range f.clients {
-		coord.Mixers = append(coord.Mixers, mc)
+}
+
+// fetchAll pulls every dialing mailbox of a round.
+func fetchAll(t *testing.T, store *cdn.Store, round uint32, k uint32) map[uint32][]byte {
+	t.Helper()
+	out := make(map[uint32][]byte, k)
+	for mb := uint32(0); mb < k; mb++ {
+		data, err := store.Fetch(wire.Dialing, round, mb)
+		if err != nil {
+			t.Fatalf("round %d mailbox %d: %v", round, mb, err)
+		}
+		out[mb] = data
 	}
-	return coord
+	return out
 }
 
 // submitTokens wraps one dial onion per token (round-robin mailboxes,
@@ -206,11 +174,8 @@ func assertTokensDelivered(t *testing.T, store *cdn.Store, round uint32, setting
 // mailboxes appear in the CDN via the last daemon's cdn.publish. The
 // transport byte-counters on the coordinator's connections are the proof.
 func TestChainForwardOverTCP(t *testing.T) {
-	nz := noise.Laplace{Mu: 2, B: 0}
-	f := startFleet(t, 3, nz, nil)
-	store, cdnAddr := startCDN(t)
-	e := entry.New()
-	coord := forwardCoordinator(f, e, cdnAddr)
+	n := newNetwork(t, sim.Config{NumPKGs: 1, TargetRequestsPerMailbox: 40, Listen: loopback})
+	coord := n.Coord
 	coord.ChunkSize = 64
 	coord.SetExpectedVolume(wire.Dialing, 300)
 
@@ -222,33 +187,29 @@ func TestChainForwardOverTCP(t *testing.T) {
 		t.Fatalf("want a multi-mailbox round, got K=%d", settings.NumMailboxes)
 	}
 	tokens := makeTestTokens(300)
-	batchBytes := submitTokens(t, e, settings, tokens, nil)
+	batchBytes := submitTokens(t, n.Entry, settings, tokens, nil)
 
 	if _, err := coord.CloseRound(wire.Dialing, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !store.Published(wire.Dialing, 1) {
+	if !n.CDN.Published(wire.Dialing, 1) {
 		t.Fatal("last daemon did not publish to the CDN")
 	}
-	assertTokensDelivered(t, store, 1, settings, tokens)
+	assertTokensDelivered(t, n.CDN, 1, settings, tokens)
 
 	// The coordinator moved control messages only: no batch chunks to
-	// anyone but the first mixer.
-	for i, mc := range f.clients {
-		if i > 0 {
-			if n := mc.CallCount("mix.stream.chunk"); n != 0 {
-				t.Errorf("mixer %d: coordinator pushed %d batch chunks to a non-first mixer", i, n)
-			}
-		}
-	}
-	// Byte accounting: the entry batch flows to mixer 0 once; every other
-	// coordinator connection carries a few KB of keys and control calls.
+	// anyone but the first mixer. Byte accounting: the entry batch flows
+	// to mixer 0 once; every other coordinator connection carries a few KB
+	// of keys and control calls.
 	const controlBudget = 32 << 10
-	st0 := f.clients[0].TransportStats()
-	if st0.BytesSent < uint64(batchBytes) {
+	if st0 := n.Mixers[0][0].Client.TransportStats(); st0.BytesSent < uint64(batchBytes) {
 		t.Errorf("mixer 0: coordinator sent %d bytes, want >= batch (%d)", st0.BytesSent, batchBytes)
 	}
-	for i, mc := range f.clients {
+	for i, group := range n.Mixers {
+		mc := group[0].Client
+		if c := mc.CallCount("mix.stream.chunk"); i > 0 && c != 0 {
+			t.Errorf("mixer %d: coordinator pushed %d batch chunks to a non-first mixer", i, c)
+		}
 		st := mc.TransportStats()
 		if st.BytesReceived > controlBudget {
 			t.Errorf("mixer %d: coordinator received %d bytes, want control-only (< %d)", i, st.BytesReceived, controlBudget)
@@ -257,15 +218,7 @@ func TestChainForwardOverTCP(t *testing.T) {
 			t.Errorf("mixer %d: coordinator sent %d bytes, want control-only (< %d)", i, st.BytesSent, controlBudget)
 		}
 	}
-	// No leaked round state on the daemons.
-	for i, d := range f.daemons {
-		if n := d.PendingRoutes(); n != 0 {
-			t.Errorf("daemon %d: %d routes leak after the round", i, n)
-		}
-		if f.servers[i].RoundOpen(wire.Dialing, 1) {
-			t.Errorf("daemon %d: round key survives close", i)
-		}
-	}
+	assertFleetClean(t, n, 1, nil)
 }
 
 // TestChainForwardAbortMidChain kills the middle daemon while the batch is
@@ -274,31 +227,19 @@ func TestChainForwardOverTCP(t *testing.T) {
 // fails without publishing, no round state leaks on the survivors, and —
 // after the daemon comes back — the next round succeeds.
 func TestChainForwardAbortMidChain(t *testing.T) {
-	nz := noise.Laplace{Mu: 2, B: 0}
-	f := startFleet(t, 3, nz, nil)
-	store, cdnAddr := startCDN(t)
-	e := entry.New()
-	coord := forwardCoordinator(f, e, cdnAddr)
+	n := newNetwork(t, sim.Config{NumPKGs: 1, TargetRequestsPerMailbox: 40, Listen: loopback})
+	coord := n.Coord
 	coord.ChunkSize = 8 // many chunks per hop, so the kill lands mid-stream
 	coord.SetExpectedVolume(wire.Dialing, 120)
-
-	// Sabotage the middle daemon: after two forwarded chunks arrive, it
-	// starts failing and its server goes down — a crash mid-stream.
-	var chunks atomic.Int32
-	rpc.HandleFunc(f.rpcSrvs[1], "mix.stream.chunk", func(a rpc.ChunkArgs) (any, error) {
-		if chunks.Add(1) > 2 {
-			go f.rpcSrvs[1].Close()
-			return nil, errors.New("mixer 1 crashed mid-stream")
-		}
-		return nil, f.servers[1].StreamChunk(a.Service, a.Round, a.Batch())
-	})
+	mid := n.Mixers[1][0]
+	chunks := crashMidStream(n, mid)
 
 	settings, err := coord.OpenDialingRound(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tokens := makeTestTokens(120)
-	submitTokens(t, e, settings, tokens, nil)
+	submitTokens(t, n.Entry, settings, tokens, nil)
 
 	if _, err := coord.CloseRound(wire.Dialing, 1); err == nil {
 		t.Fatal("round with a dead mid-chain daemon succeeded")
@@ -306,160 +247,140 @@ func TestChainForwardAbortMidChain(t *testing.T) {
 	if chunks.Load() < 3 {
 		t.Fatalf("daemon died after %d chunks; the kill was not mid-stream", chunks.Load())
 	}
-	if store.Published(wire.Dialing, 1) {
+	if n.CDN.Published(wire.Dialing, 1) {
 		t.Fatal("aborted round was published")
 	}
-	for _, i := range []int{0, 2} {
-		if f.servers[i].RoundOpen(wire.Dialing, 1) {
-			t.Errorf("daemon %d: round key survives aborted round", i)
-		}
-		if n := f.daemons[i].PendingRoutes(); n != 0 {
-			t.Errorf("daemon %d: %d routes leak after abort", i, n)
-		}
-	}
+	assertFleetClean(t, n, 1, func(pos, _ int) bool { return pos == 1 })
 
 	// The daemon comes back on the same address (fresh RPC server, same
 	// mixer); every cached connection redials lazily.
-	restarted := rpc.NewServer()
-	f.daemons[1] = rpc.RegisterMixer(restarted, f.servers[1])
-	if _, err := restarted.Listen(f.addrs[1]); err != nil {
-		t.Fatalf("restarting daemon 1 on %s: %v", f.addrs[1], err)
+	if err := n.Restart(mid.Addr); err != nil {
+		t.Fatal(err)
 	}
-	t.Cleanup(restarted.Close)
+	assertRoundRecovers(t, n, 2)
+}
 
-	settings2, err := coord.OpenDialingRound(2)
+// crashMidStream sabotages daemon m: after two forwarded chunks arrive it
+// starts failing and its server goes down — a crash mid-stream. It returns
+// the count of chunks that reached the daemon.
+func crashMidStream(n *sim.Network, m *sim.Mixer) *atomic.Int32 {
+	var chunks atomic.Int32
+	srv := n.Server(m.Addr)
+	rpc.HandleFunc(srv, "mix.stream.chunk", func(a rpc.ChunkArgs) (any, error) {
+		if chunks.Add(1) > 2 {
+			go srv.Close()
+			return nil, errors.New("daemon crashed mid-stream")
+		}
+		return nil, m.Server.StreamChunk(a.Service, a.Round, a.Batch())
+	})
+	return &chunks
+}
+
+// assertRoundRecovers runs dialing round r on the network and checks it
+// publishes every token.
+func assertRoundRecovers(t *testing.T, n *sim.Network, r uint32) {
+	t.Helper()
+	settings, err := n.Coord.OpenDialingRound(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tokens2 := makeTestTokens(90)
-	submitTokens(t, e, settings2, tokens2, nil)
-	if _, err := coord.CloseRound(wire.Dialing, 2); err != nil {
-		t.Fatalf("round after daemon restart failed: %v", err)
+	tokens := makeTestTokens(90)
+	submitTokens(t, n.Entry, settings, tokens, nil)
+	if _, err := n.Coord.CloseRound(wire.Dialing, r); err != nil {
+		t.Fatalf("round after restart failed: %v", err)
 	}
-	if !store.Published(wire.Dialing, 2) {
+	if !n.CDN.Published(wire.Dialing, r) {
 		t.Fatal("recovered round not published")
 	}
-	assertTokensDelivered(t, store, 2, settings2, tokens2)
+	assertTokensDelivered(t, n.CDN, r, settings, tokens)
 }
 
 // TestDataPlaneMatchesReference pins the one data plane to the in-process
 // reference: mixnet.Chain — full-batch Mix on seeded one-worker servers,
 // then BuildMailboxes — against the routed plane at one shard per position
-// under the same seeds, with noise on. The plane runs twice, over loopback
-// TCP and over the in-memory listener internal/sim serves its daemons on
-// (sim itself takes no seeds), and both must publish mailboxes
-// byte-identical to the reference: a group of one that deposits with
-// itself, merges one part and publishes one slice changes WHERE bytes
-// travel, never what comes out.
+// under the same seed, with noise on. The plane runs on each transport,
+// and the reference runs on the mixers of a second network built with the
+// same Seed; the plane must publish mailboxes byte-identical to it: a
+// group of one that deposits with itself, merges one part and publishes
+// one slice changes WHERE bytes travel, never what comes out.
 func TestDataPlaneMatchesReference(t *testing.T) {
-	nz := noise.Laplace{Mu: 2, B: 0}
-	const numTokens = 90
+	const numTokens, seed = 90, 1000
 	tokens := makeTestTokens(numTokens)
-	seed := func(pos int) mathrand.Source { return mathrand.NewSource(int64(1000 + pos)) }
 	onionRand := func() *mathrand.Rand { return mathrand.New(mathrand.NewSource(4242)) }
-
-	runPlane := func(name string, listen func(*testing.T, *rpc.Server) string) (uint32, map[uint32][]byte) {
-		f := startFleetOn(t, listen, 3, nz, seed)
-		store := cdn.NewStore(0)
-		cdnSrv := rpc.NewServer()
-		daemon := rpc.RegisterCDN(cdnSrv, store)
-		e := entry.New()
-		coord := forwardCoordinator(f, e, listen(t, cdnSrv))
-		coord.ChunkSize = 16
-		coord.SetExpectedVolume(wire.Dialing, numTokens)
-		settings, err := coord.OpenDialingRound(1)
+	onTransports(t, func(t *testing.T, listen string) {
+		cfg := sim.Config{NumPKGs: 1, TargetRequestsPerMailbox: 40, Seed: seed, Listen: listen}
+		n := newNetwork(t, cfg)
+		n.Coord.ChunkSize = 16
+		n.Coord.SetExpectedVolume(wire.Dialing, numTokens)
+		settings, err := n.Coord.OpenDialingRound(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		submitTokens(t, e, settings, tokens, onionRand())
-		if _, err := coord.CloseRound(wire.Dialing, 1); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		k := settings.NumMailboxes
+		if k < 2 {
+			t.Fatalf("want a multi-mailbox round, got K=%d", k)
 		}
-		if got := daemon.LastSealStreams(); got != 1 {
-			t.Fatalf("%s: round sealed from %d publish streams, want 1", name, got)
+		submitTokens(t, n.Entry, settings, tokens, onionRand())
+		if _, err := n.Coord.CloseRound(wire.Dialing, 1); err != nil {
+			t.Fatal(err)
 		}
-		boxes := make(map[uint32][]byte)
-		for mb := uint32(0); mb < settings.NumMailboxes; mb++ {
-			data, err := store.Fetch(wire.Dialing, 1, mb)
+		if got := n.CDNDaemon.LastSealStreams(); got != 1 {
+			t.Fatalf("round sealed from %d publish streams, want 1", got)
+		}
+		got := fetchAll(t, n.CDN, 1, k)
+
+		// The reference: the same seeded servers, driven in process.
+		var servers []*mixnet.Server
+		for _, group := range newNetwork(t, cfg).Mixers {
+			servers = append(servers, group[0].Server)
+		}
+		ref := &wire.RoundSettings{Service: wire.Dialing, Round: 1, NumMailboxes: k}
+		for _, m := range servers {
+			rk, err := m.NewRound(wire.Dialing, 1)
 			if err != nil {
-				t.Fatalf("%s: mailbox %d: %v", name, mb, err)
+				t.Fatal(err)
 			}
-			boxes[mb] = data
+			ref.Mixers = append(ref.Mixers, rk)
 		}
-		return settings.NumMailboxes, boxes
-	}
-
-	k, overTCP := runPlane("tcp", listenTCP)
-	if k < 2 {
-		t.Fatalf("want a multi-mailbox round, got K=%d", k)
-	}
-
-	// The reference: the same seeded servers, driven in process.
-	servers := make([]*mixnet.Server, 3)
-	settings := &wire.RoundSettings{Service: wire.Dialing, Round: 1, NumMailboxes: k}
-	for i := range servers {
-		servers[i] = seededMixer(t, i, 3, nz, seed(i))
-		rk, err := servers[i].NewRound(wire.Dialing, 1)
+		for i, m := range servers {
+			var keys [][]byte
+			for _, rk := range ref.Mixers[i+1:] {
+				keys = append(keys, rk.OnionKey)
+			}
+			if err := m.SetDownstreamKeys(wire.Dialing, 1, keys); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := entry.New()
+		if err := e.OpenRound(ref); err != nil {
+			t.Fatal(err)
+		}
+		submitTokens(t, e, ref, tokens, onionRand())
+		batch, err := e.CloseRound(wire.Dialing, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		settings.Mixers = append(settings.Mixers, rk)
-	}
-	for i, m := range servers {
-		var keys [][]byte
-		for _, rk := range settings.Mixers[i+1:] {
-			keys = append(keys, rk.OnionKey)
-		}
-		if err := m.SetDownstreamKeys(wire.Dialing, 1, keys); err != nil {
+		want, err := mixnet.Chain(servers, wire.Dialing, 1, k, batch)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	e := entry.New()
-	if err := e.OpenRound(settings); err != nil {
-		t.Fatal(err)
-	}
-	submitTokens(t, e, settings, tokens, onionRand())
-	batch, err := e.CloseRound(wire.Dialing, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := mixnet.Chain(servers, wire.Dialing, 1, k, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	kMem, overMem := runPlane("mem", listenMem)
-	if kMem != k {
-		t.Fatalf("mem: K=%d, tcp K=%d", kMem, k)
-	}
-	for name, got := range map[string]map[uint32][]byte{"tcp": overTCP, "mem": overMem} {
 		for mb := uint32(0); mb < k; mb++ {
 			if !bytes.Equal(want[mb], got[mb]) {
-				t.Errorf("%s: mailbox %d differs from mixnet.Chain", name, mb)
+				t.Errorf("mailbox %d differs from mixnet.Chain", mb)
 			}
 		}
-	}
+	})
 }
 
 // TestFrontendSubmitMapsRoundFull: the entry server's admission signal
 // survives the RPC hop as a typed error clients can errors.Is on.
 func TestFrontendSubmitMapsRoundFull(t *testing.T) {
-	e := entry.New()
-	e.MaxBatch = 1
-	f := startFleet(t, 1, noise.Laplace{}, nil)
-	store, cdnAddr := startCDN(t)
-	coord := forwardCoordinator(f, e, cdnAddr)
+	n := newNetwork(t, sim.Config{NumPKGs: 1, Shards: []int{1}})
+	n.Entry.MaxBatch = 1
+	frontend := rpc.DialFrontend(n.FrontendAddrs[0])
+	defer frontend.Close()
 
-	srv := rpc.NewServer()
-	rpc.RegisterFrontend(srv, e, store, rpc.Directory{NumMixers: 1})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	frontend := rpc.DialFrontend(addr)
-
-	settings, err := coord.OpenDialingRound(1)
+	settings, err := n.Coord.OpenDialingRound(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,10 @@ func TestDataFrameRoundTrip(t *testing.T) {
 		}
 		return a, nil
 	})
-	addr := s.ListenMem()
+	addr, err := s.Listen("mem:")
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Close()
 	c := Dial(addr)
 	defer c.Close()
@@ -214,7 +217,10 @@ func TestControlCallAllocs(t *testing.T) {
 	}
 	s := NewServer()
 	HandleFunc(s, "sink", func(struct{}) (any, error) { return nil, nil })
-	addr := s.ListenMem()
+	addr, err := s.Listen("mem:")
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Close()
 	c := Dial(addr)
 	defer c.Close()

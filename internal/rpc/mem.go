@@ -3,16 +3,17 @@ package rpc
 import (
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// The in-memory transport: a Server can listen on a process-local address
-// of the form "mem:<n>" and a Client whose address has that scheme reaches
-// it over net.Pipe instead of TCP. The scheme is the whole selector — the
-// framing, deadlines, handlers and Close behaviour are the TCP ones — so
-// internal/sim runs every daemon handler it would run over loopback.
+// The in-memory transport: Server.Listen("mem:") binds a process-local
+// address "mem:<n>", which a Client reaches over net.Pipe instead of TCP.
+// The scheme is the whole selector — the framing, deadlines, handlers and
+// Close behaviour are the TCP ones — so internal/sim runs every daemon
+// handler it would run over loopback.
 
 const memScheme = "mem:"
 
@@ -53,7 +54,7 @@ func (l *memListener) Accept() (net.Conn, error) {
 
 func (l *memListener) Close() error {
 	l.once.Do(func() {
-		memListeners.Delete(string(l.addr))
+		memListeners.CompareAndDelete(string(l.addr), l)
 		close(l.done)
 	})
 	return nil
@@ -61,18 +62,24 @@ func (l *memListener) Close() error {
 
 func (l *memListener) Addr() net.Addr { return l.addr }
 
-// ListenMem starts the server on a fresh in-memory address and returns it.
-// The address is unique for the life of the process, so a closed server's
-// address is refused, not reused.
-func (s *Server) ListenMem() string {
+// listenMem binds an in-memory address for Listen: "mem:" a fresh one, never
+// handed out again; "mem:<n>" one handed out before whose listener has
+// closed, as a restarted daemon rebinds its TCP port.
+func listenMem(addr string) (net.Listener, error) {
+	if addr == memScheme {
+		addr = fmt.Sprintf("%s%d", memScheme, memSeq.Add(1))
+	} else if n, err := strconv.ParseUint(addr[len(memScheme):], 10, 64); err != nil || n == 0 || n > memSeq.Load() {
+		return nil, fmt.Errorf("listen %s: not an in-memory address this process handed out", addr)
+	}
 	l := &memListener{
-		addr:  memAddr(fmt.Sprintf("%s%d", memScheme, memSeq.Add(1))),
+		addr:  memAddr(addr),
 		conns: make(chan net.Conn),
 		done:  make(chan struct{}),
 	}
-	memListeners.Store(string(l.addr), l)
-	s.Serve(l)
-	return string(l.addr)
+	if _, live := memListeners.LoadOrStore(addr, l); live {
+		return nil, fmt.Errorf("listen %s: address already in use", addr)
+	}
+	return l, nil
 }
 
 func isMemAddr(addr string) bool { return strings.HasPrefix(addr, memScheme) }

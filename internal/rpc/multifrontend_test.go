@@ -11,11 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"alpenhorn/internal/coordinator"
-	"alpenhorn/internal/core"
 	"alpenhorn/internal/email"
 	"alpenhorn/internal/entry"
-	"alpenhorn/internal/noise"
 	"alpenhorn/internal/onionbox"
 	"alpenhorn/internal/pkgserver"
 	"alpenhorn/internal/rpc"
@@ -56,45 +53,31 @@ func submitSplitTokens(t *testing.T, frontends []*entry.Server, settings *wire.R
 	}
 }
 
-// runSeededForwardRound runs one fully seeded chain-forward dialing round
-// with the given number of entry frontends (1 or 2; the second joins over
-// the TCP entry.replicate surface) and returns the published mailboxes.
-func runSeededForwardRound(t *testing.T, numFrontends int) (*wire.RoundSettings, map[uint32][]byte) {
+// runSeededForwardRound runs one fully seeded dialing round with the
+// given number of entry frontends (1 or 2; the second joins over the
+// entry.replicate surface) and returns the published mailboxes.
+func runSeededForwardRound(t *testing.T, listen string, numFrontends int) (*wire.RoundSettings, map[uint32][]byte) {
 	t.Helper()
-	nz := noise.Laplace{Mu: 2, B: 0}
 	const numTokens = 90
 	tokens := makeTestTokens(numTokens)
-
-	f := startFleet(t, 3, nz, func(pos int) mathrand.Source {
-		return mathrand.NewSource(int64(1000 + pos))
+	n := newNetwork(t, sim.Config{
+		NumPKGs: 1, NumFrontends: numFrontends, TargetRequestsPerMailbox: 40,
+		Seed: 1000, Listen: listen,
 	})
-	store, cdnAddr := startCDN(t)
-	e := entry.New()
-	coord := forwardCoordinator(f, e, cdnAddr)
-	coord.TargetRequestsPerMailbox = 40
-	coord.ChunkSize = 16
-	coord.SetExpectedVolume(wire.Dialing, numTokens)
+	n.Coord.ChunkSize = 16
+	n.Coord.SetExpectedVolume(wire.Dialing, numTokens)
 
-	var extra *entry.Server
-	if numFrontends == 2 {
-		extra = entry.New()
-		repSrv := rpc.NewServer()
-		rpc.RegisterEntryReplica(repSrv, extra)
-		repAddr, err := repSrv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(repSrv.Close)
-		coord.Frontends = []coordinator.Frontend{rpc.DialEntryReplica(repAddr)}
-	}
-
-	settings, err := coord.OpenDialingRound(1)
+	settings, err := n.Coord.OpenDialingRound(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if extra != nil {
+	rnd := mathrand.New(mathrand.NewSource(4242))
+	if numFrontends == 1 {
+		submitTokens(t, n.Entry, settings, tokens, rnd)
+	} else {
 		// The replicated announcement log opened the round on the extra
 		// frontend too (same settings, same cursor namespace).
+		extra := n.Frontends[0]
 		repSettings, err := extra.Settings(wire.Dialing, 1)
 		if err != nil {
 			t.Fatalf("extra frontend missed the open announcement: %v", err)
@@ -102,39 +85,24 @@ func runSeededForwardRound(t *testing.T, numFrontends int) (*wire.RoundSettings,
 		if !bytes.Equal(repSettings.Marshal(), settings.Marshal()) {
 			t.Fatal("extra frontend holds different settings than the coordinator announced")
 		}
-	}
-
-	rnd := mathrand.New(mathrand.NewSource(4242))
-	if extra == nil {
-		submitTokens(t, e, settings, tokens, rnd)
-	} else {
-		submitSplitTokens(t, []*entry.Server{e, extra}, settings, tokens, rnd)
+		submitSplitTokens(t, []*entry.Server{n.Entry, extra}, settings, tokens, rnd)
 		if got := extra.BatchSize(wire.Dialing, 1); got != numTokens/2 {
 			t.Fatalf("extra frontend admitted %d onions, want %d", got, numTokens/2)
 		}
 	}
 
-	if _, err := coord.CloseRound(wire.Dialing, 1); err != nil {
+	if _, err := n.Coord.CloseRound(wire.Dialing, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !store.Published(wire.Dialing, 1) {
+	if !n.CDN.Published(wire.Dialing, 1) {
 		t.Fatal("round not published")
 	}
-	if extra != nil {
+	for _, extra := range n.Frontends {
 		if st := extra.Status(wire.Dialing); st.LatestPublished != 1 {
 			t.Fatalf("extra frontend's log missed the published announcement (latest=%d)", st.LatestPublished)
 		}
 	}
-
-	boxes := make(map[uint32][]byte)
-	for mb := uint32(0); mb < settings.NumMailboxes; mb++ {
-		data, err := store.Fetch(wire.Dialing, 1, mb)
-		if err != nil {
-			t.Fatalf("mailbox %d: %v", mb, err)
-		}
-		boxes[mb] = data
-	}
-	return settings, boxes
+	return settings, fetchAll(t, n.CDN, 1, settings.NumMailboxes)
 }
 
 // TestTwoFrontendIntakeByteIdentical is the N-way-intake acceptance pin: a
@@ -144,142 +112,105 @@ func runSeededForwardRound(t *testing.T, numFrontends int) (*wire.RoundSettings,
 // single-frontend round under the same seed. Scaling the entry tier out
 // changes WHO admits an onion, never what the mixnet outputs.
 func TestTwoFrontendIntakeByteIdentical(t *testing.T) {
-	base, baseBoxes := runSeededForwardRound(t, 1)
-	if base.NumMailboxes < 2 {
-		t.Fatalf("want a multi-mailbox round, got K=%d", base.NumMailboxes)
-	}
-	two, twoBoxes := runSeededForwardRound(t, 2)
-	if two.NumMailboxes != base.NumMailboxes {
-		t.Fatalf("two-frontend K=%d, single-frontend K=%d", two.NumMailboxes, base.NumMailboxes)
-	}
-	for mb := uint32(0); mb < base.NumMailboxes; mb++ {
-		if !bytes.Equal(baseBoxes[mb], twoBoxes[mb]) {
-			t.Errorf("mailbox %d differs between single- and two-frontend intake", mb)
+	onTransports(t, func(t *testing.T, listen string) {
+		base, baseBoxes := runSeededForwardRound(t, listen, 1)
+		if base.NumMailboxes < 2 {
+			t.Fatalf("want a multi-mailbox round, got K=%d", base.NumMailboxes)
 		}
-	}
-}
-
-// newTwoFrontendNetwork builds a deployment with two TCP frontends that
-// share one announcement-log cursor namespace: the coordinator replays
-// every open/publish to both entry servers.
-func newTwoFrontendNetwork(t *testing.T) (*sim.Network, []*rpc.Server, []string) {
-	t.Helper()
-	network, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumMixers: 1, NumFrontends: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(network.Close)
-	entries := []*entry.Server{network.Entry, network.Frontends[0]}
-	var srvs []*rpc.Server
-	var addrs []string
-	for _, e := range entries {
-		srv := rpc.NewServer()
-		rpc.RegisterFrontend(srv, e, network.CDN, rpc.Directory{NumMixers: 1})
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+		two, twoBoxes := runSeededForwardRound(t, listen, 2)
+		if two.NumMailboxes != base.NumMailboxes {
+			t.Fatalf("two-frontend K=%d, single-frontend K=%d", two.NumMailboxes, base.NumMailboxes)
 		}
-		srvs = append(srvs, srv)
-		addrs = append(addrs, addr)
-	}
-	return network, srvs, addrs
+		for mb := uint32(0); mb < base.NumMailboxes; mb++ {
+			if !bytes.Equal(baseBoxes[mb], twoBoxes[mb]) {
+				t.Errorf("mailbox %d differs between single- and two-frontend intake", mb)
+			}
+		}
+	})
 }
 
 // TestRunFailsOverToSurvivingFrontend kills one of two frontends mid-round
-// under Client.Run over TCP: the client resumes on the survivor FROM ITS
-// CURSOR (the frontends share one announcement log, so no snapshot
-// rebuild), never double-submits a round, never falls back to per-round
-// settings fetches, and drains its goroutines on shutdown.
+// under Client.Run: the client resumes on the survivor FROM ITS CURSOR
+// (the frontends share one announcement log, so no snapshot rebuild),
+// never double-submits a round, never falls back to per-round settings
+// fetches, and drains its goroutines on shutdown.
 func TestRunFailsOverToSurvivingFrontend(t *testing.T) {
-	network, srvs, addrs := newTwoFrontendNetwork(t)
-	defer srvs[1].Close()
-	baseline := runtime.NumGoroutine()
+	onTransports(t, func(t *testing.T, listen string) {
+		network := newNetwork(t, sim.Config{NumPKGs: 1, Shards: []int{1}, NumFrontends: 2, Listen: listen})
+		baseline := runtime.NumGoroutine()
 
-	pool := rpc.DialFrontendPool(addrs...)
-	h := &sim.Handler{AcceptAll: true}
-	cfg := network.ClientConfig("failover@tcp.example", h)
-	cfg.Entry = pool
-	cfg.Mailboxes = pool
-	client, err := core.NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Register(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := network.ConfirmAll(client); err != nil {
-		t.Fatal(err)
-	}
+		pool := rpc.DialFrontendPool(network.FrontendAddrs...)
+		client, _ := newRunClient(t, network, pool, "failover@tcp.example")
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	handle, err := client.ConnectDialing(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		handle, err := client.ConnectDialing(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// One submission per round, wherever it lands: with a pool the onion
-	// goes to whichever frontend the client currently uses, so the
-	// double-submit budget sums both intake batches.
-	batchTotal := func(r uint32) int {
-		return network.Entry.BatchSize(wire.Dialing, r) + network.Frontends[0].BatchSize(wire.Dialing, r)
-	}
-	driveRounds := func(from, to uint32, window time.Duration) {
-		t.Helper()
-		for r := from; r <= to; r++ {
-			if _, err := network.Coord.OpenDialingRound(r); err != nil {
-				t.Fatal(err)
-			}
-			deadline := time.Now().Add(window)
-			for time.Now().Before(deadline) && batchTotal(r) < 1 {
-				time.Sleep(2 * time.Millisecond)
-			}
-			if got := batchTotal(r); got > 1 {
-				t.Fatalf("dialing round %d carries %d submissions across the tier, want at most 1 — the client double-submitted during failover", r, got)
-			}
-			if _, err := network.Coord.CloseRound(wire.Dialing, r); err != nil {
-				t.Fatal(err)
+		// One submission per round, wherever it lands: with a pool the onion
+		// goes to whichever frontend the client currently uses, so the
+		// double-submit budget sums both intake batches.
+		batchTotal := func(r uint32) int {
+			return network.Entry.BatchSize(wire.Dialing, r) + network.Frontends[0].BatchSize(wire.Dialing, r)
+		}
+		driveRounds := func(from, to uint32, window time.Duration) {
+			t.Helper()
+			for r := from; r <= to; r++ {
+				if _, err := network.Coord.OpenDialingRound(r); err != nil {
+					t.Fatal(err)
+				}
+				deadline := time.Now().Add(window)
+				for time.Now().Before(deadline) && batchTotal(r) < 1 {
+					time.Sleep(2 * time.Millisecond)
+				}
+				if got := batchTotal(r); got > 1 {
+					t.Fatalf("dialing round %d carries %d submissions across the tier, want at most 1 — the client double-submitted during failover", r, got)
+				}
+				if _, err := network.Coord.CloseRound(wire.Dialing, r); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
 
-	// Phase 1: rounds flow through frontend A (the pool's first member).
-	driveRounds(1, 3, 5*time.Second)
-	waitUntil(t, 10*time.Second, "pre-failover rounds to be scanned", func() bool {
-		return client.DialRound() >= 4
-	})
+		// Phase 1: rounds flow through frontend A (the pool's first member).
+		driveRounds(1, 3, 5*time.Second)
+		waitUntil(t, 10*time.Second, "pre-failover rounds to be scanned", func() bool {
+			return client.DialRound() >= 4
+		})
 
-	// Phase 2: frontend A dies mid-deployment. Rounds keep happening; the
-	// client's event stream breaks, the pool rotates to the survivor, and
-	// the SAME cursor resumes there — the coordinator replayed every
-	// announcement to both logs in the same order.
-	srvs[0].Close()
-	driveRounds(4, 6, 10*time.Second)
-	waitUntil(t, 15*time.Second, "post-failover rounds to be scanned on the survivor", func() bool {
-		return client.DialRound() >= 7 && client.DialBacklog() == 0
-	})
+		// Phase 2: frontend A dies mid-deployment. Rounds keep happening; the
+		// client's event stream breaks, the pool rotates to the survivor, and
+		// the SAME cursor resumes there — the coordinator replayed every
+		// announcement to both logs in the same order.
+		network.Kill(network.FrontendAddrs[0])
+		driveRounds(4, 6, 10*time.Second)
+		waitUntil(t, 15*time.Second, "post-failover rounds to be scanned on the survivor", func() bool {
+			return client.DialRound() >= 7 && client.DialBacklog() == 0
+		})
 
-	// Settings rode the open events on both frontends: failing over does
-	// not resurrect the per-round settings fetch.
-	if n := pool.CallCount("entry.settings"); n != 0 {
-		t.Fatalf("client issued %d entry.settings fetches, want 0 (settings ride open events)", n)
-	}
+		// Settings rode the open events on both frontends: failing over does
+		// not resurrect the per-round settings fetch.
+		if n := pool.CallCount("entry.settings"); n != 0 {
+			t.Fatalf("client issued %d entry.settings fetches, want 0 (settings ride open events)", n)
+		}
 
-	// Shutdown drains every loop goroutine.
-	start := time.Now()
-	cancel()
-	handle.Close()
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("shutdown took %v, want well under one network timeout", elapsed)
-	}
-	if err := handle.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("handle.Err() = %v, want context.Canceled", err)
-	}
-	pool.Close()
-	srvs[1].Close()
-	network.Close() // its daemons' connection handlers are not the client's
-	waitUntil(t, 5*time.Second, "goroutines to drain", func() bool {
-		return runtime.NumGoroutine() <= baseline
+		// Shutdown drains every loop goroutine.
+		start := time.Now()
+		cancel()
+		handle.Close()
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("shutdown took %v, want well under one network timeout", elapsed)
+		}
+		if err := handle.Err(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("handle.Err() = %v, want context.Canceled", err)
+		}
+		pool.Close()
+		network.Close() // its daemons' connection handlers are not the client's
+		waitUntil(t, 5*time.Second, "goroutines to drain", func() bool {
+			return runtime.NumGoroutine() <= baseline
+		})
 	})
 }
 
@@ -287,11 +218,10 @@ func TestRunFailsOverToSurvivingFrontend(t *testing.T) {
 // client following the stream completes rounds with ZERO entry.settings
 // fetches, because every round-open event carries the round's settings.
 func TestEventSettingsEliminateFetch(t *testing.T) {
-	network, srv, addr := newRunNetwork(t)
-	defer srv.Close()
-	fe := rpc.DialFrontend(addr)
+	network := newNetwork(t, oneMixerOverTCP)
+	fe := rpc.DialFrontend(network.FrontendAddrs[0])
 	defer fe.Close()
-	client, _ := newTCPRunClient(t, network, fe, "settings@tcp.example")
+	client, _ := newRunClient(t, network, fe, "settings@tcp.example")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -316,8 +246,8 @@ func TestEventSettingsEliminateFetch(t *testing.T) {
 // drop the bad copy and fall back to entry.settings — one extra RPC per
 // round, every round still submitted and scanned.
 func TestBadEventSettingsFallBackToFetch(t *testing.T) {
-	network, srv, addr := newRunNetwork(t)
-	defer srv.Close()
+	network := newNetwork(t, oneMixerOverTCP)
+	addr := network.FrontendAddrs[0]
 	type event struct {
 		Cursor   uint64       `json:"cursor"`
 		Service  wire.Service `json:"service"`
@@ -325,7 +255,7 @@ func TestBadEventSettingsFallBackToFetch(t *testing.T) {
 		Kind     int          `json:"kind"`
 		Settings []byte       `json:"settings,omitempty"`
 	}
-	rpc.HandleFunc(srv, "entry.events", func(a struct {
+	rpc.HandleFunc(network.Server(addr), "entry.events", func(a struct {
 		Cursor uint64 `json:"cursor"`
 	}) (any, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
@@ -344,7 +274,7 @@ func TestBadEventSettingsFallBackToFetch(t *testing.T) {
 
 	fe := rpc.DialFrontend(addr)
 	defer fe.Close()
-	client, _ := newTCPRunClient(t, network, fe, "fallback@tcp.example")
+	client, _ := newRunClient(t, network, fe, "fallback@tcp.example")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	handle, err := client.ConnectDialing(ctx)
@@ -370,8 +300,7 @@ func TestBadEventSettingsFallBackToFetch(t *testing.T) {
 // rotate away, since the frontend answered — while a current frontend's
 // directory carries the constant RegisterFrontend stamped.
 func TestDirectoryProtocolMismatch(t *testing.T) {
-	_, srv, addr := newRunNetwork(t)
-	defer srv.Close()
+	addr := newNetwork(t, oneMixerOverTCP).FrontendAddrs[0]
 	ctx := context.Background()
 
 	fe := rpc.DialFrontend(addr)
@@ -390,7 +319,7 @@ func TestDirectoryProtocolMismatch(t *testing.T) {
 		version := version
 		old := rpc.NewServer()
 		rpc.HandleFunc(old, "frontend.directory", func(struct{}) (any, error) {
-			return rpc.Directory{NumMixers: 1, ProtocolVersion: version}, nil
+			return rpc.Directory{ProtocolVersion: version}, nil
 		})
 		oldAddr, err := old.Listen("127.0.0.1:0")
 		if err != nil {
@@ -426,8 +355,8 @@ func TestDirectoryProtocolMismatch(t *testing.T) {
 // there is no older plane to degrade to — while a current daemon
 // advertises the constant RegisterMixer stamped.
 func TestMixerProtocolMismatch(t *testing.T) {
-	f := startFleet(t, 1, noise.Laplace{}, nil)
-	if got := f.clients[0].Info().ProtocolVersion; got != rpc.ProtocolVersion {
+	n := newNetwork(t, sim.Config{NumPKGs: 1, Shards: []int{1}})
+	if got := n.Mixers[0][0].Client.Info().ProtocolVersion; got != rpc.ProtocolVersion {
 		t.Fatalf("current mixer advertises protocol version %d, want %d", got, rpc.ProtocolVersion)
 	}
 	old := rpc.NewServer()

@@ -170,7 +170,7 @@ func TestPoolFailoverContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer()
-	RegisterFrontend(srv, e, store, Directory{NumMixers: 1})
+	RegisterFrontend(srv, e, store, Directory{})
 	live, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -285,9 +285,16 @@ func (s *Server) Serve(ln net.Listener) {
 }
 
 // Listen starts the server on a TCP address and returns the bound address
-// (useful with ":0").
+// (useful with ":0"). An address with the "mem:" scheme binds an in-memory
+// listener instead (mem.go).
 func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	var ln net.Listener
+	var err error
+	if isMemAddr(addr) {
+		ln, err = listenMem(addr)
+	} else {
+		ln, err = net.Listen("tcp", addr)
+	}
 	if err != nil {
 		return "", err
 	}

@@ -129,7 +129,7 @@ func TestFullDeploymentOverTCP(t *testing.T) {
 		coord.PKGs = append(coord.PKGs, pc)
 	}
 	feSrv := rpc.NewServer()
-	rpc.RegisterFrontend(feSrv, e, store, rpc.Directory{NumMixers: numMixers})
+	rpc.RegisterFrontend(feSrv, e, store, rpc.Directory{})
 	feAddr, err := feSrv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -253,8 +253,19 @@ func TestFullDeploymentOverTCP(t *testing.T) {
 // daemons on in-memory listeners: a "mem:" address behaves like a loopback
 // TCP one — calls round-trip, a peer-aware handler sees a host:port
 // address, cancelling the context interrupts a parked call promptly, and a
-// closed listener is refused as a transport failure, never reused.
+// closed listener is refused as a transport failure. Listen("mem:") hands
+// out a fresh address every time; Listen("mem:<n>") rebinds n once its
+// listener has closed, as a restarted daemon rebinds its port, and is
+// refused while n is live.
 func TestMemTransport(t *testing.T) {
+	listen := func(s *rpc.Server, addr string) string {
+		t.Helper()
+		bound, err := s.Listen(addr)
+		if err != nil {
+			t.Fatalf("Listen(%q): %v", addr, err)
+		}
+		return bound
+	}
 	s := rpc.NewServer()
 	parked := make(chan struct{})
 	rpc.HandlePeerFunc(s, "peer", func(peerAddr string, _ struct{}) (any, error) {
@@ -264,11 +275,14 @@ func TestMemTransport(t *testing.T) {
 		<-parked
 		return nil, nil
 	})
-	addr := s.ListenMem()
+	addr := listen(s, "mem:")
 	other := rpc.NewServer()
 	defer other.Close()
-	if otherAddr := other.ListenMem(); otherAddr == addr {
+	if otherAddr := listen(other, "mem:"); otherAddr == addr {
 		t.Fatalf("two listeners share the address %s", addr)
+	}
+	if _, err := rpc.NewServer().Listen(addr); err == nil {
+		t.Fatalf("a second listener bound the live address %s", addr)
 	}
 
 	c := rpc.Dial(addr)
@@ -297,5 +311,22 @@ func TestMemTransport(t *testing.T) {
 	s.Close()
 	if err := c.Call("peer", struct{}{}, &peer); !errors.Is(err, rpc.ErrTransport) {
 		t.Fatalf("call to a closed in-memory listener returned %v, want a transport failure", err)
+	}
+	fresh := rpc.NewServer()
+	defer fresh.Close()
+	if freshAddr := listen(fresh, "mem:"); freshAddr == addr {
+		t.Fatalf("a fresh listener reused the closed address %s", addr)
+	}
+
+	restarted := rpc.NewServer()
+	defer restarted.Close()
+	rpc.HandlePeerFunc(restarted, "peer", func(peerAddr string, _ struct{}) (any, error) {
+		return peerAddr, nil
+	})
+	if got := listen(restarted, addr); got != addr {
+		t.Fatalf("rebinding %s bound %s", addr, got)
+	}
+	if err := c.Call("peer", struct{}{}, &peer); err != nil {
+		t.Fatalf("call to the rebound address: %v", err)
 	}
 }

@@ -25,27 +25,16 @@ func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() boo
 	}
 }
 
-// newRunNetwork builds an in-process deployment whose client-facing
-// frontend is served over real TCP, and a Run-driven client talking to it.
-func newRunNetwork(t *testing.T) (*sim.Network, *rpc.Server, string) {
-	t.Helper()
-	network, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumMixers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(network.Close)
-	srv := rpc.NewServer()
-	rpc.RegisterFrontend(srv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return network, srv, addr
-}
+// oneMixerOverTCP is a deployment of one PKG and one mixer whose
+// client-facing frontend serves over real TCP.
+var oneMixerOverTCP = sim.Config{NumPKGs: 1, Shards: []int{1}, Listen: loopback}
 
-// newTCPRunClient registers a client whose frontend transport is the TCP
-// FrontendClient (PKG traffic stays in-process: it is not under test).
-func newTCPRunClient(t *testing.T, network *sim.Network, frontend *rpc.FrontendClient, email string) (*core.Client, *sim.Handler) {
+// newRunClient registers a client whose frontend transport is the given
+// rpc client or pool (PKG traffic stays in-process: it is not under test).
+func newRunClient(t *testing.T, network *sim.Network, frontend interface {
+	core.EntryServer
+	core.MailboxStore
+}, email string) (*core.Client, *sim.Handler) {
 	t.Helper()
 	h := &sim.Handler{AcceptAll: true}
 	cfg := network.ClientConfig(email, h)
@@ -94,11 +83,12 @@ func driveDialRounds(t *testing.T, network *sim.Network, from, to uint32, want i
 // rounds missed during the outage drain from the backlog in order, and
 // cancelling the context returns promptly with no leaked goroutines.
 func TestRunSurvivesFrontendRestart(t *testing.T) {
-	network, srv, addr := newRunNetwork(t)
+	network := newNetwork(t, oneMixerOverTCP)
+	addr := network.FrontendAddrs[0]
 	baseline := runtime.NumGoroutine()
 
 	frontend := rpc.DialFrontend(addr)
-	client, _ := newTCPRunClient(t, network, frontend, "restart@tcp.example")
+	client, _ := newRunClient(t, network, frontend, "restart@tcp.example")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -117,23 +107,14 @@ func TestRunSurvivesFrontendRestart(t *testing.T) {
 	// deployment does not stop for one frontend — but this client cannot
 	// see or reach them (its submissions fail; that is what cover-traffic
 	// continuity costs when the network is down).
-	srv.Close()
+	network.Kill(addr)
 	driveDialRounds(t, network, 4, 5, 0, 30*time.Millisecond)
 
 	// Phase 3: a new frontend process binds the same address and serves
 	// the same deployment. The client's feed reconnects by itself.
-	var srv2 *rpc.Server
 	waitUntil(t, 5*time.Second, "frontend address to rebind", func() bool {
-		s := rpc.NewServer()
-		rpc.RegisterFrontend(s, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
-		if _, err := s.Listen(addr); err != nil {
-			s.Close()
-			return false
-		}
-		srv2 = s
-		return true
+		return network.Restart(addr) == nil
 	})
-	defer srv2.Close()
 
 	driveDialRounds(t, network, 6, 8, 1, 10*time.Second)
 
@@ -160,7 +141,6 @@ func TestRunSurvivesFrontendRestart(t *testing.T) {
 	// handler parked on behalf of the now-gone client does not count as
 	// a (time-bounded) straggler here.
 	frontend.Close()
-	srv2.Close()
 	network.Close() // its daemons' connection handlers are not the client's
 	waitUntil(t, 5*time.Second, "goroutines to drain", func() bool {
 		return runtime.NumGoroutine() <= baseline
@@ -173,11 +153,10 @@ func TestRunSurvivesFrontendRestart(t *testing.T) {
 // round's two announcements (open, published), whatever the round length —
 // and never fetches settings separately.
 func TestEventStreamTrackingLoad(t *testing.T) {
-	network, srv, addr := newRunNetwork(t)
-	defer srv.Close()
-	fe := rpc.DialFrontend(addr)
+	network := newNetwork(t, oneMixerOverTCP)
+	fe := rpc.DialFrontend(network.FrontendAddrs[0])
 	defer fe.Close()
-	client, _ := newTCPRunClient(t, network, fe, "streamer@tcp.example")
+	client, _ := newRunClient(t, network, fe, "streamer@tcp.example")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -208,8 +187,7 @@ func TestEventStreamTrackingLoad(t *testing.T) {
 // rounds costs ONE cdn.fetchrange request and no per-round fetches, and
 // rounds the store does not hold are absent from the reply.
 func TestFetchRangeOverTCP(t *testing.T) {
-	network, srv, addr := newRunNetwork(t)
-	defer srv.Close()
+	network := newNetwork(t, oneMixerOverTCP)
 
 	// Publish three dialing rounds (noise-only batches are fine).
 	for r := uint32(1); r <= 3; r++ {
@@ -221,7 +199,7 @@ func TestFetchRangeOverTCP(t *testing.T) {
 		}
 	}
 
-	fe := rpc.DialFrontend(addr)
+	fe := rpc.DialFrontend(network.FrontendAddrs[0])
 	defer fe.Close()
 	got, err := fe.FetchRange(context.Background(), wire.Dialing, 1, 5, 0)
 	if err != nil {

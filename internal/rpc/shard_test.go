@@ -3,122 +3,17 @@ package rpc_test
 import (
 	"bytes"
 	"crypto/rand"
-	"errors"
 	mathrand "math/rand"
-	"sync/atomic"
 	"testing"
 
 	"alpenhorn/internal/cdn"
-	"alpenhorn/internal/coordinator"
-	"alpenhorn/internal/entry"
 	"alpenhorn/internal/mixnet"
 	"alpenhorn/internal/noise"
 	"alpenhorn/internal/onionbox"
 	"alpenhorn/internal/rpc"
+	"alpenhorn/internal/sim"
 	"alpenhorn/internal/wire"
 )
-
-// shardFleet is a chain of mixer daemons over localhost TCP where each
-// position may be served by several shard daemons.
-type shardFleet struct {
-	counts  []int
-	servers [][]*mixnet.Server
-	daemons [][]*rpc.MixerDaemon
-	rpcSrvs [][]*rpc.Server
-	addrs   [][]string
-	clients [][]*rpc.MixerClient
-}
-
-// startShardFleet launches counts[i] daemons for position i. randFor may
-// be nil (crypto/rand) or a per-(position, shard) deterministic source
-// factory.
-func startShardFleet(t *testing.T, counts []int, nz noise.Laplace, randFor func(pos, shard int) mathrand.Source) *shardFleet {
-	t.Helper()
-	f := &shardFleet{counts: counts}
-	for i, n := range counts {
-		var servers []*mixnet.Server
-		var daemons []*rpc.MixerDaemon
-		var rpcSrvs []*rpc.Server
-		var addrs []string
-		var clients []*rpc.MixerClient
-		for s := 0; s < n; s++ {
-			cfg := mixnet.Config{
-				Name: "m", Position: i, ChainLength: len(counts),
-				AddFriendNoise: &nz, DialingNoise: &nz,
-			}
-			if n > 1 {
-				cfg.ShardIndex, cfg.ShardCount = s, n
-			}
-			if randFor != nil {
-				cfg.Rand = &seededReader{rng: mathrand.New(randFor(i, s))}
-				cfg.Parallelism = 1 // deterministic rand read order
-			}
-			m, err := mixnet.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := rpc.NewServer()
-			d := rpc.RegisterMixer(srv, m)
-			addr, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(srv.Close)
-			mc, err := rpc.DialMixer(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			servers = append(servers, m)
-			daemons = append(daemons, d)
-			rpcSrvs = append(rpcSrvs, srv)
-			addrs = append(addrs, addr)
-			clients = append(clients, mc)
-		}
-		f.servers = append(f.servers, servers)
-		f.daemons = append(f.daemons, daemons)
-		f.rpcSrvs = append(f.rpcSrvs, rpcSrvs)
-		f.addrs = append(f.addrs, addrs)
-		f.clients = append(f.clients, clients)
-	}
-	return f
-}
-
-// shardCoordinator assembles a coordinator over a shard fleet: position
-// leads in Mixers, the rest of each group in Shards.
-func shardCoordinator(f *shardFleet, e *entry.Server, cdnAddr string) *coordinator.Coordinator {
-	coord := &coordinator.Coordinator{
-		Entry:                    e,
-		TargetRequestsPerMailbox: 40,
-		CDNAddr:                  cdnAddr,
-		Shards:                   make([][]coordinator.Mixer, len(f.counts)),
-	}
-	for i, group := range f.clients {
-		coord.Mixers = append(coord.Mixers, group[0])
-		for _, mc := range group[1:] {
-			coord.Shards[i] = append(coord.Shards[i], mc)
-		}
-	}
-	return coord
-}
-
-// assertNoLeaks checks that a daemon holds no round state after a round
-// resolved: no routes, no live round key.
-func assertShardFleetClean(t *testing.T, f *shardFleet, round uint32, skip func(pos, shard int) bool) {
-	t.Helper()
-	for i, group := range f.daemons {
-		for s, d := range group {
-			if skip != nil && skip(i, s) {
-				continue
-			}
-			if n := d.PendingRoutes(); n != 0 {
-				t.Errorf("daemon %d/%d: %d routes leak", i, s, n)
-			}
-			if f.servers[i][s].RoundOpen(wire.Dialing, round) {
-				t.Errorf("daemon %d/%d: round key survives", i, s)
-			}
-		}
-	}
-}
 
 // TestShardedRoundOverTCP is the shard-group acceptance test: a round
 // over real TCP daemons with the middle position sharded across two
@@ -128,11 +23,8 @@ func assertShardFleetClean(t *testing.T, f *shardFleet, round uint32, skip func(
 // bytes plus the entry batch, and per-daemon health comes back through
 // mix.round.wait.
 func TestShardedRoundOverTCP(t *testing.T) {
-	nz := noise.Laplace{Mu: 2, B: 0}
-	f := startShardFleet(t, []int{1, 2, 1}, nz, nil)
-	store, cdnAddr := startCDN(t)
-	e := entry.New()
-	coord := shardCoordinator(f, e, cdnAddr)
+	n := newNetwork(t, sim.Config{NumPKGs: 1, Shards: []int{1, 2, 1}, TargetRequestsPerMailbox: 40, Listen: loopback})
+	coord := n.Coord
 	coord.ChunkSize = 32
 	coord.SetExpectedVolume(wire.Dialing, 300)
 
@@ -147,31 +39,31 @@ func TestShardedRoundOverTCP(t *testing.T) {
 		t.Fatalf("clients must see one key per POSITION, got %d", len(settings.Mixers))
 	}
 	tokens := makeTestTokens(300)
-	batchBytes := submitTokens(t, e, settings, tokens, nil)
+	batchBytes := submitTokens(t, n.Entry, settings, tokens, nil)
 
 	if _, err := coord.CloseRound(wire.Dialing, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !store.Published(wire.Dialing, 1) {
+	if !n.CDN.Published(wire.Dialing, 1) {
 		t.Fatal("round not published")
 	}
-	assertTokensDelivered(t, store, 1, settings, tokens)
+	assertTokensDelivered(t, n.CDN, 1, settings, tokens)
 
 	// Control-plane discipline holds with shards: the coordinator ships
 	// batch data only to position 0.
 	const controlBudget = 32 << 10
-	for i, group := range f.clients {
-		for s, mc := range group {
-			st := mc.TransportStats()
+	for i, group := range n.Mixers {
+		for s, m := range group {
+			st := m.Client.TransportStats()
 			if i > 0 && st.BytesSent > controlBudget {
 				t.Errorf("mixer %d/%d: coordinator sent %d bytes, want control-only", i, s, st.BytesSent)
 			}
 		}
 	}
-	if st := f.clients[0][0].TransportStats(); st.BytesSent < uint64(batchBytes) {
+	if st := n.Mixers[0][0].Client.TransportStats(); st.BytesSent < uint64(batchBytes) {
 		t.Errorf("mixer 0/0: coordinator sent %d bytes, want >= batch (%d)", st.BytesSent, batchBytes)
 	}
-	assertShardFleetClean(t, f, 1, nil)
+	assertFleetClean(t, n, 1, nil)
 
 	// Round health: one record, with per-daemon stats for all four
 	// daemons; every daemon moved batch bytes in AND out.
@@ -219,62 +111,49 @@ func TestShardDeterminismAcrossShardCounts(t *testing.T) {
 	const numTokens = 120
 	tokens := makeTestTokens(numTokens)
 
-	runMode := func(shardsPerPos int) (*wire.RoundSettings, map[uint32][]byte) {
-		counts := []int{shardsPerPos, shardsPerPos, shardsPerPos}
-		f := startShardFleet(t, counts, nz, func(pos, shard int) mathrand.Source {
-			if shard == 0 {
-				// Leads draw the position's round key (and the merge
-				// shuffle); identical seeds per position across modes.
-				return mathrand.NewSource(int64(1000 + pos))
-			}
-			return mathrand.NewSource(int64(5000 + 100*pos + shard))
-		})
-		store, cdnAddr, daemon := startCDNDaemon(t)
-		e := entry.New()
-		coord := shardCoordinator(f, e, cdnAddr)
-		coord.ChunkSize = 16
-		coord.SetExpectedVolume(wire.Dialing, numTokens)
+	onTransports(t, func(t *testing.T, listen string) {
+		runMode := func(shardsPerPos int) (*wire.RoundSettings, map[uint32][]byte) {
+			n := newNetwork(t, sim.Config{
+				NumPKGs: 1, Shards: []int{shardsPerPos, shardsPerPos, shardsPerPos},
+				AddFriendNoise: &nz, DialingNoise: &nz, TargetRequestsPerMailbox: 40,
+				Seed: 1000, Listen: listen,
+			})
+			n.Coord.ChunkSize = 16
+			n.Coord.SetExpectedVolume(wire.Dialing, numTokens)
 
-		settings, err := coord.OpenDialingRound(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		submitTokens(t, e, settings, tokens, mathrand.New(mathrand.NewSource(4242)))
-		if _, err := coord.CloseRound(wire.Dialing, 1); err != nil {
-			t.Fatalf("%d shards/position: %v", shardsPerPos, err)
-		}
-		// The seal's stream count pins that the sharded build really ran:
-		// N shards mean N publish streams — one for a group of one — and
-		// the merge server never funnels the round's final mailbox bytes.
-		if got := daemon.LastSealStreams(); got != shardsPerPos {
-			t.Fatalf("%d shards/position: round sealed from %d publish streams", shardsPerPos, got)
-		}
-		boxes := make(map[uint32][]byte)
-		for mb := uint32(0); mb < settings.NumMailboxes; mb++ {
-			data, err := store.Fetch(wire.Dialing, 1, mb)
+			settings, err := n.Coord.OpenDialingRound(1)
 			if err != nil {
-				t.Fatalf("%d shards/position: mailbox %d: %v", shardsPerPos, mb, err)
+				t.Fatal(err)
 			}
-			boxes[mb] = data
+			submitTokens(t, n.Entry, settings, tokens, mathrand.New(mathrand.NewSource(4242)))
+			if _, err := n.Coord.CloseRound(wire.Dialing, 1); err != nil {
+				t.Fatalf("%d shards/position: %v", shardsPerPos, err)
+			}
+			// The seal's stream count pins that the sharded build really ran:
+			// N shards mean N publish streams — one for a group of one — and
+			// the merge server never funnels the round's final mailbox bytes.
+			if got := n.CDNDaemon.LastSealStreams(); got != shardsPerPos {
+				t.Fatalf("%d shards/position: round sealed from %d publish streams", shardsPerPos, got)
+			}
+			return settings, fetchAll(t, n.CDN, 1, settings.NumMailboxes)
 		}
-		return settings, boxes
-	}
 
-	baseSettings, base := runMode(1)
-	if baseSettings.NumMailboxes < 2 {
-		t.Fatalf("want a multi-mailbox round, got K=%d", baseSettings.NumMailboxes)
-	}
-	for _, shardsPerPos := range []int{2, 3} {
-		settings, got := runMode(shardsPerPos)
-		if settings.NumMailboxes != baseSettings.NumMailboxes {
-			t.Fatalf("%d shards: K=%d, unsharded K=%d", shardsPerPos, settings.NumMailboxes, baseSettings.NumMailboxes)
+		baseSettings, base := runMode(1)
+		if baseSettings.NumMailboxes < 2 {
+			t.Fatalf("want a multi-mailbox round, got K=%d", baseSettings.NumMailboxes)
 		}
-		for mb := uint32(0); mb < baseSettings.NumMailboxes; mb++ {
-			if !bytes.Equal(base[mb], got[mb]) {
-				t.Errorf("%d shards/position: mailbox %d differs from unsharded", shardsPerPos, mb)
+		for _, shardsPerPos := range []int{2, 3} {
+			settings, got := runMode(shardsPerPos)
+			if settings.NumMailboxes != baseSettings.NumMailboxes {
+				t.Fatalf("%d shards: K=%d, unsharded K=%d", shardsPerPos, settings.NumMailboxes, baseSettings.NumMailboxes)
+			}
+			for mb := uint32(0); mb < baseSettings.NumMailboxes; mb++ {
+				if !bytes.Equal(base[mb], got[mb]) {
+					t.Errorf("%d shards/position: mailbox %d differs from unsharded", shardsPerPos, mb)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestShardAbortMidRound kills one shard of the middle position while the
@@ -283,31 +162,21 @@ func TestShardDeterminismAcrossShardCounts(t *testing.T) {
 // keys, staged merges), and the round after the shard restarts must
 // succeed.
 func TestShardAbortMidRound(t *testing.T) {
-	nz := noise.Laplace{Mu: 2, B: 0}
-	f := startShardFleet(t, []int{1, 2, 1}, nz, nil)
-	store, cdnAddr := startCDN(t)
-	e := entry.New()
-	coord := shardCoordinator(f, e, cdnAddr)
+	n := newNetwork(t, sim.Config{NumPKGs: 1, Shards: []int{1, 2, 1}, TargetRequestsPerMailbox: 40})
+	coord := n.Coord
 	coord.ChunkSize = 8 // many chunks per hop, so the kill lands mid-stream
 	coord.SetExpectedVolume(wire.Dialing, 120)
 
-	// Sabotage the middle position's NON-merge shard: after two dealt
-	// chunks arrive, it starts failing and its server goes down.
-	var chunks atomic.Int32
-	rpc.HandleFunc(f.rpcSrvs[1][1], "mix.stream.chunk", func(a rpc.ChunkArgs) (any, error) {
-		if chunks.Add(1) > 2 {
-			go f.rpcSrvs[1][1].Close()
-			return nil, errors.New("shard 1/1 crashed mid-stream")
-		}
-		return nil, f.servers[1][1].StreamChunk(a.Service, a.Round, a.Batch())
-	})
+	// Sabotage the middle position's NON-merge shard.
+	victim := n.Mixers[1][1]
+	chunks := crashMidStream(n, victim)
 
 	settings, err := coord.OpenDialingRound(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tokens := makeTestTokens(120)
-	submitTokens(t, e, settings, tokens, nil)
+	submitTokens(t, n.Entry, settings, tokens, nil)
 
 	if _, err := coord.CloseRound(wire.Dialing, 1); err == nil {
 		t.Fatal("round with a dead mid-chain shard succeeded")
@@ -315,13 +184,13 @@ func TestShardAbortMidRound(t *testing.T) {
 	if chunks.Load() < 3 {
 		t.Fatalf("shard died after %d chunks; the kill was not mid-stream", chunks.Load())
 	}
-	if store.Published(wire.Dialing, 1) {
+	if n.CDN.Published(wire.Dialing, 1) {
 		t.Fatal("aborted round was published")
 	}
 	// Every SURVIVING daemon is clean (the dead daemon's RPC server is
 	// down; its in-memory state dies with the process in a real
 	// deployment).
-	assertShardFleetClean(t, f, 1, func(pos, shard int) bool { return pos == 1 && shard == 1 })
+	assertFleetClean(t, n, 1, func(pos, shard int) bool { return pos == 1 && shard == 1 })
 	// The abort was recorded in the round's health.
 	health := coord.Status()
 	if len(health) != 1 || health[0].Err == "" {
@@ -330,26 +199,10 @@ func TestShardAbortMidRound(t *testing.T) {
 
 	// The shard comes back on the same address (fresh RPC server, same
 	// mixer); every cached connection redials lazily.
-	restarted := rpc.NewServer()
-	f.daemons[1][1] = rpc.RegisterMixer(restarted, f.servers[1][1])
-	if _, err := restarted.Listen(f.addrs[1][1]); err != nil {
-		t.Fatalf("restarting shard on %s: %v", f.addrs[1][1], err)
-	}
-	t.Cleanup(restarted.Close)
-
-	settings2, err := coord.OpenDialingRound(2)
-	if err != nil {
+	if err := n.Restart(victim.Addr); err != nil {
 		t.Fatal(err)
 	}
-	tokens2 := makeTestTokens(90)
-	submitTokens(t, e, settings2, tokens2, nil)
-	if _, err := coord.CloseRound(wire.Dialing, 2); err != nil {
-		t.Fatalf("round after shard restart failed: %v", err)
-	}
-	if !store.Published(wire.Dialing, 2) {
-		t.Fatal("recovered round not published")
-	}
-	assertTokensDelivered(t, store, 2, settings2, tokens2)
+	assertRoundRecovers(t, n, 2)
 }
 
 // routedDaemon is one mixer daemon serving a whole one-position chain,

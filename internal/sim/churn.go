@@ -6,11 +6,9 @@ import (
 
 // This file is the churn-injection harness: a deterministic, seeded
 // schedule of daemon failures for multi-round availability experiments.
-// The plan is pure data — WHICH daemon dies, pauses, or comes back
-// before WHICH round — so the TCP round tests (internal/rpc) and the
-// bench harness (alpenhorn-bench -exp churn) replay the exact same
-// failure sequence against real daemon fleets, and a fixed seed makes
-// any run reproducible.
+// The plan is pure data — WHICH daemon dies, pauses, or comes back before
+// WHICH round — that the rpc round tests and alpenhorn-bench -exp churn
+// replay with Network.Kill and Network.Restart on either transport.
 
 // ChurnAction is one kind of injected failure.
 type ChurnAction int

@@ -1,22 +1,28 @@
-// Package sim assembles a complete in-process Alpenhorn deployment: a
-// configurable number of PKG servers and mixnet servers, an entry server, a
-// CDN store, a simulated email provider, and a round coordinator.
+// Package sim builds a complete Alpenhorn deployment in one process: PKGs,
+// mixer shard groups with optional hot spares, a CDN node, entry
+// frontends, a simulated email provider and a round coordinator.
 //
-// It exists so that integration tests, the examples, and the benchmark
-// harness all exercise the REAL protocol stack — real IBE, real onions,
-// real mixing and noise — with rounds driven deterministically instead of
-// on timers. The mixers, the CDN's publish surface and any extra entry
-// frontends are served through the handlers the cmd/ daemons register
-// (rpc.RegisterMixer, RegisterCDN, RegisterEntryReplica), on in-memory
-// listeners instead of TCP ports, so a simulated round runs the daemons'
-// data plane, not a second implementation of it.
+// NewNetwork is the one builder of that deployment. Every daemon is served
+// through the handlers the cmd/ daemons register (rpc.RegisterMixer,
+// RegisterCDN, RegisterFrontend, RegisterEntryReplica), so a round that
+// tests drive without timers runs the daemons' real data plane. Config.Listen
+// picks the transport, in-memory ("mem:", the default) or loopback TCP, and
+// on either Network.Kill and Network.Restart take a daemon off its address
+// and serve it there again.
+//
+// Two networks built with the same nonzero Config.Seed draw the same round
+// keys, noise and shuffles on either transport. A position lead's stream
+// depends only on the seed and its position, so a round publishes the same
+// mailbox bytes at one, two or three shards per position.
 package sim
 
 import (
 	"context"
 	"crypto/ed25519"
 	"fmt"
+	mathrand "math/rand"
 	"strings"
+	"sync"
 	"time"
 
 	"alpenhorn/internal/bls"
@@ -34,22 +40,25 @@ import (
 
 // Config describes the simulated deployment.
 type Config struct {
-	// NumPKGs and NumMixers default to the paper's 3-server setup.
-	NumPKGs   int
-	NumMixers int
+	// NumPKGs defaults to the paper's 3 servers.
+	NumPKGs int
 
-	// NumFrontends is the number of entry frontends (default 1). With
-	// more than one, Network.Entry is frontend 0 and the rest live in
-	// Network.Frontends; the coordinator replays every announcement to
-	// all of them in the same order (one shared cursor namespace), and
-	// each frontend admits — and, at close, contributes — its own
-	// sub-batch.
+	// Shards lists how many mixer daemons serve each chain position
+	// (default {1, 1, 1}, the paper's 3-server chain). Shard 0 of each
+	// position is its lead: the daemon whose signing key clients pin.
+	Shards []int
+
+	// Spares adds one unpinned hot spare per position, which the
+	// coordinator's scheduler drafts into a benched shard's slot.
+	Spares bool
+
+	// NumFrontends is the number of entry frontends (default 1): Entry,
+	// then Network.Frontends. The coordinator replays every announcement
+	// to all of them in one order, and each admits its own sub-batch.
 	NumFrontends int
 
-	// Noise distributions; defaults are deliberately small so tests run
-	// fast (the paper-scale µ=4000/25000 values generate millions of
-	// messages). Pass noise.AddFriendNoise / noise.DialingNoise for
-	// paper parameters.
+	// Noise distributions default to a small µ so tests run fast; pass
+	// noise.AddFriendNoise / noise.DialingNoise for paper parameters.
 	AddFriendNoise *noise.Laplace
 	DialingNoise   *noise.Laplace
 
@@ -57,56 +66,125 @@ type Config struct {
 	// as in the paper).
 	TargetRequestsPerMailbox int
 
+	// Seed 0 gives every mixer crypto/rand and full parallelism. Otherwise
+	// the mixer at (position, shard) reads a stream derived from (Seed,
+	// position, shard) at Parallelism 1; a spare is its position's last
+	// shard plus one.
+	Seed int64
+
+	// Listen is the address every daemon listens on: "mem:" (the default)
+	// for in-memory listeners, "127.0.0.1:0" for loopback TCP.
+	Listen string
+
 	// Now is the clock given to the PKGs (tests inject manual clocks to
 	// exercise the 30-day policies).
 	Now func() time.Time
+}
+
+// Mixer is one mixer daemon of a network.
+type Mixer struct {
+	Server *mixnet.Server
+	// Daemon is the rpc registration serving Server; Restart replaces it.
+	Daemon *rpc.MixerDaemon
+	// Client is the coordinator's connection to the daemon.
+	Client *rpc.MixerClient
+	Addr   string
 }
 
 // Network is a running in-process deployment.
 type Network struct {
 	Provider *email.InMemoryProvider
 	PKGs     []*pkgserver.Server
-	Mixers   []*mixnet.Server
-	Entry    *entry.Server
-	// Frontends holds the extra entry frontends beyond Entry when
-	// Config.NumFrontends > 1. Clients may track rounds and submit
-	// through any of them.
+	// Mixers holds the pinned mixer daemons by [position][shard].
+	Mixers [][]*Mixer
+	// Spares holds each position's hot spare when Config.Spares is set.
+	Spares []*Mixer
+	Entry  *entry.Server
+	// Frontends are the entry frontends after Entry.
 	Frontends []*entry.Server
-	CDN       *cdn.Store
+	// FrontendAddrs are the client-facing addresses of Entry, then Frontends.
+	FrontendAddrs []string
+	CDN           *cdn.Store
+	// CDNDaemon serves CDN's publish surface at Coord.CDNAddr.
+	CDNDaemon *rpc.CDNDaemon
 	Coord     *coordinator.Coordinator
 
 	MixerKeys  []ed25519.PublicKey
 	PKGKeys    []ed25519.PublicKey
 	PKGBLSKeys []*bls.PublicKey
 
-	servers []*rpc.Server
+	mu      sync.Mutex
+	daemons map[string]*daemon
 }
 
-// listen serves srv on a fresh in-memory address until Close.
-func (n *Network) listen(srv *rpc.Server) string {
-	n.servers = append(n.servers, srv)
-	return srv.ListenMem()
+// daemon is one listener: the registration it serves and its current
+// server (closed while the daemon is killed).
+type daemon struct {
+	register func(*rpc.Server)
+	srv      *rpc.Server
+}
+
+// serve registers a fresh rpc server and records it under its address.
+func (n *Network) serve(addr string, register func(*rpc.Server)) (string, error) {
+	srv := rpc.NewServer()
+	register(srv)
+	bound, err := srv.Listen(addr)
+	if err != nil {
+		srv.Close()
+		return "", err
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.daemons[bound] = &daemon{register: register, srv: srv}
+	return bound, nil
+}
+
+func (n *Network) lookup(addr string) *daemon {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.daemons[addr]
+}
+
+// Server returns the rpc server currently serving the network's daemon on
+// addr. Tests override its handlers to sabotage a daemon.
+func (n *Network) Server(addr string) *rpc.Server { return n.lookup(addr).srv }
+
+// Kill takes the daemon on addr off the network: its listener and
+// connections close, and peers get transport errors until Restart. Its
+// in-process state survives, as on a machine that is up but unreachable.
+func (n *Network) Kill(addr string) { n.Server(addr).Close() }
+
+// Restart serves a killed daemon's registration again, on a fresh rpc
+// server at the same address; cached connections to it redial lazily.
+func (n *Network) Restart(addr string) error {
+	_, err := n.serve(addr, n.lookup(addr).register)
+	return err
 }
 
 // Close stops the deployment's listeners and waits for their handlers.
 func (n *Network) Close() {
-	for _, srv := range n.servers {
-		srv.Close()
+	n.mu.Lock()
+	daemons := n.daemons
+	n.daemons = nil
+	n.mu.Unlock()
+	for _, d := range daemons {
+		d.srv.Close()
 	}
-	n.servers = nil
 }
 
 // smallNoise is the default test noise: deterministic, 2 messages per
 // mailbox per server.
 var smallNoise = noise.Laplace{Mu: 2, B: 0}
 
-// NewNetwork builds a deployment. Close releases it.
+// NewNetwork builds a deployment in a fixed order — PKGs, pinned shard
+// groups and spares, the CDN node, frontends — and the coordinator over
+// it. Close releases it.
 func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.NumPKGs == 0 {
 		cfg.NumPKGs = 3
 	}
-	if cfg.NumMixers == 0 {
-		cfg.NumMixers = 3
+	if len(cfg.Shards) == 0 {
+		cfg.Shards = []int{1, 1, 1}
 	}
 	if cfg.AddFriendNoise == nil {
 		cfg.AddFriendNoise = &smallNoise
@@ -117,23 +195,25 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.TargetRequestsPerMailbox == 0 {
 		cfg.TargetRequestsPerMailbox = 24000
 	}
+	if cfg.Listen == "" {
+		cfg.Listen = "mem:"
+	}
 
 	n := &Network{
 		Provider: email.NewInMemoryProvider(),
 		Entry:    entry.New(),
 		CDN:      cdn.NewStore(0),
+		daemons:  make(map[string]*daemon),
+	}
+	coord := &coordinator.Coordinator{
+		Entry:                    n.Entry,
+		TargetRequestsPerMailbox: cfg.TargetRequestsPerMailbox,
+		Shards:                   make([][]coordinator.Mixer, len(cfg.Shards)),
 	}
 	fail := func(err error) (*Network, error) {
 		n.Close()
 		return nil, err
 	}
-	n.Coord = &coordinator.Coordinator{
-		Entry:                    n.Entry,
-		TargetRequestsPerMailbox: cfg.TargetRequestsPerMailbox,
-	}
-	cdnSrv := rpc.NewServer()
-	rpc.RegisterCDN(cdnSrv, n.CDN)
-	n.Coord.CDNAddr = n.listen(cdnSrv)
 	for i := 0; i < cfg.NumPKGs; i++ {
 		pkg, err := pkgserver.New(pkgserver.Config{
 			Name:     fmt.Sprintf("pkg%d", i),
@@ -144,39 +224,91 @@ func NewNetwork(cfg Config) (*Network, error) {
 			return fail(err)
 		}
 		n.PKGs = append(n.PKGs, pkg)
-		n.Coord.PKGs = append(n.Coord.PKGs, pkg)
 		n.PKGKeys = append(n.PKGKeys, pkg.SigningKey())
 		n.PKGBLSKeys = append(n.PKGBLSKeys, pkg.BLSKey())
+		coord.PKGs = append(coord.PKGs, pkg)
 	}
-	for i := 0; i < cfg.NumMixers; i++ {
-		m, err := mixnet.New(mixnet.Config{
-			Name:           fmt.Sprintf("mixer%d", i),
-			Position:       i,
-			ChainLength:    cfg.NumMixers,
-			AddFriendNoise: cfg.AddFriendNoise,
-			DialingNoise:   cfg.DialingNoise,
-		})
+	for pos, count := range cfg.Shards {
+		if count < 1 {
+			return fail(fmt.Errorf("sim: position %d has %d shards", pos, count))
+		}
+		// Shard index count is the position's spare.
+		var group []*Mixer
+		for shard := 0; shard < count || (cfg.Spares && shard == count); shard++ {
+			m, err := n.startMixer(cfg, pos, shard)
+			if err != nil {
+				return fail(err)
+			}
+			switch {
+			case shard == 0:
+				coord.Mixers = append(coord.Mixers, m.Client)
+				n.MixerKeys = append(n.MixerKeys, m.Server.SigningKey())
+			case shard == count:
+				coord.Spares = append(coord.Spares, []coordinator.Mixer{m.Client})
+				n.Spares = append(n.Spares, m)
+				continue
+			default:
+				coord.Shards[pos] = append(coord.Shards[pos], m.Client)
+			}
+			group = append(group, m)
+		}
+		n.Mixers = append(n.Mixers, group)
+	}
+	var err error
+	if coord.CDNAddr, err = n.serve(cfg.Listen, func(s *rpc.Server) { n.CDNDaemon = rpc.RegisterCDN(s, n.CDN) }); err != nil {
+		return fail(err)
+	}
+	// Frontends after the first also serve the replica surface the coordinator
+	// drives. Clients pin keys from ClientConfig, not from the directory.
+	for i := 0; i < max(cfg.NumFrontends, 1); i++ {
+		e := n.Entry
+		if i > 0 {
+			e = entry.New()
+			addr, err := n.serve(cfg.Listen, func(s *rpc.Server) { rpc.RegisterEntryReplica(s, e) })
+			if err != nil {
+				return fail(err)
+			}
+			n.Frontends = append(n.Frontends, e)
+			coord.Frontends = append(coord.Frontends, rpc.DialEntryReplica(addr))
+		}
+		addr, err := n.serve(cfg.Listen, func(s *rpc.Server) { rpc.RegisterFrontend(s, e, n.CDN, rpc.Directory{}) })
 		if err != nil {
 			return fail(err)
 		}
-		srv := rpc.NewServer()
-		rpc.RegisterMixer(srv, m)
-		mc, err := rpc.DialMixer(n.listen(srv))
-		if err != nil {
-			return fail(err)
-		}
-		n.Mixers = append(n.Mixers, m)
-		n.MixerKeys = append(n.MixerKeys, m.SigningKey())
-		n.Coord.Mixers = append(n.Coord.Mixers, mc)
+		n.FrontendAddrs = append(n.FrontendAddrs, addr)
 	}
-	for i := 1; i < cfg.NumFrontends; i++ {
-		f := entry.New()
-		srv := rpc.NewServer()
-		rpc.RegisterEntryReplica(srv, f)
-		n.Frontends = append(n.Frontends, f)
-		n.Coord.Frontends = append(n.Coord.Frontends, rpc.DialEntryReplica(n.listen(srv)))
-	}
+	n.Coord = coord
 	return n, nil
+}
+
+// startMixer serves the mixer at (pos, shard); shard == cfg.Shards[pos] is
+// the position's spare.
+func (n *Network) startMixer(cfg Config, pos, shard int) (*Mixer, error) {
+	mc := mixnet.Config{
+		Name:           fmt.Sprintf("mixer%d.%d", pos, shard),
+		Position:       pos,
+		ChainLength:    len(cfg.Shards),
+		AddFriendNoise: cfg.AddFriendNoise,
+		DialingNoise:   cfg.DialingNoise,
+		Spare:          shard == cfg.Shards[pos],
+	}
+	if count := cfg.Shards[pos]; count > 1 && !mc.Spare {
+		mc.ShardIndex, mc.ShardCount = shard, count
+	}
+	if cfg.Seed != 0 {
+		mc.Rand = mathrand.New(mathrand.NewSource(cfg.Seed + int64(pos)<<16 + int64(shard)<<32))
+		mc.Parallelism = 1
+	}
+	srv, err := mixnet.New(mc)
+	if err != nil {
+		return nil, err
+	}
+	m := &Mixer{Server: srv}
+	if m.Addr, err = n.serve(cfg.Listen, func(s *rpc.Server) { m.Daemon = rpc.RegisterMixer(s, srv) }); err != nil {
+		return nil, err
+	}
+	m.Client, err = rpc.DialMixer(m.Addr)
+	return m, err
 }
 
 // ClientConfig returns a core.Config wired to this network's servers
