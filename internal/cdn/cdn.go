@@ -21,7 +21,9 @@
 //     writes one checksummed segment file per round, crash-safe via
 //     temp+fsync+rename, with an fsync'd manifest — rounds survive a
 //     process kill byte-identically, and a corrupt segment is rejected
-//     cleanly at reopen so replication backfill can repair it.
+//     cleanly at reopen so replication backfill can repair it. A seal
+//     streams through a writer sized to its segment, capped at 1 MiB, so
+//     a small round pays for a small buffer.
 //
 // Publication has two paths, both in internal/rpc: the store is exposed
 // as a cdn.publish surface (RegisterCDN) where every shard of the last

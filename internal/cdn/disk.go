@@ -54,6 +54,11 @@ type DiskBackend struct {
 	rejected []string
 }
 
+// maxSealBuffer caps the writer Seal streams a segment through. A segment
+// smaller than the cap is buffered whole, so it reaches the file in one
+// write; a larger one in writes of this size.
+const maxSealBuffer = 1 << 20
+
 const (
 	segMagic      = "ALPNCDN1"
 	segHeaderSize = 8 + 1 + 4 + 4 + 32
@@ -167,8 +172,12 @@ func (d *DiskBackend) Seal(service wire.Service, round uint32, mailboxes map[uin
 	}
 	defer os.Remove(tmp.Name())
 
+	size := segHeaderSize + segEntrySize*len(ids)
+	for _, mb := range mailboxes {
+		size += len(mb)
+	}
 	h := sha256.New()
-	w := bufio.NewWriterSize(io.MultiWriter(tmp, h), 1<<20)
+	w := bufio.NewWriterSize(io.MultiWriter(tmp, h), min(size, maxSealBuffer))
 
 	var hdr [segHeaderSize]byte
 	copy(hdr[:8], segMagic)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"alpenhorn/internal/wire"
@@ -22,6 +23,37 @@ func testRound(seed byte, boxes int) map[uint32][]byte {
 	}
 	out[uint32(boxes)] = []byte{} // empty mailboxes survive sealing too
 	return out
+}
+
+// TestDiskSealAllocations: sealing a 10 kB round allocates well under
+// 64 kB — the writer a segment streams through is sized to the segment,
+// not a fixed 1 MiB per round.
+func TestDiskSealAllocations(t *testing.T) {
+	backend, err := NewDiskBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
+	mailboxes := make(map[uint32][]byte, 4)
+	for i := uint32(0); i < 4; i++ {
+		mailboxes[i] = bytes.Repeat([]byte{byte(i)}, 2500)
+	}
+	round := uint32(0)
+	seal := func() {
+		round++
+		if err := backend.Seal(wire.AddFriend, round, mailboxes, RoundChecksum(mailboxes)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(10, seal)
+	runtime.ReadMemStats(&after)
+	perSeal := (after.TotalAlloc - before.TotalAlloc) / uint64(round)
+	if perSeal >= 64<<10 {
+		t.Fatalf("sealing a 10 kB round allocates %d B in %.0f allocations", perSeal, allocs)
+	}
+	t.Logf("sealing a 10 kB round allocates %d B in %.0f allocations", perSeal, allocs)
 }
 
 // TestDiskStoreCrashRestart publishes rounds to a disk store, abandons it

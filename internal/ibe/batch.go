@@ -5,14 +5,14 @@ import (
 	"hash"
 	"sync"
 
+	"alpenhorn/internal/aead"
 	"alpenhorn/internal/bn254"
 )
 
 // batchScratch bundles the reusable buffers of one DecryptBatch call:
-// the bn254 pipeline scratch plus the pairing outputs, the hash state for
-// key derivation, and the AEAD block buffers. Pooled so concurrent
-// mailbox-scan workers each grab a warm set instead of reallocating per
-// chunk.
+// the bn254 pipeline scratch plus the pairing outputs and the hash state
+// for key derivation. Pooled so concurrent mailbox-scan workers each grab
+// a warm set instead of reallocating per chunk.
 type batchScratch struct {
 	pair   *bn254.PairScratch
 	gts    []bn254.GT
@@ -21,7 +21,6 @@ type batchScratch struct {
 	gtBuf  []byte
 	keyBuf []byte
 	h      hash.Hash
-	gcm    gcmScratch
 }
 
 var batchPool = sync.Pool{
@@ -57,9 +56,9 @@ func (s *batchScratch) grow(n int) {
 //
 // Plaintexts are carved from ONE arena allocation per batch — the arena
 // escapes to the caller inside msgs, so it is deliberately NOT pooled —
-// and the AEAD runs through the single-allocation gcmOpen, keeping the
-// whole layer at ~1.2 heap allocations per ciphertext (the scalar stdlib
-// path costs ~4.5; a test ratchets the bound).
+// and aead.Open appends into it at one allocation (the AES key schedule),
+// keeping the whole layer at ~1.2 heap allocations per ciphertext (the
+// scalar path costs 4; a test ratchets the bound).
 func DecryptBatch(ipk *IdentityPrivateKey, ctxts [][]byte) ([][]byte, []bool) {
 	pre := ipk.pre
 	if pre == nil {
@@ -99,7 +98,7 @@ func DecryptBatch(ipk *IdentityPrivateKey, ctxts [][]byte) ([][]byte, []bool) {
 		s.h.Write(s.gtBuf)
 		s.keyBuf = s.h.Sum(s.keyBuf[:0])
 		plen := len(ctxts[i]) - Overhead
-		msg, ok := gcmOpen(s.keyBuf, arena[off:off:off+plen], ctxts[i][uSize:], &s.gcm)
+		msg, ok := aead.Open(arena[off:off:off+plen], (*[aead.KeySize]byte)(s.keyBuf), ctxts[i][uSize:])
 		if ok {
 			msgs[i], oks[i] = msg, true
 			off += plen

@@ -17,7 +17,9 @@
 //
 // The pairing is bn254's optimal ate pairing, the only one every client,
 // PKG and mixer uses, and the AEAD key is SHA-256 over a domain tag and the
-// marshalled pairing value.
+// marshalled pairing value. The AEAD is internal/aead's one-shot AES-GCM
+// (zero nonce, safe because the key is fresh per encryption), the same one
+// onion layers use, at one heap allocation per ciphertext.
 //
 // Which group holds what. The pairing is e: G1 × G2 → GT, and its ate
 // Miller loop is laddered over the G2 argument: with G2 fixed, its line
@@ -38,13 +40,12 @@
 package ibe
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/sha256"
 	"errors"
 	"io"
 	"math/big"
 
+	"alpenhorn/internal/aead"
 	"alpenhorn/internal/bn254"
 )
 
@@ -54,7 +55,7 @@ const identityDomain = "bf-ibe-identity"
 
 // Overhead is the ciphertext expansion in bytes: a marshalled G1 point plus
 // an AES-GCM tag.
-const Overhead = uSize + 16
+const Overhead = uSize + aead.Overhead
 
 // uSize is the size of the ciphertext element U, a marshalled G1 point.
 const uSize = 64
@@ -142,44 +143,12 @@ func AggregatePrivateKeys(keys ...*IdentityPrivateKey) *IdentityPrivateKey {
 var sealKeyPrefix = []byte("alpenhorn/ibe/seal-key-v2:")
 
 // sealKey derives the AEAD key from the pairing value.
-func sealKey(g *bn254.GT) []byte {
+func sealKey(g *bn254.GT) (key [aead.KeySize]byte) {
 	h := sha256.New()
 	h.Write(sealKeyPrefix)
 	h.Write(g.Marshal())
-	return h.Sum(nil)
-}
-
-// aeadSeal encrypts msg under key with a fixed nonce. The key is unique per
-// encryption (it is derived from a fresh pairing value), so a fixed nonce is
-// safe, mirroring NaCl's ephemeral-key box construction.
-func aeadSeal(key, msg []byte) []byte {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		panic("ibe: " + err.Error())
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		panic("ibe: " + err.Error())
-	}
-	nonce := make([]byte, gcm.NonceSize())
-	return gcm.Seal(nil, nonce, msg, nil)
-}
-
-func aeadOpen(key, box []byte) ([]byte, bool) {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		panic("ibe: " + err.Error())
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		panic("ibe: " + err.Error())
-	}
-	nonce := make([]byte, gcm.NonceSize())
-	msg, err := gcm.Open(nil, nonce, box, nil)
-	if err != nil {
-		return nil, false
-	}
-	return msg, true
+	h.Sum(key[:0])
+	return key
 }
 
 // Encrypt encrypts msg to the given identity under the (possibly aggregated)
@@ -197,9 +166,11 @@ func Encrypt(rand io.Reader, mpk *MasterPublicKey, identity string, msg []byte) 
 	rm := new(bn254.G1).ScalarMult(mpk.p, r)
 	g := bn254.AtePair(rm, q)
 
-	out := make([]byte, 0, len(msg)+Overhead)
-	out = append(out, u.Marshal()...)
-	out = append(out, aeadSeal(sealKey(g), msg)...)
+	out := make([]byte, len(msg)+Overhead)
+	copy(out, u.Marshal())
+	copy(out[uSize:], msg)
+	key := sealKey(g)
+	aead.Seal(&key, out[uSize:])
 	return out, nil
 }
 
@@ -213,7 +184,7 @@ func EncryptV2(rand io.Reader, mpk *MasterPublicKey, identity string, msg []byte
 // is malformed or was not encrypted to this key's identity — callers scan
 // whole mailboxes with exactly this check (Algorithm 1, step 4). It is the
 // scalar oracle for DecryptBatch: it unmarshals U through G1.Unmarshal and
-// opens through the stdlib AEAD, and differential tests pin DecryptBatch
+// pairs one ciphertext at a time, and differential tests pin DecryptBatch
 // against it element-wise.
 func Decrypt(ipk *IdentityPrivateKey, ctxt []byte) ([]byte, bool) {
 	if len(ctxt) < Overhead {
@@ -229,7 +200,8 @@ func Decrypt(ipk *IdentityPrivateKey, ctxt []byte) ([]byte, bool) {
 	} else {
 		g = bn254.AtePair(u, ipk.d)
 	}
-	return aeadOpen(sealKey(g), ctxt[uSize:])
+	key := sealKey(g)
+	return aead.Open(nil, &key, ctxt[uSize:])
 }
 
 // MasterPublicKeySize and IdentityPrivateKeySize are the marshalled sizes.

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"testing"
 
+	"alpenhorn/internal/aead"
 	"alpenhorn/internal/bn254"
 )
 
@@ -63,7 +64,9 @@ func TestEncryptFoldedExponentMatchesGTExp(t *testing.T) {
 	q := bn254.HashToG2("bf-ibe-identity", []byte("bob@example.org"))
 	g := bn254.AtePair(pub.p, q)
 	g.Exp(g, r)
-	want := append(u.Marshal(), aeadSeal(sealKey(g), msg)...)
+	want := append(append(u.Marshal(), msg...), make([]byte, aead.Overhead)...)
+	key := sealKey(g)
+	aead.Seal(&key, want[uSize:])
 
 	if !bytes.Equal(ctxt, want) {
 		t.Fatal("folded-exponent Encrypt changed ciphertext bytes")

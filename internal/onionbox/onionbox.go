@@ -3,6 +3,12 @@
 // that Alpenhorn clients apply to requests before submitting them to the
 // mixnet (Algorithm 1, step 3).
 //
+// Every box's AES-GCM is internal/aead's: a key used for one message, the
+// all-zero nonce, sealed in place and opened by appending, at one heap
+// allocation (the AES key schedule). What a box allocates beyond that is
+// crypto/ecdh's own, and the box Seal returns or the message Open does;
+// OpenAppend into a buffer with room allocates no message.
+//
 // Each layer uses a FRESH ephemeral sender key pair, so onions provide
 // forward secrecy: once a mixnet server rotates its round key, recorded
 // onions for that round become undecryptable.
@@ -28,7 +34,10 @@
 //
 // The secrets in this package are a box's ephemeral seed and what is
 // derived from it: the clamped scalar, its signed digits, the two product
-// points, the shared secret and the AEAD key.
+// points and the shared secret. The AEAD key hashed from the shared
+// secret goes to internal/aead, and what that derives from it (the AES key
+// schedule, the GHASH key, the keystream) follows that package's timing
+// model: no secret-indexed table, and pooled scratch zeroed before reuse.
 //
 // Constant-time, with no branch and no memory index that depends on a
 // secret: digit recoding (recode); table lookup, which reads all eight
@@ -58,17 +67,17 @@
 package onionbox
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/sha256"
 	"errors"
 	"io"
+
+	"alpenhorn/internal/aead"
 )
 
 // Overhead is the per-layer size expansion: a 32-byte ephemeral public key
 // plus a 16-byte AEAD tag.
-const Overhead = 32 + 16
+const Overhead = 32 + aead.Overhead
 
 // PublicKey is an X25519 public key used to receive boxes.
 type PublicKey struct {
@@ -155,27 +164,13 @@ func deriveKey(shared, ephPub, recvPub []byte) [32]byte {
 	return sha256.Sum256(buf[:])
 }
 
-func newGCM(key []byte) cipher.AEAD {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		panic("onionbox: " + err.Error())
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		panic("onionbox: " + err.Error())
-	}
-	return gcm
-}
-
-// zeroNonce is every box's nonce: the key is fresh per box.
-var zeroNonce [12]byte
-
 // sealBody encrypts the message at box[32:len(box)−16] in place under the
 // key derived from shared and the two public keys; box[:32] already holds
-// the ephemeral one.
+// the ephemeral one. The key is fresh per box, which is what aead's fixed
+// nonce asks.
 func sealBody(box, shared, recvPub []byte) {
 	key := deriveKey(shared, box[:32], recvPub)
-	newGCM(key[:]).Seal(box[32:32], zeroNonce[:], box[32:len(box)-16], nil)
+	aead.Seal(&key, box[32:])
 }
 
 // Seal encrypts msg to the recipient with a fresh ephemeral key. The output
@@ -191,9 +186,9 @@ func Open(priv *PrivateKey, box []byte) ([]byte, error) {
 
 // OpenAppend decrypts a box sealed to priv's public key and appends the
 // message to dst, so that a batch of boxes can be opened into one buffer
-// (len(box)−Overhead bytes each). It never writes to box. On failure it
-// returns dst unchanged, though the bytes past len(dst), up to its
-// capacity, may have been overwritten.
+// (len(box)−Overhead bytes each); with room for the message, dst is not
+// reallocated. It never writes to box. On failure it returns dst
+// unchanged, with nothing written past len(dst).
 func OpenAppend(dst []byte, priv *PrivateKey, box []byte) ([]byte, error) {
 	if len(box) < Overhead {
 		return dst, errors.New("onionbox: box too short")
@@ -207,8 +202,8 @@ func OpenAppend(dst []byte, priv *PrivateKey, box []byte) ([]byte, error) {
 		return dst, err
 	}
 	key := deriveKey(shared, box[:32], priv.pub)
-	out, err := newGCM(key[:]).Open(dst, zeroNonce[:], box[32:], nil)
-	if err != nil {
+	out, ok := aead.Open(dst, &key, box[32:])
+	if !ok {
 		return dst, errors.New("onionbox: decryption failed")
 	}
 	return out, nil

@@ -2,7 +2,11 @@ package onionbox
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/ecdh"
 	"crypto/rand"
+	mathrand "math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -136,4 +140,66 @@ func TestSealOpenProperty(t *testing.T) {
 	if err := quick.Check(roundTrip, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// stdlibOpen opens a box the way the package did before internal/aead:
+// crypto/ecdh, the same key derivation, then crypto/cipher's AES-GCM with
+// the all-zero nonce. It is the oracle FuzzOpenAppend checks against.
+func stdlibOpen(priv *PrivateKey, box []byte) ([]byte, bool) {
+	if len(box) < Overhead {
+		return nil, false
+	}
+	eph, err := ecdh.X25519().NewPublicKey(box[:32])
+	if err != nil {
+		return nil, false
+	}
+	shared, err := priv.k.ECDH(eph)
+	if err != nil {
+		return nil, false
+	}
+	key := deriveKey(shared, box[:32], priv.pub)
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		panic(err)
+	}
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		panic(err)
+	}
+	msg, err := gcm.Open(nil, make([]byte, gcm.NonceSize()), box[32:], nil)
+	return msg, err == nil
+}
+
+// FuzzOpenAppend: a mixer opens whatever bytes arrive as an onion. Against
+// a real key, OpenAppend never panics, returns dst as it was on failure,
+// and opens exactly the boxes the standard library's route opens, to the
+// same message.
+func FuzzOpenAppend(f *testing.F) {
+	pub, priv, err := GenerateKey(mathrand.New(mathrand.NewSource(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, msg := range [][]byte{nil, []byte("a dial token"), make([]byte, 352)} {
+		box, err := Seal(rand.Reader, pub, msg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(box)
+		tampered := bytes.Clone(box)
+		tampered[len(box)-1] ^= 1
+		f.Add(tampered)
+	}
+	f.Add([]byte{})
+	f.Add(make([]byte, Overhead))
+	f.Fuzz(func(t *testing.T, box []byte) {
+		head := []byte("head")
+		got, err := OpenAppend(head[:len(head):len(head)], priv, box)
+		want, wantOK := stdlibOpen(priv, box)
+		if (err == nil) != wantOK {
+			t.Fatalf("OpenAppend error %v, standard library opens: %v", err, wantOK)
+		}
+		if !bytes.Equal(got, append(head, want...)) {
+			t.Fatalf("OpenAppend gave %x, standard library %x", got, want)
+		}
+	})
 }

@@ -15,6 +15,7 @@ import (
 
 	"alpenhorn/internal/mixnet"
 	"alpenhorn/internal/noise"
+	"alpenhorn/internal/wire"
 )
 
 // TestReadFrameRoundTrip pins the framing across the stepped-read
@@ -74,8 +75,8 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte(`{"method":"mix.info","params":{}}`))
 	f.Add([]byte{})
-	f.Add(encodeFrame([]byte(`{"method":"mix.stream.chunk"}`), [][]byte{[]byte("onion"), {}, []byte("x")}))
-	f.Add(encodeFrame(nil, [][]byte{{}}))
+	f.Add(encodeFrame(nil, []byte(`{"method":"mix.stream.chunk"}`), [][]byte{[]byte("onion"), {}, []byte("x")}))
+	f.Add(encodeFrame(nil, nil, [][]byte{{}}))
 	f.Add([]byte{dataFrame, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		env, bs, err := decodeFrame(payload)
@@ -90,7 +91,7 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("blob %d has capacity %d past its %d bytes", i, cap(b), len(b))
 			}
 		}
-		if again := encodeFrame(env, bs); !bytes.Equal(again, payload) {
+		if again := encodeFrame(nil, env, bs); !bytes.Equal(again, payload) {
 			t.Fatalf("frame %x re-encodes as %x", payload, again)
 		}
 	})
@@ -202,6 +203,75 @@ func TestControlFramesUnchanged(t *testing.T) {
 			t.Fatalf("control frame %q, want %q", payload, want)
 		}
 	}
+}
+
+// TestDataFrameSendAllocations: a mix.stream.chunk of 64 onions of 200 B,
+// sent over mem: to a peer that reads every frame into one reused buffer
+// and answers each with the same empty reply, allocates less on the
+// sending side than the 12,800 B of onions it carries — the frame is built
+// in a pooled buffer, not a fresh one per call.
+func TestDataFrameSendAllocations(t *testing.T) {
+	ln, err := listenMem("mem:")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	peerDone := make(chan struct{})
+	defer func() { <-peerDone }()
+	go func() {
+		defer close(peerDone)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var reply bytes.Buffer
+		writeFrame(&reply, []byte(`{}`))
+		buf := make([]byte, 1<<16)
+		for {
+			var hdr [4]byte
+			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+				return
+			}
+			n := binary.BigEndian.Uint32(hdr[:])
+			if n > uint32(len(buf)) {
+				return
+			}
+			if _, err := io.ReadFull(conn, buf[:n]); err != nil {
+				return
+			}
+			if _, err := conn.Write(reply.Bytes()); err != nil {
+				return
+			}
+		}
+	}()
+	c := Dial(ln.Addr().String())
+	defer c.Close()
+
+	chunk := chunkArgs{Service: wire.Dialing, Round: 1}
+	payload := 0
+	for i := 0; i < 64; i++ {
+		chunk.blobs = append(chunk.blobs, bytes.Repeat([]byte{byte(i)}, 200))
+		payload += 200
+	}
+	send := func() {
+		if err := c.CallOnce("mix.stream.chunk", chunk, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send() // dials, and leaves a frame buffer in the pool
+	const calls = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		send()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	if perCall >= uint64(payload) {
+		t.Fatalf("sending a chunk of %d B of onions allocates %d B", payload, perCall)
+	}
+	t.Logf("sending a chunk of %d B of onions allocates %d B", payload, perCall)
 }
 
 // raceEnabled is set by race_test.go in a -race build.

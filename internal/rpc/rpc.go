@@ -20,6 +20,11 @@
 // frontend.directory must parse for a peer of any generation, so that it
 // can name a peer serving the wrong ProtocolVersion.
 //
+// A sender builds a data frame in a pooled buffer (sendBufs) and takes it
+// back once the frame is written, so a stream of chunk calls reuses one
+// buffer instead of allocating a frame-sized one per call; a frame that
+// carried a round key is zeroed before its buffer goes back.
+//
 // The in-process server types (pkgserver.Server, mixnet.Server, ...) hold
 // all protocol logic; this package only moves their arguments across
 // machine boundaries. cmd/alpenhorn-pkg and friends register method
@@ -37,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -131,13 +137,14 @@ const dataFrame = 0x00
 var errBadFrame = errors.New("rpc: malformed data frame")
 
 // encodeFrame returns the payload of one frame: env itself when there are
-// no blobs, the data frame layout otherwise.
-func encodeFrame(env []byte, bs [][]byte) []byte {
+// no blobs, the data frame layout otherwise, built in dst's storage (grown
+// once if it is short).
+func encodeFrame(dst, env []byte, bs [][]byte) []byte {
 	if len(bs) == 0 {
 		return env
 	}
 	size := 1 + 4 + len(env) + 4 + 4*len(bs) + int(payloadBytes(bs))
-	out := append(make([]byte, 0, size), dataFrame)
+	out := append(slices.Grow(dst[:0], size), dataFrame)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(env)))
 	out = append(out, env...)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(bs)))
@@ -148,6 +155,41 @@ func encodeFrame(env []byte, bs [][]byte) []byte {
 		out = append(out, b...)
 	}
 	return out
+}
+
+// sendBufs recycles the storage of outgoing data frames: a call's request,
+// or a server's reply, that carries blobs. Every Write the transports make
+// has copied what it was handed when it returns — into the kernel over
+// TCP, into the reader's buffer over net.Pipe — so a frame's buffer goes
+// back to the pool once writeFrame has returned.
+var sendBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledFrame is the largest buffer sendBufs keeps. A chunk of onions
+// or a mailbox fits; a rarer, larger frame (a round replicated whole) is
+// left to the collector rather than held by the pool.
+const maxPooledFrame = 1 << 20
+
+// encodeSend returns the payload of a frame about to be sent for env and
+// the value v it carries: env itself when v has no blobs, else a data
+// frame built in a buffer from sendBufs, which it also returns, for
+// releaseSend once the frame is written.
+func encodeSend(env []byte, v any) ([]byte, *[]byte) {
+	b, ok := v.(blobSender)
+	if !ok || len(b.blobSection()) == 0 {
+		return env, nil
+	}
+	buf := sendBufs.Get().(*[]byte)
+	*buf = encodeFrame(*buf, env, b.blobSection())
+	return *buf, buf
+}
+
+// releaseSend hands a data frame's buffer from encodeSend back to
+// sendBufs; nil, a control frame's, is a no-op. Nothing may read or write
+// the frame afterwards.
+func releaseSend(buf *[]byte) {
+	if buf != nil && cap(*buf) <= maxPooledFrame {
+		sendBufs.Put(buf)
+	}
 }
 
 // decodeFrame splits a frame payload into its JSON envelope and its blobs:
@@ -365,14 +407,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if b, ok := result.(blobSender); ok && resp.Error == "" {
-			out = encodeFrame(out, b.blobSection())
+		var buf *[]byte
+		if resp.Error == "" {
+			out, buf = encodeSend(out, result)
 		}
 		err = writeFrame(conn, out)
 		if k, ok := result.(keyReply); ok {
 			clear(k.one())
 			clear(out)
 		}
+		releaseSend(buf)
 		if err != nil {
 			return
 		}
@@ -497,9 +541,8 @@ func (c *Client) call(ctx context.Context, method string, params any, result any
 	if err != nil {
 		return err
 	}
-	if b, ok := params.(blobSender); ok {
-		req = encodeFrame(req, b.blobSection())
-	}
+	req, buf := encodeSend(req, params)
+	defer releaseSend(buf)
 
 	c.countCall(method)
 	c.mu.Lock()
