@@ -31,8 +31,9 @@
 //
 //	alpenhorn-mixer -addr :7122 -position 1 -chain 3 -spare
 //
-// The daemon serves the one data plane: the coordinator assigns it a route
-// each round (mix.round.route) — its place in its position's shard group,
+// The daemon serves the one data plane: the coordinator opens each round on
+// it with one call (mix.round.open) — its place in its position's shard
+// group, the announcer to pull the round key from, the downstream keys,
 // and the next position's shard set — and the daemon pushes its output
 // straight to its group's lead and, as lead, to those successors; at the
 // end of the chain it builds its range of the round's mailboxes and

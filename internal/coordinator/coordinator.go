@@ -16,7 +16,7 @@
 // own mailbox-ID range, and publishes them straight to the CDN. The
 // coordinator streams its own entry server's batch to the FIRST position
 // (other frontends feed theirs themselves) and then exchanges control
-// messages — route announcements, completion waits, aborts. At paper scale
+// messages — round opens, completion waits, aborts. At paper scale
 // (~24k-request mailboxes, millions of onions) this keeps the coordinator
 // off the bandwidth-critical path entirely.
 //
@@ -24,24 +24,23 @@
 //
 // One chain position may be SHARDED across several daemons (Shards); an
 // unsharded position is a group of one. The coordinator plans the group
-// each round and announces it through the routes. Shard 0 of a group is its
-// ANNOUNCER: it generates and announces the position's one round key —
-// clients pin ITS signing key, so it is the one member the scheduler can
-// never substitute. The other members pull the key inside the group's
-// trust domain (the private key never crosses the coordinator), along a
-// two-step chain when the merge role is rotated: the round's lead pulls
-// from the announcer, everyone else pulls from the lead. Key export is
-// gated to the round's planned shard network — daemons refuse
-// mix.round.exportkey calls from hosts outside the peer list the
-// coordinator distributed with the layout.
+// each round and hands each member its place in it at open. Shard 0 of a
+// group is its ANNOUNCER: it generates and announces the position's one
+// round key — clients pin ITS signing key, so it is the one member the
+// scheduler can never substitute. Every other member pulls the key from
+// the announcer inside the group's trust domain (the private key never
+// crosses the coordinator). Key export is gated to the round's planned
+// shard network: the announcer refuses mix.round.exportkey calls from
+// hosts outside the peer list its mix.newround carried, and every other
+// daemon refuses them all.
 //
 // Every member learns its shard index and group size at round open
-// (SetRoundShard, before noise generation, because the group divides the
-// position's per-mailbox noise), and the routes give each merge server
-// the successor position's FULL shard set so it can deal its
-// post-shuffle chunks across them. Aborts fan out to every shard of
-// every position. Clients never see any of this: round settings carry
-// one key per position either way.
+// (before noise generation, because the group divides the position's
+// per-mailbox noise), and each merge server learns the successor
+// position's FULL shard set so it can deal its post-shuffle chunks
+// across them. Aborts fan out to every shard of every position. Clients
+// never see any of this: round settings carry one key per position
+// either way.
 //
 // # Self-healing rounds (schedule.go)
 //
@@ -72,21 +71,28 @@
 //
 // One add-friend round proceeds as:
 //
-//  1. every PKG announces a fresh signed IBE master key,
-//  2. every mixer announces a fresh signed onion key,
-//  3. the coordinator picks the mailbox count, assembles the signed
-//     RoundSettings, and opens the round at the entry server,
-//  4. clients submit onions (real or cover), extracting their identity
-//     keys from the PKGs as part of submission,
-//  5. the coordinator closes intake and runs the data plane; the last
-//     position's daemons publish the mailboxes to the CDN,
-//  6. mixers erase their round keys as soon as the chain finishes. PKG
+//  1. the scheduler probes every candidate daemon (mix.info) and fixes
+//     the round's plan: membership, merge leads, chunk size, deadline;
+//  2. every PKG announces a fresh signed IBE master key;
+//  3. every position's announcer announces a fresh signed onion key
+//     (mix.newround, which also installs its export allowlist);
+//  4. one parallel mix.round.open per planned daemon hands it
+//     everything else: its shard layout, the announcer to pull the key
+//     from, the downstream keys, the mailbox count and its route. The
+//     daemon starts its noise before it answers;
+//  5. the coordinator assembles the signed RoundSettings and opens the
+//     round at the entry servers; clients submit onions (real or cover),
+//     extracting their identity keys from the PKGs as part of submission;
+//  6. the coordinator closes intake and feeds the first position; the
+//     last position's daemons publish the mailboxes to the CDN;
+//  7. mixers erase their round keys as soon as the chain finishes. PKG
 //     master keys are erased concurrently with the mix: extraction
 //     happens strictly during the submission window, so once intake
 //     closes the master keys are dead weight and the erasures overlap
 //     the chain instead of serializing after publish.
 //
-// Dialing rounds are the same minus the PKG steps.
+// Dialing rounds are the same minus the PKG steps. An open that fails
+// at any step erases every key it created.
 package coordinator
 
 import (
@@ -101,8 +107,9 @@ import (
 	"alpenhorn/internal/wire"
 )
 
-// RouteSpec is wire.RouteSpec: one daemon's forwarding assignment for a
-// round — where its output goes and its place in its shard group.
+// RouteSpec is wire.RouteSpec: one daemon's whole assignment for a round,
+// sent at open — its place in its shard group, where it pulls the round
+// key from, and where its output goes.
 type RouteSpec = wire.RouteSpec
 
 // Mixer is the coordinator's view of one mixer daemon; *rpc.MixerClient
@@ -116,25 +123,16 @@ type Mixer interface {
 	Probe() error
 	NoiseMu(service wire.Service) float64
 
-	NewRound(service wire.Service, round uint32) (wire.MixerRoundKey, error)
-	// SetRoundShard places the daemon in the round's shard group for its
-	// position (shard index of count) and hands it the group's dial
-	// addresses: it serves the round key to those hosts only. Must
-	// precede PrepareNoise: the group divides the position's noise.
-	SetRoundShard(service wire.Service, round uint32, index, count int, peers []string) error
-	// ImportRoundKeyFrom makes the daemon pull the position's round
-	// onion key directly from a group member that holds it — the private
-	// key moves inside the group's trust domain, the coordinator only
-	// names the source.
-	ImportRoundKeyFrom(service wire.Service, round uint32, keyAddr string) error
-	SetDownstreamKeys(service wire.Service, round uint32, keys [][]byte) error
-	// PrepareNoise starts the daemon's noise generation as soon as the
-	// round's settings are fixed, concurrently with client intake.
-	PrepareNoise(service wire.Service, round uint32, numMailboxes uint32) error
-
-	// OpenRoute tells the daemon where the round's output goes and its
-	// shard-group placement.
-	OpenRoute(service wire.Service, round uint32, spec RouteSpec) error
+	// NewRound asks a position's announcer for its signed round onion
+	// key. peers is the group's planned shard network, the only hosts the
+	// announcer serves the round's private key to.
+	NewRound(service wire.Service, round uint32, peers []string) (wire.MixerRoundKey, error)
+	// OpenRound hands the daemon its whole assignment for the round. The
+	// daemon pulls the round key from spec.KeyAddr (members only; the
+	// private key moves inside the group's trust domain), takes its shard
+	// layout, downstream keys and route, and starts its noise generation
+	// so it runs concurrently with client intake.
+	OpenRound(service wire.Service, round uint32, spec RouteSpec) error
 	// StreamBegin, StreamChunk and StreamEnd feed the routed daemon its
 	// onions; the end names WHICH of the route's NumUpstream feeders
 	// finished, so the counted intake closes exactly once per feeder.
@@ -233,8 +231,9 @@ type Coordinator struct {
 	LatencySLO time.Duration
 
 	// RoundDeadline, when set, bounds each daemon's data-plane work per
-	// round (RouteSpec.DeadlineMs): peer-dial retries give up once it
-	// passes instead of burning the whole round against a dead peer.
+	// round (RouteSpec.DeadlineMs), counted from the daemon's first
+	// mix.stream.begin: peer-dial retries give up once it passes instead
+	// of burning the whole round against a dead peer.
 	RoundDeadline time.Duration
 
 	// HealthRing bounds how many recent rounds Status retains
@@ -461,56 +460,20 @@ func (c *Coordinator) announcePublished(service wire.Service, round uint32) {
 	}
 }
 
-// OpenAddFriendRound performs steps 1-3: key announcements and settings.
+// OpenAddFriendRound performs steps 1-5: key announcements and settings.
 func (c *Coordinator) OpenAddFriendRound(round uint32) (*wire.RoundSettings, error) {
-	settings := &wire.RoundSettings{
-		Service:      wire.AddFriend,
-		Round:        round,
-		NumMailboxes: c.numMailboxes(wire.AddFriend),
-	}
-	settings.PKGs = make([]wire.PKGRoundKey, len(c.PKGs))
-	err := fanOut(len(c.PKGs), func(i int) error {
-		rk, err := c.PKGs[i].NewRound(round)
-		if err != nil {
-			return fmt.Errorf("coordinator: PKG %d: %w", i, err)
-		}
-		settings.PKGs[i] = rk
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.openMixRound(settings); err != nil {
-		return nil, err
-	}
-	if err := c.announceOpen(settings); err != nil {
-		c.dropPlan(settings.Service, settings.Round)
-		return nil, err
-	}
-	return settings, nil
+	return c.openRound(wire.AddFriend, round)
+}
+
+// OpenDialingRound announces a dialing round.
+func (c *Coordinator) OpenDialingRound(round uint32) (*wire.RoundSettings, error) {
+	return c.openRound(wire.Dialing, round)
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.Logger != nil {
 		c.Logger.Printf(format, args...)
 	}
-}
-
-// OpenDialingRound announces a dialing round.
-func (c *Coordinator) OpenDialingRound(round uint32) (*wire.RoundSettings, error) {
-	settings := &wire.RoundSettings{
-		Service:      wire.Dialing,
-		Round:        round,
-		NumMailboxes: c.numMailboxes(wire.Dialing),
-	}
-	if err := c.openMixRound(settings); err != nil {
-		return nil, err
-	}
-	if err := c.announceOpen(settings); err != nil {
-		c.dropPlan(settings.Service, settings.Round)
-		return nil, err
-	}
-	return settings, nil
 }
 
 // shardGroup returns position i's CONFIGURED shard set: Mixers[i] (the
@@ -524,31 +487,71 @@ func (c *Coordinator) shardGroup(i int) []Mixer {
 	return group
 }
 
-func (c *Coordinator) openMixRound(settings *wire.RoundSettings) (err error) {
+func (c *Coordinator) openRound(service wire.Service, round uint32) (_ *wire.RoundSettings, err error) {
 	if len(c.Mixers) == 0 || c.CDNAddr == "" {
-		return fmt.Errorf("coordinator: a round needs at least one mixer and a CDN publish address")
+		return nil, fmt.Errorf("coordinator: a round needs at least one mixer and a CDN publish address")
+	}
+	settings := &wire.RoundSettings{
+		Service:      service,
+		Round:        round,
+		NumMailboxes: c.numMailboxes(service),
 	}
 	// The scheduler plans the round FIRST: it probes every candidate,
 	// drafts spares into benched slots, and picks the merge-role
 	// rotation, so a daemon killed between rounds is caught here rather
 	// than burning the round mid-chain. The plan is fixed for the
 	// round's whole life — CloseRound reuses it verbatim.
-	plan := c.planRound(settings.Service, settings.Round)
+	plan := c.planRound(service, round)
 	defer func() {
 		if err != nil {
-			c.dropPlan(settings.Service, settings.Round)
+			// A round that never opens must not leave keys behind: the
+			// announcers' onion keys, the PKGs' master keys, and whatever
+			// routes and noise the opens that succeeded installed.
+			c.closeMixerRounds(service, round, plan)
+			if service == wire.AddFriend {
+				c.FinishAddFriendRound(round)
+			}
+			c.dropPlan(service, round)
 		}
 	}()
+	if service == wire.AddFriend {
+		settings.PKGs = make([]wire.PKGRoundKey, len(c.PKGs))
+		err := fanOut(len(c.PKGs), func(i int) error {
+			rk, err := c.PKGs[i].NewRound(round)
+			if err != nil {
+				return fmt.Errorf("coordinator: PKG %d: %w", i, err)
+			}
+			settings.PKGs[i] = rk
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	if err := c.openMixRound(settings, plan); err != nil {
+		return nil, err
+	}
+	if err := c.announceOpen(settings); err != nil {
+		return nil, err
+	}
+	return settings, nil
+}
+
+// openMixRound has the announcers announce the round keys, then opens the
+// round on every planned daemon at once.
+func (c *Coordinator) openMixRound(settings *wire.RoundSettings, plan *roundPlan) error {
+	service, round := settings.Service, settings.Round
 	// The position ANNOUNCERS announce the round keys: clients wrap one
 	// onion layer per position, so a shard group shares one key,
 	// generated by its announcer (slot 0, whose signing key clients pin)
 	// and announced once. The settings are identical whether or not any
 	// position is sharded — sharding, spares, and rotation are all
-	// invisible to clients.
+	// invisible to clients. Each announcer installs its group's export
+	// allowlist before it answers, so no member's open can race it.
 	keys := make([][]byte, len(c.Mixers))
 	settings.Mixers = make([]wire.MixerRoundKey, len(c.Mixers))
-	err = fanOut(len(c.Mixers), func(i int) error {
-		rk, err := c.Mixers[i].NewRound(settings.Service, settings.Round)
+	err := fanOut(len(c.Mixers), func(i int) error {
+		rk, err := c.Mixers[i].NewRound(service, round, plan.peers[i])
 		if err != nil {
 			return fmt.Errorf("coordinator: mixer %d: %w", i, err)
 		}
@@ -559,91 +562,66 @@ func (c *Coordinator) openMixRound(settings *wire.RoundSettings) (err error) {
 	if err != nil {
 		return err
 	}
-	if err := c.openShardGroups(settings.Service, settings.Round, plan); err != nil {
-		return err
-	}
-	// Every shard of every position needs the onion keys of the
-	// POSITIONS after it to wrap its noise; with the keys distributed,
-	// every server can generate its round noise concurrently with client
-	// intake, so the mix never waits for it.
-	return fanOut(len(c.Mixers), func(i int) error {
+	// One call per daemon, all at once: every member learns its shard
+	// index and group size, non-lead shards their group's lead address,
+	// and each lead the successor position's FULL shard set — or, for the
+	// last position, its own group's address list, across which it deals
+	// the post-shuffle batch by mailbox ID so that every member builds and
+	// publishes its own slice. The lead role lands on the plan's rotated
+	// lead — a role, not a machine; the key-derived permutation makes the
+	// round's output independent of which member hosts it. Every shard of
+	// every position also gets the onion keys of the POSITIONS after it
+	// to wrap its noise, so every server generates its round noise
+	// concurrently with client intake and the mix never waits for it.
+	last := len(plan.groups) - 1
+	return fanOut(len(plan.groups), func(i int) error {
 		group := plan.group(i)
-		return fanOut(len(group), func(s int) error {
-			m := group[s]
-			if err := m.SetDownstreamKeys(settings.Service, settings.Round, keys[i+1:]); err != nil {
-				return fmt.Errorf("coordinator: mixer %d/%d downstream keys: %w", i, s, err)
-			}
-			if err := m.PrepareNoise(settings.Service, settings.Round, settings.NumMailboxes); err != nil {
-				return fmt.Errorf("coordinator: mixer %d/%d prepare noise: %w", i, s, err)
-			}
-			return nil
-		})
-	})
-}
-
-// openShardGroups prepares every multi-member position for the round: the
-// group members pull the announcer's round key (one key per position —
-// shards are one logical server), and every member learns its shard
-// index, group size, and the round's shard network so its noise share
-// divides correctly and its key-export surface is gated to the planned
-// group. Runs strictly before PrepareNoise.
-//
-// The key moves along a two-step chain when the merge-lead role is
-// rotated away from the announcer: the LEAD pulls it from the announcer
-// first, then the remaining members pull from the lead — "key export
-// from whichever shard is lead this round". Ordering matters twice
-// over: a member's import opens its round (so its layout call must
-// follow its import), and a daemon's exportkey allowlist must be
-// installed before any peer pulls from it (so the announcer's layout
-// call comes first of all, and the lead's precedes the other members').
-func (c *Coordinator) openShardGroups(service wire.Service, round uint32, plan *roundPlan) error {
-	return fanOut(len(c.Mixers), func(i int) error {
-		group := plan.group(i)
-		if len(group) == 1 {
-			// A group of one has nobody to share a key with and no noise
-			// to divide: the daemon's round opens as shard 0 of 1.
-			return nil
-		}
-		peers := plan.peers[i]
-		setShard := func(s int) error {
-			if err := group[s].SetRoundShard(service, round, s, len(group), peers); err != nil {
-				return fmt.Errorf("coordinator: position %d shard %d layout: %w", i, s, err)
-			}
-			return nil
-		}
-		// The announcer owns the round key, so its layout (and with it
-		// the export allowlist) installs before anyone pulls.
-		if err := setShard(0); err != nil {
-			return err
-		}
 		li := plan.lead(i)
-		keyAddr := group[0].Addr()
-		if li != 0 {
-			if err := group[li].ImportRoundKeyFrom(service, round, keyAddr); err != nil {
-				return fmt.Errorf("coordinator: position %d lead %d importing round key: %w", i, li, err)
-			}
-			if err := setShard(li); err != nil {
-				return err
-			}
-			keyAddr = group[li].Addr()
-		}
-		// The remaining members are independent of one another (only
-		// import-before-layout matters, per member), so they fan out
-		// like every other daemon RPC.
 		return fanOut(len(group), func(s int) error {
-			if s == 0 || s == li {
-				return nil
+			spec := RouteSpec{
+				NumMailboxes:   settings.NumMailboxes,
+				ChunkSize:      plan.chunkSize,
+				DownstreamKeys: keys[i+1:],
+				ShardIndex:     s,
+				ShardCount:     len(group),
+				NumUpstream:    1,
+				DeadlineMs:     plan.deadlineMs,
 			}
-			if err := group[s].ImportRoundKeyFrom(service, round, keyAddr); err != nil {
-				return fmt.Errorf("coordinator: position %d shard %d importing round key: %w", i, s, err)
+			if s != 0 {
+				spec.KeyAddr = group[0].Addr()
 			}
-			return setShard(s)
+			if i == 0 {
+				// Position 0 is fed by every frontend: its intake stays
+				// open until all of them have sent their upstream-tagged
+				// end.
+				spec.NumUpstream = 1 + len(c.Frontends)
+			}
+			if i == last {
+				// Every member of the last group publishes its own
+				// mailbox-ID slice.
+				spec.CDNAddr = c.CDNAddr
+			}
+			switch {
+			case s != li:
+				spec.MergeAddr = group[li].Addr()
+			case i == last:
+				// BuildShards stays in shard order — members identify
+				// themselves by their own shard index.
+				spec.BuildShards = addrs(group)
+			default:
+				spec.Successors = addrs(plan.group(i + 1))
+			}
+			if err := group[s].OpenRound(service, round, spec); err != nil {
+				return fmt.Errorf("coordinator: opening mixer %d/%d: %w", i, s, err)
+			}
+			return nil
 		})
 	})
 }
 
-// CloseRound performs steps 5-6 for either service: close intake, run the
-// data plane, and erase round keys.
+// CloseRound performs steps 6-7 for either service: close intake, run the
+// data plane, and erase round keys. Only a round this coordinator opened
+// can close: its daemons were routed at open.
 //
 // For add-friend rounds the PKG master keys are erased CONCURRENTLY with
 // the mix chain: clients extract identity keys strictly while submitting,
@@ -666,6 +644,9 @@ func (c *Coordinator) CloseRound(service wire.Service, round uint32) (map[uint32
 	// The round runs with the plan captured at open — membership, merge
 	// rotation, chunk size, and deadline are fixed for the round's life.
 	plan := c.planFor(service, round)
+	if plan == nil {
+		return nil, fmt.Errorf("coordinator: round %d (%s) was not opened by this coordinator", round, service)
+	}
 	defer c.dropPlan(service, round)
 	batch, err := c.Entry.CloseRound(service, round)
 	if err != nil {
@@ -750,28 +731,17 @@ func addrs(group []Mixer) []string {
 	return out
 }
 
-// runRound drives the data plane: open a route on every daemon (back to
-// front, so each successor is routed before its predecessor could
-// possibly forward), deal the entry batch across the first position's
-// shard set, then wait on every daemon's completion. Routes announce the
-// shard topology per position: every member learns its shard index and
-// group size, non-lead shards learn their group's lead address, and each
-// lead learns the successor position's FULL shard set — or, for the last
-// position, the CDN address and its own group's address list, across
-// which it deals the post-shuffle batch by mailbox ID so that every
-// member builds and publishes its own slice. The lead role lands on the
-// plan's rotated lead — a role, not a machine; the key-derived
-// permutation makes the round's output independent of which member hosts
-// it. On the first failure the round is aborted on every shard of every
-// position — daemons also propagate aborts down the chain and across
-// their groups themselves, so a mid-chain death cannot wedge its
-// successors.
+// runRound drives the data plane: every daemon was routed at open, so it
+// deals the entry batch across the first position's shard set, then
+// waits on every daemon's completion. On the first failure the round is
+// aborted on every shard of every position — daemons also propagate
+// aborts down the chain and across their groups themselves, so a
+// mid-chain death cannot wedge its successors.
 //
 // The returned per-daemon stats (from mix.round.wait) feed the round
 // health record even when the round fails.
 func (c *Coordinator) runRound(service wire.Service, round uint32, numMailboxes uint32, batch [][]byte, plan *roundPlan) ([]DaemonRoundStats, error) {
 	chunkSize := plan.chunkSize
-	numUpstream := 1 + len(c.Frontends)
 	var all []routedDaemon
 	for i, group := range plan.groups {
 		for s, m := range group {
@@ -782,54 +752,6 @@ func (c *Coordinator) runRound(service wire.Service, round uint32, numMailboxes 
 		_ = fanOut(len(all), func(i int) error {
 			return all[i].m.AbortRound(service, round, reason.Error())
 		})
-	}
-
-	last := len(plan.groups) - 1
-	for i := last; i >= 0; i-- {
-		group := plan.group(i)
-		// Positions are routed back-to-front (a successor must be routed
-		// before its predecessor could forward), but the shards WITHIN a
-		// position are independent and fan out.
-		li := plan.lead(i)
-		err := fanOut(len(group), func(s int) error {
-			spec := RouteSpec{
-				NumMailboxes: numMailboxes,
-				ChunkSize:    chunkSize,
-				ShardIndex:   s,
-				ShardCount:   len(group),
-				NumUpstream:  1,
-				DeadlineMs:   plan.deadlineMs,
-			}
-			if i == 0 {
-				// Position 0 is fed by every frontend: its intake stays
-				// open until all of them have sent their upstream-tagged
-				// end.
-				spec.NumUpstream = numUpstream
-			}
-			if i == last {
-				// Every member of the last group publishes its own
-				// mailbox-ID slice.
-				spec.CDNAddr = c.CDNAddr
-			}
-			switch {
-			case s != li:
-				spec.MergeAddr = group[li].Addr()
-			case i == last:
-				// BuildShards stays in shard order — members identify
-				// themselves by their own shard index.
-				spec.BuildShards = addrs(group)
-			default:
-				spec.Successors = addrs(plan.group(i + 1))
-			}
-			if err := group[s].OpenRoute(service, round, spec); err != nil {
-				return fmt.Errorf("coordinator: routing mixer %d/%d: %w", i, s, err)
-			}
-			return nil
-		})
-		if err != nil {
-			abortAll(err)
-			return nil, err
-		}
 	}
 
 	// Frontend 0's batch is the one payload this process still moves: the

@@ -22,6 +22,7 @@ import (
 type testCoordinator struct {
 	*Coordinator
 	servers []*mixnet.Server
+	daemons []*rpc.MixerDaemon
 	store   *cdn.Store
 }
 
@@ -37,7 +38,7 @@ func listenMem(t *testing.T, srv *rpc.Server) string {
 }
 
 // startMixer serves one unpinned mixer daemon (µ = 1 per mailbox, b = 0).
-func startMixer(t *testing.T, position, chain int) (*mixnet.Server, *rpc.MixerClient) {
+func startMixer(t *testing.T, position, chain int) (*mixnet.Server, *rpc.MixerDaemon, *rpc.MixerClient) {
 	t.Helper()
 	nz := noise.Laplace{Mu: 1, B: 0}
 	m, err := mixnet.New(mixnet.Config{
@@ -48,12 +49,12 @@ func startMixer(t *testing.T, position, chain int) (*mixnet.Server, *rpc.MixerCl
 		t.Fatal(err)
 	}
 	srv := rpc.NewServer()
-	rpc.RegisterMixer(srv, m)
+	d := rpc.RegisterMixer(srv, m)
 	mc, err := rpc.DialMixer(listenMem(t, srv))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, mc
+	return m, d, mc
 }
 
 func newTestCoordinator(t *testing.T, numMixers, numPKGs int) *testCoordinator {
@@ -71,8 +72,9 @@ func newTestCoordinator(t *testing.T, numMixers, numPKGs int) *testCoordinator {
 		c.PKGs = append(c.PKGs, p)
 	}
 	for i := 0; i < numMixers; i++ {
-		m, mc := startMixer(t, i, numMixers)
+		m, d, mc := startMixer(t, i, numMixers)
 		c.servers = append(c.servers, m)
+		c.daemons = append(c.daemons, d)
 		c.Mixers = append(c.Mixers, mc)
 	}
 	cdnSrv := rpc.NewServer()
@@ -326,7 +328,7 @@ func TestVolumeTrackingAcrossRounds(t *testing.T) {
 // instead of taking submissions for a round that cannot close.
 func TestShardedConfigRequiresCapableFleet(t *testing.T) {
 	c := newTestCoordinator(t, 2, 1)
-	_, extra := startMixer(t, 0, 2)
+	_, _, extra := startMixer(t, 0, 2)
 	c.Shards = [][]Mixer{{extra}, nil}
 	if _, err := c.OpenDialingRound(1); err == nil {
 		t.Fatal("sharded round opened over daemons with no group key-exchange surface")
@@ -335,5 +337,33 @@ func TestShardedConfigRequiresCapableFleet(t *testing.T) {
 	c.CDNAddr = ""
 	if _, err := c.OpenDialingRound(2); err == nil {
 		t.Fatal("round opened with no CDN publish address")
+	}
+}
+
+// TestFailedOpenErasesRound: an add-friend open that fails part-way —
+// the shard member cannot import the round key, after the announcers
+// have made theirs and the other daemons have opened — leaves nothing
+// behind: no mixer keeps a round key or a route, and no PKG keeps its
+// master key.
+func TestFailedOpenErasesRound(t *testing.T) {
+	c := newTestCoordinator(t, 2, 2)
+	m, d, extra := startMixer(t, 0, 2)
+	c.Shards = [][]Mixer{{extra}, nil}
+	if _, err := c.OpenAddFriendRound(1); err == nil {
+		t.Fatal("sharded round opened over daemons with no group key-exchange surface")
+	}
+	servers, daemons := append(c.servers, m), append(c.daemons, d)
+	for i, m := range servers {
+		if m.RoundOpen(wire.AddFriend, 1) {
+			t.Errorf("mixer %d keeps the failed round's key", i)
+		}
+		if n := daemons[i].PendingRoutes(); n != 0 {
+			t.Errorf("mixer %d keeps %d routes of the failed round", i, n)
+		}
+	}
+	for i, p := range c.PKGs {
+		if p.(*pkgserver.Server).RoundOpen(1) {
+			t.Errorf("PKG %d keeps the failed round's master key", i)
+		}
 	}
 }

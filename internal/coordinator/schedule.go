@@ -111,7 +111,7 @@ type roundPlan struct {
 	// group of one).
 	leads []int
 	// peers is each position's shard network — the members' dial
-	// addresses — distributed with the layout so daemons can gate
+	// addresses — sent to the announcer with mix.newround so it can gate
 	// mix.round.exportkey to the planned group.
 	peers [][]string
 	// chunkSize / deadlineMs are the round's data-plane parameters.
@@ -465,23 +465,12 @@ func (c *Coordinator) draftSpare(pos int, plan *roundPlan) Mixer {
 	return nil
 }
 
-// plan returns the stored plan for (service, round), or a trivial plan
-// over the configured groups for drivers that close rounds this
-// coordinator never opened.
+// planFor returns the plan captured when (service, round) opened, or nil
+// for a round this coordinator did not open.
 func (c *Coordinator) planFor(service wire.Service, round uint32) *roundPlan {
 	c.mu.Lock()
-	p := c.plans[planKey{service, round}]
-	c.mu.Unlock()
-	if p != nil {
-		return p
-	}
-	p = &roundPlan{chunkSize: c.baseChunk()}
-	for i := range c.Mixers {
-		p.groups = append(p.groups, c.shardGroup(i))
-		p.leads = append(p.leads, 0)
-		p.peers = append(p.peers, nil)
-	}
-	return p
+	defer c.mu.Unlock()
+	return c.plans[planKey{service, round}]
 }
 
 // dropPlan forgets (service, round)'s plan and releases its drafted

@@ -18,17 +18,13 @@ type stubMixer struct {
 
 func (m *stubMixer) Addr() string                 { return m.addr }
 func (m *stubMixer) NoiseMu(wire.Service) float64 { return 0 }
-func (m *stubMixer) NewRound(wire.Service, uint32) (wire.MixerRoundKey, error) {
+func (m *stubMixer) NewRound(wire.Service, uint32, []string) (wire.MixerRoundKey, error) {
 	return wire.MixerRoundKey{}, nil
 }
-func (m *stubMixer) SetRoundShard(wire.Service, uint32, int, int, []string) error { return nil }
-func (m *stubMixer) ImportRoundKeyFrom(wire.Service, uint32, string) error        { return nil }
-func (m *stubMixer) SetDownstreamKeys(wire.Service, uint32, [][]byte) error       { return nil }
-func (m *stubMixer) PrepareNoise(wire.Service, uint32, uint32) error              { return nil }
-func (m *stubMixer) OpenRoute(wire.Service, uint32, RouteSpec) error              { return nil }
-func (m *stubMixer) StreamBegin(wire.Service, uint32, uint32) error               { return nil }
-func (m *stubMixer) StreamChunk(wire.Service, uint32, [][]byte) error             { return nil }
-func (m *stubMixer) StreamEnd(wire.Service, uint32, int) error                    { return nil }
+func (m *stubMixer) OpenRound(wire.Service, uint32, RouteSpec) error  { return nil }
+func (m *stubMixer) StreamBegin(wire.Service, uint32, uint32) error   { return nil }
+func (m *stubMixer) StreamChunk(wire.Service, uint32, [][]byte) error { return nil }
+func (m *stubMixer) StreamEnd(wire.Service, uint32, int) error        { return nil }
 func (m *stubMixer) WaitRound(wire.Service, uint32) (wire.MixerRoundStats, error) {
 	return wire.MixerRoundStats{}, nil
 }
@@ -142,9 +138,9 @@ func TestLeadRotation(t *testing.T) {
 	}
 	c.dropPlan(wire.Dialing, 5)
 
-	// Fallback plans (rounds never opened here) pin the lead too.
-	if got := c.planFor(wire.Dialing, 99).lead(0); got != 0 {
-		t.Errorf("fallback plan: lead %d, want 0", got)
+	// A round never opened here has no plan (and so no routes to close).
+	if c.planFor(wire.Dialing, 99) != nil {
+		t.Error("a round never opened here has a plan")
 	}
 }
 

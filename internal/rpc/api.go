@@ -201,12 +201,6 @@ type MixerInfo struct {
 	Spare bool `json:"spare,omitempty"`
 }
 
-type downstreamArgs struct {
-	Service wire.Service `json:"service"`
-	Round   uint32       `json:"round"`
-	Keys    [][]byte     `json:"keys"`
-}
-
 type mixArgs struct {
 	Service      wire.Service `json:"service"`
 	Round        uint32       `json:"round"`
@@ -289,31 +283,22 @@ func (m *MixerClient) CallCount(method string) uint64 {
 	return n
 }
 
-// NewRound asks the daemon for its signed round onion key.
-func (m *MixerClient) NewRound(service wire.Service, round uint32) (wire.MixerRoundKey, error) {
+// NewRound asks a position's announcer for its signed round onion key.
+// peers is the round's shard network: the dial addresses of every member
+// the coordinator placed in the group (spares included). The daemon serves
+// the round key over mix.round.exportkey to those hosts only, so a drafted
+// spare or a member can pull it but a stray caller cannot.
+func (m *MixerClient) NewRound(service wire.Service, round uint32, peers []string) (wire.MixerRoundKey, error) {
 	var rk wire.MixerRoundKey
-	err := m.c.Call("mix.newround", roundArgs{Service: service, Round: round}, &rk)
+	err := m.c.Call("mix.newround", newRoundArgs{Service: service, Round: round, Peers: peers}, &rk)
 	return rk, err
 }
 
-// SetDownstreamKeys hands the daemon the onion keys of the positions after
-// its own, which it needs to wrap its noise.
-func (m *MixerClient) SetDownstreamKeys(service wire.Service, round uint32, keys [][]byte) error {
-	return m.c.Call("mix.setdownstream", downstreamArgs{Service: service, Round: round, Keys: keys}, nil)
-}
-
-// SetRoundShard makes the daemon shard `index` of `count` jointly serving
-// its chain position this round. Must precede PrepareNoise — the group
-// divides the position's noise. peers is the round's shard network: the
-// dial addresses of every member the coordinator placed in the group
-// (spares included). The daemon refuses mix.round.exportkey calls from any
-// other host for the round, so a drafted spare or rotated lead can pull
-// the round key but a stray caller cannot.
-func (m *MixerClient) SetRoundShard(service wire.Service, round uint32, index, count int, peers []string) error {
-	return m.c.Call("mix.round.shard", shardArgs{
-		Service: service, Round: round, ShardIndex: index, ShardCount: count,
-		Peers: peers,
-	}, nil)
+// OpenRound sends the daemon its whole assignment for the round
+// (mix.round.open): it pulls the round key from spec.KeyAddr, takes its
+// shard layout, downstream keys and route, and starts its noise.
+func (m *MixerClient) OpenRound(service wire.Service, round uint32, spec wire.RouteSpec) error {
+	return m.c.Call("mix.round.open", openArgs{Service: service, Round: round, RouteSpec: spec}, nil)
 }
 
 // ProbeTimeout bounds Probe's health check against an unresponsive daemon.
@@ -330,30 +315,6 @@ func (m *MixerClient) Probe() error {
 	defer cancel()
 	var info MixerInfo
 	return m.c.CallContext(ctx, "mix.info", struct{}{}, &info)
-}
-
-// ImportRoundKeyFrom makes the daemon dial the shard group's key holder
-// directly and install the position's round onion key. The private key
-// moves server-to-server inside the group's trust domain; the coordinator
-// only names the source.
-func (m *MixerClient) ImportRoundKeyFrom(service wire.Service, round uint32, leadAddr string) error {
-	return m.c.Call("mix.round.importkey", importKeyArgs{
-		Service: service, Round: round, LeadAddr: leadAddr,
-	}, nil)
-}
-
-// OpenRoute tells the daemon where this round's post-shuffle output goes —
-// the successor position's shard set, or the CDN's publish address for the
-// last position — and its own shard-group placement.
-func (m *MixerClient) OpenRoute(service wire.Service, round uint32, spec wire.RouteSpec) error {
-	return m.c.Call("mix.round.route", routeArgs{
-		Service: service, Round: round,
-		NumMailboxes: spec.NumMailboxes, ChunkSize: spec.ChunkSize,
-		Successors: spec.Successors, CDNAddr: spec.CDNAddr,
-		ShardIndex: spec.ShardIndex, ShardCount: spec.ShardCount,
-		MergeAddr: spec.MergeAddr, NumUpstream: spec.NumUpstream,
-		BuildShards: spec.BuildShards, DeadlineMs: spec.DeadlineMs,
-	}, nil)
 }
 
 // WaitRound blocks until the daemon's data-plane role in the round
@@ -405,12 +366,6 @@ func (m *MixerClient) WaitRound(service wire.Service, round uint32) (wire.MixerR
 // successors and its group.
 func (m *MixerClient) AbortRound(service wire.Service, round uint32, reason string) error {
 	return m.c.Call("mix.round.abort", abortArgs{Service: service, Round: round, Reason: reason}, nil)
-}
-
-// PrepareNoise makes the daemon start generating round noise in the
-// background as soon as settings are fixed.
-func (m *MixerClient) PrepareNoise(service wire.Service, round uint32, numMailboxes uint32) error {
-	return m.c.Call("mix.preparenoise", mixArgs{Service: service, Round: round, NumMailboxes: numMailboxes}, nil)
 }
 
 // StreamBegin opens (or joins) the routed round's onion intake. The
@@ -468,7 +423,9 @@ func (m *MixerClient) NoiseMu(service wire.Service) float64 {
 // groups: master public keys and ciphertext elements in G1, identity keys
 // in G2, so every round key, identity key and sealed request changes size;
 // and a dialing mailbox's Bloom filter sets different bits for a token.
-const ProtocolVersion = 4
+// Version 5 opens a mixer's round with one mix.round.open, and
+// mix.newround carries the announcer's export allowlist.
+const ProtocolVersion = 5
 
 // ErrProtocolMismatch is returned (wrapped, naming both versions) by
 // FrontendClient.Directory, DialMixer and PKGClient.Info when the peer

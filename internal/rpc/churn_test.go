@@ -222,10 +222,11 @@ func TestMergeRotationDeterminism(t *testing.T) {
 }
 
 // TestExportKeyPeerGate pins the shard-network gate on the round-key
-// export surface: once the coordinator distributes a peer allowlist with
-// the round's shard layout, mix.round.exportkey refuses callers from
-// outside it, and an updated allowlist (or none at all — the legacy
-// open behavior) restores service.
+// export surface: mix.round.exportkey serves a round only to hosts in the
+// allowlist the round's mix.newround carried. A round with no allowlist
+// (every member but the announcer) exports to nobody, one naming only
+// other hosts refuses the caller, and re-announcing the round with the
+// caller's host admitted restores service.
 func TestExportKeyPeerGate(t *testing.T) {
 	nz := noise.Laplace{Mu: 0, B: 0}
 	m, err := mixnet.New(mixnet.Config{
@@ -247,7 +248,7 @@ func TestExportKeyPeerGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mc.NewRound(wire.Dialing, 1); err != nil {
+	if _, err := mc.NewRound(wire.Dialing, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -258,19 +259,19 @@ func TestExportKeyPeerGate(t *testing.T) {
 	raw := rpc.Dial(addr)
 	defer raw.Close()
 
-	// No allowlist yet: the legacy open behavior — any caller may pull.
-	if err := raw.Call("mix.round.exportkey", exportArgs, new(wire.MixerRoundKey)); err != nil {
-		t.Fatalf("ungated export: %v", err)
+	// No allowlist: nobody may pull.
+	if err := raw.Call("mix.round.exportkey", exportArgs, new(wire.MixerRoundKey)); err == nil {
+		t.Fatal("export from a round with no allowlist succeeded")
 	}
 	// An allowlist naming only a foreign host locks this caller out.
-	if err := mc.SetRoundShard(wire.Dialing, 1, 0, 2, []string{"203.0.113.1:9000"}); err != nil {
+	if _, err := mc.NewRound(wire.Dialing, 1, []string{"203.0.113.1:9000"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := raw.Call("mix.round.exportkey", exportArgs, new(wire.MixerRoundKey)); err == nil {
 		t.Fatal("export from outside the shard network succeeded")
 	}
 	// Re-planning the round with the caller's host admitted restores it.
-	if err := mc.SetRoundShard(wire.Dialing, 1, 0, 2, []string{"127.0.0.1:9000"}); err != nil {
+	if _, err := mc.NewRound(wire.Dialing, 1, []string{"127.0.0.1:9000"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := raw.Call("mix.round.exportkey", exportArgs, new(wire.MixerRoundKey)); err != nil {

@@ -19,14 +19,15 @@ import (
 // This file is the daemon side of the mixnet data plane. There is one way
 // a round runs:
 //
-// Before the batch arrives, the coordinator opens a ROUTE on every daemon
-// (mix.round.route). A chain position is served by a SHARD GROUP of N >= 1
-// daemons, and the route gives a daemon its shard index, the group size,
-// and its role. One member is the group's merge LEAD this round; its route
-// carries where the position's output goes — the next position's full
-// shard set, or, for the last position, the CDN's publish address and the
-// group's own address list for the sharded mailbox build. Every other
-// member's route names the lead (MergeAddr).
+// Before the batch arrives, the coordinator opens the round on every
+// daemon with one call (mix.round.open), which installs the daemon's
+// ROUTE. A chain position is served by a SHARD GROUP of N >= 1 daemons,
+// and the route gives a daemon its shard index, the group size, and its
+// role. One member is the group's merge LEAD this round; its route carries
+// where the position's output goes — the next position's full shard set,
+// or, for the last position, the CDN's publish address and the group's
+// own address list for the sharded mailbox build. Every other member's
+// route names the lead (MergeAddr).
 //
 // Onions stream in over mix.stream.begin/chunk/end. Fan-in is counted: a
 // daemon's intake closes exactly once, when an end-of-stream has arrived
@@ -55,11 +56,11 @@ type outKey struct {
 }
 
 // route is one round's forwarding assignment on a daemon, created by
-// mix.round.route and resolved exactly once (completion or abort).
+// mix.round.open and resolved exactly once (completion or abort).
 type route struct {
 	// The assignment as announced: where the output goes, the shard-group
-	// layout, the chunk size and the fan-in (see routeArgs).
-	routeArgs
+	// layout, the chunk size and the fan-in (see wire.RouteSpec).
+	openArgs
 
 	// Intake progress (fan-in counting). begun latches the one stream
 	// every upstream's begin joins. endedUpstreams has one slot per
@@ -82,12 +83,14 @@ type route struct {
 	dealParts [][]byte
 	dealEnded bool
 
-	// Per-round data-plane deadline (routeArgs.DeadlineMs): peer-dial
+	// Per-round data-plane deadline (RouteSpec.DeadlineMs): peer-dial
 	// retries give up once it passes instead of burning the round
 	// against a dead peer. Zero means no deadline.
 	deadline time.Time
 
-	// Self-reported accounting for mix.round.wait.
+	// Self-reported accounting for mix.round.wait. The clock starts at
+	// the first mix.stream.begin, not at open: the submit window between
+	// open and close is the clients' time, not the daemon's.
 	opened   time.Time
 	duration time.Duration
 	bytesIn  uint64
@@ -146,29 +149,22 @@ func hostOf(addr string) string {
 // block until a round that will never finish.
 const waitParkInterval = 500 * time.Millisecond
 
-type routeArgs struct {
-	Service      wire.Service `json:"service"`
-	Round        uint32       `json:"round"`
-	NumMailboxes uint32       `json:"num_mailboxes"`
-	ChunkSize    int          `json:"chunk_size"`
-	CDNAddr      string       `json:"cdn_addr,omitempty"`
-	// Shard-group routing: the daemon is shard ShardIndex of ShardCount
-	// (>= 1). Successors names the NEXT position's full shard set;
-	// MergeAddr is the group's lead, empty on the lead itself;
-	// NumUpstream (>= 1) is how many upstream end-of-streams close the
-	// onion intake.
-	ShardIndex  int      `json:"shard_index"`
-	ShardCount  int      `json:"shard_count"`
-	MergeAddr   string   `json:"merge_addr,omitempty"`
-	Successors  []string `json:"successors,omitempty"`
-	NumUpstream int      `json:"num_upstream"`
-	// BuildShards is the last position's lead's deal list: the full shard
-	// group's addresses, in shard order. Non-lead shards of the last
-	// group carry CDNAddr but no BuildShards.
-	BuildShards []string `json:"build_shards,omitempty"`
-	// DeadlineMs bounds the daemon's data-plane dial retries for the
-	// round, in milliseconds from route receipt; 0 means no deadline.
-	DeadlineMs int64 `json:"deadline_ms,omitempty"`
+// openArgs is mix.round.open's: the round and the daemon's whole
+// assignment in it.
+type openArgs struct {
+	Service wire.Service `json:"service"`
+	Round   uint32       `json:"round"`
+	wire.RouteSpec
+}
+
+// newRoundArgs is mix.newround's. Peers is set on a shard group's
+// announcer: the dial addresses of every member the coordinator planned
+// into the group (drafted spares included), the only hosts its
+// mix.round.exportkey serves the round key to.
+type newRoundArgs struct {
+	Service wire.Service `json:"service"`
+	Round   uint32       `json:"round"`
+	Peers   []string     `json:"peers,omitempty"`
 }
 
 type abortArgs struct {
@@ -187,24 +183,6 @@ type waitReply struct {
 	DurationMs int64  `json:"duration_ms,omitempty"`
 	BytesIn    uint64 `json:"bytes_in,omitempty"`
 	BytesOut   uint64 `json:"bytes_out,omitempty"`
-}
-
-type shardArgs struct {
-	Service    wire.Service `json:"service"`
-	Round      uint32       `json:"round"`
-	ShardIndex int          `json:"shard_index"`
-	ShardCount int          `json:"shard_count"`
-	// Peers is the round's allowed shard network: the addresses of every
-	// group member (announcer, members, drafted spares). When set, the
-	// daemon serves mix.round.exportkey for this round only to callers
-	// whose host appears in it. Empty = no gate.
-	Peers []string `json:"peers,omitempty"`
-}
-
-type importKeyArgs struct {
-	Service  wire.Service `json:"service"`
-	Round    uint32       `json:"round"`
-	LeadAddr string       `json:"lead_addr"`
 }
 
 // keyReply is mix.round.exportkey's: the round private key as its one
@@ -227,9 +205,13 @@ type MixerDaemon struct {
 	m *mixnet.Server
 	peerSet
 
+	// openMu serializes mix.round.open, so a re-sent open waits for the
+	// first to finish and then finds its route.
+	openMu sync.Mutex
+
 	mu     sync.Mutex
 	routes map[outKey]*route
-	// keyPeers is the per-round exportkey allowlist (shardArgs.Peers):
+	// keyPeers is the per-round exportkey allowlist (newRoundArgs.Peers):
 	// the hosts allowed to pull this round's private key.
 	keyPeers map[outKey][]string
 }
@@ -300,7 +282,9 @@ func (d *MixerDaemon) resolve(rt *route, err error) bool {
 	rt.resolved = true
 	rt.err = err
 	rt.reason = classifyAbort(err)
-	rt.duration = time.Since(rt.opened)
+	if rt.begun {
+		rt.duration = time.Since(rt.opened)
+	}
 	rt.mergeParts = nil // drop any half-merged slices
 	close(rt.done)
 	return true
@@ -615,40 +599,29 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 			Spare:           m.Spare(),
 		}, nil
 	})
-	HandleFunc(s, "mix.newround", func(a roundArgs) (any, error) {
-		return m.NewRound(a.Service, a.Round)
-	})
-	HandleFunc(s, "mix.setdownstream", func(a downstreamArgs) (any, error) {
-		return nil, m.SetDownstreamKeys(a.Service, a.Round, a.Keys)
-	})
-	HandleFunc(s, "mix.preparenoise", func(a mixArgs) (any, error) {
-		return nil, m.PrepareNoise(a.Service, a.Round, a.NumMailboxes)
-	})
-	HandleFunc(s, "mix.round.shard", func(a shardArgs) (any, error) {
-		if err := m.SetRoundShard(a.Service, a.Round, a.ShardIndex, a.ShardCount); err != nil {
-			return nil, err
-		}
-		if len(a.Peers) > 0 {
-			// Install the round's shard-network allowlist so exportkey
-			// is gated BEFORE any group member pulls the key.
+	HandleFunc(s, "mix.newround", func(a newRoundArgs) (any, error) {
+		rk, err := m.NewRound(a.Service, a.Round)
+		if err == nil && len(a.Peers) > 0 {
+			// The allowlist is in place before the coordinator sends any
+			// member the open that makes it pull the key.
 			d.mu.Lock()
 			d.keyPeers[outKey{a.Service, a.Round}] = a.Peers
 			d.mu.Unlock()
 		}
-		return nil, nil
+		return rk, err
 	})
 	HandlePeerFunc(s, "mix.round.exportkey", func(peerAddr string, a roundArgs) (any, error) {
 		// Serves the round onion private key to the OTHER shards of this
 		// position (one logical server split across machines). Like
-		// cdn.publish, this surface must stay off the client plane — and
-		// when the coordinator distributed the round's shard network
-		// (shardArgs.Peers), the caller's host must be in it: topology is
-		// verified here instead of merely trusted.
+		// cdn.publish, this surface must stay off the client plane, and
+		// only the announcer serves it, to the hosts of the shard network
+		// its mix.newround named: topology is verified here instead of
+		// merely trusted. A round with no allowlist exports to nobody.
 		d.mu.Lock()
 		allowed := d.keyPeers[outKey{a.Service, a.Round}]
 		d.mu.Unlock()
 		caller := hostOf(peerAddr)
-		if len(allowed) > 0 && !slices.ContainsFunc(allowed, func(p string) bool { return hostOf(p) == caller }) {
+		if !slices.ContainsFunc(allowed, func(p string) bool { return hostOf(p) == caller }) {
 			return nil, fmt.Errorf("rpc: round %d (%s): caller %s is outside the round's shard network", a.Round, a.Service, caller)
 		}
 		key, err := m.ExportRoundKey(a.Service, a.Round)
@@ -657,21 +630,8 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		}
 		return keyReply{blobs{key}}, nil
 	})
-	HandleFunc(s, "mix.round.importkey", func(a importKeyArgs) (any, error) {
-		// The daemon pulls the group key from the lead itself, so the
-		// private key moves server-to-server inside the group's trust
-		// domain; the coordinator only names the source. The key is a blob
-		// of the reply's frame buffer, which ImportRoundKey zeroes.
-		var reply keyReply
-		if err := d.peer(a.LeadAddr).Call("mix.round.exportkey", roundArgs{
-			Service: a.Service, Round: a.Round,
-		}, &reply); err != nil {
-			return nil, fmt.Errorf("rpc: fetching round key from lead %s: %w", a.LeadAddr, err)
-		}
-		return nil, m.ImportRoundKey(a.Service, a.Round, reply.one())
-	})
-	HandleFunc(s, "mix.round.route", func(a routeArgs) (any, error) {
-		return nil, d.openRoute(a)
+	HandleFunc(s, "mix.round.open", func(a openArgs) (any, error) {
+		return nil, d.openRound(a)
 	})
 	HandleFunc(s, "mix.merge.begin", func(a chunkArgs) (any, error) {
 		// Idempotent: opening a deposit only validates that this daemon
@@ -814,6 +774,11 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		if rt == nil {
 			return nil, errNoRoute(a.Service, a.Round)
 		}
+		if a.NumMailboxes != rt.NumMailboxes {
+			// The stream's noise is generated for this count, which the
+			// open already bounded; a caller's other number is refused.
+			return nil, fmt.Errorf("rpc: round %d (%s): stream for %d mailboxes on a route for %d", a.Round, a.Service, a.NumMailboxes, rt.NumMailboxes)
+		}
 		if rt.begun {
 			return nil, nil
 		}
@@ -821,6 +786,10 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 			return nil, err
 		}
 		rt.begun = true
+		rt.opened = time.Now()
+		if rt.DeadlineMs > 0 {
+			rt.deadline = rt.opened.Add(time.Duration(rt.DeadlineMs) * time.Millisecond)
+		}
 		return nil, nil
 	})
 	HandleFunc(s, "mix.stream.chunk", func(a chunkArgs) (any, error) {
@@ -877,26 +846,31 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 	return d
 }
 
-// maxFanIn bounds a route's group size and upstream count: both size
-// per-route tables, and both arrive as bare integers.
-const maxFanIn = 1 << 10
+// maxFanIn bounds a route's group size and upstream count, and
+// maxMailboxes its mailbox count: each sizes a table (the mailbox count
+// the round's noise), and each arrives as a bare integer.
+const (
+	maxFanIn     = 1 << 10
+	maxMailboxes = 1 << 16
+)
 
 func errNoRoute(service wire.Service, round uint32) error {
 	return fmt.Errorf("rpc: round %d (%s) has no route", round, service)
 }
 
-// openRoute validates and installs one round's route (mix.round.route).
-// The params come off an unauthenticated transport, so every combination
-// the data plane cannot run is refused here rather than discovered
-// mid-round: a daemon is either its group's lead — output goes to the
+// openRound runs one daemon's round set-up (mix.round.open) in the one
+// order that works: pull the round key from the announcer (a member's
+// import opens its round), take the shard layout (before any noise
+// exists, because the group divides the position's noise), take the
+// downstream keys, install the route, and start the noise. The params come
+// off an unauthenticated transport, so the route is checked before anything
+// changes: a daemon is either its group's lead — output goes to the
 // successors, or to the CDN through a build deal over exactly ShardCount
-// addresses — or a depositor naming its lead, never both.
-func (d *MixerDaemon) openRoute(a routeArgs) error {
+// addresses — or a depositor naming its lead, never both. A refused open
+// leaves no route and no noise behind.
+func (d *MixerDaemon) openRound(a openArgs) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("rpc: round %d (%s): "+format, append([]any{a.Round, a.Service}, args...)...)
-	}
-	if !d.m.RoundOpen(a.Service, a.Round) {
-		return bad("not open")
 	}
 	if a.ShardIndex < 0 || a.ShardIndex >= a.ShardCount || a.ShardCount > maxFanIn {
 		return bad("bad shard index %d/%d", a.ShardIndex, a.ShardCount)
@@ -904,11 +878,8 @@ func (d *MixerDaemon) openRoute(a routeArgs) error {
 	if a.NumUpstream < 1 || a.NumUpstream > maxFanIn {
 		return bad("bad upstream count %d", a.NumUpstream)
 	}
-	// The route must agree with the shard layout the round's noise was
-	// divided under; a mismatch means the coordinator skipped
-	// mix.round.shard and the noise floor would be wrong.
-	if idx, count := d.m.RoundShard(a.Service, a.Round); idx != a.ShardIndex || count != a.ShardCount {
-		return bad("route shard %d/%d conflicts with round layout %d/%d", a.ShardIndex, a.ShardCount, idx, count)
+	if a.NumMailboxes > maxMailboxes {
+		return bad("%d mailboxes", a.NumMailboxes)
 	}
 	lead := a.MergeAddr == ""
 	switch {
@@ -925,30 +896,54 @@ func (d *MixerDaemon) openRoute(a routeArgs) error {
 	case lead && len(a.Successors) == 0 && len(a.BuildShards) != a.ShardCount:
 		return bad("%d build shards for %d-shard group", len(a.BuildShards), a.ShardCount)
 	}
+	d.openMu.Lock()
+	defer d.openMu.Unlock()
 	k := outKey{a.Service, a.Round}
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if rt, ok := d.routes[k]; ok {
-		// Idempotent re-announce (the coordinator's call layer may
-		// retry a lost reply); a CONFLICTING route is an error.
-		if reflect.DeepEqual(rt.routeArgs, a) {
+	rt := d.routes[k]
+	d.mu.Unlock()
+	if rt != nil {
+		// A re-sent open (the coordinator's call layer retries a lost
+		// reply) changes nothing; a CONFLICTING one is an error.
+		if reflect.DeepEqual(rt.openArgs, a) {
 			return nil
 		}
 		return bad("already routed elsewhere")
 	}
-	rt := &route{
-		routeArgs:      a,
-		endedUpstreams: make([]bool, a.NumUpstream),
-		opened:         time.Now(),
-		done:           make(chan struct{}),
+	if a.KeyAddr != "" {
+		// The private key moves server-to-server inside the group's trust
+		// domain; the coordinator only names the source. The key is a blob
+		// of the reply's frame buffer, which ImportRoundKey zeroes.
+		var reply keyReply
+		if err := d.peer(a.KeyAddr).Call("mix.round.exportkey", roundArgs{Service: a.Service, Round: a.Round}, &reply); err != nil {
+			return fmt.Errorf("rpc: fetching round key from %s: %w", a.KeyAddr, err)
+		}
+		if err := d.m.ImportRoundKey(a.Service, a.Round, reply.one()); err != nil {
+			return err
+		}
 	}
-	if a.DeadlineMs > 0 {
-		rt.deadline = rt.opened.Add(time.Duration(a.DeadlineMs) * time.Millisecond)
+	if err := d.m.SetRoundShard(a.Service, a.Round, a.ShardIndex, a.ShardCount); err != nil {
+		return err
 	}
+	if err := d.m.SetDownstreamKeys(a.Service, a.Round, a.DownstreamKeys); err != nil {
+		return err
+	}
+	rt = &route{openArgs: a, endedUpstreams: make([]bool, a.NumUpstream), done: make(chan struct{})}
 	if lead {
 		rt.mergeParts = make([][][]byte, a.ShardCount)
 		rt.mergeEnded = make([]bool, a.ShardCount)
 	}
+	d.mu.Lock()
 	d.routes[k] = rt
+	d.mu.Unlock()
+	if err := d.m.PrepareNoise(a.Service, a.Round, a.NumMailboxes); err != nil {
+		// The round closed under the open: take the route back out.
+		d.mu.Lock()
+		if d.routes[k] == rt {
+			delete(d.routes, k)
+		}
+		d.mu.Unlock()
+		return err
+	}
 	return nil
 }

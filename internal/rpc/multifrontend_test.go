@@ -376,8 +376,9 @@ func TestMixerProtocolMismatch(t *testing.T) {
 	}
 
 	// A version-2 mixer speaks the JSON-only data plane; a version-3 mixer
-	// carries add-friend onions sized for U in G2.
-	for _, version := range []int{2, 3} {
+	// carries add-friend onions sized for U in G2; a version-4 mixer opens
+	// its rounds over five calls, not mix.round.open.
+	for _, version := range []int{2, 3, 4} {
 		version := version
 		prev := rpc.NewServer()
 		rpc.HandleFunc(prev, "mix.info", func(struct{}) (any, error) {

@@ -1,0 +1,162 @@
+package rpc_test
+
+import (
+	mathrand "math/rand"
+	"testing"
+	"time"
+
+	"alpenhorn/internal/noise"
+	"alpenhorn/internal/rpc"
+	"alpenhorn/internal/sim"
+	"alpenhorn/internal/wire"
+)
+
+// newOpenFleet is a 3-position × 2-shard fleet over mem: with noise off.
+func newOpenFleet(t *testing.T) *sim.Network {
+	nz := noise.Laplace{}
+	return newNetwork(t, sim.Config{
+		NumPKGs: 1, Shards: []int{2, 2, 2}, AddFriendNoise: &nz, DialingNoise: &nz,
+		TargetRequestsPerMailbox: 40,
+	})
+}
+
+// TestRoundOpenCalls pins what opening a round costs the fleet: on a 3×2
+// fleet, a dialing round's open sends each daemon one mix.info probe and
+// one mix.round.open, and each announcer one mix.newround — 6, 6 and 3
+// calls, and not one other before the close's mix.stream.begin.
+func TestRoundOpenCalls(t *testing.T) {
+	n := newOpenFleet(t)
+	var clients []*rpc.MixerClient
+	for _, group := range n.Mixers {
+		for _, m := range group {
+			clients = append(clients, m.Client)
+		}
+	}
+	methods := []string{"mix.info", "mix.newround", "mix.round.open", "mix.stream.begin"}
+	counts := func() map[string]uint64 {
+		out := make(map[string]uint64)
+		for _, c := range clients {
+			for _, method := range methods {
+				out[method] += c.CallCount(method)
+			}
+			out[""] += c.TransportStats().Calls
+		}
+		return out
+	}
+
+	before := counts()
+	settings, err := n.Coord.OpenDialingRound(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := counts()
+	want := map[string]uint64{"mix.info": 6, "mix.newround": 3, "mix.round.open": 6, "mix.stream.begin": 0, "": 15}
+	for method, w := range want {
+		if got := opened[method] - before[method]; got != w {
+			t.Errorf("open sent %d %q calls, want %d", got, method, w)
+		}
+	}
+
+	tokens := makeTestTokens(20)
+	submitTokens(t, n.Entry, settings, tokens, mathrand.New(mathrand.NewSource(1)))
+	if _, err := n.Coord.CloseRound(wire.Dialing, 1); err != nil {
+		t.Fatal(err)
+	}
+	assertTokensDelivered(t, n.CDN, 1, settings, tokens)
+	if got := counts()["mix.stream.begin"] - opened["mix.stream.begin"]; got != 2 {
+		t.Errorf("close sent %d mix.stream.begin calls to position 0, want 2", got)
+	}
+}
+
+// TestRoundClockStartsAtFirstBegin: a daemon's round clock — the duration
+// it reports and the deadline its dial retries honour — starts at its
+// first mix.stream.begin, not at its open, so the clients' submit window
+// counts against neither. With RoundDeadline shorter than the gap between
+// open and close, the round still publishes, and every daemon reports a
+// duration shorter than that gap.
+func TestRoundClockStartsAtFirstBegin(t *testing.T) {
+	n := newOpenFleet(t)
+	n.Coord.RoundDeadline = time.Second
+	const window = 3 * time.Second / 2
+
+	start := time.Now()
+	settings, err := n.Coord.OpenDialingRound(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tokens := makeTestTokens(20)
+	submitTokens(t, n.Entry, settings, tokens, mathrand.New(mathrand.NewSource(1)))
+	time.Sleep(window - time.Since(start))
+	gap := time.Since(start)
+	if _, err := n.Coord.CloseRound(wire.Dialing, 1); err != nil {
+		t.Fatalf("a submit window longer than the round deadline failed the round: %v", err)
+	}
+	assertTokensDelivered(t, n.CDN, 1, settings, tokens)
+
+	status := n.Coord.Status()
+	h := status[len(status)-1]
+	if len(h.Daemons) != 6 {
+		t.Fatalf("health record has %d daemons, want 6", len(h.Daemons))
+	}
+	for _, d := range h.Daemons {
+		if d.Stats.Duration >= gap {
+			t.Errorf("daemon %d/%d reports %v, longer than the %v since open", d.Position, d.Shard, d.Stats.Duration, gap)
+		}
+	}
+}
+
+// TestRoundOpenResent: mix.round.open is safe to re-send, even while the
+// first copy is still running: identical opens racing on one daemon all
+// succeed and install one route, and an open that conflicts with it is
+// refused.
+func TestRoundOpenResent(t *testing.T) {
+	rd := startRoutedDaemon(t, 0)
+	spec := wire.RouteSpec{
+		NumMailboxes: routedMailboxes, CDNAddr: "cdn:1", NumUpstream: 1,
+		ShardCount: 1, BuildShards: []string{rd.addr},
+	}
+	errs := make(chan error, 4)
+	for i := 0; i < cap(errs); i++ {
+		mc, err := rpc.DialMixer(rd.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { errs <- mc.OpenRound(wire.Dialing, 1, spec) }()
+	}
+	for i := 0; i < cap(errs); i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("re-sent open refused: %v", err)
+		}
+	}
+	if n := rd.daemon.PendingRoutes(); n != 1 {
+		t.Fatalf("%d routes after identical opens, want 1", n)
+	}
+	spec.NumUpstream = 2
+	if err := rd.mc.OpenRound(wire.Dialing, 1, spec); err == nil {
+		t.Fatal("conflicting open accepted")
+	}
+	rd.mc.CloseRound(wire.Dialing, 1)
+	if n := rd.daemon.PendingRoutes(); n != 0 {
+		t.Fatalf("%d routes leak after close", n)
+	}
+}
+
+// TestStreamBeginMatchesRoute: a mix.stream.begin whose mailbox count is
+// not its route's is refused — the stream's noise would be generated for
+// a number any server-plane peer chose — and the round still runs.
+func TestStreamBeginMatchesRoute(t *testing.T) {
+	rd := startRoutedDaemon(t, 1)
+	if err := rd.mc.StreamBegin(wire.Dialing, 1, 1<<31); err == nil {
+		t.Fatal("begin for 2^31 mailboxes on a 2-mailbox route accepted")
+	}
+	if err := rd.mc.StreamBegin(wire.Dialing, 1, routedMailboxes); err != nil {
+		t.Fatal(err)
+	}
+	if err := rd.mc.StreamChunk(wire.Dialing, 1, rd.onions); err != nil {
+		t.Fatal(err)
+	}
+	if err := rd.mc.StreamEnd(wire.Dialing, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	rd.assertPublished(t)
+}

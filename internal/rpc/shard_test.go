@@ -206,8 +206,9 @@ func TestShardAbortMidRound(t *testing.T) {
 }
 
 // routedDaemon is one mixer daemon serving a whole one-position chain,
-// with round 1 open and — when numUpstream > 0 — routed to publish to its
-// own CDN as a group of one fed by numUpstream writers.
+// with round 1 announced and — when numUpstream > 0 — opened
+// (mix.round.open) to publish to its own CDN as a group of one fed by
+// numUpstream writers.
 type routedDaemon struct {
 	m      *mixnet.Server
 	daemon *rpc.MixerDaemon
@@ -239,15 +240,12 @@ func startRoutedDaemon(t *testing.T, numUpstream int) *routedDaemon {
 	if rd.mc, err = rpc.DialMixer(rd.addr); err != nil {
 		t.Fatal(err)
 	}
-	rk, err := rd.mc.NewRound(wire.Dialing, 1)
+	rk, err := rd.mc.NewRound(wire.Dialing, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rd.mc.SetDownstreamKeys(wire.Dialing, 1, nil); err != nil {
-		t.Fatal(err)
-	}
 	if numUpstream > 0 {
-		if err := rd.mc.OpenRoute(wire.Dialing, 1, wire.RouteSpec{
+		if err := rd.mc.OpenRound(wire.Dialing, 1, wire.RouteSpec{
 			NumMailboxes: routedMailboxes, CDNAddr: cdnAddr, NumUpstream: numUpstream,
 			ShardCount: 1, BuildShards: []string{rd.addr},
 		}); err != nil {

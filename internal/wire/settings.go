@@ -7,27 +7,35 @@ import (
 	"time"
 )
 
-// RouteSpec is one mixer daemon's forwarding assignment for a round
-// (mix.round.route): its place in its chain position's shard group and
-// where the position's post-shuffle output goes. An unsharded position is
-// a group of one: ShardIndex 0 of ShardCount 1, its own merge server.
+// RouteSpec is one mixer daemon's whole assignment for a round, sent in
+// the round's one mix.round.open call: its place in its chain position's
+// shard group, where it pulls the round key from, the onion keys it wraps
+// noise under, and where the position's post-shuffle output goes. An
+// unsharded position is a group of one: ShardIndex 0 of ShardCount 1, its
+// own merge server.
 type RouteSpec struct {
-	NumMailboxes uint32
-	ChunkSize    int
+	NumMailboxes uint32 `json:"num_mailboxes"`
+	ChunkSize    int    `json:"chunk_size"`
+	// KeyAddr is the position's announcer, from which every other
+	// member pulls the round onion key; empty on the announcer itself.
+	KeyAddr string `json:"key_addr,omitempty"`
+	// DownstreamKeys are the round onion keys of the positions after
+	// this one, which the daemon wraps its noise under.
+	DownstreamKeys [][]byte `json:"downstream_keys,omitempty"`
 	// Successors is the NEXT position's full shard set (one address for
 	// a group of one); empty for the last position, whose members publish
 	// to CDNAddr instead. Only a group's merge server carries Successors.
-	Successors []string
-	CDNAddr    string
+	Successors []string `json:"successors,omitempty"`
+	CDNAddr    string   `json:"cdn_addr,omitempty"`
 	// Shard-group placement: this daemon is shard ShardIndex of
 	// ShardCount (>= 1) serving its position; non-merge shards deposit
 	// their peeled slice at MergeAddr, which is empty on the merge server
 	// itself. NumUpstream (>= 1) is how many upstream end-of-streams
 	// close the daemon's onion intake.
-	ShardIndex  int
-	ShardCount  int
-	MergeAddr   string
-	NumUpstream int
+	ShardIndex  int    `json:"shard_index"`
+	ShardCount  int    `json:"shard_count"`
+	MergeAddr   string `json:"merge_addr,omitempty"`
+	NumUpstream int    `json:"num_upstream"`
 	// BuildShards is set on the LAST position's merge server: after the
 	// merged shuffle it deals request bodies by mailbox ID to these
 	// addresses (its own shard group, in shard order, merge member
@@ -36,20 +44,21 @@ type RouteSpec struct {
 	// over its own shard-tagged cdn.publish stream. Non-merge shards of
 	// the last group carry CDNAddr (their publish target) but empty
 	// BuildShards.
-	BuildShards []string
+	BuildShards []string `json:"build_shards,omitempty"`
 	// DeadlineMs bounds the daemon's data-plane work for the round:
 	// peer-dial retries (successor streams, merge deposits, deal slices)
 	// give up once the deadline passes instead of burning the whole
-	// round against a dead peer. Milliseconds from route receipt; 0
-	// means no deadline.
-	DeadlineMs int64
+	// round against a dead peer. Milliseconds from the daemon's first
+	// mix.stream.begin, so the clients' submit window never counts
+	// against it; 0 means no deadline.
+	DeadlineMs int64 `json:"deadline_ms,omitempty"`
 }
 
 // MixerRoundStats is one daemon's self-reported accounting for its
 // data-plane role in a round, returned by the mix.round.wait long-poll:
-// how long the role took (route open → resolution) and the batch bytes
-// that crossed the daemon (onion intake + merge deposits in, forwarding +
-// publishing out). The coordinator aggregates these into per-round health.
+// how long the role took (first mix.stream.begin → resolution) and the
+// batch bytes that crossed the daemon (onion intake + merge deposits in,
+// forwarding + publishing out). The coordinator aggregates these into per-round health.
 type MixerRoundStats struct {
 	Duration time.Duration
 	BytesIn  uint64
