@@ -154,7 +154,7 @@ func fig6(int) {
 	fmt.Printf("\n1M users: %d mailboxes, %.0f real + %.0f noise requests each, %.1f MB/mailbox\n",
 		int(mb.NumMailboxes), mb.RealRequests, mb.NoiseRequests, mb.Bytes/1e6)
 	fmt.Printf("(paper: 4 mailboxes, ~12000+12000 requests, 7.4 MB at 308 B/request;\n")
-	fmt.Printf(" ours uses %d B/request — uncompressed BN254 points)\n", wire.EncryptedFriendRequestSize)
+	fmt.Printf(" ours uses %d B/request — compressed BN254 G1 points)\n", wire.EncryptedFriendRequestSize)
 }
 
 // fig7 prints Figure 7: dialing client bandwidth vs round duration.
@@ -368,9 +368,10 @@ func sizes() {
 		}
 		fmt.Printf("%-28s %10d %10s\n", r.name, r.ours, paper)
 	}
-	fmt.Println("\n(difference: the ciphertext element is an uncompressed 64 B BN254 G1 point")
-	fmt.Println(" plus a 16 B AES-GCM tag, 80 B against the paper's 64 B; counts and")
-	fmt.Println(" protocol structure identical)")
+	fmt.Println("\n(difference: the ciphertext element is a compressed 32 B BN254 G1 point")
+	fmt.Println(" plus a 16 B AES-GCM tag, 48 B against the paper's 64 B, and the PKG")
+	fmt.Println(" multisignature is a 32 B compressed G1 point; counts and protocol")
+	fmt.Println(" structure identical)")
 }
 
 // extraction measures T3: combined key-extraction latency vs #PKGs.

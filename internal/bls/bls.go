@@ -3,10 +3,10 @@
 //
 // Alpenhorn uses BLS for the PKGSigs field of friend requests (§4.5): every
 // PKG signs the tuple (identity, long-term signing key, round), and the
-// client combines the signatures into a single 64-byte multisignature. A
-// recipient that trusts ANY one PKG can verify that the sender's key is
-// genuine by checking the multisignature against the sum of all PKG public
-// keys.
+// client combines the signatures into a single 32-byte multisignature (a
+// compressed G1 point, bn254.G1.Marshal). A recipient that trusts ANY one
+// PKG can verify that the sender's key is genuine by checking the
+// multisignature against the sum of all PKG public keys.
 //
 // Verification is one optimal-ate pairing-product check,
 // a(σ, −G2)·a(H(m), pk) == 1 (bn254.AtePairingCheck): a single ~65-iteration
@@ -45,7 +45,7 @@ const hashDomain = "bls-signature"
 // Sizes of marshalled keys and signatures in bytes.
 const (
 	PublicKeySize  = 128
-	SignatureSize  = 64
+	SignatureSize  = 32
 	PrivateKeySize = 32
 )
 

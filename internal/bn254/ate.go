@@ -346,8 +346,13 @@ func ateEvalLinesInto(f *fe12, pairs []ateFixedPair) {
 // whose line table is lines, and returns g.
 func ateReplay(g *GT, lines []ateMonicLine, p *G1) *GT {
 	xq, yinv := ateFixedPoint(p)
+	return ateReplayAt(g, lines, &xq, &yinv)
+}
+
+// ateReplayAt is ateReplay at a point given by its replay coordinates.
+func ateReplayAt(g *GT, lines []ateMonicLine, xq, yinv *fe) *GT {
 	var f fe12
-	ateEvalLinesInto(&f, []ateFixedPair{{lines, &xq, &yinv}})
+	ateEvalLinesInto(&f, []ateFixedPair{{lines, xq, yinv}})
 	finalExpDecomp(&g.e, &f)
 	return g
 }
@@ -551,6 +556,35 @@ func (pc *AtePrecomputedG2) pair(g *GT, p *G1) *GT {
 		return g
 	}
 	return ateReplay(g, pc.lines, p)
+}
+
+// PairMarshalled decodes a G1 point encoded by G1.Marshal and pairs it
+// with the precomputed q: the result and the errors of Unmarshal then
+// Pair, at one field exponentiation less. The replay needs 1/y, and the
+// decode's exponentiation yields 1/y along with y, so the inversion Pair
+// runs is not paid. Small enough to inline, like Pair.
+func (pc *AtePrecomputedG2) PairMarshalled(data []byte) (*GT, error) {
+	g := new(GT)
+	if err := pc.pairMarshalled(g, data); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+func (pc *AtePrecomputedG2) pairMarshalled(g *GT, data []byte) error {
+	var p G1
+	var yinv fe
+	if err := g1Decompress(&p, &yinv, data); err != nil {
+		return err
+	}
+	if pc.inf || p.inf {
+		g.e.SetOne()
+		return nil
+	}
+	var xq fe
+	feMul(&xq, &p.x, &yinv)
+	ateReplayAt(g, pc.lines, &xq, &yinv)
+	return nil
 }
 
 // AtePairingCheck reports whether ∏ AtePair(ps[i], qs[i]) == 1 for fixed,

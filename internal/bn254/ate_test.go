@@ -98,6 +98,30 @@ func TestAtePrecomputeReplay(t *testing.T) {
 	}
 }
 
+// TestPairMarshalledMatchesUnmarshalPair pins the fused decode-and-pair
+// of a mailbox scan to Unmarshal then Pair on every shape of G1 encoding
+// (g1TestEncodings): the same accept/reject and the same pairing value,
+// against a key's table and against the identity's.
+func TestPairMarshalledMatchesUnmarshalPair(t *testing.T) {
+	tables := []*AtePrecomputedG2{
+		AtePrecomputeG2(new(G2).ScalarBaseMult(randScalar(t))),
+		AtePrecomputeG2(new(G2).SetInfinity()),
+	}
+	for _, data := range g1TestEncodings(t) {
+		var p G1
+		errU := p.Unmarshal(data)
+		for i, pc := range tables {
+			got, err := pc.PairMarshalled(data)
+			if (err == nil) != (errU == nil) {
+				t.Fatalf("table %d, %x: PairMarshalled err=%v, Unmarshal err=%v", i, data, err, errU)
+			}
+			if err == nil && !got.Equal(pc.Pair(&p)) {
+				t.Fatalf("table %d, %x: PairMarshalled differs from Unmarshal then Pair", i, data)
+			}
+		}
+	}
+}
+
 // TestGSSubgroupDifferential pins the Galbraith–Scott short-vector check
 // against the generic Order ladder: identical accept/reject on subgroup
 // points, random twist points outside the subgroup, and infinity.

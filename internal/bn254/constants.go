@@ -31,7 +31,16 @@
 // built on fe. Montgomery form is strictly internal:
 // values convert at the marshaling boundary (feFromBig/feSetBytes on the
 // way in, feToBig/feBytes on the way out), so every wire encoding is
-// byte-identical to the original big.Int implementation.
+// byte-identical to the big.Int reference's.
+//
+// # Encodings
+//
+// A G1 point travels compressed, 32 bytes: x big-endian, with the two bits
+// P's 254 bits leave free in the first byte used as flags (0x80 infinity,
+// 0x40 y odd). Decoding recovers y with one square root and rejects x ≥ P,
+// an x with no curve point, and an infinity flag with any other bit set,
+// so each point has one encoding. G2 points travel uncompressed, x ‖ y
+// (128 bytes), and GT elements as their twelve Fp coefficients.
 //
 // The original math/big implementation lives on in the package's ref_*
 // test files as the reference backend; see "One pairing" below.
@@ -201,6 +210,9 @@ var (
 var (
 	// pSqrtExp = (P+1)/4: square roots mod P (P ≡ 3 mod 4).
 	pSqrtExp = new(big.Int).Rsh(new(big.Int).Add(P, big.NewInt(1)), 2)
+	// pInvSqrtExp = (3P−5)/4: the inverse of the principal square root,
+	// x^((3P−5)/4) = 1/x^((P+1)/4) for a nonzero square x.
+	pInvSqrtExp = new(big.Int).Rsh(new(big.Int).Sub(new(big.Int).Mul(P, big.NewInt(3)), big.NewInt(5)), 2)
 	// pMinus2 = P−2: Fermat inversion exponent in Fp.
 	pMinus2 = new(big.Int).Sub(P, big.NewInt(2))
 )

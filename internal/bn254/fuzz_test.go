@@ -45,9 +45,11 @@ func FuzzFeSetBytes(f *testing.F) {
 }
 
 // g1TestEncodings lists every shape of G1 encoding the wire can carry:
-// G1 points, infinity, truncated/oversized encodings, out-of-range
-// coordinates and off-curve points. (E(Fp) has prime order, so there is
-// no on-curve, off-subgroup shape to add.)
+// points with even and odd y, the identity, truncated/oversized
+// encodings, x ≥ P, an x with no curve point, infinity flags with other
+// bits set, and the 64-byte x ‖ y form the wire carried before points
+// were compressed. (E(Fp) has prime order, so there is no on-curve,
+// off-subgroup shape to add.)
 func g1TestEncodings(t testing.TB) [][]byte {
 	t.Helper()
 	var raws [][]byte
@@ -59,31 +61,60 @@ func g1TestEncodings(t testing.TB) [][]byte {
 		raws = append(raws, new(G1).ScalarBaseMult(k).Marshal())
 	}
 	addPoint()
-	raws = append(raws, make([]byte, g1MarshalledSize)) // infinity
+	raws = append(raws, new(G1).SetInfinity().Marshal()) // the identity
 	addPoint()
 	raws = append(raws, []byte{1, 2, 3}) // wrong length
 	raws = append(raws, nil)             // empty
 	addPoint()
-	outOfRange := new(G1).ScalarBaseMult(big.NewInt(5)).Marshal()
-	P.FillBytes(outOfRange[:32]) // coordinate ≥ P
+	outOfRange := make([]byte, g1MarshalledSize)
+	P.FillBytes(outOfRange) // x = P
 	raws = append(raws, outOfRange)
-	offCurve := new(G1).ScalarBaseMult(big.NewInt(6)).Marshal()
-	offCurve[g1MarshalledSize-1] ^= 1
-	raws = append(raws, offCurve)
+	raws = append(raws, g1NonResidueX(t))
 	raws = append(raws, new(G2).ScalarBaseMult(big.NewInt(7)).Marshal()) // a G2 encoding: wrong length
 	addPoint()
+
+	raws = append(raws, G1Generator().Marshal())              // y = 2, even
+	raws = append(raws, new(G1).Neg(G1Generator()).Marshal()) // y = P − 2, odd
+	infBody := new(G1).SetInfinity().Marshal()
+	infBody[g1MarshalledSize-1] = 1 // infinity with a nonzero body
+	raws = append(raws, infBody)
+	bothFlags := new(G1).Neg(G1Generator()).Marshal()
+	bothFlags[0] |= g1FlagInfinity // a real x under both flag bits
+	raws = append(raws, bothFlags)
+	g := refG1Generator().ScalarMult(refG1Generator(), big.NewInt(9))
+	legacy := make([]byte, 2*g1MarshalledSize) // x ‖ y, uncompressed
+	g.x.FillBytes(legacy[:g1MarshalledSize])
+	g.y.FillBytes(legacy[g1MarshalledSize:])
+	raws = append(raws, legacy)
 	return raws
 }
 
-// FuzzG1Unmarshal pins the limb decoder, which every ciphertext element a
-// mailbox scan reads goes through, to the big.Int reference: the same
-// accept/reject and the same re-encoding. Its seeds are every shape in
-// g1TestEncodings — infinity, wrong lengths, a coordinate ≥ P, off-curve.
+// g1NonResidueX encodes the smallest x for which x³ + 3 is not a square:
+// an x with no point on the curve.
+func g1NonResidueX(t testing.TB) []byte {
+	t.Helper()
+	for x := int64(1); x < 1000; x++ {
+		rhs := new(big.Int).Exp(big.NewInt(x), big.NewInt(3), P)
+		if _, ok := fpSqrt(rhs.Add(rhs, curveB)); !ok {
+			out := make([]byte, g1MarshalledSize)
+			big.NewInt(x).FillBytes(out)
+			return out
+		}
+	}
+	t.Fatal("no non-residue x³ + 3 below 1000")
+	return nil
+}
+
+// FuzzG1Unmarshal pins the compressed-point decoder, which every
+// ciphertext element a mailbox scan reads goes through, to the big.Int
+// reference: the same accept/reject and the same point. An accepted
+// encoding must also be the point's one encoding: re-marshalling gives
+// the input back. Its seeds are every shape in g1TestEncodings.
 func FuzzG1Unmarshal(f *testing.F) {
 	f.Add(G1Generator().Marshal())
 	f.Add(new(G1).ScalarBaseMult(big.NewInt(7)).Marshal())
 	bad := G1Generator().Marshal()
-	bad[63] ^= 1
+	bad[g1MarshalledSize-1] ^= 1
 	f.Add(bad)
 	for _, raw := range g1TestEncodings(f) {
 		f.Add(raw)
@@ -96,8 +127,17 @@ func FuzzG1Unmarshal(f *testing.F) {
 		if (errLimb == nil) != (errRef == nil) {
 			t.Fatalf("G1 acceptance disagreement on %x: limb=%v ref=%v", data, errLimb, errRef)
 		}
-		if errLimb == nil && !bytes.Equal(p.Marshal(), r.Marshal()) {
-			t.Fatalf("G1 re-encoding disagreement on %x", data)
+		if errLimb != nil {
+			return
+		}
+		if !p.IsOnCurve() {
+			t.Fatalf("G1 decoded %x off the curve", data)
+		}
+		if !bytes.Equal(p.Marshal(), data) || !bytes.Equal(r.Marshal(), data) {
+			t.Fatalf("G1 re-encoding of %x differs: limb=%x ref=%x", data, p.Marshal(), r.Marshal())
+		}
+		if !p.IsInfinity() && (feToBig(&p.x).Cmp(r.x) != 0 || feToBig(&p.y).Cmp(r.y) != 0) {
+			t.Fatalf("G1 decoded %x to %v, reference %v", data, p, r)
 		}
 	})
 }

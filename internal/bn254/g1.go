@@ -277,58 +277,108 @@ func (p *G1) ScalarBaseMult(k *big.Int) *G1 {
 	return p
 }
 
-// g1MarshalledSize is the size of a marshalled G1 point: x ‖ y, 32 bytes each.
-const g1MarshalledSize = 64
+// g1MarshalledSize is the size of a marshalled G1 point: x alone, with
+// the sign of y in a spare bit.
+const g1MarshalledSize = 32
 
-// Marshal encodes p as x ‖ y (32-byte big-endian each). Infinity encodes as
-// all zeros, which is unambiguous because (0, 0) is not on the curve.
+// Flag bits in the first byte of a G1 encoding. P has 254 bits, so the
+// top two bits of a big-endian x are always free.
+const (
+	g1FlagInfinity = 0x80 // the identity; every other bit is zero
+	g1FlagYOdd     = 0x40 // y, as an integer in [0, P), is odd
+	g1FlagMask     = g1FlagInfinity | g1FlagYOdd
+)
+
+// Marshal encodes p compressed: x as 32 big-endian bytes, with bit 6 of
+// the first byte set when y is odd. Infinity encodes as 0x80 followed by
+// 31 zero bytes.
 func (p *G1) Marshal() []byte {
 	out := make([]byte, g1MarshalledSize)
 	if p.inf {
+		out[0] = g1FlagInfinity
 		return out
 	}
-	var buf [32]byte
-	feBytes(&p.x, &buf)
-	copy(out[:32], buf[:])
-	feBytes(&p.y, &buf)
-	copy(out[32:], buf[:])
+	feBytes(&p.x, (*[32]byte)(out))
+	if feIsOdd(&p.y) {
+		out[0] |= g1FlagYOdd
+	}
 	return out
+}
+
+// feIsOdd reports whether x, as an integer in [0, P), is odd.
+func feIsOdd(x *fe) bool {
+	var raw fe
+	feFromMont(&raw, x)
+	return raw[0]&1 == 1
 }
 
 // G1 decoding errors. They are values, not fresh allocations, so a
 // mailbox scan decodes malformed blobs without touching the heap.
 var (
 	errG1Length     = errors.New("bn254: wrong G1 encoding length")
+	errG1Infinity   = errors.New("bn254: G1 infinity encoding has other bits set")
 	errG1Coordinate = errors.New("bn254: G1 coordinate out of range")
-	errG1OffCurve   = errors.New("bn254: G1 point not on curve")
+	errG1OffCurve   = errors.New("bn254: G1 x is not on the curve")
 )
 
-// Unmarshal decodes a point previously encoded with Marshal, validating that
-// it lies on the curve. That is the whole check: E(Fp) has prime order, so
-// every curve point is in the group.
+// Unmarshal decodes a point encoded with Marshal: it recovers y as the
+// square root of x³ + 3 with the encoded sign. It rejects a wrong length,
+// x ≥ P, an x with no point on the curve, and the infinity flag with any
+// other bit set, so every point has exactly one accepted encoding. Being
+// on the curve is the whole check: E(Fp) has prime order, so every curve
+// point is in the group.
 func (p *G1) Unmarshal(data []byte) error {
+	var yinv fe
+	return g1Decompress(p, &yinv, data)
+}
+
+// g1Decompress is Unmarshal that also sets yinv = 1/y (zero for
+// infinity), which the ate replay needs: one exponentiation gives both.
+// For a square rhs = x³ + 3, r = rhs^((3P−5)/4) is the inverse of the
+// principal root rhs^((P+1)/4), and that root is rhs·r. For a non-square,
+// (rhs·r)² = −rhs, which the check rejects.
+func g1Decompress(p *G1, yinv *fe, data []byte) error {
 	if len(data) != g1MarshalledSize {
 		return errG1Length
 	}
-	allZero := true
-	for _, b := range data {
-		if b != 0 {
-			allZero = false
-			break
+	flags := data[0] & g1FlagMask
+	if flags&g1FlagInfinity != 0 {
+		if data[0] != g1FlagInfinity {
+			return errG1Infinity
 		}
-	}
-	if allZero {
+		for _, b := range data[1:] {
+			if b != 0 {
+				return errG1Infinity
+			}
+		}
 		p.SetInfinity()
+		*yinv = fe{}
 		return nil
 	}
-	var x, y fe
-	if !feSetBytes(&x, data[:32]) || !feSetBytes(&y, data[32:]) {
+	var buf [32]byte
+	copy(buf[:], data)
+	buf[0] &^= g1FlagMask
+	var x, y, r, rhs, y2 fe
+	if !feSetBytes(&x, buf[:]) {
 		return errG1Coordinate
 	}
-	p.x, p.y, p.inf = x, y, false
-	if !p.IsOnCurve() {
+	feSquare(&rhs, &x)
+	feMul(&rhs, &rhs, &x)
+	feAdd(&rhs, &rhs, &feCurveB)
+	feExp(&r, &rhs, pInvSqrtExp)
+	feMul(&y, &rhs, &r)
+	feSquare(&y2, &y)
+	if !y2.Equal(&rhs) {
 		return errG1OffCurve
 	}
+	// y ≠ 0 (a prime odd order has no 2-torsion), so exactly one of ±y
+	// carries the encoded sign.
+	if feIsOdd(&y) != (flags == g1FlagYOdd) {
+		feNeg(&y, &y)
+		feNeg(&r, &r)
+	}
+	p.x, p.y, p.inf = x, y, false
+	*yinv = r
 	return nil
 }
 

@@ -83,20 +83,28 @@ func TestG1MarshalRoundTrip(t *testing.T) {
 }
 
 func TestG1UnmarshalRejectsBadPoints(t *testing.T) {
-	bad := make([]byte, g1MarshalledSize)
-	bad[31] = 5 // x=5, y=0: not on curve
-	if err := new(G1).Unmarshal(bad); err == nil {
-		t.Fatal("accepted off-curve point")
+	if err := new(G1).Unmarshal(g1NonResidueX(t)); err == nil {
+		t.Fatal("accepted an x with no curve point")
 	}
-	if err := new(G1).Unmarshal(bad[:10]); err == nil {
+	good := new(G1).ScalarBaseMult(randScalar(t)).Marshal()
+	if err := new(G1).Unmarshal(good[:10]); err == nil {
 		t.Fatal("accepted short encoding")
 	}
-	// coordinate ≥ P
+	if err := new(G1).Unmarshal(append(good, good...)); err == nil {
+		t.Fatal("accepted a 64-byte encoding")
+	}
+	// x ≥ P
 	tooBig := make([]byte, g1MarshalledSize)
-	P.FillBytes(tooBig[:32])
-	tooBig[63] = 2
+	P.FillBytes(tooBig)
+	tooBig[g1MarshalledSize-1] += 2
 	if err := new(G1).Unmarshal(tooBig); err == nil {
 		t.Fatal("accepted out-of-range coordinate")
+	}
+	// the infinity flag with anything else set
+	for _, bad := range [][]byte{append([]byte{g1FlagInfinity | g1FlagYOdd}, make([]byte, 31)...), append([]byte{g1FlagInfinity}, good[1:]...)} {
+		if err := new(G1).Unmarshal(bad); err == nil {
+			t.Fatalf("accepted infinity encoding %x", bad)
+		}
 	}
 }
 

@@ -132,37 +132,51 @@ func (p *refG1) ScalarBaseMult(k *big.Int) *refG1 {
 	return p.ScalarMult(refG1Generator(), k)
 }
 
-// Marshal encodes p as x ‖ y (32-byte big-endian each). Infinity encodes as
-// all zeros, which is unambiguous because (0, 0) is not on the curve.
+// Marshal encodes p compressed, as G1.Marshal does: x big-endian, bit 6
+// of the first byte set when y is odd, and infinity as 0x80 then zeros.
 func (p *refG1) Marshal() []byte {
 	out := make([]byte, g1MarshalledSize)
 	if p.inf {
+		out[0] = g1FlagInfinity
 		return out
 	}
-	p.x.FillBytes(out[:32])
-	p.y.FillBytes(out[32:])
+	p.x.FillBytes(out)
+	if p.y.Bit(0) == 1 {
+		out[0] |= g1FlagYOdd
+	}
 	return out
 }
 
-// Unmarshal decodes a point previously encoded with Marshal, validating that
-// it lies on the curve.
+// Unmarshal decodes a compressed point, recovering y with fpSqrt and
+// rejecting what G1.Unmarshal rejects.
 func (p *refG1) Unmarshal(data []byte) error {
 	if len(data) != g1MarshalledSize {
 		return errors.New("bn254: wrong refG1 encoding length")
 	}
-	x := new(big.Int).SetBytes(data[:32])
-	y := new(big.Int).SetBytes(data[32:])
-	if x.Sign() == 0 && y.Sign() == 0 {
+	if data[0]&g1FlagInfinity != 0 {
+		rest := new(big.Int).SetBytes(data[1:])
+		if data[0] != g1FlagInfinity || rest.Sign() != 0 {
+			return errors.New("bn254: refG1 infinity encoding has other bits set")
+		}
 		p.SetInfinity()
 		return nil
 	}
-	if x.Cmp(P) >= 0 || y.Cmp(P) >= 0 {
+	odd := data[0]&g1FlagYOdd != 0
+	x := new(big.Int).SetBytes(data)
+	x.SetBit(x, 8*g1MarshalledSize-2, 0)
+	if x.Cmp(P) >= 0 {
 		return errors.New("bn254: refG1 coordinate out of range")
 	}
-	p.x, p.y, p.inf = x, y, false
-	if !p.IsOnCurve() {
-		return errors.New("bn254: refG1 point not on curve")
+	rhs := new(big.Int).Exp(x, big.NewInt(3), P)
+	rhs.Add(rhs, curveB)
+	y, ok := fpSqrt(rhs)
+	if !ok {
+		return errors.New("bn254: refG1 x is not on the curve")
 	}
+	if (y.Bit(0) == 1) != odd {
+		y.Sub(P, y)
+	}
+	p.x, p.y, p.inf = x, y, false
 	return nil
 }
 

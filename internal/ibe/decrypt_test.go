@@ -172,8 +172,12 @@ func TestDecryptAppendAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// U is compressed, so about half of all x have a curve point: step x
+	// until x³ + 3 is a non-residue and U cannot decode.
 	offCurve := append([]byte(nil), genuine...)
-	offCurve[uSize-1] ^= 2
+	for new(bn254.G1).Unmarshal(offCurve[:uSize]) == nil {
+		offCurve[uSize-1]++
+	}
 	dst := make([]byte, 0, 64)
 	if _, ok := DecryptAppend(dst, ipk, genuine); !ok { // warm aead's scratch pool
 		t.Fatal("genuine ciphertext rejected")
@@ -217,11 +221,20 @@ func FuzzDecryptAppend(f *testing.F) {
 	corrupt := append([]byte(nil), good...)
 	corrupt[len(corrupt)-1] ^= 0xff
 	f.Add(corrupt)
-	// A tweaked y puts U off the curve; E(Fp) has prime order, so every
-	// on-curve U is a group element and there is no subgroup to probe.
+	// U is the first uSize bytes, compressed. An x with no curve point
+	// cannot decode; E(Fp) has prime order, so every x that has one is a
+	// group element and there is no subgroup to probe.
 	offCurve := append([]byte(nil), good...)
-	offCurve[63] ^= 2
+	for new(bn254.G1).Unmarshal(offCurve[:uSize]) == nil {
+		offCurve[uSize-1]++
+	}
 	f.Add(offCurve)
+	negated := append([]byte(nil), good...)
+	negated[0] ^= 0x40 // the sign bit: −U decodes, and the tag fails
+	f.Add(negated)
+	infinity := append([]byte(nil), good...)
+	copy(infinity, new(bn254.G1).SetInfinity().Marshal())
+	f.Add(infinity)
 
 	prefix := []byte("earlier plaintexts")
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -29,15 +29,23 @@
 // G2 and the ciphertext element in G1 (the standard type-3 Boneh–Franklin
 // orientation):
 //
-//	master public key   mpk = s·P₁ ∈ G1        (64 B)
+//	master public key   mpk = s·P₁ ∈ G1        (32 B)
 //	identity key        d   = s·H(id) ∈ G2     (128 B, H = bn254.HashToG2)
-//	ciphertext element  U   = r·P₁ ∈ G1        (64 B)
+//	ciphertext element  U   = r·P₁ ∈ G1        (32 B)
 //	pairing value       e(U, d) = e(r·mpk, H(id))
 //
-// A G1 element decodes with a curve check alone (E(Fp) has prime order),
-// so a foreign ciphertext costs a line-table replay, a final
-// exponentiation and an AES-GCM tag check. Trial decryption is one
-// function, DecryptAppend, called once per mailbox entry.
+// G1 elements travel compressed (bn254.G1.Marshal: x and the sign of y).
+// A G1 element decodes with one square root (E(Fp) has prime order, so
+// being on the curve is the whole check). The root's exponentiation also
+// yields the 1/y the line replay needs in place of an inversion, so a
+// foreign ciphertext costs that one exponentiation, a line-table replay,
+// a final exponentiation and an AES-GCM tag check. Trial decryption is
+// one function, DecryptAppend, called once per mailbox entry.
+//
+// Compression keeps real and noise entries indistinguishable: a noise
+// entry's U is a real point too (RandomCiphertexts multiplies the
+// generator by a random scalar, as Encrypt does), so both decode, neither
+// is the identity, and the sign bit is a fair coin on both.
 package ibe
 
 import (
@@ -54,12 +62,12 @@ import (
 // curve.
 const identityDomain = "bf-ibe-identity"
 
-// Overhead is the ciphertext expansion in bytes: a marshalled G1 point plus
-// an AES-GCM tag.
+// Overhead is the ciphertext expansion in bytes: a compressed G1 point
+// plus an AES-GCM tag.
 const Overhead = uSize + aead.Overhead
 
-// uSize is the size of the ciphertext element U, a marshalled G1 point.
-const uSize = 64
+// uSize is the size of the ciphertext element U, a compressed G1 point.
+const uSize = 32
 
 // MasterPublicKey is a PKG's per-round master public key (or an aggregation
 // of several PKGs' keys).
@@ -193,24 +201,29 @@ func EncryptV2(rand io.Reader, mpk *MasterPublicKey, identity string, msg []byte
 // exactly this check (Algorithm 1, step 4). It never writes dst's existing
 // bytes, and writes nothing at all on a rejection.
 //
-// With a precomputed key it replays the key's line table; without one it
-// runs bn254.AtePair. Either way the pairing value, its encoding and the
-// seal key stay on the stack and are cleared before it returns, so the one
-// heap allocation is aead.Open's AES key schedule, plus the plaintext if
-// dst has no room for it. Safe for concurrent calls with the same key,
-// which is how the mailbox-scan worker pool uses it.
+// With a precomputed key it decodes U and replays the key's line table
+// in one call (bn254's PairMarshalled, whose decode also yields the 1/y
+// the replay needs); without one it decodes U and runs bn254.AtePair.
+// Either way the pairing value, its encoding and the seal key stay on the
+// stack and are cleared before it returns, so the one heap allocation is
+// aead.Open's AES key schedule, plus the plaintext if dst has no room for
+// it. Safe for concurrent calls with the same key, which is how the
+// mailbox-scan worker pool uses it.
 func DecryptAppend(dst []byte, ipk *IdentityPrivateKey, ctxt []byte) ([]byte, bool) {
 	if len(ctxt) < Overhead {
 		return dst, false
 	}
-	var u bn254.G1
-	if err := u.Unmarshal(ctxt[:uSize]); err != nil {
-		return dst, false
-	}
 	var g *bn254.GT
 	if ipk.pre != nil {
-		g = ipk.pre.Pair(&u)
+		var err error
+		if g, err = ipk.pre.PairMarshalled(ctxt[:uSize]); err != nil {
+			return dst, false
+		}
 	} else {
+		var u bn254.G1
+		if err := u.Unmarshal(ctxt[:uSize]); err != nil {
+			return dst, false
+		}
 		g = bn254.AtePair(&u, ipk.d)
 	}
 	key := sealKey(g)
@@ -238,7 +251,7 @@ func DecryptBatchV2(ipk *IdentityPrivateKey, ctxts [][]byte) ([][]byte, []bool) 
 
 // MasterPublicKeySize and IdentityPrivateKeySize are the marshalled sizes.
 const (
-	MasterPublicKeySize    = 64
+	MasterPublicKeySize    = 32
 	IdentityPrivateKeySize = 128
 )
 

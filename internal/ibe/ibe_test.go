@@ -3,7 +3,10 @@ package ibe
 import (
 	"bytes"
 	"crypto/rand"
+	"fmt"
 	"testing"
+
+	"alpenhorn/internal/bn254"
 )
 
 func setupN(t testing.TB, n int) (pubs []*MasterPublicKey, privs []*MasterPrivateKey) {
@@ -134,6 +137,52 @@ func TestCiphertextAnonymity(t *testing.T) {
 	}
 }
 
+// TestCompressedUIndistinguishable checks the compressed U of real and
+// noise entries against each other: 1,000 Encrypt outputs and 1,000
+// RandomCiphertexts outputs all decode, none carries the infinity flag,
+// and the sign bit is set on each side with a frequency in [0.45, 0.55].
+// Both sides draw from a keyed stream, so the counts are the same on
+// every run.
+func TestCompressedUIndistinguishable(t *testing.T) {
+	const n = 1000
+	rnd := &deterministicReader{key: []byte("compressed-u")}
+	pub, _, err := Setup(rnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	genuine := make([][]byte, n)
+	for i := range genuine {
+		if genuine[i], err = Encrypt(rnd, pub, fmt.Sprintf("user%d@example.org", i%16), make([]byte, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	noise, err := RandomCiphertexts(rnd, 8, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []struct {
+		name  string
+		ctxts [][]byte
+	}{{"Encrypt", genuine}, {"RandomCiphertexts", noise}} {
+		odd := 0
+		for i, c := range side.ctxts {
+			if err := new(bn254.G1).Unmarshal(c[:uSize]); err != nil {
+				t.Fatalf("%s output %d: U does not decode: %v", side.name, i, err)
+			}
+			if c[0]&0x80 != 0 {
+				t.Fatalf("%s output %d: U carries the infinity flag", side.name, i)
+			}
+			if c[0]&0x40 != 0 {
+				odd++
+			}
+		}
+		if f := float64(odd) / n; f < 0.45 || f > 0.55 {
+			t.Errorf("%s: sign bit set in %.3f of U, want [0.45, 0.55]", side.name, f)
+		}
+		t.Logf("%s: sign bit set in %d of %d", side.name, odd, n)
+	}
+}
+
 func TestDecryptCorruptedCiphertext(t *testing.T) {
 	pubs, privs := setupN(t, 1)
 	ctxt, _ := Encrypt(rand.Reader, pubs[0], "bob@example.org", []byte("msg"))
@@ -153,6 +202,9 @@ func TestDecryptCorruptedCiphertext(t *testing.T) {
 
 func TestMasterKeyMarshalRoundTrip(t *testing.T) {
 	pubs, privs := setupN(t, 1)
+	if n := len(pubs[0].Marshal()); n != MasterPublicKeySize {
+		t.Fatalf("master public key marshals to %d B, want MasterPublicKeySize = %d", n, MasterPublicKeySize)
+	}
 	pk2, err := UnmarshalMasterPublicKey(pubs[0].Marshal())
 	if err != nil {
 		t.Fatal(err)

@@ -21,9 +21,9 @@ func TestPaperMailboxNumbers(t *testing.T) {
 	if mb.NoiseRequests != 12000 {
 		t.Fatalf("noise/mailbox = %v, want 12000", mb.NoiseRequests)
 	}
-	// Paper: 24,000 requests at 308 B ≈ 7.4 MB. Our requests are 453 B
-	// (uncompressed BN254 points), so the same COUNT gives ~11 MB; the
-	// count is the paper-comparable quantity.
+	// Paper: 24,000 requests at 308 B ≈ 7.4 MB. Our requests are 277 B
+	// (compressed G1 points, 48 B of IBE overhead), so the same COUNT
+	// gives ~6.8 MB; the count is the paper-comparable quantity.
 	if total := mb.RealRequests + mb.NoiseRequests; math.Abs(total-24500) > 1 {
 		t.Fatalf("total/mailbox = %v, want 24500", total)
 	}

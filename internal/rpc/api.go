@@ -424,8 +424,11 @@ func (m *MixerClient) NoiseMu(service wire.Service) float64 {
 // in G2, so every round key, identity key and sealed request changes size;
 // and a dialing mailbox's Bloom filter sets different bits for a token.
 // Version 5 opens a mixer's round with one mix.round.open, and
-// mix.newround carries the announcer's export allowlist.
-const ProtocolVersion = 5
+// mix.newround carries the announcer's export allowlist. Version 6 sends
+// G1 points compressed (32 B): master public keys, PKG attestations, the
+// multisignature and the ciphertext element, so every round key and
+// sealed request shrinks.
+const ProtocolVersion = 6
 
 // ErrProtocolMismatch is returned (wrapped, naming both versions) by
 // FrontendClient.Directory, DialMixer and PKGClient.Info when the peer

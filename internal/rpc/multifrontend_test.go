@@ -314,8 +314,9 @@ func TestDirectoryProtocolMismatch(t *testing.T) {
 	}
 
 	// Version 0 predates the field; version 2 is the JSON-only data plane;
-	// version 3 seals add-friend requests with U in G2.
-	for _, version := range []int{0, 2, 3} {
+	// version 3 seals add-friend requests with U in G2; version 5 sends G1
+	// points uncompressed.
+	for _, version := range []int{0, 2, 3, 5} {
 		version := version
 		old := rpc.NewServer()
 		rpc.HandleFunc(old, "frontend.directory", func(struct{}) (any, error) {
@@ -377,8 +378,9 @@ func TestMixerProtocolMismatch(t *testing.T) {
 
 	// A version-2 mixer speaks the JSON-only data plane; a version-3 mixer
 	// carries add-friend onions sized for U in G2; a version-4 mixer opens
-	// its rounds over five calls, not mix.round.open.
-	for _, version := range []int{2, 3, 4} {
+	// its rounds over five calls, not mix.round.open; a version-5 mixer
+	// carries add-friend onions sized for uncompressed G1 points.
+	for _, version := range []int{2, 3, 4, 5} {
 		version := version
 		prev := rpc.NewServer()
 		rpc.HandleFunc(prev, "mix.info", func(struct{}) (any, error) {
@@ -431,8 +433,9 @@ func TestPKGProtocolMismatch(t *testing.T) {
 	}
 
 	// A version-2 PKG speaks the JSON-only data plane; a version-3 PKG
-	// issues G1 identity keys against G2 master keys.
-	for _, version := range []int{2, 3} {
+	// issues G1 identity keys against G2 master keys; a version-5 PKG
+	// signs and attests with uncompressed G1 points.
+	for _, version := range []int{2, 3, 5} {
 		version := version
 		prev := rpc.NewServer()
 		rpc.HandleFunc(prev, "pkg.info", func(struct{}) (any, error) {

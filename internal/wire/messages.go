@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"alpenhorn/internal/bls"
 	"alpenhorn/internal/ibe"
 	"alpenhorn/internal/keywheel"
 	"alpenhorn/internal/onionbox"
@@ -23,12 +24,13 @@ const (
 	// (the paper's Figure 3 structure): padded email + signing key +
 	// sender signature + PKG multisignature + dialing DH key + dialing
 	// round.
-	FriendRequestSize = emailFieldSize + 32 + 64 + 64 + 32 + 4
+	FriendRequestSize = emailFieldSize + 32 + 64 + bls.SignatureSize + 32 + 4
 
 	// EncryptedFriendRequestSize is a friend request after IBE
-	// encryption. (The paper reports 244+64 = 308 bytes with compressed
-	// BN-256 points; our uncompressed BN254 encoding is larger — see
-	// EXPERIMENTS.md.)
+	// encryption: 277 B. The paper reports 244 + 64 = 308 B with
+	// compressed BN-256 points. Ours are compressed too (32 B G1 points
+	// for the multisignature and the ciphertext element), and the IBE
+	// overhead is 48 B; the plaintext is 229 B against the paper's 244.
 	EncryptedFriendRequestSize = FriendRequestSize + ibe.Overhead
 
 	// AddFriendPayloadSize is the innermost mixnet payload for the
@@ -67,7 +69,7 @@ type FriendRequest struct {
 	SenderEmail  string
 	SenderKey    ed25519.PublicKey // long-term signing key
 	SenderSig    []byte            // 64-byte ed25519 signature
-	PKGSigs      []byte            // 64-byte BLS multisignature
+	PKGSigs      []byte            // 32-byte BLS multisignature
 	DialingKey   []byte            // 32-byte X25519 ephemeral public key
 	DialingRound uint32            // keywheel start round (w)
 }
@@ -106,7 +108,7 @@ func (fr *FriendRequest) Marshal() ([]byte, error) {
 	if len(fr.SenderSig) != ed25519.SignatureSize {
 		return nil, errors.New("wire: bad sender signature size")
 	}
-	if len(fr.PKGSigs) != 64 {
+	if len(fr.PKGSigs) != bls.SignatureSize {
 		return nil, errors.New("wire: bad PKG multisignature size")
 	}
 	if len(fr.DialingKey) != 32 {
@@ -136,7 +138,7 @@ func UnmarshalFriendRequest(data []byte) (*FriendRequest, error) {
 		SenderEmail:  r.PaddedString(MaxEmailLen),
 		SenderKey:    ed25519.PublicKey(r.Raw(32)),
 		SenderSig:    r.Raw(64),
-		PKGSigs:      r.Raw(64),
+		PKGSigs:      r.Raw(bls.SignatureSize),
 		DialingKey:   r.Raw(32),
 		DialingRound: r.Uint32(),
 	}

@@ -126,7 +126,7 @@ func MixerKeyMessage(s Service, round uint32, onionKey []byte) []byte {
 // PKGRoundKey is one PKG's per-round IBE master public key, signed with the
 // PKG's long-term ed25519 key over (round, key).
 type PKGRoundKey struct {
-	MasterKey []byte // 64-byte IBE master public key
+	MasterKey []byte // 32-byte IBE master public key
 	Sig       []byte // 64-byte ed25519 signature
 }
 

@@ -5,6 +5,8 @@ import (
 	"crypto/ed25519"
 	"testing"
 	"testing/quick"
+
+	"alpenhorn/internal/bls"
 )
 
 func TestBufferReaderRoundTrip(t *testing.T) {
@@ -79,7 +81,7 @@ func TestFriendRequestRoundTrip(t *testing.T) {
 	fr := &FriendRequest{
 		SenderEmail:  "alice@example.org",
 		SenderKey:    pub,
-		PKGSigs:      bytes.Repeat([]byte{2}, 64),
+		PKGSigs:      bytes.Repeat([]byte{2}, bls.SignatureSize),
 		DialingKey:   bytes.Repeat([]byte{3}, 32),
 		DialingRound: 77,
 	}
@@ -113,7 +115,7 @@ func TestFriendRequestSizeIsConstant(t *testing.T) {
 		fr := &FriendRequest{
 			SenderEmail: email,
 			SenderKey:   pub,
-			PKGSigs:     make([]byte, 64),
+			PKGSigs:     make([]byte, bls.SignatureSize),
 			DialingKey:  make([]byte, 32),
 		}
 		fr.SenderSig = ed25519.Sign(priv, fr.SigningMessage())
@@ -134,7 +136,7 @@ func TestFriendRequestValidation(t *testing.T) {
 		SenderEmail: string(bytes.Repeat([]byte{'a'}, MaxEmailLen+1)),
 		SenderKey:   pub,
 		SenderSig:   make([]byte, 64),
-		PKGSigs:     make([]byte, 64),
+		PKGSigs:     make([]byte, bls.SignatureSize),
 		DialingKey:  make([]byte, 32),
 	}
 	if _, err := bad.Marshal(); err == nil {
@@ -356,7 +358,7 @@ func FuzzUnmarshalFriendRequest(f *testing.F) {
 	fr := &FriendRequest{
 		SenderEmail:  "alice@example.org",
 		SenderKey:    pub,
-		PKGSigs:      bytes.Repeat([]byte{2}, 64),
+		PKGSigs:      bytes.Repeat([]byte{2}, bls.SignatureSize),
 		DialingKey:   bytes.Repeat([]byte{3}, 32),
 		DialingRound: 77,
 	}
@@ -375,6 +377,9 @@ func FuzzUnmarshalFriendRequest(f *testing.F) {
 	f.Add(padded)
 	f.Add(enc[:len(enc)-1])
 	f.Add([]byte{})
+	// The request with its multisignature as a 64-byte uncompressed G1
+	// point, the size before points were compressed: refused.
+	f.Add(append(append(append([]byte(nil), enc[:emailFieldSize+32+64]...), bytes.Repeat([]byte{2}, 64)...), enc[emailFieldSize+32+64+bls.SignatureSize:]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := UnmarshalFriendRequest(data)
@@ -400,6 +405,9 @@ func FuzzUnmarshalMixPayload(f *testing.F) {
 	f.Add(make([]byte, AddFriendPayloadSize+1))
 	f.Add(make([]byte, DialPayloadSize-1))
 	f.Add([]byte{})
+	// An add-friend payload with 64-byte G1 points (the multisignature and
+	// the ciphertext element), as sent before points were compressed.
+	f.Add(make([]byte, AddFriendPayloadSize+2*32))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, s := range []Service{AddFriend, Dialing} {
