@@ -84,7 +84,6 @@ func main() {
 	latencySLO := flag.Duration("latency-slo", 0, "per-daemon round-duration SLO (0 = none); a daemon breaching it is benched and replaced by a hot spare until it recovers")
 	adaptiveChunk := flag.Bool("adaptive-chunk", false, "adapt the pipeline chunk size to observed round outcomes within a bounded window (makes batch order depend on history; leave off when replaying fixed-seed experiments)")
 	pinLead := flag.Bool("pin-lead", false, "pin the shard-group merge/build-lead role to shard 0 instead of rotating it round-robin per round")
-	healthRing := flag.Int("health-ring", 0, "rounds of health history kept for coordinator.status (0 = default)")
 	flag.Parse()
 
 	if *frontendOnly {
@@ -199,7 +198,6 @@ func main() {
 		LatencySLO:               *latencySLO,
 		AdaptiveChunk:            *adaptiveChunk,
 		PinLead:                  *pinLead,
-		HealthRing:               *healthRing,
 		Logger:                   log.Default(),
 	}
 	// The publish surface gets its own listener: it is a WRITE surface

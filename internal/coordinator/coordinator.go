@@ -236,10 +236,6 @@ type Coordinator struct {
 	// of burning the whole round against a dead peer.
 	RoundDeadline time.Duration
 
-	// HealthRing bounds how many recent rounds Status retains
-	// (0 = defaultHealthRing).
-	HealthRing int
-
 	// TargetRequestsPerMailbox controls how many requests (real + noise)
 	// the coordinator aims to put in one mailbox; the paper sizes
 	// add-friend mailboxes at roughly 24,000 requests (§8.2). Tests use
@@ -285,18 +281,10 @@ type Coordinator struct {
 	annMu sync.Mutex
 }
 
-// defaultHealthRing bounds how many recent rounds Status retains when
-// Config.HealthRing is unset — sized so the coordinator.status surface
-// can show meaningful failure-rate history, not just the last burst.
+// defaultHealthRing bounds how many recent rounds Status retains — sized
+// so the coordinator.status surface can show meaningful failure-rate
+// history, not just the last burst.
 const defaultHealthRing = 64
-
-// healthRingSize is the configured Status retention.
-func (c *Coordinator) healthRingSize() int {
-	if c.HealthRing > 0 {
-		return c.HealthRing
-	}
-	return defaultHealthRing
-}
 
 // DaemonRoundStats is one daemon's outcome in a closed round, built from
 // its mix.round.wait reply.
@@ -354,8 +342,8 @@ func (c *Coordinator) Status() []RoundHealth {
 func (c *Coordinator) recordHealth(h RoundHealth) {
 	c.mu.Lock()
 	c.health = append(c.health, h)
-	if ring := c.healthRingSize(); len(c.health) > ring {
-		c.health = c.health[len(c.health)-ring:]
+	if len(c.health) > defaultHealthRing {
+		c.health = c.health[len(c.health)-defaultHealthRing:]
 	}
 	c.updateScoreboard(h)
 	c.adaptChunk(h)

@@ -247,15 +247,7 @@ func TestHealthRingSize(t *testing.T) {
 	if got := len(c.Status()); got != defaultHealthRing {
 		t.Errorf("default ring kept %d records, want %d", got, defaultHealthRing)
 	}
-
-	c = &Coordinator{HealthRing: 8}
-	for r := uint32(1); r <= 100; r++ {
-		c.recordHealth(RoundHealth{Service: wire.Dialing, Round: r})
-	}
-	if got := len(c.Status()); got != 8 {
-		t.Errorf("HealthRing=8 kept %d records, want 8", got)
-	}
-	if got := c.Status()[7].Round; got != 100 {
+	if got := c.Status()[defaultHealthRing-1].Round; got != 100 {
 		t.Errorf("ring tail holds round %d, want the newest round 100", got)
 	}
 }

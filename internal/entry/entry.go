@@ -10,38 +10,25 @@
 // # Event log
 //
 // Round progress is published as an EVENT LOG: every round-opened and
-// round-published announcement gets a monotonic cursor. Consumers follow
-// it three ways, all built on the same log:
+// round-published announcement gets a monotonic cursor. There is one
+// read, in two forms: EventsSince(cursor, max) returns the retained
+// events after a cursor without blocking, and WaitEvents(ctx, cursor,
+// max) is its blocking form, parking the caller until there is something
+// to return. When the cursor has fallen off the retained window, or
+// belongs to a previous incarnation of the log, the reply COALESCES to
+// the newest event per (service, kind): round progress is monotonic, so
+// the latest open and latest published round are all a late joiner
+// needs, and gap reports that events were lost. A reader owns its
+// cursor and the server keeps no per-reader state, so a reader that
+// stops reading blocks no announcement and loses none still retained.
 //
-//   - Subscribe returns a buffered channel of announcements. A slow
-//     subscriber misses deliveries rather than blocking the system; every
-//     announcement carries its cursor, so a gap is DETECTABLE (cursor
-//     jump) and refillable with EventsSince, and the server counts the
-//     drops per service (RoundStatus.EventDrops).
-//   - EventsSince(cursor, max) replays retained events after a cursor.
-//     When the cursor has fallen off the retained window (or is zero — a
-//     fresh consumer), the reply COALESCES to the newest event per
-//     (service, kind): round progress is monotonic, so the latest open
-//     and latest published round are all a late joiner needs.
-//   - Register returns a Waiter — the push primitive described below.
-//     WaitEvents is its one-shot convenience form (register, await,
-//     deregister), which the in-process sim transport rides on.
+// # Waking readers
 //
-// # Single-writer fan-out
-//
-// The push path is built for very large client counts: delivering an
-// announcement to N tracked clients must not cost N parked goroutines.
-// A consumer registers a Waiter — a small struct holding its log cursor
-// and a 1-slot wake channel — and ONE fan-out goroutine per server (so
-// one per frontend process, started when the first waiter registers and
-// exited when the last deregisters) walks the waiter list after each
-// announcement, tapping the wake channel of every waiter whose cursor is
-// behind the new head. Waking any number of waiters therefore costs one
-// list walk on one goroutine — a non-blocking channel send per waiter —
-// instead of a scheduler wakeup storm, and a waiter consumes events at
-// its own pace with Poll (or parks its own goroutine in Await, if it has
-// one to spare). The wake channel never carries data, so a slow waiter
-// costs one bit of state, never memory growth.
+// Every announcement closes one channel and replaces it. A parked
+// WaitEvents caller selects on the channel it saw when it last read the
+// log, so one announcement wakes every parked caller at once and the
+// server runs no goroutine of its own. Over rpc, a parked reader is one
+// entry.events long-poll: one connection goroutine, parked in WaitEvents.
 //
 // # Replication
 //
@@ -62,7 +49,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"alpenhorn/internal/wire"
 )
@@ -77,6 +63,7 @@ type roundState struct {
 	onionSize int
 	batch     [][]byte
 	open      bool
+	published bool
 }
 
 // EventKind distinguishes round-progress announcements.
@@ -90,10 +77,10 @@ const (
 )
 
 // Announcement is one entry in the round-progress event log. Cursor is
-// monotonically increasing across all services; subscribers use it to
-// detect missed announcements and to resume (EventsSince / WaitEvents).
-// Settings is populated for RoundOpen announcements delivered in-process;
-// transports may drop it (clients fetch and verify settings separately).
+// monotonically increasing across all services; readers resume from it
+// (EventsSince / WaitEvents). Settings is populated for RoundOpen
+// announcements, and entry.events carries it to clients, which verify it
+// against the PKGs' keys before use.
 type Announcement struct {
 	Cursor   uint64
 	Service  wire.Service
@@ -104,15 +91,11 @@ type Announcement struct {
 
 // RoundStatus is a service's round progress at a point in time: the
 // newest announced round and the newest round whose mailboxes are
-// published. Zero means "none yet". It is the poll-based view of the
-// event log, kept for clients talking to frontends without entry.events.
-// EventDrops counts announcements for this service that overflowed a
-// subscriber's buffer — the server-side view of the gaps subscribers
-// detect via cursor jumps.
+// published. Zero means "none yet". Readers of the event log fold
+// announcements into it.
 type RoundStatus struct {
-	CurrentOpen     uint32 `json:"current_open"`
-	LatestPublished uint32 `json:"latest_published"`
-	EventDrops      uint64 `json:"event_drops,omitempty"`
+	CurrentOpen     uint32
+	LatestPublished uint32
 }
 
 // eventLogSize bounds the retained event window. Consumers further behind
@@ -124,23 +107,12 @@ const eventLogSize = 256
 type Server struct {
 	mu     sync.Mutex
 	rounds map[roundKey]*roundState
-	subs   []chan Announcement
 
-	// Event log: a bounded window of announcements, each cursor-stamped,
-	// plus the folded per-service status.
+	// Event log: a bounded window of announcements, each cursor-stamped.
+	// changed is closed and replaced by every announcement.
 	events     []Announcement
 	nextCursor uint64
-	status     map[wire.Service]RoundStatus
-
-	// Fan-out core: the registered waiters and the single walker
-	// goroutine's doorbell. head mirrors the newest stamped cursor so the
-	// walker never takes s.mu. Lock order is s.mu then waiterMu.
-	waiterMu     sync.Mutex
-	waiters      map[uint64]*Waiter
-	nextWaiterID uint64
-	notify       chan struct{} // 1-slot; nil while no waiters are registered
-	head         atomic.Uint64
-	fanoutPasses atomic.Uint64 // completed walks, for tests and benchmarks
+	changed    chan struct{}
 
 	// MaxBatch bounds the number of requests per round (0 = unlimited).
 	// A deployment sets this to its provisioned capacity.
@@ -152,26 +124,12 @@ func New() *Server {
 	return &Server{
 		rounds:     make(map[roundKey]*roundState),
 		nextCursor: 1,
-		status:     make(map[wire.Service]RoundStatus),
+		changed:    make(chan struct{}),
 	}
 }
 
-// Subscribe returns a channel on which the server announces round events.
-// The channel is buffered; a slow subscriber misses announcements rather
-// than blocking the system, but every announcement carries its cursor, so
-// the subscriber DETECTS the gap (non-consecutive cursors) and refills it
-// with EventsSince. The server counts each drop in the announcement's
-// service status (RoundStatus.EventDrops).
-func (s *Server) Subscribe() <-chan Announcement {
-	ch := make(chan Announcement, 64)
-	s.mu.Lock()
-	s.subs = append(s.subs, ch)
-	s.mu.Unlock()
-	return ch
-}
-
-// appendEventLocked stamps, logs, folds, and fans out one announcement.
-// Caller holds s.mu.
+// appendEventLocked stamps and logs one announcement and wakes every
+// parked WaitEvents caller. Caller holds s.mu.
 func (s *Server) appendEventLocked(ann Announcement) {
 	ann.Cursor = s.nextCursor
 	s.nextCursor++
@@ -179,153 +137,8 @@ func (s *Server) appendEventLocked(ann Announcement) {
 	if len(s.events) > eventLogSize {
 		s.events = s.events[len(s.events)-eventLogSize:]
 	}
-	st := s.status[ann.Service]
-	switch ann.Kind {
-	case RoundOpen:
-		if ann.Round > st.CurrentOpen {
-			st.CurrentOpen = ann.Round
-		}
-	case RoundPublished:
-		if ann.Round > st.LatestPublished {
-			st.LatestPublished = ann.Round
-		}
-	}
-	for _, ch := range s.subs {
-		select {
-		case ch <- ann:
-		default:
-			// Slow subscriber: counted here, detectable client-side via
-			// the cursor gap.
-			st.EventDrops++
-		}
-	}
-	s.status[ann.Service] = st
-
-	// Ring the fan-out walker's doorbell (1-slot, so back-to-back
-	// announcements coalesce into one walk).
-	s.head.Store(ann.Cursor)
-	s.waiterMu.Lock()
-	if s.notify != nil {
-		select {
-		case s.notify <- struct{}{}:
-		default:
-		}
-	}
-	s.waiterMu.Unlock()
-}
-
-// Waiter is one registered consumer of the event log: a cursor plus a
-// 1-slot wake channel tapped by the server's fan-out walk whenever
-// events past the cursor exist. A waiter costs no goroutine; callers
-// either park their own in Await or multiplex Wake into their own select
-// loop and drain with Poll. Close deregisters it.
-type Waiter struct {
-	s      *Server
-	id     uint64
-	cursor atomic.Uint64
-	wake   chan struct{}
-}
-
-// Register adds a waiter at the given cursor (0 = fresh consumer). The
-// first registration starts the server's single fan-out goroutine.
-// Callers must Poll (or Await) after registering: events already past the
-// cursor do not ring the wake channel retroactively.
-func (s *Server) Register(cursor uint64) *Waiter {
-	w := &Waiter{s: s, wake: make(chan struct{}, 1)}
-	w.cursor.Store(cursor)
-	s.waiterMu.Lock()
-	s.nextWaiterID++
-	w.id = s.nextWaiterID
-	if s.waiters == nil {
-		s.waiters = make(map[uint64]*Waiter)
-	}
-	s.waiters[w.id] = w
-	if len(s.waiters) == 1 {
-		s.notify = make(chan struct{}, 1)
-		go s.fanout(s.notify)
-	}
-	s.waiterMu.Unlock()
-	return w
-}
-
-// Waiters reports the number of registered waiters.
-func (s *Server) Waiters() int {
-	s.waiterMu.Lock()
-	defer s.waiterMu.Unlock()
-	return len(s.waiters)
-}
-
-// fanout is the single-writer fan-out loop: one goroutine per server
-// walks the waiter list after each announcement and taps the wake channel
-// of every waiter behind the new head. It exits when the last waiter
-// deregisters (notify is closed).
-func (s *Server) fanout(notify <-chan struct{}) {
-	for range notify {
-		head := s.head.Load()
-		s.waiterMu.Lock()
-		for _, w := range s.waiters {
-			if w.cursor.Load() >= head {
-				continue
-			}
-			select {
-			case w.wake <- struct{}{}:
-			default:
-			}
-		}
-		s.waiterMu.Unlock()
-		s.fanoutPasses.Add(1)
-	}
-}
-
-// Close deregisters the waiter. The last Close stops the server's
-// fan-out goroutine.
-func (w *Waiter) Close() {
-	s := w.s
-	s.waiterMu.Lock()
-	if _, ok := s.waiters[w.id]; ok {
-		delete(s.waiters, w.id)
-		if len(s.waiters) == 0 {
-			close(s.notify)
-			s.notify = nil
-		}
-	}
-	s.waiterMu.Unlock()
-}
-
-// Wake returns the waiter's wake channel for use in a caller's select
-// loop. A receive means events past the waiter's cursor may exist; drain
-// them with Poll. The channel is 1-slot and never closed.
-func (w *Waiter) Wake() <-chan struct{} { return w.wake }
-
-// Cursor returns the waiter's current resume cursor.
-func (w *Waiter) Cursor() uint64 { return w.cursor.Load() }
-
-// Poll returns events past the waiter's cursor without blocking (like
-// EventsSince) and advances the cursor past everything returned.
-func (w *Waiter) Poll(max int) (events []Announcement, next uint64, gap bool) {
-	events, next, gap = w.s.EventsSince(w.cursor.Load(), max)
-	if len(events) > 0 {
-		w.cursor.Store(next)
-	}
-	return events, next, gap
-}
-
-// Await parks the calling goroutine until events past the waiter's cursor
-// exist, then returns them (like EventsSince). It returns empty when the
-// context ends first; next then echoes the waiter's cursor so the poll is
-// resumable.
-func (w *Waiter) Await(ctx context.Context, max int) (events []Announcement, next uint64, gap bool) {
-	for {
-		events, next, gap = w.Poll(max)
-		if len(events) > 0 {
-			return events, next, gap
-		}
-		select {
-		case <-ctx.Done():
-			return nil, w.cursor.Load(), false
-		case <-w.wake:
-		}
-	}
+	close(s.changed)
+	s.changed = make(chan struct{})
 }
 
 // OpenRound announces a round and starts accepting requests for it.
@@ -351,27 +164,34 @@ func (s *Server) OpenRound(settings *wire.RoundSettings) error {
 }
 
 // AnnouncePublished records that a round's mailboxes are available on the
-// CDN and pushes the announcement to subscribers and waiters. The
-// coordinator calls it after a successful publish.
+// CDN. The coordinator calls it after a successful publish. It logs each
+// round once, however the call is duplicated or reordered, so every
+// replica of the log stamps the same cursors. A round this server never
+// saw open (it restarted mid-round) is still announced: its mailboxes are
+// on the CDN all the same.
 func (s *Server) AnnouncePublished(service wire.Service, round uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	k := roundKey{service, round}
+	st, ok := s.rounds[k]
+	if !ok {
+		st = &roundState{}
+		s.rounds[k] = st
+	}
+	if st.published {
+		return
+	}
+	st.published = true
 	s.appendEventLocked(Announcement{Service: service, Round: round, Kind: RoundPublished})
-}
-
-// Status returns a service's folded round progress (newest open round,
-// newest published round, subscriber drop count).
-func (s *Server) Status(service wire.Service) RoundStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.status[service]
 }
 
 // EventsSince returns retained announcements after the given cursor, at
 // most max (0 means no bound), plus the cursor to resume from. When the
-// consumer's cursor has fallen off the retained window — or is zero, a
-// fresh consumer — the reply coalesces to the newest announcement per
-// (service, kind) and gap reports whether events were actually lost.
+// consumer's cursor has fallen off the retained window (a fresh
+// consumer's zero cursor has, once the window no longer starts at 1) or
+// lies past the newest event, the reply coalesces to the newest
+// announcement per (service, kind) and gap reports whether events were
+// actually lost.
 func (s *Server) EventsSince(cursor uint64, max int) (events []Announcement, next uint64, gap bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -438,15 +258,25 @@ func (s *Server) coalescedLocked(max int) []Announcement {
 	return out
 }
 
-// WaitEvents blocks until announcements after the cursor exist, then
-// returns them (like EventsSince). It returns empty when the context ends
-// first; next then echoes the caller's cursor so the poll is resumable.
-// It is the one-shot form of Register/Await/Close; consumers that wait
-// repeatedly should hold a Waiter instead of re-registering per call.
+// WaitEvents is the blocking form of EventsSince: it parks until
+// announcements after the cursor exist, then returns them. It returns
+// empty when the context ends first; next then echoes the caller's cursor
+// so the poll is resumable.
 func (s *Server) WaitEvents(ctx context.Context, cursor uint64, max int) (events []Announcement, next uint64, gap bool) {
-	w := s.Register(cursor)
-	defer w.Close()
-	return w.Await(ctx, max)
+	for {
+		s.mu.Lock()
+		events, next, gap = s.eventsSinceLocked(cursor, max)
+		changed := s.changed
+		s.mu.Unlock()
+		if len(events) > 0 {
+			return events, next, gap
+		}
+		select {
+		case <-ctx.Done():
+			return nil, cursor, false
+		case <-changed:
+		}
+	}
 }
 
 // Settings returns the announced settings for a round, or an error if the
@@ -455,7 +285,7 @@ func (s *Server) Settings(service wire.Service, round uint32) (*wire.RoundSettin
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.rounds[roundKey{service, round}]
-	if !ok {
+	if !ok || st.settings == nil {
 		return nil, fmt.Errorf("entry: round %d (%s) not announced", round, service)
 	}
 	return st.settings, nil

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	mathrand "math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -105,101 +107,89 @@ func TestMaxBatch(t *testing.T) {
 	}
 }
 
+// TestSubscribeAnnouncements pins what a reader of the log receives: an
+// open and a publish, in order, with consecutive cursors, and the open
+// carrying the round's settings.
 func TestSubscribeAnnouncements(t *testing.T) {
 	s := New()
-	ch := s.Subscribe()
 	if err := s.OpenRound(testSettings(5)); err != nil {
 		t.Fatal(err)
 	}
 	s.AnnouncePublished(wire.Dialing, 5)
-	var got []Announcement
-	for len(got) < 2 {
-		select {
-		case ann := <-ch:
-			got = append(got, ann)
-		default:
-			t.Fatalf("only %d announcements delivered", len(got))
-		}
+	got, next, gap := s.WaitEvents(context.Background(), 0, 0)
+	if len(got) != 2 || gap {
+		t.Fatalf("read %d announcements (gap %v), want 2", len(got), gap)
 	}
-	if got[0].Kind != RoundOpen || got[0].Round != 5 || got[0].Settings.Round != 5 {
+	if got[0].Kind != RoundOpen || got[0].Round != 5 || got[0].Settings == nil || got[0].Settings.Round != 5 {
 		t.Fatalf("open announcement: %+v", got[0])
 	}
 	if got[1].Kind != RoundPublished || got[1].Round != 5 {
 		t.Fatalf("published announcement: %+v", got[1])
 	}
 	// Cursors are consecutive: no gap means nothing was missed.
-	if got[1].Cursor != got[0].Cursor+1 {
-		t.Fatalf("cursors not consecutive: %d then %d", got[0].Cursor, got[1].Cursor)
+	if got[1].Cursor != got[0].Cursor+1 || next != got[1].Cursor {
+		t.Fatalf("cursors %d then %d, next %d", got[0].Cursor, got[1].Cursor, next)
 	}
 }
 
-// TestSubscriberGapDetectAndRefill pins the fix for the old silent-drop
-// behaviour: a slow subscriber that misses announcements sees a cursor
-// jump on its next delivery and refills the gap with EventsSince.
+// TestSubscriberGapDetectAndRefill pins resumption: a reader idle for 70
+// announcements resumes from its cursor with every one of them, in order
+// and with no gap, and a reader left behind the retained window gets the
+// coalesced snapshot with gap set.
 func TestSubscriberGapDetectAndRefill(t *testing.T) {
 	s := New()
-	ch := s.Subscribe()
-	// Overflow the 64-slot subscriber buffer without draining it.
-	for r := uint32(1); r <= 70; r++ {
+	if err := s.OpenRound(testSettings(1)); err != nil {
+		t.Fatal(err)
+	}
+	_, cursor, _ := s.EventsSince(0, 0)
+	for r := uint32(2); r <= 71; r++ {
 		if err := s.OpenRound(testSettings(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	last := uint64(0)
-	delivered := 0
-	for {
-		select {
-		case ann := <-ch:
-			if last != 0 && ann.Cursor != last+1 {
-				t.Fatalf("buffered announcements not consecutive: %d after %d", ann.Cursor, last)
-			}
-			last = ann.Cursor
-			delivered++
-			continue
-		default:
-		}
-		break
-	}
-	if delivered != 64 {
-		t.Fatalf("delivered %d announcements, want the 64 buffered", delivered)
-	}
-	// The subscriber drained its buffer; announcements 65..70 were
-	// dropped. The NEXT delivery exposes the gap as a cursor jump.
-	if err := s.OpenRound(testSettings(71)); err != nil {
-		t.Fatal(err)
-	}
-	var gapLo, gapHi uint64
-	select {
-	case ann := <-ch:
-		if ann.Cursor == last+1 {
-			t.Fatal("expected a cursor jump after dropped announcements")
-		}
-		gapLo, gapHi = last, ann.Cursor
-	default:
-		t.Fatal("no announcement after refilling the buffer")
-	}
-	// Refill: every missed announcement is still in the retained log.
-	refill, next, gap := s.EventsSince(gapLo, 0)
-	if gap {
-		t.Fatal("refill within the retained window reported a gap")
-	}
-	if uint64(len(refill)) < gapHi-gapLo-1 {
-		t.Fatalf("refill returned %d events, gap spans %d", len(refill), gapHi-gapLo-1)
+	refill, next, gap := s.EventsSince(cursor, 0)
+	if gap || len(refill) != 70 {
+		t.Fatalf("idle reader resumed with %d events (gap %v), want 70", len(refill), gap)
 	}
 	for i, ann := range refill {
-		if ann.Cursor != gapLo+uint64(i)+1 {
-			t.Fatalf("refill cursor %d at index %d, want %d", ann.Cursor, i, gapLo+uint64(i)+1)
+		if ann.Cursor != cursor+uint64(i)+1 || ann.Round != uint32(i+2) {
+			t.Fatalf("refill event %d: %+v", i, ann)
 		}
 	}
 	if next != refill[len(refill)-1].Cursor {
 		t.Fatal("resume cursor does not match last refilled event")
 	}
+
+	for r := uint32(72); r <= eventLogSize+72; r++ {
+		if err := s.OpenRound(testSettings(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, _, gap := s.EventsSince(next, 0)
+	if !gap || len(snap) != 1 || snap[0].Round != eventLogSize+72 {
+		t.Fatalf("reader behind the window got %+v (gap %v), want the newest open with gap", snap, gap)
+	}
 }
 
+// TestStatusFoldsEvents pins that a reader can fold round progress from
+// the log: the full replay and the coalesced snapshot give the same
+// newest open and newest published round.
 func TestStatusFoldsEvents(t *testing.T) {
+	fold := func(events []Announcement) RoundStatus {
+		var st RoundStatus
+		for _, ann := range events {
+			switch ann.Kind {
+			case RoundOpen:
+				st.CurrentOpen = max(st.CurrentOpen, ann.Round)
+			case RoundPublished:
+				st.LatestPublished = max(st.LatestPublished, ann.Round)
+			}
+		}
+		return st
+	}
 	s := New()
-	if st := s.Status(wire.Dialing); st.CurrentOpen != 0 || st.LatestPublished != 0 {
-		t.Fatalf("fresh status: %+v", st)
+	if events, _, _ := s.EventsSince(0, 0); len(events) != 0 {
+		t.Fatalf("fresh log: %+v", events)
 	}
 	for r := uint32(1); r <= 3; r++ {
 		if err := s.OpenRound(testSettings(r)); err != nil {
@@ -207,9 +197,19 @@ func TestStatusFoldsEvents(t *testing.T) {
 		}
 	}
 	s.AnnouncePublished(wire.Dialing, 2)
-	st := s.Status(wire.Dialing)
-	if st.CurrentOpen != 3 || st.LatestPublished != 2 {
-		t.Fatalf("status: %+v, want open 3 / published 2", st)
+	replay, _, _ := s.EventsSince(0, 0)
+	// A cursor past the head (a previous log incarnation's) gets the
+	// coalesced snapshot.
+	snap, _, _ := s.EventsSince(1<<40, 0)
+	if len(snap) != 2 {
+		t.Fatalf("coalesced snapshot holds %d events, want one open and one publish", len(snap))
+	}
+	want := RoundStatus{CurrentOpen: 3, LatestPublished: 2}
+	if st := fold(replay); st != want {
+		t.Fatalf("replay folds to %+v, want %+v", st, want)
+	}
+	if st := fold(snap); st != want {
+		t.Fatalf("snapshot folds to %+v, want %+v", st, want)
 	}
 }
 
@@ -329,4 +329,153 @@ func TestBatchIsCopied(t *testing.T) {
 	if batch[0][0] != 42 {
 		t.Fatal("batch aliases caller buffer")
 	}
+}
+
+// FuzzEventLog holds the one read to its contract. A seeded sequence of
+// opens and publishes (duplicated, out of order, or for rounds never
+// opened) runs over both services, past eventLogSize, against a model
+// of the full log; then EventsSince and WaitEvents read at arbitrary
+// cursors and bounds. Every reply has strictly increasing cursors, past
+// the reader's unless gap is set; next is the last returned cursor; a
+// reply with no gap is exactly the model's events after the cursor; a
+// coalesced reply holds at most one event per (service, kind), each the
+// newest of its kind; and WaitEvents returns what EventsSince does
+// whenever events are pending.
+func FuzzEventLog(f *testing.F) {
+	f.Add(int64(1), uint16(40), []byte{0, 0, 0, 0, 5, 3, 1, 0, 0x80})
+	f.Add(int64(2), uint16(575), []byte{0, 0, 0, 0, 1, 2, 0xff, 0xff, 0x81, 1, 0x40, 0x0f})
+	f.Add(int64(3), uint16(0), []byte{0, 0, 0})
+	f.Fuzz(func(t *testing.T, seed int64, steps uint16, reads []byte) {
+		s := New()
+		var model []Announcement // every event ever logged; model[i].Cursor == i+1
+		type roundKey struct {
+			service wire.Service
+			round   uint32
+		}
+		opened := map[wire.Service]uint32{}
+		published := map[roundKey]bool{}
+		rng := mathrand.New(mathrand.NewSource(seed))
+		for i := 0; i < int(steps)%(2*eventLogSize+64); i++ {
+			service := []wire.Service{wire.AddFriend, wire.Dialing}[rng.Intn(2)]
+			if rng.Intn(2) == 0 {
+				opened[service]++
+				settings := testSettings(opened[service])
+				settings.Service = service
+				if err := s.OpenRound(settings); err != nil {
+					t.Fatal(err)
+				}
+				model = append(model, Announcement{Service: service, Round: opened[service], Kind: RoundOpen})
+				continue
+			}
+			// Publish a recent round, sometimes again; before the second
+			// open this wraps to a round never opened.
+			round := opened[service] - uint32(rng.Intn(3))
+			s.AnnouncePublished(service, round)
+			if _, err := s.Settings(service, round); round > opened[service] && err == nil {
+				t.Fatalf("publishing never-opened %v round %d made it announced", service, round)
+			}
+			if k := (roundKey{service, round}); !published[k] {
+				published[k] = true
+				model = append(model, Announcement{Service: service, Round: round, Kind: RoundPublished})
+			}
+		}
+		head := uint64(len(model))
+		windowStart := uint64(1)
+		if head > eventLogSize {
+			windowStart = head - eventLogSize + 1
+		}
+
+		// Every run reads at the window's edges and the head, then where
+		// the input says.
+		type read struct {
+			cursor uint64
+			max    int
+		}
+		var plan []read
+		for _, cursor := range []uint64{0, windowStart - 2, windowStart - 1, windowStart, head - 1, head, head + 1} {
+			plan = append(plan, read{cursor, 0}, read{cursor, 1})
+		}
+		for ; len(reads) >= 3; reads = reads[3:] {
+			cursor := uint64(reads[0])<<8 | uint64(reads[1])
+			if reads[2]&0x80 != 0 {
+				cursor += head // past the head: a previous incarnation's cursor
+			} else {
+				cursor %= head + 2
+			}
+			plan = append(plan, read{cursor, int(reads[2] & 0x0f)})
+		}
+
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		for _, r := range plan {
+			cursor, max := r.cursor, r.max
+			events, next, gap := s.EventsSince(cursor, max)
+			wEvents, wNext, wGap := s.WaitEvents(cancelled, cursor, max)
+			if len(events) > 0 && (!reflect.DeepEqual(events, wEvents) || next != wNext || gap != wGap) {
+				t.Fatalf("cursor %d max %d: WaitEvents %+v/%d/%v, EventsSince %+v/%d/%v", cursor, max, wEvents, wNext, wGap, events, next, gap)
+			}
+			if len(events) == 0 {
+				if len(wEvents) != 0 || next != cursor || wNext != cursor || gap || wGap {
+					t.Fatalf("cursor %d: empty reply next %d gap %v, WaitEvents %d events next %d", cursor, next, gap, len(wEvents), wNext)
+				}
+				if cursor < head && cursor+1 >= windowStart {
+					t.Fatalf("cursor %d of head %d: no events returned", cursor, head)
+				}
+				continue
+			}
+			if max > 0 && len(events) > max {
+				t.Fatalf("cursor %d: %d events past max %d", cursor, len(events), max)
+			}
+			for i, ann := range events {
+				if i > 0 && ann.Cursor <= events[i-1].Cursor {
+					t.Fatalf("cursor %d: cursors not increasing: %+v", cursor, events)
+				}
+				if !gap && ann.Cursor <= cursor {
+					t.Fatalf("cursor %d: returned event %d at or before it without gap", cursor, ann.Cursor)
+				}
+				m := model[ann.Cursor-1]
+				if ann.Service != m.Service || ann.Round != m.Round || ann.Kind != m.Kind {
+					t.Fatalf("event %+v, model logged %+v", ann, m)
+				}
+			}
+			if next != events[len(events)-1].Cursor {
+				t.Fatalf("cursor %d: next %d, last returned %d", cursor, next, events[len(events)-1].Cursor)
+			}
+			coalesced := cursor > head || cursor+1 < windowStart
+			if !coalesced {
+				if gap {
+					t.Fatalf("cursor %d within the window (from %d) flagged gap", cursor, windowStart)
+				}
+				for i, ann := range events {
+					if ann.Cursor != cursor+uint64(i)+1 {
+						t.Fatalf("cursor %d: event %d has cursor %d, want %d", cursor, i, ann.Cursor, cursor+uint64(i)+1)
+					}
+				}
+				if max == 0 && next != head {
+					t.Fatalf("cursor %d: unbounded read stopped at %d of head %d", cursor, next, head)
+				}
+				continue
+			}
+			if gap != (cursor > 0) {
+				t.Fatalf("cursor %d behind or past the log: gap %v", cursor, gap)
+			}
+			type kindKey struct {
+				service wire.Service
+				kind    EventKind
+			}
+			seen := map[kindKey]bool{}
+			for _, ann := range events {
+				k := kindKey{ann.Service, ann.Kind}
+				if seen[k] {
+					t.Fatalf("cursor %d: coalesced reply holds two %v %v events: %+v", cursor, ann.Service, ann.Kind, events)
+				}
+				seen[k] = true
+				for _, later := range model[ann.Cursor:] {
+					if later.Service == ann.Service && later.Kind == ann.Kind {
+						t.Fatalf("cursor %d: coalesced %+v is not the newest of its kind", cursor, ann)
+					}
+				}
+			}
+		}
+	})
 }

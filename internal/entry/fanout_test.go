@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,184 +23,187 @@ func awaitCondition(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestWaiterFlatGoroutines is the fan-out core's scaling pin: 10k
-// registered waiters cost the server O(1) goroutines (the single fan-out
-// walker), every waiter still observes each announcement, and the walker
-// exits when the last waiter deregisters.
+// parkWaiters starts n goroutines parked in WaitEvents at cursor and
+// returns once every one has entered the call. Each sends its reply's
+// event count on the returned channel.
+func parkWaiters(ctx context.Context, s *Server, n int, cursor uint64) <-chan int {
+	got := make(chan int, n)
+	var entered sync.WaitGroup
+	entered.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			entered.Done()
+			events, _, _ := s.WaitEvents(ctx, cursor, 0)
+			got <- len(events)
+		}()
+	}
+	entered.Wait()
+	return got
+}
+
+// TestWaiterFlatGoroutines pins what a tracked client costs the entry
+// server: 10k callers parked in WaitEvents are their own 10k goroutines
+// and the server adds none, one announcement returns every one of them,
+// and cancelling parked callers returns the goroutine count to baseline.
 func TestWaiterFlatGoroutines(t *testing.T) {
 	const numWaiters = 10_000
 	s := New()
 	baseline := runtime.NumGoroutine()
 
-	waiters := make([]*Waiter, numWaiters)
-	for i := range waiters {
-		waiters[i] = s.Register(0)
+	got := parkWaiters(context.Background(), s, numWaiters, 0)
+	if n := runtime.NumGoroutine(); n > baseline+numWaiters+3 {
+		t.Fatalf("%d goroutines with %d parked callers, baseline %d: the server added its own", n, numWaiters, baseline)
 	}
-	if n := s.Waiters(); n != numWaiters {
-		t.Fatalf("registered %d waiters, server counts %d", numWaiters, n)
-	}
-	// O(1): registration added the one walker goroutine, nothing per
-	// waiter (allow a little slack for unrelated runtime goroutines).
-	if n := runtime.NumGoroutine(); n > baseline+3 {
-		t.Fatalf("%d goroutines serving %d waiters, baseline %d — want O(1) growth", n, numWaiters, baseline)
-	}
-
-	passes := s.fanoutPasses.Load()
 	if err := s.OpenRound(testSettings(1)); err != nil {
 		t.Fatal(err)
 	}
-	awaitCondition(t, "fan-out walk", func() bool { return s.fanoutPasses.Load() > passes })
-
-	// One walk woke all 10k waiters; each drains the event at its own
-	// pace with Poll, with no goroutine of its own.
-	for i, w := range waiters {
+	for i := 0; i < numWaiters; i++ {
 		select {
-		case <-w.Wake():
-		default:
-			t.Fatalf("waiter %d not woken by the fan-out walk", i)
+		case n := <-got:
+			if n != 1 {
+				t.Fatalf("a parked caller returned %d events, want the open announcement", n)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d parked callers not returned by the announcement", numWaiters-i, numWaiters)
 		}
-		events, next, gap := w.Poll(0)
-		if len(events) != 1 || events[0].Round != 1 || gap {
-			t.Fatalf("waiter %d polled %d events (gap=%v), want the open announcement", i, len(events), gap)
-		}
-		if w.Cursor() != next {
-			t.Fatalf("waiter %d cursor %d not advanced to %d", i, w.Cursor(), next)
-		}
-	}
-	if n := runtime.NumGoroutine(); n > baseline+3 {
-		t.Fatalf("%d goroutines after announcing to %d waiters, baseline %d", n, numWaiters, baseline)
 	}
 
-	for _, w := range waiters {
-		w.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	_, next, _ := s.EventsSince(0, 0)
+	got = parkWaiters(ctx, s, numWaiters, next)
+	cancel()
+	for i := 0; i < numWaiters; i++ {
+		if n := <-got; n != 0 {
+			t.Fatalf("a cancelled caller returned %d events", n)
+		}
 	}
-	if n := s.Waiters(); n != 0 {
-		t.Fatalf("%d waiters left after closing all", n)
-	}
-	awaitCondition(t, "fan-out goroutine exit", func() bool {
+	awaitCondition(t, "goroutines back to baseline", func() bool {
 		return runtime.NumGoroutine() <= baseline
 	})
 }
 
-// TestWaiterSelectLoop exercises the goroutine-free consumer shape: Wake
-// in a caller-owned select, Poll to drain, cursor advancing across
-// multiple announcements with no missed wakeups.
+// TestWaiterSelectLoop pins the follow loop a client runs: a reader that
+// re-parks from each returned next sees all five of five back-to-back
+// opens, in order and with consecutive cursors, however the opens race
+// its re-parking.
 func TestWaiterSelectLoop(t *testing.T) {
 	s := New()
-	w := s.Register(0)
-	defer w.Close()
-
-	var got []Announcement
+	done := make(chan []Announcement, 1)
+	go func() {
+		var got []Announcement
+		var cursor uint64
+		for len(got) < 5 {
+			events, next, gap := s.WaitEvents(context.Background(), cursor, 0)
+			if gap {
+				break
+			}
+			got = append(got, events...)
+			cursor = next
+		}
+		done <- got
+	}()
 	for r := uint32(1); r <= 5; r++ {
 		if err := s.OpenRound(testSettings(r)); err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case <-w.Wake():
-		case <-time.After(2 * time.Second):
-			t.Fatalf("no wake for round %d", r)
-		}
-		events, _, gap := w.Poll(0)
-		if gap {
-			t.Fatalf("gap at round %d", r)
-		}
-		got = append(got, events...)
+	}
+	var got []Announcement
+	select {
+	case got = <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("reader did not see five opens")
 	}
 	if len(got) != 5 {
-		t.Fatalf("drained %d events, want 5", len(got))
+		t.Fatalf("read %d events, want 5", len(got))
 	}
 	for i, ann := range got {
-		if ann.Round != uint32(i+1) || ann.Kind != RoundOpen {
+		if ann.Round != uint32(i+1) || ann.Kind != RoundOpen || ann.Cursor != got[0].Cursor+uint64(i) {
 			t.Fatalf("event %d: %+v", i, ann)
 		}
 	}
 }
 
-// TestWaiterAwaitParksAndResumes: Await parks the caller until an
-// announcement arrives, and a cancelled context unparks it with the
-// cursor unchanged — WaitEvents semantics on a held waiter.
+// TestWaiterAwaitParksAndResumes pins WaitEvents' blocking: the caller
+// stays parked until OpenRound announces, and a cancelled context
+// returns no events and the caller's own cursor, so the next call resumes
+// where this one started.
 func TestWaiterAwaitParksAndResumes(t *testing.T) {
 	s := New()
-	w := s.Register(0)
-	defer w.Close()
-
 	done := make(chan []Announcement, 1)
 	go func() {
-		events, _, _ := w.Await(context.Background(), 0)
+		events, _, _ := s.WaitEvents(context.Background(), 0, 0)
 		done <- events
 	}()
-	time.Sleep(10 * time.Millisecond)
+	select {
+	case events := <-done:
+		t.Fatalf("WaitEvents returned %+v before any announcement", events)
+	case <-time.After(20 * time.Millisecond):
+	}
 	if err := s.OpenRound(testSettings(1)); err != nil {
 		t.Fatal(err)
 	}
+	var next uint64
 	select {
 	case events := <-done:
 		if len(events) != 1 || events[0].Round != 1 {
 			t.Fatalf("awaited events: %+v", events)
 		}
+		next = events[0].Cursor
 	case <-time.After(2 * time.Second):
-		t.Fatal("Await did not wake on OpenRound")
+		t.Fatal("WaitEvents did not wake on OpenRound")
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	events, next, _ := w.Await(ctx, 0)
-	if len(events) != 0 || next != w.Cursor() {
-		t.Fatalf("cancelled await: %d events, next %d, cursor %d", len(events), next, w.Cursor())
+	if events, resume, gap := s.WaitEvents(ctx, next, 0); len(events) != 0 || resume != next || gap {
+		t.Fatalf("cancelled wait: %d events, next %d (gap %v), want none and %d", len(events), resume, gap, next)
 	}
 }
 
-// TestSubscribeDropsCounted: announcements that overflow a subscriber's
-// buffer are counted server-side in the service's status, not just
-// detectable client-side via the cursor gap.
+// TestSubscribeDropsCounted pins that the log keeps no per-reader state:
+// a reader parked at cursor 0 whose reply is never taken blocks none of
+// 70 announcements, and a reader idle through all of them loses none.
 func TestSubscribeDropsCounted(t *testing.T) {
 	s := New()
-	s.Subscribe() // never drained: overflows at 64
+	parkWaiters(context.Background(), s, 1, 0) // its reply is never read
 	const opens = 70
 	for r := uint32(1); r <= opens; r++ {
 		if err := s.OpenRound(testSettings(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := s.Status(wire.Dialing)
-	if want := uint64(opens - 64); st.EventDrops != want {
-		t.Fatalf("status counts %d dropped events, want %d", st.EventDrops, want)
+	events, _, gap := s.EventsSince(0, 0)
+	if gap || len(events) != opens {
+		t.Fatalf("idle reader got %d events (gap %v), want all %d", len(events), gap, opens)
 	}
-	if st.CurrentOpen != opens {
-		t.Fatalf("drop counting disturbed status fold: %+v", st)
-	}
-	// A service with no dropped announcements reports zero.
-	if st := s.Status(wire.AddFriend); st.EventDrops != 0 {
-		t.Fatalf("add-friend drops %d, want 0", st.EventDrops)
+	for i, ann := range events {
+		if ann.Round != uint32(i+1) {
+			t.Fatalf("event %d is round %d", i, ann.Round)
+		}
 	}
 }
 
-// BenchmarkEventFanout measures the per-announcement cost of the
-// single-writer fan-out walk at 10k–100k registered waiters, and reports
-// the goroutine growth from serving them (which must stay flat at 1 —
-// the walker).
+// BenchmarkEventFanout times one AnnouncePublished until every caller
+// parked in WaitEvents has returned, at 10k and 100k parked callers: the
+// wake cost of a frontend's tracked clients, one goroutine each.
 func BenchmarkEventFanout(b *testing.B) {
 	for _, numWaiters := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("waiters=%d", numWaiters), func(b *testing.B) {
 			s := New()
-			baseline := runtime.NumGoroutine()
-			waiters := make([]*Waiter, numWaiters)
-			for i := range waiters {
-				waiters[i] = s.Register(0)
-			}
-			b.ReportMetric(float64(runtime.NumGoroutine()-baseline), "goroutines")
-
-			b.ResetTimer()
+			returned := 0
 			for i := 0; i < b.N; i++ {
-				passes := s.fanoutPasses.Load()
+				b.StopTimer()
+				_, cursor, _ := s.EventsSince(0, 0)
+				got := parkWaiters(context.Background(), s, numWaiters, cursor)
+				time.Sleep(10 * time.Millisecond) // let the callers reach their select
+				b.StartTimer()
 				s.AnnouncePublished(wire.Dialing, uint32(i+1))
-				for s.fanoutPasses.Load() == passes {
-					runtime.Gosched()
+				for j := 0; j < numWaiters; j++ {
+					returned += <-got
 				}
 			}
-			b.StopTimer()
-			for _, w := range waiters {
-				w.Close()
+			if want := b.N * numWaiters; returned != want {
+				b.Fatalf("parked callers returned %d events, want %d", returned, want)
 			}
 		})
 	}

@@ -643,16 +643,9 @@ func RegisterFrontend(s *Server, e *entry.Server, store MailboxSource, dir Direc
 		if wait <= 0 || wait > maxEventsWait {
 			wait = maxEventsWait
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), wait)
-		defer cancel()
 		// A shutting-down server unparks every waiter immediately.
-		go func() {
-			select {
-			case <-s.Closing():
-				cancel()
-			case <-ctx.Done():
-			}
-		}()
+		ctx, cancel := context.WithTimeout(s.ctx, wait)
+		defer cancel()
 		anns, next, gap := e.WaitEvents(ctx, a.Cursor, eventsBatchMax)
 		reply := eventsReply{Next: next, Gap: gap}
 		for _, ann := range anns {

@@ -162,11 +162,8 @@ func RegisterEntryReplica(s *Server, e *entry.Server) {
 		return nil, st.feed(a, batch)
 	})
 	HandleFunc(s, "entry.replicate.published", func(a roundArgs) (any, error) {
-		// Idempotent: announce once per round no matter how the call is
-		// duplicated — the log must stay identical across replicas.
-		if e.Status(a.Service).LatestPublished >= a.Round {
-			return nil, nil
-		}
+		// AnnouncePublished logs each round once, however the call is
+		// duplicated or reordered: the log stays identical across replicas.
 		e.AnnouncePublished(a.Service, a.Round)
 		st.mu.Lock()
 		delete(st.stash, stashKey{a.Service, a.Round})

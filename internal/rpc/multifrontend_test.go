@@ -98,11 +98,22 @@ func runSeededForwardRound(t *testing.T, listen string, numFrontends int) (*wire
 		t.Fatal("round not published")
 	}
 	for _, extra := range n.Frontends {
-		if st := extra.Status(wire.Dialing); st.LatestPublished != 1 {
-			t.Fatalf("extra frontend's log missed the published announcement (latest=%d)", st.LatestPublished)
+		if events, _, _ := extra.EventsSince(0, 0); !loggedPublished(events, wire.Dialing, 1) {
+			t.Fatalf("extra frontend's log missed the published announcement: %+v", events)
 		}
 	}
 	return settings, fetchAll(t, n.CDN, 1, settings.NumMailboxes)
+}
+
+// loggedPublished reports whether events hold service's round-published
+// announcement for round.
+func loggedPublished(events []entry.Announcement, service wire.Service, round uint32) bool {
+	for _, ann := range events {
+		if ann.Service == service && ann.Round == round && ann.Kind == entry.RoundPublished {
+			return true
+		}
+	}
+	return false
 }
 
 // TestTwoFrontendIntakeByteIdentical is the N-way-intake acceptance pin: a

@@ -244,22 +244,27 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	wg       sync.WaitGroup
 	closed   bool
-	closing  chan struct{}
+
+	// ctx is cancelled when Close begins. Long-poll handlers derive their
+	// wait from it, so a shutting-down server never waits on a parked
+	// handler's full poll interval.
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
 // NewServer creates an empty RPC server.
 func NewServer() *Server {
+	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		handlers: make(map[string]handler),
 		conns:    make(map[net.Conn]struct{}),
-		closing:  make(chan struct{}),
+		ctx:      ctx,
+		cancel:   cancel,
 	}
 }
 
-// Closing is closed when Close begins. Long-poll handlers (entry.events,
-// mix.round.wait) select on it so a shutting-down server never waits on a
-// parked handler's full poll interval.
-func (s *Server) Closing() <-chan struct{} { return s.closing }
+// Closing is closed when Close begins.
+func (s *Server) Closing() <-chan struct{} { return s.ctx.Done() }
 
 // HandleFunc registers a handler with typed parameters: params JSON is
 // decoded into T, and the blob section into T's embedded blobs (a T
@@ -353,7 +358,7 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	close(s.closing)
+	s.cancel()
 	ln := s.ln
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
