@@ -85,7 +85,7 @@ func cdnLoad() {
 			lat = append(lat, time.Since(start))
 		}
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		return lat[len(lat)/2], lat[len(lat)*99/100]
+		return percentile(lat, 50), percentile(lat, 99)
 	}
 	memStore := cdn.NewStore(0)
 	if err := memStore.Publish(wire.Dialing, 1, boxes); err != nil {
@@ -131,7 +131,7 @@ func cdnLoad() {
 		lags = append(lags, time.Since(start))
 	}
 	sort.Slice(lags, func(i, j int) bool { return lags[i] < lags[j] })
-	replLag := lags[len(lags)/2]
+	replLag := percentile(lags, 50)
 
 	fmt.Printf("CDN load (%d mailboxes × %d B per round)\n", numMailboxes, mailboxBytes)
 	fmt.Printf("  seal throughput    memory %8.1f MB/s   disk %8.1f MB/s\n", memSeal, diskSeal)

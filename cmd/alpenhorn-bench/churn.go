@@ -118,14 +118,10 @@ func churnBench(batchSize int) {
 
 		res.FailedFraction = float64(res.FailedRounds) / float64(numRounds)
 		sort.Slice(okDurations, func(i, j int) bool { return okDurations[i] < okDurations[j] })
-		pct := func(p float64) float64 {
-			if len(okDurations) == 0 {
-				return 0
-			}
-			idx := int(p * float64(len(okDurations)-1))
-			return float64(okDurations[idx]) / float64(time.Millisecond)
+		ms := func(pct int) float64 {
+			return float64(percentile(okDurations, pct)) / float64(time.Millisecond)
 		}
-		res.P50Ms, res.P99Ms = pct(0.50), pct(0.99)
+		res.P50Ms, res.P99Ms = ms(50), ms(99)
 		for _, d := range coord.Scoreboard().Daemons {
 			res.Readmissions += d.Readmissions
 		}

@@ -1,0 +1,54 @@
+package mixnet
+
+import (
+	"testing"
+
+	"alpenhorn/internal/keywheel"
+	"alpenhorn/internal/noise"
+	"alpenhorn/internal/wire"
+)
+
+// benchChain measures a full 3-server dialing round — peel, noise,
+// shuffle, mailbox build — through the reference Chain at one worker
+// count.
+func benchChain(b *testing.B, workers int) {
+	const numServers, batchSize, numMailboxes = 3, 2048, 4
+	nz := noise.Laplace{Mu: 2, B: 0}
+	servers := make([]*Server, numServers)
+	for i := range servers {
+		s, err := New(Config{
+			Name: "m", Position: i, ChainLength: numServers,
+			AddFriendNoise: &nz, DialingNoise: &nz,
+			Parallelism: workers,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		servers[i] = s
+	}
+	hops := openRound(b, servers, wire.Dialing, 1)
+	batch := make([][]byte, batchSize)
+	for i := range batch {
+		tok := make([]byte, keywheel.TokenSize)
+		tok[0], tok[1] = byte(i), byte(i>>8)
+		batch[i] = makeDialOnion(b, hops, uint32(i)%numMailboxes, tok)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Chain(servers, wire.Dialing, 1, numMailboxes, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	perRound := b.Elapsed().Seconds() / float64(b.N)
+	b.ReportMetric(float64(batchSize)/perRound, "msgs/sec")
+	b.ReportMetric(perRound*1e3, "ms/round")
+}
+
+// BenchmarkMixSequential is one decryption thread per server, strict
+// stage-by-stage chain execution.
+func BenchmarkMixSequential(b *testing.B) { benchChain(b, 1) }
+
+// BenchmarkMixParallel uses the worker-pool decrypt path (GOMAXPROCS
+// workers) with the chain still running stage by stage. Compare its
+// msgs/sec against BenchmarkMixSequential for the multi-core speedup.
+func BenchmarkMixParallel(b *testing.B) { benchChain(b, 0) }

@@ -150,41 +150,6 @@ func groupByMailbox(service wire.Service, numMailboxes uint32, batch [][]byte, w
 	return grouped
 }
 
-// RawDialMailboxes builds dialing mailboxes WITHOUT the Bloom filter
-// encoding (raw concatenated 256-bit tokens). This is the §5.2 baseline
-// used by the BloomVsRaw ablation benchmark; the real protocol always uses
-// Bloom filters.
-func RawDialMailboxes(numMailboxes uint32, batch [][]byte) (map[uint32][]byte, error) {
-	grouped := groupByMailbox(wire.Dialing, numMailboxes, batch, 1)
-	out := make(map[uint32][]byte, numMailboxes)
-	for mb := uint32(0); mb < numMailboxes; mb++ {
-		var box []byte
-		for _, b := range grouped[mb] {
-			box = append(box, b...)
-		}
-		out[mb] = box
-	}
-	return out, nil
-}
-
-// Chain runs a batch through an ordered list of mixnet servers and returns
-// the final mailboxes. It is the in-process REFERENCE for the routed data
-// plane (internal/rpc/forward.go), which the byte-identity tests compare
-// against it: each server still decrypts with its worker pool, but the
-// chain itself is strictly sequential — server i+1 sees nothing until
-// server i has fully finished.
-func Chain(servers []*Server, service wire.Service, round uint32, numMailboxes uint32, batch [][]byte) (map[uint32][]byte, error) {
-	cur := batch
-	var err error
-	for i, s := range servers {
-		cur, err = s.Mix(service, round, numMailboxes, cur)
-		if err != nil {
-			return nil, fmt.Errorf("mixnet: server %d (%s): %w", i, s.Name, err)
-		}
-	}
-	return BuildMailboxes(service, numMailboxes, cur)
-}
-
 // DefaultStreamChunk is the batch chunk size used when feeding a mixer
 // chain as a stream: small enough that downstream decryption overlaps
 // upstream emission, large enough to amortize per-chunk overhead.

@@ -76,11 +76,12 @@
 //
 // This package is transport-agnostic: the chunked surface is driven by
 // daemons forwarding chunks directly to their successors (internal/rpc's
-// data plane, which also routes the shard-group deal/merge), and Mix and
-// Chain are the full-batch reference it is tested against. Because chunk
-// arrival order defines pre-shuffle order and every randomness draw comes
-// from Config.Rand in a fixed sequence, the routed plane at one shard per
-// position and Chain produce byte-identical mailboxes under a fixed seed.
+// data plane, which also routes the shard-group deal/merge). The tests
+// hold it to a full-batch reference mixer that lives in this package's
+// _test.go files. Because chunk arrival order defines
+// pre-shuffle order and every randomness draw comes from Config.Rand in a
+// fixed sequence, the routed plane at one shard per position and that
+// reference produce byte-identical mailboxes under a fixed seed.
 // Across shard COUNTS the guarantee is
 // set-level, not order-level — the deal legitimately reorders the
 // pre-shuffle batch and noise bytes are per-machine randomness — so
@@ -121,7 +122,7 @@ type roundState struct {
 	// SetDownstreamKeys (empty, non-nil for the last server).
 	downstream []*onionbox.PublicKey
 	// noise holds this round's background-generated noise, consumed by
-	// the next Mix or StreamEndShard call.
+	// the next StreamEndShard call.
 	noise *noiseBatch
 	// stream is the in-progress chunked intake, if any.
 	stream *stream
@@ -227,7 +228,7 @@ type Config struct {
 }
 
 // lockedReader serializes reads of a non-thread-safe randomness source so
-// that concurrent Mix, noise-generation, and streaming goroutines never
+// that concurrent decryption, noise-generation, and streaming goroutines never
 // interleave partial reads. See Config.Rand.
 type lockedReader struct {
 	mu sync.Mutex
@@ -290,9 +291,6 @@ func New(cfg Config) (*Server, error) {
 // SigningKey returns the server's long-term ed25519 key (pinned in the
 // client software package).
 func (s *Server) SigningKey() ed25519.PublicKey { return s.signingPub }
-
-// Parallelism returns the server's decryption/noise worker count.
-func (s *Server) Parallelism() int { return s.parallelism }
 
 // NewRound generates the server's per-round onion key pair and returns the
 // signed announcement. Idempotent while the round is open.
@@ -493,10 +491,10 @@ func (s *Server) openState(service wire.Service, round uint32) (*roundState, err
 }
 
 // PrepareNoise starts generating the round's noise messages in the
-// background, so they are ready by the time the batch arrives and Mix (or
-// StreamEndShard) never blocks on noise. It must be called after
+// background, so they are ready by the time the batch arrives and
+// StreamEndShard never blocks on noise. It must be called after
 // SetDownstreamKeys and is idempotent for a given mailbox count; a later
-// Mix with a different mailbox count falls back to inline generation.
+// stream with a different mailbox count falls back to inline generation.
 func (s *Server) PrepareNoise(service wire.Service, round uint32, numMailboxes uint32) error {
 	s.mu.Lock()
 	st, err := s.openState(service, round)
@@ -536,42 +534,10 @@ func (st *roundState) takeNoise(numMailboxes uint32) *noiseBatch {
 	return nb
 }
 
-// Mix peels one onion layer from every message in the batch, drops
-// malformed messages, adds this server's noise, and shuffles. The returned
-// batch is what the next server in the chain (or BuildMailboxes, at the
-// last server) consumes.
-//
-// Decryption fans out over the server's worker pool but preserves batch
-// order until the shuffle, so the output is a uniformly random permutation
-// of exactly the messages the sequential path would produce.
-//
-// numMailboxes is the round's mailbox count K; noise is generated per
-// mailbox. Fully processed messages at the last server are MixPayload
-// encodings.
-func (s *Server) Mix(service wire.Service, round uint32, numMailboxes uint32, batch [][]byte) ([][]byte, error) {
-	s.mu.Lock()
-	st, err := s.openState(service, round)
-	if err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	priv := st.priv
-	downstream := st.downstream
-	nb := st.takeNoise(numMailboxes)
-	shards := st.effectiveShards()
-	s.mu.Unlock()
-
-	out := decryptBatch(priv, batch, s.parallelism)
-	return s.finishBatch(service, round, priv, numMailboxes, downstream, nb, len(batch), out, shards, true)
-}
-
 // finishBatch appends the round's noise (prepared, or generated inline) to
-// the peeled messages, shuffles (unless this server is one shard of a
-// group, whose output is shuffled only at the group's merge), and updates
-// stats. It is the per-server barrier shared by Mix and
-// StreamEndShard. The permutation is derived from the round private key
-// (see permutationReader), so it is identical on every holder of the key.
-func (s *Server) finishBatch(service wire.Service, round uint32, priv *onionbox.PrivateKey, numMailboxes uint32, downstream []*onionbox.PublicKey, nb *noiseBatch, batchLen int, out [][]byte, shards int, doShuffle bool) ([][]byte, error) {
+// the peeled messages and updates stats. The output is unshuffled: the
+// position's one permutation is MergeShuffle's.
+func (s *Server) finishBatch(service wire.Service, numMailboxes uint32, downstream []*onionbox.PublicKey, nb *noiseBatch, batchLen int, out [][]byte, shards int) ([][]byte, error) {
 	var noiseMsgs [][]byte
 	if nb != nil {
 		<-nb.done
@@ -590,16 +556,6 @@ func (s *Server) finishBatch(service wire.Service, round uint32, priv *onionbox.
 		}
 	}
 	out = append(out, noiseMsgs...)
-
-	if doShuffle {
-		prnd, err := permutationReader(priv, service, round)
-		if err != nil {
-			return nil, err
-		}
-		if err := shuffle(prnd, out); err != nil {
-			return nil, err
-		}
-	}
 
 	s.mu.Lock()
 	s.processed += uint64(batchLen)
@@ -706,21 +662,6 @@ func peel(priv *onionbox.PrivateKey, chunk [][]byte) [][]byte {
 		}
 	}
 	return out
-}
-
-// decryptBatch peels one layer from every onion, decryptChunkSize onions
-// at a time across the worker pool. Workers write into per-chunk slots, so
-// the surviving messages come back in batch order regardless of
-// scheduling.
-func decryptBatch(priv *onionbox.PrivateKey, batch [][]byte, workers int) [][]byte {
-	numChunks := (len(batch) + decryptChunkSize - 1) / decryptChunkSize
-	chunkOut := make([][][]byte, numChunks)
-	parallelFor(numChunks, workers, func(c int) error {
-		lo := c * decryptChunkSize
-		chunkOut[c] = peel(priv, batch[lo:min(lo+decryptChunkSize, len(batch))])
-		return nil
-	})
-	return concat(chunkOut)
 }
 
 // concat joins the parts into one batch, in order.

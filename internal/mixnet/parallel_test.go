@@ -3,6 +3,7 @@ package mixnet
 import (
 	"bytes"
 	"crypto/rand"
+	"fmt"
 	mathrand "math/rand"
 	"sort"
 	"testing"
@@ -35,37 +36,66 @@ func sameMultiset(t *testing.T, a, b [][]byte) {
 	}
 }
 
-// TestParallelDecryptMatchesSequential is the pipeline's determinism
-// check: for the same batch (including malformed onions that must be
-// dropped), the worker-pool decrypt stage opens exactly the multiset of
-// messages the sequential path opens.
+// TestParallelDecryptMatchesSequential is the data plane's determinism
+// check across worker counts: one batch, fed through StreamChunk in uneven
+// chunks with one onion in 17 malformed, leaves StreamEndShard as the same
+// messages in the same order at Parallelism 1, 2, 3 and 8 — the payloads
+// of the well-formed onions, in batch order. The servers draw from one
+// seed, so they hold the same round key.
 func TestParallelDecryptMatchesSequential(t *testing.T) {
-	servers := newChain(t, 1, noNoise)
-	hops := openRound(t, servers, wire.Dialing, 1)
-	s := servers[0]
-
-	const n = 500
-	batch := make([][]byte, 0, n)
+	const n, seed = 500, 17
+	newServer := func(t *testing.T, workers int) (*Server, []*onionbox.PublicKey) {
+		s, err := New(Config{
+			Name: "m", Position: 0, ChainLength: 1,
+			AddFriendNoise: &noNoise, DialingNoise: &noNoise,
+			Rand:        &seededReader{rng: mathrand.New(mathrand.NewSource(seed))},
+			Parallelism: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, openRound(t, []*Server{s}, wire.Dialing, 1)
+	}
+	_, hops := newServer(t, 1)
+	var batch, want [][]byte
 	for i := 0; i < n; i++ {
 		tok := make([]byte, keywheel.TokenSize)
 		tok[0], tok[1] = byte(i), byte(i>>8)
 		onion := makeDialOnion(t, hops, uint32(i%3), tok)
 		if i%17 == 0 {
 			onion = make([]byte, len(onion)) // malformed: must be dropped
+		} else {
+			want = append(want, (&wire.MixPayload{Mailbox: uint32(i % 3), Body: tok}).Marshal())
 		}
 		batch = append(batch, onion)
 	}
 
-	seq := decryptBatch(s.rounds[roundKey{wire.Dialing, 1}].priv, batch, 1)
-	for _, workers := range []int{2, 3, 8} {
-		par := decryptBatch(s.rounds[roundKey{wire.Dialing, 1}].priv, batch, workers)
-		sameMultiset(t, seq, par)
-		// Order must be preserved pre-shuffle, not just the multiset.
-		for i := range seq {
-			if !bytes.Equal(seq[i], par[i]) {
-				t.Fatalf("workers=%d: order diverges at %d", workers, i)
+	for _, workers := range []int{1, 2, 3, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s, _ := newServer(t, workers)
+			if err := s.StreamBegin(wire.Dialing, 1, 1); err != nil {
+				t.Fatal(err)
 			}
-		}
+			for lo := 0; lo < n; {
+				hi := min(lo+1+lo%97, n)
+				if err := s.StreamChunk(wire.Dialing, 1, batch[lo:hi]); err != nil {
+					t.Fatal(err)
+				}
+				lo = hi
+			}
+			got, err := s.StreamEndShard(wire.Dialing, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d messages out, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("message %d differs from the sequential order", i)
+				}
+			}
+		})
 	}
 }
 

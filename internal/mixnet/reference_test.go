@@ -1,0 +1,103 @@
+package mixnet
+
+import (
+	"fmt"
+
+	"alpenhorn/internal/onionbox"
+	"alpenhorn/internal/wire"
+)
+
+// This file is the full-batch REFERENCE mixer the data plane is tested
+// against. No daemon runs it: a daemon peels through StreamBegin/
+// StreamChunk/StreamEndShard and permutes in MergeShuffle. The reference
+// keeps its own batch peel and its own shuffle call, so a test that
+// compares the two is not comparing a path with itself. Tests in package
+// mixnet_test see it through this file too.
+
+// Mix peels one onion layer from every message in the batch, drops
+// malformed messages, adds this server's noise, and shuffles. The returned
+// batch is what the next server in the chain (or BuildMailboxes, at the
+// last server) consumes.
+//
+// Decryption fans out over the server's worker pool but preserves batch
+// order until the shuffle, so the output is a uniformly random permutation
+// of exactly the messages the sequential path would produce.
+//
+// numMailboxes is the round's mailbox count K; noise is generated per
+// mailbox. Fully processed messages at the last server are MixPayload
+// encodings.
+func (s *Server) Mix(service wire.Service, round uint32, numMailboxes uint32, batch [][]byte) ([][]byte, error) {
+	s.mu.Lock()
+	st, err := s.openState(service, round)
+	if err != nil {
+		s.mu.Unlock()
+		return nil, err
+	}
+	priv := st.priv
+	downstream := st.downstream
+	nb := st.takeNoise(numMailboxes)
+	shards := st.effectiveShards()
+	s.mu.Unlock()
+
+	out := decryptBatch(priv, batch, s.parallelism)
+	out, err = s.finishBatch(service, numMailboxes, downstream, nb, len(batch), out, shards)
+	if err != nil {
+		return nil, err
+	}
+	prnd, err := permutationReader(priv, service, round)
+	if err != nil {
+		return nil, err
+	}
+	if err := shuffle(prnd, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// decryptBatch peels one layer from every onion, decryptChunkSize onions
+// at a time across the worker pool. Workers write into per-chunk slots, so
+// the surviving messages come back in batch order regardless of
+// scheduling.
+func decryptBatch(priv *onionbox.PrivateKey, batch [][]byte, workers int) [][]byte {
+	numChunks := (len(batch) + decryptChunkSize - 1) / decryptChunkSize
+	chunkOut := make([][][]byte, numChunks)
+	parallelFor(numChunks, workers, func(c int) error {
+		lo := c * decryptChunkSize
+		chunkOut[c] = peel(priv, batch[lo:min(lo+decryptChunkSize, len(batch))])
+		return nil
+	})
+	return concat(chunkOut)
+}
+
+// Chain runs a batch through an ordered list of mixnet servers and returns
+// the final mailboxes. It is the in-process reference for the routed data
+// plane (internal/rpc/forward.go): each server still decrypts with its
+// worker pool, but the chain itself is strictly sequential — server i+1
+// sees nothing until server i has fully finished.
+func Chain(servers []*Server, service wire.Service, round uint32, numMailboxes uint32, batch [][]byte) (map[uint32][]byte, error) {
+	cur := batch
+	var err error
+	for i, s := range servers {
+		cur, err = s.Mix(service, round, numMailboxes, cur)
+		if err != nil {
+			return nil, fmt.Errorf("mixnet: server %d (%s): %w", i, s.Name, err)
+		}
+	}
+	return BuildMailboxes(service, numMailboxes, cur)
+}
+
+// RawDialMailboxes builds dialing mailboxes WITHOUT the Bloom filter
+// encoding (raw concatenated 256-bit tokens): the §5.2 baseline the Bloom
+// encoding is measured against. The protocol always uses Bloom filters.
+func RawDialMailboxes(numMailboxes uint32, batch [][]byte) (map[uint32][]byte, error) {
+	grouped := groupByMailbox(wire.Dialing, numMailboxes, batch, 1)
+	out := make(map[uint32][]byte, numMailboxes)
+	for mb := uint32(0); mb < numMailboxes; mb++ {
+		var box []byte
+		for _, b := range grouped[mb] {
+			box = append(box, b...)
+		}
+		out[mb] = box
+	}
+	return out, nil
+}

@@ -13,7 +13,7 @@ import (
 // decrypts chunks while server i is still emitting its shuffled output.
 //
 // Privacy is unchanged: nothing leaves the position until its intake has
-// ended, its noise is appended and MergeShuffle (like Mix) has permuted
+// ended, its noise is appended and MergeShuffle has permuted
 // the complete batch. Chunked intake only moves WHEN the decryption work
 // happens, never what an observer can see.
 
@@ -63,8 +63,8 @@ func (s *Server) StreamBegin(service wire.Service, round uint32, numMailboxes ui
 // StreamChunk feeds one chunk of the round's batch; decryption starts
 // immediately on a pool worker and opens the chunk's onions into one
 // buffer. The server keeps chunk until it is peeled but never writes to
-// it. Chunk arrival order defines pre-shuffle message order, matching what
-// Mix would produce for the concatenated batch.
+// it. Chunk arrival order defines pre-shuffle message order, as if the
+// chunks were one concatenated batch.
 func (s *Server) StreamChunk(service wire.Service, round uint32, chunk [][]byte) error {
 	s.mu.Lock()
 	st, err := s.openState(service, round)
@@ -125,7 +125,8 @@ func (s *Server) StreamAbort(service wire.Service, round uint32) error {
 // (MergeShuffle) — nothing leaves the position's trust domain unshuffled,
 // and no output exists before every input chunk has been processed. A
 // group of one merges its one slice the same way, which yields exactly
-// what Mix would for the concatenated batch.
+// what the tests' full-batch reference mixer does for the concatenated
+// batch.
 func (s *Server) StreamEndShard(service wire.Service, round uint32) ([][]byte, error) {
 	s.mu.Lock()
 	st, err := s.openState(service, round)
@@ -139,12 +140,11 @@ func (s *Server) StreamEndShard(service wire.Service, round uint32) ([][]byte, e
 		return nil, fmt.Errorf("mixnet: round %d (%s): no stream in progress", round, service)
 	}
 	st.stream = nil
-	priv := st.priv
 	downstream := st.downstream
 	nb := st.takeNoise(sm.numMailboxes)
 	shards := st.effectiveShards()
 	s.mu.Unlock()
 
 	sm.wg.Wait()
-	return s.finishBatch(service, round, priv, sm.numMailboxes, downstream, nb, sm.inputs, concat(sm.results), shards, false)
+	return s.finishBatch(service, sm.numMailboxes, downstream, nb, sm.inputs, concat(sm.results), shards)
 }

@@ -13,9 +13,9 @@
 //
 // Message sizes come from the REAL implementation (wire package constants),
 // not from the paper, so the model reflects this codebase; EXPERIMENTS.md
-// tabulates ours vs the paper's. The latency model is calibrated against
-// measured per-request costs from real in-process rounds (see
-// cmd/alpenhorn-bench and bench_test.go).
+// tabulates ours vs the paper's. The latency model runs on per-item costs
+// (CostCalibration); this package's tests check the paper's figures
+// against it on PaperCalibration.
 package model
 
 import (
@@ -140,12 +140,11 @@ func (p Params) DialingBandwidth(roundDuration float64) float64 {
 
 // CostCalibration holds measured per-item costs from the real
 // implementation, used to extrapolate round latencies (Figures 8-10).
-// Fill it from bench measurements (cmd/alpenhorn-bench measures
-// MixSecondsPerMessage and IBEDecryptSeconds live; see EXPERIMENTS.md
-// for the dev-machine series).
+// Fill it from measured per-item costs (see EXPERIMENTS.md, "Calibration",
+// for which benchmark times each one).
 type CostCalibration struct {
 	// MixSecondsPerMessage is the per-message cost of one mix server's
-	// Mix pass (X25519 open + shuffle share).
+	// pass over the batch (X25519 open + shuffle share).
 	MixSecondsPerMessage float64
 	// NoiseSecondsPerMessage is the per-noise-message generation cost.
 	NoiseSecondsPerMessage float64

@@ -2,6 +2,7 @@ package model
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -69,6 +70,9 @@ func TestPaperBandwidthClaim(t *testing.T) {
 	}
 }
 
+// TestLatencyModelAgainstPaper is Figures 8 and 9: add-friend and dialing
+// latency against online users for 3, 5 and 10 servers, on the fixed
+// PaperCalibration (`go test -v -run LatencyModel` prints both grids).
 func TestLatencyModelAgainstPaper(t *testing.T) {
 	// With the paper-derived calibration, the model must land near the
 	// paper's measured latencies: 152 s for add-friend and 118 s for
@@ -90,6 +94,34 @@ func TestLatencyModelAgainstPaper(t *testing.T) {
 	}
 	if PaperParams(1e7, 10).AddFriendLatency(cal) <= af {
 		t.Fatal("latency not increasing in servers")
+	}
+
+	// Both figures' grids rise in users along every server count and in
+	// servers at every user count.
+	users := []float64{1e4, 1e5, 1e6, 1e7}
+	servers := []float64{3, 5, 10}
+	for _, fig := range []struct {
+		name    string
+		latency func(Params) float64
+	}{
+		{"Figure 8 (add-friend)", func(p Params) float64 { return p.AddFriendLatency(cal) }},
+		{"Figure 9 (dialing)", func(p Params) float64 { return p.DialingLatency(cal, 1000, 10) }},
+	} {
+		t.Logf("%s: %-10s %10s %10s %10s", fig.name, "users", "3 srv (s)", "5 srv (s)", "10 srv (s)")
+		for i, u := range users {
+			row := fmt.Sprintf("%-10.0g", u)
+			for j, s := range servers {
+				l := fig.latency(PaperParams(u, s))
+				row += fmt.Sprintf(" %10.1f", l)
+				if i > 0 && l <= fig.latency(PaperParams(users[i-1], s)) {
+					t.Errorf("%s: %v s at %.0g users on %v servers, not above %.0g users", fig.name, l, u, s, users[i-1])
+				}
+				if j > 0 && l <= fig.latency(PaperParams(u, servers[j-1])) {
+					t.Errorf("%s: %v s at %.0g users on %v servers, not above %v servers", fig.name, l, u, s, servers[j-1])
+				}
+			}
+			t.Logf("%s: %s", fig.name, row)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package rpc_test
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"errors"
@@ -13,7 +12,6 @@ import (
 	"alpenhorn/internal/cdn"
 	"alpenhorn/internal/entry"
 	"alpenhorn/internal/keywheel"
-	"alpenhorn/internal/mixnet"
 	"alpenhorn/internal/onionbox"
 	"alpenhorn/internal/rpc"
 	"alpenhorn/internal/sim"
@@ -293,83 +291,6 @@ func assertRoundRecovers(t *testing.T, n *sim.Network, r uint32) {
 		t.Fatal("recovered round not published")
 	}
 	assertTokensDelivered(t, n.CDN, r, settings, tokens)
-}
-
-// TestDataPlaneMatchesReference pins the one data plane to the in-process
-// reference: mixnet.Chain — full-batch Mix on seeded one-worker servers,
-// then BuildMailboxes — against the routed plane at one shard per position
-// under the same seed, with noise on. The plane runs on each transport,
-// and the reference runs on the mixers of a second network built with the
-// same Seed; the plane must publish mailboxes byte-identical to it: a
-// group of one that deposits with itself, merges one part and publishes
-// one slice changes WHERE bytes travel, never what comes out.
-func TestDataPlaneMatchesReference(t *testing.T) {
-	const numTokens, seed = 90, 1000
-	tokens := makeTestTokens(numTokens)
-	onionRand := func() *mathrand.Rand { return mathrand.New(mathrand.NewSource(4242)) }
-	onTransports(t, func(t *testing.T, listen string) {
-		cfg := sim.Config{NumPKGs: 1, TargetRequestsPerMailbox: 40, Seed: seed, Listen: listen}
-		n := newNetwork(t, cfg)
-		n.Coord.ChunkSize = 16
-		n.Coord.SetExpectedVolume(wire.Dialing, numTokens)
-		settings, err := n.Coord.OpenDialingRound(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := settings.NumMailboxes
-		if k < 2 {
-			t.Fatalf("want a multi-mailbox round, got K=%d", k)
-		}
-		submitTokens(t, n.Entry, settings, tokens, onionRand())
-		if _, err := n.Coord.CloseRound(wire.Dialing, 1); err != nil {
-			t.Fatal(err)
-		}
-		if got := n.CDNDaemon.LastSealStreams(); got != 1 {
-			t.Fatalf("round sealed from %d publish streams, want 1", got)
-		}
-		got := fetchAll(t, n.CDN, 1, k)
-
-		// The reference: the same seeded servers, driven in process.
-		var servers []*mixnet.Server
-		for _, group := range newNetwork(t, cfg).Mixers {
-			servers = append(servers, group[0].Server)
-		}
-		ref := &wire.RoundSettings{Service: wire.Dialing, Round: 1, NumMailboxes: k}
-		for _, m := range servers {
-			rk, err := m.NewRound(wire.Dialing, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.Mixers = append(ref.Mixers, rk)
-		}
-		for i, m := range servers {
-			var keys [][]byte
-			for _, rk := range ref.Mixers[i+1:] {
-				keys = append(keys, rk.OnionKey)
-			}
-			if err := m.SetDownstreamKeys(wire.Dialing, 1, keys); err != nil {
-				t.Fatal(err)
-			}
-		}
-		e := entry.New()
-		if err := e.OpenRound(ref); err != nil {
-			t.Fatal(err)
-		}
-		submitTokens(t, e, ref, tokens, onionRand())
-		batch, err := e.CloseRound(wire.Dialing, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := mixnet.Chain(servers, wire.Dialing, 1, k, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for mb := uint32(0); mb < k; mb++ {
-			if !bytes.Equal(want[mb], got[mb]) {
-				t.Errorf("mailbox %d differs from mixnet.Chain", mb)
-			}
-		}
-	})
 }
 
 // TestFrontendSubmitMapsRoundFull: the entry server's admission signal
