@@ -254,3 +254,59 @@ func BenchmarkFe12Mul(b *testing.B) {
 		z.Mul(&z, &z)
 	}
 }
+
+// cycloBenchInput returns a random element of the cyclotomic subgroup:
+// a pairing value before its hard part, where cycloExpU runs.
+func cycloBenchInput(b *testing.B) *fe12 {
+	b.Helper()
+	k, err := RandomScalar(rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var t fe12
+	t.Set(&AtePair(new(G1).ScalarBaseMult(k), G2Generator()).e)
+	return &t
+}
+
+// BenchmarkCycloExpU times one exponentiation by u in the cyclotomic
+// subgroup: three of them make up most of the final exponentiation's hard
+// part.
+func BenchmarkCycloExpU(b *testing.B) {
+	a := cycloBenchInput(b)
+	var z fe12
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.cycloExpU(a)
+	}
+}
+
+// BenchmarkFinalExpDecomp times the final exponentiation every pairing
+// ends in.
+func BenchmarkFinalExpDecomp(b *testing.B) {
+	a := cycloBenchInput(b)
+	var z fe12
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		finalExpDecomp(&z, a)
+	}
+}
+
+// BenchmarkPairMarshalled times the mailbox scan's pairing: a compressed
+// G1 point decoded from bytes and paired against a precomputed G2 line
+// table, as one trial decryption does.
+func BenchmarkPairMarshalled(b *testing.B) {
+	k, err := RandomScalar(rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pc := AtePrecomputeG2(new(G2).ScalarBaseMult(k))
+	data := new(G1).ScalarBaseMult(k).Marshal()
+	var g GT
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pc.pairMarshalled(&g, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -20,12 +20,14 @@
 //
 // Base-field arithmetic runs on fixed 4×64-bit-limb Montgomery elements
 // (type fe): stack-allocated values, no per-operation heap allocation and
-// no big.Int Mod calls. The multiplier is a fused, unrolled CIOS; the
-// towers keep products at 512 bits (feWide, fe2Wide) through their
-// Karatsuba sums and multiplications by ξ and pay one Montgomery
-// reduction per output coefficient — two per Fp2 product, six per Fp6
-// product. Unreduced values never outlive the function that made them:
-// every fe in a tower element, point or table is fully reduced. The
+// no big.Int Mod calls. The leaves are Go; on amd64 CPUs with BMI2 and
+// ADX the hottest of them run as MULX/ADX assembly kernels that return
+// the same bits (see "Timing model" below). The multiplier is a fused,
+// unrolled CIOS; the towers keep products at 512 bits (feWide, fe2Wide)
+// through their Karatsuba sums and multiplications by ξ and pay one
+// Montgomery reduction per output coefficient — two per Fp2 product, six
+// per Fp6 product. Unreduced values never outlive the function that made
+// them: every fe in a tower element, point or table is fully reduced. The
 // towers Fp2/Fp6/Fp12 (fe2/fe6/fe12), the curve groups, and the Miller
 // loop (Jacobian coordinates, inversion-free line construction) are all
 // built on fe. Montgomery form is strictly internal:
@@ -139,6 +141,20 @@
 // Nothing here is claimed about instruction-level timing: bits.Mul64,
 // bits.Add64 and bits.Sub64 compile to single instructions on 64-bit
 // targets and to library calls elsewhere.
+//
+// On amd64 CPUs with BMI2 and ADX the hottest leaves run as assembly
+// kernels (fe_amd64.s): feMul, feSquare, feMontReduce, and at the Fp2
+// level the fused Karatsuba product and squaring behind fe2Wide.mul and
+// fe2Wide.square, the pair of reductions behind fe2Wide.reduce,
+// fe2Wide.add, fe2Wide.sub and fe2Wide.addMulXi, and fe2.Add, fe2.Sub,
+// fe2.Double and fe2.MulXi. They keep the promise above: MULX, ADCX,
+// ADOX and ADD/SUB carry chains with no branch and no memory index on an
+// operand, every reduction ending in CMOV or a mask.
+// Each returns the same bits as its Go twin (the leaf of the same name
+// plus "Generic", which stays the path on every other machine), so the
+// tower above cannot tell them apart. Which path runs is decided once at
+// start-up by CPUID (leaf 7: BMI2 and ADX): the kernels' one branch tests
+// that result, a property of the CPU, never of the data.
 //
 // Variable-time by design, on public data only: feExp, fe2.Exp, fe12.Exp
 // and cycloExpU branch on the bits of their exponent, and every exponent

@@ -169,7 +169,13 @@ func TestFe2Differential(t *testing.T) {
 	}
 }
 
+// TestFe6Fe12Differential checks the Fp6 and Fp12 products, squarings
+// and inversions against the big.Int tower, on each base-field path.
 func TestFe6Fe12Differential(t *testing.T) {
+	forEachFieldPath(t, testFe6Fe12Differential)
+}
+
+func testFe6Fe12Differential(t *testing.T) {
 	randRef6 := func() *gfP6 {
 		return &gfP6{c0: randRefGFp2(t), c1: randRefGFp2(t), c2: randRefGFp2(t)}
 	}
@@ -230,8 +236,13 @@ func TestFe12FrobeniusP2(t *testing.T) {
 
 // TestCyclotomicSquareDifferential checks Granger-Scott squaring against
 // the generic Square on elements of the cyclotomic subgroup (where it is
-// defined), reached the same way the final exponentiation reaches them.
+// defined), reached the same way the final exponentiation reaches them,
+// on each base-field path.
 func TestCyclotomicSquareDifferential(t *testing.T) {
+	forEachFieldPath(t, testCyclotomicSquareDifferential)
+}
+
+func testCyclotomicSquareDifferential(t *testing.T) {
 	k, err := RandomScalar(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -326,8 +337,12 @@ func TestG2DifferentialGroupOps(t *testing.T) {
 // TestPairDifferential is the headline cross-check of the two oracles: the
 // limb Tate pairing must produce byte-identical GT elements to the big.Int
 // reference, so the ate pairing's differential tests against the limb Tate
-// loop reach the reference too.
+// loop reach the reference too. It runs on each base-field path.
 func TestPairDifferential(t *testing.T) {
+	forEachFieldPath(t, testPairDifferential)
+}
+
+func testPairDifferential(t *testing.T) {
 	cases := []struct {
 		kp, kq *big.Int
 	}{
@@ -502,8 +517,12 @@ func TestCombScalarBaseMultDifferential(t *testing.T) {
 // borrow correction fires). The coefficients are set as raw limbs — it is
 // the Montgomery-domain integers whose products the 512-bit accumulators
 // hold — and each result is compared with the big.Int fp* reference on the
-// values those limbs represent.
+// values those limbs represent, on each base-field path.
 func TestTowerWorstCaseHeadroom(t *testing.T) {
+	forEachFieldPath(t, testTowerWorstCaseHeadroom)
+}
+
+func testTowerWorstCaseHeadroom(t *testing.T) {
 	var pm1 fe
 	feRawFromBig(&pm1, new(big.Int).Sub(P, big.NewInt(1)))
 	patterns := map[string]func(i int) fe{

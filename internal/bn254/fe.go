@@ -159,8 +159,9 @@ func feNeg(z, x *fe) {
 	z[0], z[1], z[2], z[3] = d0&m, d1&m, d2&m, d3&m
 }
 
-// feMul sets z = x·y·R⁻¹ mod P: the Montgomery product, as a fused,
-// fully unrolled CIOS on scalar locals. Each of the four rows adds x_i·y
+// feMulGeneric sets z = x·y·R⁻¹ mod P: the Montgomery product, as a
+// fused, fully unrolled CIOS on scalar locals; feMul is its name for the
+// towers (fe_amd64.go, fe_noasm.go). Each of the four rows adds x_i·y
 // to the running value t and then m·P with m = t₀·(−P⁻¹) mod 2⁶⁴, which
 // zeroes t's low limb, and drops that limb. A row is four bits.Mul64
 // whose (hi, lo) pairs one carry chain joins into a five-limb product
@@ -172,7 +173,7 @@ func feNeg(z, x *fe) {
 // y + P — so t needs four limbs, not five, t + x_i·y + m·P < 2³²⁰ keeps
 // the per-row carry word t4 overflow-free, and one masked subtraction of
 // P finishes.
-func feMul(z, x, y *fe) {
+func feMulGeneric(z, x, y *fe) {
 	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
 	var t0, t1, t2, t3, t4 uint64
 	var h0, h1, h2, h3, l0, l1, l2, l3 uint64
@@ -295,13 +296,13 @@ func feMul(z, x, y *fe) {
 	z[0], z[1], z[2], z[3] = feCondSubP(t0, t1, t2, t3)
 }
 
-// feSquare sets z = x²·R⁻¹ mod P: ten limb products for the 512-bit
-// square (six cross terms doubled, four diagonal) instead of sixteen,
-// then one reduction.
-func feSquare(z, x *fe) {
+// feSquareGeneric sets z = x²·R⁻¹ mod P: ten limb products for the
+// 512-bit square (six cross terms doubled, four diagonal) instead of
+// sixteen, then one reduction. feSquare is its name for the callers.
+func feSquareGeneric(z, x *fe) {
 	var w feWide
 	feSquareWide(&w, x)
-	feMontReduce(z, &w)
+	feMontReduceGeneric(z, &w)
 }
 
 // feMulWide sets w = x·y, the full 512-bit product with no reduction:
@@ -427,14 +428,15 @@ func feSquareWide(w *feWide, x *fe) {
 	w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7] = w0, w1, w2, w3, w4, w5, w6, w7
 }
 
-// feMontReduce sets z = t·R⁻¹ mod P for a 512-bit t < P·2²⁵⁶, leaving t
-// untouched. Round i zeroes limb i by adding m·P·2⁶⁴ⁱ with m = t_i·(−P⁻¹)
-// mod 2⁶⁴; the round's top word lands on limb i+4 and its carry bit e
-// joins the next round's top word (h3 + e cannot overflow: h3 ≤ P's top
-// limb < 2⁶²). After four rounds the high half holds (t + M·P)/2²⁵⁶ with
-// M < 2²⁵⁶, which is < t/2²⁵⁶ + P < 2P, so nothing carries out of limb 7
-// and one masked subtraction finishes.
-func feMontReduce(z *fe, t *feWide) {
+// feMontReduceGeneric sets z = t·R⁻¹ mod P for a 512-bit t < P·2²⁵⁶,
+// leaving t untouched; feMontReduce is its name for the towers. Round i
+// zeroes limb i by adding m·P·2⁶⁴ⁱ with m = t_i·(−P⁻¹) mod 2⁶⁴; the
+// round's top word lands on limb i+4 and its carry bit e joins the next
+// round's top word (h3 + e cannot overflow: h3 ≤ P's top limb < 2⁶²).
+// After four rounds the high half holds (t + M·P)/2²⁵⁶ with M < 2²⁵⁶,
+// which is < t/2²⁵⁶ + P < 2P, so nothing carries out of limb 7 and one
+// masked subtraction finishes.
+func feMontReduceGeneric(z *fe, t *feWide) {
 	t0, t1, t2, t3, t4, t5, t6, t7 := t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7]
 	var h0, h1, h2, h3, l0, l1, l2, l3 uint64
 	var m, c, e uint64

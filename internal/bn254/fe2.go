@@ -40,21 +40,30 @@ func (e *fe2) IsOne() bool { return e.c0.Equal(&feOne) && e.c1.IsZero() }
 func (e *fe2) Equal(a *fe2) bool { return e.c0.Equal(&a.c0) && e.c1.Equal(&a.c1) }
 
 func (e *fe2) Add(a, b *fe2) *fe2 {
-	feAdd(&e.c0, &a.c0, &b.c0)
-	feAdd(&e.c1, &a.c1, &b.c1)
+	fe2Add(e, a, b)
 	return e
 }
 
 func (e *fe2) Sub(a, b *fe2) *fe2 {
-	feSub(&e.c0, &a.c0, &b.c0)
-	feSub(&e.c1, &a.c1, &b.c1)
+	fe2Sub(e, a, b)
 	return e
 }
 
 func (e *fe2) Double(a *fe2) *fe2 {
-	feDouble(&e.c0, &a.c0)
-	feDouble(&e.c1, &a.c1)
+	fe2Add(e, a, a)
 	return e
+}
+
+// fe2AddGeneric sets e = a + b; fe2Add is its name for the methods.
+func fe2AddGeneric(e, a, b *fe2) {
+	feAdd(&e.c0, &a.c0, &b.c0)
+	feAdd(&e.c1, &a.c1, &b.c1)
+}
+
+// fe2SubGeneric sets e = a − b; fe2Sub is its name for the methods.
+func fe2SubGeneric(e, a, b *fe2) {
+	feSub(&e.c0, &a.c0, &b.c0)
+	feSub(&e.c1, &a.c1, &b.c1)
 }
 
 func (e *fe2) Neg(a *fe2) *fe2 {
@@ -114,11 +123,14 @@ type fe2Wide struct {
 	c0, c1 feWide
 }
 
-// mul sets w = a·b for reduced a, b. With T0 = a0b0, T1 = a1b1 < P² and
-// T2 = (a0+a1)(b0+b1) < 4P² (the sums unreduced, < 2P), c1 = T2 − T0 − T1
-// = a0b1 + a1b0 is exact and < 2P² < P·2²⁵⁶; c0 = T0 − T1 may borrow
-// and takes the P·2²⁵⁶ correction.
-func (w *fe2Wide) mul(a, b *fe2) {
+// mul sets w = a·b for reduced a, b (fe2WideMul).
+func (w *fe2Wide) mul(a, b *fe2) { fe2WideMul(w, a, b) }
+
+// fe2WideMulGeneric sets w = a·b for reduced a, b. With T0 = a0b0,
+// T1 = a1b1 < P² and T2 = (a0+a1)(b0+b1) < 4P² (the sums unreduced,
+// < 2P), c1 = T2 − T0 − T1 = a0b1 + a1b0 is exact and < 2P² < P·2²⁵⁶;
+// c0 = T0 − T1 may borrow and takes the P·2²⁵⁶ correction.
+func fe2WideMulGeneric(w *fe2Wide, a, b *fe2) {
 	var sa, sb fe
 	var t0, t1 feWide
 	feAddUnreduced(&sa, &a.c0, &a.c1)
@@ -131,10 +143,14 @@ func (w *fe2Wide) mul(a, b *fe2) {
 	feWideSubMod(&w.c0, &t0, &t1)
 }
 
-// square sets w = a² for reduced a: c0 = (a0+a1)(a0−a1) with the sum
-// unreduced (< 2P) and the difference reduced, c1 = (2a0)·a1 with the
-// double unreduced; both products are < 2P² < P·2²⁵⁶.
-func (w *fe2Wide) square(a *fe2) {
+// square sets w = a² for reduced a (fe2WideSquare).
+func (w *fe2Wide) square(a *fe2) { fe2WideSquare(w, a) }
+
+// fe2WideSquareGeneric sets w = a² for reduced a: c0 = (a0+a1)(a0−a1)
+// with the sum unreduced (< 2P) and the difference reduced,
+// c1 = (2a0)·a1 with the double unreduced; both products are
+// < 2P² < P·2²⁵⁶.
+func fe2WideSquareGeneric(w *fe2Wide, a *fe2) {
 	var sum, diff, dbl fe
 	feAddUnreduced(&sum, &a.c0, &a.c1)
 	feSub(&diff, &a.c0, &a.c1)
@@ -143,29 +159,40 @@ func (w *fe2Wide) square(a *fe2) {
 	feMulWide(&w.c1, &dbl, &a.c1)
 }
 
-func (w *fe2Wide) add(a, b *fe2Wide) {
+func (w *fe2Wide) add(a, b *fe2Wide) { fe2WideAdd(w, a, b) }
+
+func (w *fe2Wide) sub(a, b *fe2Wide) { fe2WideSub(w, a, b) }
+
+func fe2WideAddGeneric(w, a, b *fe2Wide) {
 	feWideAddMod(&w.c0, &a.c0, &b.c0)
 	feWideAddMod(&w.c1, &a.c1, &b.c1)
 }
 
-func (w *fe2Wide) sub(a, b *fe2Wide) {
+func fe2WideSubGeneric(w, a, b *fe2Wide) {
 	feWideSubMod(&w.c0, &a.c0, &b.c0)
 	feWideSubMod(&w.c1, &a.c1, &b.c1)
 }
 
 // addMulXi sets w = a + ξ·b, ξ = 9 + i:
 // (a0 + 9b0 − b1) + (a1 + 9b1 + b0)·i. w may alias a or b.
-func (w *fe2Wide) addMulXi(a, b *fe2Wide) {
+func (w *fe2Wide) addMulXi(a, b *fe2Wide) { fe2WideAddMulXi(w, a, b) }
+
+// fe2WideAddMulXiGeneric is addMulXi on the Go leaves.
+func fe2WideAddMulXiGeneric(w, a, b *fe2Wide) {
 	var c0 feWide
 	feWideMul9SubAdd(&c0, &b.c0, &b.c1, &a.c0)
 	feWideMul9AddAdd(&w.c1, &b.c1, &b.c0, &a.c1)
 	w.c0 = c0
 }
 
-// reduce sets e to the reduced element w stands for.
-func (w *fe2Wide) reduce(e *fe2) {
-	feMontReduce(&e.c0, &w.c0)
-	feMontReduce(&e.c1, &w.c1)
+// reduce sets e to the reduced element w stands for (fe2WideReduce).
+func (w *fe2Wide) reduce(e *fe2) { fe2WideReduce(e, w) }
+
+// fe2WideReduceGeneric sets e to the reduced element w stands for: one
+// Montgomery reduction per coefficient.
+func fe2WideReduceGeneric(e *fe2, w *fe2Wide) {
+	feMontReduceGeneric(&e.c0, &w.c0)
+	feMontReduceGeneric(&e.c1, &w.c1)
 }
 
 // Invert sets e = a⁻¹ = conj(a)/(a0² + a1²). Panics on zero.
@@ -190,6 +217,12 @@ func (e *fe2) Invert(a *fe2) *fe2 {
 // five-limb value — 8a0 + a0 + P − a1 and 8a1 + a1 + a0, both in
 // [0, 10P] — and reduced once.
 func (e *fe2) MulXi(a *fe2) *fe2 {
+	fe2MulXi(e, a)
+	return e
+}
+
+// fe2MulXiGeneric is MulXi on the Go leaves.
+func fe2MulXiGeneric(e, a *fe2) {
 	x, y := &a.c0, &a.c1
 	var c, b uint64
 
@@ -214,7 +247,6 @@ func (e *fe2) MulXi(a *fe2) *fe2 {
 
 	e.c0[0], e.c0[1], e.c0[2], e.c0[3] = feReduce5(s0, s1, s2, s3, s4)
 	e.c1[0], e.c1[1], e.c1[2], e.c1[3] = feReduce5(t0, t1, t2, t3, t4)
-	return e
 }
 
 // Exp sets e = a^k using square-and-multiply (k ≥ 0, not secret).

@@ -175,6 +175,7 @@ func feOracleSeeds() [][]byte {
 		new(big.Int).Sub(P, big1), new(big.Int).Sub(P, big.NewInt(2)),
 		feRawToBig(&feOne), feRawToBig(&feR2),
 		new(big.Int).Rsh(new(big.Int).Sub(P, big1), 1),
+		new(big.Int).Sub(new(big.Int).Lsh(big1, 256), big1), // every limb all ones
 	}
 	for k := 0; k < 4; k++ {
 		ones := new(big.Int).Lsh(new(big.Int).SetUint64(^uint64(0)), uint(64*k))
@@ -211,6 +212,9 @@ func feWideToBig(w *feWide) *big.Int {
 // x·y·R⁻¹ mod P), and the schoolbook code the leaves replaced. a and b
 // are big-endian; x and y are their values mod P, and the raw 256-bit
 // values feed the operand slots documented to take unreduced input.
+// The names the towers call run the assembly kernels where the CPU has
+// them (fe_amd64.s); each kernel, Fp and Fp2 alike, is also held to its
+// Go twin limb for limb.
 func FuzzFeOpsMatchOracle(f *testing.F) {
 	seeds := feOracleSeeds()
 	for _, a := range seeds {
@@ -329,6 +333,91 @@ func FuzzFeOpsMatchOracle(f *testing.F) {
 			feWideSub(&r, &u, &v)
 			checkWide("feWideSub", &r, new(big.Int).Sub(uBig, vBig))
 		}
+
+		// The reduction of any t < P·2²⁵⁶, not only of a product.
+		montRed := func(v *big.Int) *big.Int { return mod(new(big.Int).Mul(v, rInv)) }
+		feMontReduce(&z, &u)
+		check("feMontReduce", &z, nil, montRed(uBig))
+		feMontReduce(&z, &v)
+		check("feMontReduce", &z, nil, montRed(vBig))
+
+		// Each kernel against its Go twin. Without kernels both sides run
+		// the Go leaves.
+		twin := func(op string, got, want any) {
+			t.Helper()
+			if got != want {
+				t.Fatalf("%s(%x, %x): kernel %x, Go twin %x", op, a, b, got, want)
+			}
+		}
+		var zg fe
+		feMul(&z, &x, &y)
+		feMulGeneric(&zg, &x, &y)
+		twin("feMul", z, zg)
+		feMul(&z, &xLoose, &y)
+		feMulGeneric(&zg, &xLoose, &y)
+		twin("feMul unreduced", z, zg)
+		feSquare(&z, &x)
+		feSquareGeneric(&zg, &x)
+		twin("feSquare", z, zg)
+		for _, tw := range []*feWide{&u, &v, &w} {
+			feMontReduce(&z, tw)
+			feMontReduceGeneric(&zg, tw)
+			twin("feMontReduce", z, zg)
+		}
+
+		// The Fp2 kernels on A = x + y·i and B = x2 + x·i, x2 a third
+		// reduced value, and on the wide pairs (u, v) and (v, w).
+		x2Big := mod(new(big.Int).Mul(aBig, bBig))
+		var x2 fe
+		feRawFromBig(&x2, x2Big)
+		A, B := fe2{x, y}, fe2{x2, x}
+		check2 := func(op string, got, want *fe2, c0, c1 *big.Int) {
+			t.Helper()
+			check(op+".c0", &got.c0, nil, c0)
+			check(op+".c1", &got.c1, nil, c1)
+			twin(op, *got, *want)
+		}
+		checkWide2 := func(op string, got, want *fe2Wide, c0, c1 *big.Int) {
+			t.Helper()
+			checkWide(op+".c0", &got.c0, c0)
+			checkWide(op+".c1", &got.c1, c1)
+			twin(op, *got, *want)
+		}
+		mul := func(u, v *big.Int) *big.Int { return new(big.Int).Mul(u, v) }
+		add := func(u, v *big.Int) *big.Int { return new(big.Int).Add(u, v) }
+		sub := func(u, v *big.Int) *big.Int { return new(big.Int).Sub(u, v) }
+		times9 := func(u *big.Int) *big.Int { return mul(u, big.NewInt(9)) }
+
+		var e2, e2g fe2
+		var wide2, wide2g fe2Wide
+		fe2WideMul(&wide2, &A, &B)
+		fe2WideMulGeneric(&wide2g, &A, &B)
+		checkWide2("fe2WideMul", &wide2, &wide2g, sub(mul(xBig, x2Big), mul(yBig, xBig)), add(mul(xBig, xBig), mul(yBig, x2Big)))
+		fe2WideSquare(&wide2, &A)
+		fe2WideSquareGeneric(&wide2g, &A)
+		checkWide2("fe2WideSquare", &wide2, &wide2g, mul(add(xBig, yBig), mod(sub(xBig, yBig))), mul(add(xBig, xBig), yBig))
+		W, V := fe2Wide{u, v}, fe2Wide{v, w}
+		fe2WideReduce(&e2, &W)
+		fe2WideReduceGeneric(&e2g, &W)
+		check2("fe2WideReduce", &e2, &e2g, montRed(uBig), montRed(vBig))
+		fe2Add(&e2, &A, &B)
+		fe2AddGeneric(&e2g, &A, &B)
+		check2("fe2Add", &e2, &e2g, mod(add(xBig, x2Big)), mod(add(yBig, xBig)))
+		fe2Sub(&e2, &A, &B)
+		fe2SubGeneric(&e2g, &A, &B)
+		check2("fe2Sub", &e2, &e2g, mod(sub(xBig, x2Big)), mod(sub(yBig, xBig)))
+		fe2MulXi(&e2, &A)
+		fe2MulXiGeneric(&e2g, &A)
+		check2("fe2MulXi", &e2, &e2g, mod(sub(times9(xBig), yBig)), mod(add(times9(yBig), xBig)))
+		fe2WideAdd(&wide2, &W, &V)
+		fe2WideAddGeneric(&wide2g, &W, &V)
+		checkWide2("fe2WideAdd", &wide2, &wide2g, add(uBig, vBig), add(vBig, wBig))
+		fe2WideSub(&wide2, &W, &V)
+		fe2WideSubGeneric(&wide2g, &W, &V)
+		checkWide2("fe2WideSub", &wide2, &wide2g, sub(uBig, vBig), sub(vBig, wBig))
+		fe2WideAddMulXi(&wide2, &W, &V)
+		fe2WideAddMulXiGeneric(&wide2g, &W, &V)
+		checkWide2("fe2WideAddMulXi", &wide2, &wide2g, add(uBig, sub(times9(vBig), wBig)), add(vBig, add(times9(wBig), vBig)))
 	})
 }
 

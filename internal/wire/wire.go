@@ -76,11 +76,17 @@ func (w *Buffer) Bytes16(v []byte) {
 
 // Bytes32 appends a 32-bit length prefix followed by the bytes.
 func (w *Buffer) Bytes32(v []byte) {
-	if len(v) > 1<<31 {
+	w.b = binary.BigEndian.AppendUint32(w.b, prefix32(len(v)))
+	w.b = append(w.b, v...)
+}
+
+// prefix32 returns n as a 32-bit length prefix. It panics past 2³² − 1,
+// the longest length the prefix can count.
+func prefix32(n int) uint32 {
+	if uint64(n) > 1<<32-1 {
 		panic("wire: Bytes32 value too long")
 	}
-	w.b = binary.BigEndian.AppendUint32(w.b, uint32(len(v)))
-	w.b = append(w.b, v...)
+	return uint32(n)
 }
 
 // String16 appends a length-prefixed string.

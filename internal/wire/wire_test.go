@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"crypto/ed25519"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -48,6 +49,25 @@ func TestBufferReaderRoundTrip(t *testing.T) {
 	if err := r.AllConsumed(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBytes32LengthLimit pins the 32-bit prefix's limit at its boundary:
+// 2³² − 1 bytes is the longest value Bytes32 takes, one more panics.
+// (The check is the whole of it; no 4 GiB value is built.)
+func TestBytes32LengthLimit(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("every length an int can hold fits the prefix")
+	}
+	limit := uint64(1<<32 - 1)
+	if got := prefix32(int(limit)); got != 0xffffffff {
+		t.Fatalf("prefix32(2³² − 1) = %#x", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("prefix32(2³²) did not panic")
+		}
+	}()
+	prefix32(int(limit + 1))
 }
 
 func TestReaderErrorSticky(t *testing.T) {
