@@ -11,13 +11,14 @@
 // when several daemons advertise the same position with -shard i/N, into
 // that position's shard group) by what each daemon reports. Daemons
 // started with -spare join their position's hot-spare pool instead: the
-// coordinator's scheduler probes every member at round-plan time,
-// benches the ones that fail (or breach -latency-slo), drafts spares
-// into their slots, and re-admits them automatically once they recover —
-// rounds keep closing with zero operator action. The mixers push batches
-// to each other and the last position publishes the mailboxes to this
-// daemon's cdn.publish listener (-cdn-addr); the coordinator here moves
-// its own entry batch and control messages only.
+// coordinator's scheduler probes every member and spare at round-plan
+// time, benches the members that fail (or breach -latency-slo), drafts
+// spares into their slots, and re-admits them automatically once they
+// recover — rounds keep closing with zero operator action. In round r
+// each shard group's merge/build lead is member r % N. The mixers push
+// batches to each other and the last position publishes the mailboxes to
+// this daemon's cdn.publish listener (-cdn-addr); the coordinator here
+// moves its own entry batch and control messages only.
 // The scheduler's per-daemon scoreboard and the round-health ring are
 // served read-only over the coordinator.status RPC on the client port.
 //
@@ -82,8 +83,6 @@ func main() {
 	cdnNodes := flag.String("cdns", "", "comma-separated client-facing addresses of dedicated alpenhorn-cdn nodes, published in the directory (cdn_addrs) so clients fetch mailboxes from the CDN tier with failover; point -cdn-public-addr at one node's -ingest so rounds publish there (this binary's embedded store is the degenerate single-node case)")
 	roundDeadline := flag.Duration("round-deadline", 2*time.Minute, "per-round data-plane deadline pushed to every mixer (0 = none); a stalled round aborts instead of wedging the chain")
 	latencySLO := flag.Duration("latency-slo", 0, "per-daemon round-duration SLO (0 = none); a daemon breaching it is benched and replaced by a hot spare until it recovers")
-	adaptiveChunk := flag.Bool("adaptive-chunk", false, "adapt the pipeline chunk size to observed round outcomes within a bounded window (makes batch order depend on history; leave off when replaying fixed-seed experiments)")
-	pinLead := flag.Bool("pin-lead", false, "pin the shard-group merge/build-lead role to shard 0 instead of rotating it round-robin per round")
 	flag.Parse()
 
 	if *frontendOnly {
@@ -196,8 +195,6 @@ func main() {
 		TargetRequestsPerMailbox: 24000,
 		RoundDeadline:            *roundDeadline,
 		LatencySLO:               *latencySLO,
-		AdaptiveChunk:            *adaptiveChunk,
-		PinLead:                  *pinLead,
 		Logger:                   log.Default(),
 	}
 	// The publish surface gets its own listener: it is a WRITE surface

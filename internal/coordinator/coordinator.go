@@ -46,33 +46,33 @@
 //
 // The merge/build-lead role — where the position's single full-batch
 // shuffle runs, where deposits funnel, and where mix.deal.* fans out —
-// is a ROLE, not a machine: it rotates round-robin across each group per
-// round (round % groupSize; PinLead pins it to slot 0). Rotation never
-// changes a round's output, because the shuffle permutation is derived
-// from the round key that every member holds.
+// is a ROLE, not a machine: in round r it is slot r % len(group) of each
+// group. Rotation never changes a round's output, because the shuffle
+// permutation is derived from the round key that every member holds.
 //
 // Each round is planned against a per-daemon scoreboard built from the
 // previous rounds' health: daemons that crashed, stalled past the
 // latency SLO, or failed locally are benched and replaced from the
-// position's hot-spare pool (Spares) at the same shard slot; benched
-// daemons are probed with a short-timeout mix.info each plan and
-// re-admitted once they recover. Abort-reason codes from mix.round.wait
-// (slow / crashed / upstream / error) let the scheduler distinguish a
-// daemon's own failure from an abort it merely echoed. The pipeline
-// chunk size can adapt per round to observed outcomes (AdaptiveChunk)
-// inside a bounded window, and RoundDeadline bounds every daemon's
-// peer-dial retries so a dead peer costs bounded time, not the round's
-// wait timeout.
+// position's hot-spare pool (Spares) at the same shard slot; every member
+// and spare is probed with a short-timeout mix.info each plan, and
+// benched daemons are re-admitted once they recover. Abort-reason codes
+// from mix.round.wait (slow / crashed / upstream / error) let the
+// scheduler distinguish a daemon's own failure from an abort it merely
+// echoed. The plan itself is a pure function of the probe results and a
+// scoreboard snapshot (decidePlan). Every round runs with the configured
+// ChunkSize, and RoundDeadline bounds every daemon's peer-dial retries so
+// a dead peer costs bounded time, not the round's wait timeout.
 //
 // The coordinator keeps per-round health (Status): wall time, batch
 // size, and each daemon's self-reported duration, batch bytes, and abort
-// reason from the mix.round.wait long-poll. The scheduler's scoreboard (Scoreboard) is served to
-// operators read-only over the coordinator.status RPC.
+// reason from the mix.round.wait long-poll. The scheduler's scoreboard
+// (Scoreboard) is served to operators read-only over the
+// coordinator.status RPC.
 //
 // One add-friend round proceeds as:
 //
 //  1. the scheduler probes every candidate daemon (mix.info) and fixes
-//     the round's plan: membership, merge leads, chunk size, deadline;
+//     the round's plan: membership and merge leads;
 //  2. every PKG announces a fresh signed IBE master key;
 //  3. every position's announcer announces a fresh signed onion key
 //     (mix.newround, which also installs its export allowlist);
@@ -200,8 +200,8 @@ type Coordinator struct {
 	// ANNOUNCER, whose pinned signing key clients verify, and the
 	// round-key source) plus Shards[i] (shards 1..N-1), in shard-index
 	// order. A nil or empty entry leaves the position a group of one. The
-	// merge/build-lead ROLE within each group rotates per round (see
-	// PinLead).
+	// merge/build-lead ROLE within each group rotates per round: slot
+	// round % len(group).
 	Shards [][]Mixer
 
 	// Spares lists hot-spare daemons per chain position: unpinned,
@@ -212,22 +212,9 @@ type Coordinator struct {
 	// have no spares.
 	Spares [][]Mixer
 
-	// PinLead pins each shard group's merge/build-lead role to slot 0
-	// (the pre-rotation layout) instead of rotating it round-robin per
-	// round. Rotation never changes a round's output — the permutation
-	// is derived from the round key every member holds — so this exists
-	// for A/B determinism tests and operators who want a fixed funnel.
-	PinLead bool
-
-	// AdaptiveChunk lets the scheduler adapt the pipeline chunk size
-	// per round to observed outcomes, inside [ChunkSize/4, ChunkSize*4].
-	// Off by default: a fixed chunk keeps fixed-seed rounds reproducible.
-	AdaptiveChunk bool
-
 	// LatencySLO, when set, is the per-daemon round-duration budget: a
-	// daemon whose self-reported duration exceeds it is treated as slow
-	// (benched and, with AdaptiveChunk, the chunk size shrinks) even if
-	// the round succeeded.
+	// daemon whose self-reported duration exceeds it is treated as slow,
+	// and benched, even if the round succeeded.
 	LatencySLO time.Duration
 
 	// RoundDeadline, when set, bounds each daemon's data-plane work per
@@ -265,14 +252,11 @@ type Coordinator struct {
 	expectedVolume map[wire.Service]int
 	health         []RoundHealth
 
-	// Scheduler state (schedule.go), all guarded by mu: the per-round
-	// plans captured at open, the per-daemon scoreboard, the adaptive
-	// chunk size per service, and the spares currently drafted into
-	// open plans.
-	plans      map[planKey]*roundPlan
-	scores     map[string]*daemonScore
-	chunkNow   map[wire.Service]int
-	draftedNow map[string]int
+	// Scheduler state (schedule.go), guarded by mu: the plans of the open
+	// rounds, which hold their drafted spares, and the per-daemon
+	// scoreboard.
+	plans  map[planKey]*roundPlan
+	scores map[string]*DaemonScore
 
 	// annMu serializes announcement fan-out across the frontend tier.
 	// Concurrent round opens (the add-friend and dialing timers tick
@@ -337,8 +321,8 @@ func (c *Coordinator) Status() []RoundHealth {
 }
 
 // recordHealth appends a round's health to the bounded ring, folds the
-// per-daemon outcomes into the scheduler's scoreboard, adapts the chunk
-// size, and emits the per-round log line.
+// per-daemon outcomes into the scheduler's scoreboard, and emits the
+// per-round log line.
 func (c *Coordinator) recordHealth(h RoundHealth) {
 	c.mu.Lock()
 	c.health = append(c.health, h)
@@ -346,7 +330,6 @@ func (c *Coordinator) recordHealth(h RoundHealth) {
 		c.health = c.health[len(c.health)-defaultHealthRing:]
 	}
 	c.updateScoreboard(h)
-	c.adaptChunk(h)
 	c.mu.Unlock()
 	if c.Logger != nil {
 		c.Logger.Printf("round health: %s", h)
@@ -394,12 +377,6 @@ func (c *Coordinator) numMailboxes(service wire.Service) uint32 {
 // first error. Against remote daemons each call is a network round trip,
 // so key announcements and erasures fan out instead of serializing.
 func fanOut(n int, fn func(i int) error) error {
-	if n <= 1 {
-		if n == 1 {
-			return fn(0)
-		}
-		return nil
-	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
@@ -485,10 +462,10 @@ func (c *Coordinator) openRound(service wire.Service, round uint32) (_ *wire.Rou
 		NumMailboxes: c.numMailboxes(service),
 	}
 	// The scheduler plans the round FIRST: it probes every candidate,
-	// drafts spares into benched slots, and picks the merge-role
-	// rotation, so a daemon killed between rounds is caught here rather
-	// than burning the round mid-chain. The plan is fixed for the
-	// round's whole life — CloseRound reuses it verbatim.
+	// drafts spares into benched slots, and rotates the merge role, so a
+	// daemon killed between rounds is caught here rather than burning the
+	// round mid-chain. The plan is fixed for the round's whole life —
+	// CloseRound reuses it verbatim.
 	plan := c.planRound(service, round)
 	defer func() {
 		if err != nil {
@@ -539,7 +516,7 @@ func (c *Coordinator) openMixRound(settings *wire.RoundSettings, plan *roundPlan
 	keys := make([][]byte, len(c.Mixers))
 	settings.Mixers = make([]wire.MixerRoundKey, len(c.Mixers))
 	err := fanOut(len(c.Mixers), func(i int) error {
-		rk, err := c.Mixers[i].NewRound(service, round, plan.peers[i])
+		rk, err := c.Mixers[i].NewRound(service, round, addrs(plan.groups[i]))
 		if err != nil {
 			return fmt.Errorf("coordinator: mixer %d: %w", i, err)
 		}
@@ -563,8 +540,7 @@ func (c *Coordinator) openMixRound(settings *wire.RoundSettings, plan *roundPlan
 	// concurrently with client intake and the mix never waits for it.
 	last := len(plan.groups) - 1
 	return fanOut(len(plan.groups), func(i int) error {
-		group := plan.group(i)
-		li := plan.lead(i)
+		group, li := plan.groups[i], plan.leads[i]
 		return fanOut(len(group), func(s int) error {
 			spec := RouteSpec{
 				NumMailboxes:   settings.NumMailboxes,
@@ -597,7 +573,7 @@ func (c *Coordinator) openMixRound(settings *wire.RoundSettings, plan *roundPlan
 				// themselves by their own shard index.
 				spec.BuildShards = addrs(group)
 			default:
-				spec.Successors = addrs(plan.group(i + 1))
+				spec.Successors = addrs(plan.groups[i+1])
 			}
 			if err := group[s].OpenRound(service, round, spec); err != nil {
 				return fmt.Errorf("coordinator: opening mixer %d/%d: %w", i, s, err)
@@ -630,7 +606,7 @@ func (c *Coordinator) CloseRound(service wire.Service, round uint32) (map[uint32
 		return nil, err
 	}
 	// The round runs with the plan captured at open — membership, merge
-	// rotation, chunk size, and deadline are fixed for the round's life.
+	// leads, chunk size, and deadline are fixed for the round's life.
 	plan := c.planFor(service, round)
 	if plan == nil {
 		return nil, fmt.Errorf("coordinator: round %d (%s) was not opened by this coordinator", round, service)
@@ -697,7 +673,7 @@ func (c *Coordinator) CloseRound(service wire.Service, round uint32) (map[uint32
 // problem — CloseRound is fire-and-forget.
 func (c *Coordinator) closeMixerRounds(service wire.Service, round uint32, plan *roundPlan) {
 	_ = fanOut(len(c.Mixers), func(i int) error {
-		for _, m := range plan.group(i) {
+		for _, m := range plan.groups[i] {
 			m.CloseRound(service, round)
 		}
 		return nil
@@ -745,7 +721,7 @@ func (c *Coordinator) runRound(service wire.Service, round uint32, numMailboxes 
 	// Frontend 0's batch is the one payload this process still moves: the
 	// coordinator owns its entry server, so this hop is unavoidable and
 	// costs one sub-batch-width, not one per chain hop.
-	if err := feedFirstGroup(service, round, numMailboxes, batch, chunkSize, plan.group(0)); err != nil {
+	if err := feedFirstGroup(service, round, numMailboxes, batch, chunkSize, plan.groups[0]); err != nil {
 		err = fmt.Errorf("coordinator: feeding position 0: %w", err)
 		abortAll(err)
 		return nil, err
@@ -754,7 +730,7 @@ func (c *Coordinator) runRound(service wire.Service, round uint32, numMailboxes 
 	// frontend order, so the merged intake order at every shard is
 	// deterministic: a fixed-seed N-frontend round reproduces the
 	// single-frontend byte stream exactly.
-	first := addrs(plan.group(0))
+	first := addrs(plan.groups[0])
 	for k, f := range c.Frontends {
 		if err := f.FeedBatch(service, round, numMailboxes, chunkSize, first, k+1); err != nil {
 			err = fmt.Errorf("coordinator: feeding position 0 as upstream %d: %w", k+1, err)

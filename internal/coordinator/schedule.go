@@ -4,37 +4,46 @@ package coordinator
 // planning layer that sits between the per-round health records
 // (RoundHealth, from mix.round.wait) and the next round's shard-group
 // layout. Each round open captures a plan — which daemon serves each
-// shard slot, which group member hosts the merge/build-lead role, what
-// chunk size and data-plane deadline the round runs with — and each round
-// close feeds the observed outcome back into a per-daemon scoreboard:
+// shard slot and which group member hosts the merge/build-lead role — and
+// each round close feeds the observed outcome back into a per-daemon
+// scoreboard.
 //
-//   - A daemon that crashed, timed out, or failed locally is BENCHED:
-//     the next plan replaces it with a hot spare from Spares (same
-//     position, same shard slot — pinned members reject a changed group
-//     size, so the group never shrinks). A daemon that merely aborted
-//     because an upstream failed keeps its seat; the abort-reason codes
-//     exist exactly so the scheduler can tell the difference.
+// A plan is made in two steps. planRound first probes every candidate of
+// every position, members and spares alike, in one concurrent fan-out of
+// short-timeout mix.info calls, so a daemon killed BETWEEN rounds is
+// caught before the round is burned. Then, under one hold of the
+// coordinator's lock, it snapshots the scoreboard and the spares that open
+// plans hold, and calls decidePlan: a pure function of those inputs and
+// the probe results that returns the plan, the score transitions and the
+// lines to log. The transitions and the plan are committed under the same
+// hold, so two rounds opening at once (the add-friend and dialing timers
+// tick independently) can never draft the same spare.
 //
-//   - Every candidate — members, benched daemons, spares — is probed
-//     with a short-timeout mix.info at plan time, so a daemon killed
-//     BETWEEN rounds is caught before the round is burned, and a benched
-//     daemon that restarted is re-admitted without operator action.
+// The decision:
 //
-//   - The merge/build-lead role rotates round-robin across each shard
-//     group (PinLead disables it), moving the per-position bandwidth
-//     funnel and the mix.deal.* fan-out cost to a different member each
-//     round. Rotation never changes the round's output: the permutation
-//     is derived from the round key every member holds.
+//   - A daemon that crashed, timed out, or failed locally in a closed
+//     round, or fails its plan-time probe, is BENCHED: the plan replaces
+//     it with the first healthy spare of its position that no open plan
+//     holds, at the same shard slot (pinned members reject a changed
+//     group size, so the group never shrinks). A daemon that merely
+//     aborted because an upstream failed keeps its seat; the abort-reason
+//     codes exist exactly so the scheduler can tell the difference.
 //
-//   - The pipeline chunk size adapts (AdaptiveChunk) to the observed
-//     round outcomes inside a bounded window around ChunkSize, shrinking
-//     after failed or SLO-breaching rounds and recovering geometrically.
+//   - A benched daemon that probes healthy again is re-admitted without
+//     operator action once its cooldown has passed.
 //
-// The scoreboard is exported read-only (Scoreboard) and served to
-// operators over the coordinator.status RPC.
+//   - The merge/build-lead role of each shard group is slot
+//     round % len(group), moving the per-position bandwidth funnel and
+//     the mix.deal.* fan-out cost to a different member each round.
+//
+// A round's chunk size (ChunkSize) and data-plane deadline
+// (RoundDeadline) are the configured ones. The scoreboard is served
+// read-only over the coordinator.status RPC.
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -81,11 +90,9 @@ type DaemonScore struct {
 }
 
 // Scoreboard is the scheduler's exported state: every known daemon's
-// score plus the current adaptive chunk size per service. Served
-// read-only over coordinator.status.
+// score. Served read-only over coordinator.status.
 type Scoreboard struct {
-	Daemons []DaemonScore  `json:"daemons"`
-	Chunk   map[string]int `json:"chunk,omitempty"`
+	Daemons []DaemonScore `json:"daemons"`
 }
 
 // scoreAlpha is the EWMA smoothing factor for duration/throughput.
@@ -107,13 +114,8 @@ type roundPlan struct {
 	// key), so it is never substituted.
 	groups [][]Mixer
 	// leads is the index WITHIN each group of the member hosting the
-	// merge/build-lead role this round (rotation; 0 when pinned or a
-	// group of one).
+	// merge/build-lead role this round: round % len(group).
 	leads []int
-	// peers is each position's shard network — the members' dial
-	// addresses — sent to the announcer with mix.newround so it can gate
-	// mix.round.exportkey to the planned group.
-	peers [][]string
 	// chunkSize / deadlineMs are the round's data-plane parameters.
 	chunkSize  int
 	deadlineMs int64
@@ -122,53 +124,32 @@ type roundPlan struct {
 	drafted []string
 }
 
-// group returns position i's planned membership.
-func (p *roundPlan) group(i int) []Mixer { return p.groups[i] }
-
-// lead returns position i's lead index, clamped for safety.
-func (p *roundPlan) lead(i int) int {
-	li := p.leads[i]
-	if li < 0 || li >= len(p.groups[i]) {
-		return 0
-	}
-	return li
-}
-
-// daemonScore is the internal mutable counterpart of DaemonScore,
-// guarded by Coordinator.mu.
-type daemonScore struct {
-	DaemonScore
-}
-
 // score returns (creating if needed) addr's scoreboard entry. Caller
 // holds c.mu.
-func (c *Coordinator) score(addr string) *daemonScore {
+func (c *Coordinator) score(addr string) *DaemonScore {
 	if c.scores == nil {
-		c.scores = make(map[string]*daemonScore)
+		c.scores = make(map[string]*DaemonScore)
 	}
 	sc, ok := c.scores[addr]
 	if !ok {
-		sc = &daemonScore{DaemonScore{Addr: addr, Aborts: make(map[string]uint64)}}
+		sc = &DaemonScore{Addr: addr, Aborts: make(map[string]uint64)}
 		c.scores[addr] = sc
 	}
 	return sc
 }
 
-// Scoreboard returns a snapshot of the scheduler's per-daemon scores and
-// adaptive chunk state, sorted by position/shard/address. The slice and
-// maps are copies; callers may keep them.
+// Scoreboard returns a snapshot of the scheduler's per-daemon scores,
+// sorted by position/shard/address. The slice and maps are copies;
+// callers may keep them.
 func (c *Coordinator) Scoreboard() Scoreboard {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sb := Scoreboard{}
 	for _, sc := range c.scores {
-		d := sc.DaemonScore
-		d.Aborts = make(map[string]uint64, len(sc.Aborts))
-		for k, v := range sc.Aborts {
-			d.Aborts[k] = v
-		}
-		if len(d.Aborts) == 0 {
-			d.Aborts = nil
+		d := *sc
+		d.Aborts = nil
+		if len(sc.Aborts) > 0 {
+			d.Aborts = maps.Clone(sc.Aborts)
 		}
 		sb.Daemons = append(sb.Daemons, d)
 	}
@@ -182,88 +163,7 @@ func (c *Coordinator) Scoreboard() Scoreboard {
 		}
 		return a.Addr < b.Addr
 	})
-	if len(c.chunkNow) > 0 {
-		sb.Chunk = make(map[string]int, len(c.chunkNow))
-		for svc, n := range c.chunkNow {
-			sb.Chunk[fmt.Sprint(svc)] = n
-		}
-	}
 	return sb
-}
-
-// baseChunk is the configured pipeline chunk size.
-func (c *Coordinator) baseChunk() int {
-	if c.ChunkSize > 0 {
-		return c.ChunkSize
-	}
-	return mixnet.DefaultStreamChunk
-}
-
-// currentChunk is the chunk size the next round should run with: the
-// adaptive value when AdaptiveChunk is on, the configured base otherwise.
-func (c *Coordinator) currentChunk(service wire.Service) int {
-	base := c.baseChunk()
-	if !c.AdaptiveChunk {
-		return base
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n, ok := c.chunkNow[service]; ok && n > 0 {
-		return n
-	}
-	return base
-}
-
-// chunkWindow bounds the adaptive chunk size to [base/4, base*4] — the
-// adaptation reacts to observed throughput but can never run away from
-// the operator's configured order of magnitude.
-func (c *Coordinator) chunkWindow() (min, max int) {
-	base := c.baseChunk()
-	min = base / 4
-	if min < 1 {
-		min = 1
-	}
-	return min, base * 4
-}
-
-// adaptChunk updates the service's chunk size from a closed round's
-// outcome: a failed round or one whose slowest daemon breached the
-// latency SLO halves the chunk (smaller chunks = finer pipelining and
-// cheaper retries under churn); a clean round grows it geometrically
-// back toward the window's top. Caller holds c.mu.
-func (c *Coordinator) adaptChunk(h RoundHealth) {
-	if !c.AdaptiveChunk {
-		return
-	}
-	min, max := c.chunkWindow()
-	if c.chunkNow == nil {
-		c.chunkNow = make(map[wire.Service]int)
-	}
-	cur, ok := c.chunkNow[h.Service]
-	if !ok || cur <= 0 {
-		cur = c.baseChunk()
-	}
-	slow := h.Err != ""
-	if !slow && c.LatencySLO > 0 {
-		for _, d := range h.Daemons {
-			if d.Stats.Duration > c.LatencySLO {
-				slow = true
-				break
-			}
-		}
-	}
-	if slow {
-		cur /= 2
-	} else {
-		cur += cur/4 + 1
-	}
-	if cur < min {
-		cur = min
-	}
-	if cur > max {
-		cur = max
-	}
-	c.chunkNow[h.Service] = cur
 }
 
 // benchReason classifies one daemon's round outcome for the scheduler:
@@ -343,126 +243,165 @@ func ewma(prev, sample float64) float64 {
 	return prev*(1-scoreAlpha) + sample*scoreAlpha
 }
 
-// planRound captures the scheduling decision for (service, round):
-// probe every candidate, replace benched members with healthy spares,
-// rotate the merge/build-lead role, and fix the round's chunk size and
-// deadline. The plan is stored until dropPlan.
-func (c *Coordinator) planRound(service wire.Service, round uint32) *roundPlan {
-	plan := &roundPlan{
-		chunkSize:  c.currentChunk(service),
-		deadlineMs: int64(c.RoundDeadline / time.Millisecond),
+// planInput is everything one plan decision reads.
+type planInput struct {
+	round          uint32
+	groups, spares [][]Mixer              // per position; groups as configured, announcer first
+	scores         map[string]DaemonScore // scoreboard snapshot
+	held           map[string]bool        // spares that open plans hold
+	alive          map[string]bool        // plan-time probe results, by address
+}
+
+// scoreOp is a scoreboard transition a plan decides.
+type scoreOp int
+
+const (
+	opBench scoreOp = iota + 1
+	opReadmit
+	opDraft
+)
+
+// scoreChange applies op to the daemon at addr, seated at (or drafted
+// into) shard slot shard of position pos.
+type scoreChange struct {
+	op         scoreOp
+	addr       string
+	pos, shard int
+}
+
+// decidePlan is the scheduling decision for one round: it benches the
+// members that failed their probe, re-admits benched members that probe
+// healthy past their cooldown, drafts a spare into every benched slot but
+// the announcer's, and rotates the merge/build lead. It reads nothing but
+// its input, so equal inputs give equal plans. The plan's chunkSize and
+// deadlineMs are left for the caller.
+func decidePlan(in planInput) (plan *roundPlan, changes []scoreChange, logs []string) {
+	plan = &roundPlan{}
+	note := func(format string, args ...any) {
+		logs = append(logs, fmt.Sprintf(format, args...))
 	}
-	for i := range c.Mixers {
-		group := append([]Mixer(nil), c.shardGroup(i)...)
-		c.patchGroup(service, round, i, group, plan)
-		li := 0
-		if len(group) > 1 && !c.PinLead {
-			li = int(round % uint32(len(group)))
+	for pos, configured := range in.groups {
+		group := append([]Mixer(nil), configured...)
+		for s, m := range configured {
+			addr := m.Addr()
+			sc := in.scores[addr]
+			benched := sc.Benched
+			switch {
+			case in.alive[addr] && benched && in.round > sc.BenchedRound+benchCooldownRounds:
+				benched = false
+				changes = append(changes, scoreChange{opReadmit, addr, pos, s})
+				note("re-admitting %s (pos %d shard %d) after recovery", addr, pos, s)
+			case !in.alive[addr] && !benched:
+				benched = true
+				changes = append(changes, scoreChange{opBench, addr, pos, s})
+				note("benching %s (pos %d shard %d): probe failed at plan time", addr, pos, s)
+			}
+			if !benched {
+				continue
+			}
+			if s == 0 {
+				// The announcer cannot be substituted: clients pin ITS
+				// signing key, so a spare's announcement would never
+				// verify. The round runs (and likely fails) with it; the
+				// bench stands until it recovers.
+				note("pos %d announcer %s is benched but irreplaceable; proceeding", pos, addr)
+				continue
+			}
+			spare := draftSpare(in, pos, plan.drafted)
+			if spare == nil {
+				note("pos %d shard %d (%s) benched with no spare available; proceeding", pos, s, addr)
+				continue
+			}
+			group[s] = spare
+			plan.drafted = append(plan.drafted, spare.Addr())
+			changes = append(changes, scoreChange{opDraft, spare.Addr(), pos, s})
+			note("drafting spare %s into pos %d shard %d (benched %s)", spare.Addr(), pos, s, addr)
 		}
 		plan.groups = append(plan.groups, group)
-		plan.leads = append(plan.leads, li)
-		plan.peers = append(plan.peers, addrs(group))
+		plan.leads = append(plan.leads, int(in.round%uint32(len(group))))
 	}
+	return plan, changes, logs
+}
+
+// draftSpare returns position pos's first spare that probed healthy and
+// that neither an open plan nor this one (drafted) holds, or nil.
+func draftSpare(in planInput, pos int, drafted []string) Mixer {
+	if pos >= len(in.spares) {
+		return nil
+	}
+	for _, spare := range in.spares[pos] {
+		addr := spare.Addr()
+		if in.alive[addr] && !in.held[addr] && !slices.Contains(drafted, addr) {
+			return spare
+		}
+	}
+	return nil
+}
+
+// planRound captures the scheduling decision for (service, round): it
+// probes every candidate, then snapshots the scoreboard, decides, commits
+// the score transitions and the plan under one hold of c.mu, and logs the
+// decisions. The plan is stored until dropPlan.
+func (c *Coordinator) planRound(service wire.Service, round uint32) *roundPlan {
+	in := planInput{round: round, spares: c.Spares}
+	var candidates []Mixer
+	for i := range c.Mixers {
+		in.groups = append(in.groups, c.shardGroup(i))
+		candidates = append(candidates, in.groups[i]...)
+		if i < len(c.Spares) {
+			candidates = append(candidates, c.Spares[i]...)
+		}
+	}
+	up := make([]bool, len(candidates))
+	_ = fanOut(len(candidates), func(i int) error {
+		up[i] = candidates[i].Probe() == nil
+		return nil
+	})
+	in.alive = make(map[string]bool, len(candidates))
+	for i, m := range candidates {
+		in.alive[m.Addr()] = up[i]
+	}
+
 	c.mu.Lock()
+	in.scores = make(map[string]DaemonScore, len(c.scores))
+	for addr, sc := range c.scores {
+		in.scores[addr] = *sc
+	}
+	in.held = make(map[string]bool)
+	for _, p := range c.plans {
+		for _, addr := range p.drafted {
+			in.held[addr] = true
+		}
+	}
+	plan, changes, logs := decidePlan(in)
+	plan.chunkSize = c.ChunkSize
+	if plan.chunkSize <= 0 {
+		plan.chunkSize = mixnet.DefaultStreamChunk
+	}
+	plan.deadlineMs = int64(c.RoundDeadline / time.Millisecond)
+	for _, ch := range changes {
+		sc := c.score(ch.addr)
+		sc.Position, sc.Shard = ch.pos, ch.shard
+		switch ch.op {
+		case opBench:
+			sc.Benched, sc.BenchedRound = true, round
+		case opReadmit:
+			sc.Benched, sc.ConsecutiveFailures = false, 0
+			sc.Readmissions++
+		case opDraft:
+			sc.Spare = true
+		}
+	}
 	if c.plans == nil {
 		c.plans = make(map[planKey]*roundPlan)
 	}
 	c.plans[planKey{service, round}] = plan
-	if len(plan.drafted) > 0 {
-		if c.draftedNow == nil {
-			c.draftedNow = make(map[string]int)
-		}
-		for _, addr := range plan.drafted {
-			c.draftedNow[addr]++
-		}
-	}
 	c.mu.Unlock()
+
+	for _, line := range logs {
+		c.logf("scheduler: %v round %d: %s", service, round, line)
+	}
 	return plan
-}
-
-// patchGroup probes position i's members, updates bench state, and
-// substitutes drafted spares into benched non-announcer slots, mutating
-// group in place.
-func (c *Coordinator) patchGroup(service wire.Service, round uint32, pos int, group []Mixer, plan *roundPlan) {
-	alive := make([]bool, len(group))
-	_ = fanOut(len(group), func(s int) error {
-		alive[s] = group[s].Probe() == nil
-		return nil
-	})
-	for s, m := range group {
-		addr := m.Addr()
-		c.mu.Lock()
-		sc := c.score(addr)
-		sc.Position, sc.Shard = pos, s
-		if alive[s] {
-			if sc.Benched && round > sc.BenchedRound+benchCooldownRounds {
-				sc.Benched = false
-				sc.ConsecutiveFailures = 0
-				sc.Readmissions++
-				c.mu.Unlock()
-				c.logf("scheduler: re-admitting %s (pos %d shard %d) after recovery", addr, pos, s)
-				continue
-			}
-		} else if !sc.Benched {
-			sc.Benched = true
-			sc.BenchedRound = round
-			c.mu.Unlock()
-			c.logf("scheduler: benching %s (pos %d shard %d): probe failed at plan time", addr, pos, s)
-			c.mu.Lock()
-		}
-		benched := sc.Benched
-		c.mu.Unlock()
-		if !benched {
-			continue
-		}
-		if s == 0 {
-			// The announcer cannot be substituted: clients pin ITS signing
-			// key, so a spare's announcement would never verify. The round
-			// runs (and likely fails) with it; the bench stands until it
-			// recovers.
-			c.logf("scheduler: pos %d announcer %s is benched but irreplaceable; proceeding", pos, addr)
-			continue
-		}
-		if spare := c.draftSpare(pos, plan); spare != nil {
-			c.logf("scheduler: drafting spare %s into pos %d shard %d (benched %s)", spare.Addr(), pos, s, addr)
-			group[s] = spare
-		} else {
-			c.logf("scheduler: pos %d shard %d (%s) benched with no spare available; proceeding", pos, s, addr)
-		}
-	}
-}
-
-// draftSpare returns the first healthy, un-drafted spare for position
-// pos, marking it drafted in plan, or nil when the pool is exhausted.
-func (c *Coordinator) draftSpare(pos int, plan *roundPlan) Mixer {
-	if pos >= len(c.Spares) {
-		return nil
-	}
-	for _, spare := range c.Spares[pos] {
-		addr := spare.Addr()
-		c.mu.Lock()
-		inUse := c.draftedNow[addr] > 0
-		if !inUse {
-			for _, d := range plan.drafted {
-				if d == addr {
-					inUse = true
-					break
-				}
-			}
-		}
-		c.mu.Unlock()
-		if inUse || spare.Probe() != nil {
-			continue
-		}
-		c.mu.Lock()
-		sc := c.score(addr)
-		sc.Spare = true
-		sc.Position = pos
-		c.mu.Unlock()
-		plan.drafted = append(plan.drafted, addr)
-		return spare
-	}
-	return nil
 }
 
 // planFor returns the plan captured when (service, round) opened, or nil
@@ -473,19 +412,10 @@ func (c *Coordinator) planFor(service wire.Service, round uint32) *roundPlan {
 	return c.plans[planKey{service, round}]
 }
 
-// dropPlan forgets (service, round)'s plan and releases its drafted
-// spares back to the pool.
+// dropPlan forgets (service, round)'s plan, which returns its drafted
+// spares to the pool.
 func (c *Coordinator) dropPlan(service wire.Service, round uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.plans[planKey{service, round}]
-	if !ok {
-		return
-	}
 	delete(c.plans, planKey{service, round})
-	for _, addr := range p.drafted {
-		if c.draftedNow[addr] > 0 {
-			c.draftedNow[addr]--
-		}
-	}
 }

@@ -2,9 +2,13 @@ package coordinator
 
 import (
 	"errors"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"alpenhorn/internal/mixnet"
 	"alpenhorn/internal/wire"
 )
 
@@ -14,6 +18,8 @@ import (
 type stubMixer struct {
 	addr  string
 	alive bool
+	// onProbe, when set, runs inside every Probe call.
+	onProbe func()
 }
 
 func (m *stubMixer) Addr() string                 { return m.addr }
@@ -31,6 +37,9 @@ func (m *stubMixer) WaitRound(wire.Service, uint32) (wire.MixerRoundStats, error
 func (m *stubMixer) AbortRound(wire.Service, uint32, string) error { return nil }
 func (m *stubMixer) CloseRound(wire.Service, uint32)               {}
 func (m *stubMixer) Probe() error {
+	if m.onProbe != nil {
+		m.onProbe()
+	}
 	if m.alive {
 		return nil
 	}
@@ -60,44 +69,37 @@ func TestBenchReason(t *testing.T) {
 	}
 }
 
+// TestAdaptChunkWindow pins the chunk contract: no round outcome moves
+// the chunk size. After failed, SLO-breaching and clean rounds of either
+// service, every plan carries the configured chunk, or
+// mixnet.DefaultStreamChunk when none is configured.
 func TestAdaptChunkWindow(t *testing.T) {
-	c := &Coordinator{ChunkSize: 64, AdaptiveChunk: true}
-
-	// Failures halve the chunk but never push it under base/4.
-	for i := 0; i < 5; i++ {
-		c.adaptChunk(RoundHealth{Service: wire.Dialing, Err: "boom"})
+	outcomes := []RoundHealth{
+		{Err: "boom"},
+		{Daemons: []DaemonRoundStats{{Addr: "10.0.0.2:1", Stats: wire.MixerRoundStats{Duration: 50 * time.Millisecond}}}},
+		{},
 	}
-	if got := c.currentChunk(wire.Dialing); got != 16 {
-		t.Errorf("after repeated failures chunk = %d, want floor 16", got)
-	}
-
-	// Clean rounds grow it geometrically but never past base*4.
-	for i := 0; i < 40; i++ {
-		c.adaptChunk(RoundHealth{Service: wire.Dialing})
-	}
-	if got := c.currentChunk(wire.Dialing); got != 256 {
-		t.Errorf("after repeated clean rounds chunk = %d, want ceiling 256", got)
-	}
-
-	// An SLO breach counts as slow even when the round succeeded.
-	c.LatencySLO = time.Millisecond
-	c.adaptChunk(RoundHealth{Service: wire.Dialing, Daemons: []DaemonRoundStats{
-		{Stats: wire.MixerRoundStats{Duration: 50 * time.Millisecond}},
-	}})
-	if got := c.currentChunk(wire.Dialing); got != 128 {
-		t.Errorf("after SLO breach chunk = %d, want 128", got)
-	}
-
-	// AddFriend rounds leave Dialing's state alone.
-	c.adaptChunk(RoundHealth{Service: wire.AddFriend, Err: "boom"})
-	if got := c.currentChunk(wire.Dialing); got != 128 {
-		t.Errorf("unrelated rounds moved the chunk to %d, want 128", got)
-	}
-
-	// With AdaptiveChunk off, rounds always plan the configured base.
-	c.AdaptiveChunk = false
-	if got := c.currentChunk(wire.Dialing); got != 64 {
-		t.Errorf("with AdaptiveChunk off chunk = %d, want base 64", got)
+	for _, tc := range []struct{ configured, want int }{{64, 64}, {0, mixnet.DefaultStreamChunk}} {
+		c, _, _ := newStubCoordinator()
+		c.ChunkSize = tc.configured
+		c.LatencySLO = time.Millisecond
+		round := uint32(0)
+		for i := 0; i < 4; i++ {
+			for _, h := range outcomes {
+				for _, svc := range []wire.Service{wire.AddFriend, wire.Dialing} {
+					round++
+					h.Service, h.Round = svc, round
+					c.recordHealth(h)
+					for _, next := range []wire.Service{wire.AddFriend, wire.Dialing} {
+						if got := c.planRound(next, round+1).chunkSize; got != tc.want {
+							t.Errorf("ChunkSize %d: %v plan after a %v round (err %q): chunk %d, want %d",
+								tc.configured, next, svc, h.Err, got, tc.want)
+						}
+						c.dropPlan(next, round+1)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -119,28 +121,195 @@ func newStubCoordinator() (*Coordinator, []*stubMixer, *stubMixer) {
 }
 
 func TestLeadRotation(t *testing.T) {
-	c, _, _ := newStubCoordinator()
+	c, members, _ := newStubCoordinator()
 	for r := uint32(1); r <= 7; r++ {
 		plan := c.planRound(wire.Dialing, r)
-		if got, want := plan.lead(0), int(r%3); got != want {
+		if got, want := plan.leads[0], int(r%3); got != want {
 			t.Errorf("round %d: lead %d, want %d", r, got, want)
 		}
-		if got := len(plan.peers[0]); got != 3 {
-			t.Errorf("round %d: %d peers in shard network, want 3", r, got)
+		if got := plan.groups[0]; len(got) != 3 || got[0] != Mixer(members[0]) {
+			t.Errorf("round %d: planned group %v, want the 3 configured members", r, got)
 		}
 		c.dropPlan(wire.Dialing, r)
 	}
 
-	c.PinLead = true
-	plan := c.planRound(wire.Dialing, 5)
-	if got := plan.lead(0); got != 0 {
-		t.Errorf("PinLead: lead %d, want 0", got)
-	}
-	c.dropPlan(wire.Dialing, 5)
-
 	// A round never opened here has no plan (and so no routes to close).
 	if c.planFor(wire.Dialing, 99) != nil {
 		t.Error("a round never opened here has a plan")
+	}
+}
+
+// TestPlanDecision is the table test of decidePlan, the scheduler's pure
+// decision: one position served by a 3-member group with two spares, and
+// a second, unsharded position.
+func TestPlanDecision(t *testing.T) {
+	m := []*stubMixer{{addr: "m0"}, {addr: "m1"}, {addr: "m2"}, {addr: "n0"}}
+	sp := []*stubMixer{{addr: "s0"}, {addr: "s1"}}
+	groups := [][]Mixer{{m[0], m[1], m[2]}, {m[3]}}
+	spares := [][]Mixer{{sp[0], sp[1]}}
+	addrsOf := func(ms ...*stubMixer) []string {
+		var out []string
+		for _, x := range ms {
+			out = append(out, x.addr)
+		}
+		return out
+	}
+	all := append(addrsOf(m...), addrsOf(sp...)...)
+	// input builds the decision's maps, inserting their keys in the given
+	// address order: down lists the daemons whose probe failed.
+	input := func(order []string, round uint32, down []string, benchedAt map[string]uint32, held []string) planInput {
+		in := planInput{round: round, groups: groups, spares: spares,
+			scores: map[string]DaemonScore{}, held: map[string]bool{}, alive: map[string]bool{}}
+		for _, addr := range order {
+			in.alive[addr] = !slices.Contains(down, addr)
+			if r, ok := benchedAt[addr]; ok {
+				in.scores[addr] = DaemonScore{Addr: addr, Benched: true, BenchedRound: r}
+			}
+			if slices.Contains(held, addr) {
+				in.held[addr] = true
+			}
+		}
+		return in
+	}
+	type want struct {
+		group0  []string
+		leads   []int
+		drafted []string
+		changes []scoreChange
+	}
+	cases := []struct {
+		name      string
+		round     uint32
+		down      []string
+		benchedAt map[string]uint32
+		held      []string
+		want      want
+	}{
+		{
+			name: "healthy fleet", round: 4,
+			want: want{group0: addrsOf(m[0], m[1], m[2]), leads: []int{1, 0}},
+		},
+		{
+			name: "benched member takes the spare", round: 3, down: []string{"m2"},
+			want: want{group0: []string{"m0", "m1", "s0"}, leads: []int{0, 0}, drafted: []string{"s0"},
+				changes: []scoreChange{{opBench, "m2", 0, 2}, {opDraft, "s0", 0, 2}}},
+		},
+		{
+			name: "dead spare is skipped", round: 3, down: []string{"m1", "s0"},
+			want: want{group0: []string{"m0", "s1", "m2"}, leads: []int{0, 0}, drafted: []string{"s1"},
+				changes: []scoreChange{{opBench, "m1", 0, 1}, {opDraft, "s1", 0, 1}}},
+		},
+		{
+			name: "two benched members take both spares", round: 5, down: []string{"m1", "m2"},
+			want: want{group0: []string{"m0", "s0", "s1"}, leads: []int{2, 0}, drafted: []string{"s0", "s1"},
+				changes: []scoreChange{{opBench, "m1", 0, 1}, {opDraft, "s0", 0, 1}, {opBench, "m2", 0, 2}, {opDraft, "s1", 0, 2}}},
+		},
+		{
+			name: "spares held by other plans leave the victim seated", round: 3, down: []string{"m2"}, held: []string{"s0", "s1"},
+			want: want{group0: addrsOf(m[0], m[1], m[2]), leads: []int{0, 0},
+				changes: []scoreChange{{opBench, "m2", 0, 2}}},
+		},
+		{
+			name: "announcer is never substituted", round: 3, down: []string{"m0"},
+			want: want{group0: addrsOf(m[0], m[1], m[2]), leads: []int{0, 0},
+				changes: []scoreChange{{opBench, "m0", 0, 0}}},
+		},
+		{
+			name: "benched announcer past cooldown is re-admitted", round: 5, benchedAt: map[string]uint32{"m0": 2},
+			want: want{group0: addrsOf(m[0], m[1], m[2]), leads: []int{2, 0},
+				changes: []scoreChange{{opReadmit, "m0", 0, 0}}},
+		},
+		{
+			name: "cooldown round keeps a healthy member benched", round: 5, benchedAt: map[string]uint32{"m2": 4},
+			want: want{group0: []string{"m0", "m1", "s0"}, leads: []int{2, 0}, drafted: []string{"s0"},
+				changes: []scoreChange{{opDraft, "s0", 0, 2}}},
+		},
+		{
+			name: "re-admitted after the cooldown", round: 6, benchedAt: map[string]uint32{"m2": 4},
+			want: want{group0: addrsOf(m[0], m[1], m[2]), leads: []int{0, 0},
+				changes: []scoreChange{{opReadmit, "m2", 0, 2}}},
+		},
+		{
+			name: "benched and still down stays benched", round: 9, down: []string{"m2"}, benchedAt: map[string]uint32{"m2": 4},
+			want: want{group0: []string{"m0", "m1", "s0"}, leads: []int{0, 0}, drafted: []string{"s0"},
+				changes: []scoreChange{{opDraft, "s0", 0, 2}}},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, changes, logs := decidePlan(input(all, tc.round, tc.down, tc.benchedAt, tc.held))
+			got := want{group0: addrs(plan.groups[0]), leads: plan.leads, drafted: plan.drafted, changes: changes}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("decision = %+v\nwant       %+v", got, tc.want)
+			}
+			if got := addrs(plan.groups[1]); !reflect.DeepEqual(got, []string{"n0"}) {
+				t.Errorf("unsharded position planned as %v, want [n0]", got)
+			}
+			if len(changes) > 0 && len(logs) == 0 {
+				t.Error("score transitions with nothing to log")
+			}
+
+			// The same input with every map filled in the reverse order
+			// gives the same plan, transitions and log lines.
+			reversed := slices.Clone(all)
+			slices.Reverse(reversed)
+			plan2, changes2, logs2 := decidePlan(input(reversed, tc.round, tc.down, tc.benchedAt, tc.held))
+			if !reflect.DeepEqual(plan, plan2) || !reflect.DeepEqual(changes, changes2) || !reflect.DeepEqual(logs, logs2) {
+				t.Errorf("map insertion order changed the decision:\n%+v %v %q\n%+v %v %q", plan, changes, logs, plan2, changes2, logs2)
+			}
+		})
+	}
+}
+
+// TestConcurrentPlansNeverShareSpare opens an add-friend and a dialing
+// plan at once over one benched slot and one spare whose probe returns
+// only when both plans are inside it: the plans overlap between probing
+// and committing. Exactly one of them may draft the spare.
+func TestConcurrentPlansNeverShareSpare(t *testing.T) {
+	c, members, spare := newStubCoordinator()
+	members[2].alive = false
+	var mu sync.Mutex
+	arrived := 0
+	both := make(chan struct{})
+	spare.onProbe = func() {
+		mu.Lock()
+		if arrived++; arrived == 2 {
+			close(both)
+		}
+		mu.Unlock()
+		select {
+		case <-both:
+		case <-time.After(5 * time.Second):
+		}
+	}
+
+	services := []wire.Service{wire.AddFriend, wire.Dialing}
+	plans := make([]*roundPlan, len(services))
+	var wg sync.WaitGroup
+	for i, svc := range services {
+		wg.Add(1)
+		go func(i int, svc wire.Service) {
+			defer wg.Done()
+			plans[i] = c.planRound(svc, 1)
+		}(i, svc)
+	}
+	wg.Wait()
+
+	holders := 0
+	for _, p := range plans {
+		if p.groups[0][2] == Mixer(spare) {
+			holders++
+		}
+	}
+	if holders != 1 {
+		t.Errorf("%d concurrent plans drafted the one spare, want exactly 1", holders)
+	}
+	drafts := 0
+	for _, p := range c.plans {
+		drafts += len(p.drafted)
+	}
+	if drafts != 1 {
+		t.Errorf("the open plans hold %d drafts, want 1", drafts)
 	}
 }
 
@@ -152,17 +321,17 @@ func TestBenchDraftAndReadmit(t *testing.T) {
 	// into its exact slot.
 	victim.alive = false
 	plan := c.planRound(wire.Dialing, 1)
-	if got := plan.group(0)[2]; got != Mixer(spare) {
+	if got := plan.groups[0][2]; got != Mixer(spare) {
 		t.Fatalf("round 1: slot 2 holds %v, want the drafted spare", got)
 	}
-	if plan.peers[0][2] != spare.addr {
-		t.Errorf("round 1: shard network lists %s at slot 2, want spare %s", plan.peers[0][2], spare.addr)
+	if got := addrs(plan.groups[0])[2]; got != spare.addr {
+		t.Errorf("round 1: shard network lists %s at slot 2, want spare %s", got, spare.addr)
 	}
 
 	// Round 2 overlaps round 1: the single spare is already committed,
 	// so the benched victim keeps its slot (and the round rides on it).
 	plan2 := c.planRound(wire.Dialing, 2)
-	if got := plan2.group(0)[2]; got != Mixer(victim) {
+	if got := plan2.groups[0][2]; got != Mixer(victim) {
 		t.Errorf("round 2: slot 2 holds %v, want the benched victim (spare pool exhausted)", got)
 	}
 	c.dropPlan(wire.Dialing, 1)
@@ -172,14 +341,14 @@ func TestBenchDraftAndReadmit(t *testing.T) {
 	// bench round is required even with a healthy probe.
 	victim.alive = true
 	plan = c.planRound(wire.Dialing, 2)
-	if got := plan.group(0)[2]; got != Mixer(spare) {
+	if got := plan.groups[0][2]; got != Mixer(spare) {
 		t.Errorf("cooldown round: slot 2 holds %v, want the spare", got)
 	}
 	c.dropPlan(wire.Dialing, 2)
 
 	// Past the cooldown it is re-admitted automatically.
 	plan = c.planRound(wire.Dialing, 3)
-	if got := plan.group(0)[2]; got != Mixer(victim) {
+	if got := plan.groups[0][2]; got != Mixer(victim) {
 		t.Fatalf("round 3: slot 2 holds %v, want the re-admitted victim", got)
 	}
 	c.dropPlan(wire.Dialing, 3)
@@ -206,7 +375,7 @@ func TestAnnouncerNeverSubstituted(t *testing.T) {
 	c, members, _ := newStubCoordinator()
 	members[0].alive = false
 	plan := c.planRound(wire.Dialing, 1)
-	if got := plan.group(0)[0]; got != Mixer(members[0]) {
+	if got := plan.groups[0][0]; got != Mixer(members[0]) {
 		t.Fatalf("slot 0 holds %v, want the (benched) announcer: clients pin its key", got)
 	}
 	c.dropPlan(wire.Dialing, 1)

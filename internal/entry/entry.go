@@ -145,6 +145,9 @@ func (s *Server) appendEventLocked(ann Announcement) {
 func (s *Server) OpenRound(settings *wire.RoundSettings) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if settings.Service != wire.AddFriend && settings.Service != wire.Dialing {
+		return fmt.Errorf("entry: round %d of unknown %s", settings.Round, settings.Service)
+	}
 	k := roundKey{settings.Service, settings.Round}
 	if _, ok := s.rounds[k]; ok {
 		return fmt.Errorf("entry: round %d (%s) already opened", settings.Round, settings.Service)

@@ -141,13 +141,13 @@ func TestChurnSelfHealingRounds(t *testing.T) {
 	})
 }
 
-// TestMergeRotationDeterminism pins the rotation contract: for 1-, 2-, and
-// 3-shard groups, a fleet with round-robin merge-role rotation publishes
-// byte-identical mailboxes to a fixed-seed mirror fleet whose merge role
-// is pinned to shard 0 (PinLead), round after round. The merge funnel
-// demonstrably MOVES — the member with the position's peak egress follows
-// round % N — while the output never does, because the shuffle
-// permutation is derived from the round key every member holds.
+// TestMergeRotationDeterminism pins the rotation contract: 2- and
+// 3-shard fleets, whose merge/build-lead role rotates round-robin,
+// publish byte-identical mailboxes to the unsharded fleet under a fixed
+// seed, round after round. The merge funnel demonstrably MOVES — the
+// member with the position's peak egress follows round % N — while the
+// output never does, because the shuffle permutation is derived from the
+// round key every member holds.
 func TestMergeRotationDeterminism(t *testing.T) {
 	nz := noise.Laplace{Mu: 0, B: 0}
 	const numRounds = 3
@@ -158,51 +158,46 @@ func TestMergeRotationDeterminism(t *testing.T) {
 		k     uint32
 		boxes map[uint32][]byte
 	}
-	run := func(shardsPerPos int, pinLead bool) ([]roundBoxes, *coordinator.Coordinator) {
+	run := func(shardsPerPos int) ([]roundBoxes, *coordinator.Coordinator) {
 		n := newNetwork(t, sim.Config{
 			NumPKGs: 1, Shards: []int{shardsPerPos, shardsPerPos, shardsPerPos},
 			AddFriendNoise: &nz, DialingNoise: &nz, TargetRequestsPerMailbox: 40, Seed: 1000,
 		})
 		coord := n.Coord
 		coord.ChunkSize = 16
-		coord.PinLead = pinLead
 		coord.SetExpectedVolume(wire.Dialing, numTokens)
 
 		var out []roundBoxes
 		for r := 1; r <= numRounds; r++ {
 			settings, err := coord.OpenDialingRound(uint32(r))
 			if err != nil {
-				t.Fatalf("%d shards pin=%v round %d open: %v", shardsPerPos, pinLead, r, err)
+				t.Fatalf("%d shards round %d open: %v", shardsPerPos, r, err)
 			}
 			submitTokens(t, n.Entry, settings, tokens, mathrand.New(mathrand.NewSource(4242)))
 			if _, err := coord.CloseRound(wire.Dialing, uint32(r)); err != nil {
-				t.Fatalf("%d shards pin=%v round %d: %v", shardsPerPos, pinLead, r, err)
+				t.Fatalf("%d shards round %d: %v", shardsPerPos, r, err)
 			}
 			out = append(out, roundBoxes{settings.NumMailboxes, fetchAll(t, n.CDN, uint32(r), settings.NumMailboxes)})
 		}
 		return out, coord
 	}
 
-	for _, shardsPerPos := range []int{1, 2, 3} {
-		rotated, coord := run(shardsPerPos, false)
-		pinned, _ := run(shardsPerPos, true)
+	unsharded, _ := run(1)
+	for _, shardsPerPos := range []int{2, 3} {
+		rotated, coord := run(shardsPerPos)
 		for r := 0; r < numRounds; r++ {
-			if rotated[r].k != pinned[r].k {
-				t.Fatalf("%d shards round %d: K=%d rotated, K=%d pinned", shardsPerPos, r+1, rotated[r].k, pinned[r].k)
+			if rotated[r].k != unsharded[r].k {
+				t.Fatalf("%d shards round %d: K=%d rotated, K=%d unsharded", shardsPerPos, r+1, rotated[r].k, unsharded[r].k)
 			}
 			for mb := uint32(0); mb < rotated[r].k; mb++ {
-				if !bytes.Equal(rotated[r].boxes[mb], pinned[r].boxes[mb]) {
-					t.Errorf("%d shards round %d mailbox %d: rotation changed the round's bytes", shardsPerPos, r+1, mb)
+				if !bytes.Equal(rotated[r].boxes[mb], unsharded[r].boxes[mb]) {
+					t.Errorf("%d shards round %d mailbox %d: the rotated fleet diverged from the unsharded one", shardsPerPos, r+1, mb)
 				}
 			}
 		}
-		if shardsPerPos == 1 {
-			continue
-		}
-		// The funnel moved: in the rotated fleet the middle position's
-		// peak-egress member (the merge forwards the FULL merged batch;
-		// non-merge members only deposit their slice) must track
-		// round % N.
+		// The funnel moved: the middle position's peak-egress member (the
+		// merge forwards the FULL merged batch; non-merge members only
+		// deposit their slice) must track round % N.
 		for _, h := range coord.Status() {
 			wantLead := int(h.Round) % shardsPerPos
 			best, bestOut := -1, uint64(0)

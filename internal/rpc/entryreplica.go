@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"alpenhorn/internal/entry"
@@ -105,9 +106,6 @@ func (st *replicaState) takeStash(service wire.Service, round uint32) ([][]byte,
 // feeders opened and each end closes exactly one of the counted upstream
 // slots.
 func (st *replicaState) feed(a replicateFeedArgs, batch [][]byte) error {
-	if a.ChunkSize <= 0 || len(a.Shards) == 0 {
-		return errors.New("rpc: replicate feed needs a chunk size and a shard set")
-	}
 	parts := dealChunks(batch, a.ChunkSize, len(a.Shards))
 	return fanOut(a.Shards, func(s int, addr string) error {
 		c := st.peer(addr)
@@ -155,6 +153,12 @@ func RegisterEntryReplica(s *Server, e *entry.Server) {
 		return replicateCloseReply{Size: n}, nil
 	})
 	HandleFunc(s, "entry.replicate.feed", func(a replicateFeedArgs) (any, error) {
+		// Refuse a malformed feed before taking the stash: the take is
+		// final, so a feed that could never deal would destroy the
+		// frontend's sub-batch.
+		if a.ChunkSize <= 0 || len(a.Shards) == 0 || slices.Contains(a.Shards, "") {
+			return nil, errors.New("rpc: replicate feed needs a chunk size and a shard set")
+		}
 		batch, err := st.takeStash(a.Service, a.Round)
 		if err != nil {
 			return nil, err
