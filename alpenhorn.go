@@ -26,11 +26,10 @@
 // published mailbox through a bounded, crash-persistent backlog with
 // ranged fetches, retries failed scans on the §5.1 time budget before
 // advancing the keywheels past them, and reconnects with backoff when the
-// frontend dies. ConnectAddFriend and ConnectDialing
-// expose the same loop per service, each returning a handle with
-// Err/Close. Friendship confirmations and incoming calls are delivered
-// through the application's Handler (the NewFriend / IncomingCall
-// callbacks of the paper).
+// frontend dies. A client runs one Run at a time; a second concurrent call
+// returns ErrRunning. Friendship confirmations and incoming calls are
+// delivered through the application's Handler (the NewFriend /
+// IncomingCall callbacks of the paper).
 //
 // Every server-touching method takes a context.Context, honored through
 // the transport: cancelling it interrupts in-flight network calls, so a
@@ -50,8 +49,7 @@
 //     verifiable-settings mixnet with Laplace noise (§6), in every round,
 //     whether or not the user is doing anything.
 //
-// See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-// reproduction of the paper's evaluation.
+// See EXPERIMENTS.md for the reproduction of the paper's evaluation.
 package alpenhorn
 
 import (
@@ -78,23 +76,21 @@ type Friend = core.Friend
 // Persister stores serialized client state.
 type Persister = core.Persister
 
-// ServiceHandle is one service's running round loop, returned by
-// Client.ConnectAddFriend / Client.ConnectDialing.
-type ServiceHandle = core.ServiceHandle
+// ErrRunning is returned by Client.Run while another Run on the same
+// client is active.
+var ErrRunning = core.ErrRunning
 
 // Server interfaces: implementations may be in-process (internal/sim) or
 // network clients (cmd daemons). All methods take a leading context.
 type (
 	// PKG is the client's view of one private-key generator server.
 	PKG = core.PKG
-	// EntryServer is the client's view of the entry server.
+	// EntryServer is the client's view of the entry server, including
+	// the round-event surface (resumable by cursor) that Run follows.
 	EntryServer = core.EntryServer
 	// MailboxStore is the client's view of the mailbox CDN; FetchRange
 	// lets a catching-up client cover a span of rounds in one request.
 	MailboxStore = core.MailboxStore
-	// RoundWatcher is the round-event surface (resumable by cursor) that
-	// Run follows; Config.Entry must implement it.
-	RoundWatcher = core.RoundWatcher
 )
 
 // NewClient creates a client with a fresh long-term signing key.

@@ -148,6 +148,11 @@ func (c *Client) extractRoundKeys(ctx context.Context, round uint32) error {
 	return nil
 }
 
+// dialRoundDelta is added to the latest known dialing round to pick the
+// keywheel start round w for new friendships, leaving slack for the
+// add-friend round trip.
+const dialRoundDelta = 2
+
 // buildAddFriendPayload creates the innermost mix payload: a real IBE-
 // encrypted friend request if one is queued (step 2a), else cover traffic
 // (step 2b).
@@ -167,7 +172,7 @@ func (c *Client) buildAddFriendPayload(round uint32, settings *wire.RoundSetting
 		}
 	}
 	var secrets = c.roundKeys[round]
-	dialRound := c.dialRound + c.cfg.DialRoundDelta
+	dialRound := c.dialRound + dialRoundDelta
 	c.mu.Unlock()
 
 	if target == nil {

@@ -9,10 +9,9 @@
 // the in-process server types (internal/pkgserver, internal/entry,
 // internal/cdn) and by the TCP adapters in the cmd/ daemons.
 //
-// Most applications hand the client to Run (or the ConnectAddFriend /
-// ConnectDialing handles), which follows the frontend's round
-// announcements and drives every phase itself — see run.go. The phases
-// remain public so that tests, benchmarks, and simulations can drive
+// Most applications hand the client to Run, which follows the frontend's
+// round announcements and drives every phase itself — see run.go. The
+// phases remain public so that tests, benchmarks, and simulations can drive
 // rounds deterministically:
 //
 //	SubmitAddFriendRound(ctx, r)  — extract round keys, send request or cover
@@ -34,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"alpenhorn/internal/bls"
@@ -56,6 +56,12 @@ type PKG interface {
 type EntryServer interface {
 	Settings(ctx context.Context, service wire.Service, round uint32) (*wire.RoundSettings, error)
 	Submit(ctx context.Context, service wire.Service, round uint32, onion []byte) error
+	// WatchRounds is the round-progress surface Run follows. It blocks
+	// until announcements after cursor exist (or ctx ends) and returns
+	// them with the cursor to resume from. Announcements carry monotonic
+	// cursors, so a reconnecting client resumes where it left off and a
+	// coalesced reply after a gap still carries the newest state.
+	WatchRounds(ctx context.Context, cursor uint64) ([]entry.Announcement, uint64, error)
 }
 
 // MailboxStore is the client's view of the CDN.
@@ -65,16 +71,6 @@ type MailboxStore interface {
 	// [fromRound, toRound] in a single request, keyed by round;
 	// unavailable rounds are absent.
 	FetchRange(ctx context.Context, service wire.Service, fromRound, toRound uint32, mailbox uint32) (map[uint32][]byte, error)
-}
-
-// RoundWatcher is the round-progress surface Run follows; Config.Entry
-// must implement it to be driven by Run or the Connect handles.
-// WatchRounds blocks until announcements after cursor exist (or ctx ends)
-// and returns them with the cursor to resume from. Announcements carry
-// monotonic cursors, so a reconnecting client resumes where it left off
-// and a coalesced reply after a gap still carries the newest state.
-type RoundWatcher interface {
-	WatchRounds(ctx context.Context, cursor uint64) ([]entry.Announcement, uint64, error)
 }
 
 // Handler receives asynchronous events from the client. Implementations
@@ -168,28 +164,6 @@ type Config struct {
 	// NumIntents is how many intent values the application uses (§5.3).
 	NumIntents uint32
 
-	// DialRoundDelta is added to the latest known dialing round to pick
-	// the keywheel start round w for new friendships, leaving slack for
-	// the add-friend round trip.
-	DialRoundDelta uint32
-
-	// MaxDialBacklog bounds how many published-but-unscanned dialing
-	// rounds the client queues (QueueDialScans) when it falls behind —
-	// a client offline for a day of 10-second rounds would otherwise
-	// queue thousands of mailbox fetches. Beyond the cap the OLDEST
-	// rounds are dropped: their keywheel secrets are advanced away
-	// (the same forward-secrecy move as SkipDialRound) and the drop is
-	// reported through the Handler as a counted error. 0 means
-	// DefaultMaxDialBacklog.
-	MaxDialBacklog int
-
-	// ScanRetryBudget is how long the Run loop keeps retrying a dialing
-	// round whose mailbox fetch fails before giving up and advancing the
-	// keywheels (§5.1's "after some time"; 0 = DefaultScanRetryBudget).
-	// Giving up permanently destroys that round's incoming calls, so the
-	// default errs long.
-	ScanRetryBudget time.Duration
-
 	Handler Handler
 
 	// Rand defaults to crypto/rand.
@@ -222,7 +196,7 @@ type Client struct {
 	dialRound uint32 // latest dialing round processed
 
 	// dialBacklog holds published dialing rounds awaiting a scan, in
-	// round order, bounded by Config.MaxDialBacklog. It persists with the
+	// round order, bounded by DefaultMaxDialBacklog. It persists with the
 	// client state (along with lastQueued, the backlog cursor), so a
 	// client restarted mid-round resumes its scans instead of rebuilding
 	// from the frontend's status.
@@ -232,10 +206,11 @@ type Client struct {
 	// Per-round extraction results, erased after the round's scan.
 	roundKeys map[uint32]*roundSecrets
 
-	// feed is the shared round-announcement pump behind Run and the
-	// Connect handles (run.go), reference-counted across handles.
-	feedMu sync.Mutex
-	feed   *roundFeed
+	// running is held by the one active Run call (run.go).
+	running atomic.Bool
+	// scanRetryBudget is Run's §5.1 give-up budget, DefaultScanRetryBudget
+	// outside tests.
+	scanRetryBudget time.Duration
 
 	// settingsCache holds VERIFIED round settings, keyed by (service,
 	// round), bounded FIFO. It is filled from round-open announcements
@@ -292,22 +267,20 @@ func NewClient(cfg Config) (*Client, error) {
 	if cfg.NumIntents == 0 {
 		cfg.NumIntents = 1
 	}
-	if cfg.DialRoundDelta == 0 {
-		cfg.DialRoundDelta = 2
-	}
 	pub, priv, err := ed25519.GenerateKey(cfg.Rand)
 	if err != nil {
 		return nil, err
 	}
 	return &Client{
-		cfg:         cfg,
-		signingPub:  pub,
-		signingPriv: priv,
-		pkgAggKey:   bls.AggregatePublicKeys(cfg.PKGBLSKeys...),
-		verifyBLS:   bls.Verify,
-		friends:     make(map[string]*Friend),
-		pending:     make(map[string]*pendingFriend),
-		roundKeys:   make(map[uint32]*roundSecrets),
+		cfg:             cfg,
+		signingPub:      pub,
+		signingPriv:     priv,
+		pkgAggKey:       bls.AggregatePublicKeys(cfg.PKGBLSKeys...),
+		verifyBLS:       bls.Verify,
+		friends:         make(map[string]*Friend),
+		pending:         make(map[string]*pendingFriend),
+		roundKeys:       make(map[uint32]*roundSecrets),
+		scanRetryBudget: DefaultScanRetryBudget,
 	}, nil
 }
 

@@ -98,8 +98,8 @@ func TestDialing(t *testing.T) {
 	if err := alice.Call(bob.Email(), intent); err != nil {
 		t.Fatal(err)
 	}
-	// Keywheels start at round w (DialRoundDelta past the last known
-	// dialing round); run rounds until the call goes out and is seen.
+	// Keywheels start at round w (two past the last known dialing
+	// round); run rounds until the call goes out and is seen.
 	for r := uint32(1); r <= 6; r++ {
 		if err := net.RunDialRound(r, clients); err != nil {
 			t.Fatal(err)

@@ -198,8 +198,10 @@ func (c *Client) SkipDialRound(round uint32) {
 	c.persistLocked()
 }
 
-// DefaultMaxDialBacklog is the scan-backlog bound when
-// Config.MaxDialBacklog is zero.
+// DefaultMaxDialBacklog bounds how many published-but-unscanned dialing
+// rounds the client queues (QueueDialScans) when it falls behind: a
+// client offline for a day of 10-second rounds would otherwise queue
+// thousands of mailbox fetches.
 const DefaultMaxDialBacklog = 64
 
 // QueueDialScans records that every dialing round up to latest has been
@@ -208,13 +210,10 @@ const DefaultMaxDialBacklog = 64
 // rounds are dropped rather than held for thousands of mailbox fetches —
 // their keywheel secrets are advanced away, exactly as if SkipDialRound
 // had given up on them, and the handler is told how many rounds were
-// dropped. Memory stays O(MaxDialBacklog) no matter how far behind the
-// client is.
+// dropped. Memory stays O(DefaultMaxDialBacklog) no matter how far behind
+// the client is.
 func (c *Client) QueueDialScans(latest uint32) {
-	limit := c.cfg.MaxDialBacklog
-	if limit <= 0 {
-		limit = DefaultMaxDialBacklog
-	}
+	const limit = DefaultMaxDialBacklog
 	var dropped int
 	var droppedThrough uint32
 	c.mu.Lock()

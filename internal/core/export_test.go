@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync/atomic"
+	"time"
 
 	"alpenhorn/internal/bls"
 )
@@ -16,3 +17,6 @@ func (c *Client) CountBLSVerifications(n *atomic.Int32) {
 		return verify(pub, msg, sig)
 	}
 }
+
+// SetScanRetryBudget shortens Run's §5.1 give-up budget.
+func (c *Client) SetScanRetryBudget(d time.Duration) { c.scanRetryBudget = d }

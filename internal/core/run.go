@@ -1,31 +1,32 @@
 package core
 
 // This file is the client's managed round loop: the event-driven
-// connection behind the paper's Figure 1 API. Applications call Run (or
-// the per-service ConnectAddFriend / ConnectDialing handles) and receive
-// everything through their Handler; the library owns the mechanics that
-// every consumer would otherwise hand-roll:
+// connection behind the paper's Figure 1 API. Applications call Run and
+// receive everything through their Handler; the library owns the
+// mechanics that every consumer would otherwise hand-roll:
 //
-//   - Round following. One shared pump per client follows the frontend's
-//     round announcements through RoundWatcher (the entry.events stream,
-//     resumable by cursor) and reconnects with exponential backoff when
-//     the frontend dies mid-round.
+//   - Round following. One goroutine follows the frontend's round
+//     announcements through EntryServer.WatchRounds (the entry.events
+//     stream, resumable by cursor) and reconnects with exponential backoff
+//     when the frontend dies mid-round.
 //   - Submit ordering. Each open round is submitted exactly once
 //     (cover traffic included), and a round's add-friend mailbox is only
 //     scanned when this client submitted that round (the identity keys
-//     exist only then).
+//     exist only then). One Run per client: a second concurrent call
+//     returns ErrRunning instead of submitting every round again.
 //   - The bounded dialing backlog. Published rounds queue through
 //     QueueDialScans and drain OLDEST-FIRST in consecutive spans, each
 //     span fetched with one ranged CDN request instead of per-round
 //     fetches.
 //   - The §5.1 give-up policy. A dialing round whose mailbox cannot be
-//     fetched is retried on a TIME budget (Config.ScanRetryBudget); when
+//     fetched is retried on a TIME budget (DefaultScanRetryBudget); when
 //     the budget runs out the keywheels advance past the round (forward
 //     secrecy) and the loop moves on, so one evicted mailbox cannot
 //     wedge scanning forever.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -40,11 +41,11 @@ const (
 	// would wake the loop).
 	stepRetryInterval = 500 * time.Millisecond
 
-	// DefaultScanRetryBudget is how long a failing dialing-round scan is
-	// retried before the loop gives up and advances the keywheels
-	// (Config.ScanRetryBudget overrides). §5.1's give-up is "after some
-	// time" — giving up destroys that round's incoming calls, so the
-	// default errs long; it also bounds the head-of-line stall a
+	// DefaultScanRetryBudget is how long a failing scan is retried before
+	// the loop gives up: a dialing round's keywheels advance past it, and
+	// an add-friend round's held submissions resume. §5.1's give-up is
+	// "after some time" — giving up destroys that round's incoming calls,
+	// so the budget errs long; it also bounds the head-of-line stall a
 	// CDN-evicted round can cause.
 	DefaultScanRetryBudget = 5 * time.Minute
 
@@ -58,67 +59,17 @@ const (
 	maxScanSpan = 32
 )
 
-func (c *Client) scanRetryBudget() time.Duration {
-	if c.cfg.ScanRetryBudget > 0 {
-		return c.cfg.ScanRetryBudget
-	}
-	return DefaultScanRetryBudget
-}
+// ErrRunning is returned by Run when another Run call on the same client
+// has not returned yet: two loops would submit every round twice.
+var ErrRunning = errors.New("core: client is already running")
 
-// roundFeed is the per-client round-announcement pump shared by every
-// connected service handle. It folds announcements into a monotonic
-// per-service RoundStatus and wakes waiting handles on every change.
-// Reference-counted: the first handle starts it, the last Close stops it.
+// roundFeed is the round-announcement state Run's service loops share. It
+// folds announcements into a monotonic per-service RoundStatus and wakes
+// waiting loops on every change.
 type roundFeed struct {
-	c *Client
-
 	mu      sync.Mutex
-	refs    int
 	state   map[wire.Service]entry.RoundStatus
 	changed chan struct{} // closed and replaced on every state change
-
-	cancel context.CancelFunc
-	done   chan struct{}
-}
-
-// acquireFeed returns the client's round feed, starting it on first use.
-func (c *Client) acquireFeed() (*roundFeed, error) {
-	watcher, ok := c.cfg.Entry.(RoundWatcher)
-	if !ok {
-		return nil, fmt.Errorf("core: Config.Entry (%T) does not implement RoundWatcher; Run follows rounds through its event stream", c.cfg.Entry)
-	}
-	c.feedMu.Lock()
-	defer c.feedMu.Unlock()
-	if c.feed == nil {
-		ctx, cancel := context.WithCancel(context.Background())
-		f := &roundFeed{
-			c:       c,
-			state:   make(map[wire.Service]entry.RoundStatus),
-			changed: make(chan struct{}),
-			cancel:  cancel,
-			done:    make(chan struct{}),
-		}
-		go f.run(ctx, watcher)
-		c.feed = f
-	}
-	c.feed.refs++
-	return c.feed, nil
-}
-
-// releaseFeed drops one reference; the last release stops the pump and
-// waits for it to exit (no goroutine outlives the handles).
-func (c *Client) releaseFeed(f *roundFeed) {
-	c.feedMu.Lock()
-	f.refs--
-	last := f.refs == 0
-	if last {
-		c.feed = nil
-	}
-	c.feedMu.Unlock()
-	if last {
-		f.cancel()
-		<-f.done
-	}
 }
 
 // status returns a snapshot of one service's folded round progress plus
@@ -130,7 +81,7 @@ func (f *roundFeed) status(service wire.Service) (entry.RoundStatus, <-chan stru
 }
 
 // fold merges new round progress into the state as ONE state change: the
-// per-service maxima land together and waiting handles are woken once, so a
+// per-service maxima land together and waiting loops are woken once, so a
 // loop never acts on half of a reply (a replayed backlog of six published
 // rounds is one span to drain, not a first round and then the rest).
 // Progress is monotonic: folding with max makes coalesced (gap) replies and
@@ -157,23 +108,57 @@ func (f *roundFeed) fold(progress map[wire.Service]entry.RoundStatus) {
 	}
 }
 
-// run follows the frontend until the feed is released: it parks on
-// WatchRounds and folds each announcement batch. Transport failures
-// reconnect with exponential backoff and are reported to the handler once
-// per outage, not once per attempt.
-func (f *roundFeed) run(ctx context.Context, watcher RoundWatcher) {
-	defer close(f.done)
+// Run is the managed, event-driven connection from the paper's Figure 1:
+// it participates in every add-friend and dialing round — cover traffic
+// included, which is what hides the user's real activity — until ctx is
+// cancelled, delivering all events through the configured Handler. It
+// follows the frontend's round announcements on one goroutine and runs
+// each service's loop on another, and returns ctx.Err() once all three
+// have exited; cancellation mid-round interrupts in-flight server calls
+// rather than waiting them out. A client runs one loop at a time: a call
+// made while another Run is active returns ErrRunning at once.
+func (c *Client) Run(ctx context.Context) error {
+	if !c.running.CompareAndSwap(false, true) {
+		return ErrRunning
+	}
+	defer c.running.Store(false)
+	feed := &roundFeed{
+		state:   make(map[wire.Service]entry.RoundStatus),
+		changed: make(chan struct{}),
+	}
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		c.followRounds(ctx, feed)
+	}()
+	for _, service := range []wire.Service{wire.AddFriend, wire.Dialing} {
+		service := service
+		go func() {
+			defer wg.Done()
+			c.serviceLoop(ctx, feed, service)
+		}()
+	}
+	wg.Wait()
+	return ctx.Err()
+}
+
+// followRounds follows the frontend until ctx ends: it parks on
+// WatchRounds and folds each announcement batch into the feed. Transport
+// failures reconnect with exponential backoff and are reported to the
+// handler once per outage, not once per attempt.
+func (c *Client) followRounds(ctx context.Context, f *roundFeed) {
 	var cursor uint64
 	backoff := feedBackoffMin
 	outage := 0
 	for ctx.Err() == nil {
-		anns, next, err := watcher.WatchRounds(ctx, cursor)
+		anns, next, err := c.cfg.Entry.WatchRounds(ctx, cursor)
 		if err != nil {
 			if ctx.Err() != nil {
 				return
 			}
 			if outage++; outage == 1 {
-				f.c.reportErr(fmt.Errorf("core: round event stream lost: %w (reconnecting)", err))
+				c.reportErr(fmt.Errorf("core: round event stream lost: %w (reconnecting)", err))
 			}
 			select {
 			case <-ctx.Done():
@@ -196,7 +181,7 @@ func (f *roundFeed) run(ctx context.Context, watcher RoundWatcher) {
 				// The settings riding the open event pre-fill the cache
 				// BEFORE the fold wakes the service loops, so their
 				// submits start from a hit.
-				f.c.noteAnnouncedSettings(ann)
+				c.noteAnnouncedSettings(ann)
 			case entry.RoundPublished:
 				st.LatestPublished = max(st.LatestPublished, ann.Round)
 			}
@@ -204,92 +189,6 @@ func (f *roundFeed) run(ctx context.Context, watcher RoundWatcher) {
 		}
 		f.fold(progress)
 	}
-}
-
-// ServiceHandle is one service's running round loop, created by
-// ConnectAddFriend or ConnectDialing. Close stops it and waits for it;
-// Err reports why it stopped (nil after a plain Close).
-type ServiceHandle struct {
-	c       *Client
-	service wire.Service
-	parent  context.Context
-	cancel  context.CancelFunc
-	done    chan struct{}
-
-	mu  sync.Mutex
-	err error
-}
-
-// ConnectAddFriend starts the add-friend round loop: it submits every
-// announced round (a queued friend request or cover traffic) and scans
-// every published round this client submitted.
-func (c *Client) ConnectAddFriend(ctx context.Context) (*ServiceHandle, error) {
-	return c.connect(ctx, wire.AddFriend)
-}
-
-// ConnectDialing starts the dialing round loop: it submits every
-// announced round (a queued call or cover traffic), queues every
-// published round into the bounded scan backlog, and drains the backlog
-// in ranged fetches under the §5.1 retry/skip policy.
-func (c *Client) ConnectDialing(ctx context.Context) (*ServiceHandle, error) {
-	return c.connect(ctx, wire.Dialing)
-}
-
-func (c *Client) connect(ctx context.Context, service wire.Service) (*ServiceHandle, error) {
-	feed, err := c.acquireFeed()
-	if err != nil {
-		return nil, err
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	h := &ServiceHandle{
-		c:       c,
-		service: service,
-		parent:  ctx,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-	}
-	go h.loop(hctx, feed)
-	return h, nil
-}
-
-// Err reports why the handle stopped: nil while running or after a plain
-// Close, the context's error after a cancellation.
-func (h *ServiceHandle) Err() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.err
-}
-
-// Done is closed when the handle's loop has fully stopped.
-func (h *ServiceHandle) Done() <-chan struct{} { return h.done }
-
-// Close stops the handle's round loop and waits for it to exit. Safe to
-// call more than once.
-func (h *ServiceHandle) Close() {
-	h.cancel()
-	<-h.done
-}
-
-// Run is the managed, event-driven connection from the paper's Figure 1:
-// it participates in every add-friend and dialing round — cover traffic
-// included, which is what hides the user's real activity — until ctx is
-// cancelled, delivering all events through the configured Handler. It
-// returns ctx.Err() once both service loops have stopped; cancellation
-// mid-round interrupts in-flight server calls rather than waiting them
-// out.
-func (c *Client) Run(ctx context.Context) error {
-	af, err := c.ConnectAddFriend(ctx)
-	if err != nil {
-		return err
-	}
-	defer af.Close()
-	dl, err := c.ConnectDialing(ctx)
-	if err != nil {
-		return err
-	}
-	defer dl.Close()
-	<-ctx.Done()
-	return ctx.Err()
 }
 
 // serviceState is one service loop's progress bookkeeping.
@@ -308,22 +207,18 @@ type serviceState struct {
 	retryLogged   bool
 }
 
-// loop drives one service until its context ends, working whenever the
+// serviceLoop drives one service until ctx ends, working whenever the
 // feed's state changes (or a retry delay expires) and parking otherwise.
-func (h *ServiceHandle) loop(ctx context.Context, feed *roundFeed) {
-	defer close(h.done)
-	defer h.c.releaseFeed(feed)
-	defer func() {
-		// The caller's context is the authoritative cause: a plain Close
-		// leaves Err nil even if it races an external cancellation.
-		h.mu.Lock()
-		h.err = h.parent.Err()
-		h.mu.Unlock()
-	}()
+func (c *Client) serviceLoop(ctx context.Context, feed *roundFeed, service wire.Service) {
 	var st serviceState
 	for {
-		snap, changed := feed.status(h.service)
-		retry := h.step(ctx, &st, snap)
+		snap, changed := feed.status(service)
+		var retry time.Duration
+		if service == wire.AddFriend {
+			retry = c.stepAddFriend(ctx, &st, snap)
+		} else {
+			retry = c.stepDialing(ctx, &st, snap)
+		}
 		if ctx.Err() != nil {
 			return
 		}
@@ -340,79 +235,70 @@ func (h *ServiceHandle) loop(ctx context.Context, feed *roundFeed) {
 	}
 }
 
-// step performs whatever the service's current round state calls for and
+// stepAddFriend performs whatever the add-friend round state calls for and
 // returns a retry delay (0 = nothing pending; park until the state
-// changes). The phases are independent: a submit that keeps failing (the
-// round may simply have closed before we saw it) must not starve the
-// scan path or the backlog drain.
-func (h *ServiceHandle) step(ctx context.Context, st *serviceState, snap entry.RoundStatus) time.Duration {
-	c := h.c
+// changes).
+func (c *Client) stepAddFriend(ctx context.Context, st *serviceState, snap entry.RoundStatus) time.Duration {
+	// Scan BEFORE submitting: a reconnecting client often learns
+	// publish(N) and open(N+1) in one snapshot (coalesced events), and
+	// submitting N+1 first would gate round N's scan off forever — losing
+	// any friend requests it carried.
+	// Scan only rounds this client submitted: the round's identity keys
+	// exist exactly then (and are erased by the scan).
+	if snap.LatestPublished > st.lastScan && snap.LatestPublished == st.lastSubmit {
+		round := snap.LatestPublished
+		if err := c.ScanAddFriendRound(ctx, round); err != nil {
+			// A transiently unavailable mailbox gets the same time budget
+			// as a dialing scan: submitting the next round would
+			// permanently gate this scan off, so HOLD further submissions
+			// while the retry budget runs, then give the round up and
+			// move on.
+			if ctx.Err() != nil {
+				return 0
+			}
+			if round != st.retryRound {
+				st.retryRound = round
+				st.retryDeadline = time.Now().Add(c.scanRetryBudget)
+				st.retryLogged = false
+			}
+			if !time.Now().After(st.retryDeadline) {
+				if !st.retryLogged {
+					c.reportErr(fmt.Errorf("core: add-friend round %d scan: %w (retrying for up to %v)", round, err, c.scanRetryBudget))
+					st.retryLogged = true
+				}
+				return stepRetryInterval
+			}
+			c.reportErr(fmt.Errorf("core: add-friend round %d scan: %w (giving up after %v)", round, err, c.scanRetryBudget))
+		} else {
+			st.errStreak = 0
+		}
+		st.lastScan = round
+		st.retryRound = 0
+	}
+	if snap.CurrentOpen > st.lastSubmit {
+		if err := c.SubmitAddFriendRound(ctx, snap.CurrentOpen); err != nil {
+			return c.reportStep(ctx, st, "add-friend", snap.CurrentOpen, err)
+		}
+		st.lastSubmit = snap.CurrentOpen
+		st.errStreak = 0
+		// Rounds below the new submission can never be scanned now; their
+		// cached identity keys must not outlive them (§4.4). Covers failed
+		// rounds (never published) and scans the budget gave up on.
+		c.discardStaleRoundKeys(snap.CurrentOpen)
+	}
+	return 0
+}
+
+// stepDialing submits the open dialing round, queues every published
+// round into the scan backlog and drains it, returning the sooner of the
+// two phases' retry delays (0 = nothing pending). The phases are
+// independent: a submit that keeps failing (the round may simply have
+// closed before we saw it) must not starve the backlog drain.
+func (c *Client) stepDialing(ctx context.Context, st *serviceState, snap entry.RoundStatus) time.Duration {
 	var retry time.Duration
-	sooner := func(d time.Duration) {
-		if d > 0 && (retry == 0 || d < retry) {
-			retry = d
-		}
-	}
-
-	if h.service == wire.AddFriend {
-		// Scan BEFORE submitting: a reconnecting client often learns
-		// publish(N) and open(N+1) in one snapshot (coalesced events),
-		// and submitting N+1 first would gate round N's scan off forever
-		// — losing any friend requests it carried.
-		// Scan only rounds this client submitted: the round's identity
-		// keys exist exactly then (and are erased by the scan).
-		if snap.LatestPublished > st.lastScan && snap.LatestPublished == st.lastSubmit {
-			round := snap.LatestPublished
-			if err := c.ScanAddFriendRound(ctx, round); err != nil {
-				// A transiently unavailable mailbox gets the same time
-				// budget as a dialing scan: submitting the next round
-				// would permanently gate this scan off, so HOLD further
-				// submissions while the retry budget runs, then give the
-				// round up and move on.
-				if ctx.Err() != nil {
-					return retry
-				}
-				if round != st.retryRound {
-					st.retryRound = round
-					st.retryDeadline = time.Now().Add(c.scanRetryBudget())
-					st.retryLogged = false
-				}
-				if !time.Now().After(st.retryDeadline) {
-					if !st.retryLogged {
-						c.reportErr(fmt.Errorf("core: add-friend round %d scan: %w (retrying for up to %v)", round, err, c.scanRetryBudget()))
-						st.retryLogged = true
-					}
-					sooner(stepRetryInterval)
-					return retry
-				}
-				c.reportErr(fmt.Errorf("core: add-friend round %d scan: %w (giving up after %v)", round, err, c.scanRetryBudget()))
-				st.lastScan = round
-				st.retryRound = 0
-			} else {
-				st.lastScan = round
-				st.retryRound = 0
-				st.errStreak = 0
-			}
-		}
-		if snap.CurrentOpen > st.lastSubmit {
-			if err := c.SubmitAddFriendRound(ctx, snap.CurrentOpen); err != nil {
-				sooner(h.reportStep(ctx, st, "add-friend", snap.CurrentOpen, "submit", err))
-			} else {
-				st.lastSubmit = snap.CurrentOpen
-				st.errStreak = 0
-				// Rounds below the new submission can never be scanned
-				// now; their cached identity keys must not outlive them
-				// (§4.4). Covers failed rounds (never published) and
-				// scans the budget gave up on.
-				c.discardStaleRoundKeys(snap.CurrentOpen)
-			}
-		}
-		return retry
-	}
-
 	if snap.CurrentOpen > st.lastSubmit {
 		if err := c.SubmitDialRound(ctx, snap.CurrentOpen); err != nil {
-			sooner(h.reportStep(ctx, st, "dialing", snap.CurrentOpen, "submit", err))
+			retry = c.reportStep(ctx, st, "dialing", snap.CurrentOpen, err)
 		} else {
 			st.lastSubmit = snap.CurrentOpen
 			st.errStreak = 0
@@ -421,19 +307,21 @@ func (h *ServiceHandle) step(ctx context.Context, st *serviceState, snap entry.R
 	if snap.LatestPublished > 0 {
 		c.QueueDialScans(snap.LatestPublished)
 	}
-	sooner(h.drainDialBacklog(ctx, st))
+	if d := c.drainDialBacklog(ctx, st); d > 0 && (retry == 0 || d < retry) {
+		retry = d
+	}
 	return retry
 }
 
-// reportStep reports a failing submit/scan once per streak and paces the
+// reportStep reports a failing submit once per streak and paces the
 // retry. The failed round stays un-acknowledged in the loop state, so the
 // next step retries it until the frontend moves on.
-func (h *ServiceHandle) reportStep(ctx context.Context, st *serviceState, service string, round uint32, phase string, err error) time.Duration {
+func (c *Client) reportStep(ctx context.Context, st *serviceState, service string, round uint32, err error) time.Duration {
 	if ctx.Err() != nil {
 		return 0
 	}
 	if st.errStreak++; st.errStreak == 1 {
-		h.c.reportErr(fmt.Errorf("core: %s round %d %s: %w (will retry)", service, round, phase, err))
+		c.reportErr(fmt.Errorf("core: %s round %d submit: %w (will retry)", service, round, err))
 	}
 	return stepRetryInterval
 }
@@ -447,8 +335,7 @@ func (h *ServiceHandle) reportStep(ctx context.Context, st *serviceState, servic
 // draining in order. A failure in the middle of a span never blocks the
 // rounds before it: the scannable prefix is processed first and the
 // failing round handles its budget when it reaches the head.
-func (h *ServiceHandle) drainDialBacklog(ctx context.Context, st *serviceState) time.Duration {
-	c := h.c
+func (c *Client) drainDialBacklog(ctx context.Context, st *serviceState) time.Duration {
 	for {
 		span := c.peekDialScanSpan(maxScanSpan)
 		if len(span) == 0 {
@@ -469,12 +356,12 @@ func (h *ServiceHandle) drainDialBacklog(ctx context.Context, st *serviceState) 
 			mailboxes = append(mailboxes, wire.MailboxID(c.cfg.Email, settings.NumMailboxes))
 		}
 		if len(mailboxes) == 0 {
-			return h.scanFailed(ctx, st, span[0], failed)
+			return c.scanFailed(ctx, st, span[0], failed)
 		}
 		span = span[:len(mailboxes)] // scan the working prefix first
 
 		// Fetch the span's mailboxes: one ranged request per run of equal
-		// mailbox IDs (a single Fetch when the run is one round).
+		// mailbox IDs, a run of one round included.
 		boxes := make(map[uint32][]byte, len(span))
 		fetched := len(span)
 		for lo := 0; lo < len(span); {
@@ -482,36 +369,29 @@ func (h *ServiceHandle) drainDialBacklog(ctx context.Context, st *serviceState) 
 			for hi < len(span) && mailboxes[hi] == mailboxes[lo] {
 				hi++
 			}
-			if hi-lo == 1 {
-				box, err := c.cfg.Mailboxes.Fetch(ctx, wire.Dialing, span[lo], mailboxes[lo])
-				if err == nil {
-					boxes[span[lo]] = box
-				}
-				// A failed single fetch leaves the round absent, like a
-				// ranged reply: the scan loop below applies the budget.
-			} else if ranged, err := c.cfg.Mailboxes.FetchRange(ctx, wire.Dialing, span[lo], span[hi-1], mailboxes[lo]); err == nil {
-				for r, box := range ranged {
-					boxes[r] = box
-				}
-			} else {
+			ranged, err := c.cfg.Mailboxes.FetchRange(ctx, wire.Dialing, span[lo], span[hi-1], mailboxes[lo])
+			if err != nil {
 				failed = fmt.Errorf("core: ranged mailbox fetch rounds %d-%d: %w", span[lo], span[hi-1], err)
 				fetched = lo
 				break
 			}
+			for r, box := range ranged {
+				boxes[r] = box
+			}
 			lo = hi
 		}
 		if fetched == 0 {
-			return h.scanFailed(ctx, st, span[0], failed)
+			return c.scanFailed(ctx, st, span[0], failed)
 		}
 		span = span[:fetched]
 
 		for _, round := range span {
 			box, ok := boxes[round]
 			if !ok {
-				return h.scanFailed(ctx, st, round, fmt.Errorf("core: dialing round %d mailbox unavailable", round))
+				return c.scanFailed(ctx, st, round, fmt.Errorf("core: dialing round %d mailbox unavailable", round))
 			}
 			if err := c.scanDialBox(round, box); err != nil {
-				return h.scanFailed(ctx, st, round, fmt.Errorf("core: dialing round %d scan: %w", round, err))
+				return c.scanFailed(ctx, st, round, fmt.Errorf("core: dialing round %d scan: %w", round, err))
 			}
 			c.finishDialScan(round)
 			if round == st.retryRound {
@@ -527,18 +407,17 @@ func (h *ServiceHandle) drainDialBacklog(ctx context.Context, st *serviceState) 
 // the time budget, then give up — advance the keywheels past the round
 // (destroying its calls, preserving forward secrecy), drop it from the
 // backlog, and keep draining.
-func (h *ServiceHandle) scanFailed(ctx context.Context, st *serviceState, round uint32, err error) time.Duration {
-	c := h.c
+func (c *Client) scanFailed(ctx context.Context, st *serviceState, round uint32, err error) time.Duration {
 	if ctx.Err() != nil {
 		return 0
 	}
 	if round != st.retryRound {
 		st.retryRound = round
-		st.retryDeadline = time.Now().Add(c.scanRetryBudget())
+		st.retryDeadline = time.Now().Add(c.scanRetryBudget)
 		st.retryLogged = false
 	}
 	if time.Now().After(st.retryDeadline) {
-		c.reportErr(fmt.Errorf("%w (giving up after %v, advancing keywheels)", err, c.scanRetryBudget()))
+		c.reportErr(fmt.Errorf("%w (giving up after %v, advancing keywheels)", err, c.scanRetryBudget))
 		c.SkipDialRound(round)
 		c.finishDialScan(round)
 		st.retryRound = 0
@@ -546,7 +425,7 @@ func (h *ServiceHandle) scanFailed(ctx context.Context, st *serviceState, round 
 		return time.Nanosecond
 	}
 	if !st.retryLogged {
-		c.reportErr(fmt.Errorf("%w (retrying for up to %v)", err, c.scanRetryBudget()))
+		c.reportErr(fmt.Errorf("%w (retrying for up to %v)", err, c.scanRetryBudget))
 		st.retryLogged = true
 	}
 	return stepRetryInterval

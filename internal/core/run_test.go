@@ -217,12 +217,12 @@ func TestRunDialBacklogRangedDrain(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	handle, err := client.ConnectDialing(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer handle.Close()
+	runDone := make(chan error, 1)
+	go func() { runDone <- client.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-runDone
+	}()
 
 	waitUntil(t, 10*time.Second, "backlog to drain", func() bool {
 		return client.DialBacklog() == 0 && client.DialRound() == published+1
@@ -241,46 +241,295 @@ func TestRunDialBacklogRangedDrain(t *testing.T) {
 	}
 }
 
-// TestRunRequiresRoundSource pins the misconfiguration error: Run follows
-// rounds through the event stream only, so an Entry transport that is not
-// a core.RoundWatcher is rejected up front, by name, instead of stalling.
-func TestRunRequiresRoundSource(t *testing.T) {
+// TestRunTwiceSubmitsOnce pins Run's claim on its client: a second Run
+// started while the first is active returns ErrRunning instead of starting
+// a second pair of service loops, so no round carries two submissions from
+// one client; once the first Run returns, the client can run again.
+func TestRunTwiceSubmitsOnce(t *testing.T) {
 	net, err := sim.NewNetwork(sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(net.Close)
-	h := &sim.Handler{AcceptAll: true}
-	cfg := net.ClientConfig("bare@example.org", h)
-	cfg.Entry = bareEntry{a: sim.EntryAdapter{E: net.Entry}}
+	counting := newCountingEntry(sim.EntryAdapter{E: net.Entry})
+	cfg := net.ClientConfig("twice@example.org", &sim.Handler{AcceptAll: true})
+	cfg.Entry = counting
 	client, err := core.NewClient(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := client.Register(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ConfirmAll(client); err != nil {
+		t.Fatal(err)
+	}
+
+	// driveRound opens a dialing round, waits for the client's
+	// submission, leaves a second loop time to land one too, and closes.
+	driveRound := func(r uint32) {
+		t.Helper()
+		if _, err := net.Coord.OpenDialingRound(r); err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, 10*time.Second, "a submission", func() bool {
+			return net.Entry.BatchSize(wire.Dialing, r) >= 1
+		})
+		time.Sleep(50 * time.Millisecond)
+		if _, err := net.Coord.CloseRound(wire.Dialing, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for name, connect := range map[string]func() error{
-		"Run":            func() error { return client.Run(ctx) },
-		"ConnectDialing": func() error { _, err := client.ConnectDialing(ctx); return err },
-	} {
-		err := connect()
-		if err == nil || !strings.Contains(err.Error(), "RoundWatcher") || !strings.Contains(err.Error(), "bareEntry") {
-			t.Fatalf("%s on a transport without an event stream: %v, want an error naming RoundWatcher and the offending type", name, err)
+	errc := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { errc <- client.Run(ctx) }()
+	}
+	select {
+	case err := <-errc:
+		if !errors.Is(err, core.ErrRunning) {
+			t.Fatalf("concurrent Run returned %v, want ErrRunning", err)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("neither of two concurrent Run calls returned ErrRunning")
+	}
+	const rounds = 5
+	for r := uint32(1); r <= rounds; r++ {
+		driveRound(r)
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v, want context.Canceled", err)
+	}
+
+	// The claim is released: a new Run takes part in the next round.
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	go func() { errc <- client.Run(ctx2) }()
+	driveRound(rounds + 1)
+	cancel2()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run after the first returned %v, want context.Canceled", err)
+	}
+
+	if service, round, n := counting.maxSubmits(); n != 1 {
+		t.Fatalf("%s round %d has %d submissions from one client, want 1", service, round, n)
 	}
 }
 
-// bareEntry satisfies only core.EntryServer.
-type bareEntry struct {
-	a sim.EntryAdapter
+// withholdingStore serves the in-process CDN except one round's mailboxes,
+// which it reports unavailable, as a CDN that evicted the round would.
+type withholdingStore struct {
+	sim.CDNAdapter
+	service wire.Service
+	round   uint32
 }
 
-func (b bareEntry) Settings(ctx context.Context, service wire.Service, round uint32) (*wire.RoundSettings, error) {
-	return b.a.Settings(ctx, service, round)
+func (s withholdingStore) Fetch(ctx context.Context, service wire.Service, round uint32, mailbox uint32) ([]byte, error) {
+	if service == s.service && round == s.round {
+		return nil, errors.New("mailbox withheld")
+	}
+	return s.CDNAdapter.Fetch(ctx, service, round, mailbox)
 }
 
-func (b bareEntry) Submit(ctx context.Context, service wire.Service, round uint32, onion []byte) error {
-	return b.a.Submit(ctx, service, round, onion)
+func (s withholdingStore) FetchRange(ctx context.Context, service wire.Service, fromRound, toRound uint32, mailbox uint32) (map[uint32][]byte, error) {
+	boxes, err := s.CDNAdapter.FetchRange(ctx, service, fromRound, toRound, mailbox)
+	if service == s.service {
+		delete(boxes, s.round)
+	}
+	return boxes, err
+}
+
+// errorLog is a sim.Handler that also keeps the text of every error, for
+// reading while the client still runs.
+type errorLog struct {
+	*sim.Handler
+	mu   sync.Mutex
+	errs []string
+}
+
+func (l *errorLog) Error(err error) {
+	l.mu.Lock()
+	l.errs = append(l.errs, err.Error())
+	l.mu.Unlock()
+	l.Handler.Error(err)
+}
+
+// count returns how many logged errors contain every part.
+func (l *errorLog) count(parts ...string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, msg := range l.errs {
+		matched := true
+		for _, part := range parts {
+			matched = matched && strings.Contains(msg, part)
+		}
+		if matched {
+			n++
+		}
+	}
+	return n
+}
+
+func (l *errorLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return strings.Join(l.errs, "; ")
+}
+
+// TestRunGivesUpOnWithheldDialRound pins the §5.1 give-up: a dialing round
+// whose mailbox the CDN never serves is retried for the budget, then the
+// keywheels advance past it and the backlog keeps draining, so a call
+// placed in the round after it still arrives.
+func TestRunGivesUpOnWithheldDialRound(t *testing.T) {
+	net, err := sim.NewNetwork(sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(net.Close)
+	ha := &sim.Handler{AcceptAll: true}
+	alice, err := net.NewClient("alice@example.org", ha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb := &errorLog{Handler: &sim.Handler{AcceptAll: true}}
+	cfg := net.ClientConfig("bob@example.org", hb)
+	const withheld = 3
+	cfg.Mailboxes = withholdingStore{CDNAdapter: sim.CDNAdapter{S: net.CDN}, service: wire.Dialing, round: withheld}
+	bob, err := core.NewClient(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := bob.Register(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ConfirmAll(bob); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Befriend(alice, bob, 1); err != nil {
+		t.Fatal(err)
+	}
+	bob.SetScanRetryBudget(300 * time.Millisecond)
+
+	runCtx, cancel := context.WithCancel(ctx)
+	runDone := make(chan error, 1)
+	go func() { runDone <- bob.Run(runCtx) }()
+	defer func() {
+		cancel()
+		<-runDone
+	}()
+
+	// Alice takes part by hand and calls in round 4, after the withheld
+	// round.
+	const rounds, callRound = 5, 4
+	for r := uint32(1); r <= rounds; r++ {
+		if r == callRound {
+			if err := alice.Call(bob.Email(), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := net.Coord.OpenDialingRound(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := alice.SubmitDialRound(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, 10*time.Second, "bob's submission", func() bool {
+			return net.Entry.BatchSize(wire.Dialing, r) >= 2
+		})
+		if _, err := net.Coord.CloseRound(wire.Dialing, r); err != nil {
+			t.Fatal(err)
+		}
+		if err := alice.ScanDialRound(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	waitUntil(t, 10*time.Second, "the backlog to drain past the withheld round", func() bool {
+		return bob.DialRound() == rounds+1 && bob.DialBacklog() == 0
+	})
+	in, ok := hb.WaitIncoming(1, 5*time.Second)
+	if !ok {
+		t.Fatal("the call placed after the withheld round never arrived")
+	}
+	out := ha.OutgoingCalls()
+	if len(out) != 1 || out[0].Round != callRound || in[0].Round != callRound || in[0].SessionKey != out[0].SessionKey {
+		t.Fatalf("call in round %d: outgoing %+v, incoming %+v", callRound, out, in)
+	}
+	if n := hb.count("dialing round 3", "retrying"); n != 1 {
+		t.Errorf("%d retrying errors for the withheld round, want 1: %v", n, hb)
+	}
+	if n := hb.count("dialing round 3", "giving up"); n != 1 {
+		t.Errorf("%d giving-up errors for the withheld round, want 1: %v", n, hb)
+	}
+}
+
+// TestRunGivesUpOnAddFriendScan pins the add-friend half of the §5.1
+// budget: while a published round's scan fails, the loop holds further
+// submissions (a later submission would gate that scan off for good), and
+// it resumes them once the budget runs out.
+func TestRunGivesUpOnAddFriendScan(t *testing.T) {
+	net, err := sim.NewNetwork(sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(net.Close)
+	h := &errorLog{Handler: &sim.Handler{AcceptAll: true}}
+	cfg := net.ClientConfig("held@example.org", h)
+	cfg.Mailboxes = withholdingStore{CDNAdapter: sim.CDNAdapter{S: net.CDN}, service: wire.AddFriend, round: 1}
+	client, err := core.NewClient(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Register(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ConfirmAll(client); err != nil {
+		t.Fatal(err)
+	}
+	const budget = time.Second
+	client.SetScanRetryBudget(budget)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- client.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-runDone
+	}()
+
+	if _, err := net.Coord.OpenAddFriendRound(1); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 10*time.Second, "the round 1 submission", func() bool {
+		return net.Entry.BatchSize(wire.AddFriend, 1) >= 1
+	})
+	if _, err := net.Coord.CloseRound(wire.AddFriend, 1); err != nil {
+		t.Fatal(err)
+	}
+	published := time.Now()
+	net.Coord.FinishAddFriendRound(1)
+	if _, err := net.Coord.OpenAddFriendRound(2); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, budget+10*time.Second, "the round 2 submission", func() bool {
+		return net.Entry.BatchSize(wire.AddFriend, 2) >= 1
+	})
+	// The scan failed after round 1 published, so a loop that held the
+	// round 2 submission for the budget submits no sooner than this.
+	if held := time.Since(published); held < budget {
+		t.Fatalf("round 2 submitted %v after round 1 published, want the submission held for the %v budget", held, budget)
+	}
+	if n := h.count("add-friend round 1", "retrying"); n != 1 {
+		t.Errorf("%d retrying errors for round 1, want 1: %v", n, h)
+	}
+	if n := h.count("add-friend round 1", "giving up"); n != 1 {
+		t.Errorf("%d giving-up errors for round 1, want 1: %v", n, h)
+	}
 }
 
 // TestBacklogPersistsAcrossRestart pins the backlog cursor satellite: a

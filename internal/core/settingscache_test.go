@@ -13,8 +13,8 @@ import (
 )
 
 // settingsCountingEntry wraps the in-process entry adapter and counts Settings
-// fetches. Embedding the concrete adapter keeps its RoundWatcher method,
-// so the Run feed works through the wrapper.
+// fetches. Embedding the concrete adapter keeps its WatchRounds method,
+// so Run follows rounds through the wrapper.
 type settingsCountingEntry struct {
 	sim.EntryAdapter
 	settingsCalls atomic.Int64
@@ -74,12 +74,12 @@ func TestSettingsCachedPerRound(t *testing.T) {
 	// Phase 2 — feed connected: open announcements deliver the settings
 	// before the submit fires, so rounds cost no fetch at all.
 	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	handle, err := client.ConnectDialing(runCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer handle.Close()
+	runDone := make(chan error, 1)
+	go func() { runDone <- client.Run(runCtx) }()
+	defer func() {
+		cancel()
+		<-runDone
+	}()
 	for r := uint32(3); r <= 5; r++ {
 		if _, err := network.Coord.OpenDialingRound(r); err != nil {
 			t.Fatal(err)

@@ -8,9 +8,9 @@ import (
 // This file implements the naive multi-PKG construction that §4.2 of the
 // paper describes and rejects: onion-encrypting the message under each PKG's
 // master public key in turn. It exists as the evaluation baseline for
-// Anytrust-IBE (ablation A1 in DESIGN.md): ciphertext size and decryption
-// time grow linearly with the number of PKGs, whereas Anytrust-IBE is
-// constant in both.
+// Anytrust-IBE (ablation A1 in EXPERIMENTS.md): ciphertext size and
+// decryption time grow linearly with the number of PKGs, whereas
+// Anytrust-IBE is constant in both.
 
 // OnionOverhead returns the ciphertext expansion of the onion construction
 // for n PKGs.

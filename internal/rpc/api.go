@@ -698,7 +698,7 @@ func UnmarshalBLSKey(data []byte) (*bls.PublicKey, error) {
 }
 
 // FrontendClient talks to one entry frontend; it satisfies
-// core.EntryServer, core.RoundWatcher and — through the embedded
+// core.EntryServer and — through the embedded
 // CDNClient, whose connection it shares for every non-parking call —
 // core.MailboxStore.
 type FrontendClient struct {
@@ -742,7 +742,7 @@ func (f *FrontendClient) Directory(ctx context.Context) (*Directory, error) {
 	return &dir, nil
 }
 
-// WatchRounds implements core.RoundWatcher over the entry.events
+// WatchRounds implements core.EntryServer over the entry.events
 // long-poll: it parks on the frontend (on the dedicated connection) until
 // announcements after cursor exist.
 func (f *FrontendClient) WatchRounds(ctx context.Context, cursor uint64) ([]entry.Announcement, uint64, error) {

@@ -36,7 +36,7 @@ func (p *FrontendPool) Directory(ctx context.Context) (*Directory, error) {
 	})
 }
 
-// WatchRounds implements core.RoundWatcher. A transport failure rotates
+// WatchRounds implements core.EntryServer. A transport failure rotates
 // the pool and surfaces the error: core's round feed already owns the
 // reconnect loop (backoff, cursor preservation), so the next park lands
 // on the survivor and resumes from the replicated log at the same cursor.

@@ -153,12 +153,7 @@ func TestRunFailsOverToSurvivingFrontend(t *testing.T) {
 		pool := rpc.DialFrontendPool(network.FrontendAddrs...)
 		client, _ := newRunClient(t, network, pool, "failover@tcp.example")
 
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		handle, err := client.ConnectDialing(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		stop := startRun(t, client)
 
 		// One submission per round, wherever it lands: with a pool the onion
 		// goes to whichever frontend the client currently uses, so the
@@ -209,13 +204,12 @@ func TestRunFailsOverToSurvivingFrontend(t *testing.T) {
 
 		// Shutdown drains every loop goroutine.
 		start := time.Now()
-		cancel()
-		handle.Close()
+		err := stop()
 		if elapsed := time.Since(start); elapsed > 5*time.Second {
 			t.Fatalf("shutdown took %v, want well under one network timeout", elapsed)
 		}
-		if err := handle.Err(); !errors.Is(err, context.Canceled) {
-			t.Fatalf("handle.Err() = %v, want context.Canceled", err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run returned %v, want context.Canceled", err)
 		}
 		pool.Close()
 		network.Close() // its daemons' connection handlers are not the client's
@@ -231,16 +225,10 @@ func TestRunFailsOverToSurvivingFrontend(t *testing.T) {
 func TestEventSettingsEliminateFetch(t *testing.T) {
 	network := newNetwork(t, oneMixerOverTCP)
 	fe := rpc.DialFrontend(network.FrontendAddrs[0])
-	defer fe.Close()
+	t.Cleanup(fe.Close)
 	client, _ := newRunClient(t, network, fe, "settings@tcp.example")
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	handle, err := client.ConnectDialing(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer handle.Close()
+	startRun(t, client)
 
 	const rounds = 3
 	driveDialRounds(t, network, 1, rounds, 1, 10*time.Second)
@@ -284,15 +272,9 @@ func TestBadEventSettingsFallBackToFetch(t *testing.T) {
 	})
 
 	fe := rpc.DialFrontend(addr)
-	defer fe.Close()
+	t.Cleanup(fe.Close)
 	client, _ := newRunClient(t, network, fe, "fallback@tcp.example")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	handle, err := client.ConnectDialing(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer handle.Close()
+	startRun(t, client)
 
 	const rounds = 3
 	driveDialRounds(t, network, 1, rounds, 1, 10*time.Second)

@@ -3,7 +3,10 @@ package rpc_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -53,6 +56,29 @@ func newRunClient(t *testing.T, network *sim.Network, frontend interface {
 	return client, h
 }
 
+// startRun runs client.Run on its own goroutine until the returned stop
+// is called (or the test ends); stop cancels the run, waits for Run to
+// return and returns its error. Register the transport's Close with
+// t.Cleanup before calling startRun, so that the run stops first: an rpc
+// Client's Close waits out a parked entry.events call.
+func startRun(t *testing.T, client *core.Client) (stop func() error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- client.Run(ctx) }()
+	var once sync.Once
+	var err error
+	stop = func() error {
+		once.Do(func() {
+			cancel()
+			err = <-done
+		})
+		return err
+	}
+	t.Cleanup(func() { stop() })
+	return stop
+}
+
 // driveDialRounds opens and closes dialing rounds [from, to], waiting up
 // to window for want submissions per round, and asserts no round ever
 // carries more submissions than want (the no-double-submit pin: the
@@ -90,12 +116,7 @@ func TestRunSurvivesFrontendRestart(t *testing.T) {
 	frontend := rpc.DialFrontend(addr)
 	client, _ := newRunClient(t, network, frontend, "restart@tcp.example")
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	handle, err := client.ConnectDialing(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stop := startRun(t, client)
 
 	// Phase 1: rounds flow normally over TCP.
 	driveDialRounds(t, network, 1, 3, 1, 5*time.Second)
@@ -126,16 +147,15 @@ func TestRunSurvivesFrontendRestart(t *testing.T) {
 
 	// Cancelling mid-round returns well within one network timeout.
 	start := time.Now()
-	cancel()
-	handle.Close()
+	err := stop()
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("shutdown took %v, want well under one network timeout", elapsed)
 	}
-	if err := handle.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("handle.Err() = %v, want context.Canceled", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v, want context.Canceled", err)
 	}
 
-	// Every loop goroutine is gone once the handle closes and the
+	// Every loop goroutine is gone once Run returns and the
 	// client's connections drop. The frontend server is closed too:
 	// Server.Close unparks its entry.events waiters via Closing, so a
 	// handler parked on behalf of the now-gone client does not count as
@@ -158,21 +178,14 @@ func TestEventStreamTrackingLoad(t *testing.T) {
 	defer fe.Close()
 	client, _ := newRunClient(t, network, fe, "streamer@tcp.example")
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	handle, err := client.ConnectDialing(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer handle.Close()
+	stop := startRun(t, client)
 
 	const rounds = 5
 	driveDialRounds(t, network, 1, rounds, 1, 10*time.Second)
 	waitUntil(t, 15*time.Second, "the client to scan all rounds", func() bool {
 		return client.DialRound() >= rounds+1
 	})
-	cancel()
-	handle.Close()
+	stop()
 
 	// Two announcements per round, at least one per reply, plus the park
 	// the shutdown interrupted (and one spare for a call racing it).
@@ -181,6 +194,71 @@ func TestEventStreamTrackingLoad(t *testing.T) {
 	if tracking == 0 || tracking > 2*rounds+2 {
 		t.Fatalf("client issued %d entry.events calls over %d rounds, want 1..%d", tracking, rounds, 2*rounds+2)
 	}
+}
+
+// TestRunClientsKeepUp drives 8 Run clients, each on its own frontend
+// pool over TCP, through 60 back-to-back rounds per service. A round's
+// intake closes once all 8 have submitted or after 3 s, and no round may
+// close short: a client that missed a round announcement would leave its
+// round waiting out the window. Under -short only dialing rounds run,
+// because add-friend extraction is slow under the race detector.
+func TestRunClientsKeepUp(t *testing.T) {
+	network := newNetwork(t, sim.Config{Seed: 7, Listen: loopback})
+	const clients, rounds = 8, 60
+	const window = 3 * time.Second
+	for i := 0; i < clients; i++ {
+		pool := rpc.DialFrontendPool(network.FrontendAddrs...)
+		t.Cleanup(pool.Close)
+		client, _ := newRunClient(t, network, pool, fmt.Sprintf("keepup%d@tcp.example", i))
+		startRun(t, client)
+	}
+
+	services := []wire.Service{wire.Dialing}
+	if !testing.Short() {
+		services = append(services, wire.AddFriend)
+	}
+	var wg sync.WaitGroup
+	for _, service := range services {
+		service := service
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			waits := make([]time.Duration, 0, rounds)
+			start := time.Now()
+			for r := uint32(1); r <= rounds; r++ {
+				var err error
+				if service == wire.AddFriend {
+					_, err = network.Coord.OpenAddFriendRound(r)
+				} else {
+					_, err = network.Coord.OpenDialingRound(r)
+				}
+				if err != nil {
+					t.Errorf("%v round %d: open: %v", service, r, err)
+					return
+				}
+				opened := time.Now()
+				for network.Entry.BatchSize(service, r) < clients && time.Since(opened) < window {
+					time.Sleep(time.Millisecond)
+				}
+				got := network.Entry.BatchSize(service, r)
+				waits = append(waits, time.Since(opened))
+				if _, err := network.Coord.CloseRound(service, r); err != nil {
+					t.Errorf("%v round %d: close: %v", service, r, err)
+					return
+				}
+				if service == wire.AddFriend {
+					network.Coord.FinishAddFriendRound(r)
+				}
+				if got < clients {
+					t.Errorf("%v round %d closed short: %d of %d clients submitted within %v", service, r, got, clients, window)
+				}
+			}
+			sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
+			t.Logf("%v: %d rounds in %v; intake wait p50 %v, max %v", service, rounds, time.Since(start).Round(time.Millisecond),
+				waits[len(waits)/2].Round(time.Millisecond), waits[len(waits)-1].Round(time.Millisecond))
+		}()
+	}
+	wg.Wait()
 }
 
 // TestFetchRangeOverTCP pins the ranged mailbox fetch over TCP: a span of

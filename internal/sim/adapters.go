@@ -19,15 +19,12 @@ import (
 )
 
 // EntryAdapter exposes an in-process entry server through core's
-// ctx-aware EntryServer and RoundWatcher interfaces.
+// ctx-aware EntryServer interface.
 type EntryAdapter struct {
 	E *entry.Server
 }
 
-var (
-	_ core.EntryServer  = EntryAdapter{}
-	_ core.RoundWatcher = EntryAdapter{}
-)
+var _ core.EntryServer = EntryAdapter{}
 
 // Settings implements core.EntryServer.
 func (a EntryAdapter) Settings(ctx context.Context, service wire.Service, round uint32) (*wire.RoundSettings, error) {
@@ -45,7 +42,7 @@ func (a EntryAdapter) Submit(ctx context.Context, service wire.Service, round ui
 	return a.E.Submit(service, round, onion)
 }
 
-// WatchRounds implements core.RoundWatcher on the entry server's event
+// WatchRounds implements core.EntryServer on the entry server's event
 // log: it parks until announcements after cursor exist or ctx ends.
 func (a EntryAdapter) WatchRounds(ctx context.Context, cursor uint64) ([]entry.Announcement, uint64, error) {
 	events, next, _ := a.E.WaitEvents(ctx, cursor, 0)
