@@ -1,8 +1,8 @@
 // Benchmarks for the paper's measured per-operation claims (§8.2, T1-T4),
-// the T5 message-size table and the A1/A2 ablations. Each corresponds to
-// a row of the experiment index in EXPERIMENTS.md; the §8 figures are
+// the T5 message-size table and the A2 ablation. Each corresponds to a
+// row of the experiment index in EXPERIMENTS.md; the §8 figures are
 // internal/model tests, and benchmarks that time one package live beside
-// it. Run with:
+// it (ablation A1 is internal/ibe's BenchmarkAnytrustVsOnion). Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -229,61 +229,6 @@ func TestPaperSizes(t *testing.T) {
 	}
 	if keywheel.TokenSize != 32 {
 		t.Fatal("dial tokens must be 256 bits (paper §5)")
-	}
-}
-
-// ---- A1: IBE constructions ----
-
-// BenchmarkAnytrustVsOnion is ablation A1: Anytrust-IBE (the paper's
-// contribution) vs the naive onion construction it replaces (§4.2).
-// Anytrust decryption time and ciphertext size are constant in the number
-// of PKGs; onion grows linearly in both.
-func BenchmarkAnytrustVsOnion(b *testing.B) {
-	msg := make([]byte, 64)
-	for _, n := range []int{1, 3, 10} {
-		var pubs []*ibe.MasterPublicKey
-		var privs []*ibe.MasterPrivateKey
-		for i := 0; i < n; i++ {
-			pub, priv, err := ibe.Setup(rand.Reader)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pubs = append(pubs, pub)
-			privs = append(privs, priv)
-		}
-		var idKeys []*ibe.IdentityPrivateKey
-		for _, priv := range privs {
-			idKeys = append(idKeys, ibe.Extract(priv, "bob@x.org"))
-		}
-
-		b.Run(fmt.Sprintf("anytrust/pkgs=%d", n), func(b *testing.B) {
-			agg := ibe.AggregateMasterKeys(pubs...)
-			combined := ibe.AggregatePrivateKeys(idKeys...)
-			ctxt, err := ibe.Encrypt(rand.Reader, agg, "bob@x.org", msg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := ibe.Decrypt(combined, ctxt); !ok {
-					b.Fatal("decrypt failed")
-				}
-			}
-			b.ReportMetric(float64(len(ctxt)), "ctxt-bytes")
-		})
-		b.Run(fmt.Sprintf("onion/pkgs=%d", n), func(b *testing.B) {
-			ctxt, err := ibe.OnionEncrypt(rand.Reader, pubs, "bob@x.org", msg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := ibe.OnionDecrypt(idKeys, ctxt); !ok {
-					b.Fatal("decrypt failed")
-				}
-			}
-			b.ReportMetric(float64(len(ctxt)), "ctxt-bytes")
-		})
 	}
 }
 

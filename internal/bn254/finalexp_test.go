@@ -261,9 +261,11 @@ func TestCycloExpUWindowDifferential(t *testing.T) {
 }
 
 // TestCombSpeedupPin is the regression guard for the fixed-base comb
-// tables: ScalarBaseMult must beat the generic ladder by at least 3x on
-// both G1 and G2 on the same machine (measured ~4-5x; the floor leaves a
-// non-flakiness margin). Skipped in -short mode like the backend pin.
+// tables: ScalarBaseMult must beat the generic ladder on the same machine
+// by at least 3x on G1 and 3.5x on G2 (measured ~4x and ~5x; the floors
+// leave a non-flakiness margin). Both sides are timed interleaved, so the
+// ratios hold when the machine's speed drifts. Skipped in -short mode like
+// the backend pin.
 func TestCombSpeedupPin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("relative perf pin skipped in -short mode")
@@ -280,19 +282,18 @@ func TestCombSpeedupPin(t *testing.T) {
 		func() { p1.ScalarBaseMult(k) }, func() { p1.ScalarMult(G1Generator(), k) },
 		func() { p2.ScalarBaseMult(k) }, func() { p2.ScalarMult(G2Generator(), k) })
 	comb1, ladder1, comb2, ladder2 := best[0], best[1], best[2], best[3]
+	ratio1 := float64(ladder1) / float64(comb1)
+	ratio2 := float64(ladder2) / float64(comb2)
 
-	const floor = 3
-	if comb1*floor > ladder1 {
-		t.Errorf("G1 comb %v is under %dx the ladder %v (ratio %.1fx)",
-			comb1, floor, ladder1, float64(ladder1)/float64(comb1))
+	const g1Floor, g2Floor = 3.0, 3.5
+	if ratio1 < g1Floor {
+		t.Errorf("G1 comb %v is under %.1fx the ladder %v (ratio %.1fx)", comb1, g1Floor, ladder1, ratio1)
 	}
-	if comb2*floor > ladder2 {
-		t.Errorf("G2 comb %v is under %dx the ladder %v (ratio %.1fx)",
-			comb2, floor, ladder2, float64(ladder2)/float64(comb2))
+	if ratio2 < g2Floor {
+		t.Errorf("G2 comb %v is under %.1fx the ladder %v (ratio %.1fx)", comb2, g2Floor, ladder2, ratio2)
 	}
 	t.Logf("G1 comb %v vs ladder %v: %.1fx; G2 comb %v vs ladder %v: %.1fx",
-		comb1, ladder1, float64(ladder1)/float64(comb1),
-		comb2, ladder2, float64(ladder2)/float64(comb2))
+		comb1, ladder1, ratio1, comb2, ladder2, ratio2)
 }
 
 func BenchmarkG1ScalarBaseMultComb(b *testing.B) {

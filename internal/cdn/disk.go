@@ -50,7 +50,7 @@ type DiskBackend struct {
 	segs map[roundKey]*segment
 
 	// rejected lists segment files that failed verification at reopen,
-	// for tests and operator logs.
+	// for tests.
 	rejected []string
 }
 
@@ -92,7 +92,7 @@ type manifest struct {
 
 // NewDiskBackend opens (or creates) a segment directory. Every segment
 // found is fully verified against its trailing checksum; corrupt or
-// truncated segments are rejected (see Rejected) without affecting other
+// truncated segments are rejected without affecting other
 // rounds. Leftover temp files from a crashed seal are removed.
 func NewDiskBackend(dir string) (*DiskBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -147,13 +147,6 @@ func NewDiskBackend(dir string) (*DiskBackend, error) {
 	}
 	return d, nil
 }
-
-// Rejected returns the names of segment files that failed verification
-// when the backend was opened.
-func (d *DiskBackend) Rejected() []string { return append([]string(nil), d.rejected...) }
-
-// Dir returns the backend's segment directory.
-func (d *DiskBackend) Dir() string { return d.dir }
 
 func segName(service wire.Service, round uint32) string {
 	return fmt.Sprintf("%s-%010d.seg", service, round)

@@ -161,7 +161,7 @@ func TestDiskStoreRetentionOnReopen(t *testing.T) {
 }
 
 // TestDiskBackendRejectsCorruption corrupts one round's segment on disk;
-// reopen must reject that round cleanly (absent, listed in Rejected) and
+// reopen must reject that round cleanly (absent, listed in rejected) and
 // leave the healthy round untouched.
 func TestDiskBackendRejectsCorruption(t *testing.T) {
 	corruptions := []struct {
@@ -222,7 +222,7 @@ func TestDiskBackendRejectsCorruption(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := backend.Rejected(); len(got) != 1 || got[0] != segName(wire.Dialing, 1) {
+			if got := backend.rejected; len(got) != 1 || got[0] != segName(wire.Dialing, 1) {
 				t.Fatalf("rejected = %v, want the corrupted segment", got)
 			}
 			re, err := NewStoreWithBackend(backend, 0)
@@ -262,7 +262,8 @@ func TestDiskBackendManifestDisagreement(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, segName(wire.Dialing, 1))); err != nil {
 		t.Fatal(err)
 	}
-	fb, err := NewDiskBackend(t.TempDir())
+	forgedDir := t.TempDir()
+	fb, err := NewDiskBackend(forgedDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestDiskBackendManifestDisagreement(t *testing.T) {
 	if err := fb.Seal(wire.Dialing, 1, forgedBoxes, RoundChecksum(forgedBoxes)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(filepath.Join(fb.Dir(), segName(wire.Dialing, 1)), filepath.Join(dir, segName(wire.Dialing, 1))); err != nil {
+	if err := os.Rename(filepath.Join(forgedDir, segName(wire.Dialing, 1)), filepath.Join(dir, segName(wire.Dialing, 1))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -278,7 +279,7 @@ func TestDiskBackendManifestDisagreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := backend.Rejected(); len(got) != 1 {
+	if got := backend.rejected; len(got) != 1 {
 		t.Fatalf("rejected = %v, want the forged segment", got)
 	}
 	backend.Close()

@@ -6,9 +6,9 @@
 // Clients encrypt to the SUM of the master public keys and decrypt with the
 // SUM of the identity private keys obtained from each PKG. The scheme stays
 // secure as long as any single PKG keeps its master secret private, and —
-// unlike the naive onion construction, also provided here as the paper's
-// baseline (OnionEncrypt) — ciphertext size and decryption time are
-// independent of the number of PKGs.
+// unlike the naive onion construction, the paper's baseline, which this
+// package's tests keep for ablation A1 — ciphertext size and decryption
+// time are independent of the number of PKGs.
 //
 // Ciphertexts are anonymous (§4.3): they consist of a uniformly distributed
 // group element and an AEAD blob keyed by the pairing value, so they reveal

@@ -15,7 +15,8 @@
 // not from the paper, so the model reflects this codebase; EXPERIMENTS.md
 // tabulates ours vs the paper's. The latency model runs on per-item costs
 // (CostCalibration); this package's tests check the paper's figures
-// against it on PaperCalibration.
+// against it on PaperCalibration. Nothing outside tests uses the model,
+// so the whole package is test code.
 package model
 
 import (

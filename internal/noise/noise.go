@@ -12,7 +12,6 @@
 package noise
 
 import (
-	"crypto/rand"
 	"encoding/binary"
 	"io"
 	"math"
@@ -72,15 +71,6 @@ func (l Laplace) Sample(r io.Reader) (int, error) {
 		n = 0
 	}
 	return n, nil
-}
-
-// SampleCrypto draws from crypto/rand.
-func (l Laplace) SampleCrypto() int {
-	n, err := l.Sample(rand.Reader)
-	if err != nil {
-		panic("noise: crypto/rand failed: " + err.Error())
-	}
-	return n
 }
 
 // Epsilon returns the per-observation differential-privacy ε that scale b

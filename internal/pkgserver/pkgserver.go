@@ -390,16 +390,3 @@ func (s *Server) Extractions() uint64 {
 	defer s.mu.Unlock()
 	return s.extractions
 }
-
-// NumAccounts returns the number of verified accounts.
-func (s *Server) NumAccounts() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, a := range s.accounts {
-		if a.status == statusVerified {
-			n++
-		}
-	}
-	return n
-}

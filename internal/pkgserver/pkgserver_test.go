@@ -55,8 +55,10 @@ func TestRegistrationFlow(t *testing.T) {
 	if !ok || !got.Equal(pub) {
 		t.Fatal("registration did not stick")
 	}
-	if s.NumAccounts() != 1 {
-		t.Fatalf("accounts = %d", s.NumAccounts())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if a := s.accounts["alice@example.org"]; len(s.accounts) != 1 || a == nil || a.status != statusVerified {
+		t.Fatalf("accounts = %d, alice's %+v", len(s.accounts), a)
 	}
 }
 

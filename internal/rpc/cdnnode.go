@@ -196,18 +196,6 @@ func (d *CDNDaemon) SetPeers(addrs ...string) {
 	}
 }
 
-// SetStagingTTL overrides how long an idle half-published round may stage
-// before the sweep evicts it.
-func (d *CDNDaemon) SetStagingTTL(ttl time.Duration) {
-	d.mu.Lock()
-	d.ttl = ttl
-	d.mu.Unlock()
-}
-
-// StagingEvictions counts staged rounds dropped by the TTL sweep or the
-// count cap — publishers that died without sending Done or Abort.
-func (d *CDNDaemon) StagingEvictions() uint64 { return d.stagingEvictions.Load() }
-
 // LastSealStreams is the number of publish streams the most recent seal
 // was assembled from: the size of the last position's shard group.
 func (d *CDNDaemon) LastSealStreams() int { return int(d.lastSealStreams.Load()) }
@@ -557,11 +545,6 @@ func streamRound(mailboxes map[uint32][]byte, send func(frags keyedBlobs, done b
 		}
 	}
 	return flush(true)
-}
-
-// PublishMailboxes publishes a whole round as its one stream.
-func PublishMailboxes(c *Client, service wire.Service, round uint32, mailboxes map[uint32][]byte) error {
-	return PublishMailboxesShard(c, service, round, mailboxes, 0, 1)
 }
 
 // PublishMailboxesShard streams one shard's slice of a round's mailboxes

@@ -3,6 +3,7 @@ package rpc_test
 import (
 	"bytes"
 	mathrand "math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -24,7 +25,10 @@ import (
 // A churn-free mirror fleet runs the same seed in parallel; every
 // surviving round's mailboxes must be byte-identical between the two —
 // benching, spare drafting, and merge-role rotation never change what a
-// round publishes, only which machines compute it.
+// round publishes, only which machines compute it. It logs, per
+// transport, the p50/p99 time of the churned fleet's closed rounds and
+// its mean rounds-to-recovery (a kill to the automatic re-admission); it
+// asserts on neither.
 func TestChurnSelfHealingRounds(t *testing.T) {
 	nz := noise.Laplace{Mu: 0, B: 0}
 	counts := []int{2, 2, 2}
@@ -53,6 +57,9 @@ func TestChurnSelfHealingRounds(t *testing.T) {
 		}
 
 		down := make(map[string]bool)
+		benchedAt := make(map[string]int)
+		var closeTimes []time.Duration
+		var recoveries []int
 		for r := 1; r <= numRounds; r++ {
 			var victims []string
 			for _, ev := range plan.EventsBefore(r) {
@@ -92,9 +99,11 @@ func TestChurnSelfHealingRounds(t *testing.T) {
 			submitTokens(t, churned.Entry, settings, tokens, mathrand.New(mathrand.NewSource(4242)))
 			submitTokens(t, mirror.Entry, mirrorSettings, tokens, mathrand.New(mathrand.NewSource(4242)))
 
+			start := time.Now()
 			if _, err := coord.CloseRound(wire.Dialing, round); err != nil {
 				t.Fatalf("round %d failed under churn: %v", r, err)
 			}
+			closeTimes = append(closeTimes, time.Since(start))
 			if _, err := mirror.Coord.CloseRound(wire.Dialing, round); err != nil {
 				t.Fatalf("round %d failed in the mirror fleet: %v", r, err)
 			}
@@ -115,8 +124,28 @@ func TestChurnSelfHealingRounds(t *testing.T) {
 						t.Errorf("round %d: killed daemon %s is not benched", r, v)
 					}
 				}
+				if d.Spare {
+					continue
+				}
+				// A daemon leaving the bench recovered in (now − benched-at)
+				// rounds, with no operator in the loop.
+				was, benched := benchedAt[d.Addr]
+				if d.Benched && !benched {
+					benchedAt[d.Addr] = r
+				} else if !d.Benched && benched {
+					recoveries = append(recoveries, r-was)
+					delete(benchedAt, d.Addr)
+				}
 			}
 		}
+
+		slices.Sort(closeTimes)
+		meanRecovery := 0.0
+		for _, n := range recoveries {
+			meanRecovery += float64(n) / float64(len(recoveries))
+		}
+		t.Logf("%d rounds closed under churn: p50 %v, p99 %v; %d recoveries, mean %.1f rounds to recovery",
+			len(closeTimes), percentile(closeTimes, 50), percentile(closeTimes, 99), len(recoveries), meanRecovery)
 
 		// Every kill was healed without operator action, so the health ring
 		// must show zero failed rounds...
@@ -139,6 +168,44 @@ func TestChurnSelfHealingRounds(t *testing.T) {
 			t.Error("no spare was ever drafted")
 		}
 	})
+}
+
+// percentile returns the pct-th percentile of sorted (ascending) by the
+// nearest-rank rule: the smallest sample with at least pct % of the
+// samples at or below it. So p99 of ten rounds is the slowest round, and
+// p50 of ten is the fifth. An empty slice yields 0.
+func percentile(sorted []time.Duration, pct int) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := (pct*len(sorted) + 99) / 100 // ceil(pct/100 · n), in integers
+	return sorted[max(rank, 1)-1]
+}
+
+// TestPercentileNearestRank pins the one percentile rule the churn test
+// logs with: p99 of ten rounds is the slowest round, not the
+// second-slowest that int(p·(n-1)) picks.
+func TestPercentileNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		n, pct int
+		want   time.Duration // samples are 1..n ms, so the answer is its rank
+	}{
+		{1, 50, 1}, {1, 99, 1},
+		{2, 50, 1}, {2, 99, 2},
+		{10, 50, 5}, {10, 99, 10},
+		{100, 50, 50}, {100, 99, 99},
+	} {
+		sorted := make([]time.Duration, tc.n)
+		for i := range sorted {
+			sorted[i] = time.Duration(i+1) * time.Millisecond
+		}
+		if got := percentile(sorted, tc.pct); got != tc.want*time.Millisecond {
+			t.Errorf("p%d of %d samples = %v, want %v", tc.pct, tc.n, got, tc.want*time.Millisecond)
+		}
+	}
+	if got := percentile(nil, 99); got != 0 {
+		t.Errorf("p99 of no samples = %v, want 0", got)
+	}
 }
 
 // TestMergeRotationDeterminism pins the rotation contract: 2- and

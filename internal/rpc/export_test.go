@@ -1,6 +1,10 @@
 package rpc
 
-import "alpenhorn/internal/wire"
+import (
+	"time"
+
+	"alpenhorn/internal/wire"
+)
 
 // ChunkArgs lets the external tests stand in for a data-plane chunk
 // handler: its onions arrive in the frame's blob section, which only a
@@ -17,3 +21,20 @@ func PublishFragment(c *Client, service wire.Service, round, mailbox uint32, dat
 	a.add(mailbox, data)
 	return c.CallOnce("cdn.publish", a, nil)
 }
+
+// PublishMailboxes publishes a whole round as its one stream.
+func PublishMailboxes(c *Client, service wire.Service, round uint32, mailboxes map[uint32][]byte) error {
+	return PublishMailboxesShard(c, service, round, mailboxes, 0, 1)
+}
+
+// SetStagingTTL overrides how long an idle half-published round may stage
+// before the sweep evicts it.
+func (d *CDNDaemon) SetStagingTTL(ttl time.Duration) {
+	d.mu.Lock()
+	d.ttl = ttl
+	d.mu.Unlock()
+}
+
+// StagingEvictions counts staged rounds dropped by the TTL sweep or the
+// count cap — publishers that died without sending Done or Abort.
+func (d *CDNDaemon) StagingEvictions() uint64 { return d.stagingEvictions.Load() }

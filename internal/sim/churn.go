@@ -7,8 +7,8 @@ import (
 // This file is the churn-injection harness: a deterministic, seeded
 // schedule of daemon failures for multi-round availability experiments.
 // The plan is pure data — WHICH daemon dies, pauses, or comes back before
-// WHICH round — that the rpc round tests and alpenhorn-bench -exp churn
-// replay with Network.Kill and Network.Restart on either transport.
+// WHICH round — that the rpc churn test replays with Network.Kill and
+// Network.Restart on either transport.
 
 // ChurnAction is one kind of injected failure.
 type ChurnAction int

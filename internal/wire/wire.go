@@ -120,9 +120,6 @@ func NewReader(b []byte) *Reader { return &Reader{b: b} }
 // Err returns the first decoding error, if any.
 func (r *Reader) Err() error { return r.err }
 
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.b) }
-
 // AllConsumed sets an error if any input remains (canonical encodings must
 // consume everything).
 func (r *Reader) AllConsumed() error {
