@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"alpenhorn/internal/bls"
@@ -218,20 +217,11 @@ type MixerClient struct {
 	addr string
 	c    *Client
 	info *MixerInfo
-
-	// WaitTimeout bounds WaitRound; zero means DefaultWaitTimeout.
-	WaitTimeout time.Duration
-
-	// waitc is a dedicated connection for the mix.round.wait long-poll,
-	// so that an abort broadcast on the main connection is never queued
-	// behind a blocked wait.
-	waitMu sync.Mutex
-	waitc  *Client
 }
 
-// DefaultWaitTimeout bounds how long WaitRound polls for a round's
-// data-plane completion before giving up.
-const DefaultWaitTimeout = 10 * time.Minute
+// waitTimeout bounds how long WaitRound polls for a round's data-plane
+// completion before giving up.
+const waitTimeout = 10 * time.Minute
 
 // DialMixer connects to a mixer daemon and caches its info. A daemon
 // serving any other ProtocolVersion is refused with ErrProtocolMismatch:
@@ -257,31 +247,12 @@ func (m *MixerClient) Info() *MixerInfo { return m.info }
 // daemon's predecessor as the round's forwarding target.
 func (m *MixerClient) Addr() string { return m.addr }
 
-// TransportStats sums the transport accounting of every connection this
-// client holds (the call connection and the wait long-poll connection).
-func (m *MixerClient) TransportStats() ClientStats {
-	st := m.c.Stats()
-	m.waitMu.Lock()
-	wc := m.waitc
-	m.waitMu.Unlock()
-	if wc != nil {
-		st.add(wc.Stats())
-	}
-	return st
-}
+// TransportStats reports the client's transport accounting.
+func (m *MixerClient) TransportStats() ClientStats { return m.c.Stats() }
 
 // CallCount reports how many times the coordinator invoked a method on
-// this daemon, across all of the client's connections.
-func (m *MixerClient) CallCount(method string) uint64 {
-	n := m.c.CallCount(method)
-	m.waitMu.Lock()
-	wc := m.waitc
-	m.waitMu.Unlock()
-	if wc != nil {
-		n += wc.CallCount(method)
-	}
-	return n
-}
+// this daemon.
+func (m *MixerClient) CallCount(method string) uint64 { return m.c.CallCount(method) }
 
 // NewRound asks a position's announcer for its signed round onion key.
 // peers is the round's shard network: the dial addresses of every member
@@ -304,12 +275,11 @@ func (m *MixerClient) OpenRound(service wire.Service, round uint32, spec wire.Ro
 // ProbeTimeout bounds Probe's health check against an unresponsive daemon.
 const ProbeTimeout = time.Second
 
-// Probe is a cheap liveness check (mix.info on the main connection,
-// bounded by ProbeTimeout) used by the scheduler to decide whether a
-// benched daemon has recovered and whether a candidate is reachable before
-// planning it into a round. A dead TCP connection is redialed by the
-// transport, so a probe succeeding after a daemon restart is the recovery
-// signal itself.
+// Probe is a cheap liveness check (mix.info, bounded by ProbeTimeout)
+// used by the scheduler to decide whether a benched daemon has recovered
+// and whether a candidate is reachable before planning it into a round.
+// A dead TCP connection is redialed by the transport, so a probe
+// succeeding after a daemon restart is the recovery signal itself.
 func (m *MixerClient) Probe() error {
 	ctx, cancel := context.WithTimeout(context.Background(), ProbeTimeout)
 	defer cancel()
@@ -321,26 +291,15 @@ func (m *MixerClient) Probe() error {
 // completes (forwarded downstream, or published to the CDN) and returns
 // the daemon's error if it failed or was aborted, along with the daemon's
 // self-reported duration and batch byte counts for the coordinator's
-// round-health tracking. The wait is a bounded long-poll on a dedicated
-// connection so the daemon never parks a handler forever and the
-// coordinator can still send control calls (e.g. an abort) on the main
-// connection.
+// round-health tracking. The wait is a bounded long-poll, so the daemon
+// never parks a handler forever; each poll holds a connection of its own,
+// so control calls (an abort, the other service's round) never queue
+// behind it.
 func (m *MixerClient) WaitRound(service wire.Service, round uint32) (wire.MixerRoundStats, error) {
-	m.waitMu.Lock()
-	if m.waitc == nil {
-		m.waitc = Dial(m.addr)
-	}
-	wc := m.waitc
-	m.waitMu.Unlock()
-
-	timeout := m.WaitTimeout
-	if timeout <= 0 {
-		timeout = DefaultWaitTimeout
-	}
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(waitTimeout)
 	for {
 		var reply waitReply
-		if err := wc.Call("mix.round.wait", roundArgs{Service: service, Round: round}, &reply); err != nil {
+		if err := m.c.Call("mix.round.wait", roundArgs{Service: service, Round: round}, &reply); err != nil {
 			return wire.MixerRoundStats{}, err
 		}
 		if reply.Done {
@@ -356,7 +315,7 @@ func (m *MixerClient) WaitRound(service wire.Service, round uint32) (wire.MixerR
 			return stats, nil
 		}
 		if time.Now().After(deadline) {
-			return wire.MixerRoundStats{}, fmt.Errorf("rpc: round %d (%s) did not complete within %v", round, service, timeout)
+			return wire.MixerRoundStats{}, fmt.Errorf("rpc: round %d (%s) did not complete within %v", round, service, waitTimeout)
 		}
 	}
 }
@@ -698,35 +657,16 @@ func UnmarshalBLSKey(data []byte) (*bls.PublicKey, error) {
 }
 
 // FrontendClient talks to one entry frontend; it satisfies
-// core.EntryServer and — through the embedded
-// CDNClient, whose connection it shares for every non-parking call —
+// core.EntryServer and — through the embedded CDNClient, whose client it
+// shares for every call, the entry.events long-poll included —
 // core.MailboxStore.
 type FrontendClient struct {
 	*CDNClient
-
-	// events is a dedicated connection for the entry.events long-poll — a
-	// parked poll must never queue a submit or fetch behind it (same split
-	// as MixerClient's mix.round.wait connection). Like every Client it
-	// connects on first use.
-	events *Client
 }
 
 // DialFrontend connects to the entry daemon.
 func DialFrontend(addr string) *FrontendClient {
-	return &FrontendClient{CDNClient: DialCDN(addr), events: Dial(addr)}
-}
-
-// TransportStats sums the transport accounting of both connections.
-func (f *FrontendClient) TransportStats() ClientStats {
-	st := f.c.Stats()
-	st.add(f.events.Stats())
-	return st
-}
-
-// CallCount reports how many times this client invoked a method, across
-// both connections.
-func (f *FrontendClient) CallCount(method string) uint64 {
-	return f.c.CallCount(method) + f.events.CallCount(method)
+	return &FrontendClient{DialCDN(addr)}
 }
 
 // Directory fetches the deployment directory. A frontend serving any
@@ -743,12 +683,12 @@ func (f *FrontendClient) Directory(ctx context.Context) (*Directory, error) {
 }
 
 // WatchRounds implements core.EntryServer over the entry.events
-// long-poll: it parks on the frontend (on the dedicated connection) until
-// announcements after cursor exist.
+// long-poll: it parks on the frontend until announcements after cursor
+// exist.
 func (f *FrontendClient) WatchRounds(ctx context.Context, cursor uint64) ([]entry.Announcement, uint64, error) {
 	for {
 		var reply eventsReply
-		err := f.events.CallContext(ctx, "entry.events", eventsArgs{
+		err := f.c.CallContext(ctx, "entry.events", eventsArgs{
 			Cursor: cursor, WaitMs: int(eventsClientWait / time.Millisecond),
 		}, &reply)
 		if err != nil {
@@ -783,10 +723,4 @@ func (f *FrontendClient) Submit(ctx context.Context, service wire.Service, round
 		return fmt.Errorf("rpc: %w", entry.ErrRoundFull)
 	}
 	return err
-}
-
-// Close closes both connections.
-func (f *FrontendClient) Close() {
-	f.CDNClient.Close()
-	f.events.Close()
 }

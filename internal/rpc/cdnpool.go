@@ -55,13 +55,13 @@ func (f *CDNClient) FetchRange(ctx context.Context, service wire.Service, fromRo
 	return out, nil
 }
 
-// CallCount reports a method's call count on this node's connection.
+// CallCount reports a method's call count on this node's client.
 func (f *CDNClient) CallCount(method string) uint64 { return f.c.CallCount(method) }
 
-// TransportStats reports this node's connection accounting.
+// TransportStats reports this node's transport accounting.
 func (f *CDNClient) TransportStats() ClientStats { return f.c.Stats() }
 
-// Close closes the node connection.
+// Close closes the node's connections.
 func (f *CDNClient) Close() { f.c.Close() }
 
 // CDNPool is a failover client over a deployment's CDN nodes (the

@@ -233,5 +233,5 @@ func (r *EntryReplicaClient) FeedBatch(service wire.Service, round uint32, numMa
 // CallCount reports how many times this client invoked a method.
 func (r *EntryReplicaClient) CallCount(method string) uint64 { return r.c.CallCount(method) }
 
-// Close closes the client's connection.
+// Close closes the client's connections.
 func (r *EntryReplicaClient) Close() { r.c.Close() }

@@ -129,7 +129,7 @@ func TestEventsLongPollGoroutines(t *testing.T) {
 	errs := make(chan error, polls)
 	clients := make([]*FrontendClient, polls)
 	defer func() {
-		srv.Close() // first: a client's Close waits for its parked call
+		srv.Close() // unparks every handler
 		for _, f := range clients {
 			f.Close()
 		}

@@ -192,7 +192,7 @@ func TestControlFramesUnchanged(t *testing.T) {
 		}
 	}()
 	c := Dial("mem:golden")
-	c.conn = cliEnd
+	c.idle = []net.Conn{cliEnd}
 	defer c.Close()
 	var info MixerInfo
 	if err := c.Call("mix.info", struct{}{}, &info); err != nil {

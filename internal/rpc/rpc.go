@@ -428,22 +428,24 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// Client is a connection-per-call-free RPC client: one TCP connection,
-// serialized calls. Safe for concurrent use.
+// Client is an RPC client for one address. A call holds a connection of
+// its own from the moment it takes one until its reply is read: it reuses
+// an idle connection or dials a new one, and gives it back after the
+// reply. A parked long-poll therefore holds only its own connection, and
+// a client holds as many connections as it has had calls in flight at
+// once. Safe for concurrent use.
 type Client struct {
 	addr    string
 	timeout time.Duration
 
-	mu   sync.Mutex // serializes calls on the connection
-	conn net.Conn
-
-	// Transport accounting: the data-plane acceptance test and the
-	// bench harness use these to prove the coordinator's connections
-	// carry control messages, not batch payloads. The counters live
-	// under their OWN lock so reading stats never parks behind an
-	// in-flight call — an entry.events long-poll holds mu for up to its
-	// full wait.
-	statsMu       sync.Mutex
+	// mu guards the pool and the transport accounting. The data-plane
+	// acceptance test and the bench harness use the counters to prove the
+	// coordinator's connections carry control messages, not batch
+	// payloads.
+	mu            sync.Mutex
+	idle          []net.Conn
+	busy          map[net.Conn]struct{}
+	gen           uint64 // Close calls so far; a call in flight at one is not retried
 	bytesSent     uint64
 	bytesReceived uint64
 	calls         map[string]uint64
@@ -456,24 +458,29 @@ type ClientStats struct {
 	Calls         uint64
 }
 
-// add folds another connection's accounting into st.
+// add folds another client's accounting into st.
 func (st *ClientStats) add(o ClientStats) {
 	st.BytesSent += o.BytesSent
 	st.BytesReceived += o.BytesReceived
 	st.Calls += o.Calls
 }
 
-// Dial creates a client for the given address. The connection is
-// established lazily and re-established after errors.
+// Dial creates a client for the given address. Connections are
+// established lazily, one per call in flight, and kept for reuse.
 func Dial(addr string) *Client {
-	return &Client{addr: addr, timeout: 30 * time.Second, calls: make(map[string]uint64)}
+	return &Client{
+		addr:    addr,
+		timeout: 30 * time.Second,
+		busy:    make(map[net.Conn]struct{}),
+		calls:   make(map[string]uint64),
+	}
 }
 
 // Stats returns cumulative bytes moved and calls made by this client,
 // counting frame headers and retried writes.
 func (c *Client) Stats() ClientStats {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var n uint64
 	for _, v := range c.calls {
 		n += v
@@ -483,41 +490,35 @@ func (c *Client) Stats() ClientStats {
 
 // CallCount returns how many times this client has invoked a method.
 func (c *Client) CallCount(method string) uint64 {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.calls[method]
-}
-
-// countCall records one invocation of method.
-func (c *Client) countCall(method string) {
-	c.statsMu.Lock()
-	c.calls[method]++
-	c.statsMu.Unlock()
 }
 
 // addBytes records frame bytes moved on the wire (headers included).
 func (c *Client) addBytes(sent, received uint64) {
-	c.statsMu.Lock()
+	c.mu.Lock()
 	c.bytesSent += sent
 	c.bytesReceived += received
-	c.statsMu.Unlock()
+	c.mu.Unlock()
 }
 
 // Call invokes a remote method. result may be nil to discard the reply.
 //
-// On a dead connection Call transparently reconnects and re-sends ONCE,
-// which is only safe for idempotent methods: if the request executed but
-// the reply was lost, the retry executes it again. Data-plane mutations
-// that append state (stream chunks, publish fragments) must use CallOnce.
+// On a dead connection Call transparently re-sends ONCE, on a freshly
+// dialed connection, which is only safe for idempotent methods: if the
+// request executed but the reply was lost, the retry executes it again.
+// Data-plane mutations that append state (stream chunks, publish
+// fragments) must use CallOnce.
 func (c *Client) Call(method string, params any, result any) error {
 	return c.call(context.Background(), method, params, result, c.timeout, 2)
 }
 
 // CallContext is Call honoring a context: the dial respects ctx, the I/O
 // deadline is the earlier of ctx's deadline and the client timeout, and
-// cancelling ctx mid-call closes the connection so a parked call (e.g. an
-// entry.events long-poll against a dead frontend) returns promptly
-// instead of wedging the caller.
+// cancelling ctx mid-call closes the call's connection so a parked call
+// (e.g. an entry.events long-poll against a dead frontend) returns
+// promptly instead of wedging the caller.
 func (c *Client) CallContext(ctx context.Context, method string, params any, result any) error {
 	return c.call(ctx, method, params, result, c.timeout, 2)
 }
@@ -549,67 +550,49 @@ func (c *Client) call(ctx context.Context, method string, params any, result any
 	req, buf := encodeSend(req, params)
 	defer releaseSend(buf)
 
-	c.countCall(method)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Reconnect attempts on a stale connection, bounded by maxAttempts.
+	c.calls[method]++
+	gen := c.gen
+	c.mu.Unlock()
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("rpc: call %s: %w", method, err)
 		}
-		if c.conn == nil {
-			var conn net.Conn
-			var err error
-			if isMemAddr(c.addr) {
-				conn, err = dialMem(c.addr)
-			} else {
-				dialer := net.Dialer{Timeout: timeout}
-				conn, err = dialer.DialContext(ctx, "tcp", c.addr)
-			}
-			if err != nil {
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					return fmt.Errorf("rpc: dialing %s: %w", c.addr, ctxErr)
-				}
-				return fmt.Errorf("%w: dialing %s: %v", ErrTransport, c.addr, err)
-			}
-			c.conn = conn
+		// The retry dials: a connection that just failed says the
+		// idle ones may be stale too.
+		conn, err := c.take(ctx, gen, timeout, attempt > 0)
+		if err != nil {
+			return err
 		}
 		deadline := time.Now().Add(timeout)
 		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 			deadline = d
 		}
-		c.conn.SetDeadline(deadline)
+		conn.SetDeadline(deadline)
 		// Cancellation mid-call must interrupt a blocked read (a parked
 		// long-poll, a dead peer): closing the conn is the only portable
-		// interrupt. The next call reconnects.
-		conn := c.conn
+		// interrupt.
 		stop := context.AfterFunc(ctx, func() { conn.Close() })
 		c.addBytes(uint64(len(req))+4, 0)
-		if err := writeFrame(c.conn, req); err != nil {
-			stop()
-			c.conn.Close()
-			c.conn = nil
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return fmt.Errorf("rpc: writing to %s: %w", c.addr, ctxErr)
-			}
-			if attempt < maxAttempts-1 {
-				continue
-			}
-			return fmt.Errorf("%w: writing to %s: %v", ErrTransport, c.addr, err)
+		op := "writing to"
+		err = writeFrame(conn, req)
+		var payload []byte
+		if err == nil {
+			op = "reading from"
+			payload, err = readFrame(conn)
 		}
-		payload, err := readFrame(c.conn)
-		stop()
+		stopped := stop()
 		if err != nil {
-			c.conn.Close()
-			c.conn = nil
+			live := c.release(conn, gen, false, ctx.Err() == nil)
 			if ctxErr := ctx.Err(); ctxErr != nil {
-				return fmt.Errorf("rpc: reading from %s: %w", c.addr, ctxErr)
+				return fmt.Errorf("rpc: %s %s: %w", op, c.addr, ctxErr)
 			}
-			if attempt < maxAttempts-1 {
+			if live && attempt < maxAttempts-1 {
 				continue
 			}
-			return fmt.Errorf("%w: reading from %s: %v", ErrTransport, c.addr, err)
+			return fmt.Errorf("%w: %s %s: %v", ErrTransport, op, c.addr, err)
 		}
+		c.release(conn, gen, stopped, false) // !stopped: the cancellation closed it
 		c.addBytes(0, uint64(len(payload))+4)
 		env, bs, err := decodeFrame(payload)
 		if err != nil {
@@ -632,12 +615,83 @@ func (c *Client) call(ctx context.Context, method string, params any, result any
 	}
 }
 
-// Close closes the underlying connection.
+// take hands a call a connection of its own: the most recently used idle
+// one, or a new one when none is idle or fresh is set. A Close since the
+// call began (gen) fails the call instead of dialing for it.
+func (c *Client) take(ctx context.Context, gen uint64, timeout time.Duration, fresh bool) (net.Conn, error) {
+	c.mu.Lock()
+	if n := len(c.idle); n > 0 && !fresh {
+		conn := c.idle[n-1]
+		c.idle[n-1] = nil
+		c.idle = c.idle[:n-1]
+		c.busy[conn] = struct{}{}
+		c.mu.Unlock()
+		return conn, nil
+	}
+	c.mu.Unlock()
+
+	var conn net.Conn
+	var err error
+	if isMemAddr(c.addr) {
+		conn, err = dialMem(c.addr)
+	} else {
+		dialer := net.Dialer{Timeout: timeout}
+		conn, err = dialer.DialContext(ctx, "tcp", c.addr)
+	}
+	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, fmt.Errorf("rpc: dialing %s: %w", c.addr, ctxErr)
+		}
+		return nil, fmt.Errorf("%w: dialing %s: %v", ErrTransport, c.addr, err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.gen != gen {
+		conn.Close()
+		return nil, fmt.Errorf("rpc: dialing %s: %w", c.addr, net.ErrClosed)
+	}
+	c.busy[conn] = struct{}{}
+	return conn, nil
+}
+
+// release ends a call's hold on its connection. A connection whose call
+// completed (keep) goes back to the idle set; any other is closed, and
+// after a transport failure (purge) the idle ones go too, since the peer
+// may have restarted under all of them. It reports whether the call may
+// retry: false once Close has run since the call began.
+func (c *Client) release(conn net.Conn, gen uint64, keep, purge bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.busy, conn)
+	live := c.gen == gen
+	if keep && live {
+		c.idle = append(c.idle, conn)
+		return true
+	}
+	conn.Close()
+	if purge && live {
+		c.closeIdleLocked()
+	}
+	return live
+}
+
+func (c *Client) closeIdleLocked() {
+	for _, conn := range c.idle {
+		conn.Close()
+	}
+	clear(c.idle)
+	c.idle = c.idle[:0]
+}
+
+// Close closes every connection, idle or in a call. Calls in flight fail
+// at once and are not retried; a call made after Close dials again.
 func (c *Client) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
+	c.gen++
+	c.closeIdleLocked()
+	for conn := range c.busy {
+		conn.Close()
 	}
+	clear(c.busy)
 }

@@ -59,8 +59,9 @@ func newRunClient(t *testing.T, network *sim.Network, frontend interface {
 // startRun runs client.Run on its own goroutine until the returned stop
 // is called (or the test ends); stop cancels the run, waits for Run to
 // return and returns its error. Register the transport's Close with
-// t.Cleanup before calling startRun, so that the run stops first: an rpc
-// Client's Close waits out a parked entry.events call.
+// t.Cleanup before calling startRun, so that the run stops first: a Close
+// under a running feed fails its parked entry.events call, and the feed
+// redials.
 func startRun(t *testing.T, client *core.Client) (stop func() error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())

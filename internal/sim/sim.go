@@ -86,7 +86,7 @@ type Mixer struct {
 	Server *mixnet.Server
 	// Daemon is the rpc registration serving Server; Restart replaces it.
 	Daemon *rpc.MixerDaemon
-	// Client is the coordinator's connection to the daemon.
+	// Client is the coordinator's client of the daemon.
 	Client *rpc.MixerClient
 	Addr   string
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -115,6 +116,46 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+}
+
+// TestDialingRoundBesideParkedWait: an add-friend mix.round.wait parked
+// on every mixer holds a connection of its own, so dialing rounds opened
+// and closed through the same mixer clients meanwhile take milliseconds,
+// not a park interval each, on both transports.
+func TestDialingRoundBesideParkedWait(t *testing.T) {
+	for _, listen := range transports {
+		n := newNetwork(t, Config{Listen: listen})
+		if _, err := n.Coord.OpenAddFriendRound(1); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for _, group := range n.Mixers {
+			for _, m := range group {
+				wg.Add(1)
+				go func(m *Mixer) {
+					defer wg.Done()
+					m.Client.WaitRound(wire.AddFriend, 1)
+				}(m)
+			}
+		}
+		time.Sleep(50 * time.Millisecond) // every wait parks on its daemon
+		for r := uint32(1); r <= 3; r++ {
+			start := time.Now()
+			if _, err := n.Coord.OpenDialingRound(r); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := n.Coord.CloseRound(wire.Dialing, r); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); d > 100*time.Millisecond {
+				t.Errorf("%s: dialing round %d took %v beside a parked add-friend wait, want under 100ms", listen, r, d)
+			}
+		}
+		if _, err := n.Coord.CloseRound(wire.AddFriend, 1); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
 	}
 }
 
