@@ -11,6 +11,7 @@ import (
 
 	"alpenhorn/internal/cdn"
 	"alpenhorn/internal/entry"
+	"alpenhorn/internal/wire"
 )
 
 // TestClientPoolRules pins how a Client keeps its connections: sequential
@@ -157,6 +158,102 @@ func TestClientPoolRules(t *testing.T) {
 	}
 	if n := received.Load(); n != 3 {
 		t.Fatalf("the server received %d requests, want 3: the CallOnce and the Call's two attempts", n)
+	}
+}
+
+// gatedSource is a mailbox store whose fetches all park until release
+// closes, so a test can hold a burst of them in flight at once.
+type gatedSource struct {
+	arrived chan<- struct{}
+	release <-chan struct{}
+}
+
+func (g gatedSource) Fetch(wire.Service, uint32, uint32) ([]byte, error) {
+	g.arrived <- struct{}{}
+	<-g.release
+	return []byte("box"), nil
+}
+
+func (g gatedSource) FetchRange(wire.Service, uint32, uint32, uint32) (map[uint32][]byte, error) {
+	return nil, errors.New("not served")
+}
+
+// proxySource is what a frontend-only entry daemon hands RegisterFrontend:
+// every client's fetch goes to the coordinator through one FrontendClient.
+type proxySource struct{ c *FrontendClient }
+
+func (p proxySource) Fetch(service wire.Service, round, mailbox uint32) ([]byte, error) {
+	return p.c.Fetch(context.Background(), service, round, mailbox)
+}
+
+func (p proxySource) FetchRange(service wire.Service, from, to, mailbox uint32) (map[uint32][]byte, error) {
+	return p.c.FetchRange(context.Background(), service, from, to, mailbox)
+}
+
+// TestFetchProxyBurst: a frontend that proxies its clients' fetches to
+// the coordinator holds one upstream connection per fetch in flight, and
+// once the burst is over keeps at most maxIdle of them open.
+func TestFetchProxyBurst(t *testing.T) {
+	const clients = 16
+	arrived := make(chan struct{}, clients)
+	release := make(chan struct{})
+	coord := NewServer()
+	RegisterCDNFrontend(coord, gatedSource{arrived, release})
+	coordAddr, err := coord.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	upstream := DialFrontend(coordAddr)
+	defer upstream.Close()
+	proxy := NewServer()
+	RegisterFrontend(proxy, entry.New(), proxySource{upstream}, Directory{})
+	proxyAddr, err := proxy.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	open := func() int {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		return len(coord.conns)
+	}
+
+	fetched := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		go func() {
+			f := DialFrontend(proxyAddr)
+			defer f.Close()
+			_, err := f.Fetch(context.Background(), wire.Dialing, 1, 0)
+			fetched <- err
+		}()
+	}
+	for i := 0; i < clients; i++ {
+		select {
+		case <-arrived:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d fetches reached the coordinator", i, clients)
+		}
+	}
+	if n := open(); n != clients {
+		t.Fatalf("%d fetches in flight came over %d coordinator connections, want one each", clients, n)
+	}
+	close(release)
+	for i := 0; i < clients; i++ {
+		if err := <-fetched; err != nil {
+			t.Fatal(err)
+		}
+	}
+	upstream.c.mu.Lock()
+	idle, busy := len(upstream.c.idle), len(upstream.c.busy)
+	upstream.c.mu.Unlock()
+	if idle > maxIdle || busy != 0 {
+		t.Fatalf("after a burst of %d fetches the proxy keeps %d idle, %d busy connections; want at most %d, 0", clients, idle, busy, maxIdle)
+	}
+	for deadline := time.Now().Add(5 * time.Second); open() > maxIdle; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the coordinator still serves %d of the proxy's connections after the burst, want at most %d", open(), maxIdle)
+		}
 	}
 }
 

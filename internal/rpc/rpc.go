@@ -429,11 +429,8 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // Client is an RPC client for one address. A call holds a connection of
-// its own from the moment it takes one until its reply is read: it reuses
-// an idle connection or dials a new one, and gives it back after the
-// reply. A parked long-poll therefore holds only its own connection, and
-// a client holds as many connections as it has had calls in flight at
-// once. Safe for concurrent use.
+// its own, idle or newly dialed, until its reply is read, so a parked
+// long-poll holds up no other call. Safe for concurrent use.
 type Client struct {
 	addr    string
 	timeout time.Duration
@@ -451,6 +448,11 @@ type Client struct {
 	calls         map[string]uint64
 }
 
+// maxIdle bounds the connections a Client keeps open between calls: above
+// the protocol's three calls in flight, so its clients never redial, and
+// below a burst fanned into one Client (a frontend proxying fetches).
+const maxIdle = 4
+
 // ClientStats is a snapshot of one client's transport accounting.
 type ClientStats struct {
 	BytesSent     uint64
@@ -466,7 +468,8 @@ func (st *ClientStats) add(o ClientStats) {
 }
 
 // Dial creates a client for the given address. Connections are
-// established lazily, one per call in flight, and kept for reuse.
+// established lazily, one per call in flight, and up to maxIdle are kept
+// for reuse.
 func Dial(addr string) *Client {
 	return &Client{
 		addr:    addr,
@@ -555,7 +558,7 @@ func (c *Client) call(ctx context.Context, method string, params any, result any
 	gen := c.gen
 	c.mu.Unlock()
 	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
+		if err := ctxErr(ctx); err != nil {
 			return fmt.Errorf("rpc: call %s: %w", method, err)
 		}
 		// The retry dials: a connection that just failed says the
@@ -583,9 +586,10 @@ func (c *Client) call(ctx context.Context, method string, params any, result any
 		}
 		stopped := stop()
 		if err != nil {
-			live := c.release(conn, gen, false, ctx.Err() == nil)
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return fmt.Errorf("rpc: %s %s: %w", op, c.addr, ctxErr)
+			cerr := ctxErr(ctx)
+			live := c.release(conn, gen, false, cerr == nil)
+			if cerr != nil {
+				return fmt.Errorf("rpc: %s %s: %w", op, c.addr, cerr)
 			}
 			if live && attempt < maxAttempts-1 {
 				continue
@@ -615,6 +619,15 @@ func (c *Client) call(ctx context.Context, method string, params any, result any
 	}
 }
 
+// ctxErr is ctx.Err(), or DeadlineExceeded once ctx's deadline has passed:
+// a connection deadline set to that instant may fire before ctx's timer.
+func ctxErr(ctx context.Context) error {
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return ctx.Err()
+}
+
 // take hands a call a connection of its own: the most recently used idle
 // one, or a new one when none is idle or fresh is set. A Close since the
 // call began (gen) fails the call instead of dialing for it.
@@ -622,7 +635,6 @@ func (c *Client) take(ctx context.Context, gen uint64, timeout time.Duration, fr
 	c.mu.Lock()
 	if n := len(c.idle); n > 0 && !fresh {
 		conn := c.idle[n-1]
-		c.idle[n-1] = nil
 		c.idle = c.idle[:n-1]
 		c.busy[conn] = struct{}{}
 		c.mu.Unlock()
@@ -635,12 +647,11 @@ func (c *Client) take(ctx context.Context, gen uint64, timeout time.Duration, fr
 	if isMemAddr(c.addr) {
 		conn, err = dialMem(c.addr)
 	} else {
-		dialer := net.Dialer{Timeout: timeout}
-		conn, err = dialer.DialContext(ctx, "tcp", c.addr)
+		conn, err = (&net.Dialer{Timeout: timeout}).DialContext(ctx, "tcp", c.addr)
 	}
 	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, fmt.Errorf("rpc: dialing %s: %w", c.addr, ctxErr)
+		if err := ctxErr(ctx); err != nil {
+			return nil, fmt.Errorf("rpc: dialing %s: %w", c.addr, err)
 		}
 		return nil, fmt.Errorf("%w: dialing %s: %v", ErrTransport, c.addr, err)
 	}
@@ -655,16 +666,17 @@ func (c *Client) take(ctx context.Context, gen uint64, timeout time.Duration, fr
 }
 
 // release ends a call's hold on its connection. A connection whose call
-// completed (keep) goes back to the idle set; any other is closed, and
-// after a transport failure (purge) the idle ones go too, since the peer
-// may have restarted under all of them. It reports whether the call may
-// retry: false once Close has run since the call began.
+// completed (keep) goes back to the idle set unless maxIdle are already
+// there; any other is closed, and after a transport failure (purge) the
+// idle ones go too, since the peer may have restarted under all of them.
+// It reports whether the call may retry: false once Close has run since
+// the call began.
 func (c *Client) release(conn net.Conn, gen uint64, keep, purge bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.busy, conn)
 	live := c.gen == gen
-	if keep && live {
+	if keep && live && len(c.idle) < maxIdle {
 		c.idle = append(c.idle, conn)
 		return true
 	}
@@ -679,8 +691,7 @@ func (c *Client) closeIdleLocked() {
 	for _, conn := range c.idle {
 		conn.Close()
 	}
-	clear(c.idle)
-	c.idle = c.idle[:0]
+	c.idle = nil
 }
 
 // Close closes every connection, idle or in a call. Calls in flight fail

@@ -3,7 +3,6 @@ package sim
 import (
 	"bytes"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -129,17 +128,24 @@ func TestDialingRoundBesideParkedWait(t *testing.T) {
 		if _, err := n.Coord.OpenAddFriendRound(1); err != nil {
 			t.Fatal(err)
 		}
-		var wg sync.WaitGroup
+		var mixers []*Mixer
 		for _, group := range n.Mixers {
-			for _, m := range group {
-				wg.Add(1)
-				go func(m *Mixer) {
-					defer wg.Done()
-					m.Client.WaitRound(wire.AddFriend, 1)
-				}(m)
+			mixers = append(mixers, group...)
+		}
+		waited := make(chan error, len(mixers))
+		for _, m := range mixers {
+			go func(m *Mixer) {
+				_, err := m.Client.WaitRound(wire.AddFriend, 1)
+				waited <- err
+			}(m)
+		}
+		for _, m := range mixers {
+			for deadline := time.Now().Add(5 * time.Second); m.Client.CallCount("mix.round.wait") == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: an add-friend wait never reached its mixer client", listen)
+				}
 			}
 		}
-		time.Sleep(50 * time.Millisecond) // every wait parks on its daemon
 		for r := uint32(1); r <= 3; r++ {
 			start := time.Now()
 			if _, err := n.Coord.OpenDialingRound(r); err != nil {
@@ -155,7 +161,11 @@ func TestDialingRoundBesideParkedWait(t *testing.T) {
 		if _, err := n.Coord.CloseRound(wire.AddFriend, 1); err != nil {
 			t.Fatal(err)
 		}
-		wg.Wait()
+		for range mixers {
+			if err := <-waited; err != nil {
+				t.Errorf("%s: add-friend wait: %v", listen, err)
+			}
+		}
 	}
 }
 
