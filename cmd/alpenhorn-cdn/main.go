@@ -14,12 +14,14 @@
 //	    -data-dir /var/lib/alpenhorn-cdn -peers cdnA:7031
 //
 // with the coordinator's -cdn-public-addr pointed at either node's
-// -ingest and -cdns listing both nodes' -addr. Rounds published to one
-// node replicate to the other; a node that restarts reloads its sealed
-// rounds from disk byte-identically and backfills whatever it missed
-// from its peers.
+// -ingest and -cdns listing both nodes' -addr. A node that seals a
+// published round sends each peer a cdn.sealed notice, and the peer pulls
+// the round (cdn.roundinfo, cdn.pull) from the nodes its own -peers
+// lists, so each node names the other. A node that restarts reloads its
+// sealed rounds from disk byte-identically and backfills whatever it
+// missed from its peers the same way.
 //
-// -ingest serves cdn.publish and cdn.replicate: UNAUTHENTICATED WRITE
+// -ingest serves cdn.publish and cdn.sealed: UNAUTHENTICATED WRITE
 // surfaces that must stay off the client network (same plane split as
 // alpenhorn-entry's -cdn-addr). -addr serves only reads.
 //
@@ -42,9 +44,9 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":7030", "client-facing TCP address serving cdn.fetch/cdn.fetchrange")
-	ingest := flag.String("ingest", ":7031", "server-plane TCP address serving cdn.publish/cdn.replicate (unauthenticated write surfaces; keep off the client network)")
+	ingest := flag.String("ingest", ":7031", "server-plane TCP address serving cdn.publish/cdn.sealed and peer pulls (unauthenticated write surfaces; keep off the client network)")
 	dataDir := flag.String("data-dir", "", "directory for durable round segments (empty: in-memory store)")
-	peerList := flag.String("peers", "", "comma-separated -ingest addresses of the tier's other nodes; sealed rounds push to them and missing rounds backfill from them")
+	peerList := flag.String("peers", "", "comma-separated -ingest addresses of the tier's other nodes; they hear of every round sealed here, and this node pulls rounds only from them (list each node on the other)")
 	retention := flag.Int("retention", 64, "rounds retained per service (0: unbounded)")
 	flag.Parse()
 
@@ -68,15 +70,15 @@ func main() {
 		log.Fatalf("ingest listener: %v", err)
 	}
 	defer ingestSrv.Close()
-	log.Printf("ingest surface (cdn.publish/cdn.replicate) listening on %s", ingestBound)
+	log.Printf("ingest surface (cdn.publish/cdn.sealed) listening on %s", ingestBound)
 
 	if *peerList != "" {
 		peers := strings.Split(*peerList, ",")
 		daemon.SetPeers(peers...)
 		defer daemon.Close()
 		// A node that was down while rounds sealed recovers them now;
-		// a failed backfill is not fatal — the next publish still
-		// replicates here, and the operator can restart to retry.
+		// a failed backfill is not fatal — the next notice still pulls
+		// its round here, and the operator can restart to retry.
 		recovered, err := daemon.Backfill()
 		if err != nil {
 			log.Printf("backfill from %v: %v (recovered %d rounds)", peers, err, recovered)

@@ -75,11 +75,18 @@ func (h *printHandler) Error(err error) {
 	log.Printf("[alpenhorn] %v", err)
 }
 
-// statePersister writes client state to a file.
+// statePersister writes client state to a file. A save writes a temp
+// file beside it and renames it over the old one, so an exit mid-save
+// leaves the previous state, never a truncated file. The client saves
+// under its own lock, so saves never overlap.
 type statePersister struct{ path string }
 
 func (p statePersister) Save(state []byte) error {
-	return os.WriteFile(p.path, state, 0o600)
+	tmp := p.path + ".tmp"
+	if err := os.WriteFile(tmp, state, 0o600); err != nil {
+		return err
+	}
+	return os.Rename(tmp, p.path)
 }
 
 func main() {
@@ -172,11 +179,19 @@ func main() {
 		fmt.Println("registered and confirmed")
 	}
 
-	// The library owns the round loop; this goroutine lives until quit.
+	// The library owns the round loop. On quit or end of input, main
+	// cancels it and waits for Run to return (and so for any save it
+	// started) before the deferred Closes drop its transports.
+	stopped := make(chan struct{})
 	go func() {
+		defer close(stopped)
 		if err := client.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
 			log.Printf("round loop stopped: %v", err)
 		}
+	}()
+	defer func() {
+		cancel()
+		<-stopped
 	}()
 
 	fmt.Printf("alpenhorn-client for %s — type 'help'\n", *emailAddr)
@@ -235,7 +250,6 @@ func main() {
 					base32.StdEncoding.EncodeToString(call.SessionKey[:20]))
 			}
 		case "quit", "exit":
-			cancel()
 			return
 		default:
 			fmt.Println("unknown command; type 'help'")

@@ -27,9 +27,9 @@
 //
 // Publication has two paths, both in internal/rpc: the store is exposed
 // as a cdn.publish surface (RegisterCDN) where every shard of the last
-// mixer group streams its own mailbox-ID slice of a round, and
-// cdn.replicate fans sealed rounds from the ingest node out to replica
-// nodes (see rpc.CDNDaemon).
+// mixer group streams its own mailbox-ID slice of a round, and replica
+// nodes pull each sealed round from the ingest node over cdn.pull when a
+// cdn.sealed notice names it (see rpc.CDNDaemon).
 package cdn
 
 import (
@@ -86,7 +86,7 @@ type Backend interface {
 
 // RoundChecksum is the canonical content checksum of a round: SHA-256 over
 // the mailbox count followed by each (id, length, bytes) triple in
-// ascending mailbox-ID order. Replication (cdn.replicate, cdn.roundinfo)
+// ascending mailbox-ID order. Replication (cdn.roundinfo, cdn.pull)
 // compares these checksums to decide whether two nodes hold the same
 // bytes, and DiskBackend stores the checksum in each segment header.
 func RoundChecksum(mailboxes map[uint32][]byte) [32]byte {
@@ -342,8 +342,8 @@ func (s *Store) Rounds(service wire.Service) []RoundInfo {
 }
 
 // RoundSnapshot returns a private copy of every mailbox in a published
-// round. Replication reads rounds through this rather than Fetch so that
-// replica fan-out does not pollute the client fetch accounting.
+// round, without the client fetch accounting. No daemon calls it: the
+// round benchmark (bench/) reads whole published rounds through it.
 func (s *Store) RoundSnapshot(service wire.Service, round uint32) (map[uint32][]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

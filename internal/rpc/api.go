@@ -415,8 +415,8 @@ type Directory struct {
 	// reset. Empty on single-frontend deployments.
 	FrontendAddrs []string `json:"frontend_addrs,omitempty"`
 	// CDNAddrs lists the deployment's CDN nodes (client-facing read
-	// addresses). Every node holds every sealed round — the ingest node
-	// fans rounds out over cdn.replicate — so a client may pool them
+	// addresses). Every node holds every sealed round — its peers pull
+	// each round the ingest node seals — so a client may pool them
 	// (DialCDNPool) and fail mailbox fetches over to a replica mid-round.
 	// Empty when mailboxes are served through the frontends themselves.
 	CDNAddrs []string `json:"cdn_addrs,omitempty"`
@@ -497,7 +497,7 @@ type fetchRangeArgs struct {
 }
 
 // keyedBlobs pairs blob i with Keys[i]: a mailbox ID in a batch of mailbox
-// fragments (cdn.publish, cdn.replicate, the cdn.pull reply), a round in a
+// fragments (cdn.publish, the cdn.pull reply), a round in a
 // cdn.fetchrange reply.
 type keyedBlobs struct {
 	Keys []uint32 `json:"keys,omitempty"`

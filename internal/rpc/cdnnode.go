@@ -13,13 +13,14 @@ import (
 )
 
 // This file is the CDN node: the write-plane surfaces of a cdn.Store
-// (publish from the mixnet, replicate/pull between CDN nodes) and the
-// client read plane (fetch/fetchrange). Mailbox content is public — the
-// privacy analysis ends when the last mixer publishes — so this tier is
-// ordinary replicated storage: every node ends up holding every sealed
-// round, and clients may fetch from any of them (CDNPool fails over).
+// (publish from the mixnet, sealed-round notices and pulls between CDN
+// nodes) and the client read plane (fetch/fetchrange). Mailbox content is
+// public — the privacy analysis ends when the last mixer publishes — so
+// this tier is ordinary replicated storage: every node ends up holding
+// every sealed round, and clients may fetch from any of them (CDNPool
+// fails over).
 //
-// Security boundary: cdn.publish and cdn.replicate are UNAUTHENTICATED
+// Security boundary: cdn.publish and cdn.sealed are UNAUTHENTICATED
 // WRITE surfaces. They must live on a server-plane listener that
 // deployments keep away from clients; otherwise any client could publish
 // a round's mailboxes first and censor the real ones. The read surface
@@ -29,9 +30,8 @@ import (
 // they cross raw, so its frame stays far below the transport cap.
 const publishBudget = 4 << 20
 
-// cdnStreamArgs is one call of a mailbox-fragment stream into a staged
-// round: cdn.publish from the last mix position, cdn.replicate between CDN
-// nodes.
+// cdnStreamArgs is one call of a shard's mailbox-fragment stream into a
+// staged round: cdn.publish from the last mix position.
 type cdnStreamArgs struct {
 	Service wire.Service `json:"service"`
 	Round   uint32       `json:"round"`
@@ -43,14 +43,11 @@ type cdnStreamArgs struct {
 	Done bool `json:"done"`
 	// Abort discards the staged round (publisher failed mid-round).
 	Abort bool `json:"abort,omitempty"`
-	// cdn.publish: the stream is shard Shard of NumShards (>= 1)
-	// publishing disjoint mailbox-ID slices of one round. The round seals
-	// only when all NumShards streams have sent Done.
+	// The stream is shard Shard of NumShards (>= 1) publishing disjoint
+	// mailbox-ID slices of one round. The round seals only when all
+	// NumShards streams have sent Done.
 	Shard     int `json:"shard,omitempty"`
 	NumShards int `json:"num_shards,omitempty"`
-	// cdn.replicate: Done carries the round's canonical checksum, so the
-	// receiver can verify the reassembled round before sealing it.
-	Checksum []byte `json:"checksum,omitempty"`
 }
 
 type cdnRoundInfoArgs struct {
@@ -71,7 +68,7 @@ type cdnRoundInfoReply struct {
 	Rounds []cdnRoundEntry `json:"rounds,omitempty"`
 }
 
-// cdnPullArgs pages one sealed round out of a node (restart backfill).
+// cdnPullArgs pages one sealed round out of a peer node.
 // Cursor is the first mailbox ID wanted; the reply carries whole
 // mailboxes from there, budget-bounded but always at least one, plus the
 // next cursor.
@@ -111,8 +108,7 @@ const (
 type stagedRound struct {
 	boxes map[uint32][]byte
 	// numShards/shardDone track the publish streams: the round seals only
-	// when every shard's stream has sent Done. Unused by cdn.replicate,
-	// which is one stream.
+	// when every shard's stream has sent Done.
 	numShards int
 	shardDone []bool
 	lastWrite time.Time
@@ -127,14 +123,13 @@ func (st *stagedRound) add(frags keyedBlobs) {
 }
 
 // CDNDaemon is one CDN node: a cdn.Store plus the staging state behind
-// its write surfaces and the replication fan-out to its peers.
+// its publish surface and the peers it notifies and pulls rounds from.
 type CDNDaemon struct {
 	store *cdn.Store
 
 	mu      sync.Mutex
 	staging map[outKey]*stagedRound
 	order   []outKey
-	repl    map[outKey]*stagedRound // cdn.replicate staging, separate keyspace
 	peers   []*Client
 	ttl     time.Duration
 
@@ -144,22 +139,24 @@ type CDNDaemon struct {
 
 // RegisterCDN exposes a cdn.Store's write plane over RPC — cdn.publish
 // for the last mixer position's shard-tagged mailbox streams, and
-// cdn.replicate / cdn.roundinfo / cdn.pull for peer CDN nodes — and
-// starts the staging TTL sweep (it stops when the server closes).
-// Fetching stays on RegisterCDNFrontend / the entry frontend.
+// cdn.sealed / cdn.roundinfo / cdn.pull for peer CDN nodes — and starts
+// the staging TTL sweep (it stops when the server closes). Fetching stays
+// on RegisterCDNFrontend / the entry frontend.
 func RegisterCDN(s *Server, store *cdn.Store) *CDNDaemon {
 	d := &CDNDaemon{
 		store:   store,
 		staging: make(map[outKey]*stagedRound),
-		repl:    make(map[outKey]*stagedRound),
 		ttl:     defaultStagingTTL,
 	}
 
 	HandleFunc(s, "cdn.publish", func(a cdnStreamArgs) (any, error) {
 		return nil, d.publish(a)
 	})
-	HandleFunc(s, "cdn.replicate", func(a cdnStreamArgs) (any, error) {
-		return nil, d.replicate(a)
+	// A peer sealed a round: pull it from the peers this node lists
+	// before replying.
+	HandleFunc(s, "cdn.sealed", func(a roundArgs) (any, error) {
+		_, err := d.pullFromPeers(cdnRoundInfoArgs{Service: a.Service, Round: a.Round})
+		return nil, err
 	})
 	HandleFunc(s, "cdn.roundinfo", func(a cdnRoundInfoArgs) (any, error) {
 		return d.roundInfo(a), nil
@@ -183,11 +180,14 @@ func RegisterCDN(s *Server, store *cdn.Store) *CDNDaemon {
 	return d
 }
 
-// SetPeers names the other CDN nodes' ingest addresses. Every round this
-// node seals from a publish stream is pushed to each peer; Backfill pulls
-// the other direction. Replication is publish-triggered only — a round
-// received via cdn.replicate is not re-pushed, so mutual peering does not
-// loop.
+// SetPeers names the other CDN nodes' ingest addresses. Each round this
+// node seals from a publish stream is announced to every peer in a
+// cdn.sealed notice, which carries no mailbox bytes, and a node pulls
+// rounds (on a notice and in Backfill) only from the peers it lists: so
+// peering is symmetric, each node listing the other. A pulled round
+// sends no notice, so mutual peering does not loop. Older nodes pushed
+// rounds instead and ignore the notice: a tier mixing the two stops
+// replicating between them until both upgrade.
 func (d *CDNDaemon) SetPeers(addrs ...string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -225,19 +225,13 @@ func (d *CDNDaemon) dropLocked(k outKey) {
 	}
 }
 
-// sweep evicts staged rounds idle past the TTL, in both keyspaces.
+// sweep evicts staged rounds idle past the TTL.
 func (d *CDNDaemon) sweep(now time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for k, st := range d.staging {
 		if now.Sub(st.lastWrite) > d.ttl {
 			d.dropLocked(k)
-			d.stagingEvictions.Add(1)
-		}
-	}
-	for k, st := range d.repl {
-		if now.Sub(st.lastWrite) > d.ttl {
-			delete(d.repl, k)
 			d.stagingEvictions.Add(1)
 		}
 	}
@@ -299,105 +293,35 @@ func (d *CDNDaemon) publish(a cdnStreamArgs) error {
 		return err
 	}
 	d.lastSealStreams.Store(int64(st.numShards))
-	d.pushToPeers(a.Service, a.Round)
+	d.notifyPeers(a.Service, a.Round)
 	return nil
 }
 
-// pushToPeers replicates a freshly sealed round to every peer,
-// best-effort and asynchronous: a down peer backfills when it returns.
-func (d *CDNDaemon) pushToPeers(service wire.Service, round uint32) {
+// notifyPeers tells every peer that a round sealed here, best-effort and
+// asynchronous: a peer that lists this node pulls the round, and a down
+// peer backfills when it returns.
+func (d *CDNDaemon) notifyPeers(service wire.Service, round uint32) {
 	d.mu.Lock()
 	peers := append([]*Client(nil), d.peers...)
 	d.mu.Unlock()
 	for _, peer := range peers {
 		go func(peer *Client) {
-			_ = d.ReplicateRound(peer, service, round)
+			_ = peer.CallOnce("cdn.sealed", roundArgs{Service: service, Round: round}, nil)
 		}(peer)
 	}
 }
 
-// ReplicateRound streams one locally sealed round to a peer's
-// cdn.replicate surface. Idempotent: a peer that already holds the round
-// reports success.
-func (d *CDNDaemon) ReplicateRound(peer *Client, service wire.Service, round uint32) error {
-	boxes, err := d.store.RoundSnapshot(service, round)
-	if err != nil {
-		return err
-	}
-	sum, _ := d.store.Checksum(service, round)
-	err = streamRound(boxes, func(frags keyedBlobs, done bool) error {
-		a := cdnStreamArgs{Service: service, Round: round, keyedBlobs: frags, Done: done}
-		if done {
-			a.Checksum = sum[:]
-		}
-		return peer.CallOnce("cdn.replicate", a, nil)
-	})
-	if err != nil {
-		_ = peer.Call("cdn.replicate", cdnStreamArgs{Service: service, Round: round, Abort: true}, nil)
-		return err
-	}
-	return nil
-}
-
-func (d *CDNDaemon) replicate(a cdnStreamArgs) error {
-	if err := a.check(); err != nil {
-		return err
-	}
-	k := outKey{a.Service, a.Round}
-	if d.store.Published(a.Service, a.Round) {
-		// Already sealed (publish raced replication, or a retried Done).
-		// Success — replication is idempotent.
-		d.mu.Lock()
-		delete(d.repl, k)
-		d.mu.Unlock()
-		return nil
-	}
-	d.mu.Lock()
-	if a.Abort {
-		delete(d.repl, k)
-		d.mu.Unlock()
-		return nil
-	}
-	st, ok := d.repl[k]
-	if !ok {
-		st = &stagedRound{boxes: make(map[uint32][]byte)}
-		d.repl[k] = st
-	}
-	st.add(a.keyedBlobs)
-	if !a.Done {
-		d.mu.Unlock()
-		return nil
-	}
-	delete(d.repl, k)
-	boxes := st.boxes
-	d.mu.Unlock()
-
-	sum := cdn.RoundChecksum(boxes)
-	if !bytes.Equal(sum[:], a.Checksum) {
-		return fmt.Errorf("cdn: round %d (%s): replicated round fails checksum", a.Round, a.Service)
-	}
-	err := d.store.PublishOwned(a.Service, a.Round, boxes)
-	if err != nil && d.store.Published(a.Service, a.Round) {
-		return nil // lost a race with another replica or the publisher
-	}
-	return err
-}
-
 func (d *CDNDaemon) roundInfo(a cdnRoundInfoArgs) cdnRoundInfoReply {
 	var reply cdnRoundInfoReply
-	if a.All {
-		for _, service := range []wire.Service{wire.AddFriend, wire.Dialing} {
-			for _, info := range d.store.Rounds(service) {
+	for _, service := range []wire.Service{wire.AddFriend, wire.Dialing} {
+		for _, info := range d.store.Rounds(service) {
+			if a.All || (info.Service == a.Service && info.Round == a.Round) {
 				sum := info.Checksum
 				reply.Rounds = append(reply.Rounds, cdnRoundEntry{
 					Service: info.Service, Round: info.Round, Checksum: sum[:],
 				})
 			}
 		}
-		return reply
-	}
-	if sum, ok := d.store.Checksum(a.Service, a.Round); ok {
-		reply.Rounds = []cdnRoundEntry{{Service: a.Service, Round: a.Round, Checksum: sum[:]}}
 	}
 	return reply
 }
@@ -434,11 +358,15 @@ func (d *CDNDaemon) pull(a cdnPullArgs) (cdnPullReply, error) {
 }
 
 // Backfill pulls every sealed round this node is missing from its peers:
-// the restart path. A node that was down while rounds sealed probes each
-// peer's inventory (cdn.roundinfo), pages missing rounds over cdn.pull,
-// verifies each against the peer's advertised checksum, and seals it
-// locally. Returns the number of rounds recovered.
+// the restart path. Returns the number of rounds recovered.
 func (d *CDNDaemon) Backfill() (int, error) {
+	return d.pullFromPeers(cdnRoundInfoArgs{All: true})
+}
+
+// pullFromPeers asks each peer which of the wanted rounds it holds
+// (cdn.roundinfo), pulls every listed round this node lacks and seals it.
+// It serves both a cdn.sealed notice (one round) and Backfill (all).
+func (d *CDNDaemon) pullFromPeers(want cdnRoundInfoArgs) (int, error) {
 	d.mu.Lock()
 	peers := append([]*Client(nil), d.peers...)
 	d.mu.Unlock()
@@ -447,7 +375,7 @@ func (d *CDNDaemon) Backfill() (int, error) {
 	var firstErr error
 	for _, peer := range peers {
 		var inv cdnRoundInfoReply
-		if err := peer.Call("cdn.roundinfo", cdnRoundInfoArgs{All: true}, &inv); err != nil {
+		if err := peer.Call("cdn.roundinfo", want, &inv); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -469,6 +397,8 @@ func (d *CDNDaemon) Backfill() (int, error) {
 	return recovered, firstErr
 }
 
+// pullRound pages one round out of a peer over cdn.pull, verifies it
+// against the checksum the peer advertised and seals it.
 func (d *CDNDaemon) pullRound(peer *Client, entry cdnRoundEntry) error {
 	boxes := make(map[uint32][]byte)
 	cursor := uint32(0)
@@ -488,81 +418,73 @@ func (d *CDNDaemon) pullRound(peer *Client, entry cdnRoundEntry) error {
 		if page.Done {
 			break
 		}
-		if page.Next <= cursor && len(page.Keys) == 0 {
+		if page.Next <= cursor {
 			return fmt.Errorf("cdn: round %d (%s): pull made no progress", entry.Round, entry.Service)
 		}
 		cursor = page.Next
 	}
 	sum := cdn.RoundChecksum(boxes)
 	if !bytes.Equal(sum[:], entry.Checksum) {
-		return fmt.Errorf("cdn: round %d (%s): backfilled round fails checksum", entry.Round, entry.Service)
+		return fmt.Errorf("cdn: round %d (%s): pulled round fails checksum", entry.Round, entry.Service)
 	}
 	err := d.store.PublishOwned(entry.Service, entry.Round, boxes)
 	if err != nil && d.store.Published(entry.Service, entry.Round) {
-		return nil
+		return nil // lost a race with another pull or the publisher
 	}
 	return err
-}
-
-// streamRound feeds a round's mailboxes through send in budget-bounded
-// fragment batches, in ID order, splitting oversized mailboxes across
-// frames; the final call carries done=true (possibly with no fragments).
-func streamRound(mailboxes map[uint32][]byte, send func(frags keyedBlobs, done bool) error) error {
-	ids := make([]uint32, 0, len(mailboxes))
-	for id := range mailboxes {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-
-	var frags keyedBlobs
-	var pending int
-	flush := func(done bool) error {
-		if !done && len(frags.Keys) == 0 {
-			return nil
-		}
-		err := send(frags, done)
-		frags, pending = keyedBlobs{}, 0
-		return err
-	}
-	for _, id := range ids {
-		data := mailboxes[id]
-		for {
-			n := min(len(data), publishBudget-pending)
-			frags.add(id, data[:n])
-			data = data[n:]
-			pending += n
-			if len(data) == 0 {
-				break
-			}
-			if err := flush(false); err != nil {
-				return err
-			}
-		}
-		if pending >= publishBudget {
-			if err := flush(false); err != nil {
-				return err
-			}
-		}
-	}
-	return flush(true)
 }
 
 // PublishMailboxesShard streams one shard's slice of a round's mailboxes
 // to a cdn.publish endpoint in budget-bounded calls, splitting oversized
 // mailboxes across frames. Every frame carries the (shard, numShards) tag
 // and the endpoint seals the round only when all numShards streams
-// finish. Mailboxes are sent in ID order so runs are reproducible.
-// Fragments are sent AT MOST ONCE (a transparent retry after a lost reply
-// would concatenate a fragment twice); on a mid-publish failure a
-// best-effort abort tells the endpoint to discard the staged round.
+// finish; the final frame carries Done (possibly with no fragments).
+// Mailboxes are sent in ID order so runs are reproducible. Fragments are
+// sent AT MOST ONCE (a transparent retry after a lost reply would
+// concatenate a fragment twice); on a mid-publish failure a best-effort
+// abort tells the endpoint to discard the staged round.
 func PublishMailboxesShard(c *Client, service wire.Service, round uint32, mailboxes map[uint32][]byte, shard, numShards int) error {
-	err := streamRound(mailboxes, func(frags keyedBlobs, done bool) error {
-		return c.CallOnce("cdn.publish", cdnStreamArgs{
-			Service: service, Round: round, keyedBlobs: frags, Done: done,
-			Shard: shard, NumShards: numShards,
-		}, nil)
-	})
-	if err != nil {
+	ids := make([]uint32, 0, len(mailboxes))
+	for id := range mailboxes {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+
+	a := cdnStreamArgs{Service: service, Round: round, Shard: shard, NumShards: numShards}
+	var pending int
+	flush := func(done bool) error {
+		if !done && len(a.Keys) == 0 {
+			return nil
+		}
+		a.Done = done
+		err := c.CallOnce("cdn.publish", a, nil)
+		a.keyedBlobs, pending = keyedBlobs{}, 0
+		return err
+	}
+	stream := func() error {
+		for _, id := range ids {
+			data := mailboxes[id]
+			for {
+				n := min(len(data), publishBudget-pending)
+				a.add(id, data[:n])
+				data = data[n:]
+				pending += n
+				if len(data) == 0 {
+					break
+				}
+				if err := flush(false); err != nil {
+					return err
+				}
+			}
+			if pending >= publishBudget {
+				if err := flush(false); err != nil {
+					return err
+				}
+			}
+		}
+		return flush(true)
+	}
+	if err := stream(); err != nil {
 		_ = c.Call("cdn.publish", cdnStreamArgs{
 			Service: service, Round: round, Abort: true, Shard: shard, NumShards: numShards,
 		}, nil)

@@ -76,10 +76,16 @@ func waitPublished(t *testing.T, s *cdn.Store, service wire.Service, round uint3
 	t.Fatalf("round %d (%s) never replicated", round, service)
 }
 
+// sealedNotice is the cdn.sealed params: the round a peer just sealed.
+type sealedNotice struct {
+	Service wire.Service `json:"service"`
+	Round   uint32       `json:"round"`
+}
+
 // TestCDNReplicationTwoNodes publishes a round to one of two mutually
 // peered disk-backed nodes: the sealed round must appear on the peer with
-// an identical content checksum, and replication must be idempotent when
-// both directions race.
+// an identical content checksum, and a re-sent notice must be a no-op
+// success.
 func TestCDNReplicationTwoNodes(t *testing.T) {
 	a := startCDNNode(t, t.TempDir())
 	b := startCDNNode(t, t.TempDir())
@@ -105,9 +111,63 @@ func TestCDNReplicationTwoNodes(t *testing.T) {
 			t.Fatalf("replica mailbox %d: %v", id, err)
 		}
 	}
-	// Re-replicating an already-held round must be a no-op success.
-	if err := a.daemon.ReplicateRound(rpc.Dial(b.ingestAddr), wire.Dialing, 1); err != nil {
-		t.Fatalf("idempotent replication: %v", err)
+	// Re-sending the notice for an already-held round is a no-op success.
+	nb := rpc.Dial(b.ingestAddr)
+	defer nb.Close()
+	if err := nb.Call("cdn.sealed", sealedNotice{wire.Dialing, 1}, nil); err != nil {
+		t.Fatalf("re-sent notice: %v", err)
+	}
+	if sb2, _ := b.store.Checksum(wire.Dialing, 1); sb2 != sb {
+		t.Fatal("re-sent notice changed the replica")
+	}
+}
+
+// TestCDNSealedNotice pins the notice contract: a cdn.sealed notice makes
+// a node pull the round from the peers it lists itself. A notice for a
+// round no listed peer holds seals nothing, a node that does not list the
+// notifier seals nothing, and a node that does holds the notifier's bytes.
+func TestCDNSealedNotice(t *testing.T) {
+	a := startCDNNode(t, "")
+	lists := startCDNNode(t, "")
+	stranger := startCDNNode(t, "")
+	other := startCDNNode(t, "")
+	a.daemon.SetPeers(lists.ingestAddr, stranger.ingestAddr)
+	lists.daemon.SetPeers(a.ingestAddr)
+	stranger.daemon.SetPeers(other.ingestAddr)
+
+	boxes := cdnTestRound(5, 4)
+	pub := rpc.Dial(a.ingestAddr)
+	defer pub.Close()
+	if err := rpc.PublishMailboxes(pub, wire.Dialing, 1, boxes); err != nil {
+		t.Fatal(err)
+	}
+	waitPublished(t, lists.store, wire.Dialing, 1)
+	for id, want := range boxes {
+		got, err := lists.store.Fetch(wire.Dialing, 1, id)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("listing node mailbox %d: %v", id, err)
+		}
+	}
+
+	notify := func(n *cdnNode, service wire.Service, round uint32) {
+		t.Helper()
+		c := rpc.Dial(n.ingestAddr)
+		defer c.Close()
+		if err := c.Call("cdn.sealed", sealedNotice{service, round}, nil); err != nil {
+			t.Fatalf("notice for round %d: %v", round, err)
+		}
+	}
+	// No listed peer holds add-friend round 7: the notice returns and
+	// nothing seals.
+	notify(lists, wire.AddFriend, 7)
+	if lists.store.Published(wire.AddFriend, 7) {
+		t.Fatal("a notice for a round no peer holds sealed it")
+	}
+	// The stranger lists a node that lacks the round, not the notifier:
+	// the notice a sent when it sealed, and this one, pull nothing.
+	notify(stranger, wire.Dialing, 1)
+	if stranger.store.Published(wire.Dialing, 1) {
+		t.Fatal("a node that does not list the notifier sealed its round")
 	}
 }
 
@@ -119,6 +179,7 @@ func TestCDNPoolFailover(t *testing.T) {
 	a := startCDNNode(t, "")
 	b := startCDNNode(t, "")
 	a.daemon.SetPeers(b.ingestAddr)
+	b.daemon.SetPeers(a.ingestAddr)
 
 	pub := rpc.Dial(a.ingestAddr)
 	defer pub.Close()

@@ -14,7 +14,7 @@
 // base64 and arrive as sub-slices of the one frame buffer. Blobs carry the
 // onions of mix.stream.chunk, mix.merge.chunk and mix.deal.chunk (also
 // entry.replicate.feed's) and of entry.submit, the mailbox fragments of
-// cdn.publish, cdn.replicate and cdn.pull, and the replies of cdn.fetch,
+// cdn.publish and cdn.pull, and the replies of cdn.fetch,
 // cdn.fetchrange and mix.round.exportkey. Every other frame stays JSON: it
 // is small, and the version handshake rides on it — mix.info, pkg.info and
 // frontend.directory must parse for a peer of any generation, so that it
