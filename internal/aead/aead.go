@@ -12,27 +12,47 @@
 // schedule aes.NewCipher returns, then crypto/cipher's GCM constructor
 // copies it and adds a GHASH table (1,280 B in two allocations a message
 // with go1.24 on amd64, on every hop of every onion). Here the mode is
-// driven over the raw cipher.Block, and the block-sized buffers that cross
-// its interface live in pooled scratch, so a message costs ONE heap
-// allocation (512 B): the key schedule, which aes.NewCipher returns behind
-// an interface and so cannot leave on the caller's stack.
+// driven over AES directly, by one of two paths that make the same bytes:
+//
+//   - On amd64 with AES-NI (CPUID leaf 1, ECX bit 25), three kernels in
+//     aead_amd64.s expand the key into 15 round keys in the caller's
+//     frame, encrypt the two blocks the mode needs first (H and the tag
+//     mask) and XOR a whole message's CTR keystream. Seal and Open
+//     allocate nothing.
+//   - Elsewhere, the portable path drives crypto/aes's cipher.Block, and
+//     the block-sized buffers that cross its interface live in pooled
+//     scratch, so a message costs ONE heap allocation (512 B): the key
+//     schedule, which aes.NewCipher returns behind an interface and so
+//     cannot leave on the caller's stack.
 //
 // # Timing model
 //
-// The secrets: the key, the hash key H = E_K(0¹²⁸) and every product with
-// it (the running GHASH state), the tag mask E_K(J₀) and the keystream.
-// None of them selects a branch or a memory address here. AES is
-// crypto/aes's: constant-time on its hardware paths (AES-NI on amd64, the
-// ARMv8 instructions on arm64), table-based in its portable fallback, as
-// under crypto/cipher's GCM. GHASH multiplies without tables: each
-// 64×64-bit carry-less product is sixteen integer multiplications of
-// operand parts masked to every fourth bit, whose carries land in bits
-// that are masked away (the construction of BearSSL's ghash_ctmul64). A
-// 4-bit table would be indexed by nibbles of the running state, which is
-// secret from the second block on. The tag comparison is
-// subtle.ConstantTimeCompare, and Open decrypts nothing before the tag
-// verifies. Lengths are public. The pooled scratch is zeroed before it
-// goes back to the pool.
+// The secrets: the key, its round keys, the hash key H = E_K(0¹²⁸) and
+// every product with it (the running GHASH state), the tag mask E_K(J₀)
+// and the keystream. None of them selects a branch or a memory address
+// here. AES on the AES-NI path is AESENC and AESKEYGENASSIST, which are
+// constant time, and the kernels branch only on lengths. On the portable
+// path AES is crypto/aes's: constant-time on its hardware paths (AES-NI
+// on amd64, the ARMv8 instructions on arm64), table-based in its portable
+// fallback, as under crypto/cipher's GCM. GHASH is the same Go code on
+// both paths and multiplies without tables: each 64×64-bit carry-less
+// product is sixteen integer multiplications of operand parts masked to
+// every fourth bit, whose carries land in bits that are masked away (the
+// construction of BearSSL's ghash_ctmul64). A 4-bit table would be
+// indexed by nibbles of the running state, which is secret from the
+// second block on. The tag comparison is subtle.ConstantTimeCompare, and
+// Open decrypts nothing before the tag verifies. Lengths are public.
+//
+// # Erasure
+//
+// On the AES-NI path the round keys, H prepared for GHASH and the tag
+// mask live in the caller's frame, and Seal and Open zero them, and the
+// blocks that carried H and the mask, before they return; the kernels
+// clear the vector registers that held round keys, counter and keystream
+// blocks. What the compiler spills while GHASH runs is not reached. On
+// the portable path the pooled scratch is zeroed before it goes back to
+// the pool, but the key schedule belongs to aes.NewCipher and is left for
+// the garbage collector.
 package aead
 
 import (
@@ -59,12 +79,18 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// state is one message's mode: the cipher, its GHASH key and the tag mask.
+// mode is what a message's tag needs: the GHASH key and the tag mask.
+type mode struct {
+	h      ghashKey
+	m1, m0 uint64 // E_K(J₀), J₀ = nonce ‖ 0x00000001, big-endian halves
+}
+
+// state is one message's mode on the portable path, with the cipher and
+// the scratch its blocks cross the interface in.
 type state struct {
+	mode
 	block   cipher.Block
 	s       *scratch
-	h       ghashKey
-	m1, m0  uint64 // E_K(J₀), J₀ = nonce ‖ 0x00000001, big-endian halves
 	counter uint32
 }
 
@@ -76,7 +102,7 @@ func newState(key *[KeySize]byte) state {
 	st := state{block: block, s: scratchPool.Get().(*scratch), counter: 1}
 	s := st.s
 	block.Encrypt(s.ks[:], s.ctr[:]) // the pool hands out zeroed scratch
-	st.h = newGhashKey(&s.ks)
+	st.h.set(&s.ks)
 	s.ctr[15] = 1
 	block.Encrypt(s.ks[:], s.ctr[:])
 	st.m1 = binary.BigEndian.Uint64(s.ks[:8])
@@ -110,12 +136,36 @@ func (st *state) xorKeyStream(dst, src []byte) {
 }
 
 // tag computes GHASH_H(ct ‖ len(ct)·8) ⊕ E_K(J₀) into out.
-func (st *state) tag(out *[16]byte, ct []byte) {
-	y1, y0 := st.h.absorb(0, 0, ct)
-	y1, y0 = st.h.mul(y1, y0^uint64(len(ct))*8)
-	binary.BigEndian.PutUint64(out[:8], y1^st.m1)
-	binary.BigEndian.PutUint64(out[8:], y0^st.m0)
+func (m *mode) tag(out *[16]byte, ct []byte) {
+	y1, y0 := m.h.absorb(0, 0, ct)
+	y1, y0 = m.h.mul(y1, y0^uint64(len(ct))*8)
+	binary.BigEndian.PutUint64(out[:8], y1^m.m1)
+	binary.BigEndian.PutUint64(out[8:], y0^m.m0)
 }
+
+// roundKeys is AES-256's encryption schedule, 15 round keys of 16 bytes,
+// as the AES-NI kernels take it.
+type roundKeys [15 * 16]byte
+
+// aesState is one message's mode on the AES-NI path. It lives on the
+// caller's stack, since the kernels do not keep the pointers they are
+// passed, and erase zeroes it.
+type aesState struct {
+	mode
+	rk roundKeys
+}
+
+func (st *aesState) init(key *[KeySize]byte) {
+	expandKey(&st.rk, key)
+	var hm [32]byte
+	encryptHashAndMask(&st.rk, &hm)
+	st.h.set((*[16]byte)(hm[:16]))
+	st.m1 = binary.BigEndian.Uint64(hm[16:24])
+	st.m0 = binary.BigEndian.Uint64(hm[24:])
+	hm = [32]byte{}
+}
+
+func (st *aesState) erase() { *st = aesState{} }
 
 // Seal encrypts the message at box[:len(box)−Overhead] in place under key
 // and writes its tag into the last Overhead bytes, which may hold
@@ -126,6 +176,14 @@ func Seal(key *[KeySize]byte, box []byte) {
 		panic("aead: box shorter than its tag")
 	}
 	msg := box[:n]
+	if aesAsm {
+		var st aesState
+		st.init(key)
+		xorKeyStreamAES(&st.rk, msg, msg)
+		st.tag((*[16]byte)(box[n:]), msg)
+		st.erase()
+		return
+	}
 	st := newState(key)
 	st.xorKeyStream(msg, msg)
 	st.tag((*[16]byte)(box[n:]), msg)
@@ -142,6 +200,9 @@ func Open(dst []byte, key *[KeySize]byte, box []byte) ([]byte, bool) {
 		return dst, false
 	}
 	ct := box[:len(box)-Overhead]
+	if aesAsm {
+		return openAES(dst, key, ct, box[len(ct):])
+	}
 	st := newState(key)
 	defer st.release()
 	var want [16]byte
@@ -152,6 +213,23 @@ func Open(dst []byte, key *[KeySize]byte, box []byte) ([]byte, bool) {
 	ret, out := sliceForAppend(dst, len(ct))
 	st.xorKeyStream(out, ct)
 	return ret, true
+}
+
+// openAES is Open on the AES-NI path, for a box split into ct and tag.
+func openAES(dst []byte, key *[KeySize]byte, ct, tag []byte) ([]byte, bool) {
+	var st aesState
+	st.init(key)
+	var want [16]byte
+	st.tag(&want, ct)
+	ok := subtle.ConstantTimeCompare(want[:], tag) == 1
+	if ok {
+		var out []byte
+		dst, out = sliceForAppend(dst, len(ct))
+		xorKeyStreamAES(&st.rk, out, ct)
+	}
+	st.erase()
+	want = [16]byte{}
+	return dst, ok
 }
 
 // sliceForAppend extends in by n bytes, reallocating once if its capacity
@@ -175,12 +253,13 @@ type ghashKey struct {
 	h0, h1, h2, h0r, h1r, h2r uint64
 }
 
-func newGhashKey(h *[16]byte) ghashKey {
-	k := ghashKey{h1: binary.BigEndian.Uint64(h[:8]), h0: binary.BigEndian.Uint64(h[8:])}
+// set prepares k from H, in place, so that no copy of it is left in a
+// frame that erasing k does not reach.
+func (k *ghashKey) set(h *[16]byte) {
+	k.h1, k.h0 = binary.BigEndian.Uint64(h[:8]), binary.BigEndian.Uint64(h[8:])
 	k.h2 = k.h0 ^ k.h1
 	k.h0r, k.h1r = bits.Reverse64(k.h0), bits.Reverse64(k.h1)
 	k.h2r = k.h0r ^ k.h1r
-	return k
 }
 
 // absorb folds data into the GHASH state y1 ‖ y0 by Horner's rule,

@@ -51,11 +51,45 @@ func randomKey(t testing.TB) *[KeySize]byte {
 	return &key
 }
 
+// aesPaths lists the AES paths this machine can take: the AES-NI kernels
+// (true) where the CPU has them, then aes.NewCipher's (false).
+func aesPaths() []bool {
+	if aesAsmSupported {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
+// forEachAESPath runs f as a subtest once per path, "asm" then
+// "portable", and restores the switch afterwards. aesAsm is package
+// state: a test that calls this must not run in parallel.
+func forEachAESPath(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	saved := aesAsm
+	defer func() { aesAsm = saved }()
+	for _, asm := range aesPaths() {
+		aesAsm = asm
+		t.Run(pathName(asm), f)
+	}
+}
+
+func pathName(asm bool) string {
+	if asm {
+		return "asm"
+	}
+	return "portable"
+}
+
 // TestOpenMatchesStdlib pins Seal and Open against crypto/cipher's GCM on
-// every message length across the block boundaries: byte-identical boxes
-// and plaintexts, and identical rejection of tampered tags, tampered
-// ciphertext bytes and truncated boxes, with nothing written on failure.
+// every message length across the block boundaries, on both paths:
+// byte-identical boxes and plaintexts, and identical rejection of tampered
+// tags, tampered ciphertext bytes and truncated boxes, with nothing
+// written on failure.
 func TestOpenMatchesStdlib(t *testing.T) {
+	forEachAESPath(t, testOpenMatchesStdlib)
+}
+
+func testOpenMatchesStdlib(t *testing.T) {
 	key := randomKey(t)
 	for _, n := range []int{0, 1, 15, 16, 17, 31, 32, 33, 48, 100, 256, 352} {
 		msg := make([]byte, n)
@@ -93,6 +127,10 @@ func TestOpenMatchesStdlib(t *testing.T) {
 // TestOpenAppends: Open appends after what dst already holds, growing it
 // once, to exactly the plaintext's room, when its capacity is short.
 func TestOpenAppends(t *testing.T) {
+	forEachAESPath(t, testOpenAppends)
+}
+
+func testOpenAppends(t *testing.T) {
 	key := randomKey(t)
 	msg := []byte("the message")
 	box := seal(key, msg)
@@ -109,8 +147,13 @@ func TestOpenAppends(t *testing.T) {
 }
 
 // TestConcurrentUse: goroutines sealing and opening under their own keys
-// share only the scratch pool, and each gets its own box and message back.
+// share nothing but, on the portable path, the scratch pool, and each
+// gets its own box and message back.
 func TestConcurrentUse(t *testing.T) {
+	forEachAESPath(t, testConcurrentUse)
+}
+
+func testConcurrentUse(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -134,31 +177,37 @@ func TestConcurrentUse(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAllocations pins Seal and Open at what aes.NewCipher alone
-// allocates, measured here so that the pin moves with the toolchain, when
-// Open's dst has room for the plaintext.
+// TestAllocations pins what Seal and Open allocate when Open's dst has
+// room for the plaintext: nothing on the AES-NI path, whose round keys
+// live on the caller's stack, and on the portable path what aes.NewCipher
+// alone allocates, measured here so that the pin moves with the toolchain.
 func TestAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector, so the scratch pool never warms")
-	}
 	key := randomKey(t)
 	msg := make([]byte, 48)
-	box := seal(key, msg)
 	dst := make([]byte, 0, len(msg))
-	floor := testing.AllocsPerRun(50, func() { aes.NewCipher(key[:]) })
-	if n := testing.AllocsPerRun(50, func() { Seal(key, box) }); n != floor {
-		t.Errorf("Seal allocates %.1f times; aes.NewCipher alone %.0f", n, floor)
-	}
-	box = seal(key, msg)
-	if n := testing.AllocsPerRun(50, func() { Open(dst, key, box) }); n != floor {
-		t.Errorf("Open into a sized buffer allocates %.1f times; aes.NewCipher alone %.0f", n, floor)
-	}
+	forEachAESPath(t, func(t *testing.T) {
+		var floor float64
+		if !aesAsm {
+			if raceEnabled {
+				t.Skip("sync.Pool drops items under the race detector, so the scratch pool never warms")
+			}
+			floor = testing.AllocsPerRun(50, func() { aes.NewCipher(key[:]) })
+		}
+		box := seal(key, msg)
+		if n := testing.AllocsPerRun(50, func() { Seal(key, box) }); n != floor {
+			t.Errorf("Seal allocates %.1f times; want %.0f", n, floor)
+		}
+		box = seal(key, msg)
+		if n := testing.AllocsPerRun(50, func() { Open(dst, key, box) }); n != floor {
+			t.Errorf("Open into a sized buffer allocates %.1f times; want %.0f", n, floor)
+		}
+	})
 }
 
 // FuzzAEADMatchesStdlib: for any key, message up to 600 bytes, flipped
-// bit and truncation, Seal equals crypto/cipher's box byte for byte, and
-// Open accepts exactly the boxes the standard library accepts and returns
-// the same plaintext. Nothing panics.
+// bit and truncation, on both paths, Seal equals crypto/cipher's box byte
+// for byte, and Open accepts exactly the boxes the standard library
+// accepts and returns the same plaintext. Nothing panics.
 func FuzzAEADMatchesStdlib(f *testing.F) {
 	f.Add([]byte("key"), []byte{}, uint16(0), uint16(0))
 	f.Add([]byte("key"), bytes.Repeat([]byte{7}, 33), uint16(9), uint16(0))
@@ -172,39 +221,49 @@ func FuzzAEADMatchesStdlib(f *testing.F) {
 		if len(msg) > 600 {
 			msg = msg[:600]
 		}
-		box := seal(&key, msg)
-		if want := stdlibSeal(&key, msg); !bytes.Equal(box, want) {
-			t.Fatalf("Seal %x, stdlib %x", box, want)
-		}
-		if flip > 0 {
-			bit := int(flip-1) % (8 * len(box))
-			box[bit/8] ^= 1 << (bit % 8)
-		}
-		box = box[:len(box)-int(cut)%(len(box)+1)]
-		want, wantOK := stdlibOpen(&key, box)
-		got, ok := Open(nil, &key, box)
-		if ok != wantOK || !bytes.Equal(got, want) {
-			t.Fatalf("Open (%x, %v), stdlib (%x, %v)", got, ok, want, wantOK)
+		saved := aesAsm
+		defer func() { aesAsm = saved }()
+		for _, asm := range aesPaths() {
+			aesAsm = asm
+			box := seal(&key, msg)
+			if want := stdlibSeal(&key, msg); !bytes.Equal(box, want) {
+				t.Fatalf("asm %v: Seal %x, stdlib %x", asm, box, want)
+			}
+			if flip > 0 {
+				bit := int(flip-1) % (8 * len(box))
+				box[bit/8] ^= 1 << (bit % 8)
+			}
+			box = box[:len(box)-int(cut)%(len(box)+1)]
+			want, wantOK := stdlibOpen(&key, box)
+			got, ok := Open(nil, &key, box)
+			if ok != wantOK || !bytes.Equal(got, want) {
+				t.Fatalf("asm %v: Open (%x, %v), stdlib (%x, %v)", asm, got, ok, want, wantOK)
+			}
 		}
 	})
 }
 
 var sink []byte
 
-// BenchmarkOpen times Open into a sized buffer against the standard
-// library's Open of the same box, at the plaintexts of a 128-B and a
-// 400-B onion box (onionbox's BenchmarkOpenAppend sizes).
+// BenchmarkOpen times Open into a sized buffer on each path against the
+// standard library's Open of the same box, at the plaintexts of a 128-B
+// and a 400-B onion box (onionbox's BenchmarkOpenAppend sizes).
 func BenchmarkOpen(b *testing.B) {
 	key := randomKey(b)
+	saved := aesAsm
+	defer func() { aesAsm = saved }()
 	for _, n := range []int{80, 352} {
 		box := seal(key, make([]byte, n))
 		dst := make([]byte, 0, n)
-		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sink, _ = Open(dst, key, box)
-			}
-		})
+		for _, asm := range aesPaths() {
+			aesAsm = asm
+			b.Run(fmt.Sprintf("%dB/%s", n, pathName(asm)), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sink, _ = Open(dst, key, box)
+				}
+			})
+		}
 		b.Run(fmt.Sprintf("%dB/stdlib", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -217,14 +276,19 @@ func BenchmarkOpen(b *testing.B) {
 // BenchmarkSeal is BenchmarkOpen's sealing side.
 func BenchmarkSeal(b *testing.B) {
 	key := randomKey(b)
+	saved := aesAsm
+	defer func() { aesAsm = saved }()
 	for _, n := range []int{80, 352} {
 		box := make([]byte, n+Overhead)
-		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Seal(key, box)
-			}
-		})
+		for _, asm := range aesPaths() {
+			aesAsm = asm
+			b.Run(fmt.Sprintf("%dB/%s", n, pathName(asm)), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					Seal(key, box)
+				}
+			})
+		}
 		b.Run(fmt.Sprintf("%dB/stdlib", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -19,7 +19,8 @@
 // PKG and mixer uses, and the AEAD key is SHA-256 over a domain tag and the
 // marshalled pairing value. The AEAD is internal/aead's one-shot AES-GCM
 // (zero nonce, safe because the key is fresh per encryption), the same one
-// onion layers use, at one heap allocation per ciphertext.
+// onion layers use, at no heap allocation per ciphertext with AES-NI and
+// one (the AES key schedule) on internal/aead's portable path.
 //
 // Which group holds what. The pairing is e: G1 × G2 → GT, and its ate
 // Miller loop is laddered over the G2 argument: with G2 fixed, its line
@@ -205,10 +206,10 @@ func EncryptV2(rand io.Reader, mpk *MasterPublicKey, identity string, msg []byte
 // in one call (bn254's PairMarshalled, whose decode also yields the 1/y
 // the replay needs); without one it decodes U and runs bn254.AtePair.
 // Either way the pairing value, its encoding and the seal key stay on the
-// stack and are cleared before it returns, so the one heap allocation is
-// aead.Open's AES key schedule, plus the plaintext if dst has no room for
-// it. Safe for concurrent calls with the same key, which is how the
-// mailbox-scan worker pool uses it.
+// stack and are cleared before it returns, so it allocates only the
+// plaintext, if dst has no room for it, and, on internal/aead's portable
+// path, aead.Open's AES key schedule. Safe for concurrent calls with the
+// same key, which is how the mailbox-scan worker pool uses it.
 func DecryptAppend(dst []byte, ipk *IdentityPrivateKey, ctxt []byte) ([]byte, bool) {
 	if len(ctxt) < Overhead {
 		return dst, false

@@ -4,8 +4,9 @@
 // mixnet (Algorithm 1, step 3).
 //
 // Every box's AES-GCM is internal/aead's: a key used for one message, the
-// all-zero nonce, sealed in place and opened by appending, at one heap
-// allocation (the AES key schedule). What a box allocates beyond that is
+// all-zero nonce, sealed in place and opened by appending, with no heap
+// allocation on amd64 with AES-NI and one (the AES key schedule) on
+// internal/aead's portable path. What a box allocates beyond that is
 // crypto/ecdh's own, and the box Seal returns or the message Open does;
 // OpenAppend into a buffer with room allocates no message.
 //
@@ -35,9 +36,10 @@
 // The secrets in this package are a box's ephemeral seed and what is
 // derived from it: the clamped scalar, its signed digits, the two product
 // points and the shared secret. The AEAD key hashed from the shared
-// secret goes to internal/aead, and what that derives from it (the AES key
-// schedule, the GHASH key, the keystream) follows that package's timing
-// model: no secret-indexed table, and pooled scratch zeroed before reuse.
+// secret goes to internal/aead, and what that derives from it (the AES
+// round keys, the GHASH key, the keystream) follows that package's timing
+// model: no secret-indexed table, and, on its AES-NI path, round keys and
+// keystream erased before Seal or Open returns.
 //
 // Constant-time, with no branch and no memory index that depends on a
 // secret: digit recoding (recode); table lookup, which reads all eight

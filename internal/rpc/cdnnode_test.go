@@ -3,6 +3,7 @@ package rpc_test
 import (
 	"bytes"
 	"context"
+	"net"
 	"testing"
 	"time"
 
@@ -50,6 +51,27 @@ func startCDNNode(t *testing.T, dir string) *cdnNode {
 	t.Cleanup(n.readSrv.Close)
 	t.Cleanup(n.daemon.Close)
 	return n
+}
+
+// holdDead binds addr for the rest of the test to a listener that closes
+// every connection it accepts: a dead node's address, which no later
+// listener can take.
+func holdDead(t *testing.T, addr string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conn.Close()
+		}
+	}()
 }
 
 func cdnTestRound(seed byte, boxes int) map[uint32][]byte {
@@ -249,8 +271,13 @@ func TestCDNRestartBackfill(t *testing.T) {
 	pub.Close()
 
 	// Node A dies (listeners down, store abandoned un-Closed — the disk
-	// state is already fsync'd). Round 2 seals on B while A is gone.
+	// state is already fsync'd). Round 2 seals on B while A is gone. A's
+	// read address stays dead for the rest of the test: a listener there
+	// drops every connection, so the pool below sees a transport failure,
+	// and no server started later (a2's, whose ingest side has no
+	// cdn.fetchrange) can be bound to the freed port.
 	a.readSrv.Close()
+	holdDead(t, a.readAddr)
 	a.ingestSrv.Close()
 	a.daemon.Close()
 	pubB := rpc.Dial(b.ingestAddr)

@@ -350,11 +350,14 @@ func (s *Server) Listen(addr string) (string, error) {
 }
 
 // Close stops accepting connections, disconnects clients, and waits for
-// in-flight calls to drain.
+// in-flight calls to drain. A Close that finds another under way waits
+// for it, so when any Close returns every connection is closed and every
+// handler has returned.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		s.wg.Wait()
 		return
 	}
 	s.closed = true

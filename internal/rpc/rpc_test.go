@@ -56,6 +56,48 @@ func TestBasicCall(t *testing.T) {
 	}
 }
 
+// TestConcurrentCloseWaits: a Close that finds another under way returns
+// only once every connection is closed and every handler has returned, as
+// the first does. A caller that serves the same address again after its
+// own Close then cannot race calls still arriving at the old server.
+func TestConcurrentCloseWaits(t *testing.T) {
+	s := rpc.NewServer()
+	parked, release := make(chan struct{}), make(chan struct{})
+	rpc.HandleFunc(s, "park", func(struct{}) (any, error) {
+		close(parked)
+		<-release
+		return nil, nil
+	})
+	addr, err := s.Listen("mem:")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rpc.Dial(addr)
+	defer c.Close()
+	go c.Call("park", struct{}{}, nil) // fails when the server drops the connection
+	<-parked
+
+	first, second := make(chan struct{}), make(chan struct{})
+	go func() { s.Close(); close(first) }()
+	<-s.Closing() // the first Close is under way, waiting for the handler
+	go func() { s.Close(); close(second) }()
+	select {
+	case <-second:
+		t.Fatal("a second Close returned while a handler was still running")
+	case <-first:
+		t.Fatal("Close returned while a handler was still running")
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	for _, done := range []chan struct{}{first, second} {
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close still waiting 5 s after the handler returned")
+		}
+	}
+}
+
 // TestFullDeploymentOverTCP runs the complete Alpenhorn protocol — PKG
 // registration, add-friend handshake, and a dialed call — with every
 // client↔server interaction crossing real localhost TCP connections.

@@ -155,9 +155,14 @@ func (n *Network) Server(addr string) *rpc.Server { return n.lookup(addr).srv }
 func (n *Network) Kill(addr string) { n.Server(addr).Close() }
 
 // Restart serves a killed daemon's registration again, on a fresh rpc
-// server at the same address; cached connections to it redial lazily.
+// server at the same address; cached connections to it redial lazily. It
+// closes the old server first, which waits out a Close still under way,
+// so every call that rode the old server's connections has returned
+// before the new server takes any.
 func (n *Network) Restart(addr string) error {
-	_, err := n.serve(addr, n.lookup(addr).register)
+	d := n.lookup(addr)
+	d.srv.Close()
+	_, err := n.serve(addr, d.register)
 	return err
 }
 
