@@ -162,8 +162,8 @@ func TestRandomCiphertextsDeterministic(t *testing.T) {
 func TestDecryptAppendAllocations(t *testing.T) {
 	var aeadKey [aead.KeySize]byte
 	aeadBox := make([]byte, 3+aead.Overhead)
-	schedule := testing.AllocsPerRun(10, func() { aead.Open(nil, &aeadKey, aeadBox) })
-	if raceEnabled && schedule != 0 {
+	aeadAllocs := testing.AllocsPerRun(10, func() { aead.Open(nil, &aeadKey, aeadBox) })
+	if raceEnabled && aeadAllocs != 0 {
 		t.Skip("sync.Pool drops items under the race detector, so aead's scratch pool never warms")
 	}
 	pubs, privs := setupN(t, 1)
@@ -191,7 +191,7 @@ func TestDecryptAppendAllocations(t *testing.T) {
 		name string
 		ctxt []byte
 		max  float64
-	}{{"rejected", foreign, schedule}, {"accepted", genuine, schedule}, {"undecodable", offCurve, 0}} {
+	}{{"rejected", foreign, aeadAllocs}, {"accepted", genuine, aeadAllocs}, {"undecodable", offCurve, 0}} {
 		allocs := testing.AllocsPerRun(10, func() { DecryptAppend(dst, ipk, c.ctxt) })
 		if allocs > c.max {
 			t.Errorf("%s entry: DecryptAppend allocates %.1f times; want ≤ %.0f", c.name, allocs, c.max)

@@ -546,8 +546,8 @@ var sink []byte // keeps the floor's results from being optimized away
 func TestBoxAllocations(t *testing.T) {
 	var aeadKey [aead.KeySize]byte
 	aeadBox := make([]byte, 64+aead.Overhead)
-	schedule := testing.AllocsPerRun(50, func() { aead.Seal(&aeadKey, aeadBox) })
-	if raceEnabled && schedule != 0 {
+	aeadAllocs := testing.AllocsPerRun(50, func() { aead.Seal(&aeadKey, aeadBox) })
+	if raceEnabled && aeadAllocs != 0 {
 		t.Skip("sync.Pool drops items under the race detector, so aead's scratch pool never warms")
 	}
 	pub, priv, _ := GenerateKey(rand.Reader)
@@ -556,12 +556,12 @@ func TestBoxAllocations(t *testing.T) {
 	rd := mathrand.New(mathrand.NewSource(1))
 	seed := make([]byte, 32)
 
-	sealFloor := schedule + testing.AllocsPerRun(50, func() {
+	sealFloor := aeadAllocs + testing.AllocsPerRun(50, func() {
 		eph, _ := ecdh.X25519().NewPrivateKey(seed)
 		sink, _ = eph.ECDH(pub.k)
 		sink = eph.PublicKey().Bytes()
 	})
-	openFloor := schedule + testing.AllocsPerRun(50, func() {
+	openFloor := aeadAllocs + testing.AllocsPerRun(50, func() {
 		eph, _ := ecdh.X25519().NewPublicKey(box[:32])
 		sink, _ = priv.k.ECDH(eph)
 	})
@@ -582,8 +582,8 @@ func TestBoxAllocations(t *testing.T) {
 	for i := range msgs {
 		msgs[i] = msg
 	}
-	if n := testing.AllocsPerRun(5, func() { s.SealBatch(rd, msgs) }) / batch; n > schedule+1.1 {
-		t.Errorf("SealBatch allocates %.2f times a box; internal/aead alone %.0f", n, schedule)
+	if n := testing.AllocsPerRun(5, func() { s.SealBatch(rd, msgs) }) / batch; n > aeadAllocs+1.1 {
+		t.Errorf("SealBatch allocates %.2f times a box; internal/aead alone %.0f", n, aeadAllocs)
 	}
 }
 
