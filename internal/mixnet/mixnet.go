@@ -132,6 +132,12 @@ type roundState struct {
 	shardIndex int
 	shardCount int
 	closed     bool
+	// peels counts the StreamChunk goroutines that may still open onions
+	// with priv, aborted streams' included; CloseRound waits for them
+	// before it erases the key. closing, set by CloseRound before that
+	// wait, tells a chunk that has not started peeling to skip it.
+	peels   sync.WaitGroup
+	closing atomic.Bool
 }
 
 // effectiveShards returns the round's shard-group size, treating the unset
@@ -415,6 +421,7 @@ func (s *Server) ImportRoundKey(service wire.Service, round uint32, privBytes []
 	k := roundKey{service, round}
 	st, ok := s.rounds[k]
 	if ok && st.closed {
+		priv.Erase()
 		return fmt.Errorf("mixnet: round %d (%s) closed", round, service)
 	}
 	if !ok {
@@ -422,11 +429,15 @@ func (s *Server) ImportRoundKey(service wire.Service, round uint32, privBytes []
 		return nil
 	}
 	if string(st.pub.Bytes()) == string(pub.Bytes()) {
+		priv.Erase()
 		return nil
 	}
 	if st.noise != nil || st.stream != nil {
+		priv.Erase()
 		return fmt.Errorf("mixnet: round %d (%s): key import after round started", round, service)
 	}
+	// No stream has begun, so no chunk holds the key being replaced.
+	st.priv.Erase()
 	st.priv, st.pub = priv, pub
 	return nil
 }
@@ -459,18 +470,27 @@ func (s *Server) SetDownstreamKeys(service wire.Service, round uint32, keys [][]
 
 // CloseRound erases the round's onion private key (forward secrecy: the
 // recorded ciphertexts of a closed round can never be decrypted again) and
-// the server's memory of its permutation (which was never stored).
+// the server's memory of its permutation (which was never stored). The
+// coordinator closes a round this way after it completes, after a failed
+// open and after an abort. A chunk of an aborted stream may still be
+// peeling with the key, so CloseRound waits for the round's chunks before
+// it zeroes the scalar; chunks that have not started skip their peel.
 func (s *Server) CloseRound(service wire.Service, round uint32) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	st, ok := s.rounds[roundKey{service, round}]
 	if !ok || st.closed {
+		s.mu.Unlock()
 		return
 	}
-	st.priv = nil // dropped; GC'd. X25519 keys have no explicit erase API.
+	priv := st.priv
+	st.priv = nil
 	st.noise = nil
 	st.stream = nil
 	st.closed = true
+	st.closing.Store(true)
+	s.mu.Unlock()
+	st.peels.Wait()
+	priv.Erase()
 }
 
 // RoundOpen reports whether the round key still exists.
@@ -581,13 +601,13 @@ func (s *Server) MergeShuffle(service wire.Service, round uint32, parts [][][]by
 		s.mu.Unlock()
 		return nil, err
 	}
-	priv := st.priv
+	// Derived under the lock: CloseRound erases the key it reads.
+	prnd, err := permutationReader(st.priv, service, round)
 	s.mu.Unlock()
-	out := concat(parts)
-	prnd, err := permutationReader(priv, service, round)
 	if err != nil {
 		return nil, err
 	}
+	out := concat(parts)
 	if err := shuffle(prnd, out); err != nil {
 		return nil, err
 	}
@@ -640,28 +660,6 @@ func parallelFor(n, workers int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// peel opens one layer of every onion in a chunk into one buffer, dropping
-// malformed or replayed onions silently (clients that misbehave only hurt
-// themselves). The messages come back in chunk order as capacity-capped
-// slices of that buffer, so appending to one cannot overwrite the next;
-// the onions themselves are never written, so callers may reuse them.
-func peel(priv *onionbox.PrivateKey, chunk [][]byte) [][]byte {
-	size := 0
-	for _, onion := range chunk {
-		size += max(len(onion)-onionbox.Overhead, 0)
-	}
-	arena := make([]byte, 0, size)
-	out := make([][]byte, 0, len(chunk))
-	for _, onion := range chunk {
-		n := len(arena)
-		var err error
-		if arena, err = onionbox.OpenAppend(arena, priv, onion); err == nil {
-			out = append(out, arena[n:len(arena):len(arena)])
-		}
-	}
-	return out
 }
 
 // concat joins the parts into one batch, in order.

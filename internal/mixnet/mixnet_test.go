@@ -252,13 +252,24 @@ func TestForwardSecrecyRoundKeyErased(t *testing.T) {
 	hops := openRound(t, servers, wire.Dialing, 1)
 	onion := makeDialOnion(t, hops, 0, bytes.Repeat([]byte{1}, keywheel.TokenSize))
 
+	priv := servers[0].rounds[roundKey{wire.Dialing, 1}].priv
+	if _, err := onionbox.Open(priv, onion); err != nil {
+		t.Fatalf("the round key does not open its own onion: %v", err)
+	}
 	servers[0].CloseRound(wire.Dialing, 1)
 	if servers[0].RoundOpen(wire.Dialing, 1) {
 		t.Fatal("round open after close")
 	}
-	// Recorded traffic can no longer be processed.
+	// Recorded traffic can no longer be processed, and the scalar itself
+	// is gone from the key the round held.
 	if _, err := servers[0].Mix(wire.Dialing, 1, 1, [][]byte{onion}); err == nil {
 		t.Fatal("mix succeeded after round key erasure")
+	}
+	if kb := priv.Bytes(); !bytes.Equal(kb, make([]byte, len(kb))) {
+		t.Fatalf("round key reads %x after CloseRound", kb)
+	}
+	if _, err := onionbox.Open(priv, onion); err == nil {
+		t.Fatal("the erased key still opens the round's onion")
 	}
 }
 

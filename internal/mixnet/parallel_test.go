@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	mathrand "math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -246,6 +247,48 @@ func TestStreamLifecycleErrors(t *testing.T) {
 	}
 	if !s.RoundOpen(wire.Dialing, 1) {
 		t.Fatal("abort closed the round")
+	}
+}
+
+// TestAbortThenCloseErasesKey: a chunk is still peeling when the stream
+// is aborted and the round closed at once, as a daemon does when a round
+// fails mid-intake. CloseRound must wait for the chunk before it zeroes
+// the key the chunk opens with; under -race an erase that overlapped a
+// peel is a reported race. Chunks that had not started skip their peel.
+func TestAbortThenCloseErasesKey(t *testing.T) {
+	servers := newChain(t, 1, noNoise)
+	hops := openRound(t, servers, wire.Dialing, 1)
+	s := servers[0]
+	priv := s.rounds[roundKey{wire.Dialing, 1}].priv
+	chunk := make([][]byte, 16)
+	for i := range chunk {
+		chunk[i] = makeDialOnion(t, hops, 0, bytes.Repeat([]byte{byte(i)}, keywheel.TokenSize))
+	}
+	if err := s.StreamBegin(wire.Dialing, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := s.StreamChunk(wire.Dialing, 1, chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A chunk holds a worker slot from just before its peel to after it:
+	// wait for one to hold one, so that the close lands mid-peel.
+	s.mu.Lock()
+	sm := s.rounds[roundKey{wire.Dialing, 1}].stream
+	s.mu.Unlock()
+	for len(sm.sem) == 0 {
+		runtime.Gosched()
+	}
+	if err := s.StreamAbort(wire.Dialing, 1); err != nil {
+		t.Fatal(err)
+	}
+	s.CloseRound(wire.Dialing, 1)
+	if kb := priv.Bytes(); !bytes.Equal(kb, make([]byte, len(kb))) {
+		t.Fatalf("round key reads %x after abort and close", kb)
+	}
+	if err := s.StreamChunk(wire.Dialing, 1, chunk); err == nil {
+		t.Fatal("StreamChunk after CloseRound succeeded")
 	}
 }
 

@@ -29,16 +29,23 @@ import (
 // stay secret — an adversary holding it can peel the position's onions
 // and link input to output directly, permutation or no permutation. Both
 // secrets live in the same trust domain and die together: CloseRound
-// erases the private key, and the derived AES key is never stored.
+// erases the private key, and the derived AES key is never stored. The
+// copy of the key that priv.Bytes gives, the hashed input and the digest
+// are zeroed here; the AES key schedule is aes.NewCipher's own and goes
+// with the reader.
 func permutationReader(priv *onionbox.PrivateKey, service wire.Service, round uint32) (io.Reader, error) {
-	h := sha256.New()
-	h.Write([]byte("alpenhorn/mixnet-permutation:"))
-	h.Write(priv.Bytes())
-	var meta [5]byte
-	meta[0] = byte(service)
-	binary.BigEndian.PutUint32(meta[1:], round)
-	h.Write(meta[:])
-	block, err := aes.NewCipher(h.Sum(nil))
+	const label = "alpenhorn/mixnet-permutation:"
+	kb := priv.Bytes()
+	var in [len(label) + 32 + 5]byte
+	n := copy(in[:], label)
+	n += copy(in[n:], kb)
+	in[n] = byte(service)
+	binary.BigEndian.PutUint32(in[n+1:], round)
+	sum := sha256.Sum256(in[:])
+	block, err := aes.NewCipher(sum[:])
+	clear(kb)
+	clear(in[:])
+	clear(sum[:])
 	if err != nil {
 		return nil, err
 	}

@@ -63,7 +63,7 @@ func decryptBatch(priv *onionbox.PrivateKey, batch [][]byte, workers int) [][]by
 	chunkOut := make([][][]byte, numChunks)
 	parallelFor(numChunks, workers, func(c int) error {
 		lo := c * decryptChunkSize
-		chunkOut[c] = peel(priv, batch[lo:min(lo+decryptChunkSize, len(batch))])
+		chunkOut[c] = onionbox.OpenBatch(priv, batch[lo:min(lo+decryptChunkSize, len(batch))])
 		return nil
 	})
 	return concat(chunkOut)

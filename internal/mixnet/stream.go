@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"alpenhorn/internal/onionbox"
 	"alpenhorn/internal/wire"
 )
 
@@ -62,7 +63,7 @@ func (s *Server) StreamBegin(service wire.Service, round uint32, numMailboxes ui
 
 // StreamChunk feeds one chunk of the round's batch; decryption starts
 // immediately on a pool worker and opens the chunk's onions into one
-// buffer. The server keeps chunk until it is peeled but never writes to
+// buffer (onionbox.OpenBatch), in chunk order. The server keeps chunk until it is peeled but never writes to
 // it. Chunk arrival order defines pre-shuffle message order, as if the
 // chunks were one concatenated batch.
 func (s *Server) StreamChunk(service wire.Service, round uint32, chunk [][]byte) error {
@@ -78,10 +79,12 @@ func (s *Server) StreamChunk(service wire.Service, round uint32, chunk [][]byte)
 		return fmt.Errorf("mixnet: round %d (%s): no stream in progress", round, service)
 	}
 	priv := st.priv
-	// Register with the stream before releasing s.mu: StreamEndShard detaches
-	// the stream under the same mutex, so once we get here its wg.Wait is
+	// Register with the stream and the round before releasing s.mu:
+	// StreamEndShard detaches the stream and CloseRound closes the round
+	// under the same mutex, so once we get here the wg.Wait of each is
 	// guaranteed to cover this chunk.
 	sm.wg.Add(1)
+	st.peels.Add(1)
 	s.mu.Unlock()
 
 	sm.mu.Lock()
@@ -92,9 +95,16 @@ func (s *Server) StreamChunk(service wire.Service, round uint32, chunk [][]byte)
 
 	go func() {
 		defer sm.wg.Done()
+		defer st.peels.Done()
 		sm.sem <- struct{}{}
 		defer func() { <-sm.sem }()
-		out := peel(priv, chunk)
+		// Malformed or replayed onions drop out silently: clients that
+		// misbehave only hurt themselves. A round already closing (an
+		// aborted stream's chunk) peels nothing.
+		var out [][]byte
+		if !st.closing.Load() {
+			out = onionbox.OpenBatch(priv, chunk)
+		}
 		sm.mu.Lock()
 		sm.results[seq] = out
 		sm.mu.Unlock()

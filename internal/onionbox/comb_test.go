@@ -41,15 +41,33 @@ func edgeElements(rng *mathrand.Rand, n int) []*big.Int {
 }
 
 func TestFieldMatchesBig(t *testing.T) {
+	forEachFieldPath(t, checkFieldMatchesBig)
+}
+
+// checkFieldMatchesBig checks every field operation against math/big on
+// reduced elements and on unreduced limb patterns (rawEdges), which stand
+// for their value mod p.
+func checkFieldMatchesBig(t *testing.T) {
 	rng := mathrand.New(mathrand.NewSource(1))
-	vs := edgeElements(rng, 40)
 	mod := func(v *big.Int) *big.Int { return v.Mod(v, curveP) }
-	for _, a := range vs {
-		fa := bigFe(a)
+	vs := edgeElements(rng, 40)
+	raws := make([]fe, len(vs))
+	for i, v := range vs {
+		raws[i] = *bigFe(v)
+	}
+	for _, v := range rawEdges() {
+		vs, raws = append(vs, mod(new(big.Int).Set(v))), append(raws, feRaw(v))
+	}
+	for i, a := range vs {
+		fa := &raws[i]
 		if got := feBig(fa); got.Cmp(a) != 0 {
 			t.Fatalf("round trip of %v gave %v", a, got)
 		}
-		var sq, inv, neg fe
+		var sq, inv, neg, small fe
+		small.mul121665(fa)
+		if want := mod(new(big.Int).Mul(a, big.NewInt(121665))); feBig(&small).Cmp(want) != 0 {
+			t.Fatalf("mul121665(%v) = %v, want %v", a, feBig(&small), want)
+		}
 		sq.square(fa)
 		if want := mod(new(big.Int).Mul(a, a)); feBig(&sq).Cmp(want) != 0 {
 			t.Fatalf("square(%v) = %v, want %v", a, feBig(&sq), want)
@@ -69,8 +87,8 @@ func TestFieldMatchesBig(t *testing.T) {
 		if got, want := fa.isZero(), a.Sign() == 0; (got == 1) != want {
 			t.Fatalf("isZero(%v) = %d", a, got)
 		}
-		for _, b := range vs {
-			fb := bigFe(b)
+		for j, b := range vs {
+			fb := &raws[j]
 			var sum, diff, prod, pick fe
 			sum.add(fa, fb)
 			diff.sub(fa, fb)
@@ -97,12 +115,21 @@ func TestFieldMatchesBig(t *testing.T) {
 				t.Fatalf("chained mul on (%v, %v) = %v, want %v", a, b, feBig(&prod), want)
 			}
 			pick.sel(fa, fb, 1)
-			if feBig(&pick).Cmp(a) != 0 {
+			if pick != *fa {
 				t.Fatal("sel(1) did not take the first operand")
 			}
 			pick.sel(fa, fb, 0)
-			if feBig(&pick).Cmp(b) != 0 {
+			if pick != *fb {
 				t.Fatal("sel(0) did not take the second operand")
+			}
+			x, y = *fa, *fb
+			cswap(&x, &y, 0)
+			if x != *fa || y != *fb {
+				t.Fatal("cswap(0) swapped")
+			}
+			cswap(&x, &y, 1)
+			if x != *fb || y != *fa {
+				t.Fatal("cswap(1) did not swap")
 			}
 		}
 	}
@@ -273,6 +300,10 @@ func combSeeds(t testing.TB) [][2][]byte {
 }
 
 func TestCombMatchesECDH(t *testing.T) {
+	forEachFieldPath(t, checkCombCases)
+}
+
+func checkCombCases(t *testing.T) {
 	for _, s := range combSeeds(t) {
 		checkCombMatchesECDH(t, s[0], s[1])
 	}
@@ -334,7 +365,7 @@ func FuzzCombMatchesECDH(f *testing.F) {
 		if len(u) != 32 || len(k) != 32 {
 			t.Skip()
 		}
-		checkCombMatchesECDH(t, u, k)
+		onBothPaths(func() { checkCombMatchesECDH(t, u, k) })
 	})
 }
 
@@ -350,6 +381,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 func TestSealBatchMatchesSeal(t *testing.T) {
+	forEachFieldPath(t, checkSealBatchMatchesSeal)
+}
+
+func checkSealBatchMatchesSeal(t *testing.T) {
 	pub, priv, err := GenerateKey(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -462,6 +497,10 @@ func TestOnionBatchMatchesWrapOnion(t *testing.T) {
 // same reader, keys and messages — on WrapOnion and on an OnionBatch whose
 // hops hold tables.
 func TestWrapOnionKnownAnswer(t *testing.T) {
+	forEachFieldPath(t, checkWrapOnionKnownAnswer)
+}
+
+func checkWrapOnionKnownAnswer(t *testing.T) {
 	const want = "ddfba87aca46a3d4ccf57d34293e0d4c825b7804b1fc7aef0be8a0785a151c76"
 	for _, batched := range []bool{false, true} {
 		rng := mathrand.New(mathrand.NewSource(2016))
@@ -510,6 +549,10 @@ func TestWrapOnionKnownAnswer(t *testing.T) {
 // TestSealLowOrderRecipient: a recipient key of low order makes every
 // shared secret zero, which is an error on the table as on the ladder.
 func TestSealLowOrderRecipient(t *testing.T) {
+	forEachFieldPath(t, checkSealLowOrderRecipient)
+}
+
+func checkSealLowOrderRecipient(t *testing.T) {
 	for _, u := range []string{
 		"0000000000000000000000000000000000000000000000000000000000000000",
 		"0100000000000000000000000000000000000000000000000000000000000000",
@@ -532,15 +575,18 @@ func TestSealLowOrderRecipient(t *testing.T) {
 	}
 }
 
-// TestBoxAllocations pins what a box allocates at its floor: what
-// crypto/ecdh allocates for the same work plus what internal/aead
-// allocates a box, both measured here so that the pin moves with the
-// toolchain. internal/aead's share is nothing on its AES-NI path and one
+// TestBoxAllocations pins what a box allocates at its floor, measured
+// here so that the pin moves with the toolchain. A sealed box's floor is
+// what crypto/ecdh allocates for its two ladders plus what internal/aead
+// allocates a box; an opened box's is internal/aead's share alone, since
+// the peel's ladder is this package's and keeps its scratch on the stack.
+// internal/aead's share is nothing on its AES-NI path and one
 // aes.NewCipher key schedule on its portable path (its TestAllocations
 // pins each). On top of the floor a box may allocate once more, for the
 // box itself or the message Open returns; OpenAppend into a buffer with
 // room allocates nothing more, and SealBatch's table path, whose scratch
-// is per batch, pays only internal/aead's share and the box.
+// is per batch, pays only internal/aead's share and the box. OpenBatch
+// allocates three times a batch: the buffer, the messages and their ends.
 var sink []byte // keeps the floor's results from being optimized away
 
 func TestBoxAllocations(t *testing.T) {
@@ -561,22 +607,26 @@ func TestBoxAllocations(t *testing.T) {
 		sink, _ = eph.ECDH(pub.k)
 		sink = eph.PublicKey().Bytes()
 	})
-	openFloor := aeadAllocs + testing.AllocsPerRun(50, func() {
-		eph, _ := ecdh.X25519().NewPublicKey(box[:32])
-		sink, _ = priv.k.ECDH(eph)
-	})
+	openFloor := aeadAllocs
 
 	if n := testing.AllocsPerRun(50, func() { Seal(rd, pub, msg) }); n > sealFloor+1 {
 		t.Errorf("Seal allocates %.0f times a box; crypto/ecdh and internal/aead alone %.0f", n, sealFloor)
 	}
 	if n := testing.AllocsPerRun(50, func() { Open(priv, box) }); n > openFloor+1 {
-		t.Errorf("Open allocates %.0f times a box; crypto/ecdh and internal/aead alone %.0f", n, openFloor)
+		t.Errorf("Open allocates %.0f times a box; internal/aead alone %.0f", n, openFloor)
 	}
 	dst := make([]byte, 0, len(msg))
 	if n := testing.AllocsPerRun(50, func() { OpenAppend(dst, priv, box) }); n > openFloor {
-		t.Errorf("OpenAppend into a %d-byte buffer allocates %.0f times a box; crypto/ecdh and internal/aead alone %.0f", cap(dst), n, openFloor)
+		t.Errorf("OpenAppend into a %d-byte buffer allocates %.0f times a box; internal/aead alone %.0f", cap(dst), n, openFloor)
 	}
 	const batch = 4 * sealChunk
+	boxes := make([][]byte, openChunk)
+	for i := range boxes {
+		boxes[i] = box
+	}
+	if n := testing.AllocsPerRun(5, func() { OpenBatch(priv, boxes) }); n > 3+openChunk*openFloor {
+		t.Errorf("OpenBatch allocates %.0f times for %d boxes; 3 and internal/aead's %.0f a box allowed", n, openChunk, openFloor)
+	}
 	s := NewSealer(pub, batch)
 	msgs := make([][]byte, batch)
 	for i := range msgs {
@@ -649,26 +699,22 @@ func BenchmarkOpen(b *testing.B) {
 
 // BenchmarkOpenAppend opens one box into a buffer with room for its
 // message: 128 B, among a dialing onion's layers (84–180 B), and 400 B,
-// among an add-friend onion's (393–489 B).
+// among an add-friend onion's (393–489 B). A batch of one pays a whole
+// inversion; BenchmarkOpenBatch shares it.
 func BenchmarkOpenAppend(b *testing.B) {
 	pub, priv, _ := GenerateKey(rand.Reader)
-	for _, size := range []int{128, 400} {
-		box, _ := Seal(rand.Reader, pub, make([]byte, size-Overhead))
-		dst := make([]byte, 0, size-Overhead)
-		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sink, _ = OpenAppend(dst, priv, box)
-			}
-		})
-	}
-}
-
-func BenchmarkFieldMul(b *testing.B) {
-	x, y := *bigFe(big.NewInt(12345)), *bigFe(big.NewInt(67890))
-	for i := 0; i < b.N; i++ {
-		x.mul(&x, &y)
-	}
+	forEachFieldPathB(b, func(b *testing.B) {
+		for _, size := range []int{128, 400} {
+			box, _ := Seal(rand.Reader, pub, make([]byte, size-Overhead))
+			dst := make([]byte, 0, size-Overhead)
+			b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sink, _ = OpenAppend(dst, priv, box)
+				}
+			})
+		}
+	})
 }
 
 func BenchmarkCombScalarMult(b *testing.B) {

@@ -5,94 +5,199 @@ import (
 	"math/bits"
 )
 
-// fe is an element of GF(2^255 − 19) on five 51-bit limbs, little endian:
-// l[0] + l[1]·2^51 + … + l[4]·2^204. Every method leaves its result with
-// limbs below 2^52 and accepts inputs in that range; bytes reduces fully.
-// No method branches or indexes on the value of an element.
-type fe struct{ l [5]uint64 }
-
-const mask51 = 1<<51 - 1
+// fe is an element of GF(2^255 − 19) on four 64-bit limbs, little endian:
+// l[0] + l[1]·2^64 + l[2]·2^128 + l[3]·2^192. Any 256-bit value stands for
+// its residue mod p: every method accepts all of them and returns one of
+// them, and only bytes reduces fully. Since 2^256 ≡ 38, a carry out of the
+// top limb folds back into the bottom one multiplied by 38. No method
+// branches or indexes on the value of an element.
+type fe struct{ l [4]uint64 }
 
 var (
-	feOne = fe{[5]uint64{1}}
+	feOne = fe{[4]uint64{1}}
 	// feD2 is 2d, d = −121665/121666 the twisted Edwards constant.
-	feD2 = fe{[5]uint64{0x69b9426b2f159, 0x35050762add7a, 0x3cf44c0038052, 0x6738cc7407977, 0x2406d9dc56dff}}
+	feD2 = fe{[4]uint64{0xebd69b9426b2f159, 0x00e0149a8283b156, 0x198e80f2eef3d130, 0x2406d9dc56dffce7}}
 )
 
-// carry brings every limb under 2^51 + 2^13·19.
-func (v *fe) carry() {
-	c0, c1, c2, c3, c4 := v.l[0]>>51, v.l[1]>>51, v.l[2]>>51, v.l[3]>>51, v.l[4]>>51
-	v.l[0] = v.l[0]&mask51 + c4*19
-	v.l[1] = v.l[1]&mask51 + c0
-	v.l[2] = v.l[2]&mask51 + c1
-	v.l[3] = v.l[3]&mask51 + c2
-	v.l[4] = v.l[4]&mask51 + c3
+// The multiplications go through feMul and feSquare, which are assembly
+// kernels on amd64 with BMI2 and ADX (onionbox_amd64.s) and otherwise
+// their Go twins feMulGeneric and feSquareGeneric. countMul and
+// countSquare compile to nothing outside the opcount build tag.
+
+func (v *fe) mul(a, b *fe) {
+	countMul()
+	feMul(v, a, b)
+}
+
+func (v *fe) square(a *fe) {
+	countSquare()
+	feSquare(v, a)
 }
 
 func (v *fe) add(a, b *fe) {
-	for i := range v.l {
-		v.l[i] = a.l[i] + b.l[i]
-	}
-	v.carry()
+	var c uint64
+	v.l[0], c = bits.Add64(a.l[0], b.l[0], 0)
+	v.l[1], c = bits.Add64(a.l[1], b.l[1], c)
+	v.l[2], c = bits.Add64(a.l[2], b.l[2], c)
+	v.l[3], c = bits.Add64(a.l[3], b.l[3], c)
+	v.fold(c * 38)
 }
 
-// sub sets v = a − b, adding 2p first so that no limb goes negative.
+// sub sets v = a − b. A borrow out of the top limb means 2^256 too much,
+// which is 38 too much mod p; taking 38 away can borrow once more only
+// when v is then below 38, and the second 38 then cannot borrow.
 func (v *fe) sub(a, b *fe) {
-	v.l[0] = a.l[0] + 0xFFFFFFFFFFFDA - b.l[0]
-	for i := 1; i < 5; i++ {
-		v.l[i] = a.l[i] + 0xFFFFFFFFFFFFE - b.l[i]
-	}
-	v.carry()
+	var c uint64
+	v.l[0], c = bits.Sub64(a.l[0], b.l[0], 0)
+	v.l[1], c = bits.Sub64(a.l[1], b.l[1], c)
+	v.l[2], c = bits.Sub64(a.l[2], b.l[2], c)
+	v.l[3], c = bits.Sub64(a.l[3], b.l[3], c)
+	v.l[0], c = bits.Sub64(v.l[0], c*38, 0)
+	v.l[1], c = bits.Sub64(v.l[1], 0, c)
+	v.l[2], c = bits.Sub64(v.l[2], 0, c)
+	v.l[3], c = bits.Sub64(v.l[3], 0, c)
+	v.l[0] -= c * 38
 }
 
 func (v *fe) neg(a *fe) { v.sub(&fe{}, a) }
 
-// u128 accumulates 64×64-bit products.
-type u128 struct{ lo, hi uint64 }
-
-func (a u128) addMul(x, y uint64) u128 {
-	hi, lo := bits.Mul64(x, y)
-	lo, c := bits.Add64(lo, a.lo, 0)
-	hi, _ = bits.Add64(hi, a.hi, c)
-	return u128{lo, hi}
+// mul121665 sets v = 121665·a, the ladder's (A − 2)/4 for Curve25519's
+// A = 486662.
+func (v *fe) mul121665(a *fe) {
+	const k = 121665
+	h0, l0 := bits.Mul64(a.l[0], k)
+	h1, l1 := bits.Mul64(a.l[1], k)
+	h2, l2 := bits.Mul64(a.l[2], k)
+	h3, l3 := bits.Mul64(a.l[3], k)
+	var c uint64
+	v.l[0] = l0
+	v.l[1], c = bits.Add64(l1, h0, 0)
+	v.l[2], c = bits.Add64(l2, h1, c)
+	v.l[3], c = bits.Add64(l3, h2, c)
+	// The top word h3 + c is below 2^17, so 38 times it fits a limb.
+	v.fold((h3 + c) * 38)
 }
 
-func (a u128) shr51() uint64 { return a.hi<<13 | a.lo>>51 }
-
-// reduce128 folds five 128-bit column sums into v.
-func (v *fe) reduce128(r0, r1, r2, r3, r4 u128) {
-	v.l[0] = r0.lo&mask51 + r4.shr51()*19
-	v.l[1] = r1.lo&mask51 + r0.shr51()
-	v.l[2] = r2.lo&mask51 + r1.shr51()
-	v.l[3] = r3.lo&mask51 + r2.shr51()
-	v.l[4] = r4.lo&mask51 + r3.shr51()
-	v.carry()
+// fold adds t < 2^64 to v. A carry out of the top limb is 2^256 ≡ 38;
+// after one, v is below t, so adding the 38 cannot carry again.
+func (v *fe) fold(t uint64) {
+	var c uint64
+	v.l[0], c = bits.Add64(v.l[0], t, 0)
+	v.l[1], c = bits.Add64(v.l[1], 0, c)
+	v.l[2], c = bits.Add64(v.l[2], 0, c)
+	v.l[3], c = bits.Add64(v.l[3], 0, c)
+	v.l[0] += c * 38
 }
 
-func (v *fe) mul(a, b *fe) {
-	a0, a1, a2, a3, a4 := a.l[0], a.l[1], a.l[2], a.l[3], a.l[4]
-	b0, b1, b2, b3, b4 := b.l[0], b.l[1], b.l[2], b.l[3], b.l[4]
-	// 2^255 ≡ 19: a limb product that lands at 2^255 or above wraps
-	// around multiplied by 19.
-	a1x, a2x, a3x, a4x := a1*19, a2*19, a3*19, a4*19
-	r0 := u128{}.addMul(a0, b0).addMul(a1x, b4).addMul(a2x, b3).addMul(a3x, b2).addMul(a4x, b1)
-	r1 := u128{}.addMul(a0, b1).addMul(a1, b0).addMul(a2x, b4).addMul(a3x, b3).addMul(a4x, b2)
-	r2 := u128{}.addMul(a0, b2).addMul(a1, b1).addMul(a2, b0).addMul(a3x, b4).addMul(a4x, b3)
-	r3 := u128{}.addMul(a0, b3).addMul(a1, b2).addMul(a2, b1).addMul(a3, b0).addMul(a4x, b4)
-	r4 := u128{}.addMul(a0, b4).addMul(a1, b3).addMul(a2, b2).addMul(a3, b1).addMul(a4, b0)
-	v.reduce128(r0, r1, r2, r3, r4)
+// reduceWide sets v to a 512-bit value t, least significant word first,
+// mod p: the low half plus 38 times the high half is a 261-bit value,
+// whose top word, times 38, folds into the low four once more. The
+// assembly kernels end with the same three steps, so both paths return
+// the same limbs, not only the same residue.
+func (v *fe) reduceWide(t *[8]uint64) {
+	h0, l0 := bits.Mul64(t[4], 38)
+	h1, l1 := bits.Mul64(t[5], 38)
+	h2, l2 := bits.Mul64(t[6], 38)
+	h3, l3 := bits.Mul64(t[7], 38)
+	var c, c2 uint64
+	v.l[0], c = bits.Add64(t[0], l0, 0)
+	v.l[1], c = bits.Add64(t[1], l1, c)
+	v.l[2], c = bits.Add64(t[2], l2, c)
+	v.l[3], c = bits.Add64(t[3], l3, c)
+	top := h3 + c
+	v.l[1], c2 = bits.Add64(v.l[1], h0, 0)
+	v.l[2], c2 = bits.Add64(v.l[2], h1, c2)
+	v.l[3], c2 = bits.Add64(v.l[3], h2, c2)
+	top += c2
+	v.fold(top * 38)
 }
 
-func (v *fe) square(a *fe) {
-	a0, a1, a2, a3, a4 := a.l[0], a.l[1], a.l[2], a.l[3], a.l[4]
-	a0d, a1d := a0*2, a1*2
-	a1x2, a2x2, a3x, a3x2, a4x := a1*38, a2*38, a3*19, a3*38, a4*19
-	r0 := u128{}.addMul(a0, a0).addMul(a1x2, a4).addMul(a2x2, a3)
-	r1 := u128{}.addMul(a0d, a1).addMul(a2x2, a4).addMul(a3x, a3)
-	r2 := u128{}.addMul(a0d, a2).addMul(a1, a1).addMul(a3x2, a4)
-	r3 := u128{}.addMul(a0d, a3).addMul(a1d, a2).addMul(a4x, a4)
-	r4 := u128{}.addMul(a0d, a4).addMul(a1d, a3).addMul(a2, a2)
-	v.reduce128(r0, r1, r2, r3, r4)
+// feMulGeneric is feMul's Go twin: a schoolbook 512-bit product, row by
+// row, then reduceWide.
+func feMulGeneric(v, a, b *fe) {
+	var t [8]uint64
+	var c uint64
+	t[0], t[1], t[2], t[3], t[4] = mulRow(a.l[0], b)
+	r0, r1, r2, r3, r4 := mulRow(a.l[1], b)
+	t[1], c = bits.Add64(t[1], r0, 0)
+	t[2], c = bits.Add64(t[2], r1, c)
+	t[3], c = bits.Add64(t[3], r2, c)
+	t[4], c = bits.Add64(t[4], r3, c)
+	t[5] = r4 + c
+	r0, r1, r2, r3, r4 = mulRow(a.l[2], b)
+	t[2], c = bits.Add64(t[2], r0, 0)
+	t[3], c = bits.Add64(t[3], r1, c)
+	t[4], c = bits.Add64(t[4], r2, c)
+	t[5], c = bits.Add64(t[5], r3, c)
+	t[6] = r4 + c
+	r0, r1, r2, r3, r4 = mulRow(a.l[3], b)
+	t[3], c = bits.Add64(t[3], r0, 0)
+	t[4], c = bits.Add64(t[4], r1, c)
+	t[5], c = bits.Add64(t[5], r2, c)
+	t[6], c = bits.Add64(t[6], r3, c)
+	t[7] = r4 + c
+	v.reduceWide(&t)
+}
+
+// mulRow returns the 320-bit x·b, least significant word first.
+func mulRow(x uint64, b *fe) (r0, r1, r2, r3, r4 uint64) {
+	var h0, h1, h2, c uint64
+	h0, r0 = bits.Mul64(x, b.l[0])
+	h1, r1 = bits.Mul64(x, b.l[1])
+	h2, r2 = bits.Mul64(x, b.l[2])
+	r4, r3 = bits.Mul64(x, b.l[3])
+	r1, c = bits.Add64(r1, h0, 0)
+	r2, c = bits.Add64(r2, h1, c)
+	r3, c = bits.Add64(r3, h2, c)
+	return r0, r1, r2, r3, r4 + c
+}
+
+// feSquareGeneric is feSquare's Go twin: the six cross products once,
+// doubled, plus the four squares, then reduceWide.
+func feSquareGeneric(v, a *fe) {
+	a0, a1, a2, a3 := a.l[0], a.l[1], a.l[2], a.l[3]
+	var t [8]uint64
+	var c uint64
+	// The cross products a_i·a_j, i < j, at words 1 … 6: a0 times the
+	// rest, then a1 times a2 and a3, then a2·a3.
+	h1, t1 := bits.Mul64(a0, a1)
+	h2, l2 := bits.Mul64(a0, a2)
+	h3, l3 := bits.Mul64(a0, a3)
+	t2, c := bits.Add64(h1, l2, 0)
+	t3, c := bits.Add64(h2, l3, c)
+	t4 := h3 + c
+	h, l := bits.Mul64(a1, a2)
+	t3, c = bits.Add64(t3, l, 0)
+	t4, c = bits.Add64(t4, h, c)
+	t5 := c
+	h, l = bits.Mul64(a1, a3)
+	t4, c = bits.Add64(t4, l, 0)
+	t5, c = bits.Add64(t5, h, c)
+	t6 := c
+	h, l = bits.Mul64(a2, a3)
+	t5, c = bits.Add64(t5, l, 0)
+	t6 += h + c
+	// Doubled: the cross sum is below 2^448, so twice it fits words 1 … 7.
+	t[7] = t6 >> 63
+	t[6] = t6<<1 | t5>>63
+	t[5] = t5<<1 | t4>>63
+	t[4] = t4<<1 | t3>>63
+	t[3] = t3<<1 | t2>>63
+	t[2] = t2<<1 | t1>>63
+	t[1] = t1 << 1
+	// Plus the squares a_i² at words 2i and 2i + 1.
+	h, t[0] = bits.Mul64(a0, a0)
+	t[1], c = bits.Add64(t[1], h, 0)
+	h, l = bits.Mul64(a1, a1)
+	t[2], c = bits.Add64(t[2], l, c)
+	t[3], c = bits.Add64(t[3], h, c)
+	h, l = bits.Mul64(a2, a2)
+	t[4], c = bits.Add64(t[4], l, c)
+	t[5], c = bits.Add64(t[5], h, c)
+	h, l = bits.Mul64(a3, a3)
+	t[6], c = bits.Add64(t[6], l, c)
+	t[7] += h + c
+	v.reduceWide(&t)
 }
 
 func (v *fe) squareN(a *fe, n int) {
@@ -133,32 +238,40 @@ func (v *fe) invert(z *fe) {
 // setBytes reads a 32-byte little-endian value as RFC 7748 does: bit 255
 // is ignored and values in [p, 2^255) are accepted (bytes reduces them).
 func (v *fe) setBytes(x *[32]byte) {
-	v.l[0] = binary.LittleEndian.Uint64(x[0:8]) & mask51
-	v.l[1] = binary.LittleEndian.Uint64(x[6:14]) >> 3 & mask51
-	v.l[2] = binary.LittleEndian.Uint64(x[12:20]) >> 6 & mask51
-	v.l[3] = binary.LittleEndian.Uint64(x[19:27]) >> 1 & mask51
-	v.l[4] = binary.LittleEndian.Uint64(x[24:32]) >> 12 & mask51
+	v.l[0] = binary.LittleEndian.Uint64(x[0:8])
+	v.l[1] = binary.LittleEndian.Uint64(x[8:16])
+	v.l[2] = binary.LittleEndian.Uint64(x[16:24])
+	v.l[3] = binary.LittleEndian.Uint64(x[24:32]) &^ (1 << 63)
 }
 
 // bytes writes the canonical (fully reduced) 32-byte encoding of v.
 func (v *fe) bytes(out *[32]byte) {
 	t := *v
-	t.carry()
-	// c is 1 exactly when t ≥ p, that is when t + 19 overflows 2^255.
-	c := (t.l[0] + 19) >> 51
-	for i := 1; i < 5; i++ {
-		c = (t.l[i] + c) >> 51
+	// 2^255 ≡ 19: folding bit 255 twice leaves t below 2^255.
+	for i := 0; i < 2; i++ {
+		top := t.l[3] >> 63
+		t.l[3] &^= 1 << 63
+		var c uint64
+		t.l[0], c = bits.Add64(t.l[0], top*19, 0)
+		t.l[1], c = bits.Add64(t.l[1], 0, c)
+		t.l[2], c = bits.Add64(t.l[2], 0, c)
+		t.l[3] += c
 	}
-	t.l[0] += 19 * c
-	for i := 0; i < 4; i++ {
-		t.l[i+1] += t.l[i] >> 51
-		t.l[i] &= mask51
-	}
-	t.l[4] &= mask51 // drops 2^255 when c was 1: t + 19 − 2^255 = t − p
-	binary.LittleEndian.PutUint64(out[0:8], t.l[0]|t.l[1]<<51)
-	binary.LittleEndian.PutUint64(out[8:16], t.l[1]>>13|t.l[2]<<38)
-	binary.LittleEndian.PutUint64(out[16:24], t.l[2]>>26|t.l[3]<<25)
-	binary.LittleEndian.PutUint64(out[24:32], t.l[3]>>39|t.l[4]<<12)
+	// t ≥ p exactly when t + 19 reaches 2^255; then t − p is t + 19
+	// without bit 255.
+	var s fe
+	var c uint64
+	s.l[0], c = bits.Add64(t.l[0], 19, 0)
+	s.l[1], c = bits.Add64(t.l[1], 0, c)
+	s.l[2], c = bits.Add64(t.l[2], 0, c)
+	s.l[3] = t.l[3] + c
+	ge := s.l[3] >> 63
+	s.l[3] &^= 1 << 63
+	t.sel(&s, &t, ge)
+	binary.LittleEndian.PutUint64(out[0:8], t.l[0])
+	binary.LittleEndian.PutUint64(out[8:16], t.l[1])
+	binary.LittleEndian.PutUint64(out[16:24], t.l[2])
+	binary.LittleEndian.PutUint64(out[24:32], t.l[3])
 }
 
 // isZero returns 1 if v ≡ 0 mod p and 0 otherwise.
@@ -177,5 +290,15 @@ func (v *fe) sel(a, b *fe, cond uint64) {
 	m := -cond
 	for i := range v.l {
 		v.l[i] = m&a.l[i] | ^m&b.l[i]
+	}
+}
+
+// cswap swaps a and b if cond is 1 and leaves them if cond is 0.
+func cswap(a, b *fe, cond uint64) {
+	m := -cond
+	for i := range a.l {
+		t := m & (a.l[i] ^ b.l[i])
+		a.l[i] ^= t
+		b.l[i] ^= t
 	}
 }

@@ -6,55 +6,83 @@
 // Every box's AES-GCM is internal/aead's: a key used for one message, the
 // all-zero nonce, sealed in place and opened by appending, with no heap
 // allocation on amd64 with AES-NI and one (the AES key schedule) on
-// internal/aead's portable path. What a box allocates beyond that is
-// crypto/ecdh's own, and the box Seal returns or the message Open does;
-// OpenAppend into a buffer with room allocates no message.
+// internal/aead's portable path. What a sealed box allocates beyond that
+// is crypto/ecdh's own and the box Seal returns; an opened box allocates
+// nothing beyond it but the message Open returns, and OpenAppend into a
+// buffer with room allocates no message.
 //
 // Each layer uses a FRESH ephemeral sender key pair, so onions provide
 // forward secrecy: once a mixnet server rotates its round key, recorded
-// onions for that round become undecryptable.
+// onions for that round become undecryptable. A PrivateKey owns its
+// scalar, and Erase zeroes it; a mix server erases its round key when the
+// round closes.
 //
 // # Two ways to the same box
 //
-// A box is X25519 twice — the ephemeral public key k·9 and the shared
-// secret k·U for the recipient's U — and both are multiplications of a
-// point that is fixed for as long as the recipient is. Seal and WrapOnion
-// (a client's one onion a round) and Open (variable base: every box brings
-// its own point) run them on crypto/ecdh's Montgomery ladder. A Sealer,
-// which a mix server builds per downstream round key for a round's noise
-// and the workload generator per hop, precomputes a fixed-base comb table
-// for U (and shares one for 9) and walks the tables instead. The two
-// compute the same function: the boxes are byte-identical, which
-// TestWrapOnionKnownAnswer, TestSealBatchMatchesSeal, FuzzCombMatchesECDH
-// and mixnet's TestNoiseMatchesLadderOracle pin. Which one runs is decided
-// from what NewSealer can see — the number of boxes in prospect against
+// A box is X25519 twice on the sealing side — the ephemeral public key k·9
+// and the shared secret k·U for the recipient's U — and once on the
+// opening side, the round key's scalar times the box's ephemeral point.
+// Seal and WrapOnion (a client's one onion a round) run the sealing side
+// on crypto/ecdh's Montgomery ladder. A Sealer, which a mix server builds
+// per downstream round key for a round's noise and the workload generator
+// per hop, precomputes a fixed-base comb table for U (and shares one for
+// 9) and walks the tables instead. The two compute the same function: the
+// boxes are byte-identical, which TestWrapOnionKnownAnswer,
+// TestSealBatchMatchesSeal, FuzzCombMatchesECDH and mixnet's
+// TestNoiseMatchesLadderOracle pin. Which one runs is decided from what
+// NewSealer can see — the number of boxes in prospect against
 // sealerBreakEven, and whether U is on the curve — and by nothing a user
 // sets.
+//
+// The opening side is this package's own RFC 7748 ladder (ladder.go),
+// variable base since every box brings its own point. OpenBatch, which a
+// mixer calls once per StreamChunk, ladders every box of a chunk and then
+// shares one field inversion among up to 64 of them (montgomeryU);
+// OpenAppend and Open are a batch of one on the same code. It opens
+// exactly the boxes crypto/ecdh's route opens, to the same message, which
+// FuzzLadderMatchesECDH, TestOpenBatchMatchesStdlib and FuzzOpenAppend
+// pin. A public key is derived from its private scalar on the base comb.
+//
+// Under both sides is one field, GF(2^255 − 19) on four 64-bit limbs
+// (field.go). On amd64 with BMI2 and ADX its multiply and square are
+// MULX/ADCX/ADOX kernels (onionbox_amd64.s), chosen once at start-up from
+// CPUID; elsewhere, and on an amd64 CPU without them, their Go twins run,
+// which return the same limbs. Addition, subtraction and the swaps are Go
+// on both paths.
 //
 // # Timing model
 //
 // The secrets in this package are a box's ephemeral seed and what is
-// derived from it: the clamped scalar, its signed digits, the two product
-// points and the shared secret. The AEAD key hashed from the shared
-// secret goes to internal/aead, and what that derives from it (the AES
-// round keys, the GHASH key, the keystream) follows that package's timing
-// model: no secret-indexed table, and, on its AES-NI path, round keys and
-// keystream erased before Seal or Open returns.
+// derived from it — the clamped scalar, its signed digits, the two product
+// points and the shared secret — and, on the opening side, the round
+// key's scalar, the ladder's points and the shared secret. The AEAD key
+// hashed from a shared secret goes to internal/aead, and what that
+// derives from it (the AES round keys, the GHASH key, the keystream)
+// follows that package's timing model: no secret-indexed table, and, on
+// its AES-NI path, round keys and keystream erased before Seal or Open
+// returns.
 //
 // Constant-time, with no branch and no memory index that depends on a
 // secret: digit recoding (recode); table lookup, which reads all eight
 // entries of a window and keeps one by masking, and the conditional negate
 // that follows (combTable.lookup, niels.condNeg); point addition and
 // doubling, complete formulas with one instruction sequence for every
-// input (completed.addNiels, completed.double); the field arithmetic under
-// them (fe: 64×64→128-bit multiplies and adds from math/bits, carries by
-// shift and mask); the shared inversion, a fixed addition chain, with zero
-// denominators replaced by masking (montgomeryU, fe.invert); and the
-// all-zero check of a shared secret, which ORs all 32 bytes before it
-// branches, once, on whether the recipient key was of low order — as
-// crypto/ecdh does. The window position, the chunking of a batch and the
-// choice of table or ladder are functions of public values. The ladder
-// path is crypto/ecdh's and inherits its guarantees.
+// input (completed.addNiels, completed.double); the ladder, 255 steps of
+// one instruction sequence, which reads scalar bit t at position t and
+// swaps its points by masking (ladder, cswap); the field arithmetic under
+// them (fe: the kernels' MULX products and ADCX/ADOX carry chains, which
+// branch only on fieldAsm, a property of the CPU, and their Go twins'
+// 64×64→128-bit multiplies and adds from math/bits; carries out of the
+// top limb folded back by multiplying, never by branching); the shared
+// inversion, a fixed addition chain, with zero denominators replaced by
+// masking (montgomeryU, fe.invert); and the all-zero check of a shared
+// secret, which ORs all 32 bytes before it branches, once, on whether a
+// point was of low order — as crypto/ecdh does. The window position, the
+// chunking of a batch, a box's length and the choice of table or ladder
+// are functions of public values. The sealing side's ladder is
+// crypto/ecdh's and inherits its guarantees. TestOperationCount (build
+// tag opcount) checks that the ladder and the comb walks do the same
+// field multiplications and squarings for any scalar.
 //
 // Not constant-time, and touching public data only: mapping a recipient's
 // public key to an Edwards point (edwardsFromU: math/big, a modular square
@@ -65,10 +93,12 @@
 //
 // Ephemeral seeds and digits are zeroed before the call that read them
 // returns (SealBatch, OnionBatch.Wrap, WrapOnion), as is the scratch that
-// held the product points and shared secrets.
+// held the product points and shared secrets, on the opening side too
+// (openBatch, ladder).
 package onionbox
 
 import (
+	"bytes"
 	"crypto/ecdh"
 	"crypto/sha256"
 	"errors"
@@ -86,59 +116,81 @@ type PublicKey struct {
 	k *ecdh.PublicKey
 }
 
-// PrivateKey is an X25519 private key.
+// PrivateKey is an X25519 private key. It owns its scalar, so that Erase
+// can zero it.
 type PrivateKey struct {
-	k *ecdh.PrivateKey
+	seed [32]byte // the scalar as generated; clamped where it is used
 	// pub is the public key's encoding, which every Open hashes into the
 	// box key.
-	pub []byte
+	pub [32]byte
 }
 
-func newPrivateKey(k *ecdh.PrivateKey) *PrivateKey {
-	return &PrivateKey{k: k, pub: k.PublicKey().Bytes()}
+// newPrivateKey takes the 32-byte seed and derives its public key, seed·9,
+// on the base point's comb table.
+func newPrivateKey(seed []byte) *PrivateKey {
+	k := new(PrivateKey)
+	copy(k.seed[:], seed)
+	var digits [64]int8
+	var p point
+	var u, inv fe
+	recode(&digits, k.seed[:])
+	baseTable().scalarMult(&p, &digits)
+	// u = (Z+Y)/(Z−Y); Z−Y is never 0 for a multiple of the base point.
+	inv.sub(&p.z, &p.y)
+	inv.invert(&inv)
+	u.add(&p.z, &p.y)
+	u.mul(&u, &inv)
+	u.bytes(&k.pub)
+	// What the scalar leaves on the way is secret until pub is public.
+	digits, p, u, inv = [64]int8{}, point{}, fe{}, fe{}
+	return k
 }
 
-// generateX25519 derives a fresh X25519 key from exactly 32 bytes of the
-// reader. crypto/ecdh's own GenerateKey deliberately consumes a
+// GenerateKey creates a new box key pair. It reads exactly 32 bytes of
+// rand. crypto/ecdh's own GenerateKey deliberately consumes a
 // NONDETERMINISTIC number of bytes (randutil.MaybeReadByte), which would
 // make runs with a fixed Config.Rand irreproducible; Alpenhorn's
 // determinism tests compare whole mailboxes byte-for-byte across data
 // planes, so key generation must consume a fixed-width stream. The
 // resulting keys are identical in distribution (clamping happens inside
 // the X25519 scalar multiplication per RFC 7748).
-func generateX25519(rand io.Reader) (*ecdh.PrivateKey, error) {
-	seed := make([]byte, 32)
-	if _, err := io.ReadFull(rand, seed); err != nil {
-		return nil, err
-	}
-	return ecdh.X25519().NewPrivateKey(seed)
-}
-
-// GenerateKey creates a new box key pair.
 func GenerateKey(rand io.Reader) (*PublicKey, *PrivateKey, error) {
-	priv, err := generateX25519(rand)
-	if err != nil {
+	var seed [32]byte
+	defer clear(seed[:])
+	if _, err := io.ReadFull(rand, seed[:]); err != nil {
 		return nil, nil, err
 	}
-	return &PublicKey{k: priv.PublicKey()}, newPrivateKey(priv), nil
+	priv := newPrivateKey(seed[:])
+	return priv.Public(), priv, nil
 }
 
 // Public returns the public key for k.
-func (k *PrivateKey) Public() *PublicKey { return &PublicKey{k: k.k.PublicKey()} }
+func (k *PrivateKey) Public() *PublicKey {
+	pub, err := ecdh.X25519().NewPublicKey(k.pub[:])
+	if err != nil {
+		panic(err) // 32 bytes are always an X25519 public key
+	}
+	return &PublicKey{k: pub}
+}
 
 // Bytes returns the 32-byte encoding of the private key. It exists so the
 // shards of one mixnet position — a single trust domain standing in for
 // one logical server — can share a round key; nothing else should ever
-// serialize a private key.
-func (k *PrivateKey) Bytes() []byte { return k.k.Bytes() }
+// serialize a private key. The caller owns the copy and should clear it.
+func (k *PrivateKey) Bytes() []byte { return bytes.Clone(k.seed[:]) }
+
+// Erase zeroes the private scalar. The key opens nothing afterwards, and
+// Bytes reads zero. The caller must not erase a key that another goroutine
+// is still opening with. (An assignment, not clear: the race detector
+// sees the one and not the other, and a test of that rule relies on it.)
+func (k *PrivateKey) Erase() { k.seed = [32]byte{} }
 
 // UnmarshalPrivateKey decodes a 32-byte X25519 private key.
 func UnmarshalPrivateKey(data []byte) (*PrivateKey, error) {
-	k, err := ecdh.X25519().NewPrivateKey(data)
-	if err != nil {
-		return nil, err
+	if len(data) != 32 {
+		return nil, errors.New("onionbox: a private key is 32 bytes")
 	}
-	return newPrivateKey(k), nil
+	return newPrivateKey(data), nil
 }
 
 // Bytes returns the 32-byte encoding of the public key.
@@ -186,29 +238,52 @@ func Open(priv *PrivateKey, box []byte) ([]byte, error) {
 	return OpenAppend(nil, priv, box)
 }
 
+var (
+	errShort = errors.New("onionbox: box too short")
+	errOpen  = errors.New("onionbox: decryption failed")
+)
+
 // OpenAppend decrypts a box sealed to priv's public key and appends the
 // message to dst, so that a batch of boxes can be opened into one buffer
 // (len(box)−Overhead bytes each); with room for the message, dst is not
 // reallocated. It never writes to box. On failure it returns dst
-// unchanged, with nothing written past len(dst).
+// unchanged, with nothing written past len(dst). It is OpenBatch's code
+// on a batch of one.
 func OpenAppend(dst []byte, priv *PrivateKey, box []byte) ([]byte, error) {
 	if len(box) < Overhead {
-		return dst, errors.New("onionbox: box too short")
+		return dst, errShort
 	}
-	ephPub, err := ecdh.X25519().NewPublicKey(box[:32])
-	if err != nil {
-		return dst, err
+	var end [1]int
+	dst = openBatch(dst, priv, [][]byte{box}, end[:])
+	if end[0] < 0 {
+		return dst, errOpen
 	}
-	shared, err := priv.k.ECDH(ephPub)
-	if err != nil {
-		return dst, err
+	return dst, nil
+}
+
+// OpenBatch opens boxes sealed to priv's public key into one buffer,
+// allocated once for all of them, and returns the messages of the boxes
+// that opened, in box order, each a capacity-capped slice of the buffer,
+// so that appending to one cannot overwrite the next. A box that
+// OpenAppend would fail — shorter than Overhead, a shared secret of zero,
+// or a failed tag — is left out. It never writes to the boxes. Each
+// chunk of openChunk boxes shares one field inversion.
+func OpenBatch(priv *PrivateKey, boxes [][]byte) [][]byte {
+	size := 0
+	for _, box := range boxes {
+		size += max(len(box)-Overhead, 0)
 	}
-	key := deriveKey(shared, box[:32], priv.pub)
-	out, ok := aead.Open(dst, &key, box[32:])
-	if !ok {
-		return dst, errors.New("onionbox: decryption failed")
+	ends := make([]int, len(boxes))
+	buf := openBatch(make([]byte, 0, size), priv, boxes, ends)
+	msgs := make([][]byte, 0, len(boxes))
+	start := 0
+	for _, end := range ends {
+		if end >= 0 {
+			msgs = append(msgs, buf[start:end:end])
+			start = end
+		}
 	}
-	return out, nil
+	return msgs
 }
 
 // WrapOnion encrypts msg under each hop key from last to first, so that

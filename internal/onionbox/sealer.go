@@ -11,15 +11,16 @@ import (
 // sealerBreakEven is the number of boxes from which a Sealer builds a
 // table for its recipient; below it every box takes the crypto/ecdh
 // ladder. It is the measured table cost over the measured saving per box,
-// doubled: on the development box (BenchmarkSealerTable, BenchmarkSealBatch,
-// BenchmarkSealLadder) a table costs 0.21 ms and a box 43 µs on it against
-// 100 µs on the ladder, so four boxes repay it; 8 leaves room for a machine
-// where the pure-Go table arithmetic is slower relative to the standard
-// library's assembly ladder.
-const sealerBreakEven = 8
+// doubled: on the 2-vCPU development box, with the field on its MULX/ADX
+// kernels (BenchmarkSealerTable, BenchmarkSealBatch, BenchmarkSealLadder,
+// three alternated runs), a table costs 0.21–0.23 ms and a box 41–48 µs
+// on it against 165–193 µs on the ladder, so two boxes repay it; 4 leaves
+// room for a machine where the table arithmetic, or the portable field
+// under it, is slower relative to the standard library's assembly ladder.
+const sealerBreakEven = 4
 
 // sealChunk boxes share one field inversion. 64 of them make its cost
-// (265 multiplications) invisible and keep the scratch under 16 KB.
+// (265 multiplications) invisible and keep the scratch at 16 KB.
 const sealChunk = 64
 
 // A Sealer seals boxes to one recipient key. With enough boxes in prospect
@@ -192,11 +193,7 @@ func (s *Sealer) sealInPlace(seeds []byte, boxes [][]byte) error {
 		montgomeryU(us[:2*n], num[:2*n], den[:2*n], prefix[:2*n])
 		for i, box := range boxes[:n] {
 			shared := &us[2*i+1]
-			var acc byte
-			for _, b := range shared {
-				acc |= b
-			}
-			if acc == 0 {
+			if isZero32(shared) {
 				return errLowOrder
 			}
 			copy(box, us[2*i][:])
