@@ -267,18 +267,23 @@ func TestAbortThenCloseErasesKey(t *testing.T) {
 	if err := s.StreamBegin(wire.Dialing, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
-		if err := s.StreamChunk(wire.Dialing, 1, chunk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A chunk holds a worker slot from just before its peel to after it:
-	// wait for one to hold one, so that the close lands mid-peel.
 	s.mu.Lock()
 	sm := s.rounds[roundKey{wire.Dialing, 1}].stream
 	s.mu.Unlock()
-	for len(sm.sem) == 0 {
-		runtime.Gosched()
+	// A chunk holds a worker slot from just before its peel to after it:
+	// feed chunks until one is seen holding one, so that the close lands
+	// mid-peel. A peel can end before this goroutine looks, so each chunk
+	// gets a bounded wait and then the next one follows.
+	for fed := 0; len(sm.sem) == 0; fed++ {
+		if fed == 1000 {
+			t.Fatal("no chunk was seen peeling in 1000 chunks")
+		}
+		if err := s.StreamChunk(wire.Dialing, 1, chunk); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100 && len(sm.sem) == 0; i++ {
+			runtime.Gosched()
+		}
 	}
 	if err := s.StreamAbort(wire.Dialing, 1); err != nil {
 		t.Fatal(err)

@@ -58,19 +58,30 @@ const openChunk = 64
 // every i, and sets ends[i] to len(dst) after that message, or to −1
 // where the box did not open: shorter than Overhead, a shared secret of
 // zero (the refusal crypto/ecdh makes for a point of low order), or a
-// failed tag. It ladders a chunk's boxes, shares one inversion among
-// them (montgomeryU), then derives each key and opens each box. The
+// failed tag. It ladders a chunk's boxes — where laneAsm is set, eight
+// at a time on the lane ladder (openLanes) down to a remainder below
+// laneBreakEven, and that remainder one at a time — shares one inversion
+// among them (montgomeryU), then derives each key and opens each box. The
 // scratch, all of it a function of priv's scalar, is zeroed before it
 // returns.
 func openBatch(dst []byte, priv *PrivateKey, boxes [][]byte, ends []int) []byte {
 	var num, den, prefix [openChunk]fe
 	var shared [openChunk][32]byte
+	var lanes laneLadderState
 	var eph [32]byte
 	var u fe
 	used := min(len(boxes), openChunk)
 	for len(boxes) > 0 {
 		n := min(len(boxes), openChunk)
-		for i, box := range boxes[:n] {
+		i := 0
+		if laneAsm {
+			for ; n-i >= laneBreakEven; i += laneCount {
+				g := min(n-i, laneCount)
+				openLanes(&lanes, &priv.seed, boxes[i:i+g], num[i:i+g], den[i:i+g])
+			}
+		}
+		for ; i < n; i++ {
+			box := boxes[i]
 			if len(box) < Overhead {
 				num[i], den[i] = fe{}, feOne // nothing to open; u = 0
 				continue
@@ -99,6 +110,7 @@ func openBatch(dst []byte, priv *PrivateKey, boxes [][]byte, ends []int) []byte 
 	clear(den[:used])
 	clear(prefix[:used])
 	clear(shared[:used])
+	lanes = laneLadderState{}
 	return dst
 }
 

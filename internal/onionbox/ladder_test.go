@@ -2,12 +2,15 @@ package onionbox
 
 // Tests of the field's two paths — the assembly kernels fieldAsm selects
 // (onionbox_amd64.s) and their Go twins — and of the peel's ladder and
-// batched open, against math/big and crypto/ecdh.
+// batched open, against math/big and crypto/ecdh. The peel has a third
+// path, the lane ladder (lane.go), which runs as /lanes subtests; the
+// field paths' subtests run with it off.
 
 import (
 	"bytes"
 	"crypto/ecdh"
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"math/big"
 	mathrand "math/rand"
@@ -31,14 +34,16 @@ func fieldPaths() []struct {
 	return paths
 }
 
-// forEachFieldPath runs f as a subtest once per field path and restores
-// the switch afterwards. Each subtest builds the base point's table
-// afresh, on its own path. fieldAsm and the table are package state: a
-// test that calls this must not run in parallel.
+// forEachFieldPath runs f as a subtest once per field path, with the
+// lane ladder off, and restores the switches afterwards. Each subtest
+// builds the base point's table afresh, on its own path. fieldAsm,
+// laneAsm and the table are package state: a test that calls this must
+// not run in parallel.
 func forEachFieldPath(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	saved := fieldAsm
-	defer func() { fieldAsm = saved }()
+	savedField, savedLane := fieldAsm, laneAsm
+	defer func() { fieldAsm, laneAsm = savedField, savedLane }()
+	laneAsm = false
 	for _, path := range fieldPaths() {
 		fieldAsm = path.asm
 		baseOnce, baseTab = sync.Once{}, nil
@@ -46,10 +51,12 @@ func forEachFieldPath(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// onBothPaths runs f once per field path, for a fuzz target's one input.
+// onBothPaths runs f once per field path, with the lane ladder off, for
+// a fuzz target's one input.
 func onBothPaths(f func()) {
-	saved := fieldAsm
-	defer func() { fieldAsm = saved }()
+	savedField, savedLane := fieldAsm, laneAsm
+	defer func() { fieldAsm, laneAsm = savedField, savedLane }()
+	laneAsm = false
 	for _, path := range fieldPaths() {
 		fieldAsm = path.asm
 		f()
@@ -180,6 +187,13 @@ func ladderX25519(k, u []byte) [32]byte {
 // crypto/ecdh, and all zero exactly where crypto/ecdh refuses the point.
 func checkLadderMatchesECDH(t *testing.T, u, k []byte) {
 	t.Helper()
+	checkMatchesECDH(t, "ladder", u, k, ladderX25519(k, u))
+}
+
+// checkMatchesECDH holds got, X25519(k, u) as one of the peel's ladders
+// computed it, to crypto/ecdh.
+func checkMatchesECDH(t *testing.T, ladder string, u, k []byte, got [32]byte) {
+	t.Helper()
 	priv, err := ecdh.X25519().NewPrivateKey(k)
 	if err != nil {
 		t.Fatal(err)
@@ -189,15 +203,14 @@ func checkLadderMatchesECDH(t *testing.T, u, k []byte) {
 		t.Fatal(err)
 	}
 	want, err := priv.ECDH(pub)
-	got := ladderX25519(k, u)
 	if err != nil {
 		if got != [32]byte{} {
-			t.Fatalf("ecdh refuses u=%x k=%x (%v), the ladder gives %x", u, k, err, got)
+			t.Fatalf("ecdh refuses u=%x k=%x (%v), the %s gives %x", u, k, err, ladder, got)
 		}
 		return
 	}
 	if !bytes.Equal(got[:], want) {
-		t.Fatalf("u=%x k=%x: ladder %x, ecdh %x", u, k, got, want)
+		t.Fatalf("u=%x k=%x: %s %x, ecdh %x", u, k, ladder, got, want)
 	}
 }
 
@@ -233,11 +246,28 @@ func TestLadderMatchesECDH(t *testing.T) {
 			}
 		}
 	})
+	// The lane ladder: each pair in one lane, in turn, beside seven
+	// random points, every lane held to crypto/ecdh.
+	runLanes(t, func(t *testing.T) {
+		rng := mathrand.New(mathrand.NewSource(5))
+		pairs := combSeeds(t)
+		for i := 0; i < 300; i++ {
+			u, k := make([]byte, 32), make([]byte, 32)
+			rng.Read(u)
+			rng.Read(k)
+			pairs = append(pairs, [2][]byte{u, k})
+		}
+		for i, s := range pairs {
+			checkLanesMatchECDH(t, s[0], s[1], i%laneCount, rng, true)
+		}
+	})
 }
 
 // FuzzLadderMatchesECDH holds the ladder to crypto/ecdh on every u — the
 // seeds include u ≥ p, the top bit set, and every published point of
-// small order — and every scalar, on both field paths.
+// small order — and every scalar, on both field paths, and the lane
+// ladder too (/lanes), with the input in each of its eight lanes beside
+// seven random points.
 func FuzzLadderMatchesECDH(f *testing.F) {
 	for _, s := range combSeeds(f) {
 		f.Add(s[0], s[1])
@@ -247,6 +277,12 @@ func FuzzLadderMatchesECDH(f *testing.F) {
 			t.Skip()
 		}
 		onBothPaths(func() { checkLadderMatchesECDH(t, u, k) })
+		runLanes(t, func(t *testing.T) {
+			rng := mathrand.New(mathrand.NewSource(int64(binary.LittleEndian.Uint64(u) ^ binary.LittleEndian.Uint64(k))))
+			for pos := 0; pos < laneCount; pos++ {
+				checkLanesMatchECDH(t, u, k, pos, rng, false)
+			}
+		})
 	})
 }
 
@@ -286,63 +322,102 @@ func chunkBoxes(t *testing.T, rng *mathrand.Rand, pub *PublicKey, n int) [][]byt
 // box, exactly what the standard library's route gives — the same boxes
 // open, to the same messages — writes nothing before dst's length, and
 // OpenBatch returns the opened messages in order, on chunks that end
-// inside, at and past openChunk.
+// inside, at and past openChunk. On the lane ladder (/lanes) it runs
+// every batch of 0 to 131 boxes: every lane remainder, on either side of
+// laneBreakEven, in a first, second and third chunk.
 func TestOpenBatchMatchesStdlib(t *testing.T) {
+	pub, priv, err := GenerateKey(mathrand.New(mathrand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	forEachFieldPath(t, func(t *testing.T) {
-		pub, priv, err := GenerateKey(mathrand.New(mathrand.NewSource(6)))
-		if err != nil {
-			t.Fatal(err)
-		}
 		rng := mathrand.New(mathrand.NewSource(7))
 		for _, n := range []int{0, 1, 5, openChunk - 1, openChunk, openChunk + 1, 2*openChunk + 3} {
 			boxes := chunkBoxes(t, rng, pub, n)
-			head := []byte("head")
-			ends := make([]int, n)
-			buf := openBatch(bytes.Clone(head), priv, boxes, ends)
-			if !bytes.Equal(buf[:len(head)], head) {
-				t.Fatalf("n=%d: dst's prefix became %q", n, buf[:len(head)])
-			}
-			var want [][]byte
-			start, opened := len(head), 0
-			for i, box := range boxes {
-				msg, ok := stdlibOpen(priv, box)
-				if ok != (ends[i] >= 0) {
-					t.Fatalf("n=%d: box %d opened %v in the batch, %v by the standard library", n, i, ends[i] >= 0, ok)
-				}
-				if !ok {
-					continue
-				}
-				opened++
-				if !bytes.Equal(buf[start:ends[i]], msg) {
-					t.Fatalf("n=%d: box %d opened to %x, the standard library's %x", n, i, buf[start:ends[i]], msg)
-				}
-				start = ends[i]
-				want = append(want, msg)
-			}
-			if n > 8 && (opened == 0 || opened == n) {
-				t.Fatalf("n=%d: %d boxes opened; the chunk should mix good and bad", n, opened)
-			}
-			got := OpenBatch(priv, boxes)
-			if len(got) != len(want) {
-				t.Fatalf("n=%d: OpenBatch opened %d boxes, the standard library %d", n, len(got), len(want))
-			}
-			for i := range got {
-				if !bytes.Equal(got[i], want[i]) || cap(got[i]) != len(got[i]) {
-					t.Fatalf("n=%d: OpenBatch message %d is %x (cap %d), want %x", n, i, got[i], cap(got[i]), want[i])
-				}
-			}
+			checkOpenBatchWant(t, priv, boxes, stdlibOpens(priv, boxes))
+		}
+	})
+	runLanes(t, func(t *testing.T) {
+		boxes := chunkBoxes(t, mathrand.New(mathrand.NewSource(7)), pub, 2*openChunk+3)
+		want := stdlibOpens(priv, boxes)
+		for n := 0; n <= len(boxes); n++ {
+			checkOpenBatchWant(t, priv, boxes[:n], want[:n])
 		}
 	})
 }
 
+// stdlibOpens is stdlibOpen on each box: the message, or nil where the
+// box does not open.
+func stdlibOpens(priv *PrivateKey, boxes [][]byte) [][]byte {
+	want := make([][]byte, len(boxes))
+	for i, box := range boxes {
+		if msg, ok := stdlibOpen(priv, box); ok {
+			want[i] = append([]byte{}, msg...)
+		}
+	}
+	return want
+}
+
+// checkOpenBatchWant holds openBatch and OpenBatch on boxes to want,
+// what the standard library's route opens them to.
+func checkOpenBatchWant(t *testing.T, priv *PrivateKey, boxes, want [][]byte) {
+	t.Helper()
+	n := len(boxes)
+	head := []byte("head")
+	ends := make([]int, n)
+	buf := openBatch(bytes.Clone(head), priv, boxes, ends)
+	if !bytes.Equal(buf[:len(head)], head) {
+		t.Fatalf("n=%d: dst's prefix became %q", n, buf[:len(head)])
+	}
+	var opened [][]byte
+	start := len(head)
+	for i, msg := range want {
+		ok := msg != nil
+		if ok != (ends[i] >= 0) {
+			t.Fatalf("n=%d: box %d opened %v in the batch, %v by the standard library", n, i, ends[i] >= 0, ok)
+		}
+		if !ok {
+			continue
+		}
+		if !bytes.Equal(buf[start:ends[i]], msg) {
+			t.Fatalf("n=%d: box %d opened to %x, the standard library's %x", n, i, buf[start:ends[i]], msg)
+		}
+		start = ends[i]
+		opened = append(opened, msg)
+	}
+	if n > 8 && (len(opened) == 0 || len(opened) == n) {
+		t.Fatalf("n=%d: %d boxes opened; the chunk should mix good and bad", n, len(opened))
+	}
+	got := OpenBatch(priv, boxes)
+	if len(got) != len(opened) {
+		t.Fatalf("n=%d: OpenBatch opened %d boxes, the standard library %d", n, len(got), len(opened))
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], opened[i]) || cap(got[i]) != len(got[i]) {
+			t.Fatalf("n=%d: OpenBatch message %d is %x (cap %d), want %x", n, i, got[i], cap(got[i]), opened[i])
+		}
+	}
+}
+
 // BenchmarkX25519 times one variable-base X25519 the peel's way, the
-// ladder and an inversion of its own, beside crypto/ecdh's.
+// ladder and an inversion of its own, beside crypto/ecdh's. /lanes is one
+// lane's share of the lane ladder and of the inversion its eight lanes
+// share.
 func BenchmarkX25519(b *testing.B) {
 	k, u := bytes.Repeat([]byte{0x5a}, 32), make([]byte, 32)
 	u[0] = 9
 	forEachFieldPathB(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ladderX25519(k, u)
+		}
+	})
+	runLanesB(b, func(b *testing.B) {
+		var us [laneCount][32]byte
+		for j := range us {
+			copy(us[j][:], u)
+		}
+		for i := 0; i < b.N; i += laneCount {
+			laneX25519(k, &us)
 		}
 	})
 	b.Run("stdlib", func(b *testing.B) {
@@ -362,19 +437,22 @@ func BenchmarkOpenBatch(b *testing.B) {
 	for i := range boxes {
 		boxes[i], _ = Seal(rand.Reader, pub, make([]byte, 128-Overhead))
 	}
-	forEachFieldPathB(b, func(b *testing.B) {
+	open := func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i += len(boxes) {
 			OpenBatch(priv, boxes)
 		}
-	})
+	}
+	forEachFieldPathB(b, open)
+	runLanesB(b, open)
 }
 
 // forEachFieldPathB is forEachFieldPath for benchmarks: /asm and
 // /portable subbenchmarks.
 func forEachFieldPathB(b *testing.B, f func(b *testing.B)) {
-	saved := fieldAsm
-	defer func() { fieldAsm = saved }()
+	savedField, savedLane := fieldAsm, laneAsm
+	defer func() { fieldAsm, laneAsm = savedField, savedLane }()
+	laneAsm = false
 	for _, path := range fieldPaths() {
 		fieldAsm = path.asm
 		b.Run(path.name, f)

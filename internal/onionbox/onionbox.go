@@ -38,17 +38,28 @@
 // variable base since every box brings its own point. OpenBatch, which a
 // mixer calls once per StreamChunk, ladders every box of a chunk and then
 // shares one field inversion among up to 64 of them (montgomeryU);
-// OpenAppend and Open are a batch of one on the same code. It opens
-// exactly the boxes crypto/ecdh's route opens, to the same message, which
-// FuzzLadderMatchesECDH, TestOpenBatchMatchesStdlib and FuzzOpenAppend
-// pin. A public key is derived from its private scalar on the base comb.
+// OpenAppend and Open are a batch of one on the same code. Every box of
+// a chunk is laddered with the same scalar, so on amd64 with AVX-512 IFMA
+// openBatch ladders them eight at a time, one box a lane, on the lane
+// ladder (lane.go): one kernel that walks eight points through the 255
+// steps in lock-step; a remainder of fewer than laneBreakEven boxes, and
+// every box on a CPU without IFMA or off amd64, takes the scalar ladder.
+// Either way it opens exactly the boxes crypto/ecdh's route opens, to the
+// same message, which FuzzLadderMatchesECDH, TestOpenBatchMatchesStdlib
+// and FuzzOpenAppend pin (the lane ladder in the first two's /lanes
+// subtests). A public key is derived from its private scalar on the base
+// comb.
 //
 // Under both sides is one field, GF(2^255 − 19) on four 64-bit limbs
 // (field.go). On amd64 with BMI2 and ADX its multiply and square are
 // MULX/ADCX/ADOX kernels (onionbox_amd64.s), chosen once at start-up from
 // CPUID; elsewhere, and on an amd64 CPU without them, their Go twins run,
 // which return the same limbs. Addition, subtraction and the swaps are Go
-// on both paths.
+// on both paths. The lane ladder has a field of its own inside its kernel
+// — eight elements in radix 2^51, one 512-bit register a limb, multiplied
+// with VPMADD52LUQ/HUQ — and hands each lane's result to the shared
+// inversion as an fe; CPUID (AVX-512 F, IFMA, VL) and XGETBV (the OS
+// saves ZMM state) choose it once at start-up, into laneAsm.
 //
 // # Timing model
 //
@@ -69,8 +80,12 @@
 // doubling, complete formulas with one instruction sequence for every
 // input (completed.addNiels, completed.double); the ladder, 255 steps of
 // one instruction sequence, which reads scalar bit t at position t and
-// swaps its points by masking (ladder, cswap); the field arithmetic under
-// them (fe: the kernels' MULX products and ADCX/ADOX carry chains, which
+// swaps its points by masking (ladder, cswap); the lane ladder, the same
+// 255 steps on eight points in one kernel, whose lanes share one scalar
+// and so one swap mask, broadcast from the scalar bit to every lane
+// (laneLadderKernel: no lane branches, and what one lane holds changes
+// no instruction the others run); the field arithmetic under them (fe:
+// the kernels' MULX products and ADCX/ADOX carry chains, which
 // branch only on fieldAsm, a property of the CPU, and their Go twins'
 // 64×64→128-bit multiplies and adds from math/bits; carries out of the
 // top limb folded back by multiplying, never by branching); the shared
@@ -78,11 +93,13 @@
 // masking (montgomeryU, fe.invert); and the all-zero check of a shared
 // secret, which ORs all 32 bytes before it branches, once, on whether a
 // point was of low order — as crypto/ecdh does. The window position, the
-// chunking of a batch, a box's length and the choice of table or ladder
-// are functions of public values. The sealing side's ladder is
-// crypto/ecdh's and inherits its guarantees. TestOperationCount (build
-// tag opcount) checks that the ladder and the comb walks do the same
-// field multiplications and squarings for any scalar.
+// chunking of a batch, a box's length and the choices of table or ladder
+// and of lane or scalar ladder (a box's place in its chunk, the chunk's
+// length, laneAsm) are functions of public values. The sealing side's
+// ladder is crypto/ecdh's and inherits its guarantees. TestOperationCount
+// (build tag opcount) checks that the ladder, the lane ladder and the
+// comb walks do the same field multiplications and squarings for any
+// scalar; the lane kernel counts its own.
 //
 // Not constant-time, and touching public data only: mapping a recipient's
 // public key to an Edwards point (edwardsFromU: math/big, a modular square
@@ -91,10 +108,17 @@
 // when the round's noise has been generated, before the round key they
 // were built from is erased.
 //
+// # Erasure
+//
 // Ephemeral seeds and digits are zeroed before the call that read them
 // returns (SealBatch, OnionBatch.Wrap, WrapOnion), as is the scratch that
 // held the product points and shared secrets, on the opening side too
-// (openBatch, ladder).
+// (openBatch, ladder, laneLadder and the lane ladder's laneLadderState),
+// and deriveKey's buffer, which holds a shared secret beside the two
+// public keys. The lane kernel clears every vector register it used,
+// Z16 to Z31 too, which VZEROUPPER does not reach, before it returns.
+// Out of reach: crypto/sha256's own copy of the block it hashes in
+// deriveKey.
 package onionbox
 
 import (
@@ -208,14 +232,17 @@ func UnmarshalPublicKey(data []byte) (*PublicKey, error) {
 const keyLabel = "alpenhorn/onionbox/key:"
 
 // deriveKey computes the AEAD key from the DH shared secret and the
-// transcript of both public keys (32 bytes each).
+// transcript of both public keys (32 bytes each). The buffer that held
+// the shared secret is zeroed before it returns.
 func deriveKey(shared, ephPub, recvPub []byte) [32]byte {
 	var buf [len(keyLabel) + 3*32]byte
 	n := copy(buf[:], keyLabel)
 	n += copy(buf[n:], shared)
 	n += copy(buf[n:], ephPub)
 	copy(buf[n:], recvPub)
-	return sha256.Sum256(buf[:])
+	key := sha256.Sum256(buf[:])
+	clear(buf[:])
+	return key
 }
 
 // sealBody encrypts the message at box[32:len(box)−16] in place under the

@@ -1,5 +1,6 @@
 // Field kernels for GF(2^255 − 19) on CPUs with BMI2 (MULX) and ADX
-// (ADCX, ADOX).
+// (ADCX, ADOX), and, at the end of the file, the lane ladder's kernel on
+// AVX-512 IFMA.
 //
 // feMul and feSquare stand in for their Go twins in field.go,
 // feMulGeneric and feSquareGeneric, and return the same limbs. Each starts
@@ -15,6 +16,7 @@
 // REDUCE38, the three steps of fe.reduceWide.
 
 #include "textflag.h"
+#include "go_asm.h"
 
 // MULFIRST sets t0..t4 = xi·(y0..y3). Clobbers AX, DX.
 #define MULFIRST(xi, y0, y1, y2, y3, t0, t1, t2, t3, t4) \
@@ -180,3 +182,409 @@ TEXT ·feSquare(SB), NOSPLIT, $0-16
 
 generic:
 	JMP ·feSquareGeneric(SB)
+
+// The lane ladder on AVX-512 IFMA (lane.go). A lane element is five
+// radix-2^51 limbs of eight lanes, one ZMM register a limb; the kernel
+// keeps every element of the ladder in laneLadderState and loads it per
+// operation. Every limb an operation reads is below 2^52, the width
+// VPMADD52LUQ and VPMADD52HUQ multiply (the low and the high 52 bits of a
+// 104-bit product, added to a 64-bit accumulator), and every operation
+// ends in one carry pass (LANECARRY), which brings any five limbs below
+// 2^64 back below 2^51 + 2^18.
+//
+// In the ladder Z28 holds 2^51 − 1 in every lane, Z29 19, Z30 and Z31 the
+// limbs of 2p (2^52 − 38 at limb 0, 2^52 − 2 above); Z0..Z9 are scratch
+// and Z10..Z27 the accumulators of a product: L_k, the low halves at
+// 2^(51k), in Z(10+k) for k = 0…8, and H_k, the high halves, in Z(18+k)
+// for k = 1…9. A high half of a product at 2^(51(i+j)) weighs
+// 2^(51(i+j)+52) = 2·2^(51(i+j+1)), so the product is Σ (L_k + 2H_k)
+// 2^(51k), and 2^255 ≡ 19 folds k ≥ 5 onto k − 5. With five products of
+// 52-bit limbs at most per position, L_k + 2H_k < 15·2^52 and the fold
+// stays below 300·2^52 < 2^61.
+//
+// Nothing branches or indexes memory on a secret: the one branch is the
+// loop over the public bit position, and the swap is a mask broadcast
+// from the scalar bit, the same in all eight lanes.
+
+DATA laneConst<>+0(SB)/8, $0x7ffffffffffff  // 2^51 − 1
+DATA laneConst<>+8(SB)/8, $19
+DATA laneConst<>+16(SB)/8, $0xfffffffffffda // 2^52 − 38, 2p's limb 0
+DATA laneConst<>+24(SB)/8, $0xffffffffffffe // 2^52 − 2, 2p's limbs 1…4
+DATA laneConst<>+32(SB)/8, $121665
+GLOBL laneConst<>(SB), RODATA|NOPTR, $40
+
+// The elements of laneLadderState, as offsets from DI.
+#define LX2 laneLadderState_x2
+#define LZ2 laneLadderState_z2
+#define LX3 laneLadderState_x3
+#define LZ3 laneLadderState_z3
+#define LU laneLadderState_u
+#define LA (laneLadderState_tmp+0*320)
+#define LAA (laneLadderState_tmp+1*320)
+#define LB (laneLadderState_tmp+2*320)
+#define LBB (laneLadderState_tmp+3*320)
+#define LE (laneLadderState_tmp+4*320)
+#define LC (laneLadderState_tmp+5*320)
+#define LD (laneLadderState_tmp+6*320)
+#define LDA (laneLadderState_tmp+7*320)
+#define LCB (laneLadderState_tmp+8*320)
+
+#define LANELOAD(a, r0, r1, r2, r3, r4) \
+	VMOVDQU64 a+0(DI), r0;   \
+	VMOVDQU64 a+64(DI), r1;  \
+	VMOVDQU64 a+128(DI), r2; \
+	VMOVDQU64 a+192(DI), r3; \
+	VMOVDQU64 a+256(DI), r4
+
+// LANESTORE writes Z10..Z14 to the element at d.
+#define LANESTORE(d) \
+	VMOVDQU64 Z10, d+0(DI);   \
+	VMOVDQU64 Z11, d+64(DI);  \
+	VMOVDQU64 Z12, d+128(DI); \
+	VMOVDQU64 Z13, d+192(DI); \
+	VMOVDQU64 Z14, d+256(DI)
+
+// LANECARRY carries Z10..Z14 once, all limbs at a time: each keeps its
+// low 51 bits and gains the carry of the limb below, limb 0 19 times
+// limb 4's (below 2^13, so one IFMA multiplies it). Clobbers Z5..Z9.
+#define LANECARRY \
+	VPSRLQ      $51, Z10, Z5; \
+	VPSRLQ      $51, Z11, Z6; \
+	VPSRLQ      $51, Z12, Z7; \
+	VPSRLQ      $51, Z13, Z8; \
+	VPSRLQ      $51, Z14, Z9; \
+	VPANDQ      Z28, Z10, Z10; \
+	VPANDQ      Z28, Z11, Z11; \
+	VPANDQ      Z28, Z12, Z12; \
+	VPANDQ      Z28, Z13, Z13; \
+	VPANDQ      Z28, Z14, Z14; \
+	VPADDQ      Z5, Z11, Z11;  \
+	VPADDQ      Z6, Z12, Z12;  \
+	VPADDQ      Z7, Z13, Z13;  \
+	VPADDQ      Z8, Z14, Z14;  \
+	VPMADD52LUQ Z29, Z9, Z10
+
+#define LANEZEROACC \
+	VPXORQ Z10, Z10, Z10; \
+	VPXORQ Z11, Z11, Z11; \
+	VPXORQ Z12, Z12, Z12; \
+	VPXORQ Z13, Z13, Z13; \
+	VPXORQ Z14, Z14, Z14; \
+	VPXORQ Z15, Z15, Z15; \
+	VPXORQ Z16, Z16, Z16; \
+	VPXORQ Z17, Z17, Z17; \
+	VPXORQ Z18, Z18, Z18; \
+	VPXORQ Z19, Z19, Z19; \
+	VPXORQ Z20, Z20, Z20; \
+	VPXORQ Z21, Z21, Z21; \
+	VPXORQ Z22, Z22, Z22; \
+	VPXORQ Z23, Z23, Z23; \
+	VPXORQ Z24, Z24, Z24; \
+	VPXORQ Z25, Z25, Z25; \
+	VPXORQ Z26, Z26, Z26; \
+	VPXORQ Z27, Z27, Z27
+
+// LANEPROD adds the low and high halves of x·y to the accumulators l
+// and h.
+#define LANEPROD(x, y, l, h) \
+	VPMADD52LUQ y, x, l; \
+	VPMADD52HUQ y, x, h
+
+// FOLD19 sets lo += 19·hi (16 + 2 + 1), with t as scratch.
+#define FOLD19(lo, hi, t) \
+	VPSLLQ $4, hi, t;   \
+	VPADDQ hi, lo, lo;  \
+	VPADDQ hi, hi, hi;  \
+	VPADDQ t, lo, lo;   \
+	VPADDQ hi, lo, lo
+
+// LANEREDUCE turns the accumulators into Z10..Z14, carried: L_k += 2H_k,
+// then positions 5…9 folded onto 0…4, then LANECARRY.
+#define LANEREDUCE \
+	VPADDQ Z19, Z19, Z19; \
+	VPADDQ Z20, Z20, Z20; \
+	VPADDQ Z21, Z21, Z21; \
+	VPADDQ Z22, Z22, Z22; \
+	VPADDQ Z23, Z23, Z23; \
+	VPADDQ Z24, Z24, Z24; \
+	VPADDQ Z25, Z25, Z25; \
+	VPADDQ Z26, Z26, Z26; \
+	VPADDQ Z27, Z27, Z27; \
+	VPADDQ Z19, Z11, Z11; \
+	VPADDQ Z20, Z12, Z12; \
+	VPADDQ Z21, Z13, Z13; \
+	VPADDQ Z22, Z14, Z14; \
+	VPADDQ Z23, Z15, Z15; \
+	VPADDQ Z24, Z16, Z16; \
+	VPADDQ Z25, Z17, Z17; \
+	VPADDQ Z26, Z18, Z18; \
+	FOLD19(Z10, Z15, Z5); \
+	FOLD19(Z11, Z16, Z6); \
+	FOLD19(Z12, Z17, Z7); \
+	FOLD19(Z13, Z18, Z8); \
+	FOLD19(Z14, Z27, Z9); \
+	LANECARRY
+
+// LANEMUL sets the element at d to a·b; d may be a or b. It counts itself
+// in R12.
+#define LANEMUL(d, a, b) \
+	LANELOAD(a, Z0, Z1, Z2, Z3, Z4); \
+	LANELOAD(b, Z5, Z6, Z7, Z8, Z9); \
+	LANEZEROACC;                     \
+	LANEPROD(Z0, Z5, Z10, Z19);      \
+	LANEPROD(Z0, Z6, Z11, Z20);      \
+	LANEPROD(Z0, Z7, Z12, Z21);      \
+	LANEPROD(Z0, Z8, Z13, Z22);      \
+	LANEPROD(Z0, Z9, Z14, Z23);      \
+	LANEPROD(Z1, Z5, Z11, Z20);      \
+	LANEPROD(Z1, Z6, Z12, Z21);      \
+	LANEPROD(Z1, Z7, Z13, Z22);      \
+	LANEPROD(Z1, Z8, Z14, Z23);      \
+	LANEPROD(Z1, Z9, Z15, Z24);      \
+	LANEPROD(Z2, Z5, Z12, Z21);      \
+	LANEPROD(Z2, Z6, Z13, Z22);      \
+	LANEPROD(Z2, Z7, Z14, Z23);      \
+	LANEPROD(Z2, Z8, Z15, Z24);      \
+	LANEPROD(Z2, Z9, Z16, Z25);      \
+	LANEPROD(Z3, Z5, Z13, Z22);      \
+	LANEPROD(Z3, Z6, Z14, Z23);      \
+	LANEPROD(Z3, Z7, Z15, Z24);      \
+	LANEPROD(Z3, Z8, Z16, Z25);      \
+	LANEPROD(Z3, Z9, Z17, Z26);      \
+	LANEPROD(Z4, Z5, Z14, Z23);      \
+	LANEPROD(Z4, Z6, Z15, Z24);      \
+	LANEPROD(Z4, Z7, Z16, Z25);      \
+	LANEPROD(Z4, Z8, Z17, Z26);      \
+	LANEPROD(Z4, Z9, Z18, Z27);      \
+	LANEREDUCE;                      \
+	LANESTORE(d);                    \
+	INCQ R12
+
+// LANESQUARE sets the element at d to a²; d may be a. The ten cross
+// products a_i·a_j (i < j) go in once and are doubled, then the five
+// squares a_i² join them. It counts itself in R13.
+#define LANESQUARE(d, a) \
+	LANELOAD(a, Z0, Z1, Z2, Z3, Z4); \
+	LANEZEROACC;                     \
+	LANEPROD(Z0, Z1, Z11, Z20);      \
+	LANEPROD(Z0, Z2, Z12, Z21);      \
+	LANEPROD(Z0, Z3, Z13, Z22);      \
+	LANEPROD(Z0, Z4, Z14, Z23);      \
+	LANEPROD(Z1, Z2, Z13, Z22);      \
+	LANEPROD(Z1, Z3, Z14, Z23);      \
+	LANEPROD(Z1, Z4, Z15, Z24);      \
+	LANEPROD(Z2, Z3, Z15, Z24);      \
+	LANEPROD(Z2, Z4, Z16, Z25);      \
+	LANEPROD(Z3, Z4, Z17, Z26);      \
+	VPADDQ Z11, Z11, Z11;            \
+	VPADDQ Z12, Z12, Z12;            \
+	VPADDQ Z13, Z13, Z13;            \
+	VPADDQ Z14, Z14, Z14;            \
+	VPADDQ Z15, Z15, Z15;            \
+	VPADDQ Z16, Z16, Z16;            \
+	VPADDQ Z17, Z17, Z17;            \
+	VPADDQ Z20, Z20, Z20;            \
+	VPADDQ Z21, Z21, Z21;            \
+	VPADDQ Z22, Z22, Z22;            \
+	VPADDQ Z23, Z23, Z23;            \
+	VPADDQ Z24, Z24, Z24;            \
+	VPADDQ Z25, Z25, Z25;            \
+	VPADDQ Z26, Z26, Z26;            \
+	LANEPROD(Z0, Z0, Z10, Z19);      \
+	LANEPROD(Z1, Z1, Z12, Z21);      \
+	LANEPROD(Z2, Z2, Z14, Z23);      \
+	LANEPROD(Z3, Z3, Z16, Z25);      \
+	LANEPROD(Z4, Z4, Z18, Z27);      \
+	LANEREDUCE;                      \
+	LANESTORE(d);                    \
+	INCQ R13
+
+// LANEADD sets the element at d to a + b.
+#define LANEADD(d, a, b) \
+	LANELOAD(a, Z10, Z11, Z12, Z13, Z14); \
+	VPADDQ b+0(DI), Z10, Z10;             \
+	VPADDQ b+64(DI), Z11, Z11;            \
+	VPADDQ b+128(DI), Z12, Z12;           \
+	VPADDQ b+192(DI), Z13, Z13;           \
+	VPADDQ b+256(DI), Z14, Z14;           \
+	LANECARRY;                            \
+	LANESTORE(d)
+
+// LANESUB sets the element at d to a + 2p − b; every limb of b is below
+// 2p's, so no limb goes negative.
+#define LANESUB(d, a, b) \
+	LANELOAD(a, Z10, Z11, Z12, Z13, Z14); \
+	VPADDQ Z30, Z10, Z10;                 \
+	VPADDQ Z31, Z11, Z11;                 \
+	VPADDQ Z31, Z12, Z12;                 \
+	VPADDQ Z31, Z13, Z13;                 \
+	VPADDQ Z31, Z14, Z14;                 \
+	VPSUBQ b+0(DI), Z10, Z10;             \
+	VPSUBQ b+64(DI), Z11, Z11;            \
+	VPSUBQ b+128(DI), Z12, Z12;           \
+	VPSUBQ b+192(DI), Z13, Z13;           \
+	VPSUBQ b+256(DI), Z14, Z14;           \
+	LANECARRY;                            \
+	LANESTORE(d)
+
+// LANEA24 sets the element at d to 121665·e + a. The high half of
+// e_k·121665 (below 2^17) weighs 2 at limb k + 1, and 38 at limb 0 for
+// k = 4.
+#define LANEA24(d, e, a) \
+	LANELOAD(a, Z10, Z11, Z12, Z13, Z14);           \
+	LANELOAD(e, Z0, Z1, Z2, Z3, Z4);                \
+	VPBROADCASTQ laneConst<>+32(SB), Z5;            \
+	VPXORQ       Z15, Z15, Z15;                     \
+	VPXORQ       Z16, Z16, Z16;                     \
+	VPXORQ       Z17, Z17, Z17;                     \
+	VPXORQ       Z18, Z18, Z18;                     \
+	VPXORQ       Z19, Z19, Z19;                     \
+	LANEPROD(Z0, Z5, Z10, Z15);                     \
+	LANEPROD(Z1, Z5, Z11, Z16);                     \
+	LANEPROD(Z2, Z5, Z12, Z17);                     \
+	LANEPROD(Z3, Z5, Z13, Z18);                     \
+	LANEPROD(Z4, Z5, Z14, Z19);                     \
+	VPADDQ       Z15, Z15, Z15;                     \
+	VPADDQ       Z16, Z16, Z16;                     \
+	VPADDQ       Z17, Z17, Z17;                     \
+	VPADDQ       Z18, Z18, Z18;                     \
+	VPADDQ       Z19, Z19, Z19;                     \
+	VPADDQ       Z15, Z11, Z11;                     \
+	VPADDQ       Z16, Z12, Z12;                     \
+	VPADDQ       Z17, Z13, Z13;                     \
+	VPADDQ       Z18, Z14, Z14;                     \
+	VPMADD52LUQ  Z29, Z19, Z10;                     \
+	LANECARRY;                                      \
+	LANESTORE(d)
+
+// LANECSWAP1 swaps the limbs at x+off and y+off where Z9 is all ones.
+#define LANECSWAP1(x, y, off) \
+	VMOVDQU64 x+off(DI), Z0; \
+	VMOVDQU64 y+off(DI), Z1; \
+	VPXORQ    Z0, Z1, Z2;    \
+	VPANDQ    Z9, Z2, Z2;    \
+	VPXORQ    Z2, Z0, Z0;    \
+	VPXORQ    Z2, Z1, Z1;    \
+	VMOVDQU64 Z0, x+off(DI); \
+	VMOVDQU64 Z1, y+off(DI)
+
+// LANECSWAP swaps (x2, z2) with (x3, z3) where AX is all ones, and
+// leaves them where it is zero; all lanes alike.
+#define LANECSWAP \
+	VPBROADCASTQ AX, Z9;        \
+	LANECSWAP1(LX2, LX3, 0);    \
+	LANECSWAP1(LX2, LX3, 64);   \
+	LANECSWAP1(LX2, LX3, 128);  \
+	LANECSWAP1(LX2, LX3, 192);  \
+	LANECSWAP1(LX2, LX3, 256);  \
+	LANECSWAP1(LZ2, LZ3, 0);    \
+	LANECSWAP1(LZ2, LZ3, 64);   \
+	LANECSWAP1(LZ2, LZ3, 128);  \
+	LANECSWAP1(LZ2, LZ3, 192);  \
+	LANECSWAP1(LZ2, LZ3, 256)
+
+// func laneLadderKernel(s *laneLadderState, k *[32]byte)
+//
+// ladder's 255 steps on the eight lanes of s, for the clamped scalar k,
+// from (x2, z2, x3, z3) as laneLadder sets them. It leaves the counts of
+// its multiplications and squarings in s.muls and s.squares, and clears
+// every vector register it used before it returns.
+TEXT ·laneLadderKernel(SB), NOSPLIT, $0-16
+	MOVQ s+0(FP), DI
+	MOVQ k+8(FP), SI
+	VPBROADCASTQ laneConst<>+0(SB), Z28
+	VPBROADCASTQ laneConst<>+8(SB), Z29
+	VPBROADCASTQ laneConst<>+16(SB), Z30
+	VPBROADCASTQ laneConst<>+24(SB), Z31
+	XORQ R12, R12
+	XORQ R13, R13
+	XORQ BX, BX     // the swap the last step left
+	MOVQ $254, R8   // t, the bit position
+
+step:
+	// bit = k[t/8] >> (t%8) & 1; swap the points if it differs from the
+	// last bit.
+	MOVQ    R8, AX
+	SHRQ    $3, AX
+	MOVBQZX (SI)(AX*1), DX
+	MOVQ    R8, CX
+	ANDQ    $7, CX
+	SHRQ    CX, DX
+	ANDQ    $1, DX
+	XORQ    DX, BX
+	MOVQ    BX, AX
+	NEGQ    AX
+	MOVQ    DX, BX
+	LANECSWAP
+
+	LANEADD(LA, LX2, LZ2)
+	LANESQUARE(LAA, LA)
+	LANESUB(LB, LX2, LZ2)
+	LANESQUARE(LBB, LB)
+	LANESUB(LE, LAA, LBB)
+	LANEADD(LC, LX3, LZ3)
+	LANESUB(LD, LX3, LZ3)
+	LANEMUL(LDA, LD, LA)
+	LANEMUL(LCB, LC, LB)
+	LANEADD(LX3, LDA, LCB)
+	LANESQUARE(LX3, LX3)
+	LANESUB(LZ3, LDA, LCB)
+	LANESQUARE(LZ3, LZ3)
+	LANEMUL(LZ3, LZ3, LU)
+	LANEMUL(LX2, LAA, LBB)
+	LANEA24(LA, LE, LAA)
+	LANEMUL(LZ2, LE, LA)
+
+	DECQ R8
+	JGE  step
+
+	MOVQ BX, AX
+	NEGQ AX
+	LANECSWAP
+	MOVQ R12, laneLadderState_muls(DI)
+	MOVQ R13, laneLadderState_squares(DI)
+	XORQ AX, AX
+	XORQ BX, BX
+	XORQ DX, DX
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z18, Z18, Z18
+	VPXORQ Z19, Z19, Z19
+	VPXORQ Z20, Z20, Z20
+	VPXORQ Z21, Z21, Z21
+	VPXORQ Z22, Z22, Z22
+	VPXORQ Z23, Z23, Z23
+	VPXORQ Z24, Z24, Z24
+	VPXORQ Z25, Z25, Z25
+	VPXORQ Z26, Z26, Z26
+	VPXORQ Z27, Z27, Z27
+	VPXORQ Z28, Z28, Z28
+	VPXORQ Z29, Z29, Z29
+	VPXORQ Z30, Z30, Z30
+	VPXORQ Z31, Z31, Z31
+	VZEROUPPER
+	RET
+
+// func xgetbv() (eax uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	XORL   CX, CX
+	XGETBV
+	MOVL   AX, eax+0(FP)
+	RET

@@ -12,3 +12,13 @@ var fieldAsm = false
 
 func feMul(v, a, b *fe) { feMulGeneric(v, a, b) }
 func feSquare(v, a *fe) { feSquareGeneric(v, a) }
+
+// There is no lane ladder here: laneAsm is always false, and openBatch
+// never calls the kernel.
+const laneAsmSupported = false
+
+var laneAsm = false
+
+func laneLadderKernel(s *laneLadderState, k *[32]byte) {
+	panic("onionbox: the lane ladder needs amd64")
+}

@@ -2,8 +2,10 @@
 
 package onionbox
 
-// countMul and countSquare are the operation-count test's seam (see
-// opcount_on.go): in a normal build they are empty and inline to nothing.
+// countMul, countSquare and countLanes are the operation-count test's
+// seam (see opcount_on.go): in a normal build they are empty and inline
+// to nothing.
 
-func countMul()    {}
-func countSquare() {}
+func countMul()                       {}
+func countSquare()                    {}
+func countLanes(muls, squares uint64) {}

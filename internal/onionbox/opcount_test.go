@@ -12,7 +12,9 @@ import (
 // whatever its scalar, so its time says nothing of the scalar. The peel's
 // ladder and the comb walks of a seal perform the same number of field
 // multiplications and squarings for a random, a zero, an all-ones and a
-// single-bit scalar, and the ladder also for a point of low order. Run it
+// single-bit scalar, and the ladder also for a point of low order; the
+// lane ladder (/lanes) does the scalar ladder's count for every scalar
+// and every lane content, in every group of a chunk however full. Run it
 // with: go test -tags opcount -run TestOperationCount ./internal/onionbox
 func TestOperationCount(t *testing.T) {
 	random := make([]byte, 32)
@@ -80,4 +82,58 @@ func TestOperationCount(t *testing.T) {
 		}
 		t.Logf("%s: %d multiplications, %d squarings", name, want.muls, want.squares)
 	}
+
+	t.Run("lanes", func(t *testing.T) {
+		skipWithoutLanes(t)
+		opMuls, opSquares = 0, 0
+		var seed [32]byte
+		var x2, z2 fe
+		ladder(&x2, &z2, &seed, &nine)
+		want := count{opMuls, opSquares}
+
+		rng := mathrand.New(mathrand.NewSource(9))
+		contents := map[string]func(j int) fe{
+			"random":    func(int) fe { return fe{[4]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64() >> 1}} },
+			"low order": func(int) fe { return lowOrder },
+			"fill":      func(int) fe { return laneFill },
+			"mixed": func(j int) fe {
+				if j%2 == 0 {
+					return lowOrder
+				}
+				return nine
+			},
+		}
+		var st laneLadderState
+		for sname, k := range scalars {
+			for cname, u := range contents {
+				for j := 0; j < laneCount; j++ {
+					v := u(j)
+					st.u.set(j, &v)
+				}
+				copy(seed[:], k)
+				opLaneCalls, opLaneMuls, opLaneSquares = 0, 0, 0
+				laneLadder(&st, &seed)
+				if got := (count{opLaneMuls, opLaneSquares}); opLaneCalls != 1 || got != want {
+					t.Errorf("%s scalar, %s lanes: %d calls, %+v; the scalar ladder %+v", sname, cname, opLaneCalls, got, want)
+				}
+			}
+		}
+
+		pub, priv, err := GenerateKey(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{laneBreakEven, laneCount - 1, laneCount, laneCount + laneBreakEven, openChunk + 3, 2*openChunk + 1} {
+			boxes := chunkBoxes(t, rng, pub, n)
+			opLaneCalls, opLaneMuls, opLaneSquares = 0, 0, 0
+			withLanes(func() { openBatch(nil, priv, boxes, make([]int, n)) })
+			if opLaneCalls == 0 {
+				t.Fatalf("a chunk of %d boxes ran no lane ladder", n)
+			}
+			if opLaneMuls != opLaneCalls*want.muls || opLaneSquares != opLaneCalls*want.squares {
+				t.Errorf("a chunk of %d boxes: %d lane ladders did %d multiplications and %d squarings, not %+v each", n, opLaneCalls, opLaneMuls, opLaneSquares, want)
+			}
+		}
+		t.Logf("lane ladder: %d multiplications, %d squarings a call", want.muls, want.squares)
+	})
 }

@@ -261,13 +261,22 @@ func TestDataFrameSendAllocations(t *testing.T) {
 	}
 	send() // dials, and leaves a frame buffer in the pool
 	const calls = 50
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		send()
+	trial := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			send()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
 	}
-	runtime.ReadMemStats(&after)
-	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	// TotalAlloc counts every goroutine's allocations, so a straggler from
+	// an earlier test can lift one measurement; the lowest of three is the
+	// sends' own, as in TestControlCallAllocs.
+	perCall := trial()
+	for i := 0; i < 2 && perCall >= uint64(payload); i++ {
+		perCall = min(perCall, trial())
+	}
 	if perCall >= uint64(payload) {
 		t.Fatalf("sending a chunk of %d B of onions allocates %d B", payload, perCall)
 	}
