@@ -8,10 +8,11 @@ import (
 	"alpenhorn/internal/wire"
 )
 
-// benchChain measures a full 3-server dialing round — peel, noise,
-// shuffle, mailbox build — through the reference Chain at one worker
-// count.
-func benchChain(b *testing.B, workers int) {
+// BenchmarkMix measures a full 3-server dialing round — peel, noise,
+// shuffle, mailbox build — through the reference Chain, stage by stage,
+// each server on GOMAXPROCS workers. Run it with -cpu 1,2 and compare
+// msgs/sec for the multi-core speedup.
+func BenchmarkMix(b *testing.B) {
 	const numServers, batchSize, numMailboxes = 3, 2048, 4
 	nz := noise.Laplace{Mu: 2, B: 0}
 	servers := make([]*Server, numServers)
@@ -19,7 +20,6 @@ func benchChain(b *testing.B, workers int) {
 		s, err := New(Config{
 			Name: "m", Position: i, ChainLength: numServers,
 			AddFriendNoise: &nz, DialingNoise: &nz,
-			Parallelism: workers,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -43,12 +43,3 @@ func benchChain(b *testing.B, workers int) {
 	b.ReportMetric(float64(batchSize)/perRound, "msgs/sec")
 	b.ReportMetric(perRound*1e3, "ms/round")
 }
-
-// BenchmarkMixSequential is one decryption thread per server, strict
-// stage-by-stage chain execution.
-func BenchmarkMixSequential(b *testing.B) { benchChain(b, 1) }
-
-// BenchmarkMixParallel uses the worker-pool decrypt path (GOMAXPROCS
-// workers) with the chain still running stage by stage. Compare its
-// msgs/sec against BenchmarkMixSequential for the multi-core speedup.
-func BenchmarkMixParallel(b *testing.B) { benchChain(b, 0) }

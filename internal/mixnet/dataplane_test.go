@@ -51,7 +51,7 @@ func submitSeeded(t *testing.T, e *entry.Server, settings *wire.RoundSettings, b
 }
 
 // TestDataPlaneMatchesReference pins the one data plane to the in-process
-// reference: Chain — full-batch Mix on seeded one-worker servers, then
+// reference: Chain — full-batch Mix on seeded servers, then
 // BuildMailboxes — against the routed plane (internal/rpc) at one shard per
 // position under the same seed, with noise on. The plane runs on each
 // transport sim serves, in memory and over TCP, and the reference runs on

@@ -74,17 +74,41 @@
 // peeled-but-unshuffled slices travel only inside it. A position with a
 // single shard is a group of one: no key leaves it and no slice travels.
 //
+// # Randomness
+//
+// A server reads Config.Rand for three things only: its long-term signing
+// key (New), each round's onion key (NewRound) and each round's 32-byte
+// NOISE SEED, drawn when the round's noise is first prepared. Every other
+// random byte a round uses comes from a keyed stream (keyedStream): the
+// permutation's is keyed by the round onion key, and mailbox j's noise —
+// its Laplace count, then its bodies, then its onions' ephemeral scalars —
+// by the seed and j. Mailbox j's noise is therefore a function of (seed,
+// j) alone, whichever worker makes it, and a server on a seeded source
+// runs the production program at any GOMAXPROCS.
+//
+// The seed is secret. Other servers must not predict a mixer's noise
+// counts, bodies or ephemeral scalars: the counts are what makes mailbox
+// sizes differentially private, and a known scalar would let a downstream
+// server recognise the noise onion it seals. To anyone without the seed,
+// an AES-256-CTR stream under a key hashed from 32 bytes of crypto/rand
+// is indistinguishable from random, and no two streams share a key and a
+// counter block. The seed is drawn from the source, not derived from the
+// round onion key: every shard of a group and a drafted spare hold the
+// same key, so a key-derived seed would give each member identical noise
+// onions for mailbox j. CloseRound zeroes the seed, after a completed
+// round and after an abort alike.
+//
 // This package is transport-agnostic: the chunked surface is driven by
 // daemons forwarding chunks directly to their successors (internal/rpc's
 // data plane, which also routes the shard-group deal/merge). The tests
 // hold it to a full-batch reference mixer that lives in this package's
-// _test.go files. Because chunk arrival order defines
-// pre-shuffle order and every randomness draw comes from Config.Rand in a
-// fixed sequence, the routed plane at one shard per position and that
+// _test.go files. Because chunk arrival order defines pre-shuffle order
+// and a round's randomness is a function of the server's draws from
+// Config.Rand, the routed plane at one shard per position and that
 // reference produce byte-identical mailboxes under a fixed seed.
 // Across shard COUNTS the guarantee is
 // set-level, not order-level — the deal legitimately reorders the
-// pre-shuffle batch and noise bytes are per-machine randomness — so
+// pre-shuffle batch and every member draws its own noise seed — so
 // byte-identity across 1/2/3-shard chains holds for order-independent
 // mailbox encodings (dialing's Bloom filters) with noise silenced, which
 // is exactly what the cross-shard-count determinism test pins; add-friend
@@ -121,8 +145,12 @@ type roundState struct {
 	// the chain, used to wrap this server's noise messages. nil until
 	// SetDownstreamKeys (empty, non-nil for the last server).
 	downstream []*onionbox.PublicKey
-	// noise holds this round's background-generated noise, consumed by
-	// the next StreamEndShard call.
+	// noiseSeed keys every mailbox's noise stream for the round. It is
+	// drawn from Config.Rand when the round's noise is first prepared and
+	// zeroed by CloseRound.
+	noiseSeed *[32]byte
+	// noise is the round's background-generated noise for the mailbox
+	// count last asked for; StreamBegin hands it to the stream.
 	noise *noiseBatch
 	// stream is the in-progress chunked intake, if any.
 	stream *stream
@@ -176,8 +204,7 @@ type Server struct {
 	AddFriendNoise noise.Laplace
 	DialingNoise   noise.Laplace
 
-	randSrc     io.Reader
-	parallelism int
+	randSrc io.Reader
 
 	// Static shard identity (Config.ShardIndex/ShardCount); 0 count
 	// means unpinned.
@@ -205,15 +232,11 @@ type Config struct {
 	AddFriendNoise *noise.Laplace
 	DialingNoise   *noise.Laplace
 	// Rand is the server's randomness source; nil means crypto/rand.
-	// The server reads it from multiple goroutines (worker-pool
-	// decryption, background noise generation, shuffling), so any
-	// source other than crypto/rand.Reader is wrapped in an internal
-	// mutex: it only needs to be safe for serialized reads.
+	// The server reads it only in New and under its own mutex (each
+	// round's onion key and noise seed), so any source need only be
+	// safe for serialized reads. Everything else a round draws comes from
+	// keyed streams (package doc, "Randomness").
 	Rand io.Reader
-	// Parallelism is the worker count for onion decryption and noise
-	// generation; 0 means runtime.GOMAXPROCS(0). 1 forces the
-	// sequential path.
-	Parallelism int
 	// ShardIndex/ShardCount pin this daemon's place in its position's
 	// shard group (cmd/alpenhorn-mixer -shard i/N). ShardCount 0 leaves
 	// the daemon unpinned: it accepts whatever per-round shard layout
@@ -233,20 +256,6 @@ type Config struct {
 	Spare bool
 }
 
-// lockedReader serializes reads of a non-thread-safe randomness source so
-// that concurrent decryption, noise-generation, and streaming goroutines never
-// interleave partial reads. See Config.Rand.
-type lockedReader struct {
-	mu sync.Mutex
-	r  io.Reader
-}
-
-func (l *lockedReader) Read(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.Read(p)
-}
-
 // New creates a mixnet server with a fresh long-term signing key.
 func New(cfg Config) (*Server, error) {
 	if cfg.Position < 0 || cfg.ChainLength <= 0 || cfg.Position >= cfg.ChainLength {
@@ -256,19 +265,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("mixnet: invalid shard index")
 	}
 	randSrc := cfg.Rand
-	switch randSrc {
-	case nil, rand.Reader:
+	if randSrc == nil {
 		randSrc = rand.Reader
-	default:
-		randSrc = &lockedReader{r: cfg.Rand}
 	}
 	pub, priv, err := ed25519.GenerateKey(randSrc)
 	if err != nil {
 		return nil, err
-	}
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
 	}
 	s := &Server{
 		Name:           cfg.Name,
@@ -279,7 +281,6 @@ func New(cfg Config) (*Server, error) {
 		AddFriendNoise: noise.AddFriendNoise,
 		DialingNoise:   noise.DialingNoise,
 		randSrc:        randSrc,
-		parallelism:    par,
 		shardIndex:     cfg.ShardIndex,
 		shardCount:     cfg.ShardCount,
 		spare:          cfg.Spare,
@@ -469,12 +470,13 @@ func (s *Server) SetDownstreamKeys(service wire.Service, round uint32, keys [][]
 }
 
 // CloseRound erases the round's onion private key (forward secrecy: the
-// recorded ciphertexts of a closed round can never be decrypted again) and
-// the server's memory of its permutation (which was never stored). The
-// coordinator closes a round this way after it completes, after a failed
-// open and after an abort. A chunk of an aborted stream may still be
-// peeling with the key, so CloseRound waits for the round's chunks before
-// it zeroes the scalar; chunks that have not started skip their peel.
+// recorded ciphertexts of a closed round can never be decrypted again),
+// its noise seed, and the server's memory of its permutation (which was
+// never stored). The coordinator closes a round this way after it
+// completes, after a failed open and after an abort. A chunk of an aborted
+// stream may still be peeling with the key, so CloseRound waits for the
+// round's chunks before it zeroes the scalar; chunks that have not started
+// skip their peel.
 func (s *Server) CloseRound(service wire.Service, round uint32) {
 	s.mu.Lock()
 	st, ok := s.rounds[roundKey{service, round}]
@@ -484,6 +486,9 @@ func (s *Server) CloseRound(service wire.Service, round uint32) {
 	}
 	priv := st.priv
 	st.priv = nil
+	if st.noiseSeed != nil {
+		*st.noiseSeed = [32]byte{}
+	}
 	st.noise = nil
 	st.stream = nil
 	st.closed = true
@@ -513,73 +518,62 @@ func (s *Server) openState(service wire.Service, round uint32) (*roundState, err
 // PrepareNoise starts generating the round's noise messages in the
 // background, so they are ready by the time the batch arrives and
 // StreamEndShard never blocks on noise. It must be called after
-// SetDownstreamKeys and is idempotent for a given mailbox count; a later
-// stream with a different mailbox count falls back to inline generation.
+// SetDownstreamKeys and is idempotent for a given mailbox count; a call
+// with another count replaces the batch, from the same seed.
 func (s *Server) PrepareNoise(service wire.Service, round uint32, numMailboxes uint32) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	st, err := s.openState(service, round)
 	if err != nil {
-		s.mu.Unlock()
 		return err
 	}
+	_, err = s.prepareNoiseLocked(st, service, round, numMailboxes)
+	return err
+}
+
+// prepareNoiseLocked returns the round's noise batch for numMailboxes,
+// starting one if the round has none for that count. The round's first
+// call draws its noise seed, under s.mu as every read of Config.Rand is;
+// the generating goroutine gets its own copy and zeroes it when done.
+// Callers hold s.mu.
+func (s *Server) prepareNoiseLocked(st *roundState, service wire.Service, round, numMailboxes uint32) (*noiseBatch, error) {
 	if st.downstream == nil && s.ChainLength-s.Position-1 > 0 {
-		s.mu.Unlock()
-		return fmt.Errorf("mixnet: round %d (%s): downstream keys not set", round, service)
+		return nil, fmt.Errorf("mixnet: round %d (%s): downstream keys not set", round, service)
 	}
 	if st.noise != nil && st.noise.numMailboxes == numMailboxes {
-		s.mu.Unlock()
-		return nil
+		return st.noise, nil
 	}
-	nb := &noiseBatch{numMailboxes: numMailboxes, done: make(chan struct{})}
-	st.noise = nb
-	downstream := st.downstream
-	shards := st.effectiveShards()
-	s.mu.Unlock()
-
-	go func() {
-		nb.msgs, nb.err = s.generateNoise(service, numMailboxes, downstream, shards)
-		close(nb.done)
-	}()
-	return nil
-}
-
-// takeNoise detaches the round's prepared noise if it matches the mailbox
-// count; the caller must wait on the returned batch. Callers hold s.mu.
-func (st *roundState) takeNoise(numMailboxes uint32) *noiseBatch {
-	nb := st.noise
-	if nb == nil || nb.numMailboxes != numMailboxes {
-		return nil
-	}
-	st.noise = nil
-	return nb
-}
-
-// finishBatch appends the round's noise (prepared, or generated inline) to
-// the peeled messages and updates stats. The output is unshuffled: the
-// position's one permutation is MergeShuffle's.
-func (s *Server) finishBatch(service wire.Service, numMailboxes uint32, downstream []*onionbox.PublicKey, nb *noiseBatch, batchLen int, out [][]byte, shards int) ([][]byte, error) {
-	var noiseMsgs [][]byte
-	if nb != nil {
-		<-nb.done
-		if nb.err != nil {
-			return nil, nb.err
-		}
-		noiseMsgs = nb.msgs
-	} else {
-		// Noise: Laplace(µ, b) fresh fake requests per mailbox, plus
-		// the cover mailbox, wrapped for the rest of the chain so that
-		// downstream servers cannot tell noise from real traffic (§6).
-		var err error
-		noiseMsgs, err = s.generateNoise(service, numMailboxes, downstream, shards)
-		if err != nil {
+	if st.noiseSeed == nil {
+		seed := new([32]byte)
+		if _, err := io.ReadFull(s.randSrc, seed[:]); err != nil {
 			return nil, err
 		}
+		st.noiseSeed = seed
 	}
-	out = append(out, noiseMsgs...)
+	seed := *st.noiseSeed
+	nb := &noiseBatch{numMailboxes: numMailboxes, done: make(chan struct{})}
+	st.noise = nb
+	downstream, shards := st.downstream, st.effectiveShards()
+	go func() {
+		nb.msgs, nb.err = s.generateNoise(&seed, service, round, numMailboxes, downstream, shards)
+		close(nb.done)
+	}()
+	return nb, nil
+}
+
+// finishBatch appends the round's prepared noise to the peeled messages
+// and updates stats. The output is unshuffled: the position's one
+// permutation is MergeShuffle's.
+func (s *Server) finishBatch(nb *noiseBatch, batchLen int, out [][]byte) ([][]byte, error) {
+	<-nb.done
+	if nb.err != nil {
+		return nil, nb.err
+	}
+	out = append(out, nb.msgs...)
 
 	s.mu.Lock()
 	s.processed += uint64(batchLen)
-	s.noiseSent += uint64(len(noiseMsgs))
+	s.noiseSent += uint64(len(nb.msgs))
 	s.mu.Unlock()
 	return out, nil
 }
@@ -602,11 +596,8 @@ func (s *Server) MergeShuffle(service wire.Service, round uint32, parts [][][]by
 		return nil, err
 	}
 	// Derived under the lock: CloseRound erases the key it reads.
-	prnd, err := permutationReader(st.priv, service, round)
+	prnd := permutationReader(st.priv, service, round)
 	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
 	out := concat(parts)
 	if err := shuffle(prnd, out); err != nil {
 		return nil, err
@@ -680,10 +671,14 @@ func concat(parts [][][]byte) [][]byte {
 // Fake add-friend requests are random IBE-ciphertext-shaped blobs (a random
 // G2 point plus random AEAD bytes — indistinguishable from real ciphertexts
 // by ciphertext anonymity, §4.3); fake dial requests are random tokens.
-// Mailboxes are sharded across the worker pool: each noise onion costs one
-// X25519 seal per downstream hop, which dominates round setup otherwise.
-// A mailbox's onions are wrapped layer by layer as one onionbox.OnionBatch,
-// which reads the rand source exactly as a WrapOnion call per body would.
+// Mailboxes are sharded across GOMAXPROCS workers: each noise onion costs
+// one X25519 seal per downstream hop, which dominates round setup
+// otherwise. Mailbox mb reads one keyed stream of the round's seed — its
+// count, then its bodies, then its onions' ephemeral scalars — so its
+// noise does not depend on which worker makes it or when. A mailbox's
+// onions are wrapped layer by layer as one onionbox.OnionBatch, which
+// reads the stream exactly as a WrapOnion call per body would. The seed is
+// zeroed before generateNoise returns.
 //
 // When the server is one of `shards` machines jointly serving its chain
 // position, each shard samples a distribution with mean ceil(µ/shards)
@@ -694,10 +689,8 @@ func concat(parts [][][]byte) [][]byte {
 // at least one full-scale Laplace perturbation — the ε = s/b analysis of
 // §6 is unchanged. (Dividing the sampled COUNT instead would shrink the
 // effective scale to ~b/N and multiply the privacy loss by N.)
-func (s *Server) generateNoise(service wire.Service, numMailboxes uint32, downstream []*onionbox.PublicKey, shards int) ([][]byte, error) {
-	if shards < 1 {
-		shards = 1
-	}
+func (s *Server) generateNoise(seed *[32]byte, service wire.Service, round, numMailboxes uint32, downstream []*onionbox.PublicKey, shards int) ([][]byte, error) {
+	defer func() { *seed = [32]byte{} }()
 	dist := s.AddFriendNoise
 	if service == wire.Dialing {
 		dist = s.DialingNoise
@@ -713,33 +706,26 @@ func (s *Server) generateNoise(service wire.Service, numMailboxes uint32, downst
 	for i, key := range downstream {
 		sealers[i] = onionbox.NewSealer(key, int(float64(numMailboxes)*dist.Mu))
 	}
-	perMailbox := func(mb uint32) ([][]byte, error) {
-		n, err := dist.Sample(s.randSrc)
-		if err != nil {
-			return nil, err
-		}
-		bodies, err := s.noiseBodies(service, n)
-		if err != nil {
-			return nil, err
-		}
-		batch := onionbox.NewOnionBatch(sealers)
-		for _, body := range bodies {
-			payload := (&wire.MixPayload{Mailbox: mb, Body: body}).Marshal()
-			if err := batch.Add(s.randSrc, payload); err != nil {
-				return nil, err
-			}
-		}
-		return batch.Wrap()
-	}
-
 	perMB := make([][][]byte, numMailboxes)
-	err := parallelFor(int(numMailboxes), s.parallelism, func(mb int) error {
-		m, err := perMailbox(uint32(mb))
+	err := parallelFor(int(numMailboxes), runtime.GOMAXPROCS(0), func(mb int) error {
+		rnd := keyedStream(noiseLabel, seed[:], service, round, uint32(mb))
+		n, err := dist.Sample(rnd)
 		if err != nil {
 			return err
 		}
-		perMB[mb] = m
-		return nil
+		bodies, err := noiseBodies(rnd, service, n)
+		if err != nil {
+			return err
+		}
+		batch := onionbox.NewOnionBatch(sealers)
+		for _, body := range bodies {
+			payload := (&wire.MixPayload{Mailbox: uint32(mb), Body: body}).Marshal()
+			if err := batch.Add(rnd, payload); err != nil {
+				return err
+			}
+		}
+		perMB[mb], err = batch.Wrap()
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -751,21 +737,20 @@ func (s *Server) generateNoise(service wire.Service, numMailboxes uint32, downst
 	return msgs, nil
 }
 
-// noiseBodies generates one mailbox's worth of noise bodies. Add-friend
-// blobs are produced by the batched IBE noise generator — the comb-table
-// scalar multiplications share one affine-conversion inversion across the
-// mailbox — consuming randomness in exactly the order of n sequential
-// RandomCiphertext calls, so noise bytes are identical to the unbatched
-// path under a fixed rand source.
-func (s *Server) noiseBodies(service wire.Service, n int) ([][]byte, error) {
+// noiseBodies generates one mailbox's worth of noise bodies from rnd.
+// Add-friend blobs are produced by the batched IBE noise generator — the
+// comb-table scalar multiplications share one affine-conversion inversion
+// across the mailbox — consuming randomness in exactly the order of n
+// sequential RandomCiphertext calls.
+func noiseBodies(rnd io.Reader, service wire.Service, n int) ([][]byte, error) {
 	switch service {
 	case wire.AddFriend:
-		return ibe.RandomCiphertexts(s.randSrc, wire.FriendRequestSize, n)
+		return ibe.RandomCiphertexts(rnd, wire.FriendRequestSize, n)
 	case wire.Dialing:
 		bodies := make([][]byte, n)
 		for i := range bodies {
 			tok := make([]byte, keywheel.TokenSize)
-			if _, err := io.ReadFull(s.randSrc, tok); err != nil {
+			if _, err := io.ReadFull(rnd, tok); err != nil {
 				return nil, err
 			}
 			bodies[i] = tok

@@ -7,6 +7,7 @@ import (
 	mathrand "math/rand"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
 	"alpenhorn/internal/keywheel"
@@ -37,27 +38,39 @@ func sameMultiset(t *testing.T, a, b [][]byte) {
 	}
 }
 
+// atGOMAXPROCS runs fn as the subtest "workers=p" at GOMAXPROCS p, the
+// server's worker count, for each p in procs, and restores GOMAXPROCS
+// afterwards. GOMAXPROCS is process-wide, so no caller may run in
+// parallel with other tests (t.Parallel).
+func atGOMAXPROCS(t *testing.T, procs []int, fn func(t *testing.T)) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, p := range procs {
+		runtime.GOMAXPROCS(p)
+		t.Run(fmt.Sprintf("workers=%d", p), fn)
+	}
+}
+
 // TestParallelDecryptMatchesSequential is the data plane's determinism
 // check across worker counts: one batch, fed through StreamChunk in uneven
 // chunks with one onion in 17 malformed, leaves StreamEndShard as the same
-// messages in the same order at Parallelism 1, 2, 3 and 8 — the payloads
+// messages in the same order at GOMAXPROCS 1, 2, 3 and 8 — the payloads
 // of the well-formed onions, in batch order. The servers draw from one
 // seed, so they hold the same round key.
 func TestParallelDecryptMatchesSequential(t *testing.T) {
 	const n, seed = 500, 17
-	newServer := func(t *testing.T, workers int) (*Server, []*onionbox.PublicKey) {
+	newServer := func(t *testing.T) (*Server, []*onionbox.PublicKey) {
 		s, err := New(Config{
 			Name: "m", Position: 0, ChainLength: 1,
 			AddFriendNoise: &noNoise, DialingNoise: &noNoise,
-			Rand:        &seededReader{rng: mathrand.New(mathrand.NewSource(seed))},
-			Parallelism: workers,
+			Rand: &seededReader{rng: mathrand.New(mathrand.NewSource(seed))},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s, openRound(t, []*Server{s}, wire.Dialing, 1)
 	}
-	_, hops := newServer(t, 1)
+	_, hops := newServer(t)
 	var batch, want [][]byte
 	for i := 0; i < n; i++ {
 		tok := make([]byte, keywheel.TokenSize)
@@ -71,45 +84,42 @@ func TestParallelDecryptMatchesSequential(t *testing.T) {
 		batch = append(batch, onion)
 	}
 
-	for _, workers := range []int{1, 2, 3, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			s, _ := newServer(t, workers)
-			if err := s.StreamBegin(wire.Dialing, 1, 1); err != nil {
+	atGOMAXPROCS(t, []int{1, 2, 3, 8}, func(t *testing.T) {
+		s, _ := newServer(t)
+		if err := s.StreamBegin(wire.Dialing, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < n; {
+			hi := min(lo+1+lo%97, n)
+			if err := s.StreamChunk(wire.Dialing, 1, batch[lo:hi]); err != nil {
 				t.Fatal(err)
 			}
-			for lo := 0; lo < n; {
-				hi := min(lo+1+lo%97, n)
-				if err := s.StreamChunk(wire.Dialing, 1, batch[lo:hi]); err != nil {
-					t.Fatal(err)
-				}
-				lo = hi
+			lo = hi
+		}
+		got, err := s.StreamEndShard(wire.Dialing, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d messages out, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("message %d differs from the sequential order", i)
 			}
-			got, err := s.StreamEndShard(wire.Dialing, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%d messages out, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if !bytes.Equal(got[i], want[i]) {
-					t.Fatalf("message %d differs from the sequential order", i)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestMixParallelMatchesSequentialMultiset runs the same batch through the
-// full Mix (decrypt + noise + shuffle) with worker-pool and sequential
-// configurations and checks the opened-message multisets agree.
+// full Mix (decrypt + noise + shuffle) at GOMAXPROCS 1, 2, 3 and 8 and
+// checks the opened-message multisets agree.
 func TestMixParallelMatchesSequentialMultiset(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	atGOMAXPROCS(t, []int{1, 2, 3, 8}, func(t *testing.T) {
 		nz := noise.Laplace{Mu: 0, B: 0}
 		s, err := New(Config{
 			Name: "m", Position: 0, ChainLength: 1,
 			AddFriendNoise: &nz, DialingNoise: &nz,
-			Parallelism: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -139,7 +149,7 @@ func TestMixParallelMatchesSequentialMultiset(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameMultiset(t, want, out)
-	}
+	})
 }
 
 // streamEnd closes a group-of-one's stream the way the data plane does:
@@ -299,7 +309,7 @@ func TestAbortThenCloseErasesKey(t *testing.T) {
 
 // TestPrepareNoiseIsUsed checks that background-prepared noise is consumed
 // by the next Mix (right count, no double generation) and that a mailbox
-// count mismatch falls back to inline generation.
+// count mismatch replaces the prepared batch.
 func TestPrepareNoiseIsUsed(t *testing.T) {
 	nz := noise.Laplace{Mu: 5, B: 0}
 	servers := newChain(t, 1, nz)
@@ -393,7 +403,7 @@ func TestBuildMailboxesParallelMatchesSequential(t *testing.T) {
 
 // nonThreadSafeReader is a deterministic PRNG with no internal locking; the
 // race detector fails the test if the server reads it from two goroutines
-// without the lockedReader wrapper.
+// at once.
 type nonThreadSafeReader struct {
 	rng *mathrand.Rand
 }
@@ -405,43 +415,62 @@ func (r *nonThreadSafeReader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestCustomRandSourceIsSerialized exercises parallel decryption, shuffle,
-// and concurrent noise generation against a non-thread-safe rand source to
-// verify the Config.Rand locking contract.
-func TestCustomRandSourceIsSerialized(t *testing.T) {
+// TestConfigRandReadUnderLock pins Config.Rand's contract, that the server
+// reads it only in New and under its mutex: against a reader with no
+// locking of its own, rounds of both services open and prepare their
+// noise on eight goroutines while a stream's chunks peel and its noise is
+// made. Under -race, any read outside the mutex is a reported race.
+func TestConfigRandReadUnderLock(t *testing.T) {
 	nz := noise.Laplace{Mu: 3, B: 1}
 	s, err := New(Config{
 		Name: "m", Position: 0, ChainLength: 1,
 		AddFriendNoise: &nz, DialingNoise: &nz,
-		Rand:        &nonThreadSafeReader{rng: mathrand.New(mathrand.NewSource(42))},
-		Parallelism: 4,
+		Rand: &nonThreadSafeReader{rng: mathrand.New(mathrand.NewSource(42))},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rk, err := s.NewRound(wire.Dialing, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetDownstreamKeys(wire.Dialing, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	pk, err := onionbox.UnmarshalPublicKey(rk.OnionKey)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hops := openRound(t, []*Server{s}, wire.Dialing, 1)
 	var batch [][]byte
 	for i := 0; i < 200; i++ {
 		tok := make([]byte, keywheel.TokenSize)
 		tok[0] = byte(i)
-		batch = append(batch, makeDialOnion(t, []*onionbox.PublicKey{pk}, 0, tok))
+		batch = append(batch, makeDialOnion(t, hops, 0, tok))
 	}
-	// Noise generation runs in the background while Mix decrypts: both
-	// read the shared rand source.
-	if err := s.PrepareNoise(wire.Dialing, 1, 8); err != nil {
+	if err := s.StreamBegin(wire.Dialing, 1, 8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Mix(wire.Dialing, 1, 8, batch); err != nil {
+	var wg sync.WaitGroup
+	for _, service := range []wire.Service{wire.AddFriend, wire.Dialing} {
+		for round := uint32(2); round < 6; round++ {
+			wg.Add(1)
+			go func(service wire.Service, round uint32) {
+				defer wg.Done()
+				if _, err := s.NewRound(service, round); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := s.SetDownstreamKeys(service, round, nil); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := s.PrepareNoise(service, round, 8); err != nil {
+					t.Error(err)
+				}
+			}(service, round)
+		}
+	}
+	for lo := 0; lo < len(batch); lo += 32 {
+		if err := s.StreamChunk(wire.Dialing, 1, batch[lo:min(lo+32, len(batch))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	out, err := s.StreamEndShard(wire.Dialing, 1)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(out) < len(batch) {
+		t.Fatalf("%d messages out of a batch of %d", len(out), len(batch))
 	}
 }

@@ -2,6 +2,7 @@ package mixnet
 
 import (
 	"fmt"
+	"runtime"
 
 	"alpenhorn/internal/onionbox"
 	"alpenhorn/internal/wire"
@@ -19,12 +20,13 @@ import (
 // batch is what the next server in the chain (or BuildMailboxes, at the
 // last server) consumes.
 //
-// Decryption fans out over the server's worker pool but preserves batch
-// order until the shuffle, so the output is a uniformly random permutation
-// of exactly the messages the sequential path would produce.
+// Decryption fans out over GOMAXPROCS workers but preserves batch order
+// until the shuffle, so the output is a uniformly random permutation of
+// exactly the messages a peel on one worker would produce.
 //
-// numMailboxes is the round's mailbox count K; noise is generated per
-// mailbox. Fully processed messages at the last server are MixPayload
+// numMailboxes is the round's mailbox count K. Mix prepares the round's
+// noise for it as StreamBegin does (PrepareNoise), so noise is made one
+// way. Fully processed messages at the last server are MixPayload
 // encodings.
 func (s *Server) Mix(service wire.Service, round uint32, numMailboxes uint32, batch [][]byte) ([][]byte, error) {
 	s.mu.Lock()
@@ -33,35 +35,32 @@ func (s *Server) Mix(service wire.Service, round uint32, numMailboxes uint32, ba
 		s.mu.Unlock()
 		return nil, err
 	}
+	nb, err := s.prepareNoiseLocked(st, service, round, numMailboxes)
 	priv := st.priv
-	downstream := st.downstream
-	nb := st.takeNoise(numMailboxes)
-	shards := st.effectiveShards()
 	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 
-	out := decryptBatch(priv, batch, s.parallelism)
-	out, err = s.finishBatch(service, numMailboxes, downstream, nb, len(batch), out, shards)
+	out := decryptBatch(priv, batch)
+	out, err = s.finishBatch(nb, len(batch), out)
 	if err != nil {
 		return nil, err
 	}
-	prnd, err := permutationReader(priv, service, round)
-	if err != nil {
-		return nil, err
-	}
-	if err := shuffle(prnd, out); err != nil {
+	if err := shuffle(permutationReader(priv, service, round), out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // decryptBatch peels one layer from every onion, decryptChunkSize onions
-// at a time across the worker pool. Workers write into per-chunk slots, so
-// the surviving messages come back in batch order regardless of
+// at a time across GOMAXPROCS workers. Workers write into per-chunk slots,
+// so the surviving messages come back in batch order regardless of
 // scheduling.
-func decryptBatch(priv *onionbox.PrivateKey, batch [][]byte, workers int) [][]byte {
+func decryptBatch(priv *onionbox.PrivateKey, batch [][]byte) [][]byte {
 	numChunks := (len(batch) + decryptChunkSize - 1) / decryptChunkSize
 	chunkOut := make([][][]byte, numChunks)
-	parallelFor(numChunks, workers, func(c int) error {
+	parallelFor(numChunks, runtime.GOMAXPROCS(0), func(c int) error {
 		lo := c * decryptChunkSize
 		chunkOut[c] = onionbox.OpenBatch(priv, batch[lo:min(lo+decryptChunkSize, len(batch))])
 		return nil

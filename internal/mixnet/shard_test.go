@@ -29,7 +29,6 @@ func newShardTestServer(t *testing.T, mu float64, seed int64) *Server {
 	}
 	if seed != 0 {
 		cfg.Rand = &seededReader{rng: mathrand.New(mathrand.NewSource(seed))}
-		cfg.Parallelism = 1
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -279,5 +278,59 @@ func TestMergeShuffleIsSeededPermutation(t *testing.T) {
 	s.CloseRound(wire.Dialing, 1)
 	if _, err := s.MergeShuffle(wire.Dialing, 1, parts); err == nil {
 		t.Fatal("merge shuffle ran on a closed round")
+	}
+}
+
+// TestShardMembersDrawOwnNoise: two members of one shard group hold the
+// same round key, yet each draws its own noise seed, so they send no
+// noise onion in common. A seed derived from the shared key would give
+// both the same onions for every mailbox.
+func TestShardMembersDrawOwnNoise(t *testing.T) {
+	nz := noise.Laplace{Mu: 3, B: 0}
+	members := make([]*Server, 2)
+	for i := range members {
+		s, err := New(Config{
+			Name: "m", Position: 0, ChainLength: 1,
+			AddFriendNoise: &nz, DialingNoise: &nz,
+			ShardIndex: i, ShardCount: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		members[i] = s
+	}
+	if _, err := members[0].NewRound(wire.Dialing, 1); err != nil {
+		t.Fatal(err)
+	}
+	key, err := members[0].ExportRoundKey(wire.Dialing, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := members[1].ImportRoundKey(wire.Dialing, 1, key); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]int)
+	for i, s := range members {
+		// Both members make ⌈µ/2⌉ noise messages for each of the same
+		// mailboxes, so only the seed tells their noise apart.
+		if err := s.SetRoundShard(wire.Dialing, 1, i, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.StreamBegin(wire.Dialing, 1, 4); err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.StreamEndShard(wire.Dialing, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) == 0 {
+			t.Fatalf("member %d made no noise", i)
+		}
+		for _, msg := range out {
+			if j, ok := seen[string(msg)]; ok && j != i {
+				t.Fatalf("members %d and %d both sent noise message %x", j, i, msg)
+			}
+			seen[string(msg)] = i
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package mixnet
 
 import (
-	"crypto/rand"
 	"encoding/binary"
 	"io"
 )
@@ -12,9 +11,6 @@ import (
 // which is exactly the property the anytrust argument needs from the one
 // honest server.
 func shuffle(rnd io.Reader, batch [][]byte) error {
-	if rnd == nil {
-		rnd = rand.Reader
-	}
 	for i := len(batch) - 1; i > 0; i-- {
 		j, err := uniformInt(rnd, uint64(i+1))
 		if err != nil {

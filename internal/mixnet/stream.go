@@ -2,6 +2,7 @@ package mixnet
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"alpenhorn/internal/onionbox"
@@ -20,7 +21,8 @@ import (
 
 // stream is the in-flight chunked intake of one round's batch.
 type stream struct {
-	numMailboxes uint32
+	// noise is the round's noise for the stream's mailbox count.
+	noise *noiseBatch
 	// sem bounds the number of chunk-decryption goroutines.
 	sem chan struct{}
 	wg  sync.WaitGroup
@@ -31,33 +33,24 @@ type stream struct {
 }
 
 // StreamBegin starts chunked intake for a round. It also kicks off
-// background noise generation (PrepareNoise) so the noise is ready by
-// StreamEndShard. Exactly one stream may be in flight per round.
+// background noise generation for numMailboxes (PrepareNoise) so the noise
+// is ready by StreamEndShard. Exactly one stream may be in flight per
+// round.
 func (s *Server) StreamBegin(service wire.Service, round uint32, numMailboxes uint32) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	st, err := s.openState(service, round)
 	if err != nil {
-		s.mu.Unlock()
 		return err
 	}
 	if st.stream != nil {
-		s.mu.Unlock()
 		return fmt.Errorf("mixnet: round %d (%s): stream already in progress", round, service)
 	}
-	st.stream = &stream{
-		numMailboxes: numMailboxes,
-		sem:          make(chan struct{}, s.parallelism),
-	}
-	s.mu.Unlock()
-	if err := s.PrepareNoise(service, round, numMailboxes); err != nil {
-		// Roll the stream back so the round stays streamable once the
-		// caller fixes the precondition (e.g. distributes downstream
-		// keys).
-		s.mu.Lock()
-		st.stream = nil
-		s.mu.Unlock()
+	nb, err := s.prepareNoiseLocked(st, service, round, numMailboxes)
+	if err != nil {
 		return err
 	}
+	st.stream = &stream{noise: nb, sem: make(chan struct{}, runtime.GOMAXPROCS(0))}
 	return nil
 }
 
@@ -112,8 +105,8 @@ func (s *Server) StreamChunk(service wire.Service, round uint32, chunk [][]byte)
 	return nil
 }
 
-// StreamAbort discards an in-flight stream without the noise generation
-// that StreamEndShard performs: the daemon calls it when the round
+// StreamAbort discards an in-flight stream without waiting for its peels
+// and noise as StreamEndShard does: the daemon calls it when the round
 // has already failed elsewhere and the output would be thrown away.
 // Aborting when no stream is in flight is a no-op; the round itself stays
 // open (CloseRound erases it).
@@ -150,11 +143,8 @@ func (s *Server) StreamEndShard(service wire.Service, round uint32) ([][]byte, e
 		return nil, fmt.Errorf("mixnet: round %d (%s): no stream in progress", round, service)
 	}
 	st.stream = nil
-	downstream := st.downstream
-	nb := st.takeNoise(sm.numMailboxes)
-	shards := st.effectiveShards()
 	s.mu.Unlock()
 
 	sm.wg.Wait()
-	return s.finishBatch(service, sm.numMailboxes, downstream, nb, sm.inputs, concat(sm.results), shards)
+	return s.finishBatch(sm.noise, sm.inputs, concat(sm.results))
 }

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -179,6 +180,73 @@ func FuzzPullRound(f *testing.F) {
 				if !advertised {
 					t.Fatalf("sealed round %d (%s) under checksum %x, which the peer never advertised", info.Round, service, info.Checksum)
 				}
+			}
+		}
+	})
+}
+
+// FuzzCDNSealedArgs sends a CDN node's cdn.sealed handler params the
+// fuzzer chooses, through the JSON decode a frame's params take on the
+// way to it. The node lists one peer, which holds dialing round 1 and
+// add-friend round 2. After every notice: nothing panicked; params that
+// do not decode are refused and pull nothing; a notice naming a round the
+// peer holds is accepted and leaves that round with the peer's content
+// checksum; and no other round is ever sealed.
+func FuzzCDNSealedArgs(f *testing.F) {
+	for _, seed := range []string{
+		`{"service":2,"round":1}`, `{"service":1,"round":2}`, `{"service":1,"round":1}`,
+		`{"service":2,"round":1,"upstream":-7}`, `{"round":2,"service":1,"round":1}`,
+		`{}`, `null`, `{"service":258,"round":1}`, `{"round":-1}`, `{"service":"2"}`, `[1]`, `{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	peerStore := cdn.NewStore(0)
+	held := []outKey{{wire.Dialing, 1}, {wire.AddFriend, 2}}
+	for i, k := range held {
+		boxes := map[uint32][]byte{0: []byte("first mailbox"), uint32(i + 3): bytes.Repeat([]byte{byte(i)}, 40)}
+		if err := peerStore.Publish(k.service, k.round, boxes); err != nil {
+			f.Fatal(err)
+		}
+	}
+	peer := NewServer()
+	RegisterCDN(peer, peerStore)
+	peerAddr, err := peer.Listen("mem:")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(peer.Close)
+
+	node := NewServer()
+	d := RegisterCDN(node, nil)
+	d.SetPeers(peerAddr)
+	f.Cleanup(d.Close)
+	f.Cleanup(node.Close)
+	sealed := node.handlers["cdn.sealed"]
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d.store = cdn.NewStore(0)
+		_, err := sealed("127.0.0.1:1", json.RawMessage(data), nil)
+		var a roundArgs
+		if len(data) > 0 && json.Unmarshal(data, &a) != nil {
+			if err == nil {
+				t.Fatalf("params %q do not decode, yet the notice was accepted", data)
+			}
+			a = roundArgs{Round: 1 << 31} // a round no check below expects sealed
+		}
+		for _, k := range append(held, outKey{a.Service, a.Round}) {
+			want, ok := peerStore.Checksum(k.service, k.round)
+			named := k == outKey{a.Service, a.Round}
+			if ok && named && err != nil {
+				t.Fatalf("a notice for round %d (%s), which the peer holds, failed: %v", k.round, k.service, err)
+			}
+			got, has := d.store.Checksum(k.service, k.round)
+			if has != (ok && named) || (has && got != want) {
+				t.Fatalf("params %q: round %d (%s) sealed %v with checksum %x; the peer holds it %v with %x", data, k.round, k.service, has, got, ok, want)
+			}
+		}
+		for _, service := range []wire.Service{wire.AddFriend, wire.Dialing} {
+			if n := len(d.store.Rounds(service)); n > 1 {
+				t.Fatalf("params %q sealed %d %s rounds", data, n, service)
 			}
 		}
 	})

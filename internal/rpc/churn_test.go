@@ -51,9 +51,9 @@ func TestChurnSelfHealingRounds(t *testing.T) {
 		churned, mirror := newFleet(true), newFleet(false)
 		coord := churned.Coord
 
-		plan := sim.NewChurnPlan(7, numRounds, 2, counts)
-		if plan.Kills < 4 {
-			t.Fatalf("churn plan has only %d kills over %d rounds; want a harsher schedule", plan.Kills, numRounds)
+		plan, kills := newChurnPlan(7, numRounds, 2, counts)
+		if kills < 4 {
+			t.Fatalf("churn plan has only %d kills over %d rounds; want a harsher schedule", kills, numRounds)
 		}
 
 		down := make(map[string]bool)
@@ -62,21 +62,24 @@ func TestChurnSelfHealingRounds(t *testing.T) {
 		var recoveries []int
 		for r := 1; r <= numRounds; r++ {
 			var victims []string
-			for _, ev := range plan.EventsBefore(r) {
-				addr := churned.Mixers[ev.Position][ev.Shard].Addr
-				if ev.Action == sim.ChurnKill {
+			for _, ev := range plan {
+				if ev.round != r {
+					continue
+				}
+				addr := churned.Mixers[ev.position][ev.shard].Addr
+				if ev.action == churnKill {
 					victims = append(victims, addr)
 				}
 				switch {
-				case ev.Action == sim.ChurnKill && !down[addr]:
+				case ev.action == churnKill && !down[addr]:
 					churned.Kill(addr)
 					down[addr] = true
-				case ev.Action == sim.ChurnRestart && down[addr]:
+				case ev.action == churnRestart && down[addr]:
 					if err := churned.Restart(addr); err != nil {
 						t.Fatal(err)
 					}
 					down[addr] = false
-				case ev.Action == sim.ChurnPause && !down[addr]:
+				case ev.action == churnPause && !down[addr]:
 					churned.Kill(addr)
 					if err := churned.Restart(addr); err != nil {
 						t.Fatal(err)
@@ -168,6 +171,65 @@ func TestChurnSelfHealingRounds(t *testing.T) {
 			t.Error("no spare was ever drafted")
 		}
 	})
+}
+
+// churnAction is one kind of failure the churn test injects.
+type churnAction int
+
+const (
+	// churnKill takes the daemon's listener down: peers and the
+	// coordinator get transport errors until a churnRestart.
+	churnKill churnAction = iota
+	// churnRestart brings a killed daemon back on its old address.
+	churnRestart
+	// churnPause takes the daemon down and brings it back within the
+	// same inter-round gap — a GC stall or network blip rather than a
+	// crash; the scheduler should see a failed probe at worst.
+	churnPause
+)
+
+// churnEvent is one scheduled failure: apply action to the daemon at
+// (position, shard) before the given round is planned. Victims are always
+// non-announcer shards (shard >= 1): the announcer's signing key is
+// pinned by clients, so no scheduler could route around its death, and
+// the test measures self-healing, not key ceremony.
+type churnEvent struct {
+	round, position, shard int
+	action                 churnAction
+}
+
+// newChurnPlan builds a seeded failure schedule, in round order, for
+// `rounds` consecutive rounds over a fleet with counts[i] daemons at
+// position i, and counts its kills. Every killEvery-th round (starting at
+// round 1) one randomly chosen non-announcer shard is disrupted before the
+// round opens — usually killed, to stay dead through that round (the
+// scheduler must bench it and draft a spare) and restart before the next,
+// occasionally only paused. Positions with a single daemon are never
+// victims.
+func newChurnPlan(seed int64, rounds, killEvery int, counts []int) (plan []churnEvent, kills int) {
+	rng := mathrand.New(mathrand.NewSource(seed))
+	var candidates [][2]int
+	for pos, n := range counts {
+		for s := 1; s < n; s++ {
+			candidates = append(candidates, [2]int{pos, s})
+		}
+	}
+	if len(candidates) == 0 {
+		return nil, 0
+	}
+	for r := 1; r <= rounds; r += killEvery {
+		victim := candidates[rng.Intn(len(candidates))]
+		if rng.Intn(4) == 0 {
+			plan = append(plan, churnEvent{r, victim[0], victim[1], churnPause})
+			continue
+		}
+		plan = append(plan, churnEvent{r, victim[0], victim[1], churnKill})
+		kills++
+		if r+1 <= rounds {
+			plan = append(plan, churnEvent{r + 1, victim[0], victim[1], churnRestart})
+		}
+	}
+	return plan, kills
 }
 
 // percentile returns the pct-th percentile of sorted (ascending) by the

@@ -167,7 +167,7 @@ func TestControlFramesUnchanged(t *testing.T) {
 	af, dl := noise.Laplace{Mu: 2}, noise.Laplace{Mu: 3}
 	m, err := mixnet.New(mixnet.Config{
 		Name: "golden", Position: 1, ChainLength: 3, AddFriendNoise: &af, DialingNoise: &dl,
-		ShardIndex: 1, ShardCount: 2, Rand: mathrand.New(mathrand.NewSource(1)), Parallelism: 1,
+		ShardIndex: 1, ShardCount: 2, Rand: mathrand.New(mathrand.NewSource(1)),
 	})
 	if err != nil {
 		t.Fatal(err)

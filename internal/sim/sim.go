@@ -66,10 +66,12 @@ type Config struct {
 	// as in the paper).
 	TargetRequestsPerMailbox int
 
-	// Seed 0 gives every mixer crypto/rand and full parallelism. Otherwise
-	// the mixer at (position, shard) reads a stream derived from (Seed,
-	// position, shard) at Parallelism 1; a spare is its position's last
-	// shard plus one.
+	// Seed 0 gives every mixer crypto/rand. Otherwise the mixer at
+	// (position, shard) reads a stream derived from (Seed, position,
+	// shard); a spare is its position's last shard plus one. Either way a
+	// mixer runs the production program, worker pool included: a seed
+	// fixes only what the mixer draws from its source, its signing key,
+	// round keys and noise seeds.
 	Seed int64
 
 	// Listen is the address every daemon listens on: "mem:" (the default)
@@ -302,7 +304,6 @@ func (n *Network) startMixer(cfg Config, pos, shard int) (*Mixer, error) {
 	}
 	if cfg.Seed != 0 {
 		mc.Rand = mathrand.New(mathrand.NewSource(cfg.Seed + int64(pos)<<16 + int64(shard)<<32))
-		mc.Parallelism = 1
 	}
 	srv, err := mixnet.New(mc)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"alpenhorn/internal/coordinator"
+	"alpenhorn/internal/noise"
 	"alpenhorn/internal/wire"
 )
 
@@ -302,5 +303,60 @@ func TestRegisterDirect(t *testing.T) {
 	sig := u.SignExtract("direct@example.org", 1)
 	if _, err := n.PKGs[0].Extract("direct@example.org", 1, sig); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSeededRoundIndependentOfGOMAXPROCS: a seeded network's add-friend
+// and dialing rounds, with noise of scale b > 0 on every mixer and no
+// client, publish byte-identical mailboxes at GOMAXPROCS 1, 2 and 4. A
+// seeded mixer runs the production program, its worker pools included.
+func TestSeededRoundIndependentOfGOMAXPROCS(t *testing.T) {
+	nz := noise.Laplace{Mu: 4, B: 2}
+	mailboxes := func(t *testing.T) [][]byte {
+		n := newNetwork(t, Config{NumPKGs: 1, AddFriendNoise: &nz, DialingNoise: &nz, TargetRequestsPerMailbox: 40, Seed: 21})
+		var out [][]byte
+		for _, service := range []wire.Service{wire.AddFriend, wire.Dialing} {
+			n.Coord.SetExpectedVolume(service, 120)
+			open := n.Coord.OpenDialingRound
+			if service == wire.AddFriend {
+				open = n.Coord.OpenAddFriendRound
+			}
+			settings, err := open(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if settings.NumMailboxes < 2 {
+				t.Fatalf("%v: want a multi-mailbox round, got K=%d", service, settings.NumMailboxes)
+			}
+			if _, err := n.Coord.CloseRound(service, 1); err != nil {
+				t.Fatal(err)
+			}
+			for mb := uint32(0); mb < settings.NumMailboxes; mb++ {
+				box, err := n.CDN.Fetch(service, 1, mb)
+				if err != nil {
+					t.Fatalf("%v mailbox %d: %v", service, mb, err)
+				}
+				out = append(out, box)
+			}
+		}
+		return out
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want [][]byte
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := mailboxes(t)
+		if want == nil {
+			want = got
+			continue
+		}
+		if len(got) != len(want) {
+			t.Fatalf("GOMAXPROCS %d: %d mailboxes, %d at GOMAXPROCS 1", procs, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("GOMAXPROCS %d: mailbox %d of %d differs from GOMAXPROCS 1's", procs, i, len(want))
+			}
+		}
 	}
 }
