@@ -672,7 +672,9 @@ func concat(parts [][][]byte) [][]byte {
 // G2 point plus random AEAD bytes — indistinguishable from real ciphertexts
 // by ciphertext anonymity, §4.3); fake dial requests are random tokens.
 // Mailboxes are sharded across GOMAXPROCS workers: each noise onion costs
-// one X25519 seal per downstream hop, which dominates round setup
+// two fixed-base X25519 walks per downstream hop (onionbox.Sealer: the
+// shared base table and the hop key's table, eight onions a walk on the
+// lane comb where the CPU has AVX-512 IFMA), which dominates round setup
 // otherwise. Mailbox mb reads one keyed stream of the round's seed — its
 // count, then its bodies, then its onions' ephemeral scalars — so its
 // noise does not depend on which worker makes it or when. A mailbox's

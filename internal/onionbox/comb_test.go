@@ -5,10 +5,12 @@ import (
 	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/big"
 	mathrand "math/rand"
+	"slices"
 	"testing"
 
 	"alpenhorn/internal/aead"
@@ -301,6 +303,21 @@ func combSeeds(t testing.TB) [][2][]byte {
 
 func TestCombMatchesECDH(t *testing.T) {
 	forEachFieldPath(t, checkCombCases)
+	// The lane comb: each pair's scalar in each lane in turn, beside
+	// seven random scalars, every lane held to crypto/ecdh.
+	runLanes(t, func(t *testing.T) {
+		rng := mathrand.New(mathrand.NewSource(3))
+		pairs := combSeeds(t)
+		for i := 0; i < 200; i++ {
+			u, k := make([]byte, 32), make([]byte, 32)
+			rng.Read(u)
+			rng.Read(k)
+			pairs = append(pairs, [2][]byte{u, k})
+		}
+		for _, s := range pairs {
+			checkLaneCombMatchesECDH(t, s[0], s[1], rng, true)
+		}
+	})
 }
 
 func checkCombCases(t *testing.T) {
@@ -366,6 +383,10 @@ func FuzzCombMatchesECDH(f *testing.F) {
 			t.Skip()
 		}
 		onBothPaths(func() { checkCombMatchesECDH(t, u, k) })
+		runLanes(t, func(t *testing.T) {
+			rng := mathrand.New(mathrand.NewSource(int64(binary.LittleEndian.Uint64(u) ^ binary.LittleEndian.Uint64(k))))
+			checkLaneCombMatchesECDH(t, u, k, rng, false)
+		})
 	})
 }
 
@@ -380,8 +401,19 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
+// sealBatchSizes are the batch sizes the batch tests seal: every side of
+// sealerBreakEven, laneCombBreakEven, a lane group and a chunk, and a
+// third chunk with a lane remainder.
+var sealBatchSizes = []int{0, 1, 2, sealerBreakEven - 1, sealerBreakEven, laneCount - 1, laneCount, laneCount + 1, sealChunk - 1, sealChunk, sealChunk + 1, 2*sealChunk + 3}
+
+// TestSealBatchMatchesSeal: SealBatch reads the reader as Seal does and
+// gives the same boxes, on a Sealer built for the batch (a table from
+// sealerBreakEven boxes) and on one that holds a table whatever the
+// batch, on each field path with the scalar comb and on the lane comb
+// (/lanes).
 func TestSealBatchMatchesSeal(t *testing.T) {
 	forEachFieldPath(t, checkSealBatchMatchesSeal)
+	runLanes(t, checkSealBatchMatchesSeal)
 }
 
 func checkSealBatchMatchesSeal(t *testing.T) {
@@ -389,7 +421,8 @@ func checkSealBatchMatchesSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{0, 1, sealerBreakEven - 1, sealerBreakEven, sealChunk - 1, sealChunk, 2*sealChunk + 3} {
+	tabled := NewSealer(pub, sealChunk)
+	for _, n := range sealBatchSizes {
 		msgs := make([][]byte, n)
 		for i := range msgs {
 			msgs[i] = bytes.Repeat([]byte{byte(i)}, i%40)
@@ -403,28 +436,30 @@ func checkSealBatchMatchesSeal(t *testing.T) {
 			}
 			want = append(want, box)
 		}
-		rd := &countingReader{r: mathrand.New(mathrand.NewSource(int64(n)))}
 		s := NewSealer(pub, n)
 		if (s.table != nil) != (n >= sealerBreakEven) {
 			t.Fatalf("n=%d: table built = %v", n, s.table != nil)
 		}
-		got, err := s.SealBatch(rd, msgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rd.n != oracleRd.n {
-			t.Fatalf("n=%d: SealBatch read %d bytes, %d Seals read %d", n, rd.n, n, oracleRd.n)
-		}
-		if len(got) != n {
-			t.Fatalf("n=%d: %d boxes", n, len(got))
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("n=%d: box %d differs from Seal's", n, i)
+		for _, s := range []*Sealer{s, tabled} {
+			rd := &countingReader{r: mathrand.New(mathrand.NewSource(int64(n)))}
+			got, err := s.SealBatch(rd, msgs)
+			if err != nil {
+				t.Fatal(err)
 			}
-			msg, err := Open(priv, got[i])
-			if err != nil || !bytes.Equal(msg, msgs[i]) {
-				t.Fatalf("n=%d: box %d opened to %x, %v", n, i, msg, err)
+			if rd.n != oracleRd.n {
+				t.Fatalf("n=%d: SealBatch read %d bytes, %d Seals read %d", n, rd.n, n, oracleRd.n)
+			}
+			if len(got) != n {
+				t.Fatalf("n=%d: %d boxes", n, len(got))
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("n=%d, table %v: box %d differs from Seal's", n, s.table != nil, i)
+				}
+				msg, err := Open(priv, got[i])
+				if err != nil || !bytes.Equal(msg, msgs[i]) {
+					t.Fatalf("n=%d: box %d opened to %x, %v", n, i, msg, err)
+				}
 			}
 		}
 	}
@@ -432,8 +467,15 @@ func checkSealBatchMatchesSeal(t *testing.T) {
 
 // TestOnionBatchMatchesWrapOnion: a batch added message by message reads
 // the reader as the same WrapOnion calls do and gives the same onions, on
-// table and ladder hops alike, a twist key among them.
+// table and ladder hops alike, a twist key among them, for every size of
+// sealBatchSizes through three hops, on each field path with the scalar
+// comb and on the lane comb (/lanes).
 func TestOnionBatchMatchesWrapOnion(t *testing.T) {
+	forEachFieldPath(t, checkOnionBatchMatchesWrapOnion)
+	runLanes(t, checkOnionBatchMatchesWrapOnion)
+}
+
+func checkOnionBatchMatchesWrapOnion(t *testing.T) {
 	twist, err := UnmarshalPublicKey(append([]byte{2}, make([]byte, 31)...))
 	if err != nil {
 		t.Fatal(err)
@@ -448,45 +490,69 @@ func TestOnionBatchMatchesWrapOnion(t *testing.T) {
 			}
 			pubs, privs = append(pubs, pub), append(privs, priv)
 		}
-		for _, keys := range [][]*PublicKey{pubs, append(append([]*PublicKey(nil), pubs...), twist)} {
-			const n = sealChunk + 5
-			oracleRd := mathrand.New(mathrand.NewSource(7))
-			rd := mathrand.New(mathrand.NewSource(7))
-			sealers := make([]*Sealer, len(keys))
-			for i, k := range keys {
-				sealers[i] = NewSealer(k, n)
-			}
-			batch := NewOnionBatch(sealers)
-			var want [][]byte
-			for i := 0; i < n; i++ {
-				// A body read between onions, as the noise generator and
-				// the synthetic clients do.
-				body1, body2 := make([]byte, 20), make([]byte, 20)
-				oracleRd.Read(body1)
-				rd.Read(body2)
-				onion, err := WrapOnion(oracleRd, keys, body1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = append(want, onion)
-				if err := batch.Add(rd, body2); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := batch.Wrap()
-			if err != nil {
+		// Every batch size through three hops, the deployment's chain;
+		// one size through fewer, and through a twist key last.
+		sizes := []int{sealChunk + 5}
+		if hops == 3 {
+			sizes = sealBatchSizes
+		}
+		checkOnionBatches(t, pubs, privs, sizes)
+		checkOnionBatches(t, append(pubs[:hops:hops], twist), privs, []int{sealChunk + 5})
+	}
+}
+
+// checkOnionBatches wraps n onions through keys as one OnionBatch, whose
+// hops hold tables where the keys are on the curve, for each n of sizes,
+// and holds them to the first n of a run of WrapOnion calls on the same
+// reader; privs peel each batch's first onion.
+func checkOnionBatches(t *testing.T, keys []*PublicKey, privs []*PrivateKey, sizes []int) {
+	t.Helper()
+	// A body is read between onions, as the noise generator and the
+	// synthetic clients do.
+	oracleRd := mathrand.New(mathrand.NewSource(7))
+	var want [][]byte
+	for i := 0; i < slices.Max(sizes); i++ {
+		body := make([]byte, 20)
+		oracleRd.Read(body)
+		onion, err := WrapOnion(oracleRd, keys, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, onion)
+	}
+	for _, n := range sizes {
+		rd := mathrand.New(mathrand.NewSource(7))
+		sealers := make([]*Sealer, len(keys))
+		for i, k := range keys {
+			sealers[i] = NewSealer(k, max(n, sealerBreakEven))
+		}
+		batch := NewOnionBatch(sealers)
+		for i := 0; i < n; i++ {
+			body := make([]byte, 20)
+			rd.Read(body)
+			if err := batch.Add(rd, body); err != nil {
 				t.Fatal(err)
 			}
-			for i := range want {
-				if !bytes.Equal(got[i], want[i]) {
-					t.Fatalf("%d hops (%d keys): onion %d differs from WrapOnion's", hops, len(keys), i)
-				}
+		}
+		got, err := batch.Wrap()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != n {
+			t.Fatalf("%d keys, %d messages: %d onions", len(keys), n, len(got))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("%d keys, %d messages: onion %d differs from WrapOnion's", len(keys), n, i)
 			}
-			cur := got[0]
-			for i := 0; i < hops; i++ {
-				if cur, err = Open(privs[i], cur); err != nil {
-					t.Fatalf("hop %d failed to peel: %v", i, err)
-				}
+		}
+		if n == 0 {
+			continue
+		}
+		cur := got[0]
+		for i, priv := range privs {
+			if cur, err = Open(priv, cur); err != nil {
+				t.Fatalf("%d messages: hop %d failed to peel: %v", n, i, err)
 			}
 		}
 	}
@@ -576,17 +642,18 @@ func checkSealLowOrderRecipient(t *testing.T) {
 }
 
 // TestBoxAllocations pins what a box allocates at its floor, measured
-// here so that the pin moves with the toolchain. A sealed box's floor is
-// what crypto/ecdh allocates for its two ladders plus what internal/aead
-// allocates a box; an opened box's is internal/aead's share alone, since
-// the peel's ladder is this package's and keeps its scratch on the stack.
-// internal/aead's share is nothing on its AES-NI path and one
-// aes.NewCipher key schedule on its portable path (its TestAllocations
-// pins each). On top of the floor a box may allocate once more, for the
-// box itself or the message Open returns; OpenAppend into a buffer with
-// room allocates nothing more, and SealBatch's table path, whose scratch
-// is per batch, pays only internal/aead's share and the box. OpenBatch
-// allocates three times a batch: the buffer, the messages and their ends.
+// here so that the pin moves with the toolchain. A box's floor is what
+// internal/aead allocates a box, on either side: the seal's base comb and
+// ladder and the peel's ladder are this package's and keep their scratch
+// on the stack. internal/aead's share is nothing on its AES-NI path and
+// one aes.NewCipher key schedule on its portable path (its
+// TestAllocations pins each). On top of the floor Seal allocates twice,
+// for the box and for the ephemeral seed, which the reader's interface
+// call moves to the heap; Open allocates once, for the message it
+// returns; OpenAppend into a buffer with room allocates nothing more, and
+// SealBatch's table path, whose scratch is per batch, pays only
+// internal/aead's share and the box. OpenBatch allocates three times a
+// batch: the buffer, the messages and their ends.
 var sink []byte // keeps the floor's results from being optimized away
 
 func TestBoxAllocations(t *testing.T) {
@@ -600,17 +667,10 @@ func TestBoxAllocations(t *testing.T) {
 	msg := make([]byte, 64)
 	box, _ := Seal(rand.Reader, pub, msg)
 	rd := mathrand.New(mathrand.NewSource(1))
-	seed := make([]byte, 32)
-
-	sealFloor := aeadAllocs + testing.AllocsPerRun(50, func() {
-		eph, _ := ecdh.X25519().NewPrivateKey(seed)
-		sink, _ = eph.ECDH(pub.k)
-		sink = eph.PublicKey().Bytes()
-	})
 	openFloor := aeadAllocs
 
-	if n := testing.AllocsPerRun(50, func() { Seal(rd, pub, msg) }); n > sealFloor+1 {
-		t.Errorf("Seal allocates %.0f times a box; crypto/ecdh and internal/aead alone %.0f", n, sealFloor)
+	if n := testing.AllocsPerRun(50, func() { Seal(rd, pub, msg) }); n > aeadAllocs+2 {
+		t.Errorf("Seal allocates %.0f times a box; internal/aead alone %.0f", n, aeadAllocs)
 	}
 	if n := testing.AllocsPerRun(50, func() { Open(priv, box) }); n > openFloor+1 {
 		t.Errorf("Open allocates %.0f times a box; internal/aead alone %.0f", n, openFloor)
@@ -654,16 +714,20 @@ func BenchmarkSealLadder(b *testing.B) {
 	}
 }
 
-// BenchmarkSealBatch reports one box's cost in a mailbox-sized batch.
+// BenchmarkSealBatch reports one box's cost in a mailbox-sized batch, on
+// each field path with the scalar comb and, /lanes, on the lane comb.
 func BenchmarkSealBatch(b *testing.B) {
 	pub, _, _ := GenerateKey(rand.Reader)
 	s := NewSealer(pub, 1000)
 	msgs := benchMsgs(1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(msgs) {
-		s.SealBatch(rand.Reader, msgs)
+	seal := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i += len(msgs) {
+			s.SealBatch(rand.Reader, msgs)
+		}
 	}
+	forEachFieldPathB(b, seal)
+	runLanesB(b, seal)
 }
 
 // BenchmarkSealUnbatched is the comb without the shared inversion: one
@@ -717,13 +781,28 @@ func BenchmarkOpenAppend(b *testing.B) {
 	})
 }
 
+// BenchmarkCombScalarMult times one walk of the base table on each field
+// path, and /lanes one lane's share of an eight-lane walk.
 func BenchmarkCombScalarMult(b *testing.B) {
 	tab := baseTable()
 	var digits [64]int8
 	recode(&digits, bytes.Repeat([]byte{0x5a}, 32))
-	var p point
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab.scalarMult(&p, &digits)
-	}
+	forEachFieldPathB(b, func(b *testing.B) {
+		var p point
+		for i := 0; i < b.N; i++ {
+			tab.scalarMult(&p, &digits)
+		}
+	})
+	runLanesB(b, func(b *testing.B) {
+		var st laneCombState
+		for i, d := range digits {
+			for j := range st.digits[i] {
+				st.digits[i][j] = d
+			}
+		}
+		lt := baseLaneTable()
+		for i := 0; i < b.N; i += laneCount {
+			laneComb(&st, lt)
+		}
+	})
 }

@@ -117,3 +117,105 @@ func openLanes(st *laneLadderState, seed *[32]byte, boxes [][]byte, num, den []f
 		num[j], den[j] = st.x2.get(j), st.z2.get(j)
 	}
 }
+
+// The lane comb: combTable.scalarMult on eight scalars at once, for one
+// fixed point. sealInPlace walks every box of a chunk on the same two
+// tables — the shared base point's and the Sealer's recipient's — so the
+// boxes of a chunk can walk them in lock-step, eight to a group. Unlike
+// the lane ladder's, the lanes' scalars differ: each lane looks up its
+// own digit in every window, every entry loaded and broadcast for every
+// group and merged into a lane under a mask, so that the addresses are
+// the window's and the entry's, never a digit's. The walk runs in one
+// kernel, laneCombKernel (onionbox_amd64.s), which laneAsm selects as it
+// does the lane ladder.
+
+// laneCombBreakEven is the fewest boxes sealInPlace walks in lanes: a
+// group costs the same however many of its lanes hold a box, so a
+// remainder of fewer boxes than this takes the scalar comb. On the
+// 2-vCPU development box (three runs, EXPERIMENTS.md) a group's two walks
+// cost 31–36 µs and one box's two scalar walks 28–36 µs: one box alone is
+// no cheaper in lanes, and two already cost about half as much (32–38 µs
+// against 56–69).
+const laneCombBreakEven = 2
+
+// laneCombTable is a combTable in radix 2^51: entry j of window i is
+// (y+x, y−x, 2dxy) of (j+1)·256^i·P, five limbs each, every limb below
+// 2^51. Every lane reads the same table.
+type laneCombTable [32][8][3][5]uint64
+
+// newLaneCombTable converts t, entry by entry.
+func newLaneCombTable(t *combTable) *laneCombTable {
+	lt := new(laneCombTable)
+	for i := range t {
+		for j := range t[i] {
+			n := &t[i][j]
+			for c, v := range [3]*fe{&n.yPlusX, &n.yMinusX, &n.t2d} {
+				var b [32]byte
+				var r fe
+				var f laneFe
+				v.bytes(&b)
+				r.setBytes(&b)
+				f.set(0, &r)
+				for k := range f {
+					lt[i][j][c][k] = f[k][0]
+				}
+			}
+		}
+	}
+	return lt
+}
+
+// laneCombState is the lane comb's memory: the eight lanes' digits, digit
+// major, the point they walk, the niels element a window's lookup gives,
+// the temporaries of an addition or doubling, and the kernel's operation
+// counts. All of it but the counts is a function of the scalars.
+type laneCombState struct {
+	digits     [64][laneCount]int8
+	x, y, z, t laneFe
+	n          [3]laneFe // y+x, y−x, 2dxy
+	tmp        [8]laneFe
+	// muls and squares are the lane multiplications and squarings the
+	// last kernel call did, which TestOperationCount reads.
+	muls, squares uint64
+}
+
+// laneComb sets st's point, lane by lane, to k·P for the scalar k whose
+// recoding is that lane of st.digits and the point P of t: the lane
+// comb. Every lane runs the same instruction sequence and reads the same
+// addresses whatever its digits. The caller zeroes st when it is done
+// with it.
+func laneComb(st *laneCombState, t *laneCombTable) {
+	st.x, st.y, st.z, st.t = laneFe{}, laneOne, laneOne, laneFe{}
+	laneCombKernel(st, t)
+	countLanes(st.muls, st.squares)
+}
+
+// sealLanes walks the ephemeral scalars of up to laneCount boxes, one
+// lane each, on the base table and on the recipient's key table, and
+// sets num[2j]/den[2j] and num[2j+1]/den[2j+1] to box j's ephemeral
+// public key and shared secret as fractions (Z+Y)/(Z−Y), as the scalar
+// comb does. A lane with no box walks digit 0 everywhere, and its result
+// is discarded.
+func sealLanes(st *laneCombState, base, key *laneCombTable, seeds []byte, boxes int, num, den []fe) {
+	var digits [64]int8
+	for j := 0; j < laneCount; j++ {
+		digits = [64]int8{}
+		if j < boxes {
+			recode(&digits, seeds[32*j:])
+		}
+		for i, d := range digits {
+			st.digits[i][j] = d
+		}
+	}
+	digits = [64]int8{}
+	var z, y fe
+	for w, t := range [2]*laneCombTable{base, key} {
+		laneComb(st, t)
+		for j := 0; j < boxes; j++ {
+			z, y = st.z.get(j), st.y.get(j)
+			num[2*j+w].add(&z, &y)
+			den[2*j+w].sub(&z, &y)
+		}
+	}
+	z, y = fe{}, fe{}
+}

@@ -1,11 +1,12 @@
 package onionbox
 
-// Tests of the lane ladder (lane.go, laneLadderKernel): the radix-2^51
-// conversions, lane isolation, and the helpers the /lanes subtests of
-// ladder_test.go run on.
+// Tests of the lane ladder and the lane comb (lane.go, laneLadderKernel,
+// laneCombKernel): the radix-2^51 conversions, lane isolation, and the
+// helpers the /lanes subtests of ladder_test.go and comb_test.go run on.
 
 import (
 	"bytes"
+	"crypto/ecdh"
 	"fmt"
 	"math/big"
 	mathrand "math/rand"
@@ -227,6 +228,164 @@ func TestLaneIsolation(t *testing.T) {
 			for j := n; j < laneCount; j++ {
 				if num[j] != (fe{}) || den[j] != (fe{}) {
 					t.Fatalf("a group of %d boxes wrote lane %d", n, j)
+				}
+			}
+		}
+	})
+}
+
+// setLaneDigits writes the recoding of seeds[j] into lane j of st.
+func setLaneDigits(st *laneCombState, seeds *[laneCount][32]byte) {
+	for j := range seeds {
+		var digits [64]int8
+		recode(&digits, seeds[j][:])
+		for i, d := range digits {
+			st.digits[i][j] = d
+		}
+	}
+}
+
+// laneCombX25519 is X25519(k, u) for eight scalars at once, a Sealer's
+// lane way: the lane comb on the lane copy of u's table and one inversion
+// for all eight.
+func laneCombX25519(ks *[laneCount][32]byte, lt *laneCombTable) (out [laneCount][32]byte) {
+	var st laneCombState
+	setLaneDigits(&st, ks)
+	laneComb(&st, lt)
+	var num, den, prefix [laneCount]fe
+	for j := range num {
+		z, y := st.z.get(j), st.y.get(j)
+		num[j].add(&z, &y)
+		den[j].sub(&z, &y)
+	}
+	montgomeryU(out[:], num[:], den[:], prefix[:])
+	return out
+}
+
+// checkLaneCombMatchesECDH walks k in each lane in turn, beside seven of
+// eight random scalars, on u's table, and holds that lane — every lane if
+// all — to crypto/ecdh. A u that gets no table is skipped, as
+// checkCombMatchesECDH skips it.
+func checkLaneCombMatchesECDH(t *testing.T, u, k []byte, rng *mathrand.Rand, all bool) {
+	t.Helper()
+	x, y, ok := edwardsFromU(u)
+	if !ok {
+		return
+	}
+	var tab combTable
+	tab.fill(x, y)
+	lt := newLaneCombTable(&tab)
+	var random [laneCount][32]byte
+	var want [laneCount][]byte // crypto/ecdh's X25519 of each random scalar; nil where it refuses
+	pub, err := ecdh.X25519().NewPublicKey(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range random {
+		rng.Read(random[j][:])
+		priv, err := ecdh.X25519().NewPrivateKey(random[j][:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[j], _ = priv.ECDH(pub)
+	}
+	for pos := 0; pos < laneCount; pos++ {
+		ks := random
+		copy(ks[pos][:], k)
+		got := laneCombX25519(&ks, lt)
+		checkMatchesECDH(t, fmt.Sprintf("lane comb (lane %d)", pos), u, k, got[pos])
+		for j := range ks {
+			if !all || j == pos {
+				continue
+			}
+			if (want[j] == nil && got[j] != [32]byte{}) || (want[j] != nil && !bytes.Equal(got[j][:], want[j])) {
+				t.Fatalf("u=%x k=%x: lane comb (lane %d, beside lane %d) %x, ecdh %x", u, ks[j], j, pos, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestCombLaneIsolation: a scalar in one lane — zero, all ones, a single
+// bit, one whose recoding is ±8 in nearly every window, so that every
+// lookup takes the last entry, or a random one — gets, coordinate for
+// coordinate, the
+// scalar comb's point in that lane, and leaves the other seven lanes'
+// limbs as they were, on the base table and on a key's.
+func TestCombLaneIsolation(t *testing.T) {
+	runLanes(t, func(t *testing.T) {
+		eights := append([]byte{0x78}, bytes.Repeat([]byte{0x77}, 31)...)
+		var digits [64]int8
+		recode(&digits, eights)
+		n8 := 0
+		for _, d := range digits {
+			if d == 8 || d == -8 {
+				n8++
+			}
+		}
+		if n8 < 60 {
+			t.Fatalf("the ±8 scalar recodes to %d digits of ±8; it should hit nearly every window", n8)
+		}
+		oneBit := make([]byte, 32)
+		oneBit[20] = 0x04
+		rng := mathrand.New(mathrand.NewSource(14))
+		random := make([]byte, 32)
+		rng.Read(random)
+		special := map[string][]byte{
+			"zero":       make([]byte, 32),
+			"all-ones":   bytes.Repeat([]byte{0xff}, 32),
+			"single-bit": oneBit,
+			"±8":         eights,
+			"random":     random,
+		}
+
+		pub, _, err := GenerateKey(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := NewSealer(pub, sealerBreakEven)
+		tables := []struct {
+			name string
+			tab  *combTable
+			lt   *laneCombTable
+		}{{"base", baseTable(), baseLaneTable()}, {"key", key.table, key.lanes}}
+		var others [laneCount][32]byte
+		for j := range others {
+			rng.Read(others[j][:])
+		}
+		for _, tt := range tables {
+			var st laneCombState
+			setLaneDigits(&st, &others)
+			laneComb(&st, tt.lt)
+			want := st
+			for sname, k := range special {
+				for pos := 0; pos < laneCount; pos++ {
+					ks := others
+					copy(ks[pos][:], k)
+					setLaneDigits(&st, &ks)
+					laneComb(&st, tt.lt)
+					coords := [4][2]*laneFe{{&st.x, &want.x}, {&st.y, &want.y}, {&st.z, &want.z}, {&st.t, &want.t}}
+					for j := 0; j < laneCount; j++ {
+						for _, c := range coords {
+							for l := range c[0] {
+								if j != pos && c[0][l][j] != c[1][l][j] {
+									t.Fatalf("%s table: %s scalar in lane %d changed lane %d", tt.name, sname, pos, j)
+								}
+							}
+						}
+					}
+					var d [64]int8
+					var p point
+					recode(&d, k)
+					tt.tab.scalarMult(&p, &d)
+					for i, c := range [4]*fe{&p.x, &p.y, &p.z, &p.t} {
+						var got, want [32]byte
+						g := coords[i][0].get(pos)
+						g.bytes(&got)
+						c.bytes(&want)
+						if got != want {
+							t.Fatalf("%s table: %s scalar in lane %d: coordinate %d is %x, the scalar comb's %x", tt.name, sname, pos, i, got, want)
+						}
+					}
 				}
 			}
 		}

@@ -6,10 +6,11 @@
 // Every box's AES-GCM is internal/aead's: a key used for one message, the
 // all-zero nonce, sealed in place and opened by appending, with no heap
 // allocation on amd64 with AES-NI and one (the AES key schedule) on
-// internal/aead's portable path. What a sealed box allocates beyond that
-// is crypto/ecdh's own and the box Seal returns; an opened box allocates
-// nothing beyond it but the message Open returns, and OpenAppend into a
-// buffer with room allocates no message.
+// internal/aead's portable path. A sealed box allocates nothing beyond
+// that but the box Seal returns and the ephemeral seed it reads into; an
+// opened box nothing but the message Open returns, and OpenAppend into a
+// buffer with room allocates no message. crypto/ecdh is left only in the
+// PublicKey type, which holds and checks a recipient's encoding.
 //
 // Each layer uses a FRESH ephemeral sender key pair, so onions provide
 // forward secrecy: once a mixnet server rotates its round key, recorded
@@ -22,20 +23,29 @@
 // A box is X25519 twice on the sealing side — the ephemeral public key k·9
 // and the shared secret k·U for the recipient's U — and once on the
 // opening side, the round key's scalar times the box's ephemeral point.
-// Seal and WrapOnion (a client's one onion a round) run the sealing side
-// on crypto/ecdh's Montgomery ladder. A Sealer, which a mix server builds
-// per downstream round key for a round's noise and the workload generator
-// per hop, precomputes a fixed-base comb table for U (and shares one for
-// 9) and walks the tables instead. The two compute the same function: the
-// boxes are byte-identical, which TestWrapOnionKnownAnswer,
-// TestSealBatchMatchesSeal, FuzzCombMatchesECDH and mixnet's
-// TestNoiseMatchesLadderOracle pin. Which one runs is decided from what
-// NewSealer can see — the number of boxes in prospect against
-// sealerBreakEven, and whether U is on the curve — and by nothing a user
-// sets.
+// Seal and WrapOnion (a client's one onion a round) take k·9 from the
+// base point's fixed-base comb table, which every seal shares, and k·U
+// from this package's Montgomery ladder, one inversion for the two
+// (sealLadder). A Sealer, which a mix server builds per downstream round
+// key for a round's noise and the workload generator per hop, precomputes
+// a comb table for U too and walks both tables instead, sharing one
+// inversion among up to 64 boxes. On amd64 with AVX-512 IFMA it walks them
+// eight boxes at a time, one box a lane, on the lane comb (lane.go): one
+// kernel that walks a table for eight scalars in lock-step, each lane
+// looking up its own digits. A remainder of fewer than laneCombBreakEven
+// boxes, and every box on a CPU without IFMA or off amd64, takes the
+// scalar comb. All of them compute the same function: the boxes are
+// byte-identical, which TestWrapOnionKnownAnswer,
+// TestSealBatchMatchesSeal, TestOnionBatchMatchesWrapOnion,
+// FuzzCombMatchesECDH (the lane comb in their /lanes subtests) and
+// mixnet's TestNoiseMatchesLadderOracle pin. Which one runs is decided
+// from what NewSealer can see — the number of boxes in prospect against
+// sealerBreakEven, and whether U is on the curve — and from the CPU, and
+// by nothing a user sets.
 //
 // The opening side is this package's own RFC 7748 ladder (ladder.go),
-// variable base since every box brings its own point. OpenBatch, which a
+// variable base since every box brings its own point, the ladder
+// sealLadder takes k·U on. OpenBatch, which a
 // mixer calls once per StreamChunk, ladders every box of a chunk and then
 // shares one field inversion among up to 64 of them (montgomeryU);
 // OpenAppend and Open are a batch of one on the same code. Every box of
@@ -55,11 +65,13 @@
 // MULX/ADCX/ADOX kernels (onionbox_amd64.s), chosen once at start-up from
 // CPUID; elsewhere, and on an amd64 CPU without them, their Go twins run,
 // which return the same limbs. Addition, subtraction and the swaps are Go
-// on both paths. The lane ladder has a field of its own inside its kernel
-// — eight elements in radix 2^51, one 512-bit register a limb, multiplied
-// with VPMADD52LUQ/HUQ — and hands each lane's result to the shared
-// inversion as an fe; CPUID (AVX-512 F, IFMA, VL) and XGETBV (the OS
-// saves ZMM state) choose it once at start-up, into laneAsm.
+// on both paths. The lane ladder and the lane comb have a field of their
+// own inside their kernels — eight elements in radix 2^51, one 512-bit
+// register a limb, multiplied with VPMADD52LUQ/HUQ — and hand each lane's
+// result to the shared inversion as an fe; CPUID (AVX-512 F, IFMA, VL) and
+// XGETBV (the OS saves ZMM state) choose both once at start-up, into
+// laneAsm. The lane comb's tables are the scalar comb's, converted to
+// radix 2^51 when they are built (newLaneCombTable).
 //
 // # Timing model
 //
@@ -76,7 +88,14 @@
 // Constant-time, with no branch and no memory index that depends on a
 // secret: digit recoding (recode); table lookup, which reads all eight
 // entries of a window and keeps one by masking, and the conditional negate
-// that follows (combTable.lookup, niels.condNeg); point addition and
+// that follows (combTable.lookup, niels.condNeg); the lane comb's lookup,
+// where each lane's digit is compared with 1 … 8 into an opmask, every
+// limb of every entry of the window is loaded and broadcast, unmasked,
+// and merged into the lanes whose mask is set, on top of the identity:
+// its addresses are the window's and the entry's, public, the masks act
+// on registers only, and what a lane picks changes no load and no
+// instruction; its negate is masked moves and a masked 2p − 2dxy
+// (laneCombKernel, LANELOOKUP); point addition and
 // doubling, complete formulas with one instruction sequence for every
 // input (completed.addNiels, completed.double); the ladder, 255 steps of
 // one instruction sequence, which reads scalar bit t at position t and
@@ -84,7 +103,10 @@
 // 255 steps on eight points in one kernel, whose lanes share one scalar
 // and so one swap mask, broadcast from the scalar bit to every lane
 // (laneLadderKernel: no lane branches, and what one lane holds changes
-// no instruction the others run); the field arithmetic under them (fe:
+// no instruction the others run); the lane comb's additions and
+// doublings, the scalar comb's formulas on the lane field, one
+// instruction sequence for every lane (laneCombKernel); the field
+// arithmetic under them (fe:
 // the kernels' MULX products and ADCX/ADOX carry chains, which
 // branch only on fieldAsm, a property of the CPU, and their Go twins'
 // 64×64→128-bit multiplies and adds from math/bits; carries out of the
@@ -95,11 +117,12 @@
 // point was of low order — as crypto/ecdh does. The window position, the
 // chunking of a batch, a box's length and the choices of table or ladder
 // and of lane or scalar ladder (a box's place in its chunk, the chunk's
-// length, laneAsm) are functions of public values. The sealing side's
-// ladder is crypto/ecdh's and inherits its guarantees. TestOperationCount
-// (build tag opcount) checks that the ladder, the lane ladder and the
-// comb walks do the same field multiplications and squarings for any
-// scalar; the lane kernel counts its own.
+// length, laneAsm) are functions of public values, as are the choices of
+// lane or scalar comb and a lane group's fill; an empty lane walks digit
+// 0, the identity, through the same instructions. TestOperationCount
+// (build tag opcount) checks that the ladder, the lane ladder, the comb
+// walks and the lane comb do the same field multiplications and squarings
+// for any scalar; the lane kernels count their own.
 //
 // Not constant-time, and touching public data only: mapping a recipient's
 // public key to an Edwards point (edwardsFromU: math/big, a modular square
@@ -112,11 +135,14 @@
 //
 // Ephemeral seeds and digits are zeroed before the call that read them
 // returns (SealBatch, OnionBatch.Wrap, WrapOnion), as is the scratch that
-// held the product points and shared secrets, on the opening side too
-// (openBatch, ladder, laneLadder and the lane ladder's laneLadderState),
-// and deriveKey's buffer, which holds a shared secret beside the two
-// public keys. The lane kernel clears every vector register it used,
-// Z16 to Z31 too, which VZEROUPPER does not reach, before it returns.
+// held the product points and shared secrets (sealInPlace, sealLadder, and
+// the lane comb's laneCombState — its digits, point, looked-up entries
+// and temporaries — and sealLanes's copies of each lane's result), on the
+// opening side too (openBatch, ladder, laneLadder and the lane ladder's
+// laneLadderState), and deriveKey's buffer, which holds a shared secret
+// beside the two public keys. Each lane kernel clears every vector
+// register it used, Z16 to Z31 too, which VZEROUPPER does not reach,
+// before it returns, and the lane comb its two opmasks.
 // Out of reach: crypto/sha256's own copy of the block it hashes in
 // deriveKey.
 package onionbox
@@ -328,7 +354,7 @@ func WrapOnion(rand io.Reader, hops []*PublicKey, msg []byte) ([]byte, error) {
 			return nil, err
 		}
 		onion = onion[:len(onion)+16]
-		if err := sealLadder(seed[:], hops[i].k, hops[i].k.Bytes(), onion[32*i:]); err != nil {
+		if err := sealLadder(seed[:], hops[i].k.Bytes(), onion[32*i:]); err != nil {
 			return nil, err
 		}
 	}

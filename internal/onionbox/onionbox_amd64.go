@@ -31,15 +31,16 @@ func feMul(v, a, b *fe)
 //go:noescape
 func feSquare(v, a *fe)
 
-// laneAsmSupported reports whether the CPU runs the lane ladder's kernel:
+// laneAsmSupported reports whether the CPU runs the lane kernels:
 // AVX-512 Foundation, IFMA and VL (CPUID leaf 7, EBX bits 16, 21 and 31),
 // and an operating system that saves the vector state the kernel uses —
 // OSXSAVE (leaf 1, ECX bit 27) and XCR0's SSE, AVX, opmask and both ZMM
 // bits (1, 2, 5, 6 and 7). Without the last, the kernel would fault.
 var laneAsmSupported = cpuHasIFMA()
 
-// laneAsm selects the lane ladder in openBatch. Like fieldAsm it is set
-// once, here, from the CPU, and only tests change it.
+// laneAsm selects the lane ladder in openBatch and the lane comb in
+// sealInPlace. Like fieldAsm it is set once, here, from the CPU, and only
+// tests change it.
 var laneAsm = laneAsmSupported
 
 func cpuHasIFMA() bool {
@@ -65,3 +66,6 @@ func xgetbv() (eax uint32)
 
 //go:noescape
 func laneLadderKernel(s *laneLadderState, k *[32]byte)
+
+//go:noescape
+func laneCombKernel(s *laneCombState, t *laneCombTable)

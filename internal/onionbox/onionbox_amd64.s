@@ -1,6 +1,6 @@
 // Field kernels for GF(2^255 − 19) on CPUs with BMI2 (MULX) and ADX
-// (ADCX, ADOX), and, at the end of the file, the lane ladder's kernel on
-// AVX-512 IFMA.
+// (ADCX, ADOX), and, at the end of the file, the lane ladder's and the
+// lane comb's kernels on AVX-512 IFMA.
 //
 // feMul and feSquare stand in for their Go twins in field.go,
 // feMulGeneric and feSquareGeneric, and return the same limbs. Each starts
@@ -547,6 +547,262 @@ step:
 	XORQ BX, BX
 	XORQ DX, DX
 
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z18, Z18, Z18
+	VPXORQ Z19, Z19, Z19
+	VPXORQ Z20, Z20, Z20
+	VPXORQ Z21, Z21, Z21
+	VPXORQ Z22, Z22, Z22
+	VPXORQ Z23, Z23, Z23
+	VPXORQ Z24, Z24, Z24
+	VPXORQ Z25, Z25, Z25
+	VPXORQ Z26, Z26, Z26
+	VPXORQ Z27, Z27, Z27
+	VPXORQ Z28, Z28, Z28
+	VPXORQ Z29, Z29, Z29
+	VPXORQ Z30, Z30, Z30
+	VPXORQ Z31, Z31, Z31
+	VZEROUPPER
+	RET
+
+// The lane comb on AVX-512 IFMA (lane.go): combTable.scalarMult on eight
+// scalars at once, for one fixed point. Every lane walks the same table,
+// the point's laneCombTable, and brings its own signed digits, so a
+// window's lookup is per lane: the kernel loads the eight lanes' digits
+// (VPMOVSXBQ), compares their absolute values with 1 … 8 into K1, and
+// for each entry broadcasts its 15 limbs and merges them, under K1, into
+// the lanes that picked it, on top of the identity (1, 1, 0), which digit
+// 0 keeps. Lanes with a negative digit (K2) swap y+x with y−x and take
+// 2p − 2dxy. Every limb of every entry of the window is loaded, unmasked,
+// for every group, so the addresses the kernel reads and whether it reads
+// them depend on the window and the entry, never on a digit; the masks
+// act on registers only. The
+// point arithmetic is completed.addNiels, completed.double and point.set
+// on the lane field of the lane ladder above: the same macros, constants
+// and bounds, with the elements in laneCombState.
+//
+// Table limbs are below 2^51 and 2p − 2dxy's below 2^52, so every
+// operand of LANEMUL and LANESQUARE stays below 2^52, as in the ladder.
+
+DATA laneDigit<>+0(SB)/8, $1
+DATA laneDigit<>+8(SB)/8, $2
+DATA laneDigit<>+16(SB)/8, $3
+DATA laneDigit<>+24(SB)/8, $4
+DATA laneDigit<>+32(SB)/8, $5
+DATA laneDigit<>+40(SB)/8, $6
+DATA laneDigit<>+48(SB)/8, $7
+DATA laneDigit<>+56(SB)/8, $8
+GLOBL laneDigit<>(SB), RODATA|NOPTR, $64
+
+// The elements of laneCombState, as offsets from DI.
+#define PTX laneCombState_x
+#define PTY laneCombState_y
+#define PTZ laneCombState_z
+#define PTT laneCombState_t
+#define NYP (laneCombState_n+0*320)
+#define NYM (laneCombState_n+1*320)
+#define NT2D (laneCombState_n+2*320)
+#define TA (laneCombState_tmp+0*320)
+#define TB (laneCombState_tmp+1*320)
+#define TC (laneCombState_tmp+2*320)
+#define TD (laneCombState_tmp+3*320)
+#define EX (laneCombState_tmp+4*320)
+#define EY (laneCombState_tmp+5*320)
+#define EZ (laneCombState_tmp+6*320)
+#define ET (laneCombState_tmp+7*320)
+
+// LANEPICK1 broadcasts the limb at off(R9) and merges it into r in the
+// lanes K1 marks. The load itself is unmasked: it happens whatever K1
+// holds. Clobbers Z4.
+#define LANEPICK1(off, r) \
+	VPBROADCASTQ off(R9), Z4; \
+	VMOVDQA64    Z4, K1, r
+
+// LANEPICK merges the 15 limbs of entry d, at e(R9), into the lanes of
+// Z10..Z24 whose absolute digit, in Z0, is d; laneDigit<>+k holds d.
+#define LANEPICK(k, e) \
+	VPBROADCASTQ laneDigit<>+k(SB), Z1; \
+	VPCMPEQQ     Z1, Z0, K1;            \
+	LANEPICK1((e+0), Z10);              \
+	LANEPICK1((e+8), Z11);              \
+	LANEPICK1((e+16), Z12);             \
+	LANEPICK1((e+24), Z13);             \
+	LANEPICK1((e+32), Z14);             \
+	LANEPICK1((e+40), Z15);             \
+	LANEPICK1((e+48), Z16);             \
+	LANEPICK1((e+56), Z17);             \
+	LANEPICK1((e+64), Z18);             \
+	LANEPICK1((e+72), Z19);             \
+	LANEPICK1((e+80), Z20);             \
+	LANEPICK1((e+88), Z21);             \
+	LANEPICK1((e+96), Z22);             \
+	LANEPICK1((e+104), Z23);            \
+	LANEPICK1((e+112), Z24)
+
+// LANENEG1 swaps a limb p of y+x with its limb m of y−x where K2 is set.
+// Clobbers Z1.
+#define LANENEG1(p, m) \
+	VMOVDQA64 p, Z1;     \
+	VMOVDQA64 m, K2, p;  \
+	VMOVDQA64 Z1, K2, m
+
+// LANELOOKUP sets the niels element n, lane by lane, to digit R8 of that
+// lane times window R8/2 of the table at R9, as combTable.lookup does:
+// the identity, then each entry where the digit's absolute value picks
+// it, then the negation where the digit is negative.
+#define LANELOOKUP \
+	VPMOVSXBQ    laneCombState_digits(DI)(R8*8), Z2; \
+	VPABSQ       Z2, Z0;                             \
+	VPXORQ       Z3, Z3, Z3;                         \
+	VPCMPGTQ     Z2, Z3, K2;                         \
+	VPBROADCASTQ laneDigit<>+0(SB), Z10;             \
+	VPXORQ       Z11, Z11, Z11;                      \
+	VPXORQ       Z12, Z12, Z12;                      \
+	VPXORQ       Z13, Z13, Z13;                      \
+	VPXORQ       Z14, Z14, Z14;                      \
+	VMOVDQA64    Z10, Z15;                           \
+	VPXORQ       Z16, Z16, Z16;                      \
+	VPXORQ       Z17, Z17, Z17;                      \
+	VPXORQ       Z18, Z18, Z18;                      \
+	VPXORQ       Z19, Z19, Z19;                      \
+	VPXORQ       Z20, Z20, Z20;                      \
+	VPXORQ       Z21, Z21, Z21;                      \
+	VPXORQ       Z22, Z22, Z22;                      \
+	VPXORQ       Z23, Z23, Z23;                      \
+	VPXORQ       Z24, Z24, Z24;                      \
+	LANEPICK(0, 0);                                  \
+	LANEPICK(8, 120);                                \
+	LANEPICK(16, 240);                               \
+	LANEPICK(24, 360);                               \
+	LANEPICK(32, 480);                               \
+	LANEPICK(40, 600);                               \
+	LANEPICK(48, 720);                               \
+	LANEPICK(56, 840);                               \
+	LANENEG1(Z10, Z15);                              \
+	LANENEG1(Z11, Z16);                              \
+	LANENEG1(Z12, Z17);                              \
+	LANENEG1(Z13, Z18);                              \
+	LANENEG1(Z14, Z19);                              \
+	VPSUBQ       Z20, Z30, K2, Z20;                  \
+	VPSUBQ       Z21, Z31, K2, Z21;                  \
+	VPSUBQ       Z22, Z31, K2, Z22;                  \
+	VPSUBQ       Z23, Z31, K2, Z23;                  \
+	VPSUBQ       Z24, Z31, K2, Z24;                  \
+	VMOVDQU64    Z10, NYP+0(DI);                     \
+	VMOVDQU64    Z11, NYP+64(DI);                    \
+	VMOVDQU64    Z12, NYP+128(DI);                   \
+	VMOVDQU64    Z13, NYP+192(DI);                   \
+	VMOVDQU64    Z14, NYP+256(DI);                   \
+	VMOVDQU64    Z15, NYM+0(DI);                     \
+	VMOVDQU64    Z16, NYM+64(DI);                    \
+	VMOVDQU64    Z17, NYM+128(DI);                   \
+	VMOVDQU64    Z18, NYM+192(DI);                   \
+	VMOVDQU64    Z19, NYM+256(DI);                   \
+	VMOVDQU64    Z20, NT2D+0(DI);                    \
+	VMOVDQU64    Z21, NT2D+64(DI);                   \
+	VMOVDQU64    Z22, NT2D+128(DI);                  \
+	VMOVDQU64    Z23, NT2D+192(DI);                  \
+	VMOVDQU64    Z24, NT2D+256(DI)
+
+// LANEADDNIELS adds the niels element to the point: completed.addNiels,
+// then point.set.
+#define LANEADDNIELS \
+	LANEADD(TA, PTY, PTX);     \
+	LANEMUL(TA, TA, NYP);    \
+	LANESUB(TB, PTY, PTX);     \
+	LANEMUL(TB, TB, NYM);    \
+	LANEMUL(TC, PTT, NT2D);   \
+	LANEADD(TD, PTZ, PTZ);     \
+	LANESUB(EX, TA, TB);    \
+	LANEADD(EY, TA, TB);    \
+	LANEADD(EZ, TD, TC);    \
+	LANESUB(ET, TD, TC);    \
+	LANEMUL(PTX, EX, ET);   \
+	LANEMUL(PTY, EY, EZ);   \
+	LANEMUL(PTZ, EZ, ET);   \
+	LANEMUL(PTT, EX, EY)
+
+// LANEDOUBLE doubles the point, completed.double then point.setNoT: T is
+// left stale, as a doubling does not read it.
+#define LANEDOUBLE \
+	LANESQUARE(TA, PTX);      \
+	LANESQUARE(TB, PTY);      \
+	LANESQUARE(TC, PTZ);      \
+	LANEADD(TC, TC, TC);     \
+	LANEADD(TD, PTX, PTY);     \
+	LANESQUARE(TD, TD);      \
+	LANEADD(EY, TB, TA);    \
+	LANESUB(EZ, TB, TA);    \
+	LANESUB(EX, TD, EY);   \
+	LANESUB(ET, TC, EZ);   \
+	LANEMUL(PTX, EX, ET);   \
+	LANEMUL(PTY, EY, EZ);   \
+	LANEMUL(PTZ, EZ, ET)
+
+// func laneCombKernel(s *laneCombState, t *laneCombTable)
+//
+// combTable.scalarMult on the eight lanes of s, with the table t: the
+// odd digits' 32 additions, four doublings, the even digits' 32
+// additions, from the point laneComb sets (the identity). It leaves the
+// counts of its multiplications and squarings in s.muls and s.squares,
+// and clears every vector and mask register it used before it returns.
+TEXT ·laneCombKernel(SB), NOSPLIT, $0-16
+	MOVQ s+0(FP), DI
+	MOVQ t+8(FP), SI
+	VPBROADCASTQ laneConst<>+0(SB), Z28
+	VPBROADCASTQ laneConst<>+8(SB), Z29
+	VPBROADCASTQ laneConst<>+16(SB), Z30
+	VPBROADCASTQ laneConst<>+24(SB), Z31
+	XORQ R12, R12
+	XORQ R13, R13
+	MOVQ $1, R8 // i, the digit: the odd ones first
+
+comb:
+	// R9 = the 960-byte window i/2 of the table.
+	MOVQ   R8, R9
+	SHRQ   $1, R9
+	IMUL3Q $960, R9, R9
+	ADDQ   SI, R9
+	LANELOOKUP
+	LANEADDNIELS
+	ADDQ   $2, R8
+	CMPQ   R8, $64
+	JLT    comb
+
+	// After the odd digits (i = 65), multiply by 16 and start the even
+	// ones; after the even ones (i = 64), the walk is done.
+	CMPQ R8, $65
+	JNE  done
+	LANEDOUBLE
+	LANEDOUBLE
+	LANEDOUBLE
+	LANEDOUBLE
+	LANEMUL(PTT, EX, EY)
+	XORQ R8, R8
+	JMP  comb
+
+done:
+	MOVQ R12, laneCombState_muls(DI)
+	MOVQ R13, laneCombState_squares(DI)
+	KXORW K1, K1, K1
+	KXORW K2, K2, K2
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z2, Z2, Z2

@@ -13,12 +13,16 @@ var fieldAsm = false
 func feMul(v, a, b *fe) { feMulGeneric(v, a, b) }
 func feSquare(v, a *fe) { feSquareGeneric(v, a) }
 
-// There is no lane ladder here: laneAsm is always false, and openBatch
-// never calls the kernel.
+// There is no lane ladder or lane comb here: laneAsm is always false,
+// and neither openBatch nor sealInPlace calls a kernel.
 const laneAsmSupported = false
 
 var laneAsm = false
 
 func laneLadderKernel(s *laneLadderState, k *[32]byte) {
 	panic("onionbox: the lane ladder needs amd64")
+}
+
+func laneCombKernel(s *laneCombState, t *laneCombTable) {
+	panic("onionbox: the lane comb needs amd64")
 }

@@ -14,8 +14,10 @@ import (
 // multiplications and squarings for a random, a zero, an all-ones and a
 // single-bit scalar, and the ladder also for a point of low order; the
 // lane ladder (/lanes) does the scalar ladder's count for every scalar
-// and every lane content, in every group of a chunk however full. Run it
-// with: go test -tags opcount -run TestOperationCount ./internal/onionbox
+// and every lane content, in every group of a chunk however full, and the
+// lane comb (/comb_lanes) the scalar comb's, for every scalar in every
+// lane beside any others, in every group of a sealed batch. Run it with:
+// go test -tags opcount -run TestOperationCount ./internal/onionbox
 func TestOperationCount(t *testing.T) {
 	random := make([]byte, 32)
 	mathrand.New(mathrand.NewSource(8)).Read(random)
@@ -135,5 +137,83 @@ func TestOperationCount(t *testing.T) {
 			}
 		}
 		t.Logf("lane ladder: %d multiplications, %d squarings a call", want.muls, want.squares)
+	})
+
+	t.Run("comb lanes", func(t *testing.T) {
+		skipWithoutLanes(t)
+		var digits [64]int8
+		var p point
+		recode(&digits, random)
+		opMuls, opSquares = 0, 0
+		baseTable().scalarMult(&p, &digits)
+		want := count{opMuls, opSquares}
+
+		rng := mathrand.New(mathrand.NewSource(10))
+		fills := map[string]func(j int, k []byte) []byte{
+			"random": func(int, []byte) []byte {
+				s := make([]byte, 32)
+				rng.Read(s)
+				return s
+			},
+			"zero": func(int, []byte) []byte { return make([]byte, 32) },
+			"same": func(_ int, k []byte) []byte { return k },
+			"mixed": func(j int, k []byte) []byte {
+				if j%2 == 0 {
+					return bytes.Repeat([]byte{0xff}, 32)
+				}
+				return k
+			},
+		}
+		var st laneCombState
+		lt := newLaneCombTable(&tab)
+		for sname, k := range scalars {
+			for fname, fill := range fills {
+				var ks [laneCount][32]byte
+				for j := range ks {
+					copy(ks[j][:], fill(j, k))
+				}
+				copy(ks[rng.Intn(laneCount)][:], k)
+				setLaneDigits(&st, &ks)
+				opLaneCalls, opLaneMuls, opLaneSquares = 0, 0, 0
+				laneComb(&st, lt)
+				if got := (count{opLaneMuls, opLaneSquares}); opLaneCalls != 1 || got != want {
+					t.Errorf("%s scalar, %s lanes: %d calls, %+v; the scalar comb %+v", sname, fname, opLaneCalls, got, want)
+				}
+			}
+		}
+
+		pub, _, err := GenerateKey(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSealer(pub, sealChunk)
+		for _, n := range []int{2, laneCount - 1, laneCount, laneCount + laneCombBreakEven, sealChunk + 3, 2*sealChunk + 1} {
+			seeds := make([]byte, 32*n)
+			rng.Read(seeds)
+			boxes := make([][]byte, n)
+			for i := range boxes {
+				boxes[i] = make([]byte, Overhead+8)
+			}
+			// Two walks, the base table's and the key's, per group of
+			// laneCount boxes down to a remainder below laneCombBreakEven.
+			calls := 0
+			for rest := n; rest > 0; rest -= sealChunk {
+				c := min(rest, sealChunk)
+				calls += 2 * ((c + laneCount - laneCombBreakEven) / laneCount)
+			}
+			opLaneCalls, opLaneMuls, opLaneSquares = 0, 0, 0
+			withLanes(func() {
+				if err := s.sealInPlace(seeds, boxes); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if opLaneCalls != calls {
+				t.Fatalf("a batch of %d boxes ran %d lane combs, want %d", n, opLaneCalls, calls)
+			}
+			if opLaneMuls != opLaneCalls*want.muls || opLaneSquares != opLaneCalls*want.squares {
+				t.Errorf("a batch of %d boxes: %d lane combs did %d multiplications and %d squarings, not %+v each", n, opLaneCalls, opLaneMuls, opLaneSquares, want)
+			}
+		}
+		t.Logf("lane comb: %d multiplications, %d squarings a call", want.muls, want.squares)
 	})
 }

@@ -1,7 +1,6 @@
 package onionbox
 
 import (
-	"crypto/ecdh"
 	"errors"
 	"io"
 	"math/big"
@@ -9,14 +8,15 @@ import (
 )
 
 // sealerBreakEven is the number of boxes from which a Sealer builds a
-// table for its recipient; below it every box takes the crypto/ecdh
-// ladder. It is the measured table cost over the measured saving per box,
-// doubled: on the 2-vCPU development box, with the field on its MULX/ADX
-// kernels (BenchmarkSealerTable, BenchmarkSealBatch, BenchmarkSealLadder,
-// three alternated runs), a table costs 0.21–0.23 ms and a box 41–48 µs
-// on it against 165–193 µs on the ladder, so two boxes repay it; 4 leaves
-// room for a machine where the table arithmetic, or the portable field
-// under it, is slower relative to the standard library's assembly ladder.
+// table for its recipient; below it every box takes sealLadder, the base
+// comb and a ladder. It is the measured table cost over the measured
+// saving per box, with room: on the 2-vCPU development box, with the
+// field on its MULX/ADX kernels (BenchmarkSealerTable, BenchmarkSealBatch,
+// BenchmarkSealLadder, alternated runs, EXPERIMENTS.md), a table and its
+// lane copy cost 0.21–0.25 ms, and a box 6–8 µs on them in lanes against
+// 79–91 µs on sealLadder, so three boxes repay the table. On a CPU
+// without IFMA a box on the scalar comb costs 43–49 µs and six boxes
+// repay it; 4 costs such a Sealer of four or five boxes under 0.1 ms.
 const sealerBreakEven = 4
 
 // sealChunk boxes share one field inversion. 64 of them make its cost
@@ -25,12 +25,13 @@ const sealChunk = 64
 
 // A Sealer seals boxes to one recipient key. With enough boxes in prospect
 // it holds a fixed-base table for the key, which makes each box cost two
-// table walks instead of two Montgomery ladders; the boxes are the same
-// bytes either way. A Sealer holds nothing secret — the table is a
-// function of the public key — and may be used from several goroutines.
+// table walks instead of a walk and a Montgomery ladder; the boxes are
+// the same bytes either way. A Sealer holds nothing secret — the table is
+// a function of the public key — and may be used from several goroutines.
 type Sealer struct {
 	to    *PublicKey
-	table *combTable // nil: every box goes down the ladder
+	table *combTable     // nil: every box goes down the ladder
+	lanes *laneCombTable // table for the lane comb; nil with table, or where the CPU cannot run it
 }
 
 // NewSealer returns a Sealer for about n boxes to the recipient. It falls
@@ -45,29 +46,46 @@ func NewSealer(to *PublicKey, n int) *Sealer {
 	if x, y, ok := edwardsFromU(to.k.Bytes()); ok {
 		s.table = new(combTable)
 		s.table.fill(x, y)
+		if laneAsmSupported {
+			s.lanes = newLaneCombTable(s.table)
+		}
 	}
 	return s
 }
 
 var (
-	baseOnce  sync.Once
-	baseTab   *combTable
-	curveP    = new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 255), big.NewInt(19))
-	basePoint = [32]byte{9}
+	baseOnce    sync.Once
+	baseTab     *combTable
+	baseLaneTab *laneCombTable
+	curveP      = new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 255), big.NewInt(19))
+	basePoint   = [32]byte{9}
 )
 
 // baseTable is the table of the X25519 base point u = 9, built on first
-// use and shared by every Sealer.
+// use and shared by every Sealer and by every box sealed without one.
 func baseTable() *combTable {
-	baseOnce.Do(func() {
-		x, y, ok := edwardsFromU(basePoint[:])
-		if !ok {
-			panic("onionbox: base point is not on the curve")
-		}
-		baseTab = new(combTable)
-		baseTab.fill(x, y)
-	})
+	baseOnce.Do(buildBase)
 	return baseTab
+}
+
+// baseLaneTable is baseTable in radix 2^51 for the lane comb, where the
+// CPU runs it, and nil elsewhere.
+func baseLaneTable() *laneCombTable {
+	baseOnce.Do(buildBase)
+	return baseLaneTab
+}
+
+func buildBase() {
+	x, y, ok := edwardsFromU(basePoint[:])
+	if !ok {
+		panic("onionbox: base point is not on the curve")
+	}
+	baseTab = new(combTable)
+	baseTab.fill(x, y)
+	baseLaneTab = nil
+	if laneAsmSupported {
+		baseLaneTab = newLaneCombTable(baseTab)
+	}
 }
 
 // edwardsFromU maps the Montgomery u-coordinate in a public key to an
@@ -150,12 +168,16 @@ var errLowOrder = errors.New("onionbox: bad recipient key: low order point")
 
 // sealInPlace seals boxes[i] with the ephemeral key seeds[32i:32i+32]. A
 // box arrives with its message at box[32:len(box)−16] and leaves as
-// ephemeral public key ‖ AEAD ciphertext, as Seal makes it.
+// ephemeral public key ‖ AEAD ciphertext, as Seal makes it. With a table
+// it walks a chunk's boxes — where laneAsm is set, eight at a time on the
+// lane comb (sealLanes) down to a remainder below laneCombBreakEven, and
+// that remainder one at a time — and shares one inversion among them
+// (montgomeryU).
 func (s *Sealer) sealInPlace(seeds []byte, boxes [][]byte) error {
 	recvPub := s.to.k.Bytes()
 	if s.table == nil {
 		for i, box := range boxes {
-			if err := sealLadder(seeds[32*i:32*i+32], s.to.k, recvPub, box); err != nil {
+			if err := sealLadder(seeds[32*i:32*i+32], recvPub, box); err != nil {
 				return err
 			}
 		}
@@ -170,18 +192,27 @@ func (s *Sealer) sealInPlace(seeds []byte, boxes [][]byte) error {
 	us := make([][32]byte, 2*n)
 	var digits [64]int8
 	var p point
+	var lanes laneCombState
 	defer func() {
 		// Everything below is a function of the ephemeral secrets.
 		digits = [64]int8{}
 		p = point{}
+		lanes = laneCombState{}
 		clear(fes)
 		clear(us)
 	}()
 
-	base := baseTable()
+	base, baseLanes := baseTable(), baseLaneTable()
 	for len(boxes) > 0 {
 		n = min(len(boxes), sealChunk)
-		for i := 0; i < n; i++ {
+		i := 0
+		if laneAsm && s.lanes != nil {
+			for ; n-i >= laneCombBreakEven; i += laneCount {
+				g := min(n-i, laneCount)
+				sealLanes(&lanes, baseLanes, s.lanes, seeds[32*i:], g, num[2*i:], den[2*i:])
+			}
+		}
+		for ; i < n; i++ {
 			recode(&digits, seeds[32*i:])
 			base.scalarMult(&p, &digits)
 			num[2*i].add(&p.z, &p.y)
@@ -204,18 +235,36 @@ func (s *Sealer) sealInPlace(seeds []byte, boxes [][]byte) error {
 	return nil
 }
 
-// sealLadder seals one box with crypto/ecdh's Montgomery ladder.
-func sealLadder(seed []byte, to *ecdh.PublicKey, recvPub, box []byte) error {
-	eph, err := ecdh.X25519().NewPrivateKey(seed)
-	if err != nil {
-		return err
+// sealLadder seals one box without a recipient table: the ephemeral
+// public key on the base comb, the shared secret on the peel's ladder
+// with the recipient's u, and one inversion for the two. Like
+// crypto/ecdh it refuses a shared secret of zero (errLowOrder).
+func sealLadder(seed, recvPub, box []byte) error {
+	var digits [64]int8
+	var p point
+	var k, u [32]byte
+	var x1 fe
+	var num, den, prefix [2]fe
+	var us [2][32]byte
+	defer func() {
+		// Everything here is a function of the ephemeral secret.
+		digits, p, k = [64]int8{}, point{}, [32]byte{}
+		num, den, prefix, us = [2]fe{}, [2]fe{}, [2]fe{}, [2][32]byte{}
+	}()
+	recode(&digits, seed)
+	baseTable().scalarMult(&p, &digits)
+	num[0].add(&p.z, &p.y)
+	den[0].sub(&p.z, &p.y)
+	copy(k[:], seed)
+	copy(u[:], recvPub)
+	x1.setBytes(&u)
+	ladder(&num[1], &den[1], &k, &x1)
+	montgomeryU(us[:], num[:], den[:], prefix[:])
+	if isZero32(&us[1]) {
+		return errLowOrder
 	}
-	shared, err := eph.ECDH(to)
-	if err != nil {
-		return err
-	}
-	copy(box, eph.PublicKey().Bytes())
-	sealBody(box, shared, recvPub)
+	copy(box, us[0][:])
+	sealBody(box, us[1][:], recvPub)
 	return nil
 }
 
