@@ -115,8 +115,8 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	log.Println("shutting down")
-	if r := daemon.PendingRoutes(); r > 0 {
-		log.Printf("warning: %d routes still pending at shutdown", r)
+	if r := daemon.PendingRounds(); r > 0 {
+		log.Printf("warning: %d rounds still open at shutdown", r)
 	}
 	server.Close()
 }

@@ -128,7 +128,7 @@
 //
 // Arithmetic has no branch on, and no index by, an operand's value. That
 // covers feAdd, feSub, feNeg, feDouble, feCondSubP, feMul, feSquare,
-// feMulBy3, feMulBy9, feMulWide, feSquareWide, feMontReduce, feReduce5
+// feMulBy3, feMulWide, feSquareWide, feMontReduce, feReduce5
 // and the feWide sums; fe2/fe6/fe12 Add, Sub, Neg, Double, Conjugate,
 // Mul, MulFe, Square, MulXi, MulV, the sparse ate-line products
 // (mulBy01fe2, mulAteLineMonic), CyclotomicSquare, Frobenius and

@@ -793,11 +793,6 @@ func feMulBy3(z, x *fe) {
 	z[0], z[1], z[2], z[3] = feReduce5(t0, t1, t2, t3, 0)
 }
 
-// feMulBy9 sets z = 9x, reduced once.
-func feMulBy9(z, x *fe) {
-	z[0], z[1], z[2], z[3] = feReduce5(feTimes9(x))
-}
-
 // feTimes9 returns 9x = 8x + x as a five-limb value, unreduced: under 9P
 // for a reduced x.
 func feTimes9(x *fe) (t0, t1, t2, t3, t4 uint64) {

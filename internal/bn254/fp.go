@@ -23,11 +23,6 @@ func randMod(r io.Reader, mod *big.Int) (*big.Int, error) {
 	}
 }
 
-// randFieldElement returns a uniform element of Fp read from r.
-func randFieldElement(r io.Reader) (*big.Int, error) {
-	return randMod(r, P)
-}
-
 // RandomScalar returns a uniform non-zero scalar in [1, Order-1] read from r.
 func RandomScalar(r io.Reader) (*big.Int, error) {
 	for {

@@ -2,10 +2,28 @@ package bn254
 
 import (
 	"crypto/rand"
+	"io"
 	"math/big"
 	"testing"
 	"testing/quick"
 )
+
+// randFieldElement returns a uniform element of Fp read from r.
+func randFieldElement(r io.Reader) (*big.Int, error) {
+	return randMod(r, P)
+}
+
+// feMulBy9 sets z = 9x, reduced once.
+func feMulBy9(z, x *fe) {
+	z[0], z[1], z[2], z[3] = feReduce5(feTimes9(x))
+}
+
+// GTOne returns the identity element of GT.
+func GTOne() *GT {
+	g := new(GT)
+	g.e.SetOne()
+	return g
+}
 
 // quickCfg bounds the number of property-test iterations so that the
 // big.Int-heavy arithmetic stays fast under `go test`.

@@ -6,17 +6,10 @@ import (
 )
 
 // GT is an element of the order-Order subgroup of Fp12*, the target group of
-// the pairing. The zero value is NOT valid; use GTOne(), AtePair, or an
-// operation that sets the receiver.
+// the pairing. The zero value is NOT valid; use AtePair or an operation
+// that sets the receiver.
 type GT struct {
 	e fe12
-}
-
-// GTOne returns the identity element of GT.
-func GTOne() *GT {
-	g := new(GT)
-	g.e.SetOne()
-	return g
 }
 
 func (g *GT) String() string { return g.e.String() }

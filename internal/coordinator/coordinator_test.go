@@ -18,10 +18,9 @@ import (
 )
 
 // testCoordinator is a coordinator over daemons served on in-memory
-// listeners, plus the servers and the store behind them.
+// listeners, plus the daemons and the store behind them.
 type testCoordinator struct {
 	*Coordinator
-	servers []*mixnet.Server
 	daemons []*rpc.MixerDaemon
 	store   *cdn.Store
 }
@@ -38,7 +37,7 @@ func listenMem(t *testing.T, srv *rpc.Server) string {
 }
 
 // startMixer serves one unpinned mixer daemon (µ = 1 per mailbox, b = 0).
-func startMixer(t *testing.T, position, chain int) (*mixnet.Server, *rpc.MixerDaemon, *rpc.MixerClient) {
+func startMixer(t *testing.T, position, chain int) (*rpc.MixerDaemon, *rpc.MixerClient) {
 	t.Helper()
 	nz := noise.Laplace{Mu: 1, B: 0}
 	m, err := mixnet.New(mixnet.Config{
@@ -54,7 +53,7 @@ func startMixer(t *testing.T, position, chain int) (*mixnet.Server, *rpc.MixerDa
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, d, mc
+	return d, mc
 }
 
 func newTestCoordinator(t *testing.T, numMixers, numPKGs int) *testCoordinator {
@@ -72,8 +71,7 @@ func newTestCoordinator(t *testing.T, numMixers, numPKGs int) *testCoordinator {
 		c.PKGs = append(c.PKGs, p)
 	}
 	for i := 0; i < numMixers; i++ {
-		m, d, mc := startMixer(t, i, numMixers)
-		c.servers = append(c.servers, m)
+		d, mc := startMixer(t, i, numMixers)
 		c.daemons = append(c.daemons, d)
 		c.Mixers = append(c.Mixers, mc)
 	}
@@ -111,8 +109,8 @@ func TestAddFriendRoundLifecycle(t *testing.T) {
 	// Mixer round keys erased. PKG master keys are erased concurrently
 	// with the mix (extraction only happens during the submission
 	// window), so they are gone by the time CloseRound returns.
-	for _, m := range c.servers {
-		if m.RoundOpen(wire.AddFriend, 1) {
+	for _, d := range c.daemons {
+		if d.PendingRounds() != 0 {
 			t.Fatal("mixer round key survives close")
 		}
 	}
@@ -328,7 +326,7 @@ func TestVolumeTrackingAcrossRounds(t *testing.T) {
 // instead of taking submissions for a round that cannot close.
 func TestShardedConfigRequiresCapableFleet(t *testing.T) {
 	c := newTestCoordinator(t, 2, 1)
-	_, _, extra := startMixer(t, 0, 2)
+	_, extra := startMixer(t, 0, 2)
 	c.Shards = [][]Mixer{{extra}, nil}
 	if _, err := c.OpenDialingRound(1); err == nil {
 		t.Fatal("sharded round opened over daemons with no group key-exchange surface")
@@ -347,18 +345,14 @@ func TestShardedConfigRequiresCapableFleet(t *testing.T) {
 // master key.
 func TestFailedOpenErasesRound(t *testing.T) {
 	c := newTestCoordinator(t, 2, 2)
-	m, d, extra := startMixer(t, 0, 2)
+	d, extra := startMixer(t, 0, 2)
 	c.Shards = [][]Mixer{{extra}, nil}
 	if _, err := c.OpenAddFriendRound(1); err == nil {
 		t.Fatal("sharded round opened over daemons with no group key-exchange surface")
 	}
-	servers, daemons := append(c.servers, m), append(c.daemons, d)
-	for i, m := range servers {
-		if m.RoundOpen(wire.AddFriend, 1) {
-			t.Errorf("mixer %d keeps the failed round's key", i)
-		}
-		if n := daemons[i].PendingRoutes(); n != 0 {
-			t.Errorf("mixer %d keeps %d routes of the failed round", i, n)
+	for i, d := range append(c.daemons, d) {
+		if n := d.PendingRounds(); n != 0 {
+			t.Errorf("mixer %d keeps the failed round's key or route (%d rounds)", i, n)
 		}
 	}
 	for i, p := range c.PKGs {

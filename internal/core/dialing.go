@@ -329,15 +329,3 @@ func (c *Client) DialRound() uint32 {
 	defer c.mu.Unlock()
 	return c.dialRound
 }
-
-// wheelSecretForTest exposes a friend's current wheel encoding to the
-// compromise tests in this module; it is unexported and test-only.
-func (c *Client) wheelSecretForTest(friend string) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f, ok := c.friends[friend]
-	if !ok || f.wheel == nil {
-		return nil
-	}
-	return f.wheel.Marshal()
-}

@@ -26,7 +26,7 @@ func BenchmarkMix(b *testing.B) {
 		}
 		servers[i] = s
 	}
-	hops := openRound(b, servers, wire.Dialing, 1)
+	rounds, hops := openRound(b, servers, wire.Dialing, 1, numMailboxes)
 	batch := make([][]byte, batchSize)
 	for i := range batch {
 		tok := make([]byte, keywheel.TokenSize)
@@ -35,7 +35,7 @@ func BenchmarkMix(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Chain(servers, wire.Dialing, 1, numMailboxes, batch); err != nil {
+		if _, err := Chain(rounds, numMailboxes, batch); err != nil {
 			b.Fatal(err)
 		}
 	}

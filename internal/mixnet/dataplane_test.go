@@ -51,8 +51,8 @@ func submitSeeded(t *testing.T, e *entry.Server, settings *wire.RoundSettings, b
 }
 
 // TestDataPlaneMatchesReference pins the one data plane to the in-process
-// reference: Chain — full-batch Mix on seeded servers, then
-// BuildMailboxes — against the routed plane (internal/rpc) at one shard per
+// reference: Chain — full-batch Mix on seeded servers' Rounds, then the
+// mailbox build — against the routed plane (internal/rpc) at one shard per
 // position under the same seed, with noise on. The plane runs on each
 // transport sim serves, in memory and over TCP, and the reference runs on
 // the mixers of a second network built with the same Seed; the plane must
@@ -132,19 +132,24 @@ func testDataPlaneMatchesReference(t *testing.T, n, refNet *sim.Network, service
 		servers = append(servers, group[0].Server)
 	}
 	ref := &wire.RoundSettings{Service: service, Round: 1, NumMailboxes: k}
+	var privs []*onionbox.PrivateKey
 	for _, m := range servers {
-		rk, err := m.NewRound(service, 1)
+		priv, rk, err := m.Announce(service, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		privs = append(privs, priv)
 		ref.Mixers = append(ref.Mixers, rk)
 	}
+	rounds := make([]*mixnet.Round, len(servers))
 	for i, m := range servers {
 		var keys [][]byte
 		for _, rk := range ref.Mixers[i+1:] {
 			keys = append(keys, rk.OnionKey)
 		}
-		if err := m.SetDownstreamKeys(service, 1, keys); err != nil {
+		if rounds[i], err = m.Open(mixnet.RoundSpec{
+			Service: service, Round: 1, ShardCount: 1, Downstream: keys, NumMailboxes: k, Key: privs[i],
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +162,7 @@ func testDataPlaneMatchesReference(t *testing.T, n, refNet *sim.Network, service
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mixnet.Chain(servers, service, 1, k, batch)
+	want, err := mixnet.Chain(rounds, k, batch)
 	if err != nil {
 		t.Fatal(err)
 	}

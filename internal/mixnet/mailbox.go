@@ -8,33 +8,6 @@ import (
 	"alpenhorn/internal/wire"
 )
 
-// BuildMailboxes is the last mixnet server's final step (§3.1 step 3): it
-// parses the fully peeled payloads, discards cover traffic and anything
-// addressed to a nonexistent mailbox, and groups the remaining request
-// bodies by mailbox.
-//
-// For the add-friend service each mailbox is the concatenation of its
-// fixed-size encrypted friend requests. For the dialing service each
-// mailbox is a Bloom filter over its dial tokens, with parameters chosen by
-// this server for the number of tokens actually present (§5.2).
-//
-// Every mailbox ID in [0, numMailboxes) is present in the result, even if
-// empty, so that fetching clients never learn anything from a missing key.
-//
-// Construction is sharded across runtime.GOMAXPROCS workers: parsing is
-// split over contiguous batch chunks, and mailbox encoding is keyed by
-// mailbox index. Use BuildMailboxesParallel to pick the worker count.
-func BuildMailboxes(service wire.Service, numMailboxes uint32, batch [][]byte) (map[uint32][]byte, error) {
-	return BuildMailboxesParallel(service, numMailboxes, batch, runtime.GOMAXPROCS(0))
-}
-
-// BuildMailboxesParallel is BuildMailboxes with an explicit worker count
-// (1 = the sequential path). Output is identical regardless of workers:
-// bodies keep batch order within each mailbox.
-func BuildMailboxesParallel(service wire.Service, numMailboxes uint32, batch [][]byte, workers int) (map[uint32][]byte, error) {
-	return BuildMailboxesRange(service, 0, numMailboxes, batch, workers)
-}
-
 // ShardRange returns the contiguous mailbox-ID range [lo, hi) that shard
 // `shard` of `count` owns when a round's numMailboxes mailboxes are built
 // sharded across the last position's group. The ranges partition
@@ -66,13 +39,18 @@ func encodeMailbox(service wire.Service, bodies [][]byte) []byte {
 	}
 }
 
-// BuildMailboxesRange builds only the mailboxes with IDs in [lo, hi):
-// one shard's slice of a sharded mailbox build. The batch should contain
-// the payloads dealt to this shard, in the position's post-shuffle batch
-// order; payloads addressed outside [lo, hi) are ignored. Every ID in
-// [lo, hi) is present in the result, even if empty, so the union of the
-// shards' slices is byte-identical to BuildMailboxes over the full batch.
-func BuildMailboxesRange(service wire.Service, lo, hi uint32, batch [][]byte, workers int) (map[uint32][]byte, error) {
+// BuildMailboxesRange is the last mixnet server's final step (§3.1 step
+// 3) for the mailboxes with IDs in [lo, hi): one shard's slice of a
+// sharded build, or the whole build over [0, numMailboxes). It parses the
+// peeled payloads dealt to this shard, in post-shuffle batch order, drops
+// cover traffic and anything addressed outside [lo, hi), and encodes each
+// mailbox from its bodies (encodeMailbox). Every ID in [lo, hi) is present
+// in the result, even if empty, so that fetching clients never learn
+// anything from a missing key, and the union of the shards' slices is
+// byte-identical to one build over the full batch. Parsing and encoding
+// are split across GOMAXPROCS workers; bodies keep batch order within each
+// mailbox, so the output does not depend on the worker count.
+func BuildMailboxesRange(service wire.Service, lo, hi uint32, batch [][]byte) (map[uint32][]byte, error) {
 	switch service {
 	case wire.AddFriend, wire.Dialing:
 	default:
@@ -81,10 +59,7 @@ func BuildMailboxesRange(service wire.Service, lo, hi uint32, batch [][]byte, wo
 	if hi < lo {
 		return nil, fmt.Errorf("mixnet: bad mailbox range [%d, %d)", lo, hi)
 	}
-	if workers <= 0 {
-		workers = 1
-	}
-
+	workers := runtime.GOMAXPROCS(0)
 	grouped := groupByMailbox(service, hi, batch, workers)
 
 	n := int(hi - lo)

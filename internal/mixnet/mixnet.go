@@ -14,14 +14,17 @@
 // friend requests routed to it; for the dialing protocol, the server
 // encodes each mailbox's dial tokens into a Bloom filter (§5.2).
 //
-// Round execution is parallel and pipelined: onion decryption fans out
-// over a worker pool, per-round noise is generated in the background while
-// clients are still submitting (PrepareNoise), and batches can be fed in
-// chunks (StreamBegin/StreamChunk/StreamEndShard) so a server starts peeling
-// while the upstream server is still emitting. The shuffle remains a
-// strict per-server barrier: output order is only decided once the whole
-// batch is present, which is what the anytrust unlinkability argument
-// needs.
+// A server's part in a round is one object. Announce draws the round's
+// onion key; Open takes the whole round at once (the shard layout, the
+// downstream keys, the mailbox count and the key) and starts generating
+// the round's noise in the background, so it is ready by the time the
+// batch has arrived; the Round it returns peels the batch in chunks as
+// they arrive (Chunk), so a server starts peeling while the upstream
+// server is still emitting, ends the intake with its noise appended
+// (EndShard), shuffles (Merge) and erases the key (Close). Onion
+// decryption fans out over a worker pool. The shuffle remains a strict
+// per-server barrier: output order is only decided once the whole batch is
+// present, which is what the anytrust unlinkability argument needs.
 //
 // # Shard groups
 //
@@ -32,9 +35,9 @@
 //
 //   - One key per position. The ANNOUNCER (shard 0 — the member whose
 //     long-term signing key clients pin) generates the round onion key
-//     and announces it; the other shards install the same key
-//     (ExportRoundKey/ImportRoundKey — group-internal traffic only,
-//     gated per round to a coordinator-distributed peer allowlist).
+//     and announces it; the other shards open the round with the same key
+//     (ExportKey, RoundSpec.Import — group-internal traffic only, gated
+//     per round to a coordinator-distributed peer allowlist).
 //     Clients wrap exactly one onion layer for the position, sharded or
 //     not. Hot-spare daemons (Config.Spare) are drafted into a benched
 //     member's slot the same way: they import the round key and take the
@@ -42,16 +45,16 @@
 //
 //   - Divided noise, preserved scale. Each shard draws per-mailbox
 //     noise from Laplace(ceil(µ/N), b) — the position's MEAN divided,
-//     its scale b intact (SetRoundShard fixes N before any noise
-//     exists). Ceil rounding means the group's union can only meet or
-//     exceed the unsharded µ, and full-scale draws keep §6's ε = s/b
-//     analysis unchanged; dividing sampled counts instead would shrink
-//     the effective scale and erode the guarantee.
+//     its scale b intact (Open takes N with the rest of the round, so
+//     no noise exists before it). Ceil rounding means the group's union
+//     can only meet or exceed the unsharded µ, and full-scale draws keep
+//     §6's ε = s/b analysis unchanged; dividing sampled counts instead
+//     would shrink the effective scale and erode the guarantee.
 //
 //   - One full-batch shuffle, at the merge. Shards peel their slices
-//     WITHOUT shuffling (StreamEndShard) and hand them to the member
+//     WITHOUT shuffling (Round.EndShard) and hand them to the member
 //     hosting the group's MERGE ROLE this round, where the slice that
-//     arrives last completes the merge: MergeShuffle concatenates the
+//     arrives last completes the merge: Round.Merge concatenates the
 //     slices in shard-index order and applies a single permutation over
 //     the whole position's batch. The position's mixing contribution is
 //     therefore identical to an unsharded server's — never N smaller
@@ -68,7 +71,7 @@
 //     mailboxes are byte-identical no matter who merged. The permutation
 //     stays secret exactly as long as the round key does, which is the
 //     secrecy the anytrust argument already demanded, and both die
-//     together at CloseRound.
+//     together at Round.Close.
 //
 // A shard group is one trust domain (it shares the round private key);
 // peeled-but-unshuffled slices travel only inside it. A position with a
@@ -77,14 +80,14 @@
 // # Randomness
 //
 // A server reads Config.Rand for three things only: its long-term signing
-// key (New), each round's onion key (NewRound) and each round's 32-byte
-// NOISE SEED, drawn when the round's noise is first prepared. Every other
-// random byte a round uses comes from a keyed stream (keyedStream): the
-// permutation's is keyed by the round onion key, and mailbox j's noise —
-// its Laplace count, then its bodies, then its onions' ephemeral scalars —
-// by the seed and j. Mailbox j's noise is therefore a function of (seed,
-// j) alone, whichever worker makes it, and a server on a seeded source
-// runs the production program at any GOMAXPROCS.
+// key (New), each round's onion key (Announce) and each round's 32-byte
+// NOISE SEED (Open). Every other random byte a round uses comes from a
+// keyed stream (keyedStream): the permutation's is keyed by the round
+// onion key, and mailbox j's noise — its Laplace count, then its bodies,
+// then its onions' ephemeral scalars — by the seed and j. Mailbox j's
+// noise is therefore a function of (seed, j) alone, whichever worker makes
+// it, and a server on a seeded source runs the production program at any
+// GOMAXPROCS.
 //
 // The seed is secret. Other servers must not predict a mixer's noise
 // counts, bodies or ephemeral scalars: the counts are what makes mailbox
@@ -95,7 +98,7 @@
 // counter block. The seed is drawn from the source, not derived from the
 // round onion key: every shard of a group and a drafted spare hold the
 // same key, so a key-derived seed would give each member identical noise
-// onions for mailbox j. CloseRound zeroes the seed, after a completed
+// onions for mailbox j. Round.Close zeroes the seed, after a completed
 // round and after an abort alike.
 //
 // This package is transport-agnostic: the chunked surface is driven by
@@ -133,59 +136,6 @@ import (
 	"alpenhorn/internal/wire"
 )
 
-type roundKey struct {
-	service wire.Service
-	round   uint32
-}
-
-type roundState struct {
-	priv *onionbox.PrivateKey
-	pub  *onionbox.PublicKey
-	// downstream holds the onion keys of the servers after this one in
-	// the chain, used to wrap this server's noise messages. nil until
-	// SetDownstreamKeys (empty, non-nil for the last server).
-	downstream []*onionbox.PublicKey
-	// noiseSeed keys every mailbox's noise stream for the round. It is
-	// drawn from Config.Rand when the round's noise is first prepared and
-	// zeroed by CloseRound.
-	noiseSeed *[32]byte
-	// noise is the round's background-generated noise for the mailbox
-	// count last asked for; StreamBegin hands it to the stream.
-	noise *noiseBatch
-	// stream is the in-progress chunked intake, if any.
-	stream *stream
-	// shardIndex/shardCount place this server inside the round's shard
-	// group for its chain position (SetRoundShard). shardCount 0 means
-	// the position is unsharded (equivalent to a group of one).
-	shardIndex int
-	shardCount int
-	closed     bool
-	// peels counts the StreamChunk goroutines that may still open onions
-	// with priv, aborted streams' included; CloseRound waits for them
-	// before it erases the key. closing, set by CloseRound before that
-	// wait, tells a chunk that has not started peeling to skip it.
-	peels   sync.WaitGroup
-	closing atomic.Bool
-}
-
-// effectiveShards returns the round's shard-group size, treating the unset
-// state as a group of one.
-func (st *roundState) effectiveShards() int {
-	if st.shardCount <= 0 {
-		return 1
-	}
-	return st.shardCount
-}
-
-// noiseBatch is a future for one round's noise messages, generated
-// concurrently with client intake so the mix never waits on it.
-type noiseBatch struct {
-	numMailboxes uint32
-	done         chan struct{} // closed when msgs/err are set
-	msgs         [][]byte
-	err          error
-}
-
 // Server is one mixnet server. It is safe for concurrent use. Position in
 // the chain is fixed at construction.
 type Server struct {
@@ -215,12 +165,14 @@ type Server struct {
 	// requires serving the group-internal key import/export surface.
 	spare bool
 
-	mu     sync.Mutex
-	rounds map[roundKey]*roundState
-
-	// stats
+	// mu serializes reads of randSrc and guards the stats.
+	mu        sync.Mutex
 	processed uint64
 	noiseSent uint64
+
+	// The rounds the deprecated step methods drive (deprecated.go).
+	legacyMu sync.Mutex
+	rounds   map[roundKey]*legacyRound
 }
 
 // Config configures a mixnet server.
@@ -240,9 +192,9 @@ type Config struct {
 	// ShardIndex/ShardCount pin this daemon's place in its position's
 	// shard group (cmd/alpenhorn-mixer -shard i/N). ShardCount 0 leaves
 	// the daemon unpinned: it accepts whatever per-round shard layout
-	// the coordinator announces. When pinned, SetRoundShard rejects a
-	// conflicting layout — a misconfigured coordinator cannot silently
-	// make one machine double as two shards.
+	// the coordinator announces. When pinned, Open rejects a conflicting
+	// layout — a misconfigured coordinator cannot silently make one
+	// machine double as two shards.
 	ShardIndex int
 	ShardCount int
 	// Spare marks this daemon as a hot spare for its position
@@ -284,7 +236,7 @@ func New(cfg Config) (*Server, error) {
 		shardIndex:     cfg.ShardIndex,
 		shardCount:     cfg.ShardCount,
 		spare:          cfg.Spare,
-		rounds:         make(map[roundKey]*roundState),
+		rounds:         make(map[roundKey]*legacyRound),
 	}
 	if cfg.AddFriendNoise != nil {
 		s.AddFriendNoise = *cfg.AddFriendNoise
@@ -299,26 +251,19 @@ func New(cfg Config) (*Server, error) {
 // client software package).
 func (s *Server) SigningKey() ed25519.PublicKey { return s.signingPub }
 
-// NewRound generates the server's per-round onion key pair and returns the
-// signed announcement. Idempotent while the round is open.
-func (s *Server) NewRound(service wire.Service, round uint32) (wire.MixerRoundKey, error) {
+// Announce draws the server's onion key pair for a round and returns the
+// private key, which the caller holds until it opens the round with it
+// (RoundSpec.Key) or erases it, and the signed announcement of the public
+// key.
+func (s *Server) Announce(service wire.Service, round uint32) (*onionbox.PrivateKey, wire.MixerRoundKey, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := roundKey{service, round}
-	st, ok := s.rounds[k]
-	if ok && st.closed {
-		return wire.MixerRoundKey{}, fmt.Errorf("mixnet: round %d (%s) closed", round, service)
+	pub, priv, err := onionbox.GenerateKey(s.randSrc)
+	s.mu.Unlock()
+	if err != nil {
+		return nil, wire.MixerRoundKey{}, err
 	}
-	if !ok {
-		pub, priv, err := onionbox.GenerateKey(s.randSrc)
-		if err != nil {
-			return wire.MixerRoundKey{}, err
-		}
-		st = &roundState{priv: priv, pub: pub}
-		s.rounds[k] = st
-	}
-	kb := st.pub.Bytes()
-	return wire.MixerRoundKey{
+	kb := pub.Bytes()
+	return priv, wire.MixerRoundKey{
 		OnionKey: kb,
 		Sig:      ed25519.Sign(s.signingPriv, wire.MixerKeyMessage(service, round, kb)),
 	}, nil
@@ -331,278 +276,111 @@ func (s *Server) ShardIdentity() (int, int) { return s.shardIndex, s.shardCount 
 // Spare reports whether this daemon is a hot spare (Config.Spare).
 func (s *Server) Spare() bool { return s.spare }
 
-// SetRoundShard places this server in a shard group for the round: it is
-// shard index of count servers jointly serving one chain position. It must
-// be called before the round's noise is prepared — the group divides the
-// position's noise, so a layout change after generation would break the
-// per-mailbox distribution invariant. A server pinned with Config.ShardCount
-// rejects a conflicting layout.
-func (s *Server) SetRoundShard(service wire.Service, round uint32, index, count int) error {
-	if count <= 0 || index < 0 || index >= count {
-		return fmt.Errorf("mixnet: invalid shard layout %d/%d", index, count)
+// keyExchange refuses a round key's export or import outside a pinned
+// shard group or a hot spare. A shard group is ONE logical mixnet server
+// split across machines: clients wrap one onion layer per position, so
+// every shard must peel with the announcer's key. On any other daemon an
+// export surface would hand any peer the means to peel this position's
+// layer and collapse the anytrust argument, and an import surface would
+// let any peer rotate a round key out from under the announced settings.
+// Deployments must also keep the surface inside the group's network, and
+// the rpc layer gates the export per round to the coordinator's peer
+// allowlist.
+func (s *Server) keyExchange() error {
+	if s.shardCount <= 0 && !s.spare {
+		return errors.New("mixnet: round keys are only exchanged inside a pinned shard group (-shard i/N or -spare)")
 	}
-	if s.shardCount > 0 && (index != s.shardIndex || count != s.shardCount) {
-		return fmt.Errorf("mixnet: shard layout %d/%d conflicts with this daemon's pinned identity %d/%d",
-			index, count, s.shardIndex, s.shardCount)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, err := s.openState(service, round)
-	if err != nil {
-		return err
-	}
-	if st.shardCount > 0 && (st.shardIndex != index || st.shardCount != count) {
-		return fmt.Errorf("mixnet: round %d (%s) already sharded as %d/%d", round, service, st.shardIndex, st.shardCount)
-	}
-	if st.noise != nil {
-		return fmt.Errorf("mixnet: round %d (%s): shard layout set after noise generation", round, service)
-	}
-	st.shardIndex, st.shardCount = index, count
 	return nil
 }
 
-// RoundShard reports the round's shard layout (index, count); (0, 1) for
-// an unsharded round.
-func (s *Server) RoundShard(service wire.Service, round uint32) (int, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.rounds[roundKey{service, round}]
-	if !ok {
-		return 0, 1
-	}
-	return st.shardIndex, st.effectiveShards()
-}
-
-// ExportRoundKey returns the round's onion private key so the other shards
-// of this position can install it (ImportRoundKey). A shard group is ONE
-// logical mixnet server split across machines: clients wrap one onion
-// layer per position, so every shard must peel with the same key.
-//
-// Only a server PINNED as a shard-group member (Config.ShardCount > 0) or
-// marked as a hot spare (Config.Spare) serves the export: on any other
-// daemon a reachable export surface would hand any peer the means to peel
-// this position's layer and collapse the anytrust argument. Deployments
-// must additionally keep the surface inside the group's network — exactly
-// like the cdn.publish write surface stays off the client plane — and the
-// rpc layer gates it per round to the coordinator-distributed peer
-// allowlist.
-func (s *Server) ExportRoundKey(service wire.Service, round uint32) ([]byte, error) {
-	if s.shardCount <= 0 && !s.spare {
-		return nil, errors.New("mixnet: round keys are only exportable inside a pinned shard group (-shard i/N or -spare)")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, err := s.openState(service, round)
-	if err != nil {
+// ExportKey returns the bytes of a round key this server announced, for
+// the other members of its shard group to open the round with
+// (RoundSpec.Import); keyExchange says where it is refused.
+func (s *Server) ExportKey(key *onionbox.PrivateKey) ([]byte, error) {
+	if err := s.keyExchange(); err != nil {
 		return nil, err
 	}
-	return st.priv.Bytes(), nil
+	return key.Bytes(), nil
 }
 
-// ImportRoundKey installs a round onion key exported by the shard group's
-// key holder, creating the round if this server has not opened it yet.
-// Importing the same key again is a no-op; a conflicting key is an error.
-// Like the export, it is refused outside a pinned shard group or a hot
-// spare: an open import surface would let any peer rotate a round key out
-// from under the announced settings. It zeroes privBytes before it
-// returns, whatever the outcome: the server keeps its own copy, and over
-// rpc the bytes are the frame buffer the key arrived in.
-func (s *Server) ImportRoundKey(service wire.Service, round uint32, privBytes []byte) error {
-	defer clear(privBytes)
-	if s.shardCount <= 0 && !s.spare {
-		return errors.New("mixnet: round keys are only importable inside a pinned shard group (-shard i/N or -spare)")
-	}
-	priv, err := onionbox.UnmarshalPrivateKey(privBytes)
-	if err != nil {
-		return fmt.Errorf("mixnet: importing round key: %w", err)
-	}
-	pub := priv.Public()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := roundKey{service, round}
-	st, ok := s.rounds[k]
-	if ok && st.closed {
-		priv.Erase()
-		return fmt.Errorf("mixnet: round %d (%s) closed", round, service)
-	}
-	if !ok {
-		s.rounds[k] = &roundState{priv: priv, pub: pub}
-		return nil
-	}
-	if string(st.pub.Bytes()) == string(pub.Bytes()) {
-		priv.Erase()
-		return nil
-	}
-	if st.noise != nil || st.stream != nil {
-		priv.Erase()
-		return fmt.Errorf("mixnet: round %d (%s): key import after round started", round, service)
-	}
-	// No stream has begun, so no chunk holds the key being replaced.
-	st.priv.Erase()
-	st.priv, st.pub = priv, pub
-	return nil
+// RoundSpec is everything a server takes part in one round with, handed
+// to Open at once.
+type RoundSpec struct {
+	Service wire.Service
+	Round   uint32
+	// ShardIndex and ShardCount place the server in its position's shard
+	// group for the round; a position served by one server is a group of
+	// one (0, 1). The group divides the position's noise.
+	ShardIndex, ShardCount int
+	// Downstream holds the round onion keys of the positions after this
+	// one, which wrap the server's noise; none at the last position.
+	Downstream   [][]byte
+	NumMailboxes uint32
+	// Key is the round key this server announced (Announce). Import,
+	// when set, is used instead: the bytes of the key the group's
+	// announcer exported (ExportKey). Open zeroes Import's bytes,
+	// whatever its outcome: over rpc they are the frame buffer the key
+	// arrived in.
+	Key    *onionbox.PrivateKey
+	Import []byte
 }
 
-// SetDownstreamKeys tells the server the round onion keys of the servers
-// AFTER it in the chain, which it needs to wrap its own noise messages.
-// The coordinator distributes these once all servers have announced keys.
-func (s *Server) SetDownstreamKeys(service wire.Service, round uint32, keys [][]byte) error {
-	if len(keys) != s.ChainLength-s.Position-1 {
-		return fmt.Errorf("mixnet: expected %d downstream keys, got %d",
-			s.ChainLength-s.Position-1, len(keys))
+// Open starts the server's part in a round: it checks the whole spec, then
+// takes the round key, draws the round's noise seed and starts generating
+// the noise in the background, so the noise is ready by the time intake
+// ends. A refused Open changes nothing and keeps no key. The Round owns
+// the key from then on and erases it at Close.
+func (s *Server) Open(spec RoundSpec) (*Round, error) {
+	defer clear(spec.Import)
+	r := &Round{s: s, service: spec.Service, round: spec.Round, priv: spec.Key}
+	switch {
+	case spec.ShardCount < 1 || spec.ShardIndex < 0 || spec.ShardIndex >= spec.ShardCount:
+		return nil, r.errorf("invalid shard layout %d/%d", spec.ShardIndex, spec.ShardCount)
+	case s.shardCount > 0 && (spec.ShardIndex != s.shardIndex || spec.ShardCount != s.shardCount):
+		return nil, r.errorf("shard layout %d/%d conflicts with this daemon's pinned identity %d/%d",
+			spec.ShardIndex, spec.ShardCount, s.shardIndex, s.shardCount)
+	case len(spec.Downstream) != s.ChainLength-s.Position-1:
+		return nil, r.errorf("expected %d downstream keys, got %d", s.ChainLength-s.Position-1, len(spec.Downstream))
 	}
-	parsed := make([]*onionbox.PublicKey, len(keys))
-	for i, kb := range keys {
+	downstream := make([]*onionbox.PublicKey, len(spec.Downstream))
+	for i, kb := range spec.Downstream {
 		pk, err := onionbox.UnmarshalPublicKey(kb)
 		if err != nil {
-			return fmt.Errorf("mixnet: downstream key %d: %w", i, err)
+			return nil, r.errorf("downstream key %d: %v", i, err)
 		}
-		parsed[i] = pk
+		downstream[i] = pk
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.rounds[roundKey{service, round}]
-	if !ok || st.closed {
-		return fmt.Errorf("mixnet: round %d (%s) not open", round, service)
-	}
-	st.downstream = parsed
-	return nil
-}
-
-// CloseRound erases the round's onion private key (forward secrecy: the
-// recorded ciphertexts of a closed round can never be decrypted again),
-// its noise seed, and the server's memory of its permutation (which was
-// never stored). The coordinator closes a round this way after it
-// completes, after a failed open and after an abort. A chunk of an aborted
-// stream may still be peeling with the key, so CloseRound waits for the
-// round's chunks before it zeroes the scalar; chunks that have not started
-// skip their peel.
-func (s *Server) CloseRound(service wire.Service, round uint32) {
-	s.mu.Lock()
-	st, ok := s.rounds[roundKey{service, round}]
-	if !ok || st.closed {
-		s.mu.Unlock()
-		return
-	}
-	priv := st.priv
-	st.priv = nil
-	if st.noiseSeed != nil {
-		*st.noiseSeed = [32]byte{}
-	}
-	st.noise = nil
-	st.stream = nil
-	st.closed = true
-	st.closing.Store(true)
-	s.mu.Unlock()
-	st.peels.Wait()
-	priv.Erase()
-}
-
-// RoundOpen reports whether the round key still exists.
-func (s *Server) RoundOpen(service wire.Service, round uint32) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.rounds[roundKey{service, round}]
-	return ok && !st.closed
-}
-
-// openState returns the live state for an open round.
-func (s *Server) openState(service wire.Service, round uint32) (*roundState, error) {
-	st, ok := s.rounds[roundKey{service, round}]
-	if !ok || st.closed {
-		return nil, fmt.Errorf("mixnet: round %d (%s) not open", round, service)
-	}
-	return st, nil
-}
-
-// PrepareNoise starts generating the round's noise messages in the
-// background, so they are ready by the time the batch arrives and
-// StreamEndShard never blocks on noise. It must be called after
-// SetDownstreamKeys and is idempotent for a given mailbox count; a call
-// with another count replaces the batch, from the same seed.
-func (s *Server) PrepareNoise(service wire.Service, round uint32, numMailboxes uint32) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, err := s.openState(service, round)
-	if err != nil {
-		return err
-	}
-	_, err = s.prepareNoiseLocked(st, service, round, numMailboxes)
-	return err
-}
-
-// prepareNoiseLocked returns the round's noise batch for numMailboxes,
-// starting one if the round has none for that count. The round's first
-// call draws its noise seed, under s.mu as every read of Config.Rand is;
-// the generating goroutine gets its own copy and zeroes it when done.
-// Callers hold s.mu.
-func (s *Server) prepareNoiseLocked(st *roundState, service wire.Service, round, numMailboxes uint32) (*noiseBatch, error) {
-	if st.downstream == nil && s.ChainLength-s.Position-1 > 0 {
-		return nil, fmt.Errorf("mixnet: round %d (%s): downstream keys not set", round, service)
-	}
-	if st.noise != nil && st.noise.numMailboxes == numMailboxes {
-		return st.noise, nil
-	}
-	if st.noiseSeed == nil {
-		seed := new([32]byte)
-		if _, err := io.ReadFull(s.randSrc, seed[:]); err != nil {
+	if spec.Import != nil {
+		if err := s.keyExchange(); err != nil {
 			return nil, err
 		}
-		st.noiseSeed = seed
+		var err error
+		if r.priv, err = onionbox.UnmarshalPrivateKey(spec.Import); err != nil {
+			return nil, r.errorf("importing round key: %v", err)
+		}
 	}
-	seed := *st.noiseSeed
-	nb := &noiseBatch{numMailboxes: numMailboxes, done: make(chan struct{})}
-	st.noise = nb
-	downstream, shards := st.downstream, st.effectiveShards()
-	go func() {
-		nb.msgs, nb.err = s.generateNoise(&seed, service, round, numMailboxes, downstream, shards)
-		close(nb.done)
-	}()
-	return nb, nil
-}
-
-// finishBatch appends the round's prepared noise to the peeled messages
-// and updates stats. The output is unshuffled: the position's one
-// permutation is MergeShuffle's.
-func (s *Server) finishBatch(nb *noiseBatch, batchLen int, out [][]byte) ([][]byte, error) {
-	<-nb.done
-	if nb.err != nil {
-		return nil, nb.err
+	if r.priv == nil {
+		return nil, r.errorf("no round key")
 	}
-	out = append(out, nb.msgs...)
-
 	s.mu.Lock()
-	s.processed += uint64(batchLen)
-	s.noiseSent += uint64(len(nb.msgs))
+	_, err := io.ReadFull(s.randSrc, r.noiseSeed[:])
 	s.mu.Unlock()
-	return out, nil
-}
-
-// MergeShuffle is the shard group's barrier: it concatenates the group's
-// peeled outputs in shard-index order and applies ONE permutation over
-// the whole position's batch, derived from the round private key every
-// member holds (permutationReader). It runs on whichever member hosts the
-// group's merge role this round, triggered by whichever shard's output
-// arrives last; the result is exactly what an unsharded server would emit
-// — the position's permutation covers the full batch, so splitting the
-// peel across machines never weakens the anytrust mixing argument, and
-// because the permutation is key-derived, rotating the merge role across
-// the group never changes the round's output.
-func (s *Server) MergeShuffle(service wire.Service, round uint32, parts [][][]byte) ([][]byte, error) {
-	s.mu.Lock()
-	st, err := s.openState(service, round)
 	if err != nil {
-		s.mu.Unlock()
+		if spec.Import != nil {
+			r.priv.Erase()
+		}
 		return nil, err
 	}
-	// Derived under the lock: CloseRound erases the key it reads.
-	prnd := permutationReader(st.priv, service, round)
-	s.mu.Unlock()
-	out := concat(parts)
-	if err := shuffle(prnd, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	r.sem = make(chan struct{}, runtime.GOMAXPROCS(0))
+	r.noiseDone = make(chan struct{})
+	// The generating goroutine gets its own copy of the seed and zeroes it
+	// when done; Close zeroes the round's.
+	seed := r.noiseSeed
+	go func() {
+		r.noise, r.noiseErr = s.generateNoise(&seed, spec.Service, spec.Round, spec.NumMailboxes, downstream, spec.ShardCount)
+		close(r.noiseDone)
+	}()
+	return r, nil
 }
 
 // decryptChunkSize is the number of onions a worker claims at a time.
@@ -769,6 +547,14 @@ func (s *Server) Stats() (processed, noiseSent uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.processed, s.noiseSent
+}
+
+// count adds one finished batch to the stats.
+func (s *Server) count(processed, noiseSent int) {
+	s.mu.Lock()
+	s.processed += uint64(processed)
+	s.noiseSent += uint64(noiseSent)
+	s.mu.Unlock()
 }
 
 // NoiseMu returns the server's mean per-mailbox noise for a service; the

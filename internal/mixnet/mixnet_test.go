@@ -36,30 +36,59 @@ func newChain(t testing.TB, n int, nz noise.Laplace) []*Server {
 	return servers
 }
 
-// openRound announces a round on every server and distributes downstream
-// keys, returning the hop keys for onion wrapping.
-func openRound(t testing.TB, servers []*Server, service wire.Service, round uint32) []*onionbox.PublicKey {
+// openRound announces a round on every server of a chain and opens it for
+// numMailboxes mailboxes, each server with the keys downstream of it,
+// returning the servers' Rounds and the hop keys for onion wrapping.
+func openRound(t testing.TB, servers []*Server, service wire.Service, round, numMailboxes uint32) ([]*Round, []*onionbox.PublicKey) {
 	t.Helper()
+	privs := make([]*onionbox.PrivateKey, len(servers))
 	keys := make([][]byte, len(servers))
 	hops := make([]*onionbox.PublicKey, len(servers))
 	for i, s := range servers {
-		rk, err := s.NewRound(service, round)
+		priv, rk, err := s.Announce(service, round)
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys[i] = rk.OnionKey
-		pk, err := onionbox.UnmarshalPublicKey(rk.OnionKey)
-		if err != nil {
+		privs[i], keys[i] = priv, rk.OnionKey
+		if hops[i], err = onionbox.UnmarshalPublicKey(rk.OnionKey); err != nil {
 			t.Fatal(err)
 		}
-		hops[i] = pk
 	}
+	rounds := make([]*Round, len(servers))
 	for i, s := range servers {
-		if err := s.SetDownstreamKeys(service, round, keys[i+1:]); err != nil {
+		r, err := s.Open(RoundSpec{
+			Service: service, Round: round, ShardCount: 1,
+			Downstream: keys[i+1:], NumMailboxes: numMailboxes, Key: privs[i],
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		rounds[i] = r
 	}
-	return hops
+	return rounds, hops
+}
+
+// openOne opens round 1 of the dialing service on s as spec lays it out,
+// on a key s announces unless spec carries one; a spec with no layout is a
+// group of one.
+func openOne(t testing.TB, s *Server, spec RoundSpec) *Round {
+	t.Helper()
+	spec.Service, spec.Round = wire.Dialing, 1
+	if spec.ShardCount == 0 {
+		spec.ShardCount = 1
+	}
+	if spec.Key == nil && spec.Import == nil {
+		key, _, err := s.Announce(spec.Service, spec.Round)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Key = key
+	}
+	r, err := s.Open(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // makeDialOnion builds a client dial request onion.
@@ -75,7 +104,7 @@ func makeDialOnion(t testing.TB, hops []*onionbox.PublicKey, mailbox uint32, tok
 
 func TestChainDeliversToMailboxes(t *testing.T) {
 	servers := newChain(t, 3, noNoise)
-	hops := openRound(t, servers, wire.Dialing, 1)
+	rounds, hops := openRound(t, servers, wire.Dialing, 1, 2)
 
 	tok1 := bytes.Repeat([]byte{1}, keywheel.TokenSize)
 	tok2 := bytes.Repeat([]byte{2}, keywheel.TokenSize)
@@ -84,7 +113,7 @@ func TestChainDeliversToMailboxes(t *testing.T) {
 		makeDialOnion(t, hops, 1, tok2),
 		makeDialOnion(t, hops, wire.CoverMailbox, bytes.Repeat([]byte{9}, keywheel.TokenSize)),
 	}
-	mailboxes, err := Chain(servers, wire.Dialing, 1, 2, batch)
+	mailboxes, err := Chain(rounds, 2, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +138,11 @@ func TestChainDeliversToMailboxes(t *testing.T) {
 
 func TestMixDropsMalformedOnions(t *testing.T) {
 	servers := newChain(t, 2, noNoise)
-	hops := openRound(t, servers, wire.Dialing, 1)
+	rounds, hops := openRound(t, servers, wire.Dialing, 1, 1)
 	good := makeDialOnion(t, hops, 0, bytes.Repeat([]byte{1}, keywheel.TokenSize))
 	garbage := make([]byte, len(good))
 	batch := [][]byte{good, garbage}
-	mailboxes, err := Chain(servers, wire.Dialing, 1, 1, batch)
+	mailboxes, err := Chain(rounds, 1, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +158,9 @@ func TestMixDropsMalformedOnions(t *testing.T) {
 func TestNoiseIsAddedPerMailbox(t *testing.T) {
 	nz := noise.Laplace{Mu: 5, B: 0}
 	servers := newChain(t, 3, nz)
-	openRound(t, servers, wire.Dialing, 1)
 	const numMailboxes = 4
-	mailboxes, err := Chain(servers, wire.Dialing, 1, numMailboxes, nil)
+	rounds, _ := openRound(t, servers, wire.Dialing, 1, numMailboxes)
+	mailboxes, err := Chain(rounds, numMailboxes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +187,8 @@ func TestAddFriendNoiseIndistinguishableShape(t *testing.T) {
 	// sized body, exactly like a real request.
 	nz := noise.Laplace{Mu: 3, B: 0}
 	servers := newChain(t, 1, nz)
-	openRound(t, servers, wire.AddFriend, 1)
-	mailboxes, err := Chain(servers, wire.AddFriend, 1, 1, nil)
+	rounds, _ := openRound(t, servers, wire.AddFriend, 1, 1)
+	mailboxes, err := Chain(rounds, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,24 +240,16 @@ func TestUnlinkabilityAcrossHonestServer(t *testing.T) {
 	// We verify the mechanism: server 1's output order is a fresh random
 	// permutation of its input regardless of input order.
 	servers := newChain(t, 1, noNoise) // the honest server alone
-	s := servers[0]
-	rk, err := s.NewRound(wire.Dialing, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetDownstreamKeys(wire.Dialing, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	pk, _ := onionbox.UnmarshalPublicKey(rk.OnionKey)
+	rounds, hops := openRound(t, servers, wire.Dialing, 1, 1)
 
 	const n = 32
 	batch := make([][]byte, n)
 	for i := range batch {
 		tok := make([]byte, keywheel.TokenSize)
 		tok[0] = byte(i)
-		batch[i] = makeDialOnion(t, []*onionbox.PublicKey{pk}, 0, tok)
+		batch[i] = makeDialOnion(t, hops, 0, tok)
 	}
-	out, err := s.Mix(wire.Dialing, 1, 1, batch)
+	out, err := rounds[0].Mix(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,24 +270,25 @@ func TestUnlinkabilityAcrossHonestServer(t *testing.T) {
 
 func TestForwardSecrecyRoundKeyErased(t *testing.T) {
 	servers := newChain(t, 1, noNoise)
-	hops := openRound(t, servers, wire.Dialing, 1)
+	rounds, hops := openRound(t, servers, wire.Dialing, 1, 1)
+	r := rounds[0]
 	onion := makeDialOnion(t, hops, 0, bytes.Repeat([]byte{1}, keywheel.TokenSize))
 
-	priv := servers[0].rounds[roundKey{wire.Dialing, 1}].priv
+	priv := r.priv
 	if _, err := onionbox.Open(priv, onion); err != nil {
 		t.Fatalf("the round key does not open its own onion: %v", err)
 	}
-	servers[0].CloseRound(wire.Dialing, 1)
-	if servers[0].RoundOpen(wire.Dialing, 1) {
+	r.Close()
+	if _, err := r.Merge(nil); err == nil {
 		t.Fatal("round open after close")
 	}
 	// Recorded traffic can no longer be processed, and the scalar itself
 	// is gone from the key the round held.
-	if _, err := servers[0].Mix(wire.Dialing, 1, 1, [][]byte{onion}); err == nil {
+	if _, err := r.Mix([][]byte{onion}); err == nil {
 		t.Fatal("mix succeeded after round key erasure")
 	}
 	if kb := priv.Bytes(); !bytes.Equal(kb, make([]byte, len(kb))) {
-		t.Fatalf("round key reads %x after CloseRound", kb)
+		t.Fatalf("round key reads %x after Close", kb)
 	}
 	if _, err := onionbox.Open(priv, onion); err == nil {
 		t.Fatal("the erased key still opens the round's onion")
@@ -275,7 +297,7 @@ func TestForwardSecrecyRoundKeyErased(t *testing.T) {
 
 func TestRoundKeyAnnouncementSigned(t *testing.T) {
 	servers := newChain(t, 1, noNoise)
-	rk, err := servers[0].NewRound(wire.AddFriend, 9)
+	_, rk, err := servers[0].Announce(wire.AddFriend, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,10 +309,10 @@ func TestRoundKeyAnnouncementSigned(t *testing.T) {
 
 func TestRawDialMailboxesBaseline(t *testing.T) {
 	servers := newChain(t, 1, noNoise)
-	hops := openRound(t, servers, wire.Dialing, 1)
+	rounds, hops := openRound(t, servers, wire.Dialing, 1, 1)
 	tok := bytes.Repeat([]byte{7}, keywheel.TokenSize)
 	batch := [][]byte{makeDialOnion(t, hops, 0, tok)}
-	mixed, err := servers[0].Mix(wire.Dialing, 1, 1, batch)
+	mixed, err := rounds[0].Mix(batch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func TestNoiseMatchesLadderOracle(t *testing.T) {
 }
 
 // TestNoiseIndependentOfGOMAXPROCS: a seeded server's noise for 12
-// mailboxes, on a Laplace scale b > 0, leaves StreamEndShard as the same
+// mailboxes, on a Laplace scale b > 0, leaves Round.EndShard as the same
 // bytes at GOMAXPROCS 1, 2 and 4, for both services, at the first of three
 // positions (two downstream hops) and as a last position (none). Each
 // mailbox reads only its own keyed stream, so which worker makes it, and
@@ -156,11 +156,8 @@ func TestNoiseIndependentOfGOMAXPROCS(t *testing.T) {
 			}
 			servers[i] = s
 		}
-		openRound(t, servers, service, 1)
-		if err := servers[0].StreamBegin(service, 1, numMailboxes); err != nil {
-			t.Fatal(err)
-		}
-		out, err := servers[0].StreamEndShard(service, 1)
+		rounds, _ := openRound(t, servers, service, 1, numMailboxes)
+		out, err := rounds[0].EndShard()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,8 +190,8 @@ func TestNoiseIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestNoiseSeedErased: a round's noise seed reads zero after CloseRound,
-// whether its stream ended or was aborted first, as the round key does in
+// TestNoiseSeedErased: a round's noise seed reads zero after Round.Close,
+// whether its intake ended or was aborted first, as the round key does in
 // TestForwardSecrecyRoundKeyErased; and the copy the noise goroutine
 // hands generateNoise reads zero once it returns.
 func TestNoiseSeedErased(t *testing.T) {
@@ -206,28 +203,19 @@ func TestNoiseSeedErased(t *testing.T) {
 		t.Fatalf("generateNoise left its seed copy as %x", copied)
 	}
 	for _, abort := range []bool{false, true} {
-		servers := newChain(t, 1, noise.Laplace{Mu: 2, B: 1})
-		openRound(t, servers, wire.Dialing, 1)
-		s := servers[0]
-		if err := s.StreamBegin(wire.Dialing, 1, 4); err != nil {
-			t.Fatal(err)
-		}
-		s.mu.Lock()
-		seed := s.rounds[roundKey{wire.Dialing, 1}].noiseSeed
-		s.mu.Unlock()
-		if seed == nil || *seed == [32]byte{} {
-			t.Fatal("StreamBegin drew no noise seed")
+		rounds, _ := openRound(t, newChain(t, 1, noise.Laplace{Mu: 2, B: 1}), wire.Dialing, 1, 4)
+		r := rounds[0]
+		if r.noiseSeed == [32]byte{} {
+			t.Fatal("Open drew no noise seed")
 		}
 		if abort {
-			if err := s.StreamAbort(wire.Dialing, 1); err != nil {
-				t.Fatal(err)
-			}
-		} else if _, err := s.StreamEndShard(wire.Dialing, 1); err != nil {
+			r.Abort()
+		} else if _, err := r.EndShard(); err != nil {
 			t.Fatal(err)
 		}
-		s.CloseRound(wire.Dialing, 1)
-		if *seed != [32]byte{} {
-			t.Fatalf("abort=%v: the noise seed reads %x after CloseRound", abort, *seed)
+		r.Close()
+		if r.noiseSeed != [32]byte{} {
+			t.Fatalf("abort=%v: the noise seed reads %x after Close", abort, r.noiseSeed)
 		}
 	}
 }
@@ -312,14 +300,8 @@ func TestNoiseCountsFollowLaplace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		openRound(t, []*Server{s}, wire.Dialing, 1)
-		if err := s.SetRoundShard(wire.Dialing, 1, shards-1, shards); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.StreamBegin(wire.Dialing, 1, numMailboxes); err != nil {
-			t.Fatal(err)
-		}
-		out, err := s.StreamEndShard(wire.Dialing, 1)
+		r := openOne(t, s, RoundSpec{ShardIndex: shards - 1, ShardCount: shards, NumMailboxes: numMailboxes})
+		out, err := r.EndShard()
 		if err != nil {
 			t.Fatal(err)
 		}

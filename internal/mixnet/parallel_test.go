@@ -52,14 +52,14 @@ func atGOMAXPROCS(t *testing.T, procs []int, fn func(t *testing.T)) {
 }
 
 // TestParallelDecryptMatchesSequential is the data plane's determinism
-// check across worker counts: one batch, fed through StreamChunk in uneven
-// chunks with one onion in 17 malformed, leaves StreamEndShard as the same
+// check across worker counts: one batch, fed through Round.Chunk in uneven
+// chunks with one onion in 17 malformed, leaves Round.EndShard as the same
 // messages in the same order at GOMAXPROCS 1, 2, 3 and 8 — the payloads
 // of the well-formed onions, in batch order. The servers draw from one
 // seed, so they hold the same round key.
 func TestParallelDecryptMatchesSequential(t *testing.T) {
 	const n, seed = 500, 17
-	newServer := func(t *testing.T) (*Server, []*onionbox.PublicKey) {
+	newRound := func(t *testing.T) (*Round, []*onionbox.PublicKey) {
 		s, err := New(Config{
 			Name: "m", Position: 0, ChainLength: 1,
 			AddFriendNoise: &noNoise, DialingNoise: &noNoise,
@@ -68,9 +68,10 @@ func TestParallelDecryptMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, openRound(t, []*Server{s}, wire.Dialing, 1)
+		rounds, hops := openRound(t, []*Server{s}, wire.Dialing, 1, 1)
+		return rounds[0], hops
 	}
-	_, hops := newServer(t)
+	_, hops := newRound(t)
 	var batch, want [][]byte
 	for i := 0; i < n; i++ {
 		tok := make([]byte, keywheel.TokenSize)
@@ -85,18 +86,15 @@ func TestParallelDecryptMatchesSequential(t *testing.T) {
 	}
 
 	atGOMAXPROCS(t, []int{1, 2, 3, 8}, func(t *testing.T) {
-		s, _ := newServer(t)
-		if err := s.StreamBegin(wire.Dialing, 1, 1); err != nil {
-			t.Fatal(err)
-		}
+		r, _ := newRound(t)
 		for lo := 0; lo < n; {
 			hi := min(lo+1+lo%97, n)
-			if err := s.StreamChunk(wire.Dialing, 1, batch[lo:hi]); err != nil {
+			if err := r.Chunk(batch[lo:hi]); err != nil {
 				t.Fatal(err)
 			}
 			lo = hi
 		}
-		got, err := s.StreamEndShard(wire.Dialing, 1)
+		got, err := r.EndShard()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,27 +122,17 @@ func TestMixParallelMatchesSequentialMultiset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rk, err := s.NewRound(wire.Dialing, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SetDownstreamKeys(wire.Dialing, 1, nil); err != nil {
-			t.Fatal(err)
-		}
-		pk, err := onionbox.UnmarshalPublicKey(rk.OnionKey)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rounds, hops := openRound(t, []*Server{s}, wire.Dialing, 1, 1)
 
 		const n = 300
 		var batch, want [][]byte
 		for i := 0; i < n; i++ {
 			tok := make([]byte, keywheel.TokenSize)
 			tok[0], tok[1] = byte(i), byte(i>>8)
-			batch = append(batch, makeDialOnion(t, []*onionbox.PublicKey{pk}, 0, tok))
+			batch = append(batch, makeDialOnion(t, hops, 0, tok))
 			want = append(want, (&wire.MixPayload{Mailbox: 0, Body: tok}).Marshal())
 		}
-		out, err := s.Mix(wire.Dialing, 1, 1, batch)
+		out, err := rounds[0].Mix(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,14 +140,14 @@ func TestMixParallelMatchesSequentialMultiset(t *testing.T) {
 	})
 }
 
-// streamEnd closes a group-of-one's stream the way the data plane does:
-// the peeled slice, then the position's merge over that one slice.
-func streamEnd(s *Server, service wire.Service, round uint32) ([][]byte, error) {
-	part, err := s.StreamEndShard(service, round)
+// streamEnd ends a group-of-one's intake the way the data plane does: the
+// peeled slice, then the position's merge over that one slice.
+func streamEnd(r *Round) ([][]byte, error) {
+	part, err := r.EndShard()
 	if err != nil {
 		return nil, err
 	}
-	return s.MergeShuffle(service, round, [][][]byte{part})
+	return r.Merge([][][]byte{part})
 }
 
 // TestStreamMatchesMix feeds a batch in uneven chunks through the
@@ -167,9 +155,8 @@ func streamEnd(s *Server, service wire.Service, round uint32) ([][]byte, error) 
 // for byte and in order, what Mix produces for the concatenated batch —
 // the property that lets the routed plane be tested against Chain.
 func TestStreamMatchesMix(t *testing.T) {
-	servers := newChain(t, 1, noNoise)
-	hops := openRound(t, servers, wire.Dialing, 1)
-	s := servers[0]
+	rounds, hops := openRound(t, newChain(t, 1, noNoise), wire.Dialing, 1, 1)
+	r := rounds[0]
 
 	const n = 257 // deliberately not a multiple of any chunk size
 	var batch [][]byte
@@ -179,25 +166,22 @@ func TestStreamMatchesMix(t *testing.T) {
 		batch = append(batch, makeDialOnion(t, hops, 0, tok))
 	}
 
-	mixed, err := s.Mix(wire.Dialing, 1, 1, batch)
+	mixed, err := r.Mix(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if err := s.StreamBegin(wire.Dialing, 1, 1); err != nil {
-		t.Fatal(err)
-	}
 	for lo := 0; lo < n; {
 		hi := lo + 1 + lo%97
 		if hi > n {
 			hi = n
 		}
-		if err := s.StreamChunk(wire.Dialing, 1, batch[lo:hi]); err != nil {
+		if err := r.Chunk(batch[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
 		lo = hi
 	}
-	streamed, err := streamEnd(s, wire.Dialing, 1)
+	streamed, err := streamEnd(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,161 +195,89 @@ func TestStreamMatchesMix(t *testing.T) {
 	}
 }
 
+// TestStreamLifecycleErrors: a Round's intake ends once. A chunk after
+// the end and a second end are refused; an abort ends the intake too, so
+// the end after it is refused, but the round and its key stay until
+// Close, after which Merge is refused and a second Close does nothing.
+// (A stream before the open, a second stream, a layout or keys set after
+// the noise began: a Round has no way to express them.)
 func TestStreamLifecycleErrors(t *testing.T) {
 	servers := newChain(t, 1, noNoise)
-	openRound(t, servers, wire.Dialing, 1)
-	s := servers[0]
+	rounds, _ := openRound(t, servers, wire.Dialing, 1, 1)
+	r := rounds[0]
+	if _, err := streamEnd(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Chunk(nil); err == nil {
+		t.Fatal("Chunk after EndShard succeeded")
+	}
+	if _, err := r.EndShard(); err == nil {
+		t.Fatal("second EndShard succeeded")
+	}
 
-	if err := s.StreamChunk(wire.Dialing, 1, nil); err == nil {
-		t.Fatal("StreamChunk without StreamBegin succeeded")
+	rounds, _ = openRound(t, servers, wire.Dialing, 2, 1)
+	r = rounds[0]
+	r.Abort()
+	if err := r.Chunk(nil); err == nil {
+		t.Fatal("Chunk after Abort succeeded")
 	}
-	if _, err := streamEnd(s, wire.Dialing, 1); err == nil {
-		t.Fatal("stream end without StreamBegin succeeded")
+	if _, err := r.EndShard(); err == nil {
+		t.Fatal("EndShard succeeded after Abort")
 	}
-	if err := s.StreamBegin(wire.Dialing, 1, 1); err != nil {
-		t.Fatal(err)
+	if _, err := r.Merge(nil); err != nil {
+		t.Fatalf("abort closed the round: %v", err)
 	}
-	if err := s.StreamBegin(wire.Dialing, 1, 1); err == nil {
-		t.Fatal("double StreamBegin succeeded")
+	r.Close()
+	if _, err := r.Merge(nil); err == nil {
+		t.Fatal("Merge after Close succeeded")
 	}
-	if _, err := streamEnd(s, wire.Dialing, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Stream state is consumed: a fresh stream can start.
-	if err := s.StreamBegin(wire.Dialing, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := streamEnd(s, wire.Dialing, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.StreamBegin(wire.Dialing, 99, 1); err == nil {
-		t.Fatal("StreamBegin on unopened round succeeded")
-	}
-	// Abort discards the stream without closing the round, and is a
-	// no-op when nothing is in flight.
-	if err := s.StreamAbort(wire.Dialing, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.StreamBegin(wire.Dialing, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.StreamAbort(wire.Dialing, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := streamEnd(s, wire.Dialing, 1); err == nil {
-		t.Fatal("stream end succeeded after abort")
-	}
-	if !s.RoundOpen(wire.Dialing, 1) {
-		t.Fatal("abort closed the round")
-	}
+	r.Close()
 }
 
 // TestAbortThenCloseErasesKey: a chunk is still peeling when the stream
 // is aborted and the round closed at once, as a daemon does when a round
-// fails mid-intake. CloseRound must wait for the chunk before it zeroes
+// fails mid-intake. Close must wait for the chunk before it zeroes
 // the key the chunk opens with; under -race an erase that overlapped a
 // peel is a reported race. Chunks that had not started skip their peel.
 func TestAbortThenCloseErasesKey(t *testing.T) {
-	servers := newChain(t, 1, noNoise)
-	hops := openRound(t, servers, wire.Dialing, 1)
-	s := servers[0]
-	priv := s.rounds[roundKey{wire.Dialing, 1}].priv
+	rounds, hops := openRound(t, newChain(t, 1, noNoise), wire.Dialing, 1, 1)
+	r := rounds[0]
+	priv := r.priv
 	chunk := make([][]byte, 16)
 	for i := range chunk {
 		chunk[i] = makeDialOnion(t, hops, 0, bytes.Repeat([]byte{byte(i)}, keywheel.TokenSize))
 	}
-	if err := s.StreamBegin(wire.Dialing, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	sm := s.rounds[roundKey{wire.Dialing, 1}].stream
-	s.mu.Unlock()
 	// A chunk holds a worker slot from just before its peel to after it:
 	// feed chunks until one is seen holding one, so that the close lands
 	// mid-peel. A peel can end before this goroutine looks, so each chunk
 	// gets a bounded wait and then the next one follows.
-	for fed := 0; len(sm.sem) == 0; fed++ {
+	for fed := 0; len(r.sem) == 0; fed++ {
 		if fed == 1000 {
 			t.Fatal("no chunk was seen peeling in 1000 chunks")
 		}
-		if err := s.StreamChunk(wire.Dialing, 1, chunk); err != nil {
+		if err := r.Chunk(chunk); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 100 && len(sm.sem) == 0; i++ {
+		for i := 0; i < 100 && len(r.sem) == 0; i++ {
 			runtime.Gosched()
 		}
 	}
-	if err := s.StreamAbort(wire.Dialing, 1); err != nil {
-		t.Fatal(err)
-	}
-	s.CloseRound(wire.Dialing, 1)
+	r.Abort()
+	r.Close()
 	if kb := priv.Bytes(); !bytes.Equal(kb, make([]byte, len(kb))) {
 		t.Fatalf("round key reads %x after abort and close", kb)
 	}
-	if err := s.StreamChunk(wire.Dialing, 1, chunk); err == nil {
-		t.Fatal("StreamChunk after CloseRound succeeded")
-	}
-}
-
-// TestPrepareNoiseIsUsed checks that background-prepared noise is consumed
-// by the next Mix (right count, no double generation) and that a mailbox
-// count mismatch replaces the prepared batch.
-func TestPrepareNoiseIsUsed(t *testing.T) {
-	nz := noise.Laplace{Mu: 5, B: 0}
-	servers := newChain(t, 1, nz)
-	openRound(t, servers, wire.Dialing, 1)
-	s := servers[0]
-
-	const numMailboxes = 4
-	if err := s.PrepareNoise(wire.Dialing, 1, numMailboxes); err != nil {
-		t.Fatal(err)
-	}
-	out, err := s.Mix(wire.Dialing, 1, numMailboxes, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 5*numMailboxes {
-		t.Fatalf("got %d noise messages, want %d", len(out), 5*numMailboxes)
-	}
-
-	// Mismatched mailbox count: prepared noise for 2 mailboxes must not
-	// leak into a Mix for 3.
-	if err := s.PrepareNoise(wire.Dialing, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	out, err = s.Mix(wire.Dialing, 1, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 5*3 {
-		t.Fatalf("mismatched prepare: got %d noise messages, want %d", len(out), 15)
-	}
-}
-
-func TestPrepareNoiseRequiresDownstreamKeys(t *testing.T) {
-	servers := newChain(t, 2, noNoise)
-	// Announce keys but do NOT distribute downstream keys.
-	for _, s := range servers {
-		if _, err := s.NewRound(wire.Dialing, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := servers[0].PrepareNoise(wire.Dialing, 1, 1); err == nil {
-		t.Fatal("PrepareNoise before SetDownstreamKeys succeeded for non-last server")
-	}
-	// The last server has no downstream hops and needs no keys.
-	if err := servers[1].SetDownstreamKeys(wire.Dialing, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := servers[1].PrepareNoise(wire.Dialing, 1, 1); err != nil {
-		t.Fatal(err)
+	if err := r.Chunk(chunk); err == nil {
+		t.Fatal("Chunk after Close succeeded")
 	}
 }
 
 // TestBuildMailboxesParallelMatchesSequential checks that sharded mailbox
-// construction is byte-identical to the sequential path for both services.
+// construction at GOMAXPROCS 2 and 4 is byte-identical to the sequential
+// path at GOMAXPROCS 1, for both services.
 func TestBuildMailboxesParallelMatchesSequential(t *testing.T) {
 	const numMailboxes = 7
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, service := range []wire.Service{wire.AddFriend, wire.Dialing} {
 		bodyLen := wire.PayloadSize(service) - 4
 		var batch [][]byte
@@ -380,21 +292,23 @@ func TestBuildMailboxesParallelMatchesSequential(t *testing.T) {
 		}
 		batch = append(batch, []byte("malformed"))
 
-		seq, err := BuildMailboxesParallel(service, numMailboxes, batch, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 5, 16} {
-			par, err := BuildMailboxesParallel(service, numMailboxes, batch, workers)
+		var seq map[uint32][]byte
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			par, err := BuildMailboxesRange(service, 0, numMailboxes, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if seq == nil {
+				seq = par
+				continue
+			}
 			if len(par) != len(seq) {
-				t.Fatalf("service %v workers=%d: %d mailboxes, want %d", service, workers, len(par), len(seq))
+				t.Fatalf("service %v GOMAXPROCS=%d: %d mailboxes, want %d", service, procs, len(par), len(seq))
 			}
 			for mb := uint32(0); mb < numMailboxes; mb++ {
 				if !bytes.Equal(seq[mb], par[mb]) {
-					t.Fatalf("service %v workers=%d: mailbox %d differs from sequential build", service, workers, mb)
+					t.Fatalf("service %v GOMAXPROCS=%d: mailbox %d differs from sequential build", service, procs, mb)
 				}
 			}
 		}
@@ -417,9 +331,9 @@ func (r *nonThreadSafeReader) Read(p []byte) (int, error) {
 
 // TestConfigRandReadUnderLock pins Config.Rand's contract, that the server
 // reads it only in New and under its mutex: against a reader with no
-// locking of its own, rounds of both services open and prepare their
-// noise on eight goroutines while a stream's chunks peel and its noise is
-// made. Under -race, any read outside the mutex is a reported race.
+// locking of its own, rounds of both services are announced and opened on
+// eight goroutines while a round's chunks peel and its noise is made.
+// Under -race, any read outside the mutex is a reported race.
 func TestConfigRandReadUnderLock(t *testing.T) {
 	nz := noise.Laplace{Mu: 3, B: 1}
 	s, err := New(Config{
@@ -430,15 +344,12 @@ func TestConfigRandReadUnderLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hops := openRound(t, []*Server{s}, wire.Dialing, 1)
+	rounds, hops := openRound(t, []*Server{s}, wire.Dialing, 1, 8)
 	var batch [][]byte
 	for i := 0; i < 200; i++ {
 		tok := make([]byte, keywheel.TokenSize)
 		tok[0] = byte(i)
 		batch = append(batch, makeDialOnion(t, hops, 0, tok))
-	}
-	if err := s.StreamBegin(wire.Dialing, 1, 8); err != nil {
-		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	for _, service := range []wire.Service{wire.AddFriend, wire.Dialing} {
@@ -446,27 +357,24 @@ func TestConfigRandReadUnderLock(t *testing.T) {
 			wg.Add(1)
 			go func(service wire.Service, round uint32) {
 				defer wg.Done()
-				if _, err := s.NewRound(service, round); err != nil {
+				key, _, err := s.Announce(service, round)
+				if err != nil {
 					t.Error(err)
 					return
 				}
-				if err := s.SetDownstreamKeys(service, round, nil); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := s.PrepareNoise(service, round, 8); err != nil {
+				if _, err := s.Open(RoundSpec{Service: service, Round: round, ShardCount: 1, NumMailboxes: 8, Key: key}); err != nil {
 					t.Error(err)
 				}
 			}(service, round)
 		}
 	}
 	for lo := 0; lo < len(batch); lo += 32 {
-		if err := s.StreamChunk(wire.Dialing, 1, batch[lo:min(lo+32, len(batch))]); err != nil {
+		if err := rounds[0].Chunk(batch[lo:min(lo+32, len(batch))]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	wg.Wait()
-	out, err := s.StreamEndShard(wire.Dialing, 1)
+	out, err := rounds[0].EndShard()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func keyedStream(label string, secret []byte, service wire.Service, round, index
 // as long as the round private key is secret, and the key already had to
 // stay secret — an adversary holding it can peel the position's onions
 // and link input to output directly, permutation or no permutation. Both
-// secrets live in the same trust domain and die together: CloseRound
+// secrets live in the same trust domain and die together: Round.Close
 // erases the private key, and the derived AES key is never stored. The
 // copy of the key that priv.Bytes gives is zeroed here.
 func permutationReader(priv *onionbox.PrivateKey, service wire.Service, round uint32) io.Reader {

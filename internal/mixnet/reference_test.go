@@ -9,45 +9,37 @@ import (
 )
 
 // This file is the full-batch REFERENCE mixer the data plane is tested
-// against. No daemon runs it: a daemon peels through StreamBegin/
-// StreamChunk/StreamEndShard and permutes in MergeShuffle. The reference
-// keeps its own batch peel and its own shuffle call, so a test that
-// compares the two is not comparing a path with itself. Tests in package
-// mixnet_test see it through this file too.
+// against. No daemon runs it: a daemon peels through Round.Chunk and
+// Round.EndShard and permutes in Round.Merge. The reference keeps its own
+// batch peel and its own shuffle call, so a test that compares the two is
+// not comparing a path with itself. Tests in package mixnet_test see it
+// through this file too.
 
 // Mix peels one onion layer from every message in the batch, drops
-// malformed messages, adds this server's noise, and shuffles. The returned
-// batch is what the next server in the chain (or BuildMailboxes, at the
+// malformed messages, adds the round's noise, and shuffles. The returned
+// batch is what the next server in the chain (or the mailbox build, at the
 // last server) consumes.
 //
 // Decryption fans out over GOMAXPROCS workers but preserves batch order
 // until the shuffle, so the output is a uniformly random permutation of
-// exactly the messages a peel on one worker would produce.
-//
-// numMailboxes is the round's mailbox count K. Mix prepares the round's
-// noise for it as StreamBegin does (PrepareNoise), so noise is made one
-// way. Fully processed messages at the last server are MixPayload
-// encodings.
-func (s *Server) Mix(service wire.Service, round uint32, numMailboxes uint32, batch [][]byte) ([][]byte, error) {
-	s.mu.Lock()
-	st, err := s.openState(service, round)
-	if err != nil {
-		s.mu.Unlock()
-		return nil, err
+// exactly the messages a peel on one worker would produce. The noise is
+// the one Open started for the round, so noise is made one way. Fully
+// processed messages at the last server are MixPayload encodings.
+func (r *Round) Mix(batch [][]byte) ([][]byte, error) {
+	r.mu.Lock()
+	closed := r.closed
+	r.mu.Unlock()
+	if closed {
+		return nil, r.errorf("closed")
 	}
-	nb, err := s.prepareNoiseLocked(st, service, round, numMailboxes)
-	priv := st.priv
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
+	out := decryptBatch(r.priv, batch)
+	<-r.noiseDone
+	if r.noiseErr != nil {
+		return nil, r.noiseErr
 	}
-
-	out := decryptBatch(priv, batch)
-	out, err = s.finishBatch(nb, len(batch), out)
-	if err != nil {
-		return nil, err
-	}
-	if err := shuffle(permutationReader(priv, service, round), out); err != nil {
+	out = append(out, r.noise...)
+	r.s.count(len(batch), len(r.noise))
+	if err := shuffle(permutationReader(r.priv, r.service, r.round), out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -68,21 +60,21 @@ func decryptBatch(priv *onionbox.PrivateKey, batch [][]byte) [][]byte {
 	return concat(chunkOut)
 }
 
-// Chain runs a batch through an ordered list of mixnet servers and returns
-// the final mailboxes. It is the in-process reference for the routed data
+// Chain runs a batch through a chain's Rounds, in order, and returns the
+// final mailboxes. It is the in-process reference for the routed data
 // plane (internal/rpc/forward.go): each server still decrypts with its
 // worker pool, but the chain itself is strictly sequential — server i+1
 // sees nothing until server i has fully finished.
-func Chain(servers []*Server, service wire.Service, round uint32, numMailboxes uint32, batch [][]byte) (map[uint32][]byte, error) {
+func Chain(rounds []*Round, numMailboxes uint32, batch [][]byte) (map[uint32][]byte, error) {
 	cur := batch
 	var err error
-	for i, s := range servers {
-		cur, err = s.Mix(service, round, numMailboxes, cur)
+	for i, r := range rounds {
+		cur, err = r.Mix(cur)
 		if err != nil {
-			return nil, fmt.Errorf("mixnet: server %d (%s): %w", i, s.Name, err)
+			return nil, fmt.Errorf("mixnet: server %d (%s): %w", i, r.s.Name, err)
 		}
 	}
-	return BuildMailboxes(service, numMailboxes, cur)
+	return BuildMailboxesRange(rounds[0].service, 0, numMailboxes, cur)
 }
 
 // RawDialMailboxes builds dialing mailboxes WITHOUT the Bloom filter

@@ -47,17 +47,8 @@ func TestShardNoiseDivision(t *testing.T) {
 		shards       = 3
 		numMailboxes = 5
 	)
-	s := newShardTestServer(t, mu, 0)
-	if _, err := s.NewRound(wire.Dialing, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetRoundShard(wire.Dialing, 1, 2, shards); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.StreamBegin(wire.Dialing, 1, numMailboxes); err != nil {
-		t.Fatal(err)
-	}
-	out, err := s.StreamEndShard(wire.Dialing, 1)
+	r := openOne(t, newShardTestServer(t, mu, 0), RoundSpec{ShardIndex: 2, ShardCount: shards, NumMailboxes: numMailboxes})
+	out, err := r.EndShard()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +60,7 @@ func TestShardNoiseDivision(t *testing.T) {
 	}
 
 	// An unsharded round on the same distribution emits the full draw.
-	s2 := newShardTestServer(t, mu, 0)
-	if _, err := s2.NewRound(wire.Dialing, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.StreamBegin(wire.Dialing, 1, numMailboxes); err != nil {
-		t.Fatal(err)
-	}
-	full, err := s2.StreamEndShard(wire.Dialing, 1)
+	full, err := openOne(t, newShardTestServer(t, mu, 0), RoundSpec{NumMailboxes: numMailboxes}).EndShard()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,87 +74,136 @@ func TestShardNoiseDivision(t *testing.T) {
 	}
 }
 
-// TestSetRoundShardOrdering: the layout must land before noise exists and
-// must agree with a pinned identity.
-func TestSetRoundShardOrdering(t *testing.T) {
-	s := newShardTestServer(t, 2, 0)
-	if _, err := s.NewRound(wire.Dialing, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PrepareNoise(wire.Dialing, 1, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetRoundShard(wire.Dialing, 1, 0, 2); err == nil {
-		t.Fatal("shard layout accepted after noise generation")
-	}
-
-	nz := noise.Laplace{Mu: 2, B: 0}
-	pinned, err := New(Config{
-		Name: "p", Position: 0, ChainLength: 1,
+// newPinned makes a one-position server pinned as shard index of count,
+// with no noise.
+func newPinned(t *testing.T, index, count int) *Server {
+	t.Helper()
+	nz := noise.Laplace{}
+	s, err := New(Config{
+		Name: "m", Position: 0, ChainLength: 1,
 		AddFriendNoise: &nz, DialingNoise: &nz,
-		ShardIndex: 1, ShardCount: 2,
+		ShardIndex: index, ShardCount: count,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pinned.NewRound(wire.Dialing, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := pinned.SetRoundShard(wire.Dialing, 1, 0, 2); err == nil {
-		t.Fatal("conflicting layout accepted by a pinned daemon")
-	}
-	if err := pinned.SetRoundShard(wire.Dialing, 1, 1, 2); err != nil {
-		t.Fatalf("matching layout rejected: %v", err)
-	}
+	return s
 }
 
-// TestExportImportRoundKey: a shard that imports the lead's round key can
-// peel onions wrapped for the position's announced key — and the key
-// exchange is refused entirely outside a pinned shard group (an open
-// export surface would collapse anytrust).
-func TestExportImportRoundKey(t *testing.T) {
-	newPinned := func(index, count int) *Server {
-		nz := noise.Laplace{Mu: 0, B: 0}
+// TestOpenChecksSpec: Open refuses a round it cannot run before it takes
+// anything — a layout outside the group or none, one that conflicts with
+// the daemon's pinned identity, the wrong number of downstream keys or one
+// that does not parse, no key at all, or an imported key on a daemon
+// outside a pinned group — and draws nothing from Config.Rand for it: the
+// same server then opens a good spec on the noise seed that a server which
+// refused nothing draws.
+func TestOpenChecksSpec(t *testing.T) {
+	// A server at position pos of two, pinned as shard index of count
+	// (count 0: unpinned), on a fixed seed.
+	type place struct{ pos, index, count int }
+	newServer := func(p place) *Server {
 		s, err := New(Config{
-			Name: "m", Position: 0, ChainLength: 1,
-			AddFriendNoise: &nz, DialingNoise: &nz,
-			ShardIndex: index, ShardCount: count,
+			Name: "m", Position: p.pos, ChainLength: 2,
+			AddFriendNoise: &noNoise, DialingNoise: &noNoise,
+			ShardIndex: p.index, ShardCount: p.count,
+			Rand: &seededReader{rng: mathrand.New(mathrand.NewSource(5))},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	lead := newPinned(0, 2)
-	follower := newPinned(1, 2)
-
-	unsharded := newShardTestServer(t, 0, 0)
-	if _, err := unsharded.NewRound(wire.Dialing, 1); err != nil {
+	pub, _, err := onionbox.GenerateKey(rand.Reader)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := unsharded.ExportRoundKey(wire.Dialing, 1); err == nil {
+	down := [][]byte{pub.Bytes()}
+	// open announces a key on s and opens the round on spec (nil: a good
+	// layout and downstream keys for p), with the key if key is set.
+	open := func(s *Server, p place, spec *RoundSpec, key bool) (*Round, error) {
+		priv, _, err := s.Announce(wire.Dialing, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec == nil {
+			spec = &RoundSpec{ShardIndex: p.index, ShardCount: max(p.count, 1), Downstream: down[:1-p.pos]}
+		}
+		sp := *spec
+		sp.Service, sp.Round, sp.NumMailboxes = wire.Dialing, 1, 2
+		if key {
+			sp.Key = priv
+		}
+		return s.Open(sp)
+	}
+	for _, c := range []struct {
+		name string
+		at   place
+		spec *RoundSpec
+		key  bool
+	}{
+		{"layout outside the group", place{0, 0, 0}, &RoundSpec{ShardIndex: 2, ShardCount: 2, Downstream: down}, true},
+		{"no layout", place{0, 0, 0}, &RoundSpec{Downstream: down}, true},
+		{"conflicts with the pinned identity", place{0, 1, 2}, &RoundSpec{ShardIndex: 0, ShardCount: 2, Downstream: down}, true},
+		{"missing downstream key", place{0, 0, 0}, &RoundSpec{ShardCount: 1}, true},
+		{"extra downstream key", place{1, 0, 0}, &RoundSpec{ShardCount: 1, Downstream: down}, true},
+		{"malformed downstream key", place{0, 0, 0}, &RoundSpec{ShardCount: 1, Downstream: [][]byte{{1, 2}}}, true},
+		{"no key", place{0, 0, 0}, &RoundSpec{ShardCount: 1, Downstream: down}, false},
+		{"import outside a pinned group", place{0, 0, 0}, &RoundSpec{ShardCount: 1, Downstream: down, Import: make([]byte, 32)}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := newServer(c.at)
+			if _, err := open(s, c.at, c.spec, c.key); err == nil {
+				t.Fatal("Open accepted the spec")
+			}
+			r, err := open(s, c.at, nil, true)
+			if err != nil {
+				t.Fatalf("good spec refused: %v", err)
+			}
+			// A server that announced as often and refused nothing.
+			fresh := newServer(c.at)
+			if _, _, err := fresh.Announce(wire.Dialing, 1); err != nil {
+				t.Fatal(err)
+			}
+			want, err := open(fresh, c.at, nil, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.noiseSeed != want.noiseSeed {
+				t.Fatal("the refused Open drew from Config.Rand")
+			}
+		})
+	}
+}
+
+// TestExportImportRoundKey: a shard that opens its round on the lead's
+// exported round key can peel onions wrapped for the position's announced
+// key — and the key exchange is refused entirely outside a pinned shard
+// group (an open export surface would collapse anytrust).
+func TestExportImportRoundKey(t *testing.T) {
+	lead := newPinned(t, 0, 2)
+	follower := newPinned(t, 1, 2)
+
+	unsharded := newShardTestServer(t, 0, 0)
+	key, _, err := unsharded.Announce(wire.Dialing, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := unsharded.ExportKey(key); err == nil {
 		t.Fatal("unsharded daemon served its round private key")
 	}
-	if err := unsharded.ImportRoundKey(wire.Dialing, 1, make([]byte, 32)); err == nil {
+	if _, err := unsharded.Open(RoundSpec{Service: wire.Dialing, Round: 1, ShardCount: 1, Import: key.Bytes()}); err == nil {
 		t.Fatal("unsharded daemon accepted a round key import")
 	}
 
-	rk, err := lead.NewRound(wire.Dialing, 1)
+	key, rk, err := lead.Announce(wire.Dialing, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := lead.ExportRoundKey(wire.Dialing, 1)
+	exported, err := lead.ExportKey(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each import zeroes the bytes it is handed, so each gets its own copy.
-	if err := follower.ImportRoundKey(wire.Dialing, 1, bytes.Clone(key)); err != nil {
-		t.Fatal(err)
-	}
-	// Idempotent re-import is fine; a different key is not.
-	if err := follower.ImportRoundKey(wire.Dialing, 1, bytes.Clone(key)); err != nil {
-		t.Fatalf("re-import: %v", err)
-	}
+	r := openOne(t, follower, RoundSpec{ShardIndex: 1, ShardCount: 2, NumMailboxes: 1, Import: exported})
 
 	pk, err := onionbox.UnmarshalPublicKey(rk.OnionKey)
 	if err != nil {
@@ -182,7 +215,7 @@ func TestExportImportRoundKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := follower.Mix(wire.Dialing, 1, 1, [][]byte{onion})
+	out, err := r.Mix([][]byte{onion})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,47 +224,43 @@ func TestExportImportRoundKey(t *testing.T) {
 	}
 }
 
-// TestImportRoundKeyErasesInput: the bytes handed to ImportRoundKey read
-// all zero on return — over rpc they are the frame buffer the shared round
-// key arrived in — whether the import installed the key, found it already
-// installed, or was refused.
+// TestImportRoundKeyErasesInput: the key bytes an Open imports
+// (RoundSpec.Import) read all zero on return — over rpc they are the frame
+// buffer the shared round key arrived in — whether the Open took the key,
+// refused the import, or refused the round after the key had arrived.
 func TestImportRoundKeyErasesInput(t *testing.T) {
-	nz := noise.Laplace{}
-	lead, err := New(Config{Name: "lead", Position: 0, ChainLength: 1, AddFriendNoise: &nz, DialingNoise: &nz, ShardIndex: 0, ShardCount: 2})
+	lead, follower := newPinned(t, 0, 2), newPinned(t, 1, 2)
+	priv, _, err := lead.Announce(wire.Dialing, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	follower, err := New(Config{Name: "follower", Position: 0, ChainLength: 1, AddFriendNoise: &nz, DialingNoise: &nz, ShardIndex: 1, ShardCount: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lead.NewRound(wire.Dialing, 1); err != nil {
-		t.Fatal(err)
-	}
-	key, err := lead.ExportRoundKey(wire.Dialing, 1)
+	key, err := lead.ExportKey(priv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	zero := make([]byte, len(key))
 	for _, c := range []struct {
-		name string
-		into *Server
+		name  string
+		into  *Server
+		index int
 	}{
-		{"first import", follower},
-		{"re-import", follower},
-		{"refused import", newShardTestServer(t, 0, 0)},
+		{"import", follower, 1},
+		{"refused import", newShardTestServer(t, 0, 0), 0},
+		{"round refused after the key arrived", newPinned(t, 1, 2), 0},
 	} {
 		handed := bytes.Clone(key)
-		err := c.into.ImportRoundKey(wire.Dialing, 1, handed)
+		_, err := c.into.Open(RoundSpec{Service: wire.Dialing, Round: 1, ShardIndex: c.index, ShardCount: 2, Import: handed})
+		if (err == nil) != (c.name == "import") {
+			t.Errorf("%s: Open returned %v", c.name, err)
+		}
 		if !bytes.Equal(handed, zero) {
 			t.Errorf("%s (err %v): the key bytes survive the call", c.name, err)
 		}
 	}
 }
 
-// TestMergeShuffleIsSeededPermutation: MergeShuffle produces a
-// permutation of the concatenated parts, identical under identical
-// seeds.
+// TestMergeShuffleIsSeededPermutation: Merge produces a permutation of
+// the concatenated parts, identical under identical seeds.
 func TestMergeShuffleIsSeededPermutation(t *testing.T) {
 	parts := [][][]byte{
 		{[]byte("a0"), []byte("a1")},
@@ -239,11 +268,7 @@ func TestMergeShuffleIsSeededPermutation(t *testing.T) {
 		{[]byte("c0"), []byte("c1"), []byte("c2")},
 	}
 	run := func(seed int64) [][]byte {
-		s := newShardTestServer(t, 0, seed)
-		if _, err := s.NewRound(wire.Dialing, 1); err != nil {
-			t.Fatal(err)
-		}
-		out, err := s.MergeShuffle(wire.Dialing, 1, parts)
+		out, err := openOne(t, newShardTestServer(t, 0, seed), RoundSpec{}).Merge(parts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,12 +296,9 @@ func TestMergeShuffleIsSeededPermutation(t *testing.T) {
 	}
 
 	// A closed round refuses to merge.
-	s := newShardTestServer(t, 0, 0)
-	if _, err := s.NewRound(wire.Dialing, 1); err != nil {
-		t.Fatal(err)
-	}
-	s.CloseRound(wire.Dialing, 1)
-	if _, err := s.MergeShuffle(wire.Dialing, 1, parts); err == nil {
+	r := openOne(t, newShardTestServer(t, 0, 0), RoundSpec{})
+	r.Close()
+	if _, err := r.Merge(parts); err == nil {
 		t.Fatal("merge shuffle ran on a closed round")
 	}
 }
@@ -299,27 +321,23 @@ func TestShardMembersDrawOwnNoise(t *testing.T) {
 		}
 		members[i] = s
 	}
-	if _, err := members[0].NewRound(wire.Dialing, 1); err != nil {
-		t.Fatal(err)
-	}
-	key, err := members[0].ExportRoundKey(wire.Dialing, 1)
+	priv, _, err := members[0].Announce(wire.Dialing, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := members[1].ImportRoundKey(wire.Dialing, 1, key); err != nil {
+	key, err := members[0].ExportKey(priv)
+	if err != nil {
 		t.Fatal(err)
 	}
+	// Both members make ⌈µ/2⌉ noise messages for each of the same
+	// mailboxes, so only the seed tells their noise apart.
+	rounds := []*Round{
+		openOne(t, members[0], RoundSpec{ShardIndex: 0, ShardCount: 2, NumMailboxes: 4, Key: priv}),
+		openOne(t, members[1], RoundSpec{ShardIndex: 1, ShardCount: 2, NumMailboxes: 4, Import: key}),
+	}
 	seen := make(map[string]int)
-	for i, s := range members {
-		// Both members make ⌈µ/2⌉ noise messages for each of the same
-		// mailboxes, so only the seed tells their noise apart.
-		if err := s.SetRoundShard(wire.Dialing, 1, i, 2); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.StreamBegin(wire.Dialing, 1, 4); err != nil {
-			t.Fatal(err)
-		}
-		out, err := s.StreamEndShard(wire.Dialing, 1)
+	for i, r := range rounds {
+		out, err := r.EndShard()
 		if err != nil {
 			t.Fatal(err)
 		}

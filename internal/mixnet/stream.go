@@ -2,149 +2,176 @@ package mixnet
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"alpenhorn/internal/onionbox"
 	"alpenhorn/internal/wire"
 )
 
-// This file implements chunked streaming intake: a server starts peeling
-// onions as soon as the first chunk of a round's batch arrives, instead of
-// waiting for the full batch. Combined across the chain, server i+1
-// decrypts chunks while server i is still emitting its shuffled output.
+// A Round is one server's part in one round, from Open to Close: it owns
+// the round onion key, the noise seed and the noise being made from it,
+// and the round's one chunked intake. A server starts peeling onions as
+// soon as the first chunk of the batch arrives (Chunk), instead of waiting
+// for the full batch; across the chain, server i+1 decrypts chunks while
+// server i is still emitting its output.
 //
 // Privacy is unchanged: nothing leaves the position until its intake has
-// ended, its noise is appended and MergeShuffle has permuted
-// the complete batch. Chunked intake only moves WHEN the decryption work
+// ended (EndShard), its noise is appended and Merge has permuted the
+// complete batch. Chunked intake only moves WHEN the decryption work
 // happens, never what an observer can see.
+type Round struct {
+	s       *Server
+	service wire.Service
+	round   uint32
+	priv    *onionbox.PrivateKey
 
-// stream is the in-flight chunked intake of one round's batch.
-type stream struct {
-	// noise is the round's noise for the stream's mailbox count.
-	noise *noiseBatch
+	// noiseSeed keys every mailbox's noise stream; Close zeroes it. The
+	// noise made from it is ready when noiseDone is closed.
+	noiseSeed [32]byte
+	noiseDone chan struct{}
+	noise     [][]byte
+	noiseErr  error
+
 	// sem bounds the number of chunk-decryption goroutines.
 	sem chan struct{}
-	wg  sync.WaitGroup
+	// peels counts the chunks that may still open onions with priv;
+	// EndShard and Close wait for them. skip, set by Abort and Close,
+	// tells a chunk that has not started peeling to skip it.
+	peels sync.WaitGroup
+	skip  atomic.Bool
 
 	mu      sync.Mutex
 	results [][][]byte // peeled messages per chunk, in arrival order
 	inputs  int        // onions fed in, including ones that fail to open
+	ended   bool       // intake ended: EndShard, Abort or Close
+	closed  bool
 }
 
-// StreamBegin starts chunked intake for a round. It also kicks off
-// background noise generation for numMailboxes (PrepareNoise) so the noise
-// is ready by StreamEndShard. Exactly one stream may be in flight per
-// round.
-func (s *Server) StreamBegin(service wire.Service, round uint32, numMailboxes uint32) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, err := s.openState(service, round)
-	if err != nil {
-		return err
-	}
-	if st.stream != nil {
-		return fmt.Errorf("mixnet: round %d (%s): stream already in progress", round, service)
-	}
-	nb, err := s.prepareNoiseLocked(st, service, round, numMailboxes)
-	if err != nil {
-		return err
-	}
-	st.stream = &stream{noise: nb, sem: make(chan struct{}, runtime.GOMAXPROCS(0))}
-	return nil
+func (r *Round) errorf(format string, args ...any) error {
+	return fmt.Errorf("mixnet: round %d (%s): "+format, append([]any{r.round, r.service}, args...)...)
 }
 
-// StreamChunk feeds one chunk of the round's batch; decryption starts
-// immediately on a pool worker and opens the chunk's onions into one
-// buffer (onionbox.OpenBatch), in chunk order. The server keeps chunk until it is peeled but never writes to
-// it. Chunk arrival order defines pre-shuffle message order, as if the
-// chunks were one concatenated batch.
-func (s *Server) StreamChunk(service wire.Service, round uint32, chunk [][]byte) error {
-	s.mu.Lock()
-	st, err := s.openState(service, round)
-	if err != nil {
-		s.mu.Unlock()
-		return err
+// Chunk feeds one chunk of the round's batch; decryption starts at once
+// on a pool worker and opens the chunk's onions into one buffer
+// (onionbox.OpenBatch). The round keeps chunk until it is peeled but never
+// writes to it. Chunk arrival order defines pre-shuffle message order, as
+// if the chunks were one concatenated batch. Malformed or replayed onions
+// drop out silently: clients that misbehave only hurt themselves.
+func (r *Round) Chunk(chunk [][]byte) error {
+	r.mu.Lock()
+	if r.ended {
+		r.mu.Unlock()
+		return r.errorf("intake has ended")
 	}
-	sm := st.stream
-	if sm == nil {
-		s.mu.Unlock()
-		return fmt.Errorf("mixnet: round %d (%s): no stream in progress", round, service)
-	}
-	priv := st.priv
-	// Register with the stream and the round before releasing s.mu:
-	// StreamEndShard detaches the stream and CloseRound closes the round
-	// under the same mutex, so once we get here the wg.Wait of each is
-	// guaranteed to cover this chunk.
-	sm.wg.Add(1)
-	st.peels.Add(1)
-	s.mu.Unlock()
-
-	sm.mu.Lock()
-	seq := len(sm.results)
-	sm.results = append(sm.results, nil)
-	sm.inputs += len(chunk)
-	sm.mu.Unlock()
+	// Registered under r.mu, which EndShard and Close take to end the
+	// intake, so the wait of each covers this chunk.
+	r.peels.Add(1)
+	seq := len(r.results)
+	r.results = append(r.results, nil)
+	r.inputs += len(chunk)
+	r.mu.Unlock()
 
 	go func() {
-		defer sm.wg.Done()
-		defer st.peels.Done()
-		sm.sem <- struct{}{}
-		defer func() { <-sm.sem }()
-		// Malformed or replayed onions drop out silently: clients that
-		// misbehave only hurt themselves. A round already closing (an
-		// aborted stream's chunk) peels nothing.
+		defer r.peels.Done()
+		r.sem <- struct{}{}
+		defer func() { <-r.sem }()
 		var out [][]byte
-		if !st.closing.Load() {
-			out = onionbox.OpenBatch(priv, chunk)
+		if !r.skip.Load() {
+			out = onionbox.OpenBatch(r.priv, chunk)
 		}
-		sm.mu.Lock()
-		sm.results[seq] = out
-		sm.mu.Unlock()
+		r.mu.Lock()
+		r.results[seq] = out
+		r.mu.Unlock()
 	}()
 	return nil
 }
 
-// StreamAbort discards an in-flight stream without waiting for its peels
-// and noise as StreamEndShard does: the daemon calls it when the round
-// has already failed elsewhere and the output would be thrown away.
-// Aborting when no stream is in flight is a no-op; the round itself stays
-// open (CloseRound erases it).
-func (s *Server) StreamAbort(service wire.Service, round uint32) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.rounds[roundKey{service, round}]
-	if ok {
-		st.stream = nil
-	}
-	return nil
-}
-
-// StreamEndShard closes intake, waits for in-flight decryption, and
+// EndShard ends intake, waits for the chunks' peels and the noise, and
 // returns this shard's peeled slice of the position's batch plus its noise
 // share, in intake order, WITHOUT the shuffle. The output is only ever
 // handed to the shard group's merge server, which concatenates every
 // shard's slice and applies the position's single full-batch permutation
-// (MergeShuffle) — nothing leaves the position's trust domain unshuffled,
-// and no output exists before every input chunk has been processed. A
-// group of one merges its one slice the same way, which yields exactly
-// what the tests' full-batch reference mixer does for the concatenated
-// batch.
-func (s *Server) StreamEndShard(service wire.Service, round uint32) ([][]byte, error) {
-	s.mu.Lock()
-	st, err := s.openState(service, round)
-	if err != nil {
-		s.mu.Unlock()
+// (Merge) — nothing leaves the position's trust domain unshuffled, and no
+// output exists before every input chunk has been processed. A group of
+// one merges its one slice the same way, which yields exactly what the
+// tests' full-batch reference mixer does for the concatenated batch.
+func (r *Round) EndShard() ([][]byte, error) {
+	r.mu.Lock()
+	if r.ended {
+		r.mu.Unlock()
+		return nil, r.errorf("intake has ended")
+	}
+	r.ended = true
+	r.mu.Unlock()
+	r.peels.Wait()
+	if r.skip.Load() {
+		return nil, r.errorf("aborted")
+	}
+	<-r.noiseDone
+	if r.noiseErr != nil {
+		return nil, r.noiseErr
+	}
+	r.s.count(r.inputs, len(r.noise))
+	return append(concat(r.results), r.noise...), nil
+}
+
+// Abort ends intake without waiting for its peels or its noise, as
+// EndShard does: the daemon calls it when the round has already failed
+// elsewhere and the output would be thrown away. Chunks that have not
+// started skip their peel, and an EndShard waiting for them fails. The
+// key stays until Close.
+func (r *Round) Abort() {
+	r.mu.Lock()
+	r.ended = true
+	r.mu.Unlock()
+	r.skip.Store(true)
+}
+
+// Merge is the shard group's barrier: it concatenates the group's peeled
+// outputs in shard-index order and applies ONE permutation over the whole
+// position's batch, derived from the round private key every member holds
+// (permutationReader). It runs on whichever member hosts the group's
+// merge role this round, triggered by whichever shard's output arrives
+// last; the result is exactly what an unsharded server would emit — the
+// position's permutation covers the full batch, so splitting the peel
+// across machines never weakens the anytrust mixing argument, and because
+// the permutation is key-derived, rotating the merge role across the group
+// never changes the round's output.
+func (r *Round) Merge(parts [][][]byte) ([][]byte, error) {
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return nil, r.errorf("closed")
+	}
+	// Derived under r.mu: Close erases the key it reads.
+	prnd := permutationReader(r.priv, r.service, r.round)
+	r.mu.Unlock()
+	out := concat(parts)
+	if err := shuffle(prnd, out); err != nil {
 		return nil, err
 	}
-	sm := st.stream
-	if sm == nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("mixnet: round %d (%s): no stream in progress", round, service)
-	}
-	st.stream = nil
-	s.mu.Unlock()
+	return out, nil
+}
 
-	sm.wg.Wait()
-	return s.finishBatch(sm.noise, sm.inputs, concat(sm.results))
+// Close erases the round's onion private key (forward secrecy: the
+// recorded ciphertexts of a closed round can never be decrypted again),
+// its noise seed, and the server's memory of its permutation (which was
+// never stored). The coordinator closes a round this way after it
+// completes, after a failed open and after an abort. A chunk of an aborted
+// round may still be peeling with the key, so Close waits for the round's
+// chunks before it zeroes the scalar; chunks that have not started skip
+// their peel. Closing twice is a no-op.
+func (r *Round) Close() {
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return
+	}
+	r.closed, r.ended = true, true
+	r.noiseSeed = [32]byte{}
+	r.mu.Unlock()
+	r.skip.Store(true)
+	r.peels.Wait()
+	r.priv.Erase()
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math/big"
 	mathrand "math/rand"
 	"slices"
@@ -406,6 +407,26 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // third chunk with a lane remainder.
 var sealBatchSizes = []int{0, 1, 2, sealerBreakEven - 1, sealerBreakEven, laneCount - 1, laneCount, laneCount + 1, sealChunk - 1, sealChunk, sealChunk + 1, 2*sealChunk + 3}
 
+// SealBatch seals every message to the recipient. It reads rand exactly
+// as len(msgs) calls of Seal would, so the same reader gives the same
+// boxes.
+func (s *Sealer) SealBatch(rand io.Reader, msgs [][]byte) ([][]byte, error) {
+	seeds := make([]byte, 32*len(msgs))
+	defer clear(seeds)
+	if _, err := io.ReadFull(rand, seeds); err != nil {
+		return nil, err
+	}
+	boxes := make([][]byte, len(msgs))
+	for i, msg := range msgs {
+		boxes[i] = make([]byte, len(msg)+Overhead)
+		copy(boxes[i][32:], msg)
+	}
+	if err := s.sealInPlace(seeds, boxes); err != nil {
+		return nil, err
+	}
+	return boxes, nil
+}
+
 // TestSealBatchMatchesSeal: SealBatch reads the reader as Seal does and
 // gives the same boxes, on a Sealer built for the batch (a table from
 // sealerBreakEven boxes) and on one that holds a table whatever the
@@ -694,6 +715,46 @@ func TestBoxAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(5, func() { s.SealBatch(rd, msgs) }) / batch; n > aeadAllocs+1.1 {
 		t.Errorf("SealBatch allocates %.2f times a box; internal/aead alone %.0f", n, aeadAllocs)
+	}
+}
+
+// TestOnionBatchAddAllocations pins OnionBatch.Add to one allocation an
+// onion, the onion's own buffer: the ephemeral seeds are read straight
+// into the batch's seed buffers, so once those have grown, n more onions
+// allocate n times, whatever n is. (A seed read through the reader's
+// interface into an array on the stack is moved to the heap, once an
+// onion.)
+func TestOnionBatchAddAllocations(t *testing.T) {
+	var hops []*Sealer
+	for i := 0; i < 3; i++ {
+		pub, _, err := GenerateKey(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hops = append(hops, NewSealer(pub, 0))
+	}
+	rd := mathrand.New(mathrand.NewSource(1))
+	msg := make([]byte, 36)
+	for _, n := range []int{16, 256} {
+		b := NewOnionBatch(hops)
+		add := func() {
+			for i := 0; i < n; i++ {
+				if err := b.Add(rd, msg); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		add() // grows the batch's slices to n onions
+		allocs := testing.AllocsPerRun(10, func() {
+			for i := range b.seeds {
+				b.seeds[i] = b.seeds[i][:0]
+			}
+			b.onions = b.onions[:0]
+			add()
+		})
+		if allocs != float64(n) {
+			t.Errorf("adding %d onions allocates %.0f times, want %d", n, allocs, n)
+		}
 	}
 }
 

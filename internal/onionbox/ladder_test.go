@@ -430,7 +430,7 @@ func BenchmarkX25519(b *testing.B) {
 }
 
 // BenchmarkOpenBatch reports one box's cost in a 64-box chunk, a mixer's
-// StreamChunk, of 128-byte boxes: one ladder a box, one inversion a chunk.
+// Round.Chunk, of 128-byte boxes: one ladder a box, one inversion a chunk.
 func BenchmarkOpenBatch(b *testing.B) {
 	pub, priv, _ := GenerateKey(rand.Reader)
 	boxes := make([][]byte, openChunk)

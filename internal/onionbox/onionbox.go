@@ -46,7 +46,7 @@
 // The opening side is this package's own RFC 7748 ladder (ladder.go),
 // variable base since every box brings its own point, the ladder
 // sealLadder takes k·U on. OpenBatch, which a
-// mixer calls once per StreamChunk, ladders every box of a chunk and then
+// mixer calls once per Round.Chunk, ladders every box of a chunk and then
 // shares one field inversion among up to 64 of them (montgomeryU);
 // OpenAppend and Open are a batch of one on the same code. Every box of
 // a chunk is laddered with the same scalar, so on amd64 with AVX-512 IFMA
@@ -134,7 +134,7 @@
 // # Erasure
 //
 // Ephemeral seeds and digits are zeroed before the call that read them
-// returns (SealBatch, OnionBatch.Wrap, WrapOnion), as is the scratch that
+// returns (OnionBatch.Wrap, WrapOnion), as is the scratch that
 // held the product points and shared secrets (sealInPlace, sealLadder, and
 // the lane comb's laneCombState — its digits, point, looked-up entries
 // and temporaries — and sealLanes's copies of each lane's result), on the

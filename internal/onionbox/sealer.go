@@ -268,26 +268,6 @@ func sealLadder(seed, recvPub, box []byte) error {
 	return nil
 }
 
-// SealBatch seals every message to the recipient. It reads rand exactly
-// as len(msgs) calls of Seal would, so the same reader gives the same
-// boxes.
-func (s *Sealer) SealBatch(rand io.Reader, msgs [][]byte) ([][]byte, error) {
-	seeds := make([]byte, 32*len(msgs))
-	defer clear(seeds)
-	if _, err := io.ReadFull(rand, seeds); err != nil {
-		return nil, err
-	}
-	boxes := make([][]byte, len(msgs))
-	for i, msg := range msgs {
-		boxes[i] = make([]byte, len(msg)+Overhead)
-		copy(boxes[i][32:], msg)
-	}
-	if err := s.sealInPlace(seeds, boxes); err != nil {
-		return nil, err
-	}
-	return boxes, nil
-}
-
 // An OnionBatch wraps many messages through the same hops, layer by layer,
 // so that each hop's Sealer sees all of its boxes at once. Add reads rand
 // exactly as WrapOnion would for that message — one ephemeral seed per
@@ -305,19 +285,21 @@ func NewOnionBatch(hops []*Sealer) *OnionBatch {
 	return &OnionBatch{hops: hops, seeds: make([][]byte, len(hops))}
 }
 
-// Add queues msg and draws its ephemeral seeds.
+// Add queues msg and draws its ephemeral seeds, straight into the batch's
+// seed buffers. A batch whose Add failed is spent, its seeds zeroed.
 func (b *OnionBatch) Add(rand io.Reader, msg []byte) error {
 	if len(b.hops) == 0 {
 		b.onions = append(b.onions, msg) // as WrapOnion through no hops
 		return nil
 	}
-	var seed [32]byte
-	defer clear(seed[:])
 	for i := len(b.hops) - 1; i >= 0; i-- {
-		if _, err := io.ReadFull(rand, seed[:]); err != nil {
+		b.seeds[i] = growSeeds(b.seeds[i])
+		if _, err := io.ReadFull(rand, b.seeds[i][len(b.seeds[i])-32:]); err != nil {
+			for _, s := range b.seeds {
+				clear(s)
+			}
 			return err
 		}
-		b.seeds[i] = appendSeed(b.seeds[i], &seed)
 	}
 	// The whole onion is built in one buffer: layer i's box starts 32·i
 	// bytes in, and each layer's ciphertext overwrites the box it wraps.
@@ -326,16 +308,16 @@ func (b *OnionBatch) Add(rand io.Reader, msg []byte) error {
 	return nil
 }
 
-// appendSeed is append that zeroes the array it grows out of, so that no
-// copy of a seed is left behind for the collector.
-func appendSeed(seeds []byte, seed *[32]byte) []byte {
-	if len(seeds)+len(seed) > cap(seeds) {
-		grown := make([]byte, len(seeds), 2*cap(seeds)+16*len(seed))
+// growSeeds extends seeds by one 32-byte seed, zeroing the array it grows
+// out of, so that no copy of a seed is left behind for the collector.
+func growSeeds(seeds []byte) []byte {
+	if len(seeds)+32 > cap(seeds) {
+		grown := make([]byte, len(seeds), 2*cap(seeds)+16*32)
 		copy(grown, seeds)
 		clear(seeds)
 		seeds = grown
 	}
-	return append(seeds, seed[:]...)
+	return seeds[:len(seeds)+32]
 }
 
 // Wrap seals every queued message through every hop and returns the

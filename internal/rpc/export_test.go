@@ -11,8 +11,9 @@ import (
 // type embedding blobs receives.
 type ChunkArgs = chunkArgs
 
-// Batch returns the chunk's onions.
-func (a chunkArgs) Batch() [][]byte { return a.blobs }
+// StreamChunk is the daemon's mix.stream.chunk, for a test that wraps the
+// handler.
+func (d *MixerDaemon) StreamChunk(a ChunkArgs) error { return d.streamChunk(a) }
 
 // PublishFragment sends one mailbox fragment of a one-stream round to a
 // cdn.publish endpoint without Done: a publisher that dies mid-stream.

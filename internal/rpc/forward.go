@@ -6,39 +6,43 @@ import (
 	mathrand "math/rand"
 	"net"
 	"reflect"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"alpenhorn/internal/mixnet"
+	"alpenhorn/internal/onionbox"
 	"alpenhorn/internal/wire"
 )
 
 // This file is the daemon side of the mixnet data plane. There is one way
 // a round runs:
 //
-// Before the batch arrives, the coordinator opens the round on every
-// daemon with one call (mix.round.open), which installs the daemon's
-// ROUTE. A chain position is served by a SHARD GROUP of N >= 1 daemons,
-// and the route gives a daemon its shard index, the group size, and its
-// role. One member is the group's merge LEAD this round; its route carries
-// where the position's output goes — the next position's full shard set,
-// or, for the last position, the CDN's publish address and the group's
-// own address list for the sharded mailbox build. Every other member's
-// route names the lead (MergeAddr).
+// A round is one entry of the daemon's one map (MixerDaemon.rounds), which
+// a position's announcer makes at mix.newround. Before the batch arrives,
+// the coordinator opens the round on every daemon with one call
+// (mix.round.open), which opens the daemon's mixnet.Round — its key, noise
+// and intake — and installs its ROUTE beside it. A chain position is
+// served by a SHARD GROUP of N >= 1 daemons, and the route gives a daemon
+// its shard index, the group size, and its role. One member is the
+// group's merge LEAD this round; its route carries where the position's
+// output goes — the next position's full shard set, or, for the last
+// position, the CDN's publish address and the group's own address list
+// for the sharded mailbox build. Every other member's route names the
+// lead (MergeAddr).
 //
 // Onions stream in over mix.stream.begin/chunk/end. Fan-in is counted: a
 // daemon's intake closes exactly once, when an end-of-stream has arrived
 // from each of the route's NumUpstream writers (the frontends for position
 // 0, the previous position's lead otherwise); begins and ends are
-// idempotent per upstream. Each member then peels its slice and adds its
-// divided noise share WITHOUT shuffling, and deposits the result with the
-// lead (mix.merge.begin/chunk/end; the lead's own slice is deposited
-// locally). The deposit that completes the set triggers the position's
-// single key-derived shuffle over the concatenated batch
-// (mixnet.MergeShuffle). The lead then DEALS its post-shuffle chunks
+// idempotent per upstream. Each member's Round peels its slice as the
+// chunks arrive and, once intake ends, adds its divided noise share
+// WITHOUT shuffling (mixnet.Round.EndShard); the member deposits the
+// result with the lead (mix.merge.begin/chunk/end; the lead's own slice
+// is deposited locally). The deposit that completes the set triggers the
+// position's single key-derived shuffle over the concatenated batch
+// (mixnet.Round.Merge). The lead then DEALS its post-shuffle chunks
 // round-robin across the successor shard set, or — at the end of the chain
 // — deals request bodies by mailbox ID across its own group (mix.deal.*),
 // and every member builds its mailbox-ID range and publishes it over its
@@ -48,16 +52,24 @@ import (
 // part, a one-slice build. The coordinator only moves control messages; it
 // learns each daemon's outcome from the mix.round.wait long-poll, and
 // failures propagate as mix.round.abort down the chain, across the group
-// and back to the waiting coordinator.
+// and back to the waiting coordinator. mix.closeround erases the round.
 
 type outKey struct {
 	service wire.Service
 	round   uint32
 }
 
-// route is one round's forwarding assignment on a daemon, created by
-// mix.round.open and resolved exactly once (completion or abort).
+// route is one round's state on a daemon: on an announcer, the key
+// mix.newround announced and the hosts allowed to pull it
+// (newRoundArgs.Peers); from mix.round.open, the daemon's mixnet.Round and
+// its forwarding assignment, resolved exactly once (completion or abort).
 type route struct {
+	key          *onionbox.PrivateKey
+	announcement wire.MixerRoundKey
+	peers        []string
+
+	// mix is nil until the open succeeds, and the fields below with it.
+	mix *mixnet.Round
 	// The assignment as announced: where the output goes, the shard-group
 	// layout, the chunk size and the fan-in (see wire.RouteSpec).
 	openArgs
@@ -198,32 +210,51 @@ type chunkArgs struct {
 	blobs
 }
 
-// MixerDaemon is the RPC-facing state of one mixer daemon: the rounds'
-// routes and cached connections to peers. RegisterMixer returns it so
-// daemon binaries and tests can inspect round-state hygiene.
+// MixerDaemon is the RPC-facing state of one mixer daemon: its rounds and
+// cached connections to peers. RegisterMixer returns it so daemon
+// binaries and tests can inspect round-state hygiene.
 type MixerDaemon struct {
 	m *mixnet.Server
 	peerSet
 
-	// openMu serializes mix.round.open, so a re-sent open waits for the
-	// first to finish and then finds its route.
+	// openMu serializes mix.round.open and mix.closeround, so a re-sent
+	// open waits for the first to finish and then finds its route, and a
+	// close never lands inside an open.
 	openMu sync.Mutex
 
+	// mu guards rounds, the one record of which rounds exist here, and
+	// the routes in it.
 	mu     sync.Mutex
-	routes map[outKey]*route
-	// keyPeers is the per-round exportkey allowlist (newRoundArgs.Peers):
-	// the hosts allowed to pull this round's private key.
-	keyPeers map[outKey][]string
+	rounds map[outKey]*route
 }
 
-// PendingRoutes returns the number of rounds with an unresolved or
-// un-erased forwarding route. After a round closes (or aborts and
-// closes), this must drop back toward zero — leaked routes are leaked
-// round state.
-func (d *MixerDaemon) PendingRoutes() int {
+// PendingRounds returns the number of rounds the daemon holds state for:
+// an announced key or a route. After a round closes (or aborts and
+// closes), this must drop back toward zero — a leaked round is a leaked
+// round key.
+func (d *MixerDaemon) PendingRounds() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.routes)
+	return len(d.rounds)
+}
+
+// routed returns the round's route, or an error if it has not been opened
+// here. The caller holds d.mu.
+func (d *MixerDaemon) routed(service wire.Service, round uint32) (*route, error) {
+	rt := d.rounds[outKey{service, round}]
+	if rt == nil || rt.mix == nil {
+		return nil, fmt.Errorf("rpc: round %d (%s) has no route", round, service)
+	}
+	return rt, nil
+}
+
+// entry returns the round's entry, making an empty one if there is none.
+// The caller holds d.mu.
+func (d *MixerDaemon) entry(k outKey) *route {
+	if d.rounds[k] == nil {
+		d.rounds[k] = &route{}
+	}
+	return d.rounds[k]
 }
 
 // mergeRoute validates a merge-surface call: the round must have a route,
@@ -234,9 +265,9 @@ func (d *MixerDaemon) mergeRoute(a chunkArgs) (*route, outKey, error) {
 	k := outKey{a.Service, a.Round}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	rt := d.routes[k]
-	if rt == nil {
-		return nil, k, errNoRoute(a.Service, a.Round)
+	rt, err := d.routed(a.Service, a.Round)
+	if err != nil {
+		return nil, k, err
 	}
 	if rt.mergeEnded == nil {
 		return nil, k, fmt.Errorf("rpc: round %d (%s): this daemon is not the merge server", a.Round, a.Service)
@@ -320,12 +351,12 @@ func (d *MixerDaemon) finish(k outKey, rt *route, err error) {
 
 // forward is the daemon's data-plane role for one round, run on its own
 // goroutine once every upstream has closed the stream: finish the local
-// peel + noise share (StreamEndShard; the shuffle happens once, over the
+// peel + noise share (Round.EndShard; the shuffle happens once, over the
 // whole position's batch, at the group's merge) and either stream the
 // slice to the lead or — on the lead itself — record it as a deposit,
 // which may complete the merge.
 func (d *MixerDaemon) forward(k outKey, rt *route) {
-	out, err := d.m.StreamEndShard(k.service, k.round)
+	out, err := rt.mix.EndShard()
 	if err != nil {
 		d.finish(k, rt, err)
 		return
@@ -350,7 +381,7 @@ func (d *MixerDaemon) forward(k outKey, rt *route) {
 // payloads addressed to its contiguous ID range (mixnet.ShardRange), in
 // batch order, over mix.deal.* streams. Cover traffic, malformed payloads,
 // and out-of-range mailboxes are dropped here — exactly the payloads
-// BuildMailboxes would drop — so the per-shard builds are byte-identical
+// BuildMailboxesRange would drop — so the per-shard builds are byte-identical
 // to the single-machine build. The merge server's own slice never crosses
 // the network; it is built and published concurrently with the deals.
 func (d *MixerDaemon) dealMailboxBuild(k outKey, rt *route, out [][]byte) {
@@ -410,7 +441,7 @@ func fanOut(addrs []string, fn func(i int, addr string) error) error {
 // streams complete.
 func (d *MixerDaemon) buildAndPublishSlice(k outKey, rt *route, slice [][]byte) error {
 	lo, hi := mixnet.ShardRange(rt.NumMailboxes, rt.ShardIndex, rt.ShardCount)
-	boxes, err := mixnet.BuildMailboxesRange(k.service, lo, hi, slice, runtime.GOMAXPROCS(0))
+	boxes, err := mixnet.BuildMailboxesRange(k.service, lo, hi, slice)
 	if err != nil {
 		return err
 	}
@@ -428,7 +459,7 @@ func (d *MixerDaemon) buildAndPublishSlice(k outKey, rt *route, slice [][]byte) 
 // server. The deposit that completes the set — the last-arriving shard —
 // performs the position's merge: the slices are concatenated in
 // shard-index order and shuffled ONCE with the round key's derived
-// permutation (mixnet.MergeShuffle), then the position's output moves on.
+// permutation (mixnet.Round.Merge), then the position's output moves on.
 // Remote shards deliver their slices in chunks over the merge surface
 // (mix.merge.chunk appends, mix.merge.end calls this with a nil part);
 // the merge server's own forward goroutine delivers its slice whole.
@@ -449,7 +480,7 @@ func (d *MixerDaemon) addDeposit(k outKey, rt *route, shard int, part [][]byte) 
 	rt.mergeParts = nil
 	d.mu.Unlock()
 
-	out, err := d.m.MergeShuffle(k.service, k.round, parts)
+	out, err := rt.mix.Merge(parts)
 	switch {
 	case err != nil:
 		d.finish(k, rt, err)
@@ -579,11 +610,7 @@ func (d *MixerDaemon) dealDownstream(k outKey, rt *route, out [][]byte) error {
 // RegisterMixer exposes a mixnet.Server over RPC: round set-up and the
 // routed data plane described at the top of this file.
 func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
-	d := &MixerDaemon{
-		m:        m,
-		routes:   make(map[outKey]*route),
-		keyPeers: make(map[outKey][]string),
-	}
+	d := &MixerDaemon{m: m, rounds: make(map[outKey]*route)}
 
 	HandleFunc(s, "mix.info", func(struct{}) (any, error) {
 		shardIndex, shardCount := m.ShardIdentity()
@@ -600,15 +627,25 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		}, nil
 	})
 	HandleFunc(s, "mix.newround", func(a newRoundArgs) (any, error) {
-		rk, err := m.NewRound(a.Service, a.Round)
-		if err == nil && len(a.Peers) > 0 {
+		// Idempotent: a re-sent newround returns the same announcement.
+		k := outKey{a.Service, a.Round}
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		rt := d.rounds[k]
+		if rt == nil || rt.key == nil {
+			key, announcement, err := m.Announce(a.Service, a.Round)
+			if err != nil {
+				return nil, err
+			}
+			rt = d.entry(k)
+			rt.key, rt.announcement = key, announcement
+		}
+		if len(a.Peers) > 0 {
 			// The allowlist is in place before the coordinator sends any
 			// member the open that makes it pull the key.
-			d.mu.Lock()
-			d.keyPeers[outKey{a.Service, a.Round}] = a.Peers
-			d.mu.Unlock()
+			rt.peers = a.Peers
 		}
-		return rk, err
+		return rt.announcement, nil
 	})
 	HandlePeerFunc(s, "mix.round.exportkey", func(peerAddr string, a roundArgs) (any, error) {
 		// Serves the round onion private key to the OTHER shards of this
@@ -617,14 +654,14 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		// only the announcer serves it, to the hosts of the shard network
 		// its mix.newround named: topology is verified here instead of
 		// merely trusted. A round with no allowlist exports to nobody.
-		d.mu.Lock()
-		allowed := d.keyPeers[outKey{a.Service, a.Round}]
-		d.mu.Unlock()
 		caller := hostOf(peerAddr)
-		if !slices.ContainsFunc(allowed, func(p string) bool { return hostOf(p) == caller }) {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		rt := d.rounds[outKey{a.Service, a.Round}] // an allowlist comes with a key
+		if rt == nil || !slices.ContainsFunc(rt.peers, func(p string) bool { return hostOf(p) == caller }) {
 			return nil, fmt.Errorf("rpc: round %d (%s): caller %s is outside the round's shard network", a.Round, a.Service, caller)
 		}
-		key, err := m.ExportRoundKey(a.Service, a.Round)
+		key, err := m.ExportKey(rt.key)
 		if err != nil {
 			return nil, err
 		}
@@ -672,10 +709,10 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 	dealRoute := func(a roundArgs) (*route, outKey, error) {
 		k := outKey{a.Service, a.Round}
 		d.mu.Lock()
-		rt := d.routes[k]
+		rt, err := d.routed(a.Service, a.Round)
 		d.mu.Unlock()
-		if rt == nil {
-			return nil, k, errNoRoute(a.Service, a.Round)
+		if err != nil {
+			return nil, k, err
 		}
 		if rt.MergeAddr == "" || rt.CDNAddr == "" {
 			return nil, k, fmt.Errorf("rpc: round %d (%s): daemon is not a build shard", a.Round, a.Service)
@@ -723,12 +760,11 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		return nil, nil
 	})
 	HandleFunc(s, "mix.round.wait", func(a roundArgs) (any, error) {
-		k := outKey{a.Service, a.Round}
 		d.mu.Lock()
-		rt := d.routes[k]
+		rt, err := d.routed(a.Service, a.Round)
 		d.mu.Unlock()
-		if rt == nil {
-			return nil, errNoRoute(a.Service, a.Round)
+		if err != nil {
+			return nil, err
 		}
 		select {
 		case <-rt.done:
@@ -750,13 +786,12 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		}
 	})
 	HandleFunc(s, "mix.round.abort", func(a abortArgs) (any, error) {
-		k := outKey{a.Service, a.Round}
-		_ = m.StreamAbort(a.Service, a.Round)
 		d.mu.Lock()
-		rt := d.routes[k]
+		rt, err := d.routed(a.Service, a.Round)
 		d.mu.Unlock()
-		if rt != nil {
-			d.finish(k, rt, fmt.Errorf("aborted: %s", a.Reason))
+		if err == nil {
+			rt.mix.Abort()
+			d.finish(outKey{a.Service, a.Round}, rt, fmt.Errorf("aborted: %s", a.Reason))
 		}
 		return nil, nil
 	})
@@ -764,26 +799,22 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 	// where the output goes, so a stream without one would park a batch
 	// this daemon can hand to nobody.
 	HandleFunc(s, "mix.stream.begin", func(a mixArgs) (any, error) {
-		// The first upstream's begin opens the round's one stream (under
-		// d.mu, so a racing upstream cannot slip a chunk in before the
-		// stream exists); later begins — other upstreams, or a re-send
-		// whose reply was lost — join it.
+		// The first upstream's begin starts the round's clock and its
+		// deadline; later begins — other upstreams, or a re-send whose
+		// reply was lost — join its stream.
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		rt := d.routes[outKey{a.Service, a.Round}]
-		if rt == nil {
-			return nil, errNoRoute(a.Service, a.Round)
+		rt, err := d.routed(a.Service, a.Round)
+		if err != nil {
+			return nil, err
 		}
 		if a.NumMailboxes != rt.NumMailboxes {
-			// The stream's noise is generated for this count, which the
-			// open already bounded; a caller's other number is refused.
+			// The round's noise is generated for the route's count, which
+			// the open bounded; a caller's other number is refused.
 			return nil, fmt.Errorf("rpc: round %d (%s): stream for %d mailboxes on a route for %d", a.Round, a.Service, a.NumMailboxes, rt.NumMailboxes)
 		}
 		if rt.begun {
 			return nil, nil
-		}
-		if err := m.StreamBegin(a.Service, a.Round, a.NumMailboxes); err != nil {
-			return nil, err
 		}
 		rt.begun = true
 		rt.opened = time.Now()
@@ -793,23 +824,14 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		return nil, nil
 	})
 	HandleFunc(s, "mix.stream.chunk", func(a chunkArgs) (any, error) {
-		d.mu.Lock()
-		rt := d.routes[outKey{a.Service, a.Round}]
-		if rt == nil {
-			d.mu.Unlock()
-			return nil, errNoRoute(a.Service, a.Round)
-		}
-		rt.bytesIn += payloadBytes(a.blobs)
-		d.mu.Unlock()
-		return nil, m.StreamChunk(a.Service, a.Round, a.blobs)
+		return nil, d.streamChunk(a)
 	})
 	HandleFunc(s, "mix.stream.end", func(a roundArgs) (any, error) {
-		k := outKey{a.Service, a.Round}
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		rt := d.routes[k]
-		if rt == nil {
-			return nil, errNoRoute(a.Service, a.Round)
+		rt, err := d.routed(a.Service, a.Round)
+		if err != nil {
+			return nil, err
 		}
 		// Ends are deduped by UPSTREAM IDENTITY, not counted bare — a
 		// restarted upstream re-sending its end must not stand in for
@@ -825,25 +847,49 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		// Acknowledge intake now; the peel, the merge and the downstream
 		// push happen on our own goroutine, and the outcome is reported
 		// through mix.round.wait.
-		go d.forward(k, rt)
+		go d.forward(outKey{a.Service, a.Round}, rt)
 		return nil, nil
 	})
 	HandleFunc(s, "mix.closeround", func(a roundArgs) (any, error) {
+		d.openMu.Lock()
+		defer d.openMu.Unlock()
 		k := outKey{a.Service, a.Round}
 		d.mu.Lock()
-		delete(d.keyPeers, k)
-		rt := d.routes[k]
-		delete(d.routes, k)
+		rt := d.rounds[k]
+		delete(d.rounds, k)
 		d.mu.Unlock()
-		if rt != nil {
+		if rt == nil {
+			return nil, nil
+		}
+		if rt.mix != nil {
 			// A still-unresolved route at close time is an abandoned
 			// round; unblock any waiter.
 			d.resolve(rt, fmt.Errorf("rpc: round %d (%s) closed", a.Round, a.Service))
+			rt.mix.Close()
 		}
-		m.CloseRound(a.Service, a.Round)
+		// After the Round's Close, which waits for its peels: it may hold
+		// this same key.
+		if rt.key != nil {
+			rt.key.Erase()
+		}
 		return nil, nil
 	})
 	return d
+}
+
+// streamChunk is mix.stream.chunk's: between the first begin and the end.
+func (d *MixerDaemon) streamChunk(a chunkArgs) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	rt, err := d.routed(a.Service, a.Round)
+	if err != nil {
+		return err
+	}
+	if !rt.begun || rt.intakeClosed {
+		return fmt.Errorf("rpc: round %d (%s): no stream in progress", a.Round, a.Service)
+	}
+	rt.bytesIn += payloadBytes(a.blobs)
+	return rt.mix.Chunk(a.blobs)
 }
 
 // maxFanIn bounds a route's group size and upstream count, and
@@ -854,20 +900,15 @@ const (
 	maxMailboxes = 1 << 16
 )
 
-func errNoRoute(service wire.Service, round uint32) error {
-	return fmt.Errorf("rpc: round %d (%s) has no route", round, service)
-}
-
-// openRound runs one daemon's round set-up (mix.round.open) in the one
-// order that works: pull the round key from the announcer (a member's
-// import opens its round), take the shard layout (before any noise
-// exists, because the group divides the position's noise), take the
-// downstream keys, install the route, and start the noise. The params come
-// off an unauthenticated transport, so the route is checked before anything
-// changes: a daemon is either its group's lead — output goes to the
-// successors, or to the CDN through a build deal over exactly ShardCount
-// addresses — or a depositor naming its lead, never both. A refused open
-// leaves no route and no noise behind.
+// openRound runs one daemon's round set-up (mix.round.open): check the
+// route, pull the round key from the announcer when the route names one
+// (KeyAddr), open the mixnet.Round — which checks the shard layout, the
+// downstream keys and the key, and starts the noise — and install the
+// route beside it. The params come off an unauthenticated transport, so
+// everything is checked before anything changes: a daemon is either its
+// group's lead — output goes to the successors, or to the CDN through a
+// build deal over exactly ShardCount addresses — or a depositor naming its
+// lead, never both. A refused open leaves no route and no noise behind.
 func (d *MixerDaemon) openRound(a openArgs) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("rpc: round %d (%s): "+format, append([]any{a.Round, a.Service}, args...)...)
@@ -899,10 +940,18 @@ func (d *MixerDaemon) openRound(a openArgs) error {
 	d.openMu.Lock()
 	defer d.openMu.Unlock()
 	k := outKey{a.Service, a.Round}
+	spec := mixnet.RoundSpec{
+		Service: a.Service, Round: a.Round, ShardIndex: a.ShardIndex, ShardCount: a.ShardCount,
+		Downstream: a.DownstreamKeys, NumMailboxes: a.NumMailboxes,
+	}
 	d.mu.Lock()
-	rt := d.routes[k]
+	rt := d.rounds[k]
+	if rt != nil && a.KeyAddr == "" {
+		spec.Key = rt.key
+	}
 	d.mu.Unlock()
-	if rt != nil {
+	// rt.mix and rt.openArgs change only here, under openMu.
+	if rt != nil && rt.mix != nil {
 		// A re-sent open (the coordinator's call layer retries a lost
 		// reply) changes nothing; a CONFLICTING one is an error.
 		if reflect.DeepEqual(rt.openArgs, a) {
@@ -913,37 +962,26 @@ func (d *MixerDaemon) openRound(a openArgs) error {
 	if a.KeyAddr != "" {
 		// The private key moves server-to-server inside the group's trust
 		// domain; the coordinator only names the source. The key is a blob
-		// of the reply's frame buffer, which ImportRoundKey zeroes.
+		// of the reply's frame buffer, which Open zeroes.
 		var reply keyReply
 		if err := d.peer(a.KeyAddr).Call("mix.round.exportkey", roundArgs{Service: a.Service, Round: a.Round}, &reply); err != nil {
 			return fmt.Errorf("rpc: fetching round key from %s: %w", a.KeyAddr, err)
 		}
-		if err := d.m.ImportRoundKey(a.Service, a.Round, reply.one()); err != nil {
-			return err
-		}
+		spec.Import = reply.one()
 	}
-	if err := d.m.SetRoundShard(a.Service, a.Round, a.ShardIndex, a.ShardCount); err != nil {
+	mix, err := d.m.Open(spec)
+	if err != nil {
 		return err
 	}
-	if err := d.m.SetDownstreamKeys(a.Service, a.Round, a.DownstreamKeys); err != nil {
-		return err
-	}
-	rt = &route{openArgs: a, endedUpstreams: make([]bool, a.NumUpstream), done: make(chan struct{})}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	rt = d.entry(k)
+	rt.mix, rt.openArgs = mix, a
+	rt.endedUpstreams = make([]bool, a.NumUpstream)
+	rt.done = make(chan struct{})
 	if lead {
 		rt.mergeParts = make([][][]byte, a.ShardCount)
 		rt.mergeEnded = make([]bool, a.ShardCount)
-	}
-	d.mu.Lock()
-	d.routes[k] = rt
-	d.mu.Unlock()
-	if err := d.m.PrepareNoise(a.Service, a.Round, a.NumMailboxes); err != nil {
-		// The round closed under the open: take the route back out.
-		d.mu.Lock()
-		if d.routes[k] == rt {
-			delete(d.routes, k)
-		}
-		d.mu.Unlock()
-		return err
 	}
 	return nil
 }

@@ -74,7 +74,8 @@ func startCDN(t *testing.T) (*cdn.Store, string) {
 }
 
 // assertFleetClean checks that no mixer daemon of the network holds round
-// state after the round resolved: no routes, no live round key.
+// state after the round resolved: no route, no round key. A daemon's one
+// map of rounds holds every key it has, and closing a round erases them.
 func assertFleetClean(t *testing.T, n *sim.Network, round uint32, skip func(pos, shard int) bool) {
 	t.Helper()
 	for i, group := range n.Mixers {
@@ -82,11 +83,8 @@ func assertFleetClean(t *testing.T, n *sim.Network, round uint32, skip func(pos,
 			if skip != nil && skip(i, s) {
 				continue
 			}
-			if k := m.Daemon.PendingRoutes(); k != 0 {
-				t.Errorf("daemon %d/%d: %d routes leak", i, s, k)
-			}
-			if m.Server.RoundOpen(wire.Dialing, round) {
-				t.Errorf("daemon %d/%d: round key survives", i, s)
+			if k := m.Daemon.PendingRounds(); k != 0 {
+				t.Errorf("daemon %d/%d: %d rounds leak after round %d", i, s, k, round)
 			}
 		}
 	}
@@ -220,7 +218,7 @@ func TestChainForwardOverTCP(t *testing.T) {
 }
 
 // TestChainForwardAbortMidChain kills the middle daemon while the batch is
-// streaming through it and checks the failure is clean: StreamAbort
+// streaming through it and checks the failure is clean: the abort
 // propagates (down the chain and back to the coordinator), the round
 // fails without publishing, no round state leaks on the survivors, and —
 // after the daemon comes back — the next round succeeds.
@@ -269,7 +267,7 @@ func crashMidStream(n *sim.Network, m *sim.Mixer) *atomic.Int32 {
 			go srv.Close()
 			return nil, errors.New("daemon crashed mid-stream")
 		}
-		return nil, m.Server.StreamChunk(a.Service, a.Round, a.Batch())
+		return nil, m.Daemon.StreamChunk(a)
 	})
 	return &chunks
 }

@@ -128,16 +128,16 @@ func TestRoundOpenResent(t *testing.T) {
 			t.Errorf("re-sent open refused: %v", err)
 		}
 	}
-	if n := rd.daemon.PendingRoutes(); n != 1 {
-		t.Fatalf("%d routes after identical opens, want 1", n)
+	if n := rd.daemon.PendingRounds(); n != 1 {
+		t.Fatalf("%d rounds after identical opens, want 1", n)
 	}
 	spec.NumUpstream = 2
 	if err := rd.mc.OpenRound(wire.Dialing, 1, spec); err == nil {
 		t.Fatal("conflicting open accepted")
 	}
 	rd.mc.CloseRound(wire.Dialing, 1)
-	if n := rd.daemon.PendingRoutes(); n != 0 {
-		t.Fatalf("%d routes leak after close", n)
+	if n := rd.daemon.PendingRounds(); n != 0 {
+		t.Fatalf("%d rounds leak after close", n)
 	}
 }
 

@@ -160,7 +160,7 @@ func TestPoolFailoverContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rk, err := m.NewRound(wire.Dialing, 2)
+	_, rk, err := m.Announce(wire.Dialing, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package rpc
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"alpenhorn/internal/mixnet"
@@ -19,13 +21,14 @@ import (
 // build shards sit only on the lead, which either forwards or publishes;
 // the build list is exactly the group; and re-sending the same bytes
 // changes nothing. An open carrying the wrong number of downstream keys is
-// refused, a refused open leaves neither a route nor noise generation
-// behind, and an accepted one has started its noise.
+// refused, and a refused open leaves neither a route nor noise generation
+// behind.
 //
 // pick chooses the daemon's chain position (of three) and how many valid
 // downstream keys (0-3) the open carries, so opens at every position, with
 // the right count and with a wrong one, are all reached. The daemon is its
-// position's announcer: the open names no key source, so it dials nobody.
+// position's announcer (mix.newround): the open names no key source, so it
+// dials nobody.
 func FuzzRouteArgs(f *testing.F) {
 	for i, spec := range []wire.RouteSpec{
 		{ShardCount: 1, NumUpstream: 1, NumMailboxes: 2, CDNAddr: "c:1", BuildShards: []string{"m:1"}},
@@ -99,38 +102,32 @@ func FuzzRouteArgs(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.NewRound(wire.Dialing, 1); err != nil {
-			t.Fatal(err)
-		}
-		defer m.CloseRound(wire.Dialing, 1)
 		s := NewServer()
 		d := RegisterMixer(s, m)
-		open := func() error { _, err := s.handlers["mix.round.open"]("", params, nil); return err }
-		// noiseStarted re-applies the round's own shard layout, which
-		// mixnet refuses once the round's noise generation has begun.
-		noiseStarted := func() bool {
-			idx, count := m.RoundShard(wire.Dialing, 1)
-			return m.SetRoundShard(wire.Dialing, 1, idx, count) != nil
+		call := func(method string, params []byte) error { _, err := s.handlers[method]("", params, nil); return err }
+		round := []byte(`{"service":2,"round":1}`)
+		if err := call("mix.newround", round); err != nil {
+			t.Fatal(err)
 		}
+		defer call("mix.closeround", round)
+		open := func() error { return call("mix.round.open", params) }
 
-		k := outKey{wire.Dialing, 1}
+		// The round's noise lives in its mixnet.Round alone, which an
+		// accepted open makes (and Open starts the noise before it
+		// returns) and a refused one does not.
 		err = open()
-		rt := d.routes[k]
-		if (err == nil) != (rt != nil) {
-			t.Fatalf("handler returned %v but route installed = %v", err, rt != nil)
+		rt := d.rounds[outKey{wire.Dialing, 1}]
+		mix := rt.mix
+		if (err == nil) != (mix != nil) {
+			t.Fatalf("handler returned %v but route installed = %v", err, mix != nil)
 		}
-		if rt == nil {
-			if noiseStarted() {
-				t.Fatalf("refused open (%v) started noise generation", err)
-			}
+		if mix == nil {
 			return
 		}
 		lead := rt.MergeAddr == ""
 		switch {
 		case nkeys != 2-pos:
 			t.Fatalf("open with %d downstream keys accepted at position %d of 3", nkeys, pos)
-		case !noiseStarted():
-			t.Fatal("accepted open did not start noise generation")
 		case rt.ShardIndex < 0 || rt.ShardIndex >= rt.ShardCount:
 			t.Fatalf("installed shard %d/%d", rt.ShardIndex, rt.ShardCount)
 		case len(rt.endedUpstreams) < 1:
@@ -147,8 +144,93 @@ func FuzzRouteArgs(f *testing.F) {
 		if err := open(); err != nil {
 			t.Fatalf("byte-identical re-send refused: %v", err)
 		}
-		if d.routes[k] != rt {
+		if d.rounds[outKey{wire.Dialing, 1}] != rt || rt.mix != mix {
 			t.Fatal("byte-identical re-send replaced the route")
 		}
 	})
+}
+
+// TestAnnouncedKeyErasedAtClose: a key announced by mix.newround that never
+// reaches an open is the daemon's alone to erase. mix.closeround takes the
+// round out of the daemon's map and zeroes the key.
+func TestAnnouncedKeyErasedAtClose(t *testing.T) {
+	nz := noise.Laplace{}
+	m, err := mixnet.New(mixnet.Config{Name: "m", ChainLength: 1, AddFriendNoise: &nz, DialingNoise: &nz})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer()
+	d := RegisterMixer(s, m)
+	round := []byte(`{"service":2,"round":1}`)
+	if _, err := s.handlers["mix.newround"]("", round, nil); err != nil {
+		t.Fatal(err)
+	}
+	key := d.rounds[outKey{wire.Dialing, 1}].key
+	if kb := key.Bytes(); bytes.Equal(kb, make([]byte, len(kb))) {
+		t.Fatal("newround announced an all-zero key")
+	}
+	if _, err := s.handlers["mix.closeround"]("", round, nil); err != nil {
+		t.Fatal(err)
+	}
+	if kb := key.Bytes(); !bytes.Equal(kb, make([]byte, len(kb))) {
+		t.Fatalf("the announced key reads %x after mix.closeround", kb)
+	}
+	if n := d.PendingRounds(); n != 0 {
+		t.Fatalf("%d rounds after close", n)
+	}
+}
+
+// TestRefusedOpenAfterImport: a shard member pulls the round key from its
+// announcer and then refuses the open, its layout conflicting with the
+// member's pinned identity. The member keeps nothing — no round, no key:
+// mixnet.Server.Open zeroes the pulled key's bytes, which
+// TestImportRoundKeyErasesInput holds it to — and the announcer's key is
+// zeroed by the round's close.
+func TestRefusedOpenAfterImport(t *testing.T) {
+	nz := noise.Laplace{}
+	serve := func(index int) (*MixerDaemon, *Server, string) {
+		m, err := mixnet.New(mixnet.Config{
+			Name: "m", ChainLength: 1, AddFriendNoise: &nz, DialingNoise: &nz,
+			ShardIndex: index, ShardCount: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewServer()
+		d := RegisterMixer(s, m)
+		addr, err := s.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return d, s, addr
+	}
+	announcer, announcerSrv, announcerAddr := serve(0)
+	member, memberSrv, memberAddr := serve(1)
+	round := []byte(`{"service":2,"round":1}`)
+	peers := []byte(`{"service":2,"round":1,"peers":["127.0.0.1:1"]}`)
+	if _, err := announcerSrv.handlers["mix.newround"]("", peers, nil); err != nil {
+		t.Fatal(err)
+	}
+	key := announcer.rounds[outKey{wire.Dialing, 1}].key
+
+	open, err := json.Marshal(openArgs{Service: wire.Dialing, Round: 1, RouteSpec: wire.RouteSpec{
+		KeyAddr: announcerAddr, ShardIndex: 0, ShardCount: 2, NumUpstream: 1, NumMailboxes: 1,
+		CDNAddr: "c:1", BuildShards: []string{announcerAddr, memberAddr},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := memberSrv.handlers["mix.round.open"]("", open, nil); err == nil || !strings.Contains(err.Error(), "pinned identity") {
+		t.Fatalf("open with a conflicting layout returned %v, want the pinned-identity refusal after the key pull", err)
+	}
+	if n := member.PendingRounds(); n != 0 {
+		t.Fatalf("the refused open left %d rounds on the member", n)
+	}
+	if _, err := announcerSrv.handlers["mix.closeround"]("", round, nil); err != nil {
+		t.Fatal(err)
+	}
+	if kb := key.Bytes(); !bytes.Equal(kb, make([]byte, len(kb))) {
+		t.Fatalf("the announcer's key reads %x after mix.closeround", kb)
+	}
 }
