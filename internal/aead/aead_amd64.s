@@ -14,17 +14,6 @@
 
 #include "textflag.h"
 
-// func cpuid(leaf, sub uint32) (a, b, c, d uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, a+8(FP)
-	MOVL BX, b+12(FP)
-	MOVL CX, c+16(FP)
-	MOVL DX, d+20(FP)
-	RET
-
 // PREFIXXOR sets w to w ⊕ w<<32 ⊕ w<<64 ⊕ w<<96: word i of the result is
 // the XOR of words 0..i, the chain each expansion step runs through the
 // four words of the previous key of its parity. Clobbers t.

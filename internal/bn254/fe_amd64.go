@@ -1,29 +1,20 @@
 package bn254
 
+import "alpenhorn/internal/cpu"
+
 // The base field's assembly kernels (fe_amd64.s). Each is declared here
 // under the name the towers call, and each returns the same bits as its
 // Go twin, the function of the same name plus "Generic": the kernel
 // starts by testing fieldAsm and jumps to the twin when it is false.
 
-// fieldAsmSupported reports whether the CPU has BMI2 and ADX (CPUID leaf
-// 7, EBX bits 8 and 19), which the kernels need.
-var fieldAsmSupported = cpuHasBMI2ADX()
+// fieldAsmSupported reports whether the CPU has BMI2 and ADX, which the
+// kernels need.
+var fieldAsmSupported = cpu.BMI2ADX
 
 // fieldAsm selects the kernels. It is set once, here, from the CPU, and
 // only tests change it afterwards, never while other goroutines compute:
 // it picks the path a property of the machine decides, not a value.
 var fieldAsm = fieldAsmSupported
-
-func cpuHasBMI2ADX() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	_, b, _, _ := cpuid(7, 0)
-	const bmi2, adx = 1 << 8, 1 << 19
-	return b&bmi2 != 0 && b&adx != 0
-}
-
-func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 
 //go:noescape
 func feMul(z, x, y *fe)

@@ -237,17 +237,6 @@ GLOBL feModulus<>(SB), RODATA|NOPTR, $48
 	ADCQ (yo+24)(y), AX; \
 	MOVQ AX, (zo+24)(z)
 
-// func cpuid(leaf, sub uint32) (a, b, c, d uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, a+8(FP)
-	MOVL BX, b+12(FP)
-	MOVL CX, c+16(FP)
-	MOVL DX, d+20(FP)
-	RET
-
 // func feMul(z, x, y *fe)
 TEXT ·feMul(SB), NOSPLIT, $0-24
 	CMPB ·fieldAsm(SB), $0

@@ -338,47 +338,69 @@ func (p *G1) Unmarshal(data []byte) error {
 // principal root rhs^((P+1)/4), and that root is rhs·r. For a non-square,
 // (rhs·r)² = −rhs, which the check rejects.
 func g1Decompress(p *G1, yinv *fe, data []byte) error {
-	if len(data) != g1MarshalledSize {
-		return errG1Length
+	var x, rhs, r fe
+	flags, inf, err := g1DecompressStart(&x, &rhs, data)
+	if err != nil {
+		return err
 	}
-	flags := data[0] & g1FlagMask
-	if flags&g1FlagInfinity != 0 {
-		if data[0] != g1FlagInfinity {
-			return errG1Infinity
-		}
-		for _, b := range data[1:] {
-			if b != 0 {
-				return errG1Infinity
-			}
-		}
+	if inf {
 		p.SetInfinity()
 		*yinv = fe{}
 		return nil
 	}
+	feExp(&r, &rhs, pInvSqrtExp)
+	return g1DecompressFinish(p, yinv, &x, &rhs, &r, flags)
+}
+
+// g1DecompressStart is g1Decompress up to its exponentiation: it checks
+// the encoding, and for a finite point sets x and rhs = x³ + 3 and
+// returns the flags; for infinity it reports inf. The lane pairing runs
+// the exponentiation between the two halves, eight points at a time.
+func g1DecompressStart(x, rhs *fe, data []byte) (flags byte, inf bool, err error) {
+	if len(data) != g1MarshalledSize {
+		return 0, false, errG1Length
+	}
+	flags = data[0] & g1FlagMask
+	if flags&g1FlagInfinity != 0 {
+		if data[0] != g1FlagInfinity {
+			return 0, false, errG1Infinity
+		}
+		for _, b := range data[1:] {
+			if b != 0 {
+				return 0, false, errG1Infinity
+			}
+		}
+		return 0, true, nil
+	}
 	var buf [32]byte
 	copy(buf[:], data)
 	buf[0] &^= g1FlagMask
-	var x, y, r, rhs, y2 fe
-	if !feSetBytes(&x, buf[:]) {
-		return errG1Coordinate
+	if !feSetBytes(x, buf[:]) {
+		return 0, false, errG1Coordinate
 	}
-	feSquare(&rhs, &x)
-	feMul(&rhs, &rhs, &x)
-	feAdd(&rhs, &rhs, &feCurveB)
-	feExp(&r, &rhs, pInvSqrtExp)
-	feMul(&y, &rhs, &r)
+	feSquare(rhs, x)
+	feMul(rhs, rhs, x)
+	feAdd(rhs, rhs, &feCurveB)
+	return flags, false, nil
+}
+
+// g1DecompressFinish is g1Decompress after its exponentiation, given
+// r = rhs^((3P−5)/4).
+func g1DecompressFinish(p *G1, yinv *fe, x, rhs, r *fe, flags byte) error {
+	var y, y2 fe
+	feMul(&y, rhs, r)
 	feSquare(&y2, &y)
-	if !y2.Equal(&rhs) {
+	if !y2.Equal(rhs) {
 		return errG1OffCurve
 	}
 	// y ≠ 0 (a prime odd order has no 2-torsion), so exactly one of ±y
 	// carries the encoded sign.
+	*yinv = *r
 	if feIsOdd(&y) != (flags == g1FlagYOdd) {
 		feNeg(&y, &y)
-		feNeg(&r, &r)
+		feNeg(yinv, yinv)
 	}
-	p.x, p.y, p.inf = x, y, false
-	*yinv = r
+	p.x, p.y, p.inf = *x, y, false
 	return nil
 }
 

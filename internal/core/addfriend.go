@@ -23,10 +23,13 @@ import (
 // (Algorithm 1 in the paper).
 
 // scanChunkSize is how many mailbox entries one scan worker takes from the
-// work queue at a time. It sets only the queue's granularity: each entry
-// is its own trial decryption. 32 keeps the queue short and still spreads a
-// 24k-entry mailbox evenly over a handful of cores.
-const scanChunkSize = 32
+// work queue at a time and hands to one ibe.DecryptBatch. It is a
+// multiple of the lane pairing's eight entries a walk (bn254's
+// PairMarshalledBatch), so that on a CPU with AVX-512 IFMA only a
+// mailbox's last chunk can leave lanes empty. 16 is two walks a chunk:
+// the batch converts the key's line table once a call, and a mailbox of
+// a few dozen entries still spreads over two cores.
+const scanChunkSize = 16
 
 // SubmitAddFriendRound performs the submission half of an add-friend round:
 // it verifies the round settings, extracts this round's identity key shares
@@ -312,8 +315,9 @@ func (c *Client) ScanAddFriendRound(ctx context.Context, round uint32) error {
 	// Every trial decryption pairs against the same identity key, so its
 	// line table is built once (before the workers start — the
 	// precomputation is not concurrency-safe) and shared read-only by the
-	// pool. Each worker pulls a chunk of mailbox indices and calls
-	// ibe.DecryptAppend on each entry; a rejected entry allocates no
+	// pool. Each worker pulls a chunk of mailbox indices and hands the
+	// chunk to ibe.DecryptBatch, which pairs its entries eight at a time
+	// where the CPU has the lane pairing; a rejected entry allocates no
 	// plaintext, so only the requests addressed to us cost heap. Results
 	// land at their mailbox index, preserving processing order.
 	secrets.identityKey.Precompute()
@@ -331,13 +335,15 @@ func (c *Client) ScanAddFriendRound(ctx context.Context, round uint32) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var ctxts [scanChunkSize][]byte
+			var oks [scanChunkSize]bool
 			for chunk := range next {
-				for i := chunk * scanChunkSize; i < min((chunk+1)*scanChunkSize, n); i++ {
+				lo, hi := chunk*scanChunkSize, min((chunk+1)*scanChunkSize, n)
+				for i := lo; i < hi; i++ {
 					off := i * wire.EncryptedFriendRequestSize
-					if pt, ok := ibe.DecryptAppend(nil, secrets.identityKey, box[off:off+wire.EncryptedFriendRequestSize]); ok {
-						plaintexts[i] = pt
-					}
+					ctxts[i-lo] = box[off : off+wire.EncryptedFriendRequestSize]
 				}
+				ibe.DecryptBatch(plaintexts[lo:hi], oks[:hi-lo], secrets.identityKey, ctxts[:hi-lo])
 			}
 		}()
 	}

@@ -758,6 +758,36 @@ func TestOnionBatchAddAllocations(t *testing.T) {
 	}
 }
 
+// TestWrapOnionAllocations pins WrapOnion at one allocation, the onion:
+// no seed array escapes to the heap and no hop's key is copied out of
+// its PublicKey, on the AES-NI path where internal/aead allocates
+// nothing.
+func TestWrapOnionAllocations(t *testing.T) {
+	var aeadKey [aead.KeySize]byte
+	aeadBox := make([]byte, 64+aead.Overhead)
+	if n := testing.AllocsPerRun(50, func() { aead.Seal(&aeadKey, aeadBox) }); n != 0 {
+		t.Skipf("internal/aead allocates %.0f times a box on this path", n)
+	}
+	var hops []*PublicKey
+	for i := 0; i < 3; i++ {
+		pub, _, err := GenerateKey(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hops = append(hops, pub)
+	}
+	rd := mathrand.New(mathrand.NewSource(1))
+	msg := make([]byte, 36)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := WrapOnion(rd, hops, msg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("WrapOnion through %d hops allocates %.0f times, want 1 (the onion)", len(hops), allocs)
+	}
+}
+
 func benchMsgs(n int) [][]byte {
 	msgs := make([][]byte, n)
 	for i := range msgs {

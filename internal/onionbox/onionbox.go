@@ -164,6 +164,16 @@ const Overhead = 32 + aead.Overhead
 // PublicKey is an X25519 public key used to receive boxes.
 type PublicKey struct {
 	k *ecdh.PublicKey
+	// b is k's encoding, which every seal to the key reads: kept here so
+	// that reading it copies nothing.
+	b [32]byte
+}
+
+// newPublicKey wraps k.
+func newPublicKey(k *ecdh.PublicKey) *PublicKey {
+	p := &PublicKey{k: k}
+	copy(p.b[:], k.Bytes())
+	return p
 }
 
 // PrivateKey is an X25519 private key. It owns its scalar, so that Erase
@@ -175,11 +185,16 @@ type PrivateKey struct {
 	pub [32]byte
 }
 
-// newPrivateKey takes the 32-byte seed and derives its public key, seed·9,
-// on the base point's comb table.
+// newPrivateKey takes the 32-byte seed and derives its public key.
 func newPrivateKey(seed []byte) *PrivateKey {
 	k := new(PrivateKey)
 	copy(k.seed[:], seed)
+	k.derivePublic()
+	return k
+}
+
+// derivePublic sets k.pub to seed·9, on the base point's comb table.
+func (k *PrivateKey) derivePublic() {
 	var digits [64]int8
 	var p point
 	var u, inv fe
@@ -193,7 +208,6 @@ func newPrivateKey(seed []byte) *PrivateKey {
 	u.bytes(&k.pub)
 	// What the scalar leaves on the way is secret until pub is public.
 	digits, p, u, inv = [64]int8{}, point{}, fe{}, fe{}
-	return k
 }
 
 // GenerateKey creates a new box key pair. It reads exactly 32 bytes of
@@ -205,12 +219,14 @@ func newPrivateKey(seed []byte) *PrivateKey {
 // resulting keys are identical in distribution (clamping happens inside
 // the X25519 scalar multiplication per RFC 7748).
 func GenerateKey(rand io.Reader) (*PublicKey, *PrivateKey, error) {
-	var seed [32]byte
-	defer clear(seed[:])
-	if _, err := io.ReadFull(rand, seed[:]); err != nil {
+	// The seed is read into the key it becomes: an array that io.ReadFull
+	// sees escapes, and this one is on the heap already.
+	priv := new(PrivateKey)
+	if _, err := io.ReadFull(rand, priv.seed[:]); err != nil {
+		priv.Erase()
 		return nil, nil, err
 	}
-	priv := newPrivateKey(seed[:])
+	priv.derivePublic()
 	return priv.Public(), priv, nil
 }
 
@@ -220,7 +236,7 @@ func (k *PrivateKey) Public() *PublicKey {
 	if err != nil {
 		panic(err) // 32 bytes are always an X25519 public key
 	}
-	return &PublicKey{k: pub}
+	return newPublicKey(pub)
 }
 
 // Bytes returns the 32-byte encoding of the private key. It exists so the
@@ -244,7 +260,7 @@ func UnmarshalPrivateKey(data []byte) (*PrivateKey, error) {
 }
 
 // Bytes returns the 32-byte encoding of the public key.
-func (p *PublicKey) Bytes() []byte { return p.k.Bytes() }
+func (p *PublicKey) Bytes() []byte { return bytes.Clone(p.b[:]) }
 
 // UnmarshalPublicKey decodes a 32-byte X25519 public key.
 func UnmarshalPublicKey(data []byte) (*PublicKey, error) {
@@ -252,7 +268,7 @@ func UnmarshalPublicKey(data []byte) (*PublicKey, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PublicKey{k: k}, nil
+	return newPublicKey(k), nil
 }
 
 const keyLabel = "alpenhorn/onionbox/key:"
@@ -350,11 +366,18 @@ func WrapOnion(rand io.Reader, hops []*PublicKey, msg []byte) ([]byte, error) {
 	onion := make([]byte, 32*len(hops), OnionSize(len(msg), len(hops)))
 	onion = append(onion, msg...)
 	for i := len(hops) - 1; i >= 0; i-- {
-		if _, err := io.ReadFull(rand, seed[:]); err != nil {
+		// Each seed is read into the slot its layer's ephemeral key
+		// will fill, so no stack array reaches io.ReadFull and escapes,
+		// and copied out before sealLadder overwrites the slot.
+		slot := onion[32*i : 32*i+32]
+		if _, err := io.ReadFull(rand, slot); err != nil {
+			clear(slot)
 			return nil, err
 		}
+		copy(seed[:], slot)
 		onion = onion[:len(onion)+16]
-		if err := sealLadder(seed[:], hops[i].k.Bytes(), onion[32*i:]); err != nil {
+		if err := sealLadder(seed[:], hops[i].b[:], onion[32*i:]); err != nil {
+			clear(slot)
 			return nil, err
 		}
 	}

@@ -88,17 +88,6 @@
 	MOVQ R10, 16(base); \
 	MOVQ R11, 24(base)
 
-// func cpuid(leaf, sub uint32) (a, b, c, d uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, a+8(FP)
-	MOVL BX, b+12(FP)
-	MOVL CX, c+16(FP)
-	MOVL DX, d+20(FP)
-	RET
-
 // func feMul(v, a, b *fe)
 TEXT ·feMul(SB), NOSPLIT, $0-24
 	CMPB ·fieldAsm(SB), $0
@@ -836,11 +825,4 @@ done:
 	VPXORQ Z30, Z30, Z30
 	VPXORQ Z31, Z31, Z31
 	VZEROUPPER
-	RET
-
-// func xgetbv() (eax uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-4
-	XORL   CX, CX
-	XGETBV
-	MOVL   AX, eax+0(FP)
 	RET

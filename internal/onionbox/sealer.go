@@ -43,7 +43,7 @@ func NewSealer(to *PublicKey, n int) *Sealer {
 	if n < sealerBreakEven {
 		return s
 	}
-	if x, y, ok := edwardsFromU(to.k.Bytes()); ok {
+	if x, y, ok := edwardsFromU(to.b[:]); ok {
 		s.table = new(combTable)
 		s.table.fill(x, y)
 		if laneAsmSupported {
@@ -174,7 +174,7 @@ var errLowOrder = errors.New("onionbox: bad recipient key: low order point")
 // that remainder one at a time — and shares one inversion among them
 // (montgomeryU).
 func (s *Sealer) sealInPlace(seeds []byte, boxes [][]byte) error {
-	recvPub := s.to.k.Bytes()
+	recvPub := s.to.b[:]
 	if s.table == nil {
 		for i, box := range boxes {
 			if err := sealLadder(seeds[32*i:32*i+32], recvPub, box); err != nil {
