@@ -17,8 +17,9 @@
 // recover — rounds keep closing with zero operator action. In round r
 // each shard group's merge/build lead is member r % N. The mixers push
 // batches to each other and the last position publishes the mailboxes to
-// this daemon's cdn.publish listener (-cdn-addr); the coordinator here
-// moves its own entry batch and control messages only.
+// this daemon's cdn.publish listener (-cdn-addr). This daemon's entry
+// server deals its own sub-batch into the first position, as every
+// frontend does; the coordinator here moves control messages only.
 // The scheduler's per-daemon scoreboard and the round-health ring are
 // served read-only over the coordinator.status RPC on the client port.
 //

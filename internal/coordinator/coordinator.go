@@ -13,10 +13,14 @@
 // or more mixer daemons; each daemon peels its slice, the group's lead
 // merges and shuffles once, and pushes the result directly to the next
 // position's group; the last group builds the mailboxes, each member its
-// own mailbox-ID range, and publishes them straight to the CDN. The
-// coordinator streams its own entry server's batch to the FIRST position
-// (other frontends feed theirs themselves) and then exchanges control
-// messages — round opens, completion waits, aborts. At paper scale
+// own mailbox-ID range, and publishes them straight to the CDN. The entry
+// tier feeds the FIRST position: every frontend — the coordinator's own
+// entry server, frontend 0, as much as the others — closes its intake,
+// keeps its sub-batch and deals it into position 0 itself, through the
+// same push every mixer uses to feed the next shard set (rpc.EntryReplica;
+// the coordinator drives frontend 0's in process). The coordinator moves
+// no onion: it exchanges control messages only — round opens, intake
+// closes, feed orders, completion waits, aborts. At paper scale
 // (~24k-request mailboxes, millions of onions) this keeps the coordinator
 // off the bandwidth-critical path entirely.
 //
@@ -83,8 +87,9 @@
 //  5. the coordinator assembles the signed RoundSettings and opens the
 //     round at the entry servers; clients submit onions (real or cover),
 //     extracting their identity keys from the PKGs as part of submission;
-//  6. the coordinator closes intake and feeds the first position; the
-//     last position's daemons publish the mailboxes to the CDN;
+//  6. the coordinator closes intake at every frontend and has each feed
+//     its sub-batch to the first position, in frontend order; the last
+//     position's daemons publish the mailboxes to the CDN;
 //  7. mixers erase their round keys as soon as the chain finishes. PKG
 //     master keys are erased concurrently with the mix: extraction
 //     happens strictly during the submission window, so once intake
@@ -104,6 +109,7 @@ import (
 
 	"alpenhorn/internal/cdn"
 	"alpenhorn/internal/entry"
+	"alpenhorn/internal/rpc"
 	"alpenhorn/internal/wire"
 )
 
@@ -133,12 +139,6 @@ type Mixer interface {
 	// layout, downstream keys and route, and starts its noise generation
 	// so it runs concurrently with client intake.
 	OpenRound(service wire.Service, round uint32, spec RouteSpec) error
-	// StreamBegin, StreamChunk and StreamEnd feed the routed daemon its
-	// onions; the end names WHICH of the route's NumUpstream feeders
-	// finished, so the counted intake closes exactly once per feeder.
-	StreamBegin(service wire.Service, round uint32, numMailboxes uint32) error
-	StreamChunk(service wire.Service, round uint32, chunk [][]byte) error
-	StreamEnd(service wire.Service, round uint32, upstream int) error
 	// WaitRound blocks until the daemon's data-plane role in the round
 	// completes, returning the daemon's self-reported duration and byte
 	// counts, and its error if it failed or was aborted.
@@ -156,9 +156,10 @@ type PKG interface {
 	CloseRound(round uint32)
 }
 
-// Frontend is the coordinator's view of one ADDITIONAL entry frontend
-// beyond Entry (which is always frontend 0); *rpc.EntryReplicaClient
-// implements it.
+// Frontend is the coordinator's view of one entry frontend. Entry is
+// frontend 0, driven in process through an *rpc.EntryReplica; every one
+// in Frontends is remote, and *rpc.EntryReplicaClient drives it over
+// entry.replicate.
 //
 // The coordinator replays every announcement to every frontend in one
 // serialized order, so the frontends' event logs assign identical cursors
@@ -166,7 +167,7 @@ type PKG interface {
 // fail over between frontends mid-round without a snapshot reset. Each
 // frontend admits its own sub-batch, keeps it when its intake closes, and
 // deals it into position 0's shard set itself, tagged with its upstream
-// index, so at N frontends the batches never cross the coordinator.
+// index, so no batch crosses the coordinator.
 type Frontend interface {
 	OpenRound(settings *wire.RoundSettings) error
 	AnnouncePublished(service wire.Service, round uint32)
@@ -263,6 +264,10 @@ type Coordinator struct {
 	// independently) must reach every frontend's log in the SAME order,
 	// or the replicas' cursors diverge and failover breaks.
 	annMu sync.Mutex
+
+	// entry is Entry's intake, made at first use (under mu), which the
+	// coordinator drives in process as frontend 0.
+	entry *rpc.EntryReplica
 }
 
 // defaultHealthRing bounds how many recent rounds Status retains — sized
@@ -395,6 +400,17 @@ func fanOut(n int, fn func(i int) error) error {
 	return nil
 }
 
+// frontends returns every frontend in upstream order: Entry's intake,
+// then Frontends.
+func (c *Coordinator) frontends() []Frontend {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.entry == nil {
+		c.entry = rpc.NewEntryReplica(c.Entry)
+	}
+	return append([]Frontend{c.entry}, c.Frontends...)
+}
+
 // announceOpen opens the round on every frontend, holding annMu so that
 // concurrently opening rounds cannot interleave differently in different
 // replicas' logs. A replica that cannot take the open fails the round:
@@ -403,12 +419,9 @@ func fanOut(n int, fn func(i int) error) error {
 func (c *Coordinator) announceOpen(settings *wire.RoundSettings) error {
 	c.annMu.Lock()
 	defer c.annMu.Unlock()
-	if err := c.Entry.OpenRound(settings); err != nil {
-		return err
-	}
-	for i, f := range c.Frontends {
+	for i, f := range c.frontends() {
 		if err := f.OpenRound(settings); err != nil {
-			return fmt.Errorf("coordinator: frontend %d open: %w", i+1, err)
+			return fmt.Errorf("coordinator: frontend %d open: %w", i, err)
 		}
 	}
 	return nil
@@ -419,8 +432,7 @@ func (c *Coordinator) announceOpen(settings *wire.RoundSettings) error {
 func (c *Coordinator) announcePublished(service wire.Service, round uint32) {
 	c.annMu.Lock()
 	defer c.annMu.Unlock()
-	c.Entry.AnnouncePublished(service, round)
-	for _, f := range c.Frontends {
+	for _, f := range c.frontends() {
 		f.AnnouncePublished(service, round)
 	}
 }
@@ -467,6 +479,7 @@ func (c *Coordinator) openRound(service wire.Service, round uint32) (_ *wire.Rou
 	// round mid-chain. The plan is fixed for the round's whole life —
 	// CloseRound reuses it verbatim.
 	plan := c.planRound(service, round)
+	plan.numMailboxes = settings.NumMailboxes
 	defer func() {
 		if err != nil {
 			// A round that never opens must not leave keys behind: the
@@ -601,24 +614,36 @@ func (c *Coordinator) openMixRound(settings *wire.RoundSettings, plan *roundPlan
 // this PR, reads two results.
 func (c *Coordinator) CloseRound(service wire.Service, round uint32) (map[uint32][]byte, error) {
 	start := time.Now()
-	settings, err := c.Entry.Settings(service, round)
-	if err != nil {
-		return nil, err
-	}
 	// The round runs with the plan captured at open — membership, merge
-	// leads, chunk size, and deadline are fixed for the round's life.
+	// leads, mailbox count, chunk size, and deadline are fixed for the
+	// round's life.
 	plan := c.planFor(service, round)
 	if plan == nil {
 		return nil, fmt.Errorf("coordinator: round %d (%s) was not opened by this coordinator", round, service)
 	}
 	defer c.dropPlan(service, round)
-	batch, err := c.Entry.CloseRound(service, round)
-	if err != nil {
-		return nil, err
+	// Once intake closes, the mixers' round keys die with the round
+	// whether it succeeds or fails — a failed round is never retried (the
+	// next round carries the traffic), and keys that outlive their round
+	// are a forward-secrecy hazard.
+	defer c.closeMixerRounds(service, round, plan)
+
+	// Close every frontend's intake, in frontend order. Each keeps its
+	// sub-batch and will deal it into position 0 itself.
+	frontends := c.frontends()
+	total := 0
+	var err error
+	for i, f := range frontends {
+		var n int
+		if n, err = f.CloseIntake(service, round); err != nil {
+			err = fmt.Errorf("coordinator: frontend %d close: %w", i, err)
+			break
+		}
+		total += n
 	}
 
-	// Intake is closed: no further extractions can happen, so the PKG
-	// master keys die now, overlapping the chain.
+	// Intake is closed (or the round is dead): no further extractions can
+	// happen, so the PKG master keys die now, overlapping the chain.
 	pkgErased := make(chan struct{})
 	if service == wire.AddFriend {
 		go func() {
@@ -629,26 +654,12 @@ func (c *Coordinator) CloseRound(service wire.Service, round uint32) (map[uint32
 		close(pkgErased)
 	}
 	defer func() { <-pkgErased }()
-
-	// Likewise, once the batch is out of intake the mixers' round keys
-	// die with the round whether it succeeds or fails — a failed round
-	// is never retried (the next round carries the traffic), and keys
-	// that outlive their round are a forward-secrecy hazard.
-	defer c.closeMixerRounds(service, round, plan)
-
-	// Close the other frontends' intakes, in frontend order. Each keeps
-	// its sub-batch and will deal it into position 0 itself.
-	total := len(batch)
-	for i, f := range c.Frontends {
-		n, err := f.CloseIntake(service, round)
-		if err != nil {
-			return nil, fmt.Errorf("coordinator: frontend %d close: %w", i+1, err)
-		}
-		total += n
+	if err != nil {
+		return nil, err
 	}
 	c.SetExpectedVolume(service, total)
 
-	daemons, err := c.runRound(service, round, settings.NumMailboxes, batch, plan)
+	daemons, err := c.runRound(service, round, plan, frontends)
 	h := RoundHealth{
 		Service: service, Round: round, Batch: total,
 		Duration: time.Since(start), Daemons: daemons,
@@ -696,16 +707,15 @@ func addrs(group []Mixer) []string {
 }
 
 // runRound drives the data plane: every daemon was routed at open, so it
-// deals the entry batch across the first position's shard set, then
-// waits on every daemon's completion. On the first failure the round is
-// aborted on every shard of every position — daemons also propagate
-// aborts down the chain and across their groups themselves, so a
-// mid-chain death cannot wedge its successors.
+// has each frontend deal its sub-batch across the first position's shard
+// set, then waits on every daemon's completion. On the first failure the
+// round is aborted on every shard of every position — daemons also
+// propagate aborts down the chain and across their groups themselves, so
+// a mid-chain death cannot wedge its successors.
 //
 // The returned per-daemon stats (from mix.round.wait) feed the round
 // health record even when the round fails.
-func (c *Coordinator) runRound(service wire.Service, round uint32, numMailboxes uint32, batch [][]byte, plan *roundPlan) ([]DaemonRoundStats, error) {
-	chunkSize := plan.chunkSize
+func (c *Coordinator) runRound(service wire.Service, round uint32, plan *roundPlan, frontends []Frontend) ([]DaemonRoundStats, error) {
 	var all []routedDaemon
 	for i, group := range plan.groups {
 		for s, m := range group {
@@ -718,22 +728,13 @@ func (c *Coordinator) runRound(service wire.Service, round uint32, numMailboxes 
 		})
 	}
 
-	// Frontend 0's batch is the one payload this process still moves: the
-	// coordinator owns its entry server, so this hop is unavoidable and
-	// costs one sub-batch-width, not one per chain hop.
-	if err := feedFirstGroup(service, round, numMailboxes, batch, chunkSize, plan.groups[0]); err != nil {
-		err = fmt.Errorf("coordinator: feeding position 0: %w", err)
-		abortAll(err)
-		return nil, err
-	}
-	// The other frontends feed after frontend 0, sequentially and in
-	// frontend order, so the merged intake order at every shard is
-	// deterministic: a fixed-seed N-frontend round reproduces the
-	// single-frontend byte stream exactly.
+	// The frontends feed sequentially, in upstream order, so the merged
+	// intake order at every shard is deterministic: a fixed-seed
+	// N-frontend round reproduces the single-frontend byte stream exactly.
 	first := addrs(plan.groups[0])
-	for k, f := range c.Frontends {
-		if err := f.FeedBatch(service, round, numMailboxes, chunkSize, first, k+1); err != nil {
-			err = fmt.Errorf("coordinator: feeding position 0 as upstream %d: %w", k+1, err)
+	for k, f := range frontends {
+		if err := f.FeedBatch(service, round, plan.numMailboxes, plan.chunkSize, first, k); err != nil {
+			err = fmt.Errorf("coordinator: feeding position 0 as upstream %d: %w", k, err)
 			abortAll(err)
 			return nil, err
 		}
@@ -777,31 +778,6 @@ func (c *Coordinator) runRound(service wire.Service, round uint32, numMailboxes 
 		}
 	}
 	return daemons, firstErr
-}
-
-// feedFirstGroup deals the coordinator's own entry server's closed
-// sub-batch, as upstream 0, across the first position's PLANNED shard set,
-// chunk i to shard i mod N — the same deterministic deal the daemons use
-// between positions. Every shard gets its own stream; the other
-// frontends' begins JOIN these streams.
-func feedFirstGroup(service wire.Service, round uint32, numMailboxes uint32, batch [][]byte, chunkSize int, group []Mixer) error {
-	for s, m := range group {
-		if err := m.StreamBegin(service, round, numMailboxes); err != nil {
-			return fmt.Errorf("coordinator: opening stream to shard %d: %w", s, err)
-		}
-	}
-	for i, lo := 0, 0; lo < len(batch); i, lo = i+1, lo+chunkSize {
-		hi := min(lo+chunkSize, len(batch))
-		if err := group[i%len(group)].StreamChunk(service, round, batch[lo:hi]); err != nil {
-			return err
-		}
-	}
-	for s, m := range group {
-		if err := m.StreamEnd(service, round, 0); err != nil {
-			return fmt.Errorf("coordinator: closing stream to shard %d: %w", s, err)
-		}
-	}
-	return nil
 }
 
 // FinishAddFriendRound erases every PKG's master secret for the round

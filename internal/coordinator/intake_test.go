@@ -1,0 +1,80 @@
+package coordinator_test
+
+import (
+	"crypto/rand"
+	"testing"
+
+	"alpenhorn/internal/entry"
+	"alpenhorn/internal/keywheel"
+	"alpenhorn/internal/onionbox"
+	"alpenhorn/internal/rpc"
+	"alpenhorn/internal/sim"
+	"alpenhorn/internal/wire"
+)
+
+// TestFailedRoundLeaksNoStash: a round that fails after a frontend closed
+// its intake never feeds that frontend's sub-batch, so no feed takes it
+// from the frontend's stash. The frontend's next close drops it. Round 1
+// fails at frontend 1's close, after frontend 0 (the coordinator's own
+// entry server) stashed; round 2 fails at position 0, after frontend 0's
+// feed took its stash but before frontend 1 fed. Once round 3 has
+// published, closing either failed round again finds no stash to report
+// and fails at the entry server, whose round is long closed.
+func TestFailedRoundLeaksNoStash(t *testing.T) {
+	n, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumFrontends: 2, TargetRequestsPerMailbox: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	open := func(r uint32) {
+		t.Helper()
+		settings, err := n.Coord.OpenDialingRound(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hops := make([]*onionbox.PublicKey, len(settings.Mixers))
+		for i, rk := range settings.Mixers {
+			if hops[i], err = onionbox.UnmarshalPublicKey(rk.OnionKey); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// One onion at each frontend, so each stashes a sub-batch.
+		for _, e := range []*entry.Server{n.Entry, n.Frontends[0]} {
+			payload := (&wire.MixPayload{Body: make([]byte, keywheel.TokenSize)}).Marshal()
+			onion, err := onionbox.WrapOnion(rand.Reader, hops, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Submit(wire.Dialing, r, onion); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	failWithDown := func(r uint32, addr string) {
+		t.Helper()
+		open(r)
+		n.Kill(addr)
+		if _, err := n.Coord.CloseRound(wire.Dialing, r); err == nil {
+			t.Fatalf("round %d closed with %s down", r, addr)
+		}
+		if err := n.Restart(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	failWithDown(1, n.Coord.Frontends[0].(*rpc.EntryReplicaClient).Addr())
+	failWithDown(2, n.Mixers[0][0].Addr)
+	open(3)
+	if _, err := n.Coord.CloseRound(wire.Dialing, 3); err != nil {
+		t.Fatalf("round 3: %v", err)
+	}
+	if !n.CDN.Published(wire.Dialing, 3) {
+		t.Fatal("round 3 not published")
+	}
+	for i, f := range n.Coord.FrontendList() {
+		failed := uint32(i + 1) // the failed round that left frontend i a stash
+		if size, err := f.CloseIntake(wire.Dialing, failed); err == nil {
+			t.Errorf("frontend %d still stashes failed round %d's sub-batch of %d onions", i, failed, size)
+		}
+	}
+}

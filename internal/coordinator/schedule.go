@@ -116,9 +116,11 @@ type roundPlan struct {
 	// leads is the index WITHIN each group of the member hosting the
 	// merge/build-lead role this round: round % len(group).
 	leads []int
-	// chunkSize / deadlineMs are the round's data-plane parameters.
-	chunkSize  int
-	deadlineMs int64
+	// numMailboxes / chunkSize / deadlineMs are the round's data-plane
+	// parameters.
+	numMailboxes uint32
+	chunkSize    int
+	deadlineMs   int64
 	// drafted lists the spare addresses this plan holds, released when
 	// the plan is dropped.
 	drafted []string

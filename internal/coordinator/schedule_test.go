@@ -27,10 +27,7 @@ func (m *stubMixer) NoiseMu(wire.Service) float64 { return 0 }
 func (m *stubMixer) NewRound(wire.Service, uint32, []string) (wire.MixerRoundKey, error) {
 	return wire.MixerRoundKey{}, nil
 }
-func (m *stubMixer) OpenRound(wire.Service, uint32, RouteSpec) error  { return nil }
-func (m *stubMixer) StreamBegin(wire.Service, uint32, uint32) error   { return nil }
-func (m *stubMixer) StreamChunk(wire.Service, uint32, [][]byte) error { return nil }
-func (m *stubMixer) StreamEnd(wire.Service, uint32, int) error        { return nil }
+func (m *stubMixer) OpenRound(wire.Service, uint32, RouteSpec) error { return nil }
 func (m *stubMixer) WaitRound(wire.Service, uint32) (wire.MixerRoundStats, error) {
 	return wire.MixerRoundStats{}, nil
 }

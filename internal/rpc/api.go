@@ -327,30 +327,6 @@ func (m *MixerClient) AbortRound(service wire.Service, round uint32, reason stri
 	return m.c.Call("mix.round.abort", abortArgs{Service: service, Round: round, Reason: reason}, nil)
 }
 
-// StreamBegin opens (or joins) the routed round's onion intake. The
-// daemon treats it as idempotent, but like every stream call it is sent
-// at most once: a transport failure aborts the round instead.
-func (m *MixerClient) StreamBegin(service wire.Service, round uint32, numMailboxes uint32) error {
-	return m.c.CallOnce("mix.stream.begin", mixArgs{Service: service, Round: round, NumMailboxes: numMailboxes}, nil)
-}
-
-// StreamChunk feeds one chunk of onions, raw in the call's blob section:
-// the daemon acknowledges intake immediately and decrypts on its worker
-// pool, so consecutive chunks overlap with decryption. Sent at most once —
-// a transparent retry after a lost reply would append the chunk to the
-// round twice and corrupt the batch.
-func (m *MixerClient) StreamChunk(service wire.Service, round uint32, chunk [][]byte) error {
-	return m.c.CallOnce("mix.stream.chunk", chunkArgs{Service: service, Round: round, blobs: chunk}, nil)
-}
-
-// StreamEnd tells the daemon that upstream writer `upstream` of the
-// route's NumUpstream is finished. The daemon acknowledges at once; when
-// every upstream has ended it runs its data-plane role on its own
-// goroutine and the caller learns the outcome from WaitRound.
-func (m *MixerClient) StreamEnd(service wire.Service, round uint32, upstream int) error {
-	return m.c.CallOnce("mix.stream.end", roundArgs{Service: service, Round: round, Upstream: upstream}, nil)
-}
-
 // CloseRound erases the daemon's round key and route.
 func (m *MixerClient) CloseRound(service wire.Service, round uint32) {
 	_ = m.c.Call("mix.closeround", roundArgs{Service: service, Round: round}, nil)

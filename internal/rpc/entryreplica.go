@@ -6,29 +6,33 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"alpenhorn/internal/entry"
 	"alpenhorn/internal/wire"
 )
 
-// The entry.replicate surface is how one coordinator drives N entry
-// frontends. It is a SERVER-PLANE surface like cdn.publish: the transport
-// carries no authentication, so deployments must serve it on a listener
-// kept away from clients — any client able to call entry.replicate.open
-// could announce forged rounds.
+// An EntryReplica is the one frontend-side intake: it replays the
+// coordinator's announcements into its entry server and, at round close,
+// closes the intake, stashes the sub-batch and deals it into position 0's
+// shard set itself (push), tagged with the frontend's upstream index so
+// the shards' counted NumUpstream fan-in merges N feeders exactly once
+// each. The coordinator drives its own entry server, frontend 0, through
+// one in process; every other frontend serves one behind
+// RegisterEntryReplica, and the coordinator drives it over the
+// entry.replicate surface. So no onion crosses the coordinator.
+//
+// entry.replicate is a SERVER-PLANE surface like cdn.publish: the
+// transport carries no authentication, so deployments must serve it on a
+// listener kept away from clients — any client able to call
+// entry.replicate.open could announce forged rounds.
 //
 // The coordinator replays every announcement (opens, publishes) to every
-// frontend over this surface, in one serialized order, so the frontends'
-// event logs assign IDENTICAL cursors: one cursor namespace across the
-// tier. That is what makes client failover seamless — a client that loses
-// its frontend re-parks entry.events on any other frontend with the same
-// cursor and resumes mid-round, no snapshot reset.
-//
-// Intake stays local: each frontend admits its own sub-batch, and at
-// close the coordinator tells the frontend to deal its sub-batch into
-// position 0's shard set itself (entry.replicate.feed), tagged with the
-// frontend's upstream index so the shards' counted NumUpstream fan-in
-// merges N feeders exactly once each.
+// frontend in one serialized order, so the frontends' event logs assign
+// IDENTICAL cursors: one cursor namespace across the tier. That is what
+// makes client failover seamless — a client that loses its frontend
+// re-parks entry.events on any other frontend with the same cursor and
+// resumes mid-round, no snapshot reset.
 
 type replicateOpenArgs struct {
 	// Settings is the round's canonical wire.RoundSettings encoding —
@@ -46,16 +50,18 @@ type replicateFeedArgs struct {
 	Round        uint32       `json:"round"`
 	NumMailboxes uint32       `json:"num_mailboxes"`
 	ChunkSize    int          `json:"chunk_size"`
-	// Shards is position 0's full shard set; the frontend deals chunk i of
-	// its sub-batch to shard i mod N, the same deterministic deal the
-	// daemons and the coordinator use.
+	// Shards is position 0's full shard set, which the frontend feeds with
+	// the one push every shard set is fed with: chunk i of its sub-batch
+	// to shard i mod N.
 	Shards []string `json:"shards"`
 	// Upstream is this frontend's index among the round's feeders, quoted
 	// in each mix.stream.end so the shards' fan-in counts it once.
 	Upstream int `json:"upstream"`
 }
 
-type replicaState struct {
+// EntryReplica is one frontend's intake (see above); *EntryReplica
+// implements coordinator.Frontend in process.
+type EntryReplica struct {
 	e *entry.Server
 	peerSet
 
@@ -68,112 +74,118 @@ type stashKey struct {
 	round   uint32
 }
 
-// closeIntake closes the round on the local entry server and stashes the
+// NewEntryReplica returns the intake over entry server e.
+func NewEntryReplica(e *entry.Server) *EntryReplica {
+	return &EntryReplica{e: e, stash: make(map[stashKey][][]byte)}
+}
+
+// OpenRound replays a round-open announcement. Idempotent under the
+// transport's reconnect-and-resend: an open the replica already holds
+// (byte-identical) is acknowledged, so a lost reply cannot desynchronize
+// the cursor namespace; a CONFLICTING duplicate is refused.
+func (r *EntryReplica) OpenRound(settings *wire.RoundSettings) error {
+	if existing, err := r.e.Settings(settings.Service, settings.Round); err == nil {
+		if bytes.Equal(existing.Marshal(), settings.Marshal()) {
+			return nil
+		}
+		return fmt.Errorf("rpc: replicate open: conflicting settings for %v round %d", settings.Service, settings.Round)
+	}
+	return r.e.OpenRound(settings)
+}
+
+// AnnouncePublished replays a publish announcement, which the entry
+// server logs once however it is duplicated or reordered, and drops the
+// round's stash if a feed left one.
+func (r *EntryReplica) AnnouncePublished(service wire.Service, round uint32) {
+	r.e.AnnouncePublished(service, round)
+	r.mu.Lock()
+	delete(r.stash, stashKey{service, round})
+	r.mu.Unlock()
+}
+
+// CloseIntake closes the round on the entry server and stashes the
 // batch, idempotently: a re-sent close (reply lost) finds the stash and
-// reports the same size.
-func (st *replicaState) closeIntake(service wire.Service, round uint32) (int, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// reports the same size. Rounds of one service close in sequence, so the
+// stashes of its earlier rounds — rounds that failed before their feed
+// took them — are dropped here: a failed round leaks no sub-batch.
+func (r *EntryReplica) CloseIntake(service wire.Service, round uint32) (int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	key := stashKey{service, round}
-	if batch, ok := st.stash[key]; ok {
+	if batch, ok := r.stash[key]; ok {
 		return len(batch), nil
 	}
-	batch, err := st.e.CloseRound(service, round)
+	batch, err := r.e.CloseRound(service, round)
 	if err != nil {
 		return 0, err
 	}
-	st.stash[key] = batch
+	for k := range r.stash {
+		if k.service == service && k.round < round {
+			delete(r.stash, k)
+		}
+	}
+	r.stash[key] = batch
 	return len(batch), nil
 }
 
-// takeStash consumes the stashed batch for feeding; a second take fails
-// loudly rather than feeding the chain twice.
-func (st *replicaState) takeStash(service wire.Service, round uint32) ([][]byte, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// FeedBatch deals the stashed sub-batch across position 0's shard set as
+// upstream feeder `upstream` (push). The shards' routes carry NumUpstream =
+// #frontends, so the begins JOIN the streams the other feeders opened and
+// each end closes exactly one of the counted upstream slots. At most once:
+// the stash is consumed, so a duplicated feed cannot put a sub-batch in
+// the round twice; a failure fails the round (the next round carries the
+// traffic).
+func (r *EntryReplica) FeedBatch(service wire.Service, round uint32, numMailboxes uint32, chunkSize int, shards []string, upstream int) error {
+	// Refuse a malformed feed before taking the stash: the take is final,
+	// so a feed that could never deal would destroy the sub-batch.
+	if chunkSize <= 0 || len(shards) == 0 || slices.Contains(shards, "") {
+		return errors.New("rpc: replicate feed needs a chunk size and a shard set")
+	}
+	r.mu.Lock()
 	key := stashKey{service, round}
-	batch, ok := st.stash[key]
+	batch, ok := r.stash[key]
+	delete(r.stash, key)
+	r.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("rpc: no stashed batch for %v round %d (not closed, or already fed)", service, round)
+		return fmt.Errorf("rpc: no stashed batch for %v round %d (not closed, or already fed)", service, round)
 	}
-	delete(st.stash, key)
-	return batch, nil
+	begin := mixArgs{Service: service, Round: round, NumMailboxes: numMailboxes}
+	end := roundArgs{Service: service, Round: round, Upstream: upstream}
+	// The chunk size arrives as a bare integer: clamped to the frame budget,
+	// as a daemon clamps its route's, it keeps the deal's offsets from
+	// overflowing.
+	chunkSize = min(chunkSize, streamChunkMax)
+	return r.push(shards, "mix.stream", begin, end, chunkArgs{Service: service, Round: round}, batch, chunkSize, time.Time{})
 }
 
-// feed deals the frontend's sub-batch across position 0's shard set
-// (dealChunks), one concurrent stream per shard. The shards' routes carry
-// NumUpstream = #frontends, so the begins JOIN the streams the other
-// feeders opened and each end closes exactly one of the counted upstream
-// slots.
-func (st *replicaState) feed(a replicateFeedArgs, batch [][]byte) error {
-	parts := dealChunks(batch, a.ChunkSize, len(a.Shards))
-	return fanOut(a.Shards, func(s int, addr string) error {
-		c := st.peer(addr)
-		if err := c.CallOnce("mix.stream.begin", mixArgs{
-			Service: a.Service, Round: a.Round, NumMailboxes: a.NumMailboxes,
-		}, nil); err != nil {
-			return fmt.Errorf("rpc: replicate feed begin (shard %d): %w", s, err)
-		}
-		end := roundArgs{Service: a.Service, Round: a.Round, Upstream: a.Upstream}
-		return sendStream(c, "mix.stream", chunkArgs{Service: a.Service, Round: a.Round}, parts[s], a.ChunkSize, end)
-	})
-}
-
-// RegisterEntryReplica exposes an entry server to a remote coordinator:
-// announcement replay (open/published), intake close, and sub-batch
-// dealing. Serve it on the server-plane listener (with RegisterCDN),
-// never on the client-facing one.
-func RegisterEntryReplica(s *Server, e *entry.Server) {
-	st := &replicaState{
-		e:     e,
-		stash: make(map[stashKey][][]byte),
-	}
+// RegisterEntryReplica serves entry server e's intake to a remote
+// coordinator: announcement replay (open/published), intake close, and
+// sub-batch dealing. Serve it on the server-plane listener (with
+// RegisterCDN), never on the client-facing one.
+func RegisterEntryReplica(s *Server, e *entry.Server) *EntryReplica {
+	r := NewEntryReplica(e)
 	HandleFunc(s, "entry.replicate.open", func(a replicateOpenArgs) (any, error) {
 		rs, err := wire.UnmarshalRoundSettings(a.Settings)
 		if err != nil {
 			return nil, fmt.Errorf("rpc: replicate open: %w", err)
 		}
-		// Idempotent under the transport's reconnect-and-resend: an open
-		// the replica already holds (byte-identical) is acknowledged, so a
-		// lost reply cannot desynchronize the cursor namespace; a
-		// CONFLICTING duplicate is refused.
-		if existing, err := e.Settings(rs.Service, rs.Round); err == nil {
-			if bytes.Equal(existing.Marshal(), a.Settings) {
-				return nil, nil
-			}
-			return nil, fmt.Errorf("rpc: replicate open: conflicting settings for %v round %d", rs.Service, rs.Round)
-		}
-		return nil, e.OpenRound(rs)
+		return nil, r.OpenRound(rs)
 	})
 	HandleFunc(s, "entry.replicate.close", func(a roundArgs) (any, error) {
-		n, err := st.closeIntake(a.Service, a.Round)
+		n, err := r.CloseIntake(a.Service, a.Round)
 		if err != nil {
 			return nil, err
 		}
 		return replicateCloseReply{Size: n}, nil
 	})
 	HandleFunc(s, "entry.replicate.feed", func(a replicateFeedArgs) (any, error) {
-		// Refuse a malformed feed before taking the stash: the take is
-		// final, so a feed that could never deal would destroy the
-		// frontend's sub-batch.
-		if a.ChunkSize <= 0 || len(a.Shards) == 0 || slices.Contains(a.Shards, "") {
-			return nil, errors.New("rpc: replicate feed needs a chunk size and a shard set")
-		}
-		batch, err := st.takeStash(a.Service, a.Round)
-		if err != nil {
-			return nil, err
-		}
-		return nil, st.feed(a, batch)
+		return nil, r.FeedBatch(a.Service, a.Round, a.NumMailboxes, a.ChunkSize, a.Shards, a.Upstream)
 	})
 	HandleFunc(s, "entry.replicate.published", func(a roundArgs) (any, error) {
-		// AnnouncePublished logs each round once, however the call is
-		// duplicated or reordered: the log stays identical across replicas.
-		e.AnnouncePublished(a.Service, a.Round)
-		st.mu.Lock()
-		delete(st.stash, stashKey{a.Service, a.Round})
-		st.mu.Unlock()
+		r.AnnouncePublished(a.Service, a.Round)
 		return nil, nil
 	})
+	return r
 }
 
 // EntryReplicaClient is the coordinator's handle on an entry frontend

@@ -40,6 +40,7 @@ func FuzzReplicateArgs(f *testing.F) {
 	f.Add(uint8(2+4), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":2}`))
 	f.Add(uint8(2+4*3), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":1,"upstream":1}`))
 	f.Add(uint8(2+4), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":0}`))
+	f.Add(uint8(2+4*3), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":9223372036854775807}`))
 	f.Add(uint8(2+4), []byte(`{"service":2,"round":1,"chunk_size":-3}`))
 	f.Add(uint8(2), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":2}`)) // no shards
 	f.Add(uint8(2+4), []byte(`{"service":1,"round":2,"chunk_size":2}`))                 // not closed

@@ -366,7 +366,7 @@ func (d *MixerDaemon) forward(k outKey, rt *route) {
 		return
 	}
 	deposit := chunkArgs{Service: k.service, Round: k.round, Shard: rt.ShardIndex}
-	if err := d.pushStream(rt, rt.MergeAddr, "mix.merge", deposit, deposit, deposit, out); err != nil || rt.CDNAddr == "" {
+	if err := d.pushStream(rt, []string{rt.MergeAddr}, "mix.merge", deposit, deposit, deposit, out); err != nil || rt.CDNAddr == "" {
 		d.finish(k, rt, err)
 	}
 	// Otherwise this is a build shard of the last position and its duty
@@ -410,7 +410,7 @@ func (d *MixerDaemon) dealMailboxBuild(k outKey, rt *route, out [][]byte) {
 			return d.buildAndPublishSlice(k, rt, perShard[s])
 		}
 		rk := roundArgs{Service: k.service, Round: k.round}
-		return d.pushStream(rt, addr, "mix.deal", rk, rk, chunkArgs{Service: k.service, Round: k.round}, perShard[s])
+		return d.pushStream(rt, []string{addr}, "mix.deal", rk, rk, chunkArgs{Service: k.service, Round: k.round}, perShard[s])
 	}))
 }
 
@@ -487,7 +487,9 @@ func (d *MixerDaemon) addDeposit(k outKey, rt *route, shard int, part [][]byte) 
 	case len(rt.Successors) > 0:
 		// Deal the position's output across the successor position's
 		// shard set.
-		d.finish(k, rt, d.dealDownstream(k, rt, out))
+		begin := mixArgs{Service: k.service, Round: k.round, NumMailboxes: rt.NumMailboxes}
+		end := roundArgs{Service: k.service, Round: k.round}
+		d.finish(k, rt, d.pushStream(rt, rt.Successors, "mix.stream", begin, end, chunkArgs{Service: k.service, Round: k.round}, out))
 	default:
 		// The end of the chain: deal it BY MAILBOX ID across the
 		// position's own shard group, so that every member builds and
@@ -496,34 +498,64 @@ func (d *MixerDaemon) addDeposit(k outKey, rt *route, shard int, part [][]byte) 
 	}
 }
 
-// openStream dials addr and opens a chunked stream with retry/backoff on
-// the opening call, which every stream surface serves idempotently:
-// forwarding a round is often the first traffic a fresh peer sees, so
-// transient dial failures get a few backed-off, jittered attempts before
-// the round aborts. The route's
-// per-round deadline bounds the retries: against a peer that is DEAD
-// rather than starting, the daemon stops burning the round as soon as the
-// deadline passes and the abort is classified slow, not crashed-here.
-func (d *MixerDaemon) openStream(rt *route, addr, method string, args any) (*Client, error) {
-	c := d.peer(addr)
+// push is the one way a batch crosses to a shard set, for a frontend
+// feeding position 0 and for a daemon dealing, depositing or handing out
+// a build slice. It deals batch in chunkSize-message chunks, chunk i to
+// addrs[i mod N] — deterministic, so sharding never hides nondeterminism
+// in the data plane — and sends each shard its chunks over its own
+// stream, all shards at once, slicing the batch in place.
+//
+// Each stream's opening call, which every stream surface serves
+// idempotently, retries transport failures (a peer still binding, a
+// connection gone stale across a peer's restart) with backed-off,
+// jittered attempts. A nonzero deadline bounds the retries: against a
+// peer that is DEAD rather than starting, the sender stops burning the
+// round once it passes and the failure is classified slow, not
+// crashed-here. The chunks and the end go AT MOST ONCE: a retry after a
+// lost reply would append a chunk twice and corrupt the batch, so a
+// mid-stream transport failure fails the round instead, and the next
+// round carries the traffic.
+func (p *peerSet) push(addrs []string, surface string, begin, end any, chunk chunkArgs, batch [][]byte, chunkSize int, deadline time.Time) error {
+	return fanOut(addrs, func(s int, addr string) error {
+		c, err := p.openStream(addr, surface+".begin", begin, deadline)
+		if err != nil {
+			return err
+		}
+		chunk := chunk
+		for lo := s * chunkSize; lo < len(batch); lo += len(addrs) * chunkSize {
+			chunk.blobs = batch[lo:min(lo+chunkSize, len(batch))]
+			if err := c.CallOnce(surface+".chunk", chunk, nil); err != nil {
+				return fmt.Errorf("rpc: %s.chunk to %s: %w", surface, addr, err)
+			}
+		}
+		if err := c.CallOnce(surface+".end", end, nil); err != nil {
+			return fmt.Errorf("rpc: %s.end to %s: %w", surface, addr, err)
+		}
+		return nil
+	})
+}
+
+// openStream sends a stream's opening call to addr, retrying transport
+// failures up to forwardDialAttempts times or until deadline (push).
+func (p *peerSet) openStream(addr, method string, args any, deadline time.Time) (*Client, error) {
+	c := p.peer(addr)
 	var err error
 	for attempt := 0; attempt < forwardDialAttempts; attempt++ {
 		if attempt > 0 {
 			backoff := forwardDialBackoff << (attempt - 1)
 			backoff += time.Duration(mathrand.Int63n(int64(backoff)))
-			if !rt.deadline.IsZero() && time.Now().Add(backoff).After(rt.deadline) {
+			if !deadline.IsZero() && time.Now().Add(backoff).After(deadline) {
 				return nil, fmt.Errorf("%w: opening stream to %s: %v", errRoundDeadline, addr, err)
 			}
 			time.Sleep(backoff)
 		}
-		if !rt.deadline.IsZero() && time.Now().After(rt.deadline) {
+		if !deadline.IsZero() && time.Now().After(deadline) {
 			return nil, fmt.Errorf("%w: opening stream to %s", errRoundDeadline, addr)
 		}
 		err = c.CallOnce(method, args, nil)
 		if err == nil || !errors.Is(err, ErrTransport) {
 			// Handler errors won't improve with a re-send; only
-			// transport failures (peer still binding, stale connection)
-			// are worth the backoff.
+			// transport failures are worth the backoff.
 			break
 		}
 	}
@@ -542,15 +574,12 @@ func (rt *route) effectiveChunk() int {
 	return min(rt.ChunkSize, streamChunkMax)
 }
 
-// pushStream sends batch to addr as one mix.stream (to a successor shard),
-// mix.merge (a deposit with the lead) or mix.deal (a build slice) stream.
-// Only the idempotent begin retries (openStream).
-func (d *MixerDaemon) pushStream(rt *route, addr, surface string, begin, end any, chunk chunkArgs, batch [][]byte) error {
-	c, err := d.openStream(rt, addr, surface+".begin", begin)
-	if err == nil {
-		err = sendStream(c, surface, chunk, batch, rt.effectiveChunk(), end)
-	}
-	if err != nil {
+// pushStream pushes batch to a shard set for the route: a mix.stream to
+// the successor shards, a mix.merge deposit with the lead, or a mix.deal
+// build slice. The route's deadline bounds the opening retries, and what
+// went out counts toward the daemon's reported bytes.
+func (d *MixerDaemon) pushStream(rt *route, addrs []string, surface string, begin, end any, chunk chunkArgs, batch [][]byte) error {
+	if err := d.push(addrs, surface, begin, end, chunk, batch, rt.effectiveChunk(), rt.deadline); err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -559,52 +588,12 @@ func (d *MixerDaemon) pushStream(rt *route, addr, surface string, begin, end any
 	return nil
 }
 
-// sendStream sends batch over an opened stream in chunkSize-message
-// chunks, then the end, each AT MOST ONCE: a retry after a lost reply would
-// append a chunk twice and corrupt the batch, so a mid-stream transport
-// failure aborts the round instead, and the next round carries the traffic.
-func sendStream(c *Client, surface string, chunk chunkArgs, batch [][]byte, chunkSize int, end any) error {
-	for lo := 0; lo < len(batch); lo += chunkSize {
-		chunk.blobs = batch[lo:min(lo+chunkSize, len(batch))]
-		if err := c.CallOnce(surface+".chunk", chunk, nil); err != nil {
-			return fmt.Errorf("rpc: %s.chunk to %s: %w", surface, c.addr, err)
-		}
-	}
-	if err := c.CallOnce(surface+".end", end, nil); err != nil {
-		return fmt.Errorf("rpc: %s.end to %s: %w", surface, c.addr, err)
-	}
-	return nil
-}
-
-// dealChunks cuts batch into chunkSize-message chunks and deals chunk i to
-// part i mod n: deterministic, so sharding never hides nondeterminism in
-// the data plane.
-func dealChunks(batch [][]byte, chunkSize, n int) [][][]byte {
-	parts := make([][][]byte, n)
-	for i, lo := 0, 0; lo < len(batch); i, lo = i+1, lo+chunkSize {
-		parts[i%n] = append(parts[i%n], batch[lo:min(lo+chunkSize, len(batch))]...)
-	}
-	return parts
-}
-
 // payloadBytes is the total length of a batch's messages.
 func payloadBytes(batch [][]byte) (n uint64) {
 	for _, msg := range batch {
 		n += uint64(len(msg))
 	}
 	return n
-}
-
-// dealDownstream distributes a position's post-shuffle output across the
-// successor position's shard set (dealChunks), one concurrent stream per
-// successor shard.
-func (d *MixerDaemon) dealDownstream(k outKey, rt *route, out [][]byte) error {
-	perShard := dealChunks(out, rt.effectiveChunk(), len(rt.Successors))
-	begin := mixArgs{Service: k.service, Round: k.round, NumMailboxes: rt.NumMailboxes}
-	end := roundArgs{Service: k.service, Round: k.round}
-	return fanOut(rt.Successors, func(j int, addr string) error {
-		return d.pushStream(rt, addr, "mix.stream", begin, end, chunkArgs{Service: k.service, Round: k.round}, perShard[j])
-	})
 }
 
 // RegisterMixer exposes a mixnet.Server over RPC: round set-up and the
@@ -799,29 +788,7 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 	// where the output goes, so a stream without one would park a batch
 	// this daemon can hand to nobody.
 	HandleFunc(s, "mix.stream.begin", func(a mixArgs) (any, error) {
-		// The first upstream's begin starts the round's clock and its
-		// deadline; later begins — other upstreams, or a re-send whose
-		// reply was lost — join its stream.
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		rt, err := d.routed(a.Service, a.Round)
-		if err != nil {
-			return nil, err
-		}
-		if a.NumMailboxes != rt.NumMailboxes {
-			// The round's noise is generated for the route's count, which
-			// the open bounded; a caller's other number is refused.
-			return nil, fmt.Errorf("rpc: round %d (%s): stream for %d mailboxes on a route for %d", a.Round, a.Service, a.NumMailboxes, rt.NumMailboxes)
-		}
-		if rt.begun {
-			return nil, nil
-		}
-		rt.begun = true
-		rt.opened = time.Now()
-		if rt.DeadlineMs > 0 {
-			rt.deadline = rt.opened.Add(time.Duration(rt.DeadlineMs) * time.Millisecond)
-		}
-		return nil, nil
+		return nil, d.streamBegin(a)
 	})
 	HandleFunc(s, "mix.stream.chunk", func(a chunkArgs) (any, error) {
 		return nil, d.streamChunk(a)
@@ -875,6 +842,31 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		return nil, nil
 	})
 	return d
+}
+
+// streamBegin is mix.stream.begin's. The first upstream's begin starts the
+// round's clock and its deadline; later begins — other upstreams, or a
+// re-send whose reply was lost — join its stream.
+func (d *MixerDaemon) streamBegin(a mixArgs) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	rt, err := d.routed(a.Service, a.Round)
+	if err != nil {
+		return err
+	}
+	if a.NumMailboxes != rt.NumMailboxes {
+		// The round's noise is generated for the route's count, which the
+		// open bounded; a caller's other number is refused.
+		return fmt.Errorf("rpc: round %d (%s): stream for %d mailboxes on a route for %d", a.Round, a.Service, a.NumMailboxes, rt.NumMailboxes)
+	}
+	if !rt.begun {
+		rt.begun = true
+		rt.opened = time.Now()
+		if rt.DeadlineMs > 0 {
+			rt.deadline = rt.opened.Add(time.Duration(rt.DeadlineMs) * time.Millisecond)
+		}
+	}
+	return nil
 }
 
 // streamChunk is mix.stream.chunk's: between the first begin and the end.

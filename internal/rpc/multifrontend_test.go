@@ -13,6 +13,7 @@ import (
 
 	"alpenhorn/internal/email"
 	"alpenhorn/internal/entry"
+	"alpenhorn/internal/noise"
 	"alpenhorn/internal/onionbox"
 	"alpenhorn/internal/pkgserver"
 	"alpenhorn/internal/rpc"
@@ -22,9 +23,9 @@ import (
 
 // submitSplitTokens wraps the SAME onions, in the SAME order, with the
 // SAME seeded randomness as submitTokens — but deals them across the
-// frontends, first half to the first, second half to the second. The
-// concatenation of the frontends' sub-batches is therefore byte-for-byte
-// the single-frontend batch.
+// frontends in contiguous runs, the first share to the first, the next to
+// the second, and so on. The concatenation of the frontends' sub-batches
+// is therefore byte-for-byte the single-frontend batch.
 func submitSplitTokens(t *testing.T, frontends []*entry.Server, settings *wire.RoundSettings, tokens [][]byte, rnd *mathrand.Rand) {
 	t.Helper()
 	hops := make([]*onionbox.PublicKey, len(settings.Mixers))
@@ -36,34 +37,30 @@ func submitSplitTokens(t *testing.T, frontends []*entry.Server, settings *wire.R
 		hops[i] = pk
 	}
 	src := &seededReader{rng: rnd}
-	half := (len(tokens) + 1) / 2
+	share := (len(tokens) + len(frontends) - 1) / len(frontends)
 	for i, tok := range tokens {
 		payload := (&wire.MixPayload{Mailbox: uint32(i) % settings.NumMailboxes, Body: tok}).Marshal()
 		onion, err := onionbox.WrapOnion(src, hops, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		target := frontends[0]
-		if i >= half {
-			target = frontends[1]
-		}
-		if err := target.Submit(settings.Service, settings.Round, onion); err != nil {
+		if err := frontends[i/share].Submit(settings.Service, settings.Round, onion); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// runSeededForwardRound runs one fully seeded dialing round with the
-// given number of entry frontends (1 or 2; the second joins over the
-// entry.replicate surface) and returns the published mailboxes.
-func runSeededForwardRound(t *testing.T, listen string, numFrontends int) (*wire.RoundSettings, map[uint32][]byte) {
+// runSeededForwardRound runs one fully seeded dialing round on the network
+// cfg describes — its transport, entry frontends (every one after the
+// first joins over the entry.replicate surface), shards and noise — and
+// returns the published mailboxes.
+func runSeededForwardRound(t *testing.T, cfg sim.Config) (*wire.RoundSettings, map[uint32][]byte) {
 	t.Helper()
 	const numTokens = 90
 	tokens := makeTestTokens(numTokens)
-	n := newNetwork(t, sim.Config{
-		NumPKGs: 1, NumFrontends: numFrontends, TargetRequestsPerMailbox: 40,
-		Seed: 1000, Listen: listen,
-	})
+	numFrontends := max(cfg.NumFrontends, 1)
+	cfg.NumPKGs, cfg.TargetRequestsPerMailbox, cfg.Seed = 1, 40, 1000
+	n := newNetwork(t, cfg)
 	n.Coord.ChunkSize = 16
 	n.Coord.SetExpectedVolume(wire.Dialing, numTokens)
 
@@ -76,18 +73,21 @@ func runSeededForwardRound(t *testing.T, listen string, numFrontends int) (*wire
 		submitTokens(t, n.Entry, settings, tokens, rnd)
 	} else {
 		// The replicated announcement log opened the round on the extra
-		// frontend too (same settings, same cursor namespace).
-		extra := n.Frontends[0]
-		repSettings, err := extra.Settings(wire.Dialing, 1)
-		if err != nil {
-			t.Fatalf("extra frontend missed the open announcement: %v", err)
+		// frontends too (same settings, same cursor namespace).
+		for i, extra := range n.Frontends {
+			repSettings, err := extra.Settings(wire.Dialing, 1)
+			if err != nil {
+				t.Fatalf("extra frontend %d missed the open announcement: %v", i+1, err)
+			}
+			if !bytes.Equal(repSettings.Marshal(), settings.Marshal()) {
+				t.Fatalf("extra frontend %d holds different settings than the coordinator announced", i+1)
+			}
 		}
-		if !bytes.Equal(repSettings.Marshal(), settings.Marshal()) {
-			t.Fatal("extra frontend holds different settings than the coordinator announced")
-		}
-		submitSplitTokens(t, []*entry.Server{n.Entry, extra}, settings, tokens, rnd)
-		if got := extra.BatchSize(wire.Dialing, 1); got != numTokens/2 {
-			t.Fatalf("extra frontend admitted %d onions, want %d", got, numTokens/2)
+		submitSplitTokens(t, append([]*entry.Server{n.Entry}, n.Frontends...), settings, tokens, rnd)
+		for i, extra := range n.Frontends {
+			if got := extra.BatchSize(wire.Dialing, 1); got != numTokens/numFrontends {
+				t.Fatalf("extra frontend %d admitted %d onions, want %d", i+1, got, numTokens/numFrontends)
+			}
 		}
 	}
 
@@ -117,25 +117,69 @@ func loggedPublished(events []entry.Announcement, service wire.Service, round ui
 }
 
 // TestTwoFrontendIntakeByteIdentical is the N-way-intake acceptance pin: a
-// round whose batch is admitted by TWO frontends — the second feeding its
-// sub-batch through entry.replicate into position 0's counted
-// NumUpstream=2 fan-in — publishes mailboxes byte-identical to the
-// single-frontend round under the same seed. Scaling the entry tier out
-// changes WHO admits an onion, never what the mixnet outputs.
+// round whose batch is admitted by several frontends — each feeding its
+// sub-batch into position 0's counted NumUpstream fan-in, the
+// coordinator's own through the same intake as the others — publishes
+// mailboxes byte-identical to the single-frontend round under the same
+// seed, with two frontends, three, and two feeding a sharded position 0.
+// Scaling the entry tier out changes WHO admits an onion, never what the
+// mixnet outputs.
+//
+// The sharded case runs without noise, and so does the single-frontend
+// round it is held to: a shard draws its share of the position's noise
+// from its own seed (TestShardDeterminismAcrossShardCounts).
 func TestTwoFrontendIntakeByteIdentical(t *testing.T) {
+	quiet := &noise.Laplace{}
 	onTransports(t, func(t *testing.T, listen string) {
-		base, baseBoxes := runSeededForwardRound(t, listen, 1)
-		if base.NumMailboxes < 2 {
-			t.Fatalf("want a multi-mailbox round, got K=%d", base.NumMailboxes)
-		}
-		two, twoBoxes := runSeededForwardRound(t, listen, 2)
-		if two.NumMailboxes != base.NumMailboxes {
-			t.Fatalf("two-frontend K=%d, single-frontend K=%d", two.NumMailboxes, base.NumMailboxes)
-		}
-		for mb := uint32(0); mb < base.NumMailboxes; mb++ {
-			if !bytes.Equal(baseBoxes[mb], twoBoxes[mb]) {
-				t.Errorf("mailbox %d differs between single- and two-frontend intake", mb)
+		for _, tc := range []sim.Config{
+			{NumFrontends: 2},
+			{NumFrontends: 3},
+			{NumFrontends: 2, Shards: []int{2, 1, 1}, AddFriendNoise: quiet, DialingNoise: quiet},
+		} {
+			tc.Listen = listen
+			base, baseBoxes := runSeededForwardRound(t, sim.Config{Listen: listen, AddFriendNoise: tc.AddFriendNoise, DialingNoise: tc.DialingNoise})
+			if base.NumMailboxes < 2 {
+				t.Fatalf("want a multi-mailbox round, got K=%d", base.NumMailboxes)
 			}
+			got, gotBoxes := runSeededForwardRound(t, tc)
+			if got.NumMailboxes != base.NumMailboxes {
+				t.Fatalf("%d frontends, shards %v: K=%d, single-frontend K=%d", tc.NumFrontends, tc.Shards, got.NumMailboxes, base.NumMailboxes)
+			}
+			for mb := uint32(0); mb < base.NumMailboxes; mb++ {
+				if !bytes.Equal(baseBoxes[mb], gotBoxes[mb]) {
+					t.Errorf("%d frontends, shards %v: mailbox %d differs from single-frontend intake", tc.NumFrontends, tc.Shards, mb)
+				}
+			}
+		}
+	})
+}
+
+// TestFeedSurvivesPositionZeroRestart: a position-0 daemon that restarts
+// between rounds leaves every frontend's cached connection to it stale.
+// Each frontend's feed opens its stream with the retrying begin every
+// shard-set push uses, so the next round still publishes, on either
+// transport.
+func TestFeedSurvivesPositionZeroRestart(t *testing.T) {
+	onTransports(t, func(t *testing.T, listen string) {
+		n := newNetwork(t, sim.Config{NumPKGs: 1, NumFrontends: 2, TargetRequestsPerMailbox: 40, Listen: listen})
+		for r := uint32(1); r <= 2; r++ {
+			if r == 2 {
+				addr := n.Mixers[0][0].Addr
+				n.Kill(addr)
+				if err := n.Restart(addr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			settings, err := n.Coord.OpenDialingRound(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tokens := makeTestTokens(40)
+			submitSplitTokens(t, []*entry.Server{n.Entry, n.Frontends[0]}, settings, tokens, mathrand.New(mathrand.NewSource(int64(r))))
+			if _, err := n.Coord.CloseRound(wire.Dialing, r); err != nil {
+				t.Fatalf("round %d: %v", r, err)
+			}
+			assertTokensDelivered(t, n.CDN, r, settings, tokens)
 		}
 	})
 }

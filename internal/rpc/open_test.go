@@ -2,6 +2,7 @@ package rpc_test
 
 import (
 	mathrand "math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,9 +24,19 @@ func newOpenFleet(t *testing.T) *sim.Network {
 // TestRoundOpenCalls pins what opening a round costs the fleet: on a 3×2
 // fleet, a dialing round's open sends each daemon one mix.info probe and
 // one mix.round.open, and each announcer one mix.newround — 6, 6 and 3
-// calls, and not one other before the close's mix.stream.begin.
+// calls, and not one other. The close's stream begins come from the entry
+// frontend's intake, one to each of position 0's two shards, and none from
+// the coordinator.
 func TestRoundOpenCalls(t *testing.T) {
 	n := newOpenFleet(t)
+	var begins atomic.Int32
+	for _, m := range n.Mixers[0] {
+		m := m
+		rpc.HandleFunc(n.Server(m.Addr), "mix.stream.begin", func(a rpc.MixArgs) (any, error) {
+			begins.Add(1)
+			return nil, m.Daemon.StreamBegin(a)
+		})
+	}
 	var clients []*rpc.MixerClient
 	for _, group := range n.Mixers {
 		for _, m := range group {
@@ -63,8 +74,11 @@ func TestRoundOpenCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertTokensDelivered(t, n.CDN, 1, settings, tokens)
-	if got := counts()["mix.stream.begin"] - opened["mix.stream.begin"]; got != 2 {
-		t.Errorf("close sent %d mix.stream.begin calls to position 0, want 2", got)
+	if got := counts()["mix.stream.begin"] - opened["mix.stream.begin"]; got != 0 {
+		t.Errorf("the coordinator sent %d mix.stream.begin calls, want 0", got)
+	}
+	if got := begins.Load(); got != 2 {
+		t.Errorf("position 0 received %d mix.stream.begin calls, want 2", got)
 	}
 }
 
