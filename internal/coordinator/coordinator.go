@@ -49,7 +49,7 @@
 // # Self-healing rounds (schedule.go)
 //
 // The merge/build-lead role — where the position's single full-batch
-// shuffle runs, where deposits funnel, and where mix.deal.* fans out —
+// shuffle runs, where deposits funnel, and whence the build deal fans out —
 // is a ROLE, not a machine: in round r it is slot r % len(group) of each
 // group. Rotation never changes a round's output, because the shuffle
 // permutation is derived from the round key that every member holds.
@@ -629,15 +629,17 @@ func (c *Coordinator) CloseRound(service wire.Service, round uint32) (map[uint32
 	defer c.closeMixerRounds(service, round, plan)
 
 	// Close every frontend's intake, in frontend order. Each keeps its
-	// sub-batch and will deal it into position 0 itself.
+	// sub-batch and will deal it into position 0 itself. A failed close
+	// fails the round but stops no other: every intake that can close
+	// does, so no frontend keeps taking onions for a round that will
+	// never mix.
 	frontends := c.frontends()
 	total := 0
 	var err error
 	for i, f := range frontends {
-		var n int
-		if n, err = f.CloseIntake(service, round); err != nil {
-			err = fmt.Errorf("coordinator: frontend %d close: %w", i, err)
-			break
+		n, ferr := f.CloseIntake(service, round)
+		if ferr != nil && err == nil {
+			err = fmt.Errorf("coordinator: frontend %d close: %w", i, ferr)
 		}
 		total += n
 	}

@@ -2,6 +2,7 @@ package coordinator_test
 
 import (
 	"crypto/rand"
+	"errors"
 	"testing"
 
 	"alpenhorn/internal/entry"
@@ -19,7 +20,9 @@ import (
 // entry server) stashed; round 2 fails at position 0, after frontend 0's
 // feed took its stash but before frontend 1 fed. Once round 3 has
 // published, closing either failed round again finds no stash to report
-// and fails at the entry server, whose round is long closed.
+// and fails at the entry server, whose round is long closed. Round 1 is
+// closed at both frontends, frontend 1's by its close of round 2, so
+// neither takes another onion for it nor holds one.
 func TestFailedRoundLeaksNoStash(t *testing.T) {
 	n, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumFrontends: 2, TargetRequestsPerMailbox: 40})
 	if err != nil {
@@ -75,6 +78,38 @@ func TestFailedRoundLeaksNoStash(t *testing.T) {
 		failed := uint32(i + 1) // the failed round that left frontend i a stash
 		if size, err := f.CloseIntake(wire.Dialing, failed); err == nil {
 			t.Errorf("frontend %d still stashes failed round %d's sub-batch of %d onions", i, failed, size)
+		}
+	}
+	for i, e := range []*entry.Server{n.Entry, n.Frontends[0]} {
+		if err := e.Submit(wire.Dialing, 1, make([]byte, wire.OnionSize(wire.Dialing, len(n.Mixers)))); !errors.Is(err, entry.ErrRoundClosed) {
+			t.Errorf("frontend %d: submit to failed round 1: %v, want entry.ErrRoundClosed", i, err)
+		}
+		if size := e.BatchSize(wire.Dialing, 1); size != 0 {
+			t.Errorf("frontend %d holds %d onions of failed round 1", i, size)
+		}
+	}
+}
+
+// TestFailedCloseClosesEveryIntake: with frontend 1 of three down at the
+// close, the round fails, and every other frontend's intake of it is
+// closed by the time CloseRound returns.
+func TestFailedCloseClosesEveryIntake(t *testing.T) {
+	n, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumFrontends: 3, TargetRequestsPerMailbox: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if _, err := n.Coord.OpenDialingRound(1); err != nil {
+		t.Fatal(err)
+	}
+	n.Kill(n.Coord.Frontends[0].(*rpc.EntryReplicaClient).Addr())
+	if _, err := n.Coord.CloseRound(wire.Dialing, 1); err == nil {
+		t.Fatal("round 1 closed with frontend 1 down")
+	}
+	onion := make([]byte, wire.OnionSize(wire.Dialing, len(n.Mixers)))
+	for i, e := range []*entry.Server{n.Entry, n.Frontends[1]} {
+		if err := e.Submit(wire.Dialing, 1, onion); !errors.Is(err, entry.ErrRoundClosed) {
+			t.Errorf("frontend %d: submit after the failed close: %v, want entry.ErrRoundClosed", 2*i, err)
 		}
 	}
 }

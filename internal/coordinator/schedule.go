@@ -34,7 +34,7 @@ package coordinator
 //
 //   - The merge/build-lead role of each shard group is slot
 //     round % len(group), moving the per-position bandwidth funnel and
-//     the mix.deal.* fan-out cost to a different member each round.
+//     the build deal's fan-out cost to a different member each round.
 //
 // A round's chunk size (ChunkSize) and data-plane deadline
 // (RoundDeadline) are the configured ones. The scoreboard is served

@@ -332,6 +332,9 @@ func (s *Server) Submit(service wire.Service, round uint32, onion []byte) error 
 }
 
 // CloseRound stops accepting requests and returns the batch for the mixnet.
+// Rounds of one service close in sequence, so an earlier round still open
+// is one whose close never reached this server (the round failed first):
+// it closes too, and its batch is dropped.
 func (s *Server) CloseRound(service wire.Service, round uint32) ([][]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -341,6 +344,11 @@ func (s *Server) CloseRound(service wire.Service, round uint32) ([][]byte, error
 	}
 	if !st.open {
 		return nil, fmt.Errorf("entry: round %d (%s) already closed", round, service)
+	}
+	for k, earlier := range s.rounds {
+		if k.service == service && k.round < round {
+			earlier.open, earlier.batch = false, nil
+		}
 	}
 	st.open = false
 	batch := st.batch

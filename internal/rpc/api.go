@@ -63,11 +63,6 @@ type deregisterArgs struct {
 type roundArgs struct {
 	Service wire.Service `json:"service"`
 	Round   uint32       `json:"round"`
-	// Upstream identifies which of a route's NumUpstream writers a
-	// mix.stream.end comes from, so a duplicated end (an upstream
-	// restarting and re-sending) cannot close the intake early. Ignored
-	// by every other method.
-	Upstream int `json:"upstream,omitempty"`
 }
 
 // RegisterPKG exposes a pkgserver.Server over RPC.
@@ -198,12 +193,6 @@ type MixerInfo struct {
 	// Spare marks a hot-spare daemon (-spare): unpinned, idle until the
 	// coordinator drafts it into a benched shard's slot for a round.
 	Spare bool `json:"spare,omitempty"`
-}
-
-type mixArgs struct {
-	Service      wire.Service `json:"service"`
-	Round        uint32       `json:"round"`
-	NumMailboxes uint32       `json:"num_mailboxes"`
 }
 
 // streamChunkMax bounds how many messages one chunk call carries, keeping
@@ -362,8 +351,10 @@ func (m *MixerClient) NoiseMu(service wire.Service) float64 {
 // mix.newround carries the announcer's export allowlist. Version 6 sends
 // G1 points compressed (32 B): master public keys, PKG attestations, the
 // multisignature and the ciphertext element, so every round key and
-// sealed request shrinks.
-const ProtocolVersion = 6
+// sealed request shrinks. Version 7 folds mix.merge.* and mix.deal.* into
+// mix.stream.* stages: every data-plane call names its stage and upstream
+// slot.
+const ProtocolVersion = 7
 
 // ErrProtocolMismatch is returned (wrapped, naming both versions) by
 // FrontendClient.Directory, DialMixer and PKGClient.Info when the peer

@@ -55,7 +55,8 @@ type replicateFeedArgs struct {
 	// to shard i mod N.
 	Shards []string `json:"shards"`
 	// Upstream is this frontend's index among the round's feeders, quoted
-	// in each mix.stream.end so the shards' fan-in counts it once.
+	// in each of its mix.stream calls so the shards' fan-in counts it
+	// once.
 	Upstream int `json:"upstream"`
 }
 
@@ -107,7 +108,8 @@ func (r *EntryReplica) AnnouncePublished(service wire.Service, round uint32) {
 // batch, idempotently: a re-sent close (reply lost) finds the stash and
 // reports the same size. Rounds of one service close in sequence, so the
 // stashes of its earlier rounds — rounds that failed before their feed
-// took them — are dropped here: a failed round leaks no sub-batch.
+// took them — are dropped here, as the entry server's close drops those
+// still open: a failed round leaks no sub-batch.
 func (r *EntryReplica) CloseIntake(service wire.Service, round uint32) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -149,13 +151,11 @@ func (r *EntryReplica) FeedBatch(service wire.Service, round uint32, numMailboxe
 	if !ok {
 		return fmt.Errorf("rpc: no stashed batch for %v round %d (not closed, or already fed)", service, round)
 	}
-	begin := mixArgs{Service: service, Round: round, NumMailboxes: numMailboxes}
-	end := roundArgs{Service: service, Round: round, Upstream: upstream}
+	hdr := streamArgs{Service: service, Round: round, Stage: stagePeel, Upstream: upstream, NumMailboxes: numMailboxes}
 	// The chunk size arrives as a bare integer: clamped to the frame budget,
 	// as a daemon clamps its route's, it keeps the deal's offsets from
 	// overflowing.
-	chunkSize = min(chunkSize, streamChunkMax)
-	return r.push(shards, "mix.stream", begin, end, chunkArgs{Service: service, Round: round}, batch, chunkSize, time.Time{})
+	return r.push(shards, hdr, batch, min(chunkSize, streamChunkMax), time.Time{})
 }
 
 // RegisterEntryReplica serves entry server e's intake to a remote

@@ -1,41 +1,75 @@
 package rpc
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"alpenhorn/internal/wire"
 )
 
-// ChunkArgs lets the external tests stand in for a data-plane chunk
-// handler: its onions arrive in the frame's blob section, which only a
-// type embedding blobs receives.
-type ChunkArgs = chunkArgs
+// StreamArgs lets the external tests stand in for the mix.stream
+// handlers: a chunk's onions arrive in the frame's blob section, which
+// only a type embedding blobs receives.
+type StreamArgs = streamArgs
 
-// MixArgs lets the external tests stand in for mix.stream.begin.
-type MixArgs = mixArgs
+// WithBlobs returns a with blobs as its chunk's messages.
+func (a StreamArgs) WithBlobs(b [][]byte) StreamArgs {
+	a.blobs = b
+	return a
+}
 
-// StreamBegin and StreamChunk are the daemon's mix.stream.begin and
-// mix.stream.chunk, for a test that wraps the handlers.
-func (d *MixerDaemon) StreamBegin(a MixArgs) error   { return d.streamBegin(a) }
-func (d *MixerDaemon) StreamChunk(a ChunkArgs) error { return d.streamChunk(a) }
+// The stages a mix.stream call names.
+const (
+	StagePeel  = stagePeel
+	StageMerge = stageMerge
+	StageBuild = stageBuild
+)
+
+// Stream is the daemon's mix.stream.begin, .chunk or .end (method), for a
+// test that wraps the handlers.
+func (d *MixerDaemon) Stream(method string, a StreamArgs) error { return d.stream(method, a) }
+
+// IntakeState describes the round's route as the stream calls move it: the
+// clock, the bytes in and, per stage the route has, whether it has begun,
+// which slots have ended and how many messages each holds.
+func (d *MixerDaemon) IntakeState(service wire.Service, round uint32) string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	rt := d.rounds[outKey{service, round}]
+	if rt == nil {
+		return "no round"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "clock %v, %d B in", !rt.opened.IsZero(), rt.bytesIn)
+	for st, in := range rt.intakes {
+		if in != nil {
+			fmt.Fprintf(&b, "; stage %d begun %v ended %v parts", st, in.begun, in.ended)
+			for _, p := range in.parts {
+				fmt.Fprintf(&b, " %d", len(p))
+			}
+		}
+	}
+	return b.String()
+}
 
 // The coordinator's stream calls, which only tests make: every feeder in
-// the program sends its streams through push.
+// the program sends its streams through push. Each is a peel-stage call.
 
 // StreamBegin opens (or joins) the routed round's onion intake. The
 // daemon treats it as idempotent, but like every stream call it is sent
 // at most once: a transport failure aborts the round instead.
 func (m *MixerClient) StreamBegin(service wire.Service, round uint32, numMailboxes uint32) error {
-	return m.c.CallOnce("mix.stream.begin", mixArgs{Service: service, Round: round, NumMailboxes: numMailboxes}, nil)
+	return m.c.CallOnce("mix.stream.begin", streamArgs{Service: service, Round: round, NumMailboxes: numMailboxes}, nil)
 }
 
-// StreamChunk feeds one chunk of onions, raw in the call's blob section:
-// the daemon acknowledges intake immediately and decrypts on its worker
-// pool, so consecutive chunks overlap with decryption. Sent at most once —
-// a transparent retry after a lost reply would append the chunk to the
-// round twice and corrupt the batch.
+// StreamChunk feeds one chunk of onions as upstream 0, raw in the call's
+// blob section: the daemon acknowledges intake immediately and decrypts on
+// its worker pool, so consecutive chunks overlap with decryption. Sent at
+// most once — a transparent retry after a lost reply would append the
+// chunk to the round twice and corrupt the batch.
 func (m *MixerClient) StreamChunk(service wire.Service, round uint32, chunk [][]byte) error {
-	return m.c.CallOnce("mix.stream.chunk", chunkArgs{Service: service, Round: round, blobs: chunk}, nil)
+	return m.c.CallOnce("mix.stream.chunk", streamArgs{Service: service, Round: round, blobs: chunk}, nil)
 }
 
 // StreamEnd tells the daemon that upstream writer `upstream` of the
@@ -43,7 +77,7 @@ func (m *MixerClient) StreamChunk(service wire.Service, round uint32, chunk [][]
 // every upstream has ended it runs its data-plane role on its own
 // goroutine and the caller learns the outcome from WaitRound.
 func (m *MixerClient) StreamEnd(service wire.Service, round uint32, upstream int) error {
-	return m.c.CallOnce("mix.stream.end", roundArgs{Service: service, Round: round, Upstream: upstream}, nil)
+	return m.c.CallOnce("mix.stream.end", streamArgs{Service: service, Round: round, Upstream: upstream}, nil)
 }
 
 // PublishFragment sends one mailbox fragment of a one-stream round to a

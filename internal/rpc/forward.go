@@ -32,21 +32,28 @@ import (
 // for the sharded mailbox build. Every other member's route names the
 // lead (MergeAddr).
 //
-// Onions stream in over mix.stream.begin/chunk/end. Fan-in is counted: a
-// daemon's intake closes exactly once, when an end-of-stream has arrived
-// from each of the route's NumUpstream writers (the frontends for position
-// 0, the previous position's lead otherwise); begins and ends are
-// idempotent per upstream. Each member's Round peels its slice as the
-// chunks arrive and, once intake ends, adds its divided noise share
-// WITHOUT shuffling (mixnet.Round.EndShard); the member deposits the
-// result with the lead (mix.merge.begin/chunk/end; the lead's own slice
-// is deposited locally). The deposit that completes the set triggers the
-// position's single key-derived shuffle over the concatenated batch
-// (mixnet.Round.Merge). The lead then DEALS its post-shuffle chunks
-// round-robin across the successor shard set, or — at the end of the chain
-// — deals request bodies by mailbox ID across its own group (mix.deal.*),
-// and every member builds its mailbox-ID range and publishes it over its
-// own shard-tagged cdn.publish stream.
+// Every batch enters a daemon over one stream surface,
+// mix.stream.begin/chunk/end, whose calls name a STAGE of the round and
+// the writer's upstream slot in it. Each stage is a counted fan-in (an
+// intake): it completes exactly once, when an end has arrived for each of
+// its slots; begins and ends are idempotent per slot. A route has up to
+// three stages:
+//
+//   - peel: the onions the position peels, from the route's NumUpstream
+//     writers (the frontends for position 0, the previous position's lead
+//     otherwise). Each member's Round peels its slice as the chunks arrive
+//     and, once the stage completes, adds its divided noise share WITHOUT
+//     shuffling (mixnet.Round.EndShard).
+//   - merge, on the lead: one slot per member, each member's peeled slice
+//     (the lead fills its own slot in process). Its completion runs the
+//     position's single key-derived shuffle over the concatenated batch
+//     (mixnet.Round.Merge), and the lead DEALS its post-shuffle chunks
+//     round-robin across the successor shard set's peel stage, or — at the
+//     end of the chain — deals request bodies by mailbox ID across its own
+//     group.
+//   - build, on every other member of the last position: one slot, the
+//     lead's deal of this member's mailbox-ID range, which the member
+//     builds and publishes over its own shard-tagged cdn.publish stream.
 //
 // An unsharded position is a group of one: its own lead, a merge of one
 // part, a one-slice build. The coordinator only moves control messages; it
@@ -74,26 +81,8 @@ type route struct {
 	// layout, the chunk size and the fan-in (see wire.RouteSpec).
 	openArgs
 
-	// Intake progress (fan-in counting). begun latches the one stream
-	// every upstream's begin joins. endedUpstreams has one slot per
-	// upstream writer and dedupes ends by upstream identity, so a
-	// duplicated or re-sent end cannot close the intake early or twice;
-	// intakeClosed latches the single close.
-	begun          bool
-	endedUpstreams []bool
-	intakeClosed   bool
-
-	// Merge state (merge server only): each shard's peeled slice, in
-	// shard-index order, and which shards have delivered theirs.
-	mergeParts [][][]byte
-	mergeEnded []bool
-
-	// Sharded-build intake (build shards only): the post-shuffle payloads
-	// the merge server dealt to this shard's mailbox-ID range
-	// (mix.deal.*). dealEnded latches the single end — the merge server
-	// is the deal's only writer.
-	dealParts [][]byte
-	dealEnded bool
+	// The round's stages, nil where the route has none (see stage).
+	intakes [numStages]*intake
 
 	// Per-round data-plane deadline (RouteSpec.DeadlineMs): peer-dial
 	// retries give up once it passes instead of burning the round
@@ -102,7 +91,8 @@ type route struct {
 
 	// Self-reported accounting for mix.round.wait. The clock starts at
 	// the first mix.stream.begin, not at open: the submit window between
-	// open and close is the clients' time, not the daemon's.
+	// open and close is the clients' time, not the daemon's. Zero until
+	// then.
 	opened   time.Time
 	duration time.Duration
 	bytesIn  uint64
@@ -112,6 +102,41 @@ type route struct {
 	err      error
 	reason   string // abort-reason code (wire.Abort*), "" on success
 	resolved bool
+}
+
+// A stage is one of a round's intakes on a daemon (see the top of this
+// file).
+type stage int
+
+const (
+	stagePeel  stage = iota // NumUpstream slots
+	stageMerge              // on the lead: ShardCount slots, one per member
+	stageBuild              // on a non-lead member of the last position: one slot
+	numStages
+)
+
+// An intake is one stage's counted fan-in: a slot per upstream writer,
+// the parts each slot delivered (the peel's go straight to the Round
+// instead) and a latch per slot for its end. Ends are deduped by slot, so
+// a duplicated or re-sent end cannot complete the stage early or twice.
+type intake struct {
+	begun bool
+	parts [][][]byte
+	ended []bool
+}
+
+func newIntake(slots int) *intake {
+	return &intake{parts: make([][][]byte, slots), ended: make([]bool, slots)}
+}
+
+// end latches slot's end and reports whether that completed the stage,
+// which happens once: at the end that latches the last open slot.
+func (in *intake) end(slot int) bool {
+	if in.ended[slot] {
+		return false
+	}
+	in.ended[slot] = true
+	return !slices.Contains(in.ended, false)
 }
 
 // Successor dial retry schedule: forwarding a round is the first traffic a
@@ -201,12 +226,16 @@ type waitReply struct {
 // blob, which the server zeroes, with the frame, once it is written.
 type keyReply struct{ blobs }
 
-// chunkArgs carries a data-plane stream's chunk in its blobs. Shard names
-// the depositing shard of a mix.merge stream (begin and end included).
-type chunkArgs struct {
-	Service wire.Service `json:"service"`
-	Round   uint32       `json:"round"`
-	Shard   int          `json:"shard"`
+// streamArgs is every mix.stream call's: the round, the stage it feeds
+// and the writer's slot in that stage (for the merge, the depositing
+// member's shard index). A begin's NumMailboxes must be the route's; a
+// chunk carries its messages in its blobs.
+type streamArgs struct {
+	Service      wire.Service `json:"service"`
+	Round        uint32       `json:"round"`
+	Stage        stage        `json:"stage,omitempty"`
+	Upstream     int          `json:"upstream,omitempty"`
+	NumMailboxes uint32       `json:"num_mailboxes,omitempty"`
 	blobs
 }
 
@@ -257,30 +286,6 @@ func (d *MixerDaemon) entry(k outKey) *route {
 	return d.rounds[k]
 }
 
-// mergeRoute validates a merge-surface call: the round must have a route,
-// this daemon must be the round's merge server, and the shard index must
-// be inside the group (and not the merge server's own — its slice never
-// crosses the merge surface).
-func (d *MixerDaemon) mergeRoute(a chunkArgs) (*route, outKey, error) {
-	k := outKey{a.Service, a.Round}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	rt, err := d.routed(a.Service, a.Round)
-	if err != nil {
-		return nil, k, err
-	}
-	if rt.mergeEnded == nil {
-		return nil, k, fmt.Errorf("rpc: round %d (%s): this daemon is not the merge server", a.Round, a.Service)
-	}
-	if a.Shard < 0 || a.Shard >= rt.ShardCount {
-		return nil, k, fmt.Errorf("rpc: round %d (%s): shard %d outside group of %d", a.Round, a.Service, a.Shard, rt.ShardCount)
-	}
-	if a.Shard == rt.ShardIndex {
-		return nil, k, fmt.Errorf("rpc: round %d (%s): merge server's own slice is deposited locally", a.Round, a.Service)
-	}
-	return rt, k, nil
-}
-
 // peerSet caches one Client per peer address. Connections are reused
 // across rounds; a Client reconnects lazily after failures.
 type peerSet struct {
@@ -313,10 +318,9 @@ func (d *MixerDaemon) resolve(rt *route, err error) bool {
 	rt.resolved = true
 	rt.err = err
 	rt.reason = classifyAbort(err)
-	if rt.begun {
+	if !rt.opened.IsZero() {
 		rt.duration = time.Since(rt.opened)
 	}
-	rt.mergeParts = nil // drop any half-merged slices
 	close(rt.done)
 	return true
 }
@@ -349,12 +353,30 @@ func (d *MixerDaemon) finish(k outKey, rt *route, err error) {
 	}
 }
 
-// forward is the daemon's data-plane role for one round, run on its own
-// goroutine once every upstream has closed the stream: finish the local
-// peel + noise share (Round.EndShard; the shuffle happens once, over the
-// whole position's batch, at the group's merge) and either stream the
-// slice to the lead or — on the lead itself — record it as a deposit,
-// which may complete the merge.
+// complete runs what follows a stage's completion, off the RPC handler:
+// the peel's forward, the lead's merge, or a build shard's build and
+// publish of its dealt slice. A round that failed meanwhile runs nothing.
+func (d *MixerDaemon) complete(k outKey, rt *route, st stage) {
+	d.mu.Lock()
+	parts, resolved := rt.intakes[st].parts, rt.resolved
+	rt.intakes[st].parts = nil
+	d.mu.Unlock()
+	switch {
+	case resolved:
+	case st == stagePeel:
+		d.forward(k, rt)
+	case st == stageMerge:
+		d.merge(k, rt, parts)
+	default:
+		d.finish(k, rt, d.buildAndPublishSlice(k, rt, parts[0]))
+	}
+}
+
+// forward is the daemon's data-plane role once its peel stage completes:
+// finish the local peel + noise share (Round.EndShard; the shuffle happens
+// once, over the whole position's batch, at the group's merge) and either
+// stream the slice to the lead's merge stage or — on the lead itself —
+// fill its own merge slot, which may complete the merge.
 func (d *MixerDaemon) forward(k outKey, rt *route) {
 	out, err := rt.mix.EndShard()
 	if err != nil {
@@ -362,24 +384,30 @@ func (d *MixerDaemon) forward(k outKey, rt *route) {
 		return
 	}
 	if rt.MergeAddr == "" {
-		d.addDeposit(k, rt, rt.ShardIndex, out)
+		d.mu.Lock()
+		in := rt.intakes[stageMerge]
+		in.parts[rt.ShardIndex] = out
+		done := in.end(rt.ShardIndex)
+		d.mu.Unlock()
+		if done {
+			d.complete(k, rt, stageMerge)
+		}
 		return
 	}
-	deposit := chunkArgs{Service: k.service, Round: k.round, Shard: rt.ShardIndex}
-	if err := d.pushStream(rt, []string{rt.MergeAddr}, "mix.merge", deposit, deposit, deposit, out); err != nil || rt.CDNAddr == "" {
+	if err := d.pushStream(rt, []string{rt.MergeAddr}, stageMerge, rt.ShardIndex, out); err != nil || rt.CDNAddr == "" {
 		d.finish(k, rt, err)
 	}
 	// Otherwise this is a build shard of the last position and its duty
 	// is not done at deposit: the lead deals back this shard's
-	// mailbox-ID slice (mix.deal.*), and the route resolves once the
-	// slice is built and published over the shard's own cdn.publish
+	// mailbox-ID slice to its build stage, and the route resolves once
+	// the slice is built and published over the shard's own cdn.publish
 	// stream.
 }
 
 // dealMailboxBuild distributes the last position's post-shuffle batch by
 // MAILBOX ID across the shard group (lead only): shard s gets the
 // payloads addressed to its contiguous ID range (mixnet.ShardRange), in
-// batch order, over mix.deal.* streams. Cover traffic, malformed payloads,
+// batch order, on its build stage. Cover traffic, malformed payloads,
 // and out-of-range mailboxes are dropped here — exactly the payloads
 // BuildMailboxesRange would drop — so the per-shard builds are byte-identical
 // to the single-machine build. The merge server's own slice never crosses
@@ -409,8 +437,7 @@ func (d *MixerDaemon) dealMailboxBuild(k outKey, rt *route, out [][]byte) {
 		if s == rt.ShardIndex {
 			return d.buildAndPublishSlice(k, rt, perShard[s])
 		}
-		rk := roundArgs{Service: k.service, Round: k.round}
-		return d.pushStream(rt, []string{addr}, "mix.deal", rk, rk, chunkArgs{Service: k.service, Round: k.round}, perShard[s])
+		return d.pushStream(rt, []string{addr}, stageBuild, 0, perShard[s])
 	}))
 }
 
@@ -455,31 +482,11 @@ func (d *MixerDaemon) buildAndPublishSlice(k outKey, rt *route, slice [][]byte) 
 	return PublishMailboxesShard(d.peer(rt.CDNAddr), k.service, k.round, boxes, rt.ShardIndex, rt.ShardCount)
 }
 
-// addDeposit records one shard's peeled slice on the group's merge
-// server. The deposit that completes the set — the last-arriving shard —
-// performs the position's merge: the slices are concatenated in
-// shard-index order and shuffled ONCE with the round key's derived
-// permutation (mixnet.Round.Merge), then the position's output moves on.
-// Remote shards deliver their slices in chunks over the merge surface
-// (mix.merge.chunk appends, mix.merge.end calls this with a nil part);
-// the merge server's own forward goroutine delivers its slice whole.
-func (d *MixerDaemon) addDeposit(k outKey, rt *route, shard int, part [][]byte) {
-	d.mu.Lock()
-	if rt.resolved || rt.mergeEnded == nil || rt.mergeEnded[shard] {
-		// Round already failed, or a duplicate end; nothing to merge.
-		d.mu.Unlock()
-		return
-	}
-	rt.mergeParts[shard] = append(rt.mergeParts[shard], part...)
-	rt.mergeEnded[shard] = true
-	if slices.Contains(rt.mergeEnded, false) {
-		d.mu.Unlock()
-		return
-	}
-	parts := rt.mergeParts
-	rt.mergeParts = nil
-	d.mu.Unlock()
-
+// merge is the lead's merge stage completing, with every member's peeled
+// slice in shard-index order: the slices are concatenated and shuffled
+// ONCE with the round key's derived permutation (mixnet.Round.Merge), then
+// the position's output moves on.
+func (d *MixerDaemon) merge(k outKey, rt *route, parts [][][]byte) {
 	out, err := rt.mix.Merge(parts)
 	switch {
 	case err != nil:
@@ -487,9 +494,7 @@ func (d *MixerDaemon) addDeposit(k outKey, rt *route, shard int, part [][]byte) 
 	case len(rt.Successors) > 0:
 		// Deal the position's output across the successor position's
 		// shard set.
-		begin := mixArgs{Service: k.service, Round: k.round, NumMailboxes: rt.NumMailboxes}
-		end := roundArgs{Service: k.service, Round: k.round}
-		d.finish(k, rt, d.pushStream(rt, rt.Successors, "mix.stream", begin, end, chunkArgs{Service: k.service, Round: k.round}, out))
+		d.finish(k, rt, d.pushStream(rt, rt.Successors, stagePeel, 0, out))
 	default:
 		// The end of the chain: deal it BY MAILBOX ID across the
 		// position's own shard group, so that every member builds and
@@ -500,44 +505,44 @@ func (d *MixerDaemon) addDeposit(k outKey, rt *route, shard int, part [][]byte) 
 
 // push is the one way a batch crosses to a shard set, for a frontend
 // feeding position 0 and for a daemon dealing, depositing or handing out
-// a build slice. It deals batch in chunkSize-message chunks, chunk i to
-// addrs[i mod N] — deterministic, so sharding never hides nondeterminism
-// in the data plane — and sends each shard its chunks over its own
-// stream, all shards at once, slicing the batch in place.
+// a build slice: one mix.stream per shard, every call under header hdr.
+// It deals batch in chunkSize-message chunks, chunk i to addrs[i mod N] —
+// deterministic, so sharding never hides nondeterminism in the data
+// plane — and sends each shard its chunks over its own stream, all shards
+// at once, slicing the batch in place.
 //
-// Each stream's opening call, which every stream surface serves
-// idempotently, retries transport failures (a peer still binding, a
-// connection gone stale across a peer's restart) with backed-off,
-// jittered attempts. A nonzero deadline bounds the retries: against a
-// peer that is DEAD rather than starting, the sender stops burning the
-// round once it passes and the failure is classified slow, not
-// crashed-here. The chunks and the end go AT MOST ONCE: a retry after a
-// lost reply would append a chunk twice and corrupt the batch, so a
-// mid-stream transport failure fails the round instead, and the next
-// round carries the traffic.
-func (p *peerSet) push(addrs []string, surface string, begin, end any, chunk chunkArgs, batch [][]byte, chunkSize int, deadline time.Time) error {
+// Each stream's begin, which the daemon serves idempotently, retries
+// transport failures (a peer still binding, a connection gone stale
+// across a peer's restart) with backed-off, jittered attempts. A nonzero
+// deadline bounds the retries: against a peer that is DEAD rather than
+// starting, the sender stops burning the round once it passes and the
+// failure is classified slow, not crashed-here. The chunks and the end go
+// AT MOST ONCE: a retry after a lost reply would append a chunk twice and
+// corrupt the batch, so a mid-stream transport failure fails the round
+// instead, and the next round carries the traffic.
+func (p *peerSet) push(addrs []string, hdr streamArgs, batch [][]byte, chunkSize int, deadline time.Time) error {
 	return fanOut(addrs, func(s int, addr string) error {
-		c, err := p.openStream(addr, surface+".begin", begin, deadline)
+		c, err := p.openStream(addr, hdr, deadline)
 		if err != nil {
 			return err
 		}
-		chunk := chunk
+		chunk := hdr
 		for lo := s * chunkSize; lo < len(batch); lo += len(addrs) * chunkSize {
 			chunk.blobs = batch[lo:min(lo+chunkSize, len(batch))]
-			if err := c.CallOnce(surface+".chunk", chunk, nil); err != nil {
-				return fmt.Errorf("rpc: %s.chunk to %s: %w", surface, addr, err)
+			if err := c.CallOnce("mix.stream.chunk", chunk, nil); err != nil {
+				return fmt.Errorf("rpc: mix.stream.chunk to %s: %w", addr, err)
 			}
 		}
-		if err := c.CallOnce(surface+".end", end, nil); err != nil {
-			return fmt.Errorf("rpc: %s.end to %s: %w", surface, addr, err)
+		if err := c.CallOnce("mix.stream.end", hdr, nil); err != nil {
+			return fmt.Errorf("rpc: mix.stream.end to %s: %w", addr, err)
 		}
 		return nil
 	})
 }
 
-// openStream sends a stream's opening call to addr, retrying transport
-// failures up to forwardDialAttempts times or until deadline (push).
-func (p *peerSet) openStream(addr, method string, args any, deadline time.Time) (*Client, error) {
+// openStream sends a stream's begin to addr, retrying transport failures
+// up to forwardDialAttempts times or until deadline (push).
+func (p *peerSet) openStream(addr string, hdr streamArgs, deadline time.Time) (*Client, error) {
 	c := p.peer(addr)
 	var err error
 	for attempt := 0; attempt < forwardDialAttempts; attempt++ {
@@ -552,7 +557,7 @@ func (p *peerSet) openStream(addr, method string, args any, deadline time.Time) 
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return nil, fmt.Errorf("%w: opening stream to %s", errRoundDeadline, addr)
 		}
-		err = c.CallOnce(method, args, nil)
+		err = c.CallOnce("mix.stream.begin", hdr, nil)
 		if err == nil || !errors.Is(err, ErrTransport) {
 			// Handler errors won't improve with a re-send; only
 			// transport failures are worth the backoff.
@@ -574,12 +579,13 @@ func (rt *route) effectiveChunk() int {
 	return min(rt.ChunkSize, streamChunkMax)
 }
 
-// pushStream pushes batch to a shard set for the route: a mix.stream to
-// the successor shards, a mix.merge deposit with the lead, or a mix.deal
-// build slice. The route's deadline bounds the opening retries, and what
-// went out counts toward the daemon's reported bytes.
-func (d *MixerDaemon) pushStream(rt *route, addrs []string, surface string, begin, end any, chunk chunkArgs, batch [][]byte) error {
-	if err := d.push(addrs, surface, begin, end, chunk, batch, rt.effectiveChunk(), rt.deadline); err != nil {
+// pushStream pushes batch to stage st of a shard set for the route, as
+// upstream writer upstream: the successor shards' peel, the lead's merge,
+// or a member's build. The route's deadline bounds the begin's retries,
+// and what went out counts toward the daemon's reported bytes.
+func (d *MixerDaemon) pushStream(rt *route, addrs []string, st stage, upstream int, batch [][]byte) error {
+	hdr := streamArgs{Service: rt.Service, Round: rt.Round, Stage: st, Upstream: upstream, NumMailboxes: rt.NumMailboxes}
+	if err := d.push(addrs, hdr, batch, rt.effectiveChunk(), rt.deadline); err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -659,95 +665,12 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 	HandleFunc(s, "mix.round.open", func(a openArgs) (any, error) {
 		return nil, d.openRound(a)
 	})
-	HandleFunc(s, "mix.merge.begin", func(a chunkArgs) (any, error) {
-		// Idempotent: opening a deposit only validates that this daemon
-		// is the round's merge server and the shard is expected. Safe to
-		// repeat, so the depositor's dial retry can ride on it.
-		_, _, err := d.mergeRoute(a)
-		return nil, err
-	})
-	HandleFunc(s, "mix.merge.chunk", func(a chunkArgs) (any, error) {
-		rt, _, err := d.mergeRoute(a)
-		if err != nil {
-			return nil, err
-		}
-		d.mu.Lock()
-		if !rt.resolved && rt.mergeEnded != nil && !rt.mergeEnded[a.Shard] {
-			rt.mergeParts[a.Shard] = append(rt.mergeParts[a.Shard], a.blobs...)
-			rt.bytesIn += payloadBytes(a.blobs)
-		}
-		d.mu.Unlock()
-		return nil, nil
-	})
-	HandleFunc(s, "mix.merge.end", func(a chunkArgs) (any, error) {
-		rt, k, err := d.mergeRoute(a)
-		if err != nil {
-			return nil, err
-		}
-		// The end that completes the set runs the merge: concatenate in
-		// shard-index order, seeded shuffle, and move the position's
-		// output on. That work belongs on its own goroutine, not in the
-		// RPC handler the depositing shard is waiting on.
-		go d.addDeposit(k, rt, a.Shard, nil)
-		return nil, nil
-	})
-	// mix.deal.* is the sharded-build intake: the merge server deals each
-	// build shard the post-shuffle payloads addressed to that shard's
-	// mailbox-ID range. Only non-merge shards whose route carries a CDN
-	// address (their publish target) accept the stream.
-	dealRoute := func(a roundArgs) (*route, outKey, error) {
-		k := outKey{a.Service, a.Round}
-		d.mu.Lock()
-		rt, err := d.routed(a.Service, a.Round)
-		d.mu.Unlock()
-		if err != nil {
-			return nil, k, err
-		}
-		if rt.MergeAddr == "" || rt.CDNAddr == "" {
-			return nil, k, fmt.Errorf("rpc: round %d (%s): daemon is not a build shard", a.Round, a.Service)
-		}
-		return rt, k, nil
+	for _, method := range []string{"mix.stream.begin", "mix.stream.chunk", "mix.stream.end"} {
+		method := method
+		HandleFunc(s, method, func(a streamArgs) (any, error) {
+			return nil, d.stream(method, a)
+		})
 	}
-	HandleFunc(s, "mix.deal.begin", func(a roundArgs) (any, error) {
-		// Idempotent, like mix.merge.begin: validation only, so the merge
-		// server's dial retry can ride on it.
-		_, _, err := dealRoute(a)
-		return nil, err
-	})
-	HandleFunc(s, "mix.deal.chunk", func(a chunkArgs) (any, error) {
-		rt, _, err := dealRoute(roundArgs{Service: a.Service, Round: a.Round})
-		if err != nil {
-			return nil, err
-		}
-		d.mu.Lock()
-		if !rt.resolved && !rt.dealEnded {
-			rt.dealParts = append(rt.dealParts, a.blobs...)
-			rt.bytesIn += payloadBytes(a.blobs)
-		}
-		d.mu.Unlock()
-		return nil, nil
-	})
-	HandleFunc(s, "mix.deal.end", func(a roundArgs) (any, error) {
-		rt, k, err := dealRoute(a)
-		if err != nil {
-			return nil, err
-		}
-		d.mu.Lock()
-		if rt.resolved || rt.dealEnded {
-			d.mu.Unlock()
-			return nil, nil
-		}
-		rt.dealEnded = true
-		slice := rt.dealParts
-		rt.dealParts = nil
-		d.mu.Unlock()
-		// Build and publish off the handler goroutine: the merge server is
-		// waiting on this reply and has other shards to deal to.
-		go func() {
-			d.finish(k, rt, d.buildAndPublishSlice(k, rt, slice))
-		}()
-		return nil, nil
-	})
 	HandleFunc(s, "mix.round.wait", func(a roundArgs) (any, error) {
 		d.mu.Lock()
 		rt, err := d.routed(a.Service, a.Round)
@@ -784,39 +707,6 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		}
 		return nil, nil
 	})
-	// The onion intake. Every call needs the round's route: the route is
-	// where the output goes, so a stream without one would park a batch
-	// this daemon can hand to nobody.
-	HandleFunc(s, "mix.stream.begin", func(a mixArgs) (any, error) {
-		return nil, d.streamBegin(a)
-	})
-	HandleFunc(s, "mix.stream.chunk", func(a chunkArgs) (any, error) {
-		return nil, d.streamChunk(a)
-	})
-	HandleFunc(s, "mix.stream.end", func(a roundArgs) (any, error) {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		rt, err := d.routed(a.Service, a.Round)
-		if err != nil {
-			return nil, err
-		}
-		// Ends are deduped by UPSTREAM IDENTITY, not counted bare — a
-		// restarted upstream re-sending its end must not stand in for
-		// one that is still streaming.
-		if a.Upstream < 0 || a.Upstream >= len(rt.endedUpstreams) {
-			return nil, fmt.Errorf("rpc: round %d (%s): upstream %d outside fan-in of %d", a.Round, a.Service, a.Upstream, len(rt.endedUpstreams))
-		}
-		rt.endedUpstreams[a.Upstream] = true
-		if rt.intakeClosed || slices.Contains(rt.endedUpstreams, false) {
-			return nil, nil
-		}
-		rt.intakeClosed = true
-		// Acknowledge intake now; the peel, the merge and the downstream
-		// push happen on our own goroutine, and the outcome is reported
-		// through mix.round.wait.
-		go d.forward(outKey{a.Service, a.Round}, rt)
-		return nil, nil
-	})
 	HandleFunc(s, "mix.closeround", func(a roundArgs) (any, error) {
 		d.openMu.Lock()
 		defer d.openMu.Unlock()
@@ -844,44 +734,77 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 	return d
 }
 
-// streamBegin is mix.stream.begin's. The first upstream's begin starts the
-// round's clock and its deadline; later begins — other upstreams, or a
-// re-send whose reply was lost — join its stream.
-func (d *MixerDaemon) streamBegin(a mixArgs) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	rt, err := d.routed(a.Service, a.Round)
-	if err != nil {
-		return err
+// stream is mix.stream.begin, .chunk and .end (method): it admits the
+// call to its stage's intake and, when the call is the end that completes
+// the stage, starts what follows on its own goroutine. The caller is
+// acknowledged at once; the outcome goes out through mix.round.wait.
+func (d *MixerDaemon) stream(method string, a streamArgs) error {
+	rt, done, err := d.admit(method, a)
+	if done {
+		go d.complete(outKey{a.Service, a.Round}, rt, a.Stage)
 	}
-	if a.NumMailboxes != rt.NumMailboxes {
-		// The round's noise is generated for the route's count, which the
-		// open bounded; a caller's other number is refused.
-		return fmt.Errorf("rpc: round %d (%s): stream for %d mailboxes on a route for %d", a.Round, a.Service, a.NumMailboxes, rt.NumMailboxes)
-	}
-	if !rt.begun {
-		rt.begun = true
-		rt.opened = time.Now()
-		if rt.DeadlineMs > 0 {
-			rt.deadline = rt.opened.Add(time.Duration(rt.DeadlineMs) * time.Millisecond)
-		}
-	}
-	return nil
+	return err
 }
 
-// streamChunk is mix.stream.chunk's: between the first begin and the end.
-func (d *MixerDaemon) streamChunk(a chunkArgs) error {
+// admit applies one mix.stream call to the round's intake for its stage
+// and reports whether it completed the stage. Every call needs the round's
+// route: the route is where the output goes, so a stream without one
+// would park a batch this daemon can hand to nobody. A refused call
+// changes nothing.
+func (d *MixerDaemon) admit(method string, a streamArgs) (*route, bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	rt, err := d.routed(a.Service, a.Round)
 	if err != nil {
-		return err
+		return nil, false, err
 	}
-	if !rt.begun || rt.intakeClosed {
-		return fmt.Errorf("rpc: round %d (%s): no stream in progress", a.Round, a.Service)
+	bad := func(format string, args ...any) (*route, bool, error) {
+		return nil, false, fmt.Errorf("rpc: round %d (%s): %s stage %d upstream %d: "+format,
+			append([]any{a.Round, a.Service, method, a.Stage, a.Upstream}, args...)...)
 	}
-	rt.bytesIn += payloadBytes(a.blobs)
-	return rt.mix.Chunk(a.blobs)
+	var in *intake
+	if a.Stage >= 0 && a.Stage < numStages {
+		in = rt.intakes[a.Stage]
+	}
+	switch {
+	case in == nil:
+		return bad("no such stage here")
+	case a.Upstream < 0 || a.Upstream >= len(in.ended):
+		return bad("outside a fan-in of %d", len(in.ended))
+	case a.Stage == stageMerge && a.Upstream == rt.ShardIndex:
+		return bad("the lead's own slice is deposited in process")
+	}
+	switch method {
+	case "mix.stream.begin":
+		if a.NumMailboxes != rt.NumMailboxes {
+			// The round's noise is generated for the route's count, which
+			// the open bounded; a caller's other number is refused.
+			return bad("stream for %d mailboxes on a route for %d", a.NumMailboxes, rt.NumMailboxes)
+		}
+		in.begun = true
+		if rt.opened.IsZero() {
+			// The first begin starts the round's clock and its deadline.
+			rt.opened = time.Now()
+			if rt.DeadlineMs > 0 {
+				rt.deadline = rt.opened.Add(time.Duration(rt.DeadlineMs) * time.Millisecond)
+			}
+		}
+	case "mix.stream.chunk":
+		if !in.begun || in.ended[a.Upstream] {
+			return bad("no stream in progress")
+		}
+		if a.Stage == stagePeel {
+			if err := rt.mix.Chunk(a.blobs); err != nil {
+				return nil, false, err
+			}
+		} else {
+			in.parts[a.Upstream] = append(in.parts[a.Upstream], a.blobs...)
+		}
+		rt.bytesIn += payloadBytes(a.blobs)
+	default:
+		return rt, in.end(a.Upstream), nil
+	}
+	return rt, false, nil
 }
 
 // maxFanIn bounds a route's group size and upstream count, and
@@ -969,11 +892,13 @@ func (d *MixerDaemon) openRound(a openArgs) error {
 	defer d.mu.Unlock()
 	rt = d.entry(k)
 	rt.mix, rt.openArgs = mix, a
-	rt.endedUpstreams = make([]bool, a.NumUpstream)
 	rt.done = make(chan struct{})
-	if lead {
-		rt.mergeParts = make([][][]byte, a.ShardCount)
-		rt.mergeEnded = make([]bool, a.ShardCount)
+	rt.intakes[stagePeel] = newIntake(a.NumUpstream)
+	switch {
+	case lead:
+		rt.intakes[stageMerge] = newIntake(a.ShardCount)
+	case a.CDNAddr != "":
+		rt.intakes[stageBuild] = newIntake(1)
 	}
 	return nil
 }

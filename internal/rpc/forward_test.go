@@ -263,12 +263,12 @@ func TestChainForwardAbortMidChain(t *testing.T) {
 func crashMidStream(n *sim.Network, m *sim.Mixer) *atomic.Int32 {
 	var chunks atomic.Int32
 	srv := n.Server(m.Addr)
-	rpc.HandleFunc(srv, "mix.stream.chunk", func(a rpc.ChunkArgs) (any, error) {
+	rpc.HandleFunc(srv, "mix.stream.chunk", func(a rpc.StreamArgs) (any, error) {
 		if chunks.Add(1) > 2 {
 			go srv.Close()
 			return nil, errors.New("daemon crashed mid-stream")
 		}
-		return nil, m.Daemon.StreamChunk(a)
+		return nil, m.Daemon.Stream("mix.stream.chunk", a)
 	})
 	return &chunks
 }

@@ -248,7 +248,7 @@ func TestDataFrameSendAllocations(t *testing.T) {
 	c := Dial(ln.Addr().String())
 	defer c.Close()
 
-	chunk := chunkArgs{Service: wire.Dialing, Round: 1}
+	chunk := streamArgs{Service: wire.Dialing, Round: 1}
 	payload := 0
 	for i := 0; i < 64; i++ {
 		chunk.blobs = append(chunk.blobs, bytes.Repeat([]byte{byte(i)}, 200))

@@ -24,17 +24,18 @@ func newOpenFleet(t *testing.T) *sim.Network {
 // TestRoundOpenCalls pins what opening a round costs the fleet: on a 3×2
 // fleet, a dialing round's open sends each daemon one mix.info probe and
 // one mix.round.open, and each announcer one mix.newround — 6, 6 and 3
-// calls, and not one other. The close's stream begins come from the entry
-// frontend's intake, one to each of position 0's two shards, and none from
-// the coordinator.
+// calls, and not one other. The close's peel-stage begins at position 0
+// come from the entry frontend's intake, one to each of its two shards,
+// and none from the coordinator; position 0's depositor sends its lead one
+// merge-stage begin.
 func TestRoundOpenCalls(t *testing.T) {
 	n := newOpenFleet(t)
-	var begins atomic.Int32
+	var begins [3]atomic.Int32 // by stage
 	for _, m := range n.Mixers[0] {
 		m := m
-		rpc.HandleFunc(n.Server(m.Addr), "mix.stream.begin", func(a rpc.MixArgs) (any, error) {
-			begins.Add(1)
-			return nil, m.Daemon.StreamBegin(a)
+		rpc.HandleFunc(n.Server(m.Addr), "mix.stream.begin", func(a rpc.StreamArgs) (any, error) {
+			begins[a.Stage].Add(1)
+			return nil, m.Daemon.Stream("mix.stream.begin", a)
 		})
 	}
 	var clients []*rpc.MixerClient
@@ -77,8 +78,14 @@ func TestRoundOpenCalls(t *testing.T) {
 	if got := counts()["mix.stream.begin"] - opened["mix.stream.begin"]; got != 0 {
 		t.Errorf("the coordinator sent %d mix.stream.begin calls, want 0", got)
 	}
-	if got := begins.Load(); got != 2 {
-		t.Errorf("position 0 received %d mix.stream.begin calls, want 2", got)
+	if got := begins[rpc.StagePeel].Load(); got != 2 {
+		t.Errorf("position 0 received %d peel-stage begins, want 2", got)
+	}
+	if got := begins[rpc.StageMerge].Load(); got != 1 {
+		t.Errorf("position 0 received %d merge-stage begins, want 1", got)
+	}
+	if got := begins[rpc.StageBuild].Load(); got != 0 {
+		t.Errorf("position 0 received %d build-stage begins, want 0", got)
 	}
 }
 

@@ -130,12 +130,12 @@ func FuzzRouteArgs(f *testing.F) {
 			t.Fatalf("open with %d downstream keys accepted at position %d of 3", nkeys, pos)
 		case rt.ShardIndex < 0 || rt.ShardIndex >= rt.ShardCount:
 			t.Fatalf("installed shard %d/%d", rt.ShardIndex, rt.ShardCount)
-		case len(rt.endedUpstreams) < 1:
+		case len(rt.intakes[stagePeel].ended) < 1:
 			t.Fatal("installed a route no upstream can end")
-		case !lead && (len(rt.Successors) > 0 || len(rt.BuildShards) > 0 || rt.mergeEnded != nil):
+		case !lead && (len(rt.Successors) > 0 || len(rt.BuildShards) > 0 || rt.intakes[stageMerge] != nil):
 			t.Fatalf("installed a route that is both merge lead and depositor: %+v", rt)
-		case lead && len(rt.mergeEnded) != rt.ShardCount:
-			t.Fatalf("lead expects %d deposits from a group of %d", len(rt.mergeEnded), rt.ShardCount)
+		case lead && len(rt.intakes[stageMerge].ended) != rt.ShardCount:
+			t.Fatalf("lead expects %d deposits from a group of %d", len(rt.intakes[stageMerge].ended), rt.ShardCount)
 		case lead && len(rt.Successors) > 0 && (rt.CDNAddr != "" || len(rt.BuildShards) > 0):
 			t.Fatalf("installed a lead that both forwards and publishes: %+v", rt)
 		case lead && len(rt.Successors) == 0 && (rt.CDNAddr == "" || len(rt.BuildShards) != rt.ShardCount):

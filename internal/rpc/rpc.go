@@ -12,13 +12,13 @@
 //
 // A struct carries blobs by embedding the blobs type; they cross without
 // base64 and arrive as sub-slices of the one frame buffer. Blobs carry the
-// onions of mix.stream.chunk, mix.merge.chunk and mix.deal.chunk (also
-// entry.replicate.feed's) and of entry.submit, the mailbox fragments of
-// cdn.publish and cdn.pull, and the replies of cdn.fetch,
-// cdn.fetchrange and mix.round.exportkey. Every other frame stays JSON: it
-// is small, and the version handshake rides on it — mix.info, pkg.info and
-// frontend.directory must parse for a peer of any generation, so that it
-// can name a peer serving the wrong ProtocolVersion.
+// onions of mix.stream.chunk (every stage's) and of entry.submit, the
+// mailbox fragments of cdn.publish and cdn.pull, and the replies of
+// cdn.fetch, cdn.fetchrange and mix.round.exportkey. Every other frame
+// stays JSON: it is small, and the version handshake rides on it —
+// mix.info, pkg.info and frontend.directory must parse for a peer of any
+// generation, so that it can name a peer serving the wrong
+// ProtocolVersion.
 //
 // A sender builds a data frame in a pooled buffer (sendBufs) and takes it
 // back once the frame is written, so a stream of chunk calls reuses one
