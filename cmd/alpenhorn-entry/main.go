@@ -33,8 +33,10 @@
 // the coordinator replays every round announcement to each of them in the
 // same order, so all frontends serve one shared event-cursor namespace and
 // clients can fail over between them mid-round. Each frontend admits its
-// own sub-batch of onions and deals it into the first mix position
-// directly (counted NumUpstream fan-in). A 2-frontend deployment:
+// own sub-batch of onions and, when the coordinator closes its intake,
+// deals it into the first mix position directly (counted NumUpstream
+// fan-in; every frontend deals at once, and the first position orders the
+// sub-batches by frontend). A 2-frontend deployment:
 //
 //	# frontend B: pure frontend, no coordinator
 //	alpenhorn-entry -frontend-only -addr feB:7000 \
@@ -47,7 +49,7 @@
 // Clients learn the full frontend list from the directory served by ANY
 // frontend (frontend_addrs) and spread their connections across it.
 // -replica-addr is a server-plane surface like -cdn-addr: it accepts the
-// coordinator's announcements and feed instructions, so it must not be
+// coordinator's announcements and intake closes, so it must not be
 // exposed to clients.
 package main
 
@@ -289,7 +291,7 @@ func runFrontendOnly(addr, replicaAddr, coordinatorAddr string) {
 	e := entry.New()
 
 	// The replica surface is a WRITE surface with no authentication
-	// (announcement replay + feed instructions), so like cdn.publish it
+	// (announcement replay + intake closes), so like cdn.publish it
 	// gets its own listener off the client-facing port.
 	replicaSrv := rpc.NewServer()
 	rpc.RegisterEntryReplica(replicaSrv, e)

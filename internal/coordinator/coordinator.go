@@ -15,12 +15,12 @@
 // position's group; the last group builds the mailboxes, each member its
 // own mailbox-ID range, and publishes them straight to the CDN. The entry
 // tier feeds the FIRST position: every frontend — the coordinator's own
-// entry server, frontend 0, as much as the others — closes its intake,
-// keeps its sub-batch and deals it into position 0 itself, through the
+// entry server, frontend 0, as much as the others — closes its intake and
+// in the same call deals its sub-batch into position 0 itself, through the
 // same push every mixer uses to feed the next shard set (rpc.EntryReplica;
 // the coordinator drives frontend 0's in process). The coordinator moves
 // no onion: it exchanges control messages only — round opens, intake
-// closes, feed orders, completion waits, aborts. At paper scale
+// closes, completion waits, aborts. At paper scale
 // (~24k-request mailboxes, millions of onions) this keeps the coordinator
 // off the bandwidth-critical path entirely.
 //
@@ -87,9 +87,10 @@
 //  5. the coordinator assembles the signed RoundSettings and opens the
 //     round at the entry servers; clients submit onions (real or cover),
 //     extracting their identity keys from the PKGs as part of submission;
-//  6. the coordinator closes intake at every frontend and has each feed
-//     its sub-batch to the first position, in frontend order; the last
-//     position's daemons publish the mailboxes to the CDN;
+//  6. the coordinator closes intake at every frontend at once, and each
+//     deals its sub-batch to the first position, which orders the
+//     frontends' streams by upstream index; the last position's daemons
+//     publish the mailboxes to the CDN;
 //  7. mixers erase their round keys as soon as the chain finishes. PKG
 //     master keys are erased concurrently with the mix: extraction
 //     happens strictly during the submission window, so once intake
@@ -165,18 +166,16 @@ type PKG interface {
 // serialized order, so the frontends' event logs assign identical cursors
 // — one cursor namespace for the whole tier, which is what lets a client
 // fail over between frontends mid-round without a snapshot reset. Each
-// frontend admits its own sub-batch, keeps it when its intake closes, and
-// deals it into position 0's shard set itself, tagged with its upstream
-// index, so no batch crosses the coordinator.
+// frontend admits its own sub-batch and, when its intake closes, deals it
+// into position 0's shard set itself, tagged with its upstream index, so
+// no batch crosses the coordinator.
 type Frontend interface {
 	OpenRound(settings *wire.RoundSettings) error
 	AnnouncePublished(service wire.Service, round uint32)
-	// CloseIntake closes the frontend's round and reports the sub-batch
-	// size, leaving the batch stashed frontend-side for FeedBatch.
-	CloseIntake(service wire.Service, round uint32) (int, error)
-	// FeedBatch deals the stashed sub-batch across position 0's shard
-	// set (chunk i to shard i mod N) as upstream feeder `upstream`.
-	FeedBatch(service wire.Service, round uint32, numMailboxes uint32, chunkSize int, shards []string, upstream int) error
+	// CloseIntake closes the frontend's round, deals its sub-batch across
+	// position 0's shard set (chunk i to shard i mod N) as upstream
+	// feeder `upstream`, and reports the sub-batch size.
+	CloseIntake(service wire.Service, round uint32, numMailboxes uint32, chunkSize int, shards []string, upstream int) (int, error)
 }
 
 // Coordinator orchestrates rounds across the servers. It is safe for
@@ -628,21 +627,21 @@ func (c *Coordinator) CloseRound(service wire.Service, round uint32) (map[uint32
 	// are a forward-secrecy hazard.
 	defer c.closeMixerRounds(service, round, plan)
 
-	// Close every frontend's intake, in frontend order. Each keeps its
-	// sub-batch and will deal it into position 0 itself. A failed close
-	// fails the round but stops no other: every intake that can close
-	// does, so no frontend keeps taking onions for a round that will
-	// never mix.
+	// Close every frontend's intake at once; each deals its sub-batch into
+	// position 0 itself, whose intake orders the frontends' streams by
+	// upstream index whenever they arrive. A failed close fails the round
+	// but stops no other: every intake that can close does, so no
+	// frontend keeps taking onions for a round that will never mix.
 	frontends := c.frontends()
-	total := 0
-	var err error
-	for i, f := range frontends {
-		n, ferr := f.CloseIntake(service, round)
-		if ferr != nil && err == nil {
-			err = fmt.Errorf("coordinator: frontend %d close: %w", i, ferr)
+	first := addrs(plan.groups[0])
+	sizes := make([]int, len(frontends))
+	err := fanOut(len(frontends), func(k int) (err error) {
+		sizes[k], err = frontends[k].CloseIntake(service, round, plan.numMailboxes, plan.chunkSize, first, k)
+		if err != nil {
+			return fmt.Errorf("coordinator: frontend %d close: %w", k, err)
 		}
-		total += n
-	}
+		return nil
+	})
 
 	// Intake is closed (or the round is dead): no further extractions can
 	// happen, so the PKG master keys die now, overlapping the chain.
@@ -656,12 +655,15 @@ func (c *Coordinator) CloseRound(service wire.Service, round uint32) (map[uint32
 		close(pkgErased)
 	}
 	defer func() { <-pkgErased }()
-	if err != nil {
-		return nil, err
+	total := 0
+	for _, n := range sizes {
+		total += n
 	}
-	c.SetExpectedVolume(service, total)
+	if err == nil {
+		c.SetExpectedVolume(service, total)
+	}
 
-	daemons, err := c.runRound(service, round, plan, frontends)
+	daemons, err := c.runRound(service, round, plan, err)
 	h := RoundHealth{
 		Service: service, Round: round, Batch: total,
 		Duration: time.Since(start), Daemons: daemons,
@@ -708,16 +710,15 @@ func addrs(group []Mixer) []string {
 	return out
 }
 
-// runRound drives the data plane: every daemon was routed at open, so it
-// has each frontend deal its sub-batch across the first position's shard
-// set, then waits on every daemon's completion. On the first failure the
-// round is aborted on every shard of every position — daemons also
-// propagate aborts down the chain and across their groups themselves, so
-// a mid-chain death cannot wedge its successors.
+// runRound waits on every daemon's completion of the round the frontends'
+// closes fed, or, when a close failed (closeErr), aborts it at once. On
+// the first failure the round is aborted on every shard of every position
+// — daemons also propagate aborts down the chain and across their groups
+// themselves, so a mid-chain death cannot wedge its successors.
 //
 // The returned per-daemon stats (from mix.round.wait) feed the round
 // health record even when the round fails.
-func (c *Coordinator) runRound(service wire.Service, round uint32, plan *roundPlan, frontends []Frontend) ([]DaemonRoundStats, error) {
+func (c *Coordinator) runRound(service wire.Service, round uint32, plan *roundPlan, closeErr error) ([]DaemonRoundStats, error) {
 	var all []routedDaemon
 	for i, group := range plan.groups {
 		for s, m := range group {
@@ -729,17 +730,10 @@ func (c *Coordinator) runRound(service wire.Service, round uint32, plan *roundPl
 			return all[i].m.AbortRound(service, round, reason.Error())
 		})
 	}
-
-	// The frontends feed sequentially, in upstream order, so the merged
-	// intake order at every shard is deterministic: a fixed-seed
-	// N-frontend round reproduces the single-frontend byte stream exactly.
-	first := addrs(plan.groups[0])
-	for k, f := range frontends {
-		if err := f.FeedBatch(service, round, plan.numMailboxes, plan.chunkSize, first, k); err != nil {
-			err = fmt.Errorf("coordinator: feeding position 0 as upstream %d: %w", k, err)
-			abortAll(err)
-			return nil, err
-		}
+	if closeErr != nil {
+		// Other frontends may have fed position 0 already.
+		abortAll(closeErr)
+		return nil, closeErr
 	}
 
 	daemons := make([]DaemonRoundStats, len(all))

@@ -13,15 +13,13 @@ import (
 	"alpenhorn/internal/wire"
 )
 
-// TestFailedRoundLeaksNoStash: a round that fails after a frontend closed
-// its intake never feeds that frontend's sub-batch, so no feed takes it
-// from the frontend's stash. The frontend's next close drops it. Round 1
-// fails at frontend 1's close, after frontend 0 (the coordinator's own
-// entry server) stashed; round 2 fails at position 0, after frontend 0's
-// feed took its stash but before frontend 1 fed. Once round 3 has
-// published, closing either failed round again finds no stash to report
-// and fails at the entry server, whose round is long closed. Round 1 is
-// closed at both frontends, frontend 1's by its close of round 2, so
+// TestFailedRoundLeaksNoStash: a round that fails leaves no frontend
+// holding its sub-batch. Round 1 fails at frontend 1's close, which never
+// reaches it, while frontend 0 (the coordinator's own entry server) closes
+// and deals; round 2 fails at position 0, after both frontends closed.
+// Once round 3 has published, closing either failed round again fails at
+// the entry server, whose round is long closed, and deals nothing. Round 1
+// is closed at both frontends, frontend 1's by its close of round 2, so
 // neither takes another onion for it nor holds one.
 func TestFailedRoundLeaksNoStash(t *testing.T) {
 	n, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumFrontends: 2, TargetRequestsPerMailbox: 40})
@@ -41,7 +39,7 @@ func TestFailedRoundLeaksNoStash(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// One onion at each frontend, so each stashes a sub-batch.
+		// One onion at each frontend, so each holds a sub-batch.
 		for _, e := range []*entry.Server{n.Entry, n.Frontends[0]} {
 			payload := (&wire.MixPayload{Body: make([]byte, keywheel.TokenSize)}).Marshal()
 			onion, err := onionbox.WrapOnion(rand.Reader, hops, payload)
@@ -74,10 +72,11 @@ func TestFailedRoundLeaksNoStash(t *testing.T) {
 	if !n.CDN.Published(wire.Dialing, 3) {
 		t.Fatal("round 3 not published")
 	}
+	first := []string{n.Mixers[0][0].Addr}
 	for i, f := range n.Coord.FrontendList() {
-		failed := uint32(i + 1) // the failed round that left frontend i a stash
-		if size, err := f.CloseIntake(wire.Dialing, failed); err == nil {
-			t.Errorf("frontend %d still stashes failed round %d's sub-batch of %d onions", i, failed, size)
+		failed := uint32(i + 1) // the failed round whose close frontend i took last
+		if size, err := f.CloseIntake(wire.Dialing, failed, 1, 16, first, i); err == nil {
+			t.Errorf("frontend %d closed failed round %d again and dealt %d onions", i, failed, size)
 		}
 	}
 	for i, e := range []*entry.Server{n.Entry, n.Frontends[0]} {

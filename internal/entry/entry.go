@@ -98,6 +98,11 @@ type RoundStatus struct {
 	LatestPublished uint32
 }
 
+// roundsKept is how many rounds of each service a server remembers, the
+// newest: core.DefaultMaxDialBacklog + 1 (core imports this package), so
+// every round a backlogged client may still scan answers entry.settings.
+const roundsKept = 65
+
 // eventLogSize bounds the retained event window. Consumers further behind
 // than this get the coalesced latest-per-kind snapshot, which (round
 // progress being monotonic) loses nothing they could still act on.
@@ -107,6 +112,7 @@ const eventLogSize = 256
 type Server struct {
 	mu     sync.Mutex
 	rounds map[roundKey]*roundState
+	newest map[wire.Service]uint32 // the newest round announced, per service
 
 	// Event log: a bounded window of announcements, each cursor-stamped.
 	// changed is closed and replaced by every announcement.
@@ -123,6 +129,7 @@ type Server struct {
 func New() *Server {
 	return &Server{
 		rounds:     make(map[roundKey]*roundState),
+		newest:     make(map[wire.Service]uint32),
 		nextCursor: 1,
 		changed:    make(chan struct{}),
 	}
@@ -141,6 +148,30 @@ func (s *Server) appendEventLocked(ann Announcement) {
 	s.changed = make(chan struct{})
 }
 
+// forgottenLocked reports whether k is roundsKept or more rounds below
+// its service's newest. Such a round's state is gone and an announcement
+// of it changes nothing, so replicas told the same announcements keep the
+// same rounds, and none logs a round twice. Caller holds s.mu.
+func (s *Server) forgottenLocked(k roundKey) bool {
+	newest := s.newest[k.service]
+	return k.round < newest && newest-k.round >= roundsKept
+}
+
+// addLocked remembers a round not forgotten; a new newest round forgets
+// the rounds it leaves behind. Caller holds s.mu.
+func (s *Server) addLocked(k roundKey, st *roundState) {
+	s.rounds[k] = st
+	if k.round <= s.newest[k.service] {
+		return
+	}
+	s.newest[k.service] = k.round
+	for old := range s.rounds {
+		if s.forgottenLocked(old) {
+			delete(s.rounds, old)
+		}
+	}
+}
+
 // OpenRound announces a round and starts accepting requests for it.
 func (s *Server) OpenRound(settings *wire.RoundSettings) error {
 	s.mu.Lock()
@@ -152,11 +183,14 @@ func (s *Server) OpenRound(settings *wire.RoundSettings) error {
 	if _, ok := s.rounds[k]; ok {
 		return fmt.Errorf("entry: round %d (%s) already opened", settings.Round, settings.Service)
 	}
-	s.rounds[k] = &roundState{
+	if s.forgottenLocked(k) {
+		return fmt.Errorf("entry: round %d (%s) is older than the newest %d", settings.Round, settings.Service, roundsKept)
+	}
+	s.addLocked(k, &roundState{
 		settings:  settings,
 		onionSize: wire.OnionSize(settings.Service, len(settings.Mixers)),
 		open:      true,
-	}
+	})
 	s.appendEventLocked(Announcement{
 		Service:  settings.Service,
 		Round:    settings.Round,
@@ -171,15 +205,18 @@ func (s *Server) OpenRound(settings *wire.RoundSettings) error {
 // round once, however the call is duplicated or reordered, so every
 // replica of the log stamps the same cursors. A round this server never
 // saw open (it restarted mid-round) is still announced: its mailboxes are
-// on the CDN all the same.
+// on the CDN all the same. A forgotten round is not.
 func (s *Server) AnnouncePublished(service wire.Service, round uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := roundKey{service, round}
 	st, ok := s.rounds[k]
 	if !ok {
+		if s.forgottenLocked(k) {
+			return
+		}
 		st = &roundState{}
-		s.rounds[k] = st
+		s.addLocked(k, st)
 	}
 	if st.published {
 		return
@@ -334,7 +371,8 @@ func (s *Server) Submit(service wire.Service, round uint32, onion []byte) error 
 // CloseRound stops accepting requests and returns the batch for the mixnet.
 // Rounds of one service close in sequence, so an earlier round still open
 // is one whose close never reached this server (the round failed first):
-// it closes too, and its batch is dropped.
+// it closes too, and its batch is dropped. The walk over them is bounded:
+// the server remembers at most roundsKept rounds of each service.
 func (s *Server) CloseRound(service wire.Service, round uint32) ([][]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -334,13 +334,14 @@ func TestBatchIsCopied(t *testing.T) {
 // FuzzEventLog holds the one read to its contract. A seeded sequence of
 // opens and publishes (duplicated, out of order, or for rounds never
 // opened) runs over both services, past eventLogSize, against a model
-// of the full log; then EventsSince and WaitEvents read at arbitrary
-// cursors and bounds. Every reply has strictly increasing cursors, past
-// the reader's unless gap is set; next is the last returned cursor; a
-// reply with no gap is exactly the model's events after the cursor; a
-// coalesced reply holds at most one event per (service, kind), each the
-// newest of its kind; and WaitEvents returns what EventsSince does
-// whenever events are pending.
+// of the full log, in which an announcement roundsKept or more rounds
+// below its service's newest is refused and logs nothing; then
+// EventsSince and WaitEvents read at arbitrary cursors and bounds. Every
+// reply has strictly increasing cursors, past the reader's unless gap is
+// set; next is the last returned cursor; a reply with no gap is exactly
+// the model's events after the cursor; a coalesced reply holds at most
+// one event per (service, kind), each the newest of its kind; and
+// WaitEvents returns what EventsSince does whenever events are pending.
 func FuzzEventLog(f *testing.F) {
 	f.Add(int64(1), uint16(40), []byte{0, 0, 0, 0, 5, 3, 1, 0, 0x80})
 	f.Add(int64(2), uint16(575), []byte{0, 0, 0, 0, 1, 2, 0xff, 0xff, 0x81, 1, 0x40, 0x0f})
@@ -353,7 +354,17 @@ func FuzzEventLog(f *testing.F) {
 			round   uint32
 		}
 		opened := map[wire.Service]uint32{}
+		newest := map[wire.Service]uint32{}
 		published := map[roundKey]bool{}
+		// announce reports whether the model takes an announcement of
+		// round, moving its service's newest round.
+		announce := func(service wire.Service, round uint32) bool {
+			if n := newest[service]; round < n && n-round >= roundsKept {
+				return false
+			}
+			newest[service] = max(newest[service], round)
+			return true
+		}
 		rng := mathrand.New(mathrand.NewSource(seed))
 		for i := 0; i < int(steps)%(2*eventLogSize+64); i++ {
 			service := []wire.Service{wire.AddFriend, wire.Dialing}[rng.Intn(2)]
@@ -361,20 +372,28 @@ func FuzzEventLog(f *testing.F) {
 				opened[service]++
 				settings := testSettings(opened[service])
 				settings.Service = service
-				if err := s.OpenRound(settings); err != nil {
+				err := s.OpenRound(settings)
+				if !announce(service, opened[service]) {
+					if err == nil {
+						t.Fatalf("%v round %d opened below the horizon of round %d", service, opened[service], newest[service])
+					}
+					continue
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 				model = append(model, Announcement{Service: service, Round: opened[service], Kind: RoundOpen})
 				continue
 			}
 			// Publish a recent round, sometimes again; before the second
-			// open this wraps to a round never opened.
+			// open this wraps to a round never opened, whose number puts
+			// every round opened after it below the horizon.
 			round := opened[service] - uint32(rng.Intn(3))
 			s.AnnouncePublished(service, round)
 			if _, err := s.Settings(service, round); round > opened[service] && err == nil {
 				t.Fatalf("publishing never-opened %v round %d made it announced", service, round)
 			}
-			if k := (roundKey{service, round}); !published[k] {
+			if k := (roundKey{service, round}); announce(service, round) && !published[k] {
 				published[k] = true
 				model = append(model, Announcement{Service: service, Round: round, Kind: RoundPublished})
 			}

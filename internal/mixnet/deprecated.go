@@ -118,7 +118,7 @@ func (s *Server) StreamBegin(service wire.Service, round uint32, numMailboxes ui
 
 // Deprecated: use Round.Chunk.
 func (s *Server) StreamChunk(service wire.Service, round uint32, chunk [][]byte) error {
-	return s.legacy(service, round, true, func(lr *legacyRound) error { return lr.r.Chunk(chunk) })
+	return s.legacy(service, round, true, func(lr *legacyRound) error { return lr.r.Chunk(0, chunk) })
 }
 
 // Deprecated: use Round.EndShard.

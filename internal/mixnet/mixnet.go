@@ -105,17 +105,18 @@
 // daemons forwarding chunks directly to their successors (internal/rpc's
 // data plane, which also routes the shard-group deal/merge). The tests
 // hold it to a full-batch reference mixer that lives in this package's
-// _test.go files. Because chunk arrival order defines pre-shuffle order
-// and a round's randomness is a function of the server's draws from
-// Config.Rand, the routed plane at one shard per position and that
-// reference produce byte-identical mailboxes under a fixed seed.
-// Across shard COUNTS the guarantee is
-// set-level, not order-level — the deal legitimately reorders the
-// pre-shuffle batch and every member draws its own noise seed — so
-// byte-identity across 1/2/3-shard chains holds for order-independent
-// mailbox encodings (dialing's Bloom filters) with noise silenced, which
-// is exactly what the cross-shard-count determinism test pins; add-friend
-// mailboxes (order-sensitive concatenations) keep only the set guarantee.
+// _test.go files. Because the writers' slots, then each slot's chunk
+// arrival order, define pre-shuffle order, and a round's randomness is a
+// function of the server's draws from Config.Rand, the routed plane at one
+// shard per position and that reference produce byte-identical mailboxes
+// under a fixed seed, however many writers feed the first position at
+// once. Across shard COUNTS the guarantee is set-level, not order-level —
+// the deal legitimately reorders the pre-shuffle batch and every member
+// draws its own noise seed — so byte-identity across 1/2/3-shard chains
+// holds for order-independent mailbox encodings (dialing's Bloom filters)
+// with noise silenced, which is exactly what the cross-shard-count
+// determinism test pins; add-friend mailboxes (order-sensitive
+// concatenations) keep only the set guarantee.
 package mixnet
 
 import (

@@ -89,7 +89,7 @@ func TestParallelDecryptMatchesSequential(t *testing.T) {
 		r, _ := newRound(t)
 		for lo := 0; lo < n; {
 			hi := min(lo+1+lo%97, n)
-			if err := r.Chunk(batch[lo:hi]); err != nil {
+			if err := r.Chunk(0, batch[lo:hi]); err != nil {
 				t.Fatal(err)
 			}
 			lo = hi
@@ -176,7 +176,7 @@ func TestStreamMatchesMix(t *testing.T) {
 		if hi > n {
 			hi = n
 		}
-		if err := r.Chunk(batch[lo:hi]); err != nil {
+		if err := r.Chunk(0, batch[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
 		lo = hi
@@ -195,6 +195,49 @@ func TestStreamMatchesMix(t *testing.T) {
 	}
 }
 
+// TestStreamOrdersBySlot feeds a batch from two writers at once: slot 0
+// holds the first half and slot 1 the second, three chunks each, and the
+// chunks arrive interleaved, slot 1's first. The merge must still be, byte
+// for byte, what Mix produces for the concatenated batch: the slots, not
+// the arrival order, set the pre-shuffle order.
+func TestStreamOrdersBySlot(t *testing.T) {
+	rounds, hops := openRound(t, newChain(t, 1, noNoise), wire.Dialing, 1, 1)
+	r := rounds[0]
+
+	const n, chunk = 96, 16
+	var batch [][]byte
+	for i := 0; i < n; i++ {
+		tok := make([]byte, keywheel.TokenSize)
+		tok[0] = byte(i)
+		batch = append(batch, makeDialOnion(t, hops, 0, tok))
+	}
+	mixed, err := r.Mix(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for lo := 0; lo < n/2; lo += chunk {
+		for _, slot := range []int{1, 0} {
+			from := slot*n/2 + lo
+			if err := r.Chunk(slot, batch[from:from+chunk]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	streamed, err := streamEnd(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(streamed) != len(mixed) {
+		t.Fatalf("streamed %d messages, Mix produced %d", len(streamed), len(mixed))
+	}
+	for i := range mixed {
+		if !bytes.Equal(mixed[i], streamed[i]) {
+			t.Fatalf("message %d differs between the two-writer merge and Mix of the concatenated batch", i)
+		}
+	}
+}
+
 // TestStreamLifecycleErrors: a Round's intake ends once. A chunk after
 // the end and a second end are refused; an abort ends the intake too, so
 // the end after it is refused, but the round and its key stay until
@@ -208,7 +251,7 @@ func TestStreamLifecycleErrors(t *testing.T) {
 	if _, err := streamEnd(r); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Chunk(nil); err == nil {
+	if err := r.Chunk(0, nil); err == nil {
 		t.Fatal("Chunk after EndShard succeeded")
 	}
 	if _, err := r.EndShard(); err == nil {
@@ -218,7 +261,7 @@ func TestStreamLifecycleErrors(t *testing.T) {
 	rounds, _ = openRound(t, servers, wire.Dialing, 2, 1)
 	r = rounds[0]
 	r.Abort()
-	if err := r.Chunk(nil); err == nil {
+	if err := r.Chunk(0, nil); err == nil {
 		t.Fatal("Chunk after Abort succeeded")
 	}
 	if _, err := r.EndShard(); err == nil {
@@ -255,7 +298,7 @@ func TestAbortThenCloseErasesKey(t *testing.T) {
 		if fed == 1000 {
 			t.Fatal("no chunk was seen peeling in 1000 chunks")
 		}
-		if err := r.Chunk(chunk); err != nil {
+		if err := r.Chunk(0, chunk); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 100 && len(r.sem) == 0; i++ {
@@ -267,7 +310,7 @@ func TestAbortThenCloseErasesKey(t *testing.T) {
 	if kb := priv.Bytes(); !bytes.Equal(kb, make([]byte, len(kb))) {
 		t.Fatalf("round key reads %x after abort and close", kb)
 	}
-	if err := r.Chunk(chunk); err == nil {
+	if err := r.Chunk(0, chunk); err == nil {
 		t.Fatal("Chunk after Close succeeded")
 	}
 }
@@ -369,7 +412,7 @@ func TestConfigRandReadUnderLock(t *testing.T) {
 		}
 	}
 	for lo := 0; lo < len(batch); lo += 32 {
-		if err := rounds[0].Chunk(batch[lo:min(lo+32, len(batch))]); err != nil {
+		if err := rounds[0].Chunk(0, batch[lo:min(lo+32, len(batch))]); err != nil {
 			t.Fatal(err)
 		}
 	}

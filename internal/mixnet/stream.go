@@ -1,7 +1,9 @@
 package mixnet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,23 +44,32 @@ type Round struct {
 	skip  atomic.Bool
 
 	mu      sync.Mutex
-	results [][][]byte // peeled messages per chunk, in arrival order
-	inputs  int        // onions fed in, including ones that fail to open
-	ended   bool       // intake ended: EndShard, Abort or Close
+	results []peeled // the chunks, in arrival order
+	inputs  int      // onions fed in, including ones that fail to open
+	ended   bool     // intake ended: EndShard, Abort or Close
 	closed  bool
+}
+
+// peeled is one chunk's opened messages and the slot of the writer that
+// fed it.
+type peeled struct {
+	slot int
+	msgs [][]byte
 }
 
 func (r *Round) errorf(format string, args ...any) error {
 	return fmt.Errorf("mixnet: round %d (%s): "+format, append([]any{r.round, r.service}, args...)...)
 }
 
-// Chunk feeds one chunk of the round's batch; decryption starts at once
-// on a pool worker and opens the chunk's onions into one buffer
-// (onionbox.OpenBatch). The round keeps chunk until it is peeled but never
-// writes to it. Chunk arrival order defines pre-shuffle message order, as
-// if the chunks were one concatenated batch. Malformed or replayed onions
+// Chunk feeds one chunk of the round's batch from the writer in slot;
+// decryption starts at once on a pool worker and opens the chunk's onions
+// into one buffer (onionbox.OpenBatch). The round keeps chunk until it is
+// peeled but never writes to it. The slots order the pre-shuffle batch,
+// and each slot's chunks follow in arrival order, as if every writer's
+// chunks were one batch and the writers' batches were concatenated in
+// slot order; so writers may feed at once. Malformed or replayed onions
 // drop out silently: clients that misbehave only hurt themselves.
-func (r *Round) Chunk(chunk [][]byte) error {
+func (r *Round) Chunk(slot int, chunk [][]byte) error {
 	r.mu.Lock()
 	if r.ended {
 		r.mu.Unlock()
@@ -68,7 +79,7 @@ func (r *Round) Chunk(chunk [][]byte) error {
 	// intake, so the wait of each covers this chunk.
 	r.peels.Add(1)
 	seq := len(r.results)
-	r.results = append(r.results, nil)
+	r.results = append(r.results, peeled{slot: slot})
 	r.inputs += len(chunk)
 	r.mu.Unlock()
 
@@ -81,7 +92,7 @@ func (r *Round) Chunk(chunk [][]byte) error {
 			out = onionbox.OpenBatch(r.priv, chunk)
 		}
 		r.mu.Lock()
-		r.results[seq] = out
+		r.results[seq].msgs = out
 		r.mu.Unlock()
 	}()
 	return nil
@@ -89,13 +100,14 @@ func (r *Round) Chunk(chunk [][]byte) error {
 
 // EndShard ends intake, waits for the chunks' peels and the noise, and
 // returns this shard's peeled slice of the position's batch plus its noise
-// share, in intake order, WITHOUT the shuffle. The output is only ever
-// handed to the shard group's merge server, which concatenates every
-// shard's slice and applies the position's single full-batch permutation
-// (Merge) — nothing leaves the position's trust domain unshuffled, and no
-// output exists before every input chunk has been processed. A group of
-// one merges its one slice the same way, which yields exactly what the
-// tests' full-batch reference mixer does for the concatenated batch.
+// share, in intake order (by slot, then by arrival), WITHOUT the shuffle.
+// The output is only ever handed to the shard group's merge server, which
+// concatenates every shard's slice and applies the position's single
+// full-batch permutation (Merge) — nothing leaves the position's trust
+// domain unshuffled, and no output exists before every input chunk has
+// been processed. A group of one merges its one slice the same way, which
+// yields exactly what the tests' full-batch reference mixer does for the
+// concatenated batch.
 func (r *Round) EndShard() ([][]byte, error) {
 	r.mu.Lock()
 	if r.ended {
@@ -113,7 +125,12 @@ func (r *Round) EndShard() ([][]byte, error) {
 		return nil, r.noiseErr
 	}
 	r.s.count(r.inputs, len(r.noise))
-	return append(concat(r.results), r.noise...), nil
+	slices.SortStableFunc(r.results, func(a, b peeled) int { return cmp.Compare(a.slot, b.slot) })
+	parts := make([][][]byte, 0, len(r.results)+1)
+	for _, p := range r.results {
+		parts = append(parts, p.msgs)
+	}
+	return concat(append(parts, r.noise)), nil
 }
 
 // Abort ends intake without waiting for its peels or its noise, as

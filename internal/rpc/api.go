@@ -353,8 +353,9 @@ func (m *MixerClient) NoiseMu(service wire.Service) float64 {
 // multisignature and the ciphertext element, so every round key and
 // sealed request shrinks. Version 7 folds mix.merge.* and mix.deal.* into
 // mix.stream.* stages: every data-plane call names its stage and upstream
-// slot.
-const ProtocolVersion = 7
+// slot. Version 8 folds entry.replicate.feed into entry.replicate.close:
+// a frontend's close carries the feed's params and deals its sub-batch.
+const ProtocolVersion = 8
 
 // ErrProtocolMismatch is returned (wrapped, naming both versions) by
 // FrontendClient.Directory, DialMixer and PKGClient.Info when the peer

@@ -110,8 +110,8 @@ func TestChurnSelfHealingRounds(t *testing.T) {
 			if _, err := mirror.Coord.CloseRound(wire.Dialing, round); err != nil {
 				t.Fatalf("round %d failed in the mirror fleet: %v", r, err)
 			}
-			got := fetchAll(t, churned.CDN, round, settings.NumMailboxes)
-			want := fetchAll(t, mirror.CDN, round, settings.NumMailboxes)
+			got := fetchAll(t, churned.CDN, wire.Dialing, round, settings.NumMailboxes)
+			want := fetchAll(t, mirror.CDN, wire.Dialing, round, settings.NumMailboxes)
 			for mb := uint32(0); mb < settings.NumMailboxes; mb++ {
 				if !bytes.Equal(got[mb], want[mb]) {
 					t.Errorf("round %d mailbox %d: churned fleet diverged from mirror", r, mb)
@@ -306,7 +306,7 @@ func TestMergeRotationDeterminism(t *testing.T) {
 			if _, err := coord.CloseRound(wire.Dialing, uint32(r)); err != nil {
 				t.Fatalf("%d shards round %d: %v", shardsPerPos, r, err)
 			}
-			out = append(out, roundBoxes{settings.NumMailboxes, fetchAll(t, n.CDN, uint32(r), settings.NumMailboxes)})
+			out = append(out, roundBoxes{settings.NumMailboxes, fetchAll(t, n.CDN, wire.Dialing, uint32(r), settings.NumMailboxes)})
 		}
 		return out, coord
 	}

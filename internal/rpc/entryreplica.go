@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"alpenhorn/internal/entry"
@@ -14,13 +13,13 @@ import (
 
 // An EntryReplica is the one frontend-side intake: it replays the
 // coordinator's announcements into its entry server and, at round close,
-// closes the intake, stashes the sub-batch and deals it into position 0's
-// shard set itself (push), tagged with the frontend's upstream index so
-// the shards' counted NumUpstream fan-in merges N feeders exactly once
-// each. The coordinator drives its own entry server, frontend 0, through
-// one in process; every other frontend serves one behind
-// RegisterEntryReplica, and the coordinator drives it over the
-// entry.replicate surface. So no onion crosses the coordinator.
+// closes the intake and deals the sub-batch into position 0's shard set
+// itself (push), tagged with the frontend's upstream index so the shards'
+// counted NumUpstream fan-in merges N feeders exactly once each, in
+// upstream order whenever they arrive. The coordinator drives its own
+// entry server, frontend 0, through one in process; every other frontend
+// serves one behind RegisterEntryReplica, and the coordinator drives it
+// over the entry.replicate surface. So no onion crosses the coordinator.
 //
 // entry.replicate is a SERVER-PLANE surface like cdn.publish: the
 // transport carries no authentication, so deployments must serve it on a
@@ -41,11 +40,7 @@ type replicateOpenArgs struct {
 	Settings []byte `json:"settings"`
 }
 
-type replicateCloseReply struct {
-	Size int `json:"size"`
-}
-
-type replicateFeedArgs struct {
+type replicateCloseArgs struct {
 	Service      wire.Service `json:"service"`
 	Round        uint32       `json:"round"`
 	NumMailboxes uint32       `json:"num_mailboxes"`
@@ -55,8 +50,8 @@ type replicateFeedArgs struct {
 	// to shard i mod N.
 	Shards []string `json:"shards"`
 	// Upstream is this frontend's index among the round's feeders, quoted
-	// in each of its mix.stream calls so the shards' fan-in counts it
-	// once.
+	// in each of its mix.stream calls as its slot: the shards' fan-in
+	// counts it once and orders its onions after every lower slot's.
 	Upstream int `json:"upstream"`
 }
 
@@ -65,19 +60,11 @@ type replicateFeedArgs struct {
 type EntryReplica struct {
 	e *entry.Server
 	peerSet
-
-	mu    sync.Mutex
-	stash map[stashKey][][]byte
-}
-
-type stashKey struct {
-	service wire.Service
-	round   uint32
 }
 
 // NewEntryReplica returns the intake over entry server e.
 func NewEntryReplica(e *entry.Server) *EntryReplica {
-	return &EntryReplica{e: e, stash: make(map[stashKey][][]byte)}
+	return &EntryReplica{e: e}
 }
 
 // OpenRound replays a round-open announcement. Idempotent under the
@@ -95,72 +82,41 @@ func (r *EntryReplica) OpenRound(settings *wire.RoundSettings) error {
 }
 
 // AnnouncePublished replays a publish announcement, which the entry
-// server logs once however it is duplicated or reordered, and drops the
-// round's stash if a feed left one.
+// server logs once however it is duplicated or reordered.
 func (r *EntryReplica) AnnouncePublished(service wire.Service, round uint32) {
 	r.e.AnnouncePublished(service, round)
-	r.mu.Lock()
-	delete(r.stash, stashKey{service, round})
-	r.mu.Unlock()
 }
 
-// CloseIntake closes the round on the entry server and stashes the
-// batch, idempotently: a re-sent close (reply lost) finds the stash and
-// reports the same size. Rounds of one service close in sequence, so the
-// stashes of its earlier rounds — rounds that failed before their feed
-// took them — are dropped here, as the entry server's close drops those
-// still open: a failed round leaks no sub-batch.
-func (r *EntryReplica) CloseIntake(service wire.Service, round uint32) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	key := stashKey{service, round}
-	if batch, ok := r.stash[key]; ok {
-		return len(batch), nil
+// CloseIntake closes the round on the entry server and deals its
+// sub-batch across position 0's shard set (chunk i to shard i mod N) as
+// upstream feeder `upstream`, reporting its size. The shards' routes carry
+// NumUpstream = #frontends, so each end closes one counted upstream slot.
+// At most once: the entry server closes a round once, so a re-sent close
+// is refused before it deals anything; a failure fails the round (the
+// next round carries the traffic).
+func (r *EntryReplica) CloseIntake(service wire.Service, round uint32, numMailboxes uint32, chunkSize int, shards []string, upstream int) (int, error) {
+	// Refuse a malformed close before the round closes: the close is
+	// final, so a close that could never deal would destroy the sub-batch.
+	if chunkSize <= 0 || len(shards) == 0 || slices.Contains(shards, "") {
+		return 0, errors.New("rpc: replicate close needs a chunk size and a shard set")
 	}
 	batch, err := r.e.CloseRound(service, round)
 	if err != nil {
 		return 0, err
 	}
-	for k := range r.stash {
-		if k.service == service && k.round < round {
-			delete(r.stash, k)
-		}
-	}
-	r.stash[key] = batch
-	return len(batch), nil
-}
-
-// FeedBatch deals the stashed sub-batch across position 0's shard set as
-// upstream feeder `upstream` (push). The shards' routes carry NumUpstream =
-// #frontends, so the begins JOIN the streams the other feeders opened and
-// each end closes exactly one of the counted upstream slots. At most once:
-// the stash is consumed, so a duplicated feed cannot put a sub-batch in
-// the round twice; a failure fails the round (the next round carries the
-// traffic).
-func (r *EntryReplica) FeedBatch(service wire.Service, round uint32, numMailboxes uint32, chunkSize int, shards []string, upstream int) error {
-	// Refuse a malformed feed before taking the stash: the take is final,
-	// so a feed that could never deal would destroy the sub-batch.
-	if chunkSize <= 0 || len(shards) == 0 || slices.Contains(shards, "") {
-		return errors.New("rpc: replicate feed needs a chunk size and a shard set")
-	}
-	r.mu.Lock()
-	key := stashKey{service, round}
-	batch, ok := r.stash[key]
-	delete(r.stash, key)
-	r.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("rpc: no stashed batch for %v round %d (not closed, or already fed)", service, round)
-	}
 	hdr := streamArgs{Service: service, Round: round, Stage: stagePeel, Upstream: upstream, NumMailboxes: numMailboxes}
 	// The chunk size arrives as a bare integer: clamped to the frame budget,
 	// as a daemon clamps its route's, it keeps the deal's offsets from
 	// overflowing.
-	return r.push(shards, hdr, batch, min(chunkSize, streamChunkMax), time.Time{})
+	if err := r.push(shards, hdr, batch, min(chunkSize, streamChunkMax), time.Time{}); err != nil {
+		return 0, err
+	}
+	return len(batch), nil
 }
 
 // RegisterEntryReplica serves entry server e's intake to a remote
-// coordinator: announcement replay (open/published), intake close, and
-// sub-batch dealing. Serve it on the server-plane listener (with
+// coordinator: announcement replay (open/published) and the intake close
+// that deals the sub-batch. Serve it on the server-plane listener (with
 // RegisterCDN), never on the client-facing one.
 func RegisterEntryReplica(s *Server, e *entry.Server) *EntryReplica {
 	r := NewEntryReplica(e)
@@ -171,15 +127,9 @@ func RegisterEntryReplica(s *Server, e *entry.Server) *EntryReplica {
 		}
 		return nil, r.OpenRound(rs)
 	})
-	HandleFunc(s, "entry.replicate.close", func(a roundArgs) (any, error) {
-		n, err := r.CloseIntake(a.Service, a.Round)
-		if err != nil {
-			return nil, err
-		}
-		return replicateCloseReply{Size: n}, nil
-	})
-	HandleFunc(s, "entry.replicate.feed", func(a replicateFeedArgs) (any, error) {
-		return nil, r.FeedBatch(a.Service, a.Round, a.NumMailboxes, a.ChunkSize, a.Shards, a.Upstream)
+	HandleFunc(s, "entry.replicate.close", func(a replicateCloseArgs) (any, error) {
+		n, err := r.CloseIntake(a.Service, a.Round, a.NumMailboxes, a.ChunkSize, a.Shards, a.Upstream)
+		return n, err
 	})
 	HandleFunc(s, "entry.replicate.published", func(a roundArgs) (any, error) {
 		r.AnnouncePublished(a.Service, a.Round)
@@ -189,8 +139,8 @@ func RegisterEntryReplica(s *Server, e *entry.Server) *EntryReplica {
 }
 
 // EntryReplicaClient is the coordinator's handle on an entry frontend
-// other than its own: coordinator.Frontend (announcement replay, intake
-// close, sub-batch dealing).
+// other than its own: coordinator.Frontend (announcement replay and the
+// intake close that deals the sub-batch).
 type EntryReplicaClient struct {
 	addr string
 	c    *Client
@@ -219,27 +169,20 @@ func (r *EntryReplicaClient) AnnouncePublished(service wire.Service, round uint3
 	_ = r.c.Call("entry.replicate.published", roundArgs{Service: service, Round: round}, nil)
 }
 
-// CloseIntake closes the frontend's intake and reports the sub-batch's
-// size, leaving the batch stashed frontend-side for FeedBatch: it never
-// crosses the coordinator.
-func (r *EntryReplicaClient) CloseIntake(service wire.Service, round uint32) (int, error) {
-	var reply replicateCloseReply
-	if err := r.c.Call("entry.replicate.close", roundArgs{Service: service, Round: round}, &reply); err != nil {
-		return 0, err
-	}
-	return reply.Size, nil
-}
-
-// FeedBatch makes the frontend deal its stashed sub-batch across position
-// 0's shard set as upstream feeder `upstream`. At most once: the stash is
-// consumed, so a duplicated feed cannot put a sub-batch in the round
-// twice; a failure aborts the round (the next round carries the traffic).
-func (r *EntryReplicaClient) FeedBatch(service wire.Service, round uint32, numMailboxes uint32, chunkSize int, shards []string, upstream int) error {
-	return r.c.CallOnce("entry.replicate.feed", replicateFeedArgs{
+// CloseIntake has the frontend close its intake and deal its sub-batch
+// across position 0's shard set as upstream feeder `upstream`, and
+// reports the sub-batch's size. Call re-sends once after a transport
+// failure (a connection gone stale while the frontend restarted): a first
+// attempt that ran makes the re-send fail as already closed, so nothing
+// is dealt twice.
+func (r *EntryReplicaClient) CloseIntake(service wire.Service, round uint32, numMailboxes uint32, chunkSize int, shards []string, upstream int) (int, error) {
+	var size int
+	err := r.c.Call("entry.replicate.close", replicateCloseArgs{
 		Service: service, Round: round,
 		NumMailboxes: numMailboxes, ChunkSize: chunkSize,
 		Shards: shards, Upstream: upstream,
-	}, nil)
+	}, &size)
+	return size, err
 }
 
 // CallCount reports how many times this client invoked a method.

@@ -40,10 +40,11 @@ import (
 // three stages:
 //
 //   - peel: the onions the position peels, from the route's NumUpstream
-//     writers (the frontends for position 0, the previous position's lead
-//     otherwise). Each member's Round peels its slice as the chunks arrive
-//     and, once the stage completes, adds its divided noise share WITHOUT
-//     shuffling (mixnet.Round.EndShard).
+//     writers (the frontends for position 0, all at once, the previous
+//     position's lead otherwise). Each member's Round peels its slice as
+//     the chunks arrive, each tagged with its writer's slot, and, once the
+//     stage completes, adds its divided noise share WITHOUT shuffling, in
+//     slot order (mixnet.Round.EndShard).
 //   - merge, on the lead: one slot per member, each member's peeled slice
 //     (the lead fills its own slot in process). Its completion runs the
 //     position's single key-derived shuffle over the concatenated batch
@@ -794,7 +795,7 @@ func (d *MixerDaemon) admit(method string, a streamArgs) (*route, bool, error) {
 			return bad("no stream in progress")
 		}
 		if a.Stage == stagePeel {
-			if err := rt.mix.Chunk(a.blobs); err != nil {
+			if err := rt.mix.Chunk(a.Upstream, a.blobs); err != nil {
 				return nil, false, err
 			}
 		} else {

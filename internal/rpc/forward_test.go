@@ -90,12 +90,12 @@ func assertFleetClean(t *testing.T, n *sim.Network, round uint32, skip func(pos,
 	}
 }
 
-// fetchAll pulls every dialing mailbox of a round.
-func fetchAll(t *testing.T, store *cdn.Store, round uint32, k uint32) map[uint32][]byte {
+// fetchAll pulls every mailbox of a round of service.
+func fetchAll(t *testing.T, store *cdn.Store, service wire.Service, round uint32, k uint32) map[uint32][]byte {
 	t.Helper()
 	out := make(map[uint32][]byte, k)
 	for mb := uint32(0); mb < k; mb++ {
-		data, err := store.Fetch(wire.Dialing, round, mb)
+		data, err := store.Fetch(service, round, mb)
 		if err != nil {
 			t.Fatalf("round %d mailbox %d: %v", round, mb, err)
 		}

@@ -50,11 +50,12 @@ func submitSplitTokens(t *testing.T, frontends []*entry.Server, settings *wire.R
 	}
 }
 
-// runSeededForwardRound runs one fully seeded dialing round on the network
-// cfg describes — its transport, entry frontends (every one after the
-// first joins over the entry.replicate surface), shards and noise — and
-// returns the published mailboxes.
-func runSeededForwardRound(t *testing.T, cfg sim.Config) (*wire.RoundSettings, map[uint32][]byte) {
+// runSeededForwardRound runs one fully seeded round of service on the
+// network cfg describes — its transport, entry frontends (every one after
+// the first joins over the entry.replicate surface), shards and noise —
+// and returns the published mailboxes. An add-friend round's requests are
+// dial tokens padded to a sealed request's size.
+func runSeededForwardRound(t *testing.T, cfg sim.Config, service wire.Service) (*wire.RoundSettings, map[uint32][]byte) {
 	t.Helper()
 	const numTokens = 90
 	tokens := makeTestTokens(numTokens)
@@ -62,9 +63,16 @@ func runSeededForwardRound(t *testing.T, cfg sim.Config) (*wire.RoundSettings, m
 	cfg.NumPKGs, cfg.TargetRequestsPerMailbox, cfg.Seed = 1, 40, 1000
 	n := newNetwork(t, cfg)
 	n.Coord.ChunkSize = 16
-	n.Coord.SetExpectedVolume(wire.Dialing, numTokens)
+	n.Coord.SetExpectedVolume(service, numTokens)
+	openRound := n.Coord.OpenDialingRound
+	if service == wire.AddFriend {
+		openRound = n.Coord.OpenAddFriendRound
+		for i, tok := range tokens {
+			tokens[i] = append(tok, make([]byte, wire.EncryptedFriendRequestSize-len(tok))...)
+		}
+	}
 
-	settings, err := n.Coord.OpenDialingRound(1)
+	settings, err := openRound(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +83,7 @@ func runSeededForwardRound(t *testing.T, cfg sim.Config) (*wire.RoundSettings, m
 		// The replicated announcement log opened the round on the extra
 		// frontends too (same settings, same cursor namespace).
 		for i, extra := range n.Frontends {
-			repSettings, err := extra.Settings(wire.Dialing, 1)
+			repSettings, err := extra.Settings(service, 1)
 			if err != nil {
 				t.Fatalf("extra frontend %d missed the open announcement: %v", i+1, err)
 			}
@@ -85,24 +93,24 @@ func runSeededForwardRound(t *testing.T, cfg sim.Config) (*wire.RoundSettings, m
 		}
 		submitSplitTokens(t, append([]*entry.Server{n.Entry}, n.Frontends...), settings, tokens, rnd)
 		for i, extra := range n.Frontends {
-			if got := extra.BatchSize(wire.Dialing, 1); got != numTokens/numFrontends {
+			if got := extra.BatchSize(service, 1); got != numTokens/numFrontends {
 				t.Fatalf("extra frontend %d admitted %d onions, want %d", i+1, got, numTokens/numFrontends)
 			}
 		}
 	}
 
-	if _, err := n.Coord.CloseRound(wire.Dialing, 1); err != nil {
+	if _, err := n.Coord.CloseRound(service, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !n.CDN.Published(wire.Dialing, 1) {
+	if !n.CDN.Published(service, 1) {
 		t.Fatal("round not published")
 	}
 	for _, extra := range n.Frontends {
-		if events, _, _ := extra.EventsSince(0, 0); !loggedPublished(events, wire.Dialing, 1) {
+		if events, _, _ := extra.EventsSince(0, 0); !loggedPublished(events, service, 1) {
 			t.Fatalf("extra frontend's log missed the published announcement: %+v", events)
 		}
 	}
-	return settings, fetchAll(t, n.CDN, 1, settings.NumMailboxes)
+	return settings, fetchAll(t, n.CDN, service, 1, settings.NumMailboxes)
 }
 
 // loggedPublished reports whether events hold service's round-published
@@ -137,11 +145,11 @@ func TestTwoFrontendIntakeByteIdentical(t *testing.T) {
 			{NumFrontends: 2, Shards: []int{2, 1, 1}, AddFriendNoise: quiet, DialingNoise: quiet},
 		} {
 			tc.Listen = listen
-			base, baseBoxes := runSeededForwardRound(t, sim.Config{Listen: listen, AddFriendNoise: tc.AddFriendNoise, DialingNoise: tc.DialingNoise})
+			base, baseBoxes := runSeededForwardRound(t, sim.Config{Listen: listen, AddFriendNoise: tc.AddFriendNoise, DialingNoise: tc.DialingNoise}, wire.Dialing)
 			if base.NumMailboxes < 2 {
 				t.Fatalf("want a multi-mailbox round, got K=%d", base.NumMailboxes)
 			}
-			got, gotBoxes := runSeededForwardRound(t, tc)
+			got, gotBoxes := runSeededForwardRound(t, tc, wire.Dialing)
 			if got.NumMailboxes != base.NumMailboxes {
 				t.Fatalf("%d frontends, shards %v: K=%d, single-frontend K=%d", tc.NumFrontends, tc.Shards, got.NumMailboxes, base.NumMailboxes)
 			}
@@ -149,6 +157,30 @@ func TestTwoFrontendIntakeByteIdentical(t *testing.T) {
 				if !bytes.Equal(baseBoxes[mb], gotBoxes[mb]) {
 					t.Errorf("%d frontends, shards %v: mailbox %d differs from single-frontend intake", tc.NumFrontends, tc.Shards, mb)
 				}
+			}
+		}
+	})
+}
+
+// TestTwoFrontendIntakeAddFriendByteIdentical is the same pin for an
+// add-friend round, whose mailboxes concatenate their requests in the
+// order the last position's shuffle leaves them, so a frontend's onions
+// mixed in another place than the single-frontend round puts them would
+// change the bytes; a dialing round's Bloom filters would not show it. Two
+// frontends feed position 0 at once, unsharded.
+func TestTwoFrontendIntakeAddFriendByteIdentical(t *testing.T) {
+	onTransports(t, func(t *testing.T, listen string) {
+		base, baseBoxes := runSeededForwardRound(t, sim.Config{Listen: listen}, wire.AddFriend)
+		if base.NumMailboxes < 2 {
+			t.Fatalf("want a multi-mailbox round, got K=%d", base.NumMailboxes)
+		}
+		got, gotBoxes := runSeededForwardRound(t, sim.Config{Listen: listen, NumFrontends: 2}, wire.AddFriend)
+		if got.NumMailboxes != base.NumMailboxes {
+			t.Fatalf("two frontends: K=%d, single-frontend K=%d", got.NumMailboxes, base.NumMailboxes)
+		}
+		for mb := uint32(0); mb < base.NumMailboxes; mb++ {
+			if len(baseBoxes[mb]) == 0 || !bytes.Equal(baseBoxes[mb], gotBoxes[mb]) {
+				t.Errorf("mailbox %d (%d B) differs from single-frontend intake (%d B)", mb, len(gotBoxes[mb]), len(baseBoxes[mb]))
 			}
 		}
 	})
@@ -176,6 +208,36 @@ func TestFeedSurvivesPositionZeroRestart(t *testing.T) {
 			}
 			tokens := makeTestTokens(40)
 			submitSplitTokens(t, []*entry.Server{n.Entry, n.Frontends[0]}, settings, tokens, mathrand.New(mathrand.NewSource(int64(r))))
+			if _, err := n.Coord.CloseRound(wire.Dialing, r); err != nil {
+				t.Fatalf("round %d: %v", r, err)
+			}
+			assertTokensDelivered(t, n.CDN, r, settings, tokens)
+		}
+	})
+}
+
+// TestCloseAfterFrontendRestart: a frontend restarted between a round's
+// open and its close (keeping its entry state) leaves the coordinator's
+// cached connection to it stale. The close goes out with the one re-send
+// Call makes after a transport failure, so the round still closes at both
+// frontends, deals both sub-batches and publishes, on either transport.
+func TestCloseAfterFrontendRestart(t *testing.T) {
+	onTransports(t, func(t *testing.T, listen string) {
+		n := newNetwork(t, sim.Config{NumPKGs: 1, NumFrontends: 2, TargetRequestsPerMailbox: 40, Listen: listen})
+		addr := n.Coord.Frontends[0].(*rpc.EntryReplicaClient).Addr()
+		for r := uint32(1); r <= 2; r++ {
+			settings, err := n.Coord.OpenDialingRound(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tokens := makeTestTokens(2)
+			submitSplitTokens(t, []*entry.Server{n.Entry, n.Frontends[0]}, settings, tokens, mathrand.New(mathrand.NewSource(int64(r))))
+			if r == 2 {
+				n.Kill(addr)
+				if err := n.Restart(addr); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if _, err := n.Coord.CloseRound(wire.Dialing, r); err != nil {
 				t.Fatalf("round %d: %v", r, err)
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"alpenhorn/internal/entry"
 	"alpenhorn/internal/noise"
 	"alpenhorn/internal/rpc"
 	"alpenhorn/internal/sim"
@@ -86,6 +87,35 @@ func TestRoundOpenCalls(t *testing.T) {
 	}
 	if got := begins[rpc.StageBuild].Load(); got != 0 {
 		t.Errorf("position 0 received %d build-stage begins, want 0", got)
+	}
+}
+
+// TestRoundCloseCalls pins what closing a round costs the entry tier: with
+// three frontends, every round sends each of the two remote ones one
+// entry.replicate.close, which also deals its sub-batch, and no
+// entry.replicate.feed.
+func TestRoundCloseCalls(t *testing.T) {
+	n := newNetwork(t, sim.Config{NumPKGs: 1, NumFrontends: 3, TargetRequestsPerMailbox: 40})
+	for r := uint32(1); r <= 3; r++ {
+		settings, err := n.Coord.OpenDialingRound(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tokens := makeTestTokens(30)
+		submitSplitTokens(t, append([]*entry.Server{n.Entry}, n.Frontends...), settings, tokens, mathrand.New(mathrand.NewSource(int64(r))))
+		if _, err := n.Coord.CloseRound(wire.Dialing, r); err != nil {
+			t.Fatal(err)
+		}
+		assertTokensDelivered(t, n.CDN, r, settings, tokens)
+		for i, f := range n.Coord.Frontends {
+			c := f.(*rpc.EntryReplicaClient)
+			if got := c.CallCount("entry.replicate.close"); got != uint64(r) {
+				t.Errorf("after round %d frontend %d got %d entry.replicate.close calls, want %d", r, i+1, got, r)
+			}
+			if got := c.CallCount("entry.replicate.feed"); got != 0 {
+				t.Errorf("after round %d frontend %d got %d entry.replicate.feed calls, want 0", r, i+1, got)
+			}
+		}
 	}
 }
 

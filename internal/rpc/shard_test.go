@@ -135,7 +135,7 @@ func TestShardDeterminismAcrossShardCounts(t *testing.T) {
 			if got := n.CDNDaemon.LastSealStreams(); got != shardsPerPos {
 				t.Fatalf("%d shards/position: round sealed from %d publish streams", shardsPerPos, got)
 			}
-			return settings, fetchAll(t, n.CDN, 1, settings.NumMailboxes)
+			return settings, fetchAll(t, n.CDN, wire.Dialing, 1, settings.NumMailboxes)
 		}
 
 		baseSettings, base := runMode(1)
