@@ -80,8 +80,9 @@ type Persister = core.Persister
 // client is active.
 var ErrRunning = core.ErrRunning
 
-// Server interfaces: implementations may be in-process (internal/sim) or
-// network clients (cmd daemons). All methods take a leading context.
+// Server interfaces: the rpc clients in internal/rpc implement them over
+// the network, in a deployment and in internal/sim alike. All methods take
+// a leading context.
 type (
 	// PKG is the client's view of one private-key generator server.
 	PKG = core.PKG

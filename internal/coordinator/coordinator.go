@@ -92,10 +92,11 @@
 //     frontends' streams by upstream index; the last position's daemons
 //     publish the mailboxes to the CDN;
 //  7. mixers erase their round keys as soon as the chain finishes. PKG
-//     master keys are erased concurrently with the mix: extraction
-//     happens strictly during the submission window, so once intake
-//     closes the master keys are dead weight and the erasures overlap
-//     the chain instead of serializing after publish.
+//     master keys are erased as intake closes, beside the frontends'
+//     closes and deals: extraction happens strictly during the
+//     submission window, so from then on the master keys are dead weight
+//     and the erasures overlap the deals and the chain instead of
+//     following them.
 //
 // Dialing rounds are the same minus the PKG steps. An open that fails
 // at any step erases every key it created.
@@ -600,10 +601,11 @@ func (c *Coordinator) openMixRound(settings *wire.RoundSettings, plan *roundPlan
 // can close: its daemons were routed at open.
 //
 // For add-friend rounds the PKG master keys are erased CONCURRENTLY with
-// the mix chain: clients extract identity keys strictly while submitting,
-// so once intake closes the erasures can overlap the mix instead of
-// serializing after publish (FinishAddFriendRound remains as an explicit,
-// idempotent hook for drivers that want a later erasure point).
+// the intake closes and the mix chain: clients extract identity keys
+// strictly while submitting, so the erasures start with the closes
+// instead of following the frontends' deals or the publish
+// (FinishAddFriendRound remains as an explicit, idempotent hook for
+// drivers that want a later erasure point).
 //
 // The mailboxes never pass through the coordinator: the last position's
 // daemons publish them to the CDN at CDNAddr, and clients (and tests)
@@ -627,6 +629,21 @@ func (c *Coordinator) CloseRound(service wire.Service, round uint32) (map[uint32
 	// are a forward-secrecy hazard.
 	defer c.closeMixerRounds(service, round, plan)
 
+	// Intake closes now, so the PKG master keys die beside the closes: a
+	// close includes the frontend's whole deal into position 0, and a
+	// client extracts before it submits, so one still extracting at this
+	// instant would miss the round either way.
+	pkgErased := make(chan struct{})
+	if service == wire.AddFriend {
+		go func() {
+			defer close(pkgErased)
+			c.FinishAddFriendRound(round)
+		}()
+	} else {
+		close(pkgErased)
+	}
+	defer func() { <-pkgErased }()
+
 	// Close every frontend's intake at once; each deals its sub-batch into
 	// position 0 itself, whose intake orders the frontends' streams by
 	// upstream index whenever they arrive. A failed close fails the round
@@ -642,19 +659,6 @@ func (c *Coordinator) CloseRound(service wire.Service, round uint32) (map[uint32
 		}
 		return nil
 	})
-
-	// Intake is closed (or the round is dead): no further extractions can
-	// happen, so the PKG master keys die now, overlapping the chain.
-	pkgErased := make(chan struct{})
-	if service == wire.AddFriend {
-		go func() {
-			defer close(pkgErased)
-			c.FinishAddFriendRound(round)
-		}()
-	} else {
-		close(pkgErased)
-	}
-	defer func() { <-pkgErased }()
 	total := 0
 	for _, n := range sizes {
 		total += n

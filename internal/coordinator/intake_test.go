@@ -3,11 +3,15 @@ package coordinator_test
 import (
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
+	"alpenhorn/internal/coordinator"
 	"alpenhorn/internal/entry"
 	"alpenhorn/internal/keywheel"
 	"alpenhorn/internal/onionbox"
+	"alpenhorn/internal/pkgserver"
 	"alpenhorn/internal/rpc"
 	"alpenhorn/internal/sim"
 	"alpenhorn/internal/wire"
@@ -110,5 +114,53 @@ func TestFailedCloseClosesEveryIntake(t *testing.T) {
 		if err := e.Submit(wire.Dialing, 1, onion); !errors.Is(err, entry.ErrRoundClosed) {
 			t.Errorf("frontend %d: submit after the failed close: %v, want entry.ErrRoundClosed", 2*i, err)
 		}
+	}
+}
+
+// erasureWaiter is a frontend whose close first waits, up to 5 s, until no
+// PKG holds the round's master key.
+type erasureWaiter struct {
+	coordinator.Frontend
+	pkgs []*pkgserver.Server
+}
+
+func (f erasureWaiter) CloseIntake(service wire.Service, round uint32, numMailboxes uint32, chunkSize int, shards []string, upstream int) (int, error) {
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		open := 0
+		for _, p := range f.pkgs {
+			if p.RoundOpen(round) {
+				open++
+			}
+		}
+		if open == 0 {
+			return f.Frontend.CloseIntake(service, round, numMailboxes, chunkSize, shards, upstream)
+		}
+		if time.Now().After(deadline) {
+			return 0, fmt.Errorf("%d PKGs still hold round %d's master key 5 s into the close", open, round)
+		}
+	}
+}
+
+// TestPKGErasedBesideClose: an add-friend round's PKG master keys are
+// erased while the frontends' closes are still under way, not after the
+// slowest close and deal returns. Frontend 1's close waits for the
+// erasure, so the round closes only if the erasure started beside it.
+func TestPKGErasedBesideClose(t *testing.T) {
+	n, err := sim.NewNetwork(sim.Config{NumFrontends: 2, TargetRequestsPerMailbox: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.Coord.Frontends[0] = erasureWaiter{Frontend: n.Coord.Frontends[0], pkgs: n.PKGs}
+	if _, err := n.Coord.OpenAddFriendRound(1); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range n.PKGs {
+		if !p.RoundOpen(1) {
+			t.Fatalf("PKG %d holds no master key for the open round", i)
+		}
+	}
+	if _, err := n.Coord.CloseRound(wire.AddFriend, 1); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -12,17 +12,17 @@ import (
 	"alpenhorn/internal/wire"
 )
 
-// settingsCountingEntry wraps the in-process entry adapter and counts Settings
-// fetches. Embedding the concrete adapter keeps its WatchRounds method,
+// settingsCountingEntry wraps a client's entry transport and counts
+// Settings fetches. The embedded interface keeps its WatchRounds method,
 // so Run follows rounds through the wrapper.
 type settingsCountingEntry struct {
-	sim.EntryAdapter
+	core.EntryServer
 	settingsCalls atomic.Int64
 }
 
 func (c *settingsCountingEntry) Settings(ctx context.Context, service wire.Service, round uint32) (*wire.RoundSettings, error) {
 	c.settingsCalls.Add(1)
-	return c.EntryAdapter.Settings(ctx, service, round)
+	return c.EntryServer.Settings(ctx, service, round)
 }
 
 // TestSettingsCachedPerRound pins the client's settings cache: without the
@@ -37,7 +37,7 @@ func TestSettingsCachedPerRound(t *testing.T) {
 	t.Cleanup(network.Close)
 	h := &sim.Handler{AcceptAll: true}
 	cfg := network.ClientConfig("cache@example.org", h)
-	ce := &settingsCountingEntry{EntryAdapter: sim.EntryAdapter{E: network.Entry}}
+	ce := &settingsCountingEntry{EntryServer: cfg.Entry}
 	cfg.Entry = ce
 	client, err := core.NewClient(cfg)
 	if err != nil {
@@ -123,7 +123,7 @@ func TestPairingV2SingleSettingsFetch(t *testing.T) {
 	network.Coord.PairingV2 = true
 	h := &sim.Handler{AcceptAll: true}
 	cfg := network.ClientConfig("v2cache@example.org", h)
-	ce := &settingsCountingEntry{EntryAdapter: sim.EntryAdapter{E: network.Entry}}
+	ce := &settingsCountingEntry{EntryServer: cfg.Entry}
 	cfg.Entry = ce
 	client, err := core.NewClient(cfg)
 	if err != nil {

@@ -172,6 +172,9 @@ func (p *PKGClient) CloseRound(round uint32) {
 	_ = p.c.Call("pkg.closeround", roundArgs{Round: round}, nil)
 }
 
+// Close closes the client's connections.
+func (p *PKGClient) Close() { p.c.Close() }
+
 // ---- Mixer daemon API ----
 
 // MixerInfo advertises a mixer's pinned key, chain position and the

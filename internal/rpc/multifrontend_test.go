@@ -256,8 +256,7 @@ func TestRunFailsOverToSurvivingFrontend(t *testing.T) {
 		network := newNetwork(t, sim.Config{NumPKGs: 1, Shards: []int{1}, NumFrontends: 2, Listen: listen})
 		baseline := runtime.NumGoroutine()
 
-		pool := rpc.DialFrontendPool(network.FrontendAddrs...)
-		client, _ := newRunClient(t, network, pool, "failover@tcp.example")
+		client, pool := newRunClient(t, network, "failover@tcp.example")
 
 		stop := startRun(t, client)
 
@@ -317,8 +316,7 @@ func TestRunFailsOverToSurvivingFrontend(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("Run returned %v, want context.Canceled", err)
 		}
-		pool.Close()
-		network.Close() // its daemons' connection handlers are not the client's
+		network.Close() // the client's transport, then the daemons
 		waitUntil(t, 5*time.Second, "goroutines to drain", func() bool {
 			return runtime.NumGoroutine() <= baseline
 		})
@@ -330,9 +328,7 @@ func TestRunFailsOverToSurvivingFrontend(t *testing.T) {
 // fetches, because every round-open event carries the round's settings.
 func TestEventSettingsEliminateFetch(t *testing.T) {
 	network := newNetwork(t, oneMixerOverTCP)
-	fe := rpc.DialFrontend(network.FrontendAddrs[0])
-	t.Cleanup(fe.Close)
-	client, _ := newRunClient(t, network, fe, "settings@tcp.example")
+	client, fe := newRunClient(t, network, "settings@tcp.example")
 
 	startRun(t, client)
 
@@ -377,9 +373,7 @@ func TestBadEventSettingsFallBackToFetch(t *testing.T) {
 		return map[string]any{"events": events, "next": next}, nil
 	})
 
-	fe := rpc.DialFrontend(addr)
-	t.Cleanup(fe.Close)
-	client, _ := newRunClient(t, network, fe, "fallback@tcp.example")
+	client, fe := newRunClient(t, network, "fallback@tcp.example")
 	startRun(t, client)
 
 	const rounds = 3

@@ -2,23 +2,14 @@ package rpc_test
 
 import (
 	"context"
-	"crypto/ed25519"
 	"errors"
 	"net"
 	"testing"
 	"time"
 
-	"alpenhorn/internal/bls"
-	"alpenhorn/internal/coordinator"
 	"alpenhorn/internal/core"
-	"alpenhorn/internal/email"
-	"alpenhorn/internal/entry"
-	"alpenhorn/internal/mixnet"
-	"alpenhorn/internal/noise"
-	"alpenhorn/internal/pkgserver"
 	"alpenhorn/internal/rpc"
 	"alpenhorn/internal/sim"
-	"alpenhorn/internal/wire"
 )
 
 func TestBasicCall(t *testing.T) {
@@ -100,181 +91,33 @@ func TestConcurrentCloseWaits(t *testing.T) {
 
 // TestFullDeploymentOverTCP runs the complete Alpenhorn protocol — PKG
 // registration, add-friend handshake, and a dialed call — with every
-// client↔server interaction crossing real localhost TCP connections.
+// client↔server and coordinator↔server interaction crossing real
+// localhost TCP connections.
 func TestFullDeploymentOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full TCP deployment is slow")
 	}
-	provider := email.NewInMemoryProvider()
-	nz := noise.Laplace{Mu: 1, B: 0}
-
-	// Start 2 PKG daemons and 2 mixer daemons on ephemeral ports.
-	const numPKGs, numMixers = 2, 2
-	var pkgClients []*rpc.PKGClient
-	var pkgServers []*pkgserver.Server
-	var pkgKeys []ed25519.PublicKey
-	var pkgBLS []*bls.PublicKey
-	for i := 0; i < numPKGs; i++ {
-		pkg, err := pkgserver.New(pkgserver.Config{Name: "pkg", Provider: provider})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := rpc.NewServer()
-		rpc.RegisterPKG(srv, pkg)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		pkgClients = append(pkgClients, rpc.DialPKG(addr))
-		pkgServers = append(pkgServers, pkg)
-		pkgKeys = append(pkgKeys, pkg.SigningKey())
-		pkgBLS = append(pkgBLS, pkg.BLSKey())
-	}
-
-	var mixerClients []*rpc.MixerClient
-	var mixerKeys []ed25519.PublicKey
-	for i := 0; i < numMixers; i++ {
-		m, err := mixnet.New(mixnet.Config{
-			Name: "mix", Position: i, ChainLength: numMixers,
-			AddFriendNoise: &nz, DialingNoise: &nz,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := rpc.NewServer()
-		rpc.RegisterMixer(srv, m)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		mc, err := rpc.DialMixer(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mixerClients = append(mixerClients, mc)
-		mixerKeys = append(mixerKeys, m.SigningKey())
-	}
-
-	// Frontend daemon: entry + CDN + coordinator over the RPC backends.
-	e := entry.New()
-	store, cdnAddr := startCDN(t)
-	coord := &coordinator.Coordinator{
-		Entry: e, CDNAddr: cdnAddr,
-		TargetRequestsPerMailbox: 24000,
-	}
-	for _, mc := range mixerClients {
-		coord.Mixers = append(coord.Mixers, mc)
-	}
-	for _, pc := range pkgClients {
-		coord.PKGs = append(coord.PKGs, pc)
-	}
-	feSrv := rpc.NewServer()
-	rpc.RegisterFrontend(feSrv, e, store, rpc.Directory{})
-	feAddr, err := feSrv.Listen("127.0.0.1:0")
+	network := newNetwork(t, sim.Config{NumPKGs: 2, Shards: []int{1, 1}, Listen: loopback})
+	ha := &sim.Handler{AcceptAll: true}
+	hb := &sim.Handler{AcceptAll: true}
+	alice, err := network.NewClient("alice@tcp.example", ha)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer feSrv.Close()
-	frontend := rpc.DialFrontend(feAddr)
-
-	// Two clients, each talking to the daemons only via RPC.
-	newTCPClient := func(addr string, h core.Handler) *core.Client {
-		cfg := core.Config{
-			Email:      addr,
-			Entry:      frontend,
-			Mailboxes:  frontend,
-			MixerKeys:  mixerKeys,
-			PKGKeys:    pkgKeys,
-			PKGBLSKeys: pkgBLS,
-			NumIntents: 3,
-			Handler:    h,
-		}
-		for _, pc := range pkgClients {
-			cfg.PKGs = append(cfg.PKGs, pc)
-		}
-		c, err := core.NewClient(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Register(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		// Confirm with the emailed tokens (token i is from PKG i).
-		inbox := provider.Inbox(addr)
-		if len(inbox) < numPKGs {
-			t.Fatalf("only %d confirmation mails", len(inbox))
-		}
-		start := len(inbox) - numPKGs
-		for i := 0; i < numPKGs; i++ {
-			if err := c.ConfirmRegistration(context.Background(), i, inbox[start+i].Body); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return c
-	}
-
-	ha := &sim.Handler{AcceptAll: true}
-	hb := &sim.Handler{AcceptAll: true}
-	alice := newTCPClient("alice@tcp.example", ha)
-	bob := newTCPClient("bob@tcp.example", hb)
-	clients := []*core.Client{alice, bob}
-
-	runAddFriendRound := func(round uint32) {
-		if _, err := coord.OpenAddFriendRound(round); err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range clients {
-			if err := c.SubmitAddFriendRound(context.Background(), round); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := coord.CloseRound(wire.AddFriend, round); err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range clients {
-			if err := c.ScanAddFriendRound(context.Background(), round); err != nil {
-				t.Fatal(err)
-			}
-		}
-		coord.FinishAddFriendRound(round)
-	}
-	runDialRound := func(round uint32) {
-		if _, err := coord.OpenDialingRound(round); err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range clients {
-			if err := c.SubmitDialRound(context.Background(), round); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := coord.CloseRound(wire.Dialing, round); err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range clients {
-			if err := c.ScanDialRound(context.Background(), round); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	if err := alice.AddFriend(bob.Email(), nil); err != nil {
+	bob, err := network.NewClient("bob@tcp.example", hb)
+	if err != nil {
 		t.Fatal(err)
 	}
-	runAddFriendRound(1)
-	runAddFriendRound(2)
-	if !alice.IsFriend(bob.Email()) || !bob.IsFriend(alice.Email()) {
-		t.Fatal("friendship did not complete over TCP")
-	}
 
+	if err := network.Befriend(alice, bob, 1); err != nil {
+		t.Fatal(err)
+	}
 	if err := alice.Call(bob.Email(), 1); err != nil {
 		t.Fatal(err)
 	}
-	for r := uint32(1); r <= 6; r++ {
-		runDialRound(r)
-		if len(hb.IncomingCalls()) > 0 {
-			break
+	for r := uint32(1); r <= 6 && len(hb.IncomingCalls()) == 0; r++ {
+		if err := network.RunDialRound(r, []*core.Client{alice, bob}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	in := hb.IncomingCalls()
@@ -284,7 +127,7 @@ func TestFullDeploymentOverTCP(t *testing.T) {
 	}
 
 	// Forward secrecy across the wire: PKG round keys are gone.
-	for _, p := range pkgServers {
+	for _, p := range network.PKGs {
 		if p.RoundOpen(1) || p.RoundOpen(2) {
 			t.Fatal("PKG round keys survive over TCP deployment")
 		}

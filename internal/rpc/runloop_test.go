@@ -32,17 +32,11 @@ func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() boo
 // client-facing frontend serves over real TCP.
 var oneMixerOverTCP = sim.Config{NumPKGs: 1, Shards: []int{1}, Listen: loopback}
 
-// newRunClient registers a client whose frontend transport is the given
-// rpc client or pool (PKG traffic stays in-process: it is not under test).
-func newRunClient(t *testing.T, network *sim.Network, frontend interface {
-	core.EntryServer
-	core.MailboxStore
-}, email string) (*core.Client, *sim.Handler) {
+// newRunClient registers a client on the network's client plane and
+// returns it with its frontend pool, which network.Close closes.
+func newRunClient(t *testing.T, network *sim.Network, email string) (*core.Client, *rpc.FrontendPool) {
 	t.Helper()
-	h := &sim.Handler{AcceptAll: true}
-	cfg := network.ClientConfig(email, h)
-	cfg.Entry = frontend
-	cfg.Mailboxes = frontend
+	cfg := network.ClientConfig(email, &sim.Handler{AcceptAll: true})
 	client, err := core.NewClient(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -53,15 +47,15 @@ func newRunClient(t *testing.T, network *sim.Network, frontend interface {
 	if err := network.ConfirmAll(client); err != nil {
 		t.Fatal(err)
 	}
-	return client, h
+	return client, cfg.Entry.(*rpc.FrontendPool)
 }
 
 // startRun runs client.Run on its own goroutine until the returned stop
 // is called (or the test ends); stop cancels the run, waits for Run to
-// return and returns its error. Register the transport's Close with
-// t.Cleanup before calling startRun, so that the run stops first: a Close
-// under a running feed fails its parked entry.events call, and the feed
-// redials.
+// return and returns its error. The test's cleanup stops the run before
+// the network's Close, which newNetwork registered first, closes the
+// client's transport: a Close under a running feed fails its parked
+// entry.events call, and the feed redials.
 func startRun(t *testing.T, client *core.Client) (stop func() error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -114,8 +108,7 @@ func TestRunSurvivesFrontendRestart(t *testing.T) {
 	addr := network.FrontendAddrs[0]
 	baseline := runtime.NumGoroutine()
 
-	frontend := rpc.DialFrontend(addr)
-	client, _ := newRunClient(t, network, frontend, "restart@tcp.example")
+	client, _ := newRunClient(t, network, "restart@tcp.example")
 
 	stop := startRun(t, client)
 
@@ -161,8 +154,7 @@ func TestRunSurvivesFrontendRestart(t *testing.T) {
 	// Server.Close unparks its entry.events waiters via Closing, so a
 	// handler parked on behalf of the now-gone client does not count as
 	// a (time-bounded) straggler here.
-	frontend.Close()
-	network.Close() // its daemons' connection handlers are not the client's
+	network.Close() // the client's transport, then the daemons
 	waitUntil(t, 5*time.Second, "goroutines to drain", func() bool {
 		return runtime.NumGoroutine() <= baseline
 	})
@@ -175,9 +167,7 @@ func TestRunSurvivesFrontendRestart(t *testing.T) {
 // and never fetches settings separately.
 func TestEventStreamTrackingLoad(t *testing.T) {
 	network := newNetwork(t, oneMixerOverTCP)
-	fe := rpc.DialFrontend(network.FrontendAddrs[0])
-	defer fe.Close()
-	client, _ := newRunClient(t, network, fe, "streamer@tcp.example")
+	client, fe := newRunClient(t, network, "streamer@tcp.example")
 
 	stop := startRun(t, client)
 
@@ -208,9 +198,7 @@ func TestRunClientsKeepUp(t *testing.T) {
 	const clients, rounds = 8, 60
 	const window = 3 * time.Second
 	for i := 0; i < clients; i++ {
-		pool := rpc.DialFrontendPool(network.FrontendAddrs...)
-		t.Cleanup(pool.Close)
-		client, _ := newRunClient(t, network, pool, fmt.Sprintf("keepup%d@tcp.example", i))
+		client, _ := newRunClient(t, network, fmt.Sprintf("keepup%d@tcp.example", i))
 		startRun(t, client)
 	}
 

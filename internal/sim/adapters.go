@@ -2,10 +2,10 @@ package sim
 
 // The core client's server interfaces are context-aware (the transport
 // must be interruptible); the in-process server types are not (they never
-// block on I/O). These adapters bridge the two so a simulated deployment
-// satisfies exactly the interfaces a TCP deployment does — including the
-// push-based round-event surface, which rides the entry server's
-// WaitEvents directly.
+// block on I/O). These adapters bridge the two with direct calls. No test
+// or example uses them: Network.ClientConfig wires clients through the rpc
+// clients a deployment runs. bench/walk.go alone still builds all three,
+// and they go when it moves off them.
 
 import (
 	"context"
@@ -20,6 +20,9 @@ import (
 
 // EntryAdapter exposes an in-process entry server through core's
 // ctx-aware EntryServer interface.
+//
+// Deprecated: clients reach the frontends through rpc.DialFrontendPool
+// (Network.ClientConfig); only bench/walk.go still builds an EntryAdapter.
 type EntryAdapter struct {
 	E *entry.Server
 }
@@ -57,6 +60,9 @@ func (a EntryAdapter) WatchRounds(ctx context.Context, cursor uint64) ([]entry.A
 
 // CDNAdapter exposes an in-process CDN store through core's ctx-aware
 // MailboxStore interface.
+//
+// Deprecated: clients fetch mailboxes through rpc.DialFrontendPool
+// (Network.ClientConfig); only bench/walk.go still builds a CDNAdapter.
 type CDNAdapter struct {
 	S *cdn.Store
 }
@@ -81,6 +87,9 @@ func (a CDNAdapter) FetchRange(ctx context.Context, service wire.Service, fromRo
 
 // PKGAdapter exposes an in-process PKG server through core's ctx-aware
 // PKG interface.
+//
+// Deprecated: clients reach the PKGs through rpc.DialPKG
+// (Network.ClientConfig); only bench/walk.go still builds a PKGAdapter.
 type PKGAdapter struct {
 	P *pkgserver.Server
 }

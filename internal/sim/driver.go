@@ -16,9 +16,10 @@ type RoundDriver struct {
 	Services []wire.Service
 
 	// WaitSubmissions closes a round as soon as this many requests have
-	// arrived (every connected Run client submits each round, cover
-	// traffic included, so "number of clients" makes rounds exactly as
-	// long as they need to be). 0 waits the full SubmitWindow.
+	// arrived, summed over every frontend (every connected Run client
+	// submits each round, cover traffic included, through whichever
+	// frontend its pool is on, so "number of clients" makes rounds
+	// exactly as long as they need to be). 0 waits the full SubmitWindow.
 	WaitSubmissions int
 
 	// SubmitWindow bounds how long an open round waits for submissions
@@ -72,7 +73,7 @@ func (n *Network) driveService(ctx context.Context, service wire.Service, d Roun
 
 		deadline := time.Now().Add(d.SubmitWindow)
 		for time.Now().Before(deadline) && ctx.Err() == nil {
-			if d.WaitSubmissions > 0 && n.Entry.BatchSize(service, round) >= d.WaitSubmissions {
+			if d.WaitSubmissions > 0 && n.batchSize(service, round) >= d.WaitSubmissions {
 				break
 			}
 			select {
@@ -94,4 +95,14 @@ func (n *Network) driveService(ctx context.Context, service wire.Service, d Roun
 			}
 		}
 	}
+}
+
+// batchSize counts the round's submissions at every frontend: a client
+// submits through whichever frontend its pool is on.
+func (n *Network) batchSize(service wire.Service, round uint32) int {
+	total := n.Entry.BatchSize(service, round)
+	for _, e := range n.Frontends {
+		total += e.BatchSize(service, round)
+	}
+	return total
 }

@@ -3,12 +3,15 @@
 // frontends, a simulated email provider and a round coordinator.
 //
 // NewNetwork is the one builder of that deployment. Every daemon is served
-// through the handlers the cmd/ daemons register (rpc.RegisterMixer,
-// RegisterCDN, RegisterFrontend, RegisterEntryReplica), so a round that
-// tests drive without timers runs the daemons' real data plane. Config.Listen
-// picks the transport, in-memory ("mem:", the default) or loopback TCP, and
-// on either Network.Kill and Network.Restart take a daemon off its address
-// and serve it there again.
+// through the handlers the cmd/ daemons register (rpc.RegisterPKG,
+// RegisterMixer, RegisterCDN, RegisterFrontend, RegisterEntryReplica), so a
+// round that tests drive without timers runs the daemons' real data plane.
+// The client plane is the deployed one too: the coordinator reaches the
+// PKGs through rpc.DialPKG, and Network.ClientConfig wires a client as
+// alpenhorn-client does, through rpc.DialPKG and rpc.DialFrontendPool.
+// Config.Listen picks the transport, in-memory ("mem:", the default) or
+// loopback TCP, and on either Network.Kill and Network.Restart take a
+// daemon off its address and serve it there again.
 //
 // Two networks built with the same nonzero Config.Seed draw the same round
 // keys, noise and shuffles on either transport. A position lead's stream
@@ -97,6 +100,8 @@ type Mixer struct {
 type Network struct {
 	Provider *email.InMemoryProvider
 	PKGs     []*pkgserver.Server
+	// PKGAddrs are the addresses the PKGs are served on, in PKGs' order.
+	PKGAddrs []string
 	// Mixers holds the pinned mixer daemons by [position][shard].
 	Mixers [][]*Mixer
 	// Spares holds each position's hot spare when Config.Spares is set.
@@ -117,6 +122,7 @@ type Network struct {
 
 	mu      sync.Mutex
 	daemons map[string]*daemon
+	clients []interface{ Close() } // the rpc clients ClientConfig handed out
 }
 
 // daemon is one listener: the registration it serves and its current
@@ -168,12 +174,16 @@ func (n *Network) Restart(addr string) error {
 	return err
 }
 
-// Close stops the deployment's listeners and waits for their handlers.
+// Close closes every client ClientConfig handed out, then stops the
+// deployment's listeners and waits for their handlers.
 func (n *Network) Close() {
 	n.mu.Lock()
-	daemons := n.daemons
-	n.daemons = nil
+	daemons, clients := n.daemons, n.clients
+	n.daemons, n.clients = nil, nil
 	n.mu.Unlock()
+	for _, c := range clients {
+		c.Close()
+	}
 	for _, d := range daemons {
 		d.srv.Close()
 	}
@@ -230,10 +240,15 @@ func NewNetwork(cfg Config) (*Network, error) {
 		if err != nil {
 			return fail(err)
 		}
+		addr, err := n.serve(cfg.Listen, func(s *rpc.Server) { rpc.RegisterPKG(s, pkg) })
+		if err != nil {
+			return fail(err)
+		}
 		n.PKGs = append(n.PKGs, pkg)
+		n.PKGAddrs = append(n.PKGAddrs, addr)
 		n.PKGKeys = append(n.PKGKeys, pkg.SigningKey())
 		n.PKGBLSKeys = append(n.PKGBLSKeys, pkg.BLSKey())
-		coord.PKGs = append(coord.PKGs, pkg)
+		coord.PKGs = append(coord.PKGs, rpc.DialPKG(addr))
 	}
 	for pos, count := range cfg.Shards {
 		if count < 1 {
@@ -317,20 +332,26 @@ func (n *Network) startMixer(cfg Config, pos, shard int) (*Mixer, error) {
 	return m, err
 }
 
-// ClientConfig returns a core.Config wired to this network's servers
-// through the in-process adapters, so a simulated client exercises the
-// same context-aware interfaces (including the push-based round-event
-// surface) as one talking to daemons over TCP.
+// ClientConfig returns a core.Config wired as alpenhorn-client wires one
+// to a deployment without a CDN tier: one rpc.DialPKG client per PKG, and
+// one rpc.DialFrontendPool over FrontendAddrs as both Entry and Mailboxes.
+// Close closes every client it hands out.
 func (n *Network) ClientConfig(addr string, handler core.Handler) core.Config {
-	pkgs := make([]core.PKG, len(n.PKGs))
-	for i, p := range n.PKGs {
-		pkgs[i] = PKGAdapter{P: p}
+	frontends := rpc.DialFrontendPool(n.FrontendAddrs...)
+	pkgs := make([]core.PKG, len(n.PKGAddrs))
+	n.mu.Lock()
+	n.clients = append(n.clients, frontends)
+	for i, a := range n.PKGAddrs {
+		pkg := rpc.DialPKG(a)
+		n.clients = append(n.clients, pkg)
+		pkgs[i] = pkg
 	}
+	n.mu.Unlock()
 	return core.Config{
 		Email:      addr,
 		PKGs:       pkgs,
-		Entry:      EntryAdapter{E: n.Entry},
-		Mailboxes:  CDNAdapter{S: n.CDN},
+		Entry:      frontends,
+		Mailboxes:  frontends,
 		MixerKeys:  n.MixerKeys,
 		PKGKeys:    n.PKGKeys,
 		PKGBLSKeys: n.PKGBLSKeys,

@@ -2,11 +2,15 @@ package sim
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"alpenhorn/internal/coordinator"
+	"alpenhorn/internal/core"
 	"alpenhorn/internal/noise"
 	"alpenhorn/internal/wire"
 )
@@ -357,6 +361,95 @@ func TestSeededRoundIndependentOfGOMAXPROCS(t *testing.T) {
 			if !bytes.Equal(got[i], want[i]) {
 				t.Errorf("GOMAXPROCS %d: mailbox %d of %d differs from GOMAXPROCS 1's", procs, i, len(want))
 			}
+		}
+	}
+}
+
+// TestDriverCountsEveryFrontend: with frontend 0's client address down,
+// the clients' pools submit through frontend 1, and the round driver still
+// closes each round as soon as every client has submitted, well inside
+// its 30 s submit window.
+func TestDriverCountsEveryFrontend(t *testing.T) {
+	n := newNetwork(t, Config{NumPKGs: 1, Shards: []int{1}, NumFrontends: 2})
+	var clients []*core.Client
+	for i := 0; i < 2; i++ {
+		c, err := n.NewClient(fmt.Sprintf("client%d@example.org", i), &Handler{AcceptAll: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, c)
+	}
+	n.Kill(n.FrontendAddrs[0])
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, len(clients))
+	for _, c := range clients {
+		go func(c *core.Client) { done <- c.Run(ctx) }(c)
+	}
+	defer func() {
+		cancel()
+		for range clients {
+			<-done
+		}
+	}()
+	n.StartRounds(ctx, RoundDriver{
+		Services:        []wire.Service{wire.Dialing},
+		WaitSubmissions: len(clients),
+		SubmitWindow:    30 * time.Second,
+		OnError: func(err error) {
+			if ctx.Err() == nil { // the network's Close fails the last round
+				t.Error(err)
+			}
+		},
+	})
+	const rounds = 3
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		scanned := 0
+		for _, c := range clients {
+			if c.DialRound() > rounds {
+				scanned++
+			}
+		}
+		if scanned == len(clients) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d clients scanned %d dialing rounds within 10 s", scanned, len(clients), rounds)
+		}
+	}
+}
+
+// TestPKGFault: with PKG 1 down, an add-friend round fails to open with an
+// error naming PKG 1, and the PKGs that answered erase the round's master
+// key. Once PKG 1 is served again, a friendship completes over the next
+// two rounds. On both transports.
+func TestPKGFault(t *testing.T) {
+	for _, listen := range transports {
+		n := newNetwork(t, Config{Shards: []int{1}, Listen: listen})
+		alice, err := n.NewClient("alice@example.org", &Handler{AcceptAll: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bob, err := n.NewClient("bob@example.org", &Handler{AcceptAll: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		n.Kill(n.PKGAddrs[1])
+		if _, err := n.Coord.OpenAddFriendRound(1); err == nil || !strings.Contains(err.Error(), "PKG 1") {
+			t.Fatalf("%s: open with PKG 1 down: %v, want an error naming PKG 1", listen, err)
+		}
+		for _, i := range []int{0, 2} {
+			if n.PKGs[i].RoundOpen(1) {
+				t.Errorf("%s: PKG %d holds round 1's master key after the failed open", listen, i)
+			}
+		}
+
+		if err := n.Restart(n.PKGAddrs[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Befriend(alice, bob, 2); err != nil {
+			t.Fatalf("%s: after PKG 1 restarted: %v", listen, err)
 		}
 	}
 }
