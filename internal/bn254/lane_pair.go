@@ -104,8 +104,6 @@ func (s *laneState) xi2(z, x *lane2)     { lane2MulXi(z, x); s.ops[laneOpMulXi2]
 // the same formulas, with every temporary in s. Every receiver may alias
 // an operand unless its comment says otherwise.
 
-func (s *laneState) neg2(z, x *lane2) { s.sub2(z, &laneZero6.c0, x) }
-
 func (s *laneState) conj2(z, x *lane2) {
 	z.c0 = x.c0
 	s.sub(&z.c1, &laneZero6.c0.c1, &x.c1)

@@ -19,9 +19,10 @@
 //   - A Backend persists sealed rounds. MemoryBackend keeps everything in
 //     a map (the original semantics, still the default). DiskBackend
 //     writes one checksummed segment file per round, crash-safe via
-//     temp+fsync+rename, with an fsync'd manifest — rounds survive a
-//     process kill byte-identically, and a corrupt segment is rejected
-//     cleanly at reopen so replication backfill can repair it. A seal
+//     temp+fsync+rename, and names it by its service, round and content
+//     checksum — rounds survive a process kill byte-identically, and a
+//     corrupt or misnamed segment is rejected cleanly at reopen so
+//     replication backfill can repair it. A seal
 //     streams through a writer sized to its segment, capped at 1 MiB, so
 //     a small round pays for a small buffer.
 //
@@ -402,5 +403,6 @@ func (s *Store) MailboxSizes(service wire.Service, round uint32) (map[uint32]int
 // BytesServed returns the cumulative bytes served to clients.
 func (s *Store) BytesServed() uint64 { return s.bytesServed.Load() }
 
-// Fetches returns the cumulative number of Fetch calls.
+// Fetches returns the cumulative number of Fetch and FetchRange calls; a
+// FetchRange counts once, however many rounds it covers.
 func (s *Store) Fetches() uint64 { return s.fetches.Load() }

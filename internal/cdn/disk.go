@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,7 +15,10 @@ import (
 	"alpenhorn/internal/wire"
 )
 
-// DiskBackend persists each sealed round as one immutable segment file.
+// DiskBackend persists each sealed round as one immutable segment file,
+// named <service>-<round>-<checksum>.seg: the service's name, the round
+// in ten decimal digits and the round's content checksum (RoundChecksum)
+// in lowercase hex, as in dialing-0000000042-3f9a…c1.seg.
 //
 // Segment layout (all integers little-endian):
 //
@@ -33,18 +34,13 @@ import (
 // A segment is written to a temp file, fsync'd, then renamed into place
 // (and the directory fsync'd), so a crash mid-seal leaves at most a temp
 // file that reopen discards — never a half-visible round. The trailing
-// file checksum makes each segment self-verifying: reopen re-hashes every
-// segment and rejects corrupt or truncated ones cleanly, leaving the
-// affected round absent (for replication backfill to repair) and healthy
-// rounds untouched.
-//
-// The MANIFEST file records the sealed rounds and their content checksums,
-// rewritten whole (temp+fsync+rename) after every seal and delete. Reopen
-// treats it as a cross-check, not the source of truth: segments are
-// self-checksummed, so a segment sealed just before a crash that never
-// made it into the manifest is still recovered, while a manifest entry
-// whose checksum disagrees with the segment's verified contents marks the
-// round corrupt.
+// file checksum makes each segment self-verifying, and its name says
+// which round it must hold: reopen re-hashes every segment and rejects a
+// corrupt or truncated one, or one whose name is not the one its header
+// gives, cleanly, leaving the affected round absent (for replication
+// backfill to repair) and healthy rounds untouched. A segment that is
+// valid on its own but moved under another round's name, or under
+// another checksum, is refused that way.
 type DiskBackend struct {
 	dir  string
 	segs map[roundKey]*segment
@@ -63,7 +59,6 @@ const (
 	segMagic      = "ALPNCDN1"
 	segHeaderSize = 8 + 1 + 4 + 4 + 32
 	segEntrySize  = 8
-	manifestName  = "MANIFEST"
 	tmpPrefix     = ".tmp-"
 )
 
@@ -79,39 +74,15 @@ type segment struct {
 	sum   [32]byte // content checksum (RoundChecksum)
 }
 
-type manifestEntry struct {
-	Service  uint8  `json:"service"`
-	Round    uint32 `json:"round"`
-	File     string `json:"file"`
-	Checksum string `json:"checksum"`
-}
-
-type manifest struct {
-	Rounds []manifestEntry `json:"rounds"`
-}
-
 // NewDiskBackend opens (or creates) a segment directory. Every segment
-// found is fully verified against its trailing checksum; corrupt or
-// truncated segments are rejected without affecting other
-// rounds. Leftover temp files from a crashed seal are removed.
+// found is fully verified against its trailing checksum and its name;
+// corrupt, truncated or misnamed segments are rejected without affecting
+// other rounds. Leftover temp files from a crashed seal are removed.
 func NewDiskBackend(dir string) (*DiskBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cdn: creating %s: %w", dir, err)
 	}
 	d := &DiskBackend{dir: dir, segs: make(map[roundKey]*segment)}
-
-	// The manifest is a cross-check: entries keyed by file name. A
-	// missing or unparsable manifest falls back to trusting the
-	// self-checksummed segments alone.
-	manifestSums := make(map[string]string)
-	if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err == nil {
-		var m manifest
-		if json.Unmarshal(data, &m) == nil {
-			for _, e := range m.Rounds {
-				manifestSums[e.File] = e.Checksum
-			}
-		}
-	}
 
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -132,9 +103,9 @@ func NewDiskBackend(dir string) (*DiskBackend, error) {
 			d.rejected = append(d.rejected, name)
 			continue
 		}
-		if want, ok := manifestSums[name]; ok && want != hex.EncodeToString(seg.sum[:]) {
-			// Segment verifies internally but disagrees with the
-			// fsync'd manifest: treat as corrupt.
+		if name != segName(service, round, seg.sum) {
+			// The segment is valid on its own, but not the round its
+			// name says it holds.
 			seg.f.Close()
 			d.rejected = append(d.rejected, name)
 			continue
@@ -148,8 +119,11 @@ func NewDiskBackend(dir string) (*DiskBackend, error) {
 	return d, nil
 }
 
-func segName(service wire.Service, round uint32) string {
-	return fmt.Sprintf("%s-%010d.seg", service, round)
+// segName is the one name a segment of the round may have. Reopen
+// compares names, not parses them, so a name with an unknown service, a
+// round past uint32, or a checksum in any other spelling is refused.
+func segName(service wire.Service, round uint32, checksum [32]byte) string {
+	return fmt.Sprintf("%s-%010d-%x.seg", service, round, checksum)
 }
 
 func (d *DiskBackend) Seal(service wire.Service, round uint32, mailboxes map[uint32][]byte, checksum [32]byte) error {
@@ -207,7 +181,7 @@ func (d *DiskBackend) Seal(service wire.Service, round uint32, mailboxes map[uin
 		return err
 	}
 
-	path := filepath.Join(d.dir, segName(service, round))
+	path := filepath.Join(d.dir, segName(service, round, checksum))
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		tmp.Close()
 		return err
@@ -224,7 +198,7 @@ func (d *DiskBackend) Seal(service wire.Service, round uint32, mailboxes map[uin
 		return err
 	}
 	d.segs[roundKey{service, round}] = &segment{f: f, path: path, index: index, sum: checksum}
-	return d.writeManifest()
+	return nil
 }
 
 func (d *DiskBackend) Mailbox(service wire.Service, round uint32, mailbox uint32) ([]byte, error) {
@@ -263,10 +237,12 @@ func (d *DiskBackend) Delete(service wire.Service, round uint32) error {
 	}
 	delete(d.segs, k)
 	seg.f.Close()
+	// No directory sync: a crash that brings the file back brings back a
+	// round retention evicts again at reopen.
 	if err := os.Remove(seg.path); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	return d.writeManifest()
+	return nil
 }
 
 func (d *DiskBackend) Rounds() []RoundInfo {
@@ -286,47 +262,6 @@ func (d *DiskBackend) Close() error {
 	}
 	d.segs = make(map[roundKey]*segment)
 	return first
-}
-
-// writeManifest rewrites the manifest atomically (temp+fsync+rename).
-func (d *DiskBackend) writeManifest() error {
-	var m manifest
-	for k, seg := range d.segs {
-		m.Rounds = append(m.Rounds, manifestEntry{
-			Service:  uint8(k.service),
-			Round:    k.round,
-			File:     filepath.Base(seg.path),
-			Checksum: hex.EncodeToString(seg.sum[:]),
-		})
-	}
-	sort.Slice(m.Rounds, func(i, j int) bool {
-		if m.Rounds[i].Service != m.Rounds[j].Service {
-			return m.Rounds[i].Service < m.Rounds[j].Service
-		}
-		return m.Rounds[i].Round < m.Rounds[j].Round
-	})
-	data, err := json.MarshalIndent(&m, "", "\t")
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(d.dir, tmpPrefix+"manifest-")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	tmp.Close()
-	if err := os.Rename(tmp.Name(), filepath.Join(d.dir, manifestName)); err != nil {
-		return err
-	}
-	return syncDir(d.dir)
 }
 
 // openSegment verifies a segment's trailing file checksum by re-hashing

@@ -56,10 +56,47 @@ func TestDiskSealAllocations(t *testing.T) {
 	t.Logf("sealing a 10 kB round allocates %d B in %.0f allocations", perSeal, allocs)
 }
 
+// BenchmarkSealWithHistory seals a round of two 2 kB mailboxes into a
+// backend that already holds held rounds. The oldest round is deleted
+// after each seal, off the clock, so every seal finds the same number
+// held.
+func BenchmarkSealWithHistory(b *testing.B) {
+	mailboxes := map[uint32][]byte{0: bytes.Repeat([]byte{1}, 2048), 1: bytes.Repeat([]byte{2}, 2048)}
+	sum := RoundChecksum(mailboxes)
+	for _, held := range []uint32{0, 100} {
+		b.Run(fmt.Sprintf("held=%d", held), func(b *testing.B) {
+			backend, err := NewDiskBackend(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer backend.Close()
+			round := uint32(0)
+			seal := func() {
+				round++
+				if err := backend.Seal(wire.Dialing, round, mailboxes, sum); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for round < held {
+				seal()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				seal()
+				b.StopTimer()
+				if err := backend.Delete(wire.Dialing, round-held); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}
+
 // TestDiskStoreCrashRestart publishes rounds to a disk store, abandons it
-// without Close (the SIGKILL stand-in: segments and manifest are already
-// fsync'd), reopens the directory, and requires every mailbox back
-// byte-identical — including via FetchRange — with checksums preserved.
+// without Close (the SIGKILL stand-in: segments are already fsync'd),
+// reopens the directory, and requires every mailbox back byte-identical
+// — including via FetchRange — with checksums preserved.
 func TestDiskStoreCrashRestart(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenDiskStore(dir, 0)
@@ -149,7 +186,8 @@ func TestDiskStoreRetentionOnReopen(t *testing.T) {
 		if re.Published(wire.Dialing, r) {
 			t.Fatalf("round %d survived retention", r)
 		}
-		if _, err := os.Stat(filepath.Join(dir, segName(wire.Dialing, r))); !os.IsNotExist(err) {
+		name := segName(wire.Dialing, r, RoundChecksum(testRound(byte(r), 2)))
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Fatalf("round %d segment file survived retention", r)
 		}
 	}
@@ -214,7 +252,8 @@ func TestDiskBackendRejectsCorruption(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := tc.mangle(filepath.Join(dir, segName(wire.Dialing, 1))); err != nil {
+			name := segName(wire.Dialing, 1, RoundChecksum(victim))
+			if err := tc.mangle(filepath.Join(dir, name)); err != nil {
 				t.Fatal(err)
 			}
 
@@ -222,7 +261,7 @@ func TestDiskBackendRejectsCorruption(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := backend.rejected; len(got) != 1 || got[0] != segName(wire.Dialing, 1) {
+			if got := backend.rejected; len(got) != 1 || got[0] != name {
 				t.Fatalf("rejected = %v, want the corrupted segment", got)
 			}
 			re, err := NewStoreWithBackend(backend, 0)
@@ -243,23 +282,22 @@ func TestDiskBackendRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestDiskBackendManifestDisagreement: a segment that verifies internally
-// but contradicts the fsync'd manifest is treated as corrupt.
-func TestDiskBackendManifestDisagreement(t *testing.T) {
+// TestDiskBackendRejectsForgedSegment: a segment that verifies on its
+// own but holds another round 1 (an attacker or a botched restore), moved
+// into place under the genuine segment's name, is refused at reopen: the
+// name carries the genuine round's checksum, which the forgery's header
+// contradicts.
+func TestDiskBackendRejectsForgedSegment(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenDiskStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Publish(wire.Dialing, 1, testRound(1, 3)); err != nil {
+	genuine := testRound(1, 3)
+	if err := s.Publish(wire.Dialing, 1, genuine); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Replace the segment with a DIFFERENT valid round 1 (an attacker or
-	// a botched restore): self-checksum passes, manifest does not.
-	if err := os.Remove(filepath.Join(dir, segName(wire.Dialing, 1))); err != nil {
 		t.Fatal(err)
 	}
 	forgedDir := t.TempDir()
@@ -267,11 +305,14 @@ func TestDiskBackendManifestDisagreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forgedBoxes := testRound(99, 3)
-	if err := fb.Seal(wire.Dialing, 1, forgedBoxes, RoundChecksum(forgedBoxes)); err != nil {
+	forged := testRound(99, 3)
+	sum := RoundChecksum(forged)
+	if err := fb.Seal(wire.Dialing, 1, forged, sum); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(filepath.Join(forgedDir, segName(wire.Dialing, 1)), filepath.Join(dir, segName(wire.Dialing, 1))); err != nil {
+	fb.Close()
+	name := segName(wire.Dialing, 1, RoundChecksum(genuine))
+	if err := os.Rename(filepath.Join(forgedDir, segName(wire.Dialing, 1, sum)), filepath.Join(dir, name)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -279,35 +320,72 @@ func TestDiskBackendManifestDisagreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := backend.rejected; len(got) != 1 {
-		t.Fatalf("rejected = %v, want the forged segment", got)
+	defer backend.Close()
+	if got := backend.rejected; len(got) != 1 || got[0] != name {
+		t.Fatalf("rejected = %v, want the forged segment %s", got, name)
 	}
-	backend.Close()
+	if rounds := backend.Rounds(); len(rounds) != 0 {
+		t.Fatalf("forged round served: %v", rounds)
+	}
 }
 
 // FuzzDiskBackendReopen corrupts arbitrary bytes (or truncates) a sealed
-// segment and reopens the directory: the backend must never panic, must
-// either reject the segment or serve the round's original bytes exactly
-// (mutations that touch only ignored regions — e.g. nothing — keep it
-// valid), and must always keep the untouched healthy round intact.
+// segment, may move it under a name that is not its own, and reopens the
+// directory: the backend must never panic, must either reject the segment
+// or serve the round's original bytes exactly (mutations that touch only
+// ignored regions — e.g. nothing — keep it valid), must reject a renamed
+// segment whatever its bytes, and must always keep the untouched healthy
+// round intact.
 func FuzzDiskBackendReopen(f *testing.F) {
-	f.Add(uint32(0), byte(0xff), false)
-	f.Add(uint32(8), byte(0x01), false)
-	f.Add(uint32(17), byte(0x80), false)
-	f.Add(uint32(60), byte(0xaa), true)
-	f.Add(uint32(1<<20), byte(0x55), true)
+	f.Add(uint32(0), byte(0xff), false, byte(0))
+	f.Add(uint32(8), byte(0x01), false, byte(0))
+	f.Add(uint32(17), byte(0x80), false, byte(0))
+	f.Add(uint32(60), byte(0xaa), true, byte(0))
+	f.Add(uint32(1<<20), byte(0x55), true, byte(0))
+	for rename := byte(1); rename <= 6; rename++ {
+		f.Add(uint32(1), byte(0), false, rename)
+	}
 
-	f.Fuzz(func(t *testing.T, pos uint32, mask byte, truncate bool) {
+	victim := testRound(3, 4)
+	healthy := testRound(4, 4)
+	victimSum := fmt.Sprintf("%x", RoundChecksum(victim))
+	// renames[i] is the name rename mode i+1 moves the victim to.
+	renames := []func(pos uint32, mask byte) string{
+		// another round's name, the victim's checksum
+		func(pos uint32, _ byte) string {
+			if pos == 1 {
+				pos = 2
+			}
+			return segName(wire.Dialing, pos, RoundChecksum(victim))
+		},
+		// another round's checksum
+		func(uint32, byte) string { return segName(wire.Dialing, 1, RoundChecksum(healthy)) },
+		// a short checksum
+		func(pos uint32, _ byte) string {
+			return fmt.Sprintf("%s-%010d-%s.seg", wire.Dialing, 1, victimSum[:pos%64])
+		},
+		// a checksum with a character that is not lowercase hex
+		func(pos uint32, mask byte) string {
+			i := pos % 64
+			return fmt.Sprintf("%s-%010d-%s%c%s.seg", wire.Dialing, 1, victimSum[:i], 'g'+mask%20, victimSum[i+1:])
+		},
+		// an unknown service
+		func(_ uint32, mask byte) string {
+			return fmt.Sprintf("%s-%010d-%s.seg", wire.Service(3+mask%253), 1, victimSum)
+		},
+		// a round past uint32 that wraps to the victim's
+		func(uint32, byte) string { return fmt.Sprintf("%s-%d-%s.seg", wire.Dialing, 1<<32+1, victimSum) },
+	}
+
+	f.Fuzz(func(t *testing.T, pos uint32, mask byte, truncate bool, rename byte) {
 		dir := t.TempDir()
 		s, err := OpenDiskStore(dir, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		victim := testRound(3, 4)
 		if err := s.Publish(wire.Dialing, 1, victim); err != nil {
 			t.Fatal(err)
 		}
-		healthy := testRound(4, 4)
 		if err := s.Publish(wire.AddFriend, 2, healthy); err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +393,8 @@ func FuzzDiskBackendReopen(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		path := filepath.Join(dir, segName(wire.Dialing, 1))
+		name := segName(wire.Dialing, 1, RoundChecksum(victim))
+		path := filepath.Join(dir, name)
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -330,6 +409,14 @@ func FuzzDiskBackendReopen(f *testing.F) {
 			changed = mask != 0
 			data[i] ^= mask
 		}
+		mode := int(rename) % (len(renames) + 1)
+		if mode > 0 {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			name = renames[mode-1](pos, mask)
+			path = filepath.Join(dir, name)
+		}
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -338,6 +425,14 @@ func FuzzDiskBackendReopen(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if mode > 0 {
+			if got := backend.rejected; len(got) != 1 || got[0] != name {
+				t.Fatalf("rejected = %v, want the renamed segment %s", got, name)
+			}
+			if rounds := backend.Rounds(); len(rounds) != 1 {
+				t.Fatalf("held %d rounds, want only the healthy one", len(rounds))
+			}
+		}
 		re, err := NewStoreWithBackend(backend, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -345,7 +440,7 @@ func FuzzDiskBackendReopen(f *testing.F) {
 		defer re.Close()
 
 		if re.Published(wire.Dialing, 1) {
-			if changed {
+			if changed || mode > 0 {
 				t.Fatal("mutated segment accepted")
 			}
 			for id, box := range victim {
@@ -354,7 +449,7 @@ func FuzzDiskBackendReopen(f *testing.F) {
 					t.Fatalf("mailbox %d: %q, %v", id, got, err)
 				}
 			}
-		} else if !changed {
+		} else if !changed && mode == 0 {
 			t.Fatal("untouched segment rejected")
 		}
 		for id, box := range healthy {

@@ -96,6 +96,7 @@ type Server struct {
 	mu       sync.Mutex
 	accounts map[string]*account
 	rounds   map[uint32]*roundState
+	newest   uint32 // the newest round NewRound opened
 
 	// extractions counts successful key extractions (for benchmarks).
 	extractions uint64
@@ -280,14 +281,31 @@ func (s *Server) Registered(addr string) (ed25519.PublicKey, bool) {
 
 // ---- Rounds (§4.4) ----
 
+// roundsKept is how many rounds a PKG remembers, the newest among them,
+// as an entry server does. NewRound refuses a round further back: the PKG
+// no longer knows whether it held that round, so it must not mint it a
+// master key.
+const roundsKept = 65
+
+// forgottenLocked reports whether round is roundsKept or more rounds below
+// the newest. Caller holds s.mu.
+func (s *Server) forgottenLocked(round uint32) bool {
+	return round < s.newest && s.newest-round >= roundsKept
+}
+
 // NewRound generates this PKG's IBE master key pair for an add-friend
 // round and returns the signed public-key announcement for the round
 // settings. Calling it again for the same open round returns the same key.
+//
+// A coordinator opens an add-friend round only after the previous one's
+// close returns, so NewRound erases the master secret of every round
+// below this one still open: a round whose CloseRound never reached this
+// PKG dies here instead of living forever.
 func (s *Server) NewRound(round uint32) (wire.PKGRoundKey, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.rounds[round]
-	if ok && st.closed {
+	if ok && st.closed || s.forgottenLocked(round) {
 		return wire.PKGRoundKey{}, ErrRoundClosed
 	}
 	if !ok {
@@ -297,6 +315,15 @@ func (s *Server) NewRound(round uint32) (wire.PKGRoundKey, error) {
 		}
 		st = &roundState{pub: pub, priv: priv}
 		s.rounds[round] = st
+		s.newest = max(s.newest, round)
+	}
+	for r := range s.rounds {
+		if r < round {
+			s.closeLocked(r)
+		}
+		if s.forgottenLocked(r) {
+			delete(s.rounds, r)
+		}
 	}
 	mk := st.pub.Marshal()
 	return wire.PKGRoundKey{
@@ -314,6 +341,11 @@ func (s *Server) NewRoundV2(round uint32) (wire.PKGRoundKey, error) { return s.N
 func (s *Server) CloseRound(round uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closeLocked(round)
+}
+
+// closeLocked erases round's master secret. Caller holds s.mu.
+func (s *Server) closeLocked(round uint32) {
 	st, ok := s.rounds[round]
 	if !ok || st.closed {
 		return

@@ -234,6 +234,39 @@ func TestForwardSecrecyRoundKeyDeletion(t *testing.T) {
 	}
 }
 
+// TestRoundHorizon: opening a round erases every earlier round still
+// open, whether or not its close arrived, and the PKG remembers only the
+// newest roundsKept rounds; an older one is refused as closed.
+func TestRoundHorizon(t *testing.T) {
+	s, _, _ := newTestPKG(t)
+	const newest = 100
+	for r := uint32(1); r <= newest; r++ {
+		if _, err := s.NewRound(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := uint32(1); r <= newest; r++ {
+		if s.RoundOpen(r) != (r == newest) {
+			t.Fatalf("round %d open = %v after round %d opened", r, s.RoundOpen(r), newest)
+		}
+	}
+	if len(s.rounds) != roundsKept {
+		t.Fatalf("PKG remembers %d rounds, want %d", len(s.rounds), roundsKept)
+	}
+	oldest := uint32(newest - roundsKept + 1)
+	if _, ok := s.rounds[oldest]; !ok {
+		t.Fatalf("round %d, %d below the newest, forgotten", oldest, roundsKept-1)
+	}
+	for _, r := range []uint32{1, oldest - 1, oldest} {
+		if _, err := s.NewRound(r); err != ErrRoundClosed {
+			t.Fatalf("NewRound(%d) after round %d: %v, want ErrRoundClosed", r, newest, err)
+		}
+	}
+	if len(s.rounds) != roundsKept || !s.RoundOpen(newest) {
+		t.Fatal("a refused NewRound changed the PKG's rounds")
+	}
+}
+
 func TestRoundKeyAnnouncementSigned(t *testing.T) {
 	s, _, _ := newTestPKG(t)
 	rk, err := s.NewRound(3)

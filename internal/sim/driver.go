@@ -85,9 +85,6 @@ func (n *Network) driveService(ctx context.Context, service wire.Service, d Roun
 		if _, err := n.Coord.CloseRound(service, round); err != nil {
 			report(err)
 		}
-		if service == wire.AddFriend {
-			n.Coord.FinishAddFriendRound(round)
-		}
 		if d.Interval > 0 {
 			select {
 			case <-ctx.Done():

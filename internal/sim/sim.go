@@ -402,8 +402,9 @@ func (n *Network) ConfirmAll(client *core.Client) error {
 }
 
 // RunAddFriendRound drives one complete add-friend round for the given
-// clients: announce, submit (every client, cover or real), mix, publish,
-// scan (every client), and finally destroy the round's master keys.
+// clients: announce, submit (every client, cover or real), close, which
+// also destroys the round's master keys, mix, publish, and scan (every
+// client).
 func (n *Network) RunAddFriendRound(round uint32, clients []*core.Client) error {
 	ctx := context.Background()
 	if _, err := n.Coord.OpenAddFriendRound(round); err != nil {
@@ -422,7 +423,6 @@ func (n *Network) RunAddFriendRound(round uint32, clients []*core.Client) error 
 			return fmt.Errorf("sim: %s scan: %w", c.Email(), err)
 		}
 	}
-	n.Coord.FinishAddFriendRound(round)
 	return nil
 }
 

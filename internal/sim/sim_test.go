@@ -453,3 +453,35 @@ func TestPKGFault(t *testing.T) {
 		}
 	}
 }
+
+// TestPKGMissedCloseErased: a PKG that is down when an add-friend round
+// closes never hears the close, so it still holds the round's master key;
+// opening the next round erases it there. On both transports.
+func TestPKGMissedCloseErased(t *testing.T) {
+	for _, listen := range transports {
+		n := newNetwork(t, Config{Shards: []int{1}, Listen: listen})
+		if _, err := n.Coord.OpenAddFriendRound(1); err != nil {
+			t.Fatal(err)
+		}
+		n.Kill(n.PKGAddrs[1])
+		if _, err := n.Coord.CloseRound(wire.AddFriend, 1); err != nil {
+			t.Fatalf("%s: close with PKG 1 down: %v", listen, err)
+		}
+		if !n.PKGs[1].RoundOpen(1) {
+			t.Fatalf("%s: the close reached PKG 1 while it was down", listen)
+		}
+		if err := n.Restart(n.PKGAddrs[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.RunAddFriendRound(2, nil); err != nil {
+			t.Fatalf("%s: round 2: %v", listen, err)
+		}
+		for i, pkg := range n.PKGs {
+			for _, r := range []uint32{1, 2} {
+				if pkg.RoundOpen(r) {
+					t.Errorf("%s: PKG %d holds round %d's master key after round 2", listen, i, r)
+				}
+			}
+		}
+	}
+}
