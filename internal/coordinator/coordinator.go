@@ -38,13 +38,12 @@
 // hosts outside the peer list its mix.newround carried, and every other
 // daemon refuses them all.
 //
-// Every member learns its shard index and group size at round open
-// (before noise generation, because the group divides the position's
-// per-mailbox noise), and each merge server learns the successor
-// position's FULL shard set so it can deal its post-shuffle chunks
-// across them. Aborts fan out to every shard of every position. Clients
-// never see any of this: round settings carry one key per position
-// either way.
+// Every member learns its position's planned group and its own slot in it
+// at round open (before noise generation, because the group divides the
+// position's per-mailbox noise), and the successor position's FULL shard
+// set, across which the lead deals its post-shuffle chunks. Aborts fan out
+// to every shard of every position. Clients never see any of this: round
+// settings carry one key per position either way.
 //
 // # Self-healing rounds (schedule.go)
 //
@@ -78,12 +77,14 @@
 //  1. the scheduler probes every candidate daemon (mix.info) and fixes
 //     the round's plan: membership and merge leads;
 //  2. every PKG announces a fresh signed IBE master key;
-//  3. every position's announcer announces a fresh signed onion key
-//     (mix.newround, which also installs its export allowlist);
-//  4. one parallel mix.round.open per planned daemon hands it
-//     everything else: its shard layout, the announcer to pull the key
-//     from, the downstream keys, the mailbox count and its route. The
-//     daemon starts its noise before it answers;
+//  3. every position's announcer, slot 0 of its planned group, announces
+//     a fresh signed onion key (mix.newround, which also installs its
+//     export allowlist: the group's addresses);
+//  4. one parallel mix.round.open per planned daemon hands it the plan
+//     for its position (the group, the lead's slot, where the output
+//     goes), its own slot, the downstream keys and the mailbox count; it
+//     works out its role, pulls the key from slot 0 unless it is slot 0,
+//     and starts its noise before it answers;
 //  5. the coordinator assembles the signed RoundSettings and opens the
 //     round at the entry servers; clients submit onions (real or cover),
 //     extracting their identity keys from the PKGs as part of submission;
@@ -115,11 +116,6 @@ import (
 	"alpenhorn/internal/wire"
 )
 
-// RouteSpec is wire.RouteSpec: one daemon's whole assignment for a round,
-// sent at open — its place in its shard group, where it pulls the round
-// key from, and where its output goes.
-type RouteSpec = wire.RouteSpec
-
 // Mixer is the coordinator's view of one mixer daemon; *rpc.MixerClient
 // implements it.
 type Mixer interface {
@@ -135,12 +131,13 @@ type Mixer interface {
 	// key. peers is the group's planned shard network, the only hosts the
 	// announcer serves the round's private key to.
 	NewRound(service wire.Service, round uint32, peers []string) (wire.MixerRoundKey, error)
-	// OpenRound hands the daemon its whole assignment for the round. The
-	// daemon pulls the round key from spec.KeyAddr (members only; the
-	// private key moves inside the group's trust domain), takes its shard
-	// layout, downstream keys and route, and starts its noise generation
-	// so it runs concurrently with client intake.
-	OpenRound(service wire.Service, round uint32, spec RouteSpec) error
+	// OpenRound hands the daemon its whole assignment for the round: the
+	// plan for its position and its slot in it. The daemon works out its
+	// role, pulls the round key from the group's announcer unless it is
+	// the announcer (the private key moves inside the group's trust
+	// domain), and starts its noise generation so it runs concurrently
+	// with client intake.
+	OpenRound(service wire.Service, round uint32, spec wire.RouteSpec) error
 	// WaitRound blocks until the daemon's data-plane role in the round
 	// completes, returning the daemon's self-reported duration and byte
 	// counts, and its error if it failed or was aborted.
@@ -219,7 +216,7 @@ type Coordinator struct {
 	LatencySLO time.Duration
 
 	// RoundDeadline, when set, bounds each daemon's data-plane work per
-	// round (RouteSpec.DeadlineMs), counted from the daemon's first
+	// round (wire.RouteSpec.DeadlineMs), counted from the daemon's first
 	// mix.stream.begin: peer-dial retries give up once it passes instead
 	// of burning the whole round against a dead peer.
 	RoundDeadline time.Duration
@@ -540,54 +537,36 @@ func (c *Coordinator) openMixRound(settings *wire.RoundSettings, plan *roundPlan
 	if err != nil {
 		return err
 	}
-	// One call per daemon, all at once: every member learns its shard
-	// index and group size, non-lead shards their group's lead address,
-	// and each lead the successor position's FULL shard set — or, for the
-	// last position, its own group's address list, across which it deals
-	// the post-shuffle batch by mailbox ID so that every member builds and
-	// publishes its own slice. The lead role lands on the plan's rotated
-	// lead — a role, not a machine; the key-derived permutation makes the
-	// round's output independent of which member hosts it. Every shard of
-	// every position also gets the onion keys of the POSITIONS after it
-	// to wrap its noise, so every server generates its round noise
-	// concurrently with client intake and the mix never waits for it.
+	// One call per daemon, all at once, each with its position's plan —
+	// the group, the rotated lead's slot, the next position's FULL shard
+	// set or the CDN — and its own slot; the daemon works out its role.
+	// The onion keys of the POSITIONS after it let every daemon make its
+	// noise concurrently with client intake.
 	last := len(plan.groups) - 1
 	return fanOut(len(plan.groups), func(i int) error {
-		group, li := plan.groups[i], plan.leads[i]
+		group := plan.groups[i]
+		route := wire.RouteSpec{
+			NumMailboxes:   settings.NumMailboxes,
+			ChunkSize:      plan.chunkSize,
+			Group:          addrs(group),
+			Lead:           plan.leads[i],
+			DownstreamKeys: keys[i+1:],
+			NumUpstream:    1,
+			DeadlineMs:     plan.deadlineMs,
+		}
+		if i == 0 {
+			// Position 0 is fed by every frontend: its intake stays open
+			// until all of them have sent their upstream-tagged end.
+			route.NumUpstream = 1 + len(c.Frontends)
+		}
+		if i == last {
+			route.CDNAddr = c.CDNAddr
+		} else {
+			route.Successors = addrs(plan.groups[i+1])
+		}
 		return fanOut(len(group), func(s int) error {
-			spec := RouteSpec{
-				NumMailboxes:   settings.NumMailboxes,
-				ChunkSize:      plan.chunkSize,
-				DownstreamKeys: keys[i+1:],
-				ShardIndex:     s,
-				ShardCount:     len(group),
-				NumUpstream:    1,
-				DeadlineMs:     plan.deadlineMs,
-			}
-			if s != 0 {
-				spec.KeyAddr = group[0].Addr()
-			}
-			if i == 0 {
-				// Position 0 is fed by every frontend: its intake stays
-				// open until all of them have sent their upstream-tagged
-				// end.
-				spec.NumUpstream = 1 + len(c.Frontends)
-			}
-			if i == last {
-				// Every member of the last group publishes its own
-				// mailbox-ID slice.
-				spec.CDNAddr = c.CDNAddr
-			}
-			switch {
-			case s != li:
-				spec.MergeAddr = group[li].Addr()
-			case i == last:
-				// BuildShards stays in shard order — members identify
-				// themselves by their own shard index.
-				spec.BuildShards = addrs(group)
-			default:
-				spec.Successors = addrs(plan.groups[i+1])
-			}
+			spec := route
+			spec.ShardIndex = s
 			if err := group[s].OpenRound(service, round, spec); err != nil {
 				return fmt.Errorf("coordinator: opening mixer %d/%d: %w", i, s, err)
 			}
@@ -699,12 +678,6 @@ func (c *Coordinator) closeMixerRounds(service wire.Service, round uint32, plan 
 	})
 }
 
-// routedDaemon is one daemon's place in a round's route graph.
-type routedDaemon struct {
-	pos, shard int
-	m          Mixer
-}
-
 // addrs returns a group's dial addresses, in shard order.
 func addrs(group []Mixer) []string {
 	out := make([]string, len(group))
@@ -723,15 +696,17 @@ func addrs(group []Mixer) []string {
 // The returned per-daemon stats (from mix.round.wait) feed the round
 // health record even when the round fails.
 func (c *Coordinator) runRound(service wire.Service, round uint32, plan *roundPlan, closeErr error) ([]DaemonRoundStats, error) {
-	var all []routedDaemon
+	var daemons []DaemonRoundStats
+	var mixers []Mixer
 	for i, group := range plan.groups {
 		for s, m := range group {
-			all = append(all, routedDaemon{pos: i, shard: s, m: m})
+			daemons = append(daemons, DaemonRoundStats{Position: i, Shard: s, Addr: m.Addr()})
+			mixers = append(mixers, m)
 		}
 	}
 	abortAll := func(reason error) {
-		_ = fanOut(len(all), func(i int) error {
-			return all[i].m.AbortRound(service, round, reason.Error())
+		_ = fanOut(len(mixers), func(i int) error {
+			return mixers[i].AbortRound(service, round, reason.Error())
 		})
 	}
 	if closeErr != nil {
@@ -740,26 +715,26 @@ func (c *Coordinator) runRound(service wire.Service, round uint32, plan *roundPl
 		return nil, closeErr
 	}
 
-	daemons := make([]DaemonRoundStats, len(all))
-	errs := make([]error, len(all))
+	errs := make([]error, len(mixers))
 	var abortOnce sync.Once
 	var wg sync.WaitGroup
-	wg.Add(len(all))
-	for i, rd := range all {
-		go func(i int, rd routedDaemon) {
+	wg.Add(len(mixers))
+	for i := range mixers {
+		go func(i int) {
 			defer wg.Done()
-			stats, err := rd.m.WaitRound(service, round)
-			daemons[i] = DaemonRoundStats{Position: rd.pos, Shard: rd.shard, Addr: rd.m.Addr(), Stats: stats}
+			d := &daemons[i]
+			var err error
+			d.Stats, err = mixers[i].WaitRound(service, round)
 			if err != nil {
-				daemons[i].Err = err.Error()
+				d.Err = err.Error()
 				errs[i] = err
 				// First failure: abort everywhere, which releases every
 				// other daemon's waiter too.
 				abortOnce.Do(func() {
-					abortAll(fmt.Errorf("mixer %d/%d: %v", rd.pos, rd.shard, err))
+					abortAll(fmt.Errorf("mixer %d/%d: %v", d.Position, d.Shard, err))
 				})
 			}
-		}(i, rd)
+		}(i)
 	}
 	wg.Wait()
 
@@ -769,7 +744,7 @@ func (c *Coordinator) runRound(service wire.Service, round uint32, plan *roundPl
 		if err == nil {
 			continue
 		}
-		wrapped := fmt.Errorf("coordinator: mixer %d/%d: %w", all[i].pos, all[i].shard, err)
+		wrapped := fmt.Errorf("coordinator: mixer %d/%d: %w", daemons[i].Position, daemons[i].Shard, err)
 		if firstErr == nil {
 			firstErr = wrapped
 		}

@@ -20,6 +20,9 @@ type stubMixer struct {
 	alive bool
 	// onProbe, when set, runs inside every Probe call.
 	onProbe func()
+
+	mu     sync.Mutex
+	opened []wire.RouteSpec // every spec OpenRound was handed
 }
 
 func (m *stubMixer) Addr() string                 { return m.addr }
@@ -27,7 +30,12 @@ func (m *stubMixer) NoiseMu(wire.Service) float64 { return 0 }
 func (m *stubMixer) NewRound(wire.Service, uint32, []string) (wire.MixerRoundKey, error) {
 	return wire.MixerRoundKey{}, nil
 }
-func (m *stubMixer) OpenRound(wire.Service, uint32, RouteSpec) error { return nil }
+func (m *stubMixer) OpenRound(_ wire.Service, _ uint32, spec wire.RouteSpec) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.opened = append(m.opened, spec)
+	return nil
+}
 func (m *stubMixer) WaitRound(wire.Service, uint32) (wire.MixerRoundStats, error) {
 	return wire.MixerRoundStats{}, nil
 }
@@ -115,6 +123,50 @@ func newStubCoordinator() (*Coordinator, []*stubMixer, *stubMixer) {
 		Spares: [][]Mixer{{spare}},
 	}
 	return c, members, spare
+}
+
+// TestOpenSendsThePlan: every member of a position is opened with the same
+// route but for its own slot, and that route is the plan: the group in
+// shard order, the plan's lead, and the next position's group or, at the
+// last position, the CDN.
+func TestOpenSendsThePlan(t *testing.T) {
+	c, members, _ := newStubCoordinator()
+	last := []*stubMixer{{addr: "10.0.1.1:1", alive: true}, {addr: "10.0.1.2:1", alive: true}}
+	c.Mixers = append(c.Mixers, last[0])
+	c.Shards = append(c.Shards, []Mixer{last[1]})
+	c.CDNAddr = "cdn:1"
+	const round = 4
+	plan := c.planRound(wire.Dialing, round)
+	defer c.dropPlan(wire.Dialing, round)
+	if err := c.openMixRound(&wire.RoundSettings{Service: wire.Dialing, Round: round, NumMailboxes: 3}, plan); err != nil {
+		t.Fatal(err)
+	}
+	stubAddrs := func(group []*stubMixer) (out []string) {
+		for _, m := range group {
+			out = append(out, m.addr)
+		}
+		return out
+	}
+	for i, group := range [][]*stubMixer{members, last} {
+		want := wire.RouteSpec{
+			NumMailboxes: 3, ChunkSize: plan.chunkSize, Group: stubAddrs(group), Lead: round % len(group),
+			NumUpstream: 1, DeadlineMs: plan.deadlineMs,
+		}
+		if i == 0 {
+			want.DownstreamKeys, want.Successors = [][]byte{nil}, stubAddrs(last)
+		} else {
+			want.DownstreamKeys, want.CDNAddr = [][]byte{}, "cdn:1"
+		}
+		for s, m := range group {
+			if len(m.opened) != 1 {
+				t.Fatalf("position %d slot %d opened %d times", i, s, len(m.opened))
+			}
+			want.ShardIndex = s
+			if got := m.opened[0]; !reflect.DeepEqual(got, want) {
+				t.Errorf("position %d slot %d opened with\n%+v, want\n%+v", i, s, got, want)
+			}
+		}
+	}
 }
 
 func TestLeadRotation(t *testing.T) {

@@ -448,8 +448,9 @@ func concat(parts [][][]byte) [][]byte {
 // generateNoise creates the server's fake requests for a round: for every
 // real mailbox, a Laplace-distributed number of plausible request bodies.
 // Fake add-friend requests are random IBE-ciphertext-shaped blobs (a random
-// G2 point plus random AEAD bytes — indistinguishable from real ciphertexts
-// by ciphertext anonymity, §4.3); fake dial requests are random tokens.
+// compressed G1 point where the element U sits, plus random AEAD bytes —
+// indistinguishable from real ciphertexts by ciphertext anonymity, §4.3;
+// ibe.RandomCiphertexts); fake dial requests are random tokens.
 // Mailboxes are sharded across GOMAXPROCS workers: each noise onion costs
 // two fixed-base X25519 walks per downstream hop (onionbox.Sealer: the
 // shared base table and the hop key's table, eight onions a walk on the

@@ -258,8 +258,9 @@ func (m *MixerClient) NewRound(service wire.Service, round uint32, peers []strin
 }
 
 // OpenRound sends the daemon its whole assignment for the round
-// (mix.round.open): it pulls the round key from spec.KeyAddr, takes its
-// shard layout, downstream keys and route, and starts its noise.
+// (mix.round.open): the plan for its position and its slot in it. The
+// daemon works out its role from the route, pulls the round key from the
+// group's slot 0 unless it is slot 0, and starts its noise.
 func (m *MixerClient) OpenRound(service wire.Service, round uint32, spec wire.RouteSpec) error {
 	return m.c.Call("mix.round.open", openArgs{Service: service, Round: round, RouteSpec: spec}, nil)
 }
@@ -358,7 +359,10 @@ func (m *MixerClient) NoiseMu(service wire.Service) float64 {
 // mix.stream.* stages: every data-plane call names its stage and upstream
 // slot. Version 8 folds entry.replicate.feed into entry.replicate.close:
 // a frontend's close carries the feed's params and deals its sub-batch.
-const ProtocolVersion = 8
+// Version 9 sends mix.round.open the plan for the daemon's position — the
+// group, the lead's slot and the daemon's slot — in place of the roles
+// derived from it (key source, merge address, build shards, shard count).
+const ProtocolVersion = 9
 
 // ErrProtocolMismatch is returned (wrapped, naming both versions) by
 // FrontendClient.Directory, DialMixer and PKGClient.Info when the peer

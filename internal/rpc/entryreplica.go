@@ -2,9 +2,7 @@ package rpc
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"alpenhorn/internal/entry"
@@ -97,8 +95,8 @@ func (r *EntryReplica) AnnouncePublished(service wire.Service, round uint32) {
 func (r *EntryReplica) CloseIntake(service wire.Service, round uint32, numMailboxes uint32, chunkSize int, shards []string, upstream int) (int, error) {
 	// Refuse a malformed close before the round closes: the close is
 	// final, so a close that could never deal would destroy the sub-batch.
-	if chunkSize <= 0 || len(shards) == 0 || slices.Contains(shards, "") {
-		return 0, errors.New("rpc: replicate close needs a chunk size and a shard set")
+	if chunkSize <= 0 || len(shards) == 0 || checkAddrs(shards) != nil {
+		return 0, fmt.Errorf("rpc: replicate close needs a chunk size and a shard set of 1 to %d addresses", maxFanIn)
 	}
 	batch, err := r.e.CloseRound(service, round)
 	if err != nil {

@@ -13,14 +13,17 @@ import (
 // FuzzReplicateArgs drives the three entry.replicate handlers with
 // arbitrary params against a frontend that holds two open rounds with
 // onions in them (dialing round 1, add-friend round 2). pick selects the
-// handler and, for a close, how many of position 0's shards it names; the
-// shards are in-memory listeners that take every stream call and count
-// the onions their chunks carry, so a close the handler accepts really
-// deals. data is the settings blob of an open and the JSON params of
-// every other call. The properties:
+// handler and, for a close, how many of position 0's shards it names and
+// whether the list is padded one past maxFanIn or carries an empty
+// address; the shards are in-memory listeners that take every stream call
+// and count the onions their chunks carry, so a close the handler accepts
+// really deals. data is the settings blob of an open and the JSON params
+// of every other call. The properties:
 //   - no handler panics;
 //   - a refused call moves neither the event log, nor an open round's
 //     batch, nor a shard's count;
+//   - a close naming more than maxFanIn shards or an empty address is
+//     refused;
 //   - an accepted open re-sent byte for byte is acknowledged, and one
 //     re-sent with different settings is refused;
 //   - an accepted close deals exactly its batch, and its re-send is
@@ -44,9 +47,11 @@ func FuzzReplicateArgs(f *testing.F) {
 	f.Add(uint8(1+3), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":0}`))
 	f.Add(uint8(1+3*3), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":9223372036854775807}`))
 	f.Add(uint8(1+3), []byte(`{"service":2,"round":1,"chunk_size":-3}`))
-	f.Add(uint8(1), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":2}`)) // no shards
-	f.Add(uint8(1+3), []byte(`{"service":2,"round":9,"chunk_size":2}`))                 // never announced
-	f.Add(uint8(1+3*2), []byte(`{"service":2,"round":1,"chunk_size":3,"shards":[""]}`)) // shards replaced
+	f.Add(uint8(1), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":2}`))        // no shards
+	f.Add(uint8(1+3), []byte(`{"service":2,"round":9,"chunk_size":2}`))                        // never announced
+	f.Add(uint8(1+3*2), []byte(`{"service":2,"round":1,"chunk_size":3,"shards":[""]}`))        // shards replaced
+	f.Add(uint8(1+3+12), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":2}`))   // maxFanIn+1 shards
+	f.Add(uint8(1+3*2+24), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":2}`)) // an empty address
 	f.Add(uint8(2), []byte(`{"service":2,"round":1}`))
 	f.Add(uint8(2), []byte(`{"service":2,"round":7}`))
 	f.Add(uint8(2), []byte(`{"service":1,"round":2}`))
@@ -91,6 +96,16 @@ func FuzzReplicateArgs(f *testing.F) {
 			defer sink.Close()
 			shards = append(shards, addr)
 		}
+		switch pick / 12 % 3 {
+		case 1:
+			// Never dialed: the close must be refused first.
+			for len(shards) <= maxFanIn {
+				shards = append(shards, "mem:0")
+			}
+		case 2:
+			shards = append(shards, "")
+		}
+		malformed := pick/12%3 != 0
 
 		// state is what a refused call must leave alone: the event log's
 		// head cursor, the open rounds' batches and the onions dealt.
@@ -141,6 +156,9 @@ func FuzzReplicateArgs(f *testing.F) {
 		refused(method, before, err)
 		if err != nil {
 			return
+		}
+		if method == "entry.replicate.close" && malformed {
+			t.Fatalf("a close naming %d shards, the last %q, accepted", len(shards), shards[len(shards)-1])
 		}
 		switch method {
 		case "entry.replicate.open":

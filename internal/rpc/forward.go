@@ -24,13 +24,10 @@ import (
 // the coordinator opens the round on every daemon with one call
 // (mix.round.open), which opens the daemon's mixnet.Round — its key, noise
 // and intake — and installs its ROUTE beside it. A chain position is
-// served by a SHARD GROUP of N >= 1 daemons, and the route gives a daemon
-// its shard index, the group size, and its role. One member is the
-// group's merge LEAD this round; its route carries where the position's
-// output goes — the next position's full shard set, or, for the last
-// position, the CDN's publish address and the group's own address list
-// for the sharded mailbox build. Every other member's route names the
-// lead (MergeAddr).
+// served by a SHARD GROUP of N >= 1 daemons. The route is the plan for
+// the daemon's position (wire.RouteSpec): the group, the slot of this
+// round's merge LEAD, where the output goes — the next position's full
+// shard set, or the CDN — and this daemon's own slot, whence its role.
 //
 // Every batch enters a daemon over one stream surface,
 // mix.stream.begin/chunk/end, whose calls name a STAGE of the round and
@@ -58,9 +55,12 @@ import (
 //
 // An unsharded position is a group of one: its own lead, a merge of one
 // part, a one-slice build. The coordinator only moves control messages; it
-// learns each daemon's outcome from the mix.round.wait long-poll, and
-// failures propagate as mix.round.abort down the chain, across the group
-// and back to the waiting coordinator. mix.closeround erases the round.
+// learns each daemon's outcome from the mix.round.wait long-poll. A
+// failure propagates as mix.round.abort to whoever waits on the failed
+// daemon (abortTargets): from a lead to its successors, from the last
+// position's lead to the rest of its group, from any other member to its
+// lead; and back to the waiting coordinator. mix.closeround erases the
+// round.
 
 type outKey struct {
 	service wire.Service
@@ -78,8 +78,8 @@ type route struct {
 
 	// mix is nil until the open succeeds, and the fields below with it.
 	mix *mixnet.Round
-	// The assignment as announced: where the output goes, the shard-group
-	// layout, the chunk size and the fan-in (see wire.RouteSpec).
+	// The assignment as opened: the position's plan and this daemon's slot
+	// in it, whence its roles (see wire.RouteSpec and the methods below).
 	openArgs
 
 	// The round's stages, nil where the route has none (see stage).
@@ -111,7 +111,7 @@ type stage int
 
 const (
 	stagePeel  stage = iota // NumUpstream slots
-	stageMerge              // on the lead: ShardCount slots, one per member
+	stageMerge              // on the lead: one slot per Group member
 	stageBuild              // on a non-lead member of the last position: one slot
 	numStages
 )
@@ -193,6 +193,49 @@ type openArgs struct {
 	Service wire.Service `json:"service"`
 	Round   uint32       `json:"round"`
 	wire.RouteSpec
+}
+
+// A daemon's roles in a round, worked out from its route (see
+// wire.RouteSpec); openRound keeps both slots inside the group.
+func (a *openArgs) lead() bool { return a.ShardIndex == a.Lead }
+func (a *openArgs) last() bool { return a.CDNAddr != "" }
+
+// keySource is the announcer to pull the round key from, "" on itself.
+func (a *openArgs) keySource() string {
+	if a.ShardIndex == 0 {
+		return ""
+	}
+	return a.Group[0]
+}
+
+// mergeTarget is the lead to deposit the peeled slice at, "" on itself.
+func (a *openArgs) mergeTarget() string {
+	if a.lead() {
+		return ""
+	}
+	return a.Group[a.Lead]
+}
+
+// buildSet is the group the last position's lead deals its batch across
+// by mailbox ID; nil on every other daemon.
+func (a *openArgs) buildSet() []string {
+	if !a.lead() || !a.last() {
+		return nil
+	}
+	return a.Group
+}
+
+// abortTargets are the daemons waiting on this one, which its failure
+// releases: a member's lead, a lead's successors, or the rest of the last
+// position's group.
+func (a *openArgs) abortTargets() []string {
+	switch {
+	case !a.lead():
+		return []string{a.Group[a.Lead]}
+	case !a.last():
+		return a.Successors
+	}
+	return slices.Delete(slices.Clone(a.Group), a.ShardIndex, a.ShardIndex+1)
 }
 
 // newRoundArgs is mix.newround's. Peers is set on a shard group's
@@ -327,25 +370,14 @@ func (d *MixerDaemon) resolve(rt *route, err error) bool {
 }
 
 // finish resolves the route with the outcome of this daemon's data-plane
-// role. On failure it also propagates an abort to every successor shard
-// and to the group's merge server, so nothing downstream keeps waiting
-// for chunks (or deposits) that will never come.
+// role. On failure it also aborts the round at every daemon waiting on
+// this one (abortTargets), so nothing downstream keeps waiting for chunks,
+// deposits or build slices that will never come.
 func (d *MixerDaemon) finish(k outKey, rt *route, err error) {
 	if !d.resolve(rt, err) || err == nil {
 		return
 	}
-	targets := append([]string(nil), rt.Successors...)
-	if rt.MergeAddr != "" {
-		targets = append(targets, rt.MergeAddr)
-	}
-	// A failed sharded-build merge server releases its build shards too:
-	// they are parked waiting for dealt slices that will never come.
-	for s, addr := range rt.BuildShards {
-		if s != rt.ShardIndex {
-			targets = append(targets, addr)
-		}
-	}
-	for _, addr := range targets {
+	for _, addr := range rt.abortTargets() {
 		go func(addr string) {
 			_ = d.peer(addr).Call("mix.round.abort", abortArgs{
 				Service: k.service, Round: k.round, Reason: err.Error(),
@@ -384,7 +416,7 @@ func (d *MixerDaemon) forward(k outKey, rt *route) {
 		d.finish(k, rt, err)
 		return
 	}
-	if rt.MergeAddr == "" {
+	if rt.lead() {
 		d.mu.Lock()
 		in := rt.intakes[stageMerge]
 		in.parts[rt.ShardIndex] = out
@@ -395,7 +427,7 @@ func (d *MixerDaemon) forward(k outKey, rt *route) {
 		}
 		return
 	}
-	if err := d.pushStream(rt, []string{rt.MergeAddr}, stageMerge, rt.ShardIndex, out); err != nil || rt.CDNAddr == "" {
+	if err := d.pushStream(rt, []string{rt.mergeTarget()}, stageMerge, rt.ShardIndex, out); err != nil || !rt.last() {
 		d.finish(k, rt, err)
 	}
 	// Otherwise this is a build shard of the last position and its duty
@@ -411,14 +443,14 @@ func (d *MixerDaemon) forward(k outKey, rt *route) {
 // batch order, on its build stage. Cover traffic, malformed payloads,
 // and out-of-range mailboxes are dropped here — exactly the payloads
 // BuildMailboxesRange would drop — so the per-shard builds are byte-identical
-// to the single-machine build. The merge server's own slice never crosses
-// the network; it is built and published concurrently with the deals.
+// to the single-machine build. The lead's own slice never crosses the
+// network; it is built and published concurrently with the deals.
 func (d *MixerDaemon) dealMailboxBuild(k outKey, rt *route, out [][]byte) {
-	n := len(rt.BuildShards)
-	// hi-boundary per shard: payload with mailbox < bounds[s] and
-	// >= bounds[s-1] belongs to shard s.
+	n := len(rt.Group)
+	// bounds[s] is where shard s's range ends, so mailbox m belongs to the
+	// first shard whose range ends past m.
 	bounds := make([]uint32, n)
-	for s := 0; s < n; s++ {
+	for s := range bounds {
 		_, bounds[s] = mixnet.ShardRange(rt.NumMailboxes, s, n)
 	}
 	perShard := make([][][]byte, n)
@@ -427,14 +459,11 @@ func (d *MixerDaemon) dealMailboxBuild(k outKey, rt *route, out [][]byte) {
 		if err != nil || payload.Mailbox == wire.CoverMailbox || payload.Mailbox >= rt.NumMailboxes {
 			continue
 		}
-		s := 0
-		for s < n-1 && payload.Mailbox >= bounds[s] {
-			s++
-		}
+		s, _ := slices.BinarySearch(bounds, payload.Mailbox+1)
 		perShard[s] = append(perShard[s], data)
 	}
 
-	d.finish(k, rt, fanOut(rt.BuildShards, func(s int, addr string) error {
+	d.finish(k, rt, fanOut(rt.buildSet(), func(s int, addr string) error {
 		if s == rt.ShardIndex {
 			return d.buildAndPublishSlice(k, rt, perShard[s])
 		}
@@ -465,10 +494,10 @@ func fanOut(addrs []string, fn func(i int, addr string) error) error {
 
 // buildAndPublishSlice builds this shard's mailbox-ID range from its
 // dealt payload slice and publishes it over the shard's own shard-tagged
-// cdn.publish stream. The CDN seals the round only after all shardCount
-// streams complete.
+// cdn.publish stream. The CDN seals the round only after one stream per
+// group member completes.
 func (d *MixerDaemon) buildAndPublishSlice(k outKey, rt *route, slice [][]byte) error {
-	lo, hi := mixnet.ShardRange(rt.NumMailboxes, rt.ShardIndex, rt.ShardCount)
+	lo, hi := mixnet.ShardRange(rt.NumMailboxes, rt.ShardIndex, len(rt.Group))
 	boxes, err := mixnet.BuildMailboxesRange(k.service, lo, hi, slice)
 	if err != nil {
 		return err
@@ -480,7 +509,7 @@ func (d *MixerDaemon) buildAndPublishSlice(k outKey, rt *route, slice [][]byte) 
 	d.mu.Lock()
 	rt.bytesOut += published
 	d.mu.Unlock()
-	return PublishMailboxesShard(d.peer(rt.CDNAddr), k.service, k.round, boxes, rt.ShardIndex, rt.ShardCount)
+	return PublishMailboxesShard(d.peer(rt.CDNAddr), k.service, k.round, boxes, rt.ShardIndex, len(rt.Group))
 }
 
 // merge is the lead's merge stage completing, with every member's peeled
@@ -492,7 +521,7 @@ func (d *MixerDaemon) merge(k outKey, rt *route, parts [][][]byte) {
 	switch {
 	case err != nil:
 		d.finish(k, rt, err)
-	case len(rt.Successors) > 0:
+	case !rt.last():
 		// Deal the position's output across the successor position's
 		// shard set.
 		d.finish(k, rt, d.pushStream(rt, rt.Successors, stagePeel, 0, out))
@@ -624,6 +653,9 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 	})
 	HandleFunc(s, "mix.newround", func(a newRoundArgs) (any, error) {
 		// Idempotent: a re-sent newround returns the same announcement.
+		if err := checkAddrs(a.Peers); err != nil {
+			return nil, fmt.Errorf("rpc: round %d (%s): peers: %w", a.Round, a.Service, err)
+		}
 		k := outKey{a.Service, a.Round}
 		d.mu.Lock()
 		defer d.mu.Unlock()
@@ -808,29 +840,45 @@ func (d *MixerDaemon) admit(method string, a streamArgs) (*route, bool, error) {
 	return rt, false, nil
 }
 
-// maxFanIn bounds a route's group size and upstream count, and
-// maxMailboxes its mailbox count: each sizes a table (the mailbox count
-// the round's noise), and each arrives as a bare integer.
+// maxFanIn bounds a route's group size and upstream count and every
+// address list off the wire, and maxMailboxes a route's mailbox count:
+// each sizes a table (the mailbox count the round's noise) or costs a
+// goroutine or a dial per entry, and each arrives unauthenticated.
 const (
 	maxFanIn     = 1 << 10
 	maxMailboxes = 1 << 16
 )
 
+// checkAddrs refuses an address list off the wire that is longer than
+// maxFanIn or holds an empty address.
+func checkAddrs(addrs []string) error {
+	if len(addrs) > maxFanIn {
+		return fmt.Errorf("%d addresses, more than %d", len(addrs), maxFanIn)
+	}
+	if slices.Contains(addrs, "") {
+		return errors.New("an empty address")
+	}
+	return nil
+}
+
 // openRound runs one daemon's round set-up (mix.round.open): check the
-// route, pull the round key from the announcer when the route names one
-// (KeyAddr), open the mixnet.Round — which checks the shard layout, the
+// route, pull the round key from the announcer unless this daemon is it
+// (keySource), open the mixnet.Round — which checks the shard layout, the
 // downstream keys and the key, and starts the noise — and install the
 // route beside it. The params come off an unauthenticated transport, so
-// everything is checked before anything changes: a daemon is either its
-// group's lead — output goes to the successors, or to the CDN through a
-// build deal over exactly ShardCount addresses — or a depositor naming its
-// lead, never both. A refused open leaves no route and no noise behind.
+// everything is checked before anything changes: the group, the slots in
+// it, the counts, and where the output goes, which is exactly one of the
+// successors and the CDN. A refused open leaves no route and no noise
+// behind.
 func (d *MixerDaemon) openRound(a openArgs) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("rpc: round %d (%s): "+format, append([]any{a.Round, a.Service}, args...)...)
 	}
-	if a.ShardIndex < 0 || a.ShardIndex >= a.ShardCount || a.ShardCount > maxFanIn {
-		return bad("bad shard index %d/%d", a.ShardIndex, a.ShardCount)
+	if err := checkAddrs(a.Group); err != nil {
+		return bad("group: %v", err)
+	}
+	if n := len(a.Group); a.ShardIndex < 0 || a.ShardIndex >= n || a.Lead < 0 || a.Lead >= n {
+		return bad("bad slot %d or lead %d in a group of %d", a.ShardIndex, a.Lead, n)
 	}
 	if a.NumUpstream < 1 || a.NumUpstream > maxFanIn {
 		return bad("bad upstream count %d", a.NumUpstream)
@@ -838,31 +886,22 @@ func (d *MixerDaemon) openRound(a openArgs) error {
 	if a.NumMailboxes > maxMailboxes {
 		return bad("%d mailboxes", a.NumMailboxes)
 	}
-	lead := a.MergeAddr == ""
-	switch {
-	case !lead && a.ShardCount == 1:
-		return bad("a group of one is its own lead")
-	case !lead && (len(a.Successors) > 0 || len(a.BuildShards) > 0):
-		// A non-lead shard MAY carry a CDN address: that is its
-		// build-slice publish target.
-		return bad("only the group's lead carries successors or build shards")
-	case lead && len(a.Successors) > 0 && (a.CDNAddr != "" || len(a.BuildShards) > 0):
-		return bad("a position forwards to successors or publishes to the CDN, not both")
-	case lead && len(a.Successors) == 0 && a.CDNAddr == "":
-		return bad("route needs a successor or a CDN address")
-	case lead && len(a.Successors) == 0 && len(a.BuildShards) != a.ShardCount:
-		return bad("%d build shards for %d-shard group", len(a.BuildShards), a.ShardCount)
+	if err := checkAddrs(a.Successors); err != nil {
+		return bad("successors: %v", err)
+	}
+	if (len(a.Successors) > 0) == a.last() {
+		return bad("a route needs exactly one of successors and a CDN address")
 	}
 	d.openMu.Lock()
 	defer d.openMu.Unlock()
 	k := outKey{a.Service, a.Round}
 	spec := mixnet.RoundSpec{
-		Service: a.Service, Round: a.Round, ShardIndex: a.ShardIndex, ShardCount: a.ShardCount,
+		Service: a.Service, Round: a.Round, ShardIndex: a.ShardIndex, ShardCount: len(a.Group),
 		Downstream: a.DownstreamKeys, NumMailboxes: a.NumMailboxes,
 	}
 	d.mu.Lock()
 	rt := d.rounds[k]
-	if rt != nil && a.KeyAddr == "" {
+	if rt != nil && a.ShardIndex == 0 {
 		spec.Key = rt.key
 	}
 	d.mu.Unlock()
@@ -875,13 +914,13 @@ func (d *MixerDaemon) openRound(a openArgs) error {
 		}
 		return bad("already routed elsewhere")
 	}
-	if a.KeyAddr != "" {
+	if src := a.keySource(); src != "" {
 		// The private key moves server-to-server inside the group's trust
-		// domain; the coordinator only names the source. The key is a blob
+		// domain; the coordinator only plans the group. The key is a blob
 		// of the reply's frame buffer, which Open zeroes.
 		var reply keyReply
-		if err := d.peer(a.KeyAddr).Call("mix.round.exportkey", roundArgs{Service: a.Service, Round: a.Round}, &reply); err != nil {
-			return fmt.Errorf("rpc: fetching round key from %s: %w", a.KeyAddr, err)
+		if err := d.peer(src).Call("mix.round.exportkey", roundArgs{Service: a.Service, Round: a.Round}, &reply); err != nil {
+			return fmt.Errorf("rpc: fetching round key from %s: %w", src, err)
 		}
 		spec.Import = reply.one()
 	}
@@ -896,9 +935,9 @@ func (d *MixerDaemon) openRound(a openArgs) error {
 	rt.done = make(chan struct{})
 	rt.intakes[stagePeel] = newIntake(a.NumUpstream)
 	switch {
-	case lead:
-		rt.intakes[stageMerge] = newIntake(a.ShardCount)
-	case a.CDNAddr != "":
+	case a.lead():
+		rt.intakes[stageMerge] = newIntake(len(a.Group))
+	case a.last():
 		rt.intakes[stageBuild] = newIntake(1)
 	}
 	return nil

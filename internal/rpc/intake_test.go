@@ -88,7 +88,7 @@ func TestStreamRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := a.Client.OpenRound(wire.Dialing, 2, wire.RouteSpec{
-		NumMailboxes: 1, ShardCount: 2, NumUpstream: 1,
+		NumMailboxes: 1, Group: []string{a.Addr, n.Mixers[1][1].Addr}, NumUpstream: 1,
 		Successors: []string{n.Mixers[2][0].Addr}, DownstreamKeys: [][]byte{pub.Bytes()},
 	}); err != nil {
 		t.Fatal(err)

@@ -164,7 +164,7 @@ func TestRoundOpenResent(t *testing.T) {
 	rd := startRoutedDaemon(t, 0)
 	spec := wire.RouteSpec{
 		NumMailboxes: routedMailboxes, CDNAddr: "cdn:1", NumUpstream: 1,
-		ShardCount: 1, BuildShards: []string{rd.addr},
+		Group: []string{rd.addr},
 	}
 	errs := make(chan error, 4)
 	for i := 0; i < cap(errs); i++ {

@@ -247,7 +247,7 @@ func startRoutedDaemon(t *testing.T, numUpstream int) *routedDaemon {
 	if numUpstream > 0 {
 		if err := rd.mc.OpenRound(wire.Dialing, 1, wire.RouteSpec{
 			NumMailboxes: routedMailboxes, CDNAddr: cdnAddr, NumUpstream: numUpstream,
-			ShardCount: 1, BuildShards: []string{rd.addr},
+			Group: []string{rd.addr},
 		}); err != nil {
 			t.Fatal(err)
 		}

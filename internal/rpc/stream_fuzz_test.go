@@ -30,8 +30,8 @@ func FuzzStreamArgs(f *testing.F) {
 		return []byte{0, stage + 1, upstream + 1, 0, 4, stage + 1, upstream + 1, 0, 2, stage + 1, upstream + 1, 0}
 	}
 	f.Add(uint8(0), append(honest(0, 0), honest(0, 1)...))
-	f.Add(uint8(1), append(honest(0, 0), honest(1, 0)...))
-	f.Add(uint8(1), honest(1, 1))
+	f.Add(uint8(1), append(honest(0, 0), honest(1, 1)...))
+	f.Add(uint8(1), honest(1, 0))
 	f.Add(uint8(2), append(honest(0, 0), honest(2, 0)...))
 	f.Add(uint8(2), []byte{1, 3, 1, 0, 2, 3, 1, 0, 1, 3, 1, 0, 0, 3, 1, 200})
 
@@ -43,10 +43,12 @@ func FuzzStreamArgs(f *testing.F) {
 		}
 		keys = append(keys, pub.Bytes())
 	}
+	// The daemon sits at slot 0, the announcer's, in every role: it holds
+	// the round key it announced and pulls none.
 	roles := []wire.RouteSpec{
-		{ShardIndex: 0, ShardCount: 2, NumUpstream: 2, MergeAddr: "mem:1", DownstreamKeys: keys},
-		{ShardIndex: 1, ShardCount: 3, NumUpstream: 1, Successors: []string{"mem:2"}, DownstreamKeys: keys[:1]},
-		{ShardIndex: 1, ShardCount: 2, NumUpstream: 1, MergeAddr: "mem:1", CDNAddr: "mem:3"},
+		{Group: []string{"mem:0", "mem:1"}, Lead: 1, NumUpstream: 2, Successors: []string{"mem:2"}, DownstreamKeys: keys},
+		{Group: []string{"mem:0", "mem:1", "mem:4"}, NumUpstream: 1, Successors: []string{"mem:2"}, DownstreamKeys: keys[:1]},
+		{Group: []string{"mem:0", "mem:1"}, Lead: 1, NumUpstream: 1, CDNAddr: "mem:3"},
 	}
 	nz := noise.Laplace{}
 

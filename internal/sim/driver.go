@@ -27,10 +27,6 @@ type RoundDriver struct {
 	// rounds close as soon as everyone has submitted).
 	SubmitWindow time.Duration
 
-	// Interval pauses between a round's close and the next round's open
-	// (default 0: back-to-back rounds).
-	Interval time.Duration
-
 	// OnError, when set, receives round open/close errors. Close errors
 	// do not stop the driver (a failed round is skipped, like the entry
 	// daemon); open errors do.
@@ -84,12 +80,6 @@ func (n *Network) driveService(ctx context.Context, service wire.Service, d Roun
 
 		if _, err := n.Coord.CloseRound(service, round); err != nil {
 			report(err)
-		}
-		if d.Interval > 0 {
-			select {
-			case <-ctx.Done():
-			case <-time.After(d.Interval):
-			}
 		}
 	}
 }

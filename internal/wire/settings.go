@@ -8,43 +8,32 @@ import (
 )
 
 // RouteSpec is one mixer daemon's whole assignment for a round, sent in
-// the round's one mix.round.open call: its place in its chain position's
-// shard group, where it pulls the round key from, the onion keys it wraps
-// noise under, and where the position's post-shuffle output goes. An
-// unsharded position is a group of one: ShardIndex 0 of ShardCount 1, its
-// own merge server.
+// the round's one mix.round.open call: the coordinator's plan for the
+// daemon's chain position — its shard group, the slot of the group's
+// merge lead, and where the position's output goes — and the daemon's own
+// slot. Every member of a position gets the same spec but for ShardIndex
+// and works out its role from it (internal/rpc/forward.go): the lead
+// merges, every other member deposits at the lead and pulls the round key
+// from slot 0, the announcer. An unsharded position is a group of one.
 type RouteSpec struct {
 	NumMailboxes uint32 `json:"num_mailboxes"`
 	ChunkSize    int    `json:"chunk_size"`
-	// KeyAddr is the position's announcer, from which every other
-	// member pulls the round onion key; empty on the announcer itself.
-	KeyAddr string `json:"key_addr,omitempty"`
+	// Group is the position's planned members' dial addresses in shard
+	// order, a drafted spare in the slot it fills. ShardIndex is this
+	// daemon's slot in it, Lead the lead's.
+	Group      []string `json:"group"`
+	ShardIndex int      `json:"shard_index"`
+	Lead       int      `json:"lead"`
 	// DownstreamKeys are the round onion keys of the positions after
 	// this one, which the daemon wraps its noise under.
 	DownstreamKeys [][]byte `json:"downstream_keys,omitempty"`
-	// Successors is the NEXT position's full shard set (one address for
-	// a group of one); empty for the last position, whose members publish
-	// to CDNAddr instead. Only a group's merge server carries Successors.
+	// A route carries exactly one of Successors, the NEXT position's full
+	// shard set, and CDNAddr, where the last position's members publish.
 	Successors []string `json:"successors,omitempty"`
 	CDNAddr    string   `json:"cdn_addr,omitempty"`
-	// Shard-group placement: this daemon is shard ShardIndex of
-	// ShardCount (>= 1) serving its position; non-merge shards deposit
-	// their peeled slice at MergeAddr, which is empty on the merge server
-	// itself. NumUpstream (>= 1) is how many upstream end-of-streams
-	// close the daemon's onion intake.
-	ShardIndex  int    `json:"shard_index"`
-	ShardCount  int    `json:"shard_count"`
-	MergeAddr   string `json:"merge_addr,omitempty"`
-	NumUpstream int    `json:"num_upstream"`
-	// BuildShards is set on the LAST position's merge server: after the
-	// merged shuffle it deals request bodies by mailbox ID to these
-	// addresses (its own shard group, in shard order, merge member
-	// included at its own shard index). Each shard, merge member
-	// included, then builds its own mailbox-ID range and publishes it
-	// over its own shard-tagged cdn.publish stream. Non-merge shards of
-	// the last group carry CDNAddr (their publish target) but empty
-	// BuildShards.
-	BuildShards []string `json:"build_shards,omitempty"`
+	// NumUpstream (>= 1) is how many upstream end-of-streams close the
+	// daemon's onion intake.
+	NumUpstream int `json:"num_upstream"`
 	// DeadlineMs bounds the daemon's data-plane work for the round:
 	// peer-dial retries (successor streams, merge deposits, deal slices)
 	// give up once the deadline passes instead of burning the whole
