@@ -62,9 +62,9 @@
 // from mix.round.wait (slow / crashed / upstream / error) let the
 // scheduler distinguish a daemon's own failure from an abort it merely
 // echoed. The plan itself is a pure function of the probe results and a
-// scoreboard snapshot (decidePlan). Every round runs with the configured
-// ChunkSize, and RoundDeadline bounds every daemon's peer-dial retries so
-// a dead peer costs bounded time, not the round's wait timeout.
+// scoreboard snapshot (decidePlan). RoundDeadline bounds every daemon's
+// peer-dial retries so a dead peer costs bounded time, not the round's
+// wait timeout.
 //
 // The coordinator keeps per-round health (Status): wall time, batch
 // size, and each daemon's self-reported duration, batch bytes, and abort
@@ -166,14 +166,15 @@ type PKG interface {
 // fail over between frontends mid-round without a snapshot reset. Each
 // frontend admits its own sub-batch and, when its intake closes, deals it
 // into position 0's shard set itself, tagged with its upstream index, so
-// no batch crosses the coordinator.
+// no batch crosses the coordinator. A close names only where the sub-batch
+// goes: the frontend cuts it into stream chunks itself.
 type Frontend interface {
 	OpenRound(settings *wire.RoundSettings) error
 	AnnouncePublished(service wire.Service, round uint32)
 	// CloseIntake closes the frontend's round, deals its sub-batch across
 	// position 0's shard set (chunk i to shard i mod N) as upstream
 	// feeder `upstream`, and reports the sub-batch size.
-	CloseIntake(service wire.Service, round uint32, numMailboxes uint32, chunkSize int, shards []string, upstream int) (int, error)
+	CloseIntake(service wire.Service, round uint32, shards []string, upstream int) (int, error)
 }
 
 // Coordinator orchestrates rounds across the servers. It is safe for
@@ -226,10 +227,6 @@ type Coordinator struct {
 	// add-friend mailboxes at roughly 24,000 requests (§8.2). Tests use
 	// small values.
 	TargetRequestsPerMailbox int
-
-	// ChunkSize is the number of onions per pipeline chunk when streaming
-	// a batch through the chain (0 = mixnet.DefaultStreamChunk).
-	ChunkSize int
 
 	// Deprecated: nothing reads PairingV2; bench/fleet.go, frozen for this PR, sets it.
 	PairingV2 bool
@@ -476,7 +473,6 @@ func (c *Coordinator) openRound(service wire.Service, round uint32) (_ *wire.Rou
 	// round mid-chain. The plan is fixed for the round's whole life —
 	// CloseRound reuses it verbatim.
 	plan := c.planRound(service, round)
-	plan.numMailboxes = settings.NumMailboxes
 	defer func() {
 		if err != nil {
 			// A round that never opens must not leave keys behind: the
@@ -547,7 +543,6 @@ func (c *Coordinator) openMixRound(settings *wire.RoundSettings, plan *roundPlan
 		group := plan.groups[i]
 		route := wire.RouteSpec{
 			NumMailboxes:   settings.NumMailboxes,
-			ChunkSize:      plan.chunkSize,
 			Group:          addrs(group),
 			Lead:           plan.leads[i],
 			DownstreamKeys: keys[i+1:],
@@ -595,8 +590,7 @@ func (c *Coordinator) openMixRound(settings *wire.RoundSettings, plan *roundPlan
 func (c *Coordinator) CloseRound(service wire.Service, round uint32) (map[uint32][]byte, error) {
 	start := time.Now()
 	// The round runs with the plan captured at open — membership, merge
-	// leads, mailbox count, chunk size, and deadline are fixed for the
-	// round's life.
+	// leads and deadline are fixed for the round's life.
 	plan := c.planFor(service, round)
 	if plan == nil {
 		return nil, fmt.Errorf("coordinator: round %d (%s) was not opened by this coordinator", round, service)
@@ -632,7 +626,7 @@ func (c *Coordinator) CloseRound(service wire.Service, round uint32) (map[uint32
 	first := addrs(plan.groups[0])
 	sizes := make([]int, len(frontends))
 	err := fanOut(len(frontends), func(k int) (err error) {
-		sizes[k], err = frontends[k].CloseIntake(service, round, plan.numMailboxes, plan.chunkSize, first, k)
+		sizes[k], err = frontends[k].CloseIntake(service, round, first, k)
 		if err != nil {
 			return fmt.Errorf("coordinator: frontend %d close: %w", k, err)
 		}

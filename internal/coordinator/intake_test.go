@@ -79,7 +79,7 @@ func TestFailedRoundLeaksNoStash(t *testing.T) {
 	first := []string{n.Mixers[0][0].Addr}
 	for i, f := range n.Coord.FrontendList() {
 		failed := uint32(i + 1) // the failed round whose close frontend i took last
-		if size, err := f.CloseIntake(wire.Dialing, failed, 1, 16, first, i); err == nil {
+		if size, err := f.CloseIntake(wire.Dialing, failed, first, i); err == nil {
 			t.Errorf("frontend %d closed failed round %d again and dealt %d onions", i, failed, size)
 		}
 	}
@@ -124,7 +124,7 @@ type erasureWaiter struct {
 	pkgs []*pkgserver.Server
 }
 
-func (f erasureWaiter) CloseIntake(service wire.Service, round uint32, numMailboxes uint32, chunkSize int, shards []string, upstream int) (int, error) {
+func (f erasureWaiter) CloseIntake(service wire.Service, round uint32, shards []string, upstream int) (int, error) {
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		open := 0
 		for _, p := range f.pkgs {
@@ -133,7 +133,7 @@ func (f erasureWaiter) CloseIntake(service wire.Service, round uint32, numMailbo
 			}
 		}
 		if open == 0 {
-			return f.Frontend.CloseIntake(service, round, numMailboxes, chunkSize, shards, upstream)
+			return f.Frontend.CloseIntake(service, round, shards, upstream)
 		}
 		if time.Now().After(deadline) {
 			return 0, fmt.Errorf("%d PKGs still hold round %d's master key 5 s into the close", open, round)

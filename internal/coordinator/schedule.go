@@ -36,9 +36,8 @@ package coordinator
 //     round % len(group), moving the per-position bandwidth funnel and
 //     the build deal's fan-out cost to a different member each round.
 //
-// A round's chunk size (ChunkSize) and data-plane deadline
-// (RoundDeadline) are the configured ones. The scoreboard is served
-// read-only over the coordinator.status RPC.
+// A round's data-plane deadline (RoundDeadline) is the configured one.
+// The scoreboard is served read-only over the coordinator.status RPC.
 
 import (
 	"fmt"
@@ -47,7 +46,6 @@ import (
 	"sort"
 	"time"
 
-	"alpenhorn/internal/mixnet"
 	"alpenhorn/internal/wire"
 )
 
@@ -116,11 +114,8 @@ type roundPlan struct {
 	// leads is the index WITHIN each group of the member hosting the
 	// merge/build-lead role this round: round % len(group).
 	leads []int
-	// numMailboxes / chunkSize / deadlineMs are the round's data-plane
-	// parameters.
-	numMailboxes uint32
-	chunkSize    int
-	deadlineMs   int64
+	// deadlineMs is the round's data-plane deadline (RoundDeadline).
+	deadlineMs int64
 	// drafted lists the spare addresses this plan holds, released when
 	// the plan is dropped.
 	drafted []string
@@ -275,8 +270,8 @@ type scoreChange struct {
 // members that failed their probe, re-admits benched members that probe
 // healthy past their cooldown, drafts a spare into every benched slot but
 // the announcer's, and rotates the merge/build lead. It reads nothing but
-// its input, so equal inputs give equal plans. The plan's chunkSize and
-// deadlineMs are left for the caller.
+// its input, so equal inputs give equal plans. The plan's deadlineMs is
+// left for the caller.
 func decidePlan(in planInput) (plan *roundPlan, changes []scoreChange, logs []string) {
 	plan = &roundPlan{}
 	note := func(format string, args ...any) {
@@ -376,10 +371,6 @@ func (c *Coordinator) planRound(service wire.Service, round uint32) *roundPlan {
 		}
 	}
 	plan, changes, logs := decidePlan(in)
-	plan.chunkSize = c.ChunkSize
-	if plan.chunkSize <= 0 {
-		plan.chunkSize = mixnet.DefaultStreamChunk
-	}
 	plan.deadlineMs = int64(c.RoundDeadline / time.Millisecond)
 	for _, ch := range changes {
 		sc := c.score(ch.addr)

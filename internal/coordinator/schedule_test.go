@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"alpenhorn/internal/mixnet"
 	"alpenhorn/internal/wire"
 )
 
@@ -74,40 +73,6 @@ func TestBenchReason(t *testing.T) {
 	}
 }
 
-// TestAdaptChunkWindow pins the chunk contract: no round outcome moves
-// the chunk size. After failed, SLO-breaching and clean rounds of either
-// service, every plan carries the configured chunk, or
-// mixnet.DefaultStreamChunk when none is configured.
-func TestAdaptChunkWindow(t *testing.T) {
-	outcomes := []RoundHealth{
-		{Err: "boom"},
-		{Daemons: []DaemonRoundStats{{Addr: "10.0.0.2:1", Stats: wire.MixerRoundStats{Duration: 50 * time.Millisecond}}}},
-		{},
-	}
-	for _, tc := range []struct{ configured, want int }{{64, 64}, {0, mixnet.DefaultStreamChunk}} {
-		c, _, _ := newStubCoordinator()
-		c.ChunkSize = tc.configured
-		c.LatencySLO = time.Millisecond
-		round := uint32(0)
-		for i := 0; i < 4; i++ {
-			for _, h := range outcomes {
-				for _, svc := range []wire.Service{wire.AddFriend, wire.Dialing} {
-					round++
-					h.Service, h.Round = svc, round
-					c.recordHealth(h)
-					for _, next := range []wire.Service{wire.AddFriend, wire.Dialing} {
-						if got := c.planRound(next, round+1).chunkSize; got != tc.want {
-							t.Errorf("ChunkSize %d: %v plan after a %v round (err %q): chunk %d, want %d",
-								tc.configured, next, svc, h.Err, got, tc.want)
-						}
-						c.dropPlan(next, round+1)
-					}
-				}
-			}
-		}
-	}
-}
-
 // newStubCoordinator builds a coordinator over one position with a
 // 3-member stub shard group and one stub spare.
 func newStubCoordinator() (*Coordinator, []*stubMixer, *stubMixer) {
@@ -149,7 +114,7 @@ func TestOpenSendsThePlan(t *testing.T) {
 	}
 	for i, group := range [][]*stubMixer{members, last} {
 		want := wire.RouteSpec{
-			NumMailboxes: 3, ChunkSize: plan.chunkSize, Group: stubAddrs(group), Lead: round % len(group),
+			NumMailboxes: 3, Group: stubAddrs(group), Lead: round % len(group),
 			NumUpstream: 1, DeadlineMs: plan.deadlineMs,
 		}
 		if i == 0 {

@@ -104,7 +104,6 @@ func TestDataPlaneMatchesReference(t *testing.T) {
 // routed plane of n and through Chain on the mixers of ref, a second
 // network built with the same Config, and compares the mailboxes.
 func testDataPlaneMatchesReference(t *testing.T, n, refNet *sim.Network, service wire.Service, bodies [][]byte) {
-	n.Coord.ChunkSize = 16
 	n.Coord.SetExpectedVolume(service, len(bodies))
 	open := n.Coord.OpenDialingRound
 	if service == wire.AddFriend {

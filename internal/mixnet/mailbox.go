@@ -125,7 +125,8 @@ func groupByMailbox(service wire.Service, numMailboxes uint32, batch [][]byte, w
 	return grouped
 }
 
-// DefaultStreamChunk is the batch chunk size used when feeding a mixer
-// chain as a stream: small enough that downstream decryption overlaps
-// upstream emission, large enough to amortize per-chunk overhead.
+// DefaultStreamChunk is every sender's batch chunk size when feeding a
+// mixer as a stream (rpc's push, for a frontend and a daemon alike): small
+// enough that downstream decryption overlaps upstream emission, large
+// enough to amortize per-chunk overhead. No receiver is told it.
 const DefaultStreamChunk = 512

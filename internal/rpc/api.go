@@ -198,11 +198,6 @@ type MixerInfo struct {
 	Spare bool `json:"spare,omitempty"`
 }
 
-// streamChunkMax bounds how many messages one chunk call carries, keeping
-// every frame far below the transport's 64 MB cap even for large onions
-// (8192 × ~600 B raw ≈ 5 MB).
-const streamChunkMax = 8192
-
 // MixerClient talks to a remote mixer daemon (RegisterMixer, forward.go);
 // it is the coordinator's Mixer.
 type MixerClient struct {
@@ -362,7 +357,11 @@ func (m *MixerClient) NoiseMu(service wire.Service) float64 {
 // Version 9 sends mix.round.open the plan for the daemon's position — the
 // group, the lead's slot and the daemon's slot — in place of the roles
 // derived from it (key source, merge address, build shards, shard count).
-const ProtocolVersion = 9
+// Version 10 takes the framing off the plan: mix.round.open carries no
+// chunk size, entry.replicate.close no chunk size or mailbox count, and a
+// mix.stream call no mailbox count, since every sender cuts its own
+// chunks and every daemon holds the count from its route.
+const ProtocolVersion = 10
 
 // ErrProtocolMismatch is returned (wrapped, naming both versions) by
 // FrontendClient.Directory, DialMixer and PKGClient.Info when the peer

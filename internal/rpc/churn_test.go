@@ -38,12 +38,12 @@ func TestChurnSelfHealingRounds(t *testing.T) {
 
 	onTransports(t, func(t *testing.T, listen string) {
 		newFleet := func(spares bool) *sim.Network {
+			rpc.SetStreamChunk(t, 16)
 			n := newNetwork(t, sim.Config{
 				NumPKGs: 1, Shards: counts, Spares: spares,
 				AddFriendNoise: &nz, DialingNoise: &nz, TargetRequestsPerMailbox: 40,
 				Seed: 1000, Listen: listen,
 			})
-			n.Coord.ChunkSize = 16
 			n.Coord.RoundDeadline = 20 * time.Second
 			n.Coord.SetExpectedVolume(wire.Dialing, numTokens)
 			return n
@@ -288,12 +288,12 @@ func TestMergeRotationDeterminism(t *testing.T) {
 		boxes map[uint32][]byte
 	}
 	run := func(shardsPerPos int) ([]roundBoxes, *coordinator.Coordinator) {
+		rpc.SetStreamChunk(t, 16)
 		n := newNetwork(t, sim.Config{
 			NumPKGs: 1, Shards: []int{shardsPerPos, shardsPerPos, shardsPerPos},
 			AddFriendNoise: &nz, DialingNoise: &nz, TargetRequestsPerMailbox: 40, Seed: 1000,
 		})
 		coord := n.Coord
-		coord.ChunkSize = 16
 		coord.SetExpectedVolume(wire.Dialing, numTokens)
 
 		var out []roundBoxes

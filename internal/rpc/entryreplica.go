@@ -12,9 +12,11 @@ import (
 // An EntryReplica is the one frontend-side intake: it replays the
 // coordinator's announcements into its entry server and, at round close,
 // closes the intake and deals the sub-batch into position 0's shard set
-// itself (push), tagged with the frontend's upstream index so the shards'
-// counted NumUpstream fan-in merges N feeders exactly once each, in
-// upstream order whenever they arrive. The coordinator drives its own
+// itself (push, in the sender's own chunks), tagged with the frontend's
+// upstream index so the shards' counted NumUpstream fan-in merges N
+// feeders exactly once each, in upstream order whenever they arrive. The
+// close names only the shards and the slot: the shards hold the round's
+// mailbox count from their routes. The coordinator drives its own
 // entry server, frontend 0, through one in process; every other frontend
 // serves one behind RegisterEntryReplica, and the coordinator drives it
 // over the entry.replicate surface. So no onion crosses the coordinator.
@@ -39,10 +41,8 @@ type replicateOpenArgs struct {
 }
 
 type replicateCloseArgs struct {
-	Service      wire.Service `json:"service"`
-	Round        uint32       `json:"round"`
-	NumMailboxes uint32       `json:"num_mailboxes"`
-	ChunkSize    int          `json:"chunk_size"`
+	Service wire.Service `json:"service"`
+	Round   uint32       `json:"round"`
 	// Shards is position 0's full shard set, which the frontend feeds with
 	// the one push every shard set is fed with: chunk i of its sub-batch
 	// to shard i mod N.
@@ -86,27 +86,25 @@ func (r *EntryReplica) AnnouncePublished(service wire.Service, round uint32) {
 }
 
 // CloseIntake closes the round on the entry server and deals its
-// sub-batch across position 0's shard set (chunk i to shard i mod N) as
-// upstream feeder `upstream`, reporting its size. The shards' routes carry
-// NumUpstream = #frontends, so each end closes one counted upstream slot.
+// sub-batch across position 0's shard set (push's chunk i to shard
+// i mod N) as upstream feeder `upstream`, reporting its size. The shards'
+// routes carry NumUpstream = #frontends, so each end closes one counted
+// upstream slot.
 // At most once: the entry server closes a round once, so a re-sent close
 // is refused before it deals anything; a failure fails the round (the
 // next round carries the traffic).
-func (r *EntryReplica) CloseIntake(service wire.Service, round uint32, numMailboxes uint32, chunkSize int, shards []string, upstream int) (int, error) {
+func (r *EntryReplica) CloseIntake(service wire.Service, round uint32, shards []string, upstream int) (int, error) {
 	// Refuse a malformed close before the round closes: the close is
 	// final, so a close that could never deal would destroy the sub-batch.
-	if chunkSize <= 0 || len(shards) == 0 || checkAddrs(shards) != nil {
-		return 0, fmt.Errorf("rpc: replicate close needs a chunk size and a shard set of 1 to %d addresses", maxFanIn)
+	if len(shards) == 0 || checkAddrs(shards) != nil {
+		return 0, fmt.Errorf("rpc: replicate close needs a shard set of 1 to %d addresses", maxFanIn)
 	}
 	batch, err := r.e.CloseRound(service, round)
 	if err != nil {
 		return 0, err
 	}
-	hdr := streamArgs{Service: service, Round: round, Stage: stagePeel, Upstream: upstream, NumMailboxes: numMailboxes}
-	// The chunk size arrives as a bare integer: clamped to the frame budget,
-	// as a daemon clamps its route's, it keeps the deal's offsets from
-	// overflowing.
-	if err := r.push(shards, hdr, batch, min(chunkSize, streamChunkMax), time.Time{}); err != nil {
+	hdr := streamArgs{Service: service, Round: round, Stage: stagePeel, Upstream: upstream}
+	if err := r.push(shards, hdr, batch, time.Time{}); err != nil {
 		return 0, err
 	}
 	return len(batch), nil
@@ -126,7 +124,7 @@ func RegisterEntryReplica(s *Server, e *entry.Server) *EntryReplica {
 		return nil, r.OpenRound(rs)
 	})
 	HandleFunc(s, "entry.replicate.close", func(a replicateCloseArgs) (any, error) {
-		n, err := r.CloseIntake(a.Service, a.Round, a.NumMailboxes, a.ChunkSize, a.Shards, a.Upstream)
+		n, err := r.CloseIntake(a.Service, a.Round, a.Shards, a.Upstream)
 		return n, err
 	})
 	HandleFunc(s, "entry.replicate.published", func(a roundArgs) (any, error) {
@@ -173,12 +171,10 @@ func (r *EntryReplicaClient) AnnouncePublished(service wire.Service, round uint3
 // failure (a connection gone stale while the frontend restarted): a first
 // attempt that ran makes the re-send fail as already closed, so nothing
 // is dealt twice.
-func (r *EntryReplicaClient) CloseIntake(service wire.Service, round uint32, numMailboxes uint32, chunkSize int, shards []string, upstream int) (int, error) {
+func (r *EntryReplicaClient) CloseIntake(service wire.Service, round uint32, shards []string, upstream int) (int, error) {
 	var size int
 	err := r.c.Call("entry.replicate.close", replicateCloseArgs{
-		Service: service, Round: round,
-		NumMailboxes: numMailboxes, ChunkSize: chunkSize,
-		Shards: shards, Upstream: upstream,
+		Service: service, Round: round, Shards: shards, Upstream: upstream,
 	}, &size)
 	return size, err
 }

@@ -41,20 +41,21 @@ func FuzzReplicateArgs(f *testing.F) {
 	f.Add(uint8(0), settings(wire.Dialing, 1))            // the open round, byte for byte
 	f.Add(uint8(0), settings(wire.AddFriend, 1))          // same round number, other service
 	f.Add(uint8(0), append(settings(wire.Dialing, 4), 0)) // trailing byte
-	f.Add(uint8(1+3), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":2}`))
-	f.Add(uint8(1+3*3), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":1,"upstream":1}`))
-	f.Add(uint8(1+3*2), []byte(`{"service":1,"round":2,"chunk_size":2}`))
-	f.Add(uint8(1+3), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":0}`))
-	f.Add(uint8(1+3*3), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":9223372036854775807}`))
-	f.Add(uint8(1+3), []byte(`{"service":2,"round":1,"chunk_size":-3}`))
-	f.Add(uint8(1), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":2}`))        // no shards
-	f.Add(uint8(1+3), []byte(`{"service":2,"round":9,"chunk_size":2}`))                        // never announced
-	f.Add(uint8(1+3*2), []byte(`{"service":2,"round":1,"chunk_size":3,"shards":[""]}`))        // shards replaced
-	f.Add(uint8(1+3+12), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":2}`))   // maxFanIn+1 shards
-	f.Add(uint8(1+3*2+24), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":2}`)) // an empty address
+	f.Add(uint8(1+3), []byte(`{"service":2,"round":1}`))
+	f.Add(uint8(1+3*3), []byte(`{"service":2,"round":1,"upstream":1}`))
+	f.Add(uint8(1+3*2), []byte(`{"service":1,"round":2}`))
+	f.Add(uint8(1+3), []byte(`{"service":2,"round":1,"num_mailboxes":2,"chunk_size":0}`)) // an older close's fields, ignored
+	f.Add(uint8(1+3*3), []byte(`{"service":1,"round":2,"upstream":2}`))
+	f.Add(uint8(1+3*2), []byte(`{"service":2,"round":1,"upstream":-1}`))
+	f.Add(uint8(1), []byte(`{"service":2,"round":1}`))                   // no shards
+	f.Add(uint8(1+3), []byte(`{"service":2,"round":9}`))                 // never announced
+	f.Add(uint8(1+3*2), []byte(`{"service":2,"round":1,"shards":[""]}`)) // shards replaced
+	f.Add(uint8(1+3+12), []byte(`{"service":2,"round":1}`))              // maxFanIn+1 shards
+	f.Add(uint8(1+3*2+24), []byte(`{"service":2,"round":1}`))            // an empty address
 	f.Add(uint8(2), []byte(`{"service":2,"round":1}`))
 	f.Add(uint8(2), []byte(`{"service":2,"round":7}`))
 	f.Add(uint8(2), []byte(`{"service":1,"round":2}`))
+	f.Add(uint8(1+3), []byte(`null`))
 
 	f.Fuzz(func(t *testing.T, pick uint8, data []byte) {
 		e := entry.New()
@@ -131,6 +132,9 @@ func FuzzReplicateArgs(f *testing.F) {
 			var fields map[string]json.RawMessage
 			if json.Unmarshal(data, &fields) != nil {
 				return
+			}
+			if fields == nil { // the params were null
+				fields = map[string]json.RawMessage{}
 			}
 			var err error
 			if fields["shards"], err = json.Marshal(shards); err != nil {

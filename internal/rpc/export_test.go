@@ -3,6 +3,7 @@ package rpc
 import (
 	"fmt"
 	"strings"
+	"testing"
 	"time"
 
 	"alpenhorn/internal/wire"
@@ -53,14 +54,23 @@ func (d *MixerDaemon) IntakeState(service wire.Service, round uint32) string {
 	return b.String()
 }
 
+// SetStreamChunk sets how many messages push puts in one chunk call, for
+// the length of test t. Call it before building the network, so that
+// every sender in it chunks alike from its first round to its teardown.
+func SetStreamChunk(t testing.TB, n int) {
+	old := streamChunk
+	streamChunk = n
+	t.Cleanup(func() { streamChunk = old })
+}
+
 // The coordinator's stream calls, which only tests make: every feeder in
 // the program sends its streams through push. Each is a peel-stage call.
 
 // StreamBegin opens (or joins) the routed round's onion intake. The
 // daemon treats it as idempotent, but like every stream call it is sent
 // at most once: a transport failure aborts the round instead.
-func (m *MixerClient) StreamBegin(service wire.Service, round uint32, numMailboxes uint32) error {
-	return m.c.CallOnce("mix.stream.begin", streamArgs{Service: service, Round: round, NumMailboxes: numMailboxes}, nil)
+func (m *MixerClient) StreamBegin(service wire.Service, round uint32) error {
+	return m.c.CallOnce("mix.stream.begin", streamArgs{Service: service, Round: round}, nil)
 }
 
 // StreamChunk feeds one chunk of onions as upstream 0, raw in the call's

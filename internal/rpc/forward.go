@@ -272,14 +272,14 @@ type keyReply struct{ blobs }
 
 // streamArgs is every mix.stream call's: the round, the stage it feeds
 // and the writer's slot in that stage (for the merge, the depositing
-// member's shard index). A begin's NumMailboxes must be the route's; a
-// chunk carries its messages in its blobs.
+// member's shard index); a chunk carries its messages in its blobs. A
+// stream names nothing of the plan: the daemon has the round's numbers
+// from its route.
 type streamArgs struct {
-	Service      wire.Service `json:"service"`
-	Round        uint32       `json:"round"`
-	Stage        stage        `json:"stage,omitempty"`
-	Upstream     int          `json:"upstream,omitempty"`
-	NumMailboxes uint32       `json:"num_mailboxes,omitempty"`
+	Service  wire.Service `json:"service"`
+	Round    uint32       `json:"round"`
+	Stage    stage        `json:"stage,omitempty"`
+	Upstream int          `json:"upstream,omitempty"`
 	blobs
 }
 
@@ -533,11 +533,17 @@ func (d *MixerDaemon) merge(k outKey, rt *route, parts [][][]byte) {
 	}
 }
 
+// streamChunk is how many messages push puts in one mix.stream.chunk
+// call: each sender's own framing, the same for every batch, which no
+// receiver needs to know. Only tests change it (SetStreamChunk), before
+// they build a network.
+var streamChunk = mixnet.DefaultStreamChunk
+
 // push is the one way a batch crosses to a shard set, for a frontend
 // feeding position 0 and for a daemon dealing, depositing or handing out
 // a build slice: one mix.stream per shard, every call under header hdr.
-// It deals batch in chunkSize-message chunks, chunk i to addrs[i mod N] —
-// deterministic, so sharding never hides nondeterminism in the data
+// It deals batch in streamChunk-message chunks, chunk i to addrs[i mod N]
+// — deterministic, so sharding never hides nondeterminism in the data
 // plane — and sends each shard its chunks over its own stream, all shards
 // at once, slicing the batch in place.
 //
@@ -550,7 +556,8 @@ func (d *MixerDaemon) merge(k outKey, rt *route, parts [][][]byte) {
 // AT MOST ONCE: a retry after a lost reply would append a chunk twice and
 // corrupt the batch, so a mid-stream transport failure fails the round
 // instead, and the next round carries the traffic.
-func (p *peerSet) push(addrs []string, hdr streamArgs, batch [][]byte, chunkSize int, deadline time.Time) error {
+func (p *peerSet) push(addrs []string, hdr streamArgs, batch [][]byte, deadline time.Time) error {
+	chunkSize := streamChunk
 	return fanOut(addrs, func(s int, addr string) error {
 		c, err := p.openStream(addr, hdr, deadline)
 		if err != nil {
@@ -600,22 +607,13 @@ func (p *peerSet) openStream(addr string, hdr streamArgs, deadline time.Time) (*
 	return c, nil
 }
 
-// effectiveChunk returns the route's chunk size clamped to the frame
-// budget.
-func (rt *route) effectiveChunk() int {
-	if rt.ChunkSize <= 0 {
-		return mixnet.DefaultStreamChunk
-	}
-	return min(rt.ChunkSize, streamChunkMax)
-}
-
 // pushStream pushes batch to stage st of a shard set for the route, as
 // upstream writer upstream: the successor shards' peel, the lead's merge,
 // or a member's build. The route's deadline bounds the begin's retries,
 // and what went out counts toward the daemon's reported bytes.
 func (d *MixerDaemon) pushStream(rt *route, addrs []string, st stage, upstream int, batch [][]byte) error {
-	hdr := streamArgs{Service: rt.Service, Round: rt.Round, Stage: st, Upstream: upstream, NumMailboxes: rt.NumMailboxes}
-	if err := d.push(addrs, hdr, batch, rt.effectiveChunk(), rt.deadline); err != nil {
+	hdr := streamArgs{Service: rt.Service, Round: rt.Round, Stage: st, Upstream: upstream}
+	if err := d.push(addrs, hdr, batch, rt.deadline); err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -809,11 +807,6 @@ func (d *MixerDaemon) admit(method string, a streamArgs) (*route, bool, error) {
 	}
 	switch method {
 	case "mix.stream.begin":
-		if a.NumMailboxes != rt.NumMailboxes {
-			// The round's noise is generated for the route's count, which
-			// the open bounded; a caller's other number is refused.
-			return bad("stream for %d mailboxes on a route for %d", a.NumMailboxes, rt.NumMailboxes)
-		}
 		in.begun = true
 		if rt.opened.IsZero() {
 			// The first begin starts the round's clock and its deadline.
@@ -868,8 +861,8 @@ func checkAddrs(addrs []string) error {
 // route beside it. The params come off an unauthenticated transport, so
 // everything is checked before anything changes: the group, the slots in
 // it, the counts, and where the output goes, which is exactly one of the
-// successors and the CDN. A refused open leaves no route and no noise
-// behind.
+// successors and the CDN, and the CDN exactly at the chain's last
+// position. A refused open leaves no route and no noise behind.
 func (d *MixerDaemon) openRound(a openArgs) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("rpc: round %d (%s): "+format, append([]any{a.Round, a.Service}, args...)...)
@@ -891,6 +884,9 @@ func (d *MixerDaemon) openRound(a openArgs) error {
 	}
 	if (len(a.Successors) > 0) == a.last() {
 		return bad("a route needs exactly one of successors and a CDN address")
+	}
+	if a.last() != (d.m.Position == d.m.ChainLength-1) {
+		return bad("a route for the other end of the chain at position %d of %d", d.m.Position, d.m.ChainLength)
 	}
 	d.openMu.Lock()
 	defer d.openMu.Unlock()

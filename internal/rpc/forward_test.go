@@ -171,9 +171,9 @@ func assertTokensDelivered(t *testing.T, store *cdn.Store, round uint32, setting
 // mailboxes appear in the CDN via the last daemon's cdn.publish. The
 // transport byte-counters on the coordinator's connections are the proof.
 func TestChainForwardOverTCP(t *testing.T) {
+	rpc.SetStreamChunk(t, 64)
 	n := newNetwork(t, sim.Config{NumPKGs: 1, TargetRequestsPerMailbox: 40, Listen: loopback})
 	coord := n.Coord
-	coord.ChunkSize = 64
 	coord.SetExpectedVolume(wire.Dialing, 300)
 
 	settings, err := coord.OpenDialingRound(1)
@@ -224,9 +224,9 @@ func TestChainForwardOverTCP(t *testing.T) {
 // fails without publishing, no round state leaks on the survivors, and —
 // after the daemon comes back — the next round succeeds.
 func TestChainForwardAbortMidChain(t *testing.T) {
+	rpc.SetStreamChunk(t, 8) // many chunks per hop, so the kill lands mid-stream
 	n := newNetwork(t, sim.Config{NumPKGs: 1, TargetRequestsPerMailbox: 40, Listen: loopback})
 	coord := n.Coord
-	coord.ChunkSize = 8 // many chunks per hop, so the kill lands mid-stream
 	coord.SetExpectedVolume(wire.Dialing, 120)
 	mid := n.Mixers[1][0]
 	chunks := crashMidStream(n, mid)

@@ -12,9 +12,8 @@ import (
 // TestStreamRefusals: on a 3×2 fleet over mem:, a round's mix.stream calls
 // are refused, and change nothing, when they name a stage the daemon's
 // route lacks, a slot outside the stage's fan-in, the lead's own merge
-// slot, a chunk before its stage's first begin or after its slot's end,
-// or a begin for another mailbox count. The round then runs honestly and
-// publishes every token.
+// slot, or a chunk before its stage's first begin or after its slot's
+// end. The round then runs honestly and publishes every token.
 func TestStreamRefusals(t *testing.T) {
 	n := newOpenFleet(t)
 	settings, err := n.Coord.OpenDialingRound(1)
@@ -24,7 +23,6 @@ func TestStreamRefusals(t *testing.T) {
 	// The lead role sits at slot round % len(group): shard 1 of each
 	// group in round 1.
 	const lead, member = 1, 0
-	k := settings.NumMailboxes
 	call := func(round uint32, pos, shard int, method string, a rpc.StreamArgs) (before, after string, err error) {
 		t.Helper()
 		d := n.Mixers[pos][shard]
@@ -44,25 +42,22 @@ func TestStreamRefusals(t *testing.T) {
 		method     string
 		args       rpc.StreamArgs
 	}{
-		{"merge at a depositor", 0, member, begin, rpc.StreamArgs{Stage: rpc.StageMerge, Upstream: lead, NumMailboxes: k}},
+		{"merge at a depositor", 0, member, begin, rpc.StreamArgs{Stage: rpc.StageMerge, Upstream: lead}},
 		{"merge end at a depositor", 1, member, end, rpc.StreamArgs{Stage: rpc.StageMerge, Upstream: lead}},
-		{"build at the lead", 2, lead, begin, rpc.StreamArgs{Stage: rpc.StageBuild, NumMailboxes: k}},
+		{"build at the lead", 2, lead, begin, rpc.StreamArgs{Stage: rpc.StageBuild}},
 		{"build end at the lead", 2, lead, end, rpc.StreamArgs{Stage: rpc.StageBuild}},
-		{"build at a position-0 member", 0, member, begin, rpc.StreamArgs{Stage: rpc.StageBuild, NumMailboxes: k}},
-		{"stage past the last", 1, lead, begin, rpc.StreamArgs{Stage: 3, NumMailboxes: k}},
+		{"build at a position-0 member", 0, member, begin, rpc.StreamArgs{Stage: rpc.StageBuild}},
+		{"stage past the last", 1, lead, begin, rpc.StreamArgs{Stage: 3}},
 		{"negative stage", 1, lead, end, rpc.StreamArgs{Stage: -1}},
-		{"peel upstream out of range", 0, member, begin, rpc.StreamArgs{Stage: rpc.StagePeel, Upstream: 1, NumMailboxes: k}},
+		{"peel upstream out of range", 0, member, begin, rpc.StreamArgs{Stage: rpc.StagePeel, Upstream: 1}},
 		{"negative peel upstream", 0, lead, end, rpc.StreamArgs{Stage: rpc.StagePeel, Upstream: -1}},
-		{"merge upstream out of range", 1, lead, begin, rpc.StreamArgs{Stage: rpc.StageMerge, Upstream: 2, NumMailboxes: k}},
+		{"merge upstream out of range", 1, lead, begin, rpc.StreamArgs{Stage: rpc.StageMerge, Upstream: 2}},
 		{"build upstream out of range", 2, member, end, rpc.StreamArgs{Stage: rpc.StageBuild, Upstream: 1}},
-		{"lead's own merge slot: begin", 1, lead, begin, rpc.StreamArgs{Stage: rpc.StageMerge, Upstream: lead, NumMailboxes: k}},
+		{"lead's own merge slot: begin", 1, lead, begin, rpc.StreamArgs{Stage: rpc.StageMerge, Upstream: lead}},
 		{"lead's own merge slot: end", 2, lead, end, rpc.StreamArgs{Stage: rpc.StageMerge, Upstream: lead}},
 		{"peel chunk before begin", 0, member, chunkCall, rpc.StreamArgs{Stage: rpc.StagePeel}},
 		{"merge chunk before begin", 1, lead, chunkCall, rpc.StreamArgs{Stage: rpc.StageMerge, Upstream: member}},
 		{"build chunk before begin", 2, member, chunkCall, rpc.StreamArgs{Stage: rpc.StageBuild}},
-		{"peel begin for another mailbox count", 0, lead, begin, rpc.StreamArgs{Stage: rpc.StagePeel, NumMailboxes: k + 1}},
-		{"merge begin for no mailboxes", 1, lead, begin, rpc.StreamArgs{Stage: rpc.StageMerge, Upstream: member}},
-		{"build begin for 2^31 mailboxes", 2, member, begin, rpc.StreamArgs{Stage: rpc.StageBuild, NumMailboxes: 1 << 31}},
 	} {
 		if tc.method == chunkCall {
 			tc.args = tc.args.WithBlobs(chunk)
@@ -93,7 +88,7 @@ func TestStreamRefusals(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	slot := rpc.StreamArgs{Stage: rpc.StageMerge, Upstream: 1, NumMailboxes: 1}
+	slot := rpc.StreamArgs{Stage: rpc.StageMerge, Upstream: 1}
 	for _, method := range []string{begin, end} {
 		if _, _, err := call(2, 1, 0, method, slot); err != nil {
 			t.Fatalf("%s of member 1's deposit: %v", method, err)

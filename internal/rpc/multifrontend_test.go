@@ -61,8 +61,8 @@ func runSeededForwardRound(t *testing.T, cfg sim.Config, service wire.Service) (
 	tokens := makeTestTokens(numTokens)
 	numFrontends := max(cfg.NumFrontends, 1)
 	cfg.NumPKGs, cfg.TargetRequestsPerMailbox, cfg.Seed = 1, 40, 1000
+	rpc.SetStreamChunk(t, 16)
 	n := newNetwork(t, cfg)
-	n.Coord.ChunkSize = 16
 	n.Coord.SetExpectedVolume(service, numTokens)
 	openRound := n.Coord.OpenDialingRound
 	if service == wire.AddFriend {

@@ -191,23 +191,3 @@ func TestRoundOpenResent(t *testing.T) {
 		t.Fatalf("%d rounds leak after close", n)
 	}
 }
-
-// TestStreamBeginMatchesRoute: a mix.stream.begin whose mailbox count is
-// not its route's is refused — the stream's noise would be generated for
-// a number any server-plane peer chose — and the round still runs.
-func TestStreamBeginMatchesRoute(t *testing.T) {
-	rd := startRoutedDaemon(t, 1)
-	if err := rd.mc.StreamBegin(wire.Dialing, 1, 1<<31); err == nil {
-		t.Fatal("begin for 2^31 mailboxes on a 2-mailbox route accepted")
-	}
-	if err := rd.mc.StreamBegin(wire.Dialing, 1, routedMailboxes); err != nil {
-		t.Fatal(err)
-	}
-	if err := rd.mc.StreamChunk(wire.Dialing, 1, rd.onions); err != nil {
-		t.Fatal(err)
-	}
-	if err := rd.mc.StreamEnd(wire.Dialing, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	rd.assertPublished(t)
-}

@@ -20,7 +20,8 @@ import (
 // might send for a round the daemon has announced. The handler must never
 // panic, and whatever it installs must be a route the data plane can run:
 // a group of 1 to maxFanIn addresses holding the daemon's slot and the
-// lead's, successors or a CDN address but not both, no list longer than
+// lead's, successors or a CDN address but not both, the CDN address
+// exactly at the chain's last position, no list longer than
 // maxFanIn or holding an empty address, the lead's merge sized to the
 // group and a build stage only on the last position's other members; and
 // re-sending the same bytes changes nothing. An open carrying the wrong
@@ -39,6 +40,9 @@ func FuzzRouteArgs(f *testing.F) {
 		tooMany[i] = "m:9"
 	}
 	for i, spec := range []wire.RouteSpec{
+		// Each seed is tried at every position: one whose output points
+		// the other way (successors at pick 2, the CDN at picks 4 and 6)
+		// is refused.
 		{Group: []string{"m:1"}, NumUpstream: 1, NumMailboxes: 2, CDNAddr: "c:1"},
 		{Group: []string{"m:1"}, NumUpstream: 2, NumMailboxes: 2, Successors: []string{"m:2", "m:3"}, DeadlineMs: 5},
 		// A build member at slot 1 whose lead is slot 0, a last-position
@@ -112,6 +116,9 @@ func FuzzRouteArgs(f *testing.F) {
 		var fields map[string]json.RawMessage
 		if json.Unmarshal(data, &fields) != nil {
 			return // the transport rejects the frame before the handler runs
+		}
+		if fields == nil { // the params were null
+			fields = map[string]json.RawMessage{}
 		}
 		fields["service"] = json.RawMessage(`2`)
 		fields["round"] = json.RawMessage(`1`)
@@ -192,6 +199,8 @@ func FuzzRouteArgs(f *testing.F) {
 			t.Fatalf("installed %d successors, empty address %v", len(rt.Successors), slices.Contains(rt.Successors, ""))
 		case (len(rt.Successors) > 0) == rt.last():
 			t.Fatalf("installed a route with %d successors and CDN %q", len(rt.Successors), rt.CDNAddr)
+		case rt.last() != (pos == 2):
+			t.Fatalf("installed a route with CDN %q at position %d of 3", rt.CDNAddr, pos)
 		case slots(rt.intakes[stagePeel]) < 1:
 			t.Fatal("installed a route no upstream can end")
 		case slots(rt.intakes[stageMerge]) != wantMerge || slots(rt.intakes[stageBuild]) != wantBuild:
@@ -293,6 +302,55 @@ func TestRouteRoles(t *testing.T) {
 	}
 }
 
+// TestRouteDirectionMatchesPosition: a route's output goes to the CDN
+// exactly at the chain's last position. A last-position daemon opened with
+// successors, and a middle one opened with a CDN address, are each refused
+// and leave no route and no noise behind (the noise lives in the round's
+// mixnet.Round, which only an accepted open makes); the same daemon then
+// opens the route that points the right way.
+func TestRouteDirectionMatchesPosition(t *testing.T) {
+	pub, _, err := onionbox.GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toCDN := wire.RouteSpec{Group: []string{"mem:1"}, NumUpstream: 1, NumMailboxes: 1, CDNAddr: "mem:2"}
+	toSuccessors := wire.RouteSpec{Group: []string{"mem:1"}, NumUpstream: 1, NumMailboxes: 1, Successors: []string{"mem:3"}}
+	nz := noise.Laplace{}
+	for _, tc := range []struct {
+		pos          int
+		wrong, right wire.RouteSpec
+	}{
+		{2, toSuccessors, toCDN},
+		{1, toCDN, toSuccessors},
+	} {
+		m, err := mixnet.New(mixnet.Config{Name: "m", Position: tc.pos, ChainLength: 3, AddFriendNoise: &nz, DialingNoise: &nz})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewServer()
+		d := RegisterMixer(s, m)
+		round := []byte(`{"service":2,"round":1}`)
+		if _, err := s.handlers["mix.newround"]("", round, nil); err != nil {
+			t.Fatal(err)
+		}
+		keys := [][]byte{pub.Bytes()}[:2-tc.pos]
+		open := func(spec wire.RouteSpec) error {
+			spec.DownstreamKeys = keys
+			return d.openRound(openArgs{Service: wire.Dialing, Round: 1, RouteSpec: spec})
+		}
+		if err := open(tc.wrong); err == nil {
+			t.Errorf("position %d of 3: a route with successors %v and CDN %q accepted", tc.pos, tc.wrong.Successors, tc.wrong.CDNAddr)
+		}
+		if rt := d.rounds[outKey{wire.Dialing, 1}]; rt.mix != nil {
+			t.Fatalf("position %d of 3: the refused open installed a route", tc.pos)
+		}
+		if err := open(tc.right); err != nil {
+			t.Errorf("position %d of 3: %v", tc.pos, err)
+		}
+		s.handlers["mix.closeround"]("", round, nil)
+	}
+}
+
 // TestAddressListsBounded: mix.round.open, mix.newround and
 // entry.replicate.close refuse an address list one past maxFanIn, each
 // entry of which would cost a goroutine or a dial, and one holding an
@@ -352,7 +410,7 @@ func TestAddressListsBounded(t *testing.T) {
 	}
 	r := NewEntryReplica(e)
 	for _, shards := range [][]string{tooMany, {"mem:1", ""}} {
-		if _, err := r.CloseIntake(wire.Dialing, 1, 1, 1, shards, 0); err == nil {
+		if _, err := r.CloseIntake(wire.Dialing, 1, shards, 0); err == nil {
 			t.Errorf("close dealing to %d shards accepted", len(shards))
 		}
 	}

@@ -23,9 +23,9 @@ import (
 // and per-daemon health comes back through
 // mix.round.wait.
 func TestShardedRoundOverTCP(t *testing.T) {
+	rpc.SetStreamChunk(t, 32)
 	n := newNetwork(t, sim.Config{NumPKGs: 1, Shards: []int{1, 2, 1}, TargetRequestsPerMailbox: 40, Listen: loopback})
 	coord := n.Coord
-	coord.ChunkSize = 32
 	coord.SetExpectedVolume(wire.Dialing, 300)
 
 	settings, err := coord.OpenDialingRound(1)
@@ -113,12 +113,12 @@ func TestShardDeterminismAcrossShardCounts(t *testing.T) {
 
 	onTransports(t, func(t *testing.T, listen string) {
 		runMode := func(shardsPerPos int) (*wire.RoundSettings, map[uint32][]byte) {
+			rpc.SetStreamChunk(t, 16)
 			n := newNetwork(t, sim.Config{
 				NumPKGs: 1, Shards: []int{shardsPerPos, shardsPerPos, shardsPerPos},
 				AddFriendNoise: &nz, DialingNoise: &nz, TargetRequestsPerMailbox: 40,
 				Seed: 1000, Listen: listen,
 			})
-			n.Coord.ChunkSize = 16
 			n.Coord.SetExpectedVolume(wire.Dialing, numTokens)
 
 			settings, err := n.Coord.OpenDialingRound(1)
@@ -162,9 +162,9 @@ func TestShardDeterminismAcrossShardCounts(t *testing.T) {
 // keys, staged merges), and the round after the shard restarts must
 // succeed.
 func TestShardAbortMidRound(t *testing.T) {
+	rpc.SetStreamChunk(t, 8) // many chunks per hop, so the kill lands mid-stream
 	n := newNetwork(t, sim.Config{NumPKGs: 1, Shards: []int{1, 2, 1}, TargetRequestsPerMailbox: 40})
 	coord := n.Coord
-	coord.ChunkSize = 8 // many chunks per hop, so the kill lands mid-stream
 	coord.SetExpectedVolume(wire.Dialing, 120)
 
 	// Sabotage the middle position's NON-merge shard.
@@ -301,7 +301,7 @@ func TestStreamFanInTwoUpstreams(t *testing.T) {
 	}
 	up := []*rpc.MixerClient{rd.mc, second}
 	for _, u := range up {
-		if err := u.StreamBegin(wire.Dialing, 1, routedMailboxes); err != nil {
+		if err := u.StreamBegin(wire.Dialing, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -341,7 +341,7 @@ func TestStreamFanInTwoUpstreams(t *testing.T) {
 func TestStreamEndClosesIntakeOnce(t *testing.T) {
 	rd := startRoutedDaemon(t, 1)
 	for i := 0; i < 2; i++ {
-		if err := rd.mc.StreamBegin(wire.Dialing, 1, routedMailboxes); err != nil {
+		if err := rd.mc.StreamBegin(wire.Dialing, 1); err != nil {
 			t.Fatalf("begin %d: %v", i, err)
 		}
 	}
@@ -368,7 +368,7 @@ func TestStreamEndClosesIntakeOnce(t *testing.T) {
 // mixnet.Round's, which only mix.round.open makes.)
 func TestUnroutedStreamRefused(t *testing.T) {
 	rd := startRoutedDaemon(t, 0)
-	if err := rd.mc.StreamBegin(wire.Dialing, 1, routedMailboxes); err == nil {
+	if err := rd.mc.StreamBegin(wire.Dialing, 1); err == nil {
 		t.Fatal("mix.stream.begin on an unrouted round accepted")
 	}
 	if err := rd.mc.StreamChunk(wire.Dialing, 1, rd.onions); err == nil {

@@ -13,27 +13,24 @@ import (
 )
 
 // FuzzStreamArgs drives one daemon's intake with a sequence of mix.stream
-// calls whose stage, upstream slot, mailbox count and blob count are the
-// fuzzer's. role picks the daemon: 0 is a depositor at position 0 fed by
+// calls whose stage, upstream slot and blob count are the fuzzer's. role picks the daemon: 0 is a depositor at position 0 fed by
 // two frontends, 1 a mid-chain lead of a three-member group, 2 a build
 // shard of the last position. No call may panic, no stage may complete
 // twice or with a slot still open, and a refused call may change nothing.
 //
-// Each call is four bytes of calls: the method (b0 % 3) and blob count
-// (b0 / 3 % 4), the stage (b1 % 6 - 1), the upstream slot (b2 % 6 - 1),
-// and the mailbox count (the route's below 192, b3 itself above). The
-// stages' completions are counted, not run: what follows a completion
+// Each call is three bytes of calls: the method (b0 % 3) and blob count
+// (b0 / 3 % 4), the stage (b1 % 6 - 1) and the upstream slot (b2 % 6 - 1).
+// The stages' completions are counted, not run: what follows a completion
 // dials the route's peers.
 func FuzzStreamArgs(f *testing.F) {
-	const routeMailboxes = 4
 	honest := func(stage, upstream byte) []byte {
-		return []byte{0, stage + 1, upstream + 1, 0, 4, stage + 1, upstream + 1, 0, 2, stage + 1, upstream + 1, 0}
+		return []byte{0, stage + 1, upstream + 1, 4, stage + 1, upstream + 1, 2, stage + 1, upstream + 1}
 	}
 	f.Add(uint8(0), append(honest(0, 0), honest(0, 1)...))
 	f.Add(uint8(1), append(honest(0, 0), honest(1, 1)...))
 	f.Add(uint8(1), honest(1, 0))
 	f.Add(uint8(2), append(honest(0, 0), honest(2, 0)...))
-	f.Add(uint8(2), []byte{1, 3, 1, 0, 2, 3, 1, 0, 1, 3, 1, 0, 0, 3, 1, 200})
+	f.Add(uint8(2), []byte{1, 3, 1, 2, 3, 1, 1, 3, 1, 0, 3, 1})
 
 	var keys [][]byte
 	for i := 0; i < 2; i++ {
@@ -66,22 +63,18 @@ func FuzzStreamArgs(f *testing.F) {
 		}
 		defer s.handlers["mix.closeround"]("", round, nil)
 		spec := roles[pos]
-		spec.NumMailboxes = routeMailboxes
+		spec.NumMailboxes = 4
 		if err := d.openRound(openArgs{Service: wire.Dialing, Round: 1, RouteSpec: spec}); err != nil {
 			t.Fatal(err)
 		}
 		rt := d.rounds[outKey{wire.Dialing, 1}]
 
 		var completed [numStages]int
-		for ; len(calls) >= 4; calls = calls[4:] {
+		for ; len(calls) >= 3; calls = calls[3:] {
 			method := []string{"mix.stream.begin", "mix.stream.chunk", "mix.stream.end"}[calls[0]%3]
 			a := streamArgs{
 				Service: wire.Dialing, Round: 1,
 				Stage: stage(calls[1]%6) - 1, Upstream: int(calls[2]%6) - 1,
-				NumMailboxes: routeMailboxes,
-			}
-			if calls[3] >= 192 {
-				a.NumMailboxes = uint32(calls[3])
 			}
 			for i := 0; i < int(calls[0]/3%4); i++ {
 				a.blobs = append(a.blobs, []byte{byte(i)})

@@ -406,42 +406,35 @@ func (n *Network) ConfirmAll(client *core.Client) error {
 // also destroys the round's master keys, mix, publish, and scan (every
 // client).
 func (n *Network) RunAddFriendRound(round uint32, clients []*core.Client) error {
-	ctx := context.Background()
-	if _, err := n.Coord.OpenAddFriendRound(round); err != nil {
-		return err
-	}
-	for _, c := range clients {
-		if err := c.SubmitAddFriendRound(ctx, round); err != nil {
-			return fmt.Errorf("sim: %s submit: %w", c.Email(), err)
-		}
-	}
-	if _, err := n.Coord.CloseRound(wire.AddFriend, round); err != nil {
-		return err
-	}
-	for _, c := range clients {
-		if err := c.ScanAddFriendRound(ctx, round); err != nil {
-			return fmt.Errorf("sim: %s scan: %w", c.Email(), err)
-		}
-	}
-	return nil
+	return n.runRound(wire.AddFriend, round, clients)
 }
 
 // RunDialRound drives one complete dialing round for the given clients.
 func (n *Network) RunDialRound(round uint32, clients []*core.Client) error {
+	return n.runRound(wire.Dialing, round, clients)
+}
+
+// runRound drives one complete round of service: open, every client's
+// submit, close, and every client's scan.
+func (n *Network) runRound(service wire.Service, round uint32, clients []*core.Client) error {
 	ctx := context.Background()
-	if _, err := n.Coord.OpenDialingRound(round); err != nil {
+	open, submit, scan := n.Coord.OpenDialingRound, (*core.Client).SubmitDialRound, (*core.Client).ScanDialRound
+	if service == wire.AddFriend {
+		open, submit, scan = n.Coord.OpenAddFriendRound, (*core.Client).SubmitAddFriendRound, (*core.Client).ScanAddFriendRound
+	}
+	if _, err := open(round); err != nil {
 		return err
 	}
 	for _, c := range clients {
-		if err := c.SubmitDialRound(ctx, round); err != nil {
+		if err := submit(c, ctx, round); err != nil {
 			return fmt.Errorf("sim: %s submit: %w", c.Email(), err)
 		}
 	}
-	if _, err := n.Coord.CloseRound(wire.Dialing, round); err != nil {
+	if _, err := n.Coord.CloseRound(service, round); err != nil {
 		return err
 	}
 	for _, c := range clients {
-		if err := c.ScanDialRound(ctx, round); err != nil {
+		if err := scan(c, ctx, round); err != nil {
 			return fmt.Errorf("sim: %s scan: %w", c.Email(), err)
 		}
 	}

@@ -3,8 +3,10 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"alpenhorn/internal/coordinator"
 	"alpenhorn/internal/core"
 	"alpenhorn/internal/noise"
+	"alpenhorn/internal/rpc"
 	"alpenhorn/internal/wire"
 )
 
@@ -52,6 +55,60 @@ func TestShardGroupsAndSpares(t *testing.T) {
 	}
 	if len(n.Mixers[1]) != 2 || n.Mixers[1][1].Client.Info().ShardIndex != 1 {
 		t.Fatal("position 1 is not a two-member group")
+	}
+}
+
+// TestCoordinatorStatusOverRPC: the coordinator.status surface, served on
+// frontend 0's client listener with alpenhorn-entry's source, reads back
+// over rpc after one dialing round on a {1,2,1} chain: the round's health
+// record names all four daemons with no error, and the scoreboard lists
+// each of them.
+func TestCoordinatorStatusOverRPC(t *testing.T) {
+	n := newNetwork(t, Config{NumPKGs: 1, Shards: []int{1, 2, 1}})
+	type status struct {
+		Health     []coordinator.RoundHealth `json:"health"`
+		Scoreboard coordinator.Scoreboard    `json:"scoreboard"`
+	}
+	rpc.RegisterCoordinatorStatus(n.Server(n.FrontendAddrs[0]), func() any {
+		return status{n.Coord.Status(), n.Coord.Scoreboard()}
+	})
+	if err := n.RunDialRound(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	f := rpc.DialFrontend(n.FrontendAddrs[0])
+	defer f.Close()
+	raw, err := f.CoordinatorStatus(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got status
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, group := range n.Mixers {
+		for _, m := range group {
+			want = append(want, m.Addr)
+		}
+	}
+	slices.Sort(want)
+	if len(got.Health) != 1 || got.Health[0].Service != wire.Dialing || got.Health[0].Round != 1 || got.Health[0].Err != "" {
+		t.Fatalf("health %+v, want one clean dialing round 1", got.Health)
+	}
+	var named, scored []string
+	for _, d := range got.Health[0].Daemons {
+		if d.Err != "" {
+			t.Errorf("daemon %s: %s", d.Addr, d.Err)
+		}
+		named = append(named, d.Addr)
+	}
+	for _, d := range got.Scoreboard.Daemons {
+		scored = append(scored, d.Addr)
+	}
+	slices.Sort(named)
+	slices.Sort(scored)
+	if !slices.Equal(named, want) || !slices.Equal(scored, want) {
+		t.Errorf("the health record names %v and the scoreboard lists %v, want %v", named, scored, want)
 	}
 }
 

@@ -15,9 +15,12 @@ import (
 // and works out its role from it (internal/rpc/forward.go): the lead
 // merges, every other member deposits at the lead and pulls the round key
 // from slot 0, the announcer. An unsharded position is a group of one.
+// How a sender cuts a batch into stream chunks is its own framing, not
+// part of the plan.
 type RouteSpec struct {
+	// NumMailboxes is the round's mailbox count, which sizes the daemon's
+	// noise and, at the last position, its build.
 	NumMailboxes uint32 `json:"num_mailboxes"`
-	ChunkSize    int    `json:"chunk_size"`
 	// Group is the position's planned members' dial addresses in shard
 	// order, a drafted spare in the slot it fills. ShardIndex is this
 	// daemon's slot in it, Lead the lead's.
